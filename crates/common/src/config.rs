@@ -48,10 +48,12 @@ pub struct Config {
     /// Number of transaction-table shards in the transaction manager.
     /// `0` means auto (same rule as [`lock_shards`](Config::lock_shards)).
     pub txn_shards: usize,
-    /// Under [`Durability::Buffered`], appended log frames accumulate in a
-    /// user-space buffer and are written to the OS only once this many
-    /// bytes are pending (or on an explicit/commit-path flush) — one
-    /// syscall per watermark instead of one per append.
+    /// Appended log frames accumulate in a user-space buffer — under every
+    /// file durability — and are written to the OS only once this many
+    /// bytes are pending (or on an explicit/commit-path flush): one
+    /// syscall per watermark instead of one per append. A watermark write
+    /// does not sync; buffered bytes are lost with a killed process, and
+    /// none of them was acknowledged.
     pub flush_watermark: usize,
     /// Number of executor worker threads driving state-machine
     /// transactions (`Database::submit`). `0` means auto: one worker per
@@ -170,7 +172,7 @@ impl Config {
         self
     }
 
-    /// Builder-style: set the buffered-log flush watermark in bytes.
+    /// Builder-style: set the log buffer's flush watermark in bytes.
     #[must_use]
     pub fn with_flush_watermark(mut self, bytes: usize) -> Config {
         self.flush_watermark = bytes;

@@ -39,8 +39,8 @@
 //! relaxed atomic load per site.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// What an armed failpoint does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,8 +121,13 @@ pub struct FaultRegistry {
     /// [`FaultAction::Error`], so no durable write can happen between the
     /// crash instant and the harness-driven restart.
     crashed: AtomicBool,
+    /// Crashes so far; [`reset`](Self::reset) does not clear it.
+    crashes: AtomicU64,
     points: Mutex<HashMap<&'static str, Point>>,
+    hooks: Mutex<HashMap<&'static str, Hook>>,
 }
+
+type Hook = Arc<dyn Fn() + Send + Sync>;
 
 impl std::fmt::Debug for FaultRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -141,6 +146,10 @@ impl FaultRegistry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, Point>> {
         self.points.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn hooks(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, Hook>> {
+        self.hooks.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Arm `name`: when evaluation satisfies `trigger`, the site performs
@@ -164,19 +173,30 @@ impl FaultRegistry {
         self.active.store(true, Ordering::Release);
     }
 
+    /// Run `hook` on every evaluation of `name`, on the evaluating thread
+    /// and before the point's trigger is consulted. A test uses it to meet
+    /// a thread that is *at* the site — a barrier or channel in the hook
+    /// forces the interleaving, no sleep needed. Lasts until
+    /// [`reset`](Self::reset).
+    pub fn on_hit(&self, name: &'static str, hook: impl Fn() + Send + Sync + 'static) {
+        self.hooks().insert(name, Arc::new(hook));
+        self.active.store(true, Ordering::Release);
+    }
+
     /// Disarm `name` (hit/fire counts are discarded with it).
     pub fn disarm(&self, name: &str) {
         let mut pts = self.lock();
         pts.remove(name);
-        if pts.is_empty() {
+        if pts.is_empty() && self.hooks().is_empty() {
             self.active.store(false, Ordering::Release);
         }
     }
 
-    /// Disarm every point and clear the crashed state — the "restart the
-    /// process" step of a crash-matrix scenario.
+    /// Disarm every point, drop every hook and clear the crashed state —
+    /// the "restart the process" step of a crash-matrix scenario.
     pub fn reset(&self) {
         self.lock().clear();
+        self.hooks().clear();
         self.active.store(false, Ordering::Release);
         self.crashed.store(false, Ordering::Release);
     }
@@ -191,6 +211,11 @@ impl FaultRegistry {
         }
         if !self.active.load(Ordering::Relaxed) {
             return None;
+        }
+        // cloned out, so that the hook may itself reach a failpoint
+        let hook = self.hooks().get(name).cloned();
+        if let Some(hook) = hook {
+            hook();
         }
         let mut pts = self.lock();
         let p = pts.get_mut(name)?;
@@ -213,6 +238,7 @@ impl FaultRegistry {
     /// only from a site whose [`check`](Self::check) returned
     /// [`FaultAction::Crash`] or [`FaultAction::Torn`].
     pub fn crash_now(&self, name: &'static str) -> ! {
+        self.crashes.fetch_add(1, Ordering::AcqRel);
         self.crashed.store(true, Ordering::Release);
         std::panic::panic_any(CrashPoint(name));
     }
@@ -221,6 +247,14 @@ impl FaultRegistry {
     /// last [`reset`](Self::reset)?
     pub fn is_crashed(&self) -> bool {
         self.crashed.load(Ordering::Acquire)
+    }
+
+    /// How many crashes have fired over the registry's whole life. Unlike
+    /// [`is_crashed`](Self::is_crashed) it survives [`reset`](Self::reset),
+    /// so an object can tell that it belongs to a process that has since
+    /// "died": the count is no longer the one it was created under.
+    pub fn crash_count(&self) -> u64 {
+        self.crashes.load(Ordering::Acquire)
     }
 
     /// How many times `name` has been evaluated since it was armed.
@@ -324,6 +358,21 @@ mod tests {
     }
 
     #[test]
+    fn hook_runs_at_each_evaluation_and_may_reenter() {
+        let r = Arc::new(FaultRegistry::new());
+        let inner = Arc::clone(&r);
+        r.on_hit(P, move || {
+            // a hook that itself evaluates another point must not deadlock
+            assert_eq!(inner.check("other.point"), None);
+        });
+        r.arm(P, Trigger::Nth(2), FaultAction::Error);
+        assert_eq!(r.check(P), None);
+        assert_eq!(r.check(P), Some(FaultAction::Error));
+        r.reset();
+        assert_eq!(r.check(P), None);
+    }
+
+    #[test]
     fn once_fires_exactly_once() {
         let r = FaultRegistry::new();
         r.arm(P, Trigger::Once, FaultAction::Error);
@@ -387,6 +436,7 @@ mod tests {
         r.reset();
         assert!(!r.is_crashed());
         assert_eq!(r.check("some.other.point"), None);
+        assert_eq!(r.crash_count(), 1, "what lived through it can still tell");
     }
 
     #[test]

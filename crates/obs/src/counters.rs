@@ -129,6 +129,10 @@ define_counters! {
     /// Buffered appends that coalesced (stayed in user space; no write
     /// syscall issued).
     log_coalesced,
+    /// Log drains nobody waited for (flush watermark, drop of the manager)
+    /// that failed: the bytes stayed buffered for the next force or flush
+    /// to retry and report. Nonzero means the log file is refusing writes.
+    log_drain_failures,
     /// Flush windows the group-commit flusher made durable (each covers
     /// one or more commit records under a single forced sync).
     flush_windows,

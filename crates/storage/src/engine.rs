@@ -4,7 +4,7 @@
 
 use crate::cache::ObjectCache;
 use crate::heapfile::{FilePageStore, MemPageStore, PageStore};
-use crate::log::{GroupFlusher, LogManager, LogRecord};
+use crate::log::{GroupFlusher, LogManager, LogRecord, UpdateRef};
 use crate::recovery::{recover, RecoveryReport};
 use crate::store::ObjectStore;
 use asset_common::{Config, Durability, Lsn, Oid, Result, Tid};
@@ -127,18 +127,19 @@ impl StorageEngine {
         after: Option<Vec<u8>>,
     ) -> Result<Option<Vec<u8>>> {
         let entry = self.cache.entry(oid, &self.store)?;
-        // The X latch inside `install` makes read-before + write atomic
-        // with respect to other accessors; the log record is written after
-        // the update, before the latch effects become commit-relevant (the
-        // commit record is what matters for WAL, and it is forced).
-        let before = entry.install(after.clone());
-        self.log.append(&LogRecord::Update {
-            tid,
-            oid,
-            before: before.clone(),
-            after,
-        })?;
-        Ok(before)
+        // Paper `write` steps 2–6 under one X latch: the record is encoded
+        // from both images where they sit — the cache's and the caller's —
+        // so neither is copied, and two permitted writers of one object log
+        // in the order they install. A refused append installs nothing.
+        entry.write_with(|slot| {
+            self.log.append_update(&UpdateRef {
+                tid,
+                oid,
+                before: slot.as_deref(),
+                after: after.as_deref(),
+            })?;
+            Ok(std::mem::replace(slot, after))
+        })
     }
 
     /// Install an image without logging (undo during abort; recovery).
@@ -173,6 +174,8 @@ impl StorageEngine {
     /// and write a checkpoint marker. The caller must guarantee no
     /// transaction is active.
     pub fn checkpoint(&self) -> Result<()> {
+        // WAL rule: no image reaches the store ahead of its log record.
+        self.log.flush()?;
         self.cache.flush(&self.store)?;
         self.store.flush()?;
         asset_faults::failpoint!(
@@ -213,7 +216,9 @@ impl StorageEngine {
     /// Compact the log while transactions in `live` are still in flight —
     /// the fuzzy-checkpoint counterpart to [`checkpoint`](Self::checkpoint):
     ///
-    /// 1. flush the cache and pool (all current images are in the store);
+    /// 1. force the log, then flush the cache and pool (all current images
+    ///    are in the store — live transactions' uncommitted ones included,
+    ///    which is why the records that undo them must be stable first);
     /// 2. analyze the log (applying delegations) to find the pending
     ///    updates each live transaction is responsible for;
     /// 3. rewrite the log as: `Checkpoint` marker, then for each live
@@ -224,11 +229,12 @@ impl StorageEngine {
     /// (the transaction manager holds its table lock and checks that no
     /// transaction is `Running`).
     pub fn compact_log(&self, live: &std::collections::HashSet<Tid>) -> Result<CompactionReport> {
+        self.log.flush()?;
         self.cache.flush(&self.store)?;
         self.store.flush()?;
         let records = self.log.scan()?;
         let before = records.len();
-        let analysis = crate::recovery::analyze(&records);
+        let mut analysis = crate::recovery::analyze(records);
         self.log.truncate()?;
         self.log.append(&LogRecord::Checkpoint)?;
         let mut after = 1usize;
@@ -242,12 +248,12 @@ impl StorageEngine {
         for owner in owners {
             self.log.append(&LogRecord::Begin { tid: owner })?;
             after += 1;
-            for u in &analysis.pending[&owner] {
+            for u in analysis.pending.remove(&owner).unwrap_or_default() {
                 self.log.append(&LogRecord::Update {
                     tid: owner,
                     oid: u.oid,
-                    before: u.before.clone(),
-                    after: u.after.clone(),
+                    after: analysis.take_after_image(u.lsn),
+                    before: u.before,
                 })?;
                 after += 1;
             }

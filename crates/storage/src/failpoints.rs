@@ -10,19 +10,25 @@
 //! root) crashes a scripted workload at every point in [`ALL`] and asserts
 //! the §4 recovery invariants after reopening.
 
-/// In [`LogManager::append_inner`](crate::LogManager): before the frame's
-/// bytes reach the backend. `Torn` writes a prefix of the frame to the
-/// file, then crashes.
+/// In the log's append path: after the frames are encoded, before they
+/// are accepted into the user-space buffer. `Torn` keeps a prefix of them,
+/// drains it to the file (unsynced), then crashes.
 pub const LOG_APPEND: &str = "log.append.write";
 
-/// Guarding every `sync_data` on the log file (forced appends under strict
-/// durability, and [`LogManager::flush`](crate::LogManager::flush)).
+/// Guarding every `sync_data` of a log drain
+/// ([`LogManager::drain`](crate::LogManager::drain): forced appends under
+/// strict durability, and [`LogManager::flush`](crate::LogManager::flush)).
 /// `ElideSync` skips the sync while reporting success.
 pub const LOG_SYNC: &str = "log.sync";
 
-/// In [`LogManager::flush`](crate::LogManager::flush): before the pending
-/// user-space buffer is drained to the OS.
+/// In [`LogManager::drain`](crate::LogManager::drain): after the pending
+/// buffer is swapped out, before its one `write` to the OS. `Error` puts
+/// the bytes back; `Torn` writes a prefix of them, then crashes.
 pub const LOG_FLUSH: &str = "log.flush.write";
+
+/// In [`LogManager::truncate`](crate::LogManager::truncate): before the
+/// file is cut to zero.
+pub const LOG_TRUNCATE: &str = "log.truncate";
 
 /// In `FilePageStore::{write_page, allocate}`: before the page's bytes
 /// reach the heap file. `Torn` writes a prefix of the page, then crashes.
@@ -42,7 +48,8 @@ pub const CHECKPOINT_AFTER_TRUNCATE: &str = "checkpoint.after_truncate";
 /// In [`GroupFlusher`](crate::log::GroupFlusher): while the flusher thread
 /// assembles a flush window, before any of the window's commit records is
 /// appended. `Torn` appends a prefix of the window's records (tickets, not
-/// bytes), then crashes — modelling a crash with the window half-written.
+/// bytes), drains it to the file unsynced, then crashes — modelling a
+/// crash with the window half-written.
 pub const FLUSH_WINDOW_ASSEMBLE: &str = "flush.window.assemble";
 
 /// In [`GroupFlusher`](crate::log::GroupFlusher): guarding the single
@@ -55,6 +62,7 @@ pub const ALL: &[&str] = &[
     LOG_APPEND,
     LOG_SYNC,
     LOG_FLUSH,
+    LOG_TRUNCATE,
     STORE_PAGE_WRITE,
     STORE_SYNC,
     CHECKPOINT_BEFORE_TRUNCATE,

@@ -290,54 +290,37 @@ fn realize_nonpanicking(out: Outcome) -> Result<Lsn> {
     }
 }
 
-/// Append every record of the window, then force once. Under
-/// [`Durability::Strict`] the appends are unforced and one
-/// [`LogManager::flush`] syncs the whole window; under
-/// [`Durability::Buffered`] the last append is forced, draining the
-/// user-space buffer to the OS without a sync — exactly the durability the
-/// mode always had; in-memory appends need neither.
+/// Append every record of the window in one critical section, then force
+/// once: one `write` hands the window (and whatever unforced records the
+/// workers buffered before it) to the OS, and under [`Durability::Strict`]
+/// one `sync_data` makes it stable. [`Durability::Buffered`] stops at the
+/// write — exactly the durability the mode always had; in-memory needs
+/// neither.
 fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<Vec<Lsn>> {
     asset_faults::failpoint!(
         &shared.faults,
         crate::failpoints::FLUSH_WINDOW_ASSEMBLE,
         |act| {
-            match act {
-                asset_faults::FaultAction::Torn { keep_per_mille } => {
-                    // A torn window: a prefix of the batch's records lands
-                    // (unsynced), then the process crashes. Recovery must
-                    // undo every commit in the window — none was
-                    // acknowledged.
-                    let keep = batch.len() * keep_per_mille as usize / 1000;
-                    for p in &batch[..keep] {
-                        let _ = shared.log.append(&p.rec);
-                    }
-                    shared
-                        .faults
-                        .crash_now(crate::failpoints::FLUSH_WINDOW_ASSEMBLE);
-                }
-                other => {
-                    return Err(shared
-                        .faults
-                        .realize_plain(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, other)
-                        .into())
-                }
+            if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
+                // A torn window: a prefix of the batch's records lands
+                // (unsynced), then the process crashes. None of the
+                // window's commits was acknowledged, so recovery may
+                // decide each either way.
+                let keep = batch.len() * keep_per_mille as usize / 1000;
+                let _ = shared.log.append_all(batch[..keep].iter().map(|p| &p.rec));
+                let _ = shared.log.drain(false);
             }
+            return Err(shared
+                .faults
+                .realize_plain(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, act)
+                .into());
         }
     );
-    let mut lsns = Vec::with_capacity(batch.len());
-    for (i, p) in batch.iter().enumerate() {
-        let last = i + 1 == batch.len();
-        let lsn = if shared.durability == Durability::Buffered && last {
-            shared.log.append_forced(&p.rec)?
-        } else {
-            shared.log.append(&p.rec)?
-        };
-        lsns.push(lsn);
-    }
+    let lsns = shared.log.append_all(batch.iter().map(|p| &p.rec))?;
     let elide = asset_faults::failpoint_sync!(&shared.faults, crate::failpoints::FLUSH_WINDOW_SYNC);
-    if !elide && shared.durability == Durability::Strict {
-        shared.log.flush()?;
-    }
+    shared
+        .log
+        .drain(!elide && shared.durability == Durability::Strict)?;
     Ok(lsns)
 }
 

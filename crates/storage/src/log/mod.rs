@@ -5,31 +5,54 @@
 //! the recovery *algorithms* are still exercised) and an append-only file
 //! with configurable durability.
 //!
-//! Under [`Durability::Buffered`], appended frames accumulate in a
-//! user-space buffer and reach the OS in one `write` per
-//! [`flush watermark`](LogManager::open_with) instead of one syscall per
-//! append; forced appends (commit records) and [`flush`](LogManager::flush)
-//! drain the buffer. `Strict` writes through on every append and syncs on
-//! force, as before — the coalescing only widens the crash window of a mode
-//! whose contract already tolerates losing the tail.
+//! Every append encodes its frame straight into one user-space buffer,
+//! `pending`, under the append lock and returns; nothing on the append
+//! path makes a syscall. The buffer reaches the OS in one `write` when a
+//! forced append (commit record), a [`flush`](LogManager::flush) or the
+//! [`flush watermark`](LogManager::open_with) drains it — under every
+//! durability: the modes differ only in whether a force also syncs
+//! (`Strict`) or not (`Buffered`). So [`LogWatermarks::pending_bytes`] is
+//! non-zero between forces under `Strict` too. The in-memory backend is
+//! the same buffer, never drained.
+//!
+//! A drain swaps the buffer out under the append lock and writes and
+//! syncs it with the lock released: appenders fill the next buffer while
+//! the device works. Drains are serialized among themselves, so bytes
+//! reach the file in LSN order. A failed drain puts its bytes back in
+//! front of `pending` and trims the file to what it held before, so an
+//! LSN is always the offset its record has, or will have, in the file.
+//! Buffered bytes die with a killed process: they are a suffix of the log
+//! that no force followed, so nothing acknowledged is among them. A
+//! manager that is *dropped* drains (without syncing) first, so a clean
+//! exit, or a test that "crashes" by dropping the database, leaves the OS
+//! every record that was appended.
+//!
+//! One manager owns a log file at a time: [`open`](LogManager::open) takes
+//! an exclusive advisory lock on it, held until the manager is dropped,
+//! and waits for a previous owner to let go. That owner may be a manager
+//! of this process still on its way out — a transaction thread keeps its
+//! database alive for an instant past `wait` — whose drop drain must land
+//! before the next owner reads the file, not after.
 
 mod flusher;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
 pub use record::LogRecord;
+pub(crate) use record::UpdateRef;
 
-use asset_annot::{verify_allow, wal};
+use asset_annot::wal;
 use asset_common::{Durability, Lsn, Result};
-use asset_obs::{bump, EventKind, Obs};
-use parking_lot::Mutex;
+use asset_obs::{add, bump, EventKind, Obs};
+use parking_lot::{Mutex, MutexGuard};
+use record::Frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default user-space buffer watermark (bytes) for `Buffered` durability.
+/// Default user-space buffer watermark (bytes).
 pub const DEFAULT_FLUSH_WATERMARK: usize = 64 * 1024;
 
 /// Point-in-time durability watermarks of the log, read in one critical
@@ -41,56 +64,80 @@ pub struct LogWatermarks {
     pub tail: Lsn,
     /// Records appended through this manager instance.
     pub records_appended: u64,
-    /// Bytes in the user-space buffer, not yet handed to the OS.
+    /// Bytes accepted but not yet handed to the OS: the user-space buffer
+    /// plus a drain in flight. Under every file durability this grows with
+    /// each unforced append and returns to zero at a force, a flush or the
+    /// watermark; a process crash loses these bytes, none of them
+    /// acknowledged.
     pub pending_bytes: usize,
     /// Bytes handed to the OS but not yet synced — the window a power
     /// failure can erase.
     pub unsynced_bytes: usize,
 }
 
-enum Backend {
-    Mem(Vec<u8>),
-    File {
-        file: File,
-        path: PathBuf,
-        /// Frames accepted but not yet handed to the OS (`Buffered` only).
-        pending: Vec<u8>,
-        /// Bytes written to the OS since the last sync.
-        buffered_bytes: usize,
-    },
+/// The log file and what serializes its writers.
+struct Disk {
+    /// Opened for append: every `write` lands at the end, `&File` writes.
+    file: File,
+    path: PathBuf,
+    /// Held for the whole of a drain, a truncation or a scan's read, so
+    /// the file changes under one of them at a time; taken before `inner`,
+    /// never while holding it. Holds the buffer the last drain emptied,
+    /// which the next drain swaps in for `pending`.
+    spare: Mutex<Vec<u8>>,
 }
 
 struct Inner {
-    backend: Backend,
+    /// Frames accepted and not yet handed to the file; the whole log of
+    /// the in-memory backend.
+    pending: Vec<u8>,
     tail: u64,
     records_appended: u64,
+    /// Bytes handed to the OS: the file's length.
+    written: u64,
+    /// The prefix of `written` known to be on stable storage.
+    synced: u64,
 }
 
 /// The log manager.
 pub struct LogManager {
     inner: Mutex<Inner>,
+    /// `None` for the in-memory backend.
+    disk: Option<Disk>,
     durability: Durability,
     flush_watermark: usize,
     obs: Arc<Obs>,
     #[cfg(feature = "faults")]
     faults: Arc<asset_faults::FaultRegistry>,
+    /// `faults.crash_count()` when the registry was attached.
+    #[cfg(feature = "faults")]
+    born_after_crashes: u64,
 }
 
 impl LogManager {
-    /// A purely in-memory log.
-    pub fn in_memory() -> LogManager {
+    fn new(disk: Option<Disk>, tail: u64, durability: Durability, watermark: usize) -> LogManager {
         LogManager {
             inner: Mutex::new(Inner {
-                backend: Backend::Mem(Vec::new()),
-                tail: 0,
+                pending: Vec::new(),
+                tail,
                 records_appended: 0,
+                written: tail,
+                synced: tail,
             }),
-            durability: Durability::InMemory,
-            flush_watermark: DEFAULT_FLUSH_WATERMARK,
+            disk,
+            durability,
+            flush_watermark: watermark.max(1),
             obs: Obs::shared(),
             #[cfg(feature = "faults")]
             faults: Default::default(),
+            #[cfg(feature = "faults")]
+            born_after_crashes: 0,
         }
+    }
+
+    /// A purely in-memory log.
+    pub fn in_memory() -> LogManager {
+        Self::new(None, 0, Durability::InMemory, DEFAULT_FLUSH_WATERMARK)
     }
 
     /// Report into `obs` instead of this manager's private hub (append/
@@ -104,6 +151,7 @@ impl LogManager {
     /// [`failpoints`](crate::failpoints)).
     #[cfg(feature = "faults")]
     pub fn set_faults(&mut self, faults: Arc<asset_faults::FaultRegistry>) {
+        self.born_after_crashes = faults.crash_count();
         self.faults = faults;
     }
 
@@ -118,9 +166,10 @@ impl LogManager {
         Self::open_with(path, durability, DEFAULT_FLUSH_WATERMARK)
     }
 
-    /// Open (creating if absent) the log file at `path`; under `Buffered`
-    /// durability, appends coalesce in user space until `flush_watermark`
-    /// bytes are pending.
+    /// Open (creating if absent) the log file at `path`; unforced appends
+    /// coalesce in user space until `flush_watermark` bytes are pending.
+    /// Waits for the file's previous owner, if one is still around, to be
+    /// dropped.
     pub fn open_with(
         path: &Path,
         durability: Durability,
@@ -131,152 +180,107 @@ impl LogManager {
             .append(true)
             .create(true)
             .open(path)?;
+        file.lock()?;
         let tail = file.seek(SeekFrom::End(0))?;
-        Ok(LogManager {
-            inner: Mutex::new(Inner {
-                backend: Backend::File {
-                    file,
-                    path: path.to_path_buf(),
-                    pending: Vec::new(),
-                    buffered_bytes: 0,
-                },
-                tail,
-                records_appended: 0,
-            }),
-            durability,
-            flush_watermark: flush_watermark.max(1),
-            obs: Obs::shared(),
-            #[cfg(feature = "faults")]
-            faults: Default::default(),
-        })
+        let disk = Disk {
+            file,
+            path: path.to_path_buf(),
+            spare: Mutex::new(Vec::new()),
+        };
+        Ok(Self::new(Some(disk), tail, durability, flush_watermark))
     }
 
-    /// Append a record; returns its LSN. Durability of the append follows
-    /// the configured mode (`Strict` forces commit-critical records — see
-    /// [`append_forced`](Self::append_forced)); plain appends are buffered.
+    /// Append a record; returns its LSN. The record is accepted into the
+    /// user-space buffer and reaches the OS with the next force, flush or
+    /// watermark drain (a watermark drain that fails leaves it buffered
+    /// for the next one to retry and report).
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
-        self.append_inner(rec, false)
+        self.append_inner(std::iter::once(rec), |_| (), false)
     }
 
-    /// Append and, under `Strict` durability, force the log to stable
-    /// storage before returning. Used for commit records (WAL rule). Under
-    /// `Buffered`, a forced append drains the user-space buffer to the OS
-    /// (commit-path write-out) without syncing.
+    /// Append and force: the record and everything before it is handed to
+    /// the OS before returning and, under `Strict` durability, synced. Used
+    /// for commit records (WAL rule).
     pub fn append_forced(&self, rec: &LogRecord) -> Result<Lsn> {
-        self.append_inner(rec, true)
+        self.append_inner(std::iter::once(rec), |_| (), true)
     }
 
-    #[wal(logs = "write_all", mutates = "inner.tail +=")]
-    fn append_inner(&self, rec: &LogRecord, force: bool) -> Result<Lsn> {
+    /// Append `recs` back to back in one critical section (a group-commit
+    /// window); returns each record's LSN. Unforced, like
+    /// [`append`](Self::append).
+    pub fn append_all<'a>(
+        &self,
+        recs: impl IntoIterator<Item = &'a LogRecord>,
+    ) -> Result<Vec<Lsn>> {
+        let recs = recs.into_iter();
+        let mut lsns = Vec::with_capacity(recs.size_hint().0);
+        self.append_inner(recs, |lsn| lsns.push(lsn), false)?;
+        Ok(lsns)
+    }
+
+    /// Append an `Update` whose images are borrowed: the one record kind on
+    /// the hot path carries two, and neither is copied to log it.
+    pub(crate) fn append_update(&self, rec: &UpdateRef<'_>) -> Result<Lsn> {
+        self.append_inner(std::iter::once(rec), |_| (), false)
+    }
+
+    /// The one append path: encode every frame into `pending`, then accept
+    /// them. Returns the first record's LSN and reports each one's to
+    /// `each`.
+    #[wal(logs = "encode_frame_into", mutates = "inner.tail +=")]
+    fn append_inner<'a, F: Frame + 'a>(
+        &self,
+        recs: impl IntoIterator<Item = &'a F>,
+        mut each: impl FnMut(Lsn),
+        force: bool,
+    ) -> Result<Lsn> {
         // Timing is gated on tracing so the default append path never pays
         // for a clock read; the counters below are always on.
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let frame = rec.encode_frame();
-        bump(&self.obs.counters.log_appends);
         let mut inner = self.inner.lock();
-        // The record's LSN is staged here, but `tail`/`records_appended`
-        // advance only once the backend has accepted the bytes: a failed
-        // write that advanced them would permanently desynchronize LSNs
-        // from file offsets and corrupt every later frame boundary.
+        // `tail`/`records_appended` advance only once the frames are whole
+        // in the buffer: a refused append must leave no byte behind, or
+        // every later LSN would be off from its record's offset.
         let lsn = Lsn(inner.tail);
-        let tail = inner.tail;
-        match &mut inner.backend {
-            Backend::Mem(buf) => {
-                asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
-                    match act {
-                        asset_faults::FaultAction::Torn { keep_per_mille } => {
-                            let keep = frame.len() * keep_per_mille as usize / 1000;
-                            buf.extend_from_slice(&frame[..keep]);
-                            self.faults.crash_now(crate::failpoints::LOG_APPEND);
-                        }
-                        other => {
-                            return Err(self
-                                .faults
-                                .realize_plain(crate::failpoints::LOG_APPEND, other)
-                                .into())
-                        }
-                    }
-                });
-                buf.extend_from_slice(&frame);
-            }
-            Backend::File {
-                file,
-                pending,
-                buffered_bytes,
-                ..
-            } => {
-                asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
-                    match act {
-                        asset_faults::FaultAction::Torn { keep_per_mille } => {
-                            // A torn write at the file tail; under Buffered
-                            // the user-space `pending` bytes are lost with
-                            // the crash, so only a prefix of this frame
-                            // lands past the last drain point. `scan()`
-                            // must treat it as a torn tail.
-                            let keep = frame.len() * keep_per_mille as usize / 1000;
-                            let _ = file.write_all(&frame[..keep]);
-                            self.faults.crash_now(crate::failpoints::LOG_APPEND);
-                        }
-                        other => {
-                            return Err(self
-                                .faults
-                                .realize_plain(crate::failpoints::LOG_APPEND, other)
-                                .into())
-                        }
-                    }
-                });
-                if self.durability == Durability::Buffered {
-                    let pre_pending = pending.len();
-                    pending.extend_from_slice(&frame);
-                    if force || pending.len() >= self.flush_watermark {
-                        if let Err(e) = file.write_all(pending) {
-                            // `write_all` may have landed a partial drain;
-                            // chop the file back to the last accepted
-                            // record and put the manager exactly where it
-                            // was before this append.
-                            let _ = file.set_len(tail - pre_pending as u64);
-                            pending.truncate(pre_pending);
-                            return Err(e.into());
-                        }
-                        *buffered_bytes += pending.len();
-                        pending.clear();
-                        bump(&self.obs.counters.log_flushes);
-                    } else {
-                        // stayed in user space: the coalescing the watermark
-                        // exists to produce
-                        bump(&self.obs.counters.log_coalesced);
-                    }
-                } else {
-                    if let Err(e) = file.write_all(&frame) {
-                        // chop any partial frame off the file tail
-                        let _ = file.set_len(tail);
-                        return Err(e.into());
-                    }
-                    *buffered_bytes += frame.len();
-                    bump(&self.obs.counters.log_flushes);
-                }
-            }
+        let start = inner.pending.len();
+        let mut records = 0;
+        for rec in recs {
+            each(Lsn(lsn.0 + (inner.pending.len() - start) as u64));
+            rec.encode_frame_into(&mut inner.pending);
+            records += 1;
         }
-        // The bytes are accepted: the record now exists at `lsn` whatever
-        // happens below (a failed sync leaves it written but not durable).
-        inner.tail += frame.len() as u64;
-        inner.records_appended += 1;
-        if force && self.durability == Durability::Strict {
-            if let Backend::File {
-                file,
-                buffered_bytes,
-                ..
-            } = &mut inner.backend
-            {
-                let elide =
-                    asset_faults::failpoint_sync!(&self.faults, crate::failpoints::LOG_SYNC);
-                if !elide {
-                    file.sync_data()?;
-                    *buffered_bytes = 0;
-                }
+        asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
+            if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
+                // a prefix of the frames reaches the file, then the
+                // process dies
+                let keep = (inner.pending.len() - start) * keep_per_mille as usize / 1000;
+                inner.pending.truncate(start + keep);
+                inner.tail += keep as u64; // accepted: they reach the file
+                drop(inner);
+                self.drain_in_passing();
+                self.faults.crash_now(crate::failpoints::LOG_APPEND);
             }
-        }
+            inner.pending.truncate(start);
+            return Err(self
+                .faults
+                .realize_plain(crate::failpoints::LOG_APPEND, act)
+                .into());
+        });
+        inner.tail += (inner.pending.len() - start) as u64;
+        inner.records_appended += records;
+        let over_watermark = inner.pending.len() >= self.flush_watermark;
         drop(inner);
+        add(&self.obs.counters.log_appends, records);
+        if force {
+            self.drain(self.durability == Durability::Strict)?;
+        } else if self.disk.is_some() {
+            if over_watermark {
+                self.drain_in_passing();
+            } else {
+                // stayed in user space: the coalescing the buffer exists for
+                add(&self.obs.counters.log_coalesced, records);
+            }
+        }
         if let Some(t0) = t0 {
             self.obs
                 .log_append_ns
@@ -287,58 +291,92 @@ impl LogManager {
 
     /// Force everything appended so far to stable storage.
     pub fn flush(&self) -> Result<()> {
+        self.drain(true)
+    }
+
+    /// Hand the pending buffer to the OS with one `write` and, if `sync`,
+    /// make the file stable with one `sync_data` — both with the append
+    /// lock released. A no-op for the in-memory backend.
+    pub fn drain(&self, sync: bool) -> Result<()> {
+        match &self.disk {
+            Some(disk) => self.drain_holding(disk, disk.spare.lock(), sync),
+            None => Ok(()),
+        }
+    }
+
+    /// A drain that nobody waits for (the watermark, the manager's drop):
+    /// write, no sync. It steps aside when another drain is running — that
+    /// one or the next force carries the bytes — so an unforced append
+    /// never queues behind a sync. Nor is a failure the append's: it is
+    /// counted, the bytes stay buffered, and the next force or flush
+    /// retries and reports.
+    fn drain_in_passing(&self) {
+        let Some(disk) = &self.disk else { return };
+        let Some(spare) = disk.spare.try_lock() else {
+            return;
+        };
+        if self.drain_holding(disk, spare, false).is_err() {
+            bump(&self.obs.counters.log_drain_failures);
+        }
+    }
+
+    /// The drain proper, for a caller that holds `disk.spare`.
+    fn drain_holding(
+        &self,
+        disk: &Disk,
+        mut spare: MutexGuard<'_, Vec<u8>>,
+        sync: bool,
+    ) -> Result<()> {
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let mut drained_bytes = 0u64;
-        let mut inner = self.inner.lock();
-        let tail = inner.tail;
-        if let Backend::File {
-            file,
-            pending,
-            buffered_bytes,
-            ..
-        } = &mut inner.backend
-        {
-            if !pending.is_empty() {
-                asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_FLUSH, |act| {
-                    match act {
-                        asset_faults::FaultAction::Torn { keep_per_mille } => {
-                            let keep = pending.len() * keep_per_mille as usize / 1000;
-                            let _ = file.write_all(&pending[..keep]);
-                            self.faults.crash_now(crate::failpoints::LOG_FLUSH);
-                        }
-                        other => {
-                            return Err(self
-                                .faults
-                                .realize_plain(crate::failpoints::LOG_FLUSH, other)
-                                .into())
-                        }
-                    }
-                });
-                let drained = pending.len();
-                if let Err(e) = file.write_all(pending) {
-                    let _ = file.set_len(tail - drained as u64);
-                    return Err(e.into());
+        let mut buf = {
+            let mut inner = self.inner.lock();
+            std::mem::replace(&mut inner.pending, std::mem::take(&mut *spare))
+        };
+        if !buf.is_empty() {
+            asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_FLUSH, |act| {
+                if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
+                    // a prefix lands, then the process dies
+                    let keep = buf.len() * keep_per_mille as usize / 1000;
+                    let _ = (&disk.file).write_all(&buf[..keep]);
+                    self.faults.crash_now(crate::failpoints::LOG_FLUSH);
                 }
-                drained_bytes = drained as u64;
-                // These bytes are written but not yet synced; they join the
-                // unsynced count until the sync below actually happens (it
-                // may fail, or a fault may elide it).
-                *buffered_bytes += drained;
-                pending.clear();
+                self.put_back(buf);
+                return Err(self
+                    .faults
+                    .realize_plain(crate::failpoints::LOG_FLUSH, act)
+                    .into());
+            });
+            if let Err(e) = (&disk.file).write_all(&buf) {
+                // `write_all` may have landed a part: chop the file back
+                // to the last accepted offset before the bytes go back.
+                let written = self.inner.lock().written;
+                let _ = disk.file.set_len(written);
+                self.put_back(buf);
+                return Err(e.into());
             }
+            // Written but not yet synced: they count as unsynced until the
+            // sync below actually happens (it may fail, or be elided).
+            self.inner.lock().written += buf.len() as u64;
+        }
+        let drained_bytes = buf.len() as u64;
+        buf.clear();
+        *spare = buf;
+        if sync {
             let elide = asset_faults::failpoint_sync!(&self.faults, crate::failpoints::LOG_SYNC);
             if !elide {
-                file.sync_data()?;
-                *buffered_bytes = 0;
+                disk.file.sync_data()?;
+                // only a drain moves `written`, and this is the only one
+                let mut inner = self.inner.lock();
+                inner.synced = inner.written;
             }
-            bump(&self.obs.counters.log_flushes);
         }
-        drop(inner);
+        drop(spare);
+        bump(&self.obs.counters.log_flushes);
         if let Some(t0) = t0 {
             let dur_ns = t0.elapsed().as_nanos() as u64;
             self.obs.log_flush_ns.record(dur_ns);
-            // The flush sub-span on the storage track: recorded after the
-            // log mutex is dropped, same discipline as the latency gauge.
+            // The flush sub-span on the storage track: recorded with no
+            // log lock held, same discipline as the latency gauge.
             self.obs.record(EventKind::LogFlush {
                 bytes: drained_bytes,
                 dur_ns,
@@ -347,75 +385,73 @@ impl LogManager {
         Ok(())
     }
 
+    /// A drain failed: its bytes return to the front of `pending`, ahead
+    /// of whatever was appended meanwhile, and `tail` never moved.
+    fn put_back(&self, mut buf: Vec<u8>) {
+        let mut inner = self.inner.lock();
+        buf.extend_from_slice(&inner.pending);
+        inner.pending = buf;
+    }
+
     /// The log's durability watermarks in one point-in-time view (feeds
     /// `Database::introspect()` and the `asset-top` display).
     pub fn watermarks(&self) -> LogWatermarks {
         let inner = self.inner.lock();
-        let (pending, unsynced) = match &inner.backend {
-            Backend::Mem(_) => (0, 0),
-            Backend::File {
-                pending,
-                buffered_bytes,
-                ..
-            } => (pending.len(), *buffered_bytes),
-        };
+        let on_disk = self.disk.is_some();
         LogWatermarks {
             tail: Lsn(inner.tail),
             records_appended: inner.records_appended,
-            pending_bytes: pending,
-            unsynced_bytes: unsynced,
+            pending_bytes: if on_disk {
+                (inner.tail - inner.written) as usize
+            } else {
+                0
+            },
+            unsynced_bytes: (inner.written - inner.synced) as usize,
         }
     }
 
     /// Current tail LSN (the LSN the next record will get).
     pub fn tail(&self) -> Lsn {
-        Lsn(self.inner.lock().tail)
+        self.watermarks().tail
     }
 
     /// Number of records appended through this manager instance.
     pub fn records_appended(&self) -> u64 {
-        self.inner.lock().records_appended
+        self.watermarks().records_appended
     }
 
-    /// Bytes currently held in the user-space buffer (diagnostics; always
-    /// zero outside `Buffered` durability).
+    /// Bytes accepted but not yet handed to the OS (see
+    /// [`LogWatermarks::pending_bytes`]). Zero for the in-memory backend.
     pub fn pending_bytes(&self) -> usize {
-        match &self.inner.lock().backend {
-            Backend::Mem(_) => 0,
-            Backend::File { pending, .. } => pending.len(),
-        }
+        self.watermarks().pending_bytes
     }
 
     /// Bytes handed to the OS but not yet `sync_data`'d — the window a
     /// power failure can erase. Zero for the in-memory backend. Under
-    /// `Strict`, unforced appends accumulate here until the next forced
-    /// (commit) append or [`flush`](Self::flush) syncs them; under
-    /// `Buffered`, drained watermark batches accumulate until `flush`.
+    /// `Strict` a force syncs what it drains, so this is non-zero only
+    /// after a watermark drain or a failed or elided sync; under
+    /// `Buffered`, drained bytes accumulate until [`flush`](Self::flush).
     pub fn unsynced_bytes(&self) -> usize {
-        match &self.inner.lock().backend {
-            Backend::Mem(_) => 0,
-            Backend::File { buffered_bytes, .. } => *buffered_bytes,
-        }
+        self.watermarks().unsynced_bytes
     }
 
     /// Read the whole log and decode it into `(lsn, record)` pairs. A torn
     /// tail is tolerated (crash consistency); corruption before the tail is
-    /// an error.
+    /// an error. The file is read with drains held off but appends not.
     pub fn scan(&self) -> Result<Vec<(Lsn, LogRecord)>> {
-        let mut inner = self.inner.lock();
-        let buf: Vec<u8> = match &mut inner.backend {
-            Backend::Mem(b) => b.clone(),
-            Backend::File { path, pending, .. } => {
-                let mut f = File::open(&*path)?;
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                // records not yet handed to the OS are still part of the
-                // in-process log
-                buf.extend_from_slice(pending);
-                buf
+        let mut buf = Vec::new();
+        let drains = match &self.disk {
+            None => None,
+            Some(disk) => {
+                let drains = disk.spare.lock();
+                File::open(&disk.path)?.read_to_end(&mut buf)?;
+                Some(drains)
             }
         };
-        drop(inner);
+        // records not yet handed to the OS are still part of the
+        // in-process log
+        buf.extend_from_slice(&self.inner.lock().pending);
+        drop(drains);
         let mut out = Vec::new();
         let mut off = 0usize;
         while let Some((rec, next)) = LogRecord::decode_frame(&buf, off)? {
@@ -427,40 +463,43 @@ impl LogManager {
 
     /// Truncate the log to empty. Only legal at a quiescent checkpoint,
     /// after every page has been flushed; the caller (checkpointing code)
-    /// guarantees that.
-    #[verify_allow(
-        failpoint_coverage,
-        reason = "checkpoint-only path; the checkpoint.* failpoints upstream already crash-test every ordering around this truncation"
-    )]
+    /// guarantees that. `tail` returns to zero only once the file has: a
+    /// refused truncation leaves LSNs and offsets where they were.
     pub fn truncate(&self) -> Result<()> {
+        let drains = self.disk.as_ref().map(|d| (d, d.spare.lock()));
         let mut inner = self.inner.lock();
+        if let Some((disk, _)) = &drains {
+            asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
+                return Err(self
+                    .faults
+                    .realize_plain(crate::failpoints::LOG_TRUNCATE, act)
+                    .into());
+            });
+            // Opened for append, so the next write lands at offset zero.
+            disk.file.set_len(0)?;
+        }
+        inner.pending.clear();
         inner.tail = 0;
-        match &mut inner.backend {
-            Backend::Mem(b) => b.clear(),
-            Backend::File {
-                file,
-                path,
-                pending,
-                buffered_bytes,
-            } => {
-                pending.clear();
-                // Recreate the file: truncate + rewind append cursor.
-                file.sync_data().ok();
-                let new = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .truncate(true)
-                    .open(&*path)?;
-                new.sync_data()?;
-                drop(std::mem::replace(
-                    file,
-                    OpenOptions::new().read(true).append(true).open(&*path)?,
-                ));
-                let _ = new;
-                *buffered_bytes = 0;
-            }
+        inner.written = 0;
+        inner.synced = 0;
+        if let Some((disk, _)) = &drains {
+            disk.file.sync_data()?;
         }
         Ok(())
+    }
+}
+
+impl Drop for LogManager {
+    /// Hand the buffer to the OS, unsynced, before the file (and with it
+    /// the lock that keeps the next owner waiting) is released.
+    fn drop(&mut self) {
+        // What lived through a simulated crash belongs to the process that
+        // died in it, however late it is dropped: it writes nothing more.
+        #[cfg(feature = "faults")]
+        if self.faults.crash_count() != self.born_after_crashes {
+            return;
+        }
+        self.drain_in_passing();
     }
 }
 
@@ -549,13 +588,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One buffer for every durability: unforced appends make no syscall
+    /// under `Strict` either.
     #[test]
-    fn buffered_appends_coalesce_until_watermark() {
-        let dir = std::env::temp_dir().join(format!("asset-log-coal-{}", std::process::id()));
+    fn appends_coalesce_until_forced_under_every_durability() {
+        for durability in [Durability::Buffered, Durability::Strict] {
+            appends_coalesce_until_forced(durability);
+        }
+    }
+
+    fn appends_coalesce_until_forced(durability: Durability) {
+        let dir = std::env::temp_dir().join(format!(
+            "asset-log-coal-{durability:?}-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
-        let log = LogManager::open_with(&path, Durability::Buffered, 1 << 20).unwrap();
+        let log = LogManager::open_with(&path, durability, 1 << 20).unwrap();
         for r in sample_records() {
             log.append(&r).unwrap();
         }
@@ -671,21 +721,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("asset-log-unsync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
-        // Strict: unforced appends write through and stay unsynced until a
-        // forced (commit) append syncs the file.
+        // Strict: unforced appends are pending until a forced (commit)
+        // append drains and syncs them; a watermark drain in between
+        // writes without syncing.
         let path = dir.join("strict.log");
         let _ = std::fs::remove_file(&path);
-        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        let log = LogManager::open_with(&path, Durability::Strict, 12).unwrap();
         log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        assert_eq!(log.pending_bytes() as u64, log.tail().0);
+        assert_eq!(log.unsynced_bytes(), 0, "still in user space");
         log.append(&LogRecord::Begin { tid: Tid(2) }).unwrap();
+        assert_eq!(log.pending_bytes(), 0, "over the watermark: drained");
         assert_eq!(log.unsynced_bytes() as u64, log.tail().0);
         log.append_forced(&LogRecord::Commit { tids: vec![Tid(1)] })
             .unwrap();
         assert_eq!(log.unsynced_bytes(), 0, "forced append synced");
         log.append(&LogRecord::Abort { tid: Tid(2) }).unwrap();
-        assert!(log.unsynced_bytes() > 0);
+        assert!(log.pending_bytes() > 0);
         log.flush().unwrap();
-        assert_eq!(log.unsynced_bytes(), 0, "flush synced");
+        assert_eq!((log.pending_bytes(), log.unsynced_bytes()), (0, 0));
 
         // Buffered: bytes in the user-space buffer are *pending*, not
         // unsynced; they join the unsynced count at drain and leave it
@@ -711,8 +765,8 @@ mod tests {
     }
 
     /// Regression (LSN-desync bug): `append_inner` used to advance `tail`
-    /// and `records_appended` before the backend write, so a failed write
-    /// desynchronized every later LSN from its file offset.
+    /// and `records_appended` before the record was accepted, so a refused
+    /// append desynchronized every later LSN from its file offset.
     #[cfg(feature = "faults")]
     #[test]
     fn failed_append_leaves_lsns_aligned_with_offsets() {
@@ -749,15 +803,18 @@ mod tests {
         assert_eq!(scanned[1].0, lsn);
         assert_eq!(log.records_appended(), 2);
         // and the file agrees after a reopen
+        log.flush().unwrap();
+        let tail = log.tail();
+        drop(log);
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
         assert_eq!(log2.scan().unwrap().len(), 2);
-        assert_eq!(log2.tail(), log.tail());
+        assert_eq!(log2.tail(), tail);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
     #[test]
-    fn torn_append_crashes_and_leaves_a_parseable_prefix() {
+    fn torn_drain_crashes_and_leaves_a_parseable_prefix() {
         use asset_faults::{FaultAction, FaultRegistry, Trigger};
         let dir = std::env::temp_dir().join(format!("asset-log-tornfp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -768,8 +825,44 @@ mod tests {
         let mut log = LogManager::open(&path, Durability::Strict).unwrap();
         log.set_faults(Arc::clone(&faults));
         let recs = sample_records();
-        log.append(&recs[0]).unwrap();
+        log.append_forced(&recs[0]).unwrap();
         log.append(&recs[1]).unwrap();
+        faults.arm(
+            crate::failpoints::LOG_FLUSH,
+            Trigger::Once,
+            FaultAction::Torn {
+                keep_per_mille: 900,
+            },
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = log.append_forced(&recs[2]);
+        }));
+        assert!(unwound.is_err(), "torn write crashes");
+        assert!(faults.is_crashed());
+        drop(log);
+        faults.reset();
+        // the file holds two whole frames plus a torn third; scan drops it
+        let log2 = LogManager::open(&path, Durability::Strict).unwrap();
+        assert_eq!(log2.scan().unwrap().len(), 2, "torn tail dropped");
+        assert!(log2.tail().0 > log2.scan().unwrap()[1].0 .0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(feature = "faults")]
+    #[test]
+    fn torn_append_lands_a_prefix_of_the_frame() {
+        use asset_faults::{FaultAction, FaultRegistry, Trigger};
+        let dir = std::env::temp_dir().join(format!("asset-log-tornap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        asset_faults::silence_crash_panics();
+        let faults = Arc::new(FaultRegistry::new());
+        let mut log = LogManager::open(&path, Durability::Strict).unwrap();
+        log.set_faults(Arc::clone(&faults));
+        let recs = sample_records();
+        log.append_forced(&recs[0]).unwrap();
+        let whole = std::fs::metadata(&path).unwrap().len();
         faults.arm(
             crate::failpoints::LOG_APPEND,
             Trigger::Once,
@@ -778,14 +871,16 @@ mod tests {
             },
         );
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = log.append(&recs[2]);
+            let _ = log.append(&recs[1]);
         }));
-        assert!(unwound.is_err(), "torn write crashes");
-        assert!(faults.is_crashed());
+        assert!(unwound.is_err(), "torn append crashes");
+        drop(log);
         faults.reset();
-        // the file holds two whole frames plus a torn third; scan drops it
+        let torn = std::fs::metadata(&path).unwrap().len() - whole;
+        assert_eq!(torn, recs[1].encode_frame().len() as u64 / 2);
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
-        assert_eq!(log2.scan().unwrap().len(), 2, "torn tail dropped");
+        assert_eq!(log2.scan().unwrap().len(), 1, "torn tail dropped");
+        drop(log2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -814,6 +909,248 @@ mod tests {
         faults.reset();
         log.flush().unwrap();
         assert_eq!(log.unsynced_bytes(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A window is one critical section, one `write` and one `sync_data`,
+    /// whatever the workers buffered before it.
+    #[test]
+    fn append_all_then_drain_is_one_write() {
+        let dir = std::env::temp_dir().join(format!("asset-log-window-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        let recs = sample_records();
+        let lsns = log.append_all(&recs).unwrap();
+        assert_eq!(log.obs().snapshot().counters.log_flushes, 0);
+        log.drain(true).unwrap();
+        assert_eq!(log.obs().snapshot().counters.log_flushes, 1);
+        let scanned = log.scan().unwrap();
+        assert_eq!(
+            scanned[1..].iter().map(|(l, _)| *l).collect::<Vec<_>>(),
+            lsns,
+            "each record's LSN is its offset"
+        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.tail().0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A dropped manager hands its buffer to the OS: a clean exit, or a
+    /// "crash" that is a plain drop, keeps the unforced tail.
+    #[test]
+    fn drop_drains_the_unforced_tail() {
+        let dir = std::env::temp_dir().join(format!("asset-log-drop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        let recs = sample_records();
+        log.append(&recs[0]).unwrap();
+        log.append_forced(&recs[1]).unwrap();
+        log.append(&recs[2]).unwrap();
+        assert!(log.pending_bytes() > 0);
+        drop(log);
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        let scanned: Vec<LogRecord> = log.scan().unwrap().into_iter().map(|(_, r)| r).collect();
+        assert_eq!(scanned, recs);
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One owner at a time: `open` waits until the previous manager of the
+    /// file is dropped, so that manager's drop drain is in the file the
+    /// new owner reads — however late the drop comes.
+    #[test]
+    fn open_waits_for_the_previous_owner_to_drop() {
+        use std::sync::mpsc::channel;
+        let dir = std::env::temp_dir().join(format!("asset-log-owner-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let old = LogManager::open(&path, Durability::Strict).unwrap();
+        old.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        let (opened_tx, opened_rx) = channel();
+        let opener = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let new = LogManager::open(&path, Durability::Strict).unwrap();
+                opened_tx.send(()).unwrap();
+                new.scan().unwrap().len()
+            })
+        };
+        // not a sleep the test depends on: were `open` not to wait, this
+        // only gives it the time to show it
+        assert!(opened_rx
+            .recv_timeout(std::time::Duration::from_millis(50))
+            .is_err());
+        drop(old);
+        assert_eq!(opener.join().unwrap(), 1, "the late drain was read");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manager that lived through a simulated crash is part of the dead
+    /// process: dropped after the harness's reset, it still writes nothing.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_manager_that_outlived_a_crash_does_not_drain_on_drop() {
+        let (dir, faults, log) = faulty_log("zombie");
+        log.append_forced(&LogRecord::Begin { tid: Tid(1) })
+            .unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
+        asset_faults::silence_crash_panics();
+        let crash = std::panic::catch_unwind(|| faults.crash_now(crate::failpoints::LOG_SYNC));
+        assert!(crash.is_err());
+        faults.reset();
+        drop(log);
+        let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        assert_eq!(log.scan().unwrap().len(), 1, "only the forced prefix");
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(feature = "faults")]
+    fn faulty_log(tag: &str) -> (PathBuf, Arc<asset_faults::FaultRegistry>, LogManager) {
+        let dir = std::env::temp_dir().join(format!("asset-log-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let faults = Arc::new(asset_faults::FaultRegistry::new());
+        let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        log.set_faults(Arc::clone(&faults));
+        (dir, faults, log)
+    }
+
+    /// Regression: `truncate` used to zero `tail` before the file was cut,
+    /// so a refused truncation left `tail = 0` over a non-empty file.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn failed_truncate_leaves_lsns_aligned_with_offsets() {
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("truncfail");
+        let recs = sample_records();
+        log.append_forced(&recs[0]).unwrap();
+        log.append(&recs[1]).unwrap();
+        let tail_before = log.tail();
+        faults.arm(
+            crate::failpoints::LOG_TRUNCATE,
+            Trigger::Once,
+            FaultAction::Error,
+        );
+        let err = log.truncate().unwrap_err();
+        assert!(err.to_string().contains("log.truncate"));
+        assert_eq!(log.tail(), tail_before, "refused: nothing moved");
+        let lsn = log.append_forced(&recs[2]).unwrap();
+        assert_eq!(lsn, tail_before);
+        let scanned = log.scan().unwrap();
+        assert_eq!(scanned.len(), 3);
+        assert_eq!(scanned[2].0, lsn);
+        // and an accepted truncation still empties it
+        log.truncate().unwrap();
+        assert_eq!(log.append(&recs[0]).unwrap(), Lsn::ZERO);
+        assert_eq!(log.scan().unwrap().len(), 1);
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sync runs with the append lock released: while one thread is
+    /// *inside* the sync (held there by a hook at its failpoint), another
+    /// thread's append completes.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn append_completes_while_a_sync_is_in_flight() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (dir, faults, log) = faulty_log("syncrace");
+        let log = Arc::new(log);
+        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        let (at_sync_tx, at_sync_rx) = channel();
+        let (appended_tx, appended_rx) = channel::<Lsn>();
+        let appended_rx = std::sync::Mutex::new(appended_rx);
+        let seen = Arc::new(std::sync::Mutex::new(None));
+        let seen_in_hook = Arc::clone(&seen);
+        faults.on_hit(crate::failpoints::LOG_SYNC, move || {
+            at_sync_tx.send(()).unwrap();
+            // a timeout, not a sleep: it only runs out if the append is
+            // stuck behind this sync, and then the test fails below
+            let got = appended_rx
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_secs(10));
+            *seen_in_hook.lock().unwrap() = got.ok();
+        });
+        let appender = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                at_sync_rx.recv().unwrap();
+                let lsn = log.append(&LogRecord::Begin { tid: Tid(2) }).unwrap();
+                appended_tx.send(lsn).unwrap();
+            })
+        };
+        log.flush().unwrap();
+        appender.join().unwrap();
+        let lsn = seen
+            .lock()
+            .unwrap()
+            .expect("append finished during the sync");
+        assert_eq!(log.pending_bytes() as u64, log.tail().0 - lsn.0);
+        faults.reset();
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A drain that fails after appends raced it puts its bytes back *in
+    /// front of* theirs: every LSN handed out is still its record's offset.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn failed_drain_with_racing_appends_keeps_lsns_aligned() {
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("drainrace");
+        let log = Arc::new(log);
+        let recs = sample_records();
+        let mut lsns = vec![
+            log.append_forced(&recs[0]).unwrap(),
+            log.append(&recs[1]).unwrap(),
+        ];
+        // the hook runs between the buffer swap and the refused write: the
+        // append inside it lands in the *next* buffer
+        let raced = Arc::new(std::sync::Mutex::new(Vec::new()));
+        {
+            let (log, raced, rec) = (Arc::downgrade(&log), Arc::clone(&raced), recs[2].clone());
+            faults.on_hit(crate::failpoints::LOG_FLUSH, move || {
+                let log = log.upgrade().unwrap();
+                raced.lock().unwrap().push(log.append(&rec).unwrap());
+            });
+        }
+        faults.arm(
+            crate::failpoints::LOG_FLUSH,
+            Trigger::Once,
+            FaultAction::Error,
+        );
+        let tail_on_disk = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        assert!(log.flush().is_err());
+        assert_eq!(
+            std::fs::metadata(dir.join("wal.log")).unwrap().len(),
+            tail_on_disk,
+            "nothing of the failed drain stays in the file"
+        );
+        lsns.append(&mut raced.lock().unwrap());
+        assert_eq!(lsns.len(), 3);
+        faults.reset();
+        let in_process: Vec<Lsn> = log.scan().unwrap().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(in_process, lsns, "before the retry");
+        log.flush().unwrap();
+        let tail = log.tail();
+        drop(log);
+        let log2 = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        let scanned = log2.scan().unwrap();
+        assert_eq!(scanned.iter().map(|(l, _)| *l).collect::<Vec<_>>(), lsns);
+        assert_eq!(
+            scanned.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
+            recs
+        );
+        assert_eq!(log2.tail(), tail);
+        drop(log2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

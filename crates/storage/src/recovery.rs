@@ -65,10 +65,9 @@ pub struct PendingUpdate {
     pub lsn: Lsn,
     /// The updated object.
     pub oid: Oid,
-    /// Before image (for undo).
+    /// Before image (for undo). The after image is the entry of
+    /// [`LogAnalysis::redo`] with this `lsn`: each image is held once.
     pub before: Option<Vec<u8>>,
-    /// After image (for redo / log compaction).
-    pub after: Option<Vec<u8>>,
 }
 
 /// The outcome of the analysis pass over a log: who committed, who
@@ -82,7 +81,8 @@ pub struct LogAnalysis {
     pub committed: HashSet<Tid>,
     /// Transactions with a logged abort.
     pub aborted: HashSet<Tid>,
-    /// Every update in log order (redo list), across all transactions.
+    /// Every update's after image in log order (redo list), across all
+    /// transactions.
     pub redo: Vec<(Lsn, Oid, Option<Vec<u8>>)>,
     /// tid → its prepared group, for transactions with a `Prepared` record
     /// and no later `Commit`/`Abort` (in-doubt at this point in the log).
@@ -91,9 +91,19 @@ pub struct LogAnalysis {
     pub max_tid: u64,
 }
 
+impl LogAnalysis {
+    /// Move the after image of the update logged at `lsn` out of the redo
+    /// list (log compaction re-logs it with its before image).
+    pub fn take_after_image(&mut self, lsn: Lsn) -> Option<Vec<u8>> {
+        let at = self.redo.binary_search_by_key(&lsn, |r| r.0).ok()?;
+        self.redo[at].2.take()
+    }
+}
+
 /// Analysis pass (paper §4.2 bookkeeping, shared by restart recovery and
-/// log compaction).
-pub fn analyze(records: &[(Lsn, LogRecord)]) -> LogAnalysis {
+/// log compaction). Consumes the scanned records: every image moves into
+/// the analysis, none is copied.
+pub fn analyze(records: Vec<(Lsn, LogRecord)>) -> LogAnalysis {
     let mut a = LogAnalysis::default();
     for (lsn, rec) in records {
         match rec {
@@ -107,47 +117,45 @@ pub fn analyze(records: &[(Lsn, LogRecord)]) -> LogAnalysis {
                 after,
             } => {
                 a.max_tid = a.max_tid.max(tid.raw());
-                a.pending.entry(*tid).or_default().push(PendingUpdate {
-                    lsn: *lsn,
-                    oid: *oid,
-                    before: before.clone(),
-                    after: after.clone(),
-                });
-                a.redo.push((*lsn, *oid, after.clone()));
+                a.pending
+                    .entry(tid)
+                    .or_default()
+                    .push(PendingUpdate { lsn, oid, before });
+                a.redo.push((lsn, oid, after));
             }
             LogRecord::Commit { tids } => {
                 for t in tids {
                     a.max_tid = a.max_tid.max(t.raw());
-                    a.committed.insert(*t);
+                    a.committed.insert(t);
                     // a committed transaction's pending updates are winners
-                    a.pending.remove(t);
-                    a.prepared.remove(t);
+                    a.pending.remove(&t);
+                    a.prepared.remove(&t);
                 }
             }
             LogRecord::Abort { tid } => {
                 a.max_tid = a.max_tid.max(tid.raw());
-                a.aborted.insert(*tid);
+                a.aborted.insert(tid);
                 // the runtime abort logged a CLR for every undo step, so
                 // this transaction's rollback replays via the redo pass;
                 // it is not a loser and must not be re-undone (that would
                 // clobber later committed overwrites).
-                a.pending.remove(tid);
-                a.prepared.remove(tid);
+                a.pending.remove(&tid);
+                a.prepared.remove(&tid);
             }
             LogRecord::Prepared { tids } => {
-                for t in tids {
+                for t in &tids {
                     a.max_tid = a.max_tid.max(t.raw());
                     a.prepared.insert(*t, tids.clone());
                 }
             }
             LogRecord::Delegate { from, to, obs } => {
                 a.max_tid = a.max_tid.max(from.raw().max(to.raw()));
-                let moved: Vec<PendingUpdate> = match a.pending.get_mut(from) {
+                let moved: Vec<PendingUpdate> = match a.pending.get_mut(&from) {
                     None => Vec::new(),
                     Some(list) => match obs {
                         None => std::mem::take(list),
                         Some(set) => {
-                            let set: HashSet<Oid> = set.iter().copied().collect();
+                            let set: HashSet<Oid> = set.into_iter().collect();
                             let (take, keep): (Vec<_>, Vec<_>) =
                                 list.drain(..).partition(|u| set.contains(&u.oid));
                             *list = keep;
@@ -156,14 +164,14 @@ pub fn analyze(records: &[(Lsn, LogRecord)]) -> LogAnalysis {
                     },
                 };
                 if !moved.is_empty() {
-                    let dst = a.pending.entry(*to).or_default();
+                    let dst = a.pending.entry(to).or_default();
                     dst.extend(moved);
                     dst.sort_by_key(|u| u.lsn);
                 }
             }
             LogRecord::Clr { oid, image } => {
                 // redo-only: replayed in order, never undone
-                a.redo.push((*lsn, *oid, image.clone()));
+                a.redo.push((lsn, oid, image));
             }
             LogRecord::Checkpoint => {
                 // Checkpoint: everything settled at this point is already
@@ -186,10 +194,9 @@ pub fn recover(
     cache: &ObjectCache,
     store: &ObjectStore,
 ) -> Result<RecoveryReport> {
-    let records = log.scan()?;
     let mut report = RecoveryReport::default();
 
-    let analysis = analyze(&records);
+    let analysis = analyze(log.scan()?);
     let LogAnalysis {
         mut pending,
         committed,
@@ -201,9 +208,9 @@ pub fn recover(
     report.max_tid = max_tid;
 
     // --- Redo -------------------------------------------------------------
-    for (_, oid, after) in &redo {
-        cache.install(*oid, after.clone());
-        report.redone += 1;
+    report.redone = redo.len();
+    for (_, oid, after) in redo {
+        cache.install(oid, after);
     }
 
     // --- In-doubt ---------------------------------------------------------
@@ -211,11 +218,11 @@ pub fn recover(
     // loser: its updates stay redone (durable-but-undecided) and the caller
     // resolves it when the coordinator's decision arrives (DESIGN.md §14.3).
     let mut in_doubt: Vec<InDoubt> = prepared
-        .iter()
+        .into_iter()
         .map(|(tid, group)| InDoubt {
-            tid: *tid,
-            group: group.clone(),
-            updates: pending.remove(tid).unwrap_or_default(),
+            tid,
+            group,
+            updates: pending.remove(&tid).unwrap_or_default(),
         })
         .collect();
     in_doubt.sort_by_key(|d| d.tid.raw());
@@ -225,21 +232,19 @@ pub fn recover(
     // Losers: any transaction still responsible for updates and not in the
     // committed set (including logged aborts: re-undo is idempotent).
     let mut undo: Vec<PendingUpdate> = Vec::new();
-    let mut loser_set: HashSet<Tid> = HashSet::new();
-    for (tid, ups) in &pending {
-        if !committed.contains(tid) {
-            loser_set.insert(*tid);
-            undo.extend(ups.iter().cloned());
+    for (tid, ups) in pending {
+        if !committed.contains(&tid) {
+            report.losers += 1;
+            undo.extend(ups);
         }
     }
     undo.sort_by_key(|u| std::cmp::Reverse(u.lsn));
-    for u in &undo {
-        cache.install(u.oid, u.before.clone());
-        report.undone += 1;
+    report.undone = undo.len();
+    for u in undo {
+        cache.install(u.oid, u.before);
     }
 
     report.winners = committed.len();
-    report.losers = loser_set.len();
 
     // --- Make it durable --------------------------------------------------
     cache.flush(store)?;

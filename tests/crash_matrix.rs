@@ -608,6 +608,51 @@ fn error_matrix_live_state_agrees_with_recovery() {
 }
 
 // ---------------------------------------------------------------------------
+// WAL rule at compaction: `compact_log` flushes the cache to the store, the
+// uncommitted images of live transactions included, so the `Update` records
+// that undo them must be stable *first*. Unforced appends sit in the log's
+// user-space buffer, which a killed process loses: crash between the store
+// flush and the log rewrite, and the live transaction must still roll back.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn crash_between_compaction_store_flush_and_log_rewrite_undoes_live_txn() {
+    for point in [
+        storage::failpoints::STORE_SYNC,
+        storage::failpoints::LOG_TRUNCATE,
+    ] {
+        let case = Case::new("w6");
+        let db = case.open();
+        let o = db.new_oid();
+        put(&db, o, b"base");
+        // the store is now the only holder of `base`: no earlier record of
+        // `o` is left in the log for redo to paper over the hole with
+        db.checkpoint().unwrap();
+        // completed, never committed: still live when the log is compacted
+        let t = db
+            .initiate(move |ctx| ctx.write(o, b"live".to_vec()))
+            .unwrap();
+        db.begin(t).unwrap();
+        db.wait(t).unwrap();
+
+        case.faults.arm(point, Trigger::Once, FaultAction::Crash);
+        let outcome = catch_unwind(AssertUnwindSafe(|| db.compact_log()));
+        assert!(outcome.is_err(), "[{point}] compaction crashed");
+        drop(db);
+
+        let db = case.reopen_clean();
+        assert_eq!(
+            &get(&db, o)[..],
+            b"base",
+            "[{point}] an uncommitted image reached the store ahead of its log record"
+        );
+        drop(db);
+        let db = case.reopen_clean();
+        assert_eq!(&get(&db, o)[..], b"base", "[{point}] not idempotent");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Elided syncs: `sync_data` lies (returns Ok without forcing). Within one
 // OS lifetime the bytes are still in the page cache, so recovery must still
 // see them — this exercises the ElideSync plumbing and the
