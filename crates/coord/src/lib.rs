@@ -79,8 +79,11 @@ pub use twopc::{CoordLog, TwoPhase};
 
 use asset_common::Tid;
 use asset_dep::{CrossGroup, NodeId};
+use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{bump, Obs, TraceCtx};
+use failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
 use std::sync::Arc;
+use std::time::Instant;
 
 #[cfg(doc)]
 use asset_core::Database;
@@ -122,36 +125,12 @@ impl CoordObs {
     }
 
     /// The trace context stamped onto messages of global txn `gid`.
-    pub(crate) fn ctx(&self, gid: u64) -> TraceCtx {
+    fn ctx(&self, gid: u64) -> TraceCtx {
         TraceCtx {
             origin: self.node,
             root: gid,
         }
     }
-}
-
-/// Send `msg` for global txn `gid` through `transport`, threading the
-/// coordinator's observability when present: bump the per-opcode
-/// `coord_msg_*` counter and propagate a trace context so transports
-/// mirror the exchange into the event rings on both ends.
-pub(crate) fn coord_send(
-    transport: &dyn CommitTransport,
-    co: Option<&CoordObs>,
-    gid: u64,
-    node: usize,
-    msg: CommitMessage,
-) -> Result<CommitMessage, CoordError> {
-    let Some(co) = co else {
-        return transport.send(node, msg);
-    };
-    match &msg {
-        CommitMessage::Prepare { .. } => bump(&co.obs.counters.coord_msg_prepare),
-        CommitMessage::QueryState { .. } => bump(&co.obs.counters.coord_msg_prepared),
-        CommitMessage::CommitDecide { .. } => bump(&co.obs.counters.coord_msg_commit_decide),
-        CommitMessage::AbortDecide { .. } => bump(&co.obs.counters.coord_msg_abort_decide),
-        _ => {}
-    }
-    transport.send_traced(node, msg, Some(co.ctx(gid)))
 }
 
 /// The coordinator's verdict on a global transaction. Durable (in the
@@ -164,6 +143,16 @@ pub enum Decision {
     /// Some participant voted no, was unreachable, or the transaction
     /// is presumed aborted; all members abort.
     Abort,
+}
+
+impl Decision {
+    /// The decide message that tells a participant this verdict.
+    fn message(self, tids: Vec<Tid>) -> CommitMessage {
+        match self {
+            Decision::Commit => CommitMessage::CommitDecide { tids },
+            Decision::Abort => CommitMessage::AbortDecide { tids },
+        }
+    }
 }
 
 /// One global transaction: an id chosen by the application plus the
@@ -199,82 +188,183 @@ impl GlobalTxn {
     }
 }
 
-/// Cooperative termination (DESIGN.md §14.4): given a durable decision,
-/// drive every member node to it, tolerating participants that already
-/// learned it and participants that restarted in doubt. Used by both
-/// protocols' recovery paths and retried delivery.
-///
-/// Per node: query the first seed's state; a committed node is done; a
-/// prepared node is re-prepared (idempotent — this recovers the full
-/// widened group, which a restarted coordinator no longer knows) and
-/// sent the decision; anything else is only legal on the abort path,
-/// where an idempotent abort-decide of the seeds suffices.
-pub(crate) fn terminate(
-    transport: &dyn CommitTransport,
-    co: Option<&CoordObs>,
-    gid: u64,
-    members: &[(NodeId, Vec<Tid>)],
-    decision: Decision,
-) -> Result<(), CoordError> {
-    for (node, tids) in members {
-        let n = node.0 as usize;
-        let state = match coord_send(
+/// What both coordinators are made of: the transport, the scripted
+/// coordinator crashes, the observability, and the one commit round the
+/// two protocols share — they differ only at its decision point.
+pub(crate) struct Driver {
+    transport: Arc<dyn CommitTransport>,
+    pub(crate) faults: Arc<FaultRegistry>,
+    pub(crate) obs: Option<CoordObs>,
+}
+
+impl Driver {
+    pub(crate) fn new(transport: Arc<dyn CommitTransport>) -> Driver {
+        Driver {
             transport,
-            co,
-            gid,
-            n,
-            CommitMessage::QueryState { tid: tids[0] },
-        )? {
-            CommitMessage::State(s) => s,
-            other => return Err(CoordError::protocol("query-state", &other)),
-        };
-        match (state, decision) {
-            (ParticipantState::Committed, Decision::Commit) => continue,
-            (ParticipantState::Committed, Decision::Abort) => {
-                return Err(CoordError::Protocol(format!(
-                    "{node} already committed but the decision is abort"
-                )))
-            }
-            (ParticipantState::Prepared, _) => {
-                let group = match coord_send(
-                    transport,
-                    co,
-                    gid,
-                    n,
-                    CommitMessage::Prepare { tids: tids.clone() },
-                )? {
-                    CommitMessage::Vote { yes: true, group } => group,
-                    other => return Err(CoordError::protocol("re-prepare", &other)),
-                };
-                let msg = match decision {
-                    Decision::Commit => CommitMessage::CommitDecide { tids: group },
-                    Decision::Abort => CommitMessage::AbortDecide { tids: group },
-                };
-                match coord_send(transport, co, gid, n, msg)? {
-                    CommitMessage::Ack => {}
-                    other => return Err(CoordError::protocol("decide", &other)),
-                }
-            }
-            (_, Decision::Abort) => {
-                // never prepared (or already aborted): abort-decide is
-                // an idempotent abort_many of whatever is still live
-                let _ = coord_send(
-                    transport,
-                    co,
-                    gid,
-                    n,
-                    CommitMessage::AbortDecide { tids: tids.clone() },
-                )?;
-            }
-            (s, Decision::Commit) => {
-                return Err(CoordError::Protocol(format!(
-                    "{node} is {s:?} on the commit path — a logged commit \
-                     decision implies every participant prepared"
-                )))
-            }
+            faults: Arc::new(FaultRegistry::new()),
+            obs: None,
         }
     }
-    Ok(())
+
+    /// Send `msg` for global txn `gid`, threading the coordinator's
+    /// observability when present: bump the per-opcode `coord_msg_*`
+    /// counter and propagate a trace context so transports mirror the
+    /// exchange into the event rings on both ends.
+    fn send(&self, gid: u64, node: usize, msg: CommitMessage) -> Result<CommitMessage, CoordError> {
+        let Some(co) = &self.obs else {
+            return self.transport.send(node, msg);
+        };
+        match &msg {
+            CommitMessage::Prepare { .. } => bump(&co.obs.counters.coord_msg_prepare),
+            CommitMessage::QueryState { .. } => bump(&co.obs.counters.coord_msg_prepared),
+            CommitMessage::CommitDecide { .. } => bump(&co.obs.counters.coord_msg_commit_decide),
+            CommitMessage::AbortDecide { .. } => bump(&co.obs.counters.coord_msg_abort_decide),
+            _ => {}
+        }
+        self.transport.send_traced(node, msg, Some(co.ctx(gid)))
+    }
+
+    fn realize(&self, point: &'static str, act: FaultAction) -> CoordError {
+        match act {
+            FaultAction::Crash | FaultAction::Torn { .. } => self.faults.crash_now(point),
+            _ => CoordError::Io(asset_faults::injected(point)),
+        }
+    }
+
+    /// Drive `txn` to a decision: collect a vote from every member node
+    /// (stopping at the first *no*; an unreachable node and a node never
+    /// asked vote no), make the decision durable, deliver it. The
+    /// **decision point** is the caller's: `make_durable` gets the
+    /// decision — commit iff every vote is yes — and the votes as
+    /// `(node, yes)`, and returns once no crash can change it (2PC: the
+    /// forced coordinator-log record; Paxos Commit: every vote accepted
+    /// by an acceptor quorum). Delivery is best-effort per node; the
+    /// protocol's `recover` re-delivers to anyone that missed it.
+    pub(crate) fn commit(
+        &self,
+        txn: &GlobalTxn,
+        make_durable: impl FnOnce(Decision, &[(u32, bool)]) -> Result<(), CoordError>,
+    ) -> Result<Decision, CoordError> {
+        let started = Instant::now();
+        let members = txn.members();
+        // --- phase 1: collect votes -----------------------------------
+        let mut prepared: Vec<(NodeId, Vec<Tid>)> = Vec::new();
+        let mut votes: Vec<(u32, bool)> = Vec::with_capacity(members.len());
+        for (node, tids) in &members {
+            let msg = CommitMessage::Prepare { tids: tids.clone() };
+            let yes = match self.send(txn.gid, node.0 as usize, msg) {
+                Ok(CommitMessage::Vote { yes: true, group }) => {
+                    prepared.push((*node, group));
+                    true
+                }
+                Ok(CommitMessage::Vote { yes: false, .. }) => false,
+                Ok(other) => return Err(CoordError::protocol("vote", &other)),
+                Err(_) => false, // unreachable node: vote no on its behalf
+            };
+            votes.push((node.0, yes));
+            if !yes {
+                break;
+            }
+        }
+        for (node, _) in members.iter().skip(votes.len()) {
+            votes.push((node.0, false));
+        }
+        // --- the blocking window: votes in, nothing durable -----------
+        if let Some(act) = self.faults.check(COORD_BEFORE_DECIDE) {
+            return Err(self.realize(COORD_BEFORE_DECIDE, act));
+        }
+        let decision = if votes.iter().all(|(_, yes)| *yes) {
+            Decision::Commit
+        } else {
+            Decision::Abort
+        };
+        make_durable(decision, &votes)?;
+        if let Some(co) = &self.obs {
+            // decision latency: first prepare sent → decision durable
+            co.obs
+                .decision_ns
+                .record(started.elapsed().as_nanos() as u64);
+        }
+        if let Some(act) = self.faults.check(COORD_AFTER_DECIDE) {
+            return Err(self.realize(COORD_AFTER_DECIDE, act));
+        }
+        // --- phase 2: deliver -----------------------------------------
+        for (node, group) in &prepared {
+            let msg = decision.message(group.clone());
+            // best-effort: a dropped decide leaves the node prepared;
+            // recover() re-delivers
+            // verify: allow(status_flow) — decision is durable; recover() re-delivers lost decides
+            let _ = self.send(txn.gid, node.0 as usize, msg);
+        }
+        if decision == Decision::Abort {
+            // members that never prepared (no-voters, unreachable
+            // nodes) may still have live transactions: abort them too
+            for (node, tids) in &members {
+                if !prepared.iter().any(|(n, _)| n == node) {
+                    let msg = CommitMessage::AbortDecide { tids: tids.clone() };
+                    // verify: allow(status_flow) — abort decide is best-effort; participants time out
+                    let _ = self.send(txn.gid, node.0 as usize, msg);
+                }
+            }
+        }
+        Ok(decision)
+    }
+
+    /// Cooperative termination (DESIGN.md §14.4): given a durable
+    /// decision, drive every member node to it, tolerating participants
+    /// that already learned it and participants that restarted in doubt.
+    /// Used by both protocols' recovery paths and retried delivery.
+    ///
+    /// Per node: query the first seed's state; a committed node is done;
+    /// a prepared node is re-prepared (idempotent — this recovers the
+    /// full widened group, which a restarted coordinator no longer knows)
+    /// and sent the decision; anything else is only legal on the abort
+    /// path, where an idempotent abort-decide of the seeds suffices.
+    pub(crate) fn terminate(
+        &self,
+        gid: u64,
+        members: &[(NodeId, Vec<Tid>)],
+        decision: Decision,
+    ) -> Result<(), CoordError> {
+        for (node, tids) in members {
+            let n = node.0 as usize;
+            let state = match self.send(gid, n, CommitMessage::QueryState { tid: tids[0] })? {
+                CommitMessage::State(s) => s,
+                other => return Err(CoordError::protocol("query-state", &other)),
+            };
+            match (state, decision) {
+                (ParticipantState::Committed, Decision::Commit) => continue,
+                (ParticipantState::Committed, Decision::Abort) => {
+                    return Err(CoordError::Protocol(format!(
+                        "{node} already committed but the decision is abort"
+                    )))
+                }
+                (ParticipantState::Prepared, _) => {
+                    let prepare = CommitMessage::Prepare { tids: tids.clone() };
+                    let group = match self.send(gid, n, prepare)? {
+                        CommitMessage::Vote { yes: true, group } => group,
+                        other => return Err(CoordError::protocol("re-prepare", &other)),
+                    };
+                    match self.send(gid, n, decision.message(group))? {
+                        CommitMessage::Ack => {}
+                        other => return Err(CoordError::protocol("decide", &other)),
+                    }
+                }
+                (_, Decision::Abort) => {
+                    // never prepared (or already aborted): abort-decide is
+                    // an idempotent abort_many of whatever is still live
+                    let _ = self.send(gid, n, CommitMessage::AbortDecide { tids: tids.clone() })?;
+                }
+                (s, Decision::Commit) => {
+                    return Err(CoordError::Protocol(format!(
+                        "{node} is {s:?} on the commit path — a logged commit \
+                         decision implies every participant prepared"
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -25,17 +25,13 @@
 //! the choice durable. Promises at the higher ballot fence the old
 //! coordinator out: its ballot-0 phase 2 can no longer reach a quorum.
 
-use crate::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
-use crate::transport::{CommitMessage, CommitTransport, CoordError};
-use crate::{coord_send, terminate, CoordObs, Decision, GlobalTxn};
-use asset_common::Tid;
-use asset_dep::NodeId;
-use asset_faults::{FaultAction, FaultRegistry};
+use crate::transport::{CommitTransport, CoordError};
+use crate::{CoordObs, Decision, Driver, GlobalTxn};
+use asset_faults::FaultRegistry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One consensus instance: the vote of participant `node` in global
 /// transaction `gid`.
@@ -115,24 +111,20 @@ impl Acceptor {
 /// A Paxos Commit coordinator: participant votes decided by an acceptor
 /// quorum instead of a coordinator log.
 pub struct PaxosCommit {
-    transport: Arc<dyn CommitTransport>,
+    driver: Driver,
     acceptors: Vec<Arc<Acceptor>>,
     /// This coordinator's ballot: 0 for the initial coordinator (which
     /// may skip phase 1), higher for recovery coordinators.
     ballot: u64,
-    faults: Arc<FaultRegistry>,
-    obs: Option<CoordObs>,
 }
 
 impl PaxosCommit {
     /// The initial coordinator (ballot 0) over `acceptors`.
     pub fn new(transport: Arc<dyn CommitTransport>, acceptors: Vec<Arc<Acceptor>>) -> PaxosCommit {
         PaxosCommit {
-            transport,
+            driver: Driver::new(transport),
             acceptors,
             ballot: 0,
-            faults: Arc::new(FaultRegistry::new()),
-            obs: None,
         }
     }
 
@@ -146,17 +138,14 @@ impl PaxosCommit {
     ) -> PaxosCommit {
         assert!(ballot > 0, "recovery coordinators need a ballot above 0");
         PaxosCommit {
-            transport,
-            acceptors,
             ballot,
-            faults: Arc::new(FaultRegistry::new()),
-            obs: None,
+            ..PaxosCommit::new(transport, acceptors)
         }
     }
 
     /// Builder-style: script coordinator crashes through `faults`.
     pub fn with_faults(mut self, faults: Arc<FaultRegistry>) -> PaxosCommit {
-        self.faults = faults;
+        self.driver.faults = faults;
         self
     }
 
@@ -165,12 +154,8 @@ impl PaxosCommit {
     /// tracing enabled on the hub) `MsgSend`/`MsgAck` events plus a
     /// trace context on every message (DESIGN.md §7.2).
     pub fn with_obs(mut self, co: CoordObs) -> PaxosCommit {
-        self.obs = Some(co);
+        self.driver.obs = Some(co);
         self
-    }
-
-    fn send(&self, gid: u64, node: usize, msg: CommitMessage) -> Result<CommitMessage, CoordError> {
-        coord_send(self.transport.as_ref(), self.obs.as_ref(), gid, node, msg)
     }
 
     fn quorum(&self) -> usize {
@@ -196,82 +181,12 @@ impl PaxosCommit {
     /// Requires a quorum — with a majority of acceptors down the
     /// protocol (correctly) cannot decide.
     pub fn commit(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
-        let started = Instant::now();
-        let members = txn.members();
-        // participant voting round, identical to 2PC phase 1
-        let mut prepared: Vec<(NodeId, Vec<Tid>)> = Vec::new();
-        let mut votes: Vec<(u32, bool)> = Vec::new();
-        for (node, tids) in &members {
-            let sent = self.send(
-                txn.gid,
-                node.0 as usize,
-                CommitMessage::Prepare { tids: tids.clone() },
-            );
-            let yes = match sent {
-                Ok(CommitMessage::Vote { yes: true, group }) => {
-                    prepared.push((*node, group));
-                    true
-                }
-                Ok(CommitMessage::Vote { yes: false, .. }) => false,
-                Ok(other) => return Err(CoordError::protocol("vote", &other)),
-                Err(_) => false, // unreachable node votes no by proxy
-            };
-            votes.push((node.0, yes));
-            if !yes {
-                break;
-            }
-        }
-        // instances for members never asked (early break) default to no
-        for (node, _) in members.iter().skip(votes.len()) {
-            votes.push((node.0, false));
-        }
-        if let Some(act) = self.faults.check(COORD_BEFORE_DECIDE) {
-            return Err(self.realize(COORD_BEFORE_DECIDE, act));
-        }
         // the decision point: every instance durable at a quorum
-        for (node, yes) in &votes {
-            self.decide_instance((txn.gid, *node), *yes)?;
-        }
-        if let Some(co) = &self.obs {
-            // decision latency: first prepare sent → quorum durable
-            co.obs()
-                .decision_ns
-                .record(started.elapsed().as_nanos() as u64);
-        }
-        let decision = if votes.iter().all(|(_, yes)| *yes) {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        if let Some(act) = self.faults.check(COORD_AFTER_DECIDE) {
-            return Err(self.realize(COORD_AFTER_DECIDE, act));
-        }
-        // delivery, best-effort exactly as in 2PC
-        for (node, group) in &prepared {
-            let msg = match decision {
-                Decision::Commit => CommitMessage::CommitDecide {
-                    tids: group.clone(),
-                },
-                Decision::Abort => CommitMessage::AbortDecide {
-                    tids: group.clone(),
-                },
-            };
-            // verify: allow(status_flow) — decision is Paxos-durable; learners re-deliver lost decides
-            let _ = self.send(txn.gid, node.0 as usize, msg);
-        }
-        if decision == Decision::Abort {
-            for (node, tids) in &members {
-                if !prepared.iter().any(|(n, _)| n == node) {
-                    // verify: allow(status_flow) — abort decide is best-effort; participants time out
-                    let _ = self.send(
-                        txn.gid,
-                        node.0 as usize,
-                        CommitMessage::AbortDecide { tids: tids.clone() },
-                    );
-                }
-            }
-        }
-        Ok(decision)
+        self.driver.commit(txn, |_, votes| {
+            votes
+                .iter()
+                .try_for_each(|(node, yes)| self.decide_instance((txn.gid, *node), *yes))
+        })
     }
 
     /// Recovery: learn (or force) every instance at this coordinator's
@@ -311,30 +226,18 @@ impl PaxosCommit {
         } else {
             Decision::Abort
         };
-        terminate(
-            self.transport.as_ref(),
-            self.obs.as_ref(),
-            txn.gid,
-            &members,
-            decision,
-        )?;
+        self.driver.terminate(txn.gid, &members, decision)?;
         Ok(decision)
-    }
-
-    fn realize(&self, point: &'static str, act: FaultAction) -> CoordError {
-        match act {
-            FaultAction::Crash | FaultAction::Torn { .. } => self.faults.crash_now(point),
-            _ => CoordError::Io(asset_faults::injected(point)),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
     use crate::tests::{mem_nodes, stage};
     use crate::transport::ChannelTransport;
-    use asset_faults::Trigger;
+    use asset_faults::{FaultAction, Trigger};
 
     fn cluster(
         nodes: usize,

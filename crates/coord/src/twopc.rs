@@ -12,19 +12,15 @@
 //! window is unbounded. E17 measures it; [`crate::PaxosCommit`] removes
 //! it.
 
-use crate::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
-use crate::transport::{CommitMessage, CommitTransport, CoordError};
-use crate::{coord_send, terminate, CoordObs, Decision, GlobalTxn};
-use asset_common::Tid;
-use asset_dep::NodeId;
-use asset_faults::{FaultAction, FaultRegistry};
+use crate::transport::{CommitTransport, CoordError};
+use crate::{CoordObs, Decision, Driver, GlobalTxn};
+use asset_faults::FaultRegistry;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The coordinator's durable decision log: `gid → decision`, forced
 /// before any participant learns the outcome. On disk each record is 9
@@ -107,27 +103,24 @@ impl CoordLog {
 
 /// A two-phase-commit coordinator over a [`CommitTransport`].
 pub struct TwoPhase {
-    transport: Arc<dyn CommitTransport>,
+    driver: Driver,
     log: Arc<CoordLog>,
-    faults: Arc<FaultRegistry>,
-    obs: Option<CoordObs>,
 }
 
 impl TwoPhase {
     /// A coordinator speaking through `transport`, deciding into `log`.
     pub fn new(transport: Arc<dyn CommitTransport>, log: Arc<CoordLog>) -> TwoPhase {
         TwoPhase {
-            transport,
+            driver: Driver::new(transport),
             log,
-            faults: Arc::new(FaultRegistry::new()),
-            obs: None,
         }
     }
 
     /// Builder-style: script coordinator crashes through `faults` (arm
-    /// [`COORD_BEFORE_DECIDE`] / [`COORD_AFTER_DECIDE`]).
+    /// [`COORD_BEFORE_DECIDE`](crate::failpoints::COORD_BEFORE_DECIDE) /
+    /// [`COORD_AFTER_DECIDE`](crate::failpoints::COORD_AFTER_DECIDE)).
     pub fn with_faults(mut self, faults: Arc<FaultRegistry>) -> TwoPhase {
-        self.faults = faults;
+        self.driver.faults = faults;
         self
     }
 
@@ -136,12 +129,8 @@ impl TwoPhase {
     /// tracing enabled on the hub) `MsgSend`/`MsgAck` events plus a
     /// trace context on every message (DESIGN.md §7.2).
     pub fn with_obs(mut self, co: CoordObs) -> TwoPhase {
-        self.obs = Some(co);
+        self.driver.obs = Some(co);
         self
-    }
-
-    fn send(&self, gid: u64, node: usize, msg: CommitMessage) -> Result<CommitMessage, CoordError> {
-        coord_send(self.transport.as_ref(), self.obs.as_ref(), gid, node, msg)
     }
 
     /// The decision log (a recovery coordinator reuses it).
@@ -155,80 +144,9 @@ impl TwoPhase {
     /// [`recover`](Self::recover) re-delivers to anyone that missed
     /// it).
     pub fn commit(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
-        let started = Instant::now();
-        let members = txn.members();
-        // --- phase 1: collect votes -----------------------------------
-        let mut prepared: Vec<(NodeId, Vec<Tid>)> = Vec::new();
-        let mut all_yes = true;
-        for (node, tids) in &members {
-            let sent = self.send(
-                txn.gid,
-                node.0 as usize,
-                CommitMessage::Prepare { tids: tids.clone() },
-            );
-            match sent {
-                Ok(CommitMessage::Vote { yes: true, group }) => prepared.push((*node, group)),
-                Ok(CommitMessage::Vote { yes: false, .. }) => {
-                    all_yes = false;
-                    break;
-                }
-                Ok(other) => return Err(CoordError::protocol("vote", &other)),
-                Err(_) => {
-                    // unreachable node: vote no on its behalf
-                    all_yes = false;
-                    break;
-                }
-            }
-        }
-        // --- the blocking window: votes in, nothing durable -----------
-        if let Some(act) = self.faults.check(COORD_BEFORE_DECIDE) {
-            return Err(self.realize(COORD_BEFORE_DECIDE, act));
-        }
-        let decision = if all_yes {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        self.log.record(txn.gid, decision)?;
-        if let Some(co) = &self.obs {
-            // decision latency: first prepare sent → decision durable
-            co.obs()
-                .decision_ns
-                .record(started.elapsed().as_nanos() as u64);
-        }
-        if let Some(act) = self.faults.check(COORD_AFTER_DECIDE) {
-            return Err(self.realize(COORD_AFTER_DECIDE, act));
-        }
-        // --- phase 2: deliver -----------------------------------------
-        for (node, group) in &prepared {
-            let msg = match decision {
-                Decision::Commit => CommitMessage::CommitDecide {
-                    tids: group.clone(),
-                },
-                Decision::Abort => CommitMessage::AbortDecide {
-                    tids: group.clone(),
-                },
-            };
-            // best-effort: a dropped decide leaves the node prepared;
-            // recover() re-delivers
-            // verify: allow(status_flow) — decision is durable; recover() re-delivers lost decides
-            let _ = self.send(txn.gid, node.0 as usize, msg);
-        }
-        if decision == Decision::Abort {
-            // members that never prepared (no-voters, unreachable
-            // nodes) may still have live transactions: abort them too
-            for (node, tids) in &members {
-                if !prepared.iter().any(|(n, _)| n == node) {
-                    // verify: allow(status_flow) — abort decide is best-effort; participants time out
-                    let _ = self.send(
-                        txn.gid,
-                        node.0 as usize,
-                        CommitMessage::AbortDecide { tids: tids.clone() },
-                    );
-                }
-            }
-        }
-        Ok(decision)
+        // the decision point: one forced coordinator-log record
+        self.driver
+            .commit(txn, |decision, _| Ok(self.log.record(txn.gid, decision)?))
     }
 
     /// Recovery coordinator: finish `txn` from the durable log alone.
@@ -239,30 +157,19 @@ impl TwoPhase {
     pub fn recover(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
         let decision = self.log.decision(txn.gid).unwrap_or(Decision::Abort);
         self.log.record(txn.gid, decision)?;
-        terminate(
-            self.transport.as_ref(),
-            self.obs.as_ref(),
-            txn.gid,
-            &txn.members(),
-            decision,
-        )?;
+        self.driver.terminate(txn.gid, &txn.members(), decision)?;
         Ok(decision)
-    }
-
-    fn realize(&self, point: &'static str, act: FaultAction) -> CoordError {
-        match act {
-            FaultAction::Crash | FaultAction::Torn { .. } => self.faults.crash_now(point),
-            _ => CoordError::Io(asset_faults::injected(point)),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
     use crate::tests::{mem_nodes, stage};
-    use crate::transport::ChannelTransport;
+    use crate::transport::{ChannelTransport, CommitMessage};
     use crate::ParticipantState;
+    use asset_faults::FaultAction;
 
     fn coordinator(nodes: usize) -> (TwoPhase, Arc<ChannelTransport>, Vec<asset_common::Oid>) {
         let nodes = mem_nodes(nodes);
@@ -323,10 +230,7 @@ mod tests {
             asset_faults::Trigger::Once,
             FaultAction::Error,
         );
-        let coord = TwoPhase {
-            faults,
-            ..TwoPhase::new(transport.clone(), coord.log.clone())
-        };
+        let coord = TwoPhase::new(transport.clone(), coord.log.clone()).with_faults(faults);
         assert!(coord.commit(&g).is_err());
         // both participants are prepared — in doubt, locks held
         for i in 0..2 {
@@ -355,10 +259,7 @@ mod tests {
             asset_faults::Trigger::Once,
             FaultAction::Error,
         );
-        let coord = TwoPhase {
-            faults,
-            ..TwoPhase::new(transport.clone(), coord.log.clone())
-        };
+        let coord = TwoPhase::new(transport.clone(), coord.log.clone()).with_faults(faults);
         // decision logged, delivery never happened
         assert!(coord.commit(&g).is_err());
         assert_eq!(coord.log().decision(4), Some(Decision::Commit));

@@ -8,9 +8,8 @@
 //! permit, and form dependencies with other transactions — the essence of
 //! ASSET's programmability.
 
-use crate::database::{Database, UndoEntry};
-use asset_common::{AssetError, DepType, ObSet, Oid, OpSet, Operation, Result, Tid, TxnStatus};
-use std::sync::atomic::Ordering;
+use crate::database::Database;
+use asset_common::{AssetError, DepType, ObSet, Oid, OpSet, Operation, Result, Tid};
 
 /// The execution context of one transaction.
 pub struct TxnCtx {
@@ -39,18 +38,15 @@ impl TxnCtx {
         &self.db
     }
 
-    /// Abort-aware status check before any operation: an `Aborting`
-    /// transaction may not perform further work.
-    fn check_live(&self) -> Result<()> {
-        match self.db.status(self.tid)? {
-            TxnStatus::Running => Ok(()),
-            TxnStatus::Aborting | TxnStatus::Aborted => Err(AssetError::TxnAborted(self.tid)),
-            s => Err(AssetError::InvalidState {
-                tid: self.tid,
-                status: s,
-                op: "operation",
-            }),
-        }
+    /// Take the transaction-duration lock for `op` on `ob`, blocking for
+    /// it (the executor's [`StepCtx`](crate::StepCtx) tries instead): the
+    /// one place the two contexts' data operations differ.
+    fn lock(&self, ob: Oid, op: Operation) -> Result<()> {
+        self.db.check_live(self.tid)?;
+        let inner = &self.db.inner;
+        inner
+            .locks
+            .lock(self.tid, ob, op, inner.config.lock_wait_timeout)
     }
 
     // --- data operations (paper §4.2 read/write) -------------------------
@@ -58,15 +54,8 @@ impl TxnCtx {
     /// Read `ob`: read-lock (blocking; honoring permits), then an S-latched
     /// read from the shared cache. `None` if the object does not exist.
     pub fn read(&self, ob: Oid) -> Result<Option<Vec<u8>>> {
-        self.check_live()?;
-        let inner = &self.db.inner;
-        inner.locks.lock(
-            self.tid,
-            ob,
-            Operation::Read,
-            inner.config.lock_wait_timeout,
-        )?;
-        inner.engine.read_object(ob)
+        self.lock(ob, Operation::Read)?;
+        self.db.inner.engine.read_object(ob)
     }
 
     /// Write `ob`: write-lock, X-latched install, before/after images
@@ -88,26 +77,8 @@ impl TxnCtx {
     }
 
     fn install(&self, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
-        self.check_live()?;
-        let inner = &self.db.inner;
-        inner.locks.lock(
-            self.tid,
-            ob,
-            Operation::Write,
-            inner.config.lock_wait_timeout,
-        )?;
-        let before = inner.engine.write_object(self.tid, ob, after)?;
-        let seq = inner.undo_seq.fetch_add(1, Ordering::Relaxed);
-        inner.txns.with(self.tid, |slot| {
-            if let Some(slot) = slot {
-                slot.undo.push(UndoEntry {
-                    seq,
-                    oid: ob,
-                    before,
-                });
-            }
-        });
-        Ok(())
+        self.lock(ob, Operation::Write)?;
+        self.db.install(self.tid, ob, after)
     }
 
     /// Explicitly acquire the write lock on `ob` without writing yet.
@@ -116,41 +87,19 @@ impl TxnCtx {
     /// upgrade window (two transactions both holding read locks and both
     /// upgrading deadlock; locking write-first serializes them cleanly).
     pub fn lock_exclusive(&self, ob: Oid) -> Result<()> {
-        self.check_live()?;
-        let inner = &self.db.inner;
-        inner.locks.lock(
-            self.tid,
-            ob,
-            Operation::Write,
-            inner.config.lock_wait_timeout,
-        )
+        self.lock(ob, Operation::Write)
     }
 
     /// Explicitly acquire the read lock on `ob` without reading yet.
     pub fn lock_shared(&self, ob: Oid) -> Result<()> {
-        self.check_live()?;
-        let inner = &self.db.inner;
-        inner.locks.lock(
-            self.tid,
-            ob,
-            Operation::Read,
-            inner.config.lock_wait_timeout,
-        )
+        self.lock(ob, Operation::Read)
     }
 
     /// Read and modify in one step (lock, read, apply `f`, write back).
     pub fn update(&self, ob: Oid, f: impl FnOnce(Option<Vec<u8>>) -> Vec<u8>) -> Result<()> {
-        self.check_live()?;
-        let inner = &self.db.inner;
-        inner.locks.lock(
-            self.tid,
-            ob,
-            Operation::Write,
-            inner.config.lock_wait_timeout,
-        )?;
-        let current = inner.engine.read_object(ob)?;
-        let next = f(current);
-        self.install(ob, Some(next))
+        self.lock(ob, Operation::Write)?;
+        let current = self.db.inner.engine.read_object(ob)?;
+        self.install(ob, Some(f(current)))
     }
 
     // --- transaction-management primitives -------------------------------

@@ -19,7 +19,9 @@
 //! * the commit point re-validates the gate while holding every group
 //!   member's shard, which blocks concurrent `form_dependency`/abort of a
 //!   member (both need a member's shard) — the atomicity the old global
-//!   mutex provided, now scoped to the group.
+//!   mutex provided, now scoped to the group — and **pins** the group
+//!   (`commit_pending`) before letting the shards go: no shard is held
+//!   across the commit record's fsync.
 //!
 //! ## Execution model
 //!
@@ -27,6 +29,11 @@
 //! with a `TxnCtx`. When the closure returns `Ok`, the transaction is
 //! *completed* — locks retained, changes not durable — until an explicit
 //! `commit` runs the §4.2 protocol. Returning `Err` (or panicking) aborts.
+//! `submit` ([`crate::exec`]) runs a step program on a worker pool
+//! instead. Both drivers go through the same non-blocking passes (`start`,
+//! `complete`, `install`, `commit_pass`, `finish_commit`, `commit_failed`):
+//! where a pass says *wait*, the blocking primitives sleep on the event
+//! count and the executor parks the task.
 //!
 //! ## Commit protocol (paper §4.2, `commit(ti)`)
 //!
@@ -35,8 +42,21 @@
 //! must be gate-free and fully executed, then the component commits
 //! atomically under one forced log record. AD gates wait for the parent to
 //! commit (and doom on its abort); CD gates wait for termination either
-//! way. Blocked commits park on the transaction table's event count and
+//! way. Blocked commits wait on the transaction table's event count and
 //! "retry starting at step 1" on every termination event.
+//!
+//! There is one implementation, `commit_pass`: status check, then
+//! `ready_group` (gates resolved, every member's shard locked, gates
+//! re-validated, every member completed), then the pin. The driver makes
+//! the pinned group's one commit record durable — `commit` forces it
+//! through the flusher and sleeps there, the executor submits it with a
+//! callback and parks — and `finish_commit` (statuses, locks, dependency
+//! cleanup) or `commit_failed` (the ambiguous-record reconciliation)
+//! follows. While a group is pinned its fate is the flush outcome's alone:
+//! aborts skip its members, other commits wait, `compact_log` refuses, and
+//! `delegate`/`form_dependency`/`abort` wait the window out and then meet
+//! the terminal status. `prepare_group` shares `ready_group`;
+//! `decide_commit_group` shares `finish_commit`.
 //!
 //! ## Abort protocol (paper §4.2, `abort(ti)`)
 //!
@@ -49,7 +69,7 @@
 //! the undo itself can run without holding any table lock.
 
 use crate::context::TxnCtx;
-use crate::txns::TxnTable;
+use crate::txns::{GroupGuard, TxnTable};
 use asset_annot::{exec_step, verify_allow, wal};
 use asset_common::ids::IdGen;
 use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
@@ -91,11 +111,14 @@ pub(crate) struct TxnSlot {
     /// transactions set this too: the worker pool plays the role of the
     /// thread and finalizes marked aborts at the next dispatch.
     pub thread_live: bool,
-    /// A group-commit record containing this transaction is sitting in the
-    /// flusher's window (executor path): its fate is decided solely by the
-    /// flush outcome. While set, `abort_many` must skip the slot and a
-    /// concurrent blocking `commit` parks instead of forcing a second
-    /// record for the same group.
+    /// The pin: a commit record containing this transaction is on its way
+    /// through the flusher's window, and its fate is decided solely by the
+    /// flush outcome. While set, `abort_many` skips the slot, a concurrent
+    /// commit waits instead of forcing a second record for the same group,
+    /// and `delegate`/`form_dependency`/`abort` wait the window out
+    /// (`lock_unpinned`). Set under the group's shards by `commit_pass`,
+    /// cleared under them by `finish_commit`/`commit_failed`; no shard is
+    /// held in between.
     pub commit_pending: bool,
     /// A commit record containing this transaction failed at the commit
     /// point: it may or may not have reached stable storage, so the
@@ -414,40 +437,19 @@ impl Database {
     /// assert!(db.wait(t).unwrap());    // completed — but not yet durable
     /// assert!(db.commit(t).unwrap());
     /// ```
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")]
     pub fn begin(&self, t: Tid) -> Result<()> {
-        let job = self.inner.txns.with(t, |slot| -> Result<Option<Job>> {
-            let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-            if slot.status.is_abort_path() {
-                return Ok(None); // doomed before it started; commit reports it
-            }
-            if slot.status != TxnStatus::Initiated {
-                return Err(AssetError::InvalidState {
-                    tid: t,
-                    status: slot.status,
-                    op: "begin",
-                });
-            }
-            // WAL discipline: the Begin record lands before the slot is
-            // mutated, so a failed append leaves the transaction cleanly
-            // Initiated (retryable) instead of Running with no thread.
-            self.inner.engine.log_record(&LogRecord::Begin { tid: t })?;
-            slot.status = TxnStatus::Running;
-            slot.thread_live = true;
-            Ok(Some(
-                // Initiated status invariantly carries the job installed by
-                // initiate(); nothing else takes it before the status moves.
-                // verify: allow(no_panics) — status-gated slot invariant
-                slot.job.take().expect("initiated transaction has a job"),
-            ))
-        })?;
-        let Some(job) = job else { return Ok(()) };
-        bump(&self.inner.obs.counters.txn_begun);
-        self.inner.obs.record(EventKind::TxnBegin { tid: t });
-        let inner = Arc::clone(&self.inner);
+        let Some(job) = self.start(t)? else {
+            return Ok(()); // doomed before it started; commit reports it
+        };
+        let db = self.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("asset-{t}"))
-            .spawn(move || run_job(inner, t, job));
+            .spawn(move || {
+                // the thread body: run the job, then complete or abort
+                let ctx = TxnCtx::new(db.clone(), t);
+                let outcome = catch_unwind(AssertUnwindSafe(|| job(&ctx)));
+                db.complete(t, matches!(outcome, Ok(Ok(()))));
+            });
         if let Err(e) = spawned {
             // The thread never started: drive the slot to a terminal state
             // so wait()/commit() observe the failure instead of hanging on
@@ -540,7 +542,18 @@ impl Database {
                 span: SpanName::CommitGate,
             });
         }
-        let res = self.commit_gated(t);
+        // The blocking driver of the one §4.2 protocol: where the executor
+        // parks the task, this thread sleeps on the event count and
+        // "retries starting at step 1".
+        let res = loop {
+            let epoch = self.inner.txns.epoch();
+            match self.commit_pass(t) {
+                Ok(CommitPass::Done(committed)) => break Ok(committed),
+                Ok(CommitPass::Wait) => self.inner.txns.wait_event(epoch),
+                Ok(CommitPass::Flush(group)) => break self.force_commit(t, &group).map(|()| true),
+                Err(e) => break Err(e),
+            }
+        };
         if let Some(t0) = t0 {
             obs.commit_ns.record(t0.elapsed().as_nanos() as u64);
             obs.record(EventKind::SpanClose {
@@ -551,219 +564,61 @@ impl Database {
         res
     }
 
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Committed")]
-    fn commit_gated(&self, t: Tid) -> Result<bool> {
-        enum Step {
-            Done(bool),
-            Park,
-            FinishAbort,
-            Gate,
-        }
-        loop {
-            let epoch = self.inner.txns.epoch();
-            // Step 1: status check.
-            let step = self.inner.txns.with(t, |slot| -> Result<Step> {
-                let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-                match slot.status {
-                    TxnStatus::Committed => Ok(Step::Done(true)),
-                    TxnStatus::Aborted => Ok(Step::Done(false)),
-                    TxnStatus::Aborting => Ok(Step::FinishAbort),
-                    TxnStatus::Initiated | TxnStatus::Running => Ok(Step::Park),
-                    // a prepared participant's fate belongs to the commit
-                    // coordinator (§14); local commit must not decide it
-                    TxnStatus::Prepared => Err(AssetError::InvalidState {
-                        tid: t,
-                        status: TxnStatus::Prepared,
-                        op: "commit",
-                    }),
-                    // a commit record for this transaction's group already
-                    // sits in the flush window (executor path): park until
-                    // the flush outcome finalizes it rather than forcing a
-                    // second record for the same group
-                    TxnStatus::Completed | TxnStatus::Committing if slot.commit_pending => {
-                        Ok(Step::Park)
-                    }
-                    TxnStatus::Completed | TxnStatus::Committing => {
-                        slot.status = TxnStatus::Committing;
-                        Ok(Step::Gate)
-                    }
-                }
-            })?;
-            match step {
-                Step::Done(committed) => return Ok(committed),
-                Step::Park => {
-                    // blocking primitive: wait for completion
-                    self.inner.txns.wait_event(epoch);
-                    continue;
-                }
-                Step::FinishAbort => {
-                    // transient: the victim's own thread (or the aborter)
-                    // finalizes the undo; wait for it rather than racing
-                    self.abort_many(&[t]);
-                    if self.status(t)? != TxnStatus::Aborted {
-                        self.inner.txns.wait_event(epoch);
-                    }
-                    continue;
-                }
-                Step::Gate => {}
+    /// Step 4 for a caller that may block — the commit point: one forced
+    /// record for the pinned group (`log_record` sleeps in the flusher
+    /// until the window holding the record has synced), then steps 5–6 or
+    /// the ambiguous-record reconciliation. No transaction-table shard is
+    /// held across the force; the pin is what excludes.
+    #[wal(logs = "log_record", mutates = "self.finish_commit")]
+    fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
+        #[allow(unused_mut)]
+        let mut forced: Result<()> = Ok(());
+        asset_faults::failpoint!(
+            &self.inner.config.faults,
+            crate::failpoints::COMMIT_RECORD,
+            |act| {
+                forced = Err(self
+                    .inner
+                    .config
+                    .faults
+                    .realize_plain(crate::failpoints::COMMIT_RECORD, act)
+                    .into());
             }
-
-            // Steps 2–3: dependency gates over the GC component.
-            let gate = self.inner.deps.lock().commit_gate(t);
-            match gate {
-                CommitGate::Doomed(group) => {
-                    self.abort_many(&group);
-                    return Ok(false);
-                }
-                CommitGate::WaitOn(_) => {
-                    self.inner.txns.wait_event(epoch);
-                }
-                CommitGate::Ready(group) => {
-                    // Lock every member's shard, then re-validate: a
-                    // form_dependency or abort that would change the gate
-                    // needs one of these shards, so a gate that is still
-                    // Ready under the guards is committable atomically.
-                    let mut guard = self.inner.txns.lock_group(&group);
-                    let gate2 = self.inner.deps.lock().commit_gate(t);
-                    let same = matches!(
-                        &gate2,
-                        CommitGate::Ready(g2)
-                            if g2.iter().collect::<BTreeSet<_>>()
-                                == group.iter().collect::<BTreeSet<_>>()
-                    );
-                    if !same {
-                        drop(guard);
-                        continue; // re-evaluate from step 1
-                    }
-                    // every member must have completed execution (the
-                    // paper's commit(tj) invocation inside step 2c-ii is a
-                    // blocking wait for the partner)
-                    let mut incomplete = false;
-                    let mut doomed = false;
-                    for m in &group {
-                        match guard.get(*m).map(|s| (s.status, s.commit_pending)) {
-                            // an executor commit of this group is already in
-                            // the flush window: wait for its outcome
-                            Some((_, true)) => incomplete = true,
-                            Some((TxnStatus::Initiated, _)) | Some((TxnStatus::Running, _)) => {
-                                incomplete = true
-                            }
-                            Some((TxnStatus::Aborting, _)) | Some((TxnStatus::Aborted, _)) => {
-                                doomed = true
-                            }
-                            Some(_) => {}
-                            None => {
-                                return Err(AssetError::TxnNotFound(*m));
-                            }
-                        }
-                    }
-                    if doomed {
-                        drop(guard);
-                        self.abort_many(&group);
-                        return Ok(false);
-                    }
-                    if incomplete {
-                        drop(guard);
-                        self.inner.txns.wait_event(epoch);
-                        continue;
-                    }
-                    // Step 4: commit point — one forced record for the group.
-                    #[allow(unused_mut)]
-                    let mut commit_res: Result<()> = Ok(());
-                    asset_faults::failpoint!(
-                        &self.inner.config.faults,
-                        crate::failpoints::COMMIT_RECORD,
-                        |act| {
-                            commit_res = Err(self
-                                .inner
-                                .config
-                                .faults
-                                .realize_plain(crate::failpoints::COMMIT_RECORD, act)
-                                .into());
-                        }
-                    );
-                    if commit_res.is_ok() {
-                        commit_res = self
-                            .inner
-                            .engine
-                            .log_record(&LogRecord::Commit {
-                                tids: group.clone(),
-                            })
-                            .map(|_| ());
-                    }
-                    #[cfg(feature = "faults")]
-                    if commit_res.is_ok() {
-                        if let Some(act) = self
-                            .inner
-                            .config
-                            .faults
-                            .check(crate::failpoints::COMMIT_AFTER_RECORD)
-                        {
-                            // the record is durable; an error here is the
-                            // ambiguous "committed on disk, reported as
-                            // failed" outcome the abort path reconciles
-                            commit_res = Err(self
-                                .inner
-                                .config
-                                .faults
-                                .realize_plain(crate::failpoints::COMMIT_AFTER_RECORD, act)
-                                .into());
-                        }
-                    }
-                    if let Err(e) = commit_res {
-                        // The commit record may or may not have reached the
-                        // OS. Leaving the group members non-terminal here
-                        // would let restart recovery redo a group the live
-                        // system reported as not committed; instead drive
-                        // the group through the abort path. Its CLRs and
-                        // Abort records land *after* the (possibly durable)
-                        // commit record, so redo followed by the logged
-                        // rollback converges to "not committed" on both
-                        // sides of a restart.
-                        for m in &group {
-                            if let Some(slot) = guard.get_mut(*m) {
-                                slot.commit_ambiguous = true;
-                            }
-                        }
-                        drop(guard);
-                        bump(&self.inner.obs.counters.commit_log_failures);
-                        self.inner.obs.record(EventKind::CommitAmbiguous {
-                            tid: t,
-                            group: group.len() as u32,
-                        });
-                        self.abort_many(&group);
-                        return Err(e);
-                    }
-                    // Steps 5–6: statuses, dependency cleanup, lock release.
-                    for m in &group {
-                        // members come from the guard's own locked key set
-                        // verify: allow(no_panics) — guard-internal keys
-                        let slot = guard.get_mut(*m).expect("group member exists");
-                        slot.status = TxnStatus::Committed;
-                        slot.undo.clear();
-                        self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-                        self.inner.locks.release_all(*m);
-                    }
-                    let resolved = {
-                        let mut deps = self.inner.deps.lock();
-                        let before = deps.edge_count() + deps.gc_link_count();
-                        deps.committed(&group);
-                        before.saturating_sub(deps.edge_count() + deps.gc_link_count())
-                    };
-                    drop(guard);
-                    let obs = &self.inner.obs;
-                    add(&obs.counters.txn_committed, group.len() as u64);
-                    add(&obs.counters.dep_edges_resolved, resolved as u64);
-                    obs.commit_group_size.record(group.len() as u64);
-                    obs.record(EventKind::TxnCommit {
-                        tid: t,
-                        group: group.len() as u32,
-                    });
-                    self.inner.txns.bump();
-                    return Ok(true);
-                }
+        );
+        if forced.is_ok() {
+            forced = self
+                .inner
+                .engine
+                .log_record(&LogRecord::Commit {
+                    tids: group.to_vec(),
+                })
+                .map(|_| ());
+        }
+        #[cfg(feature = "faults")]
+        if forced.is_ok() {
+            if let Some(act) = self
+                .inner
+                .config
+                .faults
+                .check(crate::failpoints::COMMIT_AFTER_RECORD)
+            {
+                // the record is durable; an error here is the ambiguous
+                // "committed on disk, reported as failed" outcome the
+                // abort path reconciles
+                forced = Err(self
+                    .inner
+                    .config
+                    .faults
+                    .realize_plain(crate::failpoints::COMMIT_AFTER_RECORD, act)
+                    .into());
             }
         }
+        if let Err(e) = forced {
+            self.commit_failed(t, group);
+            return Err(e);
+        }
+        self.finish_commit(t, group, self.inner.txns.lock_group(group));
+        Ok(())
     }
 
     /// `abort(t)` — paper §2.1, protocol in §4.2: roll `t` back by
@@ -785,12 +640,22 @@ impl Database {
     /// assert_eq!(db.peek(oid).unwrap().unwrap(), b"v1", "before image restored");
     /// ```
     pub fn abort(&self, t: Tid) -> Result<bool> {
-        match self.status(t)? {
-            TxnStatus::Committed => Ok(false),
-            TxnStatus::Aborted => Ok(true),
-            _ => {
-                self.abort_many(&[t]);
-                Ok(true)
+        loop {
+            let epoch = self.inner.txns.epoch();
+            let slot = self
+                .inner
+                .txns
+                .with(t, |slot| slot.map(|s| (s.status, s.commit_pending)));
+            match slot.ok_or(AssetError::TxnNotFound(t))? {
+                (TxnStatus::Committed, _) => return Ok(false),
+                (TxnStatus::Aborted, _) => return Ok(true),
+                // pinned: the flush outcome decides; wait the window out
+                // and report what it decided
+                (_, true) => self.inner.txns.wait_event(epoch),
+                _ => {
+                    self.abort_many(&[t]);
+                    return Ok(true);
+                }
             }
         }
     }
@@ -856,7 +721,7 @@ impl Database {
     /// ```
     #[wal(logs = "log_record", mutates = "std::mem::take(&mut slot.undo)")]
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<ObSet>) -> Result<()> {
-        let mut guard = self.inner.txns.lock_group(&[from, to]);
+        let mut guard = self.lock_unpinned(&[from, to]);
         if guard.get(from).is_none() {
             return Err(AssetError::TxnNotFound(from));
         }
@@ -980,7 +845,7 @@ impl Database {
     /// ```
     pub fn form_dependency(&self, kind: DepType, ti: Tid, tj: Tid) -> Result<()> {
         // hold both parties' shards to order against commits, then deps
-        let guard = self.inner.txns.lock_group(&[ti, tj]);
+        let guard = self.lock_unpinned(&[ti, tj]);
         if guard.get(ti).is_none() {
             return Err(AssetError::TxnNotFound(ti));
         }
@@ -1007,6 +872,25 @@ impl Database {
         self.inner.obs.record(EventKind::DepFormed { kind, ti, tj });
         self.inner.txns.bump();
         Ok(())
+    }
+
+    /// Lock the shards of `parties` once none of them is pinned. A pinned
+    /// transaction's commit record is in the flush window and its fate is
+    /// the flush outcome's alone, so an operation that would move its undo
+    /// chain, its locks or its group waits the window out and then meets
+    /// the terminal status — what blocking on the shards the committer
+    /// used to hold across the force gave it.
+    fn lock_unpinned(&self, parties: &[Tid]) -> GroupGuard<'_> {
+        loop {
+            let epoch = self.inner.txns.epoch();
+            let guard = self.inner.txns.lock_group(parties);
+            let pinned = |t: &Tid| guard.get(*t).is_some_and(|s| s.commit_pending);
+            if !parties.iter().any(pinned) {
+                return guard;
+            }
+            drop(guard);
+            self.inner.txns.wait_event(epoch);
+        }
     }
 
     // --- convenience -----------------------------------------------------
@@ -1051,14 +935,15 @@ impl Database {
     /// Settled history (committed and aborted work) is dropped from the
     /// log; the pending updates of live transactions are re-logged under
     /// their *current* owner (delegations folded in). Requires only that no
-    /// transaction is actively `Running` (completed-but-uncommitted
-    /// transactions — the ones that block a quiescent checkpoint — are
-    /// fine); fails with `InvalidState` otherwise.
+    /// transaction is actively `Running` or pinned at its commit point, its
+    /// record still to be appended (completed-but-uncommitted transactions
+    /// — the ones that block a quiescent checkpoint — are fine); fails
+    /// with `InvalidState` otherwise.
     pub fn compact_log(&self) -> Result<asset_storage::CompactionReport> {
         let guard = self.inner.txns.lock_all();
         if let Some((tid, slot)) = guard
             .iter()
-            .find(|(_, s)| matches!(s.status, TxnStatus::Running))
+            .find(|(_, s)| s.status == TxnStatus::Running || s.commit_pending)
         {
             return Err(AssetError::InvalidState {
                 tid: *tid,
@@ -1350,167 +1235,111 @@ impl Database {
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
-        loop {
+        // steps 2–3 over the seed union; the blocking wait for a closed
+        // gate or an unfinished member lives here, in the adapter
+        let (group, mut guard) = loop {
             let epoch = self.inner.txns.epoch();
-            // resolve every seed's gate; union the Ready groups
-            let mut group: BTreeSet<Tid> = BTreeSet::new();
-            let mut waiting = false;
-            let mut doomed: Option<(Vec<Tid>, Tid)> = None;
-            {
-                let deps = self.inner.deps.lock();
-                for s in seeds {
-                    match deps.commit_gate(*s) {
-                        CommitGate::Ready(g) => group.extend(g),
-                        CommitGate::WaitOn(_) => waiting = true,
-                        CommitGate::Doomed(g) => {
-                            doomed = Some((g, *s));
-                            break;
-                        }
-                    }
+            match self.ready_group(seeds)? {
+                Ready::Go(group, guard) => break (group, guard),
+                Ready::Wait => self.inner.txns.wait_event(epoch),
+                Ready::Doomed(group, culprit) => {
+                    self.abort_many(&group);
+                    return Err(AssetError::TxnAborted(culprit));
                 }
             }
-            if let Some((g, s)) = doomed {
-                self.abort_many(&g);
-                return Err(AssetError::TxnAborted(s));
-            }
-            if waiting {
-                self.inner.txns.wait_event(epoch);
-                continue;
-            }
-            let group: Vec<Tid> = group.into_iter().collect();
-            let mut guard = self.inner.txns.lock_group(&group);
-            // re-validate under the guards (same discipline as commit)
-            let same = {
-                let deps = self.inner.deps.lock();
-                let mut g2: BTreeSet<Tid> = BTreeSet::new();
-                let mut ok = true;
-                for s in seeds {
-                    match deps.commit_gate(*s) {
-                        CommitGate::Ready(g) => g2.extend(g),
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
+        };
+        // a committed member fails the vote; an all-prepared group is an
+        // idempotent re-prepare
+        let mut prepared = 0usize;
+        for m in &group {
+            match guard.get(*m).map(|s| s.status) {
+                Some(TxnStatus::Committed) => {
+                    drop(guard);
+                    self.abort_many(&group);
+                    return Err(AssetError::InvalidState {
+                        tid: *m,
+                        status: TxnStatus::Committed,
+                        op: "prepare",
+                    });
                 }
-                ok && g2 == group.iter().copied().collect::<BTreeSet<Tid>>()
-            };
-            if !same {
-                drop(guard);
-                continue;
+                Some(TxnStatus::Prepared) => prepared += 1,
+                _ => {}
             }
-            // every member must have completed execution; terminal or
-            // doomed members fail the vote
-            let mut incomplete = false;
-            let mut prepared = 0usize;
-            let mut vote_no: Option<AssetError> = None;
-            for m in &group {
-                match guard.get(*m).map(|s| (s.status, s.commit_pending)) {
-                    Some((_, true)) => incomplete = true,
-                    Some((TxnStatus::Initiated | TxnStatus::Running, _)) => incomplete = true,
-                    Some((TxnStatus::Aborting | TxnStatus::Aborted, _)) => {
-                        vote_no = Some(AssetError::TxnAborted(*m));
-                        break;
-                    }
-                    Some((TxnStatus::Committed, _)) => {
-                        vote_no = Some(AssetError::InvalidState {
-                            tid: *m,
-                            status: TxnStatus::Committed,
-                            op: "prepare",
-                        });
-                        break;
-                    }
-                    Some((TxnStatus::Prepared, _)) => prepared += 1,
-                    Some((TxnStatus::Completed | TxnStatus::Committing, _)) => {}
-                    None => return Err(AssetError::TxnNotFound(*m)),
-                }
-            }
-            if let Some(e) = vote_no {
-                drop(guard);
-                self.abort_many(&group);
-                return Err(e);
-            }
-            if incomplete {
-                drop(guard);
-                self.inner.txns.wait_event(epoch);
-                continue;
-            }
-            if prepared == group.len() {
-                // idempotent re-prepare
-                return Ok(group);
-            }
-            // the vote: one forced Prepared record for the group
-            #[allow(unused_mut)]
-            let mut prep_res: Result<()> = Ok(());
-            asset_faults::failpoint!(
-                &self.inner.config.faults,
-                crate::failpoints::PREPARE_RECORD,
-                |act| {
-                    prep_res = Err(self
-                        .inner
-                        .config
-                        .faults
-                        .realize_plain(crate::failpoints::PREPARE_RECORD, act)
-                        .into());
-                }
-            );
-            if prep_res.is_ok() {
-                prep_res = self
-                    .inner
-                    .engine
-                    .log_record(&LogRecord::Prepared {
-                        tids: group.clone(),
-                    })
-                    .map(|_| ());
-            }
-            if let Err(e) = prep_res {
-                // nothing durable marks the group prepared: vote no and
-                // abort locally so held locks drain
-                drop(guard);
-                self.abort_many(&group);
-                return Err(e);
-            }
-            for m in &group {
-                // members come from the guard's own locked key set
-                // verify: allow(no_panics) — guard-internal keys
-                let slot = guard.get_mut(*m).expect("group member exists");
-                slot.status = TxnStatus::Prepared;
-            }
-            drop(guard);
-            self.inner.txns.bump();
-            // in-doubt clock starts at the durable prepare force (§14.2);
-            // guard already dropped, so the map lock nests inside nothing
-            {
-                let now = std::time::Instant::now();
-                let mut at = self.inner.prepared_at.lock();
-                for m in &group {
-                    at.insert(*m, now);
-                }
-            }
-            self.inner.obs.record(EventKind::PrepareForced {
-                tid: group[0],
-                group: group.len() as u32,
-            });
-            // the record is durable and the group is Prepared; a failure
-            // here models the participant dying (Crash) or the vote being
-            // lost in transit (Error) — either way the group must STAY
-            // prepared: only the coordinator's decision resolves it
-            #[cfg(feature = "faults")]
-            if let Some(act) = self
-                .inner
-                .config
-                .faults
-                .check(crate::failpoints::PART_AFTER_PREPARE)
-            {
-                return Err(self
+        }
+        if prepared == group.len() {
+            return Ok(group);
+        }
+        // the vote: one forced Prepared record for the group
+        #[allow(unused_mut)]
+        let mut prep_res: Result<()> = Ok(());
+        asset_faults::failpoint!(
+            &self.inner.config.faults,
+            crate::failpoints::PREPARE_RECORD,
+            |act| {
+                prep_res = Err(self
                     .inner
                     .config
                     .faults
-                    .realize_plain(crate::failpoints::PART_AFTER_PREPARE, act)
+                    .realize_plain(crate::failpoints::PREPARE_RECORD, act)
                     .into());
             }
-            return Ok(group);
+        );
+        if prep_res.is_ok() {
+            prep_res = self
+                .inner
+                .engine
+                .log_record(&LogRecord::Prepared {
+                    tids: group.clone(),
+                })
+                .map(|_| ());
         }
+        if let Err(e) = prep_res {
+            // nothing durable marks the group prepared: vote no and
+            // abort locally so held locks drain
+            drop(guard);
+            self.abort_many(&group);
+            return Err(e);
+        }
+        for m in &group {
+            // members come from the guard's own locked key set
+            // verify: allow(no_panics) — guard-internal keys
+            let slot = guard.get_mut(*m).expect("group member exists");
+            slot.status = TxnStatus::Prepared;
+        }
+        drop(guard);
+        self.inner.txns.bump();
+        // in-doubt clock starts at the durable prepare force (§14.2);
+        // guard already dropped, so the map lock nests inside nothing
+        {
+            let now = std::time::Instant::now();
+            let mut at = self.inner.prepared_at.lock();
+            for m in &group {
+                at.insert(*m, now);
+            }
+        }
+        self.inner.obs.record(EventKind::PrepareForced {
+            tid: group[0],
+            group: group.len() as u32,
+        });
+        // the record is durable and the group is Prepared; a failure
+        // here models the participant dying (Crash) or the vote being
+        // lost in transit (Error) — either way the group must STAY
+        // prepared: only the coordinator's decision resolves it
+        #[cfg(feature = "faults")]
+        if let Some(act) = self
+            .inner
+            .config
+            .faults
+            .check(crate::failpoints::PART_AFTER_PREPARE)
+        {
+            return Err(self
+                .inner
+                .config
+                .faults
+                .realize_plain(crate::failpoints::PART_AFTER_PREPARE, act)
+                .into());
+        }
+        Ok(group)
     }
 
     /// Apply the coordinator's *commit* decision to a prepared group
@@ -1520,12 +1349,9 @@ impl Database {
     /// coordinator may re-send decisions after a crash. Rejects groups
     /// with unprepared members (`InvalidState`): a decide may only follow
     /// a successful prepare.
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Committed")]
+    #[wal(logs = "log_record", mutates = "self.finish_commit")]
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
-        if group.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.inner.txns.lock_group(group);
+        let guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
         for m in group {
             match guard.get(*m).map(|s| s.status) {
@@ -1542,37 +1368,13 @@ impl Database {
             }
         }
         if pending.is_empty() {
-            return Ok(()); // idempotent re-decide
+            return Ok(()); // empty group, or an idempotent re-decide
         }
         self.inner.engine.log_record(&LogRecord::Commit {
             tids: pending.clone(),
         })?;
-        for m in &pending {
-            // members come from the guard's own locked key set
-            // verify: allow(no_panics) — guard-internal keys
-            let slot = guard.get_mut(*m).expect("group member exists");
-            slot.status = TxnStatus::Committed;
-            slot.undo.clear();
-            self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-            self.inner.locks.release_all(*m);
-        }
-        let resolved = {
-            let mut deps = self.inner.deps.lock();
-            let before = deps.edge_count() + deps.gc_link_count();
-            deps.committed(&pending);
-            before.saturating_sub(deps.edge_count() + deps.gc_link_count())
-        };
-        drop(guard);
-        let obs = &self.inner.obs;
-        add(&obs.counters.txn_committed, pending.len() as u64);
-        add(&obs.counters.dep_edges_resolved, resolved as u64);
-        obs.commit_group_size.record(pending.len() as u64);
-        obs.record(EventKind::TxnCommit {
-            tid: pending[0],
-            group: pending.len() as u32,
-        });
+        self.finish_commit(pending[0], &pending, guard);
         self.record_decide(&pending, true);
-        self.inner.txns.bump();
         Ok(())
     }
 
@@ -1629,25 +1431,26 @@ impl Database {
         out
     }
 
-    // --- executor protocol (crate::exec) -------------------------------
+    // --- the shared passes ----------------------------------------------
     //
-    // The worker-pool executor drives transactions as resumable state
-    // machines; these helpers are the non-blocking decomposition of
-    // `begin`/`run_job`/`commit_gated`. None of them may sleep: suspension
-    // is expressed by their return values and the executor parks the
-    // transaction instead (verify rule R5).
+    // The non-blocking decomposition of `begin`, the thread body's tail,
+    // the data operations and the §4.2 commit protocol. Two drivers run
+    // them: the blocking primitives above, which sleep on the event count
+    // where a pass says `Wait`, and the worker pool (`crate::exec`), which
+    // parks the task. None of them may sleep (verify rule R5).
 
-    /// Executor-side `begin`: the status transition and Begin record of
-    /// [`begin`](Self::begin) without spawning a thread — the worker pool
-    /// is the thread. Returns `false` when the transaction was doomed
-    /// before it started (the commit phase then reports the abort).
+    /// The `Initiated → Running` transition (Begin record first) both
+    /// drivers share: [`begin`](Self::begin) then spawns the transaction's
+    /// thread, the executor moves on to stepping. Hands back the job, or
+    /// `None` when the transaction was doomed before it started (the
+    /// commit then reports the abort).
     #[exec_step]
     #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")]
-    pub(crate) fn exec_begin(&self, t: Tid) -> Result<bool> {
-        let started = self.inner.txns.with(t, |slot| -> Result<bool> {
+    pub(crate) fn start(&self, t: Tid) -> Result<Option<Job>> {
+        let job = self.inner.txns.with(t, |slot| -> Result<Option<Job>> {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
             if slot.status.is_abort_path() {
-                return Ok(false);
+                return Ok(None);
             }
             if slot.status != TxnStatus::Initiated {
                 return Err(AssetError::InvalidState {
@@ -1656,94 +1459,128 @@ impl Database {
                     op: "begin",
                 });
             }
+            // WAL discipline: the Begin record lands before the slot is
+            // mutated, so a failed append leaves the transaction cleanly
+            // Initiated (retryable) instead of Running with no thread.
             self.inner.engine.log_record(&LogRecord::Begin { tid: t })?;
             slot.status = TxnStatus::Running;
             slot.thread_live = true;
-            // the step program lives in the executor's task, not the slot
-            slot.job = None;
-            Ok(true)
+            // Initiated status invariantly carries the job installed by
+            // initiate() (a placeholder for a step program, which lives in
+            // the executor's task); nothing else takes it first.
+            Ok(Some(
+                // verify: allow(no_panics) — status-gated slot invariant
+                slot.job.take().expect("initiated transaction has a job"),
+            ))
         })?;
-        if started {
+        if job.is_some() {
             bump(&self.inner.obs.counters.txn_begun);
             self.inner.obs.record(EventKind::TxnBegin { tid: t });
         }
-        Ok(started)
+        Ok(job)
     }
 
-    /// Executor-side completion: the tail of `run_job` — publish the
-    /// step program's outcome and finalize a marked abort if one struck
-    /// mid-run. Returns `true` when the transaction completed and the
-    /// worker should proceed to the commit phase.
+    /// Completion, the tail of a transaction's thread and of a step
+    /// program alike: publish the outcome (`Running → Completed |
+    /// Aborting`) and finalize a marked abort if one struck mid-run.
+    /// Returns `true` when the transaction completed.
     #[exec_step]
-    pub(crate) fn exec_complete(&self, t: Tid, succeeded: bool) -> bool {
+    pub(crate) fn complete(&self, t: Tid, succeeded: bool) -> bool {
         self.inner.obs.record(EventKind::TxnComplete {
             tid: t,
             ok: succeeded,
         });
-        enum Fin {
-            None,
-            Completed,
-            Abort,
-        }
-        let fin = self.inner.txns.with(t, |slot| {
-            let Some(slot) = slot else { return Fin::None };
+        let status = self.inner.txns.with(t, |slot| {
+            let slot = slot?;
             slot.thread_live = false;
-            match slot.status {
-                TxnStatus::Running if succeeded => {
-                    slot.status = TxnStatus::Completed;
-                    Fin::Completed
-                }
-                TxnStatus::Running => {
-                    slot.status = TxnStatus::Aborting;
-                    Fin::Abort
-                }
-                TxnStatus::Aborting => Fin::Abort,
-                _ => Fin::None,
+            if slot.status == TxnStatus::Running {
+                // a failed or panicked job aborts
+                slot.status = if succeeded {
+                    TxnStatus::Completed
+                } else {
+                    TxnStatus::Aborting
+                };
             }
+            Some(slot.status)
         });
-        match fin {
-            Fin::Completed => {
-                self.inner.txns.bump();
-                true
-            }
-            Fin::Abort => {
-                self.abort_many(&[t]);
-                false
-            }
-            Fin::None => false,
+        match status {
+            Some(TxnStatus::Completed) => self.inner.txns.bump(),
+            // failed, or doomed while running: finalize the abort now
+            Some(TxnStatus::Aborting) => self.abort_many(&[t]),
+            _ => {}
+        }
+        status == Some(TxnStatus::Completed)
+    }
+
+    /// Abort-aware status check before any data operation: only a
+    /// `Running` transaction may perform further work.
+    pub(crate) fn check_live(&self, t: Tid) -> Result<()> {
+        match self.status(t)? {
+            TxnStatus::Running => Ok(()),
+            TxnStatus::Aborting | TxnStatus::Aborted => Err(AssetError::TxnAborted(t)),
+            s => Err(AssetError::InvalidState {
+                tid: t,
+                status: s,
+                op: "operation",
+            }),
         }
     }
 
-    /// One non-blocking pass of the §4.2 commit protocol (the executor's
-    /// counterpart to `commit_gated`). Either resolves the commit
-    /// terminally, asks the worker to park until the next table event, or
-    /// — gate open and re-validated under every member's shard — pins the
-    /// whole GC group with `commit_pending` and hands the group back for
-    /// the caller to submit to the flusher. Durability is unchanged: the
-    /// statuses move to `Committed` only after the flush ack
-    /// ([`exec_finish_commit`](Self::exec_finish_commit)).
+    /// The post-lock half of a write, the same whether the caller blocked
+    /// for the lock ([`TxnCtx`]) or tried for it
+    /// ([`StepCtx`](crate::StepCtx)): X-latched install with before/after
+    /// images logged, then the undo entry.
     #[exec_step]
-    pub(crate) fn exec_try_commit(&self, t: Tid) -> Result<ExecCommit> {
+    pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
+        let before = self.inner.engine.write_object(t, ob, after)?;
+        let seq = self.inner.undo_seq.fetch_add(1, Ordering::Relaxed);
+        self.inner.txns.with(t, |slot| {
+            if let Some(slot) = slot {
+                slot.undo.push(UndoEntry {
+                    seq,
+                    oid: ob,
+                    before,
+                });
+            }
+        });
+        Ok(())
+    }
+
+    /// One non-blocking pass of the §4.2 commit protocol. Either resolves
+    /// the commit terminally (`false` only once the abort it reports has
+    /// been performed), asks the driver to wait for the next table event
+    /// and retry, or — gates open and re-validated under every member's
+    /// shard — pins the whole GC group with `commit_pending` and hands it
+    /// back for the driver to make its one commit record durable. The
+    /// statuses move to `Committed` only after that
+    /// ([`finish_commit`](Self::finish_commit)).
+    #[exec_step]
+    pub(crate) fn commit_pass(&self, t: Tid) -> Result<CommitPass> {
         enum Step {
-            Done,
+            Done(bool),
             Wait,
             FinishAbort,
             Gate,
         }
         loop {
+            // Step 1: status check.
             let step = self.inner.txns.with(t, |slot| -> Result<Step> {
                 let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
                 match slot.status {
-                    TxnStatus::Committed | TxnStatus::Aborted => Ok(Step::Done),
+                    TxnStatus::Committed => Ok(Step::Done(true)),
+                    TxnStatus::Aborted => Ok(Step::Done(false)),
                     TxnStatus::Aborting => Ok(Step::FinishAbort),
                     TxnStatus::Initiated | TxnStatus::Running => Ok(Step::Wait),
                     // a prepared participant's fate belongs to the commit
-                    // coordinator (§14); the executor must not decide it
+                    // coordinator (§14); local commit must not decide it
                     TxnStatus::Prepared => Err(AssetError::InvalidState {
                         tid: t,
                         status: TxnStatus::Prepared,
                         op: "commit",
                     }),
+                    // a commit record for this transaction's group already
+                    // sits in the flush window: wait for the flush outcome
+                    // rather than forcing a second record for the group
                     TxnStatus::Completed | TxnStatus::Committing if slot.commit_pending => {
                         Ok(Step::Wait)
                     }
@@ -1754,102 +1591,123 @@ impl Database {
                 }
             })?;
             match step {
-                Step::Done => return Ok(ExecCommit::Done),
-                Step::Wait => return Ok(ExecCommit::Wait),
+                Step::Done(committed) => return Ok(CommitPass::Done(committed)),
+                Step::Wait => return Ok(CommitPass::Wait),
                 Step::FinishAbort => {
+                    // transient: finalize the undo unless the victim's own
+                    // thread (or another aborter) owns it — then its bump
+                    // wakes the driver
                     self.abort_many(&[t]);
-                    if self.status(t)? != TxnStatus::Aborted {
-                        // another thread owns the finalization; its bump
-                        // will requeue us
-                        return Ok(ExecCommit::Wait);
-                    }
-                    continue;
+                    return Ok(match self.status(t)? {
+                        TxnStatus::Aborted => CommitPass::Done(false),
+                        _ => CommitPass::Wait,
+                    });
                 }
                 Step::Gate => {}
             }
-            let gate = self.inner.deps.lock().commit_gate(t);
-            match gate {
-                CommitGate::Doomed(group) => {
-                    self.abort_many(&group);
-                    return Ok(ExecCommit::Done);
-                }
-                CommitGate::WaitOn(_) => return Ok(ExecCommit::Wait),
-                CommitGate::Ready(group) => {
-                    // same re-validation as the blocking path: a gate that
-                    // is still Ready under every member's shard commits
-                    // atomically
-                    let mut guard = self.inner.txns.lock_group(&group);
-                    let gate2 = self.inner.deps.lock().commit_gate(t);
-                    let same = matches!(
-                        &gate2,
-                        CommitGate::Ready(g2)
-                            if g2.iter().collect::<BTreeSet<_>>()
-                                == group.iter().collect::<BTreeSet<_>>()
-                    );
-                    if !same {
-                        drop(guard);
-                        continue;
-                    }
-                    let mut incomplete = false;
-                    let mut doomed = false;
-                    for m in &group {
-                        match guard.get(*m).map(|s| (s.status, s.commit_pending)) {
-                            Some((_, true)) => incomplete = true,
-                            Some((TxnStatus::Initiated, _)) | Some((TxnStatus::Running, _)) => {
-                                incomplete = true
-                            }
-                            Some((TxnStatus::Aborting, _)) | Some((TxnStatus::Aborted, _)) => {
-                                doomed = true
-                            }
-                            Some(_) => {}
-                            None => return Err(AssetError::TxnNotFound(*m)),
-                        }
-                    }
-                    if doomed {
-                        drop(guard);
-                        self.abort_many(&group);
-                        return Ok(ExecCommit::Done);
-                    }
-                    if incomplete {
-                        drop(guard);
-                        return Ok(ExecCommit::Wait);
-                    }
-                    // Commit point, phase 1: pin the group. While pinned,
-                    // aborts skip the members and blocking commits park,
-                    // so the window between dropping the shards and the
-                    // window fsync completing admits no state change that
-                    // could contradict the (about to be durable) record.
+            // Steps 2–3: dependency gates over the GC component.
+            match self.ready_group(&[t])? {
+                Ready::Wait => return Ok(CommitPass::Wait),
+                // abort the group, then re-enter at step 1: `false` is
+                // answered from the terminal status, never ahead of it
+                Ready::Doomed(group, _) => self.abort_many(&group),
+                Ready::Go(group, mut guard) => {
+                    // Step 4, first half: pin the group. While pinned,
+                    // aborts skip the members, other commits wait, and
+                    // delegate/form_dependency wait the window out — so
+                    // between dropping the shards here and the record's
+                    // fsync nothing can contradict the (about to be
+                    // durable) record, and nothing is held across it.
                     for m in &group {
                         // members come from the guard's own locked key set
                         // verify: allow(no_panics) — guard-internal keys
                         let slot = guard.get_mut(*m).expect("group member exists");
                         slot.commit_pending = true;
                     }
-                    drop(guard);
-                    return Ok(ExecCommit::Flush(group));
+                    return Ok(CommitPass::Flush(group));
                 }
             }
         }
     }
 
-    /// Commit point, phase 2 (flush ack arrived): the group's record is
-    /// durable — unpin and run the blocking path's steps 5–6 (statuses,
-    /// lock release, dependency cleanup, counters).
+    /// Steps 2–3 for the union of the seeds' GC components: resolve the
+    /// CD/AD/GC gates, lock every member's shard, then re-validate — a
+    /// `form_dependency` or abort that would change a gate needs one of
+    /// those shards, so gates still open under the guard admit an atomic
+    /// commit (or prepare) of the group — and check that every member has
+    /// completed execution (the paper's `commit(tj)` inside step 2c-ii is
+    /// a blocking wait for the partner).
     #[exec_step]
-    pub(crate) fn exec_finish_commit(&self, t: Tid, group: &[Tid]) {
-        let mut guard = self.inner.txns.lock_group(group);
+    fn ready_group(&self, seeds: &[Tid]) -> Result<Ready<'_>> {
+        enum Gates {
+            Open(Vec<Tid>),
+            Closed,
+            Doomed(Vec<Tid>, Tid),
+        }
+        let gates = || {
+            let deps = self.inner.deps.lock();
+            let mut group: BTreeSet<Tid> = BTreeSet::new();
+            let mut closed = false;
+            for s in seeds {
+                match deps.commit_gate(*s) {
+                    CommitGate::Ready(g) => group.extend(g),
+                    CommitGate::WaitOn(_) => closed = true,
+                    CommitGate::Doomed(g) => return Gates::Doomed(g, *s),
+                }
+            }
+            if closed {
+                Gates::Closed
+            } else {
+                Gates::Open(group.into_iter().collect())
+            }
+        };
+        loop {
+            let group = match gates() {
+                Gates::Open(group) => group,
+                Gates::Closed => return Ok(Ready::Wait),
+                Gates::Doomed(group, seed) => return Ok(Ready::Doomed(group, seed)),
+            };
+            let guard = self.inner.txns.lock_group(&group);
+            if !matches!(gates(), Gates::Open(g2) if g2 == group) {
+                continue; // moved before the shards were held: re-evaluate
+            }
+            let mut incomplete = false;
+            let mut doomed = None;
+            for m in &group {
+                match guard.get(*m).map(|s| (s.status, s.commit_pending)) {
+                    // pinned by a commit whose record is in the flush
+                    // window: wait for its outcome
+                    Some((_, true)) => incomplete = true,
+                    Some((TxnStatus::Initiated | TxnStatus::Running, _)) => incomplete = true,
+                    Some((TxnStatus::Aborting | TxnStatus::Aborted, _)) => doomed = Some(*m),
+                    Some(_) => {}
+                    None => return Err(AssetError::TxnNotFound(*m)),
+                }
+            }
+            return Ok(match doomed {
+                Some(m) => Ready::Doomed(group, m),
+                None if incomplete => Ready::Wait,
+                None => Ready::Go(group, guard),
+            });
+        }
+    }
+
+    /// Steps 5–6, once the group's commit record is durable (the flush
+    /// ack arrived, or the force returned): unpin, statuses, lock
+    /// release, dependency cleanup, counters. `guard` holds the members'
+    /// shards — the one function that moves a transaction to `Committed`.
+    #[exec_step]
+    pub(crate) fn finish_commit(&self, t: Tid, group: &[Tid], mut guard: GroupGuard<'_>) {
         for m in group {
-            // pinned slots are not terminated, so retirement cannot have
-            // removed them
+            // pinned or prepared slots are not terminated, so retirement
+            // cannot have removed them
             // verify: allow(no_panics) — guard-internal keys
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
-            if slot.status != TxnStatus::Committed {
-                slot.status = TxnStatus::Committed;
-                slot.undo.clear();
-                self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-                self.inner.locks.release_all(*m);
-            }
+            slot.status = TxnStatus::Committed;
+            slot.undo.clear();
+            self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
+            self.inner.locks.release_all(*m);
         }
         let resolved = {
             let mut deps = self.inner.deps.lock();
@@ -1869,12 +1727,16 @@ impl Database {
         self.inner.txns.bump();
     }
 
-    /// Commit point, phase 2 (flush failed): unpin the group and drive it
-    /// through the abort path — the same ambiguous-commit reconciliation
-    /// as the blocking path (the record may or may not have reached the
-    /// OS; the logged rollback converges both sides of a restart).
+    /// The group's commit record failed at the commit point: it may or
+    /// may not have reached the OS. Leaving the members non-terminal
+    /// would let restart recovery redo a group the live system reported
+    /// as not committed; instead unpin the group, mark it ambiguous and
+    /// drive it through the abort path. Its CLRs and Abort records land
+    /// *after* the (possibly durable) commit record, so redo followed by
+    /// the logged rollback converges to "not committed" on both sides of
+    /// a restart.
     #[exec_step]
-    pub(crate) fn exec_flush_failed(&self, t: Tid, group: &[Tid]) {
+    pub(crate) fn commit_failed(&self, t: Tid, group: &[Tid]) {
         {
             let mut guard = self.inner.txns.lock_group(group);
             for m in group {
@@ -1893,59 +1755,29 @@ impl Database {
     }
 }
 
-/// What one non-blocking commit pass resolved to (executor path).
-pub(crate) enum ExecCommit {
-    /// Terminal (committed or aborted) — the slot status already says
-    /// which, and `outcome` reads it from there.
-    Done,
-    /// Gate closed, group incomplete, or finalization owned elsewhere:
-    /// park until the next transaction-table event.
+/// What one non-blocking commit pass resolved to.
+pub(crate) enum CommitPass {
+    /// Terminal: committed (`true`) or aborted, the abort performed.
+    Done(bool),
+    /// Gate closed, group incomplete or pinned, or finalization owned
+    /// elsewhere: wait for the next transaction-table event and retry.
     Wait,
-    /// Gate open and re-validated: every member is pinned with
-    /// `commit_pending`; the caller submits the group's commit record to
-    /// the flusher and parks until the ack callback fires.
+    /// Gates open and re-validated: every member is pinned with
+    /// `commit_pending`; the driver makes the group's commit record
+    /// durable (the executor through the flusher's callback, the blocking
+    /// `commit` with a forced append) and then calls `finish_commit` or
+    /// `commit_failed`.
     Flush(Vec<Tid>),
 }
 
-/// Thread body for `begin`: run the job, then complete or abort.
-fn run_job(inner: Arc<DbInner>, tid: Tid, job: Job) {
-    let db = Database {
-        inner: Arc::clone(&inner),
-    };
-    let ctx = TxnCtx::new(db.clone(), tid);
-    let outcome = catch_unwind(AssertUnwindSafe(|| job(&ctx)));
-    let succeeded = matches!(outcome, Ok(Ok(())));
-    inner
-        .obs
-        .record(EventKind::TxnComplete { tid, ok: succeeded });
-    enum Fin {
-        None,
-        Completed,
-        Abort,
-    }
-    let fin = inner.txns.with(tid, |slot| {
-        let Some(slot) = slot else { return Fin::None };
-        slot.thread_live = false;
-        match slot.status {
-            TxnStatus::Running if succeeded => {
-                slot.status = TxnStatus::Completed;
-                Fin::Completed
-            }
-            TxnStatus::Running => {
-                // job failed or panicked: abort
-                slot.status = TxnStatus::Aborting;
-                Fin::Abort
-            }
-            TxnStatus::Aborting => {
-                // doomed while running: finalize the abort now
-                Fin::Abort
-            }
-            _ => Fin::None,
-        }
-    });
-    match fin {
-        Fin::Completed => inner.txns.bump(),
-        Fin::Abort => db.abort_many(&[tid]),
-        Fin::None => {}
-    }
+/// What the gates over a set of seeds resolved to (`ready_group`).
+enum Ready<'a> {
+    /// A gate is closed, or a member is still executing or pinned.
+    Wait,
+    /// The group (first field) cannot commit: the named transaction is
+    /// aborted or doomed. The caller aborts the group.
+    Doomed(Vec<Tid>, Tid),
+    /// Every gate is open, still open under the members' shards (which
+    /// the guard holds), and every member has completed.
+    Go(Vec<Tid>, GroupGuard<'a>),
 }

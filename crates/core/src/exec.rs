@@ -30,17 +30,24 @@
 //!
 //! ## Commit
 //!
-//! When a program finishes, the worker runs the §4.2 commit protocol
-//! non-blockingly (`Database::exec_try_commit`): once the dependency gate
-//! is open and re-validated, the whole GC group is pinned with
-//! `commit_pending` and its commit record is submitted to the
-//! [`GroupFlusher`](asset_storage::GroupFlusher) with a callback; the
-//! transaction parks on `WaitFlush` and commit acknowledgement is
-//! deferred until the record's flush window has been fsynced — many
-//! transactions' commit records coalesce into one write+sync. Durability
-//! is unchanged: statuses move to `Committed` only after the ack.
+//! When a program finishes, the worker drives the one §4.2 commit protocol
+//! (`Database::commit_pass`, the same pass the blocking `commit` loops
+//! over): once the dependency gate is open and re-validated, the whole GC
+//! group is pinned with `commit_pending` and its commit record is
+//! submitted to the [`GroupFlusher`](asset_storage::GroupFlusher) with a
+//! callback; the transaction parks on `WaitFlush` and commit
+//! acknowledgement is deferred until the record's flush window has been
+//! fsynced — many transactions' commit records coalesce into one
+//! write+sync. Durability is unchanged: statuses move to `Committed` only
+//! after the ack (`Database::finish_commit`).
+//!
+//! The executor is a *driver*, not a second engine: begin, completion,
+//! the post-lock install and the commit passes are the ones the blocking
+//! primitives use. What is its own is scheduling — run queues, the park/
+//! enqueue protocol, the wake registries — and `try_acquire`, which tries
+//! for a lock where [`TxnCtx`](crate::TxnCtx) blocks for it.
 
-use crate::database::{Database, DbInner, ExecCommit, UndoEntry};
+use crate::database::{CommitPass, Database, DbInner};
 use asset_annot::exec_step;
 use asset_common::sync::{Condvar, Mutex};
 use asset_common::{AssetError, Oid, Operation, Result, Tid, TxnStatus};
@@ -170,9 +177,9 @@ pub struct ExecInner {
     stripe_waiters: Box<[Mutex<Vec<Tid>>]>,
     /// Transactions parked on `WaitDep`/commit gates.
     dep_waiters: Mutex<Vec<Tid>>,
-    /// Worker threads actually running (0 = degraded inline mode). Written
-    /// once inside the `OnceLock` initializer, before any submit sees the
-    /// executor.
+    /// Worker threads actually running (0 = none could be spawned and
+    /// `submit` refuses). Written once inside the `OnceLock` initializer,
+    /// before any submit sees the executor.
     live_workers: AtomicUsize,
 }
 
@@ -221,10 +228,6 @@ impl ExecInner {
         }
         exec.live_workers.store(spawned, Ordering::Release);
         exec
-    }
-
-    fn degraded(&self) -> bool {
-        self.live_workers.load(Ordering::Acquire) == 0
     }
 
     /// Signal shutdown; called when the last database handle drops.
@@ -456,12 +459,13 @@ impl ExecInner {
     ) -> StepOutcome {
         let tid = task.tid;
         match body.phase {
-            Phase::Begin => match db.exec_begin(tid) {
-                Ok(true) => {
+            Phase::Begin => match db.start(tid) {
+                // the slot's job is a placeholder; the program is the task's
+                Ok(Some(_)) => {
                     body.phase = Phase::Run;
                     StepOutcome::Continue
                 }
-                Ok(false) => {
+                Ok(None) => {
                     // doomed before it started; the commit phase reports it
                     body.phase = Phase::Commit;
                     Self::open_commit_obs(db, body, tid);
@@ -474,10 +478,10 @@ impl ExecInner {
             },
             Phase::Run => {
                 // a marked abort finalizes here, on the owning worker —
-                // the executor equivalent of run_job's unwind path
+                // the executor equivalent of the thread body's unwind path
                 match db.status(tid) {
                     Ok(TxnStatus::Aborting) | Err(_) => {
-                        let _ = db.exec_complete(tid, false);
+                        let _ = db.complete(tid, false);
                         return StepOutcome::Finished;
                     }
                     Ok(_) => {}
@@ -520,12 +524,12 @@ impl ExecInner {
                         // at Completed (locks held) for an external
                         // commit authority — prepare/decide (§14) — and
                         // the task retires from the executor
-                        let _ = db.exec_complete(tid, true);
+                        let _ = db.complete(tid, true);
                         body.prog = None;
                         StepOutcome::Finished
                     }
                     TxnStep::Done(Ok(())) => {
-                        if db.exec_complete(tid, true) {
+                        if db.complete(tid, true) {
                             body.prog = None;
                             body.phase = Phase::Commit;
                             Self::open_commit_obs(db, body, tid);
@@ -535,7 +539,7 @@ impl ExecInner {
                         }
                     }
                     TxnStep::Done(Err(_)) => {
-                        let _ = db.exec_complete(tid, false);
+                        let _ = db.complete(tid, false);
                         StepOutcome::Finished
                     }
                 }
@@ -545,13 +549,14 @@ impl ExecInner {
                 // gate check and the park flips us RUNNING_DIRTY and the
                 // dispatcher requeues instead of parking
                 exec.register_dep_wait(tid);
-                match db.exec_try_commit(tid) {
-                    Ok(ExecCommit::Done) => {
+                match db.commit_pass(tid) {
+                    // the slot status says which; `outcome` reads it there
+                    Ok(CommitPass::Done(_)) => {
                         Self::close_commit_obs(db, body, tid);
                         StepOutcome::Finished
                     }
-                    Ok(ExecCommit::Wait) => StepOutcome::Park("dep"),
-                    Ok(ExecCommit::Flush(group)) => {
+                    Ok(CommitPass::Wait) => StepOutcome::Park("dep"),
+                    Ok(CommitPass::Flush(group)) => {
                         body.group = group.clone();
                         let rec = LogRecord::Commit {
                             tids: group.clone(),
@@ -571,7 +576,7 @@ impl ExecInner {
                                 StepOutcome::Continue
                             }
                             Err(_) => {
-                                db.exec_flush_failed(tid, &group);
+                                db.commit_failed(tid, &group);
                                 Self::close_commit_obs(db, body, tid);
                                 StepOutcome::Finished
                             }
@@ -588,12 +593,13 @@ impl ExecInner {
                 let res = task.flush_result.lock().take();
                 match res {
                     Some(Ok(())) => {
-                        db.exec_finish_commit(tid, &body.group);
+                        let guard = db.inner.txns.lock_group(&body.group);
+                        db.finish_commit(tid, &body.group, guard);
                         Self::close_commit_obs(db, body, tid);
                         StepOutcome::Finished
                     }
                     Some(Err(_)) => {
-                        db.exec_flush_failed(tid, &body.group);
+                        db.commit_failed(tid, &body.group);
                         Self::close_commit_obs(db, body, tid);
                         StepOutcome::Finished
                     }
@@ -645,24 +651,13 @@ impl StepCtx<'_> {
         self.blocked_on
     }
 
-    fn check_live(&self) -> Result<()> {
-        match self.db.status(self.tid)? {
-            TxnStatus::Running => Ok(()),
-            TxnStatus::Aborting | TxnStatus::Aborted => Err(AssetError::TxnAborted(self.tid)),
-            s => Err(AssetError::InvalidState {
-                tid: self.tid,
-                status: s,
-                op: "operation",
-            }),
-        }
-    }
-
     /// Register-then-re-check lock acquisition: on conflict, interest in
     /// the stripe is published **before** the second attempt, so a grant
     /// that lands in between is observed by the retry and a grant after
     /// the park is delivered by the stripe hook — no lost wakeup.
     #[exec_step]
     fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<bool> {
+        self.db.check_live(self.tid)?;
         let inner = &self.db.inner;
         if inner.locks.try_lock(self.tid, ob, op).is_ok() {
             self.blocked_on = None;
@@ -689,7 +684,6 @@ impl StepCtx<'_> {
     /// read. `Done(None)` if the object does not exist.
     #[exec_step]
     pub fn try_read(&mut self, ob: Oid) -> Result<TryOp<Option<Vec<u8>>>> {
-        self.check_live()?;
         if !self.try_acquire(ob, Operation::Read)? {
             return Ok(TryOp::WouldBlock);
         }
@@ -714,7 +708,6 @@ impl StepCtx<'_> {
     /// as [`TxnCtx::lock_exclusive`](crate::TxnCtx::lock_exclusive)).
     #[exec_step]
     pub fn try_lock_exclusive(&mut self, ob: Oid) -> Result<TryOp<()>> {
-        self.check_live()?;
         if !self.try_acquire(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
@@ -723,22 +716,10 @@ impl StepCtx<'_> {
 
     #[exec_step]
     fn try_install(&mut self, ob: Oid, after: Option<Vec<u8>>) -> Result<TryOp<()>> {
-        self.check_live()?;
         if !self.try_acquire(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
-        let inner = &self.db.inner;
-        let before = inner.engine.write_object(self.tid, ob, after)?;
-        let seq = inner.undo_seq.fetch_add(1, Ordering::Relaxed);
-        inner.txns.with(self.tid, |slot| {
-            if let Some(slot) = slot {
-                slot.undo.push(UndoEntry {
-                    seq,
-                    oid: ob,
-                    before,
-                });
-            }
-        });
+        self.db.install(self.tid, ob, after)?;
         Ok(TryOp::Done(()))
     }
 }
@@ -760,12 +741,9 @@ impl Database {
 
     /// Live executor worker threads (spawning the pool on first call).
     /// Normally `Config::resolved_exec_workers()`; `0` means every
-    /// worker spawn failed and the executor runs in **degraded inline
-    /// mode**, where [`submit`](Self::submit) drives the whole program
-    /// on the calling thread. Embedders whose programs park on
-    /// [`TxnStep::WaitExternal`] (e.g. a network server's session
-    /// transactions) must refuse to run in that mode — inline `submit`
-    /// would never return.
+    /// worker spawn failed, nothing would drive a program, and
+    /// [`submit`](Self::submit) fails with [`AssetError::Io`] — embedders
+    /// (e.g. a network server) check this once and fail fast.
     pub fn executor_workers(&self) -> usize {
         self.executor().live_workers.load(Ordering::Acquire)
     }
@@ -798,6 +776,12 @@ impl Database {
         prog: impl FnMut(&mut StepCtx<'_>) -> TxnStep + Send + 'static,
     ) -> Result<Tid> {
         let exec = self.executor();
+        if exec.live_workers.load(Ordering::Acquire) == 0 {
+            // as `begin` when its thread cannot be spawned
+            return Err(AssetError::Io(std::io::Error::other(
+                "no executor worker thread could be spawned",
+            )));
+        }
         // executor transactions reuse the TD admission path; the slot's
         // job is a placeholder (the program lives in the task)
         let t = self.initiate(|_| Ok(()))?;
@@ -812,13 +796,8 @@ impl Database {
             }),
             flush_result: Mutex::new(None),
         });
-        exec.tasks.lock().insert(t, Arc::clone(&task));
-        if exec.degraded() {
-            // no worker threads could be spawned: drive the machine here
-            run_inline(&exec, self, &task);
-        } else {
-            exec.push(t);
-        }
+        exec.tasks.lock().insert(t, task);
+        exec.push(t);
         Ok(t)
     }
 
@@ -903,26 +882,4 @@ pub enum TxnOutcome {
     /// but a client must treat the operation's fate as unknown rather
     /// than cleanly aborted.
     CommitAmbiguous,
-}
-
-/// Degraded path for environments where no worker thread could be
-/// spawned: drive the task's state machine on the submitting thread,
-/// yielding between parks (wake hooks still flip the task runnable).
-fn run_inline(exec: &Arc<ExecInner>, db: &Database, task: &Arc<Task>) {
-    loop {
-        match task.sched.load(Ordering::Acquire) {
-            DONE => break,
-            QUEUED | RUNNING_DIRTY => {
-                task.sched.store(QUEUED, Ordering::Release);
-                ExecInner::run_task(exec, db, task.tid);
-            }
-            _ => std::thread::yield_now(),
-        }
-    }
-    // nobody drains the run queues in degraded mode; clear the wakeup
-    // residue so it cannot accumulate across submissions
-    for q in exec.queues.iter() {
-        q.lock().clear();
-    }
-    *exec.pending.lock() = 0;
 }

@@ -816,9 +816,13 @@ fn explicit_lock_primitives() {
         tids.push(t);
     }
     db.begin_many(&tids).unwrap();
-    for t in &tids {
-        assert!(db.commit(*t).unwrap());
-    }
+    // commit from two threads: whichever transaction lost the race for the
+    // lock completes only once the winner's commit releases it
+    std::thread::scope(|s| {
+        for t in &tids {
+            s.spawn(|| assert!(db.commit(*t).unwrap()));
+        }
+    });
     assert_eq!(
         db.peek(oid).unwrap().unwrap().len(),
         3,
@@ -1220,4 +1224,98 @@ fn nudge_after_done_is_a_noop() {
     db.nudge(t2);
     db.begin(t2).unwrap();
     assert!(db.commit(t2).unwrap());
+}
+
+// --- the pin rule: what a commit point in flight excludes -----------------
+
+/// Commit `t1` on a database whose flush windows stop at
+/// `flush.window.sync`, and issue `op` from a second thread while `t1` is
+/// pinned, its commit record held in the window; the window is let go once
+/// `op` has been issued. `stage` sets the scene: the transaction to commit
+/// and whatever else `op` needs, which is handed back with the database
+/// once both have finished.
+#[cfg(feature = "faults")]
+fn issue_inside_the_flush_window<X: Copy + Send>(
+    stage: impl FnOnce(&Database) -> (Tid, X),
+    op: impl FnOnce(&Database, Tid, X) + Send,
+) -> (Database, X) {
+    use std::sync::mpsc::channel;
+    let faults = Arc::new(asset_faults::FaultRegistry::new());
+    let (at_sync_tx, at_sync) = channel();
+    let (release, release_rx) = channel::<()>();
+    let release_rx = std::sync::Mutex::new(release_rx);
+    faults.on_hit(asset_storage::failpoints::FLUSH_WINDOW_SYNC, move || {
+        at_sync_tx.send(()).unwrap();
+        // a timeout, not a sleep: it runs out only if the test is stuck
+        let _ = release_rx
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_secs(10));
+    });
+    let config = asset_common::Config::in_memory().with_faults(faults);
+    let db = Database::open(config).unwrap().0;
+    let (t1, x) = stage(&db);
+    db.begin(t1).unwrap();
+    assert!(db.wait(t1).unwrap());
+    std::thread::scope(|s| {
+        let db = &db;
+        let committer = s.spawn(move || db.commit(t1).unwrap());
+        at_sync.recv().unwrap(); // t1 is pinned, its record in the window
+        let (issued_tx, issued) = channel();
+        let issuer = s.spawn(move || {
+            issued_tx.send(()).unwrap();
+            op(db, t1, x);
+            db.status(t1).unwrap()
+        });
+        issued.recv().unwrap();
+        release.send(()).unwrap();
+        assert!(committer.join().unwrap());
+        // whatever `op` did, it did to a terminated transaction
+        assert_eq!(issuer.join().unwrap(), TxnStatus::Committed);
+    });
+    (db, x)
+}
+
+/// `delegate(from = pinned)` issued while the delegator's commit record is
+/// in the flush window must not splice the undo chain and locks of what is
+/// about to be committed data: it waits the window out and then delegates
+/// from a `Committed` transaction, i.e. nothing.
+#[cfg(feature = "faults")]
+#[test]
+fn delegate_issued_inside_the_flush_window_takes_effect_after_it() {
+    let (db, (t2, oid)) = issue_inside_the_flush_window(
+        |db| {
+            let oid = db.new_oid();
+            let t1 = db.initiate(move |ctx| ctx.write(oid, b"v".to_vec()));
+            (t1.unwrap(), (db.initiate(|_| Ok(())).unwrap(), oid))
+        },
+        |db, t1, (t2, _)| db.delegate(t1, t2, None).unwrap(),
+    );
+    // t2 took over nothing: aborting it leaves the committed write alone
+    assert!(db.locks().locked_objects(t2).is_empty());
+    db.begin(t2).unwrap();
+    assert!(db.wait(t2).unwrap());
+    assert!(db.abort(t2).unwrap());
+    assert_eq!(db.peek(oid).unwrap().unwrap(), b"v");
+}
+
+/// `form_dependency(GC, aborted, pinned)` issued inside the window would
+/// doom a transaction whose commit record is in flight; it waits the
+/// window out and meets a `Committed` partner, which is never doomed.
+#[cfg(feature = "faults")]
+#[test]
+fn form_dependency_issued_inside_the_flush_window_takes_effect_after_it() {
+    let (db, _) = issue_inside_the_flush_window(
+        |db| {
+            let dead = db.initiate(|_| Ok(())).unwrap();
+            assert!(db.abort(dead).unwrap());
+            (db.initiate(|_| Ok(())).unwrap(), dead)
+        },
+        |db, t1, dead| db.form_dependency(DepType::GC, dead, t1).unwrap(),
+    );
+    assert_eq!(
+        db.introspect().deps.doomed,
+        0,
+        "a committed txn is never doomed"
+    );
 }

@@ -328,16 +328,6 @@ impl std::fmt::Display for Event {
     }
 }
 
-/// Receiver for events as they are recorded — the adapter point for an
-/// external tracing subscriber (a real `tracing` integration implements
-/// this in the embedding application; the crate itself stays
-/// dependency-free).
-#[cfg(feature = "tracing-bridge")]
-pub trait EventSink: Send + Sync {
-    /// Called once per recorded event, on the recording thread.
-    fn on_event(&self, at_ns: u64, kind: EventKind);
-}
-
 struct Ring {
     slots: Box<[Mutex<Option<Event>>]>,
     mask: usize,

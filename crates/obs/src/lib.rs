@@ -44,8 +44,6 @@ mod snapshot;
 pub mod wire;
 
 pub use counters::{add, bump, CounterSnapshot, Counters};
-#[cfg(feature = "tracing-bridge")]
-pub use event::EventSink;
 pub use event::{Event, EventKind, EventRecorder, ModelKind, SpanName, DEFAULT_TRACE_CAPACITY};
 pub use hist::{AtomicHistogram, HistogramSnapshot, LATENCY_NS_BOUNDS, SMALL_COUNT_BOUNDS};
 pub use snapshot::MetricsSnapshot;
@@ -126,8 +124,6 @@ pub struct Obs {
     pub decision_ns: AtomicHistogram,
     recorder: EventRecorder,
     epoch: Instant,
-    #[cfg(feature = "tracing-bridge")]
-    sink: std::sync::RwLock<Option<Box<dyn EventSink>>>,
 }
 
 impl Default for Obs {
@@ -154,8 +150,6 @@ impl Obs {
             decision_ns: AtomicHistogram::new(LATENCY_NS_BOUNDS),
             recorder: EventRecorder::new(),
             epoch: Instant::now(),
-            #[cfg(feature = "tracing-bridge")]
-            sink: std::sync::RwLock::new(None),
         }
     }
 
@@ -192,28 +186,12 @@ impl Obs {
     /// Record a structured event, stamped with [`now_ns`](Self::now_ns).
     /// A no-op (one relaxed load) while tracing is disabled.
     pub fn record(&self, kind: EventKind) {
-        #[cfg(feature = "tracing-bridge")]
-        {
-            if let Ok(guard) = self.sink.try_read() {
-                if let Some(sink) = guard.as_ref() {
-                    sink.on_event(self.now_ns(), kind);
-                }
-            }
-        }
         if !self.recorder.is_enabled() {
             return;
         }
         if self.recorder.record(self.now_ns(), kind) {
             bump(&self.counters.events_recorded);
         }
-    }
-
-    /// Install (or clear) the bridge sink that observes every recorded
-    /// event, independent of the ring buffer.
-    #[cfg(feature = "tracing-bridge")]
-    pub fn set_sink(&self, sink: Option<Box<dyn EventSink>>) {
-        let mut guard = self.sink.write().unwrap_or_else(|e| e.into_inner());
-        *guard = sink;
     }
 
     /// The captured event trace, oldest surviving event first.

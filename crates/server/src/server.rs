@@ -162,8 +162,9 @@ impl Shared {
 ///
 /// The server requires a database configured with live executor worker
 /// threads (`Config::with_exec_workers(n)`, `n >= 1`): session
-/// transactions park on [`asset_core::TxnStep::WaitExternal`] between
-/// requests, which the degraded inline executor (0 workers) cannot run.
+/// transactions are step programs (they park on
+/// [`asset_core::TxnStep::WaitExternal`] between requests), and with no
+/// worker nothing drives them.
 pub struct AssetServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -176,10 +177,9 @@ impl AssetServer {
     /// connections against `db`.
     ///
     /// Fails with `InvalidInput` if `db`'s executor has no live worker
-    /// threads: session transactions park on `WaitExternal`, which the
-    /// degraded inline executor cannot do (`Database::submit` would
-    /// drive the program on the connection thread and never return from
-    /// the first `BEGIN`). Failing fast here beats hanging there.
+    /// threads: every session transaction is a `Database::submit`, which
+    /// fails without a worker to drive it. Failing fast here beats failing
+    /// every `BEGIN`.
     pub fn spawn(db: Database, addr: &str) -> std::io::Result<AssetServer> {
         Self::spawn_node(db, addr, 0)
     }
@@ -192,9 +192,8 @@ impl AssetServer {
         if db.executor_workers() == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "asset-server requires a live executor worker pool; \
-                 the degraded inline executor cannot run session \
-                 transactions (see Config::with_exec_workers)",
+                "asset-server requires a live executor worker pool to \
+                 run session transactions (see Config::with_exec_workers)",
             ));
         }
         let listener = TcpListener::bind(addr)?;

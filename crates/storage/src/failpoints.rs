@@ -27,7 +27,9 @@ pub const LOG_SYNC: &str = "log.sync";
 pub const LOG_FLUSH: &str = "log.flush.write";
 
 /// In [`LogManager::truncate`](crate::LogManager::truncate): before the
-/// file is cut to zero.
+/// file is cut to zero; and in
+/// [`LogManager::scan_and_chop`](crate::LogManager::scan_and_chop): before
+/// a torn tail is cut off at recovery.
 pub const LOG_TRUNCATE: &str = "log.truncate";
 
 /// In `FilePageStore::{write_page, allocate}`: before the page's bytes

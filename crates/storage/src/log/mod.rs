@@ -439,6 +439,40 @@ impl LogManager {
     /// tail is tolerated (crash consistency); corruption before the tail is
     /// an error. The file is read with drains held off but appends not.
     pub fn scan(&self) -> Result<Vec<(Lsn, LogRecord)>> {
+        Ok(self.scan_to_end()?.0)
+    }
+
+    /// [`scan`](Self::scan) for restart recovery, which runs before any
+    /// append is accepted: what follows the last whole frame is the torn
+    /// tail of a crashed write that no force covered. Left in the file, the
+    /// next run's records would follow it and the run after that would read
+    /// garbage before them; so the file is chopped to the end of the last
+    /// whole frame and `tail` — the next record's LSN — set to match.
+    pub fn scan_and_chop(&self) -> Result<Vec<(Lsn, LogRecord)>> {
+        let (records, end) = self.scan_to_end()?;
+        if let Some(disk) = &self.disk {
+            let _drains = disk.spare.lock();
+            let mut inner = self.inner.lock();
+            if end < inner.tail {
+                asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
+                    return Err(self
+                        .faults
+                        .realize_plain(crate::failpoints::LOG_TRUNCATE, act)
+                        .into());
+                });
+                disk.file.set_len(end)?;
+                disk.file.sync_data()?;
+                inner.pending.clear();
+                inner.tail = end;
+                inner.written = end;
+                inner.synced = end;
+            }
+        }
+        Ok(records)
+    }
+
+    /// The decoded log and the offset its last whole frame ends at.
+    fn scan_to_end(&self) -> Result<(Vec<(Lsn, LogRecord)>, u64)> {
         let mut buf = Vec::new();
         let drains = match &self.disk {
             None => None,
@@ -458,7 +492,7 @@ impl LogManager {
             out.push((Lsn(off as u64), rec));
             off = next;
         }
-        Ok(out)
+        Ok((out, off as u64))
     }
 
     /// Truncate the log to empty. Only legal at a quiescent checkpoint,

@@ -196,7 +196,7 @@ pub fn recover(
 ) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
 
-    let analysis = analyze(log.scan()?);
+    let analysis = analyze(log.scan_and_chop()?);
     let LogAnalysis {
         mut pending,
         committed,

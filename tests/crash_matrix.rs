@@ -653,6 +653,69 @@ fn crash_between_compaction_store_flush_and_log_rewrite_undoes_live_txn() {
 }
 
 // ---------------------------------------------------------------------------
+// A torn log tail across two restarts: the first recovery must chop the
+// torn frame off the file, or the next run appends after it and the run
+// after that cannot read what was acknowledged in between.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn torn_log_tail_is_chopped_so_an_acked_commit_survives_a_second_restart() {
+    let case = Case::new("torn-tail");
+    let wal = case._dir.0.join("wal.log");
+    let (a, b);
+    {
+        let db = case.open();
+        a = db.new_oid();
+        b = db.new_oid();
+        put(&db, a, b"10");
+        put(&db, b, b"0");
+    }
+    // run 1 dies in a drain: half of the buffer reaches the file
+    case.faults.arm(
+        storage::failpoints::LOG_FLUSH,
+        Trigger::Once,
+        FaultAction::Torn {
+            keep_per_mille: 500,
+        },
+    );
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        let db = case.open();
+        db.run(move |ctx| ctx.write(a, b"torn".to_vec()))
+    }));
+    let torn_len = std::fs::metadata(&wal).unwrap().len();
+    // run 2 recovers, then commits one transfer (acked, synced)
+    let first_lsn;
+    {
+        let db = case.reopen_clean();
+        let log = db.engine().log();
+        first_lsn = log.tail();
+        assert!(first_lsn.0 < torn_len, "run 1 left a torn frame behind");
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), first_lsn.0);
+        assert!(db
+            .run(move |ctx| {
+                ctx.write(a, b"9".to_vec())?;
+                ctx.write(b, b"1".to_vec())
+            })
+            .unwrap());
+    }
+    // run 3: the transfer is a winner, found at the LSNs it was given
+    case.faults.reset();
+    let (db, report) = Database::open(case.config.clone()).expect("second restart");
+    assert_eq!(report.winners, 3, "both seeds and the transfer");
+    assert_eq!(&get(&db, a)[..], b"9");
+    assert_eq!(&get(&db, b)[..], b"1");
+    let records = db.engine().log().scan().unwrap();
+    assert!(records
+        .iter()
+        .any(|(lsn, rec)| *lsn == first_lsn && matches!(rec, storage::LogRecord::Begin { .. })));
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        db.engine().log().tail().0,
+        "every byte of the file is a whole frame"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Elided syncs: `sync_data` lies (returns Ok without forcing). Within one
 // OS lifetime the bytes are still in the page cache, so recovery must still
 // see them — this exercises the ElideSync plumbing and the
