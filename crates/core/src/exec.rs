@@ -8,10 +8,11 @@
 //! work. Workers pull runnable transactions from per-shard run queues and
 //! run steps back-to-back; a program that cannot make progress *returns*
 //! `WaitLock`/`WaitDep`/`WaitFlush` instead of sleeping, and the scheduler
-//! parks the transaction until the matching wake hook fires:
+//! parks the transaction until the matching wake arrives:
 //!
-//! * `WaitLock` — the lock table's stripe notification (grant-relevant
-//!   state changed on the stripe the request hashed to);
+//! * `WaitLock` — the task itself, as the waker of the request the failed
+//!   try-op queued in the lock table (`LockTable::request`), invoked
+//!   after a grant-relevant change on the request's stripe;
 //! * `WaitDep` — the transaction table's event count (any termination or
 //!   completion event, the same signal the blocking paths park on);
 //! * `WaitFlush` — the group-commit flusher's acknowledgement callback.
@@ -21,12 +22,13 @@
 //! Each task carries a scheduling state (`PARKED`/`QUEUED`/`RUNNING`/
 //! `RUNNING_DIRTY`/`DONE`). A wakeup for a `RUNNING` task marks it
 //! `RUNNING_DIRTY`; the worker's park attempt is a CAS `RUNNING → PARKED`
-//! that fails against the dirty mark and requeues instead. On the wait
-//! side, workers register interest (stripe waiter list, dep waiter list)
-//! **before** the final non-blocking re-check, and the notifying side
-//! publishes state before firing the hook — the same
-//! register→re-check→park discipline the event count uses, model-checked
-//! in `tests/loom_executor.rs`.
+//! that fails against the dirty mark and requeues instead. A lock request
+//! is queued by the lock table under the same stripe mutex as the attempt
+//! that failed, so there is nothing to re-check; for transaction-table
+//! events workers register interest (dep waiter list) **before** the
+//! non-blocking check and the notifying side publishes state before firing
+//! the hook — the register→check→park discipline the event count uses.
+//! Both are model-checked in `tests/loom_executor.rs`.
 //!
 //! ## Commit
 //!
@@ -43,9 +45,9 @@
 //!
 //! The executor is a *driver*, not a second engine: begin, completion,
 //! the post-lock install and the commit passes are the ones the blocking
-//! primitives use. What is its own is scheduling — run queues, the park/
-//! enqueue protocol, the wake registries — and `try_acquire`, which tries
-//! for a lock where [`TxnCtx`](crate::TxnCtx) blocks for it.
+//! primitives use, and `try_acquire` is one pass of the lock-request
+//! protocol that [`TxnCtx`](crate::TxnCtx) loops over. What is its own is
+//! scheduling — run queues, the park/enqueue protocol, the dep registry.
 
 use crate::database::{CommitPass, Database, DbInner};
 use asset_annot::exec_step;
@@ -57,6 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+use std::task::{Wake, Waker};
 
 /// A step program: called with a [`StepCtx`] until it returns
 /// [`TxnStep::Done`]. Every call re-enters at the top, so programs must be
@@ -70,8 +73,11 @@ pub type StepProg = Box<dyn FnMut(&mut StepCtx<'_>) -> TxnStep + Send>;
 pub enum TxnStep {
     /// More work is immediately available; step again.
     Ready,
-    /// A lock on `ob` was not grantable: park until the owning stripe
-    /// notifies a grant-relevant change (release, permit, delegation).
+    /// A lock on `ob` was not grantable: park until the lock table wakes
+    /// the request the failed try-op queued (release, permit, delegation
+    /// or abort on its stripe). Returned with no request queued — no
+    /// try-op of this step gave [`TryOp::WouldBlock`] — there is nothing
+    /// to be woken by, and it is taken as [`Self::Ready`].
     WaitLock {
         /// The object whose lock the program is waiting for.
         ob: Oid,
@@ -110,8 +116,8 @@ pub enum TxnStep {
 pub enum TryOp<T> {
     /// The operation completed with this value.
     Done(T),
-    /// A transaction-duration lock was not grantable; interest in the
-    /// stripe is registered — return [`TxnStep::WaitLock`] to park.
+    /// A transaction-duration lock was not grantable; the request is
+    /// queued in the lock table — return [`TxnStep::WaitLock`] to park.
     WouldBlock,
 }
 
@@ -146,10 +152,20 @@ struct TaskBody {
 
 struct Task {
     tid: Tid,
+    exec: Weak<ExecInner>,
     sched: AtomicU8,
     body: Mutex<TaskBody>,
     /// Written by the flusher's ack callback, consumed in `AwaitFlush`.
     flush_result: Mutex<Option<Result<()>>>,
+}
+
+/// A task is its own lock waker: waking it is [`ExecInner::enqueue`].
+impl Wake for Task {
+    fn wake(self: Arc<Self>) {
+        if let Some(exec) = self.exec.upgrade() {
+            exec.enqueue(&self);
+        }
+    }
 }
 
 enum StepOutcome {
@@ -158,8 +174,8 @@ enum StepOutcome {
     Finished,
 }
 
-/// The worker-pool executor: run queues, task table, wake-hook
-/// registries. One per database, spawned lazily by the first
+/// The worker-pool executor: run queues, task table, dep-wait
+/// registry. One per database, spawned lazily by the first
 /// [`Database::submit`].
 pub struct ExecInner {
     db: Weak<DbInner>,
@@ -172,9 +188,6 @@ pub struct ExecInner {
     pending_cv: Condvar,
     shutdown: AtomicBool,
     tasks: Mutex<HashMap<Tid, Arc<Task>>>,
-    /// Transactions parked on `WaitLock`, listed under the lock-table
-    /// stripe whose notification will make the lock grantable.
-    stripe_waiters: Box<[Mutex<Vec<Tid>>]>,
     /// Transactions parked on `WaitDep`/commit gates.
     dep_waiters: Mutex<Vec<Tid>>,
     /// Worker threads actually running (0 = none could be spawned and
@@ -187,7 +200,6 @@ impl ExecInner {
     fn spawn(inner: &Arc<DbInner>) -> Arc<ExecInner> {
         let workers = inner.config.resolved_exec_workers();
         let nq = workers.next_power_of_two().max(2);
-        let stripes = inner.locks.shard_count();
         let exec = Arc::new(ExecInner {
             db: Arc::downgrade(inner),
             queues: (0..nq).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -196,19 +208,12 @@ impl ExecInner {
             pending_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tasks: Mutex::new(HashMap::new()),
-            stripe_waiters: (0..stripes).map(|_| Mutex::new(Vec::new())).collect(),
             dep_waiters: Mutex::new(Vec::new()),
             live_workers: AtomicUsize::new(0),
         });
-        // Hooks first, then threads: a worker that parks a task after this
-        // point is guaranteed a live wake path. Both hooks hold the
-        // executor weakly so the hook registries never keep it alive.
-        let weak = Arc::downgrade(&exec);
-        inner.locks.set_wake_hook(Arc::new(move |stripe| {
-            if let Some(e) = weak.upgrade() {
-                e.wake_stripe(stripe);
-            }
-        }));
+        // Hook first, then threads: a worker that parks a task after this
+        // point is guaranteed a live wake path. The hook holds the
+        // executor weakly so the registry never keeps it alive.
         let weak = Arc::downgrade(&exec);
         inner.txns.set_bump_hook(Arc::new(move || {
             if let Some(e) = weak.upgrade() {
@@ -279,15 +284,15 @@ impl ExecInner {
         }
     }
 
+    /// The live task of `tid`, if it is (still) one.
+    fn task(&self, tid: Tid) -> Option<Arc<Task>> {
+        self.tasks.lock().get(&tid).cloned()
+    }
+
     /// Wake a parked task (idempotent): `PARKED → QUEUED` pushes it;
     /// a `RUNNING` task is marked dirty so its park attempt requeues.
-    fn enqueue(&self, tid: Tid) {
-        let task = {
-            match self.tasks.lock().get(&tid) {
-                Some(t) => Arc::clone(t),
-                None => return,
-            }
-        };
+    fn enqueue(&self, task: &Task) {
+        let tid = task.tid;
         loop {
             match task.sched.load(Ordering::Acquire) {
                 PARKED => {
@@ -320,60 +325,29 @@ impl ExecInner {
         }
     }
 
-    fn register_stripe_wait(&self, stripe: usize, tid: Tid) {
-        if let Some(list) = self.stripe_waiters.get(stripe) {
-            list.lock().push(tid);
-        }
-    }
-
     fn register_dep_wait(&self, tid: Tid) {
         self.dep_waiters.lock().push(tid);
     }
 
-    fn wake_stripe(&self, stripe: usize) {
-        if stripe >= self.stripe_waiters.len() {
-            // LockTable::ALL_STRIPES: poison / global-permit / cross-shard
-            for s in 0..self.stripe_waiters.len() {
-                self.drain_stripe(s);
-            }
-        } else {
-            self.drain_stripe(stripe);
-        }
-    }
-
-    fn drain_stripe(&self, s: usize) {
-        let woken: Vec<Tid> = std::mem::take(&mut *self.stripe_waiters[s].lock());
-        for t in woken {
-            self.enqueue(t);
-        }
-    }
-
     fn wake_deps(&self) {
         let woken: Vec<Tid> = std::mem::take(&mut *self.dep_waiters.lock());
-        for t in woken {
-            self.enqueue(t);
+        for task in woken.into_iter().filter_map(|t| self.task(t)) {
+            self.enqueue(&task);
         }
     }
 
     fn flush_acked(&self, tid: Tid, res: Result<()>) {
-        let task = {
-            match self.tasks.lock().get(&tid) {
-                Some(t) => Arc::clone(t),
-                None => return,
-            }
-        };
-        *task.flush_result.lock() = Some(res);
-        self.enqueue(tid);
+        if let Some(task) = self.task(tid) {
+            *task.flush_result.lock() = Some(res);
+            self.enqueue(&task);
+        }
     }
 
     /// Run one dispatched transaction for up to [`STEP_BUDGET`] steps.
     #[exec_step]
     fn run_task(exec: &Arc<ExecInner>, db: &Database, tid: Tid) {
-        let task = {
-            match exec.tasks.lock().get(&tid) {
-                Some(t) => Arc::clone(t),
-                None => return,
-            }
+        let Some(task) = exec.task(tid) else {
+            return;
         };
         if task
             .sched
@@ -454,7 +428,7 @@ impl ExecInner {
     fn step_once(
         exec: &Arc<ExecInner>,
         db: &Database,
-        task: &Task,
+        task: &Arc<Task>,
         body: &mut TaskBody,
     ) -> StepOutcome {
         let tid = task.tid;
@@ -486,31 +460,27 @@ impl ExecInner {
                     }
                     Ok(_) => {}
                 }
-                let step = {
+                let (step, queued) = {
                     let mut sc = StepCtx {
                         db,
-                        exec,
-                        tid,
+                        task,
                         blocked_on: None,
                     };
                     // step programs invariantly exist until Done
                     // verify: allow(no_panics) — phase-gated task invariant
                     let prog = body.prog.as_mut().expect("running task has a program");
-                    match catch_unwind(AssertUnwindSafe(|| prog(&mut sc))) {
+                    let step = match catch_unwind(AssertUnwindSafe(|| prog(&mut sc))) {
                         Ok(step) => step,
                         Err(_) => TxnStep::Done(Err(AssetError::TxnAborted(tid))),
-                    }
+                    };
+                    (step, sc.blocked_on.is_some())
                 };
                 match step {
-                    TxnStep::Ready => StepOutcome::Continue,
-                    TxnStep::WaitLock { ob } => {
-                        // the failed try-op registered interest already;
-                        // re-register to cover hand-rolled programs, then
-                        // let the dispatcher park (register → re-check on
-                        // requeue → park: no lost wakeup)
-                        exec.register_stripe_wait(db.inner.locks.stripe_of(ob), tid);
-                        StepOutcome::Park("lock")
-                    }
+                    // the failed try-op left the task's waker with the
+                    // queued request: a change landing before the park
+                    // marks the task dirty, one after it requeues it
+                    TxnStep::WaitLock { .. } if queued => StepOutcome::Park("lock"),
+                    TxnStep::Ready | TxnStep::WaitLock { .. } => StepOutcome::Continue,
                     TxnStep::WaitDep | TxnStep::WaitFlush => {
                         exec.register_dep_wait(tid);
                         StepOutcome::Park("dep")
@@ -629,20 +599,19 @@ fn worker_loop(exec: Arc<ExecInner>) {
 
 /// The context a step program sees: the transaction's identity plus
 /// **non-blocking** data operations. Where [`TxnCtx`](crate::TxnCtx)
-/// blocks on a lock conflict, these return [`TryOp::WouldBlock`] after
-/// registering interest in the stripe — the program then returns
+/// blocks on a lock conflict, these return [`TryOp::WouldBlock`] with the
+/// request queued in the lock table — the program then returns
 /// [`TxnStep::WaitLock`] and the worker moves on.
 pub struct StepCtx<'a> {
     db: &'a Database,
-    exec: &'a ExecInner,
-    tid: Tid,
+    task: &'a Arc<Task>,
     blocked_on: Option<Oid>,
 }
 
 impl StepCtx<'_> {
     /// `self()`: the executing transaction's id.
     pub fn id(&self) -> Tid {
-        self.tid
+        self.task.tid
     }
 
     /// The object the last failed try-operation blocked on, if any —
@@ -651,33 +620,21 @@ impl StepCtx<'_> {
         self.blocked_on
     }
 
-    /// Register-then-re-check lock acquisition: on conflict, interest in
-    /// the stripe is published **before** the second attempt, so a grant
-    /// that lands in between is observed by the retry and a grant after
-    /// the park is delivered by the stripe hook — no lost wakeup.
+    /// The executor driver of the lock-request protocol: one pass
+    /// ([`LockTable::request`](asset_lock::LockTable::request)) with the
+    /// task as the waker of a request that blocks. The table queues the
+    /// request under the stripe mutex the attempt failed under, so a
+    /// grant-relevant change either preceded the attempt or wakes the task
+    /// — no lost wakeup, nothing to re-check. `Ok(false)` is queued; a
+    /// deadlock or an abort in progress is an error, as for `TxnCtx`.
     #[exec_step]
     fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<bool> {
-        self.db.check_live(self.tid)?;
-        let inner = &self.db.inner;
-        if inner.locks.try_lock(self.tid, ob, op).is_ok() {
-            self.blocked_on = None;
-            return Ok(true);
-        }
-        self.exec
-            .register_stripe_wait(inner.locks.stripe_of(ob), self.tid);
-        match inner.locks.try_lock(self.tid, ob, op) {
-            Ok(()) => {
-                self.blocked_on = None;
-                Ok(true)
-            }
-            Err(holders) => {
-                // same deadlock policy as the blocking path, applied at
-                // park time instead of sleep time
-                inner.locks.note_blocked(self.tid, &holders)?;
-                self.blocked_on = Some(ob);
-                Ok(false)
-            }
-        }
+        let (tid, locks) = (self.task.tid, &self.db.inner.locks);
+        self.db.check_live(tid)?;
+        let waker = || Waker::from(Arc::clone(self.task));
+        let granted = locks.request(tid, ob, op, Some(&waker))?.is_ok();
+        self.blocked_on = (!granted).then_some(ob);
+        Ok(granted)
     }
 
     /// Non-blocking read: read-lock (honoring permits) then an S-latched
@@ -719,14 +676,14 @@ impl StepCtx<'_> {
         if !self.try_acquire(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
-        self.db.install(self.tid, ob, after)?;
+        self.db.install(self.task.tid, ob, after)?;
         Ok(TryOp::Done(()))
     }
 }
 
 impl std::fmt::Debug for StepCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StepCtx({})", self.tid)
+        write!(f, "StepCtx({})", self.task.tid)
     }
 }
 
@@ -787,6 +744,7 @@ impl Database {
         let t = self.initiate(|_| Ok(()))?;
         let task = Arc::new(Task {
             tid: t,
+            exec: Arc::downgrade(&exec),
             sched: AtomicU8::new(QUEUED),
             body: Mutex::new(TaskBody {
                 phase: Phase::Begin,
@@ -853,15 +811,17 @@ impl Database {
     /// completion, so a nudge may land after the task reached `DONE` and
     /// was retired, after the tid was never submitted (plain
     /// `initiate`/`begin` transactions), or with a tid this database has
-    /// never seen. All of these are silent no-ops — `enqueue` consults
-    /// the task table under its lock and ignores missing entries, and a
+    /// never seen. All of these are silent no-ops — a tid missing from
+    /// the task table (consulted under its lock) is ignored, and a
     /// `DONE` task's scheduling byte rejects the requeue. A nudge can
     /// never panic, abort, or misdirect a *different* transaction: tids
     /// are never reused within a database (the `IdGen` is monotonic),
     /// so a retired tid cannot alias a live one.
     pub fn nudge(&self, t: Tid) {
         if let Some(exec) = self.inner.exec.get() {
-            exec.enqueue(t);
+            if let Some(task) = exec.task(t) {
+                exec.enqueue(&task);
+            }
         }
     }
 }

@@ -52,7 +52,9 @@ fn completion_is_not_commit() {
         })
         .unwrap();
     db2.begin(reader).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    while !db.locks().pending(oid).iter().any(|p| p.tid == reader) {
+        std::thread::yield_now();
+    }
     assert_eq!(
         db.status(reader).unwrap(),
         TxnStatus::Running,
@@ -1224,6 +1226,42 @@ fn nudge_after_done_is_a_noop() {
     db.nudge(t2);
     db.begin(t2).unwrap();
     assert!(db.commit(t2).unwrap());
+}
+
+// --- WaitLock with nothing queued ---------------------------------------
+
+/// A hand-rolled program returns `WaitLock` before it has tried for the
+/// lock: no request is queued, so nothing would ever wake a park. It is
+/// stepped again instead; its try-op then queues the request, the task
+/// parks, and the holder's release wakes it.
+#[test]
+fn wait_lock_without_a_queued_request_is_stepped_again() {
+    let db = db();
+    let oid = seed(&db, b"orig");
+    let holder = db
+        .initiate(move |ctx| ctx.write(oid, b"held".to_vec()))
+        .unwrap();
+    db.begin(holder).unwrap();
+    assert!(db.wait(holder).unwrap());
+    let mut announced = false;
+    let t = db
+        .submit(move |sc| {
+            if !std::mem::replace(&mut announced, true) {
+                return crate::TxnStep::WaitLock { ob: oid };
+            }
+            match sc.try_write(oid, b"late".to_vec()) {
+                Ok(crate::TryOp::Done(())) => crate::TxnStep::Done(Ok(())),
+                Ok(crate::TryOp::WouldBlock) => crate::TxnStep::WaitLock { ob: oid },
+                Err(e) => crate::TxnStep::Done(Err(e)),
+            }
+        })
+        .unwrap();
+    while !db.locks().pending(oid).iter().any(|p| p.tid == t) {
+        std::thread::yield_now();
+    }
+    assert!(db.commit(holder).unwrap());
+    assert!(db.outcome(t).unwrap());
+    assert_eq!(db.peek(oid).unwrap().unwrap(), b"late");
 }
 
 // --- the pin rule: what a commit point in flight excludes -----------------

@@ -1,19 +1,22 @@
 #![cfg(loom)]
 //! Loom model checks for the executor's park/wake handoff
-//! (`crates/core/src/exec.rs`): a worker that fails to acquire a lock
-//! *registers interest in the stripe, re-checks, and only then parks* via
-//! `CAS RUNNING → PARKED`; the grant side releases, drains the stripe
-//! waiter list, and enqueues each task via `CAS PARKED → QUEUED` (push +
+//! (`crates/core/src/exec.rs`): a worker whose lock request blocks has it
+//! *queued by the lock table under the same stripe mutex as the failed
+//! attempt* (`LockTable::request` — one attempt, nothing to re-check),
+//! and then parks via `CAS RUNNING → PARKED`; the grant side releases
+//! and takes the stripe's wakers under the stripe mutex (`LockTable::wake`),
+//! and each waker enqueues its task via `CAS PARKED → QUEUED` (push +
 //! notify) or `CAS RUNNING → RUNNING_DIRTY` (the worker's park CAS then
 //! fails and it requeues itself). The theorem: no interleaving of the
-//! release with the register/re-check/park window strands a parked task
-//! whose lock was granted.
+//! release with the attempt/park window strands a parked task whose lock
+//! was granted.
 //!
 //! The scheduling word and queues are crate-private, so the protocol is
-//! mirrored here verbatim over the same `asset_common::sync` primitives;
-//! the last test shows loom *catching* the naive plain-store park (it
-//! erases a concurrent `QUEUED` and deadlocks), which is exactly the bug
-//! the `RUNNING_DIRTY` state exists to prevent.
+//! mirrored here verbatim over the same `asset_common::sync` primitives
+//! (the table's half is checked on the real table in `asset-lock`'s
+//! `loom_stripes.rs`); the last test shows loom *catching* the naive
+//! plain-store park (it erases a concurrent `QUEUED` and deadlocks), which
+//! is exactly the bug the `RUNNING_DIRTY` state exists to prevent.
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p asset-core --test
 //! loom_executor --release`.
@@ -29,14 +32,20 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const RUNNING_DIRTY: u8 = 3;
 
+/// One lock-table stripe, reduced to the contended entry: the lock word
+/// and the wakers of the requests queued on it, under one mutex.
+struct Stripe {
+    locked: bool,
+    wakers: Vec<u32>,
+}
+
 /// Mirror of one executor task's scheduling state: the per-task word, a
-/// run queue, the stripe waiter list, and the contended lock entry.
+/// run queue, and the stripe its request is on.
 struct Model {
     sched: AtomicU8,
     queue: Mutex<VecDeque<u32>>,
     queue_cv: Condvar,
-    waiters: Mutex<Vec<u32>>,
-    locked: AtomicBool,
+    stripe: Mutex<Stripe>,
     acquired: AtomicBool,
 }
 
@@ -48,8 +57,10 @@ impl Model {
             sched: AtomicU8::new(QUEUED),
             queue: Mutex::new(VecDeque::from([0])),
             queue_cv: Condvar::new(),
-            waiters: Mutex::new(Vec::new()),
-            locked: AtomicBool::new(true),
+            stripe: Mutex::new(Stripe {
+                locked: true,
+                wakers: Vec::new(),
+            }),
             acquired: AtomicBool::new(false),
         }
     }
@@ -91,24 +102,26 @@ impl Model {
         }
     }
 
-    /// `StepCtx::try_acquire`: try, register interest in the stripe,
-    /// re-check — a grant landing between the two attempts is observed by
-    /// the retry, one landing later is delivered by the drain.
+    /// `StepCtx::try_acquire` → `LockTable::request`: a single attempt;
+    /// on a block the waker is listed before the stripe mutex is let go,
+    /// so a release is either seen by the attempt or finds the waker.
     fn try_acquire(&self) -> bool {
-        if !self.locked.load(Ordering::SeqCst) {
-            return true;
+        let mut stripe = self.stripe.lock();
+        if stripe.locked {
+            stripe.wakers.push(0);
         }
-        self.waiters.lock().push(0);
-        !self.locked.load(Ordering::SeqCst)
+        !stripe.locked
     }
 
-    /// Lock release + stripe drain (`LockTable::release_all` firing the
-    /// wake hook): clear the entry first, then wake every registered
-    /// waiter.
-    fn release_and_drain(&self) {
-        self.locked.store(false, Ordering::SeqCst);
-        let drained = std::mem::take(&mut *self.waiters.lock());
-        for _ in drained {
+    /// `LockTable::release_all` ending in `LockTable::wake`: clear the
+    /// entry and take the wakers under the stripe mutex, invoke them with
+    /// it released.
+    fn release_and_wake(&self) {
+        let mut stripe = self.stripe.lock();
+        stripe.locked = false;
+        let woken = std::mem::take(&mut stripe.wakers);
+        drop(stripe);
+        for _ in woken {
             self.enqueue();
         }
     }
@@ -165,7 +178,7 @@ fn executor_handoff_never_loses_the_grant() {
         };
         let g = {
             let m = Arc::clone(&m);
-            thread::spawn(move || m.release_and_drain())
+            thread::spawn(move || m.release_and_wake())
         };
         w.join().unwrap();
         g.join().unwrap();
@@ -173,10 +186,10 @@ fn executor_handoff_never_loses_the_grant() {
     });
 }
 
-/// Two wake sources race (a stripe drain and the broadcast the txn-table
-/// bump hook performs): the task must still run exactly to completion —
-/// duplicate wakeups collapse into the QUEUED/RUNNING_DIRTY states, and a
-/// stale queue entry is skipped by the claim CAS.
+/// Two wake sources race (the lock table's wake and the broadcast the
+/// txn-table bump hook performs): the task must still run exactly to
+/// completion — duplicate wakeups collapse into the QUEUED/RUNNING_DIRTY
+/// states, and a stale queue entry is skipped by the claim CAS.
 #[test]
 fn duplicate_wakeups_are_idempotent() {
     loom::model(|| {
@@ -187,7 +200,7 @@ fn duplicate_wakeups_are_idempotent() {
         };
         let g = {
             let m = Arc::clone(&m);
-            thread::spawn(move || m.release_and_drain())
+            thread::spawn(move || m.release_and_wake())
         };
         let b = {
             let m = Arc::clone(&m);
@@ -201,7 +214,7 @@ fn duplicate_wakeups_are_idempotent() {
 }
 
 /// The bug `RUNNING_DIRTY` prevents: parking with a plain store. The
-/// grant can land between the failed re-check and the store — enqueue
+/// grant can land between the failed attempt and the store — enqueue
 /// flips RUNNING→RUNNING_DIRTY (or PARKED→QUEUED), the store erases it,
 /// and the task sleeps forever on an empty queue. Loom finds the
 /// interleaving and reports the deadlock.
@@ -216,7 +229,7 @@ fn naive_plain_store_park_loses_the_wakeup() {
         };
         let g = {
             let m = Arc::clone(&m);
-            thread::spawn(move || m.release_and_drain())
+            thread::spawn(move || m.release_and_wake())
         };
         w.join().unwrap();
         g.join().unwrap();

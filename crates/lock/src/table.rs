@@ -3,40 +3,54 @@
 //! *suspension* (§4.2).
 //!
 //! Transaction-duration locks live here; they are only released by the
-//! commit/abort protocols (or moved by delegation). Blocking requests wait
-//! on a condition variable and retry "starting at step 1", exactly as the
-//! paper phrases it; a waits-for graph detects data deadlocks (the paper is
-//! silent on these — see DESIGN.md §6) and a configurable timeout backstops
-//! everything.
+//! commit/abort protocols (or moved by delegation).
+//!
+//! ## One lock-request protocol, any driver
+//!
+//! The paper's algorithm — attempt; if blocked, put the request on the
+//! object's *pending list*, sleep, "retry starting at step 1" — is
+//! implemented once, as the non-blocking pass [`LockTable::request`]: a
+//! request that blocks is listed, under the stripe mutex its attempt
+//! failed under, with the caller's [`Waker`], and its waits-for edges are
+//! checked for a cycle (the paper is silent on data deadlocks — DESIGN.md
+//! §6). Every grant-relevant change (release, delegation, permit, poison)
+//! ends in `LockTable::wake`, which takes the wakers queued on the stripe
+//! it touched and invokes them with no table lock held. Who sleeps, and
+//! how, is the driver's business: [`LockTable::lock`] parks its thread and
+//! retries (a timeout backstops everything), an executor passes a waker
+//! that requeues its task. The table does not know which is waiting, and
+//! the wait accounting (DESIGN.md §7) is in the pass: the same for both.
 //!
 //! ## Sharding (§4.1 double hashing realized)
 //!
 //! The paper hashes the descriptor tables by object id and by transaction
 //! id precisely so that concurrent transactions touching disjoint objects
 //! never serialize on shared bookkeeping. Here that is realized as N
-//! oid-hashed **shards**, each with its own mutex + condvar over the OD
-//! map, the shard's slice of the TD-side object lists, and a shard-local
-//! permit table; a tid-keyed shard-set index (the second hash) lets
-//! `release_all`/`delegate` visit only the shards a transaction actually
-//! touched. Permits whose object scope is `ObSet::All` (or spans shards)
-//! live in a small read-mostly global table consulted after the per-shard
-//! miss. Multi-shard operations take shard locks one at a time in
-//! ascending index order, so the manager is internally deadlock-free.
-//! Wait-for edges go to a dedicated [`WaitGraph`] collector and counters
-//! are per-shard relaxed atomics, so deadlock checks and statistics reads
-//! never stall grants.
+//! oid-hashed **shards**, each with its own mutex over the OD map (pending
+//! lists and their wakers included), the shard's slice of the TD-side
+//! object lists, and a shard-local permit table; a tid-keyed shard-set
+//! index (the second hash) lets `release_all`/`delegate` visit only the
+//! shards a transaction actually touched. Permits whose object scope is
+//! `ObSet::All` (or spans shards) live in a small read-mostly global table
+//! consulted after the per-shard miss. Multi-shard operations take shard
+//! locks one at a time in ascending index order, so the manager is
+//! internally deadlock-free. Wait-for edges go to a dedicated
+//! [`WaitGraph`] collector and counters are per-shard relaxed atomics, so
+//! deadlock checks and statistics reads never stall grants.
 
 use asset_annot::verify_allow;
 
 use crate::permit::{permits_across_depth, Permit, PermitTable};
-use crate::waits::WaitGraph;
+use crate::waits::{Parker, Wait, WaitGraph};
 use asset_common::config::resolve_shards;
-use asset_common::sync::{Condvar, Mutex, RwLock};
+use asset_common::sync::{Mutex, MutexGuard, RwLock};
 use asset_common::{AssetError, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
 use asset_obs::{add, bump, EventKind, Obs};
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// A lock-request descriptor: one transaction's granted lock on one object.
@@ -177,11 +191,46 @@ struct ShardInner {
     txn_objects: HashMap<Tid, HashSet<Oid>>,
     /// Permits whose object scope falls entirely within this shard.
     permits: PermitTable,
+    /// The wakers of the requests on this shard's pending lists, by
+    /// waiting transaction and object; [`LockTable::wake`] takes them all.
+    wakers: Vec<(Tid, Oid, Waker)>,
+}
+
+impl ShardInner {
+    /// List `tid`'s request on `ob`'s pending list (once) with the waker to
+    /// invoke for it (the latest one wins); returns the list's depth and
+    /// whether the request is newly listed.
+    fn enlist(&mut self, tid: Tid, ob: Oid, mode: LockMode, waker: Waker) -> (u64, bool) {
+        let od = self.objects.entry(ob).or_default();
+        let fresh = !od.pending.iter().any(|p| p.tid == tid);
+        if fresh {
+            let upgrading = od.granted.iter().any(|g| g.tid == tid);
+            od.pending.push(PendingReq {
+                tid,
+                mode,
+                upgrading,
+            });
+        }
+        let depth = od.pending.len() as u64;
+        self.wakers.retain(|w| (w.0, w.1) != (tid, ob));
+        self.wakers.push((tid, ob, waker));
+        (depth, fresh)
+    }
+
+    /// Take `tid`'s request on `ob` off the pending list, and its waker.
+    fn unlist(&mut self, tid: Tid, ob: Oid) {
+        if let Some(od) = self.objects.get_mut(&ob) {
+            od.pending.retain(|p| p.tid != tid);
+            if od.granted.is_empty() && od.pending.is_empty() {
+                self.objects.remove(&ob);
+            }
+        }
+        self.wakers.retain(|w| (w.0, w.1) != (tid, ob));
+    }
 }
 
 struct Shard {
     inner: Mutex<ShardInner>,
-    cv: Condvar,
     stats: ShardStats,
     /// Permits stored in this shard (relaxed; summed by `permit_count`).
     permit_count: AtomicUsize,
@@ -194,17 +243,13 @@ impl Shard {
                 objects: HashMap::new(),
                 txn_objects: HashMap::new(),
                 permits: PermitTable::new(),
+                wakers: Vec::new(),
             }),
-            cv: Condvar::new(),
             stats: ShardStats::default(),
             permit_count: AtomicUsize::new(0),
         }
     }
 }
-
-/// An installed executor wake hook: `hook(stripe)` requeues transactions
-/// parked on that stripe (see [`LockTable::set_wake_hook`]).
-type WakeHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// The lock manager.
 pub struct LockTable {
@@ -229,19 +274,6 @@ pub struct LockTable {
     /// Observability hub: lock-wait histograms, permit-chain lengths,
     /// delegation counts, and lifecycle events.
     obs: Arc<Obs>,
-    /// Executor wake hook: called with a stripe index (or
-    /// [`ALL_STRIPES`](Self::ALL_STRIPES)) after any grant-relevant state
-    /// change has been published and the condvar notified, so a worker-pool
-    /// scheduler can requeue transactions parked on that stripe. Installed
-    /// once at executor start; never invoked with a shard mutex held.
-    wake_hook: RwLock<Option<WakeHook>>,
-    /// Fast-path skip for the hook check on notify sites.
-    wake_hook_set: std::sync::atomic::AtomicBool,
-}
-
-enum Attempt {
-    Granted,
-    Blocked(Vec<Tid>),
 }
 
 enum PermitRoute {
@@ -278,39 +310,6 @@ impl LockTable {
             poisoned: Mutex::new(HashSet::new()),
             poison_count: AtomicUsize::new(0),
             obs,
-            wake_hook: RwLock::new(None),
-            wake_hook_set: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// The stripe-index argument [`set_wake_hook`](Self::set_wake_hook)
-    /// receives when a notification concerns every stripe (global permit,
-    /// poison, cross-shard release).
-    pub const ALL_STRIPES: usize = usize::MAX;
-
-    /// Install the executor wake hook (see the `wake_hook` field). The hook
-    /// runs on the notifying thread with no table locks held; it must not
-    /// call back into the lock table.
-    pub fn set_wake_hook(&self, hook: Arc<dyn Fn(usize) + Send + Sync>) {
-        *self.wake_hook.write() = Some(hook);
-        self.wake_hook_set
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// The stripe `ob` hashes to — lets a scheduler register a waiter on
-    /// the same stripe whose condvar a blocking request would park on.
-    pub fn stripe_of(&self, ob: Oid) -> usize {
-        self.shard_index(ob)
-    }
-
-    fn fire_wake_hook(&self, stripe: usize) {
-        if self
-            .wake_hook_set
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
-            if let Some(hook) = self.wake_hook.read().as_ref() {
-                hook(stripe);
-            }
         }
     }
 
@@ -340,123 +339,134 @@ impl LockTable {
             .unwrap_or_default()
     }
 
-    /// Take and release every shard mutex before notifying its condvar.
-    /// The lock bump is what makes notification safe for state that is not
-    /// protected by the shard mutex (global permits, the poison set): a
-    /// waiter holds its shard mutex from predicate check to sleep, so
-    /// acquiring the mutex after the state change guarantees the waiter is
-    /// either asleep (and gets the notify) or will re-check and observe it.
+    /// The one wake routine, where every grant-relevant change ends: take
+    /// the wakers queued on the stripe whose mutex `inner` holds — the one
+    /// the change was published under — let the mutex go, and invoke them
+    /// with no table lock held.
+    fn wake(mut inner: MutexGuard<'_, ShardInner>) {
+        let woken = std::mem::take(&mut inner.wakers);
+        drop(inner);
+        for (_, _, waker) in woken {
+            waker.wake();
+        }
+    }
+
+    /// [`wake`](Self::wake) every stripe, after a change to state no stripe
+    /// mutex protects (global permits, the poison set). Taking each mutex
+    /// is what makes that safe: a request holds its stripe mutex from its
+    /// checks to its listing, so the wake either finds the request listed
+    /// or precedes a pass that will see the change.
     #[verify_allow(
         lock_order,
         reason = "blessed: each shard mutex is acquired and dropped before the next — never two at once"
     )]
-    fn notify_all_shards(&self) {
+    fn wake_every_stripe(&self) {
         for shard in self.shards.iter() {
-            drop(shard.inner.lock());
-            shard.cv.notify_all();
+            Self::wake(shard.inner.lock());
         }
-        self.fire_wake_hook(Self::ALL_STRIPES);
     }
 
     /// Acquire a lock for `tid` on `ob` in the mode required by `op`,
-    /// blocking until granted, deadlocked, or timed out.
+    /// blocking until granted, deadlocked, or timed out — the blocking
+    /// driver of [`request`](Self::request): pass → sleep until woken or
+    /// the deadline → retry "starting at step 1".
     pub fn lock(&self, tid: Tid, ob: Oid, op: Operation, timeout: Option<Duration>) -> Result<()> {
-        let mode = op.required_mode();
         let deadline = timeout.map(|d| Instant::now() + d);
+        // made by the first pass that queues; an uncontended call has none
+        let parker: OnceCell<Arc<Parker>> = OnceCell::new();
+        let waker = || Waker::from(Arc::clone(parker.get_or_init(Arc::default)));
+        loop {
+            if self.request(tid, ob, op, Some(&waker))?.is_ok() {
+                return Ok(());
+            }
+            if !parker.get().is_some_and(|p| p.park(deadline)) {
+                self.cancel_wait(tid);
+                let stats = &self.shards[self.shard_index(ob)].stats;
+                stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                return Err(AssetError::LockTimeout { tid, ob });
+            }
+        }
+    }
+
+    /// One pass that queues nothing; returns the blockers on failure (none
+    /// if `tid` was refused for its own abort).
+    pub fn try_lock(&self, tid: Tid, ob: Oid, op: Operation) -> std::result::Result<(), Vec<Tid>> {
+        self.request(tid, ob, op, None)
+            .unwrap_or_else(|_| Err(Vec::new()))
+    }
+
+    /// The §4.1 lock-request protocol, one non-blocking pass: poison check,
+    /// then the grant attempt — `Ok(Ok(()))` is a grant,
+    /// `Ok(Err(holders))` a block. A request that blocks and brought a
+    /// `waker` is *queued*: under the same stripe mutex it is listed on the
+    /// object's pending list with the waker `waker` makes (called only
+    /// then), its waits-for edges are published and the cycle check runs
+    /// (victim: the requester that closes the cycle). The waker is invoked
+    /// — once, no table lock held — after the next grant-relevant change
+    /// on the stripe, for the driver to call again. Any outcome but a
+    /// block ends the wait `tid` had.
+    ///
+    /// The wait accounting of DESIGN.md §7 is here and in
+    /// `settle`, for every driver. Under the stripe mutex
+    /// only relaxed atomics are touched; the clock, histograms and events
+    /// come after the guard is dropped.
+    pub fn request(
+        &self,
+        tid: Tid,
+        ob: Oid,
+        op: Operation,
+        waker: Option<&dyn Fn() -> Waker>,
+    ) -> Result<std::result::Result<(), Vec<Tid>>> {
         let sidx = self.shard_index(ob);
         let shard = &self.shards[sidx];
-        // Wait accounting: inside the stripe critical section only relaxed
-        // atomics are touched (DESIGN.md §7 — recording is wait-free on the
-        // lock hot path); the clock reads and the trace event happen after
-        // the mutex is released.
-        let mut wait_started: Option<Instant> = None;
-        let mut queue_depth: u32 = 0;
         let mut through: Vec<(Tid, u32)> = Vec::new();
         let mut chains: Vec<u32> = Vec::new();
-        let result = (|| {
-            let mut inner = shard.inner.lock();
-            loop {
-                if self.poison_count.load(Ordering::Relaxed) > 0
-                    && self.poisoned.lock().contains(&tid)
-                {
-                    Self::clear_pending(&mut inner, tid, ob);
-                    self.waits.clear(tid);
-                    return Err(AssetError::TxnAborted(tid));
-                }
-                match self.attempt(
-                    sidx,
-                    &mut inner,
-                    tid,
-                    ob,
-                    mode,
-                    op,
-                    &mut through,
-                    &mut chains,
-                ) {
-                    Attempt::Granted => {
-                        Self::clear_pending(&mut inner, tid, ob);
-                        self.waits.clear(tid);
-                        return Ok(());
+        let mut began = false; // this pass begins a wait …
+        let mut superseded = None; // … which replaces this one, on another object
+        let mut inner = shard.inner.lock();
+        let poisoned =
+            self.poison_count.load(Ordering::Relaxed) > 0 && self.poisoned.lock().contains(&tid);
+        let result = if poisoned {
+            Err(AssetError::TxnAborted(tid))
+        } else {
+            let attempt = self.attempt(&mut inner, tid, ob, op, &mut through, &mut chains);
+            match (attempt, waker) {
+                (Err(holders), Some(waker)) => {
+                    shard.stats.blocks.fetch_add(1, Ordering::Relaxed);
+                    let depth;
+                    (depth, began) = inner.enlist(tid, ob, op.required_mode(), waker());
+                    shard.stats.queue_peak.fetch_max(depth, Ordering::Relaxed);
+                    superseded = self.waits.publish(tid, &holders, ob, depth as u32);
+                    if began {
+                        shard.stats.waits.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.obs.counters.lock_waits);
                     }
-                    Attempt::Blocked(holders) => {
-                        shard.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                        Self::note_pending(&mut inner, tid, ob, mode);
-                        let depth = inner.objects.get(&ob).map_or(0, |od| od.pending.len()) as u64;
-                        shard.stats.queue_peak.fetch_max(depth, Ordering::Relaxed);
-                        if wait_started.is_none() {
-                            queue_depth = depth as u32;
-                            shard.stats.waits.fetch_add(1, Ordering::Relaxed);
-                            bump(&self.obs.counters.lock_waits);
-                            // The wait-start clock read happens with the
-                            // stripe mutex released (DESIGN.md §7: no clock
-                            // reads inside the stripe critical section);
-                            // the pending entry is already published, and
-                            // the loop retries from step 1 after
-                            // re-locking, so no grant can be missed.
-                            drop(inner);
-                            wait_started = Some(Instant::now());
-                            inner = shard.inner.lock();
-                            continue;
-                        }
-                        self.waits.publish(tid, &holders);
-                        bump(&self.obs.counters.deadlock_sweeps);
-                        if self.waits.cycle_through(tid) {
-                            Self::clear_pending(&mut inner, tid, ob);
-                            self.waits.clear(tid);
-                            shard.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                            bump(&self.obs.counters.deadlocks);
-                            return Err(AssetError::Deadlock(tid));
-                        }
-                        let timed_out = match deadline {
-                            None => {
-                                shard.cv.wait(&mut inner);
-                                false
-                            }
-                            Some(d) => shard.cv.wait_until(&mut inner, d).timed_out(),
-                        };
-                        if timed_out {
-                            Self::clear_pending(&mut inner, tid, ob);
-                            self.waits.clear(tid);
-                            shard.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                            return Err(AssetError::LockTimeout { tid, ob });
-                        }
-                        // retry "starting at step 1"
+                    bump(&self.obs.counters.deadlock_sweeps);
+                    if self.waits.cycle_through(tid) {
+                        shard.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.obs.counters.deadlocks);
+                        Err(AssetError::Deadlock(tid))
+                    } else {
+                        Ok(Err(holders))
                     }
                 }
+                (attempt, _) => Ok(attempt),
             }
-        })();
-        if let Some(t0) = wait_started {
-            let waited = t0.elapsed().as_nanos() as u64;
-            add(&shard.stats.wait_ns_total, waited);
-            shard.stats.wait_ns_max.fetch_max(waited, Ordering::Relaxed);
-            self.obs.lock_wait_ns.record(waited);
-            self.obs.record(EventKind::LockWait {
-                tid,
-                ob,
-                stripe: sidx as u32,
-                wait_ns: waited,
-                queue_depth,
-            });
+        };
+        // a wait that ends on this object is unlisted with the outcome
+        let ended = match result {
+            Ok(Err(_)) => None,
+            _ => self.waits.clear(tid),
+        };
+        if ended.as_ref().is_some_and(|w| w.ob == ob) {
+            inner.unlist(tid, ob);
+        }
+        drop(inner);
+        if began {
+            self.waits.stamp(tid, Instant::now());
+        }
+        for w in superseded.into_iter().chain(ended) {
+            self.settle(tid, w, Some(ob));
         }
         for chain in chains {
             self.obs.permit_chain_len.record(chain as u64);
@@ -476,66 +486,38 @@ impl LockTable {
         result
     }
 
-    /// One non-blocking attempt; returns the blockers on failure.
-    pub fn try_lock(&self, tid: Tid, ob: Oid, op: Operation) -> std::result::Result<(), Vec<Tid>> {
-        let sidx = self.shard_index(ob);
-        let mut through: Vec<(Tid, u32)> = Vec::new();
-        let mut chains: Vec<u32> = Vec::new();
-        let result = {
-            let mut inner = self.shards[sidx].inner.lock();
-            match self.attempt(
-                sidx,
-                &mut inner,
-                tid,
-                ob,
-                op.required_mode(),
-                op,
-                &mut through,
-                &mut chains,
-            ) {
-                Attempt::Granted => {
-                    Self::clear_pending(&mut inner, tid, ob);
-                    self.waits.clear(tid);
-                    Ok(())
-                }
-                Attempt::Blocked(holders) => Err(holders),
-            }
-        };
-        for chain in chains {
-            self.obs.permit_chain_len.record(chain as u64);
+    /// Account an ended wait — its duration from the first block, the
+    /// `LockWait` event — after unlisting its request, unless the caller
+    /// did under its guard on `unlisted`. Call with no stripe mutex held.
+    fn settle(&self, tid: Tid, w: Wait, unlisted: Option<Oid>) {
+        let sidx = self.shard_index(w.ob);
+        let shard = &self.shards[sidx];
+        if unlisted != Some(w.ob) {
+            shard.inner.lock().unlist(tid, w.ob);
         }
-        for (holder, chain) in through {
-            self.obs.record(EventKind::PermitThrough {
-                holder,
-                requester: tid,
-                ob,
-                chain,
-            });
-        }
-        result
+        let waited = w.since.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        add(&shard.stats.wait_ns_total, waited);
+        shard.stats.wait_ns_max.fetch_max(waited, Ordering::Relaxed);
+        self.obs.lock_wait_ns.record(waited);
+        self.obs.record(EventKind::LockWait {
+            tid,
+            ob: w.ob,
+            stripe: sidx as u32,
+            wait_ns: waited,
+            queue_depth: w.queue_depth,
+        });
     }
 
-    /// Publish a blocked *executor* request's waits-for edges and run the
-    /// cycle check — the same deadlock policy the blocking
-    /// [`lock`](Self::lock) path applies before parking. A worker calls
-    /// this after a failed [`try_lock`](Self::try_lock) (with the blockers
-    /// it returned) instead of sleeping on the stripe condvar. Edges are
-    /// cleared when a later `try_lock` grants, or by `release_all`.
-    pub fn note_blocked(&self, tid: Tid, holders: &[Tid]) -> Result<()> {
-        self.waits.publish(tid, holders);
-        bump(&self.obs.counters.deadlock_sweeps);
-        if self.waits.cycle_through(tid) {
-            self.waits.clear(tid);
-            bump(&self.obs.counters.deadlocks);
-            self.obs
-                .record(EventKind::DeadlockSweep { tid, cycle: true });
-            return Err(AssetError::Deadlock(tid));
+    /// End the wait `tid` has, if any, wherever its request is listed: no
+    /// pending entry, waker or waits-for edge of it is left behind.
+    fn cancel_wait(&self, tid: Tid) {
+        if let Some(w) = self.waits.clear(tid) {
+            self.settle(tid, w, None);
         }
-        Ok(())
     }
 
     /// The paper's `read-lock`/`write-lock` algorithm, one shard-local
-    /// attempt.
+    /// attempt: granted, or the holders blocking it.
     /// `through` collects `(holder, chain_hops)` pairs for every conflict a
     /// permit let through on a *granted* attempt, so the caller can emit
     /// the causal `PermitThrough` events after the shard guard drops;
@@ -543,25 +525,23 @@ impl LockTable {
     /// caller to feed the `permit_chain_len` histogram outside the guard
     /// (DESIGN.md §7: clock reads, histogram updates and trace events stay
     /// outside the stripe critical section).
-    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
-        sidx: usize,
         inner: &mut ShardInner,
         tid: Tid,
         ob: Oid,
-        mode: LockMode,
         op: Operation,
         through: &mut Vec<(Tid, u32)>,
         chains: &mut Vec<u32>,
-    ) -> Attempt {
+    ) -> std::result::Result<(), Vec<Tid>> {
+        let (sidx, mode) = (self.shard_index(ob), op.required_mode());
         let od = inner.objects.entry(ob).or_default();
 
         // Step 1a: own granted lock that covers the request and is not
         // suspended → success.
         if let Some(own) = od.granted.iter().find(|g| g.tid == tid) {
             if !own.suspended && own.mode.covers(mode) {
-                return Attempt::Granted;
+                return Ok(());
             }
         }
 
@@ -599,7 +579,7 @@ impl LockTable {
         }
         drop(global);
         if !blockers.is_empty() {
-            return Attempt::Blocked(blockers);
+            return Err(blockers);
         }
 
         // Step 2: grant. Suspend the permitted conflicting locks, then
@@ -643,25 +623,7 @@ impl LockTable {
             .grants
             .fetch_add(1, Ordering::Relaxed);
         bump(&self.obs.counters.lock_grants);
-        Attempt::Granted
-    }
-
-    fn note_pending(inner: &mut ShardInner, tid: Tid, ob: Oid, mode: LockMode) {
-        let od = inner.objects.entry(ob).or_default();
-        let upgrading = od.granted.iter().any(|g| g.tid == tid);
-        if !od.pending.iter().any(|p| p.tid == tid) {
-            od.pending.push(PendingReq {
-                tid,
-                mode,
-                upgrading,
-            });
-        }
-    }
-
-    fn clear_pending(inner: &mut ShardInner, tid: Tid, ob: Oid) {
-        if let Some(od) = inner.objects.get_mut(&ob) {
-            od.pending.retain(|p| p.tid != tid);
-        }
+        Ok(())
     }
 
     /// Where does a permit with scope `obs` live?
@@ -713,18 +675,15 @@ impl LockTable {
                     }
                 }
                 let shard = &self.shards[s];
-                {
-                    let mut inner = shard.inner.lock();
-                    inner.permits.insert(Permit {
-                        grantor,
-                        grantee,
-                        obs,
-                        ops,
-                    });
-                    shard.permit_count.fetch_add(1, Ordering::Relaxed);
-                }
-                shard.cv.notify_all();
-                self.fire_wake_hook(s);
+                let mut inner = shard.inner.lock();
+                inner.permits.insert(Permit {
+                    grantor,
+                    grantee,
+                    obs,
+                    ops,
+                });
+                shard.permit_count.fetch_add(1, Ordering::Relaxed);
+                Self::wake(inner);
             }
             PermitRoute::Global => {
                 {
@@ -737,7 +696,7 @@ impl LockTable {
                     });
                     self.global_permit_count.fetch_add(1, Ordering::Relaxed);
                 }
-                self.notify_all_shards();
+                self.wake_every_stripe();
             }
         }
     }
@@ -833,9 +792,8 @@ impl LockTable {
                         .permit_count
                         .fetch_add(after - before, Ordering::Relaxed);
                 }
+                Self::wake(guard);
             }
-            shard.cv.notify_all();
-            self.fire_wake_hook(s);
         }
         if self.global_permit_count.load(Ordering::Relaxed) > 0 {
             {
@@ -848,7 +806,7 @@ impl LockTable {
                         .fetch_add(after - before, Ordering::Relaxed);
                 }
             }
-            self.notify_all_shards();
+            self.wake_every_stripe();
         }
         if !from_shards.is_empty() {
             self.tid_shards
@@ -866,13 +824,15 @@ impl LockTable {
         });
     }
 
-    /// Release all locks held by `tid` and remove permits given by and to
-    /// it (commit step 6 / abort step 3). Returns the objects released.
+    /// Release all locks held by `tid`, end the wait it may have — on any
+    /// object, locked by it or not — and remove permits given by and to it
+    /// (commit step 6 / abort step 3). Returns the objects released.
     #[verify_allow(
         lock_order,
         reason = "blessed: snapshots the tid→shard index, then walks shards in ascending order one at a time"
     )]
     pub fn release_all(&self, tid: Tid) -> Vec<Oid> {
+        self.cancel_wait(tid);
         let shards: Vec<usize> = {
             self.tid_shards
                 .lock()
@@ -893,7 +853,6 @@ impl LockTable {
                 for ob in &objects {
                     if let Some(od) = inner.objects.get_mut(ob) {
                         od.granted.retain(|g| g.tid != tid);
-                        od.pending.retain(|p| p.tid != tid);
                         if od.granted.is_empty() && od.pending.is_empty() {
                             inner.objects.remove(ob);
                         }
@@ -906,9 +865,8 @@ impl LockTable {
                     shard.permit_count.fetch_sub(removed, Ordering::Relaxed);
                 }
                 released.extend(objects);
+                Self::wake(inner);
             }
-            shard.cv.notify_all();
-            self.fire_wake_hook(s);
         }
         if self.global_permit_count.load(Ordering::Relaxed) > 0 {
             let removed = {
@@ -923,10 +881,9 @@ impl LockTable {
                 removed
             };
             if removed > 0 {
-                self.notify_all_shards();
+                self.wake_every_stripe();
             }
         }
-        self.waits.clear(tid);
         if self.poison_count.load(Ordering::Relaxed) > 0 && self.poisoned.lock().remove(&tid) {
             self.poison_count.fetch_sub(1, Ordering::Relaxed);
         }
@@ -945,7 +902,7 @@ impl LockTable {
         if self.poisoned.lock().insert(tid) {
             self.poison_count.fetch_add(1, Ordering::Relaxed);
         }
-        self.notify_all_shards();
+        self.wake_every_stripe();
     }
 
     /// Granted locks on `ob` (snapshot).
@@ -1118,10 +1075,40 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::task::Wake;
+
+    /// A callback waker that only counts its wakes — what a driver that
+    /// does not sleep (the executor's enqueue) looks like to the table.
+    #[derive(Default)]
+    struct Wakes(AtomicUsize);
+
+    impl Wake for Wakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Wakes {
+        fn count(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    fn waiting(t: &LockTable) -> usize {
+        t.stripe_occupancy().iter().map(|s| s.waiting).sum()
+    }
 
     const NO_TIMEOUT: Option<Duration> = None;
     fn short() -> Option<Duration> {
         Some(Duration::from_millis(50))
+    }
+
+    /// Wait until `tid`'s request on `ob` is on the pending list: it has
+    /// blocked, and every later change on the stripe will wake it.
+    fn await_pending(t: &LockTable, ob: Oid, tid: Tid) {
+        while !t.pending(ob).iter().any(|p| p.tid == tid) {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -1147,7 +1134,7 @@ mod tests {
                 .unwrap();
             flag.store(true, Ordering::SeqCst);
         });
-        std::thread::sleep(Duration::from_millis(20));
+        await_pending(&t, Oid(1), Tid(2));
         assert!(!acquired.load(Ordering::SeqCst));
         t.release_all(Tid(1));
         h.join().unwrap();
@@ -1172,8 +1159,10 @@ mod tests {
             .lock(Tid(1), Oid(1), Operation::Write, short())
             .unwrap_err();
         assert!(matches!(err, AssetError::LockTimeout { .. }));
-        // the pending entry was marked as an upgrade while waiting —
-        // verified indirectly: after the other reader leaves, upgrade works
+        // the timeout left no pending entry and no waits-for edge behind
+        assert!(t.pending(Oid(1)).is_empty());
+        assert!(t.waits_snapshot().is_empty());
+        // after the other reader leaves, upgrade works
         t.release_all(Tid(2));
         t.lock(Tid(1), Oid(1), Operation::Write, short()).unwrap();
     }
@@ -1300,7 +1289,7 @@ mod tests {
                 Some(Duration::from_secs(5)),
             )
         });
-        std::thread::sleep(Duration::from_millis(30));
+        await_pending(&t, Oid(2), Tid(1));
         // t2 requests ob1 (held by t1) → cycle → t2 is the victim
         let err = t
             .lock(
@@ -1315,6 +1304,119 @@ mod tests {
         // unblock t1 by releasing the victim's locks (what abort would do)
         t.release_all(Tid(2));
         h.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_queued_request_is_listed_woken_once_and_granted_on_retry() {
+        let t = LockTable::with_shards_obs(4, Obs::shared());
+        t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
+        t.lock(Tid(2), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
+        let wakes = Arc::new(Wakes::default());
+        let waker = || Waker::from(Arc::clone(&wakes));
+        let queued = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
+        assert_eq!(queued.unwrap(), Err(vec![Tid(1)]), "blocked by the reader");
+        let pending = t.pending(Oid(1));
+        assert_eq!(pending.len(), 1);
+        assert_eq!(pending[0].tid, Tid(2));
+        assert_eq!(pending[0].mode, LockMode::Write);
+        assert!(pending[0].upgrading);
+        assert_eq!(waiting(&t), 1);
+        assert_eq!(t.waits_snapshot()[&Tid(2)], HashSet::from([Tid(1)]));
+        // a wake takes the waker: the change that follows finds none
+        t.release_all(Tid(1));
+        assert_eq!(wakes.count(), 1);
+        t.permit(Tid(9), None, ObSet::one(Oid(1)), OpSet::READ);
+        assert_eq!(wakes.count(), 1);
+        assert_eq!(t.pending(Oid(1)).len(), 1, "listed until it retries");
+        let granted = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
+        assert_eq!(granted.unwrap(), Ok(()));
+        assert!(t.pending(Oid(1)).is_empty());
+        assert_eq!(waiting(&t), 0);
+        assert!(t.waits_snapshot().is_empty());
+        let stripe = t.stripe_stats().into_iter().find(|s| s.waits > 0).unwrap();
+        assert_eq!((stripe.waits, stripe.blocks), (1, 1));
+        let snap = t.obs().snapshot();
+        assert_eq!(snap.counters.lock_waits, 1);
+        assert_eq!(snap.counters.deadlock_sweeps, 1);
+        assert_eq!(snap.lock_wait_ns.count, 1);
+    }
+
+    #[test]
+    fn release_all_ends_a_wait_on_an_object_the_tid_holds_no_lock_on() {
+        let t = LockTable::with_shards(4);
+        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        let wakes = Arc::new(Wakes::default());
+        let waker = || Waker::from(Arc::clone(&wakes));
+        let queued = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
+        assert!(queued.unwrap().is_err());
+        assert_eq!(waiting(&t), 1);
+        // t2 holds nothing, so no stripe is indexed under it
+        assert!(t.release_all(Tid(2)).is_empty());
+        assert!(t.pending(Oid(1)).is_empty());
+        assert_eq!(waiting(&t), 0);
+        assert!(t.waits_snapshot().is_empty());
+        assert_eq!(t.snapshot().waiters, 0);
+        t.release_all(Tid(1));
+        assert_eq!(wakes.count(), 0, "the release wakes nobody stale");
+        assert_eq!(
+            t.stripe_occupancy()
+                .iter()
+                .map(|s| s.objects)
+                .sum::<usize>(),
+            0
+        );
+    }
+
+    #[test]
+    fn poison_wakes_a_queued_request_and_its_retry_fails() {
+        let t = LockTable::with_shards(4);
+        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        let wakes = Arc::new(Wakes::default());
+        let waker = || Waker::from(Arc::clone(&wakes));
+        let queued = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
+        assert!(queued.unwrap().is_err());
+        t.poison(Tid(2));
+        assert_eq!(wakes.count(), 1);
+        let err = t
+            .request(Tid(2), Oid(1), Operation::Write, Some(&waker))
+            .unwrap_err();
+        assert!(matches!(err, AssetError::TxnAborted(Tid(2))));
+        assert!(t.pending(Oid(1)).is_empty());
+        assert!(t.waits_snapshot().is_empty());
+        assert!(t.try_lock(Tid(2), Oid(7), Operation::Read).is_err());
+        t.release_all(Tid(2));
+        t.try_lock(Tid(2), Oid(7), Operation::Read).unwrap();
+    }
+
+    #[test]
+    fn a_transaction_waits_for_one_request_at_a_time() {
+        let t = LockTable::with_shards_obs(4, Obs::shared());
+        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        t.lock(Tid(1), Oid(2), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        let wakes = Arc::new(Wakes::default());
+        let waker = || Waker::from(Arc::clone(&wakes));
+        for ob in [Oid(1), Oid(2)] {
+            let queued = t.request(Tid(2), ob, Operation::Write, Some(&waker));
+            assert!(queued.unwrap().is_err());
+        }
+        assert!(
+            t.pending(Oid(1)).is_empty(),
+            "the request on ob2 displaced it"
+        );
+        assert_eq!(t.pending(Oid(2)).len(), 1);
+        assert_eq!(waiting(&t), 1);
+        // a grant elsewhere ends the wait, wherever it is listed
+        t.lock(Tid(2), Oid(3), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        assert_eq!(waiting(&t), 0);
+        assert!(t.waits_snapshot().is_empty());
+        let snap = t.obs().snapshot();
+        assert_eq!(snap.counters.lock_waits, 2);
+        assert_eq!(snap.lock_wait_ns.count, 2);
     }
 
     #[test]
@@ -1432,7 +1534,7 @@ mod tests {
                 Some(Duration::from_secs(5)),
             )
         });
-        std::thread::sleep(Duration::from_millis(30));
+        await_pending(&t, Oid(1), Tid(2));
         t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
         h.join().unwrap().unwrap();
         assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
@@ -1453,7 +1555,7 @@ mod tests {
                 Some(Duration::from_secs(5)),
             )
         });
-        std::thread::sleep(Duration::from_millis(30));
+        await_pending(&t, Oid(1), Tid(2));
         t.permit(Tid(1), Some(Tid(2)), ObSet::All, OpSet::ALL);
         h.join().unwrap().unwrap();
         assert!(t.holds(Tid(2), Oid(1), LockMode::Write));

@@ -1,17 +1,18 @@
 //! Regression guard for the stripe-mutex hot-path discipline (DESIGN.md
 //! §7): no clock read and no histogram update may happen while a stripe
-//! mutex is held on the lock/requeue path.
+//! mutex is held on the lock-request path.
 //!
 //! The discipline is structural, so the guard is structural too: the test
 //! scans `src/table.rs` (compiled into the test binary via `include_str!`,
-//! so it always sees the sources it was built from) and asserts the two
-//! regressions this PR removed cannot silently come back:
+//! so it always sees the sources it was built from) and asserts:
 //!
 //! 1. `attempt()` — the shard-local grant attempt, always called with the
 //!    stripe mutex held — must not touch `Instant::now` or record into any
 //!    histogram; it hands chain depths out through the `chains` out-param.
-//! 2. In `lock()`'s retry loop, the wait-start `Instant::now()` must only
-//!    run after `drop(inner)` releases the stripe guard.
+//! 2. `request()` — the one lock-request pass both drivers run — reads the
+//!    clock (the wait-start stamp) and records (histograms, events, and
+//!    `settle`, which does both) only after `drop(inner)` releases the
+//!    stripe guard.
 //!
 //! A behavioral companion checks the wait metrics still arrive.
 
@@ -56,23 +57,29 @@ fn attempt_never_reads_the_clock_or_records_histograms_under_the_guard() {
 }
 
 #[test]
-fn wait_start_clock_read_happens_with_the_stripe_guard_dropped() {
-    let body = fn_body(TABLE_SRC, "pub fn lock(");
-    // Every Instant::now() inside lock()'s locked region must be preceded
-    // (nearby) by dropping the stripe guard. The deadline computation at
-    // the top runs before the stripe mutex is first taken.
-    let locked_region_start = body
+fn the_pass_reads_the_clock_and_records_only_with_the_stripe_guard_dropped() {
+    let body = fn_body(TABLE_SRC, "pub fn request(");
+    let locked_from = body
         .find("shard.inner.lock()")
-        .expect("lock() takes the stripe mutex");
-    let locked = &body[locked_region_start..];
-    for (pos, _) in locked.match_indices("Instant::now()") {
-        let window = &locked[pos.saturating_sub(600)..pos];
+        .expect("request() takes the stripe mutex");
+    let locked_to = body.find("drop(inner)").expect("request() drops the guard");
+    assert!(locked_from < locked_to);
+    let locked = &body[locked_from..locked_to];
+    for forbidden in ["Instant::now", ".record(", "settle("] {
         assert!(
-            window.contains("drop(inner)"),
-            "Instant::now() inside lock()'s retry loop must follow \
-             drop(inner); found one without a preceding guard drop"
+            !locked.contains(forbidden),
+            "`{forbidden}` inside request()'s stripe critical section"
         );
     }
+    let unlocked = &body[locked_to..];
+    assert!(
+        unlocked.contains("Instant::now()") && unlocked.contains("settle("),
+        "the wait-start stamp and the wait accounting run after the guard drops"
+    );
+    assert!(
+        !unlocked.contains(".inner.lock()"),
+        "request() takes the stripe mutex once"
+    );
 }
 
 #[test]

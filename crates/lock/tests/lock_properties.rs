@@ -112,6 +112,13 @@ proptest! {
     }
 }
 
+/// Wait until `tid`'s request on `ob` is on the pending list (it blocked).
+fn await_pending(table: &LockTable, ob: Oid, tid: Tid) {
+    while !table.pending(ob).iter().any(|p| p.tid == tid) {
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn poison_wakes_a_blocked_waiter() {
     let table = Arc::new(LockTable::new());
@@ -125,7 +132,7 @@ fn poison_wakes_a_blocked_waiter() {
             Some(Duration::from_secs(10)),
         )
     });
-    std::thread::sleep(Duration::from_millis(30));
+    await_pending(&table, Oid(1), Tid(2));
     let start = std::time::Instant::now();
     table.poison(Tid(2));
     let err = h.join().unwrap().unwrap_err();
@@ -162,7 +169,7 @@ fn three_way_deadlock_detected() {
             Some(Duration::from_secs(5)),
         )
     });
-    std::thread::sleep(Duration::from_millis(20));
+    await_pending(&table, Oid(2), Tid(1));
     let t_b = Arc::clone(&table);
     let h2 = std::thread::spawn(move || {
         t_b.lock(
@@ -172,7 +179,7 @@ fn three_way_deadlock_detected() {
             Some(Duration::from_secs(5)),
         )
     });
-    std::thread::sleep(Duration::from_millis(20));
+    await_pending(&table, Oid(3), Tid(2));
     // closing the cycle: t3 → ob1 held by t1 (t1 → t2 → t3 → t1)
     let err = table
         .lock(

@@ -184,7 +184,10 @@ fn deadlock_detected_at_every_shard_count() {
                 Some(Duration::from_secs(5)),
             )
         });
-        std::thread::sleep(Duration::from_millis(30));
+        // t1's request is listed, so its waits-for edge is published
+        while !t.pending(Oid(2)).iter().any(|p| p.tid == Tid(1)) {
+            std::thread::yield_now();
+        }
         let err = t
             .lock(
                 Tid(2),

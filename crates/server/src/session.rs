@@ -272,9 +272,12 @@ mod tests {
         ));
         // b blocks on the lock a holds; commit a from another thread
         let db2 = db.clone();
+        let b_tid = b.tid;
         let h = std::thread::spawn(move || {
-            // give b's write time to hit the conflict and park
-            std::thread::sleep(Duration::from_millis(30));
+            // b's write has hit the conflict once its request is listed
+            while !db2.locks().pending(oid).iter().any(|p| p.tid == b_tid) {
+                std::thread::yield_now();
+            }
             a.finishing(&db2, TxnOp::Commit);
             db2.outcome_kind(a.tid)
         });

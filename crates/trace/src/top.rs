@@ -295,6 +295,43 @@ mod tests {
     }
 
     #[test]
+    fn frame_shows_a_parked_executor_task_as_waiting() {
+        use asset_core::{TryOp, TxnStep};
+        let db = Database::in_memory();
+        let o = db.new_oid();
+        let holder = db.initiate(move |ctx| ctx.write(o, vec![1])).unwrap();
+        db.begin(holder).unwrap();
+        assert!(db.wait(holder).unwrap());
+        let parked = db
+            .submit(move |sc| match sc.try_write(o, vec![2]) {
+                Ok(TryOp::Done(())) => TxnStep::Done(Ok(())),
+                Ok(TryOp::WouldBlock) => TxnStep::WaitLock { ob: o },
+                Err(e) => TxnStep::Done(Err(e)),
+            })
+            .unwrap();
+        while db.locks().pending(o).is_empty() {
+            std::thread::yield_now();
+        }
+        let frame = render_frame(&db.introspect(), &db.metrics_snapshot());
+        // stripe rows: six cells left of the bar, `waiting` the fifth
+        let waiting: u64 = frame
+            .lines()
+            .filter_map(|l| {
+                let cells: Vec<&str> = l.split('|').next()?.split_whitespace().collect();
+                cells
+                    .get(4)
+                    .filter(|_| cells.len() == 6)?
+                    .parse::<u64>()
+                    .ok()
+            })
+            .sum();
+        assert_eq!(waiting, 1, "the parked task's request is listed:\n{frame}");
+        assert!(frame.contains(&format!("waiting: t{} -> t{}", parked.raw(), holder.raw())));
+        assert!(db.commit(holder).unwrap());
+        assert!(db.outcome(parked).unwrap());
+    }
+
+    #[test]
     fn ns_display_picks_units() {
         assert_eq!(ns_disp(512.0), "512ns");
         assert_eq!(ns_disp(1_500.0), "1.5µs");

@@ -4,11 +4,36 @@
 //! group-commit flusher, and leaves a causal trace whose commit flows
 //! terminate on shared flush-window spans.
 
+use asset::obs::EventKind;
 use asset::trace::{chrome, CausalGraph};
-use asset::{AssetError, Config, Database, Oid, StepCtx, TryOp, TxnStep};
+use asset::{AssetError, Config, Database, LockMode, Oid, StepCtx, Tid, TryOp, TxnStep};
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// Wait until `tid`'s request on `ob` is on the pending list: it blocked,
+/// and (an executor task) has parked or is about to.
+fn await_pending(db: &Database, ob: Oid, tid: Tid) {
+    while !db.locks().pending(ob).iter().any(|p| p.tid == tid) {
+        std::thread::yield_now();
+    }
+}
+
+/// A blocking transaction that wrote `o` and completed: it holds X on `o`
+/// until it is committed or aborted.
+fn holder_of(db: &Database, o: Oid) -> Tid {
+    let t = db
+        .initiate(move |ctx| ctx.write(o, b"held".to_vec()))
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(db.wait(t).unwrap());
+    t
+}
+
+fn waiting(db: &Database) -> usize {
+    db.introspect().stripes.iter().map(|s| s.waiting).sum()
+}
 
 /// A resumable one-write program: re-entered from the top on every step,
 /// it re-attempts the write until the lock is granted.
@@ -117,12 +142,13 @@ fn a_failing_program_aborts_and_rolls_back() {
 
 /// A blocking-path transaction holds the exclusive lock while an executor
 /// transaction is submitted against the same object: the task parks (no
-/// worker thread is consumed by the wait) and the stripe wakeup requeues
-/// it after the blocking commit releases — so the executor write always
-/// lands second.
+/// worker thread is consumed by the wait) and the lock table's wake
+/// requeues it after the blocking commit releases — so the executor write
+/// always lands second, and its trace has a `lock-wait` span over the park.
 #[test]
 fn executor_parks_behind_a_blocking_writer_and_is_requeued() {
     let db = Database::in_memory();
+    db.obs().enable_tracing(4096);
     let o = db.new_oid();
     let (locked_tx, locked_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -137,8 +163,7 @@ fn executor_parks_behind_a_blocking_writer_and_is_requeued() {
     db.begin(tb).unwrap();
     locked_rx.recv().unwrap(); // the blocking txn now holds X on o
     let te = db.submit(write_prog(o, b"exec")).unwrap();
-    // give the task a chance to run into the conflict and park
-    std::thread::sleep(Duration::from_millis(20));
+    await_pending(&db, o, te);
     release_tx.send(()).unwrap();
     assert!(db.commit(tb).unwrap());
     assert!(db.outcome(te).unwrap());
@@ -147,6 +172,171 @@ fn executor_parks_behind_a_blocking_writer_and_is_requeued() {
         b"exec",
         "the parked executor write must land after the blocking commit"
     );
+    let trace = db.obs().trace();
+    let parked_at = trace
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::ExecPark {
+                tid,
+                reason: "lock",
+            } if tid == te => Some(e.at_ns),
+            _ => None,
+        })
+        .expect("the task parked on the lock");
+    let g = CausalGraph::from_events(&trace);
+    let waits: Vec<_> = g.tracks[&te]
+        .spans
+        .iter()
+        .filter(|s| s.kind.label() == "lock-wait")
+        .collect();
+    assert_eq!(waits.len(), 1, "one request blocked, one span");
+    assert!(
+        waits[0].start_ns <= parked_at && parked_at <= waits[0].end_ns,
+        "the span runs from the first block to the grant, over the park"
+    );
+}
+
+/// The acceptance shape of the one lock-request protocol: whichever driver
+/// waits — `TxnCtx::write` sleeping in `LockTable::lock`, or a task parked
+/// after `StepCtx::try_write` — the wait is listed, counted and traced the
+/// same way.
+#[test]
+fn a_blocked_request_is_observable_the_same_way_under_both_drivers() {
+    for driver in ["blocking", "executor"] {
+        let db = Database::in_memory();
+        db.obs().enable_tracing(4096);
+        let o = db.new_oid();
+        let holder = holder_of(&db, o);
+        let waiter = match driver {
+            "blocking" => {
+                let t = db.initiate(move |ctx| ctx.write(o, b"w".to_vec())).unwrap();
+                db.begin(t).unwrap();
+                t
+            }
+            _ => db.submit(write_prog(o, b"w")).unwrap(),
+        };
+        await_pending(&db, o, waiter);
+        let pending = db.locks().pending(o);
+        assert_eq!(pending.len(), 1, "{driver}");
+        assert_eq!(pending[0].tid, waiter);
+        assert_eq!(pending[0].mode, LockMode::Write);
+        assert!(!pending[0].upgrading);
+        assert_eq!(waiting(&db), 1, "{driver}");
+        assert!(db.introspect().waits[&waiter].contains(&holder), "{driver}");
+
+        assert!(db.commit(holder).unwrap());
+        match driver {
+            "blocking" => assert!(db.commit(waiter).unwrap()),
+            _ => assert!(db.outcome(waiter).unwrap()),
+        }
+        assert_eq!(db.peek(o).unwrap().unwrap(), b"w");
+        assert!(db.locks().pending(o).is_empty(), "{driver}");
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.counters.lock_waits, 1, "{driver}");
+        assert_eq!(snap.lock_wait_ns.count, 1, "{driver}");
+        assert!(snap.counters.deadlock_sweeps >= 1, "{driver}");
+        let intro = db.introspect();
+        let stripe = intro.stripe_stats.iter().find(|s| s.waits > 0).unwrap();
+        assert_eq!(stripe.waits, 1, "{driver}");
+        assert!(stripe.blocks >= 1, "{driver}");
+        assert!(stripe.wait_ns_total > 0, "{driver}");
+        assert!(stripe.queue_peak >= 1, "{driver}");
+        assert_eq!(db.lock_stats().blocks, stripe.blocks, "{driver}");
+        let events = db
+            .obs()
+            .trace()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::LockWait { tid, ob, .. } if tid == waiter && ob == o))
+            .count();
+        assert_eq!(events, 1, "{driver}: one LockWait event for the one wait");
+    }
+}
+
+/// Two step programs write the same two objects in opposite orders. `b`'s
+/// second write is held back until `a`'s request is listed, so `b` closes
+/// the cycle and is the victim. The executor's deadlock is counted where
+/// the blocking driver's is — per stripe and in the obs counters — and the
+/// survivor's wait is accounted.
+#[test]
+fn an_executor_deadlock_is_counted_once_everywhere() {
+    let db = Database::in_memory();
+    db.obs().enable_tracing(4096);
+    let (x, y) = (db.new_oid(), db.new_oid());
+    let two_writes = |first: Oid, second: Oid, go: Option<Arc<AtomicBool>>| {
+        move |sc: &mut StepCtx<'_>| {
+            for o in [first, second] {
+                if o == second && go.as_ref().is_some_and(|g| !g.load(Ordering::SeqCst)) {
+                    return TxnStep::WaitExternal;
+                }
+                match sc.try_write(o, b"d".to_vec()) {
+                    Ok(TryOp::Done(())) => {}
+                    Ok(TryOp::WouldBlock) => return TxnStep::WaitLock { ob: o },
+                    Err(e) => return TxnStep::Done(Err(e)),
+                }
+            }
+            TxnStep::Done(Ok(()))
+        }
+    };
+    let go = Arc::new(AtomicBool::new(false));
+    let b = db.submit(two_writes(y, x, Some(Arc::clone(&go)))).unwrap();
+    while !db.locks().holds(b, y, LockMode::Write) {
+        std::thread::yield_now();
+    }
+    let a = db.submit(two_writes(x, y, None)).unwrap();
+    await_pending(&db, y, a);
+    go.store(true, Ordering::SeqCst);
+    db.nudge(b);
+    assert!(
+        !db.outcome(b).unwrap(),
+        "the requester that closed the cycle"
+    );
+    assert!(
+        db.outcome(a).unwrap(),
+        "the survivor gets y once b is undone"
+    );
+
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.counters.deadlocks, 1);
+    assert_eq!(db.lock_stats().deadlocks, snap.counters.deadlocks);
+    assert_eq!(db.stats().locks.deadlocks, snap.counters.deadlocks);
+    assert!(snap.counters.lock_waits >= 1);
+    assert!(snap.lock_wait_ns.count >= 1);
+    assert!(db.lock_stats().blocks >= 1);
+    assert!(
+        db.obs()
+            .trace()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::LockWait { tid, ob, .. } if tid == a && ob == y)),
+        "a LockWait event names the parked transaction"
+    );
+    assert_eq!(waiting(&db), 0);
+    assert!(db.introspect().waits.is_empty());
+}
+
+/// A task parked on an object it holds no lock on is aborted: nothing of
+/// its request survives it — the release used to prune pending entries
+/// only on objects the transaction held.
+#[test]
+fn aborting_a_parked_task_leaves_nothing_of_its_request() {
+    let db = Database::in_memory();
+    let o = db.new_oid();
+    let holder = holder_of(&db, o);
+    let parked = db.submit(write_prog(o, b"never")).unwrap();
+    await_pending(&db, o, parked);
+    assert!(db.locks().locked_objects(parked).is_empty());
+    assert!(db.abort(parked).unwrap());
+    assert!(!db.outcome(parked).unwrap());
+    assert!(db.locks().pending(o).is_empty());
+    assert!(db.introspect().stripes.iter().all(|s| s.waiting == 0));
+    assert!(!db.locks().waits_snapshot().contains_key(&parked));
+    assert_eq!(db.locks().snapshot().waiters, 0);
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.lock_wait_ns.count, snap.counters.lock_waits);
+    // the holder's release finds no stale request to wake
+    let steps = snap.counters.exec_steps;
+    assert!(db.commit(holder).unwrap());
+    assert_eq!(db.metrics_snapshot().counters.exec_steps, steps);
+    assert_eq!(db.peek(o).unwrap().unwrap(), b"held");
 }
 
 /// The acceptance shape for the whole feature: every executor commit in
