@@ -1,18 +1,26 @@
 //! E17 — distributed commit: 2PC blocking vs Paxos Commit
-//! (`EXPERIMENTS.md` E17): a nodes × failure-mode sweep over both
-//! coordinators, measuring **outcome latency** (stage → decision
-//! delivered everywhere) and **blocked time** (how long prepared
-//! participants sit in doubt, locks held, before a recovery pass
-//! resolves them).
+//! (`EXPERIMENTS.md` E17): a nodes × failure-mode sweep over the one
+//! coordinator in its two configurations — **one acceptor** (F = 0,
+//! which is 2PC: the acceptor is the coordinator log) and **three**
+//! (F = 1) — measuring **outcome latency** (stage → decision delivered
+//! everywhere) and **blocked time** (how long prepared participants sit
+//! in doubt, locks held, before a recovery pass resolves them).
 //!
-//! The point being measured is the protocols' defining asymmetry: after
-//! a coordinator crash, 2PC's only durable copy of the decision state
-//! is the dead coordinator's log, so participants stay blocked for the
-//! whole coordinator outage (modeled here as a fixed
-//! [`COORD_DOWNTIME`] before the restarted coordinator reruns its
-//! log); Paxos Commit keeps the decision at an acceptor quorum, so a
-//! recovery coordinator resolves the very same crash immediately —
-//! blocked time collapses to one round of consensus reads.
+//! The point being measured is the configurations' defining asymmetry:
+//! after a coordinator crash, F = 0's only durable copy of the decision
+//! state is the dead coordinator's log, so participants stay blocked
+//! for the whole coordinator outage (modeled here by
+//! [`Acceptor::kill`]ing the single acceptor for [`COORD_DOWNTIME`] —
+//! a recovery attempted meanwhile finds no quorum); F = 1 keeps the
+//! decision at an acceptor majority that did not die with the
+//! coordinator, so a recovery coordinator resolves the very same crash
+//! immediately — blocked time collapses to one round of consensus
+//! reads.
+//!
+//! Both configurations run over the **same store**: file-backed
+//! acceptors in a temp directory, each answering only after its
+//! `write` + `sync_data`. What differs between a `2pc` and a `paxos`
+//! row is the acceptor count and nothing else.
 //!
 //! Every number is wall-clock measured on in-process clusters whose
 //! transport delays each message by [`LINK_DELAY`] (so protocol round
@@ -26,10 +34,12 @@ use crate::table::{fmt_duration, Table};
 use asset_common::Config;
 use asset_coord::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
 use asset_coord::{
-    Acceptor, ChannelTransport, CommitTransport, CoordLog, Decision, GlobalTxn, ParticipantNode,
-    PaxosCommit, TwoPhase,
+    Acceptor, ChannelTransport, CommitTransport, CoordError, Decision, GlobalTxn, ParticipantNode,
+    PaxosCommit,
 };
 use asset_faults::{FaultAction, FaultRegistry, Trigger};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,20 +47,13 @@ use std::time::{Duration, Instant};
 /// dominate latency.
 const LINK_DELAY: Duration = Duration::from_micros(200);
 
-/// How long a crashed 2PC coordinator (and with it, its log) stays
-/// unreachable before recovery can run. Paxos recovery does not wait
-/// for it — that is the experiment.
+/// How long a crashed F = 0 coordinator (and with it, its log — the
+/// single acceptor) stays unreachable before recovery can run. F = 1
+/// recovery does not wait for it — that is the experiment.
 const COORD_DOWNTIME: Duration = Duration::from_millis(10);
 
 /// Global transactions per cell before scaling.
 const TXNS_BASE: usize = 48;
-
-/// Which protocol drives a cell.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    TwoPc,
-    Paxos,
-}
 
 /// The failure script of a cell.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -74,52 +77,61 @@ impl Failure {
     }
 }
 
-/// The sweep: (protocol, nodes, failure, stable run name).
-const CELLS: &[(Proto, usize, Failure, &str)] = &[
-    (Proto::TwoPc, 2, Failure::None, "coord-2pc-n2-ok"),
-    (Proto::Paxos, 2, Failure::None, "coord-paxos-n2-ok"),
-    (Proto::TwoPc, 4, Failure::None, "coord-2pc-n4-ok"),
-    (Proto::Paxos, 4, Failure::None, "coord-paxos-n4-ok"),
-    (
-        Proto::TwoPc,
-        3,
-        Failure::BeforeDecide,
-        "coord-2pc-n3-crash-before",
-    ),
-    (
-        Proto::Paxos,
-        3,
-        Failure::BeforeDecide,
-        "coord-paxos-n3-crash-before",
-    ),
-    (
-        Proto::TwoPc,
-        3,
-        Failure::AfterDecide,
-        "coord-2pc-n3-crash-after",
-    ),
-    (
-        Proto::Paxos,
-        3,
-        Failure::AfterDecide,
-        "coord-paxos-n3-crash-after",
-    ),
+/// The sweep: (acceptors, nodes, failure, stable run name).
+const CELLS: &[(usize, usize, Failure, &str)] = &[
+    (1, 2, Failure::None, "coord-2pc-n2-ok"),
+    (3, 2, Failure::None, "coord-paxos-n2-ok"),
+    (1, 4, Failure::None, "coord-2pc-n4-ok"),
+    (3, 4, Failure::None, "coord-paxos-n4-ok"),
+    (1, 3, Failure::BeforeDecide, "coord-2pc-n3-crash-before"),
+    (3, 3, Failure::BeforeDecide, "coord-paxos-n3-crash-before"),
+    (1, 3, Failure::AfterDecide, "coord-2pc-n3-crash-after"),
+    (3, 3, Failure::AfterDecide, "coord-paxos-n3-crash-after"),
 ];
+
+/// `n` file-backed acceptors in a fresh temp directory, removed on drop.
+pub(super) struct AcceptorDir {
+    dir: PathBuf,
+    pub(super) acceptors: Vec<Arc<Acceptor>>,
+}
+
+impl AcceptorDir {
+    pub(super) fn new(tag: &str, n: usize) -> AcceptorDir {
+        static SERIAL: AtomicU64 = AtomicU64::new(0);
+        let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
+        let name = format!("asset-{tag}-{}-{serial}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        // a dead process of the same pid may have left its records here
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create acceptor directory");
+        let acceptors = (0..n)
+            .map(|i| {
+                let path = dir.join(format!("acceptor-{i}.log"));
+                Arc::new(Acceptor::at(&path).expect("open acceptor"))
+            })
+            .collect();
+        AcceptorDir { dir, acceptors }
+    }
+}
+
+impl Drop for AcceptorDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
 
 struct Cluster {
     transport: Arc<ChannelTransport>,
-    log: Arc<CoordLog>,
-    acceptors: Vec<Arc<Acceptor>>,
+    store: AcceptorDir,
 }
 
-fn cluster(nodes: usize) -> Cluster {
+fn cluster(name: &str, nodes: usize, acceptors: usize) -> Cluster {
     let nodes: Vec<Arc<ParticipantNode>> = (0..nodes)
         .map(|_| Arc::new(ParticipantNode::open(Config::in_memory()).expect("open node")))
         .collect();
     Cluster {
         transport: Arc::new(ChannelTransport::new(nodes).with_delay(LINK_DELAY)),
-        log: Arc::new(CoordLog::in_memory()),
-        acceptors: (0..3).map(|_| Arc::new(Acceptor::new())).collect(),
+        store: AcceptorDir::new(name, acceptors),
     }
 }
 
@@ -146,30 +158,16 @@ impl Cluster {
             .sum()
     }
 
-    fn commit(&self, proto: Proto, faults: Arc<FaultRegistry>, g: &GlobalTxn) -> bool {
-        match proto {
-            Proto::TwoPc => TwoPhase::new(self.transport.clone(), self.log.clone())
-                .with_faults(faults)
-                .commit(g)
-                .is_ok(),
-            Proto::Paxos => PaxosCommit::new(self.transport.clone(), self.acceptors.clone())
-                .with_faults(faults)
-                .commit(g)
-                .is_ok(),
-        }
+    fn commit(&self, faults: Arc<FaultRegistry>, g: &GlobalTxn) -> bool {
+        PaxosCommit::new(self.transport.clone(), self.store.acceptors.clone())
+            .with_faults(faults)
+            .commit(g)
+            .is_ok()
     }
 
-    fn recover(&self, proto: Proto, ballot: u64, g: &GlobalTxn) -> Decision {
-        match proto {
-            Proto::TwoPc => TwoPhase::new(self.transport.clone(), self.log.clone())
-                .recover(g)
-                .expect("2pc recover"),
-            Proto::Paxos => {
-                PaxosCommit::recovery(self.transport.clone(), self.acceptors.clone(), ballot)
-                    .recover(g)
-                    .expect("paxos recover")
-            }
-        }
+    /// A fresh recovery coordinator: it knows the acceptors, nothing else.
+    fn recover(&self, g: &GlobalTxn) -> Result<Decision, CoordError> {
+        PaxosCommit::recovery(self.transport.clone(), self.store.acceptors.clone(), 1).recover(g)
     }
 }
 
@@ -189,13 +187,13 @@ fn percentiles(mut ns: Vec<u64>) -> (f64, f64, f64) {
 /// driven to a decision (with the scripted coordinator crash and a
 /// recovery pass for failure cells), asserting convergence every time.
 fn run_cell(
-    proto: Proto,
+    acceptors: usize,
     nodes: usize,
     failure: Failure,
     name: &'static str,
     iters: usize,
 ) -> ObsBenchRun {
-    let c = cluster(nodes);
+    let c = cluster(name, nodes, acceptors);
     let mut outcome_ns: Vec<u64> = Vec::with_capacity(iters);
     let mut blocked_ns: Vec<u64> = Vec::with_capacity(iters);
     let wall = Instant::now();
@@ -207,7 +205,7 @@ fn run_cell(
             faults.arm(point, Trigger::Once, FaultAction::Error);
         }
         let t0 = Instant::now();
-        let finished = c.commit(proto, faults, &g);
+        let finished = c.commit(faults, &g);
         match failure {
             Failure::None => {
                 assert!(finished, "{name}: happy path must finish");
@@ -219,12 +217,16 @@ fn run_cell(
                 // participants are prepared, in doubt, locks held
                 let b0 = Instant::now();
                 assert!(c.in_doubt() > 0, "{name}: someone must be blocked");
-                if proto == Proto::TwoPc {
-                    // 2PC cannot proceed without the dead coordinator's
-                    // log: participants block for the whole outage
+                if let [log] = &c.store.acceptors[..] {
+                    // F = 0: the one acceptor is the dead coordinator's
+                    // log and is gone with it — recovery has no quorum,
+                    // participants block for the whole outage
+                    log.kill();
+                    assert!(c.recover(&g).is_err(), "{name}: no log, no decision");
                     std::thread::sleep(COORD_DOWNTIME);
+                    log.revive();
                 }
-                let d = c.recover(proto, 1 + i as u64, &g);
+                let d = c.recover(&g).expect("recover");
                 let blocked = b0.elapsed().as_nanos() as u64;
                 assert_eq!(c.in_doubt(), 0, "{name}: recovery must resolve all");
                 let want = match failure {
@@ -254,8 +256,8 @@ fn run_cell(
 pub fn e17_coord_runs(scale: Scale) -> Vec<ObsBenchRun> {
     CELLS
         .iter()
-        .map(|&(proto, nodes, failure, name)| {
-            run_cell(proto, nodes, failure, name, scale.n(TXNS_BASE))
+        .map(|&(acceptors, nodes, failure, name)| {
+            run_cell(acceptors, nodes, failure, name, scale.n(TXNS_BASE))
         })
         .collect()
 }
@@ -264,7 +266,7 @@ pub fn e17_coord_runs(scale: Scale) -> Vec<ObsBenchRun> {
 pub fn e17_table(runs: &[ObsBenchRun]) -> Table {
     let mut table = Table::new(
         "E17: distributed commit, 2PC blocking vs Paxos Commit",
-        "global txns over in-process clusters (200us link delay); outcome = stage..decision everywhere; blocked = prepared participants in doubt until recovery (2PC waits out a 10ms coordinator outage, Paxos reads the acceptor quorum immediately)",
+        "global txns over in-process clusters (200us link delay), one coordinator over 1 (2pc) or 3 (paxos) file-backed acceptors; outcome = stage..decision everywhere; blocked = prepared participants in doubt until recovery (2pc waits out a 10ms outage of its single acceptor, paxos reads the acceptor majority immediately)",
     )
     .headers(&[
         "cell",

@@ -2,10 +2,12 @@
 //! does the §7.2 cross-node tracing pipeline cost, and what does it
 //! produce?
 //!
-//! The sweep drives uncontended global transactions through both
-//! coordinators (2PC and Paxos Commit) over an in-process 3-node
-//! cluster whose transport delays each message by [`LINK_DELAY`] — a
-//! fast LAN, the same modeling move as E17's slower 200us link — once
+//! The sweep drives uncontended global transactions through the
+//! coordinator in both configurations (one file-backed acceptor = 2PC,
+//! three = Paxos Commit with F = 1; the same store as E17) over an
+//! in-process 3-node cluster whose transport delays each message by
+//! [`LINK_DELAY`] — a fast LAN, the same modeling move as E17's slower
+//! 200us link — once
 //! with tracing off and once with the full instrumentation on (event
 //! rings on every node, the coordinator hub recording
 //! `MsgSend`/`MsgAck`, per-message counters and the decision-latency
@@ -21,12 +23,12 @@
 //! ([`CausalGraph::merge`]) and renders the merged Chrome trace — the
 //! artifact the harness binary writes next to `BENCH_obs.json`.
 
+use super::coord_exp::AcceptorDir;
 use super::{ObsBenchRun, Scale};
 use crate::table::{fmt_duration, fmt_rate, Table};
 use asset_common::Config;
 use asset_coord::{
-    Acceptor, ChannelTransport, CommitTransport, CoordLog, CoordObs, Decision, GlobalTxn,
-    ParticipantNode, PaxosCommit, TwoPhase,
+    ChannelTransport, CommitTransport, CoordObs, Decision, GlobalTxn, ParticipantNode, PaxosCommit,
 };
 use asset_obs::Obs;
 use asset_trace::chrome;
@@ -52,12 +54,6 @@ const TXNS_BASE: usize = 128;
 /// Repetitions per cell; each cell reports its best run.
 const REPS: usize = 4;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    TwoPc,
-    Paxos,
-}
-
 /// One pass's measurements: summed wall time, per-txn outcome
 /// latencies, and events recorded/dropped across every ring (hub plus
 /// participants).
@@ -66,8 +62,8 @@ type PassResult = (Duration, Vec<u64>, u64, u64);
 /// One measured pass: a fresh cluster, `iters` global transactions,
 /// each timed over its whole lifecycle (stage on every node → decision
 /// delivered everywhere) by the harness clock, so off and on cells are
-/// measured identically.
-fn run_pass(proto: Proto, traced: bool, iters: usize) -> PassResult {
+/// measured identically. `acceptors` is the protocol: 1 or 3.
+fn run_pass(acceptors: usize, traced: bool, iters: usize) -> PassResult {
     let nodes: Vec<Arc<ParticipantNode>> = (0..NODES)
         .map(|_| Arc::new(ParticipantNode::open(Config::in_memory()).expect("open node")))
         .collect();
@@ -83,8 +79,7 @@ fn run_pass(proto: Proto, traced: bool, iters: usize) -> PassResult {
         transport = transport.with_obs(Arc::clone(&hub));
     }
     let transport = Arc::new(transport);
-    let log = Arc::new(CoordLog::in_memory());
-    let acceptors: Vec<Arc<Acceptor>> = (0..3).map(|_| Arc::new(Acceptor::new())).collect();
+    let store = AcceptorDir::new("e18", acceptors);
 
     let mut outcome_ns: Vec<u64> = Vec::with_capacity(iters);
     let mut elapsed = Duration::ZERO;
@@ -102,22 +97,11 @@ fn run_pass(proto: Proto, traced: bool, iters: usize) -> PassResult {
             db.wait(t).expect("wait");
             g.add_member(n as u32, t);
         }
-        let d = match proto {
-            Proto::TwoPc => {
-                let mut c = TwoPhase::new(transport.clone(), log.clone());
-                if traced {
-                    c = c.with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)));
-                }
-                c.commit(&g).expect("2pc commit")
-            }
-            Proto::Paxos => {
-                let mut c = PaxosCommit::new(transport.clone(), acceptors.clone());
-                if traced {
-                    c = c.with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)));
-                }
-                c.commit(&g).expect("paxos commit")
-            }
-        };
+        let mut c = PaxosCommit::new(transport.clone(), store.acceptors.clone());
+        if traced {
+            c = c.with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)));
+        }
+        let d = c.commit(&g).expect("commit");
         let dt = t0.elapsed();
         assert_eq!(d, Decision::Commit, "uncontended cell must commit");
         outcome_ns.push(dt.as_nanos() as u64);
@@ -148,20 +132,20 @@ fn percentiles(mut ns: Vec<u64>) -> (f64, f64, f64) {
     (pct(0.50), pct(0.95), pct(0.99))
 }
 
-/// Run the E18 sweep: for each protocol, [`REPS`] interleaved off/on
+/// Run the E18 sweep: for each acceptor count, [`REPS`] interleaved off/on
 /// passes, keeping each cell's best (minimum wall time) pass.
 pub fn e18_dist_obs_runs(scale: Scale, txns_override: Option<usize>) -> Vec<ObsBenchRun> {
     let iters = txns_override.unwrap_or_else(|| scale.n(TXNS_BASE));
     let mut runs = Vec::new();
-    for (proto, off_name, on_name) in [
-        (Proto::TwoPc, "dist-2pc-trace-off", "dist-2pc-trace-on"),
-        (Proto::Paxos, "dist-paxos-trace-off", "dist-paxos-trace-on"),
+    for (acceptors, off_name, on_name) in [
+        (1, "dist-2pc-trace-off", "dist-2pc-trace-on"),
+        (3, "dist-paxos-trace-off", "dist-paxos-trace-on"),
     ] {
         let mut best: [Option<PassResult>; 2] = [None, None];
         for _ in 0..REPS {
             // interleave off/on so drift hits both cells alike
             for (slot, traced) in [(0usize, false), (1usize, true)] {
-                let pass = run_pass(proto, traced, iters);
+                let pass = run_pass(acceptors, traced, iters);
                 let better = match &best[slot] {
                     Some((d, _, _, _)) => pass.0 < *d,
                     None => true,
@@ -201,7 +185,7 @@ pub fn e18_overhead(runs: &[ObsBenchRun], off: &str, on: &str) -> Option<f64> {
     Some(wall(on)? / wall(off)? - 1.0)
 }
 
-/// A small dedicated traced pass (both protocols on one hub) whose
+/// A small dedicated traced pass (both acceptor counts on one hub) whose
 /// merged fleet trace is the E18 artifact: per-node lanes for the
 /// coordinator and all [`NODES`] participants, cross-node flow edges
 /// for every PREPARE and decide fan-out.
@@ -230,19 +214,15 @@ pub fn e18_merged_trace() -> String {
         g
     };
 
-    let g = stage(1);
-    let d = TwoPhase::new(transport.clone(), Arc::new(CoordLog::in_memory()))
-        .with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)))
-        .commit(&g)
-        .expect("2pc commit");
-    assert_eq!(d, Decision::Commit);
-    let g = stage(2);
-    let acceptors: Vec<Arc<Acceptor>> = (0..3).map(|_| Arc::new(Acceptor::new())).collect();
-    let d = PaxosCommit::new(transport.clone(), acceptors)
-        .with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)))
-        .commit(&g)
-        .expect("paxos commit");
-    assert_eq!(d, Decision::Commit);
+    for (gid, acceptors) in [(1, 1), (2, 3)] {
+        let g = stage(gid);
+        let store = AcceptorDir::new("e18-trace", acceptors);
+        let d = PaxosCommit::new(transport.clone(), store.acceptors.clone())
+            .with_obs(CoordObs::new(COORD_NODE, Arc::clone(&hub)))
+            .commit(&g)
+            .expect("commit");
+        assert_eq!(d, Decision::Commit);
+    }
 
     let mut graphs = vec![CausalGraph::from_node_events(COORD_NODE, &hub.trace())];
     for i in 0..transport.nodes() {
@@ -263,7 +243,7 @@ pub fn e18_merged_trace() -> String {
 pub fn e18_table(runs: &[ObsBenchRun]) -> Table {
     let mut table = Table::new(
         "E18: distributed-commit observability overhead",
-        "uncontended global txns over an in-process 3-node cluster, 50us link delay (fast LAN); outcome = stage -> decision everywhere (as E17); each cell is the best of 4 interleaved passes; overhead = on/off wall-time ratio - 1 (target < 5%)",
+        "uncontended global txns over an in-process 3-node cluster, 50us link delay (fast LAN), 1 (2pc) or 3 (paxos) file-backed acceptors; outcome = stage -> decision everywhere (as E17); each cell is the best of 4 interleaved passes; overhead = on/off wall-time ratio - 1 (target < 5%)",
     )
     .headers(&[
         "cell",

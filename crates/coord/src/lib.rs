@@ -2,21 +2,24 @@
 //!
 //! The normative specification is `DESIGN.md` §14; this crate is its
 //! implementation. Several [`asset_core::Database`] instances act as
-//! **participant nodes**; a coordinator drives an atomic commit
-//! protocol over one pluggable message transport:
+//! **participant nodes**; a coordinator drives **one** atomic commit
+//! protocol over one pluggable message transport — Gray & Lamport's
+//! Paxos Commit ([`PaxosCommit`]): each participant's vote is an
+//! instance of consensus, durable once a majority of the configured
+//! [`Acceptor`]s has accepted it. The acceptor count is the whole
+//! configuration:
 //!
-//! * [`TwoPhase`] — classic two-phase commit with a durable
-//!   coordinator log and presumed abort. Safe, but **blocking**: while
-//!   the coordinator (and its log) is unreachable, a prepared
-//!   participant can only wait.
-//! * [`PaxosCommit`] — Gray & Lamport's non-blocking commit: each
-//!   participant's vote is an instance of Paxos consensus decided by an
-//!   **acceptor quorum**, so any recovery coordinator that can reach a
-//!   majority of acceptors finishes the protocol without the failed
-//!   coordinator's state. 2PC is exactly Paxos Commit with one
-//!   acceptor.
+//! * **one acceptor** (F = 0) is classic two-phase commit. The acceptor
+//!   is the coordinator log ([`CoordLog`]), a decision costs one forced
+//!   write, a transaction with nothing accepted is presumed aborted —
+//!   and the protocol is **blocking**: while that one store is
+//!   unreachable, a prepared participant can only wait. [`TwoPhase`] is
+//!   a constructor for this configuration.
+//! * **2F + 1 acceptors** tolerate F of them failing: any recovery
+//!   coordinator that can reach a majority finishes the protocol
+//!   without the failed coordinator's state.
 //!
-//! Both protocols speak the same participant vocabulary
+//! Coordinators speak one participant vocabulary
 //! ([`CommitMessage`] over a [`CommitTransport`]), which maps 1:1 onto
 //! the §13 wire opcodes `PREPARE`/`PREPARED`/`COMMIT_DECIDE`/
 //! `ABORT_DECIDE`:
@@ -64,21 +67,22 @@
 
 #![warn(missing_docs)]
 
+pub mod acceptor;
 pub mod failpoints;
 pub mod node;
 pub mod paxos;
 pub mod transport;
 pub mod twopc;
 
+pub use acceptor::{Acceptor, CoordLog};
 pub use node::ParticipantNode;
-pub use paxos::{Acceptor, PaxosCommit};
+pub use paxos::PaxosCommit;
 pub use transport::{
     ChannelTransport, CommitMessage, CommitTransport, CoordError, ParticipantState, TcpTransport,
 };
-pub use twopc::{CoordLog, TwoPhase};
+pub use twopc::TwoPhase;
 
 use asset_common::Tid;
-use asset_dep::{CrossGroup, NodeId};
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{bump, Obs, TraceCtx};
 use failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
@@ -133,9 +137,9 @@ impl CoordObs {
     }
 }
 
-/// The coordinator's verdict on a global transaction. Durable (in the
-/// coordinator log for 2PC, at an acceptor quorum for Paxos Commit)
-/// before any participant learns it.
+/// The coordinator's verdict on a global transaction. Durable (every
+/// vote accepted by a majority of the acceptors) before any participant
+/// learns it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Decision {
     /// Every participant voted yes; all members commit.
@@ -146,6 +150,15 @@ pub enum Decision {
 }
 
 impl Decision {
+    /// Commit iff every vote is yes.
+    fn of(votes: &[(u32, bool)]) -> Decision {
+        if votes.iter().all(|(_, yes)| *yes) {
+            Decision::Commit
+        } else {
+            Decision::Abort
+        }
+    }
+
     /// The decide message that tells a participant this verdict.
     fn message(self, tids: Vec<Tid>) -> CommitMessage {
         match self {
@@ -156,16 +169,15 @@ impl Decision {
 }
 
 /// One global transaction: an id chosen by the application plus the
-/// cross-node membership ([`CrossGroup`]) that must reach one outcome.
+/// cross-node members — transactions on several nodes that must reach
+/// one outcome, the distributed analogue of a GC component.
 #[derive(Clone, Debug)]
 pub struct GlobalTxn {
-    /// Application-chosen global transaction id; names the coordinator
-    /// log record (2PC) and the consensus instances (Paxos Commit).
+    /// Application-chosen global transaction id; names the transaction's
+    /// consensus instances at the acceptors.
     pub gid: u64,
-    /// The members, across nodes. Only seeds are needed: each
-    /// participant widens its members to their local GC components
-    /// during prepare.
-    pub group: CrossGroup,
+    /// Per-node tid lists, ascending by node, tids in insertion order.
+    members: Vec<(u32, Vec<Tid>)>,
 }
 
 impl GlobalTxn {
@@ -173,36 +185,80 @@ impl GlobalTxn {
     pub fn new(gid: u64) -> GlobalTxn {
         GlobalTxn {
             gid,
-            group: CrossGroup::new(),
+            members: Vec::new(),
         }
     }
 
-    /// Add the member `tid` on node `node` (a transport index).
+    /// Add the member `tid` on node `node` (a transport index);
+    /// duplicates are ignored. Tids are only unique per node, and only
+    /// seeds are needed: each participant widens its members to their
+    /// local GC components during prepare.
     pub fn add_member(&mut self, node: u32, tid: Tid) {
-        self.group = std::mem::take(&mut self.group).with(NodeId(node), tid);
+        let at = match self.members.binary_search_by_key(&node, |(n, _)| *n) {
+            Ok(at) => at,
+            Err(at) => {
+                self.members.insert(at, (node, Vec::new()));
+                at
+            }
+        };
+        let tids = &mut self.members[at].1;
+        if !tids.contains(&tid) {
+            tids.push(tid);
+        }
     }
 
-    /// The per-node membership, the unit of one prepare/decide exchange.
-    pub fn members(&self) -> Vec<(NodeId, Vec<Tid>)> {
-        self.group.by_node()
+    /// The per-node membership, the unit of one prepare/decide exchange
+    /// (and of one consensus instance).
+    pub fn members(&self) -> &[(u32, Vec<Tid>)] {
+        &self.members
     }
 }
 
-/// What both coordinators are made of: the transport, the scripted
-/// coordinator crashes, the observability, and the one commit round the
-/// two protocols share — they differ only at its decision point.
+/// What a coordinator is made of: the transport, the acceptors, the
+/// scripted coordinator crashes, the observability — and the one commit
+/// round, phase 2 and termination loop that the initial and the recovery
+/// coordinator share.
 pub(crate) struct Driver {
     transport: Arc<dyn CommitTransport>,
+    pub(crate) acceptors: Vec<Arc<Acceptor>>,
     pub(crate) faults: Arc<FaultRegistry>,
     pub(crate) obs: Option<CoordObs>,
 }
 
 impl Driver {
-    pub(crate) fn new(transport: Arc<dyn CommitTransport>) -> Driver {
+    pub(crate) fn new(
+        transport: Arc<dyn CommitTransport>,
+        acceptors: Vec<Arc<Acceptor>>,
+    ) -> Driver {
         Driver {
             transport,
+            acceptors,
             faults: Arc::new(FaultRegistry::new()),
             obs: None,
+        }
+    }
+
+    /// A majority of the configured acceptors.
+    pub(crate) fn quorum(&self) -> usize {
+        self.acceptors.len() / 2 + 1
+    }
+
+    /// Phase 2 for every instance of `gid` at once: `votes` must be
+    /// accepted at `ballot` by a majority of the acceptors.
+    pub(crate) fn accept(
+        &self,
+        gid: u64,
+        ballot: u64,
+        votes: &[(u32, bool)],
+    ) -> Result<(), CoordError> {
+        let accepts = self
+            .acceptors
+            .iter()
+            .filter(|a| a.accept(gid, ballot, votes));
+        if accepts.count() >= self.quorum() {
+            Ok(())
+        } else {
+            Err(CoordError::NoQuorum)
         }
     }
 
@@ -231,28 +287,23 @@ impl Driver {
         }
     }
 
-    /// Drive `txn` to a decision: collect a vote from every member node
-    /// (stopping at the first *no*; an unreachable node and a node never
-    /// asked vote no), make the decision durable, deliver it. The
-    /// **decision point** is the caller's: `make_durable` gets the
-    /// decision — commit iff every vote is yes — and the votes as
-    /// `(node, yes)`, and returns once no crash can change it (2PC: the
-    /// forced coordinator-log record; Paxos Commit: every vote accepted
-    /// by an acceptor quorum). Delivery is best-effort per node; the
-    /// protocol's `recover` re-delivers to anyone that missed it.
-    pub(crate) fn commit(
-        &self,
-        txn: &GlobalTxn,
-        make_durable: impl FnOnce(Decision, &[(u32, bool)]) -> Result<(), CoordError>,
-    ) -> Result<Decision, CoordError> {
+    /// Drive `txn` to a decision at `ballot`: collect a vote from every
+    /// member node (stopping at the first *no*; an unreachable node and a
+    /// node never asked vote no), make the votes durable, deliver the
+    /// decision — commit iff every vote is yes. The **decision point** is
+    /// every instance accepted by a majority of the acceptors: after it
+    /// no crash can change the outcome (one acceptor: the forced
+    /// coordinator-log write of 2PC). Delivery is best-effort per node;
+    /// `recover` re-delivers to anyone that missed it.
+    pub(crate) fn commit(&self, txn: &GlobalTxn, ballot: u64) -> Result<Decision, CoordError> {
         let started = Instant::now();
         let members = txn.members();
-        // --- phase 1: collect votes -----------------------------------
-        let mut prepared: Vec<(NodeId, Vec<Tid>)> = Vec::new();
+        // --- collect votes --------------------------------------------
+        let mut prepared: Vec<(u32, Vec<Tid>)> = Vec::new();
         let mut votes: Vec<(u32, bool)> = Vec::with_capacity(members.len());
-        for (node, tids) in &members {
+        for (node, tids) in members {
             let msg = CommitMessage::Prepare { tids: tids.clone() };
-            let yes = match self.send(txn.gid, node.0 as usize, msg) {
+            let yes = match self.send(txn.gid, *node as usize, msg) {
                 Ok(CommitMessage::Vote { yes: true, group }) => {
                     prepared.push((*node, group));
                     true
@@ -261,24 +312,21 @@ impl Driver {
                 Ok(other) => return Err(CoordError::protocol("vote", &other)),
                 Err(_) => false, // unreachable node: vote no on its behalf
             };
-            votes.push((node.0, yes));
+            votes.push((*node, yes));
             if !yes {
                 break;
             }
         }
         for (node, _) in members.iter().skip(votes.len()) {
-            votes.push((node.0, false));
+            votes.push((*node, false));
         }
         // --- the blocking window: votes in, nothing durable -----------
         if let Some(act) = self.faults.check(COORD_BEFORE_DECIDE) {
             return Err(self.realize(COORD_BEFORE_DECIDE, act));
         }
-        let decision = if votes.iter().all(|(_, yes)| *yes) {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        make_durable(decision, &votes)?;
+        let decision = Decision::of(&votes);
+        // --- the decision point ---------------------------------------
+        self.accept(txn.gid, ballot, &votes)?;
         if let Some(co) = &self.obs {
             // decision latency: first prepare sent → decision durable
             co.obs
@@ -288,22 +336,22 @@ impl Driver {
         if let Some(act) = self.faults.check(COORD_AFTER_DECIDE) {
             return Err(self.realize(COORD_AFTER_DECIDE, act));
         }
-        // --- phase 2: deliver -----------------------------------------
+        // --- deliver --------------------------------------------------
         for (node, group) in &prepared {
             let msg = decision.message(group.clone());
             // best-effort: a dropped decide leaves the node prepared;
             // recover() re-delivers
             // verify: allow(status_flow) — decision is durable; recover() re-delivers lost decides
-            let _ = self.send(txn.gid, node.0 as usize, msg);
+            let _ = self.send(txn.gid, *node as usize, msg);
         }
         if decision == Decision::Abort {
             // members that never prepared (no-voters, unreachable
             // nodes) may still have live transactions: abort them too
-            for (node, tids) in &members {
+            for (node, tids) in members {
                 if !prepared.iter().any(|(n, _)| n == node) {
                     let msg = CommitMessage::AbortDecide { tids: tids.clone() };
                     // verify: allow(status_flow) — abort decide is best-effort; participants time out
-                    let _ = self.send(txn.gid, node.0 as usize, msg);
+                    let _ = self.send(txn.gid, *node as usize, msg);
                 }
             }
         }
@@ -313,7 +361,7 @@ impl Driver {
     /// Cooperative termination (DESIGN.md §14.4): given a durable
     /// decision, drive every member node to it, tolerating participants
     /// that already learned it and participants that restarted in doubt.
-    /// Used by both protocols' recovery paths and retried delivery.
+    /// Used by recovery and retried delivery.
     ///
     /// Per node: query the first seed's state; a committed node is done;
     /// a prepared node is re-prepared (idempotent — this recovers the
@@ -323,11 +371,11 @@ impl Driver {
     pub(crate) fn terminate(
         &self,
         gid: u64,
-        members: &[(NodeId, Vec<Tid>)],
+        members: &[(u32, Vec<Tid>)],
         decision: Decision,
     ) -> Result<(), CoordError> {
         for (node, tids) in members {
-            let n = node.0 as usize;
+            let n = *node as usize;
             let state = match self.send(gid, n, CommitMessage::QueryState { tid: tids[0] })? {
                 CommitMessage::State(s) => s,
                 other => return Err(CoordError::protocol("query-state", &other)),
@@ -336,7 +384,7 @@ impl Driver {
                 (ParticipantState::Committed, Decision::Commit) => continue,
                 (ParticipantState::Committed, Decision::Abort) => {
                     return Err(CoordError::Protocol(format!(
-                        "{node} already committed but the decision is abort"
+                        "node{node} already committed but the decision is abort"
                     )))
                 }
                 (ParticipantState::Prepared, _) => {
@@ -357,7 +405,7 @@ impl Driver {
                 }
                 (s, Decision::Commit) => {
                     return Err(CoordError::Protocol(format!(
-                        "{node} is {s:?} on the commit path — a logged commit \
+                        "node{node} is {s:?} on the commit path — a durable commit \
                          decision implies every participant prepared"
                     )))
                 }
@@ -451,9 +499,10 @@ mod tests {
         g.add_member(1, Tid(4));
         g.add_member(0, Tid(4));
         g.add_member(1, Tid(5));
+        g.add_member(1, Tid(4)); // duplicate ignored
         let m = g.members();
         assert_eq!(m.len(), 2);
-        assert_eq!(m[0], (NodeId(0), vec![Tid(4)]));
-        assert_eq!(m[1], (NodeId(1), vec![Tid(4), Tid(5)]));
+        assert_eq!(m[0], (0, vec![Tid(4)]));
+        assert_eq!(m[1], (1, vec![Tid(4), Tid(5)]));
     }
 }

@@ -1,118 +1,43 @@
 //! Paxos Commit (Gray & Lamport, *Consensus on Transaction Commit*) —
-//! the non-blocking member of the protocol family (DESIGN.md §14.5).
+//! the one atomic-commit protocol of this crate (DESIGN.md §14.5).
 //!
 //! One consensus **instance** per participant decides that
 //! participant's vote; the global decision is a pure function of the
-//! decided instances (commit iff every instance decided *yes*). The
-//! instance's value is durable once a **majority of acceptors** accept
-//! it — there is no coordinator log, so the coordinator's death loses
-//! nothing: any recovery coordinator that can reach an acceptor
-//! majority reads (or completes) each instance at a higher ballot and
-//! finishes the protocol. 2PC is the one-acceptor special case, and the
-//! one acceptor doubling as coordinator is exactly why 2PC blocks.
+//! decided instances (commit iff every instance decided *yes*). An
+//! instance's value is durable once a **majority of the configured
+//! [`Acceptor`]s** accept it — that is the only durable state, so the
+//! coordinator's death loses nothing: any recovery coordinator that can
+//! reach an acceptor majority reads (or completes) each instance at a
+//! higher ballot and finishes the protocol. With one acceptor this is
+//! two-phase commit — the acceptor is the coordinator log, and its
+//! being the one place the decision lives is exactly why 2PC blocks;
+//! with 2F + 1 it survives F acceptor failures. Nothing but
+//! `acceptors.len()` tells the two apart.
 //!
 //! The working coordinator is ballot 0's owner, so it skips phase 1 —
 //! the Prepare/Vote exchange with participants plus one phase-2 round
-//! to the acceptors is the whole happy path: the same message depth as
-//! 2PC with the log force replaced by a quorum round.
+//! to the acceptors is the whole happy path.
 //!
 //! A recovery coordinator runs full Paxos at a higher ballot: phase 1
-//! to a majority learns any value the instance may already have decided
+//! to a majority learns any value an instance may already have decided
 //! (choose the highest-ballot accepted value); a **free** instance —
 //! no acceptor has accepted anything — is proposed *no* (the
 //! participant may be crashed and unprepared; abort is the only safe
-//! decision the protocol can force). Phase 2 at the new ballot makes
-//! the choice durable. Promises at the higher ballot fence the old
-//! coordinator out: its ballot-0 phase 2 can no longer reach a quorum.
+//! decision the protocol can force — with one acceptor, this is 2PC's
+//! presumed abort). Phase 2 at the new ballot makes the choice durable.
+//! Promises at the higher ballot fence the old coordinator out: its
+//! ballot-0 phase 2 can no longer reach a quorum.
 
+use crate::acceptor::{Accepted, Acceptor};
 use crate::transport::{CommitTransport, CoordError};
 use crate::{CoordObs, Decision, Driver, GlobalTxn};
 use asset_faults::FaultRegistry;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// One consensus instance: the vote of participant `node` in global
-/// transaction `gid`.
-type Instance = (u64, u32);
-
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    /// Highest ballot promised (phase 1) or accepted (phase 2).
-    promised: u64,
-    /// The accepted (ballot, vote) pair, if any.
-    accepted: Option<(u64, bool)>,
-}
-
-/// One Paxos acceptor. Real deployments would place each on its own
-/// machine; here an acceptor is an in-process object that can be
-/// [`kill`](Self::kill)ed to model machine failure — the protocol's
-/// claim is exactly that a minority of dead acceptors changes nothing.
-#[derive(Default)]
-pub struct Acceptor {
-    slots: Mutex<HashMap<Instance, Slot>>,
-    down: AtomicBool,
-}
-
-impl Acceptor {
-    /// A fresh acceptor with no state.
-    pub fn new() -> Acceptor {
-        Acceptor::default()
-    }
-
-    /// Take the acceptor offline: it answers nothing until
-    /// [`revive`](Self::revive). Its accepted state is retained —
-    /// acceptors persist their slots; only availability is lost.
-    pub fn kill(&self) {
-        self.down.store(true, Ordering::Release);
-    }
-
-    /// Bring the acceptor back online.
-    pub fn revive(&self) {
-        self.down.store(false, Ordering::Release);
-    }
-
-    /// Phase 1 (prepare): promise not to accept below `ballot`.
-    /// `Ok(accepted)` carries any value already accepted; `Err` is a
-    /// nack (higher promise outstanding) or no answer (down).
-    fn phase1(&self, inst: Instance, ballot: u64) -> Result<Option<(u64, bool)>, ()> {
-        if self.down.load(Ordering::Acquire) {
-            return Err(());
-        }
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(inst).or_default();
-        if ballot >= slot.promised {
-            slot.promised = ballot;
-            Ok(slot.accepted)
-        } else {
-            Err(())
-        }
-    }
-
-    /// Phase 2 (accept): accept `vote` at `ballot` unless a higher
-    /// ballot was promised. `Err` is a nack or no answer.
-    fn phase2(&self, inst: Instance, ballot: u64, vote: bool) -> Result<(), ()> {
-        if self.down.load(Ordering::Acquire) {
-            return Err(());
-        }
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(inst).or_default();
-        if ballot >= slot.promised {
-            slot.promised = ballot;
-            slot.accepted = Some((ballot, vote));
-            Ok(())
-        } else {
-            Err(())
-        }
-    }
-}
-
-/// A Paxos Commit coordinator: participant votes decided by an acceptor
-/// quorum instead of a coordinator log.
+/// A Paxos Commit coordinator: participant votes decided by a majority
+/// of its acceptors.
 pub struct PaxosCommit {
     driver: Driver,
-    acceptors: Vec<Arc<Acceptor>>,
     /// This coordinator's ballot: 0 for the initial coordinator (which
     /// may skip phase 1), higher for recovery coordinators.
     ballot: u64,
@@ -122,8 +47,7 @@ impl PaxosCommit {
     /// The initial coordinator (ballot 0) over `acceptors`.
     pub fn new(transport: Arc<dyn CommitTransport>, acceptors: Vec<Arc<Acceptor>>) -> PaxosCommit {
         PaxosCommit {
-            driver: Driver::new(transport),
-            acceptors,
+            driver: Driver::new(transport, acceptors),
             ballot: 0,
         }
     }
@@ -143,7 +67,9 @@ impl PaxosCommit {
         }
     }
 
-    /// Builder-style: script coordinator crashes through `faults`.
+    /// Builder-style: script coordinator crashes through `faults` (arm
+    /// [`COORD_BEFORE_DECIDE`](crate::failpoints::COORD_BEFORE_DECIDE) /
+    /// [`COORD_AFTER_DECIDE`](crate::failpoints::COORD_AFTER_DECIDE)).
     pub fn with_faults(mut self, faults: Arc<FaultRegistry>) -> PaxosCommit {
         self.driver.faults = faults;
         self
@@ -158,35 +84,17 @@ impl PaxosCommit {
         self
     }
 
-    fn quorum(&self) -> usize {
-        self.acceptors.len() / 2 + 1
+    /// The configured acceptors.
+    pub(crate) fn acceptors(&self) -> &[Arc<Acceptor>] {
+        &self.driver.acceptors
     }
 
-    /// Phase 2 for one instance: `vote` must be accepted by a majority.
-    fn decide_instance(&self, inst: Instance, vote: bool) -> Result<(), CoordError> {
-        let accepts = self
-            .acceptors
-            .iter()
-            .filter(|a| a.phase2(inst, self.ballot, vote).is_ok())
-            .count();
-        if accepts >= self.quorum() {
-            Ok(())
-        } else {
-            Err(CoordError::NoQuorum { instance: inst.1 })
-        }
-    }
-
-    /// Drive `txn` to a decision: collect participant votes, make each
-    /// vote durable at an acceptor quorum, deliver the decision.
+    /// Drive `txn` to a decision: collect participant votes, make every
+    /// vote durable at an acceptor majority, deliver the decision.
     /// Requires a quorum — with a majority of acceptors down the
     /// protocol (correctly) cannot decide.
     pub fn commit(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
-        // the decision point: every instance durable at a quorum
-        self.driver.commit(txn, |_, votes| {
-            votes
-                .iter()
-                .try_for_each(|(node, yes)| self.decide_instance((txn.gid, *node), *yes))
-        })
+        self.driver.commit(txn, self.ballot)
     }
 
     /// Recovery: learn (or force) every instance at this coordinator's
@@ -195,38 +103,39 @@ impl PaxosCommit {
     /// irrelevant, which is the non-blocking property E17 measures.
     pub fn recover(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
         assert!(self.ballot > 0, "recovery requires a ballot above 0");
+        self.recover_at(txn, self.ballot)
+    }
+
+    /// [`recover`](Self::recover) at `ballot`.
+    pub(crate) fn recover_at(&self, txn: &GlobalTxn, ballot: u64) -> Result<Decision, CoordError> {
         let members = txn.members();
-        let mut all_yes = true;
-        for (node, _) in &members {
-            let inst = (txn.gid, node.0);
-            // phase 1: a majority of promises, learning any accepted value
-            let mut accepted: Vec<(u64, bool)> = Vec::new();
-            let mut promises = 0usize;
-            for a in &self.acceptors {
-                if let Ok(prior) = a.phase1(inst, self.ballot) {
-                    promises += 1;
-                    accepted.extend(prior);
+        let nodes: Vec<u32> = members.iter().map(|(node, _)| *node).collect();
+        // phase 1: a majority of promises, learning per instance the
+        // accepted pair of the highest ballot (pairs order by ballot
+        // first, and a ballot has one proposer, so one value)
+        let mut learned: Vec<Option<Accepted>> = vec![None; nodes.len()];
+        let mut promises = 0usize;
+        for a in &self.driver.acceptors {
+            if let Some(prior) = a.promise(txn.gid, ballot, &nodes) {
+                promises += 1;
+                for (best, p) in learned.iter_mut().zip(prior) {
+                    *best = (*best).max(p);
                 }
             }
-            if promises < self.quorum() {
-                return Err(CoordError::NoQuorum { instance: node.0 });
-            }
-            // the value: highest-ballot accepted vote, or no for a free
-            // instance (Paxos Commit's abort-on-timeout rule)
-            let vote = accepted
-                .iter()
-                .max_by_key(|(b, _)| *b)
-                .map(|(_, v)| *v)
-                .unwrap_or(false);
-            self.decide_instance(inst, vote)?;
-            all_yes &= vote;
         }
-        let decision = if all_yes {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        self.driver.terminate(txn.gid, &members, decision)?;
+        if promises < self.driver.quorum() {
+            return Err(CoordError::NoQuorum);
+        }
+        // the value: the learned vote, or no for a free instance (Paxos
+        // Commit's abort-on-timeout rule; 2PC's presumed abort)
+        let votes: Vec<(u32, bool)> = nodes
+            .iter()
+            .zip(learned)
+            .map(|(node, a)| (*node, a.is_some_and(|(_, vote)| vote)))
+            .collect();
+        self.driver.accept(txn.gid, ballot, &votes)?;
+        let decision = Decision::of(&votes);
+        self.driver.terminate(txn.gid, members, decision)?;
         Ok(decision)
     }
 }
@@ -290,7 +199,7 @@ mod tests {
         acc[1].kill();
         let g = staged(&transport, &oids, 3);
         let coord = PaxosCommit::new(transport.clone(), acc.clone());
-        assert!(matches!(coord.commit(&g), Err(CoordError::NoQuorum { .. })));
+        assert!(matches!(coord.commit(&g), Err(CoordError::NoQuorum)));
         // participants are prepared and in doubt — but once a majority is
         // back, recovery completes the instances (it finds the accepted
         // yes votes from the minority, or free instances, and decides)
@@ -361,15 +270,14 @@ mod tests {
     #[test]
     fn higher_ballot_fences_out_the_old_coordinator() {
         let acc = Acceptor::new();
-        let inst = (9u64, 0u32);
         // recovery coordinator at ballot 5 takes over the instance
-        assert_eq!(acc.phase1(inst, 5), Ok(None));
+        assert_eq!(acc.promise(9, 5, &[0]), Some(vec![None]));
         // the old ballot-0 coordinator's phase 2 now bounces
-        assert!(acc.phase2(inst, 0, true).is_err());
+        assert!(!acc.accept(9, 0, &[(0, true)]));
         // and the new coordinator's accept lands
-        assert!(acc.phase2(inst, 5, false).is_ok());
+        assert!(acc.accept(9, 5, &[(0, false)]));
         // a later phase 1 learns the accepted value
-        assert_eq!(acc.phase1(inst, 6), Ok(Some((5, false))));
+        assert_eq!(acc.promise(9, 6, &[0]), Some(vec![Some((5, false))]));
     }
 
     #[test]

@@ -107,12 +107,10 @@ pub enum CoordError {
     NodeDown(usize),
     /// The transport dropped the message (scripted fault).
     MessageDropped(&'static str),
-    /// Fewer than a majority of acceptors answered (Paxos Commit only).
-    NoQuorum {
-        /// The consensus instance (participant index) that failed.
-        instance: u32,
-    },
-    /// The durable decision could not be recorded.
+    /// Fewer than a majority of the acceptors answered (down, fenced by a
+    /// higher ballot, or unable to write their store).
+    NoQuorum,
+    /// An injected I/O fault at a coordinator failpoint.
     Io(std::io::Error),
     /// The peer answered something the protocol does not allow here.
     Protocol(String),
@@ -129,22 +127,14 @@ impl std::fmt::Display for CoordError {
         match self {
             CoordError::NodeDown(n) => write!(f, "node {n} is down"),
             CoordError::MessageDropped(p) => write!(f, "message dropped at failpoint `{p}`"),
-            CoordError::NoQuorum { instance } => {
-                write!(f, "no acceptor quorum for instance {instance}")
-            }
-            CoordError::Io(e) => write!(f, "coordinator log: {e}"),
+            CoordError::NoQuorum => write!(f, "no acceptor quorum"),
+            CoordError::Io(e) => write!(f, "coordinator: {e}"),
             CoordError::Protocol(s) => write!(f, "protocol violation: {s}"),
         }
     }
 }
 
 impl std::error::Error for CoordError {}
-
-impl From<std::io::Error> for CoordError {
-    fn from(e: std::io::Error) -> CoordError {
-        CoordError::Io(e)
-    }
-}
 
 /// How coordinators reach participants. `send` is a blocking
 /// request/reply exchange; an error means the reply never arrived (the

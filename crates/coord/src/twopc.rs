@@ -1,164 +1,59 @@
-//! Classic two-phase commit (DESIGN.md §14.4).
+//! Classic two-phase commit (DESIGN.md §14.4) — Paxos Commit with one
+//! acceptor (F = 0), under its own name.
 //!
-//! Phase 1 collects a vote from every member node; the decision —
-//! commit iff every vote is yes — is forced to the **coordinator log**
-//! before phase 2 delivers it. Presumed abort: a global transaction
-//! with no logged decision aborts on recovery, so only the commit
-//! window needs the force.
+//! The single acceptor is the **coordinator log**: the decision —
+//! commit iff every vote is yes — is durable once that one store has
+//! accepted the votes (one forced write), before phase 2 delivers it.
+//! Presumed abort falls out of the protocol: a global transaction with
+//! nothing accepted has free instances, and recovery proposes *no* for
+//! those.
 //!
 //! 2PC is **blocking**: between a participant's yes vote and the
 //! decision's arrival, the participant can do nothing but hold its
 //! locks; if the coordinator (and its log) stays unreachable, that
-//! window is unbounded. E17 measures it; [`crate::PaxosCommit`] removes
-//! it.
+//! window is unbounded — a majority of one acceptor is that acceptor.
+//! E17 measures it; two more acceptors remove it.
 
 use crate::transport::{CommitTransport, CoordError};
-use crate::{CoordObs, Decision, Driver, GlobalTxn};
+use crate::{CoordLog, CoordObs, Decision, GlobalTxn, PaxosCommit};
 use asset_faults::FaultRegistry;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::Arc;
 
-/// The coordinator's durable decision log: `gid → decision`, forced
-/// before any participant learns the outcome. On disk each record is 9
-/// bytes (`u64` gid LE + decision byte, `synced` per record); an
-/// in-memory variant backs tests that crash participants but not the
-/// coordinator.
-pub struct CoordLog {
-    file: Option<Mutex<File>>,
-    mem: Mutex<BTreeMap<u64, Decision>>,
-}
-
-impl CoordLog {
-    /// A volatile log (coordinator crashes lose it — which is exactly
-    /// the blocking scenario, so crash matrices use [`CoordLog::at`]).
-    pub fn in_memory() -> CoordLog {
-        CoordLog {
-            file: None,
-            mem: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Open (or create) the durable log at `path`, replaying existing
-    /// records. A torn 9-byte tail (crash mid-append) is ignored — the
-    /// decision it would have recorded was never acknowledged.
-    pub fn at(path: &Path) -> std::io::Result<CoordLog> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut mem = BTreeMap::new();
-        for rec in bytes.chunks_exact(9) {
-            // verify: allow(no_panics) — chunks_exact yields 9 bytes
-            let gid = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let d = if rec[8] == 1 {
-                Decision::Commit
-            } else {
-                Decision::Abort
-            };
-            mem.insert(gid, d);
-        }
-        Ok(CoordLog {
-            file: Some(Mutex::new(file)),
-            mem: Mutex::new(mem),
-        })
-    }
-
-    /// Force `gid → decision`. Idempotent: re-recording the same
-    /// decision is a no-op; recording a *different* one is a logic
-    /// error and panics (a decision, once durable, is immutable).
-    pub fn record(&self, gid: u64, decision: Decision) -> std::io::Result<()> {
-        {
-            let mut mem = self.mem.lock();
-            if let Some(prev) = mem.get(&gid) {
-                assert_eq!(
-                    *prev, decision,
-                    "decision for gid {gid} is immutable once recorded"
-                );
-                return Ok(());
-            }
-            mem.insert(gid, decision);
-        }
-        if let Some(file) = &self.file {
-            let mut f = file.lock();
-            let mut rec = gid.to_le_bytes().to_vec();
-            rec.push(if decision == Decision::Commit { 1 } else { 0 });
-            f.write_all(&rec)?;
-            f.sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// The recorded decision for `gid`, if any.
-    pub fn decision(&self, gid: u64) -> Option<Decision> {
-        self.mem.lock().get(&gid).copied()
-    }
-}
-
-/// A two-phase-commit coordinator over a [`CommitTransport`].
-pub struct TwoPhase {
-    driver: Driver,
-    log: Arc<CoordLog>,
-}
+/// A two-phase-commit coordinator: a [`PaxosCommit`] whose only acceptor
+/// is its [`CoordLog`]. A constructor, not a protocol.
+pub struct TwoPhase(PaxosCommit);
 
 impl TwoPhase {
     /// A coordinator speaking through `transport`, deciding into `log`.
     pub fn new(transport: Arc<dyn CommitTransport>, log: Arc<CoordLog>) -> TwoPhase {
-        TwoPhase {
-            driver: Driver::new(transport),
-            log,
-        }
+        TwoPhase(PaxosCommit::new(transport, vec![log]))
     }
 
-    /// Builder-style: script coordinator crashes through `faults` (arm
-    /// [`COORD_BEFORE_DECIDE`](crate::failpoints::COORD_BEFORE_DECIDE) /
-    /// [`COORD_AFTER_DECIDE`](crate::failpoints::COORD_AFTER_DECIDE)).
-    pub fn with_faults(mut self, faults: Arc<FaultRegistry>) -> TwoPhase {
-        self.driver.faults = faults;
-        self
+    /// Builder-style: see [`PaxosCommit::with_faults`].
+    pub fn with_faults(self, faults: Arc<FaultRegistry>) -> TwoPhase {
+        TwoPhase(self.0.with_faults(faults))
     }
 
-    /// Builder-style: record coordinator-side observability into `co` —
-    /// `coord_msg_*` counters, the `decision_ns` histogram, and (with
-    /// tracing enabled on the hub) `MsgSend`/`MsgAck` events plus a
-    /// trace context on every message (DESIGN.md §7.2).
-    pub fn with_obs(mut self, co: CoordObs) -> TwoPhase {
-        self.driver.obs = Some(co);
-        self
+    /// Builder-style: see [`PaxosCommit::with_obs`].
+    pub fn with_obs(self, co: CoordObs) -> TwoPhase {
+        TwoPhase(self.0.with_obs(co))
     }
 
     /// The decision log (a recovery coordinator reuses it).
     pub fn log(&self) -> &Arc<CoordLog> {
-        &self.log
+        &self.0.acceptors()[0]
     }
 
-    /// Drive `txn` to a decision: prepare every member node, force the
-    /// decision, deliver it. Returns the decision; delivery is
-    /// best-effort per node (the decision is durable, so
-    /// [`recover`](Self::recover) re-delivers to anyone that missed
-    /// it).
+    /// Drive `txn` to a decision: see [`PaxosCommit::commit`].
     pub fn commit(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
-        // the decision point: one forced coordinator-log record
-        self.driver
-            .commit(txn, |decision, _| Ok(self.log.record(txn.gid, decision)?))
+        self.0.commit(txn)
     }
 
-    /// Recovery coordinator: finish `txn` from the durable log alone.
-    /// A logged decision is re-delivered (cooperative termination); no
-    /// logged decision means the crash preceded the decision point and
-    /// the transaction is **presumed aborted** — the abort is made
-    /// explicit in the log, then delivered.
+    /// Recovery coordinator: finish `txn` from the durable log alone, at
+    /// a ballot one above what the log has promised for it — the log's
+    /// owner needs no one to pick a ballot for it, and may recover again.
     pub fn recover(&self, txn: &GlobalTxn) -> Result<Decision, CoordError> {
-        let decision = self.log.decision(txn.gid).unwrap_or(Decision::Abort);
-        self.log.record(txn.gid, decision)?;
-        self.driver.terminate(txn.gid, &txn.members(), decision)?;
-        Ok(decision)
+        self.0.recover_at(txn, self.log().promised(txn.gid) + 1)
     }
 }
 
@@ -230,7 +125,7 @@ mod tests {
             asset_faults::Trigger::Once,
             FaultAction::Error,
         );
-        let coord = TwoPhase::new(transport.clone(), coord.log.clone()).with_faults(faults);
+        let coord = TwoPhase::new(transport.clone(), coord.log().clone()).with_faults(faults);
         assert!(coord.commit(&g).is_err());
         // both participants are prepared — in doubt, locks held
         for i in 0..2 {
@@ -259,10 +154,10 @@ mod tests {
             asset_faults::Trigger::Once,
             FaultAction::Error,
         );
-        let coord = TwoPhase::new(transport.clone(), coord.log.clone()).with_faults(faults);
+        let coord = TwoPhase::new(transport.clone(), coord.log().clone()).with_faults(faults);
         // decision logged, delivery never happened
         assert!(coord.commit(&g).is_err());
-        assert_eq!(coord.log().decision(4), Some(Decision::Commit));
+        assert_eq!(coord.log().accepted(4, 0), Some((0, true)));
         assert_eq!(coord.recover(&g).unwrap(), Decision::Commit);
         for (i, oid) in oids.iter().enumerate() {
             assert_eq!(
@@ -305,32 +200,21 @@ mod tests {
     }
 
     #[test]
-    fn coord_log_survives_reload_and_ignores_torn_tail() {
-        let dir = std::env::temp_dir().join(format!(
-            "asset-coordlog-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("coord.log");
-        {
-            let log = CoordLog::at(&path).unwrap();
-            log.record(7, Decision::Commit).unwrap();
-            log.record(8, Decision::Abort).unwrap();
+    fn a_decision_grows_the_on_disk_log_by_one_write() {
+        let path = std::env::temp_dir().join(format!("asset-coordlog-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (_, transport, oids) = coordinator(3);
+        let coord = TwoPhase::new(transport.clone(), Arc::new(CoordLog::at(&path).unwrap()));
+        let mut g = GlobalTxn::new(8);
+        for (i, oid) in oids.iter().enumerate() {
+            g.add_member(i as u32, stage(transport.node(i), *oid, b"one"));
         }
-        // torn tail: a crash mid-append left 3 bytes of a record
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[9, 0, 0]).unwrap();
-        }
-        let log = CoordLog::at(&path).unwrap();
-        assert_eq!(log.decision(7), Some(Decision::Commit));
-        assert_eq!(log.decision(8), Some(Decision::Abort));
-        assert_eq!(log.decision(9), None, "torn record never happened");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(coord.commit(&g).unwrap(), Decision::Commit);
+        // one record per member, appended (and synced) together: the
+        // forced write 2PC owes its decision, whatever the member count
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(len, 3 * crate::acceptor::RECORD as u64);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

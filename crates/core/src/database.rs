@@ -1086,6 +1086,7 @@ impl Database {
     pub(crate) fn abort_many(&self, seeds: &[Tid]) {
         enum Act {
             Skip,
+            Wake,
             Undo(Vec<UndoEntry>),
         }
         let mut queue: Vec<Tid> = seeds.to_vec();
@@ -1103,11 +1104,11 @@ impl Database {
                 match slot.status {
                     TxnStatus::Committed | TxnStatus::Aborted => Act::Skip,
                     TxnStatus::Running => {
-                        // mark; the transaction's own thread performs the
-                        // steps
+                        // mark; the transaction's own thread (or executor
+                        // worker) performs the steps
                         slot.status = TxnStatus::Aborting;
                         self.inner.locks.poison(x);
-                        Act::Skip
+                        Act::Wake
                     }
                     TxnStatus::Aborting if slot.thread_live => {
                         // already marked; its thread will finalize
@@ -1124,7 +1125,18 @@ impl Database {
                     }
                 }
             });
-            let Act::Undo(mut undo) = act else { continue };
+            let mut undo = match act {
+                Act::Skip => continue,
+                Act::Wake => {
+                    // the poison wakes a task parked on a lock and the bump
+                    // below one parked on a gate; one parked on
+                    // `WaitExternal` has no wake registry, so run it: its
+                    // next step sees `Aborting` and finalizes
+                    self.nudge(x);
+                    continue;
+                }
+                Act::Undo(undo) => undo,
+            };
             let undo_records = undo.len();
             self.inner.obs.record(EventKind::SpanOpen {
                 tid: x,

@@ -380,6 +380,10 @@ impl ExecInner {
                     return;
                 }
                 StepOutcome::Finished => {
+                    // whichever way the transaction ended, its program ends
+                    // here: what the program owns learns of the end by
+                    // being dropped
+                    body.prog = None;
                     drop(body);
                     task.sched.store(DONE, Ordering::Release);
                     exec.tasks.lock().remove(&tid);
@@ -495,7 +499,6 @@ impl ExecInner {
                         // commit authority — prepare/decide (§14) — and
                         // the task retires from the executor
                         let _ = db.complete(tid, true);
-                        body.prog = None;
                         StepOutcome::Finished
                     }
                     TxnStep::Done(Ok(())) => {

@@ -8,7 +8,5 @@
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod xnode;
 
 pub use graph::{CommitGate, DepGraph, DepSummary, TermState};
-pub use xnode::{CrossGroup, GlobalTid, NodeId};

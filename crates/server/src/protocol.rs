@@ -467,9 +467,10 @@ impl Frame {
 /// calls: a `WouldBlock`/`TimedOut` error from the underlying stream
 /// propagates to the caller, but the bytes consumed so far stay
 /// buffered and the next `read_from` call resumes exactly where the
-/// previous one stopped. This is what lets the server poll-read with a
-/// timeout (to notice shutdown) without ever tearing a frame that
-/// straddles two poll ticks.
+/// previous one stopped. This is what lets a caller read with a
+/// timeout without ever tearing a frame that straddles two timeouts
+/// (the server itself reads without one: shutdown reaches an idle
+/// handler as EOF).
 ///
 /// ```
 /// use asset_server::protocol::{opcode, Frame, FrameReader};

@@ -14,20 +14,16 @@ use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Objects written per server-side transaction while servicing a MINT
 /// request. Bounds undo-chain length and lock footprint for
 /// million-object mints.
 const MINT_CHUNK: u64 = 10_000;
-
-/// How often a blocked connection read wakes up to check the shutdown
-/// flag.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// How many times a SUM's read transaction is retried when it loses a
 /// deadlock against concurrent writers before the request fails.
@@ -169,8 +165,13 @@ pub struct AssetServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 }
+
+/// The live connections: each handler thread beside a weak handle on its
+/// stream — what shutdown reaches a handler blocked in `read` through.
+/// Weak, so the socket closes the moment its handler is done with it.
+type Conns = Arc<Mutex<Vec<(Weak<TcpStream>, JoinHandle<()>)>>>;
 
 impl AssetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting
@@ -205,7 +206,7 @@ impl AssetServer {
             node_id,
             metrics: ServerMetrics::new(),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Conns::default();
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -256,9 +257,10 @@ impl AssetServer {
         move || shared.metrics_text()
     }
 
-    /// Ask the server to stop: no new connections are accepted and
-    /// handler threads exit at their next poll tick. Does not wait —
-    /// call [`join`](Self::join).
+    /// Ask the server to stop: no new connections are accepted, and a
+    /// handler thread exits once the request it is serving is answered
+    /// (one idle in `read` sees EOF at once). Does not wait — call
+    /// [`join`](Self::join).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // unblock the accept loop with a throwaway connection
@@ -271,19 +273,21 @@ impl AssetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles = std::mem::take(&mut *self.conns.lock());
-        for h in handles {
+        let conns = std::mem::take(&mut *self.conns.lock());
+        for (_, h) in conns {
             let _ = h.join();
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<JoinHandle<()>>>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Conns) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let stream = Arc::new(stream);
+        let peer = Arc::downgrade(&stream);
         bump(&shared.db.obs().counters.server_connections);
         shared
             .metrics
@@ -297,14 +301,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
                 // written to the wire before serve returns, and dangling
                 // sessions are drained by abort_leftovers
                 // verify: allow(status_flow) — txn outcomes surfaced via wire statuses and the drain counter
-                let _ = Connection::new(Arc::clone(&shared), &stream).serve(stream);
+                let _ = Connection::new(Arc::clone(&shared), &stream).serve(&stream);
                 shared
                     .metrics
                     .live_connections
                     .fetch_sub(1, Ordering::Relaxed);
             });
         if let Ok(h) = spawned {
-            conns.lock().push(h);
+            conns.lock().push((peer, h));
+        }
+    }
+    // stopping: a handler blocked in `read` on an idle client sees EOF
+    // and drains its session. Only the read side is shut — a response
+    // being written still goes out.
+    for (peer, _) in conns.lock().iter() {
+        if let Some(peer) = peer.upgrade() {
+            // verify: allow(status_flow) — socket shutdown; no transaction outcome flows here
+            let _ = peer.shutdown(Shutdown::Read);
         }
     }
 }
@@ -328,9 +341,6 @@ impl Drop for Connection {
 
 impl Connection {
     fn new(shared: Arc<Shared>, stream: &TcpStream) -> Connection {
-        // poll-read so handler threads notice the shutdown flag even
-        // while a client is idle
-        let _ = stream.set_read_timeout(Some(READ_POLL));
         let _ = stream.set_nodelay(true);
         Connection {
             shared,
@@ -338,31 +348,20 @@ impl Connection {
         }
     }
 
-    /// Serve the connection until EOF, error, or shutdown. Open
+    /// Serve the connection until EOF (the client's, or the read side shut
+    /// by a stopping accept loop) or error. Open
     /// transactions are aborted by [`Drop`] on **every** exit path —
     /// including a `?` on a write error (a client disconnecting
     /// mid-response is routine) and a panic — so a dead session can
     /// never park transactions on `WaitExternal` holding locks forever.
-    fn serve(mut self, stream: TcpStream) -> std::io::Result<()> {
-        let mut reader = stream.try_clone()?;
+    fn serve(mut self, stream: &TcpStream) -> std::io::Result<()> {
+        let mut reader = stream;
         let mut writer = BufWriter::new(stream);
-        // persists partial frames across poll-tick timeouts: the 100ms
-        // read timeout may fire with half a frame consumed, and those
-        // bytes must not be discarded or the stream desynchronizes
         let mut frames = protocol::FrameReader::new();
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
             let frame = match frames.read_from(&mut reader) {
                 Ok(Some(f)) => f,
                 Ok(None) => break, // clean EOF
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue; // poll tick: re-check shutdown, then resume
-                }
                 Err(_) => {
                     bump(&self.shared.db.obs().counters.server_protocol_errors);
                     break; // mid-frame EOF / bad version / bad length
@@ -402,7 +401,7 @@ impl Connection {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
                 // unblock the accept loop
                 // verify: allow(status_flow) — wake-up connection; no transaction outcome flows here
-                let _ = TcpStream::connect(reader.local_addr()?);
+                let _ = TcpStream::connect(stream.local_addr()?);
                 break;
             }
         }
@@ -985,6 +984,7 @@ fn err_of(req: &Frame, e: &AssetError) -> Frame {
 mod tests {
     use super::*;
     use asset_common::Config;
+    use std::time::Duration;
 
     /// The REVIEW-driven regression for leaked sessions: a `Connection`
     /// that goes away without reaching the end of `serve()` (write

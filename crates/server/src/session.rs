@@ -8,8 +8,10 @@
 //! returns [`TxnStep::WaitExternal`] and the worker parks the
 //! transaction without occupying a thread. The session (connection)
 //! thread is the producer: it pushes an op, calls
-//! [`Database::nudge`], and blocks on the mailbox condvar for the
-//! reply. `COMMIT` is the exception — the program consumes the op and
+//! [`Database::nudge`], and blocks on the mailbox condvar until the
+//! program replies or is gone (the executor drops a finished task's
+//! program, and the program's `Closer` closes the mailbox). `COMMIT`
+//! is the exception — the program consumes the op and
 //! returns `Done(Ok(()))`, entering the executor's group-commit
 //! pipeline, and the session thread awaits
 //! [`Database::outcome_kind`] instead of a mailbox reply, so the
@@ -25,11 +27,10 @@
 //! program re-enters and sees the op.
 
 use crate::protocol::status_of;
-use asset_core::{AssetError, Database, Oid, Tid, TryOp, TxnStatus, TxnStep};
+use asset_core::{AssetError, Database, Oid, Tid, TryOp, TxnStep};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One operation fed to a session transaction's step program.
 #[derive(Clone, Debug)]
@@ -69,6 +70,8 @@ struct MailboxInner {
     /// re-entered program retries the same op (try-ops are retryable).
     current: Option<TxnOp>,
     replies: VecDeque<OpReply>,
+    /// The program is gone: no further reply will come.
+    closed: bool,
 }
 
 /// The channel between a session thread and its transaction's step
@@ -116,14 +119,32 @@ impl Mailbox {
         Some(op)
     }
 
-    /// Session side: wait up to `timeout` for a reply.
-    fn take_reply(&self, timeout: Duration) -> Option<OpReply> {
+    /// Session side: wait for a reply; `None` once the program is gone
+    /// with nothing left to say.
+    fn take_reply(&self) -> Option<OpReply> {
         let mut g = self.inner.lock();
-        if let Some(r) = g.replies.pop_front() {
-            return Some(r);
+        loop {
+            if let Some(r) = g.replies.pop_front() {
+                return Some(r);
+            }
+            if g.closed {
+                return None;
+            }
+            self.ready.wait(&mut g);
         }
-        let _timed_out = self.ready.wait_until(&mut g, Instant::now() + timeout);
-        g.replies.pop_front()
+    }
+}
+
+/// Owned by a session's step program and dropped with it — when the
+/// executor retires the task, however the transaction ended: closes the
+/// mailbox and wakes a session thread waiting for a reply that will not
+/// come.
+struct Closer(Arc<Mailbox>);
+
+impl Drop for Closer {
+    fn drop(&mut self) {
+        self.0.inner.lock().closed = true;
+        self.0.ready.notify_all();
     }
 }
 
@@ -139,8 +160,9 @@ impl SessionTxn {
     /// mailbox starts empty).
     pub(crate) fn submit(db: &Database) -> Result<SessionTxn, AssetError> {
         let mailbox = Arc::new(Mailbox::default());
-        let mb = Arc::clone(&mailbox);
+        let closer = Closer(Arc::clone(&mailbox));
         let tid = db.submit(move |sc| loop {
+            let mb = &closer.0;
             let Some(op) = mb.next_op() else {
                 return TxnStep::WaitExternal;
             };
@@ -187,19 +209,7 @@ impl SessionTxn {
     pub(crate) fn call(&self, db: &Database, op: TxnOp) -> Option<OpReply> {
         self.mailbox.push(op);
         db.nudge(self.tid);
-        loop {
-            if let Some(r) = self.mailbox.take_reply(Duration::from_millis(20)) {
-                return Some(r);
-            }
-            match db.status(self.tid) {
-                Ok(TxnStatus::Aborted) | Ok(TxnStatus::Committed) | Err(_) => {
-                    // final drain: the reply may have been pushed just
-                    // before the terminal transition
-                    return self.mailbox.take_reply(Duration::ZERO);
-                }
-                Ok(_) => {}
-            }
-        }
+        self.mailbox.take_reply()
     }
 
     /// Queue a terminal op (Commit/Abort) and nudge; the caller awaits
@@ -214,6 +224,7 @@ impl SessionTxn {
 mod tests {
     use super::*;
     use asset_core::TxnOutcome;
+    use std::time::Duration;
 
     fn exec_db() -> Database {
         use asset_common::Config;
@@ -289,5 +300,33 @@ mod tests {
         b.finishing(&db, TxnOp::Commit);
         assert_eq!(db.outcome_kind(b.tid).unwrap(), TxnOutcome::Committed);
         assert_eq!(db.peek(oid).unwrap().unwrap(), b"b");
+    }
+
+    #[test]
+    fn an_outside_abort_under_a_queued_op_answers_none() {
+        let db = exec_db();
+        let oid = db.new_oid();
+        let a = SessionTxn::submit(&db).unwrap();
+        let b = SessionTxn::submit(&db).unwrap();
+        assert!(matches!(
+            a.call(&db, TxnOp::Write(oid, b"a".to_vec())),
+            Some(OpReply::Done)
+        ));
+        // b's write parks behind a's lock; abort b from outside meanwhile
+        let (db2, b_tid) = (db.clone(), b.tid);
+        let h = std::thread::spawn(move || {
+            while !db2.locks().pending(oid).iter().any(|p| p.tid == b_tid) {
+                std::thread::yield_now();
+            }
+            db2.abort(b_tid)
+        });
+        assert!(b.call(&db, TxnOp::Write(oid, b"b".to_vec())).is_none());
+        assert!(h.join().unwrap().unwrap());
+        assert_eq!(db.outcome_kind(b.tid).unwrap(), TxnOutcome::Aborted);
+        // the program is gone: a later op is answered at once
+        assert!(b.call(&db, TxnOp::Read(oid)).is_none());
+        a.finishing(&db, TxnOp::Commit);
+        assert_eq!(db.outcome_kind(a.tid).unwrap(), TxnOutcome::Committed);
+        assert_eq!(db.peek(oid).unwrap().unwrap(), b"a");
     }
 }

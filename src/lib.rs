@@ -52,9 +52,9 @@
 //!   typed operations, and the conservation-preserving money-ledger
 //!   helpers the E16 workload drives;
 //! * [`asset_coord`] — distributed commit across nodes (`DESIGN.md`
-//!   §14): classic 2PC and non-blocking Paxos Commit coordinators over
-//!   the participants' prepare/decide primitive, with in-process and
-//!   TCP transports.
+//!   §14): one Paxos Commit coordinator (one acceptor: classic 2PC;
+//!   2F + 1: non-blocking) over the participants' prepare/decide
+//!   primitive, with in-process and TCP transports.
 //!
 //! ## Quickstart
 //!

@@ -405,6 +405,102 @@ fn paxos_is_nonblocking_where_twopc_blocks() {
     );
 }
 
+/// `n` file-backed acceptors in one directory. Every [`open`](Self::open)
+/// is a process start: what an earlier set of acceptors promised or
+/// accepted must come back from the files alone. `n = 1` is the 2PC
+/// configuration (the acceptor is the coordinator log), `n = 3` survives
+/// one acceptor failure.
+struct AcceptorFiles {
+    dir: TempDir,
+    n: usize,
+}
+
+impl AcceptorFiles {
+    fn open(&self) -> Vec<Arc<Acceptor>> {
+        (0..self.n)
+            .map(|i| {
+                let path = self.dir.0.join(format!("acceptor-{i}.log"));
+                Arc::new(Acceptor::at(&path).unwrap())
+            })
+            .collect()
+    }
+}
+
+/// Stage `gid` and crash its coordinator at `point` over `n` file-backed
+/// acceptors that die with it (the unwind drops them): what is left for
+/// recovery is the participants and the files.
+fn crash_over_files(
+    tag: &str,
+    gid: u64,
+    n: usize,
+    point: &'static str,
+) -> (Cluster, AcceptorFiles, GlobalTxn) {
+    let c = Cluster::new(tag);
+    let files = AcceptorFiles {
+        dir: TempDir::new(&format!("{tag}-acc")),
+        n,
+    };
+    let g = c.stage(gid);
+    let cf = Arc::new(FaultRegistry::new());
+    cf.arm(point, Trigger::Once, FaultAction::Crash);
+    let acceptors = files.open();
+    let commit = || {
+        PaxosCommit::new(c.transport.clone(), acceptors)
+            .with_faults(cf)
+            .commit(&g)
+    };
+    assert!(crashing(commit).is_none(), "{tag}: must crash at {point}");
+    (c, files, g)
+}
+
+#[test]
+fn durable_decision_survives_every_acceptor_restarting() {
+    for (k, n) in [1usize, 3].into_iter().enumerate() {
+        let gid = 70 + k as u64;
+        let label = format!("{n} acceptor(s)/after-decide/reopen");
+        let (c, files, g) = crash_over_files(&format!("dar{k}"), gid, n, COORD_AFTER_DECIDE);
+        // every vote was accepted and synced before the crash: acceptors
+        // reopened from their files alone MUST surface Commit
+        let rd = PaxosCommit::recovery(c.transport.clone(), files.open(), 1)
+            .recover(&g)
+            .expect(&label);
+        assert_eq!(rd, Decision::Commit, "{label}: durable decision recovered");
+        assert_eq!(c.assert_converged(gid, &label), Decision::Commit);
+        // recovery's own promises and accepts are durable too
+        let reopened = files.open();
+        for a in &reopened {
+            assert_eq!(a.promised(gid), 1, "{label}: promise persisted");
+        }
+        let rd2 = PaxosCommit::recovery(c.transport.clone(), reopened, 2)
+            .recover(&g)
+            .expect(&label);
+        assert_eq!(rd2, Decision::Commit, "{label}: idempotent");
+    }
+}
+
+#[test]
+fn reopened_acceptors_with_nothing_accepted_recover_to_abort() {
+    for (k, n) in [1usize, 3].into_iter().enumerate() {
+        let gid = 80 + k as u64;
+        let label = format!("{n} acceptor(s)/before-decide/reopen");
+        let (c, files, g) = crash_over_files(&format!("rna{k}"), gid, n, COORD_BEFORE_DECIDE);
+        // the crash preceded phase 2: the files hold nothing for this
+        // transaction, every instance is free, and free means no — with
+        // one acceptor, 2PC's presumed abort
+        let reopened = files.open();
+        for a in &reopened {
+            for node in 0..NODES as u32 {
+                assert_eq!(a.accepted(gid, node), None, "{label}: empty-handed");
+            }
+        }
+        let rd = PaxosCommit::recovery(c.transport.clone(), reopened, 1)
+            .recover(&g)
+            .expect(&label);
+        assert_eq!(rd, Decision::Abort, "{label}");
+        assert_eq!(c.assert_converged(gid, &label), Decision::Abort);
+    }
+}
+
 #[test]
 fn transport_trait_object_is_usable() {
     // coordinators only see `dyn CommitTransport`; make sure the

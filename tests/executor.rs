@@ -339,6 +339,49 @@ fn aborting_a_parked_task_leaves_nothing_of_its_request() {
     assert_eq!(db.peek(o).unwrap().unwrap(), b"held");
 }
 
+/// A task parked on `WaitExternal` has no wake registry — only a nudge
+/// runs it. An abort that merely marks it `Aborting` would leave it
+/// parked, holding its locks, until somebody happened to nudge: the abort
+/// itself must get the task run so its worker finalizes it.
+#[test]
+fn aborting_a_task_parked_on_external_finalizes_it() {
+    let db = Database::in_memory();
+    let o = db.new_oid();
+    let wrote = Arc::new(AtomicBool::new(false));
+    let w = Arc::clone(&wrote);
+    let idle = db
+        .submit(move |sc| match sc.try_write(o, b"idle".to_vec()) {
+            Ok(TryOp::Done(())) => {
+                w.store(true, Ordering::Release);
+                TxnStep::WaitExternal
+            }
+            Ok(TryOp::WouldBlock) => TxnStep::WaitLock { ob: o },
+            Err(e) => TxnStep::Done(Err(e)),
+        })
+        .unwrap();
+    // the write landed and the worker parked the task (the only one)
+    while !(wrote.load(Ordering::Acquire) && db.metrics_snapshot().counters.exec_parks > 0) {
+        std::thread::yield_now();
+    }
+    assert!(db.abort(idle).unwrap());
+    // no nudge. The waits below block for good if the task stays parked,
+    // so they run beside a deadline
+    let (tx, rx) = mpsc::channel();
+    let db2 = db.clone();
+    let waiter = std::thread::spawn(move || {
+        let aborted = !db2.outcome(idle).unwrap();
+        let next = db2.submit(write_prog(o, b"next")).unwrap();
+        let _ = tx.send((aborted, db2.outcome(next).unwrap()));
+    });
+    let (aborted, next_committed) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("an aborted idle task is finalized without a nudge");
+    waiter.join().unwrap();
+    assert!(aborted);
+    assert!(next_committed, "its lock on the object was released");
+    assert_eq!(db.peek(o).unwrap().unwrap(), b"next");
+}
+
 /// The acceptance shape for the whole feature: every executor commit in
 /// the trace is a flow terminating on a flush-window span of the storage
 /// lane, and (pigeonhole over `windows_flushed`) flows genuinely share
