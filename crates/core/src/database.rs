@@ -47,7 +47,9 @@
 //!
 //! There is one implementation, `commit_pass`: status check, then
 //! `ready_group` (gates resolved, every member's shard locked, gates
-//! re-validated, every member completed), then the pin. The driver makes
+//! re-validated, every member completed), then — unless no member holds an
+//! undo entry, in which case there is nothing to make durable and the group
+//! goes straight to `finish_commit` with no record — the pin. The driver makes
 //! the pinned group's one commit record durable — `commit` forces it
 //! through the flusher and sleeps there, the executor submits it with a
 //! callback and parks — and `finish_commit` (statuses, locks, dependency
@@ -60,9 +62,10 @@
 //!
 //! ## Abort protocol (paper §4.2, `abort(ti)`)
 //!
-//! Install before images in reverse order, log `Abort`, release locks and
-//! permits, propagate along incoming AD/GC edges (CD edges are dropped),
-//! then mark aborted. A *running* victim is marked `Aborting` and its lock
+//! Install before images in reverse order — each with its CLR, one latched
+//! engine call per step — log `Abort` (if the log has heard of the
+//! transaction at all), release locks and permits, propagate along
+//! incoming AD/GC edges (CD edges are dropped), then mark aborted. A *running* victim is marked `Aborting` and its lock
 //! waits are poisoned; its own thread performs the steps when the closure
 //! unwinds — the paper's "mark tj in its TD structure as aborting". The
 //! `abort_performed` flag claims finalization under the victim's shard, so
@@ -70,7 +73,7 @@
 
 use crate::context::TxnCtx;
 use crate::txns::{GroupGuard, TxnTable};
-use asset_annot::{exec_step, verify_allow, wal};
+use asset_annot::{exec_step, wal};
 use asset_common::ids::IdGen;
 use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
 use asset_dep::{CommitGate, DepGraph};
@@ -263,15 +266,12 @@ impl Database {
         let (engine, report) = StorageEngine::open_with_obs(&config, Arc::clone(&obs))?;
         let tid_gen = IdGen::new();
         tid_gen.bump_past(report.max_tid);
+        // Restart leaves what it replayed in the cache, so the objects the
+        // log created are not in the store yet: the log's highest oid counts
+        // beside the store's.
         let oid_gen = IdGen::new();
-        let max_oid = engine
-            .store()
-            .oids()
-            .iter()
-            .map(|o| o.raw())
-            .max()
-            .unwrap_or(0);
-        oid_gen.bump_past(max_oid);
+        let stored = engine.store().oids().iter().map(|o| o.raw()).max();
+        oid_gen.bump_past(stored.unwrap_or(0).max(report.max_oid));
         let inner = Arc::new(DbInner {
             locks: LockTable::with_shards_obs(config.lock_shards, Arc::clone(&obs)),
             txns: TxnTable::new(config.txn_shards),
@@ -453,9 +453,8 @@ impl Database {
         if let Err(e) = spawned {
             // The thread never started: drive the slot to a terminal state
             // so wait()/commit() observe the failure instead of hanging on
-            // a Running transaction with no thread behind it. The Begin
-            // record without a Commit already reads as aborted to restart
-            // recovery.
+            // a Running transaction with no thread behind it. It has
+            // written nothing, so the log has never heard of it.
             self.inner.txns.with(t, |slot| {
                 if let Some(slot) = slot {
                     slot.status = TxnStatus::Aborted;
@@ -1075,19 +1074,19 @@ impl Database {
     /// `abort_performed`), then the undo/log/release steps run lock-free,
     /// then the terminal status is published. Running victims are marked
     /// and poisoned; their own threads finalize.
-    // Abort logs in the reverse direction by design: CLRs land during the
-    // undo walk and the Abort record last, after the state changes they
-    // describe — recovery re-derives any missing rollback from the Update
-    // records (§4.2 step 2), so log-before-mutate does not apply here.
-    #[verify_allow(
-        wal,
-        reason = "abort path: CLRs during undo, Abort record last; recovery re-derives rollback"
-    )]
+    // Each undo step logs its CLR and installs the image in one latched
+    // engine call; the Abort record follows the last of them and precedes
+    // the terminal status.
+    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Aborted")]
     pub(crate) fn abort_many(&self, seeds: &[Tid]) {
         enum Act {
             Skip,
             Wake,
-            Undo(Vec<UndoEntry>),
+            /// The claimed undo chain, and whether the log has heard of
+            /// the transaction (it wrote, or it is named by a `Prepared`
+            /// record): only then is there anything for an `Abort` record
+            /// to close.
+            Undo(Vec<UndoEntry>, bool),
         }
         let mut queue: Vec<Tid> = seeds.to_vec();
         while let Some(x) = queue.pop() {
@@ -1118,14 +1117,16 @@ impl Database {
                         if slot.abort_performed {
                             Act::Skip
                         } else {
+                            let in_log =
+                                !slot.undo.is_empty() || slot.status == TxnStatus::Prepared;
                             slot.abort_performed = true;
                             slot.status = TxnStatus::Aborting;
-                            Act::Undo(std::mem::take(&mut slot.undo))
+                            Act::Undo(std::mem::take(&mut slot.undo), in_log)
                         }
                     }
                 }
             });
-            let mut undo = match act {
+            let (mut undo, in_log) = match act {
                 Act::Skip => continue,
                 Act::Wake => {
                     // the poison wakes a task parked on a lock and the bump
@@ -1135,53 +1136,44 @@ impl Database {
                     self.nudge(x);
                     continue;
                 }
-                Act::Undo(undo) => undo,
+                Act::Undo(undo, in_log) => (undo, in_log),
             };
             let undo_records = undo.len();
             self.inner.obs.record(EventKind::SpanOpen {
                 tid: x,
                 span: SpanName::Rollback,
             });
-            // §4.2 abort step 2: install before images, newest first,
-            // logging a CLR per step so restart recovery replays the
-            // rollback instead of re-deriving it (and never clobbers later
-            // committed overwrites)
+            // §4.2 abort step 2: install before images, newest first, each
+            // with its CLR so restart recovery replays the rollback
+            // instead of re-deriving it (and never clobbers later
+            // committed overwrites). A step that fails — its CLR refused,
+            // its entry unreachable — must not strand the rest, but it
+            // leaves the rollback incomplete in the log: the Abort record
+            // is then withheld and restart, finding a loser, finishes it.
             undo.sort_by_key(|u| std::cmp::Reverse(u.seq));
+            let mut rolled_back = true;
             for u in undo {
-                #[allow(unused_mut)]
-                let mut clr_lost = false;
                 asset_faults::failpoint!(
                     &self.inner.config.faults,
                     crate::failpoints::ABORT_CLR,
                     |act| {
-                        match act {
-                            asset_faults::FaultAction::Crash
-                            | asset_faults::FaultAction::Torn { .. } => {
-                                // mid-rollback crash: restart recovery must
-                                // finish the undo from the log
-                                self.inner
-                                    .config
-                                    .faults
-                                    .crash_now(crate::failpoints::ABORT_CLR);
-                            }
-                            // a lost CLR append; the in-memory undo still
-                            // applies and recovery re-derives the rollback
-                            // from the Update records, so states converge
-                            _ => clr_lost = true,
-                        }
+                        // a crash mid-rollback, or (`Error`) one undo step
+                        // lost: either way restart recovery must finish
+                        // the undo from the log
+                        let _lost = self
+                            .inner
+                            .config
+                            .faults
+                            .realize_plain(crate::failpoints::ABORT_CLR, act);
+                        rolled_back = false;
+                        continue;
                     }
                 );
-                // best-effort: failing to undo one image must not strand
-                // the rest
-                let _ = self.inner.engine.install_image(u.oid, u.before.clone());
-                if !clr_lost {
-                    let _ = self.inner.engine.log_record(&LogRecord::Clr {
-                        oid: u.oid,
-                        image: u.before,
-                    });
-                }
+                rolled_back &= self.inner.engine.undo_object(u.oid, u.before).is_ok();
             }
-            let _ = self.inner.engine.log_record(&LogRecord::Abort { tid: x });
+            if in_log && rolled_back {
+                let _ = self.inner.engine.log_record(&LogRecord::Abort { tid: x });
+            }
             self.inner.obs.record(EventKind::SpanClose {
                 tid: x,
                 span: SpanName::Rollback,
@@ -1451,13 +1443,13 @@ impl Database {
     // where a pass says `Wait`, and the worker pool (`crate::exec`), which
     // parks the task. None of them may sleep (verify rule R5).
 
-    /// The `Initiated → Running` transition (Begin record first) both
-    /// drivers share: [`begin`](Self::begin) then spawns the transaction's
-    /// thread, the executor moves on to stepping. Hands back the job, or
-    /// `None` when the transaction was doomed before it started (the
-    /// commit then reports the abort).
+    /// The `Initiated → Running` transition both drivers share; nothing is
+    /// logged, a transaction enters the log with its first write.
+    /// [`begin`](Self::begin) then spawns the transaction's thread, the
+    /// executor moves on to stepping. Hands back the job, or `None` when
+    /// the transaction was doomed before it started (the commit then
+    /// reports the abort).
     #[exec_step]
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")]
     pub(crate) fn start(&self, t: Tid) -> Result<Option<Job>> {
         let job = self.inner.txns.with(t, |slot| -> Result<Option<Job>> {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
@@ -1471,10 +1463,6 @@ impl Database {
                     op: "begin",
                 });
             }
-            // WAL discipline: the Begin record lands before the slot is
-            // mutated, so a failed append leaves the transaction cleanly
-            // Initiated (retryable) instead of Running with no thread.
-            self.inner.engine.log_record(&LogRecord::Begin { tid: t })?;
             slot.status = TxnStatus::Running;
             slot.thread_live = true;
             // Initiated status invariantly carries the job installed by
@@ -1624,6 +1612,18 @@ impl Database {
                 // answered from the terminal status, never ahead of it
                 Ready::Doomed(group, _) => self.abort_many(&group),
                 Ready::Go(group, mut guard) => {
+                    // A group that holds no undo entry (read-only, or all
+                    // of its work delegated away) has nothing to make
+                    // durable and nothing in the log is its to commit: no
+                    // record, no flush window — straight to steps 5–6
+                    // under the guard.
+                    if group
+                        .iter()
+                        .all(|m| guard.get(*m).is_some_and(|s| s.undo.is_empty()))
+                    {
+                        self.finish_commit(t, &group, guard);
+                        return Ok(CommitPass::Done(true));
+                    }
                     // Step 4, first half: pin the group. While pinned,
                     // aborts skip the members, other commits wait, and
                     // delegate/form_dependency wait the window out — so
@@ -1727,10 +1727,12 @@ impl Database {
             deps.committed(group);
             before.saturating_sub(deps.edge_count() + deps.gc_link_count())
         };
-        drop(guard);
+        // counted before the shards are released: whoever has seen
+        // `Committed` sees the count that includes it
         let obs = &self.inner.obs;
         add(&obs.counters.txn_committed, group.len() as u64);
         add(&obs.counters.dep_edges_resolved, resolved as u64);
+        drop(guard);
         obs.commit_group_size.record(group.len() as u64);
         obs.record(EventKind::TxnCommit {
             tid: t,

@@ -18,9 +18,11 @@ pub const COMMIT_RECORD: &str = "commit.record";
 /// reconcile).
 pub const COMMIT_AFTER_RECORD: &str = "commit.after_record";
 
-/// In the `abort_many` undo loop, before each before-image install + CLR
-/// append: `Crash` interrupts a rollback halfway so restart recovery must
-/// finish it from the log; `Error` skips one undo entry (a lost CLR).
+/// In the `abort_many` undo loop, before each undo step (before image
+/// installed and CLR appended, one latched engine call): `Crash` interrupts
+/// a rollback halfway, `Error` loses one step; either way no `Abort`
+/// record is logged and restart recovery finishes the rollback from the
+/// log.
 pub const ABORT_CLR: &str = "abort.clr";
 
 /// In `delegate`, before the `Delegate` record is appended (which is now

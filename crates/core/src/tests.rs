@@ -731,8 +731,8 @@ fn compact_log_folds_delegation_into_ownership() {
     db.retire_terminated();
 
     let report = db.compact_log().unwrap();
-    // checkpoint + Begin(receiver) + 1 update, all under the receiver
-    assert_eq!(report.records_after, 3);
+    // checkpoint + 1 update, under the receiver
+    assert_eq!(report.records_after, 2);
     let records = db.engine().log().scan().unwrap();
     let owners: Vec<Tid> = records
         .iter()
@@ -1347,7 +1347,11 @@ fn form_dependency_issued_inside_the_flush_window_takes_effect_after_it() {
         |db| {
             let dead = db.initiate(|_| Ok(())).unwrap();
             assert!(db.abort(dead).unwrap());
-            (db.initiate(|_| Ok(())).unwrap(), dead)
+            // a writer: a commit with nothing to make durable has no record
+            // and no window to be pinned in
+            let oid = db.new_oid();
+            let t1 = db.initiate(move |ctx| ctx.write(oid, b"v".to_vec()));
+            (t1.unwrap(), dead)
         },
         |db, t1, dead| db.form_dependency(DepType::GC, dead, t1).unwrap(),
     );
@@ -1355,5 +1359,155 @@ fn form_dependency_issued_inside_the_flush_window_takes_effect_after_it() {
         db.introspect().deps.doomed,
         0,
         "a committed txn is never doomed"
+    );
+}
+
+// --- WAL v3: what a transaction costs the log -------------------------
+
+/// The log's frame count and tail, and the flusher's window count.
+fn log_marks(db: &Database) -> (u64, u64, u64) {
+    let marks = db.engine().log().watermarks();
+    (
+        marks.records_appended,
+        marks.tail.0,
+        db.engine().flusher().windows_flushed(),
+    )
+}
+
+fn records_since(db: &Database, lsn: u64) -> Vec<asset_storage::LogRecord> {
+    let records = db.engine().log().scan().unwrap();
+    records
+        .into_iter()
+        .filter(|(at, _)| at.0 >= lsn)
+        .map(|(_, rec)| rec)
+        .collect()
+}
+
+#[test]
+fn a_two_write_commit_over_logged_objects_is_three_frames() {
+    use asset_storage::LogRecord;
+    let db = db();
+    let (a, b) = (
+        seed(&db, &100i64.to_le_bytes()),
+        seed(&db, &100i64.to_le_bytes()),
+    );
+    let (frames, tail, _) = log_marks(&db);
+    let t = db
+        .initiate(move |ctx| {
+            ctx.write(a, 58i64.to_le_bytes().to_vec())?;
+            ctx.write(b, 142i64.to_le_bytes().to_vec())
+        })
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(db.commit(t).unwrap());
+    let (frames_after, tail_after, _) = log_marks(&db);
+    assert_eq!(frames_after - frames, 3, "three appends, no Begin");
+    let expected = [
+        LogRecord::Overwrite {
+            tid: t,
+            oid: a,
+            after: Some(58i64.to_le_bytes().to_vec()),
+        },
+        LogRecord::Overwrite {
+            tid: t,
+            oid: b,
+            after: Some(142i64.to_le_bytes().to_vec()),
+        },
+        LogRecord::Commit { tids: vec![t] },
+    ];
+    assert_eq!(records_since(&db, tail), expected);
+    let bytes: usize = expected.iter().map(|r| r.encode_frame().len()).sum();
+    assert_eq!(tail_after - tail, bytes as u64);
+}
+
+#[test]
+fn a_transaction_that_wrote_nothing_costs_the_log_nothing() {
+    let db = db();
+    let oid = seed(&db, b"v");
+    let before = log_marks(&db);
+    // read-only: commits with no record and no flush window
+    assert!(db.run(move |ctx| ctx.read(oid).map(|_| ())).unwrap());
+    // aborted before its first write
+    let t = db
+        .initiate(|ctx| ctx.abort_self::<()>().map(|_| ()))
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(!db.commit(t).unwrap());
+    // never begun
+    let t = db.initiate(|_| Ok(())).unwrap();
+    assert!(db.abort(t).unwrap());
+    assert_eq!(log_marks(&db), before);
+    assert_eq!(db.metrics_snapshot().counters.txn_committed, 2);
+}
+
+#[test]
+fn an_aborted_two_write_transaction_logs_its_rollback() {
+    use asset_storage::LogRecord;
+    let db = db();
+    let (a, b) = (seed(&db, b"a0"), seed(&db, b"b0"));
+    let (_, tail, windows) = log_marks(&db);
+    let t = db
+        .initiate(move |ctx| {
+            ctx.write(a, b"a1".to_vec())?;
+            ctx.write(b, b"b1".to_vec())
+        })
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(db.wait(t).unwrap());
+    assert!(db.abort(t).unwrap());
+    let image = |v: &[u8]| Some(v.to_vec());
+    assert_eq!(
+        records_since(&db, tail),
+        [
+            LogRecord::Overwrite {
+                tid: t,
+                oid: a,
+                after: image(b"a1")
+            },
+            LogRecord::Overwrite {
+                tid: t,
+                oid: b,
+                after: image(b"b1")
+            },
+            LogRecord::Clr {
+                oid: b,
+                image: image(b"b0")
+            },
+            LogRecord::Clr {
+                oid: a,
+                image: image(b"a0")
+            },
+            LogRecord::Abort { tid: t },
+        ]
+    );
+    assert_eq!(log_marks(&db).2, windows, "an abort waits for no window");
+    assert_eq!(db.peek(a).unwrap().unwrap(), b"a0");
+}
+
+/// A group that delegated all of its work away commits without a record;
+/// the delegatee's commit carries the work.
+#[test]
+fn a_delegator_left_with_nothing_commits_without_a_record() {
+    use asset_storage::LogRecord;
+    let db = db();
+    let oid = seed(&db, b"orig");
+    let receiver = db.initiate(|_| Ok(())).unwrap();
+    let worker = db
+        .initiate(move |ctx| ctx.write(oid, b"worked".to_vec()))
+        .unwrap();
+    db.begin(worker).unwrap();
+    db.wait(worker).unwrap();
+    db.delegate(worker, receiver, None).unwrap();
+    let (frames, ..) = log_marks(&db);
+    assert!(db.commit(worker).unwrap());
+    assert_eq!(log_marks(&db).0, frames);
+    db.begin(receiver).unwrap();
+    assert!(db.commit(receiver).unwrap());
+    let records = db.engine().log().scan().unwrap();
+    assert_eq!(
+        records.last().unwrap().1,
+        LogRecord::Commit {
+            tids: vec![receiver]
+        }
     );
 }

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SHARDS: usize = 16;
@@ -41,6 +41,16 @@ pub struct CachedObject {
     /// only gates whether a reader goes on to latch, and the latch
     /// acquisition is what synchronizes the payload itself.
     dirty: AtomicBool,
+    /// The log generation ([`LogManager::generation`]) in which the
+    /// current image was last logged; `0` when the log does not hold it (a
+    /// faulted-in entry, an unlogged [`install`](Self::install)). While it
+    /// equals the log's generation, the log's latest image of this object
+    /// *is* the payload, so the next write need not log a before image.
+    /// Read and written under the X latch, which is what orders it; the
+    /// atomic only makes the field `Sync`.
+    ///
+    /// [`LogManager::generation`]: crate::LogManager::generation
+    logged_gen: AtomicU64,
     obs: Arc<Obs>,
 }
 
@@ -58,8 +68,22 @@ impl CachedObject {
             latch: Latch::new(),
             data: UnsafeCell::new(bytes),
             dirty: AtomicBool::new(dirty),
+            logged_gen: AtomicU64::new(0),
             obs,
         }
+    }
+
+    /// The log generation that holds the current image (`0` = none).
+    /// Meaningful under the X latch, i.e. inside
+    /// [`write_with`](Self::write_with).
+    pub(crate) fn logged_in(&self) -> u64 {
+        self.logged_gen.load(Ordering::Relaxed)
+    }
+
+    /// Under the X latch: the image being installed was logged in
+    /// generation `gen` (`0`: it was not, or its record was refused).
+    pub(crate) fn set_logged_in(&self, gen: u64) {
+        self.logged_gen.store(gen, Ordering::Relaxed);
     }
 
     /// Record a latch acquisition outcome: spin counts are atomics-only, so
@@ -84,18 +108,21 @@ impl CachedObject {
         f(data.as_deref())
     }
 
-    /// Replace the payload under an X latch; returns the before image.
-    /// `None` deletes the object (tombstone).
+    /// Replace the payload under an X latch, unlogged; returns the before
+    /// image. `None` deletes the object (tombstone).
     pub fn install(&self, after: Option<Vec<u8>>) -> Option<Vec<u8>> {
         let (_g, spins) = self.latch.exclusive_profiled();
         self.note_latch(spins);
         self.dirty.store(true, Ordering::Relaxed);
+        self.set_logged_in(0);
         // SAFETY: X latch held; we are the unique accessor.
         let data = unsafe { &mut *self.data.get() };
         std::mem::replace(data, after)
     }
 
-    /// Mutate the payload in place under an X latch.
+    /// Mutate the payload in place under an X latch. A caller that logs
+    /// the new image says so with `set_logged_in`; one that does not must
+    /// reset it.
     pub fn write_with<R>(&self, f: impl FnOnce(&mut Option<Vec<u8>>) -> R) -> R {
         let (_g, spins) = self.latch.exclusive_profiled();
         self.note_latch(spins);
@@ -192,9 +219,13 @@ impl ObjectCache {
         self.shard(oid).lock().get(&oid).cloned()
     }
 
-    /// Insert/overwrite an entry directly (used by recovery, which builds
-    /// state from the log rather than the store).
-    pub fn install(&self, oid: Oid, bytes: Option<Vec<u8>>) {
+    /// Redo one logged image of `oid` (restart recovery, which builds
+    /// state from the log rather than the store): the entry is created or
+    /// overwritten, dirty, and marked as logged in generation `gen`.
+    /// Returns the image it replaced — `None` when no image of `oid` had
+    /// been replayed in this generation, i.e. the log read so far holds no
+    /// before image for it.
+    pub fn redo(&self, oid: Oid, image: Option<Vec<u8>>, gen: u64) -> Option<Option<Vec<u8>>> {
         // A vacant slot is filled under the shard mutex alone; an occupied
         // one needs the object latch, which ranks above the shard mutex —
         // so the guard is dropped before latching.
@@ -203,16 +234,27 @@ impl ObjectCache {
             match shard.entry(oid) {
                 Entry::Occupied(e) => Arc::clone(e.get()),
                 Entry::Vacant(v) => {
-                    v.insert(Arc::new(CachedObject::new(
-                        bytes,
-                        true,
-                        Arc::clone(&self.obs),
-                    )));
-                    return;
+                    let entry = CachedObject::new(image, true, Arc::clone(&self.obs));
+                    entry.set_logged_in(gen);
+                    v.insert(Arc::new(entry));
+                    return None;
                 }
             }
         };
-        existing.install(bytes);
+        existing.write_with(|slot| {
+            let known = existing.logged_in() == gen;
+            existing.set_logged_in(gen);
+            let replaced = std::mem::replace(slot, image);
+            known.then_some(replaced)
+        })
+    }
+
+    /// Drop every entry (restart recovery meeting a `Checkpoint` record:
+    /// what was replayed before it is in the store).
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard.lock().clear();
+        }
     }
 
     /// Write all dirty entries back to `store`; tombstones become deletes.

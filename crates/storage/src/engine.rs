@@ -4,18 +4,20 @@
 
 use crate::cache::ObjectCache;
 use crate::heapfile::{FilePageStore, MemPageStore, PageStore};
-use crate::log::{GroupFlusher, LogManager, LogRecord, UpdateRef};
-use crate::recovery::{recover, RecoveryReport};
+use crate::log::{GroupFlusher, LogManager, LogRecord, RecordRef};
+use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
+use asset_annot::wal;
 use asset_common::{Config, Durability, Lsn, Oid, Result, Tid};
 use asset_obs::Obs;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The assembled storage substrate.
 ///
 /// All object access during normal operation goes through the shared cache
 /// (the paper's mode of operation); the store is the persistent home,
-/// written at checkpoints, flushes and recovery. Commit records are routed
+/// written at checkpoints and log compactions only. Commit records are routed
 /// through the [`GroupFlusher`], which batches every commit submitted
 /// within one flush window into a single write+sync.
 pub struct StorageEngine {
@@ -71,8 +73,6 @@ impl StorageEngine {
             config.durability,
             config.commit_flush_window,
             Arc::clone(&obs),
-            #[cfg(feature = "faults")]
-            Arc::clone(&config.faults),
         );
         let store = ObjectStore::open(page_store, config.buffer_pool_pages)?;
         let cache = ObjectCache::with_obs(Arc::clone(&obs));
@@ -117,9 +117,20 @@ impl StorageEngine {
         Ok(entry.read_with(|b| b.map(|s| s.to_vec())))
     }
 
-    /// Write `oid` through the cache on behalf of `tid`, logging before and
-    /// after images (paper `write` algorithm steps 2–6). Returns the before
-    /// image.
+    /// Write `oid` through the cache on behalf of `tid` (paper `write`
+    /// algorithm steps 2–6). Returns the before image.
+    ///
+    /// The paper logs the before image, updates, and logs the after image.
+    /// Here the before image is logged **when the log does not already
+    /// hold it**: the entry remembers the log generation in which its
+    /// image was last logged, and while that is the current one the image
+    /// in the cache is, byte for byte, what the latest record of this
+    /// object installed — so the write appends an `Overwrite` (after image
+    /// only) and replay takes the before image from that record. The first
+    /// touch of an object per generation — every creation, every first
+    /// write after a checkpoint or compaction cut the log, every entry
+    /// faulted in from the store — logs the full `Update { before, after }`.
+    #[wal(logs = "append_ref", mutates = "std::mem::replace(slot, after)")]
     pub fn write_object(
         &self,
         tid: Tid,
@@ -127,29 +138,44 @@ impl StorageEngine {
         after: Option<Vec<u8>>,
     ) -> Result<Option<Vec<u8>>> {
         let entry = self.cache.entry(oid, &self.store)?;
-        // Paper `write` steps 2–6 under one X latch: the record is encoded
-        // from both images where they sit — the cache's and the caller's —
-        // so neither is copied, and two permitted writers of one object log
-        // in the order they install. A refused append installs nothing.
+        // Steps 2–6 under one X latch: the record is encoded from the
+        // images where they sit — the cache's and the caller's — so neither
+        // is copied, and two permitted writers of one object log in the
+        // order they install. A refused append installs nothing.
         entry.write_with(|slot| {
-            self.log.append_update(&UpdateRef {
-                tid,
-                oid,
-                before: slot.as_deref(),
-                after: after.as_deref(),
+            let generation = self.log.generation();
+            let after_ref = after.as_deref();
+            self.log.append_ref(&if entry.logged_in() == generation {
+                RecordRef::Overwrite {
+                    tid,
+                    oid,
+                    after: after_ref,
+                }
+            } else {
+                RecordRef::Update {
+                    tid,
+                    oid,
+                    before: slot.as_deref(),
+                    after: after_ref,
+                }
             })?;
+            entry.set_logged_in(generation);
             Ok(std::mem::replace(slot, after))
         })
     }
 
-    /// Install an image without logging (undo during abort; recovery).
-    pub fn install_image(&self, oid: Oid, image: Option<Vec<u8>>) -> Result<()> {
-        let entry = self.cache.entry(oid, &self.store)?;
-        entry.install(image);
-        Ok(())
+    /// One undo step of an abort (§4.2 `abort` step 2): install the before
+    /// image `image` over `oid` and log the CLR that replays it, together
+    /// under the object's X latch — see
+    /// [`recovery::undo_object`](crate::recovery), which restart recovery
+    /// calls for its losers too. An error means the CLR was not logged (the
+    /// image is installed regardless): the caller must not log the `Abort`
+    /// record that would tell restart the rollback is all in the log.
+    pub fn undo_object(&self, oid: Oid, image: Option<Vec<u8>>) -> Result<()> {
+        crate::recovery::undo_object(&self.log, &self.cache, &self.store, oid, image)
     }
 
-    /// Log a record (commit/abort/delegate/begin). Commit and Prepared
+    /// Log a record (commit/abort/delegate/prepared). Commit and Prepared
     /// records go through the [`GroupFlusher`]: the call blocks until the
     /// record's flush window is durable, so acknowledgement semantics match
     /// the old per-commit forced append while concurrent committers share
@@ -219,48 +245,53 @@ impl StorageEngine {
     /// 1. force the log, then flush the cache and pool (all current images
     ///    are in the store — live transactions' uncommitted ones included,
     ///    which is why the records that undo them must be stable first);
-    /// 2. analyze the log (applying delegations) to find the pending
-    ///    updates each live transaction is responsible for;
-    /// 3. rewrite the log as: `Checkpoint` marker, then for each live
-    ///    transaction a fresh `Begin` and its pending updates (attributed
-    ///    to the *current* owner — delegation records become unnecessary).
+    /// 2. fold the log as restart does (delegations applied, before images
+    ///    of `Overwrite`s resolved — against a scratch image map, not the
+    ///    cache) to find the pending updates each live transaction is
+    ///    responsible for;
+    /// 3. rewrite the log as: `Checkpoint` marker, then those pending
+    ///    updates **in their original LSN order across owners** — undo
+    ///    installs before images newest first, so two cooperating writers
+    ///    of one object must keep the order they wrote in — each a full
+    ///    `Update` attributed to its *current* owner (delegation records
+    ///    become unnecessary). Its before image is the undo information;
+    ///    its after image is the object's latest logged image, which is
+    ///    what the store now holds, so redoing the compacted log changes
+    ///    nothing, whoever else wrote the object in between.
     ///
     /// The caller must guarantee no transaction appends concurrently
     /// (the transaction manager holds its table lock and checks that no
     /// transaction is `Running`).
-    pub fn compact_log(&self, live: &std::collections::HashSet<Tid>) -> Result<CompactionReport> {
+    pub fn compact_log(&self, live: &HashSet<Tid>) -> Result<CompactionReport> {
         self.log.flush()?;
         self.cache.flush(&self.store)?;
         self.store.flush()?;
-        let records = self.log.scan()?;
-        let before = records.len();
-        let mut analysis = crate::recovery::analyze(records);
+        let mut fold = LogFold::default();
+        let mut images: HashMap<Oid, Option<Vec<u8>>> = HashMap::new();
+        self.log
+            .replay(|lsn, rec| fold.apply(lsn, rec, &mut images))?;
         self.log.truncate()?;
         self.log.append(&LogRecord::Checkpoint)?;
         let mut after = 1usize;
-        let mut owners: Vec<Tid> = analysis
+        let mut pending: Vec<(Tid, PendingUpdate)> = fold
             .pending
-            .keys()
-            .copied()
-            .filter(|t| live.contains(t))
+            .into_iter()
+            .filter(|(owner, _)| live.contains(owner))
+            .flat_map(|(owner, updates)| updates.into_iter().map(move |u| (owner, u)))
             .collect();
-        owners.sort_unstable();
-        for owner in owners {
-            self.log.append(&LogRecord::Begin { tid: owner })?;
+        pending.sort_by_key(|(_, u)| u.lsn);
+        for (owner, u) in pending {
+            self.log.append_ref(&RecordRef::Update {
+                tid: owner,
+                oid: u.oid,
+                before: u.before.as_deref(),
+                after: images.get(&u.oid).and_then(|image| image.as_deref()),
+            })?;
             after += 1;
-            for u in analysis.pending.remove(&owner).unwrap_or_default() {
-                self.log.append(&LogRecord::Update {
-                    tid: owner,
-                    oid: u.oid,
-                    after: analysis.take_after_image(u.lsn),
-                    before: u.before,
-                })?;
-                after += 1;
-            }
         }
         // Re-log one Prepared record per in-doubt group so prepared-but-
         // undecided participants stay in-doubt across compaction (§14.3).
-        let mut groups: Vec<Vec<Tid>> = analysis.prepared.values().cloned().collect();
+        let mut groups: Vec<Vec<Tid>> = fold.prepared.into_values().collect();
         groups.sort_unstable();
         groups.dedup();
         for tids in groups {
@@ -271,7 +302,7 @@ impl StorageEngine {
             self.log.flush()?;
         }
         Ok(CompactionReport {
-            records_before: before,
+            records_before: fold.records,
             records_after: after,
         })
     }
@@ -382,12 +413,160 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn kinds(e: &StorageEngine) -> Vec<&'static str> {
+        let records = e.log.scan().unwrap();
+        records.iter().map(|(_, rec)| rec.name()).collect()
+    }
+
+    /// The generation rule: a before image is logged on the first touch of
+    /// an object per log generation and never again.
     #[test]
-    fn install_image_is_not_logged() {
+    fn before_image_is_logged_once_per_generation() {
         let e = mem_engine();
-        let n0 = e.log.records_appended();
-        e.install_image(Oid(1), Some(b"quiet".to_vec())).unwrap();
-        assert_eq!(e.log.records_appended(), n0);
-        assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"quiet");
+        let write = |v: &[u8]| e.write_object(Tid(1), Oid(1), Some(v.to_vec())).unwrap();
+        assert_eq!(write(b"v1"), None);
+        assert_eq!(write(b"v2").unwrap(), b"v1");
+        e.undo_object(Oid(1), Some(b"v1".to_vec())).unwrap();
+        assert_eq!(
+            write(b"v3").unwrap(),
+            b"v1",
+            "a CLR's image is in the log too"
+        );
+        assert_eq!(kinds(&e), ["update", "overwrite", "clr", "overwrite"]);
+        e.log_record(&LogRecord::Commit { tids: vec![Tid(1)] })
+            .unwrap();
+        e.checkpoint().unwrap();
+        assert_eq!(write(b"v4").unwrap(), b"v3");
+        write(b"v5");
+        assert_eq!(kinds(&e), ["checkpoint", "update", "overwrite"]);
+        let (_, first) = &e.log.scan().unwrap()[1];
+        assert!(
+            matches!(first, LogRecord::Update { before: Some(b), .. } if b == b"v3"),
+            "the first write after the cut carries its before image: {first:?}"
+        );
+    }
+
+    /// An image installed behind the log's back ends the object's
+    /// `Overwrite` run: the log no longer holds its before image.
+    #[test]
+    fn an_unlogged_install_forgets_the_generation() {
+        let e = mem_engine();
+        e.write_object(Tid(1), Oid(1), Some(b"v1".to_vec()))
+            .unwrap();
+        let entry = e.cache.entry(Oid(1), &e.store).unwrap();
+        entry.install(Some(b"quiet".to_vec()));
+        e.write_object(Tid(1), Oid(1), Some(b"v2".to_vec()))
+            .unwrap();
+        assert_eq!(kinds(&e), ["update", "update"]);
+    }
+
+    /// A transfer over two objects the log has seen is three frames and
+    /// 52 bytes with three-byte ids — the benchmark's `log_bytes_per_txn`.
+    #[test]
+    fn a_transfer_over_logged_objects_is_52_bytes() {
+        let e = mem_engine();
+        let (a, b) = (Oid(90_000), Oid(90_001));
+        let balance = |v: i64| Some(v.to_le_bytes().to_vec());
+        for oid in [a, b] {
+            e.write_object(Tid(70_000), oid, balance(100)).unwrap();
+        }
+        e.log_record(&LogRecord::Commit {
+            tids: vec![Tid(70_000)],
+        })
+        .unwrap();
+        let (tail, records) = (e.log.tail().0, e.log.records_appended());
+        e.write_object(Tid(70_001), a, balance(58)).unwrap();
+        e.write_object(Tid(70_001), b, balance(142)).unwrap();
+        e.log_record(&LogRecord::Commit {
+            tids: vec![Tid(70_001)],
+        })
+        .unwrap();
+        assert_eq!(e.log.records_appended() - records, 3);
+        assert_eq!(e.log.tail().0 - tail, 52);
+    }
+
+    /// Regression: restart used to undo its losers in the cache and log
+    /// nothing, so a loser was a loser again at the next restart and its
+    /// before image went over whatever had committed since.
+    #[test]
+    fn a_commit_after_restart_survives_the_second_restart() {
+        let mut e = mem_engine();
+        let x = Oid(1);
+        let commit = |e: &StorageEngine, t| {
+            e.log_record(&LogRecord::Commit { tids: vec![Tid(t)] })
+                .unwrap()
+        };
+        e.write_object(Tid(1), x, Some(b"base".to_vec())).unwrap();
+        commit(&e, 1);
+        e.write_object(Tid(2), x, Some(b"loser".to_vec())).unwrap();
+        let report = e.simulate_crash_and_recover().unwrap();
+        assert_eq!((report.losers, report.undone), (1, 1));
+        assert_eq!(e.read_object(x).unwrap().unwrap(), b"base");
+        assert_eq!(
+            kinds(&e),
+            ["update", "commit", "overwrite", "clr", "abort"],
+            "the rollback is in the log"
+        );
+        e.write_object(Tid(3), x, Some(b"winner".to_vec())).unwrap();
+        commit(&e, 3);
+        for _ in 0..2 {
+            let report = e.simulate_crash_and_recover().unwrap();
+            assert_eq!((report.losers, report.undone, report.winners), (0, 0, 2));
+            assert_eq!(e.read_object(x).unwrap().unwrap(), b"winner");
+        }
+    }
+
+    /// Regression: compaction used to re-log pending updates grouped by
+    /// owner in tid order. Undo installs before images newest first, so
+    /// two cooperating writers of one object must keep their log order.
+    #[test]
+    fn compaction_keeps_cooperating_writers_in_lsn_order() {
+        let mut e = mem_engine();
+        let x = Oid(1);
+        e.write_object(Tid(1), x, Some(b"base".to_vec())).unwrap();
+        e.log_record(&LogRecord::Commit { tids: vec![Tid(1)] })
+            .unwrap();
+        // T5 writes x, then T3 — permitted, and the lower tid — overwrites
+        e.write_object(Tid(5), x, Some(b"t5".to_vec())).unwrap();
+        e.write_object(Tid(3), x, Some(b"t3".to_vec())).unwrap();
+        let live = [Tid(3), Tid(5)].into_iter().collect();
+        let report = e.compact_log(&live).unwrap();
+        assert_eq!((report.records_before, report.records_after), (4, 3));
+        let owners: Vec<Tid> = e
+            .log
+            .scan()
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, rec)| match rec {
+                LogRecord::Update { tid, .. } => Some(tid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(owners, [Tid(5), Tid(3)], "re-logged in the order written");
+        // both commit: the runtime reads T3's image, and so must a restart
+        e.log_record(&LogRecord::Commit {
+            tids: vec![Tid(3), Tid(5)],
+        })
+        .unwrap();
+        e.simulate_crash_and_recover().unwrap();
+        assert_eq!(e.read_object(x).unwrap().unwrap(), b"t3");
+    }
+
+    /// ... and if neither commits, restart undoes newest first and lands
+    /// on the image before the older write.
+    #[test]
+    fn compacted_cooperating_losers_roll_back_to_the_oldest_before_image() {
+        let mut e = mem_engine();
+        let x = Oid(1);
+        e.write_object(Tid(1), x, Some(b"base".to_vec())).unwrap();
+        e.log_record(&LogRecord::Commit { tids: vec![Tid(1)] })
+            .unwrap();
+        e.write_object(Tid(5), x, Some(b"t5".to_vec())).unwrap();
+        e.write_object(Tid(3), x, Some(b"t3".to_vec())).unwrap();
+        e.compact_log(&[Tid(3), Tid(5)].into_iter().collect())
+            .unwrap();
+        let report = e.simulate_crash_and_recover().unwrap();
+        assert_eq!((report.losers, report.undone), (2, 2));
+        assert_eq!(e.read_object(x).unwrap().unwrap(), b"base");
     }
 }

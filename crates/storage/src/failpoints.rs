@@ -28,8 +28,8 @@ pub const LOG_FLUSH: &str = "log.flush.write";
 
 /// In [`LogManager::truncate`](crate::LogManager::truncate): before the
 /// file is cut to zero; and in
-/// [`LogManager::scan_and_chop`](crate::LogManager::scan_and_chop): before
-/// a torn tail is cut off at recovery.
+/// [`LogManager::replay`](crate::LogManager::replay): before a torn tail
+/// is cut off at recovery.
 pub const LOG_TRUNCATE: &str = "log.truncate";
 
 /// In `FilePageStore::{write_page, allocate}`: before the page's bytes
@@ -46,6 +46,13 @@ pub const CHECKPOINT_BEFORE_TRUNCATE: &str = "checkpoint.before_truncate";
 /// In [`StorageEngine::checkpoint`](crate::StorageEngine::checkpoint):
 /// after the log is truncated, before the checkpoint marker is appended.
 pub const CHECKPOINT_AFTER_TRUNCATE: &str = "checkpoint.after_truncate";
+
+/// In [`recover`](crate::recover)'s undo phase: before each undo step (a
+/// loser's before image installed and its CLR appended) and once more
+/// before the losers' `Abort` records. `Crash` at the n-th hit leaves a
+/// rollback that restart itself only half logged; the next restart must
+/// converge to the same state.
+pub const RECOVERY_UNDO: &str = "recovery.undo";
 
 /// In [`GroupFlusher`](crate::log::GroupFlusher): while the flusher thread
 /// assembles a flush window, before any of the window's commit records is
@@ -69,6 +76,7 @@ pub const ALL: &[&str] = &[
     STORE_SYNC,
     CHECKPOINT_BEFORE_TRUNCATE,
     CHECKPOINT_AFTER_TRUNCATE,
+    RECOVERY_UNDO,
     FLUSH_WINDOW_ASSEMBLE,
     FLUSH_WINDOW_SYNC,
 ];

@@ -19,7 +19,8 @@
 //! * [`latch`] — the EOS latch (§4.1);
 //! * [`cache`] — the shared object cache with per-object latches;
 //! * [`log`] — WAL records and the log manager;
-//! * [`recovery`] — restart recovery honoring delegation records;
+//! * [`recovery`] — restart recovery: one pass over the log, then the
+//!   runtime's own logged undo for the losers;
 //! * [`engine`] — the assembled [`StorageEngine`] facade.
 
 #![warn(missing_docs)]
@@ -39,6 +40,6 @@ pub mod store;
 pub use cache::{CachedObject, ObjectCache};
 pub use engine::{CompactionReport, StorageEngine};
 pub use latch::Latch;
-pub use log::{FlushCallback, GroupFlusher, LogManager, LogRecord, LogWatermarks};
-pub use recovery::{analyze, recover, InDoubt, LogAnalysis, PendingUpdate, RecoveryReport};
+pub use log::{FlushCallback, GroupFlusher, LogManager, LogRecord, LogWatermarks, RecordRef};
+pub use recovery::{recover, InDoubt, PendingUpdate, RecoveryReport};
 pub use store::ObjectStore;

@@ -70,8 +70,6 @@ struct Shared {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
-    #[cfg(feature = "faults")]
-    faults: Arc<asset_faults::FaultRegistry>,
 }
 
 /// The dedicated log-flusher: owns the only thread that appends commit
@@ -86,13 +84,13 @@ impl GroupFlusher {
     /// Spawn the flusher thread. `window` is how long the thread lingers
     /// after the first record of a window to let concurrent committers
     /// coalesce; `Duration::ZERO` flushes as soon as the thread runs
-    /// (whatever queued by then still shares one sync).
+    /// (whatever queued by then still shares one sync). The window's
+    /// failpoints consult the fault registry attached to `log`.
     pub fn spawn(
         log: Arc<LogManager>,
         durability: Durability,
         window: Duration,
         obs: Arc<Obs>,
-        #[cfg(feature = "faults")] faults: Arc<asset_faults::FaultRegistry>,
     ) -> GroupFlusher {
         let shared = Arc::new(Shared {
             log,
@@ -102,8 +100,6 @@ impl GroupFlusher {
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            #[cfg(feature = "faults")]
-            faults,
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -298,7 +294,7 @@ fn realize_nonpanicking(out: Outcome) -> Result<Lsn> {
 /// neither.
 fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<Vec<Lsn>> {
     asset_faults::failpoint!(
-        &shared.faults,
+        shared.log.faults(),
         crate::failpoints::FLUSH_WINDOW_ASSEMBLE,
         |act| {
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
@@ -311,13 +307,15 @@ fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<Vec<Lsn>> {
                 let _ = shared.log.drain(false);
             }
             return Err(shared
-                .faults
+                .log
+                .faults()
                 .realize_plain(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, act)
                 .into());
         }
     );
     let lsns = shared.log.append_all(batch.iter().map(|p| &p.rec))?;
-    let elide = asset_faults::failpoint_sync!(&shared.faults, crate::failpoints::FLUSH_WINDOW_SYNC);
+    let elide =
+        asset_faults::failpoint_sync!(shared.log.faults(), crate::failpoints::FLUSH_WINDOW_SYNC);
     shared
         .log
         .drain(!elide && shared.durability == Durability::Strict)?;
@@ -336,8 +334,6 @@ mod tests {
             Durability::InMemory,
             window,
             Obs::shared(),
-            #[cfg(feature = "faults")]
-            Default::default(),
         );
         (log, f)
     }

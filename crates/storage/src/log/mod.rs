@@ -38,8 +38,7 @@ mod flusher;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
-pub use record::LogRecord;
-pub(crate) use record::UpdateRef;
+pub use record::{Ids, LogRecord, RecordRef, WireId};
 
 use asset_annot::wal;
 use asset_common::{Durability, Lsn, Result};
@@ -49,11 +48,15 @@ use record::Frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default user-space buffer watermark (bytes).
 pub const DEFAULT_FLUSH_WATERMARK: usize = 64 * 1024;
+
+/// How much of the log [`LogManager::replay`] reads at a time.
+const REPLAY_CHUNK: usize = 256 * 1024;
 
 /// Point-in-time durability watermarks of the log, read in one critical
 /// section by [`LogManager::watermarks`] so the fields are mutually
@@ -106,6 +109,8 @@ pub struct LogManager {
     disk: Option<Disk>,
     durability: Durability,
     flush_watermark: usize,
+    /// See [`generation`](Self::generation).
+    generation: AtomicU64,
     obs: Arc<Obs>,
     #[cfg(feature = "faults")]
     faults: Arc<asset_faults::FaultRegistry>,
@@ -127,6 +132,7 @@ impl LogManager {
             disk,
             durability,
             flush_watermark: watermark.max(1),
+            generation: AtomicU64::new(1),
             obs: Obs::shared(),
             #[cfg(feature = "faults")]
             faults: Default::default(),
@@ -155,9 +161,31 @@ impl LogManager {
         self.faults = faults;
     }
 
+    /// The registry this manager's failpoints consult; the flusher and
+    /// restart recovery, which work on this log, consult the same one.
+    #[cfg(feature = "faults")]
+    pub(crate) fn faults(&self) -> &Arc<asset_faults::FaultRegistry> {
+        &self.faults
+    }
+
     /// The observability hub this log reports into.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
+    }
+
+    /// The log's generation: starts at one and moves on at every
+    /// [`truncate`](Self::truncate), so "logged in the current generation"
+    /// means "in the log as it stands" — and nothing has to be swept when
+    /// the log is cut. The storage engine stamps it on a cached object
+    /// whose image it has just logged; while the stamp is current, the
+    /// next write to the object logs no before image
+    /// ([`LogRecord::Overwrite`]).
+    ///
+    /// Relaxed: truncation is legal only while no transaction writes, and
+    /// it is the caller's exclusion of writers (the transaction table's
+    /// shards), not this counter, that orders the two.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
     }
 
     /// Open (creating if absent) the log file at `path` with the default
@@ -218,9 +246,9 @@ impl LogManager {
         Ok(lsns)
     }
 
-    /// Append an `Update` whose images are borrowed: the one record kind on
-    /// the hot path carries two, and neither is copied to log it.
-    pub(crate) fn append_update(&self, rec: &UpdateRef<'_>) -> Result<Lsn> {
+    /// Append a record whose images are borrowed: the write and undo paths
+    /// log from where the images sit, and copy neither.
+    pub(crate) fn append_ref(&self, rec: &RecordRef<'_>) -> Result<Lsn> {
         self.append_inner(std::iter::once(rec), |_| (), false)
     }
 
@@ -435,25 +463,66 @@ impl LogManager {
         self.watermarks().unsynced_bytes
     }
 
-    /// Read the whole log and decode it into `(lsn, record)` pairs. A torn
-    /// tail is tolerated (crash consistency); corruption before the tail is
-    /// an error. The file is read with drains held off but appends not.
+    /// Read the whole log and decode it into `(lsn, record)` pairs: a
+    /// collector over [`replay`](Self::replay), for tests and diagnostics.
     pub fn scan(&self) -> Result<Vec<(Lsn, LogRecord)>> {
-        Ok(self.scan_to_end()?.0)
+        let mut out = Vec::new();
+        self.replay(|lsn, rec| {
+            out.push((lsn, rec.to_owned()));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// [`scan`](Self::scan) for restart recovery, which runs before any
-    /// append is accepted: what follows the last whole frame is the torn
-    /// tail of a crashed write that no force covered. Left in the file, the
-    /// next run's records would follow it and the run after that would read
-    /// garbage before them; so the file is chopped to the end of the last
-    /// whole frame and `tail` — the next record's LSN — set to match.
-    pub fn scan_and_chop(&self) -> Result<Vec<(Lsn, LogRecord)>> {
-        let (records, end) = self.scan_to_end()?;
-        if let Some(disk) = &self.disk {
-            let _drains = disk.spare.lock();
-            let mut inner = self.inner.lock();
-            if end < inner.tail {
+    /// Stream the log through `visit`, one record at a time in LSN order,
+    /// images and id lists borrowed from the read buffer: the log is read
+    /// a chunk at a time and never held whole. Records still in the
+    /// user-space buffer are part of the log and follow the file's. An
+    /// error from `visit` ends the replay and is returned; corruption
+    /// before the tail is an error.
+    ///
+    /// A torn tail is tolerated (crash consistency) and **chopped**: what
+    /// follows the last whole frame was left by a crashed write that no
+    /// force covered. Left in the file, the next run's records would
+    /// follow it and the run after that would read garbage before them; so
+    /// the file is cut to the end of the last whole frame and `tail` — the
+    /// next record's LSN — set to match. Only restart recovery, which runs
+    /// before any append is accepted, can meet one.
+    ///
+    /// Drains, and with them truncation, are held off for the whole replay
+    /// (appends are not): `visit` must not flush or truncate this log.
+    pub fn replay(&self, mut visit: impl FnMut(Lsn, RecordRef<'_>) -> Result<()>) -> Result<()> {
+        let drains = self.disk.as_ref().map(|d| (d, d.spare.lock()));
+        let (written, unwritten) = {
+            let inner = self.inner.lock();
+            (inner.written, inner.pending.clone())
+        };
+        let in_file: Box<dyn Read> = match &drains {
+            Some((disk, _)) => Box::new(File::open(&disk.path)?.take(written)),
+            None => Box::new(std::io::empty()),
+        };
+        let mut src = in_file.chain(&unwritten[..]);
+        // `buf` is a window on the log starting at LSN `base`; frames are
+        // decoded at `off` until one runs past the window's end, then the
+        // window slides and takes in the next chunk.
+        let (mut buf, mut base, mut off) = (Vec::new(), 0u64, 0usize);
+        let mut eof = false;
+        loop {
+            if let Some((rec, next)) = RecordRef::decode_frame(&buf, off)? {
+                visit(Lsn(base + off as u64), rec)?;
+                off = next;
+            } else if eof {
+                break;
+            } else {
+                buf.drain(..off);
+                base += off as u64;
+                off = 0;
+                eof = (&mut src).take(REPLAY_CHUNK as u64).read_to_end(&mut buf)? == 0;
+            }
+        }
+        let end = base + off as u64;
+        if let Some((disk, _)) = &drains {
+            if end < written {
                 asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
                     return Err(self
                         .faults
@@ -462,46 +531,29 @@ impl LogManager {
                 });
                 disk.file.set_len(end)?;
                 disk.file.sync_data()?;
+                let mut inner = self.inner.lock();
                 inner.pending.clear();
                 inner.tail = end;
                 inner.written = end;
                 inner.synced = end;
             }
         }
-        Ok(records)
-    }
-
-    /// The decoded log and the offset its last whole frame ends at.
-    fn scan_to_end(&self) -> Result<(Vec<(Lsn, LogRecord)>, u64)> {
-        let mut buf = Vec::new();
-        let drains = match &self.disk {
-            None => None,
-            Some(disk) => {
-                let drains = disk.spare.lock();
-                File::open(&disk.path)?.read_to_end(&mut buf)?;
-                Some(drains)
-            }
-        };
-        // records not yet handed to the OS are still part of the
-        // in-process log
-        buf.extend_from_slice(&self.inner.lock().pending);
-        drop(drains);
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        while let Some((rec, next)) = LogRecord::decode_frame(&buf, off)? {
-            out.push((Lsn(off as u64), rec));
-            off = next;
-        }
-        Ok((out, off as u64))
+        Ok(())
     }
 
     /// Truncate the log to empty. Only legal at a quiescent checkpoint,
     /// after every page has been flushed; the caller (checkpointing code)
     /// guarantees that. `tail` returns to zero only once the file has: a
     /// refused truncation leaves LSNs and offsets where they were.
+    ///
+    /// The [`generation`](Self::generation) moves on first: if the cut is
+    /// then refused, the writers that follow log explicit before images
+    /// behind the old records — bytes the log did not need, never a record
+    /// whose before image the log lacks.
     pub fn truncate(&self) -> Result<()> {
         let drains = self.disk.as_ref().map(|d| (d, d.spare.lock()));
         let mut inner = self.inner.lock();
+        self.generation.fetch_add(1, Ordering::Relaxed);
         if let Some((disk, _)) = &drains {
             asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
                 return Err(self
@@ -544,7 +596,7 @@ mod tests {
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
-            LogRecord::Begin { tid: Tid(1) },
+            LogRecord::Abort { tid: Tid(1) },
             LogRecord::Update {
                 tid: Tid(1),
                 oid: Oid(10),
@@ -619,6 +671,64 @@ mod tests {
         }
         let log = LogManager::open(&path, Durability::Buffered).unwrap();
         assert_eq!(log.scan().unwrap().len(), 3, "torn tail dropped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `replay` reads a chunk at a time: frames that straddle a chunk
+    /// boundary, the records still in the user-space buffer, and a torn
+    /// tail (here inside an `Overwrite`) that it chops off the file.
+    #[test]
+    fn replay_streams_across_chunks_and_chops_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("asset-log-stream-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let rec = |i: u64| LogRecord::Overwrite {
+            tid: Tid(i),
+            oid: Oid(i % 7),
+            after: Some(vec![i as u8; 1000 + (i % 13) as usize]),
+        };
+        let n = 3 * REPLAY_CHUNK as u64 / 1000;
+        let check = |log: &LogManager, expect: u64| {
+            let (mut seen, mut next_lsn) = (0u64, 0u64);
+            log.replay(|lsn, got| {
+                assert_eq!(lsn.0, next_lsn, "record {seen}");
+                assert_eq!(got.to_owned(), rec(seen));
+                next_lsn += rec(seen).encode_frame().len() as u64;
+                seen += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(seen, expect);
+            assert_eq!(log.tail().0, next_lsn);
+        };
+        {
+            let log = LogManager::open(&path, Durability::Strict).unwrap();
+            for i in 0..n {
+                log.append(&rec(i)).unwrap();
+            }
+            assert!(log.pending_bytes() > 0, "the last records are buffered");
+            check(&log, n);
+            // a visitor's error ends the replay and is the replay's
+            let mut visited = 0;
+            let stopped = log.replay(|_, _| {
+                visited += 1;
+                Err(std::io::Error::other("enough").into())
+            });
+            assert!(stopped.is_err());
+            assert_eq!(visited, 1);
+        }
+        let whole = std::fs::metadata(&path).unwrap().len();
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let frame = rec(n).encode_frame();
+            f.write_all(&frame[..frame.len() - 1]).unwrap();
+        }
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        assert!(log.tail().0 > whole);
+        check(&log, n);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole, "chopped");
+        drop(log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -702,11 +812,11 @@ mod tests {
         }
         log.truncate().unwrap();
         assert_eq!(log.scan().unwrap().len(), 0);
-        log.append(&LogRecord::Begin { tid: Tid(2) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(2) }).unwrap();
         log.flush().unwrap();
         let scanned = log.scan().unwrap();
         assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].1, LogRecord::Begin { tid: Tid(2) });
+        assert_eq!(scanned[0].1, LogRecord::Abort { tid: Tid(2) });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -761,10 +871,10 @@ mod tests {
         let path = dir.join("strict.log");
         let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Strict, 12).unwrap();
-        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         assert_eq!(log.pending_bytes() as u64, log.tail().0);
         assert_eq!(log.unsynced_bytes(), 0, "still in user space");
-        log.append(&LogRecord::Begin { tid: Tid(2) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(2) }).unwrap();
         assert_eq!(log.pending_bytes(), 0, "over the watermark: drained");
         assert_eq!(log.unsynced_bytes() as u64, log.tail().0);
         log.append_forced(&LogRecord::Commit { tids: vec![Tid(1)] })
@@ -781,7 +891,7 @@ mod tests {
         let path = dir.join("buffered.log");
         let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Buffered, 1 << 20).unwrap();
-        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         assert_eq!(log.unsynced_bytes(), 0, "still in user space");
         assert!(log.pending_bytes() > 0);
         log.append_forced(&LogRecord::Commit { tids: vec![Tid(1)] })
@@ -955,7 +1065,7 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let log = LogManager::open(&path, Durability::Strict).unwrap();
-        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let recs = sample_records();
         let lsns = log.append_all(&recs).unwrap();
         assert_eq!(log.obs().snapshot().counters.log_flushes, 0);
@@ -1004,7 +1114,7 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let old = LogManager::open(&path, Durability::Strict).unwrap();
-        old.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        old.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let (opened_tx, opened_rx) = channel();
         let opener = {
             let path = path.clone();
@@ -1030,7 +1140,7 @@ mod tests {
     #[test]
     fn a_manager_that_outlived_a_crash_does_not_drain_on_drop() {
         let (dir, faults, log) = faulty_log("zombie");
-        log.append_forced(&LogRecord::Begin { tid: Tid(1) })
+        log.append_forced(&LogRecord::Abort { tid: Tid(1) })
             .unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         asset_faults::silence_crash_panics();
@@ -1097,7 +1207,7 @@ mod tests {
         use std::time::Duration;
         let (dir, faults, log) = faulty_log("syncrace");
         let log = Arc::new(log);
-        log.append(&LogRecord::Begin { tid: Tid(1) }).unwrap();
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let (at_sync_tx, at_sync_rx) = channel();
         let (appended_tx, appended_rx) = channel::<Lsn>();
         let appended_rx = std::sync::Mutex::new(appended_rx);
@@ -1117,7 +1227,7 @@ mod tests {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 at_sync_rx.recv().unwrap();
-                let lsn = log.append(&LogRecord::Begin { tid: Tid(2) }).unwrap();
+                let lsn = log.append(&LogRecord::Abort { tid: Tid(2) }).unwrap();
                 appended_tx.send(lsn).unwrap();
             })
         };

@@ -705,9 +705,8 @@ fn torn_log_tail_is_chopped_so_an_acked_commit_survives_a_second_restart() {
     assert_eq!(&get(&db, a)[..], b"9");
     assert_eq!(&get(&db, b)[..], b"1");
     let records = db.engine().log().scan().unwrap();
-    assert!(records
-        .iter()
-        .any(|(lsn, rec)| *lsn == first_lsn && matches!(rec, storage::LogRecord::Begin { .. })));
+    assert!(records.iter().any(|(lsn, rec)| *lsn == first_lsn
+        && matches!(rec, storage::LogRecord::Overwrite { oid, .. } if *oid == a)));
     assert_eq!(
         std::fs::metadata(&wal).unwrap().len(),
         db.engine().log().tail().0,
@@ -772,4 +771,343 @@ fn probabilistic_triggers_are_deterministic_across_runs() {
     };
     assert_eq!(fired(42), fired(42), "same seed must replay identically");
     assert_ne!(fired(42), fired(43), "different seeds must diverge");
+}
+
+// ---------------------------------------------------------------------------
+// WAL v3: the log is a self-contained redo history, and restart finishes
+// its losers through the runtime's own logged undo.
+// ---------------------------------------------------------------------------
+
+use storage::LogRecord;
+
+fn log_records(db: &Database) -> Vec<LogRecord> {
+    let records = db.engine().log().scan().unwrap();
+    records.into_iter().map(|(_, rec)| rec).collect()
+}
+
+/// Every `Overwrite` follows a record of this log that carries an image
+/// of its object: the before image is in the log, not only in the store.
+fn assert_self_contained(records: &[LogRecord], what: &str) {
+    let mut imaged = std::collections::HashSet::new();
+    for rec in records {
+        match rec {
+            LogRecord::Update { oid, .. } | LogRecord::Clr { oid, .. } => {
+                imaged.insert(*oid);
+            }
+            LogRecord::Overwrite { oid, .. } => assert!(
+                imaged.contains(oid),
+                "[{what}] overwrite of {oid} with no earlier image in the log: {records:?}"
+            ),
+            LogRecord::Checkpoint => imaged.clear(),
+            _ => {}
+        }
+    }
+}
+
+/// A completed, uncommitted write of `val` to each of `oids` whose records
+/// are forced: the loser the next restart will find.
+fn leave_a_forced_loser(db: &Database, oids: &[Oid], val: &'static [u8]) {
+    let oids = oids.to_vec();
+    let t = db
+        .initiate(move |ctx| oids.iter().try_for_each(|o| ctx.write(*o, val.to_vec())))
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(db.wait(t).unwrap());
+    db.engine().log().flush().unwrap();
+}
+
+/// Regression (reproduced at the parent of WAL v3): restart undid its
+/// losers in the cache and logged nothing, so the loser was a loser again
+/// at the next restart and its before image went over whatever had
+/// committed since — an acknowledged commit lost at the second restart.
+#[test]
+fn a_commit_acknowledged_after_a_restart_survives_the_next_two() {
+    let case = Case::new("dbl-restart");
+    let x;
+    {
+        let db = case.open();
+        x = db.new_oid();
+        put(&db, x, b"base");
+        leave_a_forced_loser(&db, &[x], b"loser");
+    }
+    {
+        let (db, report) = Database::open(case.config.clone()).unwrap();
+        assert_eq!((report.losers, report.undone), (1, 1));
+        assert_eq!(&get(&db, x)[..], b"base");
+        let kinds: Vec<_> = log_records(&db).iter().map(LogRecord::name).collect();
+        assert_eq!(
+            kinds,
+            ["update", "commit", "overwrite", "clr", "abort"],
+            "the rollback is in the log"
+        );
+        put(&db, x, b"winner");
+    }
+    for restart in 2..=3 {
+        let (db, report) = Database::open(case.config.clone()).unwrap();
+        assert_eq!(
+            (report.losers, report.undone, report.winners),
+            (0, 0, 2),
+            "restart {restart}"
+        );
+        assert_eq!(&get(&db, x)[..], b"winner", "restart {restart}");
+    }
+}
+
+/// Crash inside restart's own undo phase — after some CLRs reached the
+/// file, before any `Abort` did: the next restart converges to the same
+/// state, finishes the rollback in the log, and a commit acknowledged
+/// after it survives a further restart.
+#[test]
+fn crash_inside_restart_undo_converges_and_later_commits_survive() {
+    // hits 1, 2: before each of the two undo steps; hit 3: before the Abort
+    for hit in 1..=3 {
+        let mut case = Case::new("undo-crash");
+        // write through, so what restart appends before it dies is on disk
+        case.config = case.config.clone().with_flush_watermark(1);
+        let (a, b);
+        {
+            let db = case.open();
+            a = db.new_oid();
+            b = db.new_oid();
+            put(&db, a, b"a0");
+            put(&db, b, b"b0");
+            leave_a_forced_loser(&db, &[a, b], b"lost");
+        }
+        case.faults.arm(
+            storage::failpoints::RECOVERY_UNDO,
+            Trigger::Nth(hit),
+            FaultAction::Crash,
+        );
+        let crashed = catch_unwind(AssertUnwindSafe(|| Database::open(case.config.clone())));
+        assert!(crashed.is_err(), "[hit {hit}] restart crashed in its undo");
+        {
+            let db = case.reopen_clean();
+            let records = log_records(&db);
+            let clrs = records.iter().filter(|r| r.name() == "clr").count();
+            assert_eq!(
+                clrs as u64,
+                (hit - 1) + 2,
+                "[hit {hit}] the first restart's CLRs, then the full rollback"
+            );
+            assert_eq!(records.last().unwrap().name(), "abort");
+            assert_self_contained(&records, "undo-crash");
+            assert_eq!(
+                (&get(&db, a)[..], &get(&db, b)[..]),
+                (&b"a0"[..], &b"b0"[..])
+            );
+            put(&db, a, b"a-winner");
+        }
+        for _ in 0..2 {
+            let (db, report) = Database::open(case.config.clone()).unwrap();
+            assert_eq!(report.losers, 0, "[hit {hit}] the rollback is done");
+            assert_eq!(
+                (&get(&db, a)[..], &get(&db, b)[..]),
+                (&b"a-winner"[..], &b"b0"[..]),
+                "[hit {hit}]"
+            );
+        }
+    }
+}
+
+/// A checkpoint that dies (or fails) on either side of its truncation: the
+/// writes that follow log an explicit before image exactly when the log no
+/// longer holds one, and recovery — which checks the invariant — accepts
+/// the result.
+#[test]
+fn writes_after_a_broken_checkpoint_keep_the_log_self_contained() {
+    let points = [
+        (storage::failpoints::CHECKPOINT_BEFORE_TRUNCATE, "overwrite"),
+        (storage::failpoints::CHECKPOINT_AFTER_TRUNCATE, "update"),
+    ];
+    for (point, first_write) in points {
+        for action in [FaultAction::Crash, FaultAction::Error] {
+            let what = format!("{point} {action:?}");
+            let case = Case::new("ckpt");
+            let db = case.open();
+            let x = db.new_oid();
+            put(&db, x, b"v1");
+            case.faults.arm(point, Trigger::Once, action);
+            let outcome = catch_unwind(AssertUnwindSafe(|| db.checkpoint()));
+            assert!(!matches!(outcome, Ok(Ok(()))), "[{what}] checkpoint broke");
+            // the process died: restart; it lived: carry on in it
+            let db = if action == FaultAction::Crash {
+                drop(db);
+                case.reopen_clean()
+            } else {
+                case.faults.reset();
+                db
+            };
+            let before = log_records(&db).len();
+            put(&db, x, b"v2");
+            let records = log_records(&db);
+            assert_eq!(records[before].name(), first_write, "[{what}] {records:?}");
+            if let LogRecord::Update { before, .. } = &records[before] {
+                assert_eq!(before.as_deref(), Some(&b"v1"[..]), "[{what}]");
+            }
+            assert_self_contained(&records, &what);
+            drop(db);
+            let db = case.reopen_clean();
+            assert_eq!(&get(&db, x)[..], b"v2", "[{what}]");
+        }
+    }
+}
+
+/// `compact_log` refused at its truncation: the generation has moved on
+/// all the same, so the next write of an object the old records cover logs
+/// its before image again — bytes, never a hole.
+#[test]
+fn writes_after_a_refused_compaction_log_explicit_before_images() {
+    let case = Case::new("compact-refused");
+    let db = case.open();
+    let (x, y) = (db.new_oid(), db.new_oid());
+    put(&db, x, b"x0");
+    put(&db, y, b"y0");
+    put(&db, y, b"y1");
+    // completed, never committed: live across the compaction
+    let t = db
+        .initiate(move |ctx| ctx.write(x, b"live".to_vec()))
+        .unwrap();
+    db.begin(t).unwrap();
+    db.wait(t).unwrap();
+    let kinds: Vec<_> = log_records(&db).iter().map(LogRecord::name).collect();
+    assert_eq!(
+        kinds,
+        [
+            "update",
+            "commit",
+            "update",
+            "commit",
+            "overwrite",
+            "commit",
+            "overwrite"
+        ]
+    );
+    case.faults.arm(
+        storage::failpoints::LOG_TRUNCATE,
+        Trigger::Once,
+        FaultAction::Error,
+    );
+    assert!(db.compact_log().is_err());
+    let before = log_records(&db).len();
+    put(&db, y, b"y2");
+    let records = log_records(&db);
+    assert!(
+        matches!(&records[before], LogRecord::Update { before: Some(b), .. } if b == b"y1"),
+        "{records:?}"
+    );
+    // and a compaction that goes through starts a generation of its own
+    db.compact_log().unwrap();
+    put(&db, y, b"y3");
+    let records = log_records(&db);
+    let kinds: Vec<_> = records.iter().map(LogRecord::name).collect();
+    assert_eq!(kinds, ["checkpoint", "update", "update", "commit"]);
+    assert_self_contained(&records, "compacted");
+    drop(db);
+    let db = case.reopen_clean();
+    assert_eq!(
+        (&get(&db, x)[..], &get(&db, y)[..]),
+        (&b"x0"[..], &b"y3"[..])
+    );
+}
+
+/// An `Overwrite` whose object no earlier record of the log installed has
+/// no before image anywhere: the database refuses to open. A torn tail
+/// that ends inside an `Overwrite` is just the end of the log.
+#[test]
+fn an_orphan_overwrite_is_corrupt_and_a_torn_one_is_end_of_log() {
+    use std::io::Write;
+    let orphan = LogRecord::Overwrite {
+        tid: asset::Tid(900),
+        oid: Oid(900),
+        after: Some(b"orphan".to_vec()),
+    };
+
+    let case = Case::new("orphan");
+    let wal = case._dir.0.join("wal.log");
+    let x;
+    {
+        let db = case.open();
+        x = db.new_oid();
+        put(&db, x, b"kept");
+    }
+    let whole = std::fs::metadata(&wal).unwrap().len();
+    let frame = orphan.encode_frame();
+    let append = |bytes: &[u8]| {
+        let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+        f.write_all(bytes).unwrap();
+    };
+    append(&frame[..frame.len() - 1]);
+    {
+        let db = case.open();
+        assert_eq!(&get(&db, x)[..], b"kept");
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), whole, "chopped");
+    }
+    append(&frame);
+    match Database::open(case.config.clone()) {
+        Err(asset::AssetError::Corrupt(msg)) => assert!(msg.contains("overwrite"), "{msg}"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("a log with an orphan overwrite opened"),
+    }
+}
+
+/// An in-doubt participant whose updates were `Overwrite`s: restart takes
+/// its before images from the records that installed them, restores them
+/// as the undo chain — twice — and the coordinator's abort lands on them.
+#[test]
+fn in_doubt_overwrites_abort_to_the_right_images_after_two_reopens() {
+    let case = Case::new("in-doubt-ow");
+    let (a, b, t);
+    {
+        let db = case.open();
+        a = db.new_oid();
+        b = db.new_oid();
+        put(&db, a, b"a0");
+        put(&db, b, b"b0");
+        t = db
+            .initiate(move |ctx| {
+                ctx.write(a, b"a1".to_vec())?;
+                ctx.write(a, b"a2".to_vec())?;
+                ctx.write(b, b"b1".to_vec())
+            })
+            .unwrap();
+        db.begin(t).unwrap();
+        db.wait(t).unwrap();
+        assert_eq!(db.prepare_group(&[t]).unwrap(), [t]);
+        let kinds: Vec<_> = log_records(&db).iter().map(LogRecord::name).collect();
+        assert_eq!(
+            kinds[4..],
+            ["overwrite", "overwrite", "overwrite", "prepared"],
+            "no before image was logged for the prepared writes"
+        );
+    }
+    for _ in 0..2 {
+        let (db, report) = Database::open(case.config.clone()).unwrap();
+        assert_eq!(report.losers, 0, "prepared is not a loser");
+        assert_eq!(db.in_doubt_transactions(), [t]);
+        let befores: Vec<_> = report.in_doubt[0]
+            .updates
+            .iter()
+            .map(|u| u.before.clone().unwrap())
+            .collect();
+        assert_eq!(befores, [&b"a0"[..], &b"a1"[..], &b"b0"[..]]);
+        assert_eq!(
+            (&get(&db, a)[..], &get(&db, b)[..]),
+            (&b"a2"[..], &b"b1"[..])
+        );
+    }
+    {
+        let db = case.open();
+        db.decide_abort_group(&[t]);
+        assert_eq!(
+            (&get(&db, a)[..], &get(&db, b)[..]),
+            (&b"a0"[..], &b"b0"[..])
+        );
+    }
+    let (db, report) = Database::open(case.config.clone()).unwrap();
+    assert!(report.in_doubt.is_empty());
+    assert_eq!(report.losers, 0, "the decided abort is in the log");
+    assert_eq!(
+        (&get(&db, a)[..], &get(&db, b)[..]),
+        (&b"a0"[..], &b"b0"[..])
+    );
 }

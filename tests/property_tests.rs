@@ -20,7 +20,13 @@ fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
 
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
-        (1u64..1000).prop_map(|t| LogRecord::Begin { tid: Tid(t) }),
+        (1u64..1000, 1u64..1000, proptest::option::of(arb_bytes())).prop_map(|(t, o, after)| {
+            LogRecord::Overwrite {
+                tid: Tid(t),
+                oid: Oid(o),
+                after,
+            }
+        }),
         (
             1u64..1000,
             1u64..1000,

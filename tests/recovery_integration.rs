@@ -29,6 +29,62 @@ impl Drop for TempDir {
     }
 }
 
+/// Two live cooperating writers of one object across a `compact_log`
+/// (regression: pending updates used to be re-logged grouped by owner in
+/// tid order): the re-logged updates keep the order they were written in,
+/// whichever tid is lower, so a restart reads what the runtime read — the
+/// later write if both commit, the image before the earlier one if neither.
+#[test]
+fn compaction_with_two_live_cooperating_writers_keeps_their_order() {
+    use asset::storage::LogRecord;
+    use asset::{ObSet, OpSet};
+    for commit in [true, false] {
+        let dir = TempDir::new("compact-coop");
+        let config = Config::on_disk(&dir.0);
+        let (db, _) = Database::open(config.clone()).unwrap();
+        let x = db.new_oid();
+        assert!(db.run(move |ctx| ctx.write(x, b"base".to_vec())).unwrap());
+        // `second` gets the lower tid and writes last, under `first`'s permit
+        let second = db
+            .initiate(move |ctx| ctx.write(x, b"second".to_vec()))
+            .unwrap();
+        let first = db
+            .initiate(move |ctx| ctx.write(x, b"first".to_vec()))
+            .unwrap();
+        assert!(second < first);
+        db.begin(first).unwrap();
+        db.wait(first).unwrap();
+        db.permit(first, Some(second), ObSet::one(x), OpSet::ALL)
+            .unwrap();
+        db.begin(second).unwrap();
+        db.wait(second).unwrap();
+        assert_eq!(db.peek(x).unwrap().unwrap(), b"second");
+        db.compact_log().unwrap();
+        let owners: Vec<_> = db
+            .engine()
+            .log()
+            .scan()
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, rec)| match rec {
+                LogRecord::Update { tid, .. } => Some(tid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(owners, [first, second], "re-logged in the order written");
+        if commit {
+            assert!(db.commit(first).unwrap());
+            assert!(db.commit(second).unwrap());
+        } else {
+            db.engine().log().flush().unwrap();
+        }
+        drop(db);
+        let (db, _) = Database::open(config).unwrap();
+        let expect: &[u8] = if commit { b"second" } else { b"base" };
+        assert_eq!(db.peek(x).unwrap().unwrap(), expect, "commit = {commit}");
+    }
+}
+
 #[test]
 fn full_lifecycle_across_restarts() {
     let dir = TempDir::new("lifecycle");
@@ -421,7 +477,7 @@ mod faulted {
             ob = db.new_oid();
             let v = b"first".to_vec();
             assert!(db.run(move |ctx| ctx.write(oa, v)).unwrap());
-            // one doomed transaction: its Begin record fails to append
+            // one doomed transaction: its first record fails to append
             faults.arm(
                 asset::storage::failpoints::LOG_APPEND,
                 Trigger::Once,
@@ -430,8 +486,8 @@ mod faulted {
             let t = db
                 .initiate(move |ctx| ctx.write(oa, b"never".to_vec()))
                 .unwrap();
-            assert!(db.begin(t).is_err(), "injected append failure");
-            let _ = db.abort(t);
+            db.begin(t).unwrap();
+            assert!(!db.commit(t).unwrap(), "the refused write aborted it");
             // the log must still be perfectly usable afterwards
             let v = b"second".to_vec();
             assert!(db.run(move |ctx| ctx.write(ob, v)).unwrap());
