@@ -35,14 +35,6 @@ fn main() {
         }
     }
 
-    println!("ASSET experiment suite (scale factor {:.2})", scale.factor);
-    println!("paper: Biliris/Dar/Gehani/Jagadish/Ramamritham, SIGMOD 1994");
-    if !cfg!(debug_assertions) {
-        println!("build: release");
-    } else {
-        println!("build: DEBUG — timings are not meaningful; use --release");
-    }
-
     type Exp = (&'static str, fn(Scale) -> asset_bench::Table);
     let all: Vec<Exp> = vec![
         ("e1", experiments::e1_primitives),
@@ -65,6 +57,26 @@ fn main() {
         ("e17", experiments::e17_coord),
         ("e18", experiments::e18_dist_obs),
     ];
+
+    if let Some(unknown) = selected
+        .iter()
+        .find(|s| all.iter().all(|(name, _)| name != *s))
+    {
+        let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "experiments: unknown experiment `{unknown}`; valid names: {}",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
+
+    println!("ASSET experiment suite (scale factor {:.2})", scale.factor);
+    println!("paper: Biliris/Dar/Gehani/Jagadish/Ramamritham, SIGMOD 1994");
+    if !cfg!(debug_assertions) {
+        println!("build: release");
+    } else {
+        println!("build: DEBUG — timings are not meaningful; use --release");
+    }
 
     // E14/E15/E16/E17 measure once and contribute rows to BENCH_obs.json
     let mut obs_runs: Vec<ObsBenchRun> = Vec::new();

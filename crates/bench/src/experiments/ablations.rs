@@ -5,8 +5,8 @@
 //! * **logical vs physical undo** — abort cost and, more importantly,
 //!   *collateral damage*: physical before-image undo wipes later
 //!   cooperative updates (the §4.2 caveat), logical undo does not;
-//! * **the EOS spin latch vs the OS rwlock** (`parking_lot::RwLock`) for
-//!   the short critical sections it protects.
+//! * **the EOS spin latch vs the OS rwlock** (`asset_common::sync::RwLock`,
+//!   i.e. `std`'s) for the short critical sections it protects.
 
 use super::Scale;
 use crate::table::{fmt_duration, fmt_rate, Table};
@@ -160,7 +160,7 @@ pub fn e12_ablations(scale: Scale) -> Table {
         assert_eq!(survives, 100);
     }
 
-    // --- EOS latch vs parking_lot RwLock --------------------------------
+    // --- EOS latch vs the std RwLock --------------------------------------
     let n = scale.n(200_000);
     for threads in [1usize, 4] {
         let latch = Latch::new();
@@ -179,7 +179,7 @@ pub fn e12_ablations(scale: Scale) -> Table {
             ),
         ]);
 
-        let rw = parking_lot::RwLock::new(());
+        let rw = asset_common::sync::RwLock::new(());
         let elapsed = parallel_time(threads, |_| {
             for _ in 0..n / threads {
                 let _g = rw.write();
@@ -187,7 +187,7 @@ pub fn e12_ablations(scale: Scale) -> Table {
         });
         table.row(vec![
             "latch impl".into(),
-            "parking_lot RwLock (W)".into(),
+            "std RwLock (W)".into(),
             format!("{threads} threads x {} acquires", n / threads),
             format!(
                 "{} / acquire",
@@ -203,7 +203,7 @@ pub fn e12_ablations(scale: Scale) -> Table {
         let _g = latch.shared();
     }
     let latch_s = start.elapsed();
-    let rw = parking_lot::RwLock::new(());
+    let rw = asset_common::sync::RwLock::new(());
     let start = Instant::now();
     for _ in 0..n {
         let _g = rw.read();

@@ -132,7 +132,7 @@ pub fn e6_cursor_stability(scale: Scale) -> Table {
         let w_commits = Arc::clone(&commits);
         let w_aborts = Arc::clone(&aborts);
         let writer = std::thread::spawn(move || {
-            let mut rng = crate::workload::Rng::new(99);
+            let mut rng = asset_faults::Rng::new(99, 0);
             while !w_done.load(Ordering::SeqCst) {
                 // update a record near the front (likely already visited)
                 let idx = (rng.below(w_oids.len() as u64 / 2 + 1)) as usize;

@@ -80,14 +80,14 @@ fn drive_ledger(
             let (addr, lat) = (&addr, &lat);
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("conn");
-                let mut rng = crate::workload::Rng::new(0xE16 + c as u64);
+                let mut rng = asset_faults::Rng::new(0xE16, c as u64);
                 let mut local_lat = Vec::with_capacity(per_conn);
                 for _ in 0..per_conn {
                     // always a distinct pair: a self-transfer is a
                     // client-side no-op and would measure nothing
-                    let a = rng.next() % accounts;
-                    let b = (a + 1 + rng.next() % (accounts - 1)) % accounts;
-                    let amount = (rng.next() % 100) as i64;
+                    let a = rng.below(accounts);
+                    let b = (a + 1 + rng.below(accounts - 1)) % accounts;
+                    let amount = (rng.below(100)) as i64;
                     // aborts and ambiguity are legitimate fates under
                     // contention and faults; conservation is the check
                     let t0 = Instant::now();

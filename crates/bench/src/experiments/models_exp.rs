@@ -2,8 +2,9 @@
 
 use super::Scale;
 use crate::table::{fmt_duration, Table};
-use crate::workload::{enc_i64, setup_counters, Rng};
+use crate::workload::{enc_i64, setup_counters};
 use asset_core::{Database, TxnCtx};
+use asset_faults::Rng;
 use asset_models::workflow::travel::{run_x_conference, TravelWorld};
 use asset_models::{
     required_subtransaction, run_atomic, run_contingent, Saga, SagaOutcome, WorkflowOutcome,
@@ -321,12 +322,14 @@ pub fn e11_contingent(scale: Scale) -> Table {
         for p in [0.2f64, 0.5, 0.8] {
             let db = Database::in_memory();
             let sink = setup_counters(&db, 1, 0)[0];
-            let mut rng = Rng::new((k as u64) << 8 | (p * 10.0) as u64);
+            let mut rng = Rng::new(k as u64, (p * 10.0) as u64);
             let mut attempts_total = 0u64;
             let mut exhausted = 0u64;
             let start = Instant::now();
             for _ in 0..runs {
-                let fail_flags: Vec<bool> = (0..k).map(|_| rng.chance(p)).collect();
+                let fail_flags: Vec<bool> = (0..k)
+                    .map(|_| rng.below(1000) < (p * 1000.0) as u64)
+                    .collect();
                 let alternatives = fail_flags
                     .iter()
                     .map(|&fails| {

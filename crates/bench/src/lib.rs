@@ -6,9 +6,8 @@
 //! The paper contains **no quantitative tables** and a single figure (the
 //! object-descriptor diagram); its evaluation is by construction. This
 //! crate supplies the quantitative characterization a reproduction needs
-//! (see `EXPERIMENTS.md` at the repository root): the E1–E16 experiment
-//! suite, runnable as Criterion benches (`cargo bench -p asset-bench`)
-//! and as a row-printing harness
+//! (see `EXPERIMENTS.md` at the repository root): the E1–E18 experiment
+//! suite, one function per experiment, run by a row-printing harness
 //! (`cargo run -p asset-bench --release --bin experiments`).
 
 #![warn(missing_docs)]

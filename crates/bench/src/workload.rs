@@ -1,40 +1,7 @@
-//! Workload generators: bank accounts, design objects, inventories, and a
-//! deterministic PRNG so runs are reproducible.
+//! Workload generators: bank accounts, design objects, inventories. Random
+//! draws come from the seeded `asset_faults::Rng`, so runs are reproducible.
 
 use asset_core::{Database, Oid, Result, TxnCtx};
-
-/// A small, fast, deterministic PRNG (xorshift64*) — reproducible
-/// workloads without threading `rand` state through closures.
-#[derive(Clone, Debug)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeded PRNG; equal seeds give equal streams.
-    pub fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    /// Next raw value. (Deliberately not an `Iterator`.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform in `[0, bound)`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-
-    /// Bernoulli with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        (self.next() as f64 / u64::MAX as f64) < p
-    }
-}
 
 /// Encode an i64 counter value.
 pub fn enc_i64(v: i64) -> Vec<u8> {
@@ -123,32 +90,6 @@ pub fn parallel_time(threads: usize, f: impl Fn(usize) + Send + Sync) -> std::ti
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next(), b.next());
-        }
-        let mut c = Rng::new(43);
-        assert_ne!(a.next(), c.next());
-    }
-
-    #[test]
-    fn rng_below_respects_bound() {
-        let mut r = Rng::new(7);
-        for _ in 0..1000 {
-            assert!(r.below(10) < 10);
-        }
-    }
-
-    #[test]
-    fn rng_chance_extremes() {
-        let mut r = Rng::new(7);
-        assert!(!(0..100).any(|_| r.chance(0.0)));
-        assert!((0..100).all(|_| r.chance(1.0)));
-    }
 
     #[test]
     fn counters_setup_and_read() {

@@ -15,7 +15,7 @@
 //! and ignores a torn tail (a crash mid-append: the answer it would have
 //! backed was never given).
 
-use parking_lot::Mutex;
+use asset_common::sync::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};

@@ -11,10 +11,10 @@
 
 use crate::transport::{wire_opcode, CommitMessage, ParticipantState};
 use asset_annot::verify_allow;
+use asset_common::sync::Mutex;
 use asset_common::{Config, Result, Tid, TxnStatus};
 use asset_core::Database;
 use asset_obs::{EventKind, TraceCtx};
-use parking_lot::Mutex;
 
 /// One participant node: a [`Database`] that can be killed and
 /// restarted from its directory.

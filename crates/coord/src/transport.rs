@@ -11,11 +11,11 @@
 use crate::failpoints;
 use crate::node::ParticipantNode;
 use asset_client::{Client, PreparedState};
+use asset_common::sync::Mutex;
 use asset_common::Tid;
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{EventKind, Obs, TraceCtx};
 use asset_server::protocol::opcode;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -356,11 +356,10 @@ impl TcpTransport {
     ) -> Result<T, CoordError> {
         let addr = self.addrs.get(node).ok_or(CoordError::NodeDown(node))?;
         let mut conns = self.conns.lock();
-        if conns[node].is_none() {
-            conns[node] = Some(Client::connect(addr).map_err(|_| CoordError::NodeDown(node))?);
-        }
-        // verify: allow(no_panics) — connected just above
-        let c = conns[node].as_mut().expect("connected");
+        let c = match &mut conns[node] {
+            Some(c) => c,
+            slot => slot.insert(Client::connect(addr).map_err(|_| CoordError::NodeDown(node))?),
+        };
         match f(c) {
             Ok(v) => Ok(v),
             Err(asset_client::ClientError::Io(_)) => {

@@ -325,8 +325,8 @@ mod tests {
     #[test]
     fn create_typed_allocates() {
         let db = Database::in_memory();
-        let out: std::sync::Arc<parking_lot::Mutex<Option<Handle<String>>>> =
-            std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let out: std::sync::Arc<asset_common::sync::Mutex<Option<Handle<String>>>> =
+            std::sync::Arc::new(asset_common::sync::Mutex::new(None));
         let o2 = std::sync::Arc::clone(&out);
         assert!(db
             .run(move |ctx| {

@@ -75,12 +75,12 @@ use crate::context::TxnCtx;
 use crate::txns::{GroupGuard, TxnTable};
 use asset_annot::{exec_step, wal};
 use asset_common::ids::IdGen;
+use asset_common::sync::Mutex;
 use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
 use asset_dep::{CommitGate, DepGraph};
 use asset_lock::{LockStats, LockTable};
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
 use asset_storage::{LogRecord, RecoveryReport, StorageEngine};
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

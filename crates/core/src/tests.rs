@@ -85,7 +85,8 @@ fn abort_restores_before_images() {
 #[test]
 fn abort_of_creation_deletes() {
     let db = db();
-    let created: Arc<parking_lot::Mutex<Option<Oid>>> = Arc::new(parking_lot::Mutex::new(None));
+    let created: Arc<asset_common::sync::Mutex<Option<Oid>>> =
+        Arc::new(asset_common::sync::Mutex::new(None));
     let c2 = Arc::clone(&created);
     let t = db
         .initiate(move |ctx| {
@@ -166,8 +167,8 @@ fn wait_semantics() {
 #[test]
 fn parent_tracking() {
     let db = db();
-    let observed: Arc<parking_lot::Mutex<(Tid, Tid)>> =
-        Arc::new(parking_lot::Mutex::new((Tid::NULL, Tid::NULL)));
+    let observed: Arc<asset_common::sync::Mutex<(Tid, Tid)>> =
+        Arc::new(asset_common::sync::Mutex::new((Tid::NULL, Tid::NULL)));
     let o2 = Arc::clone(&observed);
     let t = db
         .initiate(move |ctx| {
@@ -356,7 +357,8 @@ fn permit_allows_conflicting_access() {
     // holder is completed, uncommitted, holding the write lock
     db.permit(holder, None, ObSet::one(oid), OpSet::READ)
         .unwrap();
-    let seen: Arc<parking_lot::Mutex<Vec<u8>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+    let seen: Arc<asset_common::sync::Mutex<Vec<u8>>> =
+        Arc::new(asset_common::sync::Mutex::new(vec![]));
     let s2 = Arc::clone(&seen);
     let reader = db
         .initiate(move |ctx| {

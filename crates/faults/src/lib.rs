@@ -38,6 +38,10 @@
 //! zero branches. With the feature on, an unarmed registry costs one
 //! relaxed atomic load per site.
 
+mod rng;
+
+pub use rng::{cases, Rng};
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,8 +76,8 @@ pub enum Trigger {
     /// Fire on the `n`th evaluation (1-based) only.
     Nth(u64),
     /// Fire each evaluation with probability `per_mille`/1000, drawn from a
-    /// [splitmix64](https://prng.di.unimi.it/splitmix64.c) stream seeded
-    /// with `seed` — the same seed always yields the same firing script.
+    /// [`Rng`] stream seeded with `seed` — the same seed always yields the
+    /// same firing script.
     Prob {
         /// Firing probability in thousandths.
         per_mille: u16,
@@ -100,15 +104,7 @@ struct Point {
     action: FaultAction,
     hits: u64,
     fired: u64,
-    rng: u64,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rng: Rng,
 }
 
 /// A registry of named failpoints. One per `Config`/`Database`; cheap to
@@ -156,7 +152,7 @@ impl FaultRegistry {
     /// `action`. Re-arming replaces the previous policy and resets the
     /// point's counters.
     pub fn arm(&self, name: &'static str, trigger: Trigger, action: FaultAction) {
-        let rng = match trigger {
+        let seed = match trigger {
             Trigger::Prob { seed, .. } => seed,
             _ => 0,
         };
@@ -167,7 +163,7 @@ impl FaultRegistry {
                 action,
                 hits: 0,
                 fired: 0,
-                rng,
+                rng: Rng::new(seed, 0),
             },
         );
         self.active.store(true, Ordering::Release);
@@ -224,7 +220,7 @@ impl FaultRegistry {
             Trigger::Always => true,
             Trigger::Once => p.fired == 0,
             Trigger::Nth(n) => p.hits == n,
-            Trigger::Prob { per_mille, .. } => (splitmix64(&mut p.rng) % 1000) < per_mille as u64,
+            Trigger::Prob { per_mille, .. } => p.rng.below(1000) < per_mille as u64,
         };
         if fire {
             p.fired += 1;

@@ -534,7 +534,7 @@ impl LockTable {
         through: &mut Vec<(Tid, u32)>,
         chains: &mut Vec<u32>,
     ) -> std::result::Result<(), Vec<Tid>> {
-        let (sidx, mode) = (self.shard_index(ob), op.required_mode());
+        let (sidx, mut mode, mut op) = (self.shard_index(ob), op.required_mode(), op);
         let od = inner.objects.entry(ob).or_default();
 
         // Step 1a: own granted lock that covers the request and is not
@@ -542,6 +542,13 @@ impl LockTable {
         if let Some(own) = od.granted.iter().find(|g| g.tid == tid) {
             if !own.suspended && own.mode.covers(mode) {
                 return Ok(());
+            }
+            // A write lock covers everything, so one that gets here is
+            // suspended, and step 2b brings it back as the write lock it
+            // is even when only a read was asked for: it is the write
+            // that the other holders must permit or block.
+            if own.mode == LockMode::Write {
+                (mode, op) = (LockMode::Write, Operation::Write);
             }
         }
 
@@ -1203,6 +1210,25 @@ mod tests {
         t.lock(Tid(1), Oid(1), Operation::Write, short()).unwrap();
         assert!(t.holds(Tid(1), Oid(1), LockMode::Write));
         assert!(!t.holds(Tid(2), Oid(1), LockMode::Write));
+    }
+
+    #[test]
+    fn a_suspended_write_lock_read_back_is_still_a_write() {
+        let t = LockTable::new();
+        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+            .unwrap();
+        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
+        t.lock(Tid(2), Oid(1), Operation::Read, short()).unwrap();
+        // t1 only asks to read, but the grant would lift the suspension of
+        // its write lock beside t2's unsuspended read lock: t2 blocks it
+        let err = t
+            .lock(Tid(1), Oid(1), Operation::Read, short())
+            .unwrap_err();
+        assert!(matches!(err, AssetError::LockTimeout { .. }));
+        assert!(!t.holds(Tid(1), Oid(1), LockMode::Read));
+        t.release_all(Tid(2));
+        t.lock(Tid(1), Oid(1), Operation::Read, short()).unwrap();
+        assert!(t.holds(Tid(1), Oid(1), LockMode::Write));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! suspension machinery must preserve that invariant.
 
 use asset_common::{AssetError, ObSet, Oid, OpSet, Operation, Tid};
+use asset_faults::{cases, Rng};
 use asset_lock::LockTable;
-use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,23 +36,27 @@ enum LockOp {
     Delegate(u64, u64),    // from, to (all objects)
 }
 
-fn arb_lock_op() -> impl Strategy<Value = LockOp> {
-    prop_oneof![
-        (1u64..6, 1u64..8, any::<bool>()).prop_map(|(t, o, w)| LockOp::Lock(t, o, w)),
-        (1u64..6).prop_map(LockOp::Release),
-        (1u64..6, 1u64..6, 1u64..8).prop_map(|(a, b, o)| LockOp::Permit(a, b, o)),
-        (1u64..6, 1u64..6).prop_map(|(a, b)| LockOp::Delegate(a, b)),
-    ]
+fn arb_lock_op(rng: &mut Rng) -> LockOp {
+    let tid = |rng: &mut Rng| 1 + rng.below(5);
+    let oid = |rng: &mut Rng| 1 + rng.below(7);
+    match rng.below(4) {
+        0 => LockOp::Lock(tid(rng), oid(rng), rng.below(2) == 1),
+        1 => LockOp::Release(tid(rng)),
+        2 => LockOp::Permit(tid(rng), tid(rng), oid(rng)),
+        _ => LockOp::Delegate(tid(rng), tid(rng)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Cases per property.
+const CASES: u64 = 96;
 
-    /// Random single-threaded op sequences never violate the granted-lock
-    /// invariant (failed/blocked acquisitions simply error with the tiny
-    /// timeout — that is fine; the invariant is about what is *granted*).
-    #[test]
-    fn no_conflicting_unsuspended_grants(ops in proptest::collection::vec(arb_lock_op(), 0..60)) {
+/// Random single-threaded op sequences never violate the granted-lock
+/// invariant (failed/blocked acquisitions simply error with the tiny
+/// timeout — that is fine; the invariant is about what is *granted*).
+#[test]
+fn no_conflicting_unsuspended_grants() {
+    cases(0x010C_0001, CASES, |rng| {
+        let ops: Vec<LockOp> = (0..rng.below(60)).map(|_| arb_lock_op(rng)).collect();
         let table = LockTable::new();
         let oids: Vec<Oid> = (1..8).map(Oid).collect();
         for op in ops {
@@ -76,40 +80,52 @@ proptest! {
                 }
             }
             if let Err(msg) = check_invariant(&table, &oids) {
-                prop_assert!(false, "{}", msg);
+                panic!("{msg}");
             }
         }
-    }
+    });
+}
 
-    /// Delegation preserves the total set of (object, mode) grants —
-    /// nothing is lost or duplicated, only re-owned (modes may merge).
-    #[test]
-    fn delegation_conserves_objects(
-        locks in proptest::collection::vec((1u64..5, 1u64..10), 0..20),
-        from in 1u64..5,
-        to in 1u64..5,
-    ) {
-        prop_assume!(from != to);
+/// Delegation preserves the total set of (object, mode) grants —
+/// nothing is lost or duplicated, only re-owned (modes may merge).
+#[test]
+fn delegation_conserves_objects() {
+    cases(0x010C_0002, CASES, |rng| {
+        let locks: Vec<(u64, u64)> = (0..rng.below(20))
+            .map(|_| (1 + rng.below(4), 1 + rng.below(9)))
+            .collect();
+        // two distinct transactions out of 1..5
+        let from = 1 + rng.below(4);
+        let to = 1 + (from + rng.below(3)) % 4;
+        assert_ne!(from, to);
         let table = LockTable::new();
         for (t, o) in &locks {
-            let _ = table.lock(Tid(*t), Oid(*o), Operation::Write, Some(Duration::from_millis(1)));
+            let _ = table.lock(
+                Tid(*t),
+                Oid(*o),
+                Operation::Write,
+                Some(Duration::from_millis(1)),
+            );
         }
-        let before: usize = (1..10)
-            .map(|o| table.holders(Oid(o)).iter().filter(|l| !l.suspended).count())
-            .sum();
+        let unsuspended = |table: &LockTable| -> usize {
+            (1..10)
+                .map(|o| {
+                    let holders = table.holders(Oid(o));
+                    holders.iter().filter(|l| !l.suspended).count()
+                })
+                .sum()
+        };
+        let before = unsuspended(&table);
         let from_objects = table.locked_objects(Tid(from)).len();
         let to_objects_before = table.locked_objects(Tid(to)).len();
         table.delegate(Tid(from), Tid(to), None);
-        prop_assert!(table.locked_objects(Tid(from)).is_empty());
+        assert!(table.locked_objects(Tid(from)).is_empty());
         let to_objects_after = table.locked_objects(Tid(to)).len();
         // objects may merge when both held a lock on the same oid
-        prop_assert!(to_objects_after <= from_objects + to_objects_before);
-        prop_assert!(to_objects_after >= from_objects.max(to_objects_before));
-        let after: usize = (1..10)
-            .map(|o| table.holders(Oid(o)).iter().filter(|l| !l.suspended).count())
-            .sum();
-        prop_assert!(after <= before);
-    }
+        assert!(to_objects_after <= from_objects + to_objects_before);
+        assert!(to_objects_after >= from_objects.max(to_objects_before));
+        assert!(unsuspended(&table) <= before);
+    });
 }
 
 /// Wait until `tid`'s request on `ob` is on the pending list (it blocked).

@@ -2,31 +2,19 @@
 //! produce identical grant/block/suspension/deadlock behaviour — the stripe
 //! count is a performance knob, never a semantics knob.
 //!
-//! A deterministic scripted workload (seeded LCG, no external crates) is
+//! A deterministic scripted workload (seeded `asset_faults::Rng`) is
 //! replayed against each shard count and the full observable trace is
 //! compared byte-for-byte; threaded stress tests then check mutual
 //! exclusion and deadlock detection at every shard count.
 
 use asset_common::{AssetError, LockMode, ObSet, Oid, OpSet, Operation, Tid};
+use asset_faults::Rng;
 use asset_lock::LockTable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 64];
-
-/// Minimal deterministic RNG (SplitMix-style) — no dependency on `rand`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Replay a seeded single-threaded script of lock-manager operations and
 /// record every observable outcome. Sorted where the API's ordering is
@@ -35,14 +23,14 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
     const TIDS: u64 = 6;
     const OIDS: u64 = 12;
     let t = LockTable::with_shards(shards);
-    let mut rng = Lcg(seed);
+    let mut rng = Rng::new(seed, 0);
     let mut trace = Vec::new();
     for step in 0..steps {
-        let tid = Tid(1 + rng.next() % TIDS);
-        let oid = Oid(1 + rng.next() % OIDS);
-        match rng.next() % 10 {
+        let tid = Tid(1 + rng.below(TIDS));
+        let oid = Oid(1 + rng.below(OIDS));
+        match rng.below(10) {
             0..=3 => {
-                let op = if rng.next().is_multiple_of(2) {
+                let op = if rng.below(2) == 0 {
                     Operation::Read
                 } else {
                     Operation::Write
@@ -56,7 +44,7 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
                 }
             }
             4 => {
-                let grantee = Tid(1 + rng.next() % TIDS);
+                let grantee = Tid(1 + rng.below(TIDS));
                 t.permit(tid, Some(grantee), ObSet::one(oid), OpSet::ALL);
                 trace.push(format!("{step}: permit -> {}", t.permit_count()));
             }
@@ -69,8 +57,8 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
             6 => {
                 // cross-shard scope: two objects that land in different
                 // shards whenever shards > 1
-                let other = Oid(1 + rng.next() % OIDS);
-                let grantee = Tid(1 + rng.next() % TIDS);
+                let other = Oid(1 + rng.below(OIDS));
+                let grantee = Tid(1 + rng.below(TIDS));
                 t.permit(
                     tid,
                     Some(grantee),
@@ -80,7 +68,7 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
                 trace.push(format!("{step}: span-permit -> {}", t.permit_count()));
             }
             7 => {
-                let to = Tid(1 + rng.next() % TIDS);
+                let to = Tid(1 + rng.below(TIDS));
                 t.delegate(tid, to, None);
                 trace.push(format!("{step}: delegate {tid} -> {to}"));
             }
@@ -259,10 +247,10 @@ fn stress_overlapping_objects_stay_mutually_exclusive() {
             let done = Arc::clone(&done);
             handles.push(std::thread::spawn(move || {
                 let tid = Tid(i + 1);
-                let mut rng = Lcg(i + 1);
+                let mut rng = Rng::new(i + 1, 0);
                 let mut completed = 0u64;
                 while completed < TARGET {
-                    let k = (rng.next() as usize) % OBJS;
+                    let k = rng.below(OBJS as u64) as usize;
                     let ob = Oid(k as u64 + 1);
                     match t.lock(tid, ob, Operation::Write, Some(Duration::from_secs(10))) {
                         Ok(()) => {

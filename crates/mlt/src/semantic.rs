@@ -13,8 +13,8 @@
 //! the low-level object locks of each operation are released as soon as the
 //! operation's open-nested subtransaction commits.
 
+use asset_common::sync::{Condvar, Mutex};
 use asset_common::{AssetError, Oid, Result, Tid};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 

@@ -17,10 +17,10 @@
 //! and the inverse execution mirrors the §3.1.6 compensation loop.
 
 use crate::semantic::{CommutativityTable, OpClass, SemanticLockTable};
+use asset_common::sync::Mutex;
 use asset_common::{AssetError, Oid, Result};
 use asset_core::{Database, TxnCtx};
 use asset_obs::{EventKind, ModelKind};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 

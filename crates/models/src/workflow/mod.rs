@@ -22,6 +22,7 @@
 
 pub mod travel;
 
+use crate::distributed::{run_distributed, Component};
 use asset_common::TxnStatus;
 use asset_core::{Database, Result, TxnCtx};
 use asset_obs::{EventKind, ModelKind};
@@ -255,18 +256,17 @@ impl Workflow {
                     }
                     Runner::Race(branches) => Self::run_race(db, branches)?.into_iter().collect(),
                     Runner::Parallel(branches) => {
-                        // §3.1.2 distributed transaction: pairwise GC, all
-                        // commit together or none do
-                        let mut tids = Vec::with_capacity(branches.len());
-                        for b in branches {
-                            let act = Arc::clone(&b.act);
-                            tids.push(db.initiate(move |ctx| act(ctx))?);
-                        }
-                        for w in tids.windows(2) {
-                            db.form_dependency(asset_common::DepType::GC, w[0], w[1])?;
-                        }
-                        db.begin_many(&tids)?;
-                        if db.commit(tids[0])? {
+                        // §3.1.2 distributed transaction: all commit
+                        // together or none do, and on failure every
+                        // branch's rollback is over before the step reports
+                        let components = branches
+                            .iter()
+                            .map(|b| {
+                                let act = Arc::clone(&b.act);
+                                Box::new(move |ctx: &TxnCtx| act(ctx)) as Component
+                            })
+                            .collect();
+                        if run_distributed(db, components)? {
                             branches.iter().collect()
                         } else {
                             vec![]

@@ -9,9 +9,9 @@
 
 use crate::protocol::{self, get_i64, get_u32, get_u64, get_u8, opcode, status, Frame, WireError};
 use crate::session::{OpReply, SessionTxn, TxnOp};
+use asset_common::sync::Mutex;
 use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnOutcome, TxnStatus};
 use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -27,8 +27,8 @@
 //! program re-enters and sees the op.
 
 use crate::protocol::status_of;
+use asset_common::sync::{Condvar, Mutex};
 use asset_core::{AssetError, Database, Oid, Tid, TryOp, TxnStep};
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 

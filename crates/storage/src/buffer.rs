@@ -7,8 +7,8 @@
 
 use crate::heapfile::PageStore;
 use crate::page::{Page, PageId};
+use asset_common::sync::{Mutex, RwLock};
 use asset_common::{AssetError, Result};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -84,100 +84,127 @@ impl BufferPool {
     }
 
     /// Fetch page `pid`, pinning its frame.
+    ///
+    /// Every step that decides which page a frame holds is taken under the
+    /// table lock, and no I/O is: a frame is mapped *before* its page is
+    /// read in, with the frame's data lock held as the loading latch, so a
+    /// second fetch of the same page finds the mapping and waits for the
+    /// one load instead of starting its own.
     pub fn fetch(&self, pid: PageId) -> Result<FrameGuard<'_>> {
-        // Fast path: already resident. The table lock is held while pinning
-        // so the frame cannot be evicted in between.
-        {
-            let table = self.table.lock();
-            if let Some(&idx) = table.get(&pid) {
-                let f = &self.frames[idx];
-                f.pin_count.fetch_add(1, Ordering::AcqRel);
-                f.ref_bit.store(true, Ordering::Relaxed);
+        loop {
+            // Resident: pinned under the table lock, so eviction (which
+            // unmaps under the same lock, and only an otherwise unpinned
+            // frame) cannot take the frame in between.
+            let resident = {
+                let table = self.table.lock();
+                table.get(&pid).map(|&idx| {
+                    self.frames[idx].pin_count.fetch_add(1, Ordering::AcqRel);
+                    self.guard(idx)
+                })
+            };
+            if let Some(guard) = resident {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(FrameGuard {
-                    pool: self,
-                    frame: idx,
-                });
+                let f = &self.frames[guard.frame];
+                f.ref_bit.store(true, Ordering::Relaxed);
+                if *f.page_id.lock() != Some(pid) {
+                    // still being read in: wait for the loader's latch
+                    drop(f.data.read());
+                    if *f.page_id.lock() != Some(pid) {
+                        continue; // its read failed; try the load ourselves
+                    }
+                }
+                return Ok(guard);
             }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let guard = self.evict_victim()?;
+            let f = &self.frames[guard.frame];
+            let mut data = f.data.write();
+            {
+                let mut table = self.table.lock();
+                if table.contains_key(&pid) {
+                    continue; // mapped by a concurrent miss while we evicted
+                }
+                table.insert(pid, guard.frame);
+            }
+            match self.store.read_page(pid) {
+                Ok(page) => *data = page,
+                Err(e) => {
+                    self.table.lock().remove(&pid);
+                    return Err(e);
+                }
+            }
+            *f.page_id.lock() = Some(pid);
+            f.ref_bit.store(true, Ordering::Relaxed);
+            drop(data);
+            return Ok(guard);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Slow path: pick a victim, evict, load.
-        let idx = self.evict_victim()?;
-        let frame = &self.frames[idx];
-        let page = self.store.read_page(pid)?;
-        {
-            let mut data = frame.data.write();
-            *data = page;
-        }
-        *frame.page_id.lock() = Some(pid);
-        frame.dirty.store(false, Ordering::Relaxed);
-        frame.ref_bit.store(true, Ordering::Relaxed);
-        {
-            let mut table = self.table.lock();
-            table.insert(pid, idx);
-        }
-        Ok(FrameGuard {
-            pool: self,
-            frame: idx,
-        })
     }
 
-    /// Choose a victim frame with the clock algorithm, flush it if dirty,
-    /// and return its index with pin_count already set to 1 (reserved for
-    /// the caller).
-    #[allow(clippy::if_same_then_else)] // pinned and referenced frames both just advance the hand
-    fn evict_victim(&self) -> Result<usize> {
+    fn guard(&self, frame: usize) -> FrameGuard<'_> {
+        FrameGuard { pool: self, frame }
+    }
+
+    /// Choose a victim frame with the clock algorithm and return it pinned
+    /// for the caller: written back if it was dirty, unmapped, holding no
+    /// page.
+    fn evict_victim(&self) -> Result<FrameGuard<'_>> {
         let n = self.frames.len();
-        let mut sweeps = 0usize;
-        loop {
+        for _ in 0..=2 * n {
             let hand = self.clock_hand.fetch_add(1, Ordering::Relaxed) as usize % n;
             let f = &self.frames[hand];
-            if f.pin_count.load(Ordering::Acquire) != 0 {
-                sweeps += 1;
-            } else if f.ref_bit.swap(false, Ordering::Relaxed) {
-                sweeps += 1;
-            } else {
-                // try to claim: pin it; if someone pinned first, move on
-                if f.pin_count
-                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    sweeps += 1;
-                    continue;
-                }
-                // remove old mapping and write back
-                let old = {
-                    let mut table = self.table.lock();
-                    let old = *f.page_id.lock();
-                    if let Some(old_pid) = old {
-                        table.remove(&old_pid);
-                    }
-                    old
-                };
-                if let Some(old_pid) = old {
-                    if f.dirty.swap(false, Ordering::AcqRel) {
-                        let data = f.data.read();
-                        self.store.write_page(old_pid, &data)?;
+            // pinned and referenced frames both just advance the hand
+            if f.pin_count.load(Ordering::Acquire) != 0 || f.ref_bit.swap(false, Ordering::Relaxed)
+            {
+                continue;
+            }
+            if f.pin_count
+                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+            {
+                continue;
+            }
+            let claim = self.guard(hand); // gives the pin back if we move on
+            let old = *f.page_id.lock();
+            // Write back while the page is still mapped: a fetch of it in
+            // the meantime is a hit on the current contents, never a read
+            // of the store's stale copy.
+            if let Some(old_pid) = old {
+                if f.dirty.swap(false, Ordering::AcqRel) {
+                    let data = f.data.read();
+                    if let Err(e) = self.store.write_page(old_pid, &data) {
+                        f.dirty.store(true, Ordering::Release);
+                        return Err(e);
                     }
                 }
-                *f.page_id.lock() = None;
-                return Ok(hand);
             }
-            if sweeps > 2 * n {
-                return Err(AssetError::Corrupt(
-                    "buffer pool exhausted: all frames pinned".into(),
-                ));
+            let mut table = self.table.lock();
+            // Pins are only added under the table lock: if ours is still
+            // the only one, nobody holds the frame or can reach it before
+            // it is unmapped. Otherwise a fetch took (and perhaps
+            // dirtied) it during the write-back and it is no victim.
+            if f.pin_count.load(Ordering::Acquire) != 1 || f.dirty.load(Ordering::Acquire) {
+                continue;
             }
+            if let Some(old_pid) = old {
+                table.remove(&old_pid);
+            }
+            *f.page_id.lock() = None;
+            return Ok(claim);
         }
+        Err(AssetError::Corrupt(
+            "buffer pool exhausted: all frames pinned".into(),
+        ))
     }
 
     /// Write all dirty frames back and sync the store.
     pub fn flush_all(&self) -> Result<()> {
         for f in &self.frames {
+            // under the data lock the frame cannot be loaded with another
+            // page between reading its id and writing its contents
+            let data = f.data.read();
             let pid = *f.page_id.lock();
             if let Some(pid) = pid {
                 if f.dirty.swap(false, Ordering::AcqRel) {
-                    let data = f.data.read();
                     self.store.write_page(pid, &data)?;
                 }
             }
@@ -216,6 +243,7 @@ impl Drop for FrameGuard<'_> {
 mod tests {
     use super::*;
     use crate::heapfile::MemPageStore;
+    use std::sync::mpsc;
 
     fn pool(frames: usize) -> BufferPool {
         BufferPool::new(Arc::new(MemPageStore::new(256)), frames)
@@ -292,6 +320,133 @@ mod tests {
         let _ = p.fetch(pid).unwrap();
         let after = p.stats();
         assert_eq!(after.0, before.0 + 1, "resident fetch is a hit");
+    }
+
+    /// A store whose first read (or first write) stops inside the call
+    /// until the test lets it go: the one way to hold a fetch in the middle
+    /// of a miss without sleeping.
+    struct GatedStore {
+        inner: MemPageStore,
+        gate_reads: bool,
+        /// Taken by the first gated call: where it reports which page it is
+        /// at, and where it waits to be let go.
+        gate: Mutex<Option<(mpsc::Sender<PageId>, mpsc::Receiver<()>)>>,
+    }
+
+    impl GatedStore {
+        fn stop_at_gate(&self, pid: PageId) {
+            let gate = self.gate.lock().take();
+            if let Some((at, go)) = gate {
+                at.send(pid).unwrap();
+                go.recv().unwrap();
+            }
+        }
+    }
+
+    impl PageStore for GatedStore {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+        fn read_page(&self, pid: PageId) -> Result<Page> {
+            if self.gate_reads {
+                self.stop_at_gate(pid);
+            }
+            self.inner.read_page(pid)
+        }
+        fn write_page(&self, pid: PageId, page: &Page) -> Result<()> {
+            if !self.gate_reads {
+                self.stop_at_gate(pid);
+            }
+            self.inner.write_page(pid, page)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A pool over a gated store of `pages` pages, plus the two ends of the
+    /// gate: which page the stopped call is at, and the release.
+    fn gated_pool(
+        frames: usize,
+        pages: usize,
+        gate_reads: bool,
+    ) -> (
+        Arc<BufferPool>,
+        Vec<PageId>,
+        mpsc::Receiver<PageId>,
+        mpsc::Sender<()>,
+    ) {
+        let (at_tx, at_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel();
+        let store = GatedStore {
+            inner: MemPageStore::new(256),
+            gate_reads,
+            gate: Mutex::new(Some((at_tx, go_rx))),
+        };
+        let pids = (0..pages).map(|_| store.allocate().unwrap()).collect();
+        let pool = Arc::new(BufferPool::new(Arc::new(store), frames));
+        (pool, pids, at_rx, go_tx)
+    }
+
+    #[test]
+    fn two_misses_on_one_page_share_one_frame() {
+        let (p, pids, at_gate, go) = gated_pool(4, 1, true);
+        let pid = pids[0];
+        let fetch = |p: &Arc<BufferPool>| {
+            let p = Arc::clone(p);
+            std::thread::spawn(move || {
+                let g = p.fetch(pid).unwrap();
+                g.with_write(|page| page.bytes_mut()[0] += 1);
+            })
+        };
+        // the first fetch misses and stops inside the store's read ...
+        let first = fetch(&p);
+        assert_eq!(at_gate.recv().unwrap(), pid);
+        // ... the second has looked the page up (a hit on the frame being
+        // loaded, or a miss of its own) before the first is let go
+        let second = fetch(&p);
+        while p.stats().0 + p.stats().1 < 2 {
+            std::thread::yield_now();
+        }
+        go.send(()).unwrap();
+        first.join().unwrap();
+        second.join().unwrap();
+        // one frame: both increments landed on the same copy of the page
+        assert_eq!(p.fetch(pid).unwrap().with_read(|page| page.bytes()[0]), 2);
+        assert_eq!(p.stats(), (2, 1), "one load, and two hits on its frame");
+    }
+
+    #[test]
+    fn a_page_being_written_back_is_never_read_stale() {
+        let (p, pids, at_gate, go) = gated_pool(2, 3, false);
+        // both frames hold a dirty page
+        for pid in &pids[..2] {
+            let g = p.fetch(*pid).unwrap();
+            g.with_write(|page| page.bytes_mut()[0] = 7);
+        }
+        // a third page needs a frame: the eviction stops inside the
+        // write-back of its victim ...
+        let evictor = {
+            let (p, pid) = (Arc::clone(&p), pids[2]);
+            std::thread::spawn(move || drop(p.fetch(pid).unwrap()))
+        };
+        let victim = at_gate.recv().unwrap();
+        // ... and a fetch of the victim meanwhile sees what was written,
+        // not the store's copy from before the write-back
+        let g = p.fetch(victim).unwrap();
+        assert_eq!(g.with_read(|page| page.bytes()[0]), 7);
+        go.send(()).unwrap();
+        evictor.join().unwrap();
+        drop(g);
+        for pid in &pids[..2] {
+            assert_eq!(p.fetch(*pid).unwrap().with_read(|page| page.bytes()[0]), 7);
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use crate::latch::Latch;
 use crate::store::ObjectStore;
+use asset_common::sync::Mutex;
 use asset_common::{Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

@@ -6,8 +6,8 @@
 
 use crate::page::{Page, PageId};
 use asset_annot::verify_allow;
+use asset_common::sync::Mutex;
 use asset_common::{AssetError, Result};
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;

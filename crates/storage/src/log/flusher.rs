@@ -21,9 +21,9 @@
 //! panic they would have seen from a direct forced append.
 
 use super::{LogManager, LogRecord};
+use asset_common::sync::{Condvar, Mutex};
 use asset_common::{Durability, Lsn, Result};
 use asset_obs::{bump, EventKind, Obs};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -41,9 +41,9 @@ pub use flusher::{FlushCallback, GroupFlusher};
 pub use record::{Ids, LogRecord, RecordRef, WireId};
 
 use asset_annot::wal;
+use asset_common::sync::{Mutex, MutexGuard};
 use asset_common::{Durability, Lsn, Result};
 use asset_obs::{add, bump, EventKind, Obs};
-use parking_lot::{Mutex, MutexGuard};
 use record::Frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -9,8 +9,8 @@ use crate::buffer::BufferPool;
 use crate::heapfile::PageStore;
 use crate::page::{Page, PageId};
 use crate::slotted::{SlotId, SlottedPage};
+use asset_common::sync::Mutex;
 use asset_common::{AssetError, Oid, Result};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 

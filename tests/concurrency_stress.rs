@@ -1,6 +1,7 @@
 //! Concurrency stress tests: many threads, real contention, invariants
 //! that only hold if locking, undo and the commit protocol are correct.
 
+use asset::faults::Rng;
 use asset::models::run_atomic_retrying;
 use asset::{Config, Database, Oid, TxnCtx};
 use std::sync::Arc;
@@ -44,21 +45,14 @@ fn bank_transfers_conserve_total() {
         let db = db.clone();
         let accounts = Arc::clone(&accounts);
         handles.push(std::thread::spawn(move || {
-            // cheap deterministic PRNG per thread
-            let mut state = 0x9E3779B97F4A7C15u64.wrapping_mul(tno as u64 + 1);
-            let mut rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
+            let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15, tno as u64);
             for _ in 0..transfers_per_thread {
-                let from = accounts[(rand() % n_accounts as u64) as usize];
-                let to = accounts[(rand() % n_accounts as u64) as usize];
+                let from = *rng.pick(&accounts);
+                let to = *rng.pick(&accounts);
                 if from == to {
                     continue;
                 }
-                let amount = (rand() % 50) as i64;
+                let amount = rng.below(50) as i64;
                 // lock accounts in oid order to reduce (not eliminate)
                 // deadlocks; retries absorb the rest
                 let (first, second) = if from < to { (from, to) } else { (to, from) };

@@ -2,6 +2,7 @@
 //! composed the way a real application would, plus a mixed-workload soak
 //! test with log compaction and crash recovery at the end.
 
+use asset::faults::Rng;
 use asset::mlt::{run_mlt, EscrowCounter, MltOutcome, SemanticLockTable};
 use asset::models::{required_subtransaction, run_atomic, run_nested, Saga, SagaOutcome};
 use asset::{Config, Database, Oid};
@@ -157,21 +158,15 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
             })
             .unwrap());
 
-        let mut state = 0xABCDu64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = Rng::new(0xABCD, 0);
         for round in 0..300 {
-            let from = accounts[(rand() % n_accounts as u64) as usize];
-            let to = accounts[(rand() % n_accounts as u64) as usize];
+            let from = *rng.pick(&accounts);
+            let to = *rng.pick(&accounts);
             if from == to {
                 continue;
             }
-            let amount = (rand() % 40) as i64;
-            let style = rand() % 4;
+            let amount = rng.below(40) as i64;
+            let style = rng.below(4);
             match style {
                 0 => {
                     // plain transfer

@@ -7,6 +7,7 @@ use asset::models::{
     CoopSession, Coupling, Saga, SagaOutcome, WorkflowOutcome,
 };
 use asset::{Database, DepType, ObSet, OpSet, TxnCtx, TxnStatus};
+use std::sync::Mutex;
 
 #[test]
 fn s311_atomic_transaction() {
@@ -226,10 +227,16 @@ fn paper_s2_example_cooperation_with_cd() {
     let db = Database::in_memory();
     let ob = db.new_oid();
     assert!(db.run(move |ctx| ctx.write(ob, b"v".to_vec())).unwrap());
+    // ti writes, says so, and stays active until tj has written through
+    // the permit: tj's write follows ti's and overlaps ti's body
+    let (wrote_tx, wrote_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let (wrote_tx, release_rx) = (Mutex::new(wrote_tx), Mutex::new(release_rx));
     let ti = db
         .initiate(move |ctx| {
             ctx.write(ob, b"ti".to_vec())?;
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            wrote_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
             Ok(())
         })
         .unwrap();
@@ -242,9 +249,10 @@ fn paper_s2_example_cooperation_with_cd() {
     db.form_dependency(DepType::CD, ti, tj).unwrap();
     db.permit(ti, Some(tj), ObSet::one(ob), OpSet::ALL).unwrap();
     db.begin(ti).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(10));
+    wrote_rx.recv().unwrap();
     db.begin(tj).unwrap();
     db.wait(tj).unwrap();
+    release_tx.send(()).unwrap();
     assert!(db.commit(ti).unwrap());
     assert!(db.commit(tj).unwrap());
     assert_eq!(db.status(tj).unwrap(), TxnStatus::Committed);

@@ -1,4 +1,5 @@
-//! Property-based tests (proptest) over the core invariants:
+//! Property tests (seeded cases over `asset::faults::Rng`) of the core
+//! invariants:
 //!
 //! * log record encode/decode round-trips for arbitrary payloads;
 //! * recovery produces the same state as the runtime did, for arbitrary
@@ -8,177 +9,192 @@
 //! * contingent transactions commit exactly the first viable alternative;
 //! * random transfer workloads conserve totals.
 
+use asset::faults::{cases, Rng};
 use asset::storage::{LogManager, LogRecord};
 use asset::{Database, ObSet, Oid, OpSet, Operation, Tid, TxnCtx};
-use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 // --- log round-trip ---------------------------------------------------------
 
-fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u8>(), 0..256)
+/// An id in `1..1000`.
+fn arb_id(rng: &mut Rng) -> u64 {
+    1 + rng.below(999)
 }
 
-fn arb_record() -> impl Strategy<Value = LogRecord> {
-    prop_oneof![
-        (1u64..1000, 1u64..1000, proptest::option::of(arb_bytes())).prop_map(|(t, o, after)| {
-            LogRecord::Overwrite {
-                tid: Tid(t),
-                oid: Oid(o),
-                after,
-            }
-        }),
-        (
-            1u64..1000,
-            1u64..1000,
-            proptest::option::of(arb_bytes()),
-            proptest::option::of(arb_bytes())
-        )
-            .prop_map(|(t, o, before, after)| LogRecord::Update {
-                tid: Tid(t),
-                oid: Oid(o),
-                before,
-                after
-            }),
-        proptest::collection::vec(1u64..1000, 1..8).prop_map(|ts| LogRecord::Commit {
-            tids: ts.into_iter().map(Tid).collect()
-        }),
-        (1u64..1000).prop_map(|t| LogRecord::Abort { tid: Tid(t) }),
-        (
-            1u64..1000,
-            1u64..1000,
-            proptest::option::of(proptest::collection::vec(1u64..1000, 0..10))
-        )
-            .prop_map(|(f, t, obs)| LogRecord::Delegate {
-                from: Tid(f),
-                to: Tid(t),
-                obs: obs.map(|v| v.into_iter().map(Oid).collect()),
-            }),
-        Just(LogRecord::Checkpoint),
-    ]
+/// `None`, or up to 255 random bytes.
+fn arb_image(rng: &mut Rng) -> Option<Vec<u8>> {
+    (rng.below(2) == 1).then(|| {
+        let len = rng.below(256) as usize;
+        rng.bytes(len)
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn arb_record(rng: &mut Rng) -> LogRecord {
+    match rng.below(6) {
+        0 => LogRecord::Overwrite {
+            tid: Tid(arb_id(rng)),
+            oid: Oid(arb_id(rng)),
+            after: arb_image(rng),
+        },
+        1 => LogRecord::Update {
+            tid: Tid(arb_id(rng)),
+            oid: Oid(arb_id(rng)),
+            before: arb_image(rng),
+            after: arb_image(rng),
+        },
+        2 => LogRecord::Commit {
+            tids: (0..1 + rng.below(7)).map(|_| Tid(arb_id(rng))).collect(),
+        },
+        3 => LogRecord::Abort {
+            tid: Tid(arb_id(rng)),
+        },
+        4 => LogRecord::Delegate {
+            from: Tid(arb_id(rng)),
+            to: Tid(arb_id(rng)),
+            obs: (rng.below(2) == 1)
+                .then(|| (0..rng.below(10)).map(|_| Oid(arb_id(rng))).collect()),
+        },
+        _ => LogRecord::Checkpoint,
+    }
+}
 
-    #[test]
-    fn log_record_roundtrip(rec in arb_record()) {
+#[test]
+fn log_record_roundtrip() {
+    cases(0x0A55_E701, 64, |rng| {
+        let rec = arb_record(rng);
         let body = rec.encode_body();
         let back = LogRecord::decode_body(&body).unwrap();
-        prop_assert_eq!(&rec, &back);
+        assert_eq!(&rec, &back);
         let frame = rec.encode_frame();
         let (back2, next) = LogRecord::decode_frame(&frame, 0).unwrap().unwrap();
-        prop_assert_eq!(&rec, &back2);
-        prop_assert_eq!(next, frame.len());
-    }
+        assert_eq!(&rec, &back2);
+        assert_eq!(next, frame.len());
+    });
+}
 
-    #[test]
-    fn log_stream_roundtrip(recs in proptest::collection::vec(arb_record(), 0..20)) {
+#[test]
+fn log_stream_roundtrip() {
+    cases(0x0A55_E702, 64, |rng| {
+        let recs: Vec<LogRecord> = (0..rng.below(20)).map(|_| arb_record(rng)).collect();
         let log = LogManager::in_memory();
         for r in &recs {
             log.append(r).unwrap();
         }
         let scanned: Vec<LogRecord> = log.scan().unwrap().into_iter().map(|(_, r)| r).collect();
-        prop_assert_eq!(recs, scanned);
-    }
+        assert_eq!(recs, scanned);
+    });
+}
 
-    #[test]
-    fn torn_tail_never_errors(rec in arb_record(), cut_fraction in 0.0f64..1.0) {
-        // any prefix of a single frame decodes as clean EOF, never Err
-        let frame = rec.encode_frame();
-        let cut = ((frame.len() as f64) * cut_fraction) as usize;
-        if cut < frame.len() {
-            let r = LogRecord::decode_frame(&frame[..cut], 0).unwrap();
-            prop_assert!(r.is_none());
-        }
-    }
+#[test]
+fn torn_tail_never_errors() {
+    cases(0x0A55_E703, 64, |rng| {
+        // any proper prefix of a single frame decodes as clean EOF, never Err
+        let frame = arb_record(rng).encode_frame();
+        let cut = rng.below(frame.len() as u64) as usize;
+        let r = LogRecord::decode_frame(&frame[..cut], 0).unwrap();
+        assert!(r.is_none());
+    });
 }
 
 // --- opset / obset algebra ----------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn opset_intersection_is_conjunction(a in 0u8..4, b in 0u8..4) {
-        let mk = |bits: u8| {
+#[test]
+fn opset_intersection_is_conjunction() {
+    cases(0x0A55_E704, 128, |rng| {
+        let mk = |bits: u64| {
             let mut s = OpSet::NONE;
-            if bits & 1 != 0 { s = s.insert(Operation::Read); }
-            if bits & 2 != 0 { s = s.insert(Operation::Write); }
+            if bits & 1 != 0 {
+                s = s.insert(Operation::Read);
+            }
+            if bits & 2 != 0 {
+                s = s.insert(Operation::Write);
+            }
             s
         };
-        let (sa, sb) = (mk(a), mk(b));
+        let (sa, sb) = (mk(rng.below(4)), mk(rng.below(4)));
         for op in [Operation::Read, Operation::Write] {
-            prop_assert_eq!(
+            assert_eq!(
                 sa.intersect(sb).contains(op),
                 sa.contains(op) && sb.contains(op)
             );
-            prop_assert_eq!(
+            assert_eq!(
                 sa.union(sb).contains(op),
                 sa.contains(op) || sb.contains(op)
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn obset_intersection_is_conjunction(
-        a in proptest::collection::btree_set(1u64..50, 0..20),
-        b in proptest::collection::btree_set(1u64..50, 0..20),
-        probe in 1u64..50,
-    ) {
+#[test]
+fn obset_intersection_is_conjunction() {
+    cases(0x0A55_E705, 128, |rng| {
+        let arb_set = |rng: &mut Rng| -> BTreeSet<u64> {
+            (0..rng.below(20)).map(|_| 1 + rng.below(49)).collect()
+        };
+        let (a, b) = (arb_set(rng), arb_set(rng));
+        let probe = 1 + rng.below(49);
         let sa = ObSet::Objects(a.iter().copied().map(Oid).collect());
         let sb = ObSet::Objects(b.iter().copied().map(Oid).collect());
         let both = sa.intersect(&sb);
-        prop_assert_eq!(
+        assert_eq!(
             both.contains(Oid(probe)),
             sa.contains(Oid(probe)) && sb.contains(Oid(probe))
         );
         // All is the identity of intersection
-        prop_assert_eq!(ObSet::All.intersect(&sa), sa.clone());
-        prop_assert_eq!(sa.intersect(&ObSet::All), sa);
-    }
+        assert_eq!(ObSet::All.intersect(&sa), sa.clone());
+        assert_eq!(sa.intersect(&ObSet::All), sa);
+    });
 }
 
 // --- runtime semantics ---------------------------------------------------------
 
-proptest! {
-    // these spin up real databases and threads — keep the case count modest
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// These spin up real databases and threads — the case count stays modest.
+const RUNTIME_CASES: u64 = 12;
 
-    /// For an arbitrary commit/abort decision vector over independent
-    /// transactions, the final state contains exactly the committed writes.
-    #[test]
-    fn commit_abort_decisions_apply_exactly(decisions in proptest::collection::vec(any::<bool>(), 1..12)) {
+/// For an arbitrary commit/abort decision vector over independent
+/// transactions, the final state contains exactly the committed writes.
+#[test]
+fn commit_abort_decisions_apply_exactly() {
+    cases(0x0A55_E706, RUNTIME_CASES, |rng| {
+        let decisions: Vec<bool> = (0..1 + rng.below(11)).map(|_| rng.below(2) == 1).collect();
         let db = Database::in_memory();
         let mut expectations = vec![];
         for (i, commit) in decisions.iter().enumerate() {
             let oid = db.new_oid();
-            let t = db.initiate(move |ctx: &TxnCtx| ctx.write(oid, vec![i as u8])).unwrap();
+            let t = db
+                .initiate(move |ctx: &TxnCtx| ctx.write(oid, vec![i as u8]))
+                .unwrap();
             db.begin(t).unwrap();
             db.wait(t).unwrap();
             if *commit {
-                prop_assert!(db.commit(t).unwrap());
+                assert!(db.commit(t).unwrap());
             } else {
-                prop_assert!(db.abort(t).unwrap());
+                assert!(db.abort(t).unwrap());
             }
             expectations.push((oid, *commit, i as u8));
         }
         for (oid, committed, tag) in expectations {
             match db.peek(oid).unwrap() {
                 Some(v) => {
-                    prop_assert!(committed);
-                    prop_assert_eq!(v, vec![tag]);
+                    assert!(committed);
+                    assert_eq!(v, vec![tag]);
                 }
-                None => prop_assert!(!committed),
+                None => assert!(!committed),
             }
         }
-    }
+    });
+}
 
-    /// Saga traces always match t1..tk (ctk..ct1 on failure): committed
-    /// steps in order, then their compensations in exact reverse order.
-    #[test]
-    fn saga_trace_shape(n_steps in 1usize..8, fail_at in proptest::option::of(0usize..8)) {
-        use asset::models::{Saga, SagaOutcome};
-        let fail_at = fail_at.filter(|f| *f < n_steps);
+/// Saga traces always match t1..tk (ctk..ct1 on failure): committed
+/// steps in order, then their compensations in exact reverse order.
+#[test]
+fn saga_trace_shape() {
+    use asset::models::{Saga, SagaOutcome};
+    cases(0x0A55_E707, RUNTIME_CASES, |rng| {
+        let n_steps = 1 + rng.below(7) as usize;
+        let fail_at = (rng.below(2) == 1)
+            .then(|| rng.below(8) as usize)
+            .filter(|f| *f < n_steps);
         let db = Database::in_memory();
         let mut saga = Saga::new();
         for i in 0..n_steps {
@@ -186,7 +202,11 @@ proptest! {
             saga = saga.step(
                 format!("s{i}"),
                 move |ctx: &TxnCtx| {
-                    if fails { ctx.abort_self::<()>().map(|_| ()) } else { Ok(()) }
+                    if fails {
+                        ctx.abort_self::<()>().map(|_| ())
+                    } else {
+                        Ok(())
+                    }
                 },
                 |_| Ok(()),
             );
@@ -194,67 +214,89 @@ proptest! {
         let (outcome, trace) = saga.run(&db).unwrap();
         match fail_at {
             None => {
-                prop_assert_eq!(outcome, SagaOutcome::Committed);
+                assert_eq!(outcome, SagaOutcome::Committed);
                 let expect: Vec<String> = (0..n_steps).map(|i| format!("s{i}")).collect();
-                prop_assert_eq!(trace.events, expect);
+                assert_eq!(trace.events, expect);
             }
             Some(k) => {
-                prop_assert_eq!(outcome, SagaOutcome::Compensated { failed_step: k });
+                assert_eq!(outcome, SagaOutcome::Compensated { failed_step: k });
                 let mut expect: Vec<String> = (0..k).map(|i| format!("s{i}")).collect();
                 expect.extend((0..k).rev().map(|i| format!("~s{i}")));
-                prop_assert_eq!(trace.events, expect);
+                assert_eq!(trace.events, expect);
             }
         }
-    }
+    });
+}
 
-    /// Contingent transactions commit exactly the first viable alternative.
-    #[test]
-    fn contingent_picks_first_viable(viability in proptest::collection::vec(any::<bool>(), 1..8)) {
-        use asset::models::run_contingent;
+/// Contingent transactions commit exactly the first viable alternative.
+#[test]
+fn contingent_picks_first_viable() {
+    use asset::models::run_contingent;
+    cases(0x0A55_E708, RUNTIME_CASES, |rng| {
+        let viability: Vec<bool> = (0..1 + rng.below(7)).map(|_| rng.below(2) == 1).collect();
         let db = Database::in_memory();
         let alternatives = viability
             .iter()
             .map(|&ok| {
                 Box::new(move |ctx: &TxnCtx| {
-                    if ok { Ok(()) } else { ctx.abort_self::<()>().map(|_| ()) }
+                    if ok {
+                        Ok(())
+                    } else {
+                        ctx.abort_self::<()>().map(|_| ())
+                    }
                 }) as Box<dyn FnOnce(&TxnCtx) -> asset::Result<()> + Send>
             })
             .collect();
         let chosen = run_contingent(&db, alternatives).unwrap();
-        prop_assert_eq!(chosen, viability.iter().position(|&v| v));
-    }
+        assert_eq!(chosen, viability.iter().position(|&v| v));
+    });
+}
 
-    /// Sequential random transfers conserve the total.
-    #[test]
-    fn transfers_conserve_total(
-        moves in proptest::collection::vec((0usize..4, 0usize..4, 0i64..100), 0..25)
-    ) {
+/// Sequential random transfers conserve the total.
+#[test]
+fn transfers_conserve_total() {
+    cases(0x0A55_E709, RUNTIME_CASES, |rng| {
+        let moves: Vec<(usize, usize, i64)> = (0..rng.below(25))
+            .map(|_| {
+                (
+                    rng.below(4) as usize,
+                    rng.below(4) as usize,
+                    rng.below(100) as i64,
+                )
+            })
+            .collect();
         let db = Database::in_memory();
         let accounts: Vec<Oid> = (0..4).map(|_| db.new_oid()).collect();
         let a2 = accounts.clone();
-        assert!(db.run(move |ctx| {
-            for oid in &a2 {
-                ctx.write(*oid, 500i64.to_le_bytes().to_vec())?;
-            }
-            Ok(())
-        }).unwrap());
+        assert!(db
+            .run(move |ctx| {
+                for oid in &a2 {
+                    ctx.write(*oid, 500i64.to_le_bytes().to_vec())?;
+                }
+                Ok(())
+            })
+            .unwrap());
         for (from, to, amount) in moves {
             let (f, t) = (accounts[from], accounts[to]);
-            if f == t { continue; }
-            let _ = db.run(move |ctx| {
-                let vf = i64::from_le_bytes(ctx.read(f)?.unwrap().try_into().unwrap());
-                if vf < amount {
-                    return ctx.abort_self();
-                }
-                ctx.write(f, (vf - amount).to_le_bytes().to_vec())?;
-                let vt = i64::from_le_bytes(ctx.read(t)?.unwrap().try_into().unwrap());
-                ctx.write(t, (vt + amount).to_le_bytes().to_vec())
-            }).unwrap();
+            if f == t {
+                continue;
+            }
+            let _ = db
+                .run(move |ctx| {
+                    let vf = i64::from_le_bytes(ctx.read(f)?.unwrap().try_into().unwrap());
+                    if vf < amount {
+                        return ctx.abort_self();
+                    }
+                    ctx.write(f, (vf - amount).to_le_bytes().to_vec())?;
+                    let vt = i64::from_le_bytes(ctx.read(t)?.unwrap().try_into().unwrap());
+                    ctx.write(t, (vt + amount).to_le_bytes().to_vec())
+                })
+                .unwrap();
         }
         let total: i64 = accounts
             .iter()
             .map(|o| i64::from_le_bytes(db.peek(*o).unwrap().unwrap().try_into().unwrap()))
             .sum();
-        prop_assert_eq!(total, 2_000);
-    }
+        assert_eq!(total, 2_000);
+    });
 }

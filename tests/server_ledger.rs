@@ -5,6 +5,7 @@
 //! generic error or a clean abort (DESIGN.md §13.4).
 
 use asset::client::{Client, TxnFate};
+use asset::faults::Rng;
 use asset::server::protocol::{opcode, status, Frame};
 use asset::server::AssetServer;
 use asset::{Config, Database};
@@ -25,17 +26,6 @@ fn test_config() -> Config {
         .with_commit_flush_window(Duration::from_micros(200))
 }
 
-/// Tiny deterministic PRNG (xorshift64*), enough to pick account pairs.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 #[test]
 fn concurrent_clients_conserve_money() {
     const CLIENTS: usize = 8;
@@ -54,15 +44,15 @@ fn concurrent_clients_conserve_money() {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("worker connect");
-                let mut rng = Rng(0x9E37_79B9 + c as u64);
+                let mut rng = Rng::new(0x9E37_79B9, c as u64);
                 let (mut committed, mut aborted) = (0u64, 0u64);
                 for _ in 0..TRANSFERS {
                     // distinct accounts: a self-transfer is a client-side
                     // no-op and would not reach the server's counters
-                    let a = rng.next() % ACCOUNTS;
-                    let b = (a + 1 + rng.next() % (ACCOUNTS - 1)) % ACCOUNTS;
+                    let a = rng.below(ACCOUNTS);
+                    let b = (a + 1 + rng.below(ACCOUNTS - 1)) % ACCOUNTS;
                     let (from, to) = (first + a, first + b);
-                    let amount = (rng.next() % 50) as i64;
+                    let amount = (rng.below(50)) as i64;
                     match client.transfer(from, to, amount).expect("transfer") {
                         TxnFate::Committed => committed += 1,
                         // deadlock victims and upgrade races abort
@@ -122,11 +112,11 @@ fn sum_is_a_consistent_snapshot_under_a_transfer_storm() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("writer connect");
-                let mut rng = Rng(0xDEAD_BEEF + w as u64);
+                let mut rng = Rng::new(0xDEAD_BEEF, w as u64);
                 while !stop.load(Ordering::Relaxed) {
-                    let a = rng.next() % ACCOUNTS;
-                    let b = (a + 1 + rng.next() % (ACCOUNTS - 1)) % ACCOUNTS;
-                    let amount = (rng.next() % 100) as i64;
+                    let a = rng.below(ACCOUNTS);
+                    let b = (a + 1 + rng.below(ACCOUNTS - 1)) % ACCOUNTS;
+                    let amount = (rng.below(100)) as i64;
                     // aborts (deadlock victims) are fine — they move
                     // nothing; only a torn observation would be a bug
                     let _ = client

@@ -3,9 +3,9 @@
 //! viability assignment — the outcome, the failing step, and the final
 //! object state must all match.
 
+use asset::faults::{cases, Rng};
 use asset::models::{Branch, Step, Workflow, WorkflowOutcome};
 use asset::{Database, Oid, TxnCtx};
-use proptest::prelude::*;
 
 /// One randomly generated step specification.
 #[derive(Clone, Debug)]
@@ -17,17 +17,12 @@ struct StepSpec {
     optional: bool,
 }
 
-fn arb_step() -> impl Strategy<Value = StepSpec> {
-    (
-        proptest::collection::vec(any::<bool>(), 1..4),
-        0u8..3,
-        any::<bool>(),
-    )
-        .prop_map(|(branches, kind, optional)| StepSpec {
-            branches,
-            kind,
-            optional,
-        })
+fn arb_step(rng: &mut Rng) -> StepSpec {
+    StepSpec {
+        branches: (0..1 + rng.below(3)).map(|_| rng.below(2) == 1).collect(),
+        kind: rng.below(3) as u8,
+        optional: rng.below(2) == 1,
+    }
 }
 
 /// Reference semantics: does the step succeed, and which branches commit?
@@ -73,13 +68,10 @@ fn reference_workflow(specs: &[StepSpec]) -> (Option<usize>, Vec<(usize, usize)>
     (None, surviving)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn workflow_matches_reference_interpreter(
-        specs in proptest::collection::vec(arb_step(), 0..5)
-    ) {
+#[test]
+fn workflow_matches_reference_interpreter() {
+    cases(0x3F10_0001, 24, |rng| {
+        let specs: Vec<StepSpec> = (0..rng.below(5)).map(|_| arb_step(rng)).collect();
         let db = Database::in_memory();
         // one object per (step, branch); a committed branch writes its tag,
         // its compensation deletes it
@@ -125,29 +117,29 @@ proptest! {
 
         match expect_fail {
             Some(k) => {
-                prop_assert_eq!(outcome, WorkflowOutcome::Failed { failed_step: k });
+                assert_eq!(outcome, WorkflowOutcome::Failed { failed_step: k });
                 // everything compensated: no object survives
                 for row in &oids {
                     for oid in row {
-                        prop_assert_eq!(db.peek(*oid).unwrap(), None);
+                        assert_eq!(db.peek(*oid).unwrap(), None);
                     }
                 }
             }
             None => {
-                prop_assert_eq!(outcome, WorkflowOutcome::Completed);
-                prop_assert_eq!(results.len(), specs.len());
+                assert_eq!(outcome, WorkflowOutcome::Completed);
+                assert_eq!(results.len(), specs.len());
                 for (i, row) in oids.iter().enumerate() {
                     for (b, oid) in row.iter().enumerate() {
                         let expect = surviving.contains(&(i, b));
-                        prop_assert_eq!(
+                        assert_eq!(
                             db.peek(*oid).unwrap().is_some(),
                             expect,
-                            "step {} branch {} survival mismatch", i, b
+                            "step {i} branch {b} survival mismatch"
                         );
                     }
                 }
             }
         }
         db.retire_terminated();
-    }
+    });
 }
