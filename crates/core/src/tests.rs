@@ -1364,9 +1364,9 @@ fn form_dependency_issued_inside_the_flush_window_takes_effect_after_it() {
     );
 }
 
-// --- WAL v3: what a transaction costs the log -------------------------
+// --- WAL: what a transaction costs the log ----------------------------
 
-/// The log's frame count and tail, and the flusher's window count.
+/// The log's record count and tail, and the flusher's window count.
 fn log_marks(db: &Database) -> (u64, u64, u64) {
     let marks = db.engine().log().watermarks();
     (
@@ -1386,7 +1386,7 @@ fn records_since(db: &Database, lsn: u64) -> Vec<asset_storage::LogRecord> {
 }
 
 #[test]
-fn a_two_write_commit_over_logged_objects_is_three_frames() {
+fn a_two_write_commit_over_logged_objects_is_three_records() {
     use asset_storage::LogRecord;
     let db = db();
     let (a, b) = (
@@ -1418,7 +1418,7 @@ fn a_two_write_commit_over_logged_objects_is_three_frames() {
         LogRecord::Commit { tids: vec![t] },
     ];
     assert_eq!(records_since(&db, tail), expected);
-    let bytes: usize = expected.iter().map(|r| r.encode_frame().len()).sum();
+    let bytes: usize = expected.iter().map(|r| r.encode().len()).sum();
     assert_eq!(tail_after - tail, bytes as u64);
 }
 

@@ -186,7 +186,7 @@ pub enum EventKind {
     },
     /// The log drained buffered records to the OS / stable storage.
     LogFlush {
-        /// Bytes handed to the OS by this drain.
+        /// Bytes handed to the OS by this drain: the block it sealed.
         bytes: u64,
         /// Nanoseconds the drain took.
         dur_ns: u64,
@@ -198,7 +198,10 @@ pub enum EventKind {
         window: u64,
         /// Commit records coalesced into the window.
         records: u32,
-        /// Log bytes accepted while the window was assembled.
+        /// The window's occupancy: the bytes its one write carried — the
+        /// sealed block holding its commit records and whatever unforced
+        /// records were buffered before them (zero if a watermark drain
+        /// carried them first).
         bytes: u64,
         /// Nanoseconds from window assembly to sync completion.
         dur_ns: u64,

@@ -8,7 +8,7 @@ use crate::log::{GroupFlusher, LogManager, LogRecord, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
 use asset_annot::wal;
-use asset_common::{Config, Durability, Lsn, Oid, Result, Tid};
+use asset_common::{Config, Lsn, Oid, Result, Tid};
 use asset_obs::Obs;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -25,10 +25,7 @@ pub struct StorageEngine {
     store: ObjectStore,
     log: Arc<LogManager>,
     flusher: GroupFlusher,
-    durability: Durability,
     obs: Arc<Obs>,
-    #[cfg(feature = "faults")]
-    faults: Arc<asset_faults::FaultRegistry>,
 }
 
 impl StorageEngine {
@@ -81,10 +78,7 @@ impl StorageEngine {
             store,
             log,
             flusher,
-            durability: config.durability,
             obs,
-            #[cfg(feature = "faults")]
-            faults: Arc::clone(&config.faults),
         };
         let report = recover(&engine.log, &engine.cache, &engine.store)?;
         Ok((engine, report))
@@ -196,39 +190,18 @@ impl StorageEngine {
         &self.flusher
     }
 
-    /// Quiescent checkpoint: flush the cache and pool, truncate the log,
-    /// and write a checkpoint marker. The caller must guarantee no
+    /// Quiescent checkpoint: flush the cache and pool, then replace the log
+    /// with a checkpoint marker ([`LogManager::rewrite`]: the old log or
+    /// the new one, never a cut one). The caller must guarantee no
     /// transaction is active.
     pub fn checkpoint(&self) -> Result<()> {
         // WAL rule: no image reaches the store ahead of its log record.
         self.log.flush()?;
         self.cache.flush(&self.store)?;
         self.store.flush()?;
-        asset_faults::failpoint!(
-            &self.faults,
-            crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE,
-            |act| {
-                return Err(self
-                    .faults
-                    .realize_plain(crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE, act)
-                    .into());
-            }
-        );
-        self.log.truncate()?;
-        asset_faults::failpoint!(
-            &self.faults,
-            crate::failpoints::CHECKPOINT_AFTER_TRUNCATE,
-            |act| {
-                return Err(self
-                    .faults
-                    .realize_plain(crate::failpoints::CHECKPOINT_AFTER_TRUNCATE, act)
-                    .into());
-            }
-        );
-        self.log.append(&LogRecord::Checkpoint)?;
-        if self.durability == Durability::Strict {
-            self.log.flush()?;
-        }
+        self.log
+            .failpoint(crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE)?;
+        self.log.rewrite([RecordRef::Checkpoint])?;
         Ok(())
     }
 
@@ -249,7 +222,11 @@ impl StorageEngine {
     ///    of `Overwrite`s resolved — against a scratch image map, not the
     ///    cache) to find the pending updates each live transaction is
     ///    responsible for;
-    /// 3. rewrite the log as: `Checkpoint` marker, then those pending
+    /// 3. replace the log ([`LogManager::rewrite`]: one sealed block, built
+    ///    beside the log and renamed over it, so a crash leaves the old log
+    ///    or the new one — never a log that was cut and not yet refilled,
+    ///    which would have lost the undo information of images the store
+    ///    already holds) with: `Checkpoint` marker, then those pending
     ///    updates **in their original LSN order across owners** — undo
     ///    installs before images newest first, so two cooperating writers
     ///    of one object must keep the order they wrote in — each a full
@@ -270,9 +247,6 @@ impl StorageEngine {
         let mut images: HashMap<Oid, Option<Vec<u8>>> = HashMap::new();
         self.log
             .replay(|lsn, rec| fold.apply(lsn, rec, &mut images))?;
-        self.log.truncate()?;
-        self.log.append(&LogRecord::Checkpoint)?;
-        let mut after = 1usize;
         let mut pending: Vec<(Tid, PendingUpdate)> = fold
             .pending
             .into_iter()
@@ -280,30 +254,28 @@ impl StorageEngine {
             .flat_map(|(owner, updates)| updates.into_iter().map(move |u| (owner, u)))
             .collect();
         pending.sort_by_key(|(_, u)| u.lsn);
-        for (owner, u) in pending {
-            self.log.append_ref(&RecordRef::Update {
-                tid: owner,
-                oid: u.oid,
-                before: u.before.as_deref(),
-                after: images.get(&u.oid).and_then(|image| image.as_deref()),
-            })?;
-            after += 1;
-        }
+        let relogged = pending.iter().map(|(owner, u)| RecordRef::Update {
+            tid: *owner,
+            oid: u.oid,
+            before: u.before.as_deref(),
+            after: images.get(&u.oid).and_then(|image| image.as_deref()),
+        });
         // Re-log one Prepared record per in-doubt group so prepared-but-
         // undecided participants stay in-doubt across compaction (§14.3).
         let mut groups: Vec<Vec<Tid>> = fold.prepared.into_values().collect();
         groups.sort_unstable();
         groups.dedup();
-        for tids in groups {
-            self.log.append(&LogRecord::Prepared { tids })?;
-            after += 1;
-        }
-        if self.durability == Durability::Strict {
-            self.log.flush()?;
-        }
+        let prepared = groups.iter().map(|tids| RecordRef::Prepared {
+            tids: tids.as_slice().into(),
+        });
+        let records_after = self.log.rewrite(
+            std::iter::once(RecordRef::Checkpoint)
+                .chain(relogged)
+                .chain(prepared),
+        )?;
         Ok(CompactionReport {
             records_before: fold.records,
-            records_after: after,
+            records_after,
         })
     }
 }
@@ -460,29 +432,40 @@ mod tests {
         assert_eq!(kinds(&e), ["update", "update"]);
     }
 
-    /// A transfer over two objects the log has seen is three frames and
-    /// 52 bytes with three-byte ids — the benchmark's `log_bytes_per_txn`.
+    /// A transfer over two objects the log has seen is three records and
+    /// 37 bytes with three-byte ids, plus its share of the seal that closes
+    /// the drain it leaves in: 42 alone, 20 × 37 + 5 for twenty in one
+    /// drain — the benchmark's `log_bytes_per_txn`.
     #[test]
-    fn a_transfer_over_logged_objects_is_52_bytes() {
-        let e = mem_engine();
+    fn a_transfer_is_37_bytes_plus_its_share_of_one_seal_per_drain() {
+        let dir = std::env::temp_dir().join(format!("asset-eng-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (e, _) = StorageEngine::open(&Config::on_disk(&dir)).unwrap();
         let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
-        for oid in [a, b] {
-            e.write_object(Tid(70_000), oid, balance(100)).unwrap();
+        let transfer = |tid: Tid, forced: bool| {
+            e.write_object(tid, a, balance(tid.0 as i64)).unwrap();
+            e.write_object(tid, b, balance(-(tid.0 as i64))).unwrap();
+            let commit = LogRecord::Commit { tids: vec![tid] };
+            if forced {
+                e.log_record(&commit).unwrap();
+            } else {
+                e.log.append(&commit).unwrap();
+            }
+        };
+        transfer(Tid(70_000), true);
+        let marks = e.log.watermarks();
+        transfer(Tid(70_001), true);
+        let alone = e.log.watermarks();
+        assert_eq!(alone.records_appended - marks.records_appended, 3);
+        assert_eq!(alone.tail.0 - marks.tail.0, 42);
+        for t in 0..20 {
+            transfer(Tid(70_002 + t), t == 19);
         }
-        e.log_record(&LogRecord::Commit {
-            tids: vec![Tid(70_000)],
-        })
-        .unwrap();
-        let (tail, records) = (e.log.tail().0, e.log.records_appended());
-        e.write_object(Tid(70_001), a, balance(58)).unwrap();
-        e.write_object(Tid(70_001), b, balance(142)).unwrap();
-        e.log_record(&LogRecord::Commit {
-            tids: vec![Tid(70_001)],
-        })
-        .unwrap();
-        assert_eq!(e.log.records_appended() - records, 3);
-        assert_eq!(e.log.tail().0 - tail, 52);
+        assert_eq!(e.log.tail().0 - alone.tail.0, 20 * 37 + 5);
+        assert_eq!(e.log.pending_bytes(), 0);
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Regression: restart used to undo its losers in the cache and log

@@ -11,11 +11,14 @@
 //! append — only the number of `sync_data` calls per acknowledged commit
 //! drops from one to `1/N` for an `N`-record window.
 //!
-//! Two failpoints make the window crash-testable
+//! A window's records leave in one drain, so they are one sealed block of
+//! the log (together with whatever unforced records the workers buffered
+//! before it): restart sees the window whole or not at all. Two failpoints
+//! make that crash-testable
 //! ([`FLUSH_WINDOW_ASSEMBLE`](crate::failpoints::FLUSH_WINDOW_ASSEMBLE),
 //! [`FLUSH_WINDOW_SYNC`](crate::failpoints::FLUSH_WINDOW_SYNC)): a crash
-//! while a window is half-written must leave every *unacknowledged* commit
-//! in it undone at recovery, and every previously acknowledged one intact.
+//! while a window is half-written must leave every commit in it undone at
+//! recovery, and every previously acknowledged one intact.
 //! A [`asset_faults::CrashPoint`] unwind on the flusher thread is re-raised
 //! on each submitting thread, so crash-matrix harnesses observe exactly the
 //! panic they would have seen from a direct forced append.
@@ -24,7 +27,7 @@ use super::{LogManager, LogRecord};
 use asset_common::sync::{Condvar, Mutex};
 use asset_common::{Durability, Lsn, Result};
 use asset_obs::{bump, EventKind, Obs};
-use std::collections::HashMap;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,17 +35,12 @@ use std::time::{Duration, Instant};
 /// on the flusher thread, after the record's window succeeded or failed.
 pub type FlushCallback = Box<dyn FnOnce(Result<Lsn>) + Send + 'static>;
 
-enum Waiter {
-    /// A blocked [`GroupFlusher::submit_and_wait`] caller.
-    Sync,
-    /// An asynchronous acknowledgement (state-machine executor).
-    Callback(FlushCallback),
-}
-
 struct Pending {
-    ticket: u64,
     rec: LogRecord,
-    waiter: Waiter,
+    /// Invoked exactly once, on the flusher thread, with the outcome of the
+    /// record's window: a blocked [`GroupFlusher::submit_and_wait`] caller's
+    /// channel, or the executor's [`FlushCallback`].
+    ack: Box<dyn FnOnce(Outcome) + Send>,
 }
 
 enum Outcome {
@@ -56,8 +54,6 @@ enum Outcome {
 #[derive(Default)]
 struct State {
     queue: Vec<Pending>,
-    done: HashMap<u64, Outcome>,
-    next_ticket: u64,
     windows: u64,
     shutdown: bool,
 }
@@ -69,7 +65,6 @@ struct Shared {
     obs: Arc<Obs>,
     state: Mutex<State>,
     work_cv: Condvar,
-    done_cv: Condvar,
 }
 
 /// The dedicated log-flusher: owns the only thread that appends commit
@@ -99,7 +94,6 @@ impl GroupFlusher {
             obs,
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -122,15 +116,11 @@ impl GroupFlusher {
         if self.handle.lock().is_none() {
             return self.shared.log.append_forced(&rec);
         }
-        let ticket = self.enqueue(rec, Waiter::Sync)?;
-        let mut st = self.shared.state.lock();
-        loop {
-            if let Some(out) = st.done.remove(&ticket) {
-                drop(st);
-                return realize(out);
-            }
-            self.shared.done_cv.wait(&mut st);
-        }
+        let (tx, rx) = sync_channel(1);
+        self.enqueue(rec, Box::new(move |out| drop(tx.try_send(out))))?;
+        // the flusher acknowledges everything it accepted, shutdown included
+        rx.recv()
+            .map_or_else(|gone| Err(std::io::Error::other(gone).into()), realize)
     }
 
     /// Submit a commit record with an asynchronous acknowledgement: `ack`
@@ -142,25 +132,18 @@ impl GroupFlusher {
             ack(self.shared.log.append_forced(&rec));
             return Ok(());
         }
-        self.enqueue(rec, Waiter::Callback(ack))?;
-        Ok(())
+        self.enqueue(rec, Box::new(move |out| ack(realize_nonpanicking(out))))
     }
 
-    fn enqueue(&self, rec: LogRecord, waiter: Waiter) -> Result<u64> {
+    fn enqueue(&self, rec: LogRecord, ack: Box<dyn FnOnce(Outcome) + Send>) -> Result<()> {
         let mut st = self.shared.state.lock();
         if st.shutdown {
             return Err(std::io::Error::other("log flusher shut down").into());
         }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push(Pending {
-            ticket,
-            rec,
-            waiter,
-        });
+        st.queue.push(Pending { rec, ack });
         drop(st);
         self.shared.work_cv.notify_one();
-        Ok(ticket)
+        Ok(())
     }
 
     /// Flush windows made durable so far (diagnostics).
@@ -186,11 +169,10 @@ impl Drop for GroupFlusher {
 /// Turn a window outcome into the submitting caller's result — crashed
 /// windows re-unwind with the original site's [`asset_faults::CrashPoint`].
 fn realize(out: Outcome) -> Result<Lsn> {
-    match out {
-        Outcome::Flushed(lsn) => Ok(lsn),
-        Outcome::Failed(msg) => Err(std::io::Error::other(msg).into()),
-        Outcome::Crashed(site) => std::panic::panic_any(asset_faults::CrashPoint(site)),
+    if let Outcome::Crashed(site) = out {
+        std::panic::panic_any(asset_faults::CrashPoint(site));
     }
+    realize_nonpanicking(out)
 }
 
 /// The flusher thread: collect a window, flush it, acknowledge everyone.
@@ -223,27 +205,24 @@ fn run(shared: Arc<Shared>) {
 
 fn flush_window(shared: &Shared, batch: Vec<Pending>, window: u64) {
     let t0 = shared.obs.tracing_enabled().then(Instant::now);
-    let tail0 = shared.log.tail().0;
     let flushed =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| flush_batch(shared, &batch)));
     shared.obs.flush_batch_len.record(batch.len() as u64);
     bump(&shared.obs.counters.flush_windows);
-    if let (Some(t0), Ok(Ok(_))) = (t0, &flushed) {
+    if let (Some(t0), Ok(Ok((_, bytes)))) = (t0, &flushed) {
         shared.obs.record(EventKind::FlushWindow {
             window,
             records: batch.len() as u32,
-            bytes: shared.log.tail().0.saturating_sub(tail0),
+            // what the window's one write carried: its occupancy
+            bytes: *bytes as u64,
             dur_ns: t0.elapsed().as_nanos() as u64,
         });
     }
-    // Acknowledge: sync waiters through the done map, callbacks invoked
-    // here on the flusher thread — after the state lock is released, since
-    // a callback re-enters the transaction layer.
-    let mut callbacks: Vec<(FlushCallback, Result<Lsn>)> = Vec::new();
-    let mut st = shared.state.lock();
+    // Acknowledge, with no flusher lock held: a callback re-enters the
+    // transaction layer.
     for (idx, p) in batch.into_iter().enumerate() {
         let out = match &flushed {
-            Ok(Ok(lsns)) => Outcome::Flushed(lsns[idx]),
+            Ok(Ok((lsns, _))) => Outcome::Flushed(lsns[idx]),
             Ok(Err(e)) => Outcome::Failed(e.to_string()),
             Err(payload) => match payload.downcast_ref::<asset_faults::CrashPoint>() {
                 Some(cp) => Outcome::Crashed(cp.0),
@@ -259,17 +238,7 @@ fn flush_window(shared: &Shared, batch: Vec<Pending>, window: u64) {
                 }
             }
         }
-        match p.waiter {
-            Waiter::Sync => {
-                st.done.insert(p.ticket, out);
-            }
-            Waiter::Callback(ack) => callbacks.push((ack, realize_nonpanicking(out))),
-        }
-    }
-    drop(st);
-    shared.done_cv.notify_all();
-    for (ack, res) in callbacks {
-        ack(res);
+        (p.ack)(out);
     }
 }
 
@@ -291,20 +260,20 @@ fn realize_nonpanicking(out: Outcome) -> Result<Lsn> {
 /// workers buffered before it) to the OS, and under [`Durability::Strict`]
 /// one `sync_data` makes it stable. [`Durability::Buffered`] stops at the
 /// write — exactly the durability the mode always had; in-memory needs
-/// neither.
-fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<Vec<Lsn>> {
+/// neither. Returns the records' LSNs and the bytes the drain wrote.
+fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<(Vec<Lsn>, usize)> {
     asset_faults::failpoint!(
         shared.log.faults(),
         crate::failpoints::FLUSH_WINDOW_ASSEMBLE,
         |act| {
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                // A torn window: a prefix of the batch's records lands
-                // (unsynced), then the process crashes. None of the
-                // window's commits was acknowledged, so recovery may
-                // decide each either way.
-                let keep = batch.len() * keep_per_mille as usize / 1000;
-                let _ = shared.log.append_all(batch[..keep].iter().map(|p| &p.rec));
-                let _ = shared.log.drain(false);
+                // A torn window: a byte prefix of its block lands, then the
+                // process crashes. No seal follows it, so recovery sees
+                // none of the window's commits — and none was acknowledged.
+                let _ = shared.log.append_all(batch.iter().map(|p| &p.rec));
+                shared
+                    .log
+                    .crash_torn(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, keep_per_mille);
             }
             return Err(shared
                 .log
@@ -316,10 +285,10 @@ fn flush_batch(shared: &Shared, batch: &[Pending]) -> Result<Vec<Lsn>> {
     let lsns = shared.log.append_all(batch.iter().map(|p| &p.rec))?;
     let elide =
         asset_faults::failpoint_sync!(shared.log.faults(), crate::failpoints::FLUSH_WINDOW_SYNC);
-    shared
+    let bytes = shared
         .log
         .drain(!elide && shared.durability == Durability::Strict)?;
-    Ok(lsns)
+    Ok((lsns, bytes))
 }
 
 #[cfg(test)]
@@ -389,6 +358,44 @@ mod tests {
         .unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got.unwrap(), 0);
+    }
+
+    /// Regression: `FlushWindow.bytes` was `tail` after − `tail` before,
+    /// which missed the unforced records the window's write carried (and
+    /// counted whatever other threads appended meanwhile). It is the size
+    /// of the block the window's drain sealed.
+    #[test]
+    fn a_window_reports_the_bytes_its_write_carried() {
+        let dir = std::env::temp_dir().join(format!("asset-flusher-occ-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let obs = Obs::shared();
+        obs.enable_tracing(64);
+        let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        log.set_obs(Arc::clone(&obs));
+        let log = Arc::new(log);
+        let f = GroupFlusher::spawn(
+            Arc::clone(&log),
+            Durability::Strict,
+            Duration::ZERO,
+            Arc::clone(&obs),
+        );
+        // buffered before the window: the window's write carries it
+        log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
+        f.submit_and_wait(LogRecord::Commit { tids: vec![Tid(2)] })
+            .unwrap();
+        let occupancy: Vec<u64> = obs
+            .trace()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::FlushWindow { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(occupancy, [log.tail().0], "marker, both records, seal");
+        drop(f);
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,27 +5,38 @@
 //! the recovery *algorithms* are still exercised) and an append-only file
 //! with configurable durability.
 //!
-//! Every append encodes its frame straight into one user-space buffer,
+//! Every append encodes its record straight into one user-space buffer,
 //! `pending`, under the append lock and returns; nothing on the append
-//! path makes a syscall. The buffer reaches the OS in one `write` when a
-//! forced append (commit record), a [`flush`](LogManager::flush) or the
+//! path makes a syscall or computes a checksum. The buffer reaches the OS
+//! in one `write` when a forced append (commit record), a
+//! [`flush`](LogManager::flush) or the
 //! [`flush watermark`](LogManager::open_with) drains it — under every
 //! durability: the modes differ only in whether a force also syncs
 //! (`Strict`) or not (`Buffered`). So [`LogWatermarks::pending_bytes`] is
-//! non-zero between forces under `Strict` too. The in-memory backend is
-//! the same buffer, never drained.
+//! non-zero between forces under `Strict` too.
 //!
-//! A drain swaps the buffer out under the append lock and writes and
-//! syncs it with the lock released: appenders fill the next buffer while
-//! the device works. Drains are serialized among themselves, so bytes
-//! reach the file in LSN order. A failed drain puts its bytes back in
-//! front of `pending` and trims the file to what it held before, so an
-//! LSN is always the offset its record has, or will have, in the file.
-//! Buffered bytes die with a killed process: they are a suffix of the log
-//! that no force followed, so nothing acknowledged is among them. A
-//! manager that is *dropped* drains (without syncing) first, so a clean
-//! exit, or a test that "crashes" by dropping the database, leaves the OS
-//! every record that was appended.
+//! **The drain is the unit of integrity** (the format is the record
+//! module's). A drain swaps the buffer out under the append lock and closes
+//! it there with a five-byte seal — counted in `tail` like every other
+//! byte, so LSNs stay file offsets — then, with the lock released, fills
+//! the seal with the checksum of the bytes since the previous seal, writes,
+//! and syncs: appenders fill the next buffer while the drainer hashes and
+//! the device works. What one drain writes is a *block*, and a block is in
+//! the log whole or not at all: [`replay`](LogManager::replay) visits its
+//! records only once its seal verifies. The in-memory backend is the same
+//! buffer, never drained and so never sealed: its records, like those
+//! still in a file log's buffer, have not left the process and are trusted
+//! as they are.
+//!
+//! Drains are serialized among themselves, so bytes reach the file in LSN
+//! order. A failed drain puts its bytes — seal included; the next drain
+//! seals only what follows — back in front of `pending` and trims the file
+//! to what it held before, so an LSN is always the offset its record has,
+//! or will have, in the file. Buffered bytes die with a killed process:
+//! they are a suffix of the log that no force followed, so nothing
+//! acknowledged is among them. A manager that is *dropped* drains (without
+//! syncing) first, so a clean exit, or a test that "crashes" by dropping
+//! the database, leaves the OS every record that was appended.
 //!
 //! One manager owns a log file at a time: [`open`](LogManager::open) takes
 //! an exclusive advisory lock on it, held until the manager is dropped,
@@ -38,13 +49,12 @@ mod flusher;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
-pub use record::{Ids, LogRecord, RecordRef, WireId};
+pub use record::{Ids, LogEntry, LogRecord, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
 
 use asset_annot::wal;
 use asset_common::sync::{Mutex, MutexGuard};
-use asset_common::{Durability, Lsn, Result};
+use asset_common::{AssetError, Durability, Lsn, Result};
 use asset_obs::{add, bump, EventKind, Obs};
-use record::Frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -55,8 +65,9 @@ use std::time::Instant;
 /// Default user-space buffer watermark (bytes).
 pub const DEFAULT_FLUSH_WATERMARK: usize = 64 * 1024;
 
-/// How much of the log [`LogManager::replay`] reads at a time.
-const REPLAY_CHUNK: usize = 256 * 1024;
+/// How much of the log [`LogManager::replay`] reads at a time: many
+/// blocks, so that few of them are decoded twice for straddling a read.
+const REPLAY_CHUNK: usize = 1024 * 1024;
 
 /// Point-in-time durability watermarks of the log, read in one critical
 /// section by [`LogManager::watermarks`] so the fields are mutually
@@ -78,22 +89,26 @@ pub struct LogWatermarks {
     pub unsynced_bytes: usize,
 }
 
-/// The log file and what serializes its writers.
+/// The log file. Its mutex is held for the whole of a drain, a rewrite or
+/// a scan's read, so the file changes under one of them at a time; taken
+/// before `inner`, never while holding it.
 struct Disk {
+    path: PathBuf,
     /// Opened for append: every `write` lands at the end, `&File` writes.
     file: File,
-    path: PathBuf,
-    /// Held for the whole of a drain, a truncation or a scan's read, so
-    /// the file changes under one of them at a time; taken before `inner`,
-    /// never while holding it. Holds the buffer the last drain emptied,
-    /// which the next drain swaps in for `pending`.
-    spare: Mutex<Vec<u8>>,
+    /// The buffer the last drain emptied, which the next drain swaps in
+    /// for `pending`.
+    spare: Vec<u8>,
 }
 
+#[derive(Default)]
 struct Inner {
-    /// Frames accepted and not yet handed to the file; the whole log of
+    /// Records accepted and not yet handed to the file; the whole log of
     /// the in-memory backend.
     pending: Vec<u8>,
+    /// The prefix of `pending` that is sealed blocks, put back by a failed
+    /// drain.
+    sealed: usize,
     tail: u64,
     records_appended: u64,
     /// Bytes handed to the OS: the file's length.
@@ -106,7 +121,7 @@ struct Inner {
 pub struct LogManager {
     inner: Mutex<Inner>,
     /// `None` for the in-memory backend.
-    disk: Option<Disk>,
+    disk: Option<Mutex<Disk>>,
     durability: Durability,
     flush_watermark: usize,
     /// See [`generation`](Self::generation).
@@ -120,16 +135,15 @@ pub struct LogManager {
 }
 
 impl LogManager {
-    fn new(disk: Option<Disk>, tail: u64, durability: Durability, watermark: usize) -> LogManager {
+    fn new(disk: Option<Disk>, len: u64, durability: Durability, watermark: usize) -> LogManager {
         LogManager {
             inner: Mutex::new(Inner {
-                pending: Vec::new(),
-                tail,
-                records_appended: 0,
-                written: tail,
-                synced: tail,
+                tail: len,
+                written: len,
+                synced: len,
+                ..Inner::default()
             }),
-            disk,
+            disk: disk.map(Mutex::new),
             durability,
             flush_watermark: watermark.max(1),
             generation: AtomicU64::new(1),
@@ -161,8 +175,8 @@ impl LogManager {
         self.faults = faults;
     }
 
-    /// The registry this manager's failpoints consult; the flusher and
-    /// restart recovery, which work on this log, consult the same one.
+    /// The registry this manager's failpoints consult; the flusher, which
+    /// works on this log, consults the same one.
     #[cfg(feature = "faults")]
     pub(crate) fn faults(&self) -> &Arc<asset_faults::FaultRegistry> {
         &self.faults
@@ -173,16 +187,27 @@ impl LogManager {
         &self.obs
     }
 
+    /// The failpoint `site`, where no buffer is being written and nothing
+    /// synced: `Error` refuses the operation, anything else crashes. The
+    /// engine's checkpoint and restart recovery, which work on this log,
+    /// consult its registry through here.
+    #[cfg_attr(not(feature = "faults"), allow(unused_variables))]
+    pub(crate) fn failpoint(&self, site: &'static str) -> Result<()> {
+        asset_faults::failpoint!(&self.faults, site, |act| {
+            return Err(self.faults.realize_plain(site, act).into());
+        });
+        Ok(())
+    }
+
     /// The log's generation: starts at one and moves on at every
-    /// [`truncate`](Self::truncate), so "logged in the current generation"
+    /// [`rewrite`](Self::rewrite), so "logged in the current generation"
     /// means "in the log as it stands" — and nothing has to be swept when
     /// the log is cut. The storage engine stamps it on a cached object
-    /// whose image it has just logged; while the stamp is current, the
-    /// next write to the object logs no before image
-    /// ([`LogRecord::Overwrite`]).
+    /// whose image it has just logged; while the stamp is current, the next
+    /// write to the object logs no before image ([`LogRecord::Overwrite`]).
     ///
-    /// Relaxed: truncation is legal only while no transaction writes, and
-    /// it is the caller's exclusion of writers (the transaction table's
+    /// Relaxed: cutting the log is legal only while no transaction writes,
+    /// and it is the caller's exclusion of writers (the transaction table's
     /// shards), not this counter, that orders the two.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
@@ -197,7 +222,8 @@ impl LogManager {
     /// Open (creating if absent) the log file at `path`; unforced appends
     /// coalesce in user space until `flush_watermark` bytes are pending.
     /// Waits for the file's previous owner, if one is still around, to be
-    /// dropped.
+    /// dropped. A file that does not start with the [`FORMAT_MARKER`] (or,
+    /// torn inside it, with a prefix of it) is `Corrupt` and left as it is.
     pub fn open_with(
         path: &Path,
         durability: Durability,
@@ -209,13 +235,23 @@ impl LogManager {
             .create(true)
             .open(path)?;
         file.lock()?;
-        let tail = file.seek(SeekFrom::End(0))?;
+        let mut head = Vec::new();
+        (&file)
+            .take(FORMAT_MARKER.len() as u64)
+            .read_to_end(&mut head)?;
+        if !FORMAT_MARKER.starts_with(&head) {
+            return Err(AssetError::Corrupt(format!(
+                "{} is not a v4 log: it starts {head:02x?}",
+                path.display()
+            )));
+        }
+        let len = file.seek(SeekFrom::End(0))?;
         let disk = Disk {
-            file,
             path: path.to_path_buf(),
-            spare: Mutex::new(Vec::new()),
+            file,
+            spare: Vec::new(),
         };
-        Ok(Self::new(Some(disk), tail, durability, flush_watermark))
+        Ok(Self::new(Some(disk), len, durability, flush_watermark))
     }
 
     /// Append a record; returns its LSN. The record is accepted into the
@@ -223,14 +259,14 @@ impl LogManager {
     /// watermark drain (a watermark drain that fails leaves it buffered
     /// for the next one to retry and report).
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
-        self.append_inner(std::iter::once(rec), |_| (), false)
+        self.append_ref(&rec.as_ref())
     }
 
     /// Append and force: the record and everything before it is handed to
     /// the OS before returning and, under `Strict` durability, synced. Used
     /// for commit records (WAL rule).
     pub fn append_forced(&self, rec: &LogRecord) -> Result<Lsn> {
-        self.append_inner(std::iter::once(rec), |_| (), true)
+        self.append_inner(std::iter::once(rec.as_ref()), |_| (), true)
     }
 
     /// Append `recs` back to back in one critical section (a group-commit
@@ -240,7 +276,7 @@ impl LogManager {
         &self,
         recs: impl IntoIterator<Item = &'a LogRecord>,
     ) -> Result<Vec<Lsn>> {
-        let recs = recs.into_iter();
+        let recs = recs.into_iter().map(LogRecord::as_ref);
         let mut lsns = Vec::with_capacity(recs.size_hint().0);
         self.append_inner(recs, |lsn| lsns.push(lsn), false)?;
         Ok(lsns)
@@ -249,16 +285,16 @@ impl LogManager {
     /// Append a record whose images are borrowed: the write and undo paths
     /// log from where the images sit, and copy neither.
     pub(crate) fn append_ref(&self, rec: &RecordRef<'_>) -> Result<Lsn> {
-        self.append_inner(std::iter::once(rec), |_| (), false)
+        self.append_inner(std::iter::once(*rec), |_| (), false)
     }
 
-    /// The one append path: encode every frame into `pending`, then accept
-    /// them. Returns the first record's LSN and reports each one's to
-    /// `each`.
-    #[wal(logs = "encode_frame_into", mutates = "inner.tail +=")]
-    fn append_inner<'a, F: Frame + 'a>(
+    /// The one append path: encode every record into `pending`, then
+    /// accept them. Returns the first record's LSN and reports each one's
+    /// to `each`.
+    #[wal(logs = "encode_into", mutates = "inner.tail +=")]
+    fn append_inner<'a>(
         &self,
-        recs: impl IntoIterator<Item = &'a F>,
+        recs: impl IntoIterator<Item = RecordRef<'a>>,
         mut each: impl FnMut(Lsn),
         force: bool,
     ) -> Result<Lsn> {
@@ -266,7 +302,12 @@ impl LogManager {
         // for a clock read; the counters below are always on.
         let t0 = self.obs.tracing_enabled().then(Instant::now);
         let mut inner = self.inner.lock();
-        // `tail`/`records_appended` advance only once the frames are whole
+        if inner.tail == 0 && self.disk.is_some() {
+            // the first block of a generation opens with the marker
+            inner.pending.extend_from_slice(&FORMAT_MARKER);
+            inner.tail = FORMAT_MARKER.len() as u64;
+        }
+        // `tail`/`records_appended` advance only once the records are whole
         // in the buffer: a refused append must leave no byte behind, or
         // every later LSN would be off from its record's offset.
         let lsn = Lsn(inner.tail);
@@ -274,19 +315,13 @@ impl LogManager {
         let mut records = 0;
         for rec in recs {
             each(Lsn(lsn.0 + (inner.pending.len() - start) as u64));
-            rec.encode_frame_into(&mut inner.pending);
+            rec.encode_into(&mut inner.pending);
             records += 1;
         }
         asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                // a prefix of the frames reaches the file, then the
-                // process dies
-                let keep = (inner.pending.len() - start) * keep_per_mille as usize / 1000;
-                inner.pending.truncate(start + keep);
-                inner.tail += keep as u64; // accepted: they reach the file
                 drop(inner);
-                self.drain_in_passing();
-                self.faults.crash_now(crate::failpoints::LOG_APPEND);
+                self.crash_torn(crate::failpoints::LOG_APPEND, keep_per_mille);
             }
             inner.pending.truncate(start);
             return Err(self
@@ -317,18 +352,39 @@ impl LogManager {
         Ok(lsn)
     }
 
-    /// Force everything appended so far to stable storage.
-    pub fn flush(&self) -> Result<()> {
-        self.drain(true)
+    /// What `Torn` means at a failpoint of the append path: the `write`
+    /// that would have carried the buffer is cut short — a byte prefix of
+    /// the block being assembled reaches the file, with no seal behind it —
+    /// and the process dies. (A `Torn` inside a drain,
+    /// [`LOG_FLUSH`](crate::failpoints::LOG_FLUSH), tears the block that
+    /// drain swapped out.)
+    #[cfg(feature = "faults")]
+    #[asset_annot::failpoint_checker]
+    pub(crate) fn crash_torn(&self, site: &'static str, keep_per_mille: u16) -> ! {
+        if let Some(disk) = &self.disk {
+            let disk = disk.lock(); // behind a write in flight
+            let inner = self.inner.lock();
+            let keep = inner.pending.len() * keep_per_mille as usize / 1000;
+            let _ = (&disk.file).write_all(&inner.pending[..keep]);
+        }
+        self.faults.crash_now(site)
     }
 
-    /// Hand the pending buffer to the OS with one `write` and, if `sync`,
-    /// make the file stable with one `sync_data` — both with the append
-    /// lock released. A no-op for the in-memory backend.
-    pub fn drain(&self, sync: bool) -> Result<()> {
+    /// Force everything appended so far to stable storage.
+    pub fn flush(&self) -> Result<()> {
+        self.drain(true).map(|_| ())
+    }
+
+    /// Seal the pending buffer and hand it to the OS with one `write`, and,
+    /// if `sync`, make the file stable with one `sync_data` — hash, write
+    /// and sync with the append lock released. Returns the bytes this
+    /// drain wrote: the block it sealed (and what an earlier, failed drain
+    /// had put back); zero when another drain carried them first, and for
+    /// the in-memory backend, where it is a no-op.
+    pub fn drain(&self, sync: bool) -> Result<usize> {
         match &self.disk {
-            Some(disk) => self.drain_holding(disk, disk.spare.lock(), sync),
-            None => Ok(()),
+            Some(disk) => self.drain_holding(disk.lock(), sync),
+            None => Ok(0),
         }
     }
 
@@ -340,26 +396,30 @@ impl LogManager {
     /// retries and reports.
     fn drain_in_passing(&self) {
         let Some(disk) = &self.disk else { return };
-        let Some(spare) = disk.spare.try_lock() else {
+        let Some(disk) = disk.try_lock() else {
             return;
         };
-        if self.drain_holding(disk, spare, false).is_err() {
+        if self.drain_holding(disk, false).is_err() {
             bump(&self.obs.counters.log_drain_failures);
         }
     }
 
-    /// The drain proper, for a caller that holds `disk.spare`.
-    fn drain_holding(
-        &self,
-        disk: &Disk,
-        mut spare: MutexGuard<'_, Vec<u8>>,
-        sync: bool,
-    ) -> Result<()> {
+    /// The drain proper, for a caller that holds the disk.
+    fn drain_holding(&self, mut disk: MutexGuard<'_, Disk>, sync: bool) -> Result<usize> {
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let mut buf = {
+        let (mut buf, open_from) = {
             let mut inner = self.inner.lock();
-            std::mem::replace(&mut inner.pending, std::mem::take(&mut *spare))
+            let open_from = std::mem::take(&mut inner.sealed);
+            if inner.pending.len() > open_from {
+                record::open_seal(&mut inner.pending);
+                inner.tail += SEAL_LEN as u64;
+            }
+            let spare = std::mem::take(&mut disk.spare);
+            (std::mem::replace(&mut inner.pending, spare), open_from)
         };
+        if buf.len() > open_from {
+            record::fill_seal(&mut buf, open_from);
+        }
         if !buf.is_empty() {
             asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_FLUSH, |act| {
                 if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
@@ -386,9 +446,9 @@ impl LogManager {
             // sync below actually happens (it may fail, or be elided).
             self.inner.lock().written += buf.len() as u64;
         }
-        let drained_bytes = buf.len() as u64;
+        let drained = buf.len();
         buf.clear();
-        *spare = buf;
+        disk.spare = buf;
         if sync {
             let elide = asset_faults::failpoint_sync!(&self.faults, crate::failpoints::LOG_SYNC);
             if !elide {
@@ -398,7 +458,7 @@ impl LogManager {
                 inner.synced = inner.written;
             }
         }
-        drop(spare);
+        drop(disk);
         bump(&self.obs.counters.log_flushes);
         if let Some(t0) = t0 {
             let dur_ns = t0.elapsed().as_nanos() as u64;
@@ -406,17 +466,18 @@ impl LogManager {
             // The flush sub-span on the storage track: recorded with no
             // log lock held, same discipline as the latency gauge.
             self.obs.record(EventKind::LogFlush {
-                bytes: drained_bytes,
+                bytes: drained as u64,
                 dur_ns,
             });
         }
-        Ok(())
+        Ok(drained)
     }
 
-    /// A drain failed: its bytes return to the front of `pending`, ahead
-    /// of whatever was appended meanwhile, and `tail` never moved.
+    /// A drain failed: its bytes, sealed, return to the front of `pending`,
+    /// ahead of whatever was appended meanwhile, and `tail` never moved.
     fn put_back(&self, mut buf: Vec<u8>) {
         let mut inner = self.inner.lock();
+        inner.sealed = buf.len();
         buf.extend_from_slice(&inner.pending);
         inner.pending = buf;
     }
@@ -475,103 +536,161 @@ impl LogManager {
     }
 
     /// Stream the log through `visit`, one record at a time in LSN order,
-    /// images and id lists borrowed from the read buffer: the log is read
-    /// a chunk at a time and never held whole. Records still in the
-    /// user-space buffer are part of the log and follow the file's. An
-    /// error from `visit` ends the replay and is returned; corruption
-    /// before the tail is an error.
+    /// images and id lists borrowed from the read buffer. The file is read
+    /// a chunk at a time and decoded a block at a time (memory is bounded
+    /// by one block, not by the log); records still in the user-space
+    /// buffer are part of the log and follow the file's. An error from
+    /// `visit` ends the replay and is returned; a seal that does not match
+    /// its block, or bytes that are no record, are `Corrupt`.
     ///
-    /// A torn tail is tolerated (crash consistency) and **chopped**: what
-    /// follows the last whole frame was left by a crashed write that no
-    /// force covered. Left in the file, the next run's records would
-    /// follow it and the run after that would read garbage before them; so
-    /// the file is cut to the end of the last whole frame and `tail` — the
-    /// next record's LSN — set to match. Only restart recovery, which runs
-    /// before any append is accepted, can meet one.
+    /// A torn tail is tolerated (crash consistency) and **chopped**: a
+    /// file that ends before a seal ends in what a crashed write left of a
+    /// block that no force covered. Left in the file, the next run's
+    /// blocks would follow it and the run after that would read garbage
+    /// before them; so the file is cut to the end of the last verified
+    /// seal and `tail` — the next record's LSN — set to match. Only restart
+    /// recovery, which runs before any append is accepted, can meet one.
     ///
-    /// Drains, and with them truncation, are held off for the whole replay
-    /// (appends are not): `visit` must not flush or truncate this log.
+    /// Drains, and with them rewrites, are held off for the whole replay
+    /// (appends are not): `visit` must not flush or rewrite this log.
     pub fn replay(&self, mut visit: impl FnMut(Lsn, RecordRef<'_>) -> Result<()>) -> Result<()> {
-        let drains = self.disk.as_ref().map(|d| (d, d.spare.lock()));
+        let disk = self.disk.as_ref().map(Mutex::lock);
         let (written, unwritten) = {
             let inner = self.inner.lock();
             (inner.written, inner.pending.clone())
         };
-        let in_file: Box<dyn Read> = match &drains {
-            Some((disk, _)) => Box::new(File::open(&disk.path)?.take(written)),
-            None => Box::new(std::io::empty()),
-        };
-        let mut src = in_file.chain(&unwritten[..]);
-        // `buf` is a window on the log starting at LSN `base`; frames are
-        // decoded at `off` until one runs past the window's end, then the
-        // window slides and takes in the next chunk.
-        let (mut buf, mut base, mut off) = (Vec::new(), 0u64, 0usize);
-        let mut eof = false;
-        loop {
-            if let Some((rec, next)) = RecordRef::decode_frame(&buf, off)? {
-                visit(Lsn(base + off as u64), rec)?;
-                off = next;
-            } else if eof {
-                break;
-            } else {
-                buf.drain(..off);
-                base += off as u64;
-                off = 0;
-                eof = (&mut src).take(REPLAY_CHUNK as u64).read_to_end(&mut buf)? == 0;
-            }
-        }
-        let end = base + off as u64;
-        if let Some((disk, _)) = &drains {
+        if let Some(disk) = &disk {
+            let end = replay_file(File::open(&disk.path)?.take(written), &mut visit)?;
             if end < written {
-                asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
-                    return Err(self
-                        .faults
-                        .realize_plain(crate::failpoints::LOG_TRUNCATE, act)
-                        .into());
-                });
+                self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
                 disk.file.set_len(end)?;
                 disk.file.sync_data()?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
-                inner.tail = end;
-                inner.written = end;
-                inner.synced = end;
+                inner.sealed = 0;
+                (inner.tail, inner.written, inner.synced) = (end, end, end);
+                return Ok(());
             }
+        }
+        // the buffer opens a generation's first block if the file is empty
+        let mut off = match &disk {
+            Some(_) if written == 0 => FORMAT_MARKER.len(),
+            _ => 0,
+        };
+        while let Some((entry, next)) = LogEntry::decode(&unwritten, off)? {
+            if let LogEntry::Record(rec) = entry {
+                visit(Lsn(written + off as u64), rec)?;
+            }
+            off = next;
         }
         Ok(())
     }
 
-    /// Truncate the log to empty. Only legal at a quiescent checkpoint,
-    /// after every page has been flushed; the caller (checkpointing code)
-    /// guarantees that. `tail` returns to zero only once the file has: a
-    /// refused truncation leaves LSNs and offsets where they were.
-    ///
-    /// The [`generation`](Self::generation) moves on first: if the cut is
-    /// then refused, the writers that follow log explicit before images
-    /// behind the old records — bytes the log did not need, never a record
-    /// whose before image the log lacks.
-    pub fn truncate(&self) -> Result<()> {
-        let drains = self.disk.as_ref().map(|d| (d, d.spare.lock()));
-        let mut inner = self.inner.lock();
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        if let Some((disk, _)) = &drains {
-            asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_TRUNCATE, |act| {
-                return Err(self
-                    .faults
-                    .realize_plain(crate::failpoints::LOG_TRUNCATE, act)
-                    .into());
-            });
-            // Opened for append, so the next write lands at offset zero.
-            disk.file.set_len(0)?;
+    /// Replace the log with `recs` — the next generation, whole or not at
+    /// all: the records go through a manager of their own into a file
+    /// beside the log, as one forced (sealed, synced) block, and that file
+    /// is renamed over the log, so a crash leaves the old log or the new
+    /// one and never a log that was cut and not yet refilled. Returns how
+    /// many records the new log holds. Only legal while no transaction
+    /// appends, after every image the dropped records describe has reached
+    /// the store; the caller (checkpoint, log compaction) guarantees that. A
+    /// refusal before the rename leaves the log, its LSNs and its
+    /// generation as they were.
+    pub fn rewrite<'a>(&self, recs: impl IntoIterator<Item = RecordRef<'a>>) -> Result<usize> {
+        let mut disk = self.disk.as_ref().map(Mutex::lock);
+        self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
+        let next = match &disk {
+            Some(disk) => {
+                let mut beside = disk.path.clone().into_os_string();
+                beside.push(".next");
+                let _ = std::fs::remove_file(&beside); // what a crashed rewrite left
+                Self::open(Path::new(&beside), Durability::Strict)?
+            }
+            None => Self::in_memory(),
+        };
+        let mut records = 0;
+        next.append_inner(recs.into_iter().inspect(|_| records += 1), |_| (), true)?;
+        let mut theirs = next.disk.as_ref().map(Mutex::lock);
+        if let (Some(disk), Some(theirs)) = (&disk, &theirs) {
+            self.failpoint(crate::failpoints::LOG_REWRITE_BEFORE_RENAME)?;
+            std::fs::rename(&theirs.path, &disk.path)?;
         }
-        inner.pending.clear();
-        inner.tail = 0;
-        inner.written = 0;
-        inner.synced = 0;
-        if let Some((disk, _)) = &drains {
-            disk.file.sync_data()?;
+        // The log *is* the new file now, whatever happens next: move over —
+        // offsets, file, owner lock; `next` leaves with the old ones —
+        // before anything else can fail.
+        {
+            let (mut ours, mut theirs) = (self.inner.lock(), next.inner.lock());
+            theirs.records_appended += ours.records_appended;
+            std::mem::swap(&mut *ours, &mut *theirs);
+            self.generation.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(())
+        if let (Some(disk), Some(theirs)) = (&mut disk, &mut theirs) {
+            std::mem::swap(&mut disk.file, &mut theirs.file);
+            self.failpoint(crate::failpoints::LOG_REWRITE_AFTER_RENAME)?;
+            // make the rename itself durable (where a directory can be opened)
+            if let Some(Ok(dir)) = disk.path.parent().map(File::open) {
+                dir.sync_all()?;
+            }
+        }
+        Ok(records)
+    }
+}
+
+/// The file part of [`LogManager::replay`]: visit the records of every
+/// block of `file` whose seal verifies and return where the last of those
+/// blocks ends — short of the file's end if it ends in a torn block.
+fn replay_file(
+    mut file: impl Read,
+    visit: &mut impl FnMut(Lsn, RecordRef<'_>) -> Result<()>,
+) -> Result<u64> {
+    // `buf` is a window on the file starting at offset `base`; `start` is
+    // where, in it, the last verified block ends and the next begins.
+    let (mut buf, mut base, mut start) = (Vec::new(), 0u64, 0usize);
+    let (mut eof, mut records) = (false, 0);
+    loop {
+        // Decode the block once; visit it only when it proves whole.
+        let mut block = Vec::with_capacity(records);
+        // a generation's first block opens with the marker `open` checked
+        let mut off = match base + start as u64 {
+            0 => FORMAT_MARKER.len(),
+            _ => start,
+        };
+        let seal = loop {
+            match LogEntry::decode(&buf, off)? {
+                Some((LogEntry::Record(rec), next)) => {
+                    block.push((off, rec));
+                    off = next;
+                }
+                Some((LogEntry::Seal(sum), next)) => break Some((sum, next)),
+                None => break None,
+            }
+        };
+        match seal {
+            Some((sum, next)) => {
+                if sum != record::block_sum(&buf[start..off]) {
+                    return Err(AssetError::Corrupt(format!(
+                        "log seal at offset {} does not match its block",
+                        base + off as u64
+                    )));
+                }
+                records = block.len();
+                for (off, rec) in block {
+                    visit(Lsn(base + off as u64), rec)?;
+                }
+                start = next;
+            }
+            None if eof => return Ok(base + start as u64),
+            None => {
+                // the block runs past the window: slide it, and read at
+                // least as much again as the block is long so far
+                drop(block);
+                buf.drain(..start);
+                base += start as u64;
+                start = 0;
+                let more = REPLAY_CHUNK.max(buf.len()) as u64;
+                eof = (&mut file).take(more).read_to_end(&mut buf)? == 0;
+            }
+        }
     }
 }
 
@@ -662,21 +781,23 @@ mod tests {
             }
             log.flush().unwrap();
         }
-        // simulate a torn write: append half a frame
+        // simulate a torn write: a whole record, and no seal behind it
         {
             use std::fs::OpenOptions;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            let frame = LogRecord::Abort { tid: Tid(9) }.encode_frame();
-            f.write_all(&frame[..frame.len() / 2]).unwrap();
+            f.write_all(&LogRecord::Abort { tid: Tid(9) }.encode())
+                .unwrap();
         }
         let log = LogManager::open(&path, Durability::Buffered).unwrap();
         assert_eq!(log.scan().unwrap().len(), 3, "torn tail dropped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `replay` reads a chunk at a time: frames that straddle a chunk
-    /// boundary, the records still in the user-space buffer, and a torn
-    /// tail (here inside an `Overwrite`) that it chops off the file.
+    /// `replay` reads a chunk at a time: blocks that straddle a chunk
+    /// boundary (the watermark drains one every 64 KiB, and each record's
+    /// LSN counts the seals before it), the records still in the user-space
+    /// buffer, and a torn tail (here an `Overwrite` short of one byte) that
+    /// it chops off the file.
     #[test]
     fn replay_streams_across_chunks_and_chops_a_torn_tail() {
         let dir = std::env::temp_dir().join(format!("asset-log-stream-{}", std::process::id()));
@@ -689,26 +810,30 @@ mod tests {
             after: Some(vec![i as u8; 1000 + (i % 13) as usize]),
         };
         let n = 3 * REPLAY_CHUNK as u64 / 1000;
-        let check = |log: &LogManager, expect: u64| {
-            let (mut seen, mut next_lsn) = (0u64, 0u64);
+        let mut lsns = Vec::new();
+        let check = |log: &LogManager, lsns: &[Lsn]| {
+            let mut seen = 0;
             log.replay(|lsn, got| {
-                assert_eq!(lsn.0, next_lsn, "record {seen}");
-                assert_eq!(got.to_owned(), rec(seen));
-                next_lsn += rec(seen).encode_frame().len() as u64;
+                assert_eq!(lsn, lsns[seen], "record {seen}");
+                assert_eq!(got.to_owned(), rec(seen as u64));
                 seen += 1;
                 Ok(())
             })
             .unwrap();
-            assert_eq!(seen, expect);
-            assert_eq!(log.tail().0, next_lsn);
+            assert_eq!(seen, lsns.len());
         };
         {
             let log = LogManager::open(&path, Durability::Strict).unwrap();
             for i in 0..n {
-                log.append(&rec(i)).unwrap();
+                lsns.push(log.append(&rec(i)).unwrap());
             }
             assert!(log.pending_bytes() > 0, "the last records are buffered");
-            check(&log, n);
+            let gaps = lsns
+                .windows(2)
+                .zip(0..)
+                .filter(|(w, i)| w[1].0 - w[0].0 == (rec(*i).encode().len() + SEAL_LEN) as u64);
+            assert!(gaps.count() > 3 * REPLAY_CHUNK / DEFAULT_FLUSH_WATERMARK / 2);
+            check(&log, &lsns);
             // a visitor's error ends the replay and is the replay's
             let mut visited = 0;
             let stopped = log.replay(|_, _| {
@@ -721,13 +846,192 @@ mod tests {
         let whole = std::fs::metadata(&path).unwrap().len();
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            let frame = rec(n).encode_frame();
-            f.write_all(&frame[..frame.len() - 1]).unwrap();
+            let bytes = rec(n).encode();
+            f.write_all(&bytes[..bytes.len() - 1]).unwrap();
         }
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         assert!(log.tail().0 > whole);
-        check(&log, n);
+        check(&log, &lsns);
+        assert_eq!(log.tail().0, whole);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole, "chopped");
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("asset-log-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A transfer in v3 frames (`[body_len][checksum u32][body]`, the
+    /// checksum over length and body; the bodies are what v4 still writes):
+    /// whole, valid, and not this format. It is refused before a byte of it
+    /// is parsed — and neither chopped as a torn tail nor appended to.
+    #[test]
+    fn a_v3_log_is_refused_and_left_untouched() {
+        let dir = fresh_dir("v3");
+        let path = dir.join("wal.log");
+        let overwrite = |oid| LogRecord::Overwrite {
+            tid: Tid(70_000),
+            oid: Oid(oid),
+            after: Some(58i64.to_le_bytes().to_vec()),
+        };
+        let commit = LogRecord::Commit {
+            tids: vec![Tid(70_000)],
+        };
+        let mut v3 = Vec::new();
+        for rec in [overwrite(90_000), overwrite(90_001), commit] {
+            let mut framed = vec![rec.encode().len() as u8];
+            framed.extend_from_slice(&rec.encode());
+            let h = crate::page::checksum(&framed);
+            v3.push(framed[0]);
+            v3.extend_from_slice(&((h >> 32) as u32 ^ h as u32).to_le_bytes());
+            v3.extend_from_slice(&framed[1..]);
+        }
+        assert_eq!(v3.len(), 52, "PR 16's transfer");
+        // whole, and cut inside its first frame: shorter than the marker
+        for len in [v3.len(), 6] {
+            std::fs::write(&path, &v3[..len]).unwrap();
+            for _ in 0..2 {
+                let err = LogManager::open(&path, Durability::Strict).err().unwrap();
+                assert!(matches!(err, AssetError::Corrupt(_)), "{err}");
+                assert_eq!(std::fs::read(&path).unwrap(), &v3[..len], "untouched");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash inside the very first write can leave less than the marker:
+    /// that is a torn tail like any other, and the generation starts over.
+    #[test]
+    fn a_file_torn_inside_the_marker_starts_over() {
+        let dir = fresh_dir("marker");
+        let path = dir.join("wal.log");
+        std::fs::write(&path, &FORMAT_MARKER[..3]).unwrap();
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        assert_eq!(log.scan().unwrap().len(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "chopped");
+        let lsn = log.append_forced(&LogRecord::Checkpoint).unwrap();
+        assert_eq!(lsn.0, FORMAT_MARKER.len() as u64);
+        drop(log);
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        assert_eq!(log.scan().unwrap(), [(lsn, LogRecord::Checkpoint)]);
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A block whose bytes changed under its seal is `Corrupt`, wherever in
+    /// the log it stands, and replay leaves the file alone: none of its
+    /// records is visited, nor any block's after it.
+    #[test]
+    fn a_block_that_does_not_match_its_seal_is_corrupt() {
+        let dir = fresh_dir("seal");
+        let path = dir.join("wal.log");
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        let mut ends = Vec::new();
+        for r in sample_records() {
+            log.append_forced(&r).unwrap();
+            ends.push(log.tail().0 as usize);
+        }
+        drop(log);
+        let good = std::fs::read(&path).unwrap();
+        // an image byte of the second block; the checksum of the third
+        for (at, visited) in [(ends[1] - SEAL_LEN - 1, 1), (ends[2] - 1, 2)] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x40;
+            std::fs::write(&path, &bad).unwrap();
+            let log = LogManager::open(&path, Durability::Strict).unwrap();
+            let mut seen = 0;
+            let err = log.replay(|_, _| {
+                seen += 1;
+                Ok(())
+            });
+            assert!(matches!(err, Err(AssetError::Corrupt(_))), "{err:?}");
+            assert_eq!(seen, visited, "only the blocks before it");
+            drop(log);
+            assert_eq!(std::fs::read(&path).unwrap(), bad, "untouched");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `rewrite` replaces the log in one step: the new generation is one
+    /// sealed block under the log's name, the old one is gone, LSNs restart
+    /// behind the marker and a reopen reads what the manager holds.
+    #[test]
+    fn rewrite_replaces_the_log_with_one_sealed_block() {
+        let dir = fresh_dir("rewrite");
+        let path = dir.join("wal.log");
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        for r in sample_records() {
+            log.append(&r).unwrap();
+        }
+        let generation = log.generation();
+        let recs = sample_records();
+        let kept = [LogRecord::Checkpoint, recs[1].clone()];
+        assert_eq!(log.rewrite(kept.iter().map(LogRecord::as_ref)).unwrap(), 2);
+        assert_eq!(log.generation(), generation + 1);
+        assert_eq!((log.pending_bytes(), log.unsynced_bytes()), (0, 0));
+        let block = FORMAT_MARKER.len() + 1 + recs[1].encode().len() + SEAL_LEN;
+        assert_eq!(log.tail().0, block as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), block as u64);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one file");
+        let lsn = log.append_forced(&recs[2]).unwrap();
+        assert_eq!(lsn.0, block as u64, "appends go on in the new file");
+        let held = log.scan().unwrap();
+        assert_eq!(held.len(), 3);
+        assert_eq!(held[0], (Lsn(FORMAT_MARKER.len() as u64), kept[0].clone()));
+        drop(log);
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        assert_eq!(log.scan().unwrap(), held);
+        drop(log);
+        // the in-memory log is rewritten in place: no marker, no seal
+        let log = LogManager::in_memory();
+        log.append(&recs[0]).unwrap();
+        assert_eq!(log.rewrite(kept.iter().map(LogRecord::as_ref)).unwrap(), 2);
+        assert_eq!(log.tail().0, 1 + recs[1].encode().len() as u64);
+        assert_eq!(log.scan().unwrap()[1], (Lsn(1), kept[1].clone()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rewrite refused before its rename leaves the log, its LSNs and
+    /// its generation as they were; one refused after it has happened all
+    /// the same, and says so.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_refused_rewrite_leaves_one_whole_log_or_the_other() {
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("rewritefail");
+        for r in sample_records() {
+            log.append(&r).unwrap();
+        }
+        let (tail, generation) = (log.tail(), log.generation());
+        let next = [LogRecord::Checkpoint];
+        for point in [
+            crate::failpoints::LOG_TRUNCATE,
+            crate::failpoints::LOG_REWRITE_BEFORE_RENAME,
+        ] {
+            faults.arm(point, Trigger::Once, FaultAction::Error);
+            let err = log.rewrite(next.iter().map(LogRecord::as_ref)).unwrap_err();
+            assert!(err.to_string().contains(point), "{err}");
+            assert_eq!((log.tail(), log.generation()), (tail, generation));
+            assert_eq!(log.scan().unwrap().len(), 3, "[{point}] the old log");
+        }
+        faults.arm(
+            crate::failpoints::LOG_REWRITE_AFTER_RENAME,
+            Trigger::Once,
+            FaultAction::Error,
+        );
+        assert!(log.rewrite(next.iter().map(LogRecord::as_ref)).is_err());
+        assert_eq!(log.generation(), generation + 1);
+        assert_eq!(log.scan().unwrap().len(), 1, "the new log");
+        let lsn = log
+            .append_forced(&LogRecord::Abort { tid: Tid(3) })
+            .unwrap();
+        drop(log);
+        let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        assert_eq!(log.scan().unwrap()[1].0, lsn);
         drop(log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -783,40 +1087,6 @@ mod tests {
         }
         assert_eq!(log.pending_bytes(), 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), log.tail().0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncate_empties_log() {
-        let log = LogManager::in_memory();
-        for r in sample_records() {
-            log.append(&r).unwrap();
-        }
-        log.truncate().unwrap();
-        assert_eq!(log.scan().unwrap().len(), 0);
-        assert_eq!(log.tail(), Lsn::ZERO);
-        // usable after truncation
-        log.append(&LogRecord::Checkpoint).unwrap();
-        assert_eq!(log.scan().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn file_truncate() {
-        let dir = std::env::temp_dir().join(format!("asset-log-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
-        let log = LogManager::open(&path, Durability::Buffered).unwrap();
-        for r in sample_records() {
-            log.append(&r).unwrap();
-        }
-        log.truncate().unwrap();
-        assert_eq!(log.scan().unwrap().len(), 0);
-        log.append(&LogRecord::Abort { tid: Tid(2) }).unwrap();
-        log.flush().unwrap();
-        let scanned = log.scan().unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].1, LogRecord::Abort { tid: Tid(2) });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -958,7 +1228,7 @@ mod tests {
 
     #[cfg(feature = "faults")]
     #[test]
-    fn torn_drain_crashes_and_leaves_a_parseable_prefix() {
+    fn torn_drain_crashes_and_leaves_a_prefix_of_its_block() {
         use asset_faults::{FaultAction, FaultRegistry, Trigger};
         let dir = std::env::temp_dir().join(format!("asset-log-tornfp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -985,16 +1255,25 @@ mod tests {
         assert!(faults.is_crashed());
         drop(log);
         faults.reset();
-        // the file holds two whole frames plus a torn third; scan drops it
+        // the file holds one sealed block and most of a second, whose seal
+        // is cut short: scan drops the block whole, the record that is all
+        // there included
+        let whole = (FORMAT_MARKER.len() + recs[0].encode().len() + SEAL_LEN) as u64;
+        let torn = (recs[1].encode().len() + recs[2].encode().len() + SEAL_LEN) as u64;
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            whole + torn * 9 / 10
+        );
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
-        assert_eq!(log2.scan().unwrap().len(), 2, "torn tail dropped");
-        assert!(log2.tail().0 > log2.scan().unwrap()[1].0 .0);
+        assert_eq!(log2.scan().unwrap().len(), 1, "torn block dropped");
+        assert_eq!(log2.tail().0, whole);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole, "chopped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
     #[test]
-    fn torn_append_lands_a_prefix_of_the_frame() {
+    fn torn_append_lands_a_prefix_of_the_unsealed_block() {
         use asset_faults::{FaultAction, FaultRegistry, Trigger};
         let dir = std::env::temp_dir().join(format!("asset-log-tornap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1021,7 +1300,7 @@ mod tests {
         drop(log);
         faults.reset();
         let torn = std::fs::metadata(&path).unwrap().len() - whole;
-        assert_eq!(torn, recs[1].encode_frame().len() as u64 / 2);
+        assert_eq!(torn, recs[1].encode().len() as u64 / 2);
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
         assert_eq!(log2.scan().unwrap().len(), 1, "torn tail dropped");
         drop(log2);
@@ -1156,45 +1435,11 @@ mod tests {
 
     #[cfg(feature = "faults")]
     fn faulty_log(tag: &str) -> (PathBuf, Arc<asset_faults::FaultRegistry>, LogManager) {
-        let dir = std::env::temp_dir().join(format!("asset-log-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir(tag);
         let faults = Arc::new(asset_faults::FaultRegistry::new());
         let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         log.set_faults(Arc::clone(&faults));
         (dir, faults, log)
-    }
-
-    /// Regression: `truncate` used to zero `tail` before the file was cut,
-    /// so a refused truncation left `tail = 0` over a non-empty file.
-    #[cfg(feature = "faults")]
-    #[test]
-    fn failed_truncate_leaves_lsns_aligned_with_offsets() {
-        use asset_faults::{FaultAction, Trigger};
-        let (dir, faults, log) = faulty_log("truncfail");
-        let recs = sample_records();
-        log.append_forced(&recs[0]).unwrap();
-        log.append(&recs[1]).unwrap();
-        let tail_before = log.tail();
-        faults.arm(
-            crate::failpoints::LOG_TRUNCATE,
-            Trigger::Once,
-            FaultAction::Error,
-        );
-        let err = log.truncate().unwrap_err();
-        assert!(err.to_string().contains("log.truncate"));
-        assert_eq!(log.tail(), tail_before, "refused: nothing moved");
-        let lsn = log.append_forced(&recs[2]).unwrap();
-        assert_eq!(lsn, tail_before);
-        let scanned = log.scan().unwrap();
-        assert_eq!(scanned.len(), 3);
-        assert_eq!(scanned[2].0, lsn);
-        // and an accepted truncation still empties it
-        log.truncate().unwrap();
-        assert_eq!(log.append(&recs[0]).unwrap(), Lsn::ZERO);
-        assert_eq!(log.scan().unwrap().len(), 1);
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The sync runs with the append lock released: while one thread is

@@ -18,24 +18,26 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format of one record (the v3 frame; the framing is v2's):
+//! Wire format (v4). A record is its own frame, `[kind u8][payload]`:
+//! every tid, oid, count and image length in a payload is LEB128; an
+//! optional image or object list is its length **plus one**, `0` meaning
+//! `None`. It carries no length and no checksum of its own, because nothing
+//! reaches the file one record at a time: the unit of integrity is the
+//! **block** one drain writes,
 //!
 //! ```text
-//! [body_len LEB128][checksum u32][body: kind u8 + payload]
+//! [record]* [kind 0][checksum u32]
 //! ```
 //!
-//! Every tid, oid, count and image length in a payload is LEB128; an
-//! optional image or object list is its length **plus one**, `0` meaning
-//! `None`. The checksum (FNV-1a, xor-folded to 32 bits) covers the length
-//! bytes and the body; a mismatch mid-log is an error and a truncated tail
-//! ends the scan (crash-consistent: the tail record of a torn write is
-//! discarded). A transfer carrying 16 user bytes over objects the log has
-//! seen (two `Overwrite`s of 8-byte images, `Commit`) is 52 bytes with
-//! three-byte ids. Kind 1 was v2's `Begin` and stays reserved: a log that
-//! contains it, like one written with the earlier fixed-width frame, is not
-//! readable and fails with `Corrupt`.
+//! closed by a seal whose checksum (FNV-1a, xor-folded to 32 bits) covers
+//! every byte since the previous seal. The first block of a log generation
+//! opens with the eight-byte [`FORMAT_MARKER`], which its seal covers too.
+//! A transfer carrying 16 user bytes over objects the log has seen (two
+//! `Overwrite`s of 8-byte images, `Commit`) is 37 bytes with three-byte
+//! ids, plus its share of one five-byte seal per drain. Kind 1 was v2's
+//! `Begin` and stays reserved.
 
-use crate::page::{fnv1a, get_u32, put_u32, FNV_OFFSET};
+use crate::page::{checksum, get_u32, put_u32};
 use asset_common::{AssetError, Oid, Result, Tid};
 
 /// One write-ahead-log record.
@@ -119,7 +121,7 @@ pub enum LogRecord {
 
 /// A [`LogRecord`] whose images and id lists are borrowed: what
 /// [`LogManager::replay`](crate::LogManager::replay) hands its visitor,
-/// straight out of the read buffer, and what the write path frames while
+/// straight out of the read buffer, and what the write path encodes while
 /// the images still sit in the cache and in the caller's hand.
 #[derive(Clone, Copy, Debug)]
 #[allow(missing_docs)] // field for field, `LogRecord`
@@ -183,7 +185,7 @@ impl WireId for Oid {
 }
 
 /// A borrowed id list: the `Vec` of an owned [`LogRecord`], or the
-/// still-encoded ids of a decoded frame.
+/// still-encoded ids of a decoded record.
 #[derive(Clone, Copy, Debug)]
 pub struct Ids<'a, T>(IdsRepr<'a, T>);
 
@@ -221,7 +223,7 @@ impl<'a, T: WireId> Ids<'a, T> {
         let mut pos = 0;
         slice.iter().copied().chain(std::iter::from_fn(move || {
             // validated at decode: every value is whole and fits a u64
-            get_varint(bytes, &mut pos).ok().flatten().map(T::from_raw)
+            get_varint(bytes, &mut pos).ok().map(T::from_raw)
         }))
     }
 }
@@ -232,6 +234,15 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
+/// What a v4 log file starts with, at offset 0 of every generation: a file
+/// that starts otherwise was written in another format and is refused
+/// whole, before a byte of it is parsed, chopped or appended to.
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL4";
+
+/// Bytes of a seal: its kind and the block's checksum.
+pub const SEAL_LEN: usize = 5;
+
+const KIND_SEAL: u8 = 0;
 const KIND_UPDATE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 const KIND_ABORT: u8 = 4;
@@ -241,52 +252,62 @@ const KIND_CLR: u8 = 7;
 const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
 
-/// Bytes in front of a frame's body when the body is shorter than 128
-/// bytes: one length byte and the checksum.
-const SHORT_HEADER: usize = 5;
+/// Why a decode stopped short of an entry.
+enum Stop {
+    /// The buffer ends inside the entry: more bytes may complete it, and at
+    /// the end of the file it is the torn tail.
+    Short,
+    /// No continuation of the buffer makes these bytes an entry.
+    Corrupt(String),
+}
 
-/// `v` as LEB128: the bytes and how many of them are used.
-fn leb128(mut v: u64) -> ([u8; 10], usize) {
-    let mut out = [0u8; 10];
-    let mut n = 0;
+type Step<T> = std::result::Result<T, Stop>;
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        out[n] = v as u8 | 0x80;
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        n += 1;
     }
-    out[n] = v as u8;
-    (out, n + 1)
+    out.push(v as u8);
 }
 
-fn put_varint(out: &mut Vec<u8>, v: u64) {
-    let (bytes, n) = leb128(v);
-    out.extend_from_slice(&bytes[..n]);
-}
-
-/// Read one LEB128 value at `buf[*pos]`, advancing `pos`. `Ok(None)` when
-/// the buffer ends inside the value; `Err` when it does not fit a `u64`.
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<Option<u64>> {
+/// Read one LEB128 value at `buf[*pos]`, advancing `pos`.
+fn get_varint(buf: &[u8], pos: &mut usize) -> Step<u64> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
-        let Some(&b) = buf.get(*pos) else {
-            return Ok(None);
-        };
+        let &b = buf.get(*pos).ok_or(Stop::Short)?;
         *pos += 1;
         if shift == 63 && b > 1 {
             break;
         }
         v |= u64::from(b & 0x7f) << shift;
         if b < 0x80 {
-            return Ok(Some(v));
+            return Ok(v);
         }
     }
-    Err(AssetError::Corrupt("log varint overflows u64".into()))
+    Err(Stop::Corrupt("varint overflows u64".into()))
 }
 
-/// The frame checksum: FNV-1a over the length bytes, then the body.
-fn frame_checksum(len: &[u8], body: &[u8]) -> u32 {
-    let h = fnv1a(fnv1a(FNV_OFFSET, len), body);
+/// The checksum a seal carries for `block`, the bytes since the previous
+/// seal.
+pub(crate) fn block_sum(block: &[u8]) -> u32 {
+    let h = checksum(block);
     (h >> 32) as u32 ^ h as u32
+}
+
+/// Close the block `buf[from..]` with its seal. The drain appends the
+/// seal's five bytes under the append lock ([`open_seal`]) and computes
+/// the checksum after releasing it ([`fill_seal`]): hashing is the
+/// flusher's work, not the appenders'.
+pub(crate) fn open_seal(buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&[KIND_SEAL, 0, 0, 0, 0]);
+}
+
+/// See [`open_seal`]: `buf` ends with the opened seal of `buf[from..]`.
+pub(crate) fn fill_seal(buf: &mut [u8], from: usize) {
+    let at = buf.len() - SEAL_LEN;
+    let sum = block_sum(&buf[from..at]);
+    put_u32(buf, at + 1, sum);
 }
 
 fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
@@ -311,34 +332,33 @@ fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>) {
     }
 }
 
-/// Reader over one checksummed body: running out of bytes is corruption.
+/// Reader over the log's bytes from one entry's first byte on.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
+    fn varint(&mut self) -> Step<u64> {
+        get_varint(self.buf, &mut self.pos)
     }
 
-    fn varint(&mut self) -> Result<u64> {
-        get_varint(self.buf, &mut self.pos)?
-            .ok_or_else(|| AssetError::Corrupt("log record truncated (varint)".into()))
+    fn id<T: WireId>(&mut self) -> Step<T> {
+        self.varint().map(T::from_raw)
     }
 
-    fn bytes(&mut self, n: u64) -> Result<&'a [u8]> {
-        let rest = &self.buf[self.pos..];
+    fn bytes(&mut self, n: u64) -> Step<&'a [u8]> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
         match usize::try_from(n) {
             Ok(n) if n <= rest.len() => {
                 self.pos += n;
                 Ok(&rest[..n])
             }
-            _ => Err(AssetError::Corrupt("log record truncated (bytes)".into())),
+            _ => Err(Stop::Short),
         }
     }
 
-    fn opt_bytes(&mut self) -> Result<Option<&'a [u8]>> {
+    fn opt_bytes(&mut self) -> Step<Option<&'a [u8]>> {
         match self.varint()? {
             0 => Ok(None),
             n => Ok(Some(self.bytes(n - 1)?)),
@@ -347,9 +367,9 @@ impl<'a> Cursor<'a> {
 
     /// `n` ids, each at least one byte long (so `n` is bounded by the
     /// bytes left): walked once here, so that iterating them cannot fail.
-    fn ids<T>(&mut self, n: u64) -> Result<Ids<'a, T>> {
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(AssetError::Corrupt("log record truncated (ids)".into()));
+    fn ids<T>(&mut self, n: u64) -> Step<Ids<'a, T>> {
+        if n > self.buf.len().saturating_sub(self.pos) as u64 {
+            return Err(Stop::Short);
         }
         let start = self.pos;
         for _ in 0..n {
@@ -361,49 +381,79 @@ impl<'a> Cursor<'a> {
         }))
     }
 
-    fn tids(&mut self) -> Result<Ids<'a, Tid>> {
+    fn tids(&mut self) -> Step<Ids<'a, Tid>> {
         let n = self.varint()?;
         self.ids(n)
     }
 
-    fn done(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(AssetError::Corrupt(format!(
-                "log record has {} trailing bytes",
-                self.buf.len() - self.pos
-            )))
+    /// The entry at `pos`: the one reader of the format.
+    fn entry(&mut self) -> Step<LogEntry<'a>> {
+        Ok(LogEntry::Record(match self.bytes(1)?[0] {
+            KIND_SEAL => return Ok(LogEntry::Seal(get_u32(self.bytes(4)?, 0))),
+            KIND_UPDATE => RecordRef::Update {
+                tid: self.id()?,
+                oid: self.id()?,
+                before: self.opt_bytes()?,
+                after: self.opt_bytes()?,
+            },
+            KIND_OVERWRITE => RecordRef::Overwrite {
+                tid: self.id()?,
+                oid: self.id()?,
+                after: self.opt_bytes()?,
+            },
+            KIND_COMMIT => RecordRef::Commit { tids: self.tids()? },
+            KIND_ABORT => RecordRef::Abort { tid: self.id()? },
+            KIND_DELEGATE => RecordRef::Delegate {
+                from: self.id()?,
+                to: self.id()?,
+                obs: match self.varint()? {
+                    0 => None,
+                    n => Some(self.ids(n - 1)?),
+                },
+            },
+            KIND_CHECKPOINT => RecordRef::Checkpoint,
+            KIND_PREPARED => RecordRef::Prepared { tids: self.tids()? },
+            KIND_CLR => RecordRef::Clr {
+                oid: self.id()?,
+                image: self.opt_bytes()?,
+            },
+            k => return Err(Stop::Corrupt(format!("unknown record kind {k}"))),
+        }))
+    }
+}
+
+/// One entry of the log's byte stream: a record, or the seal that closes
+/// the block of records one drain wrote.
+#[derive(Clone, Copy, Debug)]
+pub enum LogEntry<'a> {
+    /// A record.
+    Record(RecordRef<'a>),
+    /// A seal, with the checksum it carries for the bytes since the
+    /// previous seal.
+    Seal(u32),
+}
+
+impl<'a> LogEntry<'a> {
+    /// Decode the entry that starts at `buf[off]`, borrowing from `buf`.
+    ///
+    /// Returns `Ok(Some((entry, next_off)))`; `Ok(None)` when `buf` ends
+    /// before the entry does (more of the log may complete it; at the end
+    /// of the file it is the torn tail); `Err` when the bytes are no entry.
+    pub fn decode(buf: &'a [u8], off: usize) -> Result<Option<(LogEntry<'a>, usize)>> {
+        let mut c = Cursor { buf, pos: off };
+        match c.entry() {
+            Ok(entry) => Ok(Some((entry, c.pos))),
+            Err(Stop::Short) => Ok(None),
+            Err(Stop::Corrupt(why)) => Err(AssetError::Corrupt(format!("log record: {why}"))),
         }
     }
 }
 
-/// What the log frames: an owned [`LogRecord`] or a borrowed
-/// [`RecordRef`].
-pub(crate) trait Frame {
-    /// Append the record body (kind byte + payload) to `out`.
-    fn put_body(&self, out: &mut Vec<u8>);
-
-    /// Append the full on-disk frame (length + checksum + body) to `out`:
-    /// the body is encoded in place, so a buffer with room allocates
-    /// nothing.
-    fn encode_frame_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0; SHORT_HEADER]);
-        self.put_body(out);
-        let (len, n) = leb128((out.len() - start - SHORT_HEADER) as u64);
-        out[start] = len[0];
-        if n > 1 {
-            // a body of 128 bytes or more: open the gap its length needs
-            out.splice(start + 1..start + 1, len[1..n].iter().copied());
-        }
-        let (head, body) = out[start..].split_at_mut(n + 4);
-        put_u32(head, n, frame_checksum(&head[..n], body));
-    }
-}
-
-impl Frame for RecordRef<'_> {
-    fn put_body(&self, out: &mut Vec<u8>) {
+impl<'a> RecordRef<'a> {
+    /// Append the record — kind byte and payload — to `out`: the one
+    /// encoder of the format. Encoded in place, so a buffer with room
+    /// allocates nothing.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
             RecordRef::Update {
                 tid,
@@ -456,86 +506,6 @@ impl Frame for RecordRef<'_> {
                 put_opt_bytes(out, image);
             }
         }
-    }
-}
-
-impl Frame for LogRecord {
-    fn put_body(&self, out: &mut Vec<u8>) {
-        self.as_ref().put_body(out);
-    }
-}
-
-impl<'a> RecordRef<'a> {
-    /// Decode a record body (kind byte + payload), borrowing from it.
-    pub fn decode_body(body: &'a [u8]) -> Result<RecordRef<'a>> {
-        let mut c = Cursor { buf: body, pos: 0 };
-        let rec = match c.u8()? {
-            KIND_UPDATE => RecordRef::Update {
-                tid: Tid(c.varint()?),
-                oid: Oid(c.varint()?),
-                before: c.opt_bytes()?,
-                after: c.opt_bytes()?,
-            },
-            KIND_OVERWRITE => RecordRef::Overwrite {
-                tid: Tid(c.varint()?),
-                oid: Oid(c.varint()?),
-                after: c.opt_bytes()?,
-            },
-            KIND_COMMIT => RecordRef::Commit { tids: c.tids()? },
-            KIND_ABORT => RecordRef::Abort {
-                tid: Tid(c.varint()?),
-            },
-            KIND_DELEGATE => RecordRef::Delegate {
-                from: Tid(c.varint()?),
-                to: Tid(c.varint()?),
-                obs: match c.varint()? {
-                    0 => None,
-                    n => Some(c.ids(n - 1)?),
-                },
-            },
-            KIND_CHECKPOINT => RecordRef::Checkpoint,
-            KIND_PREPARED => RecordRef::Prepared { tids: c.tids()? },
-            KIND_CLR => RecordRef::Clr {
-                oid: Oid(c.varint()?),
-                image: c.opt_bytes()?,
-            },
-            1 => {
-                return Err(AssetError::Corrupt(
-                    "log record kind 1 (`Begin`): a v2 log, not readable".into(),
-                ))
-            }
-            k => return Err(AssetError::Corrupt(format!("unknown log record kind {k}"))),
-        };
-        c.done()?;
-        Ok(rec)
-    }
-
-    /// Decode one frame starting at `buf[off]`.
-    ///
-    /// Returns `Ok(Some((record, next_off)))`, `Ok(None)` for a clean or
-    /// torn end of log (truncated tail), or `Err` for a checksum mismatch
-    /// mid-log.
-    pub fn decode_frame(buf: &'a [u8], off: usize) -> Result<Option<(RecordRef<'a>, usize)>> {
-        let mut body_start = off;
-        let Some(body_len) = get_varint(buf, &mut body_start)? else {
-            return Ok(None); // clean end, or torn inside the length
-        };
-        let len_bytes = &buf[off..body_start];
-        body_start += 4;
-        let body = usize::try_from(body_len)
-            .ok()
-            .and_then(|n| body_start.checked_add(n))
-            .and_then(|end| buf.get(body_start..end));
-        let Some(body) = body else {
-            return Ok(None); // torn checksum or body at tail
-        };
-        if frame_checksum(len_bytes, body) != get_u32(buf, body_start - 4) {
-            return Err(AssetError::Corrupt(format!(
-                "log checksum mismatch at offset {off}"
-            )));
-        }
-        let rec = RecordRef::decode_body(body)?;
-        Ok(Some((rec, body_start + body.len())))
     }
 
     /// The record with its images and id lists copied out.
@@ -633,28 +603,11 @@ impl LogRecord {
         }
     }
 
-    /// Encode the record body (kind byte + payload).
-    pub fn encode_body(&self) -> Vec<u8> {
+    /// The record's bytes in the log.
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.put_body(&mut out);
+        self.as_ref().encode_into(&mut out);
         out
-    }
-
-    /// Decode a record body produced by [`encode_body`](Self::encode_body).
-    pub fn decode_body(body: &[u8]) -> Result<LogRecord> {
-        Ok(RecordRef::decode_body(body)?.to_owned())
-    }
-
-    /// Encode the full on-disk frame: length + checksum + body.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_frame_into(&mut out);
-        out
-    }
-
-    /// [`RecordRef::decode_frame`], copied out.
-    pub fn decode_frame(buf: &[u8], off: usize) -> Result<Option<(LogRecord, usize)>> {
-        Ok(RecordRef::decode_frame(buf, off)?.map(|(rec, next)| (rec.to_owned(), next)))
     }
 }
 
@@ -662,19 +615,33 @@ impl LogRecord {
 mod tests {
     use super::*;
 
+    /// The record at `buf[off]`, copied out, and where the next entry
+    /// starts.
+    fn decode(buf: &[u8], off: usize) -> Option<(LogRecord, usize)> {
+        match LogEntry::decode(buf, off).unwrap()? {
+            (LogEntry::Record(rec), next) => Some((rec.to_owned(), next)),
+            (LogEntry::Seal(_), _) => panic!("a seal at {off}"),
+        }
+    }
+
+    fn seals(sum: u32, block: &[u8]) -> bool {
+        sum == block_sum(block)
+    }
+
     fn roundtrip(rec: LogRecord) {
-        let body = rec.encode_body();
-        let back = LogRecord::decode_body(&body).unwrap();
-        assert_eq!(rec, back);
-        let frame = rec.encode_frame();
-        let (back2, next) = LogRecord::decode_frame(&frame, 0).unwrap().unwrap();
-        assert_eq!(rec, back2);
-        assert_eq!(next, frame.len());
-        // a decoded frame re-encodes byte for byte from its borrowed form
-        let (borrowed, _) = RecordRef::decode_frame(&frame, 0).unwrap().unwrap();
+        let bytes = rec.encode();
+        assert_eq!(decode(&bytes, 0), Some((rec.clone(), bytes.len())));
+        // a decoded record re-encodes byte for byte from its borrowed form
+        let Some((LogEntry::Record(borrowed), _)) = LogEntry::decode(&bytes, 0).unwrap() else {
+            panic!("a record");
+        };
         let mut again = Vec::new();
-        borrowed.encode_frame_into(&mut again);
-        assert_eq!(again, frame);
+        borrowed.encode_into(&mut again);
+        assert_eq!(again, bytes);
+        // and it is self-delimiting: what follows it is not its business
+        let mut followed = bytes.clone();
+        followed.extend_from_slice(&[0xFF; 3]);
+        assert_eq!(decode(&followed, 0), Some((rec, bytes.len())));
     }
 
     #[test]
@@ -742,14 +709,14 @@ mod tests {
         });
     }
 
-    /// Golden v3 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// Golden v4 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
     /// where a 100 000-account ledger lives). The last assertion is the
     /// benchmark's `log_bytes_per_txn` claim, guarded in tier-1.
     #[test]
     fn golden_frame_sizes() {
         let (tid, oid) = (Tid(70_000), Oid(90_000));
         let img = || Some(vec![7u8; 8]);
-        let len = |r: LogRecord| r.encode_frame().len();
+        let len = |r: LogRecord| r.encode().len();
         let update = len(LogRecord::Update {
             tid,
             oid,
@@ -762,19 +729,50 @@ mod tests {
             after: img(),
         });
         let commit = len(LogRecord::Commit { tids: vec![tid] });
-        assert_eq!((update, overwrite, commit), (30, 21, 10));
-        assert_eq!(len(LogRecord::Abort { tid }), 9);
-        assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 10);
-        assert_eq!(len(LogRecord::Checkpoint), 6);
-        assert_eq!(len(LogRecord::Clr { oid, image: img() }), 18);
+        assert_eq!((update, overwrite, commit), (25, 16, 5));
+        assert_eq!(len(LogRecord::Abort { tid }), 4);
+        assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 5);
+        assert_eq!(len(LogRecord::Checkpoint), 1);
+        assert_eq!(len(LogRecord::Clr { oid, image: img() }), 13);
         let delegate = |obs| LogRecord::Delegate {
             from: tid,
             to: tid,
             obs,
         };
-        assert_eq!(len(delegate(None)), 13);
-        assert_eq!(len(delegate(Some(vec![oid, oid]))), 19);
-        assert!(2 * overwrite + commit <= 56, "a transfer's log bytes");
+        assert_eq!(len(delegate(None)), 8);
+        assert_eq!(len(delegate(Some(vec![oid, oid]))), 14);
+        let mut block = vec![1, 2, 3];
+        open_seal(&mut block);
+        assert_eq!(block.len() - 3, SEAL_LEN);
+        assert_eq!(SEAL_LEN, 5);
+        assert_eq!(2 * overwrite + commit, 37, "a transfer's log bytes");
+    }
+
+    /// A seal is kind 0 and the folded FNV-1a of the block it closes; the
+    /// checksum of no bytes is not zero, so a run of zeroes — what a file
+    /// system may leave behind a crash — is not an empty sealed block.
+    #[test]
+    fn a_seal_closes_the_bytes_since_the_previous_one() {
+        let mut log = LogRecord::Abort { tid: Tid(1) }.encode();
+        open_seal(&mut log);
+        fill_seal(&mut log, 0);
+        let second = log.len();
+        LogRecord::Checkpoint.as_ref().encode_into(&mut log);
+        open_seal(&mut log);
+        fill_seal(&mut log, second);
+        let (_, at) = decode(&log, 0).unwrap();
+        let Some((LogEntry::Seal(sum), next)) = LogEntry::decode(&log, at).unwrap() else {
+            panic!("a seal");
+        };
+        assert_eq!((at + SEAL_LEN, next), (second, second));
+        assert!(seals(sum, &log[..at]));
+        assert!(!seals(sum, &log[..at - 1]));
+        let Some((LogEntry::Seal(sum), _)) = LogEntry::decode(&log, second + 1).unwrap() else {
+            panic!("a seal");
+        };
+        assert!(seals(sum, &log[second..second + 1]));
+        assert!(!seals(sum, &log[..second + 1]), "one block each");
+        assert!(!seals(0, &[]));
     }
 
     #[test]
@@ -790,12 +788,8 @@ mod tests {
             before,
             after: None,
         };
-        assert_ne!(
-            update(None).encode_frame(),
-            update(Some(vec![])).encode_frame()
-        );
-        // image sizes on both sides of every length-prefix width, the
-        // frame's own included (a 127-byte image makes a 2-byte body_len)
+        assert_ne!(update(None).encode(), update(Some(vec![])).encode());
+        // image sizes on both sides of every length-prefix width
         for n in [0, 1, 100, 127, 128, 16_383, 16_384] {
             roundtrip(update(Some(vec![0xA5; n])));
             roundtrip(LogRecord::Overwrite {
@@ -808,46 +802,54 @@ mod tests {
                 image: Some(vec![0x5A; n]),
             });
         }
-        let frame = update(Some(vec![1; 16_384])).encode_frame();
-        assert_eq!(frame.len(), 3 + 4 + (1 + 1 + 10 + (3 + 16_384) + 1));
+        let bytes = update(Some(vec![1; 16_384])).encode();
+        assert_eq!(bytes.len(), 1 + 1 + 10 + (3 + 16_384) + 1);
     }
 
     #[test]
     fn overlong_varint_is_corrupt_not_torn() {
-        // eleven continuation bytes cannot be the prefix of any frame
-        assert!(LogRecord::decode_frame(&[0xFF; 11], 0).is_err());
-        let mut body = vec![KIND_ABORT];
-        body.extend_from_slice(&[0xFF; 9]);
-        body.push(0x02); // bit 64
-        assert!(LogRecord::decode_body(&body).is_err());
+        // eleven continuation bytes cannot be the prefix of any record
+        let mut bytes = vec![KIND_ABORT];
+        bytes.extend_from_slice(&[0xFF; 11]);
+        assert!(LogEntry::decode(&bytes, 0).is_err());
+        bytes.truncate(10);
+        bytes.push(0x02); // bit 64
+        assert!(LogEntry::decode(&bytes, 0).is_err());
+        // nor is a kind nobody writes — v2's `Begin` included
+        assert!(LogEntry::decode(&[1, 7], 0).is_err());
+        assert!(LogEntry::decode(&[10], 0).is_err());
     }
 
+    /// A count no buffer could hold is never allocated for, nor walked: it
+    /// reads as "the record is not whole yet".
     #[test]
-    fn id_count_is_bounded_before_allocating() {
-        let mut body = vec![KIND_COMMIT];
-        put_varint(&mut body, u64::MAX);
-        assert!(LogRecord::decode_body(&body).is_err());
+    fn id_count_is_bounded_by_the_bytes_at_hand() {
+        let mut bytes = vec![KIND_COMMIT];
+        put_varint(&mut bytes, u64::MAX);
+        assert!(LogEntry::decode(&bytes, 0).unwrap().is_none());
     }
 
-    /// An id list that ends inside an id is corrupt when the frame is
+    /// An id list that ends inside an id is not whole when the record is
     /// decoded, not when the list is walked.
     #[test]
     fn truncated_id_list_is_refused_at_decode() {
-        let mut body = vec![KIND_COMMIT, 2, 5, 0x80];
-        assert!(RecordRef::decode_body(&body).is_err());
-        body.push(1);
-        let RecordRef::Commit { tids } = RecordRef::decode_body(&body).unwrap() else {
+        let mut bytes = vec![KIND_COMMIT, 2, 5, 0x80];
+        assert!(LogEntry::decode(&bytes, 0).unwrap().is_none());
+        bytes.push(1);
+        let Some((LogEntry::Record(RecordRef::Commit { tids }), _)) =
+            LogEntry::decode(&bytes, 0).unwrap()
+        else {
             panic!("a commit record");
         };
         assert_eq!(tids.iter().collect::<Vec<_>>(), [Tid(5), Tid(128)]);
     }
 
-    /// Cut a three-frame log at every byte — the third frame's length is
-    /// two bytes, so one cut falls inside it, and the log ends in an
-    /// `Overwrite`: the whole frames before the cut decode and the rest
-    /// reads as end of log, never as an error.
+    /// Cut a four-record stream at every byte — one record's image length
+    /// is two bytes, so one cut falls inside it, and the stream ends in an
+    /// `Overwrite` and a seal: the whole entries before the cut decode and
+    /// the rest reads as "not whole", never as an error.
     #[test]
-    fn torn_tail_at_every_byte_is_clean_eof() {
+    fn a_cut_at_every_byte_is_short_not_corrupt() {
         let recs = [
             LogRecord::Abort { tid: Tid(1) },
             LogRecord::Commit { tids: vec![Tid(1)] },
@@ -864,95 +866,23 @@ mod tests {
         let mut log = vec![];
         let mut ends = vec![];
         for r in &recs {
-            r.encode_frame_into(&mut log);
+            r.as_ref().encode_into(&mut log);
             ends.push(log.len());
         }
-        assert_eq!(log[ends[1]] & 0x80, 0x80, "multi-byte length");
-        for cut in 0..=log.len() {
+        open_seal(&mut log);
+        fill_seal(&mut log, 0);
+        for cut in 0..log.len() {
             let whole = ends.iter().filter(|e| **e <= cut).count();
             let mut off = 0;
             for rec in &recs[..whole] {
-                let (back, next) = LogRecord::decode_frame(&log[..cut], off).unwrap().unwrap();
+                let (back, next) = decode(&log[..cut], off).unwrap();
                 assert_eq!(&back, rec);
                 off = next;
             }
-            let rest = LogRecord::decode_frame(&log[..cut], off).unwrap();
-            assert!(rest.is_none(), "cut at {cut} should be torn-tail EOF");
+            let rest = LogEntry::decode(&log[..cut], off).unwrap();
+            assert!(rest.is_none(), "cut at {cut} should read as not whole");
         }
-    }
-
-    #[test]
-    fn corrupt_body_is_an_error() {
-        let mut frame = LogRecord::Commit {
-            tids: vec![Tid(1), Tid(2)],
-        }
-        .encode_frame();
-        let n = frame.len();
-        frame[n - 1] ^= 0xFF;
-        assert!(LogRecord::decode_frame(&frame, 0).is_err());
-    }
-
-    #[test]
-    fn sequential_frames() {
-        let mut buf = vec![];
-        let recs = vec![
-            LogRecord::Update {
-                tid: Tid(1),
-                oid: Oid(9),
-                before: None,
-                after: Some(b"v1".to_vec()),
-            },
-            LogRecord::Overwrite {
-                tid: Tid(1),
-                oid: Oid(9),
-                after: Some(b"v2".to_vec()),
-            },
-            LogRecord::Commit { tids: vec![Tid(1)] },
-        ];
-        for r in &recs {
-            buf.extend_from_slice(&r.encode_frame());
-        }
-        let mut off = 0;
-        let mut out = vec![];
-        while let Some((r, next)) = LogRecord::decode_frame(&buf, off).unwrap() {
-            out.push(r);
-            off = next;
-        }
-        assert_eq!(out, recs);
-    }
-
-    #[test]
-    fn trailing_garbage_with_bad_checksum_errors() {
-        let mut buf = LogRecord::Checkpoint.encode_frame();
-        // a full-size but corrupt "record" after the good one
-        buf.push(5); // len = 5
-        buf.extend_from_slice(&[0u8; 4]); // bogus checksum
-        buf.extend_from_slice(&[1, 2, 3, 4, 5]); // body
-        let (_, off) = LogRecord::decode_frame(&buf, 0).unwrap().unwrap();
-        assert!(LogRecord::decode_frame(&buf, off).is_err());
-    }
-
-    /// A well-formed v2 frame of kind 1 (`Begin { tid }`): the frame is
-    /// whole and its checksum good, and the log is refused all the same.
-    #[test]
-    fn a_v2_begin_frame_is_corrupt() {
-        let body = [1u8, 7];
-        let mut frame = vec![body.len() as u8, 0, 0, 0, 0];
-        frame.extend_from_slice(&body);
-        let sum = frame_checksum(&frame[..1], &body);
-        put_u32(&mut frame, 1, sum);
-        let err = LogRecord::decode_frame(&frame, 0).unwrap_err();
-        assert!(err.to_string().contains("v2 log"), "{err}");
-    }
-
-    /// A log written with the v1 frame (`[u32 len][u64 checksum][body]`)
-    /// is refused, not misread.
-    #[test]
-    fn v1_frames_are_corrupt() {
-        let body = [1u8, 7, 0, 0, 0, 0, 0, 0, 0];
-        let mut v1 = vec![9, 0, 0, 0];
-        v1.extend_from_slice(&crate::page::checksum(&body).to_le_bytes());
-        v1.extend_from_slice(&body);
-        assert!(LogRecord::decode_frame(&v1, 0).is_err());
+        // an offset past the end of the buffer is the same
+        assert!(LogEntry::decode(&log, log.len() + 8).unwrap().is_none());
     }
 }

@@ -116,21 +116,14 @@ pub fn try_get_u64(buf: &[u8], off: usize) -> Result<u64> {
     Ok(get_u64(buf, off))
 }
 
-/// FNV-1a 64-bit checksum used by pages and log records.
+/// FNV-1a 64-bit checksum used by pages and log blocks.
 ///
 /// Not cryptographic; it detects torn writes and truncation, which is all a
 /// single-node log needs.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
-
-/// The FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Fold `bytes` into the FNV-1a state `h`, so that a checksum can cover
-/// bytes that are not contiguous (a log frame's length and body).
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
+    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);

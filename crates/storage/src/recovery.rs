@@ -343,21 +343,12 @@ pub fn recover(
     undo.sort_by_key(|u| std::cmp::Reverse(u.lsn));
     report.losers = losers.len();
     report.undone = undo.len();
-    let at_undo_step = || -> Result<()> {
-        asset_faults::failpoint!(log.faults(), crate::failpoints::RECOVERY_UNDO, |act| {
-            return Err(log
-                .faults()
-                .realize_plain(crate::failpoints::RECOVERY_UNDO, act)
-                .into());
-        });
-        Ok(())
-    };
     for u in undo {
-        at_undo_step()?;
+        log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
         undo_object(log, cache, store, u.oid, u.before)?;
     }
     if !losers.is_empty() {
-        at_undo_step()?;
+        log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
         for tid in losers {
             log.append(&LogRecord::Abort { tid })?;
         }

@@ -610,16 +610,21 @@ fn error_matrix_live_state_agrees_with_recovery() {
 // ---------------------------------------------------------------------------
 // WAL rule at compaction: `compact_log` flushes the cache to the store, the
 // uncommitted images of live transactions included, so the `Update` records
-// that undo them must be stable *first*. Unforced appends sit in the log's
-// user-space buffer, which a killed process loses: crash between the store
-// flush and the log rewrite, and the live transaction must still roll back.
+// that undo them must be stable *first*, and must *stay* in the log until
+// the records that replace them are: the compacted log is built beside the
+// old one and renamed over it. Crash between the store flush and the
+// rewrite, before the rename or after it, and the live transaction must
+// still roll back. (v3 cut the log and then re-logged: the crash after the
+// cut found an empty log and the uncommitted image in the store.)
 // ---------------------------------------------------------------------------
 
 #[test]
-fn crash_between_compaction_store_flush_and_log_rewrite_undoes_live_txn() {
+fn crash_anywhere_in_compaction_still_undoes_the_live_txn() {
     for point in [
         storage::failpoints::STORE_SYNC,
         storage::failpoints::LOG_TRUNCATE,
+        storage::failpoints::LOG_REWRITE_BEFORE_RENAME,
+        storage::failpoints::LOG_REWRITE_AFTER_RENAME,
     ] {
         let case = Case::new("w6");
         let db = case.open();
@@ -653,65 +658,83 @@ fn crash_between_compaction_store_flush_and_log_rewrite_undoes_live_txn() {
 }
 
 // ---------------------------------------------------------------------------
-// A torn log tail across two restarts: the first recovery must chop the
-// torn frame off the file, or the next run appends after it and the run
-// after that cannot read what was acknowledged in between.
+// The torn-window contract, across two restarts. A `Torn` at any of the
+// three log failpoints leaves a byte prefix of a block with no seal behind
+// it: the first recovery must see *none* of it (not even the records that
+// happen to be whole — a flush window is in the log whole or not at all)
+// and must chop it off the file, or the next run appends after it and the
+// run after that cannot read what was acknowledged in between.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn torn_log_tail_is_chopped_so_an_acked_commit_survives_a_second_restart() {
-    let case = Case::new("torn-tail");
-    let wal = case._dir.0.join("wal.log");
-    let (a, b);
-    {
-        let db = case.open();
-        a = db.new_oid();
-        b = db.new_oid();
-        put(&db, a, b"10");
-        put(&db, b, b"0");
-    }
-    // run 1 dies in a drain: half of the buffer reaches the file
-    case.faults.arm(
+fn a_torn_block_is_invisible_and_chopped_so_an_acked_commit_survives_a_second_restart() {
+    for point in [
+        storage::failpoints::LOG_APPEND,
         storage::failpoints::LOG_FLUSH,
-        Trigger::Once,
-        FaultAction::Torn {
-            keep_per_mille: 500,
-        },
-    );
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        let db = case.open();
-        db.run(move |ctx| ctx.write(a, b"torn".to_vec()))
-    }));
-    let torn_len = std::fs::metadata(&wal).unwrap().len();
-    // run 2 recovers, then commits one transfer (acked, synced)
-    let first_lsn;
-    {
-        let db = case.reopen_clean();
-        let log = db.engine().log();
-        first_lsn = log.tail();
-        assert!(first_lsn.0 < torn_len, "run 1 left a torn frame behind");
-        assert_eq!(std::fs::metadata(&wal).unwrap().len(), first_lsn.0);
-        assert!(db
-            .run(move |ctx| {
-                ctx.write(a, b"9".to_vec())?;
-                ctx.write(b, b"1".to_vec())
-            })
-            .unwrap());
+        storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+    ] {
+        let case = Case::new("torn-tail");
+        let wal = case._dir.0.join("wal.log");
+        let (a, b);
+        {
+            let db = case.open();
+            a = db.new_oid();
+            b = db.new_oid();
+            put(&db, a, b"10");
+            put(&db, b, b"0");
+        }
+        let sealed_len = std::fs::metadata(&wal).unwrap().len();
+        // run 1 dies writing a block: 0.9 of it reaches the file — the
+        // write of `a`, whole, among it (at the append's own failpoint,
+        // 0.9 of that record)
+        case.faults.arm(
+            point,
+            Trigger::Once,
+            FaultAction::Torn {
+                keep_per_mille: 900,
+            },
+        );
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let db = case.open();
+            db.run(move |ctx| ctx.write(a, b"torn".to_vec()))
+        }));
+        let torn_len = std::fs::metadata(&wal).unwrap().len();
+        assert!(sealed_len < torn_len, "[{point}] run 1 left a torn block");
+        // run 2 recovers, then commits one transfer (acked, synced)
+        let first_lsn;
+        {
+            case.faults.reset();
+            let (db, report) = Database::open(case.config.clone()).expect("first restart");
+            assert_eq!(
+                (report.winners, report.losers),
+                (2, 0),
+                "[{point}] none of the torn block was replayed"
+            );
+            assert_eq!(&get(&db, a)[..], b"10", "[{point}]");
+            first_lsn = db.engine().log().tail();
+            assert_eq!(first_lsn.0, sealed_len, "[{point}] back to the last seal");
+            assert_eq!(std::fs::metadata(&wal).unwrap().len(), sealed_len);
+            assert!(db
+                .run(move |ctx| {
+                    ctx.write(a, b"9".to_vec())?;
+                    ctx.write(b, b"1".to_vec())
+                })
+                .unwrap());
+        }
+        // run 3: the transfer is a winner, found at the LSNs it was given
+        let (db, report) = Database::open(case.config.clone()).expect("second restart");
+        assert_eq!(report.winners, 3, "[{point}] both seeds and the transfer");
+        assert_eq!(&get(&db, a)[..], b"9");
+        assert_eq!(&get(&db, b)[..], b"1");
+        let records = db.engine().log().scan().unwrap();
+        assert!(records.iter().any(|(lsn, rec)| *lsn == first_lsn
+            && matches!(rec, storage::LogRecord::Overwrite { oid, .. } if *oid == a)));
+        assert_eq!(
+            std::fs::metadata(&wal).unwrap().len(),
+            db.engine().log().tail().0,
+            "[{point}] the file ends in a seal"
+        );
     }
-    // run 3: the transfer is a winner, found at the LSNs it was given
-    case.faults.reset();
-    let (db, report) = Database::open(case.config.clone()).expect("second restart");
-    assert_eq!(report.winners, 3, "both seeds and the transfer");
-    assert_eq!(&get(&db, a)[..], b"9");
-    assert_eq!(&get(&db, b)[..], b"1");
-    let records = db.engine().log().scan().unwrap();
-    assert!(records.iter().any(|(lsn, rec)| *lsn == first_lsn
-        && matches!(rec, storage::LogRecord::Overwrite { oid, .. } if *oid == a)));
-    assert_eq!(
-        std::fs::metadata(&wal).unwrap().len(),
-        db.engine().log().tail().0,
-        "every byte of the file is a whole frame"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -909,15 +932,16 @@ fn crash_inside_restart_undo_converges_and_later_commits_survive() {
     }
 }
 
-/// A checkpoint that dies (or fails) on either side of its truncation: the
-/// writes that follow log an explicit before image exactly when the log no
-/// longer holds one, and recovery — which checks the invariant — accepts
-/// the result.
+/// A checkpoint that dies (or fails) on either side of the rename that
+/// replaces its log: the writes that follow log an explicit before image
+/// exactly when the log no longer holds one, and recovery — which checks
+/// the invariant — accepts the result.
 #[test]
 fn writes_after_a_broken_checkpoint_keep_the_log_self_contained() {
     let points = [
         (storage::failpoints::CHECKPOINT_BEFORE_TRUNCATE, "overwrite"),
-        (storage::failpoints::CHECKPOINT_AFTER_TRUNCATE, "update"),
+        (storage::failpoints::LOG_REWRITE_BEFORE_RENAME, "overwrite"),
+        (storage::failpoints::LOG_REWRITE_AFTER_RENAME, "update"),
     ];
     for (point, first_write) in points {
         for action in [FaultAction::Crash, FaultAction::Error] {
@@ -952,11 +976,12 @@ fn writes_after_a_broken_checkpoint_keep_the_log_self_contained() {
     }
 }
 
-/// `compact_log` refused at its truncation: the generation has moved on
-/// all the same, so the next write of an object the old records cover logs
-/// its before image again — bytes, never a hole.
+/// `compact_log` refused before its rename: nothing has moved — the log
+/// and its generation stand, so the next write of an object the log covers
+/// still finds its before image there (v3 cut the log in place and had to
+/// move the generation on first, paying an explicit before image).
 #[test]
-fn writes_after_a_refused_compaction_log_explicit_before_images() {
+fn a_refused_compaction_leaves_the_log_and_its_generation_standing() {
     let case = Case::new("compact-refused");
     let db = case.open();
     let (x, y) = (db.new_oid(), db.new_oid());
@@ -969,9 +994,10 @@ fn writes_after_a_refused_compaction_log_explicit_before_images() {
         .unwrap();
     db.begin(t).unwrap();
     db.wait(t).unwrap();
-    let kinds: Vec<_> = log_records(&db).iter().map(LogRecord::name).collect();
+    let kinds = |db: &Database| -> Vec<_> { log_records(db).iter().map(LogRecord::name).collect() };
+    let before = kinds(&db);
     assert_eq!(
-        kinds,
+        before,
         [
             "update",
             "commit",
@@ -982,19 +1008,16 @@ fn writes_after_a_refused_compaction_log_explicit_before_images() {
             "overwrite"
         ]
     );
-    case.faults.arm(
+    for point in [
         storage::failpoints::LOG_TRUNCATE,
-        Trigger::Once,
-        FaultAction::Error,
-    );
-    assert!(db.compact_log().is_err());
-    let before = log_records(&db).len();
+        storage::failpoints::LOG_REWRITE_BEFORE_RENAME,
+    ] {
+        case.faults.arm(point, Trigger::Once, FaultAction::Error);
+        assert!(db.compact_log().is_err(), "[{point}]");
+        assert_eq!(kinds(&db), before, "[{point}]");
+    }
     put(&db, y, b"y2");
-    let records = log_records(&db);
-    assert!(
-        matches!(&records[before], LogRecord::Update { before: Some(b), .. } if b == b"y1"),
-        "{records:?}"
-    );
+    assert_eq!(kinds(&db)[before.len()..], ["overwrite", "commit"]);
     // and a compaction that goes through starts a generation of its own
     db.compact_log().unwrap();
     put(&db, y, b"y3");
@@ -1011,10 +1034,10 @@ fn writes_after_a_refused_compaction_log_explicit_before_images() {
 }
 
 /// An `Overwrite` whose object no earlier record of the log installed has
-/// no before image anywhere: the database refuses to open. A torn tail
-/// that ends inside an `Overwrite` is just the end of the log.
+/// no before image anywhere: the database refuses to open. One that no
+/// seal follows is a torn tail, and just the end of the log.
 #[test]
-fn an_orphan_overwrite_is_corrupt_and_a_torn_one_is_end_of_log() {
+fn an_orphan_overwrite_is_corrupt_and_an_unsealed_one_is_end_of_log() {
     use std::io::Write;
     let orphan = LogRecord::Overwrite {
         tid: asset::Tid(900),
@@ -1031,18 +1054,20 @@ fn an_orphan_overwrite_is_corrupt_and_a_torn_one_is_end_of_log() {
         put(&db, x, b"kept");
     }
     let whole = std::fs::metadata(&wal).unwrap().len();
-    let frame = orphan.encode_frame();
-    let append = |bytes: &[u8]| {
+    {
         let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-        f.write_all(bytes).unwrap();
-    };
-    append(&frame[..frame.len() - 1]);
+        f.write_all(&orphan.encode()).unwrap();
+    }
     {
         let db = case.open();
         assert_eq!(&get(&db, x)[..], b"kept");
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), whole, "chopped");
     }
-    append(&frame);
+    // sealed in a block of its own, it is part of the log
+    storage::LogManager::open(&wal, asset::Durability::Strict)
+        .unwrap()
+        .append_forced(&orphan)
+        .unwrap();
     match Database::open(case.config.clone()) {
         Err(asset::AssetError::Corrupt(msg)) => assert!(msg.contains("overwrite"), "{msg}"),
         Err(other) => panic!("expected Corrupt, got {other}"),

@@ -10,7 +10,7 @@
 //! * random transfer workloads conserve totals.
 
 use asset::faults::{cases, Rng};
-use asset::storage::{LogManager, LogRecord};
+use asset::storage::log::{LogEntry, LogManager, LogRecord};
 use asset::{Database, ObSet, Oid, OpSet, Operation, Tid, TxnCtx};
 use std::collections::BTreeSet;
 
@@ -61,14 +61,16 @@ fn arb_record(rng: &mut Rng) -> LogRecord {
 #[test]
 fn log_record_roundtrip() {
     cases(0x0A55_E701, 64, |rng| {
+        // a record is self-delimiting: it decodes the same whatever follows
         let rec = arb_record(rng);
-        let body = rec.encode_body();
-        let back = LogRecord::decode_body(&body).unwrap();
-        assert_eq!(&rec, &back);
-        let frame = rec.encode_frame();
-        let (back2, next) = LogRecord::decode_frame(&frame, 0).unwrap().unwrap();
-        assert_eq!(&rec, &back2);
-        assert_eq!(next, frame.len());
+        let mut bytes = rec.encode();
+        let len = bytes.len();
+        bytes.extend_from_slice(&arb_record(rng).encode());
+        let Some((LogEntry::Record(back), next)) = LogEntry::decode(&bytes, 0).unwrap() else {
+            panic!("a record");
+        };
+        assert_eq!(rec, back.to_owned());
+        assert_eq!(next, len);
     });
 }
 
@@ -88,10 +90,10 @@ fn log_stream_roundtrip() {
 #[test]
 fn torn_tail_never_errors() {
     cases(0x0A55_E703, 64, |rng| {
-        // any proper prefix of a single frame decodes as clean EOF, never Err
-        let frame = arb_record(rng).encode_frame();
-        let cut = rng.below(frame.len() as u64) as usize;
-        let r = LogRecord::decode_frame(&frame[..cut], 0).unwrap();
+        // any proper prefix of a record decodes as "not whole", never Err
+        let bytes = arb_record(rng).encode();
+        let cut = rng.below(bytes.len() as u64) as usize;
+        let r = LogEntry::decode(&bytes[..cut], 0).unwrap();
         assert!(r.is_none());
     });
 }
