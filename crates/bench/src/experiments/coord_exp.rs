@@ -29,7 +29,7 @@
 //! `coord.after_decide` failpoints, which are compiled unconditionally
 //! — E17 needs no feature flag.
 
-use super::{ObsBenchRun, Scale};
+use super::{percentiles, Scale};
 use crate::table::{fmt_duration, Table};
 use asset_common::Config;
 use asset_coord::failpoints::{COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE};
@@ -90,13 +90,13 @@ const CELLS: &[(usize, usize, Failure, &str)] = &[
 ];
 
 /// `n` file-backed acceptors in a fresh temp directory, removed on drop.
-pub(super) struct AcceptorDir {
+struct AcceptorDir {
     dir: PathBuf,
-    pub(super) acceptors: Vec<Arc<Acceptor>>,
+    acceptors: Vec<Arc<Acceptor>>,
 }
 
 impl AcceptorDir {
-    pub(super) fn new(tag: &str, n: usize) -> AcceptorDir {
+    fn new(tag: &str, n: usize) -> AcceptorDir {
         static SERIAL: AtomicU64 = AtomicU64::new(0);
         let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
         let name = format!("asset-{tag}-{}-{serial}", std::process::id());
@@ -171,16 +171,14 @@ impl Cluster {
     }
 }
 
-fn percentiles(mut ns: Vec<u64>) -> (f64, f64, f64) {
-    ns.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if ns.is_empty() {
-            0.0
-        } else {
-            ns[((ns.len() - 1) as f64 * p) as usize] as f64
-        }
-    };
-    (pct(0.50), pct(0.95), pct(0.99))
+/// One measured cell: latency percentiles (p50, p95, p99) in ns.
+struct CoordRun {
+    name: &'static str,
+    txns: usize,
+    /// Stage -> decision delivered everywhere.
+    outcome_ns: (f64, f64, f64),
+    /// Prepared participants in doubt until a recovery pass resolved them.
+    blocked_ns: (f64, f64, f64),
 }
 
 /// Run one cell: `iters` global transactions, each staged fresh,
@@ -192,11 +190,10 @@ fn run_cell(
     failure: Failure,
     name: &'static str,
     iters: usize,
-) -> ObsBenchRun {
+) -> CoordRun {
     let c = cluster(name, nodes, acceptors);
     let mut outcome_ns: Vec<u64> = Vec::with_capacity(iters);
     let mut blocked_ns: Vec<u64> = Vec::with_capacity(iters);
-    let wall = Instant::now();
     for i in 0..iters {
         let gid = 1 + i as u64;
         let g = c.stage(gid);
@@ -239,21 +236,16 @@ fn run_cell(
             }
         }
     }
-    ObsBenchRun {
+    CoordRun {
         name,
-        txns: iters as u64,
-        elapsed: wall.elapsed(),
-        // blocked-time percentiles ride the lock-wait column: in-doubt
-        // participants are exactly transactions stuck holding locks
-        lock_wait_ns: percentiles(blocked_ns),
-        commit_ns: percentiles(outcome_ns),
-        events_recorded: 0,
-        events_dropped: 0,
+        txns: iters,
+        outcome_ns: percentiles(outcome_ns),
+        blocked_ns: percentiles(blocked_ns),
     }
 }
 
-/// Run the E17 sweep at `scale`.
-pub fn e17_coord_runs(scale: Scale) -> Vec<ObsBenchRun> {
+/// Measure every cell of the sweep.
+fn e17_coord_runs(scale: Scale) -> Vec<CoordRun> {
     CELLS
         .iter()
         .map(|&(acceptors, nodes, failure, name)| {
@@ -262,8 +254,8 @@ pub fn e17_coord_runs(scale: Scale) -> Vec<ObsBenchRun> {
         .collect()
 }
 
-/// Format already-measured runs as the E17 table.
-pub fn e17_table(runs: &[ObsBenchRun]) -> Table {
+/// Format measured runs as the E17 table.
+fn e17_table(runs: &[CoordRun]) -> Table {
     let mut table = Table::new(
         "E17: distributed commit, 2PC blocking vs Paxos Commit",
         "global txns over in-process clusters (200us link delay), one coordinator over 1 (2pc) or 3 (paxos) file-backed acceptors; outcome = stage..decision everywhere; blocked = prepared participants in doubt until recovery (2pc waits out a 10ms outage of its single acceptor, paxos reads the acceptor majority immediately)",
@@ -276,8 +268,8 @@ pub fn e17_table(runs: &[ObsBenchRun]) -> Table {
         "blocked p99",
     ]);
     for r in runs {
-        let (o50, _, o99) = r.commit_ns;
-        let (b50, _, b99) = r.lock_wait_ns;
+        let (o50, _, o99) = r.outcome_ns;
+        let (b50, _, b99) = r.blocked_ns;
         table.row(vec![
             r.name.into(),
             r.txns.to_string(),
@@ -293,7 +285,7 @@ pub fn e17_table(runs: &[ObsBenchRun]) -> Table {
     table
 }
 
-/// E17 as a harness table.
+/// E17 — run the sweep at `scale`.
 pub fn e17_coord(scale: Scale) -> Table {
     e17_table(&e17_coord_runs(scale))
 }
@@ -316,7 +308,7 @@ mod tests {
             runs.iter()
                 .find(|r| r.name == name)
                 .expect("cell present")
-                .lock_wait_ns
+                .blocked_ns
                 .0
         };
         let two_pc = blocked("coord-2pc-n3-crash-after");
@@ -329,7 +321,5 @@ mod tests {
             paxos < COORD_DOWNTIME.as_nanos() as f64,
             "Paxos must not wait out the outage ({paxos} ns)"
         );
-        let json = super::super::bench_obs_json(&runs);
-        assert!(json.contains("\"name\": \"coord-paxos-n3-crash-after\""));
     }
 }

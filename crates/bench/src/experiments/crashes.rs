@@ -4,7 +4,7 @@
 //! cost of crash recovery as a function of *where* the crash lands.
 //!
 //! The fault-injected internals need the `faults` feature; without it the
-//! table carries a single placeholder row so `run_all` keeps a stable
+//! table carries a single placeholder row so the suite keeps a stable
 //! shape.
 
 use super::Scale;

@@ -1,4 +1,8 @@
-//! The E1–E18 experiment suite (see `EXPERIMENTS.md` at the repo root).
+//! The experiment suite (see `EXPERIMENTS.md` at the repo root): the
+//! questions no `(workload, sheet row)` pair of `asset-benchmark` answers —
+//! a comparison of two designs (E2, E3, E4, E6, E7, E11, E12), a sweep over
+//! a parameter the benchmark's workloads fix (E9b, E16) or a fault/outage
+//! cell (E8, E13, E17).
 //!
 //! Each experiment is a function returning a [`Table`]; the
 //! `experiments` binary prints them all. A [`Scale`] knob shrinks the
@@ -8,28 +12,17 @@ mod ablations;
 mod concurrency;
 mod coord_exp;
 mod crashes;
-mod dist_exp;
-mod exec_exp;
 mod ledger_exp;
 mod models_exp;
-mod obs_exp;
-mod primitives;
+mod stripes;
 
 pub use ablations::e12_ablations;
 pub use concurrency::{e2_permits_vs_2pl, e6_cursor_stability, e7_split_early_release};
-pub use coord_exp::{e17_coord, e17_coord_runs, e17_table};
+pub use coord_exp::e17_coord;
 pub use crashes::e13_crash_matrix;
-pub use dist_exp::{e18_dist_obs, e18_dist_obs_runs, e18_merged_trace, e18_overhead, e18_table};
-pub use exec_exp::{e15_executor, e15_executor_runs, e15_table, E15_BASELINE};
-pub use ledger_exp::{e16_ledger, e16_ledger_runs, e16_table, E16_FAULT_CELL};
+pub use ledger_exp::e16_ledger;
 pub use models_exp::{e11_contingent, e3_nested, e4_sagas, e8_workflow};
-pub use obs_exp::{
-    bench_obs_json, e14_observability, e14_observability_runs, e14_table, ObsBenchRun,
-};
-pub use primitives::{
-    e10_recovery, e1_primitives, e5_group_commit, e9_structures, e9b_stripe_contention,
-    e9b_stripe_contention_traced,
-};
+pub use stripes::{e9b_stripe_contention, e9b_stripe_contention_traced};
 
 use crate::Table;
 
@@ -57,45 +50,57 @@ impl Scale {
     }
 }
 
-/// Run every experiment at `scale`; returns the tables in order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_primitives(scale),
-        e2_permits_vs_2pl(scale),
-        e3_nested(scale),
-        e4_sagas(scale),
-        e5_group_commit(scale),
-        e6_cursor_stability(scale),
-        e7_split_early_release(scale),
-        e8_workflow(scale),
-        e9_structures(scale),
-        e9b_stripe_contention(scale),
-        e10_recovery(scale),
-        e11_contingent(scale),
-        e12_ablations(scale),
-        e13_crash_matrix(scale),
-        e14_observability(scale),
-        e15_executor(scale),
-        e16_ledger(scale),
-        e17_coord(scale),
-        e18_dist_obs(scale),
-    ]
+/// (p50, p95, p99) of a latency sample, nearest-rank; zeros when empty.
+fn percentiles(mut ns: Vec<u64>) -> (f64, f64, f64) {
+    ns.sort_unstable();
+    let pct = |p: f64| -> f64 {
+        if ns.is_empty() {
+            0.0
+        } else {
+            ns[((ns.len() - 1) as f64 * p) as usize] as f64
+        }
+    };
+    (pct(0.50), pct(0.95), pct(0.99))
 }
+
+/// An experiment: its command-line name and its function.
+pub type Experiment = (&'static str, fn(Scale) -> Table);
+
+/// Every experiment, in the order the suite runs them.
+pub const ALL: &[Experiment] = &[
+    ("e2", e2_permits_vs_2pl),
+    ("e3", e3_nested),
+    ("e4", e4_sagas),
+    ("e6", e6_cursor_stability),
+    ("e7", e7_split_early_release),
+    ("e8", e8_workflow),
+    ("e9b", e9b_stripe_contention),
+    ("e11", e11_contingent),
+    ("e12", e12_ablations),
+    ("e13", e13_crash_matrix),
+    ("e16", e16_ledger),
+    ("e17", e17_coord),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Smoke tests: every experiment runs end to end at quick scale and
-    // produces a non-empty table. (Shapes are asserted where they are
-    // deterministic; timing magnitudes are not.)
+    // Smoke test: every experiment runs end to end at quick scale and
+    // produces a non-empty table. The name list is exact, so a resurrected
+    // or silently dropped experiment fails here. (Shapes are asserted where
+    // they are deterministic; timing magnitudes are not.)
     #[test]
     fn all_experiments_produce_tables() {
-        let tables = run_all(Scale::quick());
-        assert_eq!(tables.len(), 19);
-        for t in &tables {
-            assert!(!t.headers.is_empty(), "{} has headers", t.title);
-            assert!(!t.rows.is_empty(), "{} has rows", t.title);
+        let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            ["e2", "e3", "e4", "e6", "e7", "e8", "e9b", "e11", "e12", "e13", "e16", "e17"]
+        );
+        for (name, run) in ALL {
+            let t = run(Scale::quick());
+            assert!(!t.headers.is_empty(), "{name}: {} has headers", t.title);
+            assert!(!t.rows.is_empty(), "{name}: {} has rows", t.title);
             // renders without panicking
             let _ = t.to_string();
         }

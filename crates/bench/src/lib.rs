@@ -4,10 +4,11 @@
 //! reproduction.
 //!
 //! The paper contains **no quantitative tables** and a single figure (the
-//! object-descriptor diagram); its evaluation is by construction. This
-//! crate supplies the quantitative characterization a reproduction needs
-//! (see `EXPERIMENTS.md` at the repository root): the E1–E18 experiment
-//! suite, one function per experiment, run by a row-printing harness
+//! object-descriptor diagram); its evaluation is by construction. What a
+//! reproduction owes it are its claims as *comparisons* (see
+//! `EXPERIMENTS.md` at the repository root): this crate holds the twelve
+//! experiments `asset-benchmark`'s workloads and per-layer sheet cannot
+//! express, one function each, run by a row-printing harness
 //! (`cargo run -p asset-bench --release --bin experiments`).
 
 #![warn(missing_docs)]

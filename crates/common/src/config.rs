@@ -26,28 +26,11 @@ pub struct Config {
     /// How long a lock request waits before failing with `LockTimeout`.
     /// `None` waits forever (deadlock detection still applies).
     pub lock_wait_timeout: Option<Duration>,
-    /// How often the deadlock detector scans the waits-for graph.
-    pub deadlock_check_interval: Duration,
-    /// Page size in bytes for the heap file (must be a power of two,
-    /// >= 512).
-    pub page_size: usize,
-    /// Number of pages the buffer pool caches.
-    pub buffer_pool_pages: usize,
     /// Directory for the heap file and log; `None` selects fully in-memory
     /// operation (implies `Durability::InMemory`).
     pub data_dir: Option<PathBuf>,
     /// Log durability mode.
     pub durability: Durability,
-    /// Spin iterations before a latch acquisition starts yielding.
-    pub latch_spin_limit: u32,
-    /// Number of lock-manager shards (the paper's double hashing realized
-    /// as independently locked stripes of the OD/LRD/PD tables). `0` means
-    /// auto: `next_power_of_two(4 × cores)`. Values are rounded up to a
-    /// power of two and clamped to [1, 1024].
-    pub lock_shards: usize,
-    /// Number of transaction-table shards in the transaction manager.
-    /// `0` means auto (same rule as [`lock_shards`](Config::lock_shards)).
-    pub txn_shards: usize,
     /// Appended log frames accumulate in a user-space buffer — under every
     /// file durability — and are written to the OS only once this many
     /// bytes are pending (or on an explicit/commit-path flush): one
@@ -94,14 +77,8 @@ impl Config {
         Config {
             max_transactions: 4096,
             lock_wait_timeout: Some(Duration::from_secs(10)),
-            deadlock_check_interval: Duration::from_millis(50),
-            page_size: 4096,
-            buffer_pool_pages: 1024,
             data_dir: None,
             durability: Durability::InMemory,
-            latch_spin_limit: 64,
-            lock_shards: 0,
-            txn_shards: 0,
             flush_watermark: 64 * 1024,
             exec_workers: 0,
             commit_flush_window: Duration::ZERO,
@@ -121,19 +98,10 @@ impl Config {
         .validate()
     }
 
-    /// Clamp/verify invariants; panics on nonsensical values so that a bad
-    /// configuration fails loudly at startup rather than corrupting pages.
+    /// Panics on a nonsensical value so that a bad configuration fails
+    /// loudly at startup.
     fn validate(self) -> Config {
-        assert!(
-            self.page_size.is_power_of_two(),
-            "page_size must be a power of two"
-        );
-        assert!(self.page_size >= 512, "page_size must be >= 512");
         assert!(self.max_transactions >= 1, "max_transactions must be >= 1");
-        assert!(
-            self.buffer_pool_pages >= 8,
-            "buffer_pool_pages must be >= 8"
-        );
         self
     }
 
@@ -148,27 +116,6 @@ impl Config {
     #[must_use]
     pub fn with_lock_timeout(mut self, d: Option<Duration>) -> Config {
         self.lock_wait_timeout = d;
-        self
-    }
-
-    /// Builder-style: set durability.
-    #[must_use]
-    pub fn with_durability(mut self, d: Durability) -> Config {
-        self.durability = d;
-        self
-    }
-
-    /// Builder-style: set the lock-manager shard count (`0` = auto).
-    #[must_use]
-    pub fn with_lock_shards(mut self, n: usize) -> Config {
-        self.lock_shards = n;
-        self
-    }
-
-    /// Builder-style: set the transaction-table shard count (`0` = auto).
-    #[must_use]
-    pub fn with_txn_shards(mut self, n: usize) -> Config {
-        self.txn_shards = n;
         self
     }
 
@@ -214,16 +161,6 @@ impl Config {
         self.faults = faults;
         self
     }
-
-    /// The effective lock-manager shard count.
-    pub fn resolved_lock_shards(&self) -> usize {
-        resolve_shards(self.lock_shards)
-    }
-
-    /// The effective transaction-table shard count.
-    pub fn resolved_txn_shards(&self) -> usize {
-        resolve_shards(self.txn_shards)
-    }
 }
 
 impl Default for Config {
@@ -241,7 +178,6 @@ mod tests {
         let c = Config::in_memory();
         assert!(c.data_dir.is_none());
         assert_eq!(c.durability, Durability::InMemory);
-        assert!(c.page_size.is_power_of_two());
     }
 
     #[test]
@@ -255,11 +191,9 @@ mod tests {
     fn builders() {
         let c = Config::in_memory()
             .with_max_transactions(10)
-            .with_lock_timeout(None)
-            .with_durability(Durability::Buffered);
+            .with_lock_timeout(None);
         assert_eq!(c.max_transactions, 10);
         assert!(c.lock_wait_timeout.is_none());
-        assert_eq!(c.durability, Durability::Buffered);
     }
 
     #[test]
@@ -271,23 +205,5 @@ mod tests {
         assert_eq!(resolve_shards(100_000), 1024);
         let auto = resolve_shards(0);
         assert!(auto.is_power_of_two() && (1..=1024).contains(&auto));
-        assert_eq!(
-            Config::in_memory()
-                .with_lock_shards(5)
-                .resolved_lock_shards(),
-            8
-        );
-        assert_eq!(
-            Config::in_memory().with_txn_shards(1).resolved_txn_shards(),
-            1
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_page_size_panics() {
-        let mut c = Config::in_memory();
-        c.page_size = 1000;
-        let _ = c.validate();
     }
 }

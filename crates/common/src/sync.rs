@@ -82,8 +82,8 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 /// unwinding through every frame that could name the guard.
 #[cold]
 fn emptied() -> ! {
-    // verify: allow(no_panics) — unreachable by the borrow on the guard; the one alternative to `unsafe` in `wait`
-    panic!("mutex guard used while its condvar wait holds the lock")
+    // the one alternative to `unsafe` in `wait`
+    unreachable!("mutex guard used while its condvar wait holds the lock")
 }
 
 /// Reader-writer lock; `read`/`write` return the guards directly.

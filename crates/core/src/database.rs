@@ -273,8 +273,9 @@ impl Database {
         let stored = engine.store().oids().iter().map(|o| o.raw()).max();
         oid_gen.bump_past(stored.unwrap_or(0).max(report.max_oid));
         let inner = Arc::new(DbInner {
-            locks: LockTable::with_shards_obs(config.lock_shards, Arc::clone(&obs)),
-            txns: TxnTable::new(config.txn_shards),
+            // 0 = the resolved default, `next_power_of_two(4 x cores)`
+            locks: LockTable::with_shards_obs(0, Arc::clone(&obs)),
+            txns: TxnTable::new(0),
             config,
             engine,
             deps: Mutex::new(DepGraph::new()),

@@ -13,6 +13,14 @@ use asset_obs::Obs;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Heap-file page size in bytes. A constant, not a setting: a `heap.db`
+/// is laid out for one page size and reopening it at another would take
+/// whole pages for a torn tail.
+const PAGE_SIZE: usize = 4096;
+
+/// Pages the buffer pool caches.
+const BUFFER_POOL_PAGES: usize = 1024;
+
 /// The assembled storage substrate.
 ///
 /// All object access during normal operation goes through the shared cache
@@ -44,13 +52,13 @@ impl StorageEngine {
     ) -> Result<(StorageEngine, RecoveryReport)> {
         let (page_store, mut log): (Arc<dyn PageStore>, LogManager) = match &config.data_dir {
             None => (
-                Arc::new(MemPageStore::new(config.page_size)),
+                Arc::new(MemPageStore::new(PAGE_SIZE)),
                 LogManager::in_memory(),
             ),
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 #[allow(unused_mut)]
-                let mut heap = FilePageStore::open(&dir.join("heap.db"), config.page_size)?;
+                let mut heap = FilePageStore::open(&dir.join("heap.db"), PAGE_SIZE)?;
                 #[cfg(feature = "faults")]
                 heap.set_faults(Arc::clone(&config.faults));
                 let log = LogManager::open_with(
@@ -71,7 +79,7 @@ impl StorageEngine {
             config.commit_flush_window,
             Arc::clone(&obs),
         );
-        let store = ObjectStore::open(page_store, config.buffer_pool_pages)?;
+        let store = ObjectStore::open(page_store, BUFFER_POOL_PAGES)?;
         let cache = ObjectCache::with_obs(Arc::clone(&obs));
         let engine = StorageEngine {
             cache,

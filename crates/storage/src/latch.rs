@@ -31,6 +31,11 @@ const X_WAIT_UNIT: u32 = 1 << 16;
 const X_WAIT_MASK: u32 = ((1 << 15) - 1) << 16;
 const S_MASK: u32 = (1 << 16) - 1;
 
+/// Backoff rounds (exponentially longer spins) before an acquisition starts
+/// yielding the thread.
+#[cfg(not(loom))]
+const SPIN_LIMIT: u32 = 64;
+
 /// A shared/exclusive spin latch.
 ///
 /// Latches protect short critical sections (an object read or write in the
@@ -39,7 +44,6 @@ const S_MASK: u32 = (1 << 16) - 1;
 #[derive(Debug)]
 pub struct Latch {
     state: AtomicU32,
-    spin_limit: u32,
 }
 
 impl Default for Latch {
@@ -61,46 +65,26 @@ pub struct ExclusiveGuard<'a> {
 }
 
 impl Latch {
-    /// A new, unheld latch with the default spin budget.
+    /// A new, unheld latch.
     /// (Non-const under loom: loom's atomics are not const-constructible.)
     #[cfg(not(loom))]
     pub const fn new() -> Latch {
         Latch {
             state: AtomicU32::new(0),
-            spin_limit: 64,
         }
     }
 
-    /// A new, unheld latch with the default spin budget.
+    /// A new, unheld latch.
     #[cfg(loom)]
     pub fn new() -> Latch {
         Latch {
             state: AtomicU32::new(0),
-            spin_limit: 64,
-        }
-    }
-
-    /// A new latch with an explicit spin budget before yielding.
-    #[cfg(not(loom))]
-    pub const fn with_spin_limit(spin_limit: u32) -> Latch {
-        Latch {
-            state: AtomicU32::new(0),
-            spin_limit,
-        }
-    }
-
-    /// A new latch with an explicit spin budget before yielding.
-    #[cfg(loom)]
-    pub fn with_spin_limit(spin_limit: u32) -> Latch {
-        Latch {
-            state: AtomicU32::new(0),
-            spin_limit,
         }
     }
 
     #[cfg(not(loom))]
     fn backoff(&self, attempt: &mut u32) {
-        if *attempt < self.spin_limit {
+        if *attempt < SPIN_LIMIT {
             for _ in 0..(1u32 << (*attempt).min(6)) {
                 std::hint::spin_loop();
             }

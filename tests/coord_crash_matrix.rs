@@ -238,6 +238,33 @@ fn crashing<T>(f: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
+/// The matrix's control row: with nothing injected both protocols commit
+/// and converge, and so does Paxos Commit with a minority of its
+/// acceptors dead from the start (F = 1 tolerates one).
+#[test]
+fn fault_free_commit_converges_and_a_dead_acceptor_minority_is_a_non_event() {
+    let cells = [
+        (Proto::TwoPc, false, "2pc/no-fault"),
+        (Proto::Paxos, false, "paxos/no-fault"),
+        (Proto::Paxos, true, "paxos/one-acceptor-down"),
+    ];
+    for (k, (proto, kill_one, label)) in cells.into_iter().enumerate() {
+        let gid = 70 + k as u64;
+        let c = Cluster::new(&format!("ok{k}"));
+        let cdir = TempDir::new(&format!("ok{k}-coord"));
+        let coords = Coordinators::new(proto, &cdir);
+        if kill_one {
+            coords.acceptors[2].kill();
+        }
+        let g = c.stage(gid);
+        let d = coords
+            .commit(c.transport.clone(), Arc::new(FaultRegistry::new()), &g)
+            .expect(label);
+        assert_eq!(d, Decision::Commit, "{label}");
+        assert_eq!(c.assert_converged(gid, label), Decision::Commit);
+    }
+}
+
 #[test]
 fn participant_crash_after_prepare_record_converges() {
     for (k, proto) in PROTOS.iter().enumerate() {

@@ -5,19 +5,23 @@
 //! decide fan-out to every node, one root per global transaction), and
 //! the participant in-doubt duration histogram must be populated by —
 //! and only by — the window between prepare-force and decision
-//! delivery. A final test scrapes the fleet metrics live over HTTP:
-//! the server's Prometheus endpoint across an open in-doubt window,
-//! and the coordinator hub's decision-latency histogram.
+//! delivery. One test scrapes the fleet metrics live over HTTP: the
+//! server's Prometheus endpoint across an open in-doubt window, and the
+//! coordinator hub's decision-latency histogram. The last drives both
+//! protocols through [`TcpTransport`] against two wire servers and
+//! re-reads the merged fleet trace from its Chrome JSON export.
 
 use asset::coord::{
     Acceptor, ChannelTransport, CommitMessage, CommitTransport, CoordLog, CoordObs, Decision,
-    GlobalTxn, ParticipantNode, PaxosCommit, TwoPhase,
+    GlobalTxn, ParticipantNode, PaxosCommit, TcpTransport, TwoPhase,
 };
 use asset::obs::Obs;
 use asset::server::{protocol::opcode, AssetServer};
 use asset::trace::prom::{self, PromServer};
 use asset::trace::span::{CausalGraph, CrossFlow, FleetGraph, FlowKind};
-use asset::{Config, Database};
+use asset::trace::{chrome, json};
+use asset::{Config, Database, Oid, Tid};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -309,4 +313,169 @@ fn fleet_metrics_scraped_live() {
         "per-opcode coordinator counters scraped live"
     );
     coord_exporter.shutdown();
+}
+
+/// The whole fleet path over real sockets: two [`AssetServer`] nodes with
+/// live Prometheus endpoints, a traced coordinator driving one 2PC and
+/// one Paxos commit through [`TcpTransport`], and the three event rings
+/// merged into one fleet trace whose Chrome export — parsed back from
+/// JSON, as a viewer would — has a lane per node and a paired,
+/// lane-crossing flow for every prepare and decide.
+#[test]
+fn both_protocols_over_tcp_merge_into_one_fleet_trace() {
+    const TCP_NODES: usize = 2;
+    // the coordinator's lane: distinct from every participant index
+    const COORD: u32 = TCP_NODES as u32;
+
+    // node id = transport index, so the merged lanes line up
+    let mut servers = Vec::new();
+    let mut exporters = Vec::new();
+    for i in 0..TCP_NODES {
+        let (db, _) = Database::open(Config::in_memory().with_exec_workers(2)).expect("open");
+        db.obs().enable_tracing(4096);
+        let server = AssetServer::spawn_node(db, "127.0.0.1:0", i as u32).expect("bind server");
+        exporters
+            .push(PromServer::spawn("127.0.0.1:0", server.metrics_source()).expect("bind metrics"));
+        servers.push(server);
+    }
+    let hub = Obs::shared();
+    hub.enable_tracing(4096);
+    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let transport = Arc::new(TcpTransport::new(addrs).with_obs(Arc::clone(&hub)));
+
+    // PREPARE only accepts the requesting session's transactions, so the
+    // writes are staged through the transport's own connections
+    let stage = |gid: u64| -> (GlobalTxn, Vec<u64>) {
+        let mut g = GlobalTxn::new(gid);
+        let mut oids = Vec::new();
+        for i in 0..TCP_NODES {
+            let (tid, oid) = transport
+                .with_node(i, |c| {
+                    let oid = c.new_oid()?;
+                    let t = c.begin()?;
+                    c.write(t, oid, format!("gid{gid}").as_bytes())?;
+                    Ok((t, oid))
+                })
+                .expect("stage over the wire");
+            g.add_member(i as u32, Tid(tid));
+            oids.push(oid);
+        }
+        (g, oids)
+    };
+    let assert_committed = |oids: &[u64], gid: u64| {
+        for (server, oid) in servers.iter().zip(oids) {
+            assert_eq!(
+                server.database().peek(Oid(*oid)).expect("peek"),
+                Some(format!("gid{gid}").into_bytes()),
+                "gid {gid}: node {} holds the committed value",
+                server.node_id()
+            );
+        }
+    };
+
+    let (g, oids) = stage(10);
+    let two_pc = TwoPhase::new(transport.clone(), Arc::new(CoordLog::in_memory()))
+        .with_obs(CoordObs::new(COORD, Arc::clone(&hub)));
+    assert_eq!(two_pc.commit(&g).expect("2pc over tcp"), Decision::Commit);
+    assert_committed(&oids, 10);
+
+    let (g, oids) = stage(11);
+    let acceptors: Vec<Arc<Acceptor>> = (0..3).map(|_| Arc::new(Acceptor::new())).collect();
+    let paxos = PaxosCommit::new(transport.clone(), acceptors)
+        .with_obs(CoordObs::new(COORD, Arc::clone(&hub)));
+    assert_eq!(paxos.commit(&g).expect("paxos over tcp"), Decision::Commit);
+    assert_committed(&oids, 11);
+
+    // live scrapes: each node is up, out of doubt, and served one PREPARE
+    // per protocol
+    for (i, ex) in exporters.iter().enumerate() {
+        let body = prom::scrape(ex.addr()).expect("scrape node endpoint");
+        let gauge = |name: &str| prom::sample(&body, &format!("{name}{{node=\"{i}\"}}"));
+        assert_eq!(gauge("asset_node_up"), Some(1.0));
+        assert_eq!(gauge("asset_server_in_doubt"), Some(0.0));
+        assert_eq!(
+            prom::sample(&body, "asset_server_op_prepare_ns_count"),
+            Some(2.0)
+        );
+    }
+    let snap = hub.snapshot();
+    assert_eq!(
+        snap.decision_ns.count, 2,
+        "one decision latency per protocol"
+    );
+    assert_eq!(snap.counters.coord_msg_prepare, (2 * TCP_NODES) as u64);
+    assert_eq!(
+        snap.counters.coord_msg_commit_decide,
+        (2 * TCP_NODES) as u64
+    );
+
+    let mut graphs = vec![CausalGraph::from_node_events(COORD, &hub.trace())];
+    for s in &servers {
+        graphs.push(CausalGraph::from_node_events(
+            s.node_id(),
+            &s.database().obs().trace(),
+        ));
+    }
+    let doc = json::parse(&chrome::render_fleet(&CausalGraph::merge(graphs)))
+        .expect("the fleet export is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array");
+    fn text<'a>(e: &'a json::Value, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(|v| v.as_str())
+    }
+    let pid = |e: &json::Value| e.get("pid").and_then(|v| v.as_f64()).expect("pid") as u64;
+    let lanes: HashSet<u64> = events
+        .iter()
+        .filter(|e| text(e, "name") == Some("process_name"))
+        .map(pid)
+        .collect();
+    assert_eq!(
+        lanes.len(),
+        TCP_NODES + 1,
+        "coordinator + one lane per node"
+    );
+
+    // flow id -> (start lane, finish lane)
+    let mut flows: HashMap<u64, (Option<u64>, Option<u64>)> = HashMap::new();
+    let (mut prepares, mut decides) = (0, 0);
+    for e in events {
+        if text(e, "cat") != Some("asset-flow") {
+            continue;
+        }
+        let id = e.get("id").and_then(|v| v.as_f64()).expect("flow id") as u64;
+        let legs = flows.entry(id).or_default();
+        match text(e, "ph") {
+            Some("s") => {
+                legs.0 = Some(pid(e));
+                let name = text(e, "name").unwrap_or_default();
+                prepares += usize::from(name.contains("PREPARE"));
+                decides += usize::from(name.contains("DECIDE"));
+            }
+            Some("f") => legs.1 = Some(pid(e)),
+            other => panic!("unexpected asset-flow phase {other:?}"),
+        }
+    }
+    assert!(!flows.is_empty(), "cross-node flows present");
+    for (id, legs) in &flows {
+        match legs {
+            (Some(s), Some(f)) => assert_ne!(s, f, "flow {id} crosses lanes"),
+            _ => panic!("flow {id} is unpaired: {legs:?}"),
+        }
+    }
+    // 2 protocols x 2 nodes
+    assert!(prepares >= 2 * TCP_NODES, "prepare flows: {prepares}");
+    assert!(decides >= 2 * TCP_NODES, "decide flows: {decides}");
+
+    // the coordinators hold the transport's connections: drop them before
+    // asking the servers to stop
+    drop((two_pc, paxos, transport));
+    for s in servers {
+        s.shutdown();
+        s.join();
+    }
+    for mut ex in exporters {
+        ex.shutdown();
+    }
 }

@@ -124,6 +124,15 @@ fn chrome_export_has_one_track_per_txn_and_one_flow_per_edge() {
         .iter()
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("f"))
         .count();
+    // what a viewer needs before anything else: complete ("X") spans and
+    // track metadata ("M"); that the flows pair up and are not zero
+    // follows from the counts below
+    let phases: HashSet<&str> = events
+        .iter()
+        .filter_map(|e| e.get("ph").and_then(|p| p.as_str()))
+        .collect();
+    assert!(phases.contains("X"), "no complete events");
+    assert!(phases.contains("M"), "no track metadata");
     assert_eq!(s_count, g.edges.len() + g.flush_flows.len());
     assert_eq!(f_count, g.edges.len() + g.flush_flows.len());
     assert!(
