@@ -12,7 +12,8 @@ use asset_models::{
 use std::time::{Duration, Instant};
 
 /// E3 — nested transactions (§3.1.4): overhead of nesting (permit +
-/// delegate + child thread per level) vs an equivalent flat transaction,
+/// delegate + a child transaction per level, run by the parent that waits
+/// for it) vs an equivalent flat transaction,
 /// across depth and fanout; plus child-abort containment cost.
 pub fn e3_nested(scale: Scale) -> Table {
     let mut table = Table::new(

@@ -106,7 +106,7 @@ impl TxnCtx {
 
     /// `initiate(f)` with this transaction as the parent.
     pub fn initiate(&self, f: impl FnOnce(&TxnCtx) -> Result<()> + Send + 'static) -> Result<Tid> {
-        self.db.initiate_with_parent(self.tid, Box::new(f))
+        self.db.initiate_with_parent(self.tid, Some(Box::new(f)))
     }
 
     /// `begin(t)`.

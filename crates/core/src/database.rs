@@ -25,10 +25,13 @@
 //!
 //! ## Execution model
 //!
-//! `initiate` registers a closure; `begin` spawns a thread that runs it
-//! with a `TxnCtx`. When the closure returns `Ok`, the transaction is
-//! *completed* — locks retained, changes not durable — until an explicit
-//! `commit` runs the §4.2 protocol. Returning `Err` (or panicking) aborts.
+//! `initiate` registers a closure, kept in the TD; `begin` marks it
+//! running and hands it to a reused transaction thread (`threads.rs`),
+//! which runs it with a `TxnCtx` — unless a caller
+//! of `wait` or `commit` claims it first and runs it itself (`run` always
+//! does). When the closure returns `Ok`, the transaction is *completed* —
+//! locks retained, changes not durable — until an explicit `commit` runs
+//! the §4.2 protocol. Returning `Err` (or panicking) aborts.
 //! `submit` ([`crate::exec`]) runs a step program on a worker pool
 //! instead. Both drivers go through the same non-blocking passes (`start`,
 //! `complete`, `install`, `commit_pass`, `finish_commit`, `commit_failed`):
@@ -65,13 +68,16 @@
 //! Install before images in reverse order — each with its CLR, one latched
 //! engine call per step — log `Abort` (if the log has heard of the
 //! transaction at all), release locks and permits, propagate along
-//! incoming AD/GC edges (CD edges are dropped), then mark aborted. A *running* victim is marked `Aborting` and its lock
-//! waits are poisoned; its own thread performs the steps when the closure
-//! unwinds — the paper's "mark tj in its TD structure as aborting". The
+//! incoming AD/GC edges (CD edges are dropped), then mark aborted. A
+//! *running* victim is marked `Aborting` and its lock waits are poisoned;
+//! whoever runs its body performs the steps when the closure unwinds (a
+//! body nobody has claimed yet is dropped unrun) — the paper's "mark tj in
+//! its TD structure as aborting". The
 //! `abort_performed` flag claims finalization under the victim's shard, so
 //! the undo itself can run without holding any table lock.
 
 use crate::context::TxnCtx;
+use crate::threads::TxnThreads;
 use crate::txns::{GroupGuard, TxnTable};
 use asset_annot::{exec_step, wal};
 use asset_common::ids::IdGen;
@@ -101,18 +107,22 @@ pub(crate) struct UndoEntry {
 pub(crate) struct TxnSlot {
     pub parent: Tid,
     pub status: TxnStatus,
+    /// The body, from `initiate` until it is claimed (`Database::claim`)
+    /// by the thread that runs it; `None` for a step program, which lives
+    /// in its executor task.
     pub job: Option<Job>,
     /// In-memory undo chain; delegation splices entries between slots.
     pub undo: Vec<UndoEntry>,
     /// Abort steps already performed? (guards against double undo when
     /// commit/abort/wrapper race to finalize an `Aborting` transaction)
     pub abort_performed: bool,
-    /// Is the transaction's thread still executing its closure? While it
-    /// is, abort only *marks* (§4.2: "mark tj in its TD structure as
-    /// aborting"); the undo steps run when the thread finishes, so a late
-    /// in-flight write can never land after its own undo. Executor-driven
-    /// transactions set this too: the worker pool plays the role of the
-    /// thread and finalizes marked aborts at the next dispatch.
+    /// Is the body begun and not yet finished — waiting to be claimed, or
+    /// running on whichever thread claimed it? While it is, abort only
+    /// *marks* (§4.2: "mark tj in its TD structure as aborting"); the undo
+    /// steps run when that thread finishes, so a late in-flight write can
+    /// never land after its own undo. Executor-driven transactions set
+    /// this too: the worker pool plays the role of the thread and
+    /// finalizes marked aborts at the next dispatch.
     pub thread_live: bool,
     /// The pin: a commit record containing this transaction is on its way
     /// through the flusher's window, and its fate is decided solely by the
@@ -150,8 +160,10 @@ pub(crate) struct DbInner {
     pub obs: Arc<Obs>,
     /// The state-machine executor (worker pool + run queues), spawned
     /// lazily by the first [`Database::submit`] so databases that only use
-    /// the thread-per-transaction path pay nothing.
+    /// the blocking API pay nothing.
     pub exec: std::sync::OnceLock<Arc<crate::exec::ExecInner>>,
+    /// The transaction threads `begin` hands bodies to.
+    pub threads: Arc<TxnThreads>,
     /// Prepare-force instants for in-doubt members (§14.2): written by
     /// `prepare_group` once its `Prepared` record is durable, consumed by
     /// the decide paths to feed `Obs::in_doubt_ns`. Taken only *after*
@@ -165,10 +177,12 @@ impl Drop for DbInner {
     fn drop(&mut self) {
         // Workers hold only `Weak<DbInner>`/strong executor handles, so the
         // executor cannot shut itself down by reference counting alone:
-        // signal it here, once the last database handle is gone.
+        // signal it here, once the last database handle is gone. Idle
+        // transaction threads hold no handle either; they are let go too.
         if let Some(exec) = self.exec.get() {
             exec.begin_shutdown();
         }
+        self.threads.close();
     }
 }
 
@@ -283,6 +297,7 @@ impl Database {
             oid_gen,
             undo_seq: AtomicU64::new(1),
             live_count: AtomicUsize::new(0),
+            threads: TxnThreads::new(Arc::clone(&obs)),
             obs,
             exec: std::sync::OnceLock::new(),
             prepared_at: Mutex::new(std::collections::HashMap::new()),
@@ -378,10 +393,11 @@ impl Database {
     /// assert_eq!(db.peek(oid).unwrap().unwrap(), b"hello");
     /// ```
     pub fn initiate(&self, f: impl FnOnce(&TxnCtx) -> Result<()> + Send + 'static) -> Result<Tid> {
-        self.initiate_with_parent(Tid::NULL, Box::new(f))
+        self.initiate_with_parent(Tid::NULL, Some(Box::new(f)))
     }
 
-    pub(crate) fn initiate_with_parent(&self, parent: Tid, job: Job) -> Result<Tid> {
+    /// Register a transaction; `job` is `None` for a step program.
+    pub(crate) fn initiate_with_parent(&self, parent: Tid, job: Option<Job>) -> Result<Tid> {
         let cap = self.inner.config.max_transactions;
         // exact admission without a table lock: claim a live slot or fail
         if self
@@ -404,7 +420,7 @@ impl Database {
             TxnSlot {
                 parent,
                 status: TxnStatus::Initiated,
-                job: Some(job),
+                job,
                 undo: Vec::new(),
                 abort_performed: false,
                 thread_live: false,
@@ -420,7 +436,11 @@ impl Database {
         Ok(tid)
     }
 
-    /// `begin(t)` — paper §2.1: start execution of `t` on its own thread.
+    /// `begin(t)` — paper §2.1: start execution of `t` concurrently with
+    /// the caller. The body is handed to a reused transaction thread (one
+    /// is spawned only when none is free), so it runs whether or not
+    /// anyone waits for it; a caller that does `wait` or `commit` before
+    /// any thread has taken it runs it itself.
     ///
     /// Beginning a transaction that was already doomed (e.g. aborted
     /// through a dependency formed before it started — the point of
@@ -434,38 +454,14 @@ impl Database {
     ///
     /// let db = Database::in_memory();
     /// let t = db.initiate(|_| Ok(())).unwrap();
-    /// db.begin(t).unwrap();            // the closure now runs on its own thread
+    /// db.begin(t).unwrap();            // the closure now runs concurrently
     /// assert!(db.wait(t).unwrap());    // completed — but not yet durable
     /// assert!(db.commit(t).unwrap());
     /// ```
     pub fn begin(&self, t: Tid) -> Result<()> {
-        let Some(job) = self.start(t)? else {
-            return Ok(()); // doomed before it started; commit reports it
-        };
-        let db = self.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("asset-{t}"))
-            .spawn(move || {
-                // the thread body: run the job, then complete or abort
-                let ctx = TxnCtx::new(db.clone(), t);
-                let outcome = catch_unwind(AssertUnwindSafe(|| job(&ctx)));
-                db.complete(t, matches!(outcome, Ok(Ok(()))));
-            });
-        if let Err(e) = spawned {
-            // The thread never started: drive the slot to a terminal state
-            // so wait()/commit() observe the failure instead of hanging on
-            // a Running transaction with no thread behind it. It has
-            // written nothing, so the log has never heard of it.
-            self.inner.txns.with(t, |slot| {
-                if let Some(slot) = slot {
-                    slot.status = TxnStatus::Aborted;
-                    slot.thread_live = false;
-                }
-            });
-            self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-            self.inner.locks.release_all(t);
-            self.inner.txns.bump();
-            return Err(AssetError::Io(e));
+        // false: doomed before it started; commit reports it
+        if self.start(t)? {
+            self.inner.threads.hand(self.clone(), t);
         }
         Ok(())
     }
@@ -481,7 +477,8 @@ impl Database {
     /// `wait(t)` — paper §2.1: block until `t`'s code has completed.
     /// Returns `true` on completion (or if already committed), `false` if
     /// `t` aborted. Completion is *not* commit: `t`'s locks are retained
-    /// and its changes stay volatile until [`commit`](Self::commit).
+    /// and its changes stay volatile until [`commit`](Self::commit). A
+    /// begun body no thread has taken yet runs on the caller's thread.
     ///
     /// ```
     /// use asset_core::Database;
@@ -494,6 +491,7 @@ impl Database {
     /// assert!(!db.wait(bad).unwrap(), "aborted transactions report false");
     /// ```
     pub fn wait(&self, t: Tid) -> Result<bool> {
+        self.run_unclaimed(t);
         loop {
             let epoch = self.inner.txns.epoch();
             match self.status(t)? {
@@ -503,8 +501,9 @@ impl Database {
                 | TxnStatus::Committed => return Ok(true),
                 TxnStatus::Aborted => return Ok(false),
                 TxnStatus::Initiated | TxnStatus::Running | TxnStatus::Aborting => {
-                    // Aborting is transient (the victim's thread finalizes
-                    // it); report failure only once the undo has run.
+                    // Aborting is transient (whoever runs the victim's body
+                    // finalizes it); report failure only once the undo has
+                    // run.
                     self.inner.txns.wait_event(epoch);
                 }
             }
@@ -516,7 +515,8 @@ impl Database {
     /// opens (CD: the depended-on transaction terminated; AD: the parent
     /// committed; GC: the whole group is ready). Returns `true` if `t`
     /// (and its GC group) committed under one forced log record, `false`
-    /// if it aborted.
+    /// if it aborted. Like [`wait`](Self::wait), it runs a begun body no
+    /// thread has taken yet on the caller's thread.
     ///
     /// ```
     /// use asset_core::{Database, DepType};
@@ -542,6 +542,7 @@ impl Database {
                 span: SpanName::CommitGate,
             });
         }
+        self.run_unclaimed(t);
         // The blocking driver of the one §4.2 protocol: where the executor
         // parks the task, this thread sleeps on the event count and
         // "retries starting at step 1".
@@ -897,11 +898,49 @@ impl Database {
 
     /// Initiate, begin and commit a transaction in one call — the code the
     /// O++ compiler emits for `trans { ... }` (§3.1.1). Returns `true` if
-    /// it committed.
+    /// it committed. The caller would block in `commit` until the body
+    /// ended, so the body runs on the caller's thread.
     pub fn run(&self, f: impl FnOnce(&TxnCtx) -> Result<()> + Send + 'static) -> Result<bool> {
         let t = self.initiate(f)?;
-        self.begin(t)?;
+        if self.start(t)? {
+            // claimed at begin: no one else has the tid, nothing is queued
+            if let Some(job) = self.claim(t) {
+                self.run_claimed(t, job);
+            }
+        }
         self.commit(t)
+    }
+
+    /// Claim `t`'s begun body: take its job out of the TD under `t`'s
+    /// shard, unless another thread already has. `None` when there is
+    /// nothing to claim; `Some(None)` when the body was aborted before
+    /// anyone ran it — it is dropped unrun, and completing it finalizes
+    /// the abort.
+    pub(crate) fn claim(&self, t: Tid) -> Option<Option<Job>> {
+        self.inner.txns.with(t, |slot| {
+            let slot = slot.filter(|s| s.thread_live)?;
+            let job = slot.job.take()?;
+            Some((slot.status == TxnStatus::Running).then_some(job))
+        })
+    }
+
+    /// Run a claimed body on this thread and complete `t` with its
+    /// outcome. A panic in the body is its abort, never the caller's.
+    pub(crate) fn run_claimed(&self, t: Tid, job: Option<Job>) {
+        let ok = job.is_some_and(|job| {
+            let ctx = TxnCtx::new(self.clone(), t);
+            matches!(catch_unwind(AssertUnwindSafe(|| job(&ctx))), Ok(Ok(())))
+        });
+        self.complete(t, ok);
+    }
+
+    /// `wait`/`commit` are about to block until `t`'s body ends: if no
+    /// thread has taken it yet, run it here and drop its queued entry.
+    fn run_unclaimed(&self, t: Tid) {
+        if let Some(job) = self.claim(t) {
+            self.inner.threads.forget(t);
+            self.run_claimed(t, job);
+        }
     }
 
     /// Allocate a fresh object id.
@@ -1074,7 +1113,7 @@ impl Database {
     /// victim's finalization is *claimed* under its shard (via
     /// `abort_performed`), then the undo/log/release steps run lock-free,
     /// then the terminal status is published. Running victims are marked
-    /// and poisoned; their own threads finalize.
+    /// and poisoned; whoever runs (or claims) the body finalizes.
     // Each undo step logs its CLR and installs the image in one latched
     // engine call; the Abort record follows the last of them and precedes
     // the terminal status.
@@ -1104,14 +1143,14 @@ impl Database {
                 match slot.status {
                     TxnStatus::Committed | TxnStatus::Aborted => Act::Skip,
                     TxnStatus::Running => {
-                        // mark; the transaction's own thread (or executor
-                        // worker) performs the steps
+                        // mark; the thread that runs or claims the body
+                        // (or the executor worker) performs the steps
                         slot.status = TxnStatus::Aborting;
                         self.inner.locks.poison(x);
                         Act::Wake
                     }
                     TxnStatus::Aborting if slot.thread_live => {
-                        // already marked; its thread will finalize
+                        // already marked; its body's thread will finalize
                         Act::Skip
                     }
                     _ => {
@@ -1438,24 +1477,24 @@ impl Database {
 
     // --- the shared passes ----------------------------------------------
     //
-    // The non-blocking decomposition of `begin`, the thread body's tail,
+    // The non-blocking decomposition of `begin`, a claimed body's tail,
     // the data operations and the §4.2 commit protocol. Two drivers run
     // them: the blocking primitives above, which sleep on the event count
     // where a pass says `Wait`, and the worker pool (`crate::exec`), which
     // parks the task. None of them may sleep (verify rule R5).
 
     /// The `Initiated → Running` transition both drivers share; nothing is
-    /// logged, a transaction enters the log with its first write.
-    /// [`begin`](Self::begin) then spawns the transaction's thread, the
-    /// executor moves on to stepping. Hands back the job, or `None` when
-    /// the transaction was doomed before it started (the commit then
-    /// reports the abort).
+    /// logged, a transaction enters the log with its first write. The body
+    /// stays in the TD for whoever claims it; [`begin`](Self::begin) then
+    /// hands it to the transaction threads, the executor moves on to
+    /// stepping. `false` when the transaction was doomed before it started
+    /// (the commit then reports the abort).
     #[exec_step]
-    pub(crate) fn start(&self, t: Tid) -> Result<Option<Job>> {
-        let job = self.inner.txns.with(t, |slot| -> Result<Option<Job>> {
+    pub(crate) fn start(&self, t: Tid) -> Result<bool> {
+        let begun = self.inner.txns.with(t, |slot| -> Result<bool> {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
             if slot.status.is_abort_path() {
-                return Ok(None);
+                return Ok(false);
             }
             if slot.status != TxnStatus::Initiated {
                 return Err(AssetError::InvalidState {
@@ -1466,23 +1505,17 @@ impl Database {
             }
             slot.status = TxnStatus::Running;
             slot.thread_live = true;
-            // Initiated status invariantly carries the job installed by
-            // initiate() (a placeholder for a step program, which lives in
-            // the executor's task); nothing else takes it first.
-            Ok(Some(
-                // verify: allow(no_panics) — status-gated slot invariant
-                slot.job.take().expect("initiated transaction has a job"),
-            ))
+            Ok(true)
         })?;
-        if job.is_some() {
+        if begun {
             bump(&self.inner.obs.counters.txn_begun);
             self.inner.obs.record(EventKind::TxnBegin { tid: t });
         }
-        Ok(job)
+        Ok(begun)
     }
 
-    /// Completion, the tail of a transaction's thread and of a step
-    /// program alike: publish the outcome (`Running → Completed |
+    /// Completion, the tail of a claimed body and of a step program
+    /// alike: publish the outcome (`Running → Completed |
     /// Aborting`) and finalize a marked abort if one struck mid-run.
     /// Returns `true` when the transaction completed.
     #[exec_step]

@@ -1,6 +1,6 @@
 //! The state-machine transaction executor: a fixed worker pool driving
-//! resumable transactions, replacing thread-per-transaction for
-//! throughput-bound workloads (DESIGN.md §12).
+//! resumable transactions, where a blocking body would hold a transaction
+//! thread for its whole life (DESIGN.md §12).
 //!
 //! A transaction submitted through [`Database::submit`] is a **step
 //! program**: a closure called repeatedly with a [`StepCtx`] of
@@ -438,12 +438,11 @@ impl ExecInner {
         let tid = task.tid;
         match body.phase {
             Phase::Begin => match db.start(tid) {
-                // the slot's job is a placeholder; the program is the task's
-                Ok(Some(_)) => {
+                Ok(true) => {
                     body.phase = Phase::Run;
                     StepOutcome::Continue
                 }
-                Ok(None) => {
+                Ok(false) => {
                     // doomed before it started; the commit phase reports it
                     body.phase = Phase::Commit;
                     Self::open_commit_obs(db, body, tid);
@@ -737,14 +736,14 @@ impl Database {
     ) -> Result<Tid> {
         let exec = self.executor();
         if exec.live_workers.load(Ordering::Acquire) == 0 {
-            // as `begin` when its thread cannot be spawned
+            // nothing would ever step the program
             return Err(AssetError::Io(std::io::Error::other(
                 "no executor worker thread could be spawned",
             )));
         }
-        // executor transactions reuse the TD admission path; the slot's
-        // job is a placeholder (the program lives in the task)
-        let t = self.initiate(|_| Ok(()))?;
+        // executor transactions reuse the TD admission path; the slot has
+        // no job (the program lives in the task)
+        let t = self.initiate_with_parent(Tid::NULL, None)?;
         let task = Arc::new(Task {
             tid: t,
             exec: Arc::downgrade(&exec),

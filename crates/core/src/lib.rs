@@ -12,7 +12,9 @@
 //!   transaction perform conflicting operations, transitively), and
 //!   [`Database::form_dependency`] (CD / AD / GC).
 //!
-//! Transactions execute as closures on their own threads; completion is
+//! Transactions execute as closures on reused transaction threads — or on
+//! the caller's, when it would block for the body anyway (`run`, or a
+//! `wait`/`commit` that gets to a begun body first); completion is
 //! distinct from commit (locks are retained and changes stay volatile until
 //! the explicit `commit` runs the paper's §4.2 protocol).
 //!
@@ -42,6 +44,7 @@ mod context;
 mod database;
 mod exec;
 pub mod failpoints;
+mod threads;
 mod txns;
 
 #[cfg(test)]
@@ -51,6 +54,7 @@ pub use codec::{Handle, ObjectCodec, RawBytes};
 pub use context::TxnCtx;
 pub use database::{Database, DatabaseStats, Introspection, Job};
 pub use exec::{StepCtx, StepProg, TryOp, TxnOutcome, TxnStep};
+pub use threads::IDLE_TXN_THREADS_MAX;
 
 // Re-export the vocabulary so `asset_core` is self-sufficient to use.
 pub use asset_common::{

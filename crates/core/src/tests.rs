@@ -1513,3 +1513,55 @@ fn a_delegator_left_with_nothing_commits_without_a_record() {
         }
     );
 }
+
+/// A body aborted after `begin` but before any thread claimed it is never
+/// run: its claimer (here `wait`) drops it and finalizes the abort, which
+/// undoes what the transaction owns and releases its locks.
+#[test]
+fn an_aborted_body_nobody_claimed_is_dropped_unrun() {
+    let db = db();
+    let oid = seed(&db, b"orig");
+    // the transaction owns a write it never made: delegated before begin
+    let writer = db
+        .initiate(move |ctx| ctx.write(oid, b"dirty".to_vec()))
+        .unwrap();
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    let t = db
+        .initiate(move |_| {
+            r.store(true, Ordering::SeqCst);
+            Ok(())
+        })
+        .unwrap();
+    db.begin(writer).unwrap();
+    assert!(db.wait(writer).unwrap());
+    db.delegate(writer, t, None).unwrap();
+    assert!(db.commit(writer).unwrap());
+    // begun but handed to no thread: only a claimer can run it
+    assert!(db.start(t).unwrap());
+    assert!(db.abort(t).unwrap());
+    assert_eq!(db.status(t).unwrap(), TxnStatus::Aborting, "marked only");
+    assert!(!db.wait(t).unwrap());
+    assert!(!ran.load(Ordering::SeqCst), "skipped at claim");
+    assert_eq!(db.status(t).unwrap(), TxnStatus::Aborted);
+    assert!(db.locks().locked_objects(t).is_empty());
+    assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
+}
+
+/// `commit` runs a begun body no thread has taken; the body's panic is
+/// its abort, not the committer's.
+#[test]
+fn a_committer_that_claims_a_panicking_body_reports_its_abort() {
+    let db = db();
+    let oid = seed(&db, b"orig");
+    let t = db
+        .initiate(move |ctx| {
+            ctx.write(oid, b"doomed".to_vec())?;
+            panic!("boom");
+        })
+        .unwrap();
+    assert!(db.start(t).unwrap());
+    assert!(!db.commit(t).unwrap());
+    assert_eq!(db.status(t).unwrap(), TxnStatus::Aborted);
+    assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
+}

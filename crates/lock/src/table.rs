@@ -495,17 +495,25 @@ impl LockTable {
         if unlisted != Some(w.ob) {
             shard.inner.lock().unlist(tid, w.ob);
         }
-        let waited = w.since.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        // one clock read ends the wait and stamps its event, so the traced
+        // span `[at_ns − wait_ns, at_ns]` starts exactly at `since`
+        let now = Instant::now();
+        let waited = w
+            .since
+            .map_or(0, |t0| now.duration_since(t0).as_nanos() as u64);
         add(&shard.stats.wait_ns_total, waited);
         shard.stats.wait_ns_max.fetch_max(waited, Ordering::Relaxed);
         self.obs.lock_wait_ns.record(waited);
-        self.obs.record(EventKind::LockWait {
-            tid,
-            ob: w.ob,
-            stripe: sidx as u32,
-            wait_ns: waited,
-            queue_depth: w.queue_depth,
-        });
+        self.obs.record_at(
+            now,
+            EventKind::LockWait {
+                tid,
+                ob: w.ob,
+                stripe: sidx as u32,
+                wait_ns: waited,
+                queue_depth: w.queue_depth,
+            },
+        );
     }
 
     /// End the wait `tid` has, if any, wherever its request is listed: no
@@ -1701,6 +1709,30 @@ mod tests {
         assert_eq!(wait.1, Oid(7));
         assert!(wait.2 > 0);
         assert!(wait.3 >= 1);
+    }
+
+    #[test]
+    fn a_traced_lock_wait_starts_exactly_when_the_wait_began() {
+        let t = LockTable::with_shards_obs(2, Obs::shared());
+        t.obs().enable_tracing(64);
+        let since = Instant::now();
+        let wait = Wait {
+            holders: vec![Tid(1)],
+            ob: Oid(7),
+            queue_depth: 1,
+            since: Some(since),
+        };
+        t.settle(Tid(2), wait, Some(Oid(7)));
+        let (at_ns, wait_ns) = t
+            .obs()
+            .trace()
+            .iter()
+            .find_map(|e| match e.kind {
+                EventKind::LockWait { wait_ns, .. } => Some((e.at_ns, wait_ns)),
+                _ => None,
+            })
+            .expect("a LockWait event was traced");
+        assert_eq!(at_ns - wait_ns, t.obs().ns_at(since));
     }
 
     #[test]

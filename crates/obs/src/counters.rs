@@ -86,6 +86,12 @@ define_counters! {
     txn_initiated,
     /// Transactions started via `begin`.
     txn_begun,
+    /// Transaction threads spawned because `begin` found none free (a
+    /// body run by a caller of `run`, `wait` or `commit` spawns none).
+    txn_threads_spawned,
+    /// Transaction threads that exited: free beyond the retained bound,
+    /// or their database gone. Spawned minus exited is the live count.
+    txn_threads_exited,
     /// Transactions committed (each member of a group commit counts once).
     txn_committed,
     /// Transactions aborted.

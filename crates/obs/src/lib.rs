@@ -162,7 +162,13 @@ impl Obs {
     /// recorded event).
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.ns_at(Instant::now())
+    }
+
+    /// `at` on this hub's timebase, in nanoseconds.
+    #[inline]
+    pub fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Is the event recorder (and gated latency timing) on?
@@ -186,10 +192,19 @@ impl Obs {
     /// Record a structured event, stamped with [`now_ns`](Self::now_ns).
     /// A no-op (one relaxed load) while tracing is disabled.
     pub fn record(&self, kind: EventKind) {
+        if self.recorder.is_enabled() {
+            self.record_at(Instant::now(), kind);
+        }
+    }
+
+    /// [`record`](Self::record) stamped with `at` instead of a clock read
+    /// of its own: an event that carries a duration ending at `at` then
+    /// spans exactly `[at_ns − duration, at_ns]`.
+    pub fn record_at(&self, at: Instant, kind: EventKind) {
         if !self.recorder.is_enabled() {
             return;
         }
-        if self.recorder.record(self.now_ns(), kind) {
+        if self.recorder.record(self.ns_at(at), kind) {
             bump(&self.counters.events_recorded);
         }
     }

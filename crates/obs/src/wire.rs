@@ -2,7 +2,8 @@
 //! `STATS` reply (DESIGN.md §13.3).
 //!
 //! The format is **self-describing**: counters and histograms travel as
-//! `(name, value)` pairs driven by the [`CounterSnapshot::for_each`] /
+//! `(name, value)` pairs driven by the
+//! [`CounterSnapshot::for_each`](crate::CounterSnapshot::for_each) /
 //! [`MetricsSnapshot::histograms`] registries, so a snapshot encoded by
 //! a newer server decodes on an older client (unknown names are
 //! skipped) and a new counter can never be silently missing from the
