@@ -21,7 +21,13 @@
 //!   member (both need a member's shard) — the atomicity the old global
 //!   mutex provided, now scoped to the group — and **pins** the group
 //!   (`commit_pending`) before letting the shards go: no shard is held
-//!   across the commit record's fsync.
+//!   across the commit record's fsync. The distributed participant's
+//!   `prepare_group` and `decide_commit_group` are the exception: they
+//!   force their `Prepared`/`Commit` record with the group's shards held
+//!   (and, on an idle flusher, run its window and sync under them) — which
+//!   is why a window a committer runs carries its own record alone: the
+//!   executor's acknowledgement callbacks, which re-enter this table, run
+//!   only on the flusher thread.
 //!
 //! ## Execution model
 //!
@@ -54,8 +60,10 @@
 //! undo entry, in which case there is nothing to make durable and the group
 //! goes straight to `finish_commit` with no record — the pin. The driver makes
 //! the pinned group's one commit record durable — `commit` forces it
-//! through the flusher and sleeps there, the executor submits it with a
-//! callback and parks — and `finish_commit` (statuses, locks, dependency
+//! through the group flusher, running the flush window on its own thread
+//! when the flusher is idle and riding the flusher thread's next window
+//! when not; the executor submits it with a callback and parks — and
+//! `finish_commit` (statuses, locks, dependency
 //! cleanup) or `commit_failed` (the ambiguous-record reconciliation)
 //! follows. While a group is pinned its fate is the flush outcome's alone:
 //! aborts skip its members, other commits wait, `compact_log` refuses, and
@@ -492,21 +500,54 @@ impl Database {
     /// ```
     pub fn wait(&self, t: Tid) -> Result<bool> {
         self.run_unclaimed(t);
+        self.settle(&[t]).map(|(_, completed)| completed)
+    }
+
+    /// [`wait`](Self::wait) for the first of `ts` to finish: block until
+    /// one of them has completed or aborted and return its index. Unlike
+    /// `wait` it runs no body — the others keep running on their own
+    /// threads (a race of alternatives, the paper's appendix). An empty
+    /// `ts` is refused, since nothing in it could ever finish.
+    ///
+    /// ```
+    /// use asset_core::Database;
+    ///
+    /// let db = Database::in_memory();
+    /// let bad = db.initiate(|ctx| ctx.abort_self::<()>().map(|_| ())).unwrap();
+    /// db.begin(bad).unwrap();
+    /// assert_eq!(db.wait_any(&[bad]).unwrap(), 0);
+    /// assert!(!db.wait(bad).unwrap());
+    /// ```
+    pub fn wait_any(&self, ts: &[Tid]) -> Result<usize> {
+        self.settle(ts).map(|(i, _)| i)
+    }
+
+    /// The one wait loop over the event count: the index of the first of
+    /// `ts` that has finished, and whether it completed (`true`) or aborted.
+    fn settle(&self, ts: &[Tid]) -> Result<(usize, bool)> {
+        if ts.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "wait_any over no transactions",
+            )
+            .into());
+        }
         loop {
             let epoch = self.inner.txns.epoch();
-            match self.status(t)? {
-                TxnStatus::Completed
-                | TxnStatus::Committing
-                | TxnStatus::Prepared
-                | TxnStatus::Committed => return Ok(true),
-                TxnStatus::Aborted => return Ok(false),
-                TxnStatus::Initiated | TxnStatus::Running | TxnStatus::Aborting => {
+            for (i, t) in ts.iter().enumerate() {
+                match self.status(*t)? {
+                    TxnStatus::Completed
+                    | TxnStatus::Committing
+                    | TxnStatus::Prepared
+                    | TxnStatus::Committed => return Ok((i, true)),
+                    TxnStatus::Aborted => return Ok((i, false)),
                     // Aborting is transient (whoever runs the victim's body
                     // finalizes it); report failure only once the undo has
                     // run.
-                    self.inner.txns.wait_event(epoch);
+                    TxnStatus::Initiated | TxnStatus::Running | TxnStatus::Aborting => {}
                 }
             }
+            self.inner.txns.wait_event(epoch);
         }
     }
 
@@ -566,10 +607,12 @@ impl Database {
     }
 
     /// Step 4 for a caller that may block — the commit point: one forced
-    /// record for the pinned group (`log_record` sleeps in the flusher
-    /// until the window holding the record has synced), then steps 5–6 or
-    /// the ambiguous-record reconciliation. No transaction-table shard is
-    /// held across the force; the pin is what excludes.
+    /// record for the pinned group (`log_record` returns once the window
+    /// holding the record has synced: on an idle flusher this thread runs
+    /// that window itself, otherwise it waits for the flusher thread's
+    /// next one), then steps 5–6 or the ambiguous-record reconciliation.
+    /// No transaction-table shard is held across the force; the pin is
+    /// what excludes.
     #[wal(logs = "log_record", mutates = "self.finish_commit")]
     fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
         #[allow(unused_mut)]

@@ -23,11 +23,10 @@
 pub mod travel;
 
 use crate::distributed::{run_distributed, Component};
-use asset_common::TxnStatus;
+use asset_common::{Tid, TxnStatus};
 use asset_core::{Database, Result, TxnCtx};
 use asset_obs::{EventKind, ModelKind};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A retry-able action (shared so compensation can re-run).
 pub type Action = Arc<dyn Fn(&TxnCtx) -> Result<()> + Send + Sync>;
@@ -328,40 +327,21 @@ impl Workflow {
             tids.push(db.initiate(move |ctx| act(ctx))?);
         }
         db.begin_many(&tids)?;
-        let mut decided: Vec<bool> = vec![false; tids.len()];
-        loop {
-            let mut all_decided = true;
-            for (i, t) in tids.iter().enumerate() {
-                if decided[i] {
-                    continue;
-                }
-                match db.status(*t)? {
-                    TxnStatus::Completed => {
-                        // winner: abort the other racers, then commit
-                        for (j, other) in tids.iter().enumerate() {
-                            if j != i {
-                                let _ = db.abort(*other);
-                                decided[j] = true;
-                            }
-                        }
-                        decided[i] = true;
-                        if db.commit(*t)? {
-                            return Ok(Some(&branches[i]));
-                        }
-                        // rare: doomed at commit — no other racers remain
-                        return Ok(None);
-                    }
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        decided[i] = true;
-                    }
-                    _ => all_decided = false,
-                }
+        let mut racing: Vec<(Tid, &Branch)> = tids.into_iter().zip(branches).collect();
+        while !racing.is_empty() {
+            let live: Vec<Tid> = racing.iter().map(|(t, _)| *t).collect();
+            let (t, branch) = racing.swap_remove(db.wait_any(&live)?);
+            if db.status(t)? == TxnStatus::Aborted {
+                continue;
             }
-            if all_decided {
-                return Ok(None); // every racer aborted
+            // winner: abort the other racers, then commit
+            for (other, _) in &racing {
+                let _ = db.abort(*other);
             }
-            std::thread::sleep(Duration::from_micros(200));
+            // rare: doomed at commit — no other racers remain
+            return Ok(db.commit(t)?.then_some(branch));
         }
+        Ok(None) // every racer aborted
     }
 
     /// Saga-style compensation: reverse order, retry until commit.
@@ -467,15 +447,21 @@ mod tests {
 
     #[test]
     fn race_commits_exactly_one() {
+        use std::sync::{mpsc, Mutex};
         let db = Database::in_memory();
         let (a, b) = (db.new_oid(), db.new_oid());
+        // the slow racer reports its tid, then holds until the race is over
+        let (started, slow_tid) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let (started, gate) = (Mutex::new(started), Mutex::new(gate));
         let wf = Workflow::new("race").step(Step::race(
             "car",
             vec![
                 Branch::new(
                     "slow",
                     move |ctx: &TxnCtx| {
-                        std::thread::sleep(Duration::from_millis(100));
+                        started.lock().unwrap().send(ctx.id()).unwrap();
+                        let _ = gate.lock().unwrap().recv();
                         ctx.write(a, b"slow".to_vec())
                     },
                     move |ctx: &TxnCtx| ctx.delete(a),
@@ -491,6 +477,11 @@ mod tests {
         assert_eq!(outcome, WorkflowOutcome::Completed);
         assert_eq!(results[0].chosen.as_deref(), Some("fast"));
         assert_eq!(db.peek(b).unwrap().unwrap(), b"fast");
+        drop(release);
+        // a slow body that was aborted before it ran never reports
+        if let Ok(slow) = slow_tid.recv() {
+            assert!(!db.wait(slow).unwrap(), "loser aborted");
+        }
         assert_eq!(db.peek(a).unwrap(), None, "loser aborted");
     }
 

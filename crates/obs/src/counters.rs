@@ -142,6 +142,10 @@ define_counters! {
     /// Flush windows the group-commit flusher made durable (each covers
     /// one or more commit records under a single forced sync).
     flush_windows,
+    /// Of `flush_windows`, those run by their committer on its own thread
+    /// (a blocking commit that found the flusher idle); the rest were the
+    /// flusher thread's.
+    flush_windows_led,
     /// State-machine steps executed by the transaction executor's worker
     /// pool.
     exec_steps,

@@ -25,9 +25,9 @@ const BUFFER_POOL_PAGES: usize = 1024;
 ///
 /// All object access during normal operation goes through the shared cache
 /// (the paper's mode of operation); the store is the persistent home,
-/// written at checkpoints and log compactions only. Commit records are routed
-/// through the [`GroupFlusher`], which batches every commit submitted
-/// within one flush window into a single write+sync.
+/// written at checkpoints and log compactions only. Commit records are forced
+/// through the [`GroupFlusher`], which makes every commit submitted while a
+/// window runs durable with the next window's single write+sync.
 pub struct StorageEngine {
     cache: ObjectCache,
     store: ObjectStore,
@@ -178,15 +178,16 @@ impl StorageEngine {
     }
 
     /// Log a record (commit/abort/delegate/prepared). Commit and Prepared
-    /// records go through the [`GroupFlusher`]: the call blocks until the
-    /// record's flush window is durable, so acknowledgement semantics match
-    /// the old per-commit forced append while concurrent committers share
-    /// one sync. (A Prepared record is a participant's vote — it must be
-    /// durable before the vote rides back to the coordinator, §14.2.)
+    /// records are forced through the [`GroupFlusher`]: the call returns
+    /// once the record's flush window is durable — the caller's own window,
+    /// run on this thread, when the flusher is idle; the flusher thread's
+    /// next one, shared with every committer queued beside it, when not.
+    /// (A Prepared record is a participant's vote — it must be durable
+    /// before the vote rides back to the coordinator, §14.2.)
     pub fn log_record(&self, rec: &LogRecord) -> Result<Lsn> {
         match rec {
             LogRecord::Commit { .. } | LogRecord::Prepared { .. } => {
-                self.flusher.submit_and_wait(rec.clone())
+                self.flusher.submit_and_wait(rec)
             }
             _ => self.log.append(rec),
         }

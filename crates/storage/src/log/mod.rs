@@ -270,16 +270,14 @@ impl LogManager {
     }
 
     /// Append `recs` back to back in one critical section (a group-commit
-    /// window); returns each record's LSN. Unforced, like
-    /// [`append`](Self::append).
+    /// window); returns the first record's LSN and reports each record's to
+    /// `each`, in order. Unforced, like [`append`](Self::append).
     pub fn append_all<'a>(
         &self,
         recs: impl IntoIterator<Item = &'a LogRecord>,
-    ) -> Result<Vec<Lsn>> {
-        let recs = recs.into_iter().map(LogRecord::as_ref);
-        let mut lsns = Vec::with_capacity(recs.size_hint().0);
-        self.append_inner(recs, |lsn| lsns.push(lsn), false)?;
-        Ok(lsns)
+        each: impl FnMut(Lsn),
+    ) -> Result<Lsn> {
+        self.append_inner(recs.into_iter().map(LogRecord::as_ref), each, false)
     }
 
     /// Append a record whose images are borrowed: the write and undo paths
@@ -1346,7 +1344,9 @@ mod tests {
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let recs = sample_records();
-        let lsns = log.append_all(&recs).unwrap();
+        let mut lsns = Vec::new();
+        let first = log.append_all(&recs, |lsn| lsns.push(lsn)).unwrap();
+        assert_eq!(first, lsns[0]);
         assert_eq!(log.obs().snapshot().counters.log_flushes, 0);
         log.drain(true).unwrap();
         assert_eq!(log.obs().snapshot().counters.log_flushes, 1);

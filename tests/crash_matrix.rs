@@ -527,6 +527,65 @@ fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
     }
 }
 
+/// A blocking commit on an idle flusher runs its own flush window on the
+/// committing thread. A crash in that window — torn at assembly, or at the
+/// sync — unwinds right there with the window's `CrashPoint`, acknowledges
+/// nothing, and restart lacks exactly that commit: every commit
+/// acknowledged before it survives.
+#[test]
+fn a_crash_in_a_committer_run_window_unwinds_on_the_committer_and_loses_only_its_commit() {
+    use asset::faults::CrashPoint;
+    let points = [
+        (
+            storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+            FaultAction::Torn {
+                keep_per_mille: 500,
+            },
+        ),
+        (storage::failpoints::FLUSH_WINDOW_SYNC, FaultAction::Crash),
+    ];
+    for (point, action) in points {
+        let case = Case::new("led-window");
+        let db = case.open();
+        let (o, p) = (db.new_oid(), db.new_oid());
+        put(&db, o, b"o1");
+        put(&db, p, b"p1");
+        let before = db.metrics_snapshot().counters;
+        case.faults.arm(point, Trigger::Once, action);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            db.run(move |ctx| ctx.write(o, b"lost".to_vec()))
+        }));
+        let payload = crashed.expect_err("the window's crash unwinds on the committer");
+        assert_eq!(
+            payload.downcast_ref::<CrashPoint>().map(|c| c.0),
+            Some(point),
+            "[{point}] the window's own crash point"
+        );
+        let after = db.metrics_snapshot().counters;
+        assert_eq!(
+            after.flush_windows_led,
+            before.flush_windows_led + 1,
+            "[{point}] the committer ran the window"
+        );
+        assert_eq!(after.flush_windows, before.flush_windows + 1, "[{point}]");
+        assert_eq!(
+            after.txn_committed, before.txn_committed,
+            "[{point}] nothing acknowledged"
+        );
+        drop(db);
+
+        for _ in 0..2 {
+            let db = case.reopen_clean();
+            assert_eq!(
+                &get(&db, o)[..],
+                b"o1",
+                "[{point}] the crashed commit is gone"
+            );
+            assert_eq!(&get(&db, p)[..], b"p1", "[{point}] earlier acks survive");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Error sweep: the process survives the fault. After the workload drives
 // every transaction to a terminal state, the live in-memory state must agree
