@@ -536,8 +536,9 @@ impl Client {
     }
 
     /// Deliver the coordinator's **commit** decision for a prepared
-    /// group. Sessionless and idempotent; the OK is written only after
-    /// the participant's commit record is durable.
+    /// group. Sessionless and idempotent; the OK is written once the
+    /// decision is applied (it is already durable at the coordinator's
+    /// acceptors; the participant's commit record rides its next force).
     pub fn commit_decide(&mut self, tids: &[u64]) -> Result<(), ClientError> {
         self.call(opcode::COMMIT_DECIDE, encode_tid_list(tids))?
             .into_ok()

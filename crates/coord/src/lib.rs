@@ -31,7 +31,10 @@
 //!   holding its locks, and only a decide message resolves it.
 //! * **decide**: idempotent commit/abort of the prepared group
 //!   ([`Database::decide_commit_group`] /
-//!   [`Database::decide_abort_group`]).
+//!   [`Database::decide_abort_group`]). Neither forces its record: the
+//!   decision is durable at the acceptors, and a node that loses its
+//!   decision record restarts in doubt and learns it again — so the vote
+//!   is a participant's one forced write per global transaction.
 //!
 //! Transports: [`ChannelTransport`] calls in-process
 //! [`ParticipantNode`]s directly (tests, crash matrices);

@@ -307,17 +307,19 @@ impl CommitTransport for ChannelTransport {
 /// Wire transport: each node is an ASSET server address, reached with a
 /// lazily (re)connected [`Client`] per node. A transport error closes
 /// the connection so the next send reconnects — a restarted server is
-/// picked up transparently (prepare and decide are idempotent).
+/// picked up transparently (prepare and decide are idempotent). Each
+/// node's connection has a mutex of its own: an exchange with one node
+/// never waits for an exchange in flight with another.
 pub struct TcpTransport {
     addrs: Vec<String>,
-    conns: Mutex<Vec<Option<Client>>>,
+    conns: Vec<Mutex<Option<Client>>>,
     obs: Option<Arc<Obs>>,
 }
 
 impl TcpTransport {
     /// A transport over the given server addresses.
     pub fn new(addrs: Vec<String>) -> TcpTransport {
-        let conns = Mutex::new(addrs.iter().map(|_| None).collect());
+        let conns = addrs.iter().map(|_| Mutex::new(None)).collect();
         TcpTransport {
             addrs,
             conns,
@@ -355,8 +357,8 @@ impl TcpTransport {
         f: impl FnOnce(&mut Client) -> Result<T, asset_client::ClientError>,
     ) -> Result<T, CoordError> {
         let addr = self.addrs.get(node).ok_or(CoordError::NodeDown(node))?;
-        let mut conns = self.conns.lock();
-        let c = match &mut conns[node] {
+        let mut conn = self.conns[node].lock();
+        let c = match &mut *conn {
             Some(c) => c,
             slot => slot.insert(Client::connect(addr).map_err(|_| CoordError::NodeDown(node))?),
         };
@@ -364,7 +366,7 @@ impl TcpTransport {
             Ok(v) => Ok(v),
             Err(asset_client::ClientError::Io(_)) => {
                 // drop the connection; the next send reconnects
-                conns[node] = None;
+                *conn = None;
                 Err(CoordError::NodeDown(node))
             }
             Err(e) => Err(CoordError::Protocol(e.to_string())),
@@ -451,6 +453,59 @@ impl CommitTransport for TcpTransport {
             other => Err(CoordError::Protocol(format!(
                 "transport cannot send {other:?}"
             ))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asset_core::Database;
+    use asset_server::AssetServer;
+    use std::sync::mpsc::channel;
+
+    /// An exchange in flight with node 0 — here a `with_node` closure
+    /// parked on a channel, as a PREPARE waiting on locks would be — does
+    /// not hold up a send to node 1.
+    #[test]
+    fn a_busy_node_does_not_block_sends_to_another() {
+        let servers: Vec<AssetServer> = (0..2)
+            .map(|i| AssetServer::spawn_node(Database::in_memory(), "127.0.0.1:0", i).unwrap())
+            .collect();
+        let transport =
+            TcpTransport::new(servers.iter().map(|s| s.local_addr().to_string()).collect());
+        let (parked_tx, parked) = channel();
+        let (release, release_rx) = channel::<()>();
+        let (answered_tx, answered) = channel();
+        let tcp = &transport;
+        std::thread::scope(|s| {
+            let busy = s.spawn(move || {
+                tcp.with_node(0, |_| {
+                    parked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(())
+                })
+            });
+            parked
+                .recv_timeout(Duration::from_secs(10))
+                .expect("node 0's exchange is in flight");
+            s.spawn(move || {
+                answered_tx.send(tcp.send(1, CommitMessage::QueryState { tid: Tid(1) }))
+            });
+            let reply = answered.recv_timeout(Duration::from_secs(10));
+            release.send(()).unwrap();
+            assert!(busy.join().unwrap().is_ok());
+            match reply.expect("node 1 answers while node 0 is busy") {
+                Ok(CommitMessage::State(ParticipantState::Unknown)) => {}
+                other => panic!("unexpected reply {other:?}"),
+            }
+        });
+        // the transport holds a connection to each server: close them
+        // before asking the servers to stop
+        drop(transport);
+        for s in servers {
+            s.shutdown();
+            s.join();
         }
     }
 }

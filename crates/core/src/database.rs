@@ -22,12 +22,13 @@
 //!   mutex provided, now scoped to the group — and **pins** the group
 //!   (`commit_pending`) before letting the shards go: no shard is held
 //!   across the commit record's fsync. The distributed participant's
-//!   `prepare_group` and `decide_commit_group` are the exception: they
-//!   force their `Prepared`/`Commit` record with the group's shards held
-//!   (and, on an idle flusher, run its window and sync under them) — which
-//!   is why a window a committer runs carries its own record alone: the
-//!   executor's acknowledgement callbacks, which re-enter this table, run
-//!   only on the flusher thread.
+//!   `prepare_group` is the exception: it forces its `Prepared` record
+//!   with the group's shards held (and, on an idle flusher, runs its
+//!   window and syncs under them) — which is why a window a committer runs
+//!   carries its own record alone: the executor's acknowledgement
+//!   callbacks, which re-enter this table, run only on the flusher thread.
+//!   (`decide_commit_group` appends its `Commit` record under the shards
+//!   but forces nothing.)
 //!
 //! ## Execution model
 //!
@@ -1430,13 +1431,22 @@ impl Database {
     }
 
     /// Apply the coordinator's *commit* decision to a prepared group
-    /// (DESIGN.md §14.2): force the group's `Commit` record, move every
+    /// (DESIGN.md §14.2): append the group's `Commit` record, move every
     /// member to `Committed`, and release locks and dependencies.
     /// Idempotent — re-deciding a committed group is a no-op, so the
     /// coordinator may re-send decisions after a crash. Rejects groups
     /// with unprepared members (`InvalidState`): a decide may only follow
     /// a successful prepare.
-    #[wal(logs = "log_record", mutates = "self.finish_commit")]
+    ///
+    /// The record is not forced, exactly as `decide_abort_group`'s
+    /// `Abort` records are not: the decision is already durable at the
+    /// coordinator's acceptors, and any local commit that could depend on
+    /// the group's effects forces the log through this record first. A
+    /// node that dies before its next force loses only the record and
+    /// restarts with the group in doubt, which cooperative termination
+    /// resolves (§14.3). So a participant forces one record per global
+    /// transaction, its vote.
+    #[wal(logs = "append", mutates = "self.finish_commit")]
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
         let guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
@@ -1457,11 +1467,27 @@ impl Database {
         if pending.is_empty() {
             return Ok(()); // empty group, or an idempotent re-decide
         }
-        self.inner.engine.log_record(&LogRecord::Commit {
+        self.inner.engine.log().append(&LogRecord::Commit {
             tids: pending.clone(),
         })?;
         self.finish_commit(pending[0], &pending, guard);
         self.record_decide(&pending, true);
+        // the decision is applied and its record only buffered; a failure
+        // here models the participant dying before its next force (Crash:
+        // the record dies with it, and restart restores the group in
+        // doubt) or the acknowledgement being lost (Error)
+        asset_faults::failpoint!(
+            &self.inner.config.faults,
+            crate::failpoints::PART_AFTER_DECIDE,
+            |act| {
+                return Err(self
+                    .inner
+                    .config
+                    .faults
+                    .realize_plain(crate::failpoints::PART_AFTER_DECIDE, act)
+                    .into());
+            }
+        );
         Ok(())
     }
 

@@ -41,6 +41,13 @@ pub const PREPARE_RECORD: &str = "prepare.record";
 /// locks, until the coordinator's decision arrives (§14.3).
 pub const PART_AFTER_PREPARE: &str = "prepare.after_record";
 
+/// In `decide_commit_group`, after the group is committed in memory, its
+/// `Commit` record appended but not forced: `Crash` models the participant
+/// dying before its next force — the record dies with it, and restart
+/// restores the group in doubt until cooperative termination re-delivers
+/// the decision (§14.3); `Error` models the acknowledgement being lost.
+pub const PART_AFTER_DECIDE: &str = "decide.after_apply";
+
 /// Every failpoint the transaction layer registers, for matrix sweeps.
 pub const ALL: &[&str] = &[
     COMMIT_RECORD,
@@ -49,4 +56,5 @@ pub const ALL: &[&str] = &[
     DELEGATE_RECORD,
     PREPARE_RECORD,
     PART_AFTER_PREPARE,
+    PART_AFTER_DECIDE,
 ];

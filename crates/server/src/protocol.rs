@@ -187,8 +187,9 @@ pub mod opcode {
     /// Coordinator decision: commit a prepared group (DESIGN.md §14).
     /// Body: `u32` n, n×`u64` tids. Sessionless and idempotent — works
     /// after the preparing connection (or the whole node) restarted.
-    /// OK payload: empty, written only after the commit record is
-    /// durable.
+    /// OK payload: empty, written once the decision is applied — it is
+    /// durable at the coordinator's acceptors already, and the commit
+    /// record is appended for the node's next force, not forced.
     pub const COMMIT_DECIDE: u8 = 0x42;
     /// Coordinator decision: abort a prepared group. Body: `u32` n,
     /// n×`u64` tids. Sessionless and idempotent. OK payload: empty.

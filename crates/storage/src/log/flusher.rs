@@ -24,8 +24,7 @@
 //! one window as soon as none is running, so followers still share a sync.
 //! Acknowledgement callbacks run only on the flusher thread: they re-enter
 //! the transaction layer, and a committer may be running its own window
-//! with transaction-table shards held (`prepare_group`,
-//! `decide_commit_group` force under them).
+//! with transaction-table shards held (`prepare_group` forces under them).
 //!
 //! A window's records leave in one drain, so they are one sealed block of
 //! the log (together with whatever unforced records the workers buffered

@@ -8,6 +8,7 @@
 //! | failpoint | models |
 //! |---|---|
 //! | `prepare.after_record` (Crash) | participant dies right after forcing its `Prepared` record — the vote is durable but never sent |
+//! | `decide.after_apply` (Crash) | participant dies after applying the commit decision, before its next force — its buffered `Commit` record dies with it |
 //! | `coord.before_decide` (Crash) | coordinator dies with every vote in hand and nothing durable |
 //! | `coord.after_decide` (Crash) | coordinator dies with the decision durable but undelivered |
 //! | `coord.msg.prepare` (Error) | a prepare request is lost in the network |
@@ -27,8 +28,8 @@ use asset::coord::failpoints::{
     COORD_AFTER_DECIDE, COORD_BEFORE_DECIDE, MSG_DECIDE_DROP, MSG_PREPARE_DROP,
 };
 use asset::coord::{
-    Acceptor, ChannelTransport, CommitTransport, CoordLog, Decision, GlobalTxn, ParticipantNode,
-    PaxosCommit, TwoPhase,
+    Acceptor, ChannelTransport, CommitTransport, CoordError, CoordLog, Decision, GlobalTxn,
+    ParticipantNode, PaxosCommit, TwoPhase,
 };
 use asset::faults::{CrashPoint, FaultAction, FaultRegistry, Trigger};
 use asset::{Config, Oid};
@@ -194,7 +195,7 @@ impl Coordinators {
         transport: Arc<ChannelTransport>,
         faults: Arc<FaultRegistry>,
         g: &GlobalTxn,
-    ) -> Result<Decision, asset::coord::CoordError> {
+    ) -> Result<Decision, CoordError> {
         match self.proto {
             Proto::TwoPc => TwoPhase::new(transport, self.log.clone())
                 .with_faults(faults)
@@ -212,7 +213,7 @@ impl Coordinators {
         &self,
         transport: Arc<ChannelTransport>,
         g: &GlobalTxn,
-    ) -> Result<Decision, asset::coord::CoordError> {
+    ) -> Result<Decision, CoordError> {
         match self.proto {
             Proto::TwoPc => {
                 let log = Arc::new(CoordLog::at(&self.log_path).unwrap());
@@ -299,6 +300,59 @@ fn participant_crash_after_prepare_record_converges() {
         let rd = coords.recover(c.transport.clone(), &g).expect(&label);
         assert_eq!(rd, Decision::Abort, "{label}");
         assert_eq!(c.assert_converged(gid, &label), Decision::Abort);
+    }
+}
+
+/// Node 1 applies the commit decision and dies before its next force, so
+/// the `Commit` record it only buffered dies with it. The decision is
+/// durable at the acceptors, so the coordinator still returns Commit; the
+/// node restarts with exactly its member in doubt; `recover` (given the
+/// next ballot) converges everyone to Commit, and a second one changes
+/// nothing — not a byte of any node's log.
+fn crash_after_applied_commit_converges(
+    label: &str,
+    c: &Cluster,
+    gid: u64,
+    commit: impl FnOnce() -> Result<Decision, CoordError>,
+    recover: impl Fn(u64) -> Result<Decision, CoordError>,
+) {
+    c.node_faults[1].arm(
+        asset::txn::failpoints::PART_AFTER_DECIDE,
+        Trigger::Once,
+        FaultAction::Crash,
+    );
+    assert_eq!(commit().expect(label), Decision::Commit, "{label}");
+    assert!(c.transport.node(1).is_down(), "{label}: node 1 crashed");
+    c.restart_down_nodes(1);
+    assert_eq!(recover(1).expect(label), Decision::Commit, "{label}");
+    assert_eq!(c.assert_converged(gid, label), Decision::Commit);
+    let tails = || -> Vec<_> {
+        (0..NODES)
+            .map(|i| c.transport.node(i).db().engine().log().tail())
+            .collect()
+    };
+    let before = tails();
+    assert_eq!(recover(2).expect(label), Decision::Commit, "{label}");
+    assert_eq!(tails(), before, "{label}: a second recovery logs nothing");
+    assert_eq!(c.assert_converged(gid, label), Decision::Commit);
+}
+
+#[test]
+fn participant_crash_after_applying_commit_restarts_in_doubt_and_converges() {
+    for (k, proto) in PROTOS.iter().enumerate() {
+        let gid = 90 + k as u64;
+        let label = format!("{proto:?}/part-after-decide");
+        let c = Cluster::new(&format!("pad{k}"));
+        let cdir = TempDir::new(&format!("pad{k}-coord"));
+        let coords = Coordinators::new(*proto, &cdir);
+        let g = c.stage(gid);
+        crash_after_applied_commit_converges(
+            &label,
+            &c,
+            gid,
+            || coords.commit(c.transport.clone(), Arc::new(FaultRegistry::new()), &g),
+            |_| coords.recover(c.transport.clone(), &g),
+        );
     }
 }
 
@@ -525,6 +579,29 @@ fn reopened_acceptors_with_nothing_accepted_recover_to_abort() {
             .expect(&label);
         assert_eq!(rd, Decision::Abort, "{label}");
         assert_eq!(c.assert_converged(gid, &label), Decision::Abort);
+    }
+}
+
+#[test]
+fn participant_crash_after_applying_commit_converges_over_reopened_acceptors() {
+    for (k, n) in [1usize, 3].into_iter().enumerate() {
+        let gid = 100 + k as u64;
+        let label = format!("{n} acceptor(s)/part-after-decide/reopen");
+        let c = Cluster::new(&format!("padr{k}"));
+        let files = AcceptorFiles {
+            dir: TempDir::new(&format!("padr{k}-acc")),
+            n,
+        };
+        let g = c.stage(gid);
+        // every acceptor is dropped with the coordinator and reopened from
+        // its file for each recovery
+        crash_after_applied_commit_converges(
+            &label,
+            &c,
+            gid,
+            || PaxosCommit::new(c.transport.clone(), files.open()).commit(&g),
+            |ballot| PaxosCommit::recovery(c.transport.clone(), files.open(), ballot).recover(&g),
+        );
     }
 }
 

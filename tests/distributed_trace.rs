@@ -23,7 +23,7 @@ use asset::trace::{chrome, json};
 use asset::{Config, Database, Oid, Tid};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const NODES: usize = 3;
 
@@ -158,16 +158,17 @@ fn paxos_flows_match_protocol_ground_truth() {
 /// The in-doubt duration histogram measures exactly the window between
 /// prepare-force and decision delivery: empty before prepare, still
 /// empty while the group sits in doubt (the live set is non-empty
-/// instead), and populated — with at least the window's length — once
-/// the decision lands. The traced in-doubt window carries the same
-/// bounds.
+/// instead), and populated once the decision lands — with a duration
+/// bounded by clocks read around the exchanges: at least from the end of
+/// the last prepare to the start of the decide, at most from the start of
+/// the first prepare to the end of the decide. The traced in-doubt window
+/// carries the same bounds.
 #[test]
 fn in_doubt_histogram_spans_prepare_to_decision() {
-    const WINDOW: Duration = Duration::from_millis(5);
     let (transport, _hub) = traced_cluster();
 
     // stage one member per node, then drive 2PC by hand so the test
-    // controls how long the cluster stays in doubt
+    // reads the clock around every exchange
     let mut members = Vec::new();
     for i in 0..transport.nodes() {
         let db = transport.node(i).db();
@@ -185,6 +186,7 @@ fn in_doubt_histogram_spans_prepare_to_decision() {
         members.push((i, t));
     }
 
+    let first_prepare_start = Instant::now();
     let mut groups = Vec::new();
     for (i, t) in &members {
         let vote = transport
@@ -205,10 +207,12 @@ fn in_doubt_histogram_spans_prepare_to_decision() {
             "nothing recorded while the window is open"
         );
     }
+    let last_prepare_end = Instant::now();
 
-    std::thread::sleep(WINDOW);
-
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let mut node0_bounds = None;
     for (i, group) in &groups {
+        let decide_start = Instant::now();
         let ack = transport
             .send(
                 *i,
@@ -217,27 +221,37 @@ fn in_doubt_histogram_spans_prepare_to_decision() {
                 },
             )
             .expect("decide");
+        let decide_end = Instant::now();
         assert!(matches!(ack, CommitMessage::Ack));
+        let (lo, hi) = (
+            ns(decide_start - last_prepare_end),
+            ns(decide_end - first_prepare_start),
+        );
+        node0_bounds.get_or_insert((lo, hi));
         let db = transport.node(*i).db();
         assert!(db.in_doubt_transactions().is_empty(), "node {i} resolved");
         let h = db.obs().snapshot().in_doubt_ns;
         assert_eq!(h.count, 1, "node {i}: one in-doubt duration recorded");
         assert!(
-            h.sum >= WINDOW.as_nanos() as u64,
-            "node {i}: the duration covers the window ({} < {})",
-            h.sum,
-            WINDOW.as_nanos()
+            (lo..=hi).contains(&h.sum),
+            "node {i}: the duration {} lies in [{lo}, {hi}]",
+            h.sum
         );
     }
 
-    // the traced window agrees: prepare-force → decision-applied,
-    // closed by a commit, at least WINDOW long
+    // the traced window agrees: prepare-force → decision-applied, closed
+    // by a commit, within the same bounds
+    let (lo, hi) = node0_bounds.expect("node 0 decided");
     let g = CausalGraph::from_events(&transport.node(0).db().obs().trace());
     assert_eq!(g.in_doubt.len(), 1);
     let w = g.in_doubt[0];
     let end = w.end_ns.expect("window closed by the decision");
     assert_eq!(w.commit, Some(true));
-    assert!(end - w.start_ns >= WINDOW.as_nanos() as u64);
+    assert!(
+        (lo..=hi).contains(&(end - w.start_ns)),
+        "traced window {} lies in [{lo}, {hi}]",
+        end - w.start_ns
+    );
 }
 
 /// Live HTTP scrapes of the fleet metrics: the server's endpoint shows

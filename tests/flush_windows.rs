@@ -3,10 +3,17 @@
 //! (`flush_windows_led`); executor commits and blocking commits that arrive
 //! while a window runs ride the flusher thread's next one and share its
 //! sync. Either way every commit is acknowledged once, after its window is
-//! durable, and survives a reopen.
+//! durable, and survives a reopen. A participant of a global transaction
+//! forces one window, its vote; the decision's `Commit` record rides the
+//! node's next force.
 
+use asset::coord::{
+    Acceptor, ChannelTransport, CoordLog, Decision, GlobalTxn, ParticipantNode, PaxosCommit,
+    TwoPhase,
+};
 use asset::{Config, Database, Oid, StepCtx, TryOp, TxnStep};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 struct TempDir(PathBuf);
 
@@ -130,5 +137,71 @@ fn blocking_and_executor_commits_share_windows_and_survive_a_reopen() {
             Some((i as u64).to_le_bytes().to_vec()),
             "acknowledged commit {i} survives the reopen"
         );
+    }
+}
+
+/// A 3-node on-disk global commit, under each protocol: every node runs
+/// exactly one flush window — its `Prepared` vote — and leaves the decided
+/// `Commit` record buffered. The node's next local commit forces the log
+/// through it, and a restart then finds the member committed, not in
+/// doubt. This is the count behind `dist_commit`'s `log_bytes_per_txn`:
+/// one seal per node per global transaction, not two.
+#[test]
+fn a_global_commit_forces_one_window_per_node_its_vote() {
+    const NODES: usize = 3;
+    for (gid, paxos) in [(1, false), (2, true)] {
+        let dirs: Vec<TempDir> = (0..NODES)
+            .map(|i| TempDir::new(&format!("global{gid}-n{i}")))
+            .collect();
+        let nodes: Vec<Arc<ParticipantNode>> = dirs
+            .iter()
+            .map(|d| Arc::new(ParticipantNode::open(Config::on_disk(&d.0)).unwrap()))
+            .collect();
+        let mut g = GlobalTxn::new(gid);
+        let mut oids = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            let db = n.db();
+            let o = db.new_oid();
+            let t = db
+                .initiate(move |ctx| ctx.write(o, b"global".to_vec()))
+                .unwrap();
+            db.begin(t).unwrap();
+            db.wait(t).unwrap();
+            g.add_member(i as u32, t);
+            oids.push(o);
+        }
+        let before: Vec<u64> = nodes.iter().map(|n| windows(&n.db()).0).collect();
+        let transport = Arc::new(ChannelTransport::new(nodes.clone()));
+        let decision = if paxos {
+            let acceptors = (0..3).map(|_| Arc::new(Acceptor::new())).collect();
+            PaxosCommit::new(transport, acceptors).commit(&g)
+        } else {
+            TwoPhase::new(transport, Arc::new(CoordLog::in_memory())).commit(&g)
+        };
+        assert_eq!(decision.unwrap(), Decision::Commit);
+        let pending = |db: &Database| db.engine().log().watermarks().pending_bytes;
+        for (i, n) in nodes.iter().enumerate() {
+            let db = n.db();
+            assert_eq!(
+                windows(&db).0 - before[i],
+                1,
+                "paxos={paxos} node {i}: the vote is the only force"
+            );
+            assert!(pending(&db) > 0, "node {i}: the Commit record is buffered");
+            let local = db.new_oid();
+            assert!(db
+                .run(move |ctx| ctx.write(local, b"local".to_vec()))
+                .unwrap());
+            assert_eq!(pending(&db), 0, "node {i}: a local commit forces it");
+            drop(db);
+            n.kill();
+            assert!(
+                n.restart().unwrap().is_empty(),
+                "node {i}: nothing in doubt"
+            );
+            let db = n.db();
+            assert_eq!(db.peek(oids[i]).unwrap(), Some(b"global".to_vec()));
+            assert_eq!(db.peek(local).unwrap(), Some(b"local".to_vec()));
+        }
     }
 }
