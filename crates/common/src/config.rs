@@ -23,8 +23,9 @@ pub struct Config {
     /// Maximum number of live (not yet retired) transactions. `initiate`
     /// fails with `ResourceExhausted` beyond this — per §4.2 of the paper.
     pub max_transactions: usize,
-    /// How long a lock request waits before failing with `LockTimeout`.
-    /// `None` waits forever (deadlock detection still applies).
+    /// How long a lock request waits before failing with `LockTimeout`,
+    /// counted from its first block. `None` waits forever (deadlock
+    /// detection still applies).
     pub lock_wait_timeout: Option<Duration>,
     /// Directory for the heap file and log; `None` selects fully in-memory
     /// operation (implies `Durability::InMemory`).

@@ -1,7 +1,13 @@
-//! Identifiers: transaction ids, object ids, and log sequence numbers.
+//! Identifiers: transaction ids, object ids, and log sequence numbers —
+//! and the one hasher the id-keyed tables use ([`IdBuild`], [`IdMap`],
+//! [`IdSet`]).
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A transaction identifier.
 ///
@@ -141,6 +147,99 @@ impl Default for IdGen {
     }
 }
 
+/// A `HashMap` keyed by ids ([`Tid`], [`Oid`], or any `u64`), hashed by
+/// [`IdBuild`]. Build one with `IdMap::default()`.
+pub type IdMap<K, V> = HashMap<K, V, IdBuild>;
+
+/// A `HashSet` of ids, hashed by [`IdBuild`].
+pub type IdSet<K> = HashSet<K, IdBuild>;
+
+/// The hasher of the id-keyed tables (§4.1's doubly hashed TD, OD and LRD
+/// tables, the object cache and directory, the dependency graph): one
+/// folded 64×64→128-bit multiply per id instead of SipHash's rounds.
+///
+/// `write_u64(x)` multiplies `x ^ k0` by the odd `k1` and xors the two
+/// halves of the product, so every input bit reaches both the low bits
+/// (the bucket index) and the high bits (the control byte) of the hash.
+///
+/// **Keyed, not a plain multiply.** The wire protocol's `READ`/`WRITE`
+/// take any oid a client chooses. Under an unkeyed multiply the collision
+/// set is public: the oids `k·2^32`, for one, share all their low bits, so
+/// a client could pile them into one bucket of a lock stripe or a cache
+/// shard and turn every probe into a scan. The keys `(k0, k1)` are drawn
+/// once per process from std's [`RandomState`] — the same randomness that
+/// keys SipHash — so which ids collide cannot be computed offline, which
+/// is the property SipHash's random keys gave these tables. (Not a
+/// cryptographic MAC: a client that can time probes is not the threat
+/// model of either hasher.) Every `IdBuild` of a process shares the keys,
+/// so two tables hash one id alike.
+#[derive(Clone, Copy)]
+pub struct IdBuild {
+    k0: u64,
+    k1: u64,
+}
+
+/// Prints no keys, as std's `RandomState` does not.
+impl fmt::Debug for IdBuild {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IdBuild").finish_non_exhaustive()
+    }
+}
+
+impl Default for IdBuild {
+    fn default() -> IdBuild {
+        static KEYS: OnceLock<IdBuild> = OnceLock::new();
+        *KEYS.get_or_init(|| {
+            let seed = RandomState::new();
+            IdBuild {
+                k0: seed.hash_one(0u64),
+                k1: seed.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl BuildHasher for IdBuild {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] of an [`IdBuild`]; see there.
+#[derive(Clone, Copy, Debug)]
+pub struct IdHasher {
+    keys: IdBuild,
+    hash: u64,
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.hash ^ x ^ self.keys.k0) * u128::from(self.keys.k1);
+        self.hash = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    /// Keys that are not one integer (none on the hot paths) are folded
+    /// in eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,5 +299,42 @@ mod tests {
     fn lsn_ordering() {
         assert!(Lsn(1) < Lsn(2));
         assert_eq!(Lsn::ZERO, Lsn(0));
+    }
+
+    /// The oid families an unkeyed multiply would pile into few buckets —
+    /// `k·2^32` and `k·2^40` share all their low bits — spread over 1024
+    /// low-bit buckets (the bits a table indexes by) as evenly as a dense
+    /// run does: 4096 ids, 4 per bucket on average, none above 16.
+    #[test]
+    fn id_hashes_spread_strided_oids_over_low_bit_buckets() {
+        let build = IdBuild::default();
+        for (name, stride) in [("k·2^32", 1u64 << 32), ("k·2^40", 1 << 40), ("k", 1)] {
+            let mut buckets = [0u32; 1024];
+            for k in 0..4096u64 {
+                buckets[(build.hash_one(Oid(k * stride)) & 1023) as usize] += 1;
+            }
+            let fullest = buckets.iter().max().copied().unwrap_or(0);
+            assert!(fullest <= 16, "{name}: a bucket holds {fullest} of 4096");
+        }
+    }
+
+    #[test]
+    fn two_id_builds_of_one_process_hash_alike() {
+        let (a, b) = (IdBuild::default(), IdBuild::default());
+        for id in [0u64, 1, 7, 1 << 32, u64::MAX] {
+            assert_eq!(a.hash_one(Tid(id)), b.hash_one(Tid(id)));
+            assert_eq!(
+                a.hash_one(Oid(id)),
+                a.hash_one(id),
+                "an id hashes as its u64"
+            );
+        }
+        let mut map: IdMap<Oid, u32> = IdMap::default();
+        let mut set: IdSet<Tid> = IdSet::default();
+        for i in 0..1000u64 {
+            map.insert(Oid(i << 32), i as u32);
+            set.insert(Tid(i));
+        }
+        assert!((0..1000u64).all(|i| map[&Oid(i << 32)] == i as u32 && set.contains(&Tid(i))));
     }
 }

@@ -26,6 +26,6 @@ pub mod sync;
 
 pub use config::{Config, Durability};
 pub use error::{AssetError, Result};
-pub use ids::{Lsn, Oid, Tid};
+pub use ids::{IdMap, IdSet, Lsn, Oid, Tid};
 pub use mode::{DepType, LockMode, ObSet, OpSet, Operation};
 pub use status::TxnStatus;

@@ -52,10 +52,10 @@
 use crate::database::{CommitPass, Database, DbInner};
 use asset_annot::exec_step;
 use asset_common::sync::{Condvar, Mutex};
-use asset_common::{AssetError, Oid, Operation, Result, Tid, TxnStatus};
+use asset_common::{AssetError, IdMap, Oid, Operation, Result, Tid, TxnStatus};
 use asset_obs::{bump, EventKind, SpanName};
 use asset_storage::LogRecord;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -187,7 +187,7 @@ pub struct ExecInner {
     pending: Mutex<usize>,
     pending_cv: Condvar,
     shutdown: AtomicBool,
-    tasks: Mutex<HashMap<Tid, Arc<Task>>>,
+    tasks: Mutex<IdMap<Tid, Arc<Task>>>,
     /// Transactions parked on `WaitDep`/commit gates.
     dep_waiters: Mutex<Vec<Tid>>,
     /// Worker threads actually running (0 = none could be spawned and
@@ -207,7 +207,7 @@ impl ExecInner {
             pending: Mutex::new(0),
             pending_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            tasks: Mutex::new(HashMap::new()),
+            tasks: Mutex::new(IdMap::default()),
             dep_waiters: Mutex::new(Vec::new()),
             live_workers: AtomicUsize::new(0),
         });

@@ -11,6 +11,19 @@ fn db() -> Database {
     Database::in_memory()
 }
 
+/// Spin until `cond` holds. The deadline orders nothing: it only fails a
+/// test that is stuck.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let stuck = std::time::Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(
+            std::time::Instant::now() < stuck,
+            "stuck waiting until {what}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Seed an object with committed bytes.
 fn seed(db: &Database, bytes: &[u8]) -> Oid {
     let oid = db.new_oid();
@@ -243,7 +256,9 @@ fn commit_dependency_orders_commits() {
         assert!(db2.commit(t2).unwrap());
         flag.store(true, Ordering::SeqCst);
     });
-    std::thread::sleep(Duration::from_millis(50));
+    wait_until("t2's commit reaches its gate", || {
+        db.status(t2).unwrap() == TxnStatus::Committing
+    });
     assert!(!committed.load(Ordering::SeqCst), "t2 gated by CD");
     assert!(db.commit(t1).unwrap());
     h.join().unwrap();
@@ -547,20 +562,26 @@ fn deadlock_victim_aborts_other_proceeds() {
 fn aborting_a_blocked_transaction_unblocks_it() {
     let db = db();
     let oid = seed(&db, b"v");
+    let (held_tx, held) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel::<()>();
     let holder = db
         .initiate(move |ctx| {
             ctx.write(oid, b"held".to_vec())?;
-            std::thread::sleep(Duration::from_millis(500));
+            held_tx.send(()).unwrap();
+            // a timeout, not a sleep: it runs out only if the test is stuck
+            let _ = release_rx.recv_timeout(Duration::from_secs(30));
             Ok(())
         })
         .unwrap();
     db.begin(holder).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    held.recv().unwrap();
     let waiter = db
         .initiate(move |ctx| ctx.write(oid, b"waiter".to_vec()))
         .unwrap();
     db.begin(waiter).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    wait_until("the waiter is queued on the holder's lock", || {
+        db.locks().pending(oid).iter().any(|p| p.tid == waiter)
+    });
     // waiter is blocked on the lock; abort must wake and kill it promptly
     let start = std::time::Instant::now();
     db.abort(waiter).unwrap();
@@ -569,7 +590,8 @@ fn aborting_a_blocked_transaction_unblocks_it() {
         start.elapsed() < Duration::from_millis(400),
         "no timeout wait"
     );
-    db.commit(holder).unwrap();
+    release.send(()).unwrap();
+    assert!(db.commit(holder).unwrap());
 }
 
 // --- recovery ----------------------------------------------------------------
@@ -886,7 +908,9 @@ fn permit_accessed_materializes_paper_form() {
         .initiate(move |ctx| ctx.write(a, b"nope".to_vec()))
         .unwrap();
     db.begin(t).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_until("the writer is queued on the holder's lock", || {
+        db.locks().pending(a).iter().any(|p| p.tid == t)
+    });
     assert_eq!(
         db.status(t).unwrap(),
         TxnStatus::Running,

@@ -19,10 +19,10 @@ use crate::database::TxnSlot;
 use asset_annot::verify_allow;
 use asset_common::config::resolve_shards;
 use asset_common::sync::{Condvar, Mutex, MutexGuard};
-use asset_common::Tid;
-use std::collections::{BTreeSet, HashMap};
+use asset_common::{IdMap, Tid};
+use std::collections::BTreeSet;
 
-type Shard = Mutex<HashMap<Tid, TxnSlot>>;
+type Shard = Mutex<IdMap<Tid, TxnSlot>>;
 
 pub(crate) struct TxnTable {
     shards: Box<[Shard]>,
@@ -42,7 +42,7 @@ impl TxnTable {
     pub fn new(requested_shards: usize) -> TxnTable {
         let n = resolve_shards(requested_shards);
         TxnTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(IdMap::default())).collect(),
             mask: (n - 1) as u64,
             epoch: Mutex::new(0),
             event_cv: Condvar::new(),
@@ -155,7 +155,7 @@ impl TxnTable {
 /// A set of held shard locks, addressable by tid.
 pub(crate) struct GroupGuard<'a> {
     table: &'a TxnTable,
-    guards: Vec<(usize, MutexGuard<'a, HashMap<Tid, TxnSlot>>)>,
+    guards: Vec<(usize, MutexGuard<'a, IdMap<Tid, TxnSlot>>)>,
 }
 
 impl GroupGuard<'_> {

@@ -18,8 +18,7 @@
 //! dependency cycles" — because such a cycle deadlocks the commit protocol.
 //! GC cycles are fine; they *are* group commit.
 
-use asset_common::{AssetError, DepType, Result, Tid};
-use std::collections::{HashMap, HashSet};
+use asset_common::{AssetError, DepType, IdMap, IdSet, Result, Tid};
 
 /// Terminal knowledge the graph keeps about each registered transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,15 +80,15 @@ struct GateEdge {
 #[derive(Default)]
 pub struct DepGraph {
     /// CD/AD edges, doubly indexed.
-    out_edges: HashMap<Tid, Vec<GateEdge>>, // keyed by dependent
-    in_edges: HashMap<Tid, Vec<GateEdge>>, // keyed by `on`
+    out_edges: IdMap<Tid, Vec<GateEdge>>, // keyed by dependent
+    in_edges: IdMap<Tid, Vec<GateEdge>>, // keyed by `on`
     /// GC adjacency (undirected).
-    gc: HashMap<Tid, HashSet<Tid>>,
+    gc: IdMap<Tid, IdSet<Tid>>,
     /// Terminal states of registered transactions.
-    term: HashMap<Tid, TermState>,
+    term: IdMap<Tid, TermState>,
     /// Transactions doomed by a dependency (must abort when they next try
     /// to commit, or immediately if the manager polls).
-    doomed: HashSet<Tid>,
+    doomed: IdSet<Tid>,
 }
 
 impl DepGraph {
@@ -120,7 +119,7 @@ impl DepGraph {
 
     /// Number of GC links (diagnostics).
     pub fn gc_link_count(&self) -> usize {
-        self.gc.values().map(HashSet::len).sum::<usize>() / 2
+        self.gc.values().map(IdSet::len).sum::<usize>() / 2
     }
 
     /// Every live edge in the paper's `form_dependency(kind, ti, tj)`
@@ -244,7 +243,7 @@ impl DepGraph {
     /// Is there a CD/AD path `from ->* to` (following dependent→on edges)?
     fn reaches(&self, from: Tid, to: Tid) -> bool {
         let mut stack = vec![from];
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == to {
                 return true;
@@ -261,7 +260,7 @@ impl DepGraph {
 
     /// The GC-connected component of `t` (always contains `t`).
     pub fn gc_component(&self, t: Tid) -> Vec<Tid> {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut stack = vec![t];
         let mut out = Vec::new();
         while let Some(x) = stack.pop() {
@@ -284,7 +283,7 @@ impl DepGraph {
     /// outside gate the group.
     pub fn commit_gate(&self, t: Tid) -> CommitGate {
         let group = self.gc_component(t);
-        let group_set: HashSet<Tid> = group.iter().copied().collect();
+        let group_set: IdSet<Tid> = group.iter().copied().collect();
 
         // Any doomed or aborted member dooms the group.
         for m in &group {

@@ -15,8 +15,7 @@
 //! (needed for delegation re-attribution and commit-time cleanup).
 
 use asset_annot::verify_allow;
-use asset_common::{ObSet, Oid, OpSet, Operation, Tid};
-use std::collections::{HashMap, HashSet};
+use asset_common::{IdMap, IdSet, ObSet, Oid, OpSet, Operation, Tid};
 
 /// A permit descriptor.
 #[derive(Clone, Debug)]
@@ -37,10 +36,10 @@ pub type PermitId = u64;
 /// The doubly-hashed permit table.
 #[derive(Default)]
 pub struct PermitTable {
-    permits: HashMap<PermitId, Permit>,
-    by_grantor: HashMap<Tid, Vec<PermitId>>,
+    permits: IdMap<PermitId, Permit>,
+    by_grantor: IdMap<Tid, Vec<PermitId>>,
     /// `None`-grantee (wildcard) permits are indexed under `Tid::NULL`.
-    by_grantee: HashMap<Tid, Vec<PermitId>>,
+    by_grantee: IdMap<Tid, Vec<PermitId>>,
     next_id: PermitId,
 }
 
@@ -258,7 +257,7 @@ pub fn permits_across_depth(
     if holder == requester {
         return (true, 0);
     }
-    let mut on_path: HashSet<Tid> = HashSet::new();
+    let mut on_path: IdSet<Tid> = IdSet::default();
     on_path.insert(holder);
     let mut max_depth = 0usize;
     let granted = dfs_across(
@@ -281,7 +280,7 @@ fn dfs_across(
     target: Tid,
     ob: Oid,
     op: Operation,
-    on_path: &mut HashSet<Tid>,
+    on_path: &mut IdSet<Tid>,
     depth: usize,
     max_depth: &mut usize,
 ) -> bool {

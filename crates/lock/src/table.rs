@@ -30,7 +30,11 @@
 //! lists and their wakers included), the shard's slice of the TD-side
 //! object lists, and a shard-local permit table; a tid-keyed shard-set
 //! index (the second hash) lets `release_all`/`delegate` visit only the
-//! shards a transaction actually touched. Permits whose object scope is
+//! shards a transaction actually touched. Every id-keyed table hashes
+//! with the keyed one-multiply [`IdBuild`](asset_common::ids::IdBuild),
+//! and an uncontended grant probes its stripe's OD table once: a TD-side
+//! list is appended only when a new LRD is created, and the wait graph is
+//! not touched while no request waits. Permits whose object scope is
 //! `ObSet::All` (or spans shards) live in a small read-mostly global table
 //! consulted after the per-shard miss. Multi-shard operations take shard
 //! locks one at a time in ascending index order, so the manager is
@@ -44,9 +48,10 @@ use crate::permit::{permits_across_depth, Permit, PermitTable};
 use crate::waits::{Parker, Wait, WaitGraph};
 use asset_common::config::resolve_shards;
 use asset_common::sync::{Mutex, MutexGuard, RwLock};
-use asset_common::{AssetError, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
+use asset_common::{AssetError, IdMap, IdSet, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
 use asset_obs::{add, bump, EventKind, Obs};
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -185,10 +190,12 @@ pub struct StripeOccupancy {
 
 /// One stripe of the doubly-hashed descriptor tables.
 struct ShardInner {
-    objects: HashMap<Oid, ObjectDesc>,
+    objects: IdMap<Oid, ObjectDesc>,
     /// TD-side lists, restricted to this shard's objects: objects on which
-    /// a transaction holds an LRD.
-    txn_objects: HashMap<Tid, HashSet<Oid>>,
+    /// a transaction holds an LRD, each listed once — appended when the
+    /// LRD is created (a grant or a delegation to a transaction with none
+    /// on the object), never by a re-grant or an upgrade.
+    txn_objects: IdMap<Tid, Vec<Oid>>,
     /// Permits whose object scope falls entirely within this shard.
     permits: PermitTable,
     /// The wakers of the requests on this shard's pending lists, by
@@ -240,8 +247,8 @@ impl Shard {
     fn new() -> Shard {
         Shard {
             inner: Mutex::new(ShardInner {
-                objects: HashMap::new(),
-                txn_objects: HashMap::new(),
+                objects: IdMap::default(),
+                txn_objects: IdMap::default(),
                 permits: PermitTable::new(),
                 wakers: Vec::new(),
             }),
@@ -259,7 +266,7 @@ pub struct LockTable {
     /// The second hash of the paper's double hashing: tid → shards where
     /// the transaction holds LRDs or shard-local permits, so release and
     /// delegation visit only those stripes.
-    tid_shards: Mutex<HashMap<Tid, BTreeSet<usize>>>,
+    tid_shards: Mutex<IdMap<Tid, BTreeSet<usize>>>,
     /// Wildcard-object and cross-shard permits (read-mostly).
     global_permits: RwLock<PermitTable>,
     /// Fast-path skip: live permits in `global_permits`.
@@ -268,7 +275,7 @@ pub struct LockTable {
     waits: WaitGraph,
     /// Transactions whose lock waits must fail immediately (their abort is
     /// in progress; the aborter cannot wait for a lock timeout).
-    poisoned: Mutex<HashSet<Tid>>,
+    poisoned: Mutex<IdSet<Tid>>,
     /// Fast-path skip for the poison check.
     poison_count: AtomicUsize,
     /// Observability hub: lock-wait histograms, permit-chain lengths,
@@ -303,11 +310,11 @@ impl LockTable {
         LockTable {
             shards: (0..n).map(|_| Shard::new()).collect(),
             shard_mask: (n - 1) as u64,
-            tid_shards: Mutex::new(HashMap::new()),
+            tid_shards: Mutex::new(IdMap::default()),
             global_permits: RwLock::new(PermitTable::new()),
             global_permit_count: AtomicUsize::new(0),
             waits: WaitGraph::new(),
-            poisoned: Mutex::new(HashSet::new()),
+            poisoned: Mutex::new(IdSet::default()),
             poison_count: AtomicUsize::new(0),
             obs,
         }
@@ -369,17 +376,21 @@ impl LockTable {
     /// Acquire a lock for `tid` on `ob` in the mode required by `op`,
     /// blocking until granted, deadlocked, or timed out — the blocking
     /// driver of [`request`](Self::request): pass → sleep until woken or
-    /// the deadline → retry "starting at step 1".
+    /// the deadline → retry "starting at step 1". `timeout` counts from
+    /// the first pass that blocks.
     pub fn lock(&self, tid: Tid, ob: Oid, op: Operation, timeout: Option<Duration>) -> Result<()> {
-        let deadline = timeout.map(|d| Instant::now() + d);
         // made by the first pass that queues; an uncontended call has none
         let parker: OnceCell<Arc<Parker>> = OnceCell::new();
         let waker = || Waker::from(Arc::clone(parker.get_or_init(Arc::default)));
+        // fixed by the first pass that blocks, so the timeout counts time
+        // spent waiting and an uncontended call reads no clock
+        let mut deadline: Option<Option<Instant>> = None;
         loop {
             if self.request(tid, ob, op, Some(&waker))?.is_ok() {
                 return Ok(());
             }
-            if !parker.get().is_some_and(|p| p.park(deadline)) {
+            let until = *deadline.get_or_insert_with(|| timeout.map(|d| Instant::now() + d));
+            if !parker.get().is_some_and(|p| p.park(until)) {
                 self.cancel_wait(tid);
                 let stats = &self.shards[self.shard_index(ob)].stats;
                 stats.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -453,9 +464,13 @@ impl LockTable {
                 (attempt, _) => Ok(attempt),
             }
         };
-        // a wait that ends on this object is unlisted with the outcome
+        // a wait that ends on this object is unlisted with the outcome. Only
+        // `tid`'s own driver publishes `tid`'s wait, from a pass ordered
+        // before this one, so a zero waiter count means `tid` has none: the
+        // graph's mutex is taken only when some request waits.
         let ended = match result {
             Ok(Err(_)) => None,
+            _ if self.waits.waiter_count() == 0 => None,
             _ => self.waits.clear(tid),
         };
         if ended.as_ref().is_some_and(|w| w.ob == ob) {
@@ -543,7 +558,15 @@ impl LockTable {
         chains: &mut Vec<u32>,
     ) -> std::result::Result<(), Vec<Tid>> {
         let (sidx, mut mode, mut op) = (self.shard_index(ob), op.required_mode(), op);
-        let od = inner.objects.entry(ob).or_default();
+        // One probe of the OD table serves the whole attempt: the borrow of
+        // the descriptor is split from the permit table and TD-side lists.
+        let ShardInner {
+            objects,
+            txn_objects,
+            permits,
+            ..
+        } = inner;
+        let od = objects.entry(ob).or_default();
 
         // Step 1a: own granted lock that covers the request and is not
         // suspended → success.
@@ -579,8 +602,8 @@ impl LockTable {
                 continue;
             }
             let (permitted, chain) = match &global {
-                None => permits_across_depth(&[&inner.permits], gl.tid, tid, ob, op),
-                Some(g) => permits_across_depth(&[&inner.permits, g], gl.tid, tid, ob, op),
+                None => permits_across_depth(&[&*permits], gl.tid, tid, ob, op),
+                Some(g) => permits_across_depth(&[&*permits, g], gl.tid, tid, ob, op),
             };
             bump(&self.obs.counters.permit_checks);
             if chain > 0 {
@@ -602,7 +625,6 @@ impl LockTable {
         if self.obs.tracing_enabled() {
             through.extend(to_suspend.iter().copied());
         }
-        let od = inner.objects.entry(ob).or_default();
         for (holder, _) in &to_suspend {
             if let Some(gl) = od.granted.iter_mut().find(|g| g.tid == *holder) {
                 if !gl.suspended {
@@ -621,17 +643,21 @@ impl LockTable {
                 own.suspended = false;
             }
             None => {
+                // 2a: a new LRD, the one grant that lists the object on
+                // the TD side
                 od.granted.push(Lrd {
                     tid,
                     mode,
                     suspended: false,
                 });
+                match txn_objects.entry(tid) {
+                    Entry::Occupied(mut listed) => listed.get_mut().push(ob),
+                    Entry::Vacant(first_in_shard) => {
+                        first_in_shard.insert(vec![ob]);
+                        self.tid_shards.lock().entry(tid).or_default().insert(sidx);
+                    }
+                }
             }
-        }
-        let first_in_shard = !inner.txn_objects.contains_key(&tid);
-        inner.txn_objects.entry(tid).or_default().insert(ob);
-        if first_in_shard {
-            self.tid_shards.lock().entry(tid).or_default().insert(sidx);
         }
         self.shards[sidx]
             .stats
@@ -769,34 +795,37 @@ impl LockTable {
             {
                 let mut guard = shard.inner.lock();
                 let inner = &mut *guard;
-                let from_objects: Vec<Oid> = inner
+                // `from`'s TD-side list splits into the objects that move
+                // and those that stay listed under it
+                let (moving, staying): (Vec<Oid>, Vec<Oid>) = inner
                     .txn_objects
-                    .get(&from)
-                    .map(|set| {
-                        set.iter()
-                            .copied()
-                            .filter(|ob| obs.is_none_or(|set| set.contains(*ob)))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for ob in &from_objects {
-                    let od = inner.objects.entry(*ob).or_default();
+                    .remove(&from)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .partition(|ob| obs.is_none_or(|set| set.contains(*ob)));
+                if !staying.is_empty() {
+                    inner.txn_objects.insert(from, staying);
+                }
+                for ob in moving {
+                    let Some(od) = inner.objects.get_mut(&ob) else {
+                        continue;
+                    };
                     let Some(pos) = od.granted.iter().position(|g| g.tid == from) else {
                         continue;
                     };
                     let moved = od.granted.remove(pos);
                     moved_objects += 1;
                     match od.granted.iter_mut().find(|g| g.tid == to) {
+                        // `to` already holds `ob`, so lists it already
                         Some(existing) => {
                             existing.mode = existing.mode.max(moved.mode);
                             existing.suspended = existing.suspended && moved.suspended;
                         }
-                        None => od.granted.push(Lrd { tid: to, ..moved }),
+                        None => {
+                            od.granted.push(Lrd { tid: to, ..moved });
+                            inner.txn_objects.entry(to).or_default().push(ob);
+                        }
                     }
-                    if let Some(set) = inner.txn_objects.get_mut(&from) {
-                        set.remove(ob);
-                    }
-                    inner.txn_objects.entry(to).or_default().insert(*ob);
                 }
                 let before = inner.permits.len();
                 inner.permits.reattribute(from, to, obs);
@@ -860,16 +889,14 @@ impl LockTable {
             let shard = &self.shards[s];
             {
                 let mut inner = shard.inner.lock();
-                let objects: Vec<Oid> = inner
-                    .txn_objects
-                    .remove(&tid)
-                    .map(|set| set.into_iter().collect())
-                    .unwrap_or_default();
-                for ob in &objects {
-                    if let Some(od) = inner.objects.get_mut(ob) {
-                        od.granted.retain(|g| g.tid != tid);
-                        if od.granted.is_empty() && od.pending.is_empty() {
-                            inner.objects.remove(ob);
+                let objects = inner.txn_objects.remove(&tid).unwrap_or_default();
+                for &ob in &objects {
+                    // one probe per object: the entry both edits and drops
+                    if let Entry::Occupied(mut od) = inner.objects.entry(ob) {
+                        let desc = od.get_mut();
+                        desc.granted.retain(|g| g.tid != tid);
+                        if desc.granted.is_empty() && desc.pending.is_empty() {
+                            od.remove();
                         }
                     }
                 }

@@ -9,13 +9,14 @@
 //! the sharded table, cycle detection never holds — or waits on — a shard:
 //! grants proceed while a blocked transaction checks for deadlock. One
 //! mutex over the map, plus a relaxed waiter counter for lock-free
-//! diagnostics.
+//! diagnostics and for the grant path, which takes the mutex only when
+//! the count says some request waits.
 //!
 //! `Parker` is the blocking driver's waker: what
 //! [`LockTable::lock`](crate::LockTable::lock) sleeps on between passes.
 
 use asset_common::sync::{Condvar, Mutex};
-use asset_common::{Oid, Tid};
+use asset_common::{IdMap, IdSet, Oid, Tid};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +40,7 @@ pub struct Wait {
 /// The waits-for graph: `waiting tid → its wait`.
 #[derive(Default)]
 pub struct WaitGraph {
-    waits: Mutex<HashMap<Tid, Wait>>,
+    waits: Mutex<IdMap<Tid, Wait>>,
     waiters: AtomicUsize,
 }
 
@@ -99,7 +100,7 @@ impl WaitGraph {
             return false;
         };
         let mut stack = own.holders.clone();
-        let mut seen: HashSet<Tid> = HashSet::new();
+        let mut seen: IdSet<Tid> = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == tid {
                 return true;

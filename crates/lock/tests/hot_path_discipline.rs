@@ -13,6 +13,10 @@
 //!    clock (the wait-start stamp) and records (histograms, events, and
 //!    `settle`, which does both) only after `drop(inner)` releases the
 //!    stripe guard.
+//! 3. `request()` takes the wait graph's mutex to end a wait only behind
+//!    its waiter count: a grant while nothing waits never touches it.
+//! 4. `lock()` reads `Instant::now` (its deadline) only after a pass has
+//!    returned blocked: an uncontended lock reads no clock.
 //!
 //! A behavioral companion checks the wait metrics still arrive.
 
@@ -79,6 +83,45 @@ fn the_pass_reads_the_clock_and_records_only_with_the_stripe_guard_dropped() {
     assert!(
         !unlocked.contains(".inner.lock()"),
         "request() takes the stripe mutex once"
+    );
+}
+
+#[test]
+fn a_grant_ends_a_wait_only_behind_the_waiter_count() {
+    let body = fn_body(TABLE_SRC, "pub fn request(");
+    assert_eq!(
+        body.matches("waits.clear(").count(),
+        1,
+        "request() ends a wait in one place"
+    );
+    let ended = body
+        .find("let ended = match")
+        .expect("request() ends the wait it had");
+    let gate = body
+        .find("self.waits.waiter_count() == 0")
+        .expect("the waiter count gates the wait graph");
+    let clear = body.find("self.waits.clear(").unwrap();
+    assert!(
+        ended < gate && gate < clear,
+        "the waiter-count arm must come before the arm that clears"
+    );
+}
+
+#[test]
+fn lock_reads_the_clock_only_after_a_blocked_pass() {
+    let body = fn_body(TABLE_SRC, "pub fn lock(");
+    assert_eq!(
+        body.matches("Instant::now").count(),
+        1,
+        "lock() reads the clock once, for its deadline"
+    );
+    let granted = body
+        .find("self.request(")
+        .and_then(|pass| body[pass..].find("return Ok(())").map(|r| pass + r))
+        .expect("lock() returns on a granted pass");
+    assert!(
+        granted < body.find("Instant::now").unwrap(),
+        "the deadline is computed only once a pass did not grant"
     );
 }
 

@@ -11,8 +11,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// After any sequence of operations, no two unsuspended granted locks on
-/// one object conflict.
-fn check_invariant(table: &LockTable, oids: &[Oid]) -> Result<(), String> {
+/// one object conflict, and every transaction's TD-side list names each
+/// object it holds an LRD on exactly once.
+fn check_invariant(table: &LockTable, oids: &[Oid], tids: &[Tid]) -> Result<(), String> {
     for &ob in oids {
         let holders = table.holders(ob);
         for (i, a) in holders.iter().enumerate() {
@@ -25,6 +26,18 @@ fn check_invariant(table: &LockTable, oids: &[Oid]) -> Result<(), String> {
             }
         }
     }
+    for &tid in tids {
+        let mut listed = table.locked_objects(tid);
+        listed.sort_unstable();
+        let held: Vec<Oid> = oids
+            .iter()
+            .copied()
+            .filter(|&ob| table.holders(ob).iter().any(|l| l.tid == tid))
+            .collect();
+        if listed != held {
+            return Err(format!("{tid} lists {listed:?} but holds {held:?}"));
+        }
+    }
     Ok(())
 }
 
@@ -32,58 +45,104 @@ fn check_invariant(table: &LockTable, oids: &[Oid]) -> Result<(), String> {
 enum LockOp {
     Lock(u64, u64, bool), // tid, oid, write?
     Release(u64),
-    Permit(u64, u64, u64), // grantor, grantee, oid
-    Delegate(u64, u64),    // from, to (all objects)
+    Permit(u64, u64, u64),      // grantor, grantee, oid
+    Delegate(u64, u64),         // from, to (all objects)
+    DelegateOne(u64, u64, u64), // from, to, oid
 }
 
 fn arb_lock_op(rng: &mut Rng) -> LockOp {
     let tid = |rng: &mut Rng| 1 + rng.below(5);
     let oid = |rng: &mut Rng| 1 + rng.below(7);
-    match rng.below(4) {
+    match rng.below(5) {
         0 => LockOp::Lock(tid(rng), oid(rng), rng.below(2) == 1),
         1 => LockOp::Release(tid(rng)),
         2 => LockOp::Permit(tid(rng), tid(rng), oid(rng)),
-        _ => LockOp::Delegate(tid(rng), tid(rng)),
+        3 => LockOp::Delegate(tid(rng), tid(rng)),
+        _ => LockOp::DelegateOne(tid(rng), tid(rng), oid(rng)),
     }
 }
 
 /// Cases per property.
 const CASES: u64 = 96;
 
-/// Random single-threaded op sequences never violate the granted-lock
-/// invariant (failed/blocked acquisitions simply error with the tiny
-/// timeout — that is fine; the invariant is about what is *granted*).
+/// Random single-threaded op sequences — grants, re-grants and upgrades,
+/// whole and partial delegations, releases — never violate the invariant
+/// (failed/blocked acquisitions simply error with the tiny timeout — that
+/// is fine; the invariant is about what is *granted*), on one stripe and
+/// on the default count.
 #[test]
 fn no_conflicting_unsuspended_grants() {
     cases(0x010C_0001, CASES, |rng| {
         let ops: Vec<LockOp> = (0..rng.below(60)).map(|_| arb_lock_op(rng)).collect();
-        let table = LockTable::new();
         let oids: Vec<Oid> = (1..8).map(Oid).collect();
-        for op in ops {
-            match op {
-                LockOp::Lock(t, o, w) => {
-                    let op_kind = if w { Operation::Write } else { Operation::Read };
-                    let _ = table.lock(Tid(t), Oid(o), op_kind, Some(Duration::from_millis(1)));
-                }
-                LockOp::Release(t) => {
-                    table.release_all(Tid(t));
-                }
-                LockOp::Permit(a, b, o) => {
-                    if a != b {
-                        table.permit(Tid(a), Some(Tid(b)), ObSet::one(Oid(o)), OpSet::ALL);
+        let tids: Vec<Tid> = (1..6).map(Tid).collect();
+        for shards in [1, 0] {
+            let table = LockTable::with_shards(shards);
+            for op in ops.iter().cloned() {
+                match op {
+                    LockOp::Lock(t, o, w) => {
+                        let op_kind = if w { Operation::Write } else { Operation::Read };
+                        let _ = table.lock(Tid(t), Oid(o), op_kind, Some(Duration::from_millis(1)));
+                    }
+                    LockOp::Release(t) => {
+                        table.release_all(Tid(t));
+                    }
+                    LockOp::Permit(a, b, o) => {
+                        if a != b {
+                            table.permit(Tid(a), Some(Tid(b)), ObSet::one(Oid(o)), OpSet::ALL);
+                        }
+                    }
+                    LockOp::Delegate(a, b) => {
+                        if a != b {
+                            table.delegate(Tid(a), Tid(b), None);
+                        }
+                    }
+                    LockOp::DelegateOne(a, b, o) => {
+                        if a != b {
+                            table.delegate(Tid(a), Tid(b), Some(&ObSet::one(Oid(o))));
+                        }
                     }
                 }
-                LockOp::Delegate(a, b) => {
-                    if a != b {
-                        table.delegate(Tid(a), Tid(b), None);
-                    }
+                if let Err(msg) = check_invariant(&table, &oids, &tids) {
+                    panic!("{shards} stripes: {msg}");
                 }
-            }
-            if let Err(msg) = check_invariant(&table, &oids) {
-                panic!("{msg}");
             }
         }
     });
+}
+
+/// Delegating an object to a transaction that already holds it merges the
+/// two LRDs and lists the object once; releasing the delegatee then
+/// leaves no object descriptor behind.
+#[test]
+fn delegating_to_a_holder_lists_the_object_once() {
+    for shards in [1, 0] {
+        for scope in [None, Some(ObSet::one(Oid(1)))] {
+            let table = LockTable::with_shards(shards);
+            for t in [Tid(1), Tid(2)] {
+                table.lock(t, Oid(1), Operation::Read, None).unwrap();
+            }
+            table.lock(Tid(1), Oid(2), Operation::Write, None).unwrap();
+            table.delegate(Tid(1), Tid(2), scope.as_ref());
+            assert_eq!(
+                table
+                    .locked_objects(Tid(2))
+                    .iter()
+                    .filter(|&&ob| ob == Oid(1))
+                    .count(),
+                1
+            );
+            assert_eq!(table.holders(Oid(1)).len(), 1, "merged into one LRD");
+            check_invariant(&table, &[Oid(1), Oid(2)], &[Tid(1), Tid(2)]).unwrap();
+            table.release_all(Tid(1));
+            table.release_all(Tid(2));
+            let ods: usize = table.stripe_occupancy().iter().map(|s| s.objects).sum();
+            assert_eq!(
+                ods, 0,
+                "{shards} stripes, scope {scope:?}: an OD left behind"
+            );
+        }
+    }
 }
 
 /// Delegation preserves the total set of (object, mode) grants —

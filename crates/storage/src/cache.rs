@@ -13,11 +13,10 @@
 use crate::latch::Latch;
 use crate::store::ObjectStore;
 use asset_common::sync::Mutex;
-use asset_common::{Oid, Result};
+use asset_common::{IdMap, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -164,7 +163,7 @@ impl CachedObject {
 
 /// The shared object cache.
 pub struct ObjectCache {
-    shards: Vec<Mutex<HashMap<Oid, Arc<CachedObject>>>>,
+    shards: Vec<Mutex<IdMap<Oid, Arc<CachedObject>>>>,
     obs: Arc<Obs>,
 }
 
@@ -178,7 +177,7 @@ impl ObjectCache {
     /// profiles of every resident object).
     pub fn with_obs(obs: Arc<Obs>) -> ObjectCache {
         ObjectCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(IdMap::default())).collect(),
             obs,
         }
     }
@@ -188,7 +187,7 @@ impl ObjectCache {
         &self.obs
     }
 
-    fn shard(&self, oid: Oid) -> &Mutex<HashMap<Oid, Arc<CachedObject>>> {
+    fn shard(&self, oid: Oid) -> &Mutex<IdMap<Oid, Arc<CachedObject>>> {
         // Avalanche the oid so sequential ids spread across shards.
         let mut h = oid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 32;

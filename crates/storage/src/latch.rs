@@ -145,9 +145,10 @@ impl Latch {
         }
     }
 
-    /// Acquire in X mode. Registers as a waiter first so that new readers
-    /// are blocked (starvation avoidance), then spins until the latch is
-    /// free of holders.
+    /// Acquire in X mode. A free latch is claimed with one CAS; a busy one
+    /// is waited for as a registered waiter, so that new readers are
+    /// blocked (starvation avoidance), spinning until the latch is free of
+    /// holders.
     pub fn exclusive(&self) -> ExclusiveGuard<'_> {
         self.exclusive_profiled().0
     }
@@ -155,6 +156,11 @@ impl Latch {
     /// Acquire in X mode, additionally reporting how many backoff rounds
     /// the acquisition spent (0 = granted on the first attempt).
     pub fn exclusive_profiled(&self) -> (ExclusiveGuard<'_>, u32) {
+        // Uncontended: nobody holds or awaits the latch, so one CAS claims
+        // it; the announce-then-claim loop is for a latch found busy.
+        if let Some(guard) = self.try_exclusive() {
+            return (guard, 0);
+        }
         // Announce intent: blocks new readers.
         let prev = self.state.fetch_add(X_WAIT_UNIT, Ordering::Relaxed);
         debug_assert!(prev & X_WAIT_MASK != X_WAIT_MASK, "X-waiter overflow");

@@ -10,14 +10,13 @@ use crate::heapfile::PageStore;
 use crate::page::{Page, PageId};
 use crate::slotted::{SlotId, SlottedPage};
 use asset_common::sync::Mutex;
-use asset_common::{AssetError, Oid, Result};
-use std::collections::HashMap;
+use asset_common::{AssetError, IdMap, Oid, Result};
 use std::sync::Arc;
 
 /// Object store over a page store.
 pub struct ObjectStore {
     pool: BufferPool,
-    dir: Mutex<HashMap<Oid, (PageId, SlotId)>>,
+    dir: Mutex<IdMap<Oid, (PageId, SlotId)>>,
     /// Pages most recently observed to have free room, newest last.
     free_hints: Mutex<Vec<PageId>>,
     page_size: usize,
@@ -29,7 +28,7 @@ impl ObjectStore {
     pub fn open(store: Arc<dyn PageStore>, pool_pages: usize) -> Result<ObjectStore> {
         let page_size = store.page_size();
         let pool = BufferPool::new(store, pool_pages);
-        let mut dir = HashMap::new();
+        let mut dir = IdMap::default();
         let n = pool.store().num_pages();
         for pid in 0..n {
             let guard = pool.fetch(pid)?;

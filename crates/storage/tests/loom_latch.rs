@@ -63,6 +63,50 @@ fn shared_reader_never_overlaps_a_writer() {
     });
 }
 
+/// The one-CAS X claim of a free latch (`0 → X_HELD`) races an S acquirer
+/// and a second X acquirer, which finds the latch busy in the schedules
+/// where it comes second and queues as a waiter. In every interleaving no
+/// access overlaps a writer's, and every acquirer gets through: no waiter's
+/// announcement is lost or left behind in the latch word.
+#[test]
+fn uncontended_x_claim_races_a_reader_and_a_queued_writer() {
+    loom::model(|| {
+        let latch = Arc::new(Latch::new());
+        let data = Arc::new(UnsafeCell::new(0u32));
+        let reader = {
+            let latch = Arc::clone(&latch);
+            let data = Arc::clone(&data);
+            thread::spawn(move || {
+                let _g = latch.shared();
+                // SAFETY: S latch held — the model panics if a writer's
+                // mutable access overlaps this immutable one.
+                data.with(|p| unsafe { *p })
+            })
+        };
+        let waiter = {
+            let latch = Arc::clone(&latch);
+            let data = Arc::clone(&data);
+            thread::spawn(move || {
+                let _g = latch.exclusive();
+                // SAFETY: X latch held.
+                data.with_mut(|p| unsafe { *p += 1 });
+            })
+        };
+        {
+            let _g = latch.exclusive();
+            // SAFETY: X latch held.
+            data.with_mut(|p| unsafe { *p += 1 });
+        }
+        let seen = reader.join().unwrap();
+        waiter.join().unwrap();
+        assert!(seen <= 2);
+        assert!(!latch.is_x_held() && !latch.x_waiting() && latch.s_count() == 0);
+        let _g = latch.exclusive();
+        // SAFETY: X latch held; every other acquirer has joined.
+        data.with(|p| unsafe { assert_eq!(*p, 2) });
+    });
+}
+
 #[test]
 fn try_exclusive_fails_under_any_holder() {
     loom::model(|| {
