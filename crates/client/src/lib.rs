@@ -520,6 +520,23 @@ impl Client {
         decode_tid_list_payload(&payload).map_err(Into::into)
     }
 
+    /// Pipelined [`prepare`](Self::prepare): write the request and flush
+    /// it without waiting, so prepares to several servers are in flight at
+    /// once; [`recv_prepare`](Self::recv_prepare) reads the vote.
+    pub fn send_prepare(&mut self, tids: &[u64]) -> Result<u32, ClientError> {
+        let reqid = self.send(opcode::PREPARE, encode_tid_list(tids))?;
+        self.flush()?;
+        Ok(reqid)
+    }
+
+    /// The vote answering the oldest pipelined request, a
+    /// [`send_prepare`](Self::send_prepare): as for `prepare`, any error
+    /// is a no.
+    pub fn recv_prepare(&mut self) -> Result<Vec<u64>, ClientError> {
+        let payload = self.recv()?.into_ok()?;
+        decode_tid_list_payload(&payload).map_err(Into::into)
+    }
+
     /// Query a transaction's distributed-commit state — usable for tids
     /// of any session, including after the server restarted.
     pub fn prepared_state(&mut self, tid: u64) -> Result<PreparedState, ClientError> {

@@ -21,6 +21,7 @@ pub mod config;
 pub mod error;
 pub mod ids;
 pub mod mode;
+pub mod pool;
 pub mod status;
 pub mod sync;
 

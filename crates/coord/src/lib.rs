@@ -37,9 +37,15 @@
 //!   is a participant's one forced write per global transaction.
 //!
 //! Transports: [`ChannelTransport`] calls in-process
-//! [`ParticipantNode`]s directly (tests, crash matrices);
+//! [`ParticipantNode`]s directly (tests, crash matrices, benchmarks);
 //! [`TcpTransport`] speaks the §13 wire protocol through
-//! [`asset_client::Client`].
+//! [`asset_client::Client`]. The prepares of a commit go out as one round
+//! ([`CommitTransport::send_all`]), so a global commit waits for its
+//! slowest forced vote rather than for each in turn: the channel
+//! transport runs the first exchange on the calling thread and the rest
+//! on reused delivery threads, and the TCP transport writes every
+//! `PREPARE` frame before it reads the first vote. Decides go one at a
+//! time — they force nothing, so there is nothing to overlap.
 //!
 //! ```
 //! use asset_coord::{ChannelTransport, CoordLog, Decision, GlobalTxn, ParticipantNode, TwoPhase};
@@ -136,6 +142,18 @@ impl CoordObs {
         TraceCtx {
             origin: self.node,
             root: gid,
+        }
+    }
+
+    /// Bump the `coord_msg_*` counter of `msg`'s opcode.
+    fn count(&self, msg: &CommitMessage) {
+        let c = &self.obs.counters;
+        match msg {
+            CommitMessage::Prepare { .. } => bump(&c.coord_msg_prepare),
+            CommitMessage::QueryState { .. } => bump(&c.coord_msg_prepared),
+            CommitMessage::CommitDecide { .. } => bump(&c.coord_msg_commit_decide),
+            CommitMessage::AbortDecide { .. } => bump(&c.coord_msg_abort_decide),
+            _ => {}
         }
     }
 }
@@ -273,14 +291,24 @@ impl Driver {
         let Some(co) = &self.obs else {
             return self.transport.send(node, msg);
         };
-        match &msg {
-            CommitMessage::Prepare { .. } => bump(&co.obs.counters.coord_msg_prepare),
-            CommitMessage::QueryState { .. } => bump(&co.obs.counters.coord_msg_prepared),
-            CommitMessage::CommitDecide { .. } => bump(&co.obs.counters.coord_msg_commit_decide),
-            CommitMessage::AbortDecide { .. } => bump(&co.obs.counters.coord_msg_abort_decide),
-            _ => {}
-        }
+        co.count(&msg);
         self.transport.send_traced(node, msg, Some(co.ctx(gid)))
+    }
+
+    /// [`send`](Self::send) for one round of messages, handed to the
+    /// transport at once.
+    fn send_all(
+        &self,
+        gid: u64,
+        msgs: Vec<(usize, CommitMessage)>,
+    ) -> Vec<Result<CommitMessage, CoordError>> {
+        let Some(co) = &self.obs else {
+            return self.transport.send_all(msgs, None);
+        };
+        for (_, msg) in &msgs {
+            co.count(msg);
+        }
+        self.transport.send_all(msgs, Some(co.ctx(gid)))
     }
 
     fn realize(&self, point: &'static str, act: FaultAction) -> CoordError {
@@ -290,39 +318,40 @@ impl Driver {
         }
     }
 
-    /// Drive `txn` to a decision at `ballot`: collect a vote from every
-    /// member node (stopping at the first *no*; an unreachable node and a
-    /// node never asked vote no), make the votes durable, deliver the
-    /// decision — commit iff every vote is yes. The **decision point** is
-    /// every instance accepted by a majority of the acceptors: after it
-    /// no crash can change the outcome (one acceptor: the forced
+    /// Drive `txn` to a decision at `ballot`: ask every member node for
+    /// its vote in one round (a no, a reply that is not a vote, a dropped
+    /// message and an unreachable node all count as no), make the votes
+    /// durable, deliver the decision — commit iff every vote is yes. The
+    /// round costs its slowest forced vote, not their sum. The **decision
+    /// point** is every instance accepted by a majority of the acceptors:
+    /// after it no crash can change the outcome (one acceptor: the forced
     /// coordinator-log write of 2PC). Delivery is best-effort per node;
     /// `recover` re-delivers to anyone that missed it.
     pub(crate) fn commit(&self, txn: &GlobalTxn, ballot: u64) -> Result<Decision, CoordError> {
         let started = Instant::now();
         let members = txn.members();
         // --- collect votes --------------------------------------------
+        let prepares = members
+            .iter()
+            .map(|(node, tids)| {
+                (
+                    *node as usize,
+                    CommitMessage::Prepare { tids: tids.clone() },
+                )
+            })
+            .collect();
+        let mut replies = self.send_all(txn.gid, prepares).into_iter();
         let mut prepared: Vec<(u32, Vec<Tid>)> = Vec::new();
-        let mut votes: Vec<(u32, bool)> = Vec::with_capacity(members.len());
-        for (node, tids) in members {
-            let msg = CommitMessage::Prepare { tids: tids.clone() };
-            let yes = match self.send(txn.gid, *node as usize, msg) {
-                Ok(CommitMessage::Vote { yes: true, group }) => {
+        let votes: Vec<(u32, bool)> = members
+            .iter()
+            .map(|(node, _)| match replies.next() {
+                Some(Ok(CommitMessage::Vote { yes: true, group })) => {
                     prepared.push((*node, group));
-                    true
+                    (*node, true)
                 }
-                Ok(CommitMessage::Vote { yes: false, .. }) => false,
-                Ok(other) => return Err(CoordError::protocol("vote", &other)),
-                Err(_) => false, // unreachable node: vote no on its behalf
-            };
-            votes.push((*node, yes));
-            if !yes {
-                break;
-            }
-        }
-        for (node, _) in members.iter().skip(votes.len()) {
-            votes.push((*node, false));
-        }
+                _ => (*node, false),
+            })
+            .collect();
         // --- the blocking window: votes in, nothing durable -----------
         if let Some(act) = self.faults.check(COORD_BEFORE_DECIDE) {
             return Err(self.realize(COORD_BEFORE_DECIDE, act));
@@ -493,6 +522,51 @@ mod tests {
                 })
                 .count();
             assert_eq!(recvs, 2, "prepare + commit decide received");
+        }
+    }
+
+    /// Delivers every message, but answers node 1's prepare with an
+    /// `Ack` instead of its vote: node 1 is prepared and the coordinator
+    /// cannot tell.
+    struct GarbledVote(ChannelTransport);
+
+    impl CommitTransport for GarbledVote {
+        fn nodes(&self) -> usize {
+            self.0.nodes()
+        }
+
+        fn send(&self, node: usize, msg: CommitMessage) -> Result<CommitMessage, CoordError> {
+            let prepare = matches!(msg, CommitMessage::Prepare { .. });
+            let reply = self.0.send(node, msg)?;
+            Ok(if prepare && node == 1 {
+                CommitMessage::Ack
+            } else {
+                reply
+            })
+        }
+    }
+
+    /// A reply that is not a vote counts as a no: the decision is Abort,
+    /// and every prepared member — node 1 included, whose group the
+    /// coordinator never learned — is told, so nobody stays in doubt.
+    #[test]
+    fn a_reply_that_is_not_a_vote_is_a_no() {
+        let nodes = mem_nodes(3);
+        let oids: Vec<_> = nodes.iter().map(|n| n.db().new_oid()).collect();
+        let transport = Arc::new(GarbledVote(ChannelTransport::new(nodes.clone())));
+        let coord = TwoPhase::new(transport, Arc::new(CoordLog::in_memory()));
+        let mut g = GlobalTxn::new(51);
+        for (i, oid) in oids.iter().enumerate() {
+            g.add_member(i as u32, stage(&nodes[i], *oid, b"garbled"));
+        }
+        assert_eq!(coord.commit(&g).unwrap(), Decision::Abort);
+        for (i, n) in nodes.iter().enumerate() {
+            let db = n.db();
+            assert!(
+                db.in_doubt_transactions().is_empty(),
+                "node {i} left in doubt"
+            );
+            assert_eq!(db.peek(oids[i]).unwrap(), None, "node {i} aborted");
         }
     }
 

@@ -7,16 +7,24 @@
 //! [`asset_client::Client`] (opcodes `PREPARE`, `PREPARED`,
 //! `COMMIT_DECIDE`, `ABORT_DECIDE`). Coordinators are written against
 //! the trait and cannot tell the difference.
+//!
+//! A protocol round goes out as one batch
+//! ([`CommitTransport::send_all`]), which a transport may overlap: the
+//! channel transport runs the first exchange on the calling thread and
+//! the rest on reused delivery threads, the TCP transport pipelines
+//! `PREPARE` frames on its per-node connections.
 
 use crate::failpoints;
 use crate::node::ParticipantNode;
-use asset_client::{Client, PreparedState};
-use asset_common::sync::Mutex;
+use asset_client::{Client, ClientError, PreparedState};
+use asset_common::pool::{Pool, Work};
+use asset_common::sync::{Condvar, Mutex, MutexGuard};
 use asset_common::Tid;
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{EventKind, Obs, TraceCtx};
 use asset_server::protocol::opcode;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,6 +169,21 @@ pub trait CommitTransport: Send + Sync {
         let _ = ctx;
         self.send(node, msg)
     }
+    /// Deliver one protocol round — every `(node, msg)` of `msgs`, one
+    /// message per node in ascending node order — and wait for every
+    /// reply; replies come back in the order of `msgs`. A transport may
+    /// overlap the exchanges, so a round costs its slowest exchange rather
+    /// than their sum; this default sends them one after another through
+    /// [`send_traced`](Self::send_traced).
+    fn send_all(
+        &self,
+        msgs: Vec<(usize, CommitMessage)>,
+        ctx: Option<TraceCtx>,
+    ) -> Vec<Result<CommitMessage, CoordError>> {
+        msgs.into_iter()
+            .map(|(node, msg)| self.send_traced(node, msg, ctx))
+            .collect()
+    }
 }
 
 /// In-process transport: messages are direct calls into
@@ -170,21 +193,33 @@ pub trait CommitTransport: Send + Sync {
 /// mid-request (a `CrashPoint` unwind from a participant failpoint) is
 /// marked dead — later sends fail with [`CoordError::NodeDown`] until
 /// the harness restarts it.
+///
+/// A round ([`send_all`](CommitTransport::send_all)) runs its first
+/// exchange on the calling thread and hands the rest to reused delivery
+/// threads, spawning one only when none is free; free threads beyond the
+/// node count exit, and all of them once the transport is dropped. The
+/// drop failpoints and `MsgSend` events still run on the calling thread,
+/// in send order, before anything is delivered, and the `MsgAck`s after
+/// every reply is in: a scripted fault hits the same message on every
+/// run, and the trace merge pairs the k-th send with the k-th receive.
 pub struct ChannelTransport {
     nodes: Vec<Arc<ParticipantNode>>,
     faults: Arc<FaultRegistry>,
     delay: Option<Duration>,
     obs: Option<Arc<Obs>>,
+    couriers: Arc<Pool<Couriers>>,
 }
 
 impl ChannelTransport {
     /// A transport over `nodes` with no faults armed.
     pub fn new(nodes: Vec<Arc<ParticipantNode>>) -> ChannelTransport {
+        let couriers = Pool::new(Couriers::default(), "asset-deliver", nodes.len());
         ChannelTransport {
             nodes,
             faults: Arc::new(FaultRegistry::new()),
             delay: None,
             obs: None,
+            couriers,
         }
     }
 
@@ -216,16 +251,19 @@ impl ChannelTransport {
     pub fn node(&self, i: usize) -> &Arc<ParticipantNode> {
         &self.nodes[i]
     }
-}
 
-impl ChannelTransport {
-    fn deliver(
+    /// What happens on the sending thread before `msg` leaves for `node`:
+    /// its drop failpoint, the node lookup, and the `MsgSend` event. A
+    /// dropped message records no event: the merge pairs the k-th send
+    /// with the k-th recv, so only delivered exchanges may appear on the
+    /// coordinator lane.
+    fn admit(
         &self,
         node: usize,
-        msg: CommitMessage,
+        msg: &CommitMessage,
         ctx: Option<TraceCtx>,
-    ) -> Result<CommitMessage, CoordError> {
-        let point = match &msg {
+    ) -> Result<Arc<ParticipantNode>, CoordError> {
+        let point = match msg {
             CommitMessage::Prepare { .. } => failpoints::MSG_PREPARE_DROP,
             CommitMessage::CommitDecide { .. } | CommitMessage::AbortDecide { .. } => {
                 failpoints::MSG_DECIDE_DROP
@@ -240,48 +278,109 @@ impl ChannelTransport {
                 }
             }
         }
-        if let Some(d) = self.delay {
-            std::thread::sleep(d);
-        }
-        let n = self
-            .nodes
-            .get(node)
-            .ok_or(CoordError::NodeDown(node))?
-            .clone();
-        // a fault-dropped message records no event: the merge pairs the
-        // k-th send with the k-th recv, so only delivered exchanges may
-        // appear on the coordinator lane
-        let op = ctx.and_then(|_| wire_opcode(&msg));
-        if let (Some(obs), Some(ctx), Some(op)) = (&self.obs, ctx, op) {
-            obs.record(EventKind::MsgSend {
-                node: node as u32,
-                opcode: op,
-                root: ctx.root,
+        let n = Arc::clone(self.nodes.get(node).ok_or(CoordError::NodeDown(node))?);
+        self.mirror(false, node, wire_opcode(msg), ctx);
+        Ok(n)
+    }
+
+    /// Mirror a traced exchange with `node` under opcode `op` into the
+    /// coordinator's hub: its `MsgSend`, or once the reply is in its
+    /// `MsgAck`.
+    fn mirror(&self, ack: bool, node: usize, op: Option<u8>, ctx: Option<TraceCtx>) {
+        if let (Some(obs), Some(ctx), Some(opcode)) = (&self.obs, ctx, op) {
+            let (node, root) = (node as u32, ctx.root);
+            obs.record(if ack {
+                EventKind::MsgAck { node, opcode, root }
+            } else {
+                EventKind::MsgSend { node, opcode, root }
             });
         }
-        match catch_unwind(AssertUnwindSafe(|| n.handle_traced(msg, ctx))) {
-            Ok(Some(reply)) => {
-                if let (Some(obs), Some(ctx), Some(op)) = (&self.obs, ctx, op) {
-                    obs.record(EventKind::MsgAck {
-                        node: node as u32,
-                        opcode: op,
-                        root: ctx.root,
-                    });
-                }
-                Ok(reply)
-            }
-            Ok(None) => Err(CoordError::NodeDown(node)),
-            Err(payload) => {
-                if payload.downcast_ref::<asset_faults::CrashPoint>().is_some() {
-                    // the participant "process" died mid-request: kill
-                    // the node so later sends see it down too
-                    n.kill();
-                    Err(CoordError::NodeDown(node))
-                } else {
-                    std::panic::resume_unwind(payload)
-                }
-            }
+    }
+}
+
+impl Drop for ChannelTransport {
+    fn drop(&mut self) {
+        self.couriers.close();
+    }
+}
+
+/// One exchange handed to a delivery thread.
+struct Delivery {
+    /// Where the reply goes: the round and the message's place in it.
+    round: Arc<Round>,
+    at: usize,
+    n: Arc<ParticipantNode>,
+    node: usize,
+    msg: CommitMessage,
+    ctx: Option<TraceCtx>,
+    delay: Option<Duration>,
+}
+
+/// What one exchange came to: the reply or why there is none, or the
+/// payload of a panic to resume on the sending thread.
+type Outcome = std::thread::Result<Result<CommitMessage, CoordError>>;
+
+/// The outcomes of one round's handed-off exchanges, by place in the
+/// round, as delivery threads finish them.
+#[derive(Default)]
+struct Round {
+    landed: Mutex<Vec<(usize, Outcome)>>,
+    arrival: Condvar,
+}
+
+/// The delivery threads' work: one exchange per job, counting threads as
+/// they come and go.
+#[derive(Default)]
+struct Couriers {
+    spawned: AtomicU64,
+    exited: AtomicU64,
+}
+
+impl Work for Couriers {
+    type Job = Delivery;
+    type Done = (Arc<Round>, usize, Outcome);
+
+    fn run(&self, d: Delivery) -> Self::Done {
+        let outcome = exchange(&d.n, d.node, d.msg, d.ctx, d.delay);
+        (d.round, d.at, outcome)
+    }
+
+    fn finish(&self, (round, at, outcome): Self::Done) {
+        round.landed.lock().push((at, outcome));
+        round.arrival.notify_one();
+    }
+
+    fn spawned(&self) {
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn exited(&self) {
+        self.exited.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One request handled by `n` (transport index `node`) on this thread,
+/// after the link delay: its reply, or `NodeDown` for a node that is down
+/// or whose failpoint crashed it mid-request — the participant "process"
+/// died, so the node is killed and later sends see it down too. Any other
+/// panic is handed back for the sender to resume.
+fn exchange(
+    n: &ParticipantNode,
+    node: usize,
+    msg: CommitMessage,
+    ctx: Option<TraceCtx>,
+    delay: Option<Duration>,
+) -> Outcome {
+    if let Some(d) = delay {
+        std::thread::sleep(d);
+    }
+    match catch_unwind(AssertUnwindSafe(|| n.handle_traced(msg, ctx))) {
+        Ok(reply) => Ok(reply.ok_or(CoordError::NodeDown(node))),
+        Err(payload) if payload.is::<asset_faults::CrashPoint>() => {
+            n.kill();
+            Ok(Err(CoordError::NodeDown(node)))
         }
+        Err(payload) => Err(payload),
     }
 }
 
@@ -291,7 +390,7 @@ impl CommitTransport for ChannelTransport {
     }
 
     fn send(&self, node: usize, msg: CommitMessage) -> Result<CommitMessage, CoordError> {
-        self.deliver(node, msg, None)
+        self.send_traced(node, msg, None)
     }
 
     fn send_traced(
@@ -300,8 +399,72 @@ impl CommitTransport for ChannelTransport {
         msg: CommitMessage,
         ctx: Option<TraceCtx>,
     ) -> Result<CommitMessage, CoordError> {
-        self.deliver(node, msg, ctx)
+        self.send_all(vec![(node, msg)], ctx)
+            .pop()
+            .unwrap_or(Err(CoordError::NodeDown(node)))
     }
+
+    fn send_all(
+        &self,
+        msgs: Vec<(usize, CommitMessage)>,
+        ctx: Option<TraceCtx>,
+    ) -> Vec<Result<CommitMessage, CoordError>> {
+        // a slot keeps NodeDown until its reply arrives
+        let mut replies: Vec<Result<CommitMessage, CoordError>> = msgs
+            .iter()
+            .map(|(node, _)| Err(CoordError::NodeDown(*node)))
+            .collect();
+        let mut sent = Vec::with_capacity(msgs.len());
+        let mut deliveries = Vec::with_capacity(msgs.len());
+        for (at, (node, msg)) in msgs.into_iter().enumerate() {
+            match self.admit(node, &msg, ctx) {
+                Ok(n) => {
+                    sent.push((at, node, wire_opcode(&msg)));
+                    deliveries.push((at, n, node, msg));
+                }
+                Err(e) => replies[at] = Err(e),
+            }
+        }
+        // the first exchange on this thread, the rest on delivery threads
+        let mut deliveries = deliveries.into_iter();
+        let first = deliveries.next();
+        let handed = deliveries.len();
+        let round = Arc::new(Round::default());
+        for (at, n, node, msg) in deliveries {
+            self.couriers.hand(Delivery {
+                round: Arc::clone(&round),
+                at,
+                n,
+                node,
+                msg,
+                ctx,
+                delay: self.delay,
+            });
+        }
+        if let Some((at, n, node, msg)) = first {
+            replies[at] = landed(exchange(&n, node, msg, ctx, self.delay));
+        }
+        let mut landed_rest = round.landed.lock();
+        while landed_rest.len() < handed {
+            round.arrival.wait(&mut landed_rest);
+        }
+        for (at, outcome) in landed_rest.drain(..) {
+            replies[at] = landed(outcome);
+        }
+        drop(landed_rest);
+        for (at, node, op) in sent {
+            if replies[at].is_ok() {
+                self.mirror(true, node, op, ctx);
+            }
+        }
+        replies
+    }
+}
+
+/// An exchange's reply, resuming on this thread a panic that was not a
+/// participant's scripted crash.
+fn landed(outcome: Outcome) -> Result<CommitMessage, CoordError> {
+    outcome.unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 /// Wire transport: each node is an ASSET server address, reached with a
@@ -310,6 +473,10 @@ impl CommitTransport for ChannelTransport {
 /// picked up transparently (prepare and decide are idempotent). Each
 /// node's connection has a mutex of its own: an exchange with one node
 /// never waits for an exchange in flight with another.
+///
+/// A round of prepares is pipelined with no thread at all: every
+/// member's `PREPARE` frame is written on its node's connection, taking
+/// the mutexes in ascending node order, and then the votes are read back.
 pub struct TcpTransport {
     addrs: Vec<String>,
     conns: Vec<Mutex<Option<Client>>>,
@@ -346,32 +513,95 @@ impl TcpTransport {
     pub fn with_node<T>(
         &self,
         node: usize,
-        f: impl FnOnce(&mut Client) -> Result<T, asset_client::ClientError>,
+        f: impl FnOnce(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, CoordError> {
-        self.with_client(node, f)
+        on(&mut *self.connection(node)?, node, f)
     }
 
-    fn with_client<T>(
-        &self,
-        node: usize,
-        f: impl FnOnce(&mut Client) -> Result<T, asset_client::ClientError>,
-    ) -> Result<T, CoordError> {
+    /// `node`'s connection, locked, connecting it if it has none.
+    fn connection(&self, node: usize) -> Result<MutexGuard<'_, Option<Client>>, CoordError> {
         let addr = self.addrs.get(node).ok_or(CoordError::NodeDown(node))?;
         let mut conn = self.conns[node].lock();
-        let c = match &mut *conn {
-            Some(c) => c,
-            slot => slot.insert(Client::connect(addr).map_err(|_| CoordError::NodeDown(node))?),
-        };
-        match f(c) {
-            Ok(v) => Ok(v),
-            Err(asset_client::ClientError::Io(_)) => {
-                // drop the connection; the next send reconnects
-                *conn = None;
-                Err(CoordError::NodeDown(node))
-            }
-            Err(e) => Err(CoordError::Protocol(e.to_string())),
+        if conn.is_none() {
+            *conn = Some(Client::connect(addr).map_err(|_| CoordError::NodeDown(node))?);
+        }
+        Ok(conn)
+    }
+
+    /// Arm (or clear) a client's frame stamping before an exchange with
+    /// `node`: the client records the `MsgSend`/`MsgAck` pair itself.
+    fn arm(&self, c: &mut Client, node: usize, ctx: Option<TraceCtx>) {
+        match (ctx, &self.obs) {
+            (Some(ctx), Some(obs)) => c.enable_tracing(ctx, node as u32, Arc::clone(obs)),
+            _ => c.disable_tracing(),
         }
     }
+
+    /// Phase 1 as one round trip: write every node's `PREPARE`, holding
+    /// each connection from its write to its vote, then read the votes.
+    fn prepare_round(
+        &self,
+        round: Vec<(usize, Vec<u64>)>,
+        ctx: Option<TraceCtx>,
+    ) -> Vec<Result<CommitMessage, CoordError>> {
+        let written: Vec<_> = round
+            .iter()
+            .map(|(node, tids)| {
+                let mut conn = self.connection(*node)?;
+                on(&mut conn, *node, |c| {
+                    self.arm(c, *node, ctx);
+                    c.send_prepare(tids)
+                })?;
+                Ok(conn)
+            })
+            .collect();
+        round
+            .iter()
+            .zip(written)
+            .map(|((node, _), conn)| on(&mut *conn?, *node, |c| vote(c.recv_prepare())))
+            .collect()
+    }
+}
+
+/// Run `f` on a locked connection to `node`; a transport error drops the
+/// connection, so the next send reconnects.
+fn on<T>(
+    conn: &mut Option<Client>,
+    node: usize,
+    f: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+) -> Result<T, CoordError> {
+    let Some(c) = conn.as_mut() else {
+        return Err(CoordError::NodeDown(node));
+    };
+    match f(c) {
+        Ok(v) => Ok(v),
+        Err(ClientError::Io(_)) => {
+            *conn = None;
+            Err(CoordError::NodeDown(node))
+        }
+        Err(e) => Err(CoordError::Protocol(e.to_string())),
+    }
+}
+
+/// A prepare's answer as a vote: a server-reported error is a no, while a
+/// transport error stays one (for [`on`]'s reconnect path).
+fn vote(answer: Result<Vec<u64>, ClientError>) -> Result<CommitMessage, ClientError> {
+    match answer {
+        Ok(group) => Ok(CommitMessage::Vote {
+            yes: true,
+            group: group.into_iter().map(Tid).collect(),
+        }),
+        Err(ClientError::Server { .. }) => Ok(CommitMessage::Vote {
+            yes: false,
+            group: Vec::new(),
+        }),
+        Err(e) => Err(e),
+    }
+}
+
+/// Tids as the wire carries them.
+fn raw(tids: &[Tid]) -> Vec<u64> {
+    tids.iter().map(|t| t.0).collect()
 }
 
 impl CommitTransport for TcpTransport {
@@ -389,57 +619,33 @@ impl CommitTransport for TcpTransport {
         msg: CommitMessage,
         ctx: Option<TraceCtx>,
     ) -> Result<CommitMessage, CoordError> {
-        let raw = |tids: &[Tid]| tids.iter().map(|t| t.0).collect::<Vec<u64>>();
-        // arm (or clear) the per-node client's frame stamping before the
-        // exchange: the client records the MsgSend/MsgAck pair itself
-        let trace = ctx.and_then(|c| self.obs.clone().map(|o| (c, o)));
-        let armed = |c: &mut Client| match &trace {
-            Some((ctx, obs)) => c.enable_tracing(*ctx, node as u32, Arc::clone(obs)),
-            None => c.disable_tracing(),
-        };
         match msg {
             CommitMessage::Prepare { tids } => {
                 let wire = raw(&tids);
-                // a server-reported error is a no vote; transport (Io)
-                // errors propagate through with_client's reconnect path
-                let vote = self.with_client(node, |c| {
-                    armed(c);
-                    match c.prepare(&wire) {
-                        Ok(group) => Ok(Some(group)),
-                        Err(asset_client::ClientError::Server { .. }) => Ok(None),
-                        Err(e) => Err(e),
-                    }
-                })?;
-                Ok(match vote {
-                    Some(group) => CommitMessage::Vote {
-                        yes: true,
-                        group: group.into_iter().map(Tid).collect(),
-                    },
-                    None => CommitMessage::Vote {
-                        yes: false,
-                        group: Vec::new(),
-                    },
+                self.with_node(node, |c| {
+                    self.arm(c, node, ctx);
+                    vote(c.prepare(&wire))
                 })
             }
             CommitMessage::CommitDecide { tids } => {
                 let wire = raw(&tids);
-                self.with_client(node, |c| {
-                    armed(c);
+                self.with_node(node, |c| {
+                    self.arm(c, node, ctx);
                     c.commit_decide(&wire)
                 })?;
                 Ok(CommitMessage::Ack)
             }
             CommitMessage::AbortDecide { tids } => {
                 let wire = raw(&tids);
-                self.with_client(node, |c| {
-                    armed(c);
+                self.with_node(node, |c| {
+                    self.arm(c, node, ctx);
                     c.abort_decide(&wire)
                 })?;
                 Ok(CommitMessage::Ack)
             }
             CommitMessage::QueryState { tid } => {
-                let s = self.with_client(node, |c| {
-                    armed(c);
+                let s = self.with_node(node, |c| {
+                    self.arm(c, node, ctx);
                     c.prepared_state(tid.0)
                 })?;
                 Ok(CommitMessage::State(match s {
@@ -455,14 +661,79 @@ impl CommitTransport for TcpTransport {
             ))),
         }
     }
+
+    fn send_all(
+        &self,
+        msgs: Vec<(usize, CommitMessage)>,
+        ctx: Option<TraceCtx>,
+    ) -> Vec<Result<CommitMessage, CoordError>> {
+        // a round of prepares to distinct nodes in ascending order is
+        // pipelined; anything else goes one message at a time
+        let prepares: Option<Vec<(usize, Vec<u64>)>> = msgs
+            .iter()
+            .map(|(node, msg)| match msg {
+                CommitMessage::Prepare { tids } => Some((*node, raw(tids))),
+                _ => None,
+            })
+            .collect();
+        match prepares {
+            Some(round) if round.windows(2).all(|w| w[0].0 < w[1].0) => {
+                self.prepare_round(round, ctx)
+            }
+            _ => msgs
+                .into_iter()
+                .map(|(node, msg)| self.send_traced(node, msg, ctx))
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{mem_nodes, stage};
+    use crate::{CoordLog, Decision, GlobalTxn, TwoPhase};
     use asset_core::Database;
     use asset_server::AssetServer;
     use std::sync::mpsc::channel;
+
+    /// Delivery threads are reused: a one-member round runs on the caller
+    /// alone, a thousand sequential rounds over three nodes never need
+    /// more than two threads (the caller runs the first exchange), and
+    /// every thread exits once the transport is dropped.
+    #[test]
+    fn delivery_threads_are_bounded_and_end_with_the_transport() {
+        const NODES: usize = 3;
+        let nodes = mem_nodes(NODES);
+        let oids: Vec<_> = nodes.iter().map(|n| n.db().new_oid()).collect();
+        let transport = Arc::new(ChannelTransport::new(nodes));
+        let couriers = Arc::clone(&transport.couriers);
+        let spawned = || couriers.work().spawned.load(Ordering::Relaxed);
+        let coord = TwoPhase::new(transport.clone(), Arc::new(CoordLog::in_memory()));
+
+        let mut solo = GlobalTxn::new(1);
+        solo.add_member(0, stage(transport.node(0), oids[0], b"solo"));
+        assert_eq!(coord.commit(&solo).unwrap(), Decision::Commit);
+        assert_eq!(spawned(), 0, "a one-member round spawns nothing");
+
+        for gid in 2..1002 {
+            let mut g = GlobalTxn::new(gid);
+            for (i, oid) in oids.iter().enumerate() {
+                g.add_member(i as u32, stage(transport.node(i), *oid, b"seq"));
+            }
+            assert_eq!(coord.commit(&g).unwrap(), Decision::Commit);
+        }
+        assert!(
+            spawned() < NODES as u64,
+            "{} delivery threads for {NODES} nodes",
+            spawned()
+        );
+
+        drop((coord, transport));
+        while couriers.work().exited.load(Ordering::Relaxed) < spawned() {
+            std::thread::yield_now();
+        }
+    }
 
     /// An exchange in flight with node 0 — here a `with_node` closure
     /// parked on a channel, as a PREPARE waiting on locks would be — does

@@ -86,7 +86,7 @@
 //! the undo itself can run without holding any table lock.
 
 use crate::context::TxnCtx;
-use crate::threads::TxnThreads;
+use crate::threads::{txn_threads, TxnThreads};
 use crate::txns::{GroupGuard, TxnTable};
 use asset_annot::{exec_step, wal};
 use asset_common::ids::IdGen;
@@ -306,7 +306,7 @@ impl Database {
             oid_gen,
             undo_seq: AtomicU64::new(1),
             live_count: AtomicUsize::new(0),
-            threads: TxnThreads::new(Arc::clone(&obs)),
+            threads: txn_threads(Arc::clone(&obs)),
             obs,
             exec: std::sync::OnceLock::new(),
             prepared_at: Mutex::new(std::collections::HashMap::new()),
@@ -470,7 +470,7 @@ impl Database {
     pub fn begin(&self, t: Tid) -> Result<()> {
         // false: doomed before it started; commit reports it
         if self.start(t)? {
-            self.inner.threads.hand(self.clone(), t);
+            self.inner.threads.hand((self.clone(), t));
         }
         Ok(())
     }
@@ -982,7 +982,7 @@ impl Database {
     /// thread has taken it yet, run it here and drop its queued entry.
     fn run_unclaimed(&self, t: Tid) {
         if let Some(job) = self.claim(t) {
-            self.inner.threads.forget(t);
+            self.inner.threads.reclaim(|(_, q)| *q == t);
             self.run_claimed(t, job);
         }
     }

@@ -105,7 +105,6 @@ mod tests {
     use asset_core::TxnCtx;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
 
     /// A cooperative writer that appends on its turn. Turn-taking makes the
     /// interleaving deterministic — with permits, two unsynchronized
@@ -163,10 +162,12 @@ mod tests {
     fn cd_orders_the_cooperating_commits() {
         let db = Database::in_memory();
         let oid = db.new_oid();
+        // t1's body holds until the test lets it finish
+        let (release, held) = std::sync::mpsc::channel::<()>();
         let t1 = db
             .initiate(move |ctx| {
                 ctx.write(oid, b"leader".to_vec())?;
-                std::thread::sleep(Duration::from_millis(120));
+                let _ = held.recv();
                 Ok(())
             })
             .unwrap();
@@ -186,10 +187,15 @@ mod tests {
             assert!(dbc.commit(t2).unwrap());
             d2.store(true, Ordering::SeqCst);
         });
-        std::thread::sleep(Duration::from_millis(40));
+        // t2's commit reaches its CD gate while t1 is still running
+        while db.status(t2).unwrap() != asset_common::TxnStatus::Committing {
+            std::thread::yield_now();
+        }
         assert!(!done.load(Ordering::SeqCst), "t2 gated until t1 terminates");
+        release.send(()).unwrap();
         assert!(db.commit(t1).unwrap());
         h.join().unwrap();
+        assert!(done.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -16,6 +16,8 @@ use std::sync::Arc;
 struct Frame {
     /// Page currently cached, `None` for a free frame.
     page_id: Mutex<Option<PageId>>,
+    /// The cached page's contents: no buffer at all until the frame first
+    /// loads a page, which replaces it whole.
     data: RwLock<Page>,
     dirty: AtomicBool,
     pin_count: AtomicU32,
@@ -40,14 +42,14 @@ pub struct FrameGuard<'a> {
 }
 
 impl BufferPool {
-    /// Build a pool of `capacity` frames over `store`.
+    /// Build a pool of `capacity` frames over `store`. A frame allocates
+    /// no page buffer until it first holds a page.
     pub fn new(store: Arc<dyn PageStore>, capacity: usize) -> BufferPool {
         assert!(capacity >= 1);
-        let page_size = store.page_size();
         let frames = (0..capacity)
             .map(|_| Frame {
                 page_id: Mutex::new(None),
-                data: RwLock::new(Page::zeroed(page_size)),
+                data: RwLock::new(Page::from_bytes(Vec::new())),
                 dirty: AtomicBool::new(false),
                 pin_count: AtomicU32::new(0),
                 ref_bit: AtomicBool::new(false),
@@ -247,6 +249,23 @@ mod tests {
 
     fn pool(frames: usize) -> BufferPool {
         BufferPool::new(Arc::new(MemPageStore::new(256)), frames)
+    }
+
+    #[test]
+    fn a_frame_holds_no_buffer_until_it_loads_a_page() {
+        let p = pool(4);
+        let buffered = |p: &BufferPool| {
+            p.frames
+                .iter()
+                .filter(|f| !f.data.read().bytes().is_empty())
+                .count()
+        };
+        assert_eq!(buffered(&p), 0, "a fresh pool holds no page buffer");
+        let (pid, g) = p.allocate().unwrap();
+        drop(g);
+        assert_eq!(buffered(&p), 1, "the first fetch loads one page");
+        let _ = p.fetch(pid).unwrap();
+        assert_eq!(buffered(&p), 1, "a hit loads nothing");
     }
 
     #[test]

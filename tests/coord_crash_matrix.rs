@@ -32,6 +32,7 @@ use asset::coord::{
     ParticipantNode, PaxosCommit, TwoPhase,
 };
 use asset::faults::{CrashPoint, FaultAction, FaultRegistry, Trigger};
+use asset::storage::LogRecord;
 use asset::{Config, Oid};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -431,6 +432,42 @@ fn lost_prepare_message_aborts_everywhere() {
             .expect(&label);
         assert_eq!(d, Decision::Abort, "{label}");
         assert_eq!(c.assert_converged(gid, &label), Decision::Abort);
+    }
+}
+
+/// Every member is asked to prepare at once, but the drop failpoint is
+/// still checked on the coordinator's thread in member order: `Nth(2)`
+/// loses node 1's prepare on every run. So node 1, and only node 1, logs
+/// no `Prepared` record, and every run converges to Abort.
+#[test]
+fn a_dropped_prepare_hits_the_same_node_on_every_run() {
+    for (k, proto) in PROTOS.iter().enumerate() {
+        let mf = Arc::new(FaultRegistry::new());
+        let c = Cluster::with_msg_faults(&format!("mpd-runs{k}"), Arc::clone(&mf));
+        let cdir = TempDir::new(&format!("mpd-runs{k}-coord"));
+        let coords = Coordinators::new(*proto, &cdir);
+        for run in 0..50 {
+            let gid = 1000 + run;
+            let label = format!("{proto:?}/msg-prepare-drop/run {run}");
+            let g = c.stage(gid);
+            mf.arm(MSG_PREPARE_DROP, Trigger::Nth(2), FaultAction::Error);
+            let d = coords
+                .commit(c.transport.clone(), Arc::new(FaultRegistry::new()), &g)
+                .expect(&label);
+            assert_eq!(d, Decision::Abort, "{label}");
+            for (node, tids) in g.members() {
+                let log = c.transport.node(*node as usize).db().engine().log().scan();
+                let prepared = log.expect(&label).iter().any(|(_, rec)| {
+                    matches!(rec, LogRecord::Prepared { tids: group } if group.contains(&tids[0]))
+                });
+                assert_eq!(
+                    prepared,
+                    *node != 1,
+                    "{label}: node {node} logged a Prepared record: {prepared}"
+                );
+            }
+            assert_eq!(c.assert_converged(gid, &label), Decision::Abort);
+        }
     }
 }
 

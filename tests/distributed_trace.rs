@@ -15,7 +15,7 @@ use asset::coord::{
     Acceptor, ChannelTransport, CommitMessage, CommitTransport, CoordLog, CoordObs, Decision,
     GlobalTxn, ParticipantNode, PaxosCommit, TcpTransport, TwoPhase,
 };
-use asset::obs::Obs;
+use asset::obs::{Event, EventKind, Obs};
 use asset::server::{protocol::opcode, AssetServer};
 use asset::trace::prom::{self, PromServer};
 use asset::trace::span::{CausalGraph, CrossFlow, FleetGraph, FlowKind};
@@ -122,6 +122,35 @@ fn assert_commit_flow_pattern(fleet: &FleetGraph, gid: u64) {
     );
 }
 
+/// Phase 1 is one round: the coordinator lane records every node's
+/// PREPARE `MsgSend` of global txn `gid` before the first PREPARE
+/// `MsgAck` — no vote is awaited before the last prepare has left.
+fn assert_prepares_leave_before_the_first_vote(coordinator: &[Event], gid: u64, nodes: usize) {
+    let mut sent = 0;
+    for e in coordinator {
+        match e.kind {
+            EventKind::MsgSend {
+                opcode: opcode::PREPARE,
+                root,
+                ..
+            } if root == gid => sent += 1,
+            EventKind::MsgAck {
+                opcode: opcode::PREPARE,
+                root,
+                ..
+            } if root == gid => {
+                assert_eq!(
+                    sent, nodes,
+                    "gid {gid}: {sent} of {nodes} prepares sent before the first vote came back"
+                );
+                return;
+            }
+            _ => {}
+        }
+    }
+    panic!("gid {gid}: no prepare was acknowledged");
+}
+
 #[test]
 fn two_pc_flows_match_protocol_ground_truth() {
     let (transport, hub) = traced_cluster();
@@ -137,6 +166,7 @@ fn two_pc_flows_match_protocol_ground_truth() {
     assert_eq!(snap.counters.coord_msg_commit_decide, NODES as u64);
     assert_eq!(snap.decision_ns.count, 1, "one decision latency recorded");
 
+    assert_prepares_leave_before_the_first_vote(&hub.trace(), 41, NODES);
     assert_commit_flow_pattern(&merge(&transport, &hub), 41);
 }
 
@@ -152,6 +182,7 @@ fn paxos_flows_match_protocol_ground_truth() {
     assert_eq!(d, Decision::Commit);
     assert_eq!(hub.snapshot().decision_ns.count, 1);
 
+    assert_prepares_leave_before_the_first_vote(&hub.trace(), 42, NODES);
     assert_commit_flow_pattern(&merge(&transport, &hub), 42);
 }
 
@@ -329,15 +360,16 @@ fn fleet_metrics_scraped_live() {
     coord_exporter.shutdown();
 }
 
-/// The whole fleet path over real sockets: two [`AssetServer`] nodes with
-/// live Prometheus endpoints, a traced coordinator driving one 2PC and
-/// one Paxos commit through [`TcpTransport`], and the three event rings
-/// merged into one fleet trace whose Chrome export — parsed back from
-/// JSON, as a viewer would — has a lane per node and a paired,
-/// lane-crossing flow for every prepare and decide.
+/// The whole fleet path over real sockets: three [`AssetServer`] nodes
+/// with live Prometheus endpoints, a traced coordinator driving one 2PC
+/// and one Paxos commit through [`TcpTransport`] — each sending all three
+/// prepares before reading a vote — and the four event rings merged into
+/// one fleet trace whose Chrome export — parsed back from JSON, as a
+/// viewer would — has a lane per node and a paired, lane-crossing flow
+/// for every prepare and decide.
 #[test]
 fn both_protocols_over_tcp_merge_into_one_fleet_trace() {
-    const TCP_NODES: usize = 2;
+    const TCP_NODES: usize = 3;
     // the coordinator's lane: distinct from every participant index
     const COORD: u32 = TCP_NODES as u32;
 
@@ -423,7 +455,11 @@ fn both_protocols_over_tcp_merge_into_one_fleet_trace() {
         (2 * TCP_NODES) as u64
     );
 
-    let mut graphs = vec![CausalGraph::from_node_events(COORD, &hub.trace())];
+    let coordinator = hub.trace();
+    for gid in [10, 11] {
+        assert_prepares_leave_before_the_first_vote(&coordinator, gid, TCP_NODES);
+    }
+    let mut graphs = vec![CausalGraph::from_node_events(COORD, &coordinator)];
     for s in &servers {
         graphs.push(CausalGraph::from_node_events(
             s.node_id(),
@@ -478,7 +514,7 @@ fn both_protocols_over_tcp_merge_into_one_fleet_trace() {
             _ => panic!("flow {id} is unpaired: {legs:?}"),
         }
     }
-    // 2 protocols x 2 nodes
+    // 2 protocols x 3 nodes
     assert!(prepares >= 2 * TCP_NODES, "prepare flows: {prepares}");
     assert!(decides >= 2 * TCP_NODES, "decide flows: {decides}");
 
