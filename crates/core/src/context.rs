@@ -40,9 +40,9 @@ impl TxnCtx {
 
     /// Take the transaction-duration lock for `op` on `ob`, blocking for
     /// it (the executor's [`StepCtx`](crate::StepCtx) tries instead): the
-    /// one place the two contexts' data operations differ.
+    /// one place the two contexts' data operations differ. An abort
+    /// poisons the lock requests of a running victim.
     fn lock(&self, ob: Oid, op: Operation) -> Result<()> {
-        self.db.check_live(self.tid)?;
         let inner = &self.db.inner;
         inner
             .locks

@@ -95,10 +95,10 @@ use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, 
 use asset_dep::{CommitGate, DepGraph};
 use asset_lock::{LockStats, LockTable};
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
-use asset_storage::{LogRecord, RecoveryReport, StorageEngine};
+use asset_storage::{LogPlace, LogRecord, RecoveryReport, StorageEngine};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The closure a transaction executes.
@@ -107,7 +107,9 @@ pub type Job = Box<dyn FnOnce(&TxnCtx) -> Result<()> + Send + 'static>;
 /// One undo-log entry: installing `before` over `oid` reverses one update.
 #[derive(Clone, Debug)]
 pub(crate) struct UndoEntry {
-    pub seq: u64,
+    /// The update record's place in the log: undo (newest first) runs in
+    /// log order by construction.
+    pub seq: LogPlace,
     pub oid: Oid,
     pub before: Option<Vec<u8>>,
 }
@@ -159,7 +161,6 @@ pub(crate) struct DbInner {
     pub txns: TxnTable,
     pub tid_gen: IdGen,
     pub oid_gen: IdGen,
-    pub undo_seq: AtomicU64,
     /// Non-terminated transaction count. The `initiate` cap is enforced
     /// with a compare-exchange on this counter, so admission control never
     /// takes a table lock.
@@ -293,8 +294,7 @@ impl Database {
         // log created are not in the store yet: the log's highest oid counts
         // beside the store's.
         let oid_gen = IdGen::new();
-        let stored = engine.store().oids().iter().map(|o| o.raw()).max();
-        oid_gen.bump_past(stored.unwrap_or(0).max(report.max_oid));
+        oid_gen.bump_past(engine.store().ceiling().max(report.max_oid));
         let inner = Arc::new(DbInner {
             // 0 = the resolved default, `next_power_of_two(4 x cores)`
             locks: LockTable::with_shards_obs(0, Arc::clone(&obs)),
@@ -304,7 +304,6 @@ impl Database {
             deps: Mutex::new(DepGraph::new()),
             tid_gen,
             oid_gen,
-            undo_seq: AtomicU64::new(1),
             live_count: AtomicUsize::new(0),
             threads: txn_threads(Arc::clone(&obs)),
             obs,
@@ -322,7 +321,7 @@ impl Database {
                 .updates
                 .iter()
                 .map(|u| UndoEntry {
-                    seq: inner.undo_seq.fetch_add(1, Ordering::Relaxed),
+                    seq: (inner.engine.log().generation(), u.lsn),
                     oid: u.oid,
                     before: u.before.clone(),
                 })
@@ -1105,9 +1104,15 @@ impl Database {
     }
 
     /// A lock-free point-in-time view of every counter and histogram the
-    /// facility records (see `asset_obs::MetricsSnapshot`).
+    /// facility records (see `asset_obs::MetricsSnapshot`); the lock and
+    /// log layers keep three counters themselves, read from there.
     pub fn metrics_snapshot(&self) -> asset_obs::MetricsSnapshot {
-        self.inner.obs.snapshot()
+        let mut snap = self.inner.obs.snapshot();
+        let log = self.inner.engine.log().watermarks();
+        let c = &mut snap.counters;
+        c.lock_grants = self.inner.locks.stats().grants;
+        (c.log_appends, c.log_coalesced) = (log.records_appended, log.records_coalesced);
+        snap
     }
 
     /// Assemble the full cross-layer [`Introspection`] view: per-stripe
@@ -1615,38 +1620,26 @@ impl Database {
         status == Some(TxnStatus::Completed)
     }
 
-    /// Abort-aware status check before any data operation: only a
-    /// `Running` transaction may perform further work.
-    pub(crate) fn check_live(&self, t: Tid) -> Result<()> {
-        match self.status(t)? {
-            TxnStatus::Running => Ok(()),
-            TxnStatus::Aborting | TxnStatus::Aborted => Err(AssetError::TxnAborted(t)),
-            s => Err(AssetError::InvalidState {
-                tid: t,
-                status: s,
-                op: "operation",
-            }),
-        }
-    }
-
     /// The post-lock half of a write, the same whether the caller blocked
     /// for the lock ([`TxnCtx`]) or tried for it
     /// ([`StepCtx`](crate::StepCtx)): X-latched install with before/after
-    /// images logged, then the undo entry.
+    /// images logged, then one TD visit: the undo entry, and the status. A
+    /// body runs `Running`, or `Aborting` once an abort struck after the
+    /// grant: that is reported, the entry pushed all the same (the undo
+    /// runs when the body ends).
     #[exec_step]
     pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
-        let before = self.inner.engine.write_object(t, ob, after)?;
-        let seq = self.inner.undo_seq.fetch_add(1, Ordering::Relaxed);
+        let (before, seq) = self.inner.engine.write_object(t, ob, after)?;
         self.inner.txns.with(t, |slot| {
-            if let Some(slot) = slot {
-                slot.undo.push(UndoEntry {
-                    seq,
-                    oid: ob,
-                    before,
-                });
-            }
-        });
-        Ok(())
+            let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
+            slot.undo.push(UndoEntry {
+                seq,
+                oid: ob,
+                before,
+            });
+            let running = slot.status == TxnStatus::Running;
+            running.then_some(()).ok_or(AssetError::TxnAborted(t))
+        })
     }
 
     /// One non-blocking pass of the §4.2 commit protocol. Either resolves
@@ -1820,7 +1813,7 @@ impl Database {
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
             slot.status = TxnStatus::Committed;
-            slot.undo.clear();
+            slot.undo = Vec::new(); // the TD outlives the commit; its buffer need not
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
             self.inner.locks.release_all(*m);
         }

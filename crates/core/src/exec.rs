@@ -51,6 +51,7 @@
 
 use crate::database::{CommitPass, Database, DbInner};
 use asset_annot::exec_step;
+use asset_common::ids::stripe_of;
 use asset_common::sync::{Condvar, Mutex};
 use asset_common::{AssetError, IdMap, Oid, Operation, Result, Tid, TxnStatus};
 use asset_obs::{bump, EventKind, SpanName};
@@ -215,7 +216,7 @@ impl ExecInner {
         // point is guaranteed a live wake path. The hook holds the
         // executor weakly so the registry never keeps it alive.
         let weak = Arc::downgrade(&exec);
-        inner.txns.set_bump_hook(Arc::new(move || {
+        inner.txns.set_bump_hook(Box::new(move || {
             if let Some(e) = weak.upgrade() {
                 e.wake_deps();
             }
@@ -244,9 +245,7 @@ impl ExecInner {
     }
 
     fn queue_of(&self, tid: Tid) -> usize {
-        let mut h = tid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        (h & self.queue_mask) as usize
+        stripe_of(tid.raw(), self.queue_mask)
     }
 
     fn push(&self, tid: Tid) {
@@ -632,7 +631,6 @@ impl StepCtx<'_> {
     #[exec_step]
     fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<bool> {
         let (tid, locks) = (self.task.tid, &self.db.inner.locks);
-        self.db.check_live(tid)?;
         let waker = || Waker::from(Arc::clone(self.task));
         let granted = locks.request(tid, ob, op, Some(&waker))?.is_ok();
         self.blocked_on = (!granted).then_some(ob);

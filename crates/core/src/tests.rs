@@ -1589,3 +1589,162 @@ fn a_committer_that_claims_a_panicking_body_reports_its_abort() {
     assert_eq!(db.status(t).unwrap(), TxnStatus::Aborted);
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
 }
+
+// --- the data-write path ----------------------------------------------------
+
+/// Write `a`, let the test abort the transaction, then write `b`: the
+/// abort poisoned the body's lock requests (no status probe precedes a
+/// lock), so the second write is refused, and the abort's undo, run when
+/// the body ends, takes back the first. Returns whether the second write
+/// was refused with `TxnAborted`.
+fn abort_between_two_writes(db: &Database, a: Oid, b: Oid, executor: bool) -> bool {
+    use std::sync::mpsc::channel;
+    let (wrote, wrote_rx) = channel();
+    let (go, go_rx) = channel::<Tid>();
+    let (refused, refused_rx) = channel();
+    let two_writes = move |write: &mut dyn FnMut(Oid, &[u8]) -> crate::Result<()>| {
+        write(a, b"a1")?;
+        wrote.send(()).unwrap();
+        let t = go_rx.recv().unwrap();
+        let second = write(b, b"b1");
+        refused
+            .send(matches!(second, Err(AssetError::TxnAborted(x)) if x == t))
+            .unwrap();
+        second
+    };
+    let t = if executor {
+        let mut body = Some(two_writes);
+        db.submit(move |sc| {
+            let body = body.take().expect("one step");
+            let mut write = |ob: Oid, v: &[u8]| sc.try_write(ob, v.to_vec()).map(|_| ());
+            crate::TxnStep::Done(body(&mut write))
+        })
+        .unwrap()
+    } else {
+        let t = db
+            .initiate(move |ctx| two_writes(&mut |ob, v| ctx.write(ob, v.to_vec())))
+            .unwrap();
+        db.begin(t).unwrap();
+        t
+    };
+    wrote_rx.recv().unwrap();
+    assert!(db.abort(t).unwrap(), "the running body is marked");
+    go.send(t).unwrap();
+    let refused = refused_rx.recv().unwrap();
+    assert!(!db.outcome(t).unwrap());
+    refused
+}
+
+#[test]
+fn an_abort_between_two_writes_refuses_the_second_and_undoes_both() {
+    for executor in [false, true] {
+        let db = db();
+        let (a, b) = (seed(&db, b"a0"), seed(&db, b"b0"));
+        assert!(abort_between_two_writes(&db, a, b, executor), "{executor}");
+        assert_eq!(db.peek(a).unwrap().unwrap(), b"a0", "{executor}");
+        assert_eq!(db.peek(b).unwrap().unwrap(), b"b0", "{executor}");
+    }
+}
+
+/// The (generation, LSN) of every update record of `tids`, in log order.
+fn update_places(db: &Database, tids: &[Tid]) -> Vec<asset_storage::LogPlace> {
+    let gen = db.engine().log().generation();
+    let records = db.engine().log().scan().unwrap().into_iter();
+    records
+        .filter_map(|(lsn, rec)| match rec {
+            asset_storage::LogRecord::Update { tid, .. }
+            | asset_storage::LogRecord::Overwrite { tid, .. } => {
+                tids.contains(&tid).then_some((gen, lsn))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Undo order is log order: each undo entry's sequence is its record's
+/// place in the log, so the chain a permitted cooperating writer's
+/// delegation splices in is the log's order, and the abort that undoes it
+/// newest first lands on the oldest before image.
+#[test]
+fn undo_order_is_log_order_under_a_permitted_writer_and_a_delegation() {
+    let db = db();
+    let (x, y) = (seed(&db, b"x0"), seed(&db, b"y0"));
+    let t1 = db
+        .initiate(move |ctx| ctx.write(x, b"x1".to_vec()))
+        .unwrap();
+    db.begin(t1).unwrap();
+    assert!(db.wait(t1).unwrap());
+    db.permit(t1, None, ObSet::one(x), OpSet::ALL).unwrap();
+    // t2 overwrites t1's x, then writes y, and hands it all to t1
+    let t2 = db
+        .initiate(move |ctx| {
+            ctx.write(x, b"x2".to_vec())?;
+            ctx.write(y, b"y2".to_vec())
+        })
+        .unwrap();
+    db.begin(t2).unwrap();
+    assert!(db.wait(t2).unwrap());
+    db.delegate(t2, t1, None).unwrap();
+    let chain = db.inner.txns.with(t1, |s| {
+        s.map(|s| s.undo.iter().map(|u| u.seq).collect::<Vec<_>>())
+    });
+    assert_eq!(chain, Some(update_places(&db, &[t1, t2])));
+    assert!(db.abort(t1).unwrap());
+    assert_eq!(db.peek(x).unwrap().unwrap(), b"x0");
+    assert_eq!(db.peek(y).unwrap().unwrap(), b"y0");
+}
+
+/// A compaction cuts the log, so LSNs start over; a chain that spans the
+/// cut still undoes in log order (the generation comes first).
+#[test]
+fn undo_order_is_log_order_across_a_compaction() {
+    let db = db();
+    let x = seed(&db, b"x0");
+    let t1 = db
+        .initiate(move |ctx| ctx.write(x, b"x1".to_vec()))
+        .unwrap();
+    db.begin(t1).unwrap();
+    assert!(db.wait(t1).unwrap());
+    db.permit(t1, None, ObSet::one(x), OpSet::ALL).unwrap();
+    db.compact_log().unwrap();
+    let t2 = db
+        .initiate(move |ctx| ctx.write(x, b"x2".to_vec()))
+        .unwrap();
+    db.begin(t2).unwrap();
+    assert!(db.wait(t2).unwrap());
+    db.delegate(t2, t1, None).unwrap();
+    assert!(db.abort(t1).unwrap());
+    assert_eq!(db.peek(x).unwrap().unwrap(), b"x0");
+}
+
+/// The counters the lock table and the log keep themselves read, through
+/// `metrics_snapshot`, as the hand count of one transaction that writes two
+/// new objects and reads one back on an on-disk database.
+#[test]
+fn write_path_counters_equal_hand_counts() {
+    let dir = std::env::temp_dir().join(format!("asset-core-counts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (db, _) = Database::open(asset_common::Config::on_disk(&dir)).unwrap();
+    let (a, b) = (db.new_oid(), db.new_oid());
+    let before = db.metrics_snapshot();
+    assert!(db
+        .run(move |ctx| {
+            ctx.write(a, b"a".to_vec())?;
+            ctx.write(b, b"b".to_vec())?;
+            ctx.read(a).map(|_| ())
+        })
+        .unwrap());
+    let c = db.metrics_snapshot().delta(&before).counters;
+    // two X grants; the read is covered by the X lock on `a`
+    assert_eq!(c.lock_grants, 2);
+    assert_eq!(db.lock_stats().grants, before.counters.lock_grants + 2);
+    // two Updates and the Commit, all appended unforced (the commit's
+    // flush window drains it afterwards)
+    assert_eq!((c.log_appends, c.log_coalesced), (3, 3));
+    // two X latches and one S latch, none of them spun
+    assert_eq!((c.latch_acquires, c.latch_contended), (3, 0));
+    // the new objects are filled above the store's ceiling; the read hits
+    assert_eq!((c.cache_misses, c.cache_hits), (2, 1));
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

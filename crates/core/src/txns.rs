@@ -14,28 +14,36 @@
 //! and sleep only if the epoch is unchanged — a notification between the
 //! predicate check and the sleep just makes the sleep return immediately,
 //! so no status change can be lost no matter which shard it happened in.
+//! Sleepers count themselves under the epoch mutex, so a bump that finds
+//! none skips the condvar's wake (a syscall).
 
 use crate::database::TxnSlot;
 use asset_annot::verify_allow;
 use asset_common::config::resolve_shards;
+use asset_common::ids::stripe_of;
 use asset_common::sync::{Condvar, Mutex, MutexGuard};
 use asset_common::{IdMap, Tid};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 type Shard = Mutex<IdMap<Tid, TxnSlot>>;
+
+#[derive(Default)]
+struct Epoch {
+    n: u64,
+    sleepers: usize,
+}
 
 pub(crate) struct TxnTable {
     shards: Box<[Shard]>,
     mask: u64,
     /// Event count: bumped on every status change anyone might wait for.
-    epoch: Mutex<u64>,
+    epoch: Mutex<Epoch>,
     event_cv: Condvar,
     /// Executor wake hook: invoked after every [`bump`](Self::bump) so the
     /// worker pool can requeue transactions parked on a dependency gate.
     /// The hook runs on the bumping thread with no shard lock held.
-    bump_hook: Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
-    /// Fast-path skip for the hook check on the bump hot path.
-    bump_hook_set: std::sync::atomic::AtomicBool,
+    bump_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl TxnTable {
@@ -44,24 +52,19 @@ impl TxnTable {
         TxnTable {
             shards: (0..n).map(|_| Mutex::new(IdMap::default())).collect(),
             mask: (n - 1) as u64,
-            epoch: Mutex::new(0),
+            epoch: Mutex::new(Epoch::default()),
             event_cv: Condvar::new(),
-            bump_hook: Mutex::new(None),
-            bump_hook_set: std::sync::atomic::AtomicBool::new(false),
+            bump_hook: OnceLock::new(),
         }
     }
 
-    /// Install the executor wake hook fired after every epoch bump.
-    pub fn set_bump_hook(&self, hook: std::sync::Arc<dyn Fn() + Send + Sync>) {
-        *self.bump_hook.lock() = Some(hook);
-        self.bump_hook_set
-            .store(true, std::sync::atomic::Ordering::Release);
+    /// Install the executor wake hook fired after every epoch bump (once).
+    pub fn set_bump_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+        let _ = self.bump_hook.set(hook);
     }
 
     fn shard_index(&self, t: Tid) -> usize {
-        let mut h = t.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        (h & self.mask) as usize
+        stripe_of(t.raw(), self.mask)
     }
 
     /// Run `f` with `t`'s slot (if any) under its shard lock.
@@ -120,34 +123,33 @@ impl TxnTable {
 
     /// Snapshot the event epoch *before* evaluating a wait predicate.
     pub fn epoch(&self) -> u64 {
-        *self.epoch.lock()
+        self.epoch.lock().n
     }
 
     /// Sleep until the epoch moves past `seen`. Returns immediately if a
     /// state change already happened since the snapshot.
     pub fn wait_event(&self, seen: u64) {
         let mut ep = self.epoch.lock();
-        while *ep == seen {
+        while ep.n == seen {
+            ep.sleepers += 1;
             self.event_cv.wait(&mut ep);
+            ep.sleepers -= 1;
         }
     }
 
     /// Publish a state change: advance the epoch and wake all waiters —
     /// both thread-parked ones (condvar) and executor-parked ones (hook).
     pub fn bump(&self) {
-        {
+        let sleepers = {
             let mut ep = self.epoch.lock();
-            *ep += 1;
+            ep.n += 1;
+            ep.sleepers
+        };
+        if sleepers > 0 {
+            self.event_cv.notify_all();
         }
-        self.event_cv.notify_all();
-        if self
-            .bump_hook_set
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
-            let hook = self.bump_hook.lock().clone();
-            if let Some(hook) = hook {
-                hook();
-            }
+        if let Some(hook) = self.bump_hook.get() {
+            hook();
         }
     }
 }

@@ -10,6 +10,11 @@
 //! third test shows loom *catching* the naive check-then-sleep bug the
 //! event count exists to prevent.
 //!
+//! The mirror includes the sleeper count: a bump that finds no sleeper
+//! counted skips `notify_all`, so these models also prove that skipping it
+//! loses no wakeup — a sleeper counts itself under the epoch mutex before
+//! it sleeps, so a bump either sees it or precedes its epoch check.
+//!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p asset-core --test
 //! loom_eventcount --release`.
 
@@ -18,37 +23,43 @@ use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
-/// Mirror of the `TxnTable` event count (epoch + condvar).
+/// Mirror of the `TxnTable` event count: the epoch and its sleeper count
+/// under one mutex, and a condvar.
 struct EventCount {
-    epoch: Mutex<u64>,
+    epoch: Mutex<(u64, usize)>,
     cv: Condvar,
 }
 
 impl EventCount {
     fn new() -> EventCount {
         EventCount {
-            epoch: Mutex::new(0),
+            epoch: Mutex::new((0, 0)),
             cv: Condvar::new(),
         }
     }
 
     fn epoch(&self) -> u64 {
-        *self.epoch.lock()
+        self.epoch.lock().0
     }
 
     fn wait_event(&self, seen: u64) {
         let mut ep = self.epoch.lock();
-        while *ep == seen {
+        while ep.0 == seen {
+            ep.1 += 1;
             self.cv.wait(&mut ep);
+            ep.1 -= 1;
         }
     }
 
     fn bump(&self) {
-        {
+        let sleepers = {
             let mut ep = self.epoch.lock();
-            *ep += 1;
+            ep.0 += 1;
+            ep.1
+        };
+        if sleepers > 0 {
+            self.cv.notify_all();
         }
-        self.cv.notify_all();
     }
 }
 

@@ -1,0 +1,109 @@
+//! Regression guard for the data-write path (DESIGN.md §6, "one visit per
+//! structure"): a write takes its lock, then `Database::install` latches,
+//! logs and installs, then visits the transaction table once. The
+//! discipline is structural, so the guard is too — it scans the sources
+//! it was built from (`include_str!`) and asserts:
+//!
+//! 1. `TxnCtx::lock` and `StepCtx::try_acquire` make no status probe: an
+//!    abort poisons the victim's lock requests, which the lock table
+//!    refuses.
+//! 2. `Database::install` visits the transaction table once, and that
+//!    visit both pushes the undo entry and checks the status; the entry's
+//!    sequence is what `write_object` returns, not a counter of its own.
+//! 3. `ObjectCache::entry` fills a miss at or above the store's ceiling in
+//!    the shard visit that found it, and takes no storage mutex while it
+//!    holds a shard.
+
+const CONTEXT_SRC: &str = include_str!("../src/context.rs");
+const EXEC_SRC: &str = include_str!("../src/exec.rs");
+const DATABASE_SRC: &str = include_str!("../src/database.rs");
+const CACHE_SRC: &str = include_str!("../../storage/src/cache.rs");
+
+/// The body of the item that starts with `header`, up to the next item at
+/// the same (4-space) indentation.
+fn fn_body<'a>(src: &'a str, header: &str) -> &'a str {
+    let start = src
+        .find(header)
+        .unwrap_or_else(|| panic!("{header} not found"));
+    let rest = &src[start + header.len()..];
+    let end = [
+        "\n    pub fn ",
+        "\n    pub(crate) fn ",
+        "\n    fn ",
+        "\n    /// ",
+        "\n}",
+    ]
+    .iter()
+    .filter_map(|pat| rest.find(pat))
+    .min()
+    .unwrap_or(rest.len());
+    &rest[..end]
+}
+
+#[test]
+fn taking_a_data_lock_makes_no_status_probe() {
+    for (what, body) in [
+        ("TxnCtx::lock", fn_body(CONTEXT_SRC, "fn lock(")),
+        ("StepCtx::try_acquire", fn_body(EXEC_SRC, "fn try_acquire(")),
+    ] {
+        for probe in ["check_live", "status(", "txns."] {
+            assert!(!body.contains(probe), "{what} probes the TD: `{probe}`");
+        }
+        assert!(body.contains("locks"), "{what} takes its lock");
+    }
+    assert!(
+        !DATABASE_SRC.contains("fn check_live("),
+        "the pre-lock probe stays gone"
+    );
+}
+
+#[test]
+fn install_visits_the_transaction_table_once() {
+    let body = fn_body(DATABASE_SRC, "pub(crate) fn install(");
+    assert_eq!(body.matches("txns.").count(), 1, "one TD visit: {body}");
+    let visit = &body[body.find("txns.with(").expect("the visit")..];
+    assert!(
+        visit.contains("undo.push("),
+        "the visit pushes the undo entry"
+    );
+    assert!(visit.contains("slot.status"), "the visit checks the status");
+    let write = body.find("write_object(").expect("install writes");
+    assert!(write < body.find("txns.with(").unwrap(), "log, then the TD");
+    for counter in ["undo_seq", "fetch_add"] {
+        assert!(
+            !body.contains(counter),
+            "the undo sequence is the record's place in the log, not `{counter}`"
+        );
+    }
+}
+
+#[test]
+fn a_new_object_is_filled_in_one_cache_shard_visit() {
+    let body = fn_body(CACHE_SRC, "pub fn entry(");
+    let guards: Vec<usize> = body.match_indices(".lock()").map(|(i, _)| i).collect();
+    assert_eq!(
+        guards.len(),
+        2,
+        "a hit or a new object: one visit; a fault-in: two"
+    );
+    let load = body
+        .find("store.get(")
+        .expect("a fault-in loads from the store");
+    let first = &body[guards[0]..load];
+    assert!(
+        first.contains("store.ceiling()") && first.contains("return Ok"),
+        "at or above the ceiling the first visit fills the miss and returns"
+    );
+    // the storage calls made under a shard are atomic loads only
+    for (i, _) in first.match_indices("store.") {
+        assert!(first[i..].starts_with("store.ceiling()"), "{}", &first[i..]);
+    }
+    assert!(
+        !body[guards[1]..].contains("store."),
+        "the second visit takes no storage mutex"
+    );
+    assert!(
+        guards[0] < load && load < guards[1],
+        "the load runs unlocked"
+    );
+}

@@ -206,16 +206,6 @@ impl PermitTable {
             .filter_map(|id| self.permits.get(id).cloned())
             .collect()
     }
-
-    /// Permits that explicitly mention `ob` (the paper's OD-attached PD
-    /// list; diagnostics and the E9 structures bench).
-    pub fn mentioning(&self, ob: Oid) -> Vec<Permit> {
-        self.permits
-            .values()
-            .filter(|p| p.obs.contains(ob))
-            .cloned()
-            .collect()
-    }
 }
 
 /// The transitive permission check over the **union** of several permit
@@ -549,14 +539,5 @@ mod tests {
         let (ok, depth) = permits_across_depth(&[&t], Tid(1), Tid(9), Oid(1), Operation::Read);
         assert!(!ok);
         assert_eq!(depth, 2);
-    }
-
-    #[test]
-    fn mentioning_object() {
-        let mut t = PermitTable::new();
-        t.insert(p(1, Some(2), ObSet::one(Oid(5)), OpSet::ALL));
-        t.insert(p(1, Some(2), ObSet::All, OpSet::ALL));
-        t.insert(p(1, Some(2), ObSet::one(Oid(6)), OpSet::ALL));
-        assert_eq!(t.mentioning(Oid(5)).len(), 2); // explicit + wildcard
     }
 }

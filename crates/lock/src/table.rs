@@ -37,7 +37,7 @@
 //! not touched while no request waits. Permits whose object scope is
 //! `ObSet::All` (or spans shards) live in a small read-mostly global table
 //! consulted after the per-shard miss. Multi-shard operations take shard
-//! locks one at a time in ascending index order, so the manager is
+//! locks one at a time, never two at once, so the manager is
 //! internally deadlock-free. Wait-for edges go to a dedicated
 //! [`WaitGraph`] collector and counters are per-shard relaxed atomics, so
 //! deadlock checks and statistics reads never stall grants.
@@ -47,6 +47,7 @@ use asset_annot::verify_allow;
 use crate::permit::{permits_across_depth, Permit, PermitTable};
 use crate::waits::{Parker, Wait, WaitGraph};
 use asset_common::config::resolve_shards;
+use asset_common::ids::stripe_of;
 use asset_common::sync::{Mutex, MutexGuard, RwLock};
 use asset_common::{AssetError, IdMap, IdSet, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
 use asset_obs::{add, bump, EventKind, Obs};
@@ -83,8 +84,61 @@ pub struct PendingReq {
 
 #[derive(Default)]
 struct ObjectDesc {
-    granted: Vec<Lrd>,
+    granted: Inline<Lrd>,
     pending: Vec<PendingReq>,
+}
+
+/// A list holding its first element in place, so that an uncontended
+/// grant and its release allocate nothing: an OD's LRDs, a transaction's
+/// objects on a stripe, its stripes. Order is not kept; `first` is `None`
+/// only while `more` is empty.
+struct Inline<T> {
+    first: Option<T>,
+    more: Vec<T>,
+}
+
+impl<T> Default for Inline<T> {
+    fn default() -> Self {
+        Inline {
+            first: None,
+            more: Vec::new(),
+        }
+    }
+}
+
+impl<T> Inline<T> {
+    fn push(&mut self, x: T) {
+        match self.first {
+            None => self.first = Some(x),
+            Some(_) => self.more.push(x),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.more)
+    }
+
+    fn find_mut(&mut self, f: impl Fn(&T) -> bool) -> Option<&mut T> {
+        self.first.iter_mut().chain(&mut self.more).find(|x| f(x))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn take(&mut self, f: impl Fn(&T) -> bool) -> Option<T> {
+        if self.first.as_ref().is_some_and(&f) {
+            return std::mem::replace(&mut self.first, self.more.pop());
+        }
+        let pos = self.more.iter().position(f)?;
+        Some(self.more.swap_remove(pos))
+    }
+}
+
+impl<T> Extend<T> for Inline<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, xs: I) {
+        xs.into_iter().for_each(|x| self.push(x));
+    }
 }
 
 /// Counters exposed for benchmarks and diagnostics.
@@ -195,7 +249,7 @@ struct ShardInner {
     /// a transaction holds an LRD, each listed once — appended when the
     /// LRD is created (a grant or a delegation to a transaction with none
     /// on the object), never by a re-grant or an upgrade.
-    txn_objects: IdMap<Tid, Vec<Oid>>,
+    txn_objects: IdMap<Tid, Inline<Oid>>,
     /// Permits whose object scope falls entirely within this shard.
     permits: PermitTable,
     /// The wakers of the requests on this shard's pending lists, by
@@ -266,7 +320,7 @@ pub struct LockTable {
     /// The second hash of the paper's double hashing: tid → shards where
     /// the transaction holds LRDs or shard-local permits, so release and
     /// delegation visit only those stripes.
-    tid_shards: Mutex<IdMap<Tid, BTreeSet<usize>>>,
+    tid_shards: Mutex<IdMap<Tid, Inline<usize>>>,
     /// Wildcard-object and cross-shard permits (read-mostly).
     global_permits: RwLock<PermitTable>,
     /// Fast-path skip: live permits in `global_permits`.
@@ -331,19 +385,22 @@ impl LockTable {
     }
 
     fn shard_index(&self, ob: Oid) -> usize {
-        // Avalanche the oid so sequential ids spread across shards.
-        let mut h = ob.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        (h & self.shard_mask) as usize
+        stripe_of(ob.raw(), self.shard_mask)
     }
 
-    /// Ascending shard indices `tid` has touched (locks or permits).
+    /// Shard indices `tid` has touched (locks or permits).
     fn shards_of(&self, tid: Tid) -> Vec<usize> {
-        self.tid_shards
-            .lock()
-            .get(&tid)
+        (self.tid_shards.lock().get(&tid))
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
+    }
+
+    /// List shard `sidx` under `tid` in the shard-set index, once.
+    fn index(idx: &mut IdMap<Tid, Inline<usize>>, tid: Tid, sidx: usize) {
+        let shards = idx.entry(tid).or_default();
+        if !shards.iter().any(|&s| s == sidx) {
+            shards.push(sidx);
+        }
     }
 
     /// The one wake routine, where every grant-relevant change ends: take
@@ -626,7 +683,7 @@ impl LockTable {
             through.extend(to_suspend.iter().copied());
         }
         for (holder, _) in &to_suspend {
-            if let Some(gl) = od.granted.iter_mut().find(|g| g.tid == *holder) {
+            if let Some(gl) = od.granted.find_mut(|g| g.tid == *holder) {
                 if !gl.suspended {
                     gl.suspended = true;
                     self.shards[sidx]
@@ -636,7 +693,7 @@ impl LockTable {
                 }
             }
         }
-        match od.granted.iter_mut().find(|g| g.tid == tid) {
+        match od.granted.find_mut(|g| g.tid == tid) {
             Some(own) => {
                 // 2b: change mode / remove suspension
                 own.mode = own.mode.max(mode);
@@ -653,8 +710,8 @@ impl LockTable {
                 match txn_objects.entry(tid) {
                     Entry::Occupied(mut listed) => listed.get_mut().push(ob),
                     Entry::Vacant(first_in_shard) => {
-                        first_in_shard.insert(vec![ob]);
-                        self.tid_shards.lock().entry(tid).or_default().insert(sidx);
+                        first_in_shard.insert(Inline::default()).push(ob);
+                        Self::index(&mut self.tid_shards.lock(), tid, sidx);
                     }
                 }
             }
@@ -663,7 +720,6 @@ impl LockTable {
             .stats
             .grants
             .fetch_add(1, Ordering::Relaxed);
-        bump(&self.obs.counters.lock_grants);
         Ok(())
     }
 
@@ -710,9 +766,9 @@ impl LockTable {
                     // index both parties first, so a concurrent release
                     // already knows where to look
                     let mut idx = self.tid_shards.lock();
-                    idx.entry(grantor).or_default().insert(s);
+                    Self::index(&mut idx, grantor, s);
                     if let Some(g) = grantee {
-                        idx.entry(g).or_default().insert(s);
+                        Self::index(&mut idx, g, s);
                     }
                 }
                 let shard = &self.shards[s];
@@ -747,7 +803,7 @@ impl LockTable {
     /// call time by traversing the grantor's LRD list and incoming PDs.
     #[verify_allow(
         lock_order,
-        reason = "blessed: materializes the object set shard-by-shard in ascending order, then delegates to permit"
+        reason = "blessed: materializes the object set shard-by-shard, one at a time, then delegates to permit"
     )]
     pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) {
         let mut obs: BTreeSet<Oid> = BTreeSet::new();
@@ -782,10 +838,10 @@ impl LockTable {
     /// Delegate `from`'s locks (optionally restricted to `obs`) to `to`,
     /// merging with any locks `to` already holds, and re-attribute the
     /// permits `from` granted (§4.2 `delegate`). Shards are visited one at
-    /// a time in ascending index order.
+    /// a time.
     #[verify_allow(
         lock_order,
-        reason = "blessed: visits shards one at a time in ascending index order, guard dropped between hops"
+        reason = "blessed: visits shards one at a time, guard dropped between hops"
     )]
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<&ObSet>) {
         let from_shards = self.shards_of(from);
@@ -797,25 +853,25 @@ impl LockTable {
                 let inner = &mut *guard;
                 // `from`'s TD-side list splits into the objects that move
                 // and those that stay listed under it
-                let (moving, staying): (Vec<Oid>, Vec<Oid>) = inner
+                let (moving, staying): (Inline<Oid>, Inline<Oid>) = inner
                     .txn_objects
                     .remove(&from)
                     .unwrap_or_default()
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .partition(|ob| obs.is_none_or(|set| set.contains(*ob)));
                 if !staying.is_empty() {
                     inner.txn_objects.insert(from, staying);
                 }
-                for ob in moving {
+                for &ob in moving.iter() {
                     let Some(od) = inner.objects.get_mut(&ob) else {
                         continue;
                     };
-                    let Some(pos) = od.granted.iter().position(|g| g.tid == from) else {
+                    let Some(moved) = od.granted.take(|g| g.tid == from) else {
                         continue;
                     };
-                    let moved = od.granted.remove(pos);
                     moved_objects += 1;
-                    match od.granted.iter_mut().find(|g| g.tid == to) {
+                    match od.granted.find_mut(|g| g.tid == to) {
                         // `to` already holds `ob`, so lists it already
                         Some(existing) => {
                             existing.mode = existing.mode.max(moved.mode);
@@ -853,11 +909,10 @@ impl LockTable {
             self.wake_every_stripe();
         }
         if !from_shards.is_empty() {
-            self.tid_shards
-                .lock()
-                .entry(to)
-                .or_default()
-                .extend(from_shards);
+            let mut idx = self.tid_shards.lock();
+            for s in from_shards {
+                Self::index(&mut idx, to, s);
+            }
         }
         bump(&self.obs.counters.delegations);
         add(&self.obs.counters.delegated_objects, moved_objects);
@@ -870,35 +925,31 @@ impl LockTable {
 
     /// Release all locks held by `tid`, end the wait it may have — on any
     /// object, locked by it or not — and remove permits given by and to it
-    /// (commit step 6 / abort step 3). Returns the objects released.
+    /// (commit step 6 / abort step 3). Returns how many objects it
+    /// released.
     #[verify_allow(
         lock_order,
-        reason = "blessed: snapshots the tid→shard index, then walks shards in ascending order one at a time"
+        reason = "blessed: takes the tid→shard index entry, then walks those shards one at a time"
     )]
-    pub fn release_all(&self, tid: Tid) -> Vec<Oid> {
+    pub fn release_all(&self, tid: Tid) -> usize {
         self.cancel_wait(tid);
-        let shards: Vec<usize> = {
-            self.tid_shards
-                .lock()
-                .remove(&tid)
-                .map(|s| s.into_iter().collect())
-                .unwrap_or_default()
-        };
-        let mut released: Vec<Oid> = Vec::new();
-        for s in shards {
+        let shards = self.tid_shards.lock().remove(&tid).unwrap_or_default();
+        let mut released = 0;
+        for &s in shards.iter() {
             let shard = &self.shards[s];
             {
                 let mut inner = shard.inner.lock();
                 let objects = inner.txn_objects.remove(&tid).unwrap_or_default();
-                for &ob in &objects {
+                for &ob in objects.iter() {
                     // one probe per object: the entry both edits and drops
                     if let Entry::Occupied(mut od) = inner.objects.entry(ob) {
                         let desc = od.get_mut();
-                        desc.granted.retain(|g| g.tid != tid);
+                        desc.granted.take(|g| g.tid == tid);
                         if desc.granted.is_empty() && desc.pending.is_empty() {
                             od.remove();
                         }
                     }
+                    released += 1;
                 }
                 let before = inner.permits.len();
                 inner.permits.remove_involving(tid);
@@ -906,7 +957,6 @@ impl LockTable {
                 if removed > 0 {
                     shard.permit_count.fetch_sub(removed, Ordering::Relaxed);
                 }
-                released.extend(objects);
                 Self::wake(inner);
             }
         }
@@ -954,7 +1004,7 @@ impl LockTable {
             .lock()
             .objects
             .get(&ob)
-            .map(|od| od.granted.clone())
+            .map(|od| od.granted.iter().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -1058,7 +1108,7 @@ impl LockTable {
                     permits: shard.permit_count.load(Ordering::Relaxed),
                 };
                 for od in inner.objects.values() {
-                    occ.granted += od.granted.len();
+                    occ.granted += od.granted.iter().count();
                     occ.suspended += od.granted.iter().filter(|g| g.suspended).count();
                     occ.waiting += od.pending.len();
                 }
@@ -1084,20 +1134,6 @@ impl LockTable {
             waiters: self.waits.waiter_count(),
             shards: self.shards.len(),
         }
-    }
-
-    /// Permits that mention `ob`, from the object's shard and the global
-    /// table (diagnostics; the paper's OD-attached PD list).
-    pub fn permits_mentioning(&self, ob: Oid) -> Vec<Permit> {
-        let mut out = self.shards[self.shard_index(ob)]
-            .inner
-            .lock()
-            .permits
-            .mentioning(ob);
-        if self.global_permit_count.load(Ordering::Relaxed) > 0 {
-            out.extend(self.global_permits.read().mentioning(ob));
-        }
-        out
     }
 
     /// Current waits-for edges (diagnostics / periodic detectors).
@@ -1413,7 +1449,7 @@ mod tests {
         assert!(queued.unwrap().is_err());
         assert_eq!(waiting(&t), 1);
         // t2 holds nothing, so no stripe is indexed under it
-        assert!(t.release_all(Tid(2)).is_empty());
+        assert_eq!(t.release_all(Tid(2)), 0);
         assert!(t.pending(Oid(1)).is_empty());
         assert_eq!(waiting(&t), 0);
         assert!(t.waits_snapshot().is_empty());
@@ -1538,8 +1574,7 @@ mod tests {
             .unwrap();
         t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
         assert_eq!(t.permit_count(), 1);
-        let released = t.release_all(Tid(1));
-        assert_eq!(released, vec![Oid(1)]);
+        assert_eq!(t.release_all(Tid(1)), 1);
         assert_eq!(t.permit_count(), 0, "permits given by t1 are gone");
         assert!(t.holders(Oid(1)).is_empty());
     }
@@ -1701,7 +1736,7 @@ mod tests {
         t.lock(Tid(2), Oid(1), Operation::Write, short()).unwrap();
         t.delegate(Tid(2), Tid(3), None);
         let snap = obs.snapshot();
-        assert!(snap.counters.lock_grants >= 2);
+        assert!(t.stats().grants >= 2);
         assert!(snap.counters.lock_waits >= 1);
         assert!(snap.counters.permit_checks >= 1);
         assert_eq!(snap.counters.delegations, 1);

@@ -66,6 +66,7 @@ mod tests {
     use super::*;
     use crate::atomic::run_atomic;
     use asset_core::Database;
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     fn seed_records(db: &Database, n: usize) -> Vec<Oid> {
@@ -110,10 +111,12 @@ mod tests {
         let scan_oids = oids.clone();
         let gate = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let g2 = std::sync::Arc::clone(&gate);
+        let (visited, visited_rx) = channel();
         let scanner = db
             .initiate(move |ctx| {
                 let mut cursor = Cursor::open(ctx, scan_oids.clone());
                 cursor.next()?; // visits record 0, then permits writes on it
+                visited.send(()).unwrap();
                 while !g2.load(std::sync::atomic::Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -121,7 +124,7 @@ mod tests {
             })
             .unwrap();
         db.begin(scanner).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        visited_rx.recv().unwrap();
 
         // a writer updates the visited record without waiting
         let committed = run_atomic(&db, move |ctx| ctx.write(first, vec![99])).unwrap();
@@ -140,6 +143,7 @@ mod tests {
         let gate = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let g2 = std::sync::Arc::clone(&gate);
         let scan_oids = oids.clone();
+        let (visited, visited_rx) = channel();
         let scanner = db
             .initiate(move |ctx| {
                 let mut cursor = Cursor::open(ctx, scan_oids.clone());
@@ -151,6 +155,7 @@ mod tests {
                                 // one, which holds no lock yet; what stays
                                 // protected is nothing — matching the
                                 // paper, protection is only while reading.
+                visited.send(()).unwrap();
                 while !g2.load(std::sync::atomic::Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -158,7 +163,7 @@ mod tests {
             })
             .unwrap();
         db.begin(scanner).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        visited_rx.recv().unwrap();
         // the already-visited record is writable...
         assert!(run_atomic(&db, move |ctx| ctx.write(second, vec![77])).unwrap());
         gate.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -199,9 +204,11 @@ mod tests {
         let ob = oids[0];
         let gate = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let g2 = std::sync::Arc::clone(&gate);
+        let (read, read_rx) = channel();
         let scanner = db
             .initiate(move |ctx| {
                 ctx.read(ob)?; // plain read: lock held to commit
+                read.send(()).unwrap();
                 while !g2.load(std::sync::atomic::Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -209,7 +216,7 @@ mod tests {
             })
             .unwrap();
         db.begin(scanner).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        read_rx.recv().unwrap();
         let committed = run_atomic(&db, move |ctx| ctx.write(ob, vec![9])).unwrap();
         assert!(
             !committed,

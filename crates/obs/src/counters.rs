@@ -103,7 +103,8 @@ define_counters! {
     /// Lock requests that blocked at least once before being granted or
     /// failing.
     lock_waits,
-    /// Lock requests granted.
+    /// Lock requests granted. Counted by the lock table's stripes, where
+    /// the grant happens; `Database::metrics_snapshot` fills it in.
     lock_grants,
     /// Waits-for-graph cycle searches performed by blocked requesters
     /// (the paper's deadlock check on suspension).
@@ -128,12 +129,13 @@ define_counters! {
     latch_acquires,
     /// Latch acquisitions that had to spin at least once.
     latch_contended,
-    /// Log records appended.
+    /// Log records appended. Counted by the log under its append mutex;
+    /// `Database::metrics_snapshot` fills it in.
     log_appends,
     /// Log drains to the OS / stable storage (watermark, force, or flush).
     log_flushes,
     /// Buffered appends that coalesced (stayed in user space; no write
-    /// syscall issued).
+    /// syscall issued). Kept and filled in like `log_appends`.
     log_coalesced,
     /// Log drains nobody waited for (flush watermark, drop of the manager)
     /// that failed: the bytes stayed buffered for the next force or flush

@@ -12,6 +12,7 @@
 
 use crate::latch::Latch;
 use crate::store::ObjectStore;
+use asset_common::ids::stripe_of;
 use asset_common::sync::Mutex;
 use asset_common::{IdMap, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
@@ -30,9 +31,8 @@ const SHARDS: usize = 16;
 /// path holds the latch: S holders only take `&`, the X holder is unique.
 /// `None` payload is a tombstone (object absent/deleted).
 ///
-/// The dirty flag lives *outside* the cell as an atomic: eviction and flush
-/// scans test it while holding the cache shard mutex, and the object latch
-/// ranks **above** that mutex in the lock hierarchy, so they must not latch.
+/// The dirty flag lives *outside* the cell as an atomic: a flush scan tests
+/// it before latching. Latching counts into the caller's `Obs`.
 pub struct CachedObject {
     latch: Latch,
     data: UnsafeCell<Option<Vec<u8>>>,
@@ -42,7 +42,7 @@ pub struct CachedObject {
     dirty: AtomicBool,
     /// The log generation ([`LogManager::generation`]) in which the
     /// current image was last logged; `0` when the log does not hold it (a
-    /// faulted-in entry, an unlogged [`install`](Self::install)). While it
+    /// faulted-in entry, a refused CLR). While it
     /// equals the log's generation, the log's latest image of this object
     /// *is* the payload, so the next write need not log a before image.
     /// Read and written under the X latch, which is what orders it; the
@@ -50,7 +50,6 @@ pub struct CachedObject {
     ///
     /// [`LogManager::generation`]: crate::LogManager::generation
     logged_gen: AtomicU64,
-    obs: Arc<Obs>,
 }
 
 // SAFETY: all access to `data` is mediated by `latch` (S for shared reads,
@@ -62,14 +61,13 @@ unsafe impl Sync for CachedObject {}
 unsafe impl Send for CachedObject {}
 
 impl CachedObject {
-    fn new(bytes: Option<Vec<u8>>, dirty: bool, obs: Arc<Obs>) -> CachedObject {
-        CachedObject {
+    fn new(bytes: Option<Vec<u8>>, dirty: bool) -> Arc<CachedObject> {
+        Arc::new(CachedObject {
             latch: Latch::new(),
             data: UnsafeCell::new(bytes),
             dirty: AtomicBool::new(dirty),
             logged_gen: AtomicU64::new(0),
-            obs,
-        }
+        })
     }
 
     /// The log generation that holds the current image (`0` = none).
@@ -87,67 +85,43 @@ impl CachedObject {
 
     /// Record a latch acquisition outcome: spin counts are atomics-only, so
     /// this is safe on every path the latch itself is.
-    fn note_latch(&self, spins: u32) {
-        bump(&self.obs.counters.latch_acquires);
+    fn note_latch(obs: &Obs, spins: u32) {
+        bump(&obs.counters.latch_acquires);
         if spins > 0 {
-            bump(&self.obs.counters.latch_contended);
-            self.obs.latch_spins.record(u64::from(spins));
+            bump(&obs.counters.latch_contended);
+            obs.latch_spins.record(u64::from(spins));
             // Ring-buffer recording is drop-don't-block (one CAS), so it is
             // safe here even though the latch guard is still held.
-            self.obs.record(EventKind::LatchSpin { spins });
+            obs.record(EventKind::LatchSpin { spins });
         }
     }
 
     /// Read the payload under an S latch.
-    pub fn read_with<R>(&self, f: impl FnOnce(Option<&[u8]>) -> R) -> R {
+    pub fn read_with<R>(&self, obs: &Obs, f: impl FnOnce(Option<&[u8]>) -> R) -> R {
         let (_g, spins) = self.latch.shared_profiled();
-        self.note_latch(spins);
+        Self::note_latch(obs, spins);
         // SAFETY: S latch held; no X holder exists, so a shared view is safe.
         let data = unsafe { &*self.data.get() };
         f(data.as_deref())
     }
 
-    /// Replace the payload under an X latch, unlogged; returns the before
-    /// image. `None` deletes the object (tombstone).
-    pub fn install(&self, after: Option<Vec<u8>>) -> Option<Vec<u8>> {
-        let (_g, spins) = self.latch.exclusive_profiled();
-        self.note_latch(spins);
-        self.dirty.store(true, Ordering::Relaxed);
-        self.set_logged_in(0);
-        // SAFETY: X latch held; we are the unique accessor.
-        let data = unsafe { &mut *self.data.get() };
-        std::mem::replace(data, after)
-    }
-
     /// Mutate the payload in place under an X latch. A caller that logs
     /// the new image says so with `set_logged_in`; one that does not must
     /// reset it.
-    pub fn write_with<R>(&self, f: impl FnOnce(&mut Option<Vec<u8>>) -> R) -> R {
+    pub fn write_with<R>(&self, obs: &Obs, f: impl FnOnce(&mut Option<Vec<u8>>) -> R) -> R {
         let (_g, spins) = self.latch.exclusive_profiled();
-        self.note_latch(spins);
+        Self::note_latch(obs, spins);
         self.dirty.store(true, Ordering::Relaxed);
         // SAFETY: X latch held; we are the unique accessor.
         let data = unsafe { &mut *self.data.get() };
         f(data)
     }
 
-    /// The object latch (exposed for the lock manager's OD linkage and for
-    /// diagnostics).
-    pub fn latch(&self) -> &Latch {
-        &self.latch
-    }
-
-    /// Latch-free dirty test — safe to call while holding a cache shard
-    /// mutex (the object latch ranks above it and must not be taken there).
-    fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
     /// Snapshot the payload if the object is dirty. Does not clear the
     /// flag: the caller persists the snapshot first and calls
     /// [`clear_dirty`](Self::clear_dirty) only once that succeeded.
     fn take_if_dirty(&self) -> Option<Option<Vec<u8>>> {
-        if !self.is_dirty() {
+        if !self.dirty.load(Ordering::Relaxed) {
             return None;
         }
         let _g = self.latch.shared();
@@ -188,28 +162,34 @@ impl ObjectCache {
     }
 
     fn shard(&self, oid: Oid) -> &Mutex<IdMap<Oid, Arc<CachedObject>>> {
-        // Avalanche the oid so sequential ids spread across shards.
-        let mut h = oid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        &self.shards[(h as usize) % SHARDS]
+        &self.shards[stripe_of(oid.raw(), SHARDS as u64 - 1)]
     }
 
-    /// Fetch (or fault in from `store`) the cache entry for `oid`.
+    /// Fetch (or fault in from `store`) the cache entry for `oid`. A miss
+    /// above the store's ceiling — every object created since it opened —
+    /// is filled in the one shard visit; any other is loaded with no shard
+    /// held and race-inserted in a second visit.
     pub fn entry(&self, oid: Oid, store: &ObjectStore) -> Result<Arc<CachedObject>> {
         {
-            let shard = self.shard(oid).lock();
-            if let Some(e) = shard.get(&oid) {
-                bump(&self.obs.counters.cache_hits);
-                return Ok(Arc::clone(e));
+            let mut shard = self.shard(oid).lock();
+            match shard.entry(oid) {
+                Entry::Occupied(e) => {
+                    bump(&self.obs.counters.cache_hits);
+                    return Ok(Arc::clone(e.get()));
+                }
+                Entry::Vacant(v) if oid.raw() > store.ceiling() => {
+                    bump(&self.obs.counters.cache_misses);
+                    return Ok(Arc::clone(v.insert(CachedObject::new(None, false))));
+                }
+                Entry::Vacant(_) => {}
             }
         }
-        // Miss: load outside the shard lock, then race-insert.
         bump(&self.obs.counters.cache_misses);
         let loaded = store.get(oid)?;
         let mut shard = self.shard(oid).lock();
         let entry = shard
             .entry(oid)
-            .or_insert_with(|| Arc::new(CachedObject::new(loaded, false, Arc::clone(&self.obs))));
+            .or_insert_with(|| CachedObject::new(loaded, false));
         Ok(Arc::clone(entry))
     }
 
@@ -233,14 +213,12 @@ impl ObjectCache {
             match shard.entry(oid) {
                 Entry::Occupied(e) => Arc::clone(e.get()),
                 Entry::Vacant(v) => {
-                    let entry = CachedObject::new(image, true, Arc::clone(&self.obs));
-                    entry.set_logged_in(gen);
-                    v.insert(Arc::new(entry));
+                    v.insert(CachedObject::new(image, true)).set_logged_in(gen);
                     return None;
                 }
             }
         };
-        existing.write_with(|slot| {
+        existing.write_with(&self.obs, |slot| {
             let known = existing.logged_in() == gen;
             existing.set_logged_in(gen);
             let replaced = std::mem::replace(slot, image);
@@ -279,25 +257,6 @@ impl ObjectCache {
         }
         Ok(flushed)
     }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop clean entries (cache pressure relief; dirty entries stay).
-    /// The dirty test is a latch-free atomic load, so no object latch is
-    /// ever taken while the shard mutex is held.
-    pub fn evict_clean(&self) {
-        for shard in &self.shards {
-            shard.lock().retain(|_, e| e.is_dirty());
-        }
-    }
 }
 
 impl Default for ObjectCache {
@@ -315,27 +274,31 @@ mod tests {
         ObjectStore::open(Arc::new(MemPageStore::new(512)), 16).unwrap()
     }
 
+    /// Install `image` over `oid` in the cache, unlogged.
+    fn set(c: &ObjectCache, s: &ObjectStore, oid: Oid, image: Option<Vec<u8>>) {
+        c.entry(oid, s).unwrap().write_with(c.obs(), |d| *d = image);
+    }
+
     #[test]
     fn entry_faults_in_from_store() {
         let s = store();
         s.put(Oid(1), b"persisted").unwrap();
+        s.put(Oid(5), b"gone").unwrap();
+        s.delete(Oid(5)).unwrap();
         let c = ObjectCache::new();
         let e = c.entry(Oid(1), &s).unwrap();
-        e.read_with(|b| assert_eq!(b.unwrap(), b"persisted"));
-        // absent object: tombstone entry
-        let e2 = c.entry(Oid(2), &s).unwrap();
-        e2.read_with(|b| assert!(b.is_none()));
-    }
-
-    #[test]
-    fn install_returns_before_image() {
-        let s = store();
-        let c = ObjectCache::new();
-        let e = c.entry(Oid(1), &s).unwrap();
-        assert_eq!(e.install(Some(b"v1".to_vec())), None);
-        assert_eq!(e.install(Some(b"v2".to_vec())), Some(b"v1".to_vec()));
-        assert_eq!(e.install(None), Some(b"v2".to_vec()));
-        e.read_with(|b| assert!(b.is_none()));
+        e.read_with(c.obs(), |b| assert_eq!(b.unwrap(), b"persisted"));
+        // absent objects are tombstone entries, up to the ceiling (faulted
+        // in from the directory) and above it (filled in place)
+        for absent in [Oid(3), Oid(5), Oid(6), Oid(1 << 40)] {
+            let e = c.entry(absent, &s).unwrap();
+            e.read_with(c.obs(), |b| assert!(b.is_none()));
+            assert!(c.peek(absent).is_some());
+        }
+        // the largest oid there is is below no ceiling: always faulted in
+        s.put(Oid(u64::MAX), b"top").unwrap();
+        let e = c.entry(Oid(u64::MAX), &s).unwrap();
+        e.read_with(c.obs(), |b| assert_eq!(b.unwrap(), b"top"));
     }
 
     #[test]
@@ -343,9 +306,9 @@ mod tests {
         let s = store();
         s.put(Oid(3), b"old").unwrap();
         let c = ObjectCache::new();
-        c.entry(Oid(1), &s).unwrap().install(Some(b"one".to_vec()));
-        c.entry(Oid(2), &s).unwrap().install(Some(b"two".to_vec()));
-        c.entry(Oid(3), &s).unwrap().install(None); // delete
+        set(&c, &s, Oid(1), Some(b"one".to_vec()));
+        set(&c, &s, Oid(2), Some(b"two".to_vec()));
+        set(&c, &s, Oid(3), None); // delete
         let flushed = c.flush(&s).unwrap();
         assert_eq!(flushed, 3);
         assert_eq!(s.get(Oid(1)).unwrap().unwrap(), b"one");
@@ -369,8 +332,7 @@ mod tests {
     fn concurrent_read_write_with_latches() {
         let s = Arc::new(store());
         let c = Arc::new(ObjectCache::new());
-        let e = c.entry(Oid(1), &s).unwrap();
-        e.install(Some(vec![0u8; 8]));
+        set(&c, &s, Oid(1), Some(vec![0u8; 8]));
         let mut handles = vec![];
         for t in 0..4 {
             let c = Arc::clone(&c);
@@ -379,14 +341,14 @@ mod tests {
                 let e = c.entry(Oid(1), &s).unwrap();
                 for i in 0..1000u64 {
                     if t % 2 == 0 {
-                        e.write_with(|b| {
+                        e.write_with(c.obs(), |b| {
                             let bytes = b.as_mut().unwrap();
                             // write a self-consistent pattern
                             let v = (i % 250) as u8;
                             bytes.iter_mut().for_each(|x| *x = v);
                         });
                     } else {
-                        e.read_with(|b| {
+                        e.read_with(c.obs(), |b| {
                             let bytes = b.unwrap();
                             let first = bytes[0];
                             assert!(bytes.iter().all(|&x| x == first), "torn read under latches");
@@ -408,32 +370,25 @@ mod tests {
         c.entry(Oid(1), &s).unwrap(); // miss (fault-in)
         c.entry(Oid(1), &s).unwrap(); // hit
         c.entry(Oid(1), &s).unwrap(); // hit
-        c.entry(Oid(2), &s).unwrap(); // miss (tombstone fault-in)
+        c.entry(Oid(2), &s).unwrap(); // miss (filled above the ceiling)
         let snap = c.obs().snapshot();
         assert_eq!(snap.counters.cache_misses, 2);
         assert_eq!(snap.counters.cache_hits, 2);
     }
 
+    /// `storage.latch.contended_frac` is `latch_contended / latch_acquires`:
+    /// one acquisition per latched access, contended only when it spun.
     #[test]
-    fn latch_acquisitions_are_counted() {
+    fn latch_acquisitions_are_counted_exactly() {
         let s = store();
         let c = ObjectCache::new();
+        set(&c, &s, Oid(1), Some(b"v".to_vec()));
         let e = c.entry(Oid(1), &s).unwrap();
-        e.install(Some(b"v".to_vec()));
-        e.read_with(|_| ());
+        e.read_with(c.obs(), |_| ());
+        e.read_with(c.obs(), |_| ());
         let snap = c.obs().snapshot();
-        assert!(snap.counters.latch_acquires >= 2);
-    }
-
-    #[test]
-    fn evict_clean_keeps_dirty() {
-        let s = store();
-        s.put(Oid(1), b"a").unwrap();
-        let c = ObjectCache::new();
-        c.entry(Oid(1), &s).unwrap(); // clean
-        c.entry(Oid(2), &s).unwrap().install(Some(b"b".to_vec())); // dirty
-        c.evict_clean();
-        assert!(c.peek(Oid(1)).is_none());
-        assert!(c.peek(Oid(2)).is_some());
+        assert_eq!(snap.counters.latch_acquires, 3);
+        assert_eq!(snap.counters.latch_contended, 0);
+        assert_eq!(snap.latch_spins.count, 0);
     }
 }

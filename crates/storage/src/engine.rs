@@ -4,7 +4,7 @@
 
 use crate::cache::ObjectCache;
 use crate::heapfile::{FilePageStore, MemPageStore, PageStore};
-use crate::log::{GroupFlusher, LogManager, LogRecord, RecordRef};
+use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
 use asset_annot::wal;
@@ -116,11 +116,12 @@ impl StorageEngine {
     /// steps 2–4 — locking is the caller's responsibility, step 1).
     pub fn read_object(&self, oid: Oid) -> Result<Option<Vec<u8>>> {
         let entry = self.cache.entry(oid, &self.store)?;
-        Ok(entry.read_with(|b| b.map(|s| s.to_vec())))
+        Ok(entry.read_with(&self.obs, |b| b.map(|s| s.to_vec())))
     }
 
     /// Write `oid` through the cache on behalf of `tid` (paper `write`
-    /// algorithm steps 2–6). Returns the before image.
+    /// algorithm steps 2–6). Returns the before image and the record's
+    /// place in the log.
     ///
     /// The paper logs the before image, updates, and logs the after image.
     /// Here the before image is logged **when the log does not already
@@ -138,16 +139,16 @@ impl StorageEngine {
         tid: Tid,
         oid: Oid,
         after: Option<Vec<u8>>,
-    ) -> Result<Option<Vec<u8>>> {
+    ) -> Result<(Option<Vec<u8>>, LogPlace)> {
         let entry = self.cache.entry(oid, &self.store)?;
         // Steps 2–6 under one X latch: the record is encoded from the
         // images where they sit — the cache's and the caller's — so neither
         // is copied, and two permitted writers of one object log in the
         // order they install. A refused append installs nothing.
-        entry.write_with(|slot| {
+        entry.write_with(&self.obs, |slot| {
             let generation = self.log.generation();
             let after_ref = after.as_deref();
-            self.log.append_ref(&if entry.logged_in() == generation {
+            let lsn = self.log.append_ref(&if entry.logged_in() == generation {
                 RecordRef::Overwrite {
                     tid,
                     oid,
@@ -162,7 +163,7 @@ impl StorageEngine {
                 }
             })?;
             entry.set_logged_in(generation);
-            Ok(std::mem::replace(slot, after))
+            Ok((std::mem::replace(slot, after), (generation, lsn)))
         })
     }
 
@@ -310,15 +311,18 @@ mod tests {
     fn read_write_roundtrip() {
         let e = mem_engine();
         assert_eq!(e.read_object(Oid(1)).unwrap(), None);
-        let before = e
+        let (before, first) = e
             .write_object(Tid(1), Oid(1), Some(b"v1".to_vec()))
             .unwrap();
         assert_eq!(before, None);
         assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"v1");
-        let before = e
+        let (before, second) = e
             .write_object(Tid(1), Oid(1), Some(b"v2".to_vec()))
             .unwrap();
         assert_eq!(before.unwrap(), b"v1");
+        // each write's place in the log: this generation, its record's LSN
+        let lsns: Vec<Lsn> = e.log.scan().unwrap().iter().map(|(l, _)| *l).collect();
+        assert_eq!([first, second], [(1, lsns[0]), (1, lsns[1])]);
     }
 
     #[test]
@@ -404,7 +408,7 @@ mod tests {
     #[test]
     fn before_image_is_logged_once_per_generation() {
         let e = mem_engine();
-        let write = |v: &[u8]| e.write_object(Tid(1), Oid(1), Some(v.to_vec())).unwrap();
+        let write = |v: &[u8]| e.write_object(Tid(1), Oid(1), Some(v.to_vec())).unwrap().0;
         assert_eq!(write(b"v1"), None);
         assert_eq!(write(b"v2").unwrap(), b"v1");
         e.undo_object(Oid(1), Some(b"v1".to_vec())).unwrap();
@@ -427,15 +431,19 @@ mod tests {
         );
     }
 
-    /// An image installed behind the log's back ends the object's
-    /// `Overwrite` run: the log no longer holds its before image.
+    /// An image installed behind the log's back — as a refused CLR
+    /// installs its image — ends the object's `Overwrite` run: the log no
+    /// longer holds its before image.
     #[test]
     fn an_unlogged_install_forgets_the_generation() {
         let e = mem_engine();
         e.write_object(Tid(1), Oid(1), Some(b"v1".to_vec()))
             .unwrap();
         let entry = e.cache.entry(Oid(1), &e.store).unwrap();
-        entry.install(Some(b"quiet".to_vec()));
+        entry.write_with(&e.obs, |slot| {
+            entry.set_logged_in(0);
+            *slot = Some(b"quiet".to_vec());
+        });
         e.write_object(Tid(1), Oid(1), Some(b"v2".to_vec()))
             .unwrap();
         assert_eq!(kinds(&e), ["update", "update"]);

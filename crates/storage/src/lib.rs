@@ -40,6 +40,8 @@ pub mod store;
 pub use cache::{CachedObject, ObjectCache};
 pub use engine::{CompactionReport, StorageEngine};
 pub use latch::Latch;
-pub use log::{FlushCallback, GroupFlusher, LogManager, LogRecord, LogWatermarks, RecordRef};
+pub use log::{
+    FlushCallback, GroupFlusher, LogManager, LogPlace, LogRecord, LogWatermarks, RecordRef,
+};
 pub use recovery::{recover, InDoubt, PendingUpdate, RecoveryReport};
 pub use store::ObjectStore;

@@ -54,13 +54,17 @@ pub use record::{Ids, LogEntry, LogRecord, RecordRef, WireId, FORMAT_MARKER, SEA
 use asset_annot::wal;
 use asset_common::sync::{Mutex, MutexGuard};
 use asset_common::{AssetError, Durability, Lsn, Result};
-use asset_obs::{add, bump, EventKind, Obs};
+use asset_obs::{bump, EventKind, Obs};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A record's place in the log: the log's [generation](LogManager::generation),
+/// then its LSN. Ordered by it, records are in log order across cuts too.
+pub type LogPlace = (u64, Lsn);
 
 /// Default user-space buffer watermark (bytes).
 pub const DEFAULT_FLUSH_WATERMARK: usize = 64 * 1024;
@@ -78,6 +82,11 @@ pub struct LogWatermarks {
     pub tail: Lsn,
     /// Records appended through this manager instance.
     pub records_appended: u64,
+    /// Of those, the unforced appends to a file log that stayed in the
+    /// user-space buffer — no drain ran for them (the coalescing the buffer
+    /// exists for). `Database::metrics_snapshot` reports both as the
+    /// `log_appends` and `log_coalesced` counters.
+    pub records_coalesced: u64,
     /// Bytes accepted but not yet handed to the OS: the user-space buffer
     /// plus a drain in flight. Under every file durability this grows with
     /// each unforced append and returns to zero at a force, a flush or the
@@ -111,6 +120,7 @@ struct Inner {
     sealed: usize,
     tail: u64,
     records_appended: u64,
+    records_coalesced: u64,
     /// Bytes handed to the OS: the file's length.
     written: u64,
     /// The prefix of `written` known to be on stable storage.
@@ -330,17 +340,14 @@ impl LogManager {
         inner.tail += (inner.pending.len() - start) as u64;
         inner.records_appended += records;
         let over_watermark = inner.pending.len() >= self.flush_watermark;
+        if !force && !over_watermark && self.disk.is_some() {
+            inner.records_coalesced += records;
+        }
         drop(inner);
-        add(&self.obs.counters.log_appends, records);
         if force {
             self.drain(self.durability == Durability::Strict)?;
-        } else if self.disk.is_some() {
-            if over_watermark {
-                self.drain_in_passing();
-            } else {
-                // stayed in user space: the coalescing the buffer exists for
-                add(&self.obs.counters.log_coalesced, records);
-            }
+        } else if over_watermark && self.disk.is_some() {
+            self.drain_in_passing();
         }
         if let Some(t0) = t0 {
             self.obs
@@ -488,6 +495,7 @@ impl LogManager {
         LogWatermarks {
             tail: Lsn(inner.tail),
             records_appended: inner.records_appended,
+            records_coalesced: inner.records_coalesced,
             pending_bytes: if on_disk {
                 (inner.tail - inner.written) as usize
             } else {
@@ -619,6 +627,7 @@ impl LogManager {
         {
             let (mut ours, mut theirs) = (self.inner.lock(), next.inner.lock());
             theirs.records_appended += ours.records_appended;
+            theirs.records_coalesced += ours.records_coalesced;
             std::mem::swap(&mut *ours, &mut *theirs);
             self.generation.fetch_add(1, Ordering::Relaxed);
         }
@@ -1098,14 +1107,29 @@ mod tests {
         for r in sample_records() {
             log.append(&r).unwrap();
         }
-        let snap = log.obs().snapshot();
-        assert_eq!(snap.counters.log_appends, 3);
-        assert_eq!(snap.counters.log_coalesced, 3, "all stayed in user space");
-        assert_eq!(snap.counters.log_flushes, 0);
+        let counts = |log: &LogManager| {
+            let w = log.watermarks();
+            (w.records_appended, w.records_coalesced)
+        };
+        assert_eq!(counts(&log), (3, 3), "all stayed in user space");
+        assert_eq!(log.obs().snapshot().counters.log_flushes, 0);
         log.append_forced(&LogRecord::Commit { tids: vec![Tid(1)] })
             .unwrap();
-        let snap = log.obs().snapshot();
-        assert_eq!(snap.counters.log_flushes, 1, "forced append drained");
+        assert_eq!(counts(&log), (4, 3), "a forced append is not coalesced");
+        assert_eq!(log.obs().snapshot().counters.log_flushes, 1);
+        drop(log);
+        // past the watermark every append drains: none coalesces
+        let log = LogManager::open_with(&path, Durability::Buffered, 1).unwrap();
+        for r in sample_records() {
+            log.append(&r).unwrap();
+        }
+        assert_eq!(counts(&log), (3, 0));
+        // nor does any in memory, where there is no drain to save
+        let log = LogManager::in_memory();
+        for r in sample_records() {
+            log.append(&r).unwrap();
+        }
+        assert_eq!(counts(&log), (3, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

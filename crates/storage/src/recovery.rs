@@ -284,7 +284,7 @@ pub(crate) fn undo_object(
     image: Option<Vec<u8>>,
 ) -> Result<()> {
     let entry = cache.entry(oid, store)?;
-    entry.write_with(|slot| {
+    entry.write_with(cache.obs(), |slot| {
         let generation = log.generation();
         let logged = log.append_ref(&RecordRef::Clr {
             oid,
@@ -374,7 +374,7 @@ mod tests {
     /// from the store for an object the log never mentioned.
     fn get(cache: &ObjectCache, store: &ObjectStore, oid: Oid) -> Option<Vec<u8>> {
         let entry = cache.entry(oid, store).unwrap();
-        entry.read_with(|image| image.map(<[u8]>::to_vec))
+        entry.read_with(cache.obs(), |image| image.map(<[u8]>::to_vec))
     }
 
     #[test]
@@ -919,6 +919,6 @@ mod tests {
         .unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!((report.max_tid, report.max_oid), (9, 71));
-        assert!(store.oids().is_empty(), "restart does not write the store");
+        assert!(store.is_empty(), "restart does not write the store");
     }
 }

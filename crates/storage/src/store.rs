@@ -4,6 +4,9 @@
 //! An object directory (oid → page/slot) is rebuilt by scanning pages at
 //! open time, EOS-style — pages are self-describing, so there is no
 //! separate catalog to corrupt.
+//!
+//! The store's *ceiling* is the largest oid it has ever held, so the cache
+//! fills a miss above it without asking the directory.
 
 use crate::buffer::BufferPool;
 use crate::heapfile::PageStore;
@@ -11,6 +14,7 @@ use crate::page::{Page, PageId};
 use crate::slotted::{SlotId, SlottedPage};
 use asset_common::sync::Mutex;
 use asset_common::{AssetError, IdMap, Oid, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Object store over a page store.
@@ -20,6 +24,8 @@ pub struct ObjectStore {
     /// Pages most recently observed to have free room, newest last.
     free_hints: Mutex<Vec<PageId>>,
     page_size: usize,
+    /// See [`ceiling`](Self::ceiling).
+    ceiling: AtomicU64,
 }
 
 impl ObjectStore {
@@ -46,12 +52,22 @@ impl ObjectStore {
                 Ok(())
             })?;
         }
+        let ceiling = dir.keys().map(|o| o.raw()).max().unwrap_or(0);
         Ok(ObjectStore {
             pool,
             dir: Mutex::new(dir),
             free_hints: Mutex::new((0..n).collect()),
             page_size,
+            ceiling: AtomicU64::new(ceiling),
         })
+    }
+
+    /// The largest oid this store has ever held (0 if none): no object
+    /// above it is stored. An atomic load, which the cache may take under
+    /// its shard mutex. Relaxed: a `put` raises it before the directory
+    /// mutex that publishes the object.
+    pub fn ceiling(&self) -> u64 {
+        self.ceiling.load(Ordering::Relaxed)
     }
 
     /// Number of live objects.
@@ -62,16 +78,6 @@ impl ObjectStore {
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
         self.dir.lock().is_empty()
-    }
-
-    /// Does `oid` exist?
-    pub fn contains(&self, oid: Oid) -> bool {
-        self.dir.lock().contains_key(&oid)
-    }
-
-    /// All live object ids (snapshot).
-    pub fn oids(&self) -> Vec<Oid> {
-        self.dir.lock().keys().copied().collect()
     }
 
     /// Read the payload of `oid`.
@@ -100,6 +106,7 @@ impl ObjectStore {
                 bytes.len()
             )));
         }
+        self.ceiling.fetch_max(oid.raw(), Ordering::Relaxed);
         let loc = { self.dir.lock().get(&oid).copied() };
         if let Some((pid, slot)) = loc {
             // Try updating in place on its current page.
@@ -199,11 +206,6 @@ impl ObjectStore {
     pub fn flush(&self) -> Result<()> {
         self.pool.flush_all()
     }
-
-    /// Buffer pool statistics `(hits, misses)`.
-    pub fn pool_stats(&self) -> (u32, u32) {
-        self.pool.stats()
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +226,7 @@ mod tests {
         assert_eq!(s.get(Oid(2)).unwrap().unwrap(), b"beta");
         assert_eq!(s.get(Oid(3)).unwrap(), None);
         assert_eq!(s.len(), 2);
-        assert!(s.contains(Oid(1)));
-        assert!(!s.contains(Oid(9)));
+        assert!(s.get(Oid(1)).unwrap().is_some());
     }
 
     #[test]
@@ -269,6 +270,19 @@ mod tests {
     }
 
     #[test]
+    fn the_ceiling_is_the_largest_oid_ever_held() {
+        let s = mem_store();
+        assert_eq!(s.ceiling(), 0);
+        s.put(Oid(7), b"x").unwrap();
+        s.put(Oid(3), b"y").unwrap();
+        assert_eq!(s.ceiling(), 7);
+        s.delete(Oid(7)).unwrap();
+        assert_eq!(s.ceiling(), 7, "a delete does not lower it");
+        s.put(Oid(u64::MAX), b"z").unwrap();
+        assert_eq!(s.ceiling(), u64::MAX);
+    }
+
+    #[test]
     fn oversized_object_rejected() {
         let s = mem_store();
         assert!(s.put(Oid(1), &vec![0u8; 600]).is_err());
@@ -292,6 +306,7 @@ mod tests {
         let ps = Arc::new(FilePageStore::open(&path, 512).unwrap());
         let s = ObjectStore::open(ps, 16).unwrap();
         assert_eq!(s.len(), 29);
+        assert_eq!(s.ceiling(), 30, "rebuilt from the directory");
         assert_eq!(s.get(Oid(7)).unwrap().unwrap(), b"value-6");
         assert_eq!(s.get(Oid(5)).unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
