@@ -12,9 +12,9 @@ use super::Scale;
 use crate::table::{fmt_duration, fmt_rate, Table};
 use crate::workload::parallel_time;
 use asset_core::Database;
-use asset_mlt::{run_mlt, EscrowCounter, MltOutcome, SemanticLockTable};
+use asset_models::mlt::{run_mlt, EscrowCounter, MltOutcome};
 use asset_storage::Latch;
-use std::sync::Arc;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// E12 — ablation suite.
@@ -36,11 +36,9 @@ pub fn e12_ablations(scale: Scale) -> Table {
     for use_mlt in [false, true] {
         let db = Database::in_memory();
         let counter = EscrowCounter::create(&db, 0).unwrap();
-        let sem = Arc::new(SemanticLockTable::new());
         let elapsed = parallel_time(sessions, |_| {
             if use_mlt {
-                let sem = Arc::clone(&sem);
-                let out = run_mlt(&db, &sem, move |mlt| {
+                let out = run_mlt(&db, move |mlt| {
                     for _ in 0..increments {
                         counter.add(mlt, 1)?;
                         std::thread::sleep(think);
@@ -128,26 +126,23 @@ pub fn e12_ablations(scale: Scale) -> Table {
         // commuting +100 and commits, then t1 aborts — the inverse removes
         // only t1's own +10
         let db = Database::in_memory();
-        let sem = Arc::new(SemanticLockTable::new());
         let counter = EscrowCounter::create(&db, 0).unwrap();
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g1 = Arc::clone(&gate);
+        let (added, after_add) = mpsc::channel();
+        let (go, gate) = mpsc::channel::<()>();
         let db1 = db.clone();
-        let sem1 = Arc::clone(&sem);
         let t1 = std::thread::spawn(move || {
-            run_mlt(&db1, &sem1, move |mlt| {
+            run_mlt(&db1, move |mlt| {
                 counter.add(mlt, 10)?;
-                while !g1.load(std::sync::atomic::Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                mlt.ctx().abort_self::<()>().map(|_| ())
+                let _ = added.send(());
+                let _ = gate.recv();
+                mlt.ctx().abort_self()
             })
             .unwrap()
         });
-        std::thread::sleep(Duration::from_millis(20));
-        let out2 = run_mlt(&db, &sem, move |mlt| counter.add(mlt, 100)).unwrap();
+        after_add.recv().unwrap();
+        let out2 = run_mlt(&db, move |mlt| counter.add(mlt, 100)).unwrap();
         assert_eq!(out2, MltOutcome::Committed);
-        gate.store(true, std::sync::atomic::Ordering::SeqCst);
+        go.send(()).unwrap();
         let out1 = t1.join().unwrap();
         assert_eq!(out1, MltOutcome::Undone { inverses_run: 1 });
         let survives = counter.peek(&db);

@@ -15,7 +15,9 @@
 //!   (§3.2.1);
 //! * [`cursor`] — cursor stability via wildcard write permits (§3.2.2);
 //! * [`workflow`] — the workflow engine and the appendix's `X_conference`
-//!   travel activity (§3.2.3 + appendix).
+//!   travel activity (§3.2.3 + appendix);
+//! * [`mlt`] — multi-level transactions: semantic locks as locks on guard
+//!   objects, kept through logical undo by `delegate` (§5 future work).
 //!
 //! These play the role the paper assigns to the database-language compiler:
 //! users program against the model, the model emits primitive calls.
@@ -27,6 +29,7 @@ pub mod contingent;
 pub mod coop;
 pub mod cursor;
 pub mod distributed;
+pub mod mlt;
 pub mod nested;
 pub mod saga;
 pub mod split;

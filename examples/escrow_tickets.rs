@@ -7,13 +7,13 @@
 //! Ten sales agents sell tickets from one escrow-counter inventory,
 //! concurrently, each inside a long-lived multi-level transaction. Under
 //! plain ASSET locking the agents would serialize on the counter for their
-//! whole session; with commutativity-based semantic locks their decrements
-//! interleave — and the escrow floor guarantees the venue is never
-//! oversold, even while some sessions abort and are logically undone.
-//! A second act runs the paper's own department example: hiring and raises
-//! commute.
+//! whole session; as updates, which share the counter's semantic lock,
+//! their decrements interleave — and the escrow floor guarantees the venue
+//! is never oversold, even while some sessions abort and are logically
+//! undone. A second act runs the paper's own department example: hiring
+//! and raises commute.
 
-use asset::mlt::{run_mlt, Department, EscrowCounter, MltOutcome, SemanticLockTable};
+use asset::models::mlt::{run_mlt, Department, EscrowCounter, MltOutcome};
 use asset::Database;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,6 @@ fn main() -> asset::Result<()> {
     println!("== act 1: the ticket office (escrow counter) ==\n");
     let db = Database::in_memory();
     db.obs().enable_tracing(1 << 14);
-    let sem = Arc::new(SemanticLockTable::new());
     let seats = EscrowCounter::create(&db, 100)?;
     println!("on sale: {} seats", seats.peek(&db));
 
@@ -33,7 +32,6 @@ fn main() -> asset::Result<()> {
     std::thread::scope(|scope| {
         for agent in 0..10 {
             let db = db.clone();
-            let sem = Arc::clone(&sem);
             let sold = Arc::clone(&sold);
             let refused = Arc::clone(&refused);
             let undone = Arc::clone(&undone);
@@ -45,7 +43,7 @@ fn main() -> asset::Result<()> {
                     let fail_payment = (agent + session) % 7 == 0;
                     let sold2 = Arc::clone(&sold);
                     let refused2 = Arc::clone(&refused);
-                    let out = run_mlt(&db, &sem, move |mlt| {
+                    let out = run_mlt(&db, move |mlt| {
                         let mut got = 0;
                         for _ in 0..3 {
                             if seats.sub_bounded(mlt, 1, 0).is_ok() {
@@ -98,18 +96,16 @@ fn main() -> asset::Result<()> {
 
     println!("\n== act 2: the paper's department example (§5) ==\n");
     let db = Database::in_memory();
-    let sem = Arc::new(SemanticLockTable::new());
     let dept = Department::create(&db)?;
-    run_mlt(&db, &sem, move |mlt| dept.add_employee(mlt, "ada", 100))?;
+    run_mlt(&db, move |mlt| dept.add_employee(mlt, "ada", 100))?;
 
-    // hiring and raising run concurrently: the classes commute
+    // hiring and raising run concurrently: both are updates
     std::thread::scope(|scope| {
         let db1 = db.clone();
-        let sem1 = Arc::clone(&sem);
         scope.spawn(move || {
-            run_mlt(&db1, &sem1, move |mlt| {
+            run_mlt(&db1, move |mlt| {
                 for (name, salary) in [("grace", 110), ("edsger", 105), ("barbara", 115)] {
-                    mlt.add_pause();
+                    pause();
                     dept.add_employee(mlt, name, salary)?;
                     println!("   recruiter: hired {name} at {salary}");
                 }
@@ -118,11 +114,10 @@ fn main() -> asset::Result<()> {
             .unwrap();
         });
         let db2 = db.clone();
-        let sem2 = Arc::clone(&sem);
         scope.spawn(move || {
-            run_mlt(&db2, &sem2, move |mlt| {
+            run_mlt(&db2, move |mlt| {
                 for _ in 0..3 {
-                    mlt.add_pause();
+                    pause();
                     dept.raise_salary(mlt, "ada", 10)?;
                     println!("   manager:   gave ada a +10 raise");
                 }
@@ -139,13 +134,7 @@ fn main() -> asset::Result<()> {
     Ok(())
 }
 
-/// Tiny helper so the interleaving is visible in the output.
-trait Pause {
-    fn add_pause(&self);
-}
-
-impl Pause for asset::mlt::MltSession<'_> {
-    fn add_pause(&self) {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+/// A short think time, so the interleaving is visible in the output.
+fn pause() {
+    std::thread::sleep(std::time::Duration::from_millis(5));
 }

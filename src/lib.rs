@@ -27,13 +27,13 @@
 //! * [`asset_core`] ([`Database`], [`TxnCtx`]) — the primitives;
 //! * [`asset_models`] — nested, split/join, sagas, contingent, distributed,
 //!   cooperating transactions, cursor stability, and workflows, each built
-//!   from the primitives exactly as §3 of the paper prescribes;
+//!   from the primitives exactly as §3 of the paper prescribes, and
+//!   multi-level transactions with semantic locks and logical undo (the
+//!   paper's §5 future work);
 //! * [`asset_storage`] — the EOS-style substrate (shared object cache,
 //!   latches, WAL, recovery);
 //! * [`asset_lock`] — the lock manager with permits and suspension;
 //! * [`asset_dep`] — the dependency graph;
-//! * [`asset_mlt`] — multi-level transactions with commutativity-based
-//!   semantic locking and logical undo (the paper's §5 future work);
 //! * [`asset_obs`] — the observability layer: lifecycle counters, wait-free
 //!   histograms, and a structured event trace of every primitive
 //!   (`Database::metrics_snapshot` / `Database::obs`);
@@ -83,7 +83,6 @@ pub use asset_core as txn;
 pub use asset_dep as dep;
 pub use asset_faults as faults;
 pub use asset_lock as lock;
-pub use asset_mlt as mlt;
 pub use asset_models as models;
 pub use asset_obs as obs;
 pub use asset_server as server;

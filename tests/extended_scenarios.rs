@@ -3,7 +3,7 @@
 //! test with log compaction and crash recovery at the end.
 
 use asset::faults::Rng;
-use asset::mlt::{run_mlt, EscrowCounter, MltOutcome, SemanticLockTable};
+use asset::models::mlt::{run_mlt, EscrowCounter, MltOutcome};
 use asset::models::{required_subtransaction, run_atomic, run_nested, Saga, SagaOutcome};
 use asset::{Config, Database, Oid};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -24,7 +24,6 @@ fn dec(b: &[u8]) -> i64 {
 #[test]
 fn design_office_end_to_end() {
     let db = Database::in_memory();
-    let sem = Arc::new(SemanticLockTable::new());
     let budget = EscrowCounter::create(&db, 10_000).unwrap();
 
     let billing = db.new_oid();
@@ -34,12 +33,11 @@ fn design_office_end_to_end() {
     std::thread::scope(|scope| {
         for p in 0..6i64 {
             let db = db.clone();
-            let sem = Arc::clone(&sem);
             let completed = Arc::clone(&completed);
             scope.spawn(move || {
                 // spend from the shared budget under MLT...
                 let cost = 500 + p * 100;
-                let spend = run_mlt(&db, &sem, move |mlt| {
+                let spend = run_mlt(&db, move |mlt| {
                     budget.sub_bounded(mlt, cost, 0)?;
                     Ok(())
                 })
@@ -260,4 +258,71 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
         "conserved across compactions and crash"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A multi-level transaction whose commit path fails after its body ran
+/// still frees its semantic locks (run with `--features faults`).
+#[cfg(feature = "faults")]
+mod mlt_errors {
+    use asset::faults::{FaultAction, FaultRegistry, Trigger};
+    use asset::models::mlt::{run_mlt, EscrowCounter, MltOutcome};
+    use asset::txn::failpoints::COMMIT_RECORD;
+    use asset::{Config, Database};
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+
+    fn faulted_db() -> (Database, Arc<FaultRegistry>) {
+        let faults = Arc::new(FaultRegistry::new());
+        let config = Config::in_memory().with_faults(Arc::clone(&faults));
+        (Database::open(config).unwrap().0, faults)
+    }
+
+    /// What a later observer of `counter` sees. It must get the counter's
+    /// guard at once, not after the lock timeout.
+    fn observe(db: &Database, counter: EscrowCounter) -> i64 {
+        let (seen, value) = mpsc::channel();
+        let start = Instant::now();
+        let out = run_mlt(db, move |mlt| {
+            let _ = seen.send(counter.observe(mlt)?);
+            Ok(())
+        });
+        assert_eq!(out.unwrap(), MltOutcome::Committed);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "guard left locked"
+        );
+        value.recv().unwrap()
+    }
+
+    #[test]
+    fn a_failed_inverse_still_frees_the_guard() {
+        let (db, faults) = faulted_db();
+        let counter = EscrowCounter::create(&db, 0).unwrap();
+        let err = run_mlt(&db, move |mlt| {
+            counter.add(mlt, 1)?;
+            // the next commit record is the inverse's
+            faults.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
+            mlt.ctx().abort_self()
+        })
+        .expect_err("the inverse's commit record fails");
+        assert!(err.to_string().contains("commit.record"), "{err}");
+        assert_eq!(observe(&db, counter), 1, "the undo stopped at the inverse");
+    }
+
+    #[test]
+    fn a_failed_parent_commit_record_runs_the_inverses() {
+        let (db, faults) = faulted_db();
+        let counter = EscrowCounter::create(&db, 0).unwrap();
+        let note = db.new_oid();
+        let err = run_mlt(&db, move |mlt| {
+            counter.add(mlt, 1)?;
+            mlt.ctx().write(note, b"x".to_vec())?; // the parent's own record
+            faults.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
+            Ok(())
+        })
+        .expect_err("the parent's commit record fails");
+        assert!(err.to_string().contains("commit.record"), "{err}");
+        assert_eq!(db.peek(note).unwrap(), None);
+        assert_eq!(observe(&db, counter), 0, "the parent's add was undone");
+    }
 }
