@@ -41,9 +41,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use asset_common::codec::{CodecError, Reader};
 use asset_obs::{EventKind, MetricsSnapshot, Obs, TraceCtx};
 use asset_server::protocol::{
-    get_i64, get_u32, get_u64, get_u8, opcode, status, status_name, Frame, WireError,
+    encode_tids, opcode, read_body, read_tids, status, status_name, write_obset, Frame, WireError,
     PROTOCOL_VERSION, STATS_BODY_REVISION,
 };
 use std::collections::VecDeque;
@@ -97,6 +98,12 @@ impl From<std::io::Error> for ClientError {
 impl From<WireError> for ClientError {
     fn from(e: WireError) -> ClientError {
         ClientError::Io(e.into())
+    }
+}
+
+impl From<CodecError> for ClientError {
+    fn from(e: CodecError) -> ClientError {
+        WireError::from(e).into()
     }
 }
 
@@ -219,8 +226,7 @@ impl Client {
             pending: VecDeque::new(),
             trace: None,
         };
-        let payload = c.call(opcode::HELLO, Vec::new())?.into_ok()?;
-        let server_version = get_u8(&payload, 0)?;
+        let server_version = Reader::new(&c.ok_payload(opcode::HELLO, Vec::new())?).u8()?;
         if server_version != PROTOCOL_VERSION {
             return Err(ClientError::Server {
                 opcode: opcode::HELLO,
@@ -326,12 +332,12 @@ impl Client {
                 root: t.ctx.root,
             });
         }
-        let status = get_u8(&frame.body, 0)?;
+        let mut r = Reader::new(&frame.body);
         Ok(Response {
             opcode: frame.opcode,
             reqid: frame.reqid,
-            status,
-            payload: frame.body[1..].to_vec(),
+            status: r.u8()?,
+            payload: r.rest().to_vec(),
         })
     }
 
@@ -359,33 +365,37 @@ impl Client {
         Ok(resp)
     }
 
+    /// A typed call's OK payload (an error status is a [`ClientError`]).
+    fn ok_payload(&mut self, op: u8, body: Vec<u8>) -> Result<Vec<u8>, ClientError> {
+        self.call(op, body)?.into_ok()
+    }
+
     // --- typed operations ------------------------------------------------
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call(opcode::PING, Vec::new())?.into_ok().map(|_| ())
+        self.ok_payload(opcode::PING, Vec::new()).map(drop)
     }
 
     /// Open a session transaction; returns its tid.
     pub fn begin(&mut self) -> Result<u64, ClientError> {
-        let payload = self
-            .call(opcode::BEGIN, 0u64.to_le_bytes().to_vec())?
-            .into_ok()?;
-        Ok(get_u64(&payload, 0)?)
+        let parent = 0u64.to_le_bytes().to_vec(); // reserved, must be 0
+        Ok(Reader::new(&self.ok_payload(opcode::BEGIN, parent)?).u64()?)
     }
 
     /// Transactional read. `Ok(None)` means the object has no
     /// committed-or-own-written image.
     pub fn read(&mut self, tid: u64, oid: u64) -> Result<Option<Vec<u8>>, ClientError> {
-        let payload = self.call(opcode::READ, body_read(tid, oid))?.into_ok()?;
-        Ok(decode_read_payload(&payload)?)
+        let body = [tid, oid].map(u64::to_le_bytes).concat();
+        let payload = self.ok_payload(opcode::READ, body)?;
+        let mut r = Reader::new(&payload);
+        Ok((r.u8()? != 0).then(|| r.rest().to_vec()))
     }
 
     /// Transactional write.
     pub fn write(&mut self, tid: u64, oid: u64, value: &[u8]) -> Result<(), ClientError> {
-        self.call(opcode::WRITE, body_write(tid, oid, value))?
-            .into_ok()
-            .map(|_| ())
+        let body = [&tid.to_le_bytes()[..], &oid.to_le_bytes(), value].concat();
+        self.ok_payload(opcode::WRITE, body).map(drop)
     }
 
     /// Commit; the `Committed` fate means the commit record is durable
@@ -397,18 +407,16 @@ impl Client {
 
     /// Abort and roll back.
     pub fn abort(&mut self, tid: u64) -> Result<(), ClientError> {
-        self.call(opcode::ABORT, tid.to_le_bytes().to_vec())?
-            .into_ok()
-            .map(|_| ())
+        self.ok_payload(opcode::ABORT, tid.to_le_bytes().to_vec())
+            .map(drop)
     }
 
     /// `delegate(from, to, obs)` — `None` delegates everything
     /// delegable.
     pub fn delegate(&mut self, from: u64, to: u64, obs: Option<&[u64]>) -> Result<(), ClientError> {
-        let mut body = from.to_le_bytes().to_vec();
-        body.extend_from_slice(&to.to_le_bytes());
-        encode_obset(&mut body, obs);
-        self.call(opcode::DELEGATE, body)?.into_ok().map(|_| ())
+        let mut body = [from, to].map(u64::to_le_bytes).concat();
+        write_obset(&mut body, obs);
+        self.ok_payload(opcode::DELEGATE, body).map(drop)
     }
 
     /// `permit(grantor, grantee, obs, ops)` — `grantee: None` is the
@@ -421,26 +429,24 @@ impl Client {
         obs: Option<&[u64]>,
         ops: u8,
     ) -> Result<(), ClientError> {
-        let mut body = grantor.to_le_bytes().to_vec();
-        body.extend_from_slice(&grantee.unwrap_or(0).to_le_bytes());
+        let mut body = [grantor, grantee.unwrap_or(0)]
+            .map(u64::to_le_bytes)
+            .concat();
         body.push(ops);
-        encode_obset(&mut body, obs);
-        self.call(opcode::PERMIT, body)?.into_ok().map(|_| ())
+        write_obset(&mut body, obs);
+        self.ok_payload(opcode::PERMIT, body).map(drop)
     }
 
     /// `form_dependency(kind, ti, tj)` with the wire kind byte
     /// (1 = CD, 2 = AD, 3 = GC).
     pub fn form_dependency(&mut self, kind: u8, ti: u64, tj: u64) -> Result<(), ClientError> {
-        let mut body = vec![kind];
-        body.extend_from_slice(&ti.to_le_bytes());
-        body.extend_from_slice(&tj.to_le_bytes());
-        self.call(opcode::FORM_DEP, body)?.into_ok().map(|_| ())
+        let body = [&[kind][..], &ti.to_le_bytes(), &tj.to_le_bytes()].concat();
+        self.ok_payload(opcode::FORM_DEP, body).map(drop)
     }
 
     /// Allocate one object id.
     pub fn new_oid(&mut self) -> Result<u64, ClientError> {
-        let payload = self.call(opcode::NEW_OID, Vec::new())?.into_ok()?;
-        Ok(get_u64(&payload, 0)?)
+        Ok(Reader::new(&self.ok_payload(opcode::NEW_OID, Vec::new())?).u64()?)
     }
 
     /// Bulk-create `count` accounts holding `initial` units each;
@@ -449,10 +455,10 @@ impl Client {
     /// multiple calls. On an error no funded accounts remain: the
     /// server deletes any chunks that had committed before the failure.
     pub fn mint(&mut self, count: u64, initial: i64) -> Result<(u64, u64), ClientError> {
-        let mut body = count.to_le_bytes().to_vec();
-        body.extend_from_slice(&initial.to_le_bytes());
-        let payload = self.call(opcode::MINT, body)?.into_ok()?;
-        Ok((get_u64(&payload, 0)?, get_u64(&payload, 8)?))
+        let body = [count.to_le_bytes(), initial.to_le_bytes()].concat();
+        let payload = self.ok_payload(opcode::MINT, body)?;
+        let mut r = Reader::new(&payload);
+        Ok((r.u64()?, r.u64()?))
     }
 
     /// Sum committed i64 counters over `first..first+count`; returns
@@ -462,10 +468,10 @@ impl Client {
     /// `MAX_SUM_COUNT` (DESIGN.md §13.3); sweep wider ranges in
     /// multiple calls.
     pub fn sum(&mut self, first: u64, count: u64) -> Result<(i64, u64), ClientError> {
-        let mut body = first.to_le_bytes().to_vec();
-        body.extend_from_slice(&count.to_le_bytes());
-        let payload = self.call(opcode::SUM, body)?.into_ok()?;
-        Ok((get_i64(&payload, 0)?, get_u64(&payload, 8)?))
+        let body = [first, count].map(u64::to_le_bytes).concat();
+        let payload = self.ok_payload(opcode::SUM, body)?;
+        let mut r = Reader::new(&payload);
+        Ok((r.i64()?, r.u64()?))
     }
 
     /// Aggregate server counters — a compact summary derived from the
@@ -486,16 +492,17 @@ impl Client {
     /// self-describing, so a newer server's extra metrics are skipped
     /// rather than failing the call.
     pub fn metrics(&mut self) -> Result<(u64, MetricsSnapshot), ClientError> {
-        let payload = self.call(opcode::STATS, Vec::new())?.into_ok()?;
-        let rev = get_u8(&payload, 0)?;
+        let payload = self.ok_payload(opcode::STATS, Vec::new())?;
+        let mut r = Reader::new(&payload);
+        let rev = r.u8()?;
         if rev != STATS_BODY_REVISION {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("STATS body revision {rev}, expected {STATS_BODY_REVISION}"),
             )));
         }
-        let live = get_u64(&payload, 1)?;
-        let snap = asset_obs::wire::decode_snapshot(&payload[9..]).ok_or_else(|| {
+        let live = r.u64()?;
+        let snap = asset_obs::wire::decode_snapshot(r.rest()).ok_or_else(|| {
             ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "STATS metrics snapshot failed to decode",
@@ -514,17 +521,15 @@ impl Client {
     /// or [`abort_decide`](Self::abort_decide). Any error is a no vote;
     /// the transactions are aborted server-side.
     pub fn prepare(&mut self, tids: &[u64]) -> Result<Vec<u64>, ClientError> {
-        let payload = self
-            .call(opcode::PREPARE, encode_tid_list(tids))?
-            .into_ok()?;
-        decode_tid_list_payload(&payload).map_err(Into::into)
+        let payload = self.ok_payload(opcode::PREPARE, encode_tids(tids.iter().copied()))?;
+        Ok(read_tids(&mut Reader::new(&payload))?)
     }
 
     /// Pipelined [`prepare`](Self::prepare): write the request and flush
     /// it without waiting, so prepares to several servers are in flight at
     /// once; [`recv_prepare`](Self::recv_prepare) reads the vote.
     pub fn send_prepare(&mut self, tids: &[u64]) -> Result<u32, ClientError> {
-        let reqid = self.send(opcode::PREPARE, encode_tid_list(tids))?;
+        let reqid = self.send(opcode::PREPARE, encode_tids(tids.iter().copied()))?;
         self.flush()?;
         Ok(reqid)
     }
@@ -534,16 +539,14 @@ impl Client {
     /// is a no.
     pub fn recv_prepare(&mut self) -> Result<Vec<u64>, ClientError> {
         let payload = self.recv()?.into_ok()?;
-        decode_tid_list_payload(&payload).map_err(Into::into)
+        Ok(read_tids(&mut Reader::new(&payload))?)
     }
 
     /// Query a transaction's distributed-commit state — usable for tids
     /// of any session, including after the server restarted.
     pub fn prepared_state(&mut self, tid: u64) -> Result<PreparedState, ClientError> {
-        let payload = self
-            .call(opcode::PREPARED, tid.to_le_bytes().to_vec())?
-            .into_ok()?;
-        Ok(match get_u8(&payload, 0)? {
+        let payload = self.ok_payload(opcode::PREPARED, tid.to_le_bytes().to_vec())?;
+        Ok(match Reader::new(&payload).u8()? {
             1 => PreparedState::Prepared,
             2 => PreparedState::Committed,
             3 => PreparedState::Aborted,
@@ -557,24 +560,20 @@ impl Client {
     /// decision is applied (it is already durable at the coordinator's
     /// acceptors; the participant's commit record rides its next force).
     pub fn commit_decide(&mut self, tids: &[u64]) -> Result<(), ClientError> {
-        self.call(opcode::COMMIT_DECIDE, encode_tid_list(tids))?
-            .into_ok()
-            .map(|_| ())
+        self.ok_payload(opcode::COMMIT_DECIDE, encode_tids(tids.iter().copied()))
+            .map(drop)
     }
 
     /// Deliver the coordinator's **abort** decision for a prepared
     /// group. Sessionless and idempotent.
     pub fn abort_decide(&mut self, tids: &[u64]) -> Result<(), ClientError> {
-        self.call(opcode::ABORT_DECIDE, encode_tid_list(tids))?
-            .into_ok()
-            .map(|_| ())
+        self.ok_payload(opcode::ABORT_DECIDE, encode_tids(tids.iter().copied()))
+            .map(drop)
     }
 
     /// Ask the server to shut down (acknowledged before it stops).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.call(opcode::SHUTDOWN, Vec::new())?
-            .into_ok()
-            .map(|_| ())
+        self.ok_payload(opcode::SHUTDOWN, Vec::new()).map(drop)
     }
 
     /// Convenience: the committed i64 counter value of `oid`, read in a
@@ -584,11 +583,7 @@ impl Client {
         let v = self.read(tid, oid)?;
         // terminal either way; an abort after a pure read is free
         self.abort(tid)?;
-        Ok(v.and_then(|b| {
-            <[u8; 8]>::try_from(b.as_slice())
-                .ok()
-                .map(i64::from_le_bytes)
-        }))
+        Ok(v.and_then(|b| read_body(&b, Reader::i64).ok()))
     }
 
     // --- money-ledger helpers --------------------------------------------
@@ -658,34 +653,9 @@ impl Client {
     }
 }
 
-fn body_read(tid: u64, oid: u64) -> Vec<u8> {
-    let mut b = tid.to_le_bytes().to_vec();
-    b.extend_from_slice(&oid.to_le_bytes());
-    b
-}
-
-fn body_write(tid: u64, oid: u64, value: &[u8]) -> Vec<u8> {
-    let mut b = body_read(tid, oid);
-    b.extend_from_slice(value);
-    b
-}
-
-/// Decode a READ OK payload: present flag + bytes.
-fn decode_read_payload(payload: &[u8]) -> Result<Option<Vec<u8>>, WireError> {
-    match get_u8(payload, 0)? {
-        0 => Ok(None),
-        _ => Ok(Some(payload[1..].to_vec())),
-    }
-}
-
 /// A missing or malformed counter reads as 0 units.
 fn decode_i64(v: Option<Vec<u8>>) -> i64 {
-    v.and_then(|b| {
-        <[u8; 8]>::try_from(b.as_slice())
-            .ok()
-            .map(i64::from_le_bytes)
-    })
-    .unwrap_or(0)
+    v.and_then(|b| read_body(&b, Reader::i64).ok()).unwrap_or(0)
 }
 
 /// Map a COMMIT response onto a [`TxnFate`].
@@ -699,44 +669,6 @@ fn decode_commit_status(resp: Response) -> Result<TxnFate, ClientError> {
             status: resp.status,
             message: String::from_utf8_lossy(&resp.payload).into_owned(),
         }),
-    }
-}
-
-/// Encode the `u32` n + n×`u64` tids list shape shared by PREPARE and
-/// the decide opcodes.
-fn encode_tid_list(tids: &[u64]) -> Vec<u8> {
-    let mut body = (tids.len() as u32).to_le_bytes().to_vec();
-    for t in tids {
-        body.extend_from_slice(&t.to_le_bytes());
-    }
-    body
-}
-
-/// Decode a `u32` m + m×`u64` tids payload (the PREPARE OK body).
-fn decode_tid_list_payload(payload: &[u8]) -> Result<Vec<u64>, WireError> {
-    let n = get_u32(payload, 0)? as usize;
-    let mut tids = Vec::with_capacity(n.min(payload.len() / 8));
-    for i in 0..n {
-        tids.push(get_u64(payload, 4 + 8 * i)?);
-    }
-    Ok(tids)
-}
-
-/// Encode the shared object-set body shape: `u8` all flag, `u32` n,
-/// n×`u64` oids.
-fn encode_obset(body: &mut Vec<u8>, obs: Option<&[u64]>) {
-    match obs {
-        None => {
-            body.push(1);
-            body.extend_from_slice(&0u32.to_le_bytes());
-        }
-        Some(oids) => {
-            body.push(0);
-            body.extend_from_slice(&(oids.len() as u32).to_le_bytes());
-            for oid in oids {
-                body.extend_from_slice(&oid.to_le_bytes());
-            }
-        }
     }
 }
 
@@ -839,10 +771,12 @@ mod tests {
         let tid = c.begin().unwrap();
         // queue a burst of writes plus a read without waiting
         let mut ids = Vec::new();
+        let body = [tid, first].map(u64::to_le_bytes).concat();
         for i in 0..8u8 {
-            ids.push(c.send(opcode::WRITE, body_write(tid, first, &[i])).unwrap());
+            let write = [&body[..], &[i]].concat();
+            ids.push(c.send(opcode::WRITE, write).unwrap());
         }
-        ids.push(c.send(opcode::READ, body_read(tid, first)).unwrap());
+        ids.push(c.send(opcode::READ, body).unwrap());
         assert_eq!(c.inflight(), 9);
         for want in &ids[..8] {
             let resp = c.recv().unwrap();
@@ -852,8 +786,8 @@ mod tests {
         let last = c.recv().unwrap();
         assert_eq!(last.reqid, ids[8]);
         assert_eq!(
-            decode_read_payload(&last.into_ok().unwrap()).unwrap(),
-            Some(vec![7]),
+            last.into_ok().unwrap(),
+            [1, 7],
             "responses arrive in request order"
         );
         assert_eq!(c.commit(tid).unwrap(), TxnFate::Committed);

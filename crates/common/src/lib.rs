@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod ids;

@@ -15,6 +15,7 @@
 //! and ignores a torn tail (a crash mid-append: the answer it would have
 //! backed was never given).
 
+use asset_common::codec::{CodecError, Reader};
 use asset_common::sync::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -40,10 +41,6 @@ struct Slot {
     accepted: Option<Accepted>,
 }
 
-fn le(bytes: &[u8]) -> u64 {
-    bytes.iter().rev().fold(0, |n, b| n << 8 | u64::from(*b))
-}
-
 impl Slot {
     fn encode(&self, (gid, node): Instance, out: &mut Vec<u8>) {
         let (tag, ballot) = match self.accepted {
@@ -57,12 +54,11 @@ impl Slot {
         out.extend_from_slice(&ballot.to_le_bytes());
     }
 
-    fn decode(rec: &[u8]) -> (Instance, Slot) {
-        let slot = Slot {
-            promised: le(&rec[12..20]),
-            accepted: (rec[20] != 0).then(|| (le(&rec[21..29]), rec[20] == 2)),
-        };
-        ((le(&rec[..8]), le(&rec[8..12]) as u32), slot)
+    fn decode(rec: &[u8]) -> Result<(Instance, Slot), CodecError> {
+        let mut r = Reader::new(rec);
+        let (instance, promised, tag, ballot) = ((r.u64()?, r.u32()?), r.u64()?, r.u8()?, r.u64()?);
+        let accepted = (tag != 0).then_some((ballot, tag == 2));
+        Ok((instance, Slot { promised, accepted }))
     }
 }
 
@@ -136,9 +132,12 @@ impl Acceptor {
             file.set_len(whole as u64)?;
         }
         let slots = bytes[..whole].chunks_exact(RECORD).map(Slot::decode);
+        let slots = slots
+            .collect::<Result<_, _>>()
+            .map_err(std::io::Error::other)?;
         Ok(Acceptor {
             store: Mutex::new(Store {
-                slots: slots.collect(),
+                slots,
                 file: Some(file),
             }),
             down: AtomicBool::new(false),

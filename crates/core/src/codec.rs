@@ -10,6 +10,7 @@
 //! substrate only needs round-tripping).
 
 use crate::context::TxnCtx;
+use asset_common::codec::Reader;
 use asset_common::{AssetError, Oid, Result};
 use std::marker::PhantomData;
 
@@ -21,17 +22,7 @@ pub trait ObjectCodec: Sized {
     fn decode(bytes: &[u8]) -> Result<Self>;
 }
 
-/// Read a little-endian `u32` length prefix at `at`, failing with
-/// [`AssetError::Corrupt`] instead of panicking on short payloads.
-fn read_u32(bytes: &[u8], at: usize) -> Result<u32> {
-    bytes
-        .get(at..at + 4)
-        .and_then(|s| <[u8; 4]>::try_from(s).ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| AssetError::Corrupt("truncated length prefix".into()))
-}
-
-macro_rules! int_codec {
+macro_rules! le_codec {
     ($($t:ty),*) => {$(
         impl ObjectCodec for $t {
             fn encode(&self) -> Vec<u8> {
@@ -52,7 +43,7 @@ macro_rules! int_codec {
     )*};
 }
 
-int_codec!(u8, u16, u32, u64, i8, i16, i32, i64, u128, i128);
+le_codec!(u8, u16, u32, u64, i8, i16, i32, i64, u128, i128, f64);
 
 impl ObjectCodec for bool {
     fn encode(&self) -> Vec<u8> {
@@ -66,18 +57,6 @@ impl ObjectCodec for bool {
                 "bool payload must be one byte 0/1".into(),
             )),
         }
-    }
-}
-
-impl ObjectCodec for f64 {
-    fn encode(&self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
-    }
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        let arr: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| AssetError::Corrupt("expected 8 bytes for f64".into()))?;
-        Ok(f64::from_le_bytes(arr))
     }
 }
 
@@ -120,30 +99,15 @@ where
         out
     }
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let need = |cond: bool| {
-            if cond {
-                Ok(())
-            } else {
-                Err(AssetError::Corrupt("truncated Vec payload".into()))
-            }
-        };
-        need(bytes.len() >= 4)?;
-        let n = read_u32(bytes, 0)? as usize;
-        let mut pos = 4usize;
+        let mut r = Reader::new(bytes);
+        let corrupt = |e| AssetError::Corrupt(format!("Vec payload: {e}"));
+        let n = r.u32().map_err(corrupt)? as usize;
         let mut out = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            need(bytes.len() >= pos + 4)?;
-            let len = read_u32(bytes, pos)? as usize;
-            pos += 4;
-            need(bytes.len() >= pos + len)?;
-            out.push(T::decode(&bytes[pos..pos + len])?);
-            pos += len;
+            let len = r.u32().map_err(corrupt)? as usize;
+            out.push(T::decode(r.bytes(len).map_err(corrupt)?)?);
         }
-        if pos != bytes.len() {
-            return Err(AssetError::Corrupt(
-                "trailing bytes after Vec payload".into(),
-            ));
-        }
+        r.finish().map_err(corrupt)?;
         Ok(out)
     }
 }
@@ -159,16 +123,12 @@ impl<A: ObjectCodec, B: ObjectCodec> ObjectCodec for (A, B) {
         out
     }
     fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 4 {
-            return Err(AssetError::Corrupt("truncated tuple payload".into()));
-        }
-        let alen = read_u32(bytes, 0)? as usize;
-        if bytes.len() < 4 + alen {
-            return Err(AssetError::Corrupt("truncated tuple payload".into()));
-        }
+        let mut r = Reader::new(bytes);
+        let corrupt = |e| AssetError::Corrupt(format!("tuple payload: {e}"));
+        let alen = r.u32().map_err(corrupt)? as usize;
         Ok((
-            A::decode(&bytes[4..4 + alen])?,
-            B::decode(&bytes[4 + alen..])?,
+            A::decode(r.bytes(alen).map_err(corrupt)?)?,
+            B::decode(r.rest())?,
         ))
     }
 }

@@ -48,6 +48,7 @@ pub use event::{Event, EventKind, EventRecorder, ModelKind, SpanName, DEFAULT_TR
 pub use hist::{AtomicHistogram, HistogramSnapshot, LATENCY_NS_BOUNDS, SMALL_COUNT_BOUNDS};
 pub use snapshot::MetricsSnapshot;
 
+use asset_common::codec::{CodecError, Reader};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,14 +77,11 @@ impl TraceCtx {
         b
     }
 
-    /// Decode a wire trace context; `None` if `b` is too short.
-    pub fn from_bytes(b: &[u8]) -> Option<TraceCtx> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        Some(TraceCtx {
-            origin: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            root: u64::from_le_bytes([b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11]]),
+    /// Read a wire trace context, the inverse of [`to_bytes`](Self::to_bytes).
+    pub fn read(r: &mut Reader<'_>) -> Result<TraceCtx, CodecError> {
+        Ok(TraceCtx {
+            origin: r.u32()?,
+            root: r.u64()?,
         })
     }
 }

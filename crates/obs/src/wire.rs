@@ -29,6 +29,7 @@
 
 use crate::hist::{HistogramSnapshot, LATENCY_NS_BOUNDS, SMALL_COUNT_BOUNDS};
 use crate::snapshot::MetricsSnapshot;
+use asset_common::codec::Reader;
 
 /// Current snapshot wire-format version (the body's leading byte).
 pub const SNAPSHOT_WIRE_VERSION: u8 = 1;
@@ -69,36 +70,26 @@ pub fn encode_snapshot(snap: &MetricsSnapshot) -> Vec<u8> {
 /// truncated body or an unknown format version; names this build does
 /// not know are skipped, not errors.
 pub fn decode_snapshot(body: &[u8]) -> Option<MetricsSnapshot> {
-    let mut r = Reader { buf: body, pos: 0 };
-    if r.u8()? != SNAPSHOT_WIRE_VERSION {
+    let r = &mut Reader::new(body);
+    if r.u8().ok()? != SNAPSHOT_WIRE_VERSION {
         return None;
     }
     let mut snap = MetricsSnapshot::empty();
-    let n_counters = r.u32()?;
-    for _ in 0..n_counters {
-        let name = r.name()?;
-        let value = r.u64()?;
+    for _ in 0..r.u32().ok()? {
+        let (name, value) = (name(r)?, r.u64().ok()?);
         // unknown counters (newer peer) are dropped on the floor
         let _ = snap.counters.set(&name, value);
     }
-    let n_hists = r.u32()?;
-    for _ in 0..n_hists {
-        let name = r.name()?;
-        let n_bounds = r.u32()? as usize;
-        // cap wildly-wrong counts before allocating (a histogram has a
-        // handful of boundaries, never thousands)
-        if n_bounds > 1024 {
-            return None;
-        }
-        let mut bounds = Vec::with_capacity(n_bounds);
-        for _ in 0..n_bounds {
-            bounds.push(r.u64()?);
-        }
-        let mut buckets = Vec::with_capacity(n_bounds + 1);
-        for _ in 0..=n_bounds {
-            buckets.push(r.u64()?);
-        }
-        let (count, sum, max) = (r.u64()?, r.u64()?, r.u64()?);
+    for _ in 0..r.u32().ok()? {
+        let name = name(r)?;
+        let n = r.u32().ok()? as usize;
+        // n boundaries, n + 1 buckets, count, sum and max: all present
+        // before anything is sized by a wildly wrong n
+        let mut words = Reader::new(r.bytes(n.saturating_mul(16).saturating_add(32)).ok()?);
+        let mut next = || words.u64().ok();
+        let bounds: Vec<u64> = (0..n).map(|_| next()).collect::<Option<_>>()?;
+        let buckets = (0..=n).map(|_| next()).collect::<Option<_>>()?;
+        let (count, sum, max) = (next()?, next()?, next()?);
         let boundaries: &'static [u64] = if bounds == LATENCY_NS_BOUNDS {
             LATENCY_NS_BOUNDS
         } else if bounds == SMALL_COUNT_BOUNDS {
@@ -116,8 +107,8 @@ pub fn decode_snapshot(body: &[u8]) -> Option<MetricsSnapshot> {
             };
         }
     }
-    snap.events_dropped = r.u64()?;
-    snap.tracing_enabled = r.u8()? != 0;
+    snap.events_dropped = r.u64().ok()?;
+    snap.tracing_enabled = r.u8().ok()? != 0;
     Some(snap)
 }
 
@@ -127,38 +118,10 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn name(&mut self) -> Option<String> {
-        let len = self.u8()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
+/// A `u8`-length-prefixed UTF-8 name.
+fn name(r: &mut Reader<'_>) -> Option<String> {
+    let len = r.u8().ok()?;
+    String::from_utf8(r.bytes(len.into()).ok()?.to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -221,7 +184,8 @@ mod tests {
             origin: 0xC0FFEE,
             root: 42,
         };
-        assert_eq!(crate::TraceCtx::from_bytes(&ctx.to_bytes()), Some(ctx));
-        assert_eq!(crate::TraceCtx::from_bytes(&[0; 11]), None);
+        let read = |b: &[u8]| crate::TraceCtx::read(&mut Reader::new(b));
+        assert_eq!(read(&ctx.to_bytes()), Ok(ctx));
+        assert_eq!(read(&[0; 11]), Err(asset_common::codec::CodecError::Short));
     }
 }

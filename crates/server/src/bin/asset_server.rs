@@ -18,8 +18,8 @@
 
 use asset_common::Config;
 use asset_core::Database;
+use asset_server::prom::PromServer;
 use asset_server::AssetServer;
-use asset_trace::prom::PromServer;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -34,6 +34,7 @@
 //! The standalone binary (`cargo run -p asset-server -- --addr
 //! 127.0.0.1:4994 --dir /tmp/asset`) wraps exactly this.
 
+pub mod prom;
 pub mod protocol;
 mod server;
 mod session;

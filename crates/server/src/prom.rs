@@ -29,9 +29,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Append one histogram in exposition format (`_bucket{le=...}` /
-/// `_sum` / `_count`, cumulative buckets) under `name`. Public so other
-/// crates (the server's `--serve-metrics` endpoint, the coordinator)
-/// can add their own families next to a [`render`]ed snapshot.
+/// `_sum` / `_count`, cumulative buckets) under `name`, so a caller (the
+/// server's per-opcode families) can add its own next to a [`render`]ed
+/// snapshot.
 pub fn render_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
@@ -55,9 +55,9 @@ pub fn render_histogram(out: &mut String, name: &str, help: &str, h: &HistogramS
 /// Render a snapshot (and optional per-stripe lock-table stats) in the
 /// Prometheus text exposition format.
 ///
-/// Counter totals in the output are exactly the totals in `snap` — the
-/// acceptance test for this crate scrapes a live endpoint and diffs it
-/// against `metrics_snapshot()`.
+/// Counter totals in the output are exactly the totals in `snap` —
+/// `tests/trace_export.rs` scrapes a live endpoint and diffs it against
+/// `metrics_snapshot()`.
 pub fn render(snap: &MetricsSnapshot, stripes: &[StripeStats]) -> String {
     let mut out = String::with_capacity(8192);
 
@@ -194,9 +194,7 @@ impl PromServer {
     /// Stop accepting and join the server thread (idempotent).
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // accept() has no timeout; a throwaway connection unblocks it so
-        // the thread can observe the stop flag.
-        let _ = TcpStream::connect(self.addr);
+        crate::server::wake_accept(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -1,37 +1,16 @@
 //! The ASSET wire protocol: length-prefixed binary frames over TCP.
 //!
 //! This module is the implementation of the **normative specification in
-//! `DESIGN.md` §13**; the example frames documented there are asserted
-//! byte-for-byte against this code by the
-//! `design_section_13_example_frames` test below. If you change anything
-//! here, change the spec in the same commit.
-//!
-//! ## Frame layout
-//!
-//! Every message — request or response — is one frame:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     len      u32 LE: bytes that follow this field
-//! 4       1     version  0x01 plain, 0x02 traced
-//! 5       1     opcode   see [`opcode`]
-//! 6       4     reqid    u32 LE: chosen by the client, echoed verbatim
-//! 10      len-6 body     opcode-specific payload
-//! ```
-//!
-//! A **traced** frame (version `0x02`) carries a 12-byte trace context
-//! between `reqid` and `body` — `u32` LE origin node id, `u64` LE root
-//! span id (DESIGN.md §7.2) — shifting the body to offset 22. Version
-//! `0x01` frames are byte-identical to every earlier revision, and
-//! responses are always version `0x01` (the context flows one way:
-//! requester → executor).
-//!
-//! A response frame carries the request's opcode and reqid; its body
-//! begins with a **status byte** (see [`status`]): `0x00` = OK followed
-//! by the opcode's result payload, anything else is an error code
-//! followed by an optional UTF-8 diagnostic message (non-normative).
-//! Responses are returned in request order, so clients may pipeline:
-//! write several requests, then read as many responses.
+//! `DESIGN.md` §13** — the frame layout (§13.1), the opcode table with
+//! each body and OK payload (§13.3) — and the one home of its codec: a
+//! frame is `u32` len, version, opcode, `u32` reqid, an optional 12-byte
+//! trace context, then the body; a response body starts with a [`status`]
+//! byte. Each body is read through [`read_body`], which refuses bytes left
+//! over; the two shared body shapes have one encoder and one decoder each
+//! ([`encode_tids`]/[`read_tids`], [`write_obset`]/[`read_obset`]), called
+//! by the client and the server alike. The §13.5 example frames are
+//! asserted byte-for-byte by `design_section_13_example_frames` below: if
+//! you change anything here, change the spec in the same commit.
 //!
 //! ## Round-trip
 //!
@@ -54,6 +33,7 @@
 //! # Ok::<(), asset_server::protocol::WireError>(())
 //! ```
 
+use asset_common::codec::{CodecError, Reader};
 use asset_common::AssetError;
 use asset_obs::TraceCtx;
 use std::io::{self, Read, Write};
@@ -73,12 +53,9 @@ pub const PROTOCOL_VERSION_TRACED: u8 = 0x02;
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Bytes of header covered by `len` before the body begins
-/// (version + opcode + reqid).
+/// (version + opcode + reqid); a traced frame adds
+/// [`TraceCtx::WIRE_LEN`].
 pub const HEADER_LEN: usize = 6;
-
-/// Bytes covered by `len` before the body of a **traced** frame
-/// (version + opcode + reqid + 12-byte trace context).
-pub const TRACED_HEADER_LEN: usize = HEADER_LEN + TraceCtx::WIRE_LEN;
 
 /// First byte of the `STATS` OK payload (DESIGN.md §13.3): the
 /// revision of the versioned metrics body that follows (`u64` live
@@ -123,60 +100,41 @@ pub mod opcode {
     pub const COMMIT: u8 = 0x13;
     /// Abort and roll back. Body: `u64` tid. OK payload: empty.
     pub const ABORT: u8 = 0x14;
-    /// `delegate(from, to, obs)` — move lock + undo responsibility.
-    /// Body: `u64` from, `u64` to, `u8` all flag, `u32` n, n×`u64` oids
-    /// (all=1 requires n=0 and means every delegable object). OK
-    /// payload: empty.
+    /// `delegate(from, to, obs)` — move lock + undo responsibility. Body:
+    /// `u64` from, `u64` to, object set ([`super::write_obset`]; all = every
+    /// delegable object). OK payload: empty.
     pub const DELEGATE: u8 = 0x20;
-    /// `permit(grantor, grantee, obs, ops)`. Body: `u64` grantor,
-    /// `u64` grantee (0 = any-transaction wildcard), `u8` ops bitmask
-    /// (1 = read, 2 = write), `u8` all flag, `u32` n, n×`u64` oids.
-    /// OK payload: empty.
+    /// `permit(grantor, grantee, obs, ops)`. Body: `u64` grantor, `u64`
+    /// grantee (0 = any-transaction wildcard), `u8` ops bitmask (1 = read,
+    /// 2 = write), object set. OK payload: empty.
     pub const PERMIT: u8 = 0x21;
     /// `form_dependency(kind, ti, tj)`. Body: `u8` kind (1 = CD,
     /// 2 = AD, 3 = GC), `u64` ti, `u64` tj. OK payload: empty.
     pub const FORM_DEP: u8 = 0x22;
     /// Allocate one object id. Body: empty. OK payload: `u64` oid.
     pub const NEW_OID: u8 = 0x30;
-    /// Bulk-create `count` objects each holding `initial` as an i64
-    /// counter, committed server-side in chunked transactions. Body:
-    /// `u64` count, `i64` initial. OK payload: `u64` first oid,
-    /// `u64` count. A count above [`super::MAX_MINT_COUNT`] is rejected
-    /// with `ERR_RESOURCE_EXHAUSTED` before any object is created. MINT
-    /// requests are serialized by the server; the oids are consecutive
-    /// unless another connection allocates concurrently — mint before
-    /// opening the workload. On any error the server deletes the chunks
-    /// that had already committed (best-effort compensation), so a
-    /// failed MINT leaves no funded orphan accounts; the oid space may
-    /// still contain gaps.
+    /// Bulk-create `count` i64 counters holding `initial`, in serialized,
+    /// chunked server-side transactions (consecutive oids unless another
+    /// connection allocates meanwhile; a failure deletes the chunks already
+    /// committed). Body: `u64` count (≤ [`super::MAX_MINT_COUNT`]), `i64`
+    /// initial. OK payload: `u64` first oid, `u64` count.
     pub const MINT: u8 = 0x31;
-    /// Sum the committed i64 values of oids `first..first+count`
-    /// (missing or non-8-byte objects are skipped). Runs as one
-    /// **server-side read transaction**: every object in the range is
-    /// S-locked (in ascending oid order, the same order writers take
-    /// their locks) before the first value is added, so the sum is a
-    /// consistent snapshot even while writers are active — a transfer
-    /// is seen either entirely or not at all. A count above
-    /// [`super::MAX_SUM_COUNT`] is rejected with
-    /// `ERR_RESOURCE_EXHAUSTED` before any object is read.
-    /// Body: `u64` first, `u64` count. OK payload: `i64` sum,
-    /// `u64` objects present.
+    /// Sum the committed i64 values of oids `first..first+count` (others
+    /// skipped) in one server-side read transaction that S-locks the range
+    /// in oid order first: a consistent snapshot under concurrent writers.
+    /// Body: `u64` first, `u64` count (≤ [`super::MAX_SUM_COUNT`]). OK
+    /// payload: `i64` sum, `u64` objects present.
     pub const SUM: u8 = 0x32;
-    /// Server statistics. Body: empty. OK payload: 4×`u64` —
-    /// transactions committed, transactions aborted, live (non-
-    /// terminated) transactions, commit log failures.
+    /// Server statistics. Body: empty. OK payload: `u8` body revision
+    /// ([`super::STATS_BODY_REVISION`]), `u64` live transactions, then
+    /// the `asset-obs` self-describing metrics snapshot.
     pub const STATS: u8 = 0x33;
-    /// Distributed commit (DESIGN.md §14): prepare this session's named
-    /// transactions as one group. Body: `u32` n, n×`u64` tids — each
-    /// must name a transaction of **this session**. The server finishes
-    /// each program leaving the transaction `Completed` (locks held),
-    /// then drives `Database::prepare_group`, forcing one `Prepared`
-    /// WAL record for the union of the tids' GC groups. OK payload:
-    /// `u32` m, m×`u64` tids — the full prepared group; OK **is** the
-    /// yes vote (the record is durable before the response is written).
-    /// Any error is a no vote and the group is aborted locally.
-    /// Prepared transactions leave the session: disconnecting no longer
-    /// aborts them, and only a decide opcode resolves them.
+    /// Distributed commit (DESIGN.md §14.2): prepare transactions of
+    /// **this session** as one group, forcing one `Prepared` record for
+    /// the union of their GC groups. Body: tid list ([`super::encode_tids`]).
+    /// OK payload: tid list, the full prepared group; OK **is** the yes
+    /// vote, any error a no (the group is aborted). Prepared transactions
+    /// leave the session: only a decide opcode resolves them.
     pub const PREPARE: u8 = 0x40;
     /// Query a transaction's distributed-commit state — usable by a
     /// recovery coordinator for tids from any session, including before
@@ -184,19 +142,48 @@ pub mod opcode {
     /// 0 = unknown, 1 = prepared (in doubt), 2 = committed, 3 = aborted,
     /// 4 = other (live, not prepared).
     pub const PREPARED: u8 = 0x41;
-    /// Coordinator decision: commit a prepared group (DESIGN.md §14).
-    /// Body: `u32` n, n×`u64` tids. Sessionless and idempotent — works
-    /// after the preparing connection (or the whole node) restarted.
-    /// OK payload: empty, written once the decision is applied — it is
-    /// durable at the coordinator's acceptors already, and the commit
-    /// record is appended for the node's next force, not forced.
+    /// Coordinator decision: commit a prepared group. Body: tid list.
+    /// Sessionless and idempotent (works after a restart). OK payload:
+    /// empty, once applied; the `Commit` record rides the node's next force.
     pub const COMMIT_DECIDE: u8 = 0x42;
-    /// Coordinator decision: abort a prepared group. Body: `u32` n,
-    /// n×`u64` tids. Sessionless and idempotent. OK payload: empty.
+    /// Coordinator decision: abort a prepared group. Body: tid list.
+    /// Sessionless and idempotent. OK payload: empty.
     pub const ABORT_DECIDE: u8 = 0x43;
     /// Stop accepting connections and shut the server down after the OK
     /// response is written. Body: empty. OK payload: empty.
     pub const SHUTDOWN: u8 = 0x7F;
+
+    /// Every opcode above with its §13.3 name, in table order: the one
+    /// name table, for trace labels and per-opcode metrics.
+    pub const NAMES: [(u8, &str); 19] = [
+        (PING, "PING"),
+        (HELLO, "HELLO"),
+        (BEGIN, "BEGIN"),
+        (READ, "READ"),
+        (WRITE, "WRITE"),
+        (COMMIT, "COMMIT"),
+        (ABORT, "ABORT"),
+        (DELEGATE, "DELEGATE"),
+        (PERMIT, "PERMIT"),
+        (FORM_DEP, "FORM_DEP"),
+        (NEW_OID, "NEW_OID"),
+        (MINT, "MINT"),
+        (SUM, "SUM"),
+        (STATS, "STATS"),
+        (PREPARE, "PREPARE"),
+        (PREPARED, "PREPARED"),
+        (COMMIT_DECIDE, "COMMIT_DECIDE"),
+        (ABORT_DECIDE, "ABORT_DECIDE"),
+        (SHUTDOWN, "SHUTDOWN"),
+    ];
+
+    /// The §13.3 name of `op`; `"OP"` for a code outside the table.
+    pub fn name(op: u8) -> &'static str {
+        NAMES
+            .iter()
+            .find(|(o, _)| *o == op)
+            .map_or("OP", |(_, n)| n)
+    }
 }
 
 /// Response status codes (first body byte of every response).
@@ -300,6 +287,9 @@ pub enum WireError {
     /// [`PROTOCOL_VERSION_TRACED`] — or a traced frame is too short to
     /// hold its trace context.
     BadVersion(u8),
+    /// The body is not its opcode's layout (DESIGN.md §13.3): trailing
+    /// bytes, or a field no layout allows. The message names the fault.
+    Malformed(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -313,11 +303,21 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion(v) => {
                 write!(f, "version {v:#04x}, expected {PROTOCOL_VERSION:#04x}")
             }
+            WireError::Malformed(why) => write!(f, "malformed body: {why}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            CodecError::Short => WireError::Truncated,
+            CodecError::Corrupt(why) => WireError::Malformed(why),
+        }
+    }
+}
 
 impl From<WireError> for io::Error {
     fn from(e: WireError) -> io::Error {
@@ -354,26 +354,17 @@ impl Frame {
 
     /// Serialize to bytes, length prefix included.
     pub fn encode(&self) -> Vec<u8> {
-        let header = match self.ctx {
-            Some(_) => TRACED_HEADER_LEN,
-            None => HEADER_LEN,
+        let ctx = self.ctx.map(TraceCtx::to_bytes);
+        let (version, ctx) = match &ctx {
+            Some(ctx) => (PROTOCOL_VERSION_TRACED, &ctx[..]),
+            None => (PROTOCOL_VERSION, &[][..]),
         };
-        let len = (header + self.body.len()) as u32;
+        let len = (HEADER_LEN + ctx.len() + self.body.len()) as u32;
         let mut out = Vec::with_capacity(4 + len as usize);
         out.extend_from_slice(&len.to_le_bytes());
-        match self.ctx {
-            Some(ctx) => {
-                out.push(PROTOCOL_VERSION_TRACED);
-                out.push(self.opcode);
-                out.extend_from_slice(&self.reqid.to_le_bytes());
-                out.extend_from_slice(&ctx.to_bytes());
-            }
-            None => {
-                out.push(PROTOCOL_VERSION);
-                out.push(self.opcode);
-                out.extend_from_slice(&self.reqid.to_le_bytes());
-            }
-        }
+        out.extend_from_slice(&[version, self.opcode]);
+        out.extend_from_slice(&self.reqid.to_le_bytes());
+        out.extend_from_slice(ctx);
         out.extend_from_slice(&self.body);
         out
     }
@@ -381,47 +372,29 @@ impl Frame {
     /// Parse a complete frame (length prefix included). The inverse of
     /// [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
-        if buf.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        // the slice bound was just checked
-        // verify: allow(no_panics) — length checked above
-        let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        if len < HEADER_LEN as u32 || len > MAX_FRAME_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        let present = (buf.len() - 4) as u32;
+        let mut r = Reader::new(buf);
+        let len = frame_len(&mut r)?;
+        let present = r.remaining() as u32;
         if present != len {
             return Err(WireError::LengthMismatch {
                 declared: len,
                 present,
             });
         }
-        let version = buf[4];
+        let (version, opcode, reqid) = (r.u8()?, r.u8()?, r.u32()?);
         let ctx = match version {
             PROTOCOL_VERSION => None,
+            // a traced header must fit its 12-byte context
             PROTOCOL_VERSION_TRACED => {
-                // a traced header must fit its 12-byte context
-                match TraceCtx::from_bytes(&buf[10..]) {
-                    Some(ctx) => Some(ctx),
-                    None => return Err(WireError::BadVersion(version)),
-                }
+                Some(TraceCtx::read(&mut r).map_err(|_| WireError::BadVersion(version))?)
             }
             other => return Err(WireError::BadVersion(other)),
-        };
-        let opcode = buf[5];
-        // the slice bound follows from len >= HEADER_LEN
-        // verify: allow(no_panics) — length checked above
-        let reqid = u32::from_le_bytes(buf[6..10].try_into().expect("4 bytes"));
-        let body_off = match ctx {
-            Some(_) => 4 + TRACED_HEADER_LEN,
-            None => 4 + HEADER_LEN,
         };
         Ok(Frame {
             opcode,
             reqid,
             ctx,
-            body: buf[body_off..].to_vec(),
+            body: r.rest().to_vec(),
         })
     }
 
@@ -527,13 +500,7 @@ impl FrameReader {
     pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<Option<Frame>> {
         loop {
             if self.need == 0 && self.buf.len() == 4 {
-                // the slice bound was just checked
-                // verify: allow(no_panics) — length checked above
-                let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes"));
-                if len < HEADER_LEN as u32 || len > MAX_FRAME_LEN {
-                    return Err(WireError::BadLength(len).into());
-                }
-                self.need = 4 + len as usize;
+                self.need = 4 + frame_len(&mut Reader::new(&self.buf))? as usize;
             }
             if self.need != 0 && self.buf.len() == self.need {
                 let frame = Frame::decode(&self.buf);
@@ -541,11 +508,8 @@ impl FrameReader {
                 self.need = 0;
                 return frame.map(Some).map_err(Into::into);
             }
-            let want = if self.need == 0 {
-                4 - self.buf.len()
-            } else {
-                self.need - self.buf.len()
-            };
+            // the length prefix first, then the rest of the frame
+            let want = self.need.max(4) - self.buf.len();
             let mut tmp = [0u8; 16 * 1024];
             let want = want.min(tmp.len());
             match r.read(&mut tmp[..want]) {
@@ -559,30 +523,72 @@ impl FrameReader {
     }
 }
 
-/// Read a `u64` (LE) at `off`, or [`WireError::Truncated`].
-pub fn get_u64(b: &[u8], off: usize) -> Result<u64, WireError> {
-    b.get(off..off + 8)
-        .and_then(|s| s.try_into().ok())
-        .map(u64::from_le_bytes)
-        .ok_or(WireError::Truncated)
+/// Read a frame's `len` prefix, refusing one outside
+/// `HEADER_LEN..=MAX_FRAME_LEN` before anything is read or allocated for it.
+fn frame_len(r: &mut Reader<'_>) -> Result<u32, WireError> {
+    let len = r.u32()?;
+    if (HEADER_LEN as u32..=MAX_FRAME_LEN).contains(&len) {
+        Ok(len)
+    } else {
+        Err(WireError::BadLength(len))
+    }
 }
 
-/// Read an `i64` (LE) at `off`, or [`WireError::Truncated`].
-pub fn get_i64(b: &[u8], off: usize) -> Result<i64, WireError> {
-    get_u64(b, off).map(|v| v as i64)
+/// Decode a request body that `f` must consume exactly (DESIGN.md §13.3):
+/// bytes missing are [`WireError::Truncated`], bytes left over are
+/// [`WireError::Malformed`].
+pub fn read_body<'a, T>(
+    body: &'a [u8],
+    f: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(body);
+    let v = f(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
-/// Read a `u32` (LE) at `off`, or [`WireError::Truncated`].
-pub fn get_u32(b: &[u8], off: usize) -> Result<u32, WireError> {
-    b.get(off..off + 4)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or(WireError::Truncated)
+/// Encode the **tid list** shape: `u32` n, n×`u64` tids — the body of
+/// PREPARE, COMMIT_DECIDE and ABORT_DECIDE, and PREPARE's OK payload.
+pub fn encode_tids(tids: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 * tids.len());
+    out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
+    for t in tids {
+        out.extend_from_slice(&t.to_le_bytes());
+    }
+    out
 }
 
-/// Read a `u8` at `off`, or [`WireError::Truncated`].
-pub fn get_u8(b: &[u8], off: usize) -> Result<u8, WireError> {
-    b.get(off).copied().ok_or(WireError::Truncated)
+/// Read the tid list shape ([`encode_tids`]). The count is checked against
+/// the bytes present before anything is allocated, so a hostile `n`
+/// cannot reserve gigabytes.
+pub fn read_tids(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
+    let n = r.u32()? as usize;
+    let mut ids = Reader::new(r.bytes(n.saturating_mul(8))?);
+    (0..n).map(|_| ids.u64()).collect()
+}
+
+/// Append the **object set** shape of DELEGATE and PERMIT: `u8` all flag,
+/// then the oids as a tid list. `None` (every object) is all = 1, n = 0.
+pub fn write_obset(out: &mut Vec<u8>, obs: Option<&[u64]>) {
+    out.push(u8::from(obs.is_none()));
+    out.extend_from_slice(&encode_tids(obs.unwrap_or_default().iter().copied()));
+}
+
+/// Read the object set shape ([`write_obset`]): `None` is all = 1. An all
+/// flag other than 0 or 1, or all = 1 with n ≠ 0, is corrupt.
+pub fn read_obset(r: &mut Reader<'_>) -> Result<Option<Vec<u64>>, CodecError> {
+    match r.u8()? {
+        0 => read_tids(r).map(Some),
+        1 => match r.u32()? {
+            0 => Ok(None),
+            n => Err(CodecError::Corrupt(format!(
+                "object set has all = 1 with n = {n}; all requires n = 0"
+            ))),
+        },
+        flag => Err(CodecError::Corrupt(format!(
+            "object set all flag {flag} is neither 0 nor 1"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -812,6 +818,50 @@ mod tests {
                 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // root span = 9
             ]
         );
+    }
+
+    /// Each body shape goes through its one encoder and its one decoder
+    /// and comes back equal — random tid lists, empty ones included, and
+    /// object sets, `All` included. A cut body is truncated and one extra
+    /// byte is malformed.
+    #[test]
+    fn body_shapes_round_trip_through_their_one_codec() {
+        asset_faults::cases(28, 256, |rng| {
+            let ids: Vec<u64> = (0..rng.below(6))
+                .map(|_| rng.next_u64() >> rng.below(64))
+                .collect();
+            let obs = (rng.below(4) != 0).then_some(&ids[..]);
+            let tids = encode_tids(ids.iter().copied());
+            let mut obset = Vec::new();
+            write_obset(&mut obset, obs);
+            assert_eq!(read_body(&tids, read_tids), Ok(ids.clone()));
+            assert_eq!(read_body(&obset, read_obset), Ok(obs.map(<[u64]>::to_vec)));
+            exact_only(&tids, read_tids);
+            exact_only(&obset, read_obset);
+        });
+    }
+
+    /// `body` cut anywhere is truncated, and with one byte more malformed.
+    fn exact_only<T>(body: &[u8], read: impl Fn(&mut Reader<'_>) -> Result<T, CodecError>) {
+        for cut in 0..body.len() {
+            let short = read_body(&body[..cut], &read).err();
+            assert_eq!(short, Some(WireError::Truncated), "cut at {cut}");
+        }
+        let long = [body, &[0]].concat();
+        assert!(matches!(
+            read_body(&long, &read),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    /// A count no frame could back (`n = u32::MAX`, no bytes after it) is
+    /// refused by the bounds check, before anything is sized by it.
+    #[test]
+    fn a_hostile_count_is_refused_before_anything_is_allocated() {
+        let n = u32::MAX.to_le_bytes();
+        assert_eq!(read_body(&n, read_tids), Err(WireError::Truncated));
+        let obset = [&[0][..], &n].concat();
+        assert_eq!(read_body(&obset, read_obset), Err(WireError::Truncated));
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! lives in the [`Database`]. Dropping a connection aborts its live
 //! transactions (queued as terminal ops; the executor rolls them back).
 
-use crate::protocol::{self, get_i64, get_u32, get_u64, get_u8, opcode, status, Frame, WireError};
+use crate::protocol::{
+    self, encode_tids, opcode, read_body, read_obset, read_tids, status, Frame, WireError,
+};
 use crate::session::{OpReply, SessionTxn, TxnOp};
+use asset_common::codec::Reader;
 use asset_common::sync::Mutex;
 use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnOutcome, TxnStatus};
 use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,7 +51,7 @@ struct Shared {
 struct ServerMetrics {
     /// `(opcode, metric label, service-time histogram)` per §13.3 wire
     /// opcode, in table order.
-    ops: Vec<(u8, &'static str, AtomicHistogram)>,
+    ops: Vec<(u8, String, AtomicHistogram)>,
     /// Fallback for opcodes outside the §13.3 table (answered with
     /// `ERR_BAD_OPCODE` but still timed).
     other: AtomicHistogram,
@@ -61,30 +64,13 @@ struct ServerMetrics {
 
 impl ServerMetrics {
     fn new() -> ServerMetrics {
-        let ops = [
-            (opcode::PING, "ping"),
-            (opcode::HELLO, "hello"),
-            (opcode::BEGIN, "begin"),
-            (opcode::READ, "read"),
-            (opcode::WRITE, "write"),
-            (opcode::COMMIT, "commit"),
-            (opcode::ABORT, "abort"),
-            (opcode::DELEGATE, "delegate"),
-            (opcode::PERMIT, "permit"),
-            (opcode::FORM_DEP, "form_dep"),
-            (opcode::NEW_OID, "new_oid"),
-            (opcode::MINT, "mint"),
-            (opcode::SUM, "sum"),
-            (opcode::STATS, "stats"),
-            (opcode::PREPARE, "prepare"),
-            (opcode::PREPARED, "prepared"),
-            (opcode::COMMIT_DECIDE, "commit_decide"),
-            (opcode::ABORT_DECIDE, "abort_decide"),
-            (opcode::SHUTDOWN, "shutdown"),
-        ]
-        .into_iter()
-        .map(|(op, name)| (op, name, AtomicHistogram::new(LATENCY_NS_BOUNDS)))
-        .collect();
+        let ops = opcode::NAMES
+            .iter()
+            .map(|&(op, name)| {
+                let hist = AtomicHistogram::new(LATENCY_NS_BOUNDS);
+                (op, name.to_ascii_lowercase(), hist)
+            })
+            .collect();
         ServerMetrics {
             ops,
             other: AtomicHistogram::new(LATENCY_NS_BOUNDS),
@@ -108,10 +94,10 @@ impl Shared {
     fn metrics_text(&self) -> String {
         let snap = self.db.metrics_snapshot();
         let stripes = self.db.locks().stripe_stats();
-        let mut out = asset_trace::prom::render_node(&snap, &stripes, self.node_id);
+        let mut out = crate::prom::render_node(&snap, &stripes, self.node_id);
         use std::fmt::Write as _;
         for (_, name, h) in &self.metrics.ops {
-            asset_trace::prom::render_histogram(
+            crate::prom::render_histogram(
                 &mut out,
                 &format!("asset_server_op_{name}_ns"),
                 "Wire-request service time on this node (ns).",
@@ -243,13 +229,13 @@ impl AssetServer {
     /// histograms, and the live connection/session gauges. This is the
     /// body served by the binary's `--serve-metrics` endpoint; callers
     /// embedding the server can serve it through
-    /// [`asset_trace::prom::PromServer`] via [`metrics_source`](Self::metrics_source).
+    /// [`crate::prom::PromServer`] via [`metrics_source`](Self::metrics_source).
     pub fn metrics_text(&self) -> String {
         self.shared.metrics_text()
     }
 
     /// A `Fn() -> String` scrape source for
-    /// [`asset_trace::prom::PromServer::spawn`], detached from the
+    /// [`crate::prom::PromServer::spawn`], detached from the
     /// server's lifetime (the closure holds its own handle on the shared
     /// state, so the exporter may outlive [`join`](Self::join)).
     pub fn metrics_source(&self) -> impl Fn() -> String + Send + 'static {
@@ -263,9 +249,7 @@ impl AssetServer {
     /// [`join`](Self::join).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // unblock the accept loop with a throwaway connection
-        // verify: allow(status_flow) — wake-up connection; no transaction outcome flows here
-        let _ = TcpStream::connect(self.addr);
+        wake_accept(self.addr);
     }
 
     /// Wait for the accept loop and every connection handler to exit.
@@ -278,6 +262,13 @@ impl AssetServer {
             let _ = h.join();
         }
     }
+}
+
+/// Unblock a thread parked in `accept` on `addr` (it has no timeout) with
+/// a throwaway connection, so it sees its stop flag.
+pub(crate) fn wake_accept(addr: SocketAddr) {
+    // verify: allow(status_flow) — wake-up connection; no transaction outcome flows here
+    let _ = TcpStream::connect(addr);
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Conns) {
@@ -399,9 +390,7 @@ impl Connection {
             writer.flush()?;
             if frame.opcode == opcode::SHUTDOWN {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
-                // unblock the accept loop
-                // verify: allow(status_flow) — wake-up connection; no transaction outcome flows here
-                let _ = TcpStream::connect(stream.local_addr()?);
+                wake_accept(stream.local_addr()?);
                 break;
             }
         }
@@ -417,23 +406,27 @@ impl Connection {
     /// here — a successful PREPARE removes them from the session, so a
     /// shutdown or disconnect cannot abort a cast vote (§14.2).
     fn abort_leftovers(&mut self) {
-        let db = &self.shared.db;
-        for (_, st) in self.txns.drain() {
-            self.shared
-                .metrics
-                .live_sessions
-                .fetch_sub(1, Ordering::Relaxed);
-            st.finishing(db, TxnOp::Abort);
+        let db = self.shared.db.clone();
+        for (_, st) in std::mem::take(&mut self.txns) {
+            st.finishing(&db, TxnOp::Abort);
             if matches!(db.outcome_kind(st.tid), Ok(TxnOutcome::CommitAmbiguous)) {
                 // the commit record may already be durable; surface the
                 // ambiguity instead of silently dropping it (§13.4)
                 bump(&db.obs().counters.session_drain_ambiguous);
             }
-            db.obs().record(EventKind::SpanClose {
-                tid: st.tid,
-                span: SpanName::Session,
-            });
+            self.session_closed(st.tid);
         }
+    }
+
+    /// A transaction left the session: the gauge drops, its span closes.
+    fn session_closed(&self, tid: Tid) {
+        let live = &self.shared.metrics.live_sessions;
+        live.fetch_sub(1, Ordering::Relaxed);
+        let span = SpanName::Session;
+        self.shared
+            .db
+            .obs()
+            .record(EventKind::SpanClose { tid, span });
     }
 
     fn dispatch(&mut self, req: &Frame) -> Frame {
@@ -446,15 +439,19 @@ impl Connection {
         }
     }
 
+    /// Each arm decodes its whole body through [`read_body`] before it
+    /// acts: a short body is truncated, a longer one malformed (§13.3).
     fn dispatch_inner(&mut self, req: &Frame) -> Result<Frame, WireError> {
         let db = self.shared.db.clone();
         let b = &req.body;
+        let empty = || read_body(b, |_| Ok(()));
         Ok(match req.opcode {
-            opcode::PING => Frame::ok_response(req, &[]),
-            opcode::HELLO => Frame::ok_response(req, &[protocol::PROTOCOL_VERSION]),
+            opcode::PING => empty().map(|()| Frame::ok_response(req, &[]))?,
+            opcode::HELLO => {
+                empty().map(|()| Frame::ok_response(req, &[protocol::PROTOCOL_VERSION]))?
+            }
             opcode::BEGIN => {
-                let parent = get_u64(b, 0)?;
-                if parent != 0 {
+                if read_body(b, Reader::u64)? != 0 {
                     return Ok(Frame::err_response(
                         req,
                         status::ERR_MALFORMED,
@@ -480,43 +477,34 @@ impl Connection {
                 }
             }
             opcode::READ => {
-                let tid = get_u64(b, 0)?;
-                let oid = Oid(get_u64(b, 8)?);
+                let (tid, oid) = read_body(b, |r| Ok((r.u64()?, Oid(r.u64()?))))?;
                 self.txn_op(req, tid, TxnOp::Read(oid))
             }
             opcode::WRITE => {
-                let tid = get_u64(b, 0)?;
-                let oid = Oid(get_u64(b, 8)?);
-                let value = b.get(16..).ok_or(WireError::Truncated)?.to_vec();
+                let (tid, oid, value) =
+                    read_body(b, |r| Ok((r.u64()?, Oid(r.u64()?), r.rest().to_vec())))?;
                 self.txn_op(req, tid, TxnOp::Write(oid, value))
             }
             opcode::COMMIT => {
-                let tid = get_u64(b, 0)?;
+                let tid = read_body(b, Reader::u64)?;
                 self.finish_txn(req, tid, TxnOp::Commit)
             }
             opcode::ABORT => {
-                let tid = get_u64(b, 0)?;
+                let tid = read_body(b, Reader::u64)?;
                 self.finish_txn(req, tid, TxnOp::Abort)
             }
             opcode::DELEGATE => {
-                let from = Tid(get_u64(b, 0)?);
-                let to = Tid(get_u64(b, 8)?);
-                let obs = decode_obset(b, 16)?;
-                // all=1 delegates everything delegable (`None` per the
-                // Database API); an explicit list delegates just those
-                let obs = match obs {
-                    ObSet::All => None,
-                    objects => Some(objects),
-                };
-                ack(req, db.delegate(from, to, obs))
+                let (from, to, obs) =
+                    read_body(b, |r| Ok((Tid(r.u64()?), Tid(r.u64()?), read_obset(r)?)))?;
+                // `None` (all = 1) delegates everything delegable
+                ack(req, db.delegate(from, to, obs.map(objects)))
             }
             opcode::PERMIT => {
-                let grantor = Tid(get_u64(b, 0)?);
-                let grantee = match get_u64(b, 8)? {
-                    0 => None,
-                    t => Some(Tid(t)),
-                };
-                let ops = match get_u8(b, 16)? {
+                let (grantor, grantee, ops, obs) = read_body(b, |r| {
+                    Ok((Tid(r.u64()?), r.u64()?, r.u8()?, read_obset(r)?))
+                })?;
+                let grantee = (grantee != 0).then_some(Tid(grantee));
+                let ops = match ops {
                     0 => OpSet::NONE,
                     1 => OpSet::READ,
                     2 => OpSet::WRITE,
@@ -529,11 +517,12 @@ impl Connection {
                         ))
                     }
                 };
-                let obs = decode_obset(b, 17)?;
+                let obs = obs.map_or(ObSet::All, objects);
                 ack(req, db.permit(grantor, grantee, obs, ops))
             }
             opcode::FORM_DEP => {
-                let kind = match get_u8(b, 0)? {
+                let (kind, ti, tj) = read_body(b, |r| Ok((r.u8()?, Tid(r.u64()?), Tid(r.u64()?))))?;
+                let kind = match kind {
                     1 => DepType::CD,
                     2 => DepType::AD,
                     3 => DepType::GC,
@@ -545,19 +534,18 @@ impl Connection {
                         ))
                     }
                 };
-                let ti = Tid(get_u64(b, 1)?);
-                let tj = Tid(get_u64(b, 9)?);
                 ack(req, db.form_dependency(kind, ti, tj))
             }
-            opcode::NEW_OID => Frame::ok_response(req, &db.new_oid().0.to_le_bytes()),
+            opcode::NEW_OID => {
+                empty()?;
+                Frame::ok_response(req, &db.new_oid().0.to_le_bytes())
+            }
             opcode::MINT => {
-                let count = get_u64(b, 0)?;
-                let initial = get_i64(b, 8)?;
+                let (count, initial) = read_body(b, |r| Ok((r.u64()?, r.i64()?)))?;
                 self.mint(req, count, initial)
             }
             opcode::SUM => {
-                let first = get_u64(b, 0)?;
-                let count = get_u64(b, 8)?;
+                let (first, count) = read_body(b, |r| Ok((r.u64()?, r.u64()?)))?;
                 if count > protocol::MAX_SUM_COUNT {
                     return Ok(Frame::err_response(
                         req,
@@ -571,6 +559,7 @@ impl Connection {
                 self.sum(req, first, count)
             }
             opcode::STATS => {
+                empty()?;
                 // §13.3: revision byte, live-transaction gauge, then the
                 // full self-describing metrics snapshot
                 let mut payload = Vec::with_capacity(2048);
@@ -581,11 +570,11 @@ impl Connection {
                 Frame::ok_response(req, &payload)
             }
             opcode::PREPARE => {
-                let tids = decode_tid_list(b)?;
+                let tids = tids(read_body(b, read_tids)?);
                 self.prepare(req, &tids)
             }
             opcode::PREPARED => {
-                let tid = Tid(get_u64(b, 0)?);
+                let tid = Tid(read_body(b, Reader::u64)?);
                 let state: u8 = match db.status(tid) {
                     Ok(TxnStatus::Prepared) => 1,
                     Ok(TxnStatus::Committed) => 2,
@@ -596,15 +585,15 @@ impl Connection {
                 Frame::ok_response(req, &[state])
             }
             opcode::COMMIT_DECIDE => {
-                let tids = decode_tid_list(b)?;
+                let tids = tids(read_body(b, read_tids)?);
                 ack(req, db.decide_commit_group(&tids))
             }
             opcode::ABORT_DECIDE => {
-                let tids = decode_tid_list(b)?;
+                let tids = tids(read_body(b, read_tids)?);
                 db.decide_abort_group(&tids);
                 Frame::ok_response(req, &[])
             }
-            opcode::SHUTDOWN => Frame::ok_response(req, &[]),
+            opcode::SHUTDOWN => empty().map(|()| Frame::ok_response(req, &[]))?,
             _ => {
                 bump(&db.obs().counters.server_protocol_errors);
                 Frame::err_response(req, status::ERR_BAD_OPCODE, "unknown opcode")
@@ -661,17 +650,10 @@ impl Connection {
                 "tid does not name a transaction of this session",
             );
         };
-        self.shared
-            .metrics
-            .live_sessions
-            .fetch_sub(1, Ordering::Relaxed);
         let wanted_commit = matches!(op, TxnOp::Commit);
         st.finishing(&db, op);
         let outcome = db.outcome_kind(st.tid);
-        db.obs().record(EventKind::SpanClose {
-            tid: st.tid,
-            span: SpanName::Session,
-        });
+        self.session_closed(st.tid);
         match (outcome, wanted_commit) {
             (Ok(TxnOutcome::Committed), true) => Frame::ok_response(req, &[]),
             (Ok(TxnOutcome::Committed), false) => Frame::err_response(
@@ -707,11 +689,10 @@ impl Connection {
                 let mut sum = 0i64;
                 let mut present = 0u64;
                 for oid in first..first.saturating_add(count) {
-                    if let Some(bytes) = ctx.read(Oid(oid))? {
-                        if let Ok(arr) = <[u8; 8]>::try_from(bytes.as_slice()) {
-                            sum = sum.wrapping_add(i64::from_le_bytes(arr));
-                            present += 1;
-                        }
+                    let value = ctx.read(Oid(oid))?.map(|b| read_body(&b, Reader::i64));
+                    if let Some(Ok(v)) = value {
+                        sum = sum.wrapping_add(v);
+                        present += 1;
                     }
                 }
                 *out.lock() = (sum, present);
@@ -784,11 +765,7 @@ impl Connection {
                 for t in tids {
                     self.close_session(t.0);
                 }
-                let mut payload = (group.len() as u32).to_le_bytes().to_vec();
-                for t in &group {
-                    payload.extend_from_slice(&t.0.to_le_bytes());
-                }
-                Frame::ok_response(req, &payload)
+                Frame::ok_response(req, &encode_tids(group.iter().map(|t| t.0)))
             }
             Err(e) => {
                 // prepare_group already aborted the group on a no vote
@@ -806,10 +783,6 @@ impl Connection {
     fn drop_prepare_failures(&mut self, db: &Database, tids: &[Tid], abort: bool) {
         for t in tids {
             if let Some(st) = self.txns.remove(&t.0) {
-                self.shared
-                    .metrics
-                    .live_sessions
-                    .fetch_sub(1, Ordering::Relaxed);
                 if matches!(db.status(st.tid), Ok(TxnStatus::Prepared)) {
                     // in doubt: only the coordinator may resolve it
                 } else {
@@ -824,24 +797,14 @@ impl Connection {
                         bump(&db.obs().counters.session_drain_ambiguous);
                     }
                 }
-                db.obs().record(EventKind::SpanClose {
-                    tid: st.tid,
-                    span: SpanName::Session,
-                });
+                self.session_closed(st.tid);
             }
         }
     }
 
     fn close_session(&mut self, tid: u64) {
         if self.txns.remove(&tid).is_some() {
-            self.shared
-                .metrics
-                .live_sessions
-                .fetch_sub(1, Ordering::Relaxed);
-            self.shared.db.obs().record(EventKind::SpanClose {
-                tid: Tid(tid),
-                span: SpanName::Session,
-            });
+            self.session_closed(Tid(tid));
         }
     }
 
@@ -934,38 +897,14 @@ impl Connection {
     }
 }
 
-/// Decode the `u32` n + n×`u64` tids list shape shared by PREPARE,
-/// COMMIT_DECIDE, and ABORT_DECIDE bodies. The length is validated
-/// against the bytes present before anything is allocated, so a
-/// hostile count cannot reserve gigabytes.
-fn decode_tid_list(b: &[u8]) -> Result<Vec<Tid>, WireError> {
-    let n = get_u32(b, 0)? as usize;
-    if b.len() < 4 + 8 * n {
-        return Err(WireError::Truncated);
-    }
-    let mut tids = Vec::with_capacity(n);
-    for i in 0..n {
-        tids.push(Tid(get_u64(b, 4 + 8 * i)?));
-    }
-    Ok(tids)
+/// A decoded tid list as transaction ids.
+fn tids(ids: Vec<u64>) -> Vec<Tid> {
+    ids.into_iter().map(Tid).collect()
 }
 
-/// Decode the `u8` all flag + `u32` n + n×`u64` oids object-set shape
-/// shared by DELEGATE and PERMIT bodies.
-fn decode_obset(b: &[u8], off: usize) -> Result<ObSet, WireError> {
-    let all = get_u8(b, off)?;
-    let n = get_u32(b, off + 1)?;
-    if all == 1 {
-        if n != 0 {
-            return Err(WireError::Truncated);
-        }
-        return Ok(ObSet::All);
-    }
-    let mut set = BTreeSet::new();
-    for i in 0..n as usize {
-        set.insert(Oid(get_u64(b, off + 5 + 8 * i)?));
-    }
-    Ok(ObSet::Objects(set))
+/// A decoded object list as an object set.
+fn objects(ids: Vec<u64>) -> ObSet {
+    ObSet::Objects(ids.into_iter().map(Oid).collect())
 }
 
 /// OK or the facility error mapped onto its wire status (§13.3).

@@ -37,7 +37,8 @@
 //! ids, plus its share of one five-byte seal per drain. Kind 1 was v2's
 //! `Begin` and stays reserved.
 
-use crate::page::{checksum, get_u32, put_u32};
+use crate::page::{checksum, put_u32};
+use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::{AssetError, Oid, Result, Tid};
 
 /// One write-ahead-log record.
@@ -192,8 +193,7 @@ pub struct Ids<'a, T>(IdsRepr<'a, T>);
 #[derive(Clone, Copy, Debug)]
 enum IdsRepr<'a, T> {
     Slice(&'a [T]),
-    /// `len` LEB128 values, nothing after them (checked by
-    /// [`Cursor::ids`]).
+    /// `len` LEB128 values, nothing after them (checked by [`ids`]).
     Encoded {
         bytes: &'a [u8],
         len: usize,
@@ -220,10 +220,10 @@ impl<'a, T: WireId> Ids<'a, T> {
             IdsRepr::Slice(s) => (s, &[][..]),
             IdsRepr::Encoded { bytes, .. } => (&[][..], bytes),
         };
-        let mut pos = 0;
+        let mut r = Reader::new(bytes);
         slice.iter().copied().chain(std::iter::from_fn(move || {
             // validated at decode: every value is whole and fits a u64
-            get_varint(bytes, &mut pos).ok().map(T::from_raw)
+            r.varint().ok().map(T::from_raw)
         }))
     }
 }
@@ -251,42 +251,6 @@ const KIND_CHECKPOINT: u8 = 6;
 const KIND_CLR: u8 = 7;
 const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
-
-/// Why a decode stopped short of an entry.
-enum Stop {
-    /// The buffer ends inside the entry: more bytes may complete it, and at
-    /// the end of the file it is the torn tail.
-    Short,
-    /// No continuation of the buffer makes these bytes an entry.
-    Corrupt(String),
-}
-
-type Step<T> = std::result::Result<T, Stop>;
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Read one LEB128 value at `buf[*pos]`, advancing `pos`.
-fn get_varint(buf: &[u8], pos: &mut usize) -> Step<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let &b = buf.get(*pos).ok_or(Stop::Short)?;
-        *pos += 1;
-        if shift == 63 && b > 1 {
-            break;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Ok(v);
-        }
-    }
-    Err(Stop::Corrupt("varint overflows u64".into()))
-}
 
 /// The checksum a seal carries for `block`, the bytes since the previous
 /// seal.
@@ -332,94 +296,77 @@ fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>) {
     }
 }
 
-/// Reader over the log's bytes from one entry's first byte on.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A decode step: [`CodecError::Short`] is "not whole yet" (at the end of
+/// the file, the torn tail), [`CodecError::Corrupt`] is "no entry".
+type Step<T> = std::result::Result<T, CodecError>;
+
+fn id<T: WireId>(r: &mut Reader<'_>) -> Step<T> {
+    r.varint().map(T::from_raw)
 }
 
-impl<'a> Cursor<'a> {
-    fn varint(&mut self) -> Step<u64> {
-        get_varint(self.buf, &mut self.pos)
-    }
+fn opt_bytes<'a>(r: &mut Reader<'a>) -> Step<Option<&'a [u8]>> {
+    let Some(len) = r.varint()?.checked_sub(1) else {
+        return Ok(None);
+    };
+    r.bytes(usize::try_from(len).map_err(|_| CodecError::Short)?)
+        .map(Some)
+}
 
-    fn id<T: WireId>(&mut self) -> Step<T> {
-        self.varint().map(T::from_raw)
+/// `n` ids, each at least one byte long (so `n` is bounded by the bytes
+/// left): walked once here, so that iterating them cannot fail.
+fn ids<'a, T>(r: &mut Reader<'a>, n: u64) -> Step<Ids<'a, T>> {
+    if n > r.remaining() as u64 {
+        return Err(CodecError::Short);
     }
-
-    fn bytes(&mut self, n: u64) -> Step<&'a [u8]> {
-        let rest = self.buf.get(self.pos..).unwrap_or_default();
-        match usize::try_from(n) {
-            Ok(n) if n <= rest.len() => {
-                self.pos += n;
-                Ok(&rest[..n])
-            }
-            _ => Err(Stop::Short),
-        }
+    let mut walk = *r;
+    for _ in 0..n {
+        walk.varint()?;
     }
+    Ok(Ids(IdsRepr::Encoded {
+        bytes: r.bytes(walk.pos() - r.pos())?,
+        len: n as usize,
+    }))
+}
 
-    fn opt_bytes(&mut self) -> Step<Option<&'a [u8]>> {
-        match self.varint()? {
-            0 => Ok(None),
-            n => Ok(Some(self.bytes(n - 1)?)),
-        }
-    }
+fn tids<'a>(r: &mut Reader<'a>) -> Step<Ids<'a, Tid>> {
+    let n = r.varint()?;
+    ids(r, n)
+}
 
-    /// `n` ids, each at least one byte long (so `n` is bounded by the
-    /// bytes left): walked once here, so that iterating them cannot fail.
-    fn ids<T>(&mut self, n: u64) -> Step<Ids<'a, T>> {
-        if n > self.buf.len().saturating_sub(self.pos) as u64 {
-            return Err(Stop::Short);
-        }
-        let start = self.pos;
-        for _ in 0..n {
-            self.varint()?;
-        }
-        Ok(Ids(IdsRepr::Encoded {
-            bytes: &self.buf[start..self.pos],
-            len: n as usize,
-        }))
-    }
-
-    fn tids(&mut self) -> Step<Ids<'a, Tid>> {
-        let n = self.varint()?;
-        self.ids(n)
-    }
-
-    /// The entry at `pos`: the one reader of the format.
-    fn entry(&mut self) -> Step<LogEntry<'a>> {
-        Ok(LogEntry::Record(match self.bytes(1)?[0] {
-            KIND_SEAL => return Ok(LogEntry::Seal(get_u32(self.bytes(4)?, 0))),
-            KIND_UPDATE => RecordRef::Update {
-                tid: self.id()?,
-                oid: self.id()?,
-                before: self.opt_bytes()?,
-                after: self.opt_bytes()?,
+/// The entry at `r`: the one reader of the format. Short when the bytes
+/// end inside it, corrupt when no continuation makes them an entry.
+fn entry<'a>(r: &mut Reader<'a>) -> Step<LogEntry<'a>> {
+    Ok(LogEntry::Record(match r.u8()? {
+        KIND_SEAL => return Ok(LogEntry::Seal(r.u32()?)),
+        KIND_UPDATE => RecordRef::Update {
+            tid: id(r)?,
+            oid: id(r)?,
+            before: opt_bytes(r)?,
+            after: opt_bytes(r)?,
+        },
+        KIND_OVERWRITE => RecordRef::Overwrite {
+            tid: id(r)?,
+            oid: id(r)?,
+            after: opt_bytes(r)?,
+        },
+        KIND_COMMIT => RecordRef::Commit { tids: tids(r)? },
+        KIND_ABORT => RecordRef::Abort { tid: id(r)? },
+        KIND_DELEGATE => RecordRef::Delegate {
+            from: id(r)?,
+            to: id(r)?,
+            obs: match r.varint()? {
+                0 => None,
+                n => Some(ids(r, n - 1)?),
             },
-            KIND_OVERWRITE => RecordRef::Overwrite {
-                tid: self.id()?,
-                oid: self.id()?,
-                after: self.opt_bytes()?,
-            },
-            KIND_COMMIT => RecordRef::Commit { tids: self.tids()? },
-            KIND_ABORT => RecordRef::Abort { tid: self.id()? },
-            KIND_DELEGATE => RecordRef::Delegate {
-                from: self.id()?,
-                to: self.id()?,
-                obs: match self.varint()? {
-                    0 => None,
-                    n => Some(self.ids(n - 1)?),
-                },
-            },
-            KIND_CHECKPOINT => RecordRef::Checkpoint,
-            KIND_PREPARED => RecordRef::Prepared { tids: self.tids()? },
-            KIND_CLR => RecordRef::Clr {
-                oid: self.id()?,
-                image: self.opt_bytes()?,
-            },
-            k => return Err(Stop::Corrupt(format!("unknown record kind {k}"))),
-        }))
-    }
+        },
+        KIND_CHECKPOINT => RecordRef::Checkpoint,
+        KIND_PREPARED => RecordRef::Prepared { tids: tids(r)? },
+        KIND_CLR => RecordRef::Clr {
+            oid: id(r)?,
+            image: opt_bytes(r)?,
+        },
+        k => return Err(CodecError::Corrupt(format!("unknown record kind {k}"))),
+    }))
 }
 
 /// One entry of the log's byte stream: a record, or the seal that closes
@@ -440,11 +387,11 @@ impl<'a> LogEntry<'a> {
     /// before the entry does (more of the log may complete it; at the end
     /// of the file it is the torn tail); `Err` when the bytes are no entry.
     pub fn decode(buf: &'a [u8], off: usize) -> Result<Option<(LogEntry<'a>, usize)>> {
-        let mut c = Cursor { buf, pos: off };
-        match c.entry() {
-            Ok(entry) => Ok(Some((entry, c.pos))),
-            Err(Stop::Short) => Ok(None),
-            Err(Stop::Corrupt(why)) => Err(AssetError::Corrupt(format!("log record: {why}"))),
+        let mut r = Reader::new(buf.get(off..).unwrap_or_default());
+        match entry(&mut r) {
+            Ok(entry) => Ok(Some((entry, off + r.pos()))),
+            Err(CodecError::Short) => Ok(None),
+            Err(CodecError::Corrupt(why)) => Err(AssetError::Corrupt(format!("log record: {why}"))),
         }
     }
 }
@@ -775,8 +722,10 @@ mod tests {
         assert!(!seals(0, &[]));
     }
 
+    /// Ids and image lengths on both sides of every LEB128 width (the
+    /// varint itself is tested beside it, in `asset_common::codec`).
     #[test]
-    fn varint_edges_roundtrip() {
+    fn id_and_length_widths_roundtrip() {
         roundtrip(LogRecord::Abort { tid: Tid(u64::MAX) });
         roundtrip(LogRecord::Commit {
             tids: vec![Tid(0), Tid(127), Tid(128), Tid(u64::MAX)],

@@ -2,10 +2,9 @@
 //!
 //! A page is a fixed-size byte buffer. [`slotted`](crate::slotted) imposes a
 //! slotted-record structure on top; this module provides the buffer itself
-//! and checked little-endian accessors used by both the slotted layout and
-//! the log encoding.
-
-use asset_common::{AssetError, Result};
+//! and the little-endian accessors its random-access layout reads and
+//! writes fields with. (Streams — the log, the wire — read through
+//! `asset_common::codec::Reader` instead.)
 
 /// Identifier of a page within the heap file.
 pub type PageId = u32;
@@ -94,28 +93,6 @@ pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Checked variant of [`get_u32`] for decoding possibly-corrupt input.
-pub fn try_get_u32(buf: &[u8], off: usize) -> Result<u32> {
-    if off + 4 > buf.len() {
-        return Err(AssetError::Corrupt(format!(
-            "u32 read at {off} past end ({})",
-            buf.len()
-        )));
-    }
-    Ok(get_u32(buf, off))
-}
-
-/// Checked variant of [`get_u64`].
-pub fn try_get_u64(buf: &[u8], off: usize) -> Result<u64> {
-    if off + 8 > buf.len() {
-        return Err(AssetError::Corrupt(format!(
-            "u64 read at {off} past end ({})",
-            buf.len()
-        )));
-    }
-    Ok(get_u64(buf, off))
-}
-
 /// FNV-1a 64-bit checksum used by pages and log blocks.
 ///
 /// Not cryptographic; it detects torn writes and truncation, which is all a
@@ -144,15 +121,6 @@ mod tests {
         assert_eq!(get_u16(&buf, 0), 0xBEEF);
         assert_eq!(get_u32(&buf, 2), 0xDEADBEEF);
         assert_eq!(get_u64(&buf, 6), 0x0123_4567_89AB_CDEF);
-    }
-
-    #[test]
-    fn checked_reads() {
-        let buf = vec![1u8; 8];
-        assert!(try_get_u32(&buf, 4).is_ok());
-        assert!(try_get_u32(&buf, 5).is_err());
-        assert!(try_get_u64(&buf, 0).is_ok());
-        assert!(try_get_u64(&buf, 1).is_err());
     }
 
     #[test]

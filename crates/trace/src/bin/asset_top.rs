@@ -24,7 +24,8 @@
 //!   fleet dashboard ([`asset_trace::top::render_fleet_frame`]).
 
 use asset_core::{Database, DepType, ObSet, OpSet};
-use asset_trace::{prom, top};
+use asset_server::prom;
+use asset_trace::top;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

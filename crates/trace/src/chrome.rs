@@ -28,6 +28,7 @@
 //! sub-microsecond spans visible.
 
 use crate::span::{CausalGraph, EdgeKind, FleetGraph, FlowKind, MsgDir, Outcome, SpanKind, Track};
+use asset_server::protocol::opcode;
 use std::fmt::Write as _;
 
 /// Emulated process id for single-graph renders.
@@ -60,33 +61,6 @@ fn esc(s: &str) -> String {
         }
     }
     out
-}
-
-/// Human name of a §13.3 wire opcode for trace labels (kept in sync with
-/// the server's `opcode` module by the trace-smoke CI check).
-fn opname(op: u8) -> &'static str {
-    match op {
-        0x01 => "PING",
-        0x02 => "HELLO",
-        0x10 => "BEGIN",
-        0x11 => "READ",
-        0x12 => "WRITE",
-        0x13 => "COMMIT",
-        0x14 => "ABORT",
-        0x20 => "DELEGATE",
-        0x21 => "PERMIT",
-        0x22 => "FORM_DEP",
-        0x30 => "NEW_OID",
-        0x31 => "MINT",
-        0x32 => "SUM",
-        0x33 => "STATS",
-        0x40 => "PREPARE",
-        0x41 => "PREPARED",
-        0x42 => "COMMIT_DECIDE",
-        0x43 => "ABORT_DECIDE",
-        0x7F => "SHUTDOWN",
-        _ => "OP",
-    }
 }
 
 fn track_name(t: &Track) -> String {
@@ -357,7 +331,12 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
             MsgDir::Recv => "recv",
             MsgDir::Reply => "reply",
         };
-        let name = format!("{dir} {} root={} peer={}", opname(m.opcode), m.root, m.peer);
+        let name = format!(
+            "{dir} {} root={} peer={}",
+            opcode::name(m.opcode),
+            m.root,
+            m.peer
+        );
         instant(out, first, pid, WIRE_TID, &name, m.at_ns);
     }
 
@@ -441,7 +420,7 @@ pub fn render_fleet(f: &FleetGraph) -> String {
             &mut first,
             id,
             "asset-flow",
-            &format!("{} {leg} root={}", opname(fl.opcode), fl.root),
+            &format!("{} {leg} root={}", opcode::name(fl.opcode), fl.root),
             (node_pid(fl.from_node), WIRE_TID),
             (node_pid(fl.to_node), WIRE_TID),
             fl.from_ns,

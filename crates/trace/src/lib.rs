@@ -14,9 +14,6 @@
 //! * [`chrome`] — Chrome trace-event JSON (Perfetto /
 //!   `chrome://tracing`): one named track per transaction, flow arrows
 //!   for every causal edge.
-//! * [`prom`] — Prometheus text exposition of the full
-//!   [`MetricsSnapshot`](asset_obs::MetricsSnapshot) plus per-stripe lock
-//!   stats, and a tiny `std`-only HTTP endpoint to scrape it from.
 //! * [`dot`] — Graphviz DOT of the waits-for graph and the transaction
 //!   dependency graph, as a point-in-time pair from
 //!   [`Introspection`](asset_core::Introspection).
@@ -51,7 +48,6 @@
 pub mod chrome;
 pub mod dot;
 pub mod json;
-pub mod prom;
 pub mod span;
 pub mod top;
 

@@ -152,7 +152,7 @@ pub struct NodeVitals {
 
 /// Sample a series by bare name, tolerating a `{label}` set — the
 /// per-node exporter tags its gauges with `{node="N"}`, which
-/// [`crate::prom::sample`]'s exact match would miss.
+/// [`asset_server::prom::sample`]'s exact match would miss.
 pub fn fleet_sample(body: &str, series: &str) -> Option<f64> {
     body.lines().filter(|l| !l.starts_with('#')).find_map(|l| {
         let (name, value) = l.split_once(' ')?;
@@ -186,16 +186,8 @@ impl NodeVitals {
     /// The row for a node whose scrape failed.
     pub fn down(addr: &str) -> NodeVitals {
         NodeVitals {
-            addr: addr.to_string(),
             up: false,
-            committed: 0.0,
-            aborted: 0.0,
-            requests: 0.0,
-            live_connections: 0.0,
-            live_sessions: 0.0,
-            live_transactions: 0.0,
-            in_doubt: 0.0,
-            events_dropped: 0.0,
+            ..NodeVitals::from_scrape(addr, "")
         }
     }
 }

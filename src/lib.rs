@@ -38,16 +38,15 @@
 //!   histograms, and a structured event trace of every primitive
 //!   (`Database::metrics_snapshot` / `Database::obs`);
 //! * [`asset_trace`] — causal span reconstruction over that event trace,
-//!   plus exporters: Chrome trace-event JSON (Perfetto), a Prometheus
-//!   text endpoint, Graphviz DOT of the waits-for and dependency graphs,
-//!   and the `asset-top` live monitor;
+//!   plus exporters: Chrome trace-event JSON (Perfetto), Graphviz DOT of
+//!   the waits-for and dependency graphs, and the `asset-top` live monitor;
 //! * [`asset_faults`] — deterministic fault injection: named failpoints in
 //!   the storage and transaction layers (compiled in only with the
 //!   `faults` feature) that the crash-recovery matrix drives;
 //! * [`asset_server`] — the network server: the `DESIGN.md` §13
 //!   length-prefixed wire protocol over TCP, connections mapped onto
 //!   executor-driven session transactions, commit acks riding the
-//!   group-commit flush window;
+//!   group-commit flush window, and the Prometheus text endpoint;
 //! * [`asset_client`] — the blocking wire client: pipelined requests,
 //!   typed operations, and the conservation-preserving money-ledger
 //!   helpers the E16 workload drives;

@@ -16,8 +16,8 @@ use asset::coord::{
     GlobalTxn, ParticipantNode, PaxosCommit, TcpTransport, TwoPhase,
 };
 use asset::obs::{Event, EventKind, Obs};
+use asset::server::prom::{self, PromServer};
 use asset::server::{protocol::opcode, AssetServer};
-use asset::trace::prom::{self, PromServer};
 use asset::trace::span::{CausalGraph, CrossFlow, FleetGraph, FlowKind};
 use asset::trace::{chrome, json};
 use asset::{Config, Database, Oid, Tid};

@@ -236,6 +236,52 @@ fn wire_error_taxonomy() {
     server.join();
 }
 
+/// Send one raw request and expect `ERR_MALFORMED` with a message that
+/// contains `names` (DESIGN.md §13.3: a body is exactly its layout).
+fn refused_as_malformed(op: u8, body: Vec<u8>, names: &str) {
+    let server = spawn_server(test_config());
+    let mut c = connect(&server);
+    c.send(op, body).unwrap();
+    let resp = c.recv().unwrap();
+    let msg = String::from_utf8(resp.payload).unwrap();
+    assert_eq!(resp.status, status::ERR_MALFORMED, "{msg}");
+    assert!(msg.contains(names), "{msg:?} should name {names:?}");
+    // the connection survives the refusal, and nothing was done
+    assert_eq!(c.stats().unwrap().live, 0);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn trailing_bytes_after_a_fixed_body_are_malformed() {
+    for (op, len) in [
+        (opcode::BEGIN, 8),
+        (opcode::READ, 16),
+        (opcode::COMMIT, 8),
+        (opcode::SUM, 16),
+        (opcode::PREPARED, 8),
+        (opcode::PING, 0),
+    ] {
+        refused_as_malformed(op, vec![0; len + 3], "3 trailing bytes");
+    }
+}
+
+#[test]
+fn an_object_set_all_flag_other_than_0_or_1_is_malformed() {
+    // DELEGATE: from, to, then all flag 2 with n = 0
+    let mut body = [1u64, 2].map(u64::to_le_bytes).concat();
+    body.extend([2, 0, 0, 0, 0]);
+    refused_as_malformed(opcode::DELEGATE, body, "all flag 2");
+}
+
+#[test]
+fn an_object_set_of_all_with_a_nonzero_count_is_malformed() {
+    // PERMIT: grantor, wildcard grantee, ops 3, then all = 1 with n = 1
+    let mut body = [1u64, 0].map(u64::to_le_bytes).concat();
+    body.extend([3, 1, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+    refused_as_malformed(opcode::PERMIT, body, "all = 1 with n = 1");
+}
+
 #[test]
 fn delegate_permit_and_form_dependency_over_the_wire() {
     let server = spawn_server(test_config());

@@ -7,7 +7,8 @@
 
 use asset::models::{Saga, SagaOutcome};
 use asset::obs::EventKind;
-use asset::trace::{chrome, json, prom, CausalGraph};
+use asset::server::prom;
+use asset::trace::{chrome, json, CausalGraph};
 use asset::{Database, DepType, ObSet, OpSet, Tid};
 use std::collections::HashSet;
 
