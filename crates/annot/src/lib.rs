@@ -28,8 +28,8 @@ pub fn wal(_attr: TokenStream, item: TokenStream) -> TokenStream {
 ///
 /// `#[verify_allow(lock_order, reason = "ordered multi-lock helper")]`
 /// — the rule name is one of `wal`, `lock_order`, `failpoint_coverage`,
-/// `no_panics`, `exec_step`; the `reason` is mandatory and is surfaced by the analyzer
-/// in `--list-allows` output so suppressions stay auditable.
+/// `exec_step`, `status_flow`; the `reason` is mandatory and is surfaced by
+/// the analyzer in `--list-allows` output so suppressions stay auditable.
 #[proc_macro_attribute]
 pub fn verify_allow(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item

@@ -41,7 +41,20 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use asset_common::codec::{CodecError, Reader};
+use asset_common::ParticipantState;
 use asset_obs::{EventKind, MetricsSnapshot, Obs, TraceCtx};
 use asset_server::protocol::{
     encode_tids, opcode, read_body, read_tids, status, status_name, write_obset, Frame, WireError,
@@ -164,23 +177,6 @@ pub struct ServerStats {
     /// Commit-point log failures (each one produced an ambiguous or
     /// aborted commit).
     pub commit_log_failures: u64,
-}
-
-/// The distributed-commit state of a transaction as reported by the
-/// wire `PREPARED` query (DESIGN.md §14).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PreparedState {
-    /// The server does not know the tid (never existed, or committed/
-    /// aborted before a restart and since forgotten).
-    Unknown,
-    /// Prepared — durable-but-undecided, awaiting the coordinator.
-    Prepared,
-    /// Committed.
-    Committed,
-    /// Aborted (or aborting).
-    Aborted,
-    /// Live but not prepared (running, completed, committing).
-    Other,
 }
 
 /// A blocking connection to an ASSET server.
@@ -544,15 +540,9 @@ impl Client {
 
     /// Query a transaction's distributed-commit state — usable for tids
     /// of any session, including after the server restarted.
-    pub fn prepared_state(&mut self, tid: u64) -> Result<PreparedState, ClientError> {
+    pub fn prepared_state(&mut self, tid: u64) -> Result<ParticipantState, ClientError> {
         let payload = self.ok_payload(opcode::PREPARED, tid.to_le_bytes().to_vec())?;
-        Ok(match Reader::new(&payload).u8()? {
-            1 => PreparedState::Prepared,
-            2 => PreparedState::Committed,
-            3 => PreparedState::Aborted,
-            4 => PreparedState::Other,
-            _ => PreparedState::Unknown,
-        })
+        Ok(ParticipantState::from_byte(Reader::new(&payload).u8()?))
     }
 
     /// Deliver the coordinator's **commit** decision for a prepared
@@ -874,7 +864,7 @@ mod tests {
             c.write(tid, oid, b"staged").unwrap();
             group = c.prepare(&[tid]).unwrap();
             assert_eq!(group, vec![tid]);
-            assert_eq!(c.prepared_state(tid).unwrap(), PreparedState::Prepared);
+            assert_eq!(c.prepared_state(tid).unwrap(), ParticipantState::Prepared);
             // the session no longer owns the prepared txn
             match c.write(tid, oid, b"x") {
                 Err(ClientError::Server { status, .. }) => {
@@ -887,13 +877,13 @@ mod tests {
         let mut c2 = connect(&s);
         assert_eq!(
             c2.prepared_state(group[0]).unwrap(),
-            PreparedState::Prepared,
+            ParticipantState::Prepared,
             "disconnect does not abort a prepared transaction"
         );
         c2.commit_decide(&group).unwrap();
         assert_eq!(
             c2.prepared_state(group[0]).unwrap(),
-            PreparedState::Committed
+            ParticipantState::Committed
         );
         assert_eq!(c2.read_i64_committed(oid).map(|_| ()).unwrap(), ());
         let t = c2.begin().unwrap();
@@ -915,7 +905,7 @@ mod tests {
         c.write(tid, oid, b"doomed").unwrap();
         let group = c.prepare(&[tid]).unwrap();
         c.abort_decide(&group).unwrap();
-        assert_eq!(c.prepared_state(tid).unwrap(), PreparedState::Aborted);
+        assert_eq!(c.prepared_state(tid).unwrap(), ParticipantState::Aborted);
         let t = c.begin().unwrap();
         assert_eq!(c.read(t, oid).unwrap(), None, "prepared write undone");
         c.abort(t).unwrap();

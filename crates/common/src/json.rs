@@ -1,13 +1,33 @@
-//! A minimal, dependency-free JSON parser.
-//!
-//! Exists so tests, the CI smoke job and `asset-top --check` can validate
-//! that the Chrome trace export is well-formed JSON without pulling a
-//! serde stack into the workspace. It is a straightforward
-//! recursive-descent parser: strict on structure (trailing garbage is an
-//! error), depth-limited, and entirely `Result`-based — no panics.
+//! Minimal, dependency-free JSON: the one string escaper the workspace's
+//! JSON writers (the Chrome trace export, the analyzer's JSON and SARIF
+//! reports) emit through, and a parser that tests use to check that what
+//! they wrote is well-formed without pulling a serde stack into the
+//! workspace. The parser is a straightforward recursive-descent one:
+//! strict on structure (trailing garbage is an error), depth-limited, and
+//! entirely `Result`-based — no panics.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
+
+/// `s` escaped for the inside of a JSON double-quoted string.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Maximum nesting depth accepted before bailing out (guards the parser's
 /// recursion against adversarial input).
@@ -353,6 +373,15 @@ mod tests {
     fn passes_through_utf8() {
         let v = parse(r#""naïve — ütf""#).unwrap();
         assert_eq!(v.as_str(), Some("naïve — ütf"));
+    }
+
+    #[test]
+    fn escapes_control_characters_and_parses_back_unchanged() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let raw = "quote \" slash \\ nl \n cr \r tab \t bell \u{7} — ütf";
+        let doc = format!("\"{}\"", escape(raw));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(raw));
     }
 
     #[test]

@@ -16,11 +16,23 @@
 //! * inter-transaction constraints are [`DepType`] dependencies (CD/AD/GC).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod codec;
 pub mod config;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod mode;
 pub mod pool;
 pub mod status;
@@ -30,4 +42,4 @@ pub use config::{Config, Durability};
 pub use error::{AssetError, Result};
 pub use ids::{IdMap, IdSet, Lsn, Oid, Tid};
 pub use mode::{DepType, LockMode, ObSet, OpSet, Operation};
-pub use status::TxnStatus;
+pub use status::{ParticipantState, TxnStatus};

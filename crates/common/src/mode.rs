@@ -46,7 +46,10 @@ impl LockMode {
     /// A lock covers a request when no additional locking work is needed:
     /// write covers read and write; read covers read.
     #[inline]
-    #[allow(clippy::match_like_matches_macro)] // the match reads as a truth table
+    #[allow(
+        clippy::match_like_matches_macro,
+        reason = "the match reads as a truth table"
+    )]
     pub fn covers(self, req: LockMode) -> bool {
         match (self, req) {
             (_, LockMode::None) => true,
@@ -58,7 +61,10 @@ impl LockMode {
 
     /// Do two locks held by *different* transactions conflict?
     #[inline]
-    #[allow(clippy::match_like_matches_macro)] // the match reads as a truth table
+    #[allow(
+        clippy::match_like_matches_macro,
+        reason = "the match reads as a truth table"
+    )]
     pub fn conflicts(self, other: LockMode) -> bool {
         match (self, other) {
             (LockMode::None, _) | (_, LockMode::None) => false,
@@ -119,6 +125,12 @@ impl OpSet {
     pub const WRITE: OpSet = OpSet(Self::WRITE_BIT);
     /// All operations (the paper's null `operations` argument).
     pub const ALL: OpSet = OpSet(Self::READ_BIT | Self::WRITE_BIT);
+
+    /// The set whose bits are `bits` (the wire `PERMIT` ops byte: 1 =
+    /// read, 2 = write); `None` if a bit outside those two is set.
+    pub fn from_bits(bits: u8) -> Option<OpSet> {
+        (bits & !Self::ALL.0 == 0).then_some(OpSet(bits))
+    }
 
     /// Build a set from a list of operations.
     pub fn from_ops(ops: &[Operation]) -> OpSet {

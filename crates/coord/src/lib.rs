@@ -75,6 +75,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod acceptor;
 pub mod failpoints;
@@ -84,11 +95,10 @@ pub mod transport;
 pub mod twopc;
 
 pub use acceptor::{Acceptor, CoordLog};
+pub use asset_common::ParticipantState;
 pub use node::ParticipantNode;
 pub use paxos::PaxosCommit;
-pub use transport::{
-    ChannelTransport, CommitMessage, CommitTransport, CoordError, ParticipantState, TcpTransport,
-};
+pub use transport::{ChannelTransport, CommitMessage, CommitTransport, CoordError, TcpTransport};
 pub use twopc::TwoPhase;
 
 use asset_common::Tid;

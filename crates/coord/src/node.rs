@@ -9,10 +9,9 @@
 //! logic backs [`ChannelTransport`](crate::ChannelTransport); over TCP
 //! the equivalent mapping lives in the server's dispatch.
 
-use crate::transport::{wire_opcode, CommitMessage, ParticipantState};
-use asset_annot::verify_allow;
+use crate::transport::CommitMessage;
 use asset_common::sync::Mutex;
-use asset_common::{Config, Result, Tid, TxnStatus};
+use asset_common::{Config, ParticipantState, Result, Tid};
 use asset_core::Database;
 use asset_obs::{EventKind, TraceCtx};
 
@@ -38,8 +37,8 @@ impl ParticipantNode {
     ///
     /// # Panics
     /// If the node is down (killed and not yet restarted).
-    #[verify_allow(
-        no_panics,
+    #[expect(
+        clippy::expect_used,
         reason = "documented panic: grabbing a database handle from a killed node is harness misuse, not a protocol path (transports go through handle(), which reports None)"
     )]
     pub fn db(&self) -> Database {
@@ -92,7 +91,7 @@ impl ParticipantNode {
         ctx: Option<TraceCtx>,
     ) -> Option<CommitMessage> {
         let db = self.db.lock().clone()?;
-        let op = ctx.and_then(|_| wire_opcode(&msg));
+        let op = ctx.and_then(|_| msg.wire_opcode());
         if let (Some(ctx), Some(op)) = (ctx, op) {
             db.obs().record(EventKind::MsgRecv {
                 opcode: op,
@@ -118,13 +117,9 @@ impl ParticipantNode {
                 db.decide_abort_group(&tids);
                 CommitMessage::Ack
             }
-            CommitMessage::QueryState { tid } => CommitMessage::State(match db.status(tid) {
-                Ok(TxnStatus::Prepared) => ParticipantState::Prepared,
-                Ok(TxnStatus::Committed) => ParticipantState::Committed,
-                Ok(TxnStatus::Aborting) | Ok(TxnStatus::Aborted) => ParticipantState::Aborted,
-                Ok(_) => ParticipantState::Other,
-                Err(_) => ParticipantState::Unknown,
-            }),
+            CommitMessage::QueryState { tid } => {
+                CommitMessage::State(ParticipantState::of(db.status(tid).ok()))
+            }
             other => CommitMessage::Failed {
                 info: format!("participant cannot handle {other:?}"),
             },

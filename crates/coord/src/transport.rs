@@ -16,10 +16,10 @@
 
 use crate::failpoints;
 use crate::node::ParticipantNode;
-use asset_client::{Client, ClientError, PreparedState};
+use asset_client::{Client, ClientError};
 use asset_common::pool::{Pool, Work};
 use asset_common::sync::{Condvar, Mutex, MutexGuard};
-use asset_common::Tid;
+use asset_common::{ParticipantState, Tid};
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{EventKind, Obs, TraceCtx};
 use asset_server::protocol::opcode;
@@ -27,21 +27,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The §13 wire opcode a coordinator-originated message rides, or
-/// `None` for reply-only messages (which a coordinator never sends).
-/// Trace events mirror protocol messages under these opcodes so a
-/// channel-transport exchange and its TCP equivalent produce the same
-/// merged trace.
-pub(crate) fn wire_opcode(msg: &CommitMessage) -> Option<u8> {
-    match msg {
-        CommitMessage::Prepare { .. } => Some(opcode::PREPARE),
-        CommitMessage::QueryState { .. } => Some(opcode::PREPARED),
-        CommitMessage::CommitDecide { .. } => Some(opcode::COMMIT_DECIDE),
-        CommitMessage::AbortDecide { .. } => Some(opcode::ABORT_DECIDE),
-        _ => None,
-    }
-}
 
 /// One protocol message (request or reply). The vocabulary maps 1:1
 /// onto the §13 wire opcodes; see `DESIGN.md` §14.2.
@@ -91,20 +76,21 @@ pub enum CommitMessage {
     },
 }
 
-/// A transaction's distributed-commit state as a participant reports it
-/// (the wire `PREPARED` query's payload).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ParticipantState {
-    /// The node does not know the tid.
-    Unknown,
-    /// Prepared — in doubt, awaiting a decision.
-    Prepared,
-    /// Committed.
-    Committed,
-    /// Aborted (or aborting).
-    Aborted,
-    /// Live but not prepared.
-    Other,
+impl CommitMessage {
+    /// The §13 wire opcode a coordinator-originated message rides, or
+    /// `None` for reply-only messages (which a coordinator never sends).
+    /// Trace events mirror protocol messages under these opcodes so a
+    /// channel-transport exchange and its TCP equivalent produce the same
+    /// merged trace.
+    pub fn wire_opcode(&self) -> Option<u8> {
+        match self {
+            CommitMessage::Prepare { .. } => Some(opcode::PREPARE),
+            CommitMessage::QueryState { .. } => Some(opcode::PREPARED),
+            CommitMessage::CommitDecide { .. } => Some(opcode::COMMIT_DECIDE),
+            CommitMessage::AbortDecide { .. } => Some(opcode::ABORT_DECIDE),
+            _ => None,
+        }
+    }
 }
 
 /// Why a message exchange failed.
@@ -279,7 +265,7 @@ impl ChannelTransport {
             }
         }
         let n = Arc::clone(self.nodes.get(node).ok_or(CoordError::NodeDown(node))?);
-        self.mirror(false, node, wire_opcode(msg), ctx);
+        self.mirror(false, node, msg.wire_opcode(), ctx);
         Ok(n)
     }
 
@@ -419,7 +405,7 @@ impl CommitTransport for ChannelTransport {
         for (at, (node, msg)) in msgs.into_iter().enumerate() {
             match self.admit(node, &msg, ctx) {
                 Ok(n) => {
-                    sent.push((at, node, wire_opcode(&msg)));
+                    sent.push((at, node, msg.wire_opcode()));
                     deliveries.push((at, n, node, msg));
                 }
                 Err(e) => replies[at] = Err(e),
@@ -643,19 +629,12 @@ impl CommitTransport for TcpTransport {
                 })?;
                 Ok(CommitMessage::Ack)
             }
-            CommitMessage::QueryState { tid } => {
-                let s = self.with_node(node, |c| {
+            CommitMessage::QueryState { tid } => self
+                .with_node(node, |c| {
                     self.arm(c, node, ctx);
                     c.prepared_state(tid.0)
-                })?;
-                Ok(CommitMessage::State(match s {
-                    PreparedState::Unknown => ParticipantState::Unknown,
-                    PreparedState::Prepared => ParticipantState::Prepared,
-                    PreparedState::Committed => ParticipantState::Committed,
-                    PreparedState::Aborted => ParticipantState::Aborted,
-                    PreparedState::Other => ParticipantState::Other,
-                }))
-            }
+                })
+                .map(CommitMessage::State),
             other => Err(CoordError::Protocol(format!(
                 "transport cannot send {other:?}"
             ))),

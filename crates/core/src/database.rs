@@ -371,10 +371,10 @@ impl Database {
     }
 
     /// An in-memory database with default configuration (tests, examples).
+    #[expect(clippy::expect_used, reason = "in-memory open performs no I/O")]
     pub fn in_memory() -> Database {
         Database::open(Config::in_memory())
             // the only open failures are I/O errors from the file-backed path
-            // verify: allow(no_panics) — in-memory open performs no I/O
             .expect("in-memory open cannot fail")
             .0
     }
@@ -615,7 +615,7 @@ impl Database {
     /// what excludes.
     #[wal(logs = "log_record", mutates = "self.finish_commit")]
     fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
         let mut forced: Result<()> = Ok(());
         asset_faults::failpoint!(
             &self.inner.config.faults,
@@ -1363,7 +1363,7 @@ impl Database {
             return Ok(group);
         }
         // the vote: one forced Prepared record for the group
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
         let mut prep_res: Result<()> = Ok(());
         asset_faults::failpoint!(
             &self.inner.config.faults,
@@ -1395,7 +1395,7 @@ impl Database {
         }
         for m in &group {
             // members come from the guard's own locked key set
-            // verify: allow(no_panics) — guard-internal keys
+            #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.status = TxnStatus::Prepared;
         }
@@ -1728,7 +1728,7 @@ impl Database {
                     // durable) record, and nothing is held across it.
                     for m in &group {
                         // members come from the guard's own locked key set
-                        // verify: allow(no_panics) — guard-internal keys
+                        #[expect(clippy::expect_used, reason = "guard-internal keys")]
                         let slot = guard.get_mut(*m).expect("group member exists");
                         slot.commit_pending = true;
                     }
@@ -1809,7 +1809,7 @@ impl Database {
         for m in group {
             // pinned or prepared slots are not terminated, so retirement
             // cannot have removed them
-            // verify: allow(no_panics) — guard-internal keys
+            #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
             slot.status = TxnStatus::Committed;

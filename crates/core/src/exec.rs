@@ -469,7 +469,7 @@ impl ExecInner {
                         blocked_on: None,
                     };
                     // step programs invariantly exist until Done
-                    // verify: allow(no_panics) — phase-gated task invariant
+                    #[expect(clippy::expect_used, reason = "phase-gated task invariant")]
                     let prog = body.prog.as_mut().expect("running task has a program");
                     let step = match catch_unwind(AssertUnwindSafe(|| prog(&mut sc))) {
                         Ok(step) => step,

@@ -263,7 +263,10 @@ pub fn permits_across_depth(
     (granted, max_depth)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the search state of one recursive walk"
+)]
 fn dfs_across(
     tables: &[&PermitTable],
     from: Tid,

@@ -16,6 +16,18 @@
 //! log's commit records make restart recovery safe for a `--dir`
 //! database).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use asset_common::Config;
 use asset_core::Database;
 use asset_server::prom::PromServer;

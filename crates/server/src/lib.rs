@@ -34,6 +34,18 @@
 //! The standalone binary (`cargo run -p asset-server -- --addr
 //! 127.0.0.1:4994 --dir /tmp/asset`) wraps exactly this.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod prom;
 pub mod protocol;
 mod server;

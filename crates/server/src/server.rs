@@ -13,6 +13,7 @@ use crate::protocol::{
 use crate::session::{OpReply, SessionTxn, TxnOp};
 use asset_common::codec::Reader;
 use asset_common::sync::Mutex;
+use asset_common::ParticipantState;
 use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnOutcome, TxnStatus};
 use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
 use std::collections::HashMap;
@@ -504,18 +505,12 @@ impl Connection {
                     Ok((Tid(r.u64()?), r.u64()?, r.u8()?, read_obset(r)?))
                 })?;
                 let grantee = (grantee != 0).then_some(Tid(grantee));
-                let ops = match ops {
-                    0 => OpSet::NONE,
-                    1 => OpSet::READ,
-                    2 => OpSet::WRITE,
-                    3 => OpSet::ALL,
-                    _ => {
-                        return Ok(Frame::err_response(
-                            req,
-                            status::ERR_MALFORMED,
-                            "ops bitmask out of range (0..=3)",
-                        ))
-                    }
+                let Some(ops) = OpSet::from_bits(ops) else {
+                    return Ok(Frame::err_response(
+                        req,
+                        status::ERR_MALFORMED,
+                        "ops bitmask out of range (0..=3)",
+                    ));
                 };
                 let obs = obs.map_or(ObSet::All, objects);
                 ack(req, db.permit(grantor, grantee, obs, ops))
@@ -575,14 +570,8 @@ impl Connection {
             }
             opcode::PREPARED => {
                 let tid = Tid(read_body(b, Reader::u64)?);
-                let state: u8 = match db.status(tid) {
-                    Ok(TxnStatus::Prepared) => 1,
-                    Ok(TxnStatus::Committed) => 2,
-                    Ok(TxnStatus::Aborting) | Ok(TxnStatus::Aborted) => 3,
-                    Ok(_) => 4,
-                    Err(_) => 0,
-                };
-                Frame::ok_response(req, &[state])
+                let state = ParticipantState::of(db.status(tid).ok());
+                Frame::ok_response(req, &[state.byte()])
             }
             opcode::COMMIT_DECIDE => {
                 let tids = tids(read_body(b, read_tids)?);
@@ -740,7 +729,6 @@ impl Connection {
             }
         }
         for t in tids {
-            // verify: allow(no_panics) — membership checked above
             let st = &self.txns[&t.0];
             match st.call(&db, TxnOp::Hold) {
                 Some(OpReply::Done) => {}

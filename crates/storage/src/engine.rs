@@ -57,7 +57,7 @@ impl StorageEngine {
             ),
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                #[allow(unused_mut)]
+                #[allow(unused_mut, reason = "only the `faults` build installs a registry")]
                 let mut heap = FilePageStore::open(&dir.join("heap.db"), PAGE_SIZE)?;
                 #[cfg(feature = "faults")]
                 heap.set_faults(Arc::clone(&config.faults));

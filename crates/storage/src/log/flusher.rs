@@ -223,6 +223,10 @@ impl Drop for GroupFlusher {
 
 /// Turn a window outcome into the submitting caller's result — crashed
 /// windows re-unwind with the original site's [`asset_faults::CrashPoint`].
+#[expect(
+    clippy::panic,
+    reason = "re-unwinds an injected crash on the caller; only a `faults` crash point makes a crashed window"
+)]
 fn realize(out: Outcome) -> Result<Lsn> {
     if let Outcome::Crashed(site) = out {
         std::panic::panic_any(asset_faults::CrashPoint(site));

@@ -201,7 +201,13 @@ impl LogManager {
     /// synced: `Error` refuses the operation, anything else crashes. The
     /// engine's checkpoint and restart recovery, which work on this log,
     /// consult its registry through here.
-    #[cfg_attr(not(feature = "faults"), allow(unused_variables))]
+    #[cfg_attr(
+        not(feature = "faults"),
+        allow(
+            unused_variables,
+            reason = "`site` names a failpoint only `faults` compiles"
+        )
+    )]
     pub(crate) fn failpoint(&self, site: &'static str) -> Result<()> {
         asset_faults::failpoint!(&self.faults, site, |act| {
             return Err(self.faults.realize_plain(site, act).into());

@@ -125,7 +125,7 @@ pub enum LogRecord {
 /// straight out of the read buffer, and what the write path encodes while
 /// the images still sit in the cache and in the caller's hand.
 #[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)] // field for field, `LogRecord`
+#[allow(missing_docs, reason = "field for field, `LogRecord`")]
 pub enum RecordRef<'a> {
     Update {
         tid: Tid,

@@ -23,6 +23,18 @@
 //!   (`asset-server --serve-metrics`) every frame and render the
 //!   fleet dashboard ([`asset_trace::top::render_fleet_frame`]).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use asset_core::{Database, DepType, ObSet, OpSet};
 use asset_server::prom;
 use asset_trace::top;

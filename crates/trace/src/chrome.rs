@@ -28,8 +28,8 @@
 //! sub-microsecond spans visible.
 
 use crate::span::{CausalGraph, EdgeKind, FleetGraph, FlowKind, MsgDir, Outcome, SpanKind, Track};
+use asset_common::json::escape;
 use asset_server::protocol::opcode;
-use std::fmt::Write as _;
 
 /// Emulated process id for single-graph renders.
 const PID: u64 = 1;
@@ -40,27 +40,6 @@ const WIRE_TID: u64 = u64::MAX;
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
-}
-
-/// Minimal JSON string escaping for the labels we generate (labels are
-/// ASCII identifiers plus `[`/`]`/`-`; this covers the general case
-/// anyway).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn track_name(t: &Track) -> String {
@@ -86,7 +65,7 @@ fn meta_thread(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &st
         first,
         &format!(
             r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            esc(name)
+            escape(name)
         ),
     );
     push_event(
@@ -104,7 +83,7 @@ fn meta_process(out: &mut String, first: &mut bool, pid: u64, name: &str) {
         first,
         &format!(
             r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{}"}}}}"#,
-            esc(name)
+            escape(name)
         ),
     );
     push_event(
@@ -116,7 +95,10 @@ fn meta_process(out: &mut String, first: &mut bool, pid: u64, name: &str) {
     );
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per trace-event field"
+)]
 fn complete(
     out: &mut String,
     first: &mut bool,
@@ -132,7 +114,7 @@ fn complete(
         first,
         &format!(
             r#"{{"ph":"X","pid":{pid},"tid":{tid},"name":"{}","cat":"asset","ts":{:.3},"dur":{:.3},"args":{{{args}}}}}"#,
-            esc(name),
+            escape(name),
             us(ts_ns),
             us(dur_ns),
         ),
@@ -145,7 +127,7 @@ fn instant(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &str, t
         first,
         &format!(
             r#"{{"ph":"i","pid":{pid},"tid":{tid},"name":"{}","cat":"asset","ts":{:.3},"s":"t"}}"#,
-            esc(name),
+            escape(name),
             us(ts_ns),
         ),
     );
@@ -155,7 +137,10 @@ fn instant(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &str, t
 /// on `(to_pid, to_tid)` at `end_ns` (floored 1ns later so viewers have
 /// a strictly positive arrow length). `cat` distinguishes intra-node
 /// causal edges (`asset-edge`) from cross-node flows (`asset-flow`).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per trace-event field"
+)]
 fn flow(
     out: &mut String,
     first: &mut bool,
@@ -174,7 +159,7 @@ fn flow(
             r#"{{"ph":"s","pid":{},"tid":{},"id":{id},"name":"{}","cat":"{cat}","ts":{:.3}}}"#,
             from.0,
             from.1,
-            esc(name),
+            escape(name),
             us(start_ns),
         ),
     );
@@ -186,7 +171,7 @@ fn flow(
             r#"{{"ph":"f","pid":{},"tid":{},"id":{id},"name":"{}","cat":"{cat}","ts":{end:.3},"bp":"e"}}"#,
             to.0,
             to.1,
-            esc(name),
+            escape(name),
         ),
     );
 }
@@ -440,7 +425,7 @@ fn node_pid(node: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use asset_common::json;
     use asset_common::{DepType, Tid};
     use asset_obs::{Event, EventKind};
 
@@ -640,11 +625,5 @@ mod tests {
             })
             .expect("request flow start");
         assert_eq!(req_start.get("pid").and_then(|p| p.as_f64()), Some(1.0));
-    }
-
-    #[test]
-    fn escapes_control_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

@@ -18,8 +18,6 @@
 //!   dependency graph, as a point-in-time pair from
 //!   [`Introspection`](asset_core::Introspection).
 //! * [`top`] — frame rendering for the `asset-top` live monitor binary.
-//! * [`json`] — a dependency-free JSON parser used to validate exports in
-//!   tests and CI smoke jobs.
 //!
 //! ## Quick start
 //!
@@ -44,10 +42,20 @@
 //! DESIGN.md).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod chrome;
 pub mod dot;
-pub mod json;
 pub mod span;
 pub mod top;
 

@@ -339,10 +339,10 @@ mod tests {
 
     #[test]
     fn collects_directives() {
-        let (_, d) = lex("x();\n// verify: allow(no_panics, wal) — both fine here\ny();");
+        let (_, d) = lex("x();\n// verify: allow(status_flow, wal) — both fine here\ny();");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
-        assert_eq!(d[0].rules, ["no_panics", "wal"]);
+        assert_eq!(d[0].rules, ["status_flow", "wal"]);
         assert_eq!(d[0].reason, "both fine here");
     }
 

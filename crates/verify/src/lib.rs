@@ -1,43 +1,24 @@
 //! # asset-verify
 //!
-//! A workspace invariant analyzer for the ASSET codebase. It parses the
-//! runtime crates (`asset-core`, `asset-lock`, `asset-storage`) with a
-//! purpose-built lexer (no external parser dependencies) and enforces five
-//! named rules:
+//! A workspace invariant analyzer for the ASSET codebase. It lexes the
+//! runtime crates (`asset-core`, `asset-lock`, `asset-storage`,
+//! `asset-server`, `asset-client`, `asset-coord`) with a purpose-built
+//! lexer and enforces the five rules that need a call graph, lock ranks
+//! or dominance (each rule's module documents it):
 //!
-//! - **R1 `wal`** — WAL discipline: functions annotated
-//!   `#[wal(logs = "...", mutates = "...")]` must append their log record
-//!   (a call that reaches a durable append sink through the call graph)
-//!   before mutating the tracked state; functions that call `log_record`
-//!   must carry a `#[wal]` contract.
-//! - **R2 `lock_order`** — stripe lock order: the global acquisition order
-//!   is txn-table shard (rank 0) → lock-table stripe (rank 1) → storage
-//!   latch/shard (rank 2). Acquiring a lock of rank ≤ the highest rank
-//!   held — directly or through a callee — is a violation, except inside
-//!   the blessed ordered-multi-lock helpers.
-//! - **R3 `failpoint_coverage`** — every durable-write call site in
-//!   `asset-storage` (`write_all`, `write_all_at`, `sync_data`,
-//!   `sync_all`, `set_len`) must be dominated by a `failpoint!` /
-//!   `failpoint_sync!` evaluation or a call to a failpoint-checker fn.
-//! - **R4 `no_panics`** — no `.unwrap()`, `.expect()`, `panic!`,
-//!   `unimplemented!`, or `todo!` in runtime (non-`#[cfg(test)]`) paths.
-//! - **R5 `exec_step`** — no blocking call inside an executor worker step:
-//!   functions annotated `#[exec_step]` must not call condvar waits,
-//!   sleeps, fsyncs, joins, channel receives, or synchronous flusher
-//!   submissions; suspension is expressed only by returning a
-//!   `TxnStep::Wait*` value.
-//! - **R6 `spec_drift`** — the normative DESIGN.md tables (§13.3 opcode
-//!   and status tables, §14.1 coordinator opcodes, the WAL record-type
-//!   inventory) must agree bidirectionally with the code constants and
-//!   the dispatch/decode/mapping functions that consume them.
-//! - **R7 `status_flow`** — a `CommitAmbiguous` outcome must never be
-//!   swallowed (`let _ =`, `.ok()`, empty `Err(_)` arm) in `server`,
-//!   `client`, or `coord` before reaching a wire status or `TxnFate`
-//!   (the §13.4 contract as a checked property).
-//! - **R8 `state_machine`** — the `TxnStatus` transition relation and the
-//!   coordinator's participant-state report map must match the declared
-//!   tables derived from §14.2–§14.3, and `Prepared` is only entered via
-//!   a forced WAL record.
+//! - **R1 `wal`** — a log record lands before the state change it covers,
+//!   and `Prepared` is entered only after a `LogRecord::Prepared`;
+//! - **R2 `lock_order`** — txn-table shard → lock-table stripe → storage
+//!   latch, through callees too;
+//! - **R3 `failpoint_coverage`** — every durable write in `asset-storage`
+//!   is dominated by a failpoint evaluation;
+//! - **R5 `exec_step`** — no blocking call inside an `#[exec_step]`;
+//! - **R7 `status_flow`** — a `CommitAmbiguous` outcome is never
+//!   swallowed in `server`, `client` or `coord` (§13.4).
+//!
+//! Ids R4, R6 and R8 are retired, not reused: no-panic runtime paths are
+//! crate-level clippy denies, and the DESIGN.md tables are checked
+//! against the running code by the root test `tests/spec_tables.rs`.
 //!
 //! Suppressions are explicit and auditable: `#[verify_allow(rule,
 //! reason = "...")]` on a function, or `// verify: allow(rule) — reason`
@@ -48,7 +29,6 @@ pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod spec;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -67,11 +47,8 @@ pub fn rule_id(rule: &str) -> &'static str {
         "wal" => "R1",
         "lock_order" => "R2",
         "failpoint_coverage" => "R3",
-        "no_panics" => "R4",
         "exec_step" => "R5",
-        "spec_drift" => "R6",
         "status_flow" => "R7",
-        "state_machine" => "R8",
         _ => "R0",
     }
 }
@@ -79,7 +56,7 @@ pub fn rule_id(rule: &str) -> &'static str {
 /// The rule catalog: `(name, id, one-line description)`, in id order.
 /// Drives `--help`, the SARIF `tool.driver.rules` array, and the CLI's
 /// rule count.
-pub const RULES: [(&str, &str, &str); 8] = [
+pub const RULES: [(&str, &str, &str); 5] = [
     (
         "wal",
         "R1",
@@ -95,26 +72,15 @@ pub const RULES: [(&str, &str, &str); 8] = [
         "R3",
         "every durable write in asset-storage is dominated by a failpoint evaluation",
     ),
-    ("no_panics", "R4", "no unwrap/expect/panic in runtime paths"),
     (
         "exec_step",
         "R5",
         "no blocking calls inside #[exec_step] executor steps",
     ),
     (
-        "spec_drift",
-        "R6",
-        "code constants and dispatch match the normative DESIGN.md tables bidirectionally",
-    ),
-    (
         "status_flow",
         "R7",
         "CommitAmbiguous outcomes are never swallowed before reaching a wire status or TxnFate",
-    ),
-    (
-        "state_machine",
-        "R8",
-        "TxnStatus and participant transitions match the declared legal-transition tables",
     ),
 ];
 
@@ -228,8 +194,8 @@ pub const DURABLE_WRITES: [&str; 5] = [
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (`wal`, `lock_order`, `failpoint_coverage`, `no_panics`,
-    /// `exec_step`, or `meta` for analyzer-consistency findings).
+    /// Rule name (`wal`, `lock_order`, `failpoint_coverage`, `exec_step`,
+    /// `status_flow`, or `meta` for analyzer-consistency findings).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -318,11 +284,6 @@ pub struct Workspace {
     pub acquire: BTreeMap<String, BTreeSet<u8>>,
     /// Failpoint-checker function names (R3 coverage sources).
     pub checkers: BTreeSet<String>,
-    /// Normative spec tables parsed from `DESIGN.md` (R6/R8 inputs);
-    /// empty for fixture workspaces built without a spec document.
-    pub spec: spec::SpecTables,
-    /// Display path of the spec document (spec-side finding location).
-    pub spec_file: String,
     /// Analyze the `faults`-feature configuration: functions gated
     /// `#[cfg(feature = "faults")]` are scanned and `#[cfg(not(...))]`
     /// counterparts are skipped (the default mode does the reverse).
@@ -330,13 +291,11 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Load `crates/{common,core,lock,storage,trace,server,client,coord}/src`
-    /// and the normative spec tables of `DESIGN.md` under `root`.
+    /// Load `crates/{core,lock,storage,server,client,coord}/src` under
+    /// `root`.
     pub fn from_root(root: &Path) -> io::Result<Self> {
         let mut raw = Vec::new();
-        for krate in [
-            "common", "core", "lock", "storage", "trace", "server", "client", "coord",
-        ] {
+        for krate in ["core", "lock", "storage", "server", "client", "coord"] {
             let src = root.join("crates").join(krate).join("src");
             let mut paths = Vec::new();
             collect_rs(&src, &mut paths)?;
@@ -351,21 +310,7 @@ impl Workspace {
                 raw.push((krate.to_string(), rel, text));
             }
         }
-        let spec_md = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-        Ok(Self::from_sources_with_spec(raw, "DESIGN.md", &spec_md))
-    }
-
-    /// Build a workspace from in-memory sources plus a spec document
-    /// (used by the R6/R8 fixture tests and [`Self::from_root`]).
-    pub fn from_sources_with_spec(
-        raw: Vec<(String, String, String)>,
-        spec_file: &str,
-        spec_md: &str,
-    ) -> Self {
-        let mut ws = Self::from_sources(raw);
-        ws.spec = spec::SpecTables::parse(spec_md);
-        ws.spec_file = spec_file.to_string();
-        ws
+        Ok(Self::from_sources(raw))
     }
 
     /// Build a workspace from in-memory sources (used by fixture tests).
@@ -552,11 +497,8 @@ impl Workspace {
         rules::wal::run(self, &mut raw);
         rules::lock_order::run(self, &mut raw);
         rules::failpoints::run(self, &mut raw);
-        rules::no_panics::run(self, &mut raw);
         rules::exec_step::run(self, &mut raw);
-        rules::spec_drift::run(self, &mut raw);
         rules::status_flow::run(self, &mut raw);
-        rules::state_machine::run(self, &mut raw);
 
         let mut out = Analysis::default();
         for f in raw {
@@ -665,11 +607,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Load and analyze the workspace under `root`.
-pub fn analyze_root(root: &Path) -> io::Result<Analysis> {
-    analyze_root_cfg(root, false)
 }
 
 /// Load and analyze the workspace under `root` in the given `faults`

@@ -1,6 +1,6 @@
 //! Machine-readable output: JSON, SARIF 2.1.0, and the baseline diff
-//! format. Hand-rolled emitters (the analyzer keeps its zero-dependency
-//! contract), driven by the [`crate::RULES`] catalog.
+//! format. Hand-rolled emitters over [`asset_common::json::escape`],
+//! driven by the [`crate::RULES`] catalog.
 //!
 //! The **baseline** format is line-number-insensitive: one key per
 //! finding (`rule<TAB>file<TAB>func<TAB>msg`), sorted and de-duplicated,
@@ -9,23 +9,7 @@
 //! *new* findings — the CI gating mode.
 
 use crate::{rule_id, Analysis, Finding, RULES};
-
-/// Escape a string for a JSON double-quoted literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use asset_common::json::escape;
 
 /// The analyzer's own JSON document: rule count, findings, allows.
 pub fn to_json(a: &Analysis) -> String {
@@ -42,11 +26,11 @@ pub fn to_json(a: &Analysis) -> String {
             "\n    {{\"id\": \"{}\", \"rule\": \"{}\", \"file\": \"{}\", \
              \"line\": {}, \"func\": \"{}\", \"msg\": \"{}\"}}",
             rule_id(f.rule),
-            esc(f.rule),
-            esc(&f.file),
+            escape(f.rule),
+            escape(&f.file),
             f.line,
-            esc(&f.func),
-            esc(&f.msg)
+            escape(&f.func),
+            escape(&f.msg)
         ));
     }
     s.push_str("\n  ],\n  \"allows\": [");
@@ -58,18 +42,18 @@ pub fn to_json(a: &Analysis) -> String {
             "\n    {{\"id\": \"{}\", \"rule\": \"{}\", \"file\": \"{}\", \
              \"line\": {}, \"func\": \"{}\", \"reason\": \"{}\"}}",
             rule_id(al.rule),
-            esc(al.rule),
-            esc(&al.file),
+            escape(al.rule),
+            escape(&al.file),
             al.line,
-            esc(&al.func),
-            esc(&al.reason)
+            escape(&al.func),
+            escape(&al.reason)
         ));
     }
     s.push_str("\n  ]\n}\n");
     s
 }
 
-/// SARIF 2.1.0 log: one run, the R0–R8 rule catalog in
+/// SARIF 2.1.0 log: one run, the R0 meta rule and the rule catalog in
 /// `tool.driver.rules`, one `error`-level result per finding.
 pub fn to_sarif(a: &Analysis) -> String {
     let mut s = String::new();
@@ -92,8 +76,8 @@ pub fn to_sarif(a: &Analysis) -> String {
         s.push_str(&format!(
             "\n            {{\"id\": \"{id}\", \"name\": \"{}\", \
              \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            esc(name),
-            esc(desc)
+            escape(name),
+            escape(desc)
         ));
     }
     s.push_str("\n          ]\n        }\n      },\n      \"results\": [");
@@ -108,8 +92,8 @@ pub fn to_sarif(a: &Analysis) -> String {
              \"artifactLocation\": {{\"uri\": \"{}\"}},\n                \
              \"region\": {{\"startLine\": {}}}\n              }}\n            }}\n          ]\n        }}",
             rule_id(f.rule),
-            esc(&format!("in `{}` — {}", f.func, f.msg)),
-            esc(&f.file),
+            escape(&format!("in `{}` — {}", f.func, f.msg)),
+            escape(&f.file),
             f.line.max(1)
         ));
     }
@@ -156,11 +140,11 @@ mod tests {
     fn one() -> Analysis {
         Analysis {
             findings: vec![Finding {
-                rule: "spec_drift",
-                file: "crates/server/src/protocol.rs".into(),
+                rule: "status_flow",
+                file: "crates/server/src/server.rs".into(),
                 line: 7,
-                func: "opcode".into(),
-                msg: "constant `X` = 0x10 has no row \"quoted\"".into(),
+                func: "drain".into(),
+                msg: "`let _ =` discards \"quoted\"".into(),
             }],
             allows: Vec::new(),
         }
@@ -170,14 +154,14 @@ mod tests {
     fn json_and_sarif_escape_and_embed_the_finding() {
         let a = one();
         let j = to_json(&a);
-        assert!(j.contains("\"id\": \"R6\""));
-        assert!(j.contains("no row \\\"quoted\\\""));
+        assert!(j.contains("\"id\": \"R7\""));
+        assert!(j.contains("discards \\\"quoted\\\""));
         let s = to_sarif(&a);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"R6\""));
+        assert!(s.contains("\"ruleId\": \"R7\""));
         assert!(s.contains("\"startLine\": 7"));
-        // all nine catalog entries are declared
-        assert_eq!(s.matches("\"shortDescription\"").count(), 9);
+        // all six catalog entries are declared
+        assert_eq!(s.matches("\"shortDescription\"").count(), 6);
     }
 
     #[test]

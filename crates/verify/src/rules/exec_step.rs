@@ -9,7 +9,7 @@
 //! event-count waits, sleeps, fsyncs, thread joins/parks, channel
 //! receives, and synchronous flusher submissions.
 //!
-//! Like R4 the check is per-function and syntactic: a helper called from a
+//! The check is per-function and syntactic: a helper called from a
 //! step is either annotated `#[exec_step]` itself (and checked on its own)
 //! or audited at the boundary. Lock *mutex* acquisitions (`.lock()`) are
 //! deliberately not flagged — stripe and shard mutexes are short critical

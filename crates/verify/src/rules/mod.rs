@@ -5,8 +5,5 @@
 pub mod exec_step;
 pub mod failpoints;
 pub mod lock_order;
-pub mod no_panics;
-pub mod spec_drift;
-pub mod state_machine;
 pub mod status_flow;
 pub mod wal;

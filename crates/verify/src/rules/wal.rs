@@ -14,6 +14,11 @@
 //!    `asset-storage` that calls `log_record` directly must carry a
 //!    `#[wal]` contract (or an explicit suppression), so new log-writing
 //!    code cannot silently skip the ordering check.
+//! 4. `Prepared` is entered only through a forced record (§14.2): a
+//!    function in any scanned crate that assigns
+//!    `status = TxnStatus::Prepared` must construct `LogRecord::Prepared`
+//!    earlier in its body. Recovery re-materializes the state through a
+//!    struct initializer, a different shape, and is deliberately exempt.
 
 use crate::lexer::{lex, Kind, Tok};
 use crate::{Finding, Workspace};
@@ -21,10 +26,11 @@ use crate::{Finding, Workspace};
 /// Run R1 over the workspace.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     for (file, item) in ws.runtime_fns() {
+        let body = ws.body(file, item);
+        check_prepared_entry(file, item, body, out);
         if file.krate != "core" && file.krate != "storage" {
             continue;
         }
-        let body = ws.body(file, item);
         let wal = item.attrs.iter().find(|a| a.name == "wal");
         match wal {
             Some(attr) => {
@@ -111,6 +117,32 @@ fn check_contract(
                  (line {}) — the WAL record must land first",
                 body[mut_idx].line, body[log_idx].line
             ),
+        ));
+    }
+}
+
+/// Part 4: `status = TxnStatus::Prepared` needs an earlier
+/// `LogRecord::Prepared` in the same body.
+fn check_prepared_entry(
+    file: &crate::SrcFile,
+    item: &crate::parse::FnItem,
+    body: &[Tok],
+    out: &mut Vec<Finding>,
+) {
+    let assign = [".", "status", "=", "TxnStatus", "::", "Prepared"].map(String::from);
+    let Some(at) = find_seq(body, &assign) else {
+        return;
+    };
+    let record = ["LogRecord", "::", "Prepared"].map(String::from);
+    if find_seq(&body[..at], &record).is_none() {
+        out.push(finding(
+            file,
+            item,
+            body[at].line,
+            "`status = TxnStatus::Prepared` without a forced `LogRecord::Prepared` earlier \
+             in the function — the prepared state must be entered via a forced WAL record \
+             (§14.2)"
+                .into(),
         ));
     }
 }

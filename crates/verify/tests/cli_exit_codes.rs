@@ -23,17 +23,17 @@ fn exit_codes_are_pinned() {
     let clean = mk_root("clean", "pub fn status_of(v: u8) -> u8 {\n    v\n}\n");
     let bad = mk_root(
         "bad",
-        "pub fn status_of(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
+        "pub fn prepare(slot: &mut Slot) {\n    slot.status = TxnStatus::Prepared;\n}\n",
     );
 
     // 0: clean workspace
     let s = bin().arg("--root").arg(&clean).status().expect("run");
     assert_eq!(s.code(), Some(0));
 
-    // 1: findings (an R4 unwrap on a runtime path)
+    // 1: findings (an R1 `Prepared` entry with no record before it)
     let out = bin().arg("--root").arg(&bad).output().expect("run");
     assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("R4 no_panics"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("R1 wal"));
 
     // 0 again: the same findings accepted via a saved baseline
     let base = bin()
@@ -81,7 +81,7 @@ fn exit_codes_are_pinned() {
     assert_eq!(sarif.status.code(), Some(1));
     let doc = String::from_utf8_lossy(&sarif.stdout);
     assert!(doc.contains("\"version\": \"2.1.0\""));
-    assert!(doc.contains("\"ruleId\": \"R4\""));
+    assert!(doc.contains("\"ruleId\": \"R1\""));
     assert!(doc.contains("crates/server/src/lib.rs"));
 
     std::fs::remove_dir_all(&clean).ok();

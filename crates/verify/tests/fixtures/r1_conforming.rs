@@ -1,7 +1,7 @@
 //! R1 fixture (conforming) — the post-fix shape of the same two
-//! operations: the log record lands before the tracked state changes,
-//! so a crash at any point leaves recovery a log that explains
-//! everything it finds.
+//! operations, and a `Prepared` entry after its record: the log record
+//! lands before the tracked state changes, so a crash at any point
+//! leaves recovery a log that explains everything it finds.
 
 use asset_annot::wal;
 
@@ -42,5 +42,13 @@ impl StorageEngine {
         let frame = rec.encode();
         self.file.write_all(&frame)?;
         Ok(())
+    }
+}
+
+impl Slot {
+    /// Forces the record, then enters `Prepared` (§14.2).
+    pub fn mark_prepared(&mut self, log: &mut Vec<LogRecord>) {
+        log.push(LogRecord::Prepared { tids: Vec::new() });
+        self.status = TxnStatus::Prepared;
     }
 }

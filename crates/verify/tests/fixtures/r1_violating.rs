@@ -3,7 +3,7 @@
 //! `Running` and `delegate` spliced undo entries *before* the matching
 //! log record was appended. A crash between the two steps leaves
 //! recovery with in-memory state the log cannot explain. The analyzer
-//! must re-detect both reorders.
+//! must re-detect both reorders, and a `Prepared` entry with no record.
 
 use asset_annot::wal;
 
@@ -44,5 +44,12 @@ impl StorageEngine {
         let frame = rec.encode();
         self.file.write_all(&frame)?;
         Ok(())
+    }
+}
+
+impl Slot {
+    /// Enters `Prepared` without forcing the WAL record first (§14.2).
+    pub fn mark_prepared(&mut self) {
+        self.status = TxnStatus::Prepared;
     }
 }

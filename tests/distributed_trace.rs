@@ -11,6 +11,7 @@
 //! protocols through [`TcpTransport`] against two wire servers and
 //! re-reads the merged fleet trace from its Chrome JSON export.
 
+use asset::common::json;
 use asset::coord::{
     Acceptor, ChannelTransport, CommitMessage, CommitTransport, CoordLog, CoordObs, Decision,
     GlobalTxn, ParticipantNode, PaxosCommit, TcpTransport, TwoPhase,
@@ -18,8 +19,8 @@ use asset::coord::{
 use asset::obs::{Event, EventKind, Obs};
 use asset::server::prom::{self, PromServer};
 use asset::server::{protocol::opcode, AssetServer};
+use asset::trace::chrome;
 use asset::trace::span::{CausalGraph, CrossFlow, FleetGraph, FlowKind};
-use asset::trace::{chrome, json};
 use asset::{Config, Database, Oid, Tid};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

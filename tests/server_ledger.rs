@@ -283,6 +283,28 @@ fn an_object_set_of_all_with_a_nonzero_count_is_malformed() {
 }
 
 #[test]
+fn a_permit_ops_byte_above_3_is_malformed() {
+    let server = spawn_server(test_config());
+    let mut c = connect(&server);
+    let t = c.begin().unwrap();
+    for ops in 0..=4u8 {
+        // grantor t, wildcard grantee, ops, then all = 1 with n = 0
+        let mut body = [t, 0].map(u64::to_le_bytes).concat();
+        body.extend([ops, 1, 0, 0, 0, 0]);
+        c.send(opcode::PERMIT, body).unwrap();
+        let want = if ops <= 3 {
+            status::OK
+        } else {
+            status::ERR_MALFORMED
+        };
+        assert_eq!(c.recv().unwrap().status, want, "ops byte {ops}");
+    }
+    c.abort(t).unwrap();
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn delegate_permit_and_form_dependency_over_the_wire() {
     let server = spawn_server(test_config());
     let mut c = connect(&server);

@@ -5,10 +5,11 @@
 //! per delegation/dependency edge; and a live Prometheus scrape returns
 //! the same counter totals as `metrics_snapshot()`.
 
+use asset::common::json;
 use asset::models::{Saga, SagaOutcome};
 use asset::obs::EventKind;
 use asset::server::prom;
-use asset::trace::{chrome, json, CausalGraph};
+use asset::trace::{chrome, CausalGraph};
 use asset::{Database, DepType, ObSet, OpSet, Tid};
 use std::collections::HashSet;
 
