@@ -5,8 +5,9 @@
 //! trans {f1()} else trans {f2()} else ... else trans {fn()}
 //! ```
 
+use crate::atomic::trans;
 use asset_core::{Database, Result, TxnCtx};
-use asset_obs::{EventKind, ModelKind};
+use asset_obs::ModelKind;
 
 /// One alternative of a contingent transaction.
 pub type Alternative = Box<dyn FnOnce(&TxnCtx) -> Result<()> + Send + 'static>;
@@ -14,15 +15,20 @@ pub type Alternative = Box<dyn FnOnce(&TxnCtx) -> Result<()> + Send + 'static>;
 /// Run the alternatives in order until one commits. Returns the index of
 /// the committed alternative, or `None` if every alternative aborted.
 pub fn run_contingent(db: &Database, alternatives: Vec<Alternative>) -> Result<Option<usize>> {
+    contingent(db, ModelKind::Contingent, alternatives)
+}
+
+/// [`run_contingent`] on behalf of `model`.
+pub(crate) fn contingent<F>(
+    db: &Database,
+    model: ModelKind,
+    alternatives: impl IntoIterator<Item = F>,
+) -> Result<Option<usize>>
+where
+    F: FnOnce(&TxnCtx) -> Result<()> + Send + 'static,
+{
     for (i, f) in alternatives.into_iter().enumerate() {
-        let t = db.initiate(f)?;
-        db.obs().record(EventKind::Model {
-            model: ModelKind::Contingent,
-            tid: t,
-            label: "alternative",
-        });
-        db.begin(t)?;
-        if db.commit(t)? {
+        if trans(db, model, "step", f)? {
             return Ok(Some(i));
         }
     }

@@ -40,8 +40,10 @@ impl<'a> Cursor<'a> {
 
     /// Read the next record (read-locking it), releasing the previous
     /// record to writers via a wildcard write permit. `None` at the end.
-    /// (Not an `Iterator`: each step is fallible and takes locks.)
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not an `Iterator`: each step is fallible and takes locks"
+    )]
     pub fn next(&mut self) -> Result<Option<(Oid, Option<Vec<u8>>)>> {
         if self.pos >= self.records.len() {
             return Ok(None);

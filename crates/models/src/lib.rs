@@ -20,9 +20,24 @@
 //!   objects, kept through logical undo by `delegate` (§5 future work).
 //!
 //! These play the role the paper assigns to the database-language compiler:
-//! users program against the model, the model emits primitive calls.
+//! users program against the model, the model emits primitive calls. They
+//! share one engine: a workflow step is an atomic, contingent or
+//! distributed transaction; a saga is a workflow of single steps; and
+//! saga, workflow and MLT undo run through one compensation loop that
+//! retries each compensation, newest first, until it commits.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod atomic;
 pub mod contingent;
@@ -35,12 +50,12 @@ pub mod saga;
 pub mod split;
 pub mod workflow;
 
-pub use atomic::{run_atomic, run_atomic_retrying, RetryOutcome};
+pub use atomic::{run_atomic, run_atomic_retrying, Action, RetryOutcome};
 pub use contingent::{run_contingent, Alternative};
 pub use coop::{CoopSession, Coupling};
 pub use cursor::Cursor;
 pub use distributed::{run_distributed, Component};
 pub use nested::{required_subtransaction, run_nested, subtransaction, SubtxnOutcome};
-pub use saga::{Saga, SagaOutcome, SagaStep, SagaTrace};
+pub use saga::{Saga, SagaOutcome, SagaTrace};
 pub use split::{join, split};
 pub use workflow::{Branch, Step, StepResult, Workflow, WorkflowOutcome};

@@ -20,14 +20,14 @@
 //!   with or without an error, the parent `delegate`s its guard locks
 //!   (§2.2) to a holder transaction `H` that [`run_mlt`] initiated beside
 //!   it. `H` ends only after the parent has committed, or after every
-//!   inverse has committed, newest first, through
-//!   [`run_atomic_retrying`]. So no other parent observes an aborted
-//!   parent's committed operations.
+//!   inverse has committed, newest first, each retried until it commits
+//!   by the loop that also compensates sagas and workflows. So no other
+//!   parent observes an aborted parent's committed operations.
 //!
 //! [`EscrowCounter`] and the paper's own [`Department`] are the semantic
 //! objects.
 
-use crate::atomic::{run_atomic_retrying, RetryableAction};
+use crate::atomic::{compensate, Action};
 use asset_common::{AssetError, ObSet, Oid, Result, Tid};
 use asset_core::{Database, Handle, ObjectCodec, TxnCtx};
 use asset_obs::{EventKind, ModelKind};
@@ -51,7 +51,7 @@ pub enum OpClass {
 pub struct MltSession<'a> {
     ctx: &'a TxnCtx,
     guards: RefCell<BTreeSet<Oid>>,
-    inverses: Sender<RetryableAction>,
+    inverses: Sender<Action>,
 }
 
 impl MltSession<'_> {
@@ -156,10 +156,8 @@ fn run_parent(
     // aborted, in its body or after it (a dependency partner, a failed
     // commit record): each inverse is retried until it commits, as a saga
     // compensation is
-    let inverses: Vec<RetryableAction> = registered.try_iter().collect();
-    for inverse in inverses.iter().rev() {
-        run_atomic_retrying(db, Arc::clone(inverse), u32::MAX)?;
-    }
+    let inverses: Vec<Action> = registered.try_iter().collect();
+    compensate(db, ModelKind::Mlt, &inverses)?;
     committed.map(|_| MltOutcome::Undone {
         inverses_run: inverses.len(),
     })

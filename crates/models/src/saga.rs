@@ -7,50 +7,14 @@
 //! `t1 .. tk ctk .. ct1`. A compensating transaction is retried until it
 //! commits, exactly as the paper's synthesized `do { ... } while
 //! (!commit(ct))` loop.
+//!
+//! A saga is a [`Workflow`] of single required steps, its events tagged
+//! [`ModelKind::Saga`]; this module only builds it and reads its
+//! [`SagaTrace`] off the workflow's result.
 
+use crate::workflow::{Branch, Step, Workflow, WorkflowOutcome};
 use asset_core::{Database, Result, TxnCtx};
-use asset_obs::{EventKind, ModelKind};
-use std::sync::Arc;
-
-/// A step's action or compensation, retry-able and thus `Fn` + shared.
-pub type SagaAction = Arc<dyn Fn(&TxnCtx) -> Result<()> + Send + Sync>;
-
-/// One saga component with its optional compensation. The final component
-/// of a saga needs no compensation (its commit commits the saga).
-pub struct SagaStep {
-    /// Human-readable step name (reports, traces).
-    pub name: String,
-    action: SagaAction,
-    compensation: Option<SagaAction>,
-}
-
-impl SagaStep {
-    /// A step with a compensation.
-    pub fn new(
-        name: impl Into<String>,
-        action: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
-        compensation: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
-    ) -> SagaStep {
-        SagaStep {
-            name: name.into(),
-            action: Arc::new(action),
-            compensation: Some(Arc::new(compensation)),
-        }
-    }
-
-    /// A step without a compensation (legal for the final step; an earlier
-    /// uncompensated step simply skips its slot during rollback).
-    pub fn uncompensated(
-        name: impl Into<String>,
-        action: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
-    ) -> SagaStep {
-        SagaStep {
-            name: name.into(),
-            action: Arc::new(action),
-            compensation: None,
-        }
-    }
-}
+use asset_obs::ModelKind;
 
 /// The observable history of a saga run: which components committed and
 /// which compensations ran, in order. Useful for asserting the paper's
@@ -77,130 +41,67 @@ pub enum SagaOutcome {
 
 /// A saga: ordered steps executed as independent atomic transactions.
 pub struct Saga {
-    steps: Vec<SagaStep>,
-    /// Bound on compensation retries (a safety valve on the paper's
-    /// retry-forever loop; `None` = retry forever).
-    max_compensation_retries: Option<u32>,
+    workflow: Workflow,
+    /// Per step, whether it has a compensation.
+    compensable: Vec<bool>,
 }
 
 impl Saga {
     /// Start building a saga.
     pub fn new() -> Saga {
         Saga {
-            steps: Vec::new(),
-            max_compensation_retries: None,
+            workflow: Workflow::new("saga").tagged(ModelKind::Saga),
+            compensable: Vec::new(),
         }
     }
 
     /// Append a step.
     #[must_use]
     pub fn step(
-        mut self,
+        self,
         name: impl Into<String>,
         action: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
         compensation: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
     ) -> Saga {
-        self.steps.push(SagaStep::new(name, action, compensation));
-        self
+        self.add(Branch::new(name, action, compensation), true)
     }
 
-    /// Append a step with no compensation (typically the last).
+    /// Append a step with no compensation (typically the last; an earlier
+    /// uncompensated step simply skips its slot during rollback).
     #[must_use]
     pub fn final_step(
-        mut self,
+        self,
         name: impl Into<String>,
         action: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static,
     ) -> Saga {
-        self.steps.push(SagaStep::uncompensated(name, action));
+        self.add(Branch::uncompensated(name, action), false)
+    }
+
+    fn add(mut self, branch: Branch, compensable: bool) -> Saga {
+        self.workflow = self
+            .workflow
+            .step(Step::single(branch.name.clone(), branch));
+        self.compensable.push(compensable);
         self
-    }
-
-    /// Append a pre-built step.
-    #[must_use]
-    pub fn push(mut self, step: SagaStep) -> Saga {
-        self.steps.push(step);
-        self
-    }
-
-    /// Bound compensation retries (default: unbounded, per the paper).
-    #[must_use]
-    pub fn with_max_compensation_retries(mut self, n: u32) -> Saga {
-        self.max_compensation_retries = Some(n);
-        self
-    }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Is the saga empty?
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 
     /// Execute the saga. Returns the outcome and the event trace.
     pub fn run(self, db: &Database) -> Result<(SagaOutcome, SagaTrace)> {
-        let mut trace = SagaTrace::default();
-        let mut committed_prefix: Vec<&SagaStep> = Vec::new();
-        let mut failed: Option<usize> = None;
-
-        for (i, step) in self.steps.iter().enumerate() {
-            let action = Arc::clone(&step.action);
-            let t = db.initiate(move |ctx| action(ctx))?;
-            db.begin(t)?;
-            if db.commit(t)? {
-                db.obs().record(EventKind::Model {
-                    model: ModelKind::Saga,
-                    tid: t,
-                    label: "step",
-                });
-                trace.events.push(step.name.clone());
-                committed_prefix.push(step);
-            } else {
-                db.obs().record(EventKind::Model {
-                    model: ModelKind::Saga,
-                    tid: t,
-                    label: "failed",
-                });
-                failed = Some(i);
-                break;
+        let (outcome, results) = self.workflow.run(db)?;
+        let committed = results
+            .iter()
+            .zip(&self.compensable)
+            .filter(|(r, _)| r.succeeded);
+        let mut events: Vec<String> = committed.clone().map(|(r, _)| r.name.clone()).collect();
+        let outcome = match outcome {
+            WorkflowOutcome::Completed => SagaOutcome::Committed,
+            WorkflowOutcome::Failed { failed_step } => {
+                let undone = committed.rev().filter(|(_, c)| **c);
+                events.extend(undone.map(|(r, _)| format!("~{}", r.name)));
+                SagaOutcome::Compensated { failed_step }
             }
-        }
-
-        let Some(failed_step) = failed else {
-            return Ok((SagaOutcome::Committed, trace));
         };
-
-        // compensate the committed prefix in reverse commit order
-        for step in committed_prefix.iter().rev() {
-            let Some(comp) = &step.compensation else {
-                continue;
-            };
-            let mut attempts = 0u32;
-            loop {
-                let c = Arc::clone(comp);
-                let ct = db.initiate(move |ctx| c(ctx))?;
-                db.begin(ct)?;
-                if db.commit(ct)? {
-                    db.obs().record(EventKind::Model {
-                        model: ModelKind::Saga,
-                        tid: ct,
-                        label: "compensate",
-                    });
-                    trace.events.push(format!("~{}", step.name));
-                    break;
-                }
-                attempts += 1;
-                if let Some(max) = self.max_compensation_retries {
-                    if attempts >= max {
-                        // surface the stuck compensation rather than spin
-                        return Err(asset_common::AssetError::TxnAborted(ct));
-                    }
-                }
-            }
-        }
-        Ok((SagaOutcome::Compensated { failed_step }, trace))
+        Ok((outcome, SagaTrace { events }))
     }
 }
 
@@ -214,15 +115,16 @@ impl Default for Saga {
 mod tests {
     use super::*;
     use asset_common::Oid;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
-    /// write a tag, compensated by deleting it
-    fn tagged_step(name: &str, oid: Oid, tag: &'static [u8]) -> SagaStep {
-        SagaStep::new(
-            name,
-            move |ctx: &TxnCtx| ctx.write(oid, tag.to_vec()),
-            move |ctx: &TxnCtx| ctx.delete(oid),
-        )
+    impl Saga {
+        /// a step writing a tag, compensated by deleting it
+        fn writes(self, name: &str, oid: Oid, tag: &'static [u8]) -> Saga {
+            self.step(
+                name,
+                move |ctx| ctx.write(oid, tag.to_vec()),
+                move |ctx| ctx.delete(oid),
+            )
+        }
     }
 
     #[test]
@@ -230,8 +132,8 @@ mod tests {
         let db = Database::in_memory();
         let (a, b, c) = (db.new_oid(), db.new_oid(), db.new_oid());
         let saga = Saga::new()
-            .push(tagged_step("s1", a, b"1"))
-            .push(tagged_step("s2", b, b"2"))
+            .writes("s1", a, b"1")
+            .writes("s2", b, b"2")
             .final_step("s3", move |ctx| ctx.write(c, b"3".to_vec()));
         let (outcome, trace) = saga.run(&db).unwrap();
         assert_eq!(outcome, SagaOutcome::Committed);
@@ -245,8 +147,8 @@ mod tests {
         let db = Database::in_memory();
         let (a, b, c) = (db.new_oid(), db.new_oid(), db.new_oid());
         let saga = Saga::new()
-            .push(tagged_step("s1", a, b"1"))
-            .push(tagged_step("s2", b, b"2"))
+            .writes("s1", a, b"1")
+            .writes("s2", b, b"2")
             .step(
                 "s3",
                 move |ctx| {
@@ -277,7 +179,7 @@ mod tests {
         let a = db.new_oid();
         let dbc = db.clone();
         let saga = Saga::new()
-            .push(tagged_step("s1", a, b"1"))
+            .writes("s1", a, b"1")
             .final_step("probe", move |_| {
                 // while the saga is still running, s1's commit is visible
                 assert_eq!(dbc.peek(a)?.unwrap(), b"1");
@@ -285,49 +187,6 @@ mod tests {
             });
         let (outcome, _) = saga.run(&db).unwrap();
         assert_eq!(outcome, SagaOutcome::Committed);
-    }
-
-    #[test]
-    fn compensation_retries_until_commit() {
-        let db = Database::in_memory();
-        let a = db.new_oid();
-        let attempts = Arc::new(AtomicU32::new(0));
-        let at = Arc::clone(&attempts);
-        let saga = Saga::new()
-            .step(
-                "s1",
-                move |ctx| ctx.write(a, b"1".to_vec()),
-                move |ctx| {
-                    // compensation fails twice before succeeding — the
-                    // paper's do/while retry loop must absorb that
-                    if at.fetch_add(1, Ordering::SeqCst) < 2 {
-                        ctx.abort_self::<()>().map(|_| ())
-                    } else {
-                        ctx.delete(a)
-                    }
-                },
-            )
-            .final_step("s2", |ctx| ctx.abort_self::<()>().map(|_| ()));
-        let (outcome, trace) = saga.run(&db).unwrap();
-        assert_eq!(outcome, SagaOutcome::Compensated { failed_step: 1 });
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-        assert_eq!(trace.events, vec!["s1", "~s1"]);
-        assert_eq!(db.peek(a).unwrap(), None);
-    }
-
-    #[test]
-    fn bounded_retries_surface_stuck_compensation() {
-        let db = Database::in_memory();
-        let a = db.new_oid();
-        let saga = Saga::new()
-            .step(
-                "s1",
-                move |ctx| ctx.write(a, b"1".to_vec()),
-                |ctx| ctx.abort_self::<()>().map(|_| ()), // always fails
-            )
-            .final_step("s2", |ctx| ctx.abort_self::<()>().map(|_| ()))
-            .with_max_compensation_retries(3);
-        assert!(saga.run(&db).is_err());
     }
 
     #[test]

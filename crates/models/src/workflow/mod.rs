@@ -13,27 +13,28 @@
 //! * a **race** step begins several transactions in parallel, commits the
 //!   first to complete and aborts the rest (the appendix's National/Avis
 //!   pattern);
+//! * a **parallel** step is a distributed transaction (§3.1.2);
 //! * a failed **required** step triggers saga-style compensation (§3.1.6)
 //!   of every committed step, in reverse order, each compensation retried
 //!   until it commits;
 //! * an **optional** step's failure is recorded and the activity proceeds
 //!   (the appendix: "If a car cannot be rented, the trip can still
 //!   proceed").
+//!
+//! A [`Saga`](crate::Saga) is a workflow of single steps. Under the
+//! workflow's model, each transaction of a single or alternatives step
+//! records `step` when it commits and `failed` when it aborts, and each
+//! committed compensation records `compensate`.
 
 pub mod travel;
 
+use crate::atomic::{compensate, trans, Action};
+use crate::contingent::contingent;
 use crate::distributed::{run_distributed, Component};
 use asset_common::{Tid, TxnStatus};
 use asset_core::{Database, Result, TxnCtx};
-use asset_obs::{EventKind, ModelKind};
+use asset_obs::ModelKind;
 use std::sync::Arc;
-
-/// A retry-able action (shared so compensation can re-run).
-pub type Action = Arc<dyn Fn(&TxnCtx) -> Result<()> + Send + Sync>;
-
-fn action(f: impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static) -> Action {
-    Arc::new(f)
-}
 
 /// One named alternative within an alternatives/race step.
 pub struct Branch {
@@ -52,8 +53,8 @@ impl Branch {
     ) -> Branch {
         Branch {
             name: name.into(),
-            act: action(act),
-            comp: Some(action(comp)),
+            act: Arc::new(act),
+            comp: Some(Arc::new(comp)),
         }
     }
 
@@ -64,9 +65,15 @@ impl Branch {
     ) -> Branch {
         Branch {
             name: name.into(),
-            act: action(act),
+            act: Arc::new(act),
             comp: None,
         }
+    }
+
+    /// One run of the branch's action, as a transaction body.
+    fn body(&self) -> impl FnOnce(&TxnCtx) -> Result<()> + Send + 'static {
+        let act = Arc::clone(&self.act);
+        move |ctx| act(ctx)
     }
 }
 
@@ -90,37 +97,31 @@ pub struct Step {
 }
 
 impl Step {
-    /// An atomic step.
-    pub fn single(name: impl Into<String>, branch: Branch) -> Step {
+    fn of(name: impl Into<String>, runner: Runner) -> Step {
         Step {
             name: name.into(),
             required: true,
             retries: 0,
-            runner: Runner::Single(branch),
+            runner,
         }
+    }
+
+    /// An atomic step.
+    pub fn single(name: impl Into<String>, branch: Branch) -> Step {
+        Step::of(name, Runner::Single(branch))
     }
 
     /// A contingent step: alternatives in preference order.
     pub fn alternatives(name: impl Into<String>, branches: Vec<Branch>) -> Step {
         assert!(!branches.is_empty());
-        Step {
-            name: name.into(),
-            required: true,
-            retries: 0,
-            runner: Runner::Alternatives(branches),
-        }
+        Step::of(name, Runner::Alternatives(branches))
     }
 
     /// A racing step: all branches start in parallel; the first to
     /// complete commits, the rest abort.
     pub fn race(name: impl Into<String>, branches: Vec<Branch>) -> Step {
         assert!(!branches.is_empty());
-        Step {
-            name: name.into(),
-            required: true,
-            retries: 0,
-            runner: Runner::Race(branches),
-        }
+        Step::of(name, Runner::Race(branches))
     }
 
     /// A parallel step: all branches run concurrently and commit **as a
@@ -128,12 +129,7 @@ impl Step {
     /// On success, every branch's compensation joins the undo stack.
     pub fn parallel(name: impl Into<String>, branches: Vec<Branch>) -> Step {
         assert!(!branches.is_empty());
-        Step {
-            name: name.into(),
-            required: true,
-            retries: 0,
-            runner: Runner::Parallel(branches),
-        }
+        Step::of(name, Runner::Parallel(branches))
     }
 
     /// Mark the step optional: its failure does not fail the activity.
@@ -151,6 +147,35 @@ impl Step {
     pub fn with_retries(mut self, n: u32) -> Step {
         self.retries = n;
         self
+    }
+
+    /// One attempt at the step: the branches that committed.
+    fn attempt(&self, db: &Database, model: ModelKind) -> Result<Vec<&Branch>> {
+        Ok(match &self.runner {
+            Runner::Single(branch) => {
+                let committed = trans(db, model, "step", branch.body())?;
+                committed.then_some(branch).into_iter().collect()
+            }
+            Runner::Alternatives(branches) => {
+                let chosen = contingent(db, model, branches.iter().map(Branch::body))?;
+                chosen.map(|i| &branches[i]).into_iter().collect()
+            }
+            Runner::Race(branches) => run_race(db, branches)?.into_iter().collect(),
+            Runner::Parallel(branches) => {
+                // §3.1.2 distributed transaction: all commit together or
+                // none do, and on failure every branch's rollback is over
+                // before the step reports
+                let components = branches
+                    .iter()
+                    .map(|b| Box::new(b.body()) as Component)
+                    .collect();
+                if run_distributed(db, components)? {
+                    branches.iter().collect()
+                } else {
+                    vec![]
+                }
+            }
+        })
     }
 }
 
@@ -182,6 +207,8 @@ pub enum WorkflowOutcome {
 pub struct Workflow {
     name: String,
     steps: Vec<Step>,
+    /// The model its events are tagged with.
+    model: ModelKind,
 }
 
 impl Workflow {
@@ -190,7 +217,14 @@ impl Workflow {
         Workflow {
             name: name.into(),
             steps: Vec::new(),
+            model: ModelKind::Workflow,
         }
+    }
+
+    /// Tag the workflow's events with `model` (a saga's are `Saga`).
+    pub(crate) fn tagged(mut self, model: ModelKind) -> Workflow {
+        self.model = model;
+        self
     }
 
     /// Append a step.
@@ -205,164 +239,60 @@ impl Workflow {
         &self.name
     }
 
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Is the workflow empty?
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// Execute against `db`. Returns the outcome and per-step results.
     pub fn run(self, db: &Database) -> Result<(WorkflowOutcome, Vec<StepResult>)> {
-        let mut results: Vec<StepResult> = Vec::with_capacity(self.steps.len());
+        let mut results = Vec::with_capacity(self.steps.len());
         // compensations of committed steps, in commit order
-        let mut undo_stack: Vec<(String, Action)> = Vec::new();
-
+        let mut undo: Vec<Action> = Vec::new();
         for (idx, step) in self.steps.iter().enumerate() {
-            let mut attempt = 0u32;
-            let committed: Vec<&Branch> = loop {
-                let result: Vec<&Branch> = match &step.runner {
-                    Runner::Single(branch) => {
-                        let act = Arc::clone(&branch.act);
-                        let t = db.initiate(move |ctx| act(ctx))?;
-                        db.obs().record(EventKind::Model {
-                            model: ModelKind::Workflow,
-                            tid: t,
-                            label: "step",
-                        });
-                        db.begin(t)?;
-                        if db.commit(t)? {
-                            vec![branch]
-                        } else {
-                            vec![]
-                        }
-                    }
-                    Runner::Alternatives(branches) => {
-                        let mut winner = vec![];
-                        for branch in branches {
-                            let act = Arc::clone(&branch.act);
-                            let t = db.initiate(move |ctx| act(ctx))?;
-                            db.begin(t)?;
-                            if db.commit(t)? {
-                                winner.push(branch);
-                                break;
-                            }
-                        }
-                        winner
-                    }
-                    Runner::Race(branches) => Self::run_race(db, branches)?.into_iter().collect(),
-                    Runner::Parallel(branches) => {
-                        // §3.1.2 distributed transaction: all commit
-                        // together or none do, and on failure every
-                        // branch's rollback is over before the step reports
-                        let components = branches
-                            .iter()
-                            .map(|b| {
-                                let act = Arc::clone(&b.act);
-                                Box::new(move |ctx: &TxnCtx| act(ctx)) as Component
-                            })
-                            .collect();
-                        if run_distributed(db, components)? {
-                            branches.iter().collect()
-                        } else {
-                            vec![]
-                        }
-                    }
-                };
-                if !result.is_empty() || attempt >= step.retries {
-                    break result;
-                }
-                attempt += 1;
-            };
-
-            match committed.as_slice() {
-                [] if step.required => {
-                    results.push(StepResult {
-                        name: step.name.clone(),
-                        chosen: None,
-                        succeeded: false,
-                    });
-                    Self::compensate(db, &mut undo_stack)?;
-                    return Ok((WorkflowOutcome::Failed { failed_step: idx }, results));
-                }
-                [] => {
-                    results.push(StepResult {
-                        name: step.name.clone(),
-                        chosen: None,
-                        succeeded: false,
-                    });
-                }
-                branches => {
-                    let chosen = branches
-                        .iter()
-                        .map(|b| b.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join("+");
-                    results.push(StepResult {
-                        name: step.name.clone(),
-                        chosen: Some(chosen),
-                        succeeded: true,
-                    });
-                    for b in branches {
-                        if let Some(comp) = &b.comp {
-                            undo_stack.push((step.name.clone(), Arc::clone(comp)));
-                        }
-                    }
-                }
-            }
-        }
-        Ok((WorkflowOutcome::Completed, results))
-    }
-
-    /// Begin every branch; commit the first to complete, abort the rest.
-    /// Falls back through later completions if the first-completed aborts
-    /// at commit.
-    fn run_race<'b>(db: &Database, branches: &'b [Branch]) -> Result<Option<&'b Branch>> {
-        let mut tids = Vec::with_capacity(branches.len());
-        for b in branches {
-            let act = Arc::clone(&b.act);
-            tids.push(db.initiate(move |ctx| act(ctx))?);
-        }
-        db.begin_many(&tids)?;
-        let mut racing: Vec<(Tid, &Branch)> = tids.into_iter().zip(branches).collect();
-        while !racing.is_empty() {
-            let live: Vec<Tid> = racing.iter().map(|(t, _)| *t).collect();
-            let (t, branch) = racing.swap_remove(db.wait_any(&live)?);
-            if db.status(t)? == TxnStatus::Aborted {
-                continue;
-            }
-            // winner: abort the other racers, then commit
-            for (other, _) in &racing {
-                let _ = db.abort(*other);
-            }
-            // rare: doomed at commit — no other racers remain
-            return Ok(db.commit(t)?.then_some(branch));
-        }
-        Ok(None) // every racer aborted
-    }
-
-    /// Saga-style compensation: reverse order, retry until commit.
-    fn compensate(db: &Database, undo_stack: &mut Vec<(String, Action)>) -> Result<()> {
-        while let Some((_name, comp)) = undo_stack.pop() {
-            loop {
-                let c = Arc::clone(&comp);
-                let ct = db.initiate(move |ctx| c(ctx))?;
-                db.obs().record(EventKind::Model {
-                    model: ModelKind::Workflow,
-                    tid: ct,
-                    label: "compensate",
-                });
-                db.begin(ct)?;
-                if db.commit(ct)? {
+            let mut committed = vec![];
+            for _ in 0..=step.retries {
+                committed = step.attempt(db, self.model)?;
+                if !committed.is_empty() {
                     break;
                 }
             }
+            let succeeded = !committed.is_empty();
+            let names: Vec<&str> = committed.iter().map(|b| b.name.as_str()).collect();
+            results.push(StepResult {
+                name: step.name.clone(),
+                chosen: succeeded.then(|| names.join("+")),
+                succeeded,
+            });
+            if !succeeded && step.required {
+                compensate(db, self.model, &undo)?;
+                return Ok((WorkflowOutcome::Failed { failed_step: idx }, results));
+            }
+            undo.extend(committed.iter().filter_map(|b| b.comp.clone()));
         }
-        Ok(())
+        Ok((WorkflowOutcome::Completed, results))
     }
+}
+
+/// Begin every branch; commit the first to complete, abort the rest.
+/// Falls back through later completions if the first-completed aborts
+/// at commit.
+fn run_race<'b>(db: &Database, branches: &'b [Branch]) -> Result<Option<&'b Branch>> {
+    let mut tids = Vec::with_capacity(branches.len());
+    for b in branches {
+        tids.push(db.initiate(b.body())?);
+    }
+    db.begin_many(&tids)?;
+    let mut racing: Vec<(Tid, &Branch)> = tids.into_iter().zip(branches).collect();
+    while !racing.is_empty() {
+        let live: Vec<Tid> = racing.iter().map(|(t, _)| *t).collect();
+        let (t, branch) = racing.swap_remove(db.wait_any(&live)?);
+        if db.status(t)? == TxnStatus::Aborted {
+            continue;
+        }
+        // winner: abort the other racers, then commit
+        for (other, _) in &racing {
+            let _ = db.abort(*other);
+        }
+        // rare: doomed at commit — no other racers remain
+        return Ok(db.commit(t)?.then_some(branch));
+    }
+    Ok(None) // every racer aborted
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! zero; a cancellation increments it back (the compensating transaction).
 
 use super::{Branch, Step, StepResult, Workflow, WorkflowOutcome};
-use asset_common::Oid;
-use asset_core::{Database, Result, TxnCtx};
+use asset_common::{AssetError, Oid, Tid};
+use asset_core::{Database, Handle, ObjectCodec, Result, TxnCtx};
 
 /// The reservation inventory for the scenario.
 #[derive(Clone, Debug)]
@@ -21,16 +21,6 @@ pub struct TravelWorld {
     pub hotel: (String, Oid),
     /// Car counters, raced.
     pub cars: Vec<(String, Oid)>,
-}
-
-/// Encode a u64 counter.
-pub fn enc(v: u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
-}
-
-/// Decode a u64 counter.
-pub fn dec(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("u64 counter"))
 }
 
 impl TravelWorld {
@@ -60,11 +50,13 @@ impl TravelWorld {
             .collect();
         let committed = db.run(move |ctx| {
             for (oid, cap) in &seed {
-                ctx.write(*oid, enc(*cap))?;
+                ctx.put(Handle::from_oid(*oid), cap)?;
             }
             Ok(())
         })?;
-        assert!(committed, "inventory bootstrap must commit");
+        if !committed {
+            return Err(AssetError::TxnAborted(Tid::NULL));
+        }
         Ok(TravelWorld {
             flights: vec![
                 ("Delta".into(), oids[0]),
@@ -76,28 +68,39 @@ impl TravelWorld {
         })
     }
 
-    /// Remaining inventory of a provider.
+    /// Remaining inventory of a provider (0 for a missing or malformed
+    /// counter).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a diagnostic read; a storage error here means the test setup is broken"
+    )]
     pub fn remaining(&self, db: &Database, oid: Oid) -> u64 {
-        db.peek(oid).unwrap().map(|b| dec(&b)).unwrap_or(0)
+        db.peek(oid)
+            .unwrap()
+            .and_then(|b| u64::decode(&b).ok())
+            .unwrap_or(0)
     }
 }
 
 /// `reserve`: decrement the provider's counter, aborting when sold out.
+/// A malformed counter fails the reservation with `Corrupt`.
 fn reserve(oid: Oid) -> impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static {
+    let h = Handle::<u64>::from_oid(oid);
     move |ctx: &TxnCtx| {
-        let cur = ctx.read(oid)?.map(|b| dec(&b)).unwrap_or(0);
+        let cur = ctx.get(h)?.unwrap_or(0);
         if cur == 0 {
             return ctx.abort_self(); // sold out
         }
-        ctx.write(oid, enc(cur - 1))
+        ctx.put(h, &(cur - 1))
     }
 }
 
 /// `cancel_*_reservation`: increment the counter back.
 fn cancel(oid: Oid) -> impl Fn(&TxnCtx) -> Result<()> + Send + Sync + 'static {
+    let h = Handle::<u64>::from_oid(oid);
     move |ctx: &TxnCtx| {
-        let cur = ctx.read(oid)?.map(|b| dec(&b)).unwrap_or(0);
-        ctx.write(oid, enc(cur + 1))
+        let cur = ctx.get(h)?.unwrap_or(0);
+        ctx.put(h, &(cur + 1))
     }
 }
 
@@ -194,6 +197,19 @@ mod tests {
         assert!(!results[2].succeeded);
         assert_eq!(world.remaining(&db, world.flights[0].1), 1);
         assert_eq!(world.remaining(&db, world.hotel.1), 1);
+    }
+
+    #[test]
+    fn malformed_counter_fails_the_reservation_without_panicking() {
+        let db = Database::in_memory();
+        let world = TravelWorld::setup(&db, 5, 5, 5, 5, 5, 5).unwrap();
+        let delta = world.flights[0].1;
+        assert!(db.run(move |ctx| ctx.write(delta, vec![1, 2, 3])).unwrap());
+        let (outcome, results) = run_x_conference(&db, &world).unwrap();
+        assert_eq!(outcome, WorkflowOutcome::Completed);
+        assert_eq!(results[0].chosen.as_deref(), Some("United"));
+        assert_eq!(db.peek(delta).unwrap().unwrap(), vec![1, 2, 3]);
+        assert_eq!(world.remaining(&db, world.flights[1].1), 4);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! expected lifecycle event sequence, and `MetricsSnapshot` totals
 //! reconcile with the captured trace.
 
-use asset::models::{Saga, SagaOutcome};
-use asset::obs::{EventKind, ModelKind};
+use asset::models::{Branch, Saga, SagaOutcome, Step, Workflow, WorkflowOutcome};
+use asset::obs::{Event, EventKind, ModelKind};
 use asset::Database;
 
 /// The §3.1.6 saga shape, as seen through the event trace: component
@@ -29,17 +29,7 @@ fn saga_run_emits_expected_lifecycle_sequence() {
     assert!(!trace.is_empty(), "tracing was on: events must be captured");
 
     // the saga milestones appear in paper order: step, failure, compensation
-    let labels: Vec<&str> = trace
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Model {
-                model: ModelKind::Saga,
-                label,
-                ..
-            } => Some(label),
-            _ => None,
-        })
-        .collect();
+    let labels = model_labels(&trace, ModelKind::Saga);
     assert_eq!(labels, vec!["step", "failed", "compensate"]);
 
     // every initiated transaction also began (the saga engine always
@@ -94,6 +84,54 @@ fn saga_run_emits_expected_lifecycle_sequence() {
         last_commit_seq > abort_seq,
         "compensation follows the abort"
     );
+}
+
+/// A workflow records the same milestones as a saga, tagged as a workflow:
+/// one `step` per committed step, `failed` for the required step that
+/// aborts, and one `compensate` per committed compensation.
+#[test]
+fn workflow_run_emits_step_failed_compensate() {
+    let db = Database::in_memory();
+    db.obs().enable_tracing(4096);
+    let (a, b) = (db.new_oid(), db.new_oid());
+
+    let (outcome, _) = Workflow::new("trip")
+        .step(Step::single(
+            "reserve",
+            Branch::new(
+                "reserve",
+                move |ctx| ctx.write(a, b"held".to_vec()),
+                move |ctx| ctx.delete(a),
+            ),
+        ))
+        .step(Step::single(
+            "notify",
+            Branch::uncompensated("notify", move |ctx| ctx.write(b, b"sent".to_vec())),
+        ))
+        .step(Step::single(
+            "pay",
+            Branch::uncompensated("pay", |ctx| ctx.abort_self()),
+        ))
+        .run(&db)
+        .unwrap();
+    assert_eq!(outcome, WorkflowOutcome::Failed { failed_step: 2 });
+    assert_eq!(db.peek(a).unwrap(), None, "reserve compensated");
+
+    let labels = model_labels(&db.obs().trace(), ModelKind::Workflow);
+    assert_eq!(labels, vec!["step", "step", "failed", "compensate"]);
+}
+
+/// The milestone labels `model` recorded, in order.
+fn model_labels(trace: &[Event], model: ModelKind) -> Vec<&'static str> {
+    trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Model {
+                model: m, label, ..
+            } if m == model => Some(label),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Counter totals and the event trace are two views of the same history;
