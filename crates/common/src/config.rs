@@ -27,7 +27,7 @@ pub struct Config {
     /// counted from its first block. `None` waits forever (deadlock
     /// detection still applies).
     pub lock_wait_timeout: Option<Duration>,
-    /// Directory for the heap file and log; `None` selects fully in-memory
+    /// Directory for the store image and log; `None` selects fully in-memory
     /// operation (implies `Durability::InMemory`).
     pub data_dir: Option<PathBuf>,
     /// Log durability mode.

@@ -268,10 +268,9 @@ impl Default for ObjectCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heapfile::MemPageStore;
 
     fn store() -> ObjectStore {
-        ObjectStore::open(Arc::new(MemPageStore::new(512)), 16).unwrap()
+        ObjectStore::in_memory()
     }
 
     /// Install `image` over `oid` in the cache, unlogged.

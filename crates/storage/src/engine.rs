@@ -3,7 +3,6 @@
 //! transaction primitives on.
 
 use crate::cache::ObjectCache;
-use crate::heapfile::{FilePageStore, MemPageStore, PageStore};
 use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
@@ -12,14 +11,6 @@ use asset_common::{Config, Lsn, Oid, Result, Tid};
 use asset_obs::Obs;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Heap-file page size in bytes. A constant, not a setting: a `heap.db`
-/// is laid out for one page size and reopening it at another would take
-/// whole pages for a torn tail.
-const PAGE_SIZE: usize = 4096;
-
-/// Pages the buffer pool caches.
-const BUFFER_POOL_PAGES: usize = 1024;
 
 /// The assembled storage substrate.
 ///
@@ -50,23 +41,20 @@ impl StorageEngine {
         config: &Config,
         obs: Arc<Obs>,
     ) -> Result<(StorageEngine, RecoveryReport)> {
-        let (page_store, mut log): (Arc<dyn PageStore>, LogManager) = match &config.data_dir {
-            None => (
-                Arc::new(MemPageStore::new(PAGE_SIZE)),
-                LogManager::in_memory(),
-            ),
+        let (store, mut log) = match &config.data_dir {
+            None => (ObjectStore::in_memory(), LogManager::in_memory()),
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 #[allow(unused_mut, reason = "only the `faults` build installs a registry")]
-                let mut heap = FilePageStore::open(&dir.join("heap.db"), PAGE_SIZE)?;
+                let mut store = ObjectStore::open(&dir.join("heap.db"))?;
                 #[cfg(feature = "faults")]
-                heap.set_faults(Arc::clone(&config.faults));
+                store.set_faults(Arc::clone(&config.faults));
                 let log = LogManager::open_with(
                     &dir.join("wal.log"),
                     config.durability,
                     config.flush_watermark,
                 )?;
-                (Arc::new(heap), log)
+                (store, log)
             }
         };
         log.set_obs(Arc::clone(&obs));
@@ -79,7 +67,6 @@ impl StorageEngine {
             config.commit_flush_window,
             Arc::clone(&obs),
         );
-        let store = ObjectStore::open(page_store, BUFFER_POOL_PAGES)?;
         let cache = ObjectCache::with_obs(Arc::clone(&obs));
         let engine = StorageEngine {
             cache,
@@ -200,9 +187,9 @@ impl StorageEngine {
         &self.flusher
     }
 
-    /// Quiescent checkpoint: flush the cache and pool, then replace the log
-    /// with a checkpoint marker ([`LogManager::rewrite`]: the old log or
-    /// the new one, never a cut one). The caller must guarantee no
+    /// Quiescent checkpoint: flush the cache and the store, then replace
+    /// the log with a checkpoint marker ([`LogManager::rewrite`]: the old
+    /// log or the new one, never a cut one). The caller must guarantee no
     /// transaction is active.
     pub fn checkpoint(&self) -> Result<()> {
         // WAL rule: no image reaches the store ahead of its log record.
@@ -225,9 +212,10 @@ impl StorageEngine {
     /// Compact the log while transactions in `live` are still in flight —
     /// the fuzzy-checkpoint counterpart to [`checkpoint`](Self::checkpoint):
     ///
-    /// 1. force the log, then flush the cache and pool (all current images
-    ///    are in the store — live transactions' uncommitted ones included,
-    ///    which is why the records that undo them must be stable first);
+    /// 1. force the log, then flush the cache and the store (all current
+    ///    images are in the store — live transactions' uncommitted ones
+    ///    included, which is why the records that undo them must be stable
+    ///    first);
     /// 2. fold the log as restart does (delegations applied, before images
     ///    of `Overwrite`s resolved — against a scratch image map, not the
     ///    cache) to find the pending updates each live transaction is

@@ -47,11 +47,13 @@ pub const LOG_REWRITE_BEFORE_RENAME: &str = "log.rewrite.before_rename";
 /// is not yet synced. A crash here leaves either log, both of them whole.
 pub const LOG_REWRITE_AFTER_RENAME: &str = "log.rewrite.after_rename";
 
-/// In `FilePageStore::{write_page, allocate}`: before the page's bytes
-/// reach the heap file. `Torn` writes a prefix of the page, then crashes.
-pub const STORE_PAGE_WRITE: &str = "store.page.write";
+/// In [`ObjectStore::flush`](crate::ObjectStore::flush): before the
+/// image reaches its file beside the store's. `Torn` writes a prefix of the
+/// image there, then crashes; the store's own file keeps the old image.
+pub const STORE_WRITE: &str = "store.write";
 
-/// Guarding `sync_data` on the heap file (`FilePageStore::sync`).
+/// Guarding `sync_data` on the image beside the store's file, before it is
+/// renamed over it ([`ObjectStore::flush`](crate::ObjectStore::flush)).
 pub const STORE_SYNC: &str = "store.sync";
 
 /// In [`StorageEngine::checkpoint`](crate::StorageEngine::checkpoint):
@@ -88,7 +90,7 @@ pub const ALL: &[&str] = &[
     LOG_TRUNCATE,
     LOG_REWRITE_BEFORE_RENAME,
     LOG_REWRITE_AFTER_RENAME,
-    STORE_PAGE_WRITE,
+    STORE_WRITE,
     STORE_SYNC,
     CHECKPOINT_BEFORE_TRUNCATE,
     RECOVERY_UNDO,

@@ -5,17 +5,15 @@
 //! paper describes in §4: applications operate directly on objects in a
 //! **shared cache**; short-duration **latches** (S/X, test-and-set with an
 //! S-counter and writer-starvation avoidance) protect individual accesses;
-//! a **write-ahead log** records before/after images for undo/redo; pages
-//! live in a **heap file** behind a **buffer pool**.
+//! a **write-ahead log** records before/after images for undo/redo; a
+//! checkpoint writes every object into **one image file**.
 //!
 //! Layering, bottom-up:
 //!
 //! * [`failpoints`] — named fault-injection sites (active only with the
 //!   `faults` feature);
-//! * [`page`] / [`slotted`] — raw pages and the slotted-record layout;
-//! * [`heapfile`] — page stores (in-memory and file-backed);
-//! * [`buffer`] — a clock-eviction buffer pool;
-//! * [`store`] — the persistent object store (oid → record);
+//! * [`store`] — the persistent object store: the last checkpoint's image,
+//!   replaced whole by the next;
 //! * [`latch`] — the EOS latch (§4.1);
 //! * [`cache`] — the shared object cache with per-object latches;
 //! * [`log`] — WAL records and the log manager;
@@ -36,16 +34,12 @@
     )
 )]
 
-pub mod buffer;
 pub mod cache;
 pub mod engine;
 pub mod failpoints;
-pub mod heapfile;
 pub mod latch;
 pub mod log;
-pub mod page;
 pub mod recovery;
-pub mod slotted;
 pub mod store;
 
 pub use cache::{CachedObject, ObjectCache};

@@ -49,6 +49,7 @@ mod flusher;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
+pub(crate) use record::checksum;
 pub use record::{Ids, LogEntry, LogRecord, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
 
 use asset_annot::wal;
@@ -898,7 +899,7 @@ mod tests {
         for rec in [overwrite(90_000), overwrite(90_001), commit] {
             let mut framed = vec![rec.encode().len() as u8];
             framed.extend_from_slice(&rec.encode());
-            let h = crate::page::checksum(&framed);
+            let h = record::checksum(&framed);
             v3.push(framed[0]);
             v3.extend_from_slice(&((h >> 32) as u32 ^ h as u32).to_le_bytes());
             v3.extend_from_slice(&framed[1..]);

@@ -37,7 +37,6 @@
 //! ids, plus its share of one five-byte seal per drain. Kind 1 was v2's
 //! `Begin` and stays reserved.
 
-use crate::page::{checksum, put_u32};
 use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::{AssetError, Oid, Result, Tid};
 
@@ -252,6 +251,21 @@ const KIND_CLR: u8 = 7;
 const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
 
+/// FNV-1a 64-bit checksum, for log blocks and the object store's image.
+///
+/// Not cryptographic; it detects torn writes and truncation, which is all a
+/// single-node store needs.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf29ce484222325;
+    const PRIME: u64 = 0x100000001b3;
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
 /// The checksum a seal carries for `block`, the bytes since the previous
 /// seal.
 pub(crate) fn block_sum(block: &[u8]) -> u32 {
@@ -271,7 +285,7 @@ pub(crate) fn open_seal(buf: &mut Vec<u8>) {
 pub(crate) fn fill_seal(buf: &mut [u8], from: usize) {
     let at = buf.len() - SEAL_LEN;
     let sum = block_sum(&buf[from..at]);
-    put_u32(buf, at + 1, sum);
+    buf[at + 1..at + SEAL_LEN].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {

@@ -360,13 +360,11 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heapfile::MemPageStore;
-    use std::sync::Arc;
 
     fn setup() -> (LogManager, ObjectCache, ObjectStore) {
         let log = LogManager::in_memory();
         let cache = ObjectCache::new();
-        let store = ObjectStore::open(Arc::new(MemPageStore::new(512)), 16).unwrap();
+        let store = ObjectStore::in_memory();
         (log, cache, store)
     }
 

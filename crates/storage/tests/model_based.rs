@@ -1,15 +1,13 @@
-//! Model-based property tests: the slotted page and the object store are
-//! driven with random operation sequences and checked against a trivially
-//! correct in-memory model (`HashMap`).
+//! Model-based property tests: the object store is driven with random
+//! operation sequences and checked against a trivially correct in-memory
+//! model (`HashMap`), and its image file is damaged at random.
 
+use asset_common::AssetError;
 use asset_common::Oid;
 use asset_faults::{cases, Rng};
-use asset_storage::heapfile::MemPageStore;
-use asset_storage::page::Page;
-use asset_storage::slotted::SlottedPage;
 use asset_storage::store::ObjectStore;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::PathBuf;
 
 /// Operations the model covers.
 #[derive(Clone, Debug)]
@@ -44,7 +42,7 @@ const CASES: u64 = 64;
 fn object_store_matches_model() {
     cases(0x0570_0001, CASES, |rng| {
         let ops = arb_ops(rng, 120);
-        let store = ObjectStore::open(Arc::new(MemPageStore::new(512)), 32).unwrap();
+        let store = ObjectStore::in_memory();
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for op in ops {
             match op {
@@ -69,113 +67,75 @@ fn object_store_matches_model() {
     });
 }
 
-/// A single slotted page matches the model while it has room; inserts
-/// may fail only when the page is genuinely full, and the page stays
-/// internally consistent (live_records == model).
-#[test]
-fn slotted_page_matches_model() {
-    cases(0x0570_0002, CASES, |rng| {
-        let ops = arb_ops(rng, 80);
-        let mut page = SlottedPage::format(Page::zeroed(1024), 1);
-        // slot bookkeeping: oid -> slot
-        let mut slots: HashMap<u64, u16> = HashMap::new();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Put(k, v) => {
-                    if let Some(&slot) = slots.get(&k) {
-                        match page.update(slot, &v) {
-                            Some(new_slot) => {
-                                slots.insert(k, new_slot);
-                                model.insert(k, v);
-                            }
-                            None => {
-                                // page could not host the grown record; it
-                                // was removed — mirror that
-                                slots.remove(&k);
-                                model.remove(&k);
-                            }
-                        }
-                    } else if let Some(slot) = page.insert(Oid(k), &v) {
-                        slots.insert(k, slot);
-                        model.insert(k, v);
-                    }
-                    // insert returning None (page full) leaves the model
-                    // unchanged — verified by the sweep below
-                }
-                Op::Delete(k) => {
-                    if let Some(slot) = slots.remove(&k) {
-                        assert!(page.delete(slot));
-                        model.remove(&k);
-                    }
-                }
-                Op::Get(k) => match slots.get(&k) {
-                    Some(&slot) => {
-                        let (oid, bytes) = page.get(slot).expect("live slot");
-                        assert_eq!(oid, Oid(k));
-                        assert_eq!(bytes, &model[&k][..]);
-                    }
-                    None => assert!(!model.contains_key(&k)),
-                },
-            }
-            // page-wide consistency: live records == model
-            let mut live: Vec<(u64, Vec<u8>)> = page
-                .live_records()
-                .map(|(_, oid, b)| (oid.raw(), b.to_vec()))
-                .collect();
-            live.sort();
-            let mut expect: Vec<(u64, Vec<u8>)> =
-                model.iter().map(|(k, v)| (*k, v.clone())).collect();
-            expect.sort();
-            assert_eq!(live, expect);
-        }
-    });
+/// A fresh directory for one case's image file.
+fn image_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("asset-mb-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("heap.db")
 }
 
-/// Page checksum detects any single corrupted byte outside the
-/// checksum's own field.
-#[test]
-fn checksum_detects_corruption() {
-    cases(0x0570_0003, CASES, |rng| {
-        let mut sp = SlottedPage::format(Page::zeroed(512), 3);
-        for i in 0..1 + rng.below(5) {
-            let len = 1 + rng.below(39) as usize;
-            let _ = sp.insert(Oid(i + 1), &rng.bytes(len));
-        }
-        let mut page = sp.into_page();
-        // any byte but the checksum field itself (bytes 16..24)
-        let mut idx = rng.below(page.size() as u64 - 8) as usize;
-        if idx >= 16 {
-            idx += 8;
-        }
-        let flip = 1 + rng.below(255) as u8;
-        page.bytes_mut()[idx] ^= flip;
-        assert!(SlottedPage::open(page).is_err());
-    });
+/// Flush `entries` into a new store at `path`.
+fn write_image(path: &PathBuf, entries: &HashMap<u64, Vec<u8>>) {
+    let _ = std::fs::remove_file(path);
+    let store = ObjectStore::open(path).unwrap();
+    for (k, v) in entries {
+        store.put(Oid(*k), v).unwrap();
+    }
+    store.flush().unwrap();
 }
 
-/// Store round-trips across a flush + reopen (directory rebuild).
+fn arb_entries(rng: &mut Rng) -> HashMap<u64, Vec<u8>> {
+    (0..rng.below(30))
+        .map(|_| {
+            let len = rng.below(50) as usize;
+            (1 + rng.below(99), rng.bytes(len))
+        })
+        .collect()
+}
+
+/// Store round-trips across a flush + reopen of its file.
 #[test]
 fn store_reopen_preserves_contents() {
+    let path = image_path("reopen");
     cases(0x0570_0004, CASES, |rng| {
-        let entries: HashMap<u64, Vec<u8>> = (0..rng.below(30))
-            .map(|_| {
-                let len = rng.below(50) as usize;
-                (1 + rng.below(99), rng.bytes(len))
-            })
-            .collect();
-        let backing = Arc::new(MemPageStore::new(512));
-        {
-            let store = ObjectStore::open(Arc::clone(&backing) as _, 32).unwrap();
-            for (k, v) in &entries {
-                store.put(Oid(*k), v).unwrap();
-            }
-            store.flush().unwrap();
-        }
-        let store = ObjectStore::open(backing as _, 32).unwrap();
+        let entries = arb_entries(rng);
+        write_image(&path, &entries);
+        let store = ObjectStore::open(&path).unwrap();
         assert_eq!(store.len(), entries.len());
         for (k, v) in &entries {
             assert_eq!(store.get(Oid(*k)).unwrap(), Some(v.clone()));
         }
     });
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+/// A flipped byte or a truncation anywhere in the image makes `open`
+/// answer `Corrupt`, never a store; a stale `heap.db.next` — what a crash
+/// in the middle of a flush leaves — is not read at all.
+#[test]
+fn a_damaged_image_is_corrupt_and_a_stale_next_is_ignored() {
+    let path = image_path("damage");
+    let next = path.with_extension("db.next");
+    cases(0x0570_0005, CASES, |rng| {
+        let entries = arb_entries(rng);
+        write_image(&path, &entries);
+        let image = std::fs::read(&path).unwrap();
+        let mut flipped = image.clone();
+        flipped[rng.below(image.len() as u64) as usize] ^= 1 + rng.below(255) as u8;
+        let cut = &image[..rng.below(image.len() as u64) as usize];
+        for damaged in [&flipped[..], cut] {
+            std::fs::write(&path, damaged).unwrap();
+            let opened = ObjectStore::open(&path);
+            assert!(matches!(opened, Err(AssetError::Corrupt(_))), "{damaged:?}");
+        }
+        std::fs::write(&path, &image).unwrap();
+        std::fs::write(&next, cut).unwrap();
+        let store = ObjectStore::open(&path).unwrap();
+        assert_eq!(store.len(), entries.len());
+        for (k, v) in &entries {
+            assert_eq!(store.get(Oid(*k)).unwrap(), Some(v.clone()));
+        }
+    });
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }

@@ -104,6 +104,8 @@ fn main() -> asset::Result<()> {
     db.begin_many(&[t1, t2])?;
     db.wait(t2)?;
     db.abort(t1)?;
+    // t2's AD gate holds its commit until t1 has terminated, then refuses it
+    assert!(!db.commit(t2)?);
     assert_eq!(db.status(t2)?, TxnStatus::Aborted);
     println!("   AD: aborting t1 dragged t2 down with it");
 

@@ -1,9 +1,10 @@
 //! The crash-recovery matrix (compiled only with `--features faults`).
 //!
-//! Four scripted workloads — an atomic transaction, a GC group commit, a
-//! saga with compensation, and a delegation/permit hand-off — each run
-//! against every registered failpoint ([`asset::storage::failpoints::ALL`]
-//! and [`asset::txn::failpoints::ALL`]) under three fault shapes:
+//! Scripted workloads — an atomic transaction, a GC group commit, a saga
+//! with compensation, a delegation/permit hand-off, the executor's flush
+//! window and a second checkpoint — each run against every registered
+//! failpoint ([`asset::storage::failpoints::ALL`] and
+//! [`asset::txn::failpoints::ALL`]) under three fault shapes:
 //!
 //! * **Crash** — process-local crash at the failpoint (unwind to the
 //!   harness; the registry refuses all further durable writes, modeling
@@ -584,6 +585,67 @@ fn a_crash_in_a_committer_run_window_unwinds_on_the_committer_and_loses_only_its
             assert_eq!(&get(&db, p)[..], b"p1", "[{point}] earlier acks survive");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Workload 6: a second checkpoint. The first has moved `a` out of the log
+// into the store, so the store's file holds the only copy of it. The faulted
+// run commits `b` and checkpoints again. Invariant: restart opens and finds
+// `a`, and `b` if its commit was acknowledged; a second restart agrees. (The
+// page store wrote pages in place: a torn page left a store that would not
+// open, and `a` was on that page.)
+// ---------------------------------------------------------------------------
+
+fn second_checkpoint_sweep(action: FaultAction) {
+    for point in all_failpoints() {
+        let case = Case::new("w6");
+        let (a, b);
+        {
+            let db = case.open();
+            (a, b) = (db.new_oid(), db.new_oid());
+            put(&db, a, b"a");
+            db.checkpoint().unwrap();
+        }
+
+        case.faults.arm(point, Trigger::Once, action);
+        let mut acknowledged = false;
+        let _ = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+            let (db, _) = Database::open(case.config.clone())?;
+            acknowledged = db.run(move |ctx| ctx.write(b, b"b".to_vec()))?;
+            db.checkpoint()
+        }));
+        if point.starts_with("store.") {
+            assert_eq!(case.faults.fired(point), 1, "[{point}] never reached");
+        }
+
+        let seen = |db: &Database| (db.peek(a).unwrap(), db.peek(b).unwrap());
+        let db = case.reopen_clean();
+        let after = seen(&db);
+        assert_eq!(after.0.as_deref(), Some(&b"a"[..]), "[{point}] lost a");
+        if acknowledged {
+            assert_eq!(after.1.as_deref(), Some(&b"b"[..]), "[{point}] lost b");
+        }
+        drop(db);
+        let db = case.reopen_clean();
+        assert_eq!(seen(&db), after, "[{point}] recovery not idempotent");
+    }
+}
+
+#[test]
+fn crash_matrix_second_checkpoint() {
+    second_checkpoint_sweep(FaultAction::Crash);
+}
+
+#[test]
+fn torn_matrix_second_checkpoint() {
+    second_checkpoint_sweep(FaultAction::Torn {
+        keep_per_mille: 500,
+    });
+}
+
+#[test]
+fn error_matrix_second_checkpoint() {
+    second_checkpoint_sweep(FaultAction::Error);
 }
 
 // ---------------------------------------------------------------------------
