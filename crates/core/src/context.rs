@@ -55,7 +55,7 @@ impl TxnCtx {
     /// read from the shared cache. `None` if the object does not exist.
     pub fn read(&self, ob: Oid) -> Result<Option<Vec<u8>>> {
         self.lock(ob, Operation::Read)?;
-        self.db.inner.engine.read_object(ob)
+        Ok(self.db.inner.engine.read_object(ob))
     }
 
     /// Write `ob`: write-lock, X-latched install, before/after images
@@ -98,7 +98,7 @@ impl TxnCtx {
     /// Read and modify in one step (lock, read, apply `f`, write back).
     pub fn update(&self, ob: Oid, f: impl FnOnce(Option<Vec<u8>>) -> Vec<u8>) -> Result<()> {
         self.lock(ob, Operation::Write)?;
-        let current = self.db.inner.engine.read_object(ob)?;
+        let current = self.db.inner.engine.read_object(ob);
         self.install(ob, Some(f(current)))
     }
 

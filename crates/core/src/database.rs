@@ -67,7 +67,7 @@
 //! `finish_commit` (statuses, locks, dependency
 //! cleanup) or `commit_failed` (the ambiguous-record reconciliation)
 //! follows. While a group is pinned its fate is the flush outcome's alone:
-//! aborts skip its members, other commits wait, `compact_log` refuses, and
+//! aborts skip its members, other commits wait, `checkpoint` refuses, and
 //! `delegate`/`form_dependency`/`abort` wait the window out and then meet
 //! the terminal status. `prepare_group` shares `ready_group`;
 //! `decide_commit_group` shares `finish_commit`.
@@ -290,11 +290,8 @@ impl Database {
         let (engine, report) = StorageEngine::open_with_obs(&config, Arc::clone(&obs))?;
         let tid_gen = IdGen::new();
         tid_gen.bump_past(report.max_tid);
-        // Restart leaves what it replayed in the cache, so the objects the
-        // log created are not in the store yet: the log's highest oid counts
-        // beside the store's.
         let oid_gen = IdGen::new();
-        oid_gen.bump_past(engine.store().ceiling().max(report.max_oid));
+        oid_gen.bump_past(report.max_oid);
         let inner = Arc::new(DbInner {
             // 0 = the resolved default, `next_power_of_two(4 x cores)`
             locks: LockTable::with_shards_obs(0, Arc::clone(&obs)),
@@ -994,43 +991,31 @@ impl Database {
     /// Read an object's last installed image without any locking — a dirty
     /// diagnostic peek for tests and benchmarks, not a primitive.
     pub fn peek(&self, oid: Oid) -> Result<Option<Vec<u8>>> {
-        self.inner.engine.read_object(oid)
+        Ok(self.inner.engine.read_object(oid))
     }
 
-    /// Quiescent checkpoint; fails if any transaction is not terminated.
+    /// Checkpoint: write every object's current image to the store and
+    /// replace the write-ahead log with a new one that holds only what
+    /// live transactions still need ([`StorageEngine::checkpoint`]).
+    ///
+    /// Settled history (committed and aborted work) leaves the log; the
+    /// pending updates of live transactions are re-logged under their
+    /// *current* owner (delegations folded in), and in-doubt `Prepared`
+    /// groups are re-logged too. Admits transactions that append nothing
+    /// while it runs — `Initiated`, `Completed` (and `Committing` behind
+    /// its gates), `Prepared` — and refuses with `InvalidState` while one
+    /// is `Running`, `Aborting` (its rollback still to append) or pinned
+    /// at its commit point, its record still to be appended.
     pub fn checkpoint(&self) -> Result<()> {
         let guard = self.inner.txns.lock_all();
-        if let Some((tid, slot)) = guard.iter().find(|(_, s)| !s.status.is_terminated()) {
+        let appending = |s: &TxnSlot| {
+            s.commit_pending || matches!(s.status, TxnStatus::Running | TxnStatus::Aborting)
+        };
+        if let Some((tid, slot)) = guard.iter().find(|(_, s)| appending(s)) {
             return Err(AssetError::InvalidState {
                 tid: *tid,
                 status: slot.status,
                 op: "checkpoint",
-            });
-        }
-        // holding every shard keeps new transactions out of the table
-        self.inner.engine.checkpoint()
-    }
-
-    /// Compact the write-ahead log while long-lived transactions are still
-    /// in flight — the fuzzy counterpart to [`checkpoint`](Self::checkpoint).
-    ///
-    /// Settled history (committed and aborted work) is dropped from the
-    /// log; the pending updates of live transactions are re-logged under
-    /// their *current* owner (delegations folded in). Requires only that no
-    /// transaction is actively `Running` or pinned at its commit point, its
-    /// record still to be appended (completed-but-uncommitted transactions
-    /// — the ones that block a quiescent checkpoint — are fine); fails
-    /// with `InvalidState` otherwise.
-    pub fn compact_log(&self) -> Result<asset_storage::CompactionReport> {
-        let guard = self.inner.txns.lock_all();
-        if let Some((tid, slot)) = guard
-            .iter()
-            .find(|(_, s)| s.status == TxnStatus::Running || s.commit_pending)
-        {
-            return Err(AssetError::InvalidState {
-                tid: *tid,
-                status: slot.status,
-                op: "compact_log",
             });
         }
         let live: std::collections::HashSet<Tid> = guard
@@ -1038,8 +1023,9 @@ impl Database {
             .filter(|(_, s)| !s.status.is_terminated())
             .map(|(t, _)| *t)
             .collect();
-        // holding the table shards keeps commits/aborts (which append) out
-        self.inner.engine.compact_log(&live)
+        // holding every table shard keeps out what appends: commits,
+        // aborts and new transactions
+        self.inner.engine.checkpoint(&live)
     }
 
     /// Drop the descriptors of terminated transactions; returns how many

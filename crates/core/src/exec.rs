@@ -644,7 +644,7 @@ impl StepCtx<'_> {
         if !self.try_acquire(ob, Operation::Read)? {
             return Ok(TryOp::WouldBlock);
         }
-        Ok(TryOp::Done(self.db.inner.engine.read_object(ob)?))
+        Ok(TryOp::Done(self.db.inner.engine.read_object(ob)))
     }
 
     /// Non-blocking write: write-lock, X-latched install, before/after

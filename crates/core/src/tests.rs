@@ -627,21 +627,82 @@ fn committed_work_survives_crash() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Which transactions a checkpoint runs beside: only those that append
+/// nothing while it holds the table. A running body writes; an `Aborting`
+/// one still has its rollback — its CLRs and its `Abort` record — to
+/// append with no table shard held, and a record appended between the
+/// checkpoint's fold and its rewrite would be lost. Every other state
+/// appends only under a shard the checkpoint holds. (The `Aborting` row
+/// failed when log compaction was a routine of its own.)
 #[test]
-fn checkpoint_requires_quiescence() {
-    let db = db();
-    let t = db.initiate(|_| Ok(())).unwrap();
-    let err = db.checkpoint().unwrap_err();
-    assert!(matches!(
-        err,
-        AssetError::InvalidState {
-            op: "checkpoint",
-            ..
+fn checkpoint_admits_only_transactions_that_cannot_append() {
+    use TxnStatus::*;
+    for (state, admitted) in [
+        (Initiated, true),
+        (Running, false),
+        (Completed, true),
+        (Aborting, false),
+        (Prepared, true),
+        (Committed, true),
+    ] {
+        let db = db();
+        let x = seed(&db, b"x0");
+        let gate = Arc::new(AtomicBool::new(!matches!(state, Running | Aborting)));
+        let (wrote, written) = std::sync::mpsc::channel();
+        let g = Arc::clone(&gate);
+        let t = db
+            .initiate(move |ctx| {
+                ctx.write(x, b"x1".to_vec())?;
+                let _ = wrote.send(());
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                Ok(())
+            })
+            .unwrap();
+        if state != Initiated {
+            db.begin(t).unwrap();
+            written.recv().unwrap();
         }
-    ));
-    db.begin(t).unwrap();
-    db.commit(t).unwrap();
-    db.checkpoint().unwrap();
+        match state {
+            Completed => assert!(db.wait(t).unwrap()),
+            Aborting => assert!(db.abort(t).unwrap()),
+            Prepared => {
+                assert!(db.wait(t).unwrap());
+                db.prepare_group(&[t]).unwrap();
+            }
+            Committed => assert!(db.commit(t).unwrap()),
+            _ => {}
+        }
+        assert_eq!(db.status(t).unwrap(), state);
+        match db.checkpoint() {
+            Ok(()) => assert!(admitted, "[{state:?}] admitted"),
+            Err(e) => assert!(
+                !admitted
+                    && matches!(
+                        e,
+                        AssetError::InvalidState {
+                            op: "checkpoint",
+                            ..
+                        }
+                    ),
+                "[{state:?}] {e}"
+            ),
+        }
+        // the transaction ends as it would have, and a checkpoint follows
+        gate.store(true, Ordering::SeqCst);
+        if state == Initiated {
+            db.begin(t).unwrap();
+        }
+        match state {
+            Prepared => db.decide_commit_group(&[t]).unwrap(),
+            Aborting => wait_until("the rollback ends", || db.status(t).unwrap() == Aborted),
+            _ => assert!(db.commit(t).unwrap()),
+        }
+        db.checkpoint().unwrap();
+        let expect: &[u8] = if state == Aborting { b"x0" } else { b"x1" };
+        assert_eq!(db.peek(x).unwrap().unwrap(), expect, "[{state:?}]");
+    }
 }
 
 #[test]
@@ -671,7 +732,7 @@ fn run_helper_reports_abort() {
 }
 
 #[test]
-fn compact_log_drops_settled_history() {
+fn checkpoint_drops_settled_history() {
     let db = db();
     let oid = seed(&db, b"v0");
     // a pile of committed history
@@ -686,15 +747,15 @@ fn compact_log_drops_settled_history() {
     db.begin(t).unwrap();
     db.wait(t).unwrap();
 
-    let records_before = db.engine().log().records_appended();
-    let report = db.compact_log().unwrap();
-    assert!(report.records_before > 50);
-    assert!(
-        report.records_after <= 3,
-        "checkpoint + begin + 1 pending update, got {}",
-        report.records_after
+    assert!(db.engine().log().scan().unwrap().len() > 50);
+    db.checkpoint().unwrap();
+    let kinds: Vec<_> = db.engine().log().scan().unwrap();
+    let kinds: Vec<_> = kinds.iter().map(|(_, r)| r.name()).collect();
+    assert_eq!(
+        kinds,
+        ["checkpoint", "update"],
+        "the marker, 1 pending update"
     );
-    let _ = records_before;
 
     // the live transaction still commits
     assert!(db.commit(t).unwrap());
@@ -703,7 +764,7 @@ fn compact_log_drops_settled_history() {
 }
 
 #[test]
-fn compact_log_preserves_live_undo_across_crash() {
+fn checkpoint_preserves_live_undo_across_crash() {
     let dir = std::env::temp_dir().join(format!("asset-compact-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = asset_common::Config::on_disk(&dir);
@@ -717,7 +778,7 @@ fn compact_log_preserves_live_undo_across_crash() {
             .unwrap());
         live_oid = db.new_oid();
         let l = live_oid;
-        // live txn overwrites the settled object, then the log is compacted
+        // live txn overwrites the settled object, then a checkpoint
         let t = db
             .initiate(move |ctx| {
                 ctx.write(s, b"live-overwrite".to_vec())?;
@@ -726,7 +787,7 @@ fn compact_log_preserves_live_undo_across_crash() {
             .unwrap();
         db.begin(t).unwrap();
         db.wait(t).unwrap();
-        db.compact_log().unwrap();
+        db.checkpoint().unwrap();
         // crash without committing t
     }
     let (db, report) = Database::open(config).unwrap();
@@ -734,14 +795,14 @@ fn compact_log_preserves_live_undo_across_crash() {
     assert_eq!(
         db.peek(settled_oid).unwrap().unwrap(),
         b"settled",
-        "before image survived compaction and undid the live write"
+        "before image survived the checkpoint and undid the live write"
     );
     assert_eq!(db.peek(live_oid).unwrap(), None);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn compact_log_folds_delegation_into_ownership() {
+fn checkpoint_folds_delegation_into_ownership() {
     let db = db();
     let oid = seed(&db, b"orig");
     let receiver = db.initiate(|_| Ok(())).unwrap();
@@ -754,10 +815,10 @@ fn compact_log_folds_delegation_into_ownership() {
     db.commit(worker).unwrap();
     db.retire_terminated();
 
-    let report = db.compact_log().unwrap();
-    // checkpoint + 1 update, under the receiver
-    assert_eq!(report.records_after, 2);
+    db.checkpoint().unwrap();
     let records = db.engine().log().scan().unwrap();
+    // checkpoint + 1 update, under the receiver
+    assert_eq!(records.len(), 2);
     let owners: Vec<Tid> = records
         .iter()
         .filter_map(|(_, r)| match r {
@@ -775,33 +836,6 @@ fn compact_log_folds_delegation_into_ownership() {
     db.begin(receiver).unwrap();
     assert!(db.commit(receiver).unwrap());
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"worked");
-}
-
-#[test]
-fn compact_log_rejects_running_transactions() {
-    let db = db();
-    let gate = Arc::new(AtomicBool::new(false));
-    let g2 = Arc::clone(&gate);
-    let t = db
-        .initiate(move |_| {
-            while !g2.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            Ok(())
-        })
-        .unwrap();
-    db.begin(t).unwrap();
-    let err = db.compact_log().unwrap_err();
-    assert!(matches!(
-        err,
-        AssetError::InvalidState {
-            op: "compact_log",
-            ..
-        }
-    ));
-    gate.store(true, Ordering::SeqCst);
-    assert!(db.commit(t).unwrap());
-    db.compact_log().unwrap();
 }
 
 #[test]
@@ -1694,10 +1728,10 @@ fn undo_order_is_log_order_under_a_permitted_writer_and_a_delegation() {
     assert_eq!(db.peek(y).unwrap().unwrap(), b"y0");
 }
 
-/// A compaction cuts the log, so LSNs start over; a chain that spans the
+/// A checkpoint cuts the log, so LSNs start over; a chain that spans the
 /// cut still undoes in log order (the generation comes first).
 #[test]
-fn undo_order_is_log_order_across_a_compaction() {
+fn undo_order_is_log_order_across_a_checkpoint() {
     let db = db();
     let x = seed(&db, b"x0");
     let t1 = db
@@ -1706,7 +1740,7 @@ fn undo_order_is_log_order_across_a_compaction() {
     db.begin(t1).unwrap();
     assert!(db.wait(t1).unwrap());
     db.permit(t1, None, ObSet::one(x), OpSet::ALL).unwrap();
-    db.compact_log().unwrap();
+    db.checkpoint().unwrap();
     let t2 = db
         .initiate(move |ctx| ctx.write(x, b"x2".to_vec()))
         .unwrap();
@@ -1743,7 +1777,7 @@ fn write_path_counters_equal_hand_counts() {
     assert_eq!((c.log_appends, c.log_coalesced), (3, 3));
     // two X latches and one S latch, none of them spun
     assert_eq!((c.latch_acquires, c.latch_contended), (3, 0));
-    // the new objects are filled above the store's ceiling; the read hits
+    // the new objects are misses, filled in one shard visit; the read hits
     assert_eq!((c.cache_misses, c.cache_hits), (2, 1));
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -93,7 +93,7 @@ impl TxnTable {
         }
     }
 
-    /// Lock every shard (quiescent operations: checkpoint, log compaction,
+    /// Lock every shard (operations that keep the table still: checkpoint,
     /// retirement).
     #[verify_allow(
         lock_order,

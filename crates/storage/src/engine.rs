@@ -1,6 +1,9 @@
 //! The storage engine facade: shared cache + object store + WAL, assembled
 //! per a [`Config`]. This is the substrate `asset-core` builds the
-//! transaction primitives on.
+//! transaction primitives on. The cache holds every object; the store is
+//! the place of its last image, written by the one
+//! [`checkpoint`](StorageEngine::checkpoint) routine, which also replaces
+//! the log.
 
 use crate::cache::ObjectCache;
 use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, RecordRef};
@@ -14,9 +17,9 @@ use std::sync::Arc;
 
 /// The assembled storage substrate.
 ///
-/// All object access during normal operation goes through the shared cache
-/// (the paper's mode of operation); the store is the persistent home,
-/// written at checkpoints and log compactions only. Commit records are forced
+/// All object access goes through the shared cache (the paper's mode of
+/// operation); the store holds its image, written at checkpoints only and
+/// read at open only. Commit records are forced
 /// through the [`GroupFlusher`], which makes every commit submitted while a
 /// window runs durable with the next window's single write+sync.
 pub struct StorageEngine {
@@ -46,7 +49,7 @@ impl StorageEngine {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 #[allow(unused_mut, reason = "only the `faults` build installs a registry")]
-                let mut store = ObjectStore::open(&dir.join("heap.db"))?;
+                let mut store = ObjectStore::at(&dir.join("heap.db"));
                 #[cfg(feature = "faults")]
                 store.set_faults(Arc::clone(&config.faults));
                 let log = LogManager::open_with(
@@ -89,11 +92,6 @@ impl StorageEngine {
         &self.cache
     }
 
-    /// The persistent object store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
     /// The write-ahead log.
     pub fn log(&self) -> &LogManager {
         &self.log
@@ -101,9 +99,9 @@ impl StorageEngine {
 
     /// Read `oid` through the cache (S-latched read; paper `read` algorithm
     /// steps 2–4 — locking is the caller's responsibility, step 1).
-    pub fn read_object(&self, oid: Oid) -> Result<Option<Vec<u8>>> {
-        let entry = self.cache.entry(oid, &self.store)?;
-        Ok(entry.read_with(&self.obs, |b| b.map(|s| s.to_vec())))
+    pub fn read_object(&self, oid: Oid) -> Option<Vec<u8>> {
+        let entry = self.cache.entry(oid);
+        entry.read_with(&self.obs, |b| b.map(|s| s.to_vec()))
     }
 
     /// Write `oid` through the cache on behalf of `tid` (paper `write`
@@ -118,8 +116,8 @@ impl StorageEngine {
     /// object installed — so the write appends an `Overwrite` (after image
     /// only) and replay takes the before image from that record. The first
     /// touch of an object per generation — every creation, every first
-    /// write after a checkpoint or compaction cut the log, every entry
-    /// faulted in from the store — logs the full `Update { before, after }`.
+    /// write after a checkpoint cut the log, every entry loaded from the
+    /// store's image — logs the full `Update { before, after }`.
     #[wal(logs = "append_ref", mutates = "std::mem::replace(slot, after)")]
     pub fn write_object(
         &self,
@@ -127,7 +125,7 @@ impl StorageEngine {
         oid: Oid,
         after: Option<Vec<u8>>,
     ) -> Result<(Option<Vec<u8>>, LogPlace)> {
-        let entry = self.cache.entry(oid, &self.store)?;
+        let entry = self.cache.entry(oid);
         // Steps 2–6 under one X latch: the record is encoded from the
         // images where they sit — the cache's and the caller's — so neither
         // is copied, and two permitted writers of one object log in the
@@ -162,7 +160,7 @@ impl StorageEngine {
     /// image is installed regardless): the caller must not log the `Abort`
     /// record that would tell restart the rollback is all in the log.
     pub fn undo_object(&self, oid: Oid, image: Option<Vec<u8>>) -> Result<()> {
-        crate::recovery::undo_object(&self.log, &self.cache, &self.store, oid, image)
+        crate::recovery::undo_object(&self.log, &self.cache, oid, image)
     }
 
     /// Log a record (commit/abort/delegate/prepared). Commit and Prepared
@@ -187,60 +185,29 @@ impl StorageEngine {
         &self.flusher
     }
 
-    /// Quiescent checkpoint: flush the cache and the store, then replace
-    /// the log with a checkpoint marker ([`LogManager::rewrite`]: the old
-    /// log or the new one, never a cut one). The caller must guarantee no
-    /// transaction is active.
-    pub fn checkpoint(&self) -> Result<()> {
+    /// Checkpoint: write the cache's image to the store, then replace the
+    /// log ([`LogManager::rewrite`]: built beside it and renamed over it, so
+    /// a crash leaves the old log or the new one) with its marker and what
+    /// `live` transactions still need, found by restart's fold over a
+    /// scratch image map: their pending updates as full `Update`s under
+    /// their *current* owner (delegations folded in), in their original LSN
+    /// order across owners (undo runs newest first, so cooperating writers
+    /// of one object keep their order), then one `Prepared` per in-doubt
+    /// group. An update's after image is the object's latest logged image,
+    /// which the new image holds, so redoing the new log changes nothing.
+    /// With no live transaction the new log is the marker alone.
+    ///
+    /// The caller guarantees that no transaction appends concurrently and
+    /// that `live` holds every transaction that is not terminated.
+    pub fn checkpoint(&self, live: &HashSet<Tid>) -> Result<()> {
         // WAL rule: no image reaches the store ahead of its log record.
         self.log.flush()?;
-        self.cache.flush(&self.store)?;
-        self.store.flush()?;
+        self.store.write(&self.cache)?;
         self.log
             .failpoint(crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE)?;
-        self.log.rewrite([RecordRef::Checkpoint])?;
-        Ok(())
-    }
-
-    /// Re-run restart recovery (test hook: simulates a crash by discarding
-    /// the cache and rebuilding from log + store).
-    pub fn simulate_crash_and_recover(&mut self) -> Result<RecoveryReport> {
-        self.cache = ObjectCache::with_obs(Arc::clone(&self.obs));
-        recover(&self.log, &self.cache, &self.store)
-    }
-
-    /// Compact the log while transactions in `live` are still in flight —
-    /// the fuzzy-checkpoint counterpart to [`checkpoint`](Self::checkpoint):
-    ///
-    /// 1. force the log, then flush the cache and the store (all current
-    ///    images are in the store — live transactions' uncommitted ones
-    ///    included, which is why the records that undo them must be stable
-    ///    first);
-    /// 2. fold the log as restart does (delegations applied, before images
-    ///    of `Overwrite`s resolved — against a scratch image map, not the
-    ///    cache) to find the pending updates each live transaction is
-    ///    responsible for;
-    /// 3. replace the log ([`LogManager::rewrite`]: one sealed block, built
-    ///    beside the log and renamed over it, so a crash leaves the old log
-    ///    or the new one — never a log that was cut and not yet refilled,
-    ///    which would have lost the undo information of images the store
-    ///    already holds) with: `Checkpoint` marker, then those pending
-    ///    updates **in their original LSN order across owners** — undo
-    ///    installs before images newest first, so two cooperating writers
-    ///    of one object must keep the order they wrote in — each a full
-    ///    `Update` attributed to its *current* owner (delegation records
-    ///    become unnecessary). Its before image is the undo information;
-    ///    its after image is the object's latest logged image, which is
-    ///    what the store now holds, so redoing the compacted log changes
-    ///    nothing, whoever else wrote the object in between.
-    ///
-    /// The caller must guarantee no transaction appends concurrently
-    /// (the transaction manager holds its table lock and checks that no
-    /// transaction is `Running`).
-    pub fn compact_log(&self, live: &HashSet<Tid>) -> Result<CompactionReport> {
-        self.log.flush()?;
-        self.cache.flush(&self.store)?;
-        self.store.flush()?;
+        if live.is_empty() {
+            return self.log.rewrite([]);
+        }
         let mut fold = LogFold::default();
         let mut images: HashMap<Oid, Option<Vec<u8>>> = HashMap::new();
         self.log
@@ -259,32 +226,15 @@ impl StorageEngine {
             after: images.get(&u.oid).and_then(|image| image.as_deref()),
         });
         // Re-log one Prepared record per in-doubt group so prepared-but-
-        // undecided participants stay in-doubt across compaction (§14.3).
+        // undecided participants stay in-doubt across the cut (§14.3).
         let mut groups: Vec<Vec<Tid>> = fold.prepared.into_values().collect();
         groups.sort_unstable();
         groups.dedup();
         let prepared = groups.iter().map(|tids| RecordRef::Prepared {
             tids: tids.as_slice().into(),
         });
-        let records_after = self.log.rewrite(
-            std::iter::once(RecordRef::Checkpoint)
-                .chain(relogged)
-                .chain(prepared),
-        )?;
-        Ok(CompactionReport {
-            records_before: fold.records,
-            records_after,
-        })
+        self.log.rewrite(relogged.chain(prepared))
     }
-}
-
-/// Result of a [`StorageEngine::compact_log`] run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Log records before compaction.
-    pub records_before: usize,
-    /// Log records after (checkpoint marker + live transactions' state).
-    pub records_after: usize,
 }
 
 #[cfg(test)]
@@ -295,15 +245,24 @@ mod tests {
         StorageEngine::open(&Config::in_memory()).unwrap().0
     }
 
+    impl StorageEngine {
+        /// Simulate a crash: discard the cache and rebuild it from the
+        /// store's image and the log.
+        fn simulate_crash_and_recover(&mut self) -> Result<RecoveryReport> {
+            self.cache = ObjectCache::with_obs(Arc::clone(&self.obs));
+            recover(&self.log, &self.cache, &self.store)
+        }
+    }
+
     #[test]
     fn read_write_roundtrip() {
         let e = mem_engine();
-        assert_eq!(e.read_object(Oid(1)).unwrap(), None);
+        assert_eq!(e.read_object(Oid(1)), None);
         let (before, first) = e
             .write_object(Tid(1), Oid(1), Some(b"v1".to_vec()))
             .unwrap();
         assert_eq!(before, None);
-        assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"v1");
+        assert_eq!(e.read_object(Oid(1)).unwrap(), b"v1");
         let (before, second) = e
             .write_object(Tid(1), Oid(1), Some(b"v2".to_vec()))
             .unwrap();
@@ -320,7 +279,7 @@ mod tests {
             .unwrap();
         let report = e.simulate_crash_and_recover().unwrap();
         assert_eq!(report.losers, 1);
-        assert_eq!(e.read_object(Oid(1)).unwrap(), None);
+        assert_eq!(e.read_object(Oid(1)), None);
     }
 
     #[test]
@@ -332,7 +291,7 @@ mod tests {
             .unwrap();
         let report = e.simulate_crash_and_recover().unwrap();
         assert_eq!(report.winners, 1);
-        assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"durable");
+        assert_eq!(e.read_object(Oid(1)).unwrap(), b"durable");
     }
 
     #[test]
@@ -341,10 +300,10 @@ mod tests {
         e.write_object(Tid(1), Oid(1), Some(b"x".to_vec())).unwrap();
         e.log_record(&LogRecord::Commit { tids: vec![Tid(1)] })
             .unwrap();
-        e.checkpoint().unwrap();
+        e.checkpoint(&HashSet::new()).unwrap();
         let report = e.simulate_crash_and_recover().unwrap();
         assert_eq!(report.redone, 0, "checkpoint settled everything");
-        assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"x");
+        assert_eq!(e.read_object(Oid(1)).unwrap(), b"x");
     }
 
     #[test]
@@ -362,7 +321,7 @@ mod tests {
         }
         let (e, report) = StorageEngine::open(&config).unwrap();
         assert_eq!(report.winners, 1);
-        assert_eq!(e.read_object(Oid(42)).unwrap().unwrap(), b"persists");
+        assert_eq!(e.read_object(Oid(42)).unwrap(), b"persists");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -382,7 +341,7 @@ mod tests {
             e.log.flush().unwrap();
         }
         let (e, _) = StorageEngine::open(&config).unwrap();
-        assert_eq!(e.read_object(Oid(1)).unwrap().unwrap(), b"committed");
+        assert_eq!(e.read_object(Oid(1)).unwrap(), b"committed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -408,7 +367,7 @@ mod tests {
         assert_eq!(kinds(&e), ["update", "overwrite", "clr", "overwrite"]);
         e.log_record(&LogRecord::Commit { tids: vec![Tid(1)] })
             .unwrap();
-        e.checkpoint().unwrap();
+        e.checkpoint(&HashSet::new()).unwrap();
         assert_eq!(write(b"v4").unwrap(), b"v3");
         write(b"v5");
         assert_eq!(kinds(&e), ["checkpoint", "update", "overwrite"]);
@@ -427,7 +386,7 @@ mod tests {
         let e = mem_engine();
         e.write_object(Tid(1), Oid(1), Some(b"v1".to_vec()))
             .unwrap();
-        let entry = e.cache.entry(Oid(1), &e.store).unwrap();
+        let entry = e.cache.entry(Oid(1));
         entry.write_with(&e.obs, |slot| {
             entry.set_logged_in(0);
             *slot = Some(b"quiet".to_vec());
@@ -489,7 +448,7 @@ mod tests {
         e.write_object(Tid(2), x, Some(b"loser".to_vec())).unwrap();
         let report = e.simulate_crash_and_recover().unwrap();
         assert_eq!((report.losers, report.undone), (1, 1));
-        assert_eq!(e.read_object(x).unwrap().unwrap(), b"base");
+        assert_eq!(e.read_object(x).unwrap(), b"base");
         assert_eq!(
             kinds(&e),
             ["update", "commit", "overwrite", "clr", "abort"],
@@ -500,15 +459,15 @@ mod tests {
         for _ in 0..2 {
             let report = e.simulate_crash_and_recover().unwrap();
             assert_eq!((report.losers, report.undone, report.winners), (0, 0, 2));
-            assert_eq!(e.read_object(x).unwrap().unwrap(), b"winner");
+            assert_eq!(e.read_object(x).unwrap(), b"winner");
         }
     }
 
-    /// Regression: compaction used to re-log pending updates grouped by
-    /// owner in tid order. Undo installs before images newest first, so
+    /// Regression: log compaction used to re-log pending updates grouped
+    /// by owner in tid order. Undo installs before images newest first, so
     /// two cooperating writers of one object must keep their log order.
     #[test]
-    fn compaction_keeps_cooperating_writers_in_lsn_order() {
+    fn a_checkpoint_keeps_cooperating_writers_in_lsn_order() {
         let mut e = mem_engine();
         let x = Oid(1);
         e.write_object(Tid(1), x, Some(b"base".to_vec())).unwrap();
@@ -518,8 +477,9 @@ mod tests {
         e.write_object(Tid(5), x, Some(b"t5".to_vec())).unwrap();
         e.write_object(Tid(3), x, Some(b"t3".to_vec())).unwrap();
         let live = [Tid(3), Tid(5)].into_iter().collect();
-        let report = e.compact_log(&live).unwrap();
-        assert_eq!((report.records_before, report.records_after), (4, 3));
+        assert_eq!(e.log.scan().unwrap().len(), 4);
+        e.checkpoint(&live).unwrap();
+        assert_eq!(kinds(&e), ["checkpoint", "update", "update"]);
         let owners: Vec<Tid> = e
             .log
             .scan()
@@ -537,13 +497,13 @@ mod tests {
         })
         .unwrap();
         e.simulate_crash_and_recover().unwrap();
-        assert_eq!(e.read_object(x).unwrap().unwrap(), b"t3");
+        assert_eq!(e.read_object(x).unwrap(), b"t3");
     }
 
     /// ... and if neither commits, restart undoes newest first and lands
     /// on the image before the older write.
     #[test]
-    fn compacted_cooperating_losers_roll_back_to_the_oldest_before_image() {
+    fn checkpointed_cooperating_losers_roll_back_to_the_oldest_before_image() {
         let mut e = mem_engine();
         let x = Oid(1);
         e.write_object(Tid(1), x, Some(b"base".to_vec())).unwrap();
@@ -551,10 +511,10 @@ mod tests {
             .unwrap();
         e.write_object(Tid(5), x, Some(b"t5".to_vec())).unwrap();
         e.write_object(Tid(3), x, Some(b"t3".to_vec())).unwrap();
-        e.compact_log(&[Tid(3), Tid(5)].into_iter().collect())
+        e.checkpoint(&[Tid(3), Tid(5)].into_iter().collect())
             .unwrap();
         let report = e.simulate_crash_and_recover().unwrap();
         assert_eq!((report.losers, report.undone), (2, 2));
-        assert_eq!(e.read_object(x).unwrap().unwrap(), b"base");
+        assert_eq!(e.read_object(x).unwrap(), b"base");
     }
 }

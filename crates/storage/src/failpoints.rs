@@ -31,8 +31,8 @@ pub const LOG_SYNC: &str = "log.sync";
 pub const LOG_FLUSH: &str = "log.flush.write";
 
 /// Before the log is cut: in
-/// [`LogManager::rewrite`](crate::LogManager::rewrite) (checkpoint, log
-/// compaction), before the replacement file is created; and in
+/// [`LogManager::rewrite`](crate::LogManager::rewrite) (the checkpoint),
+/// before the replacement file is created; and in
 /// [`LogManager::replay`](crate::LogManager::replay), before a torn tail is
 /// cut off at recovery.
 pub const LOG_TRUNCATE: &str = "log.truncate";
@@ -47,19 +47,20 @@ pub const LOG_REWRITE_BEFORE_RENAME: &str = "log.rewrite.before_rename";
 /// is not yet synced. A crash here leaves either log, both of them whole.
 pub const LOG_REWRITE_AFTER_RENAME: &str = "log.rewrite.after_rename";
 
-/// In [`ObjectStore::flush`](crate::ObjectStore::flush): before the
+/// In [`ObjectStore::write`](crate::ObjectStore::write): before the
 /// image reaches its file beside the store's. `Torn` writes a prefix of the
 /// image there, then crashes; the store's own file keeps the old image.
 pub const STORE_WRITE: &str = "store.write";
 
 /// Guarding `sync_data` on the image beside the store's file, before it is
-/// renamed over it ([`ObjectStore::flush`](crate::ObjectStore::flush)).
+/// renamed over it ([`ObjectStore::write`](crate::ObjectStore::write)).
 pub const STORE_SYNC: &str = "store.sync";
 
 /// In [`StorageEngine::checkpoint`](crate::StorageEngine::checkpoint):
-/// after cache and store are flushed, before the log is replaced by its
-/// checkpoint marker (whose two sides are [`LOG_REWRITE_BEFORE_RENAME`]
-/// and [`LOG_REWRITE_AFTER_RENAME`]).
+/// after the image is written, before the log is replaced by its
+/// checkpoint marker and what live transactions still need (the rewrite
+/// whose two sides are [`LOG_REWRITE_BEFORE_RENAME`] and
+/// [`LOG_REWRITE_AFTER_RENAME`]).
 pub const CHECKPOINT_BEFORE_TRUNCATE: &str = "checkpoint.before_truncate";
 
 /// In [`recover`](crate::recover)'s undo phase: before each undo step (a

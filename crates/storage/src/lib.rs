@@ -12,10 +12,11 @@
 //!
 //! * [`failpoints`] — named fault-injection sites (active only with the
 //!   `faults` feature);
-//! * [`store`] — the persistent object store: the last checkpoint's image,
-//!   replaced whole by the next;
 //! * [`latch`] — the EOS latch (§4.1);
-//! * [`cache`] — the shared object cache with per-object latches;
+//! * [`cache`] — the shared object cache with per-object latches, the one
+//!   map of objects;
+//! * [`store`] — the persistent object store: where the cache's image
+//!   lives, replaced whole by each checkpoint;
 //! * [`log`] — WAL records and the log manager;
 //! * [`recovery`] — restart recovery: one pass over the log, then the
 //!   runtime's own logged undo for the losers;
@@ -43,7 +44,7 @@ pub mod recovery;
 pub mod store;
 
 pub use cache::{CachedObject, ObjectCache};
-pub use engine::{CompactionReport, StorageEngine};
+pub use engine::StorageEngine;
 pub use latch::Latch;
 pub use log::{
     FlushCallback, GroupFlusher, LogManager, LogPlace, LogRecord, LogWatermarks, RecordRef,

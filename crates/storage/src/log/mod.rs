@@ -377,6 +377,7 @@ impl LogManager {
             let disk = disk.lock(); // behind a write in flight
             let inner = self.inner.lock();
             let keep = inner.pending.len() * keep_per_mille as usize / 1000;
+            // verify: allow(failpoint_coverage) — this prefix write is the `Torn` action's own effect, reached only from a failpoint that fired
             let _ = (&disk.file).write_all(&inner.pending[..keep]);
         }
         self.faults.crash_now(site)
@@ -599,17 +600,18 @@ impl LogManager {
         Ok(())
     }
 
-    /// Replace the log with `recs` — the next generation, whole or not at
-    /// all: the records go through a manager of their own into a file
-    /// beside the log, as one forced (sealed, synced) block, and that file
-    /// is renamed over the log, so a crash leaves the old log or the new
-    /// one and never a log that was cut and not yet refilled. Returns how
-    /// many records the new log holds. Only legal while no transaction
+    /// Replace the log with a `Checkpoint` marker followed by `recs` — the
+    /// next generation, whole or not at all: the records go through a
+    /// manager of their own into a file beside the log, as one forced
+    /// (sealed, synced) block, and that file is renamed over the log, so a
+    /// crash leaves the old log or the new one and never a log that was cut
+    /// and not yet refilled. This is the one writer of the marker, so a
+    /// marker only ever opens a log. Only legal while no transaction
     /// appends, after every image the dropped records describe has reached
-    /// the store; the caller (checkpoint, log compaction) guarantees that. A
-    /// refusal before the rename leaves the log, its LSNs and its
-    /// generation as they were.
-    pub fn rewrite<'a>(&self, recs: impl IntoIterator<Item = RecordRef<'a>>) -> Result<usize> {
+    /// the store; the caller (the checkpoint) guarantees that. A refusal
+    /// before the rename leaves the log, its LSNs and its generation as
+    /// they were.
+    pub fn rewrite<'a>(&self, recs: impl IntoIterator<Item = RecordRef<'a>>) -> Result<()> {
         let mut disk = self.disk.as_ref().map(Mutex::lock);
         self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
         let next = match &disk {
@@ -621,8 +623,8 @@ impl LogManager {
             }
             None => Self::in_memory(),
         };
-        let mut records = 0;
-        next.append_inner(recs.into_iter().inspect(|_| records += 1), |_| (), true)?;
+        let recs = std::iter::once(RecordRef::Checkpoint).chain(recs);
+        next.append_inner(recs, |_| (), true)?;
         let mut theirs = next.disk.as_ref().map(Mutex::lock);
         if let (Some(disk), Some(theirs)) = (&disk, &theirs) {
             self.failpoint(crate::failpoints::LOG_REWRITE_BEFORE_RENAME)?;
@@ -646,7 +648,7 @@ impl LogManager {
                 dir.sync_all()?;
             }
         }
-        Ok(records)
+        Ok(())
     }
 }
 
@@ -983,8 +985,8 @@ mod tests {
         }
         let generation = log.generation();
         let recs = sample_records();
+        log.rewrite([recs[1].as_ref()]).unwrap();
         let kept = [LogRecord::Checkpoint, recs[1].clone()];
-        assert_eq!(log.rewrite(kept.iter().map(LogRecord::as_ref)).unwrap(), 2);
         assert_eq!(log.generation(), generation + 1);
         assert_eq!((log.pending_bytes(), log.unsynced_bytes()), (0, 0));
         let block = FORMAT_MARKER.len() + 1 + recs[1].encode().len() + SEAL_LEN;
@@ -1003,7 +1005,7 @@ mod tests {
         // the in-memory log is rewritten in place: no marker, no seal
         let log = LogManager::in_memory();
         log.append(&recs[0]).unwrap();
-        assert_eq!(log.rewrite(kept.iter().map(LogRecord::as_ref)).unwrap(), 2);
+        log.rewrite([recs[1].as_ref()]).unwrap();
         assert_eq!(log.tail().0, 1 + recs[1].encode().len() as u64);
         assert_eq!(log.scan().unwrap()[1], (Lsn(1), kept[1].clone()));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1021,13 +1023,12 @@ mod tests {
             log.append(&r).unwrap();
         }
         let (tail, generation) = (log.tail(), log.generation());
-        let next = [LogRecord::Checkpoint];
         for point in [
             crate::failpoints::LOG_TRUNCATE,
             crate::failpoints::LOG_REWRITE_BEFORE_RENAME,
         ] {
             faults.arm(point, Trigger::Once, FaultAction::Error);
-            let err = log.rewrite(next.iter().map(LogRecord::as_ref)).unwrap_err();
+            let err = log.rewrite([]).unwrap_err();
             assert!(err.to_string().contains(point), "{err}");
             assert_eq!((log.tail(), log.generation()), (tail, generation));
             assert_eq!(log.scan().unwrap().len(), 3, "[{point}] the old log");
@@ -1037,7 +1038,7 @@ mod tests {
             Trigger::Once,
             FaultAction::Error,
         );
-        assert!(log.rewrite(next.iter().map(LogRecord::as_ref)).is_err());
+        assert!(log.rewrite([]).is_err());
         assert_eq!(log.generation(), generation + 1);
         assert_eq!(log.scan().unwrap().len(), 1, "the new log");
         let lsn = log

@@ -1,11 +1,12 @@
-//! Restart recovery from the write-ahead log.
+//! Restart recovery from the checkpoint image and the write-ahead log.
 //!
 //! The paper logs physical before/after images and undoes an aborted
 //! transaction by installing before images (§4.2, `abort` step 2 — with the
 //! explicit caveat that later cooperative updates are lost). The log is a
-//! self-contained redo history (see [`crate::log`]'s record module), so
-//! restart is **one streaming pass** over it, followed by the runtime's own
-//! abort for whoever is left:
+//! self-contained redo history since the last checkpoint (see
+//! [`crate::log`]'s record module), so restart loads that checkpoint's
+//! image into the cache, makes **one streaming pass** over the log, and
+//! runs the runtime's own abort for whoever is left:
 //!
 //! 1. **Replay** — [`LogManager::replay`] hands each record to the
 //!    `LogFold`, which installs every after image and CLR image into the
@@ -15,7 +16,9 @@
 //!    `Delegate` record moves matching updates from delegator to delegatee
 //!    (this is what makes delegation crash-safe), a `Commit` or `Abort`
 //!    drops them. Memory is bounded by what is uncommitted, not by what
-//!    was ever logged, and the object store is never read or written.
+//!    was ever logged. A `Checkpoint` record only ever opens a rewritten
+//!    log ([`LogManager::rewrite`] writes it); anywhere else it is
+//!    `Corrupt`.
 //! 2. **Undo** — every *loser* (a transaction still responsible for updates
 //!    with neither a commit, a completed logged abort, nor a `Prepared`
 //!    vote) is rolled back exactly as [`StorageEngine::undo_object`] rolls
@@ -31,8 +34,8 @@
 //! loser again and the undo, being the installation of before images, is
 //! idempotent.
 //!
-//! Nothing is forced to the store here: replayed entries stay dirty in the
-//! cache and the log stays the durable truth until the next checkpoint.
+//! Nothing is written to the store here: the log stays the durable truth
+//! for what it replayed until the next checkpoint.
 //!
 //! [`StorageEngine::undo_object`]: crate::StorageEngine::undo_object
 
@@ -56,8 +59,8 @@ pub struct RecoveryReport {
     pub losers: usize,
     /// Highest transaction id seen in the log (new tids must exceed it).
     pub max_tid: u64,
-    /// Highest object id seen in the log (new oids must exceed it: the
-    /// objects the log created are not in the store yet).
+    /// Highest object id in the checkpoint image or the log (new oids must
+    /// exceed it).
     pub max_oid: u64,
     /// Prepared transactions with no later decision: durable but undecided
     /// (DESIGN.md §14.3). Their updates were redone, not undone; the caller
@@ -90,24 +93,16 @@ pub struct PendingUpdate {
 }
 
 /// Where a [`LogFold`] keeps the latest logged image of each object:
-/// restart recovery's is the cache, log compaction's a scratch map.
+/// restart recovery's is the cache, a checkpoint's a scratch map.
 pub(crate) trait ImageSink {
     /// `image` is now the latest logged image of `oid`. Returns the image
     /// it replaced, or `None` when the log read so far held none.
     fn install(&mut self, oid: Oid, image: Option<&[u8]>) -> Option<Option<Vec<u8>>>;
-
-    /// A `Checkpoint` record: every image logged before it is settled in
-    /// the store.
-    fn clear(&mut self);
 }
 
 impl ImageSink for HashMap<Oid, Option<Vec<u8>>> {
     fn install(&mut self, oid: Oid, image: Option<&[u8]>) -> Option<Option<Vec<u8>>> {
         self.insert(oid, image.map(<[u8]>::to_vec))
-    }
-
-    fn clear(&mut self) {
-        HashMap::clear(self);
     }
 }
 
@@ -124,16 +119,12 @@ impl ImageSink for CacheSink<'_> {
         self.cache
             .redo(oid, image.map(<[u8]>::to_vec), self.generation)
     }
-
-    fn clear(&mut self) {
-        self.cache.clear();
-    }
 }
 
 /// The paper's §4.2 bookkeeping as a fold over the log, one record at a
 /// time: who is responsible for which uncommitted update once every
 /// delegation is applied, who is prepared and undecided. Shared by restart
-/// recovery and log compaction, which differ only in the [`ImageSink`].
+/// recovery and the checkpoint, which differ only in the [`ImageSink`].
 #[derive(Default, Debug)]
 pub(crate) struct LogFold {
     /// tid → pending updates in LSN order, post-delegation. Committed and
@@ -252,15 +243,13 @@ impl LogFold {
                     dst.sort_by_key(|u| u.lsn);
                 }
             }
+            // what the log held before it is in the store's image
+            RecordRef::Checkpoint if self.records == 1 => {}
             RecordRef::Checkpoint => {
-                // Everything settled at this point is already in the
-                // store. The fold starts over; records re-logged by
-                // compaction for live transactions follow the checkpoint.
-                self.pending.clear();
-                self.prepared.clear();
-                self.redone = 0;
-                self.winners = 0;
-                images.clear();
+                return Err(AssetError::Corrupt(format!(
+                    "log offset {}: a checkpoint marker that does not open the log",
+                    lsn.0
+                )))
             }
         }
         Ok(())
@@ -279,11 +268,10 @@ impl LogFold {
 pub(crate) fn undo_object(
     log: &LogManager,
     cache: &ObjectCache,
-    store: &ObjectStore,
     oid: Oid,
     image: Option<Vec<u8>>,
 ) -> Result<()> {
-    let entry = cache.entry(oid, store)?;
+    let entry = cache.entry(oid);
     entry.write_with(cache.obs(), |slot| {
         let generation = log.generation();
         let logged = log.append_ref(&RecordRef::Clr {
@@ -296,14 +284,14 @@ pub(crate) fn undo_object(
     })
 }
 
-/// Replay `log` into `cache` and roll its losers back (see the module
-/// documentation). `store` is only where the cache faults from; recovery
-/// itself neither reads nor writes it.
+/// Load `store`'s image into the empty `cache`, replay `log` over it and
+/// roll its losers back (see the module documentation).
 pub fn recover(
     log: &LogManager,
     cache: &ObjectCache,
     store: &ObjectStore,
 ) -> Result<RecoveryReport> {
+    let imaged = store.load(cache)?;
     let mut fold = LogFold::default();
     let mut images = CacheSink {
         cache,
@@ -314,7 +302,7 @@ pub fn recover(
         redone: fold.redone,
         winners: fold.winners,
         max_tid: fold.max_tid,
-        max_oid: fold.max_oid,
+        max_oid: fold.max_oid.max(imaged),
         ..RecoveryReport::default()
     };
     let (mut pending, prepared) = (fold.pending, fold.prepared);
@@ -345,7 +333,7 @@ pub fn recover(
     report.undone = undo.len();
     for u in undo {
         log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
-        undo_object(log, cache, store, u.oid, u.before)?;
+        undo_object(log, cache, u.oid, u.before)?;
     }
     if !losers.is_empty() {
         log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
@@ -368,10 +356,18 @@ mod tests {
         (log, cache, store)
     }
 
-    /// What a reader sees after recovery: the cache's image, faulted in
-    /// from the store for an object the log never mentioned.
-    fn get(cache: &ObjectCache, store: &ObjectStore, oid: Oid) -> Option<Vec<u8>> {
-        let entry = cache.entry(oid, store).unwrap();
+    /// Make `objects` the store's image, as a checkpoint would.
+    fn seed(store: &ObjectStore, objects: &[(u64, &[u8])]) {
+        let cache = ObjectCache::new();
+        for (oid, bytes) in objects {
+            cache.fill(Oid(*oid), bytes.to_vec());
+        }
+        store.write(&cache).unwrap();
+    }
+
+    /// What a reader sees after recovery: the cache's image.
+    fn get(cache: &ObjectCache, oid: Oid) -> Option<Vec<u8>> {
+        let entry = cache.entry(oid);
         entry.read_with(cache.obs(), |image| image.map(<[u8]>::to_vec))
     }
 
@@ -392,14 +388,14 @@ mod tests {
         assert_eq!(report.winners, 1);
         assert_eq!(report.losers, 0);
         assert_eq!(report.redone, 1);
-        assert_eq!(get(&cache, &store, Oid(10)).unwrap(), b"v1");
+        assert_eq!(get(&cache, Oid(10)).unwrap(), b"v1");
         assert_eq!(report.max_tid, 1);
     }
 
     #[test]
     fn uncommitted_updates_are_undone() {
         let (log, cache, store) = setup();
-        store.put(Oid(10), b"orig").unwrap();
+        seed(&store, &[(10, b"orig")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(10),
@@ -411,7 +407,7 @@ mod tests {
 
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!(report.losers, 1);
-        assert_eq!(get(&cache, &store, Oid(10)).unwrap(), b"orig");
+        assert_eq!(get(&cache, Oid(10)).unwrap(), b"orig");
     }
 
     #[test]
@@ -425,14 +421,13 @@ mod tests {
         })
         .unwrap();
         recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(5)), None);
+        assert_eq!(get(&cache, Oid(5)), None);
     }
 
     #[test]
     fn delegated_updates_follow_the_delegatee() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"orig1").unwrap();
-        store.put(Oid(2), b"orig2").unwrap();
+        seed(&store, &[(1, b"orig1"), (2, b"orig2")]);
         // t1 updates both objects, delegates ob1 to t2; t2 commits, t1 does
         // not. ob1's update must survive (t2 is responsible and committed),
         // ob2's must be undone.
@@ -460,8 +455,8 @@ mod tests {
             .unwrap();
 
         let report = recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"new1");
-        assert_eq!(get(&cache, &store, Oid(2)).unwrap(), b"orig2");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"new1");
+        assert_eq!(get(&cache, Oid(2)).unwrap(), b"orig2");
         assert_eq!(report.winners, 1);
         assert_eq!(report.losers, 1);
     }
@@ -492,8 +487,8 @@ mod tests {
         log.append(&LogRecord::Commit { tids: vec![Tid(2)] })
             .unwrap();
         recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"a");
-        assert_eq!(get(&cache, &store, Oid(2)).unwrap(), b"b");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"a");
+        assert_eq!(get(&cache, Oid(2)).unwrap(), b"b");
     }
 
     #[test]
@@ -502,7 +497,7 @@ mod tests {
         // then Abort — recovery replays the rollback in order and counts
         // no loser
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"orig").unwrap();
+        seed(&store, &[(1, b"orig")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -517,7 +512,7 @@ mod tests {
         .unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let report = recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"orig");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"orig");
         assert_eq!(report.losers, 0, "a completed abort is not a loser");
     }
 
@@ -527,7 +522,7 @@ mod tests {
         // as CLR), then t2 commits an overwrite; recovery must keep t2's
         // value rather than replaying t1's before image last
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"v0").unwrap();
+        seed(&store, &[(1, b"v0")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -551,7 +546,7 @@ mod tests {
         log.append(&LogRecord::Commit { tids: vec![Tid(2)] })
             .unwrap();
         recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"t2-committed");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"t2-committed");
     }
 
     #[test]
@@ -559,8 +554,7 @@ mod tests {
         // some CLRs logged but no Abort record: the transaction is a loser
         // and the undo pass finishes the rollback
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"a0").unwrap();
-        store.put(Oid(2), b"b0").unwrap();
+        seed(&store, &[(1, b"a0"), (2, b"b0")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -583,14 +577,14 @@ mod tests {
         .unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!(report.losers, 1);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"a0");
-        assert_eq!(get(&cache, &store, Oid(2)).unwrap(), b"b0");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"a0");
+        assert_eq!(get(&cache, Oid(2)).unwrap(), b"b0");
     }
 
     #[test]
     fn recovery_is_idempotent() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"orig").unwrap();
+        seed(&store, &[(1, b"orig")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -614,36 +608,40 @@ mod tests {
         let cache = ObjectCache::new();
         let r2 = recover(&log, &cache, &store).unwrap();
         assert_eq!((r2.redone, r2.losers, r2.undone), (3, 0, 0));
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"committed");
-        assert_eq!(
-            store.get(Oid(1)).unwrap().unwrap(),
-            b"orig",
-            "store untouched"
-        );
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"committed");
+        let image = ObjectCache::new();
+        store.load(&image).unwrap();
+        assert_eq!(get(&image, Oid(1)).unwrap(), b"orig", "store untouched");
     }
 
+    /// A `Checkpoint` record opens a rewritten log, and what it settled is
+    /// in the image; anywhere else it is damage, not a reset.
     #[test]
-    fn checkpoint_resets_analysis() {
+    fn a_checkpoint_marker_only_opens_the_log() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"settled").unwrap();
-        // pre-checkpoint garbage that must not be replayed
-        log.append(&LogRecord::Update {
-            tid: Tid(1),
-            oid: Oid(1),
-            before: Some(b"old".to_vec()),
-            after: Some(b"never".to_vec()),
-        })
-        .unwrap();
+        seed(&store, &[(1, b"settled")]);
         log.append(&LogRecord::Checkpoint).unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!(report.redone, 0);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"settled");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"settled");
+
+        let (log, cache, store) = setup();
+        log.append(&LogRecord::Update {
+            tid: Tid(1),
+            oid: Oid(1),
+            before: None,
+            after: Some(b"v1".to_vec()),
+        })
+        .unwrap();
+        log.append(&LogRecord::Checkpoint).unwrap();
+        let err = recover(&log, &cache, &store).unwrap_err();
+        assert!(matches!(err, AssetError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn interleaved_winner_and_loser_on_same_object() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"v0").unwrap();
+        seed(&store, &[(1, b"v0")]);
         // t1 (loser) writes v1 over v0; then t2 — cooperating via permit at
         // runtime — writes v2 over v1 and commits. The paper's abort policy
         // installs t1's before image, losing t2's update. Recovery must
@@ -665,13 +663,13 @@ mod tests {
         log.append(&LogRecord::Commit { tids: vec![Tid(2)] })
             .unwrap();
         recover(&log, &cache, &store).unwrap();
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"v0");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"v0");
     }
 
     #[test]
     fn prepared_without_decision_is_in_doubt_not_undone() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"v0").unwrap();
+        seed(&store, &[(1, b"v0")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -688,7 +686,7 @@ mod tests {
         assert_eq!(report.losers, 0, "prepared is not a loser");
         assert_eq!(report.undone, 0);
         assert_eq!(
-            get(&cache, &store, Oid(1)).unwrap(),
+            get(&cache, Oid(1)).unwrap(),
             b"prepared",
             "in-doubt updates stay redone"
         );
@@ -721,14 +719,14 @@ mod tests {
         let report = recover(&log, &cache, &store).unwrap();
         assert!(report.in_doubt.is_empty());
         assert_eq!(report.winners, 1);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"v");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"v");
     }
 
     #[test]
     fn prepared_then_aborted_replays_clean() {
         // decide-abort at runtime logs CLRs + Abort, like any abort
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"v0").unwrap();
+        seed(&store, &[(1, b"v0")]);
         log.append(&LogRecord::Update {
             tid: Tid(1),
             oid: Oid(1),
@@ -747,7 +745,7 @@ mod tests {
         let report = recover(&log, &cache, &store).unwrap();
         assert!(report.in_doubt.is_empty());
         assert_eq!(report.losers, 0);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"v0");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"v0");
     }
 
     #[test]
@@ -766,7 +764,7 @@ mod tests {
         let cache = ObjectCache::new();
         let r2 = recover(&log, &cache, &store).unwrap();
         assert_eq!(r1.in_doubt, r2.in_doubt);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"p");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"p");
     }
 
     #[test]
@@ -792,8 +790,8 @@ mod tests {
         .unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!(report.winners, 2);
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"a");
-        assert_eq!(get(&cache, &store, Oid(2)).unwrap(), b"b");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"a");
+        assert_eq!(get(&cache, Oid(2)).unwrap(), b"b");
     }
 
     fn overwrite(tid: u64, oid: u64, after: &[u8]) -> LogRecord {
@@ -820,7 +818,7 @@ mod tests {
         log.append(&overwrite(2, 1, b"v3")).unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!((report.redone, report.losers, report.undone), (3, 1, 2));
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"v1");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"v1");
         // newest first, then the Abort: the runtime's abort, in the log
         let logged: Vec<LogRecord> = log.scan().unwrap().into_iter().map(|(_, r)| r).collect();
         assert_eq!(
@@ -844,20 +842,14 @@ mod tests {
     #[test]
     fn an_overwrite_with_no_earlier_image_is_corrupt() {
         let (log, cache, store) = setup();
-        store.put(Oid(1), b"in the store, not in the log").unwrap();
+        seed(&store, &[(1, b"in the store, not in the log")]);
         log.append(&overwrite(1, 1, b"v")).unwrap();
         let err = recover(&log, &cache, &store).unwrap_err();
         assert!(matches!(err, AssetError::Corrupt(_)), "{err}");
 
-        // nor does an image from before a checkpoint marker count
+        // nor after the checkpoint marker that put it there
         let (log, cache, store) = setup();
-        log.append(&LogRecord::Update {
-            tid: Tid(1),
-            oid: Oid(1),
-            before: None,
-            after: Some(b"v1".to_vec()),
-        })
-        .unwrap();
+        seed(&store, &[(1, b"v1")]);
         log.append(&LogRecord::Checkpoint).unwrap();
         log.append(&overwrite(2, 1, b"v2")).unwrap();
         assert!(recover(&log, &cache, &store).is_err());
@@ -877,7 +869,7 @@ mod tests {
         log.append(&overwrite(2, 1, b"v2")).unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!((report.losers, report.undone), (2, 2));
-        assert_eq!(get(&cache, &store, Oid(1)).unwrap(), b"v0");
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"v0");
         let tail: Vec<LogRecord> = log.scan().unwrap().into_iter().map(|(_, r)| r).collect();
         assert_eq!(
             tail[2..],
@@ -917,6 +909,10 @@ mod tests {
         .unwrap();
         let report = recover(&log, &cache, &store).unwrap();
         assert_eq!((report.max_tid, report.max_oid), (9, 71));
-        assert!(store.is_empty(), "restart does not write the store");
+        assert_eq!(store.load(&ObjectCache::new()).unwrap(), 0, "no image");
+        // the image's oids count too
+        seed(&store, &[(99, b"imaged")]);
+        let report = recover(&log, &ObjectCache::new(), &store).unwrap();
+        assert_eq!(report.max_oid, 99);
     }
 }

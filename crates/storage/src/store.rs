@@ -1,76 +1,63 @@
-//! The persistent object store: the image the last checkpoint left.
+//! The persistent object store: where the last checkpoint's image lives.
 //!
-//! Applications work on objects in the shared cache (§4), and the cache
-//! never evicts, so the store has one job: hold what the last checkpoint or
-//! log compaction flushed, for the next restart to start from. It is a map
-//! in memory and, on disk, one file that [`flush`](ObjectStore::flush)
-//! replaces whole:
+//! Applications work on objects in the shared cache (§4), which holds every
+//! object and never evicts, so the store holds no objects of its own: it is
+//! the place of one image of the cache — a file on disk, the bytes of the
+//! last image in memory. [`write`](ObjectStore::write) encodes the cache
+//! and replaces the image whole; [`load`](ObjectStore::load) decodes it
+//! straight into a fresh cache at restart:
 //!
 //! ```text
 //! [magic 8] [count] ([oid] [len] [bytes])* [checksum u64]
 //! ```
 //!
 //! with `count`, `oid` and `len` LEB128 and the checksum (FNV-1a) over
-//! every byte before it. A flush writes the image to `<file>.next`, syncs
+//! every byte before it. A write puts the image in `<file>.next`, syncs
 //! it, renames it over the file and syncs the directory, as
 //! [`LogManager::rewrite`](crate::LogManager::rewrite) does, so a crash
 //! leaves the old image or the new one, and at most a stale `.next` that
-//! nothing reads. [`open`](ObjectStore::open) refuses a file whose magic
-//! or checksum does not verify with `Corrupt`: a damaged image is never
-//! taken for an empty store.
-//!
-//! The store's *ceiling* is the largest oid it has ever held, so the cache
-//! fills a miss above it without asking the map.
+//! nothing reads. A load refuses a file whose magic or checksum does not
+//! verify with `Corrupt`: a damaged image is never taken for an empty one.
 
+use crate::cache::ObjectCache;
 use crate::log::checksum;
 use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::sync::Mutex;
-use asset_common::{AssetError, IdMap, Oid, Result};
+use asset_common::{AssetError, Oid, Result};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What an image file starts with.
 const MAGIC: [u8; 8] = *b"ASSETOS1";
 
 /// The object store (see the module docs).
 pub struct ObjectStore {
-    objects: Mutex<IdMap<Oid, Vec<u8>>>,
-    /// The image file; `None` keeps the store in memory only.
+    /// The image file; `None` keeps the image in `memory`.
     path: Option<PathBuf>,
-    /// See [`ceiling`](Self::ceiling).
-    ceiling: AtomicU64,
+    /// The last image written when there is no file. On disk it stays
+    /// `None`, and its mutex keeps two writers off the file beside.
+    memory: Mutex<Option<Vec<u8>>>,
     #[cfg(feature = "faults")]
     faults: std::sync::Arc<asset_faults::FaultRegistry>,
 }
 
 impl ObjectStore {
-    /// An empty store that lives in memory only: [`flush`](Self::flush)
-    /// writes nothing.
+    /// A store that keeps its image in memory.
     pub fn in_memory() -> ObjectStore {
-        Self::holding(IdMap::default(), None)
+        Self::holding(None)
     }
 
-    /// Open the store whose image is the file at `path`: empty if there is
-    /// no such file, `Corrupt` if the file is not one whole image.
-    pub fn open(path: &Path) -> Result<ObjectStore> {
-        let objects = match std::fs::read(path) {
-            Ok(image) => decode(&image).map_err(|why| {
-                AssetError::Corrupt(format!("object store image {}: {why}", path.display()))
-            })?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => IdMap::default(),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Self::holding(objects, Some(path.to_path_buf())))
+    /// The store whose image is the file at `path` (none yet if there is no
+    /// such file). Nothing is read before [`load`](Self::load).
+    pub fn at(path: &Path) -> ObjectStore {
+        Self::holding(Some(path.to_path_buf()))
     }
 
-    fn holding(objects: IdMap<Oid, Vec<u8>>, path: Option<PathBuf>) -> ObjectStore {
-        let ceiling = objects.keys().map(|o| o.raw()).max().unwrap_or(0);
+    fn holding(path: Option<PathBuf>) -> ObjectStore {
         ObjectStore {
-            objects: Mutex::new(objects),
             path,
-            ceiling: AtomicU64::new(ceiling),
+            memory: Mutex::new(None),
             #[cfg(feature = "faults")]
             faults: Default::default(),
         }
@@ -83,51 +70,37 @@ impl ObjectStore {
         self.faults = faults;
     }
 
-    /// The largest oid this store has ever held (0 if none): no object
-    /// above it is stored. An atomic load, which the cache may take under
-    /// its shard mutex. Relaxed: a `put` raises it before the map mutex
-    /// that publishes the object.
-    pub fn ceiling(&self) -> u64 {
-        self.ceiling.load(Ordering::Relaxed)
+    /// Decode the last image into `cache`, one clean entry per object.
+    /// Returns the largest oid in it (0 if none); `Corrupt` if the file is
+    /// not one whole image.
+    pub fn load(&self, cache: &ObjectCache) -> Result<u64> {
+        let image = match &self.path {
+            None => self.memory.lock().clone(),
+            Some(path) => match std::fs::read(path) {
+                Ok(image) => Some(image),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                Err(e) => return Err(e.into()),
+            },
+        };
+        let Some(image) = image else {
+            return Ok(0);
+        };
+        decode(&image, cache).map_err(|why| {
+            let at = self.path.as_deref().unwrap_or(Path::new("in memory"));
+            AssetError::Corrupt(format!("object store image {}: {why}", at.display()))
+        })
     }
 
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.objects.lock().len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.objects.lock().is_empty()
-    }
-
-    /// Read the payload of `oid`.
-    pub fn get(&self, oid: Oid) -> Result<Option<Vec<u8>>> {
-        Ok(self.objects.lock().get(&oid).cloned())
-    }
-
-    /// Insert or overwrite `oid` with `bytes`.
-    pub fn put(&self, oid: Oid, bytes: &[u8]) -> Result<()> {
-        self.ceiling.fetch_max(oid.raw(), Ordering::Relaxed);
-        self.objects.lock().insert(oid, bytes.to_vec());
-        Ok(())
-    }
-
-    /// Delete `oid`. Returns whether it existed.
-    pub fn delete(&self, oid: Oid) -> Result<bool> {
-        Ok(self.objects.lock().remove(&oid).is_some())
-    }
-
-    /// Make the store's contents the image on disk: written beside the
-    /// file, synced, renamed over it, the directory synced. A no-op in
-    /// memory. The map stays locked throughout, so two flushes never share
-    /// the file beside.
-    pub fn flush(&self) -> Result<()> {
+    /// Make the image of `cache` the store's: in memory, kept; on disk,
+    /// written beside the file, synced, renamed over it, the directory
+    /// synced.
+    pub fn write(&self, cache: &ObjectCache) -> Result<()> {
+        let mut memory = self.memory.lock();
+        let image = encode(cache);
         let Some(path) = &self.path else {
+            *memory = Some(image);
             return Ok(());
         };
-        let objects = self.objects.lock();
-        let image = encode(&objects);
         let mut beside = path.clone().into_os_string();
         beside.push(".next");
         let mut file = File::create(&beside)?;
@@ -152,22 +125,26 @@ impl ObjectStore {
     }
 }
 
-/// The image of `objects` (format in the module docs).
-fn encode(objects: &IdMap<Oid, Vec<u8>>) -> Vec<u8> {
+/// The image of every object in `cache` (format in the module docs).
+fn encode(cache: &ObjectCache) -> Vec<u8> {
+    let (mut body, mut count) = (Vec::new(), 0u64);
+    cache.for_each_object(|oid, bytes| {
+        put_varint(&mut body, oid.raw());
+        put_varint(&mut body, bytes.len() as u64);
+        body.extend_from_slice(bytes);
+        count += 1;
+    });
     let mut image = MAGIC.to_vec();
-    put_varint(&mut image, objects.len() as u64);
-    for (oid, bytes) in objects {
-        put_varint(&mut image, oid.raw());
-        put_varint(&mut image, bytes.len() as u64);
-        image.extend_from_slice(bytes);
-    }
+    put_varint(&mut image, count);
+    image.extend_from_slice(&body);
     let sum = checksum(&image);
     image.extend_from_slice(&sum.to_le_bytes());
     image
 }
 
-/// The objects of `image`, or why it is not one whole image.
-fn decode(image: &[u8]) -> std::result::Result<IdMap<Oid, Vec<u8>>, CodecError> {
+/// Fill `cache` with the objects of `image` and return the largest oid,
+/// or say why it is not one whole image.
+fn decode(image: &[u8], cache: &ObjectCache) -> std::result::Result<u64, CodecError> {
     let body = image
         .len()
         .checked_sub(8)
@@ -178,48 +155,27 @@ fn decode(image: &[u8]) -> std::result::Result<IdMap<Oid, Vec<u8>>, CodecError> 
         return Err(CodecError::Corrupt("checksum mismatch".into()));
     }
     let mut r = Reader::new(&body[MAGIC.len()..]);
-    let mut objects = IdMap::default();
+    let mut max_oid = 0;
     for _ in 0..r.varint()? {
-        let oid = Oid(r.varint()?);
+        let oid = r.varint()?;
         let len = r.varint()?;
-        objects.insert(oid, r.bytes(len as usize)?.to_vec());
+        cache.fill(Oid(oid), r.bytes(len as usize)?.to_vec());
+        max_oid = max_oid.max(oid);
     }
     r.finish()?;
-    Ok(objects)
+    Ok(max_oid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn put_get_delete() {
-        let s = ObjectStore::in_memory();
-        s.put(Oid(1), b"alpha").unwrap();
-        s.put(Oid(2), b"beta").unwrap();
-        s.put(Oid(1), b"gamma").unwrap();
-        assert_eq!(s.get(Oid(1)).unwrap().unwrap(), b"gamma");
-        assert_eq!(s.get(Oid(3)).unwrap(), None);
-        assert_eq!(s.len(), 2);
-        assert!(s.delete(Oid(1)).unwrap());
-        assert!(!s.delete(Oid(1)).unwrap());
-        assert_eq!(s.get(Oid(1)).unwrap(), None);
-        assert!(s.delete(Oid(2)).unwrap());
-        assert!(s.is_empty());
-        s.flush().unwrap();
-    }
-
-    #[test]
-    fn the_ceiling_is_the_largest_oid_ever_held() {
-        let s = ObjectStore::in_memory();
-        assert_eq!(s.ceiling(), 0);
-        s.put(Oid(7), b"x").unwrap();
-        s.put(Oid(3), b"y").unwrap();
-        assert_eq!(s.ceiling(), 7);
-        s.delete(Oid(7)).unwrap();
-        assert_eq!(s.ceiling(), 7, "a delete does not lower it");
-        s.put(Oid(u64::MAX), b"z").unwrap();
-        assert_eq!(s.ceiling(), u64::MAX);
+    /// What `cache` holds, sorted by oid.
+    fn contents(cache: &ObjectCache) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        cache.for_each_object(|oid, bytes| out.push((oid.raw(), bytes.to_vec())));
+        out.sort();
+        out
     }
 
     #[test]
@@ -228,27 +184,49 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("heap.db");
         let _ = std::fs::remove_file(&path);
-        {
-            let s = ObjectStore::open(&path).unwrap();
-            for i in 0..30u64 {
-                s.put(Oid(i + 1), format!("value-{i}").as_bytes()).unwrap();
-            }
-            s.delete(Oid(5)).unwrap();
-            s.flush().unwrap();
-            s.put(Oid(40), b"never flushed").unwrap();
+        let cache = ObjectCache::new();
+        let set = |oid: u64, image: Option<&[u8]>| {
+            let entry = cache.entry(Oid(oid));
+            entry.write_with(cache.obs(), |d| *d = image.map(<[u8]>::to_vec));
+        };
+        for i in 0..30u64 {
+            set(i + 1, Some(format!("value-{i}").as_bytes()));
         }
-        let s = ObjectStore::open(&path).unwrap();
-        assert_eq!(s.len(), 29);
-        assert_eq!(s.ceiling(), 30, "rebuilt from the image");
-        assert_eq!(s.get(Oid(7)).unwrap().unwrap(), b"value-6");
-        assert_eq!(s.get(Oid(5)).unwrap(), None);
+        set(5, None);
+        ObjectStore::at(&path).write(&cache).unwrap();
+        set(40, Some(b"never written"));
+
+        let reopened = ObjectCache::new();
+        let max_oid = ObjectStore::at(&path).load(&reopened).unwrap();
+        assert_eq!(max_oid, 30, "the largest oid in the image");
+        let expect: Vec<(u64, Vec<u8>)> = (0..30u64)
+            .filter(|i| *i != 4)
+            .map(|i| (i + 1, format!("value-{i}").into_bytes()))
+            .collect();
+        assert_eq!(contents(&reopened), expect, "no tombstone, nothing later");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one file");
         // a heap file of slotted pages is not an image, and not an empty store
         std::fs::write(&path, [0u8; 4096]).unwrap();
         assert!(matches!(
-            ObjectStore::open(&path),
+            ObjectStore::at(&path).load(&ObjectCache::new()),
             Err(AssetError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// In memory the store keeps the bytes of the last image: a fresh
+    /// cache loads what the last write saw, and no store loads as empty.
+    #[test]
+    fn an_in_memory_store_keeps_the_last_image() {
+        let store = ObjectStore::in_memory();
+        let fresh = ObjectCache::new();
+        assert_eq!(store.load(&fresh).unwrap(), 0);
+        let cache = ObjectCache::new();
+        cache
+            .entry(Oid(9))
+            .write_with(cache.obs(), |d| *d = Some(b"nine".to_vec()));
+        store.write(&cache).unwrap();
+        assert_eq!(store.load(&fresh).unwrap(), 9);
+        assert_eq!(contents(&fresh), [(9, b"nine".to_vec())]);
     }
 }

@@ -1,88 +1,153 @@
-//! Model-based property tests: the object store is driven with random
-//! operation sequences and checked against a trivially correct in-memory
-//! model (`HashMap`), and its image file is damaged at random.
+//! Model-based property tests: an on-disk engine is driven with random
+//! writes, deletes, aborted writes, checkpoints and reopens and checked
+//! against a trivially correct model (`HashMap`) of the committed values;
+//! the store's image file is damaged at random.
 
-use asset_common::AssetError;
-use asset_common::Oid;
+use asset_common::{AssetError, Config, Durability, Oid, Tid};
 use asset_faults::{cases, Rng};
-use asset_storage::store::ObjectStore;
+use asset_storage::{LogRecord, ObjectCache, ObjectStore, StorageEngine};
 use std::collections::HashMap;
-use std::path::PathBuf;
-
-/// Operations the model covers.
-#[derive(Clone, Debug)]
-enum Op {
-    Put(u64, Vec<u8>),
-    Delete(u64),
-    Get(u64),
-}
-
-fn arb_op(rng: &mut Rng) -> Op {
-    let key = 1 + rng.below(39);
-    match rng.below(3) {
-        0 => {
-            let len = rng.below(60) as usize;
-            Op::Put(key, rng.bytes(len))
-        }
-        1 => Op::Delete(key),
-        _ => Op::Get(key),
-    }
-}
-
-fn arb_ops(rng: &mut Rng, max_len: u64) -> Vec<Op> {
-    (0..rng.below(max_len)).map(|_| arb_op(rng)).collect()
-}
+use std::path::{Path, PathBuf};
 
 /// Cases per property.
 const CASES: u64 = 64;
 
-/// The object store behaves exactly like a HashMap<Oid, Vec<u8>> for
-/// any sequence of put/delete/get.
-#[test]
-fn object_store_matches_model() {
-    cases(0x0570_0001, CASES, |rng| {
-        let ops = arb_ops(rng, 120);
-        let store = ObjectStore::in_memory();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Put(k, v) => {
-                    store.put(Oid(k), &v).unwrap();
-                    model.insert(k, v);
-                }
-                Op::Delete(k) => {
-                    let existed = store.delete(Oid(k)).unwrap();
-                    assert_eq!(existed, model.remove(&k).is_some());
-                }
-                Op::Get(k) => {
-                    assert_eq!(store.get(Oid(k)).unwrap(), model.get(&k).cloned());
-                }
-            }
-            assert_eq!(store.len(), model.len());
-        }
-        // final full sweep
-        for (k, v) in &model {
-            assert_eq!(store.get(Oid(*k)).unwrap(), Some(v.clone()));
-        }
-    });
-}
+/// Keys the engine property draws from.
+const KEYS: u64 = 24;
 
-/// A fresh directory for one case's image file.
-fn image_path(tag: &str) -> PathBuf {
+/// A fresh directory for one property.
+fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asset-mb-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("heap.db")
+    dir
 }
 
-/// Flush `entries` into a new store at `path`.
-fn write_image(path: &PathBuf, entries: &HashMap<u64, Vec<u8>>) {
-    let _ = std::fs::remove_file(path);
-    let store = ObjectStore::open(path).unwrap();
-    for (k, v) in entries {
-        store.put(Oid(*k), v).unwrap();
+fn open(config: &Config) -> StorageEngine {
+    StorageEngine::open(config).unwrap().0
+}
+
+fn commit(e: &StorageEngine, tid: Tid) {
+    let commit = LogRecord::Commit { tids: vec![tid] };
+    e.log_record(&commit).unwrap();
+}
+
+/// Roll `tid` back as the transaction manager does: its `(key, before)`
+/// undo list newest first, each with its CLR, then its `Abort` record.
+fn abort(e: &StorageEngine, tid: Tid, undo: Vec<(u64, Option<Vec<u8>>)>) {
+    for (key, before) in undo.into_iter().rev() {
+        e.undo_object(Oid(key), before).unwrap();
     }
-    store.flush().unwrap();
+    e.log_record(&LogRecord::Abort { tid }).unwrap();
+}
+
+/// Every key reads as `model` says.
+fn assert_holds(e: &StorageEngine, model: &HashMap<u64, Vec<u8>>, what: &str) {
+    for key in 1..=KEYS {
+        let seen = e.read_object(Oid(key));
+        assert_eq!(seen.as_ref(), model.get(&key), "[{what}] key {key}");
+    }
+}
+
+/// The engine's contents equal a map of the committed values across random
+/// writes, deletes and aborted writes, checkpoints taken at random points
+/// (some beside a completed-but-uncommitted writer, whose updates the new
+/// log must carry) and reopens at random points (where a live writer is a
+/// loser). Replaces the map-level store property and the store's
+/// `put`/`get`/`delete` and ceiling unit tests, whose API is gone.
+#[test]
+fn an_engine_reopened_anywhere_holds_the_committed_values() {
+    let dir = fresh_dir("engine");
+    cases(0x0570_0001, CASES, |rng| {
+        let data = dir.join(format!("case-{}", rng.next_u64()));
+        let config = Config {
+            durability: Durability::Buffered,
+            ..Config::on_disk(&data)
+        };
+        let mut e = open(&config);
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let commit_to = |model: &mut HashMap<_, _>, key, image: Option<Vec<u8>>| match image {
+            Some(v) => model.insert(key, v),
+            None => model.remove(&key),
+        };
+        // the live writer: its tid and its (key, before, after) writes
+        type Writes = Vec<(u64, Option<Vec<u8>>, Option<Vec<u8>>)>;
+        let mut live: Option<(Tid, Writes)> = None;
+        let mut tids = (1..).map(Tid);
+        for step in 0..rng.below(80) {
+            let key = 1 + rng.below(KEYS);
+            let len = rng.below(40) as usize;
+            let image = (rng.below(4) > 0).then(|| rng.bytes(len));
+            let owned = live
+                .as_ref()
+                .is_some_and(|l| l.1.iter().any(|w| w.0 == key));
+            let op = rng.below(7);
+            match op {
+                // another writer holds the key's lock
+                0..=3 if owned => {}
+                0..=2 => {
+                    let tid = tids.next().unwrap();
+                    let before = e.write_object(tid, Oid(key), image.clone()).unwrap().0;
+                    if op == 0 {
+                        abort(&e, tid, vec![(key, before)]);
+                    } else {
+                        commit(&e, tid);
+                        commit_to(&mut model, key, image);
+                    }
+                }
+                3 => {
+                    let (tid, writes) = live.get_or_insert_with(|| (tids.next().unwrap(), vec![]));
+                    let before = e.write_object(*tid, Oid(key), image.clone()).unwrap().0;
+                    writes.push((key, before, image));
+                }
+                4 => match live.take() {
+                    Some((tid, writes)) if rng.below(2) == 0 => {
+                        commit(&e, tid);
+                        for (key, _, image) in writes {
+                            commit_to(&mut model, key, image);
+                        }
+                    }
+                    Some((tid, writes)) => {
+                        abort(&e, tid, writes.into_iter().map(|w| (w.0, w.1)).collect());
+                    }
+                    None => {}
+                },
+                5 => e.checkpoint(&live.iter().map(|l| l.0).collect()).unwrap(),
+                _ => {
+                    // a restart: the live writer is a loser
+                    drop(e);
+                    e = open(&config);
+                    live = None;
+                    assert_holds(&e, &model, &format!("reopen at step {step}"));
+                }
+            }
+        }
+        drop(e);
+        assert_holds(&open(&config), &model, "final reopen");
+        std::fs::remove_dir_all(&data).unwrap();
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Write `entries` as the image at `path`, through a cache.
+fn write_image(path: &Path, entries: &HashMap<u64, Vec<u8>>) {
+    let cache = ObjectCache::new();
+    for (k, v) in entries {
+        let entry = cache.entry(Oid(*k));
+        entry.write_with(cache.obs(), |d| *d = Some(v.clone()));
+    }
+    ObjectStore::at(path).write(&cache).unwrap();
+}
+
+/// The objects the image at `path` loads as.
+fn load_image(path: &Path) -> asset_common::Result<HashMap<u64, Vec<u8>>> {
+    let cache = ObjectCache::new();
+    ObjectStore::at(path).load(&cache)?;
+    let mut out = HashMap::new();
+    cache.for_each_object(|oid, bytes| {
+        out.insert(oid.raw(), bytes.to_vec());
+    });
+    Ok(out)
 }
 
 fn arb_entries(rng: &mut Rng) -> HashMap<u64, Vec<u8>> {
@@ -94,28 +159,14 @@ fn arb_entries(rng: &mut Rng) -> HashMap<u64, Vec<u8>> {
         .collect()
 }
 
-/// Store round-trips across a flush + reopen of its file.
-#[test]
-fn store_reopen_preserves_contents() {
-    let path = image_path("reopen");
-    cases(0x0570_0004, CASES, |rng| {
-        let entries = arb_entries(rng);
-        write_image(&path, &entries);
-        let store = ObjectStore::open(&path).unwrap();
-        assert_eq!(store.len(), entries.len());
-        for (k, v) in &entries {
-            assert_eq!(store.get(Oid(*k)).unwrap(), Some(v.clone()));
-        }
-    });
-    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-}
-
-/// A flipped byte or a truncation anywhere in the image makes `open`
+/// A flipped byte or a truncation anywhere in the image makes a load
 /// answer `Corrupt`, never a store; a stale `heap.db.next` — what a crash
-/// in the middle of a flush leaves — is not read at all.
+/// in the middle of a write leaves — is not read at all, and the intact
+/// image loads as what was written.
 #[test]
 fn a_damaged_image_is_corrupt_and_a_stale_next_is_ignored() {
-    let path = image_path("damage");
+    let dir = fresh_dir("damage");
+    let path = dir.join("heap.db");
     let next = path.with_extension("db.next");
     cases(0x0570_0005, CASES, |rng| {
         let entries = arb_entries(rng);
@@ -126,16 +177,12 @@ fn a_damaged_image_is_corrupt_and_a_stale_next_is_ignored() {
         let cut = &image[..rng.below(image.len() as u64) as usize];
         for damaged in [&flipped[..], cut] {
             std::fs::write(&path, damaged).unwrap();
-            let opened = ObjectStore::open(&path);
-            assert!(matches!(opened, Err(AssetError::Corrupt(_))), "{damaged:?}");
+            let loaded = load_image(&path);
+            assert!(matches!(loaded, Err(AssetError::Corrupt(_))), "{damaged:?}");
         }
         std::fs::write(&path, &image).unwrap();
         std::fs::write(&next, cut).unwrap();
-        let store = ObjectStore::open(&path).unwrap();
-        assert_eq!(store.len(), entries.len());
-        for (k, v) in &entries {
-            assert_eq!(store.get(Oid(*k)).unwrap(), Some(v.clone()));
-        }
+        assert_eq!(load_image(&path).unwrap(), entries);
     });
-    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -7,7 +7,9 @@
 //! `set_len`) to be *dominated* — preceded in the same function body — by
 //! a failpoint macro or a call to a failpoint-checker function (detected
 //! by `#[failpoint_checker]` or by body inspection: the fn evaluates the
-//! macros or consults the fault registry).
+//! macros or consults the fault registry). A checker is no exception: its
+//! own durable writes must follow a failpoint evaluation in its own body,
+//! so a checker that writes first and evaluates later is reported.
 
 use crate::lexer::Kind;
 use crate::{Finding, Workspace, DURABLE_WRITES};
@@ -16,10 +18,6 @@ use crate::{Finding, Workspace, DURABLE_WRITES};
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     for (file, item) in ws.runtime_fns() {
         if file.krate != "storage" {
-            continue;
-        }
-        // Checker fns themselves are the coverage source, not subjects.
-        if ws.checkers.contains(&item.name) {
             continue;
         }
         let body = ws.body(file, item);

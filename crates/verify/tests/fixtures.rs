@@ -109,6 +109,50 @@ fn r3_accepts_macro_and_checker_coverage() {
 }
 
 #[test]
+fn r3_checks_a_checker_s_own_writes() {
+    let a = analyze(
+        "storage",
+        "tests/fixtures/r3_checker_violating.rs",
+        include_str!("fixtures/r3_checker_violating.rs"),
+    );
+    assert_eq!(
+        rendered(&a),
+        [
+            "R3 failpoint_coverage: tests/fixtures/r3_checker_violating.rs:9 in `replace` — \
+          durable write `.write_all()` is not dominated by a failpoint!/failpoint_sync! \
+          evaluation or a failpoint-checker call"
+        ]
+    );
+    let a = analyze(
+        "storage",
+        "tests/fixtures/r3_checker_conforming.rs",
+        include_str!("fixtures/r3_checker_conforming.rs"),
+    );
+    assert_eq!(rendered(&a), [] as [&str; 0]);
+}
+
+/// The store's image writer with its `STORE_WRITE` guard dropped is
+/// reported, though it still evaluates `STORE_SYNC` after the write (R3
+/// used to skip any fn that evaluates a failpoint).
+#[test]
+fn r3_reports_the_image_writer_without_its_store_write_guard() {
+    let path = "crates/storage/src/store.rs";
+    let src = include_str!("../../storage/src/store.rs");
+    assert_eq!(rendered(&analyze("storage", path, src)), [] as [&str; 0]);
+    let guard = "asset_faults::failpoint!(&self.faults, crate::failpoints::STORE_WRITE";
+    let start = src.find(guard).expect("the image writer's guard");
+    let end = start + src[start..].find("});\n").expect("its end") + 4;
+    let unguarded = format!("{}{}", &src[..start], &src[end..]);
+    let found = rendered(&analyze("storage", path, &unguarded));
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].contains("in `write`") && found[0].contains("`.write_all()`"),
+        "{}",
+        found[0]
+    );
+}
+
+#[test]
 fn r5_detects_blocking_calls_inside_executor_steps() {
     let a = analyze(
         "core",

@@ -729,7 +729,7 @@ fn error_matrix_live_state_agrees_with_recovery() {
 }
 
 // ---------------------------------------------------------------------------
-// WAL rule at compaction: `compact_log` flushes the cache to the store, the
+// WAL rule at compaction: `checkpoint` writes the cache to the store, the
 // uncommitted images of live transactions included, so the `Update` records
 // that undo them must be stable *first*, and must *stay* in the log until
 // the records that replace them are: the compacted log is built beside the
@@ -762,7 +762,7 @@ fn crash_anywhere_in_compaction_still_undoes_the_live_txn() {
         db.wait(t).unwrap();
 
         case.faults.arm(point, Trigger::Once, FaultAction::Crash);
-        let outcome = catch_unwind(AssertUnwindSafe(|| db.compact_log()));
+        let outcome = catch_unwind(AssertUnwindSafe(|| db.checkpoint()));
         assert!(outcome.is_err(), "[{point}] compaction crashed");
         drop(db);
 
@@ -1097,10 +1097,11 @@ fn writes_after_a_broken_checkpoint_keep_the_log_self_contained() {
     }
 }
 
-/// `compact_log` refused before its rename: nothing has moved — the log
-/// and its generation stand, so the next write of an object the log covers
-/// still finds its before image there (v3 cut the log in place and had to
-/// move the generation on first, paying an explicit before image).
+/// A `checkpoint` beside a live transaction refused before its rename:
+/// nothing has moved — the log and its generation stand, so the next write
+/// of an object the log covers still finds its before image there (v3 cut
+/// the log in place and had to move the generation on first, paying an
+/// explicit before image).
 #[test]
 fn a_refused_compaction_leaves_the_log_and_its_generation_standing() {
     let case = Case::new("compact-refused");
@@ -1134,13 +1135,13 @@ fn a_refused_compaction_leaves_the_log_and_its_generation_standing() {
         storage::failpoints::LOG_REWRITE_BEFORE_RENAME,
     ] {
         case.faults.arm(point, Trigger::Once, FaultAction::Error);
-        assert!(db.compact_log().is_err(), "[{point}]");
+        assert!(db.checkpoint().is_err(), "[{point}]");
         assert_eq!(kinds(&db), before, "[{point}]");
     }
     put(&db, y, b"y2");
     assert_eq!(kinds(&db)[before.len()..], ["overwrite", "commit"]);
     // and a compaction that goes through starts a generation of its own
-    db.compact_log().unwrap();
+    db.checkpoint().unwrap();
     put(&db, y, b"y3");
     let records = log_records(&db);
     let kinds: Vec<_> = records.iter().map(LogRecord::name).collect();

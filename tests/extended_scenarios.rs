@@ -237,7 +237,7 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
             }
             if round % 60 == 59 {
                 db.retire_terminated();
-                db.compact_log().unwrap();
+                db.checkpoint().unwrap();
             }
         }
         let total: i64 = accounts

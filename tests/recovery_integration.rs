@@ -29,7 +29,7 @@ impl Drop for TempDir {
     }
 }
 
-/// Two live cooperating writers of one object across a `compact_log`
+/// Two live cooperating writers of one object across a `checkpoint`
 /// (regression: pending updates used to be re-logged grouped by owner in
 /// tid order): the re-logged updates keep the order they were written in,
 /// whichever tid is lower, so a restart reads what the runtime read — the
@@ -59,7 +59,7 @@ fn compaction_with_two_live_cooperating_writers_keeps_their_order() {
         db.begin(second).unwrap();
         db.wait(second).unwrap();
         assert_eq!(db.peek(x).unwrap().unwrap(), b"second");
-        db.compact_log().unwrap();
+        db.checkpoint().unwrap();
         let owners: Vec<_> = db
             .engine()
             .log()
@@ -313,7 +313,7 @@ fn objects_bigger_than_a_page_survive_checkpoint_compaction_and_reopen() {
             assert!(db.run(move |ctx| ctx.write(oid, bytes)).unwrap());
         }
         db.checkpoint().unwrap();
-        db.compact_log().unwrap();
+        db.checkpoint().unwrap();
     }
     for _ in 0..2 {
         let (db, report) = Database::open(config.clone()).unwrap();
