@@ -15,8 +15,8 @@ use std::sync::OnceLock;
 /// `initiate` under resource exhaustion) and as the `parent()` of a
 /// top-level transaction. [`Tid::NULL`] plays that role; the Rust-level API
 /// additionally uses [`Result`](crate::Result) so that callers do not have
-/// to test for null in the common case.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// to test for null in the common case. It is also the default.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tid(pub u64);
 
 impl Tid {

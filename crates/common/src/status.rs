@@ -27,9 +27,10 @@ use std::fmt;
 ///   locks are retained, and only the coordinator's decision may move it —
 ///   to *Committed* or through *Aborting* to *Aborted*. Survives restart.
 /// * *Committed* / *Aborted*: terminal.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TxnStatus {
     /// Registered but not yet executing.
+    #[default]
     Initiated,
     /// Executing its function.
     Running,

@@ -9,9 +9,11 @@
 //! Both descriptor tables are sharded per the paper's §4.1 double hashing:
 //! the lock table by object id (inside `asset-lock`) and the transaction
 //! table by tid ([`TxnTable`]), so the per-operation hot path touches only
-//! the stripes of the descriptors involved. The dependency graph stays
-//! global but is taken only on `form_dependency` and the commit gates —
-//! never on the read/write path. Cross-shard atomicity rules:
+//! the stripes of the descriptors involved. The TD is the one
+//! per-transaction record; the global dependency graph holds only edges
+//! between live transactions and is taken only on `form_dependency`, the
+//! commit gates and terminations, never on the read/write path.
+//! Cross-shard atomicity rules:
 //!
 //! * shard locks are acquired in ascending index order ([`GroupGuard`]);
 //! * the `deps` mutex is acquired only *after* any held transaction
@@ -76,8 +78,9 @@
 //!
 //! Install before images in reverse order — each with its CLR, one latched
 //! engine call per step — log `Abort` (if the log has heard of the
-//! transaction at all), release locks and permits, propagate along
-//! incoming AD/GC edges (CD edges are dropped), then mark aborted. A
+//! transaction at all), release locks and permits, then — in one visit to
+//! the victim's shard — propagate along incoming AD/GC edges (CD edges are
+//! dropped) and mark aborted. A
 //! *running* victim is marked `Aborting` and its lock waits are poisoned;
 //! whoever runs its body performs the steps when the closure unwinds (a
 //! body nobody has claimed yet is dropped unrun) — the paper's "mark tj in
@@ -86,6 +89,7 @@
 //! the undo itself can run without holding any table lock.
 
 use crate::context::TxnCtx;
+use crate::exec::Task;
 use crate::threads::{txn_threads, TxnThreads};
 use crate::txns::{GroupGuard, TxnTable};
 use asset_annot::{exec_step, wal};
@@ -100,6 +104,8 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Wake;
+use std::time::Instant;
 
 /// The closure a transaction executes.
 pub type Job = Box<dyn FnOnce(&TxnCtx) -> Result<()> + Send + 'static>;
@@ -114,7 +120,9 @@ pub(crate) struct UndoEntry {
     pub before: Option<Vec<u8>>,
 }
 
-/// A transaction descriptor (the paper's TD).
+/// A transaction descriptor (the paper's TD). The default is a fresh
+/// top-level one: `Initiated`, nothing claimed, pinned or prepared.
+#[derive(Default)]
 pub(crate) struct TxnSlot {
     pub parent: Tid,
     pub status: TxnStatus,
@@ -151,6 +159,14 @@ pub(crate) struct TxnSlot {
     /// report [`TxnOutcome`](crate::TxnOutcome)`::CommitAmbiguous`
     /// instead of a plain abort.
     pub commit_ambiguous: bool,
+    /// The executor task of a step program, from `submit` until the
+    /// visit that sets the terminal status: what `nudge` and an abort's
+    /// wake requeue.
+    pub task: Option<Arc<Task>>,
+    /// When the `Prepared` record was forced (§14.2): set by
+    /// `prepare_group` with the status, taken by the decide that ends the
+    /// in-doubt window. `None` after a restart, which records nothing.
+    pub prepared_at: Option<Instant>,
 }
 
 pub(crate) struct DbInner {
@@ -174,13 +190,6 @@ pub(crate) struct DbInner {
     pub exec: std::sync::OnceLock<Arc<crate::exec::ExecInner>>,
     /// The transaction threads `begin` hands bodies to.
     pub threads: Arc<TxnThreads>,
-    /// Prepare-force instants for in-doubt members (§14.2): written by
-    /// `prepare_group` once its `Prepared` record is durable, consumed by
-    /// the decide paths to feed `Obs::in_doubt_ns`. Taken only *after*
-    /// every transaction-shard guard is dropped (the §7 rule: no obs
-    /// bookkeeping under a stripe mutex). Absent entries — a restart
-    /// between prepare and decide — simply record nothing.
-    pub prepared_at: Mutex<std::collections::HashMap<Tid, std::time::Instant>>,
 }
 
 impl Drop for DbInner {
@@ -305,7 +314,6 @@ impl Database {
             threads: txn_threads(Arc::clone(&obs)),
             obs,
             exec: std::sync::OnceLock::new(),
-            prepared_at: Mutex::new(std::collections::HashMap::new()),
         });
         // Restore prepared-but-undecided participants (§14.3): each
         // in-doubt transaction re-enters the table as `Prepared` — undo
@@ -336,21 +344,13 @@ impl Database {
                     )));
                 }
             }
-            inner.txns.insert(
-                d.tid,
-                TxnSlot {
-                    parent: Tid::NULL,
-                    status: TxnStatus::Prepared,
-                    job: None,
-                    undo,
-                    abort_performed: false,
-                    thread_live: false,
-                    commit_pending: false,
-                    commit_ambiguous: false,
-                },
-            );
+            let slot = TxnSlot {
+                status: TxnStatus::Prepared,
+                undo,
+                ..TxnSlot::default()
+            };
+            inner.txns.insert(d.tid, slot);
             inner.live_count.fetch_add(1, Ordering::Relaxed);
-            inner.deps.lock().register(d.tid);
         }
         {
             let present: BTreeSet<Tid> = report.in_doubt.iter().map(|d| d.tid).collect();
@@ -398,11 +398,17 @@ impl Database {
     /// assert_eq!(db.peek(oid).unwrap().unwrap(), b"hello");
     /// ```
     pub fn initiate(&self, f: impl FnOnce(&TxnCtx) -> Result<()> + Send + 'static) -> Result<Tid> {
-        self.initiate_with_parent(Tid::NULL, Some(Box::new(f)))
+        self.initiate_with_parent(Tid::NULL, Some(Box::new(f)), |_| None)
     }
 
-    /// Register a transaction; `job` is `None` for a step program.
-    pub(crate) fn initiate_with_parent(&self, parent: Tid, job: Option<Job>) -> Result<Tid> {
+    /// Register a transaction; `job` is `None` for a step program, whose
+    /// TD is born holding the executor task `task` makes from the tid.
+    pub(crate) fn initiate_with_parent(
+        &self,
+        parent: Tid,
+        job: Option<Job>,
+        task: impl FnOnce(Tid) -> Option<Arc<Task>>,
+    ) -> Result<Tid> {
         let cap = self.inner.config.max_transactions;
         // exact admission without a table lock: claim a live slot or fail
         if self
@@ -420,20 +426,13 @@ impl Database {
             return Err(AssetError::ResourceExhausted { limit: cap });
         }
         let tid = Tid(self.inner.tid_gen.next());
-        self.inner.txns.insert(
-            tid,
-            TxnSlot {
-                parent,
-                status: TxnStatus::Initiated,
-                job,
-                undo: Vec::new(),
-                abort_performed: false,
-                thread_live: false,
-                commit_pending: false,
-                commit_ambiguous: false,
-            },
-        );
-        self.inner.deps.lock().register(tid);
+        let slot = TxnSlot {
+            parent,
+            job,
+            task: task(tid),
+            ..TxnSlot::default()
+        };
+        self.inner.txns.insert(tid, slot);
         bump(&self.inner.obs.counters.txn_initiated);
         self.inner
             .obs
@@ -569,17 +568,7 @@ impl Database {
     /// assert!(db.is_committed(t2).unwrap());
     /// ```
     pub fn commit(&self, t: Tid) -> Result<bool> {
-        // Span + latency instrumentation wraps the whole terminal
-        // processing (gate evaluation, parking, the forced record); both
-        // are gated on tracing so the default commit path stays clock-free.
-        let obs = &self.inner.obs;
-        let t0 = obs.tracing_enabled().then(std::time::Instant::now);
-        if t0.is_some() {
-            obs.record(EventKind::SpanOpen {
-                tid: t,
-                span: SpanName::CommitGate,
-            });
-        }
+        let t0 = self.open_commit_span(t);
         self.run_unclaimed(t);
         // The blocking driver of the one §4.2 protocol: where the executor
         // parks the task, this thread sleeps on the event count and
@@ -593,14 +582,39 @@ impl Database {
                 Err(e) => break Err(e),
             }
         };
+        self.close_commit_span(t, t0);
+        res
+    }
+
+    /// Commit-phase entry, the same for both drivers: the span and the
+    /// latency clock wrap the whole terminal processing (gate evaluation,
+    /// parking, the forced record), and both are gated on tracing so the
+    /// default commit path stays clock-free.
+    #[exec_step]
+    pub(crate) fn open_commit_span(&self, t: Tid) -> Option<Instant> {
+        let obs = &self.inner.obs;
+        let t0 = obs.tracing_enabled().then(Instant::now);
+        if t0.is_some() {
+            obs.record(EventKind::SpanOpen {
+                tid: t,
+                span: SpanName::CommitGate,
+            });
+        }
+        t0
+    }
+
+    /// Commit-phase exit (committed, aborted, or flush-failed): record
+    /// the end-to-end commit latency and close the span.
+    #[exec_step]
+    pub(crate) fn close_commit_span(&self, t: Tid, t0: Option<Instant>) {
         if let Some(t0) = t0 {
+            let obs = &self.inner.obs;
             obs.commit_ns.record(t0.elapsed().as_nanos() as u64);
             obs.record(EventKind::SpanClose {
                 tid: t,
                 span: SpanName::CommitGate,
             });
         }
-        res
     }
 
     /// Step 4 for a caller that may block — the commit point: one forced
@@ -666,7 +680,9 @@ impl Database {
     /// installing its before images in reverse order, release its locks
     /// and permits, and propagate the abort along incoming AD/GC edges.
     /// Returns `true` if the abort succeeds (or `t` was already aborted),
-    /// `false` if `t` has already committed.
+    /// `false` if `t` has already committed. A `Prepared` transaction is
+    /// refused with `InvalidState`: only the coordinator's decision may
+    /// resolve it (DESIGN.md §14.2).
     ///
     /// ```
     /// use asset_core::Database;
@@ -693,10 +709,10 @@ impl Database {
                 // pinned: the flush outcome decides; wait the window out
                 // and report what it decided
                 (_, true) => self.inner.txns.wait_event(epoch),
-                _ => {
-                    self.abort_many(&[t]);
-                    return Ok(true);
-                }
+                // a `Prepared` `t` is refused in the visit that would claim
+                // it, so a `prepare_group` racing this call cannot slip in
+                _ if self.abort_claiming(&[t], Some(t)) => return Ok(true),
+                _ => return Err(prepared(t, "abort")),
             }
         }
     }
@@ -742,7 +758,8 @@ impl Database {
     /// `ti`'s uncommitted operations to `tj` — locks, permits granted, and
     /// undo responsibility all move; a `Delegate` log record makes the
     /// transfer crash-safe. The building block of split/join (§3.1.5) and
-    /// nested transactions (§3.1.4).
+    /// nested transactions (§3.1.4). Delegating from or to a `Prepared`
+    /// transaction is refused with `InvalidState` (§14.2).
     ///
     /// ```
     /// use asset_core::Database;
@@ -769,6 +786,7 @@ impl Database {
         if guard.get(to).is_none() {
             return Err(AssetError::TxnNotFound(to));
         }
+        refuse_prepared(&guard, &[from, to], "delegate")?;
         if from == to {
             return Ok(());
         }
@@ -874,6 +892,12 @@ impl Database {
     /// * AD — if `ti` aborts, `tj` must abort;
     /// * GC — both commit or neither.
     ///
+    /// A terminated party resolves the edge at once: a terminated
+    /// dependent is sealed, a committed `on` satisfies it, an aborted `on`
+    /// dooms a live AD dependent or GC partner. Making a `Prepared`
+    /// transaction a CD/AD dependent or a GC partner is refused with
+    /// `InvalidState` (§14.2).
+    ///
     /// ```
     /// use asset_core::{Database, DepType};
     ///
@@ -885,28 +909,30 @@ impl Database {
     /// assert!(!db.commit(t2).unwrap(), "t1's abort dooms t2 through the AD edge");
     /// ```
     pub fn form_dependency(&self, kind: DepType, ti: Tid, tj: Tid) -> Result<()> {
-        // hold both parties' shards to order against commits, then deps
+        // hold both parties' shards, then deps: a termination drops the
+        // transaction's edges in the shard visit that sets its status, so
+        // the statuses read here are exactly what the graph holds
         let guard = self.lock_unpinned(&[ti, tj]);
-        if guard.get(ti).is_none() {
-            return Err(AssetError::TxnNotFound(ti));
+        let status = |t| guard.get(t).map(|s| s.status);
+        let si = status(ti).ok_or(AssetError::TxnNotFound(ti))?;
+        let sj = status(tj).ok_or(AssetError::TxnNotFound(tj))?;
+        if ti == tj {
+            return Err(AssetError::DependencyCycle {
+                dependent: tj,
+                on: ti,
+            });
         }
-        if guard.get(tj).is_none() {
-            return Err(AssetError::TxnNotFound(tj));
-        }
+        // a prepared transaction may be the `on` of a CD/AD edge only
+        let bound = [tj, if kind == DepType::GC { ti } else { tj }];
+        refuse_prepared(&guard, &bound, "form_dependency")?;
+        let live = |s: TxnStatus| !s.is_terminated();
         let mut deps = self.inner.deps.lock();
-        // transfer terminal knowledge so retroactive dooming works (both
-        // slots were validated non-None above, under the same guard)
-        for t in [ti, tj] {
-            match guard.get(t).map(|s| s.status) {
-                Some(TxnStatus::Committed) => deps.committed(&[t]),
-                Some(TxnStatus::Aborted) => {
-                    let _ = deps.aborted(t);
-                }
-                Some(_) => deps.register(t),
-                None => {}
-            }
+        match (kind, si, sj) {
+            _ if live(si) && live(sj) => deps.form(kind, ti, tj)?,
+            (DepType::AD | DepType::GC, TxnStatus::Aborted, _) if live(sj) => deps.doom(tj),
+            (DepType::GC, _, TxnStatus::Aborted) if live(si) => deps.doom(ti),
+            _ => {}
         }
-        deps.form(kind, ti, tj)?;
         drop(deps);
         drop(guard);
         bump(&self.inner.obs.counters.dep_edges_formed);
@@ -1037,10 +1063,8 @@ impl Database {
             .filter(|(_, s)| s.status.is_terminated())
             .map(|(t, _)| *t)
             .collect();
-        let mut deps = self.inner.deps.lock();
         for t in &dead {
             guard.remove(*t);
-            deps.retire(*t);
         }
         dead.len()
     }
@@ -1063,10 +1087,7 @@ impl Database {
             TxnStatus::Aborting | TxnStatus::Aborted => c.4 += 1,
         });
         let (initiated, running, completed, committed, aborted) = c;
-        let (dep_edges, gc_links) = {
-            let deps = self.inner.deps.lock();
-            (deps.edge_count(), deps.gc_link_count())
-        };
+        let deps = self.inner.deps.lock().summary();
         DatabaseStats {
             initiated,
             running,
@@ -1075,8 +1096,8 @@ impl Database {
             aborted,
             locks: self.inner.locks.stats(),
             permits: self.inner.locks.permit_count(),
-            dep_edges,
-            gc_links,
+            dep_edges: deps.cd_edges + deps.ad_edges,
+            gc_links: deps.gc_links,
             log_records: self.inner.engine.log().records_appended(),
         }
     }
@@ -1108,11 +1129,10 @@ impl Database {
     /// layer is read under its own short-lived synchronization, never all
     /// at once, so polling cannot stall the workload.
     pub fn introspect(&self) -> Introspection {
-        let dep_edges = {
-            let deps = self.inner.deps.lock();
-            deps.edges()
+        let (dep_edges, deps) = {
+            let graph = self.inner.deps.lock();
+            (graph.edges(), graph.summary())
         };
-        let deps_summary = self.inner.deps.lock().summary();
         Introspection {
             stats: self.stats(),
             live: self.live_transactions(),
@@ -1120,7 +1140,7 @@ impl Database {
             stripes: self.inner.locks.stripe_occupancy(),
             waits: self.inner.locks.waits_snapshot(),
             dep_edges,
-            deps: deps_summary,
+            deps,
             log: self.inner.engine.log().watermarks(),
             permit_chain_max: self.inner.obs.permit_chain_len.snapshot().max,
         }
@@ -1147,16 +1167,24 @@ impl Database {
     /// AD/GC edges. Holds at most one transaction shard at a time: each
     /// victim's finalization is *claimed* under its shard (via
     /// `abort_performed`), then the undo/log/release steps run lock-free,
-    /// then the terminal status is published. Running victims are marked
-    /// and poisoned; whoever runs (or claims) the body finalizes.
+    /// then the terminal status is published, in the shard visit that
+    /// drops the victim from the dependency graph. Running victims are
+    /// marked and poisoned; whoever runs (or claims) the body finalizes.
+    pub(crate) fn abort_many(&self, seeds: &[Tid]) {
+        self.abort_claiming(seeds, None);
+    }
+
+    /// [`abort_many`](Self::abort_many), except that `local` (a local
+    /// `abort`'s seed) is refused if its claim visit finds it `Prepared`:
+    /// then nothing happens to it and this returns `false` (§14.2).
     // Each undo step logs its CLR and installs the image in one latched
     // engine call; the Abort record follows the last of them and precedes
     // the terminal status.
     #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Aborted")]
-    pub(crate) fn abort_many(&self, seeds: &[Tid]) {
+    fn abort_claiming(&self, seeds: &[Tid], local: Option<Tid>) -> bool {
         enum Act {
             Skip,
-            Wake,
+            Wake(Option<Arc<Task>>),
             /// The claimed undo chain, and whether the log has heard of
             /// the transaction (it wrote, or it is named by a `Prepared`
             /// record): only then is there anything for an `Abort` record
@@ -1164,6 +1192,7 @@ impl Database {
             Undo(Vec<UndoEntry>, bool),
         }
         let mut queue: Vec<Tid> = seeds.to_vec();
+        let mut refused = false;
         while let Some(x) = queue.pop() {
             let act = self.inner.txns.with(x, |slot| {
                 let Some(slot) = slot else { return Act::Skip };
@@ -1182,10 +1211,14 @@ impl Database {
                         // (or the executor worker) performs the steps
                         slot.status = TxnStatus::Aborting;
                         self.inner.locks.poison(x);
-                        Act::Wake
+                        Act::Wake(slot.task.clone())
                     }
                     TxnStatus::Aborting if slot.thread_live => {
                         // already marked; its body's thread will finalize
+                        Act::Skip
+                    }
+                    TxnStatus::Prepared if local == Some(x) => {
+                        refused = true;
                         Act::Skip
                     }
                     _ => {
@@ -1203,12 +1236,14 @@ impl Database {
             });
             let (mut undo, in_log) = match act {
                 Act::Skip => continue,
-                Act::Wake => {
+                Act::Wake(task) => {
                     // the poison wakes a task parked on a lock and the bump
                     // below one parked on a gate; one parked on
                     // `WaitExternal` has no wake registry, so run it: its
                     // next step sees `Aborting` and finalizes
-                    self.nudge(x);
+                    if let Some(task) = task {
+                        task.wake();
+                    }
                     continue;
                 }
                 Act::Undo(undo, in_log) => (undo, in_log),
@@ -1255,21 +1290,18 @@ impl Database {
             });
             // step 3: release locks and permits
             self.inner.locks.release_all(x);
-            // steps 4–5: propagate along incoming AD/GC, drop CD
-            let (victims, resolved) = {
-                let mut deps = self.inner.deps.lock();
-                let before = deps.edge_count() + deps.gc_link_count();
-                let victims = deps.aborted(x);
-                let resolved = before.saturating_sub(deps.edge_count() + deps.gc_link_count());
-                (victims, resolved)
-            };
-            queue.extend(victims);
-            // step 6: aborted
-            self.inner.txns.with(x, |slot| {
+            // steps 4–6 in one visit to x's shard (shard, then deps):
+            // propagate along incoming AD/GC, drop CD, aborted — so
+            // whoever holds x's shard sees `Aborted` exactly when the
+            // graph has dropped x
+            let (victims, resolved) = self.inner.txns.with(x, |slot| {
                 if let Some(slot) = slot {
                     slot.status = TxnStatus::Aborted;
+                    slot.task = None; // nothing left to wake
                 }
+                self.inner.deps.lock().aborted(x)
             });
+            queue.extend(victims);
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
             let obs = &self.inner.obs;
             bump(&obs.counters.txn_aborted);
@@ -1281,6 +1313,7 @@ impl Database {
             });
         }
         self.inner.txns.bump();
+        !refused
     }
 
     // --- distributed commit participant (§14) --------------------------
@@ -1379,23 +1412,17 @@ impl Database {
             self.abort_many(&group);
             return Err(e);
         }
+        // the in-doubt clock starts at the durable prepare force (§14.2)
+        let now = Instant::now();
         for m in &group {
             // members come from the guard's own locked key set
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.status = TxnStatus::Prepared;
+            slot.prepared_at = Some(now);
         }
         drop(guard);
         self.inner.txns.bump();
-        // in-doubt clock starts at the durable prepare force (§14.2);
-        // guard already dropped, so the map lock nests inside nothing
-        {
-            let now = std::time::Instant::now();
-            let mut at = self.inner.prepared_at.lock();
-            for m in &group {
-                at.insert(*m, now);
-            }
-        }
         self.inner.obs.record(EventKind::PrepareForced {
             tid: group[0],
             group: group.len() as u32,
@@ -1439,7 +1466,7 @@ impl Database {
     /// transaction, its vote.
     #[wal(logs = "append", mutates = "self.finish_commit")]
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
-        let guard = self.inner.txns.lock_group(group);
+        let mut guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
         for m in group {
             match guard.get(*m).map(|s| s.status) {
@@ -1461,8 +1488,12 @@ impl Database {
         self.inner.engine.log().append(&LogRecord::Commit {
             tids: pending.clone(),
         })?;
+        let decided: Vec<Instant> = pending
+            .iter()
+            .filter_map(|m| guard.get_mut(*m)?.prepared_at.take())
+            .collect();
         self.finish_commit(pending[0], &pending, guard);
-        self.record_decide(&pending, true);
+        self.record_decide(&pending, true, &decided);
         // the decision is applied and its record only buffered; a failure
         // here models the participant dying before its next force (Crash:
         // the record dies with it, and restart restores the group in
@@ -1483,20 +1514,17 @@ impl Database {
     }
 
     /// Close the in-doubt window for `members` (§14.2 observability):
-    /// record each member's prepare-force → decision duration into
+    /// record each prepare-force → decision duration (`decided` holds the
+    /// prepare instants the decide took from the TDs) into
     /// `Obs::in_doubt_ns` and emit one `DecideApplied` event. Members
-    /// without a recorded prepare instant (restart recovery restored
-    /// them) record nothing. Never called with a shard guard held.
-    fn record_decide(&self, members: &[Tid], commit: bool) {
-        let decided: Vec<std::time::Instant> = {
-            let mut at = self.inner.prepared_at.lock();
-            members.iter().filter_map(|m| at.remove(m)).collect()
-        };
+    /// without a prepare instant (restart recovery restored them) record
+    /// nothing. Never called with a shard guard held.
+    fn record_decide(&self, members: &[Tid], commit: bool, decided: &[Instant]) {
         if decided.is_empty() {
             return;
         }
         let obs = &self.inner.obs;
-        for t0 in &decided {
+        for t0 in decided {
             obs.in_doubt_ns.record(t0.elapsed().as_nanos() as u64);
         }
         obs.record(EventKind::DecideApplied {
@@ -1513,10 +1541,15 @@ impl Database {
     /// are skipped; members that committed are left untouched (the
     /// coordinator never mixes decisions within one group).
     pub fn decide_abort_group(&self, group: &[Tid]) {
-        // capture the in-doubt window before the rollback clears state;
-        // non-prepared members have no entry and record nothing
-        self.record_decide(group, false);
+        let decided: Vec<Instant> = {
+            let mut guard = self.inner.txns.lock_group(group);
+            group
+                .iter()
+                .filter_map(|m| guard.get_mut(*m)?.prepared_at.take())
+                .collect()
+        };
         self.abort_many(group);
+        self.record_decide(group, false, &decided);
     }
 
     /// Every transaction currently in [`TxnStatus::Prepared`] — after
@@ -1655,11 +1688,7 @@ impl Database {
                     TxnStatus::Initiated | TxnStatus::Running => Ok(Step::Wait),
                     // a prepared participant's fate belongs to the commit
                     // coordinator (§14); local commit must not decide it
-                    TxnStatus::Prepared => Err(AssetError::InvalidState {
-                        tid: t,
-                        status: TxnStatus::Prepared,
-                        op: "commit",
-                    }),
+                    TxnStatus::Prepared => Err(prepared(t, "commit")),
                     // a commit record for this transaction's group already
                     // sits in the flush window: wait for the flush outcome
                     // rather than forcing a second record for the group
@@ -1799,16 +1828,12 @@ impl Database {
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
             slot.status = TxnStatus::Committed;
+            slot.task = None; // nothing left to wake
             slot.undo = Vec::new(); // the TD outlives the commit; its buffer need not
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
             self.inner.locks.release_all(*m);
         }
-        let resolved = {
-            let mut deps = self.inner.deps.lock();
-            let before = deps.edge_count() + deps.gc_link_count();
-            deps.committed(group);
-            before.saturating_sub(deps.edge_count() + deps.gc_link_count())
-        };
+        let resolved = self.inner.deps.lock().committed(group);
         // counted before the shards are released: whoever has seen
         // `Committed` sees the count that includes it
         let obs = &self.inner.obs;
@@ -1849,6 +1874,29 @@ impl Database {
         });
         self.abort_many(group);
     }
+}
+
+/// The refusal of a local primitive that would resolve or bind `Prepared`
+/// `t`: its fate belongs to the commit coordinator (DESIGN.md §14.2).
+fn prepared(t: Tid, op: &'static str) -> AssetError {
+    AssetError::InvalidState {
+        tid: t,
+        status: TxnStatus::Prepared,
+        op,
+    }
+}
+
+/// [`prepared`] for the first of `parties` that is `Prepared`.
+fn refuse_prepared(guard: &GroupGuard<'_>, parties: &[Tid], op: &'static str) -> Result<()> {
+    for &t in parties {
+        if guard
+            .get(t)
+            .is_some_and(|s| s.status == TxnStatus::Prepared)
+        {
+            return Err(prepared(t, op));
+        }
+    }
+    Ok(())
 }
 
 /// What one non-blocking commit pass resolved to.

@@ -25,7 +25,7 @@
 //! that fails against the dirty mark and requeues instead. A lock request
 //! is queued by the lock table under the same stripe mutex as the attempt
 //! that failed, so there is nothing to re-check; for transaction-table
-//! events workers register interest (dep waiter list) **before** the
+//! events workers register the task (dep waiter list) **before** the
 //! non-blocking check and the notifying side publishes state before firing
 //! the hook — the register→check→park discipline the event count uses.
 //! Both are model-checked in `tests/loom_executor.rs`.
@@ -48,13 +48,16 @@
 //! primitives use, and `try_acquire` is one pass of the lock-request
 //! protocol that [`TxnCtx`](crate::TxnCtx) loops over. What is its own is
 //! scheduling — run queues, the park/enqueue protocol, the dep registry.
+//! Queues, the dep registry and the flush callback carry the task itself;
+//! the one place a task is found by tid is its transaction's descriptor
+//! (`TxnSlot::task`), for [`Database::nudge`] and an abort's wake.
 
 use crate::database::{CommitPass, Database, DbInner};
 use asset_annot::exec_step;
 use asset_common::ids::stripe_of;
 use asset_common::sync::{Condvar, Mutex};
-use asset_common::{AssetError, IdMap, Oid, Operation, Result, Tid, TxnStatus};
-use asset_obs::{bump, EventKind, SpanName};
+use asset_common::{AssetError, Oid, Operation, Result, Tid, TxnStatus};
+use asset_obs::{bump, EventKind};
 use asset_storage::LogRecord;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,13 +148,14 @@ struct TaskBody {
     prog: Option<StepProg>,
     /// The pinned GC group whose commit record sits in the flush window.
     group: Vec<Tid>,
-    /// Commit-phase entry time; `Some` only while tracing is enabled, so
-    /// the default path stays clock-free (mirrors the blocking
-    /// [`Database::commit`] instrumentation).
+    /// Commit-phase entry time (`Database::open_commit_span`).
     commit_t0: Option<std::time::Instant>,
 }
 
-struct Task {
+/// A submitted transaction's scheduling record, held by whatever will
+/// run it next (a run queue, the dep registry, a lock request, the flush
+/// callback) and by its descriptor until the transaction terminates.
+pub(crate) struct Task {
     tid: Tid,
     exec: Weak<ExecInner>,
     sched: AtomicU8,
@@ -175,22 +179,20 @@ enum StepOutcome {
     Finished,
 }
 
-/// The worker-pool executor: run queues, task table, dep-wait
-/// registry. One per database, spawned lazily by the first
-/// [`Database::submit`].
+/// The worker-pool executor: run queues and the dep-wait registry. One
+/// per database, spawned lazily by the first [`Database::submit`].
 pub struct ExecInner {
     db: Weak<DbInner>,
     /// Per-shard run queues, tid-hashed; a pusher never holds a queue
     /// mutex and the pending mutex at once.
-    queues: Box<[Mutex<VecDeque<Tid>>]>,
+    queues: Box<[Mutex<VecDeque<Arc<Task>>>]>,
     queue_mask: u64,
     /// Count of queued tasks; workers park on its condvar when idle.
     pending: Mutex<usize>,
     pending_cv: Condvar,
     shutdown: AtomicBool,
-    tasks: Mutex<IdMap<Tid, Arc<Task>>>,
-    /// Transactions parked on `WaitDep`/commit gates.
-    dep_waiters: Mutex<Vec<Tid>>,
+    /// Tasks parked on `WaitDep`/commit gates.
+    dep_waiters: Mutex<Vec<Arc<Task>>>,
     /// Worker threads actually running (0 = none could be spawned and
     /// `submit` refuses). Written once inside the `OnceLock` initializer,
     /// before any submit sees the executor.
@@ -208,7 +210,6 @@ impl ExecInner {
             pending: Mutex::new(0),
             pending_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            tasks: Mutex::new(IdMap::default()),
             dep_waiters: Mutex::new(Vec::new()),
             live_workers: AtomicUsize::new(0),
         });
@@ -248,9 +249,9 @@ impl ExecInner {
         stripe_of(tid.raw(), self.queue_mask)
     }
 
-    fn push(&self, tid: Tid) {
+    fn push(&self, task: Arc<Task>) {
         {
-            self.queues[self.queue_of(tid)].lock().push_back(tid);
+            self.queues[self.queue_of(task.tid)].lock().push_back(task);
         }
         {
             let mut n = self.pending.lock();
@@ -262,7 +263,7 @@ impl ExecInner {
     /// Pop the next runnable transaction, sleeping when every queue is
     /// empty. This is the worker *idle* loop — the one place a worker
     /// thread blocks, and deliberately not an executor step.
-    fn next_task(&self, rotor: &mut usize) -> Option<Tid> {
+    fn next_task(&self, rotor: &mut usize) -> Option<Arc<Task>> {
         let mut pending = self.pending.lock();
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -283,15 +284,9 @@ impl ExecInner {
         }
     }
 
-    /// The live task of `tid`, if it is (still) one.
-    fn task(&self, tid: Tid) -> Option<Arc<Task>> {
-        self.tasks.lock().get(&tid).cloned()
-    }
-
     /// Wake a parked task (idempotent): `PARKED → QUEUED` pushes it;
     /// a `RUNNING` task is marked dirty so its park attempt requeues.
-    fn enqueue(&self, task: &Task) {
-        let tid = task.tid;
+    fn enqueue(&self, task: &Arc<Task>) {
         loop {
             match task.sched.load(Ordering::Acquire) {
                 PARKED => {
@@ -300,7 +295,7 @@ impl ExecInner {
                         .compare_exchange(PARKED, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        self.push(tid);
+                        self.push(Arc::clone(task));
                         return;
                     }
                 }
@@ -324,30 +319,21 @@ impl ExecInner {
         }
     }
 
-    fn register_dep_wait(&self, tid: Tid) {
-        self.dep_waiters.lock().push(tid);
+    fn register_dep_wait(&self, task: &Arc<Task>) {
+        self.dep_waiters.lock().push(Arc::clone(task));
     }
 
     fn wake_deps(&self) {
-        let woken: Vec<Tid> = std::mem::take(&mut *self.dep_waiters.lock());
-        for task in woken.into_iter().filter_map(|t| self.task(t)) {
-            self.enqueue(&task);
-        }
-    }
-
-    fn flush_acked(&self, tid: Tid, res: Result<()>) {
-        if let Some(task) = self.task(tid) {
-            *task.flush_result.lock() = Some(res);
-            self.enqueue(&task);
+        let woken: Vec<Arc<Task>> = std::mem::take(&mut *self.dep_waiters.lock());
+        for task in &woken {
+            self.enqueue(task);
         }
     }
 
     /// Run one dispatched transaction for up to [`STEP_BUDGET`] steps.
     #[exec_step]
-    fn run_task(exec: &Arc<ExecInner>, db: &Database, tid: Tid) {
-        let Some(task) = exec.task(tid) else {
-            return;
-        };
+    fn run_task(exec: &Arc<ExecInner>, db: &Database, task: Arc<Task>) {
+        let tid = task.tid;
         if task
             .sched
             .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
@@ -375,7 +361,7 @@ impl ExecInner {
                     // a wakeup landed mid-step (RUNNING_DIRTY): requeue
                     bump(&obs.counters.exec_requeues);
                     task.sched.store(QUEUED, Ordering::Release);
-                    exec.push(tid);
+                    exec.push(task);
                     return;
                 }
                 StepOutcome::Finished => {
@@ -385,7 +371,6 @@ impl ExecInner {
                     body.prog = None;
                     drop(body);
                     task.sched.store(DONE, Ordering::Release);
-                    exec.tasks.lock().remove(&tid);
                     return;
                 }
             }
@@ -393,36 +378,7 @@ impl ExecInner {
         // budget exhausted: yield the worker to other runnable work
         drop(body);
         task.sched.store(QUEUED, Ordering::Release);
-        exec.push(tid);
-    }
-
-    /// Commit-phase entry: start the latency clock and open the span,
-    /// both gated on tracing exactly as the blocking
-    /// [`Database::commit`] is.
-    #[exec_step]
-    fn open_commit_obs(db: &Database, body: &mut TaskBody, tid: Tid) {
-        let obs = &db.inner.obs;
-        body.commit_t0 = obs.tracing_enabled().then(std::time::Instant::now);
-        if body.commit_t0.is_some() {
-            obs.record(EventKind::SpanOpen {
-                tid,
-                span: SpanName::CommitGate,
-            });
-        }
-    }
-
-    /// Commit-phase exit (committed, aborted, or flush-failed): record
-    /// the end-to-end commit latency and close the span.
-    #[exec_step]
-    fn close_commit_obs(db: &Database, body: &mut TaskBody, tid: Tid) {
-        if let Some(t0) = body.commit_t0.take() {
-            let obs = &db.inner.obs;
-            obs.commit_ns.record(t0.elapsed().as_nanos() as u64);
-            obs.record(EventKind::SpanClose {
-                tid,
-                span: SpanName::CommitGate,
-            });
-        }
+        exec.push(task);
     }
 
     /// One step of the per-transaction state machine. Never blocks;
@@ -444,7 +400,7 @@ impl ExecInner {
                 Ok(false) => {
                     // doomed before it started; the commit phase reports it
                     body.phase = Phase::Commit;
-                    Self::open_commit_obs(db, body, tid);
+                    body.commit_t0 = db.open_commit_span(tid);
                     StepOutcome::Continue
                 }
                 Err(_) => {
@@ -484,7 +440,7 @@ impl ExecInner {
                     TxnStep::WaitLock { .. } if queued => StepOutcome::Park("lock"),
                     TxnStep::Ready | TxnStep::WaitLock { .. } => StepOutcome::Continue,
                     TxnStep::WaitDep | TxnStep::WaitFlush => {
-                        exec.register_dep_wait(tid);
+                        exec.register_dep_wait(task);
                         StepOutcome::Park("dep")
                     }
                     // no registry: the wake path is an explicit nudge,
@@ -503,7 +459,7 @@ impl ExecInner {
                         if db.complete(tid, true) {
                             body.prog = None;
                             body.phase = Phase::Commit;
-                            Self::open_commit_obs(db, body, tid);
+                            body.commit_t0 = db.open_commit_span(tid);
                             StepOutcome::Continue
                         } else {
                             StepOutcome::Finished
@@ -519,11 +475,11 @@ impl ExecInner {
                 // register before evaluating: a bump landing between the
                 // gate check and the park flips us RUNNING_DIRTY and the
                 // dispatcher requeues instead of parking
-                exec.register_dep_wait(tid);
+                exec.register_dep_wait(task);
                 match db.commit_pass(tid) {
                     // the slot status says which; `outcome` reads it there
                     Ok(CommitPass::Done(_)) => {
-                        Self::close_commit_obs(db, body, tid);
+                        db.close_commit_span(tid, body.commit_t0.take());
                         StepOutcome::Finished
                     }
                     Ok(CommitPass::Wait) => StepOutcome::Park("dep"),
@@ -532,13 +488,12 @@ impl ExecInner {
                         let rec = LogRecord::Commit {
                             tids: group.clone(),
                         };
-                        let weak = Arc::downgrade(exec);
+                        let task = Arc::clone(task);
                         let submitted = db.inner.engine.flusher().submit_with_callback(
                             rec,
                             Box::new(move |res| {
-                                if let Some(e) = weak.upgrade() {
-                                    e.flush_acked(tid, res.map(|_| ()));
-                                }
+                                *task.flush_result.lock() = Some(res.map(|_| ()));
+                                task.wake();
                             }),
                         );
                         match submitted {
@@ -548,14 +503,14 @@ impl ExecInner {
                             }
                             Err(_) => {
                                 db.commit_failed(tid, &group);
-                                Self::close_commit_obs(db, body, tid);
+                                db.close_commit_span(tid, body.commit_t0.take());
                                 StepOutcome::Finished
                             }
                         }
                     }
                     Err(_) => {
                         db.abort_many(&[tid]);
-                        Self::close_commit_obs(db, body, tid);
+                        db.close_commit_span(tid, body.commit_t0.take());
                         StepOutcome::Finished
                     }
                 }
@@ -566,12 +521,12 @@ impl ExecInner {
                     Some(Ok(())) => {
                         let guard = db.inner.txns.lock_group(&body.group);
                         db.finish_commit(tid, &body.group, guard);
-                        Self::close_commit_obs(db, body, tid);
+                        db.close_commit_span(tid, body.commit_t0.take());
                         StepOutcome::Finished
                     }
                     Some(Err(_)) => {
                         db.commit_failed(tid, &body.group);
-                        Self::close_commit_obs(db, body, tid);
+                        db.close_commit_span(tid, body.commit_t0.take());
                         StepOutcome::Finished
                     }
                     // the ack callback targets this task directly: no
@@ -587,14 +542,14 @@ impl ExecInner {
 fn worker_loop(exec: Arc<ExecInner>) {
     let mut rotor = 0usize;
     loop {
-        let Some(tid) = exec.next_task(&mut rotor) else {
+        let Some(task) = exec.next_task(&mut rotor) else {
             return;
         };
         let Some(inner) = exec.db.upgrade() else {
             return;
         };
         let db = Database { inner };
-        ExecInner::run_task(&exec, &db, tid);
+        ExecInner::run_task(&exec, &db, task);
     }
 }
 
@@ -739,23 +694,28 @@ impl Database {
                 "no executor worker thread could be spawned",
             )));
         }
-        // executor transactions reuse the TD admission path; the slot has
-        // no job (the program lives in the task)
-        let t = self.initiate_with_parent(Tid::NULL, None)?;
-        let task = Arc::new(Task {
-            tid: t,
-            exec: Arc::downgrade(&exec),
-            sched: AtomicU8::new(QUEUED),
-            body: Mutex::new(TaskBody {
-                phase: Phase::Begin,
-                prog: Some(Box::new(prog)),
-                group: Vec::new(),
-                commit_t0: None,
-            }),
-            flush_result: Mutex::new(None),
-        });
-        exec.tasks.lock().insert(t, task);
-        exec.push(t);
+        // the TD admission path, with no job (the program lives in the
+        // task): the TD is born holding the task, a run queue gets a clone
+        let mut queued = None;
+        let t = self.initiate_with_parent(Tid::NULL, None, |tid| {
+            let task = Arc::new(Task {
+                tid,
+                exec: Arc::downgrade(&exec),
+                sched: AtomicU8::new(QUEUED),
+                body: Mutex::new(TaskBody {
+                    phase: Phase::Begin,
+                    prog: Some(Box::new(prog)),
+                    group: Vec::new(),
+                    commit_t0: None,
+                }),
+                flush_result: Mutex::new(None),
+            });
+            queued = Some(Arc::clone(&task));
+            Some(task)
+        })?;
+        if let Some(task) = queued {
+            exec.push(task);
+        }
         Ok(t)
     }
 
@@ -763,14 +723,7 @@ impl Database {
     /// `true` if it committed. (The submitting thread may block — worker
     /// steps never do.)
     pub fn outcome(&self, t: Tid) -> Result<bool> {
-        loop {
-            let epoch = self.inner.txns.epoch();
-            match self.status(t)? {
-                TxnStatus::Committed => return Ok(true),
-                TxnStatus::Aborted => return Ok(false),
-                _ => self.inner.txns.wait_event(epoch),
-            }
-        }
+        Ok(self.outcome_kind(t)? == TxnOutcome::Committed)
     }
 
     /// Like [`outcome`](Self::outcome), but distinguishes the ambiguous
@@ -811,17 +764,15 @@ impl Database {
     /// completion, so a nudge may land after the task reached `DONE` and
     /// was retired, after the tid was never submitted (plain
     /// `initiate`/`begin` transactions), or with a tid this database has
-    /// never seen. All of these are silent no-ops — a tid missing from
-    /// the task table (consulted under its lock) is ignored, and a
+    /// never seen. All of these are silent no-ops — a descriptor that is
+    /// missing or holds no task (read under its shard) is ignored, and a
     /// `DONE` task's scheduling byte rejects the requeue. A nudge can
     /// never panic, abort, or misdirect a *different* transaction: tids
     /// are never reused within a database (the `IdGen` is monotonic),
     /// so a retired tid cannot alias a live one.
     pub fn nudge(&self, t: Tid) {
-        if let Some(exec) = self.inner.exec.get() {
-            if let Some(task) = exec.task(t) {
-                exec.enqueue(&task);
-            }
+        if let Some(task) = self.inner.txns.with(t, |slot| slot?.task.clone()) {
+            task.wake();
         }
     }
 }

@@ -1248,6 +1248,209 @@ fn in_doubt_group_restores_its_gc_links() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+// --- one record per transaction: fates live in the TD ---------------------
+
+/// A transaction that wrote `bytes` to a fresh object and completed.
+fn completed_writer(db: &Database, bytes: &'static [u8]) -> (Tid, Oid) {
+    let oid = db.new_oid();
+    let t = db.initiate(move |ctx| ctx.write(oid, bytes.to_vec()));
+    let t = t.unwrap();
+    db.begin(t).unwrap();
+    assert!(db.wait(t).unwrap());
+    (t, oid)
+}
+
+/// Run `a` on a spawned thread and `b` on this one, released together by
+/// a barrier; nothing sleeps.
+fn race<A: Send, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            go.wait();
+            a()
+        });
+        go.wait();
+        let b = b();
+        (a.join().unwrap(), b)
+    })
+}
+
+/// A prepared participant's fate is the coordinator's (DESIGN.md §14.2):
+/// no local primitive may resolve it or bind it to another transaction's
+/// fate. Each row is refused with `InvalidState`; the commit decision
+/// then applies the prepared write whatever `x` does.
+#[test]
+fn a_prepared_participant_cannot_be_resolved_locally() {
+    type Row = fn(&Database, Tid, Tid) -> asset_common::Result<()>;
+    let rows: [Row; 7] = [
+        |db, p, _| db.abort(p).map(drop),
+        |db, p, x| db.form_dependency(DepType::CD, x, p),
+        |db, p, x| db.form_dependency(DepType::AD, x, p),
+        |db, p, x| db.form_dependency(DepType::GC, x, p),
+        |db, p, x| db.form_dependency(DepType::GC, p, x),
+        |db, p, x| db.delegate(p, x, None),
+        |db, p, x| db.delegate(x, p, None),
+    ];
+    for (row, op) in rows.iter().enumerate() {
+        let db = db();
+        let (p, oid) = completed_writer(&db, b"p");
+        let x = db.initiate(|_| Ok(())).unwrap();
+        let group = db.prepare_group(&[p]).unwrap();
+        let refused = op(&db, p, x).unwrap_err();
+        assert!(
+            matches!(refused, AssetError::InvalidState { tid, status: TxnStatus::Prepared, .. } if tid == p),
+            "row {row}: {refused:?}"
+        );
+        assert!(db.abort(x).unwrap());
+        db.decide_commit_group(&group).unwrap();
+        assert_eq!(db.peek(oid).unwrap().unwrap(), b"p", "row {row}");
+    }
+}
+
+/// `form_dependency` with a terminated party resolves at once from the
+/// statuses in the TDs (the graph keeps no fates): an aborted `on` dooms a
+/// live AD dependent or GC partner; a committed `on`, an aborted CD `on`
+/// and a terminated dependent leave nothing.
+#[test]
+fn a_dependency_on_a_terminated_party_resolves_at_once() {
+    // (kind, the terminated party aborted (else committed), it is `ti`,
+    // the live party is doomed)
+    let rows = [
+        (DepType::AD, true, true, true),
+        (DepType::GC, true, true, true),
+        (DepType::GC, true, false, true),
+        (DepType::CD, true, true, false),
+        (DepType::AD, false, true, false),
+        (DepType::AD, true, false, false),
+        (DepType::GC, false, true, false),
+    ];
+    for row @ (kind, aborted, first, doomed) in rows {
+        let db = db();
+        let [dead, live] = [(); 2].map(|_| db.initiate(|_| Ok(())).unwrap());
+        if aborted {
+            assert!(db.abort(dead).unwrap());
+        } else {
+            db.begin(dead).unwrap();
+            assert!(db.commit(dead).unwrap());
+        }
+        let (ti, tj) = if first { (dead, live) } else { (live, dead) };
+        db.form_dependency(kind, ti, tj).unwrap();
+        let intro = db.introspect();
+        assert!(intro.dep_edges.is_empty(), "{row:?}: {:?}", intro.dep_edges);
+        assert_eq!(intro.deps.doomed, doomed as usize, "{row:?}");
+        db.begin(live).unwrap();
+        assert_eq!(db.commit(live).unwrap(), !doomed, "{row:?}");
+        assert_eq!(db.introspect().deps.doomed, 0, "{row:?}: the doom ends");
+    }
+    // and a self-dependency is a cycle whatever the party's fate
+    let db = db();
+    let t = db.initiate(|_| Ok(())).unwrap();
+    assert!(db.abort(t).unwrap());
+    let res = db.form_dependency(DepType::AD, t, t);
+    assert!(
+        matches!(res, Err(AssetError::DependencyCycle { .. })),
+        "{res:?}"
+    );
+}
+
+/// `abort(t)` racing `prepare_group(&[t])`: either the abort wins and the
+/// vote fails, or the vote wins and the abort is refused in the visit
+/// that would claim `t` — a member that voted yes is never rolled back
+/// locally (§14.2). A barrier releases the two each round; nothing sleeps.
+#[test]
+fn a_local_abort_racing_the_prepare_never_undoes_a_yes_vote() {
+    let db = db();
+    for round in 0..400 {
+        let (t, oid) = completed_writer(&db, b"t");
+        match race(|| db.prepare_group(&[t]), || db.abort(t)) {
+            (Ok(group), Err(AssetError::InvalidState { tid, .. })) if tid == t => {
+                assert_eq!(db.status(t).unwrap(), TxnStatus::Prepared, "round {round}");
+                db.decide_commit_group(&group).unwrap();
+                assert_eq!(db.peek(oid).unwrap().unwrap(), b"t", "round {round}");
+            }
+            (Err(_), Ok(true)) => {
+                assert_eq!(db.status(t).unwrap(), TxnStatus::Aborted, "round {round}");
+                assert_eq!(db.peek(oid).unwrap(), None, "round {round}");
+            }
+            other => panic!("round {round}: {other:?}"),
+        }
+    }
+}
+
+/// A termination drops every edge and link of the transaction, and
+/// `dep_edges_resolved` counts them (`asset-dep`'s unit tests pin the
+/// commit side); retiring then drops the one record left, the TD, and the
+/// tid is unknown again.
+#[test]
+fn a_terminated_transaction_leaves_the_graph_and_retiring_drops_its_slot() {
+    let db = db();
+    let [t1, t2, t3, t4] = [(); 4].map(|_| db.initiate(|_| Ok(())).unwrap());
+    for (kind, t) in [(DepType::GC, t2), (DepType::AD, t3), (DepType::CD, t4)] {
+        db.form_dependency(kind, t1, t).unwrap();
+    }
+    assert!(db.abort(t1).unwrap());
+    assert!(db.introspect().dep_edges.is_empty());
+    assert_eq!(db.metrics_snapshot().counters.dep_edges_resolved, 3);
+    let aborted = [t2, t3, t4].map(|t| db.status(t).unwrap() == TxnStatus::Aborted);
+    assert_eq!(aborted, [true, true, false], "GC, AD doomed; CD released");
+    assert_eq!(db.retire_terminated(), 3);
+    assert!(matches!(db.status(t1), Err(AssetError::TxnNotFound(_))));
+    assert_eq!(db.introspect().deps, asset_dep::DepSummary::default());
+}
+
+/// Random initiate / form (CD, AD, GC) / abort / begin / commit
+/// schedules: after every step the dependency graph names only
+/// transactions that have not terminated — it holds edges between live
+/// work, nothing of history. Commits are single non-blocking passes (a
+/// closed gate or an unfinished partner answers `Wait`), and every begun
+/// body has finished before the check, so no other thread moves a status.
+#[test]
+fn the_dependency_graph_names_only_live_transactions() {
+    asset_faults::cases(0x0DE9_0005, 32, |rng| {
+        let db = db();
+        let mut ts: Vec<Tid> = vec![db.initiate(|_| Ok(())).unwrap()];
+        for _ in 0..rng.below(60) {
+            let t = *rng.pick(&ts);
+            match rng.below(5) {
+                0 => ts.push(db.initiate(|_| Ok(())).unwrap()),
+                1 => {
+                    let kind = *rng.pick(&[DepType::CD, DepType::AD, DepType::GC]);
+                    let _ = db.form_dependency(kind, t, *rng.pick(&ts)); // may be a cycle
+                }
+                2 => assert!(db.abort(t).is_ok()),
+                3 => {
+                    if db.begin(t).is_ok() {
+                        db.wait(t).unwrap(); // `false` if doomed before it began
+                    }
+                }
+                _ => drop(db.commit_pass(t).unwrap()),
+            }
+            for (_, a, b) in db.introspect().dep_edges {
+                for t in [a, b] {
+                    assert!(!db.status(t).unwrap().is_terminated(), "{t} in the graph");
+                }
+            }
+        }
+    });
+}
+
+/// `form_dependency(AD, x, y)` racing `abort(x)`: either the edge is in
+/// the graph when x's abort drops x (which dooms y), or the status read
+/// under x's shard is `Aborted` and the form dooms y itself. A barrier
+/// releases the two each round; nothing sleeps.
+#[test]
+fn an_ad_edge_racing_its_parents_abort_always_dooms_the_child() {
+    let db = db();
+    for _ in 0..400 {
+        let (x, _) = completed_writer(&db, b"x");
+        let y = db.initiate(|_| Ok(())).unwrap();
+        let form = || db.form_dependency(DepType::AD, x, y).unwrap();
+        race(form, || assert!(db.abort(x).unwrap()));
+        db.begin(y).unwrap();
+        assert!(!db.commit(y).unwrap(), "{y} committed though {x} aborted");
+    }
+}
+
 // --- nudge on stale / unknown tids (documented no-op) ------------------------
 
 #[test]

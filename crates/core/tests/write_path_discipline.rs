@@ -13,11 +13,16 @@
 //! 3. `ObjectCache::entry` takes its shard once on every path — a hit, or
 //!    a miss filled in the visit that found it — and calls nothing on the
 //!    store.
+//!
+//! And for the TD as the one per-transaction record (§6): `initiate`
+//! takes no global mutex, the executor keeps no tid-keyed table, and the
+//! dependency graph keeps no fates.
 
 const CONTEXT_SRC: &str = include_str!("../src/context.rs");
 const EXEC_SRC: &str = include_str!("../src/exec.rs");
 const DATABASE_SRC: &str = include_str!("../src/database.rs");
 const CACHE_SRC: &str = include_str!("../../storage/src/cache.rs");
+const GRAPH_SRC: &str = include_str!("../../dep/src/graph.rs");
 
 /// The body of the item that starts with `header`, up to the next item at
 /// the same (4-space) indentation.
@@ -90,4 +95,22 @@ fn any_miss_is_filled_in_one_cache_shard_visit() {
         "the visit that finds a miss fills it"
     );
     assert!(!body.contains("store"), "no store call: {body}");
+}
+
+#[test]
+fn the_td_is_the_one_per_transaction_record() {
+    let initiate = fn_body(DATABASE_SRC, "pub(crate) fn initiate_with_parent(");
+    assert!(
+        !initiate.contains("deps"),
+        "initiate takes the graph's mutex"
+    );
+    assert!(
+        !EXEC_SRC.contains("IdMap<Tid"),
+        "the executor finds a task through its TD, not a table of its own"
+    );
+    let graph = &GRAPH_SRC[GRAPH_SRC.find("pub struct DepGraph {").unwrap()..];
+    for map in graph[..graph.find("\n}").unwrap()].lines() {
+        let edges = ["GateEdge", "IdSet<Tid>"].iter().any(|e| map.contains(e));
+        assert!(!map.contains("IdMap<Tid,") || edges, "a fate map: {map}");
+    }
 }

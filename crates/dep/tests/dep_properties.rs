@@ -3,7 +3,7 @@
 //! component algebra.
 
 use asset_common::{DepType, Tid};
-use asset_dep::{CommitGate, DepGraph, TermState};
+use asset_dep::{CommitGate, DepGraph};
 use asset_faults::{cases, Rng};
 use std::collections::HashSet;
 
@@ -27,16 +27,18 @@ fn arb_graph_op(rng: &mut Rng) -> GraphOp {
 }
 
 /// Whatever happens, a `Ready` gate is truthful: every member of the
-/// returned group is active and no member has an unsatisfied external
-/// AD/CD edge. And the CD/AD subgraph stays acyclic.
+/// returned group is live. Every stored edge names two live
+/// transactions, no committed transaction is doomed, and the CD/AD
+/// subgraph stays acyclic (`form` refuses the closing edge).
 #[test]
 fn gates_are_sound() {
     cases(0x0DE9_0001, CASES, |rng| {
         let ops: Vec<GraphOp> = (0..rng.below(60)).map(|_| arb_graph_op(rng)).collect();
         let mut g = DepGraph::new();
-        for t in 1..8 {
-            g.register(Tid(t));
-        }
+        // the fates, kept by the test (the graph holds none): `None` is
+        // live, `Some(true)` committed, `Some(false)` aborted
+        let mut fate: [Option<bool>; 8] = [None; 8];
+        let live = |fate: &[Option<bool>; 8], t: u64| fate[t as usize].is_none();
         for op in ops {
             match op {
                 GraphOp::Form(k, a, b) => {
@@ -45,39 +47,47 @@ fn gates_are_sound() {
                         1 => DepType::AD,
                         _ => DepType::GC,
                     };
-                    // may fail (cycle/self) — that's the contract
-                    let _ = g.form(kind, Tid(a), Tid(b));
+                    // a terminated party is resolved by the caller, as the
+                    // manager does: only an aborted one leaves a trace
+                    match (kind, fate[a as usize], fate[b as usize]) {
+                        // may fail (cycle/self) — that's the contract
+                        (_, None, None) => {
+                            let _ = g.form(kind, Tid(a), Tid(b));
+                        }
+                        (DepType::AD | DepType::GC, Some(false), None) => g.doom(Tid(b)),
+                        (DepType::GC, None, Some(false)) => g.doom(Tid(a)),
+                        _ => {}
+                    }
                 }
                 GraphOp::Commit(t) => {
-                    if g.state(Tid(t)) == TermState::Active && !g.is_doomed(Tid(t)) {
+                    if live(&fate, t) && !g.is_doomed(Tid(t)) {
                         // only commit when the graph itself says Ready —
                         // mirroring the manager's behavior
                         if let CommitGate::Ready(group) = g.commit_gate(Tid(t)) {
                             for m in &group {
-                                assert_eq!(g.state(*m), TermState::Active);
+                                assert!(live(&fate, m.raw()), "{m} in a Ready group");
+                                fate[m.raw() as usize] = Some(true);
                             }
                             g.committed(&group);
-                            for m in &group {
-                                assert_eq!(g.state(*m), TermState::Committed);
-                            }
                         }
                     }
                 }
                 GraphOp::Abort(t) => {
-                    if g.state(Tid(t)) == TermState::Active {
-                        let mut queue = g.aborted(Tid(t));
-                        let mut seen = HashSet::new();
-                        while let Some(v) = queue.pop() {
-                            if seen.insert(v) && g.state(v) == TermState::Active {
-                                queue.extend(g.aborted(v));
-                            }
+                    let mut queue = vec![Tid(t)];
+                    while let Some(v) = queue.pop() {
+                        if live(&fate, v.raw()) {
+                            fate[v.raw() as usize] = Some(false);
+                            queue.extend(g.aborted(v).0);
                         }
                     }
                 }
             }
+            for (_, a, b) in g.edges() {
+                assert!(live(&fate, a.raw()) && live(&fate, b.raw()), "{a}–{b}");
+            }
             // soundness sweep: no committed transaction is doomed
             for t in 1..8 {
-                if g.state(Tid(t)) == TermState::Committed {
+                if fate[t as usize] == Some(true) {
                     assert!(!g.is_doomed(Tid(t)), "t{t} committed but doomed");
                 }
             }
@@ -85,7 +95,7 @@ fn gates_are_sound() {
     });
 }
 
-/// GC components partition the registered transactions: membership is
+/// GC components partition the transactions: membership is
 /// symmetric and transitive.
 #[test]
 fn gc_components_partition() {
@@ -94,9 +104,6 @@ fn gc_components_partition() {
             .map(|_| (1 + rng.below(9), 1 + rng.below(9)))
             .collect();
         let mut g = DepGraph::new();
-        for t in 1..10 {
-            g.register(Tid(t));
-        }
         for (a, b) in links {
             if a != b {
                 g.form(DepType::GC, Tid(a), Tid(b)).unwrap();
@@ -147,11 +154,11 @@ fn abort_propagation_depth() {
             g.form(kind, Tid(i), Tid(i + 1)).unwrap();
         }
         // abort the head; manager-style propagation loop
-        let mut queue = g.aborted(Tid(1));
+        let mut queue = g.aborted(Tid(1)).0;
         let mut doomed = HashSet::new();
         while let Some(v) = queue.pop() {
             if doomed.insert(v) {
-                queue.extend(g.aborted(v));
+                queue.extend(g.aborted(v).0);
             }
         }
         if kind_ad {

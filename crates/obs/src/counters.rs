@@ -119,7 +119,7 @@ define_counters! {
     delegated_objects,
     /// CD/AD/GC edges added to the dependency graph via `form_dependency`.
     dep_edges_formed,
-    /// CD/AD edges dropped when their transactions terminated.
+    /// CD/AD edges and GC links dropped when their transactions terminated.
     dep_edges_resolved,
     /// Shared-cache lookups that found the object resident.
     cache_hits,

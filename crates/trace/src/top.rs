@@ -35,7 +35,7 @@ pub fn render_frame(intro: &Introspection, snap: &MetricsSnapshot) -> String {
     let _ = writeln!(
         out,
         "deps — active: {}  doomed: {}  CD: {}  AD: {}  GC: {}   permits live: {}  deepest permit chain: {}",
-        intro.deps.active,
+        intro.live,
         intro.deps.doomed,
         intro.deps.cd_edges,
         intro.deps.ad_edges,
