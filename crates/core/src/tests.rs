@@ -1679,8 +1679,22 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
         LogRecord::Commit { tids: vec![t] },
     ];
     assert_eq!(records_since(&db, tail), expected);
-    let bytes: usize = expected.iter().map(|r| r.encode().len()).sum();
-    assert_eq!(tail_after - tail, bytes as u64);
+    // the log holds each balance's one changed byte, patched over its base
+    let patched = |oid, base: i64, after: i64| {
+        let mut bytes = Vec::new();
+        asset_storage::RecordRef::Overwrite {
+            tid: t,
+            oid,
+            after: Some(asset_storage::log::Patch::between(
+                Some(&base.to_le_bytes()),
+                &after.to_le_bytes(),
+            )),
+        }
+        .encode_into(&mut bytes);
+        bytes.len()
+    };
+    let bytes = patched(a, 100, 58) + patched(b, 100, 142) + expected[2].encode().len();
+    assert_eq!((bytes, tail_after - tail), (17, bytes as u64));
 }
 
 #[test]

@@ -20,7 +20,7 @@
 use crate::latch::Latch;
 use asset_common::ids::stripe_of;
 use asset_common::sync::Mutex;
-use asset_common::{IdMap, Oid};
+use asset_common::{IdMap, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
@@ -189,17 +189,18 @@ impl ObjectCache {
         }
     }
 
-    /// Redo one logged image of `oid` (restart recovery): the entry is
-    /// created or overwritten and marked as logged in generation `gen`.
-    /// Returns the image it replaced — `None` when no image of `oid` had
-    /// been replayed in this generation, i.e. the log read so far holds no
-    /// before image for it.
+    /// Redo one logged image of `oid` (restart recovery): `make` builds it
+    /// from the image replayed before it in this generation (`None`: the
+    /// log read so far holds none), and the entry is created or overwritten
+    /// with it and marked as logged in generation `gen`. Returns the image
+    /// it replaced — `None` when the log held none — or `make`'s refusal,
+    /// which installs nothing.
     pub(crate) fn redo(
         &self,
         oid: Oid,
-        image: Option<Vec<u8>>,
         gen: u64,
-    ) -> Option<Option<Vec<u8>>> {
+        make: impl FnOnce(Option<&Option<Vec<u8>>>) -> Result<Option<Vec<u8>>>,
+    ) -> Result<Option<Option<Vec<u8>>>> {
         // A vacant slot is filled under the shard mutex alone; an occupied
         // one needs the object latch, which ranks above the shard mutex —
         // so the guard is dropped before latching.
@@ -208,16 +209,17 @@ impl ObjectCache {
             match shard.entry(oid) {
                 Entry::Occupied(e) => Arc::clone(e.get()),
                 Entry::Vacant(v) => {
-                    v.insert(CachedObject::new(image)).set_logged_in(gen);
-                    return None;
+                    v.insert(CachedObject::new(make(None)?)).set_logged_in(gen);
+                    return Ok(None);
                 }
             }
         };
         existing.write_with(&self.obs, |slot| {
             let known = existing.logged_in() == gen;
+            let image = make(known.then_some(&*slot))?;
             existing.set_logged_in(gen);
             let replaced = std::mem::replace(slot, image);
-            known.then_some(replaced)
+            Ok(known.then_some(replaced))
         })
     }
 }

@@ -6,7 +6,7 @@
 //! the log.
 
 use crate::cache::ObjectCache;
-use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, RecordRef};
+use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, Patch, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
 use asset_annot::wal;
@@ -114,7 +114,10 @@ impl StorageEngine {
     /// image was last logged, and while that is the current one the image
     /// in the cache is, byte for byte, what the latest record of this
     /// object installed — so the write appends an `Overwrite` (after image
-    /// only) and replay takes the before image from that record. The first
+    /// only) and replay takes the before image from that record. Of the
+    /// after image it logs only what differs from that image, its base: a
+    /// [`Patch`] of the bytes between the prefix and the suffix the two
+    /// share. The first
     /// touch of an object per generation — every creation, every first
     /// write after a checkpoint cut the log, every entry loaded from the
     /// store's image — logs the full `Update { before, after }`.
@@ -137,7 +140,7 @@ impl StorageEngine {
                 RecordRef::Overwrite {
                     tid,
                     oid,
-                    after: after_ref,
+                    after: after_ref.map(|a| Patch::between(slot.as_deref(), a)),
                 }
             } else {
                 RecordRef::Update {
@@ -396,20 +399,23 @@ mod tests {
         assert_eq!(kinds(&e), ["update", "update"]);
     }
 
-    /// A transfer over two objects the log has seen is three records and
-    /// 37 bytes with three-byte ids, plus its share of the seal that closes
-    /// the drain it leaves in: 42 alone, 20 × 37 + 5 for twenty in one
-    /// drain — the benchmark's `log_bytes_per_txn`.
+    /// A transfer over two balances the log has seen — 8-byte integers
+    /// near 1 000, each write moving the low byte alone — is three records
+    /// and 27 bytes with three-byte ids (two 11-byte patched `Overwrite`s,
+    /// a 5-byte `Commit`), plus its share of the seal that closes the drain
+    /// it leaves in: 32 alone, 20 × 27 + 5 for twenty in one drain — the
+    /// benchmark's `log_bytes_per_txn`.
     #[test]
-    fn a_transfer_is_37_bytes_plus_its_share_of_one_seal_per_drain() {
+    fn a_transfer_is_27_bytes_plus_its_share_of_one_seal_per_drain() {
         let dir = std::env::temp_dir().join(format!("asset-eng-golden-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (e, _) = StorageEngine::open(&Config::on_disk(&dir)).unwrap();
         let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
-        let transfer = |tid: Tid, forced: bool| {
-            e.write_object(tid, a, balance(tid.0 as i64)).unwrap();
-            e.write_object(tid, b, balance(-(tid.0 as i64))).unwrap();
+        // leaves `a` at 1 000 - k and `b` at 1 000 + k
+        let transfer = |tid: Tid, k: i64, forced: bool| {
+            e.write_object(tid, a, balance(1_000 - k)).unwrap();
+            e.write_object(tid, b, balance(1_000 + k)).unwrap();
             let commit = LogRecord::Commit { tids: vec![tid] };
             if forced {
                 e.log_record(&commit).unwrap();
@@ -417,17 +423,31 @@ mod tests {
                 e.log.append(&commit).unwrap();
             }
         };
-        transfer(Tid(70_000), true);
+        transfer(Tid(70_000), 0, true); // creates both: two `Update`s
         let marks = e.log.watermarks();
-        transfer(Tid(70_001), true);
+        transfer(Tid(70_001), 21, true);
         let alone = e.log.watermarks();
         assert_eq!(alone.records_appended - marks.records_appended, 3);
-        assert_eq!(alone.tail.0 - marks.tail.0, 42);
+        assert_eq!(alone.tail.0 - marks.tail.0, 32);
         for t in 0..20 {
-            transfer(Tid(70_002 + t), t == 19);
+            transfer(Tid(70_002 + t), 1 + t as i64, t == 19);
         }
-        assert_eq!(e.log.tail().0 - alone.tail.0, 20 * 37 + 5);
+        assert_eq!(e.log.tail().0 - alone.tail.0, 20 * 27 + 5);
         assert_eq!(e.log.pending_bytes(), 0);
+        // and reads back whole: the last transfer left 980 and 1 020
+        let records = e.log.scan().unwrap();
+        let last: Vec<LogRecord> = records[records.len() - 3..]
+            .iter()
+            .map(|(_, rec)| rec.clone())
+            .collect();
+        let tid = Tid(70_021);
+        let overwrite = |oid, v| LogRecord::Overwrite {
+            tid,
+            oid,
+            after: balance(v),
+        };
+        let commit = LogRecord::Commit { tids: vec![tid] };
+        assert_eq!(last, [overwrite(a, 980), overwrite(b, 1_020), commit]);
         drop(e);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -49,15 +49,17 @@ mod flusher;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
-pub(crate) use record::checksum;
-pub use record::{Ids, LogEntry, LogRecord, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
+pub(crate) use record::{checksum, rebuild};
+pub use record::{Ids, LogEntry, LogRecord, Patch, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
 
 use asset_annot::wal;
 use asset_common::sync::{Mutex, MutexGuard};
-use asset_common::{AssetError, Durability, Lsn, Result};
+use asset_common::{AssetError, Durability, Lsn, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -246,19 +248,23 @@ impl LogManager {
         durability: Durability,
         flush_watermark: usize,
     ) -> Result<LogManager> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
-        file.lock()?;
+        let mut file = loop {
+            let file = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(path)?;
+            if let Some(file) = lock_current(path, file)? {
+                break file;
+            }
+        };
         let mut head = Vec::new();
         (&file)
             .take(FORMAT_MARKER.len() as u64)
             .read_to_end(&mut head)?;
         if !FORMAT_MARKER.starts_with(&head) {
             return Err(AssetError::Corrupt(format!(
-                "{} is not a v4 log: it starts {head:02x?}",
+                "{} is not a v5 log: it starts {head:02x?}",
                 path.display()
             )));
         }
@@ -298,8 +304,10 @@ impl LogManager {
     }
 
     /// Append a record whose images are borrowed: the write and undo paths
-    /// log from where the images sit, and copy neither.
-    pub(crate) fn append_ref(&self, rec: &RecordRef<'_>) -> Result<Lsn> {
+    /// log from where the images sit, and copy neither. An `Overwrite`
+    /// whose after image is a patch must follow a record of its object
+    /// whose image the patch fits, or replay refuses the log.
+    pub fn append_ref(&self, rec: &RecordRef<'_>) -> Result<Lsn> {
         self.append_inner(std::iter::once(*rec), |_| (), false)
     }
 
@@ -540,10 +548,30 @@ impl LogManager {
 
     /// Read the whole log and decode it into `(lsn, record)` pairs: a
     /// collector over [`replay`](Self::replay), for tests and diagnostics.
+    /// A patched `Overwrite` comes out whole, rebuilt over the image the
+    /// records before it installed; one its base does not fit is
+    /// `Corrupt`, as at restart.
     pub fn scan(&self) -> Result<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
+        let mut images: HashMap<Oid, Option<Vec<u8>>> = HashMap::new();
         self.replay(|lsn, rec| {
-            out.push((lsn, rec.to_owned()));
+            let rec = match rec {
+                RecordRef::Overwrite { tid, oid, after } => LogRecord::Overwrite {
+                    tid,
+                    oid,
+                    after: rebuild(lsn, oid, after, images.get(&oid))?,
+                },
+                rec => rec.to_owned(),
+            };
+            match &rec {
+                LogRecord::Update { oid, after, .. }
+                | LogRecord::Overwrite { oid, after, .. }
+                | LogRecord::Clr { oid, image: after } => {
+                    images.insert(*oid, after.clone());
+                }
+                _ => {}
+            }
+            out.push((lsn, rec));
             Ok(())
         })?;
         Ok(out)
@@ -650,6 +678,23 @@ impl LogManager {
         }
         Ok(())
     }
+}
+
+/// Lock `file`, opened at `path`, and return it if it is still the file
+/// at `path`. The owner we waited for may have cut the log meanwhile: a
+/// [`rewrite`](LogManager::rewrite) renames a new file over the old one,
+/// and the lock we got is then the lock of an unlinked file. `None` asks
+/// for the path to be opened again.
+fn lock_current(path: &Path, file: File) -> Result<Option<File>> {
+    file.lock()?;
+    let locked = file.metadata()?;
+    let current = match std::fs::metadata(path) {
+        Ok(current) => current,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let same = (locked.dev(), locked.ino()) == (current.dev(), current.ino());
+    Ok(same.then_some(file))
 }
 
 /// The file part of [`LogManager::replay`]: visit the records of every
@@ -916,6 +961,54 @@ mod tests {
                 assert_eq!(std::fs::read(&path).unwrap(), &v3[..len], "untouched");
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A v4 log — whole, sealed, valid in its own format, and holding only
+    /// records v5 writes the same — is refused before a byte of it is
+    /// parsed, by an error that names the format this build reads.
+    #[test]
+    fn a_v4_log_is_refused_and_left_untouched() {
+        let dir = fresh_dir("v4");
+        let path = dir.join("wal.log");
+        let mut v4 = b"ASSETWL4".to_vec();
+        for rec in sample_records() {
+            rec.as_ref().encode_into(&mut v4);
+        }
+        record::open_seal(&mut v4);
+        record::fill_seal(&mut v4, 0);
+        std::fs::write(&path, &v4).unwrap();
+        for _ in 0..2 {
+            let err = LogManager::open(&path, Durability::Strict).err().unwrap();
+            assert!(
+                matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v5 log")),
+                "{err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), v4, "untouched");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An opener that waited for the lock while the owner cut the log gets,
+    /// when the owner lets go, the lock of the file the cut unlinked: it
+    /// must open the path again, or it would own a log nobody reads.
+    #[test]
+    fn a_lock_on_the_file_a_rewrite_replaced_is_not_the_log() {
+        let dir = fresh_dir("relock");
+        let path = dir.join("wal.log");
+        let owner = LogManager::open(&path, Durability::Strict).unwrap();
+        owner.append_forced(&sample_records()[0]).unwrap();
+        // what a waiting opener holds: a handle opened before the cut
+        let waiting = File::open(&path).unwrap();
+        owner.rewrite([]).unwrap();
+        assert!(lock_current(&path, waiting).unwrap().is_none());
+        drop(owner);
+        let fresh = File::open(&path).unwrap();
+        assert!(lock_current(&path, fresh).unwrap().is_some());
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        let marker = Lsn(FORMAT_MARKER.len() as u64);
+        assert_eq!(log.scan().unwrap(), [(marker, LogRecord::Checkpoint)]);
+        drop(log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

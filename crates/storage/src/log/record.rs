@@ -10,6 +10,10 @@
 //! logged, is the before image of the next write to that object, so that
 //! write is an [`LogRecord::Overwrite`], which carries the after image
 //! alone. Replay takes the before image from the record that installed it.
+//! Nor does an `Overwrite` log the bytes of its after image that equal that
+//! base: it carries a [`Patch`] — the lengths of the prefix and the suffix
+//! it keeps of the base, and the bytes between them — so a transfer that
+//! moves one low byte of an 8-byte balance logs that byte and two lengths.
 //! The log is therefore a self-contained redo history: reading it needs no
 //! object store, and a transaction enters it with its first record — there
 //! is no `Begin`.
@@ -18,10 +22,14 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format (v4). A record is its own frame, `[kind u8][payload]`:
+//! Wire format (v5). A record is its own frame, `[kind u8][payload]`:
 //! every tid, oid, count and image length in a payload is LEB128; an
 //! optional image or object list is its length **plus one**, `0` meaning
-//! `None`. It carries no length and no checksum of its own, because nothing
+//! `None`. An `Overwrite`'s after image is the one exception: its length
+//! varint `h` is `0` for `None`, `2·len + 1` for a whole image of `len`
+//! bytes, and `2·(len + 1)` for a patch whose middle is `len` bytes, which
+//! the kept prefix and suffix lengths follow before the bytes. It carries
+//! no length and no checksum of its own, because nothing
 //! reaches the file one record at a time: the unit of integrity is the
 //! **block** one drain writes,
 //!
@@ -32,13 +40,14 @@
 //! closed by a seal whose checksum (FNV-1a, xor-folded to 32 bits) covers
 //! every byte since the previous seal. The first block of a log generation
 //! opens with the eight-byte [`FORMAT_MARKER`], which its seal covers too.
-//! A transfer carrying 16 user bytes over objects the log has seen (two
-//! `Overwrite`s of 8-byte images, `Commit`) is 37 bytes with three-byte
-//! ids, plus its share of one five-byte seal per drain. Kind 1 was v2's
-//! `Begin` and stays reserved.
+//! A transfer that moves one low byte of two 8-byte balances the log has
+//! seen (two patched `Overwrite`s of 11 bytes, `Commit`) is 27 bytes with
+//! three-byte ids, plus its share of one five-byte seal per drain; v4
+//! logged both balances whole, 37 bytes. Kind 1 was v2's `Begin` and stays
+//! reserved.
 
 use asset_common::codec::{put_varint, CodecError, Reader};
-use asset_common::{AssetError, Oid, Result, Tid};
+use asset_common::{AssetError, Lsn, Oid, Result, Tid};
 
 /// One write-ahead-log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -62,7 +71,9 @@ pub enum LogRecord {
     /// installed. Written by
     /// [`StorageEngine::write_object`](crate::StorageEngine::write_object)
     /// alone, under the object's X latch; a log where no such earlier
-    /// record exists is corrupt.
+    /// record exists is corrupt. In the log the after image is a [`Patch`]
+    /// against that before image; here it is whole, as
+    /// [`LogManager::scan`](crate::LogManager::scan) rebuilds it.
     Overwrite {
         /// The responsible transaction at the time of the write.
         tid: Tid,
@@ -135,7 +146,7 @@ pub enum RecordRef<'a> {
     Overwrite {
         tid: Tid,
         oid: Oid,
-        after: Option<&'a [u8]>,
+        after: Option<Patch<'a>>,
     },
     Commit {
         tids: Ids<'a, Tid>,
@@ -156,6 +167,90 @@ pub enum RecordRef<'a> {
     Prepared {
         tids: Ids<'a, Tid>,
     },
+}
+
+/// The after image of an `Overwrite` as the log carries it: a patch
+/// against its **base**, the image the object's latest earlier record
+/// installed. The image is the base's first `prefix` bytes, then `middle`,
+/// then the base's last `suffix` bytes (PostgreSQL logs a heap update the
+/// same way). A patch that keeps nothing is the whole image and needs no
+/// base.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Patch<'a> {
+    /// Bytes kept from the start of the base.
+    pub prefix: usize,
+    /// Bytes kept from the end of the base.
+    pub suffix: usize,
+    /// The bytes between them.
+    pub middle: &'a [u8],
+}
+
+impl<'a> Patch<'a> {
+    /// `image`, whole: a patch that keeps nothing of its base.
+    pub fn whole(image: &'a [u8]) -> Patch<'a> {
+        Patch {
+            prefix: 0,
+            suffix: 0,
+            middle: image,
+        }
+    }
+
+    /// The patch that makes `after` of `base` (`None`: no image): the
+    /// longest common prefix, then the longest common suffix of what is
+    /// left. Its two lengths cost a byte each, so a patch that would keep
+    /// two bytes or fewer saves nothing and is whole instead.
+    pub fn between(base: Option<&[u8]>, after: &'a [u8]) -> Patch<'a> {
+        let base = base.unwrap_or_default();
+        let prefix = base.iter().zip(after).take_while(|(b, a)| b == a).count();
+        let room = base.len().min(after.len()) - prefix;
+        let ends = base.iter().rev().zip(after.iter().rev()).take(room);
+        let suffix = ends.take_while(|(b, a)| b == a).count();
+        if prefix + suffix <= 2 {
+            return Patch::whole(after);
+        }
+        Patch {
+            prefix,
+            suffix,
+            middle: &after[prefix..after.len() - suffix],
+        }
+    }
+
+    /// Does the patch keep nothing of its base?
+    pub fn is_whole(&self) -> bool {
+        self.prefix == 0 && self.suffix == 0
+    }
+
+    /// The image this patch makes of `base` (`None`: no image); `None`
+    /// when the patch keeps more bytes than `base` has.
+    pub fn apply(&self, base: Option<&[u8]>) -> Option<Vec<u8>> {
+        if self.is_whole() {
+            return Some(self.middle.to_vec());
+        }
+        let base = base?;
+        let tail = base.len().checked_sub(self.suffix)?;
+        (self.prefix <= tail).then(|| [&base[..self.prefix], self.middle, &base[tail..]].concat())
+    }
+}
+
+/// The image `after` makes of `base`, the latest image of `oid` in the log
+/// read so far (`None`: the log holds none): the one check of a patch,
+/// made wherever the log is replayed. A patch that keeps more bytes than
+/// its base has — or keeps bytes of no image — is `Corrupt`.
+pub(crate) fn rebuild(
+    lsn: Lsn,
+    oid: Oid,
+    after: Option<Patch<'_>>,
+    base: Option<&Option<Vec<u8>>>,
+) -> Result<Option<Vec<u8>>> {
+    let Some(patch) = after else { return Ok(None) };
+    let base = base.and_then(Option::as_deref);
+    patch.apply(base).map(Some).ok_or_else(|| {
+        let of = base.map_or("no image".into(), |b| format!("a {}-byte image", b.len()));
+        AssetError::Corrupt(format!(
+            "log offset {}: overwrite of {oid} keeps {} + {} bytes of {of}",
+            lsn.0, patch.prefix, patch.suffix
+        ))
+    })
 }
 
 /// A tid or oid: a `u64` that is LEB128 in the log.
@@ -233,10 +328,10 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
-/// What a v4 log file starts with, at offset 0 of every generation: a file
+/// What a v5 log file starts with, at offset 0 of every generation: a file
 /// that starts otherwise was written in another format and is refused
 /// whole, before a byte of it is parsed, chopped or appended to.
-pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL4";
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL5";
 
 /// Bytes of a seal: its kind and the block's checksum.
 pub const SEAL_LEN: usize = 5;
@@ -298,6 +393,23 @@ fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
     }
 }
 
+/// An `Overwrite`'s after image: `h`, then a patch's kept lengths, then the
+/// bytes (see the module documentation).
+fn put_patch(out: &mut Vec<u8>, after: Option<Patch<'_>>) {
+    match after {
+        None => out.push(0),
+        Some(p) if p.is_whole() => put_varint(out, 2 * p.middle.len() as u64 + 1),
+        Some(p) => {
+            put_varint(out, 2 * (p.middle.len() as u64 + 1));
+            put_varint(out, p.prefix as u64);
+            put_varint(out, p.suffix as u64);
+        }
+    }
+    if let Some(p) = after {
+        out.extend_from_slice(p.middle);
+    }
+}
+
 /// The ids back to back; the caller has written the count.
 fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>) {
     match ids.0 {
@@ -324,6 +436,28 @@ fn opt_bytes<'a>(r: &mut Reader<'a>) -> Step<Option<&'a [u8]>> {
     };
     r.bytes(usize::try_from(len).map_err(|_| CodecError::Short)?)
         .map(Some)
+}
+
+/// See [`put_patch`].
+fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
+    let kept = |r: &mut Reader<'a>| {
+        usize::try_from(r.varint()?)
+            .map_err(|_| CodecError::Corrupt("a kept length overflows".into()))
+    };
+    let h = r.varint()?;
+    if h == 0 {
+        return Ok(None);
+    }
+    let (prefix, suffix) = match h % 2 {
+        1 => (0, 0),
+        _ => (kept(r)?, kept(r)?),
+    };
+    let len = usize::try_from((h - 1) / 2).map_err(|_| CodecError::Short)?;
+    Ok(Some(Patch {
+        prefix,
+        suffix,
+        middle: r.bytes(len)?,
+    }))
 }
 
 /// `n` ids, each at least one byte long (so `n` is bounded by the bytes
@@ -361,7 +495,7 @@ fn entry<'a>(r: &mut Reader<'a>) -> Step<LogEntry<'a>> {
         KIND_OVERWRITE => RecordRef::Overwrite {
             tid: id(r)?,
             oid: id(r)?,
-            after: opt_bytes(r)?,
+            after: patch(r)?,
         },
         KIND_COMMIT => RecordRef::Commit { tids: tids(r)? },
         KIND_ABORT => RecordRef::Abort { tid: id(r)? },
@@ -432,7 +566,7 @@ impl<'a> RecordRef<'a> {
                 out.push(KIND_OVERWRITE);
                 put_varint(out, tid.raw());
                 put_varint(out, oid.raw());
-                put_opt_bytes(out, after);
+                put_patch(out, after);
             }
             RecordRef::Commit { tids } => {
                 out.push(KIND_COMMIT);
@@ -470,6 +604,13 @@ impl<'a> RecordRef<'a> {
     }
 
     /// The record with its images and id lists copied out.
+    ///
+    /// # Panics
+    ///
+    /// On an `Overwrite` whose after image is a patch that keeps bytes of
+    /// its base: the record does not hold that image.
+    /// [`LogManager::scan`](crate::LogManager::scan), which has read the
+    /// base, copies such a record out.
     pub fn to_owned(&self) -> LogRecord {
         let image = |i: Option<&[u8]>| i.map(<[u8]>::to_vec);
         match *self {
@@ -484,11 +625,14 @@ impl<'a> RecordRef<'a> {
                 before: image(before),
                 after: image(after),
             },
-            RecordRef::Overwrite { tid, oid, after } => LogRecord::Overwrite {
-                tid,
-                oid,
-                after: image(after),
-            },
+            RecordRef::Overwrite { tid, oid, after } => {
+                #[expect(clippy::panic, reason = "documented: such a patch is not an image")]
+                let after = after.map(|p| {
+                    p.apply(None)
+                        .unwrap_or_else(|| panic!("{p:?} needs its base"))
+                });
+                LogRecord::Overwrite { tid, oid, after }
+            }
             RecordRef::Commit { tids } => LogRecord::Commit {
                 tids: tids.iter().collect(),
             },
@@ -542,7 +686,7 @@ impl LogRecord {
             LogRecord::Overwrite { tid, oid, after } => RecordRef::Overwrite {
                 tid: *tid,
                 oid: *oid,
-                after: after.as_deref(),
+                after: after.as_deref().map(Patch::whole),
             },
             LogRecord::Commit { tids } => RecordRef::Commit {
                 tids: tids.as_slice().into(),
@@ -603,6 +747,24 @@ mod tests {
         let mut followed = bytes.clone();
         followed.extend_from_slice(&[0xFF; 3]);
         assert_eq!(decode(&followed, 0), Some((rec, bytes.len())));
+    }
+
+    /// An `Overwrite` carrying `patch` decodes to the same patch, and ends
+    /// where its bytes do.
+    fn patch_roundtrip(patch: Patch<'_>) {
+        let mut bytes = Vec::new();
+        RecordRef::Overwrite {
+            tid: Tid(1),
+            oid: Oid(2),
+            after: Some(patch),
+        }
+        .encode_into(&mut bytes);
+        let Some((LogEntry::Record(RecordRef::Overwrite { after, .. }), end)) =
+            LogEntry::decode(&bytes, 0).unwrap()
+        else {
+            panic!("an overwrite");
+        };
+        assert_eq!((after, end), (Some(patch), bytes.len()));
     }
 
     #[test]
@@ -670,9 +832,11 @@ mod tests {
         });
     }
 
-    /// Golden v4 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
-    /// where a 100 000-account ledger lives). The last assertion is the
-    /// benchmark's `log_bytes_per_txn` claim, guarded in tier-1.
+    /// Golden v5 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// where a 100 000-account ledger lives), and `Overwrite`s as the write
+    /// path patches them over 8-byte balances near 1 000, the ledger's. The
+    /// last assertion is the benchmark's `log_bytes_per_txn` claim, guarded
+    /// in tier-1.
     #[test]
     fn golden_frame_sizes() {
         let (tid, oid) = (Tid(70_000), Oid(90_000));
@@ -684,13 +848,32 @@ mod tests {
             before: img(),
             after: img(),
         });
-        let overwrite = len(LogRecord::Overwrite {
+        let whole = len(LogRecord::Overwrite {
             tid,
             oid,
             after: img(),
         });
+        let overwrite = |from: i64, to: i64| {
+            let (base, after) = (from.to_le_bytes(), to.to_le_bytes());
+            let mut out = Vec::new();
+            RecordRef::Overwrite {
+                tid,
+                oid,
+                after: Some(Patch::between(Some(&base), &after)),
+            }
+            .encode_into(&mut out);
+            out.len()
+        };
         let commit = len(LogRecord::Commit { tids: vec![tid] });
-        assert_eq!((update, overwrite, commit), (25, 16, 5));
+        assert_eq!((update, whole, commit), (25, 16, 5));
+        // 1 000 - 37 = 0x03C3 beside 0x03E8: one byte moves, seven stay
+        assert_eq!(overwrite(1_000, 963), 11);
+        // 1 000 + 50 = 0x041A: the carry moves two
+        assert_eq!(overwrite(1_000, 1_050), 12);
+        // an unchanged image keeps all eight
+        assert_eq!(overwrite(1_000, 1_000), 10);
+        // 50 → -50 moves every byte: whole, as v4 wrote it
+        assert_eq!(overwrite(50, -50), whole);
         assert_eq!(len(LogRecord::Abort { tid }), 4);
         assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 5);
         assert_eq!(len(LogRecord::Checkpoint), 1);
@@ -706,7 +889,40 @@ mod tests {
         open_seal(&mut block);
         assert_eq!(block.len() - 3, SEAL_LEN);
         assert_eq!(SEAL_LEN, 5);
-        assert_eq!(2 * overwrite + commit, 37, "a transfer's log bytes");
+        assert_eq!(
+            2 * overwrite(1_000, 963) + commit,
+            27,
+            "a transfer's log bytes"
+        );
+    }
+
+    /// A patch keeps the longest common prefix, then the longest common
+    /// suffix of what is left — never more than the shorter image has —
+    /// and rebuilds the after image over its base; it is whole when it
+    /// would keep two bytes or fewer.
+    #[test]
+    fn a_patch_keeps_what_the_images_share() {
+        let cases: [(&[u8], &[u8], usize, usize); 7] = [
+            (b"abcdefgh", b"abcXefgh", 3, 4),
+            (b"abcdefgh", b"abcdefgh", 8, 0),
+            (b"abcabc", b"abcxabc", 3, 3),
+            (b"aaaa", b"aaaaaa", 4, 0),
+            (b"aaaaaa", b"aaaa", 4, 0),
+            (b"xyz-long-base", b"xyz", 3, 0),
+            (b"ab", b"ab", 0, 0),
+        ];
+        for (base, after, prefix, suffix) in cases {
+            let patch = Patch::between(Some(base), after);
+            assert_eq!((patch.prefix, patch.suffix), (prefix, suffix), "{base:?}");
+            assert_eq!(patch.apply(Some(base)).as_deref(), Some(after));
+            patch_roundtrip(patch);
+        }
+        assert!(Patch::between(None, b"new").is_whole());
+        // a base shorter than what the patch keeps takes none of it
+        let patch = Patch::between(Some(b"abcdefgh"), b"abcXefgh");
+        assert_eq!(patch.apply(Some(b"abcdef")), None);
+        assert_eq!(patch.apply(None), None);
+        assert_eq!(Patch::whole(b"w").apply(None), Some(b"w".to_vec()));
     }
 
     /// A seal is kind 0 and the folded FNV-1a of the block it closes; the
@@ -767,6 +983,15 @@ mod tests {
         }
         let bytes = update(Some(vec![1; 16_384])).encode();
         assert_eq!(bytes.len(), 1 + 1 + 10 + (3 + 16_384) + 1);
+        // a patch's kept lengths and middle on both sides of a width
+        for (keep, n) in [(127, 0), (128, 63), (16_384, 64)] {
+            let patch = Patch {
+                prefix: keep,
+                suffix: 3,
+                middle: &[0x3C; 64][..n],
+            };
+            patch_roundtrip(patch);
+        }
     }
 
     #[test]
@@ -807,13 +1032,13 @@ mod tests {
         assert_eq!(tids.iter().collect::<Vec<_>>(), [Tid(5), Tid(128)]);
     }
 
-    /// Cut a four-record stream at every byte — one record's image length
-    /// is two bytes, so one cut falls inside it, and the stream ends in an
-    /// `Overwrite` and a seal: the whole entries before the cut decode and
-    /// the rest reads as "not whole", never as an error.
+    /// Cut a five-record stream at every byte — one record's image length
+    /// is two bytes, so one cut falls inside it, and the stream ends in a
+    /// whole and a patched `Overwrite` and a seal: the whole entries before
+    /// the cut decode and the rest reads as "not whole", never as an error.
     #[test]
     fn a_cut_at_every_byte_is_short_not_corrupt() {
-        let recs = [
+        let owned = [
             LogRecord::Abort { tid: Tid(1) },
             LogRecord::Commit { tids: vec![Tid(1)] },
             LogRecord::Clr {
@@ -826,10 +1051,20 @@ mod tests {
                 after: Some(vec![8; 8]),
             },
         ];
+        let patched = RecordRef::Overwrite {
+            tid: Tid(3),
+            oid: Oid(2),
+            after: Some(Patch::between(Some(&[8; 8]), &[8, 8, 8, 1, 2, 8, 8, 8])),
+        };
+        let recs: Vec<RecordRef<'_>> = owned
+            .iter()
+            .map(LogRecord::as_ref)
+            .chain([patched])
+            .collect();
         let mut log = vec![];
         let mut ends = vec![];
         for r in &recs {
-            r.as_ref().encode_into(&mut log);
+            r.encode_into(&mut log);
             ends.push(log.len());
         }
         open_seal(&mut log);
@@ -837,9 +1072,15 @@ mod tests {
         for cut in 0..log.len() {
             let whole = ends.iter().filter(|e| **e <= cut).count();
             let mut off = 0;
-            for rec in &recs[..whole] {
-                let (back, next) = decode(&log[..cut], off).unwrap();
-                assert_eq!(&back, rec);
+            for end in &ends[..whole] {
+                let Some((LogEntry::Record(back), next)) =
+                    LogEntry::decode(&log[..cut], off).unwrap()
+                else {
+                    panic!("a record at {off}");
+                };
+                let mut again = Vec::new();
+                back.encode_into(&mut again);
+                assert_eq!((&again[..], next), (&log[off..*end], *end));
                 off = next;
             }
             let rest = LogEntry::decode(&log[..cut], off).unwrap();

@@ -12,7 +12,8 @@
 //!    `LogFold`, which installs every after image and CLR image into the
 //!    cache in LSN order (reconstructing the pre-crash state) and keeps,
 //!    per transaction, only the updates it is *currently responsible for*:
-//!    an `Overwrite`'s before image is the image its install replaced, a
+//!    an `Overwrite`'s before image is the image its install replaced —
+//!    and the base its patch is applied to — a
 //!    `Delegate` record moves matching updates from delegator to delegatee
 //!    (this is what makes delegation crash-safe), a `Commit` or `Abort`
 //!    drops them. Memory is bounded by what is uncommitted, not by what
@@ -40,7 +41,7 @@
 //! [`StorageEngine::undo_object`]: crate::StorageEngine::undo_object
 
 use crate::cache::ObjectCache;
-use crate::log::{LogManager, LogRecord, RecordRef};
+use crate::log::{rebuild, LogManager, LogRecord, Patch, RecordRef};
 use crate::store::ObjectStore;
 use asset_annot::wal;
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
@@ -92,17 +93,30 @@ pub struct PendingUpdate {
     pub before: Option<Vec<u8>>,
 }
 
-/// Where a [`LogFold`] keeps the latest logged image of each object:
-/// restart recovery's is the cache, a checkpoint's a scratch map.
+/// Where a [`LogFold`] keeps the latest logged image of each object, the
+/// base of its next patch: restart recovery's is the cache, a
+/// checkpoint's a scratch map.
 pub(crate) trait ImageSink {
-    /// `image` is now the latest logged image of `oid`. Returns the image
+    /// The image `after` makes of the latest logged image of `oid` (see
+    /// [`rebuild`]), logged at `lsn`, is now the latest. Returns the image
     /// it replaced, or `None` when the log read so far held none.
-    fn install(&mut self, oid: Oid, image: Option<&[u8]>) -> Option<Option<Vec<u8>>>;
+    fn install(
+        &mut self,
+        lsn: Lsn,
+        oid: Oid,
+        after: Option<Patch<'_>>,
+    ) -> Result<Option<Option<Vec<u8>>>>;
 }
 
 impl ImageSink for HashMap<Oid, Option<Vec<u8>>> {
-    fn install(&mut self, oid: Oid, image: Option<&[u8]>) -> Option<Option<Vec<u8>>> {
-        self.insert(oid, image.map(<[u8]>::to_vec))
+    fn install(
+        &mut self,
+        lsn: Lsn,
+        oid: Oid,
+        after: Option<Patch<'_>>,
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        let image = rebuild(lsn, oid, after, self.get(&oid))?;
+        Ok(self.insert(oid, image))
     }
 }
 
@@ -115,9 +129,14 @@ struct CacheSink<'a> {
 }
 
 impl ImageSink for CacheSink<'_> {
-    fn install(&mut self, oid: Oid, image: Option<&[u8]>) -> Option<Option<Vec<u8>>> {
+    fn install(
+        &mut self,
+        lsn: Lsn,
+        oid: Oid,
+        after: Option<Patch<'_>>,
+    ) -> Result<Option<Option<Vec<u8>>>> {
         self.cache
-            .redo(oid, image.map(<[u8]>::to_vec), self.generation)
+            .redo(oid, self.generation, |base| rebuild(lsn, oid, after, base))
     }
 }
 
@@ -176,13 +195,13 @@ impl LogFold {
                 before,
                 after,
             } => {
-                images.install(oid, after);
+                images.install(lsn, oid, after.map(Patch::whole))?;
                 self.update(lsn, tid, oid, before.map(<[u8]>::to_vec));
             }
             RecordRef::Overwrite { tid, oid, after } => {
                 // the self-containment invariant, checked: the log itself
-                // holds the image this write replaced
-                let before = images.install(oid, after).ok_or_else(|| {
+                // holds the image this write replaced (and patched)
+                let before = images.install(lsn, oid, after)?.ok_or_else(|| {
                     AssetError::Corrupt(format!(
                         "log offset {}: overwrite of {oid} with no earlier image of it in the log",
                         lsn.0
@@ -192,7 +211,7 @@ impl LogFold {
             }
             RecordRef::Clr { oid, image } => {
                 // redo-only: replayed in order, never undone
-                images.install(oid, image);
+                images.install(lsn, oid, image.map(Patch::whole))?;
                 self.max_oid = self.max_oid.max(oid.raw());
                 self.redone += 1;
             }
@@ -853,6 +872,64 @@ mod tests {
         log.append(&LogRecord::Checkpoint).unwrap();
         log.append(&overwrite(2, 1, b"v2")).unwrap();
         assert!(recover(&log, &cache, &store).is_err());
+    }
+
+    /// A patched `Overwrite` is rebuilt over the image the log installed
+    /// before it. One that keeps more bytes than that image has, or keeps
+    /// bytes of no image — none logged, or a deletion — is `Corrupt`, at
+    /// restart and in `scan` alike.
+    #[test]
+    fn a_patch_its_base_does_not_fit_is_corrupt() {
+        let logged = |base: Option<&[u8]>, keep: usize| {
+            let log = LogManager::in_memory();
+            if let Some(base) = base {
+                log.append(&LogRecord::Update {
+                    tid: Tid(1),
+                    oid: Oid(1),
+                    before: None,
+                    after: (!base.is_empty()).then(|| base.to_vec()),
+                })
+                .unwrap();
+            }
+            let patch = Patch {
+                prefix: keep,
+                suffix: 1,
+                middle: b"!",
+            };
+            log.append_ref(&RecordRef::Overwrite {
+                tid: Tid(2),
+                oid: Oid(1),
+                after: Some(patch),
+            })
+            .unwrap();
+            log.append(&LogRecord::Commit {
+                tids: vec![Tid(1), Tid(2)],
+            })
+            .unwrap();
+            log
+        };
+        let log = logged(Some(b"base"), 3);
+        let cache = ObjectCache::new();
+        recover(&log, &cache, &ObjectStore::in_memory()).unwrap();
+        assert_eq!(get(&cache, Oid(1)).unwrap(), b"bas!e");
+        assert_eq!(log.scan().unwrap()[1].1, overwrite(2, 1, b"bas!e"));
+        for (base, keep, of) in [
+            (Some(&b"base"[..]), 4, "of a 4-byte image"),
+            (None, 1, "of no image"),
+            (Some(b""), 1, "of no image"), // created deleted
+        ] {
+            let log = logged(base, keep);
+            let at_restart = recover(&log, &ObjectCache::new(), &ObjectStore::in_memory());
+            for err in [at_restart.unwrap_err(), log.scan().unwrap_err()] {
+                let AssetError::Corrupt(msg) = err else {
+                    panic!("{err}");
+                };
+                assert!(
+                    msg.contains(&format!("keeps {keep} + 1 bytes {of}")),
+                    "{msg}"
+                );
+            }
+        }
     }
 
     #[test]

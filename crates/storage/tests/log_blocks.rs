@@ -6,12 +6,19 @@
 //! A random record sequence goes through a random schedule of unforced and
 //! forced appends, watermark drains, explicit drains and (with the `faults`
 //! feature) drains that fail and put their sealed bytes back; then the file
-//! is cut at *every* byte offset, and one byte of it is flipped.
+//! is cut at *every* byte offset, and one byte of it is flipped. An
+//! `Overwrite` of an object the log holds an image of is appended as the
+//! write path logs it, a patch against that image, and reads back whole.
 
 use asset_common::{AssetError, Durability, Lsn, Oid, Tid};
 use asset_faults::{cases, Rng};
-use asset_storage::log::{LogManager, LogRecord, FORMAT_MARKER, SEAL_LEN};
+use asset_storage::log::{LogManager, LogRecord, Patch, RecordRef, FORMAT_MARKER, SEAL_LEN};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The latest image of each object in the log written so far.
+type Images = HashMap<Oid, Option<Vec<u8>>>;
 
 fn arb_image(rng: &mut Rng) -> Option<Vec<u8>> {
     (rng.below(4) > 0).then(|| {
@@ -20,9 +27,24 @@ fn arb_image(rng: &mut Rng) -> Option<Vec<u8>> {
     })
 }
 
-fn arb_record(rng: &mut Rng) -> LogRecord {
+/// Mostly `base` with a run of its bytes replaced by a random, maybe
+/// longer or shorter, run: an image a patch can carry.
+fn arb_after(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
+    match base {
+        Some(base) if rng.below(4) > 0 => {
+            let from = rng.below(base.len() as u64 + 1) as usize;
+            let to = from + rng.below((base.len() - from) as u64 + 1) as usize;
+            let len = rng.below(6) as usize;
+            Some([&base[..from], &rng.bytes(len), &base[to..]].concat())
+        }
+        _ => arb_image(rng),
+    }
+}
+
+fn arb_record(rng: &mut Rng, images: &Images) -> LogRecord {
     let tid = Tid(1 + rng.below(300));
-    let oid = Oid(1 + rng.below(300));
+    // few enough objects that most are overwritten
+    let oid = Oid(1 + rng.below(6));
     match rng.below(6) {
         0 => LogRecord::Update {
             tid,
@@ -33,7 +55,7 @@ fn arb_record(rng: &mut Rng) -> LogRecord {
         1 | 2 => LogRecord::Overwrite {
             tid,
             oid,
-            after: arb_image(rng),
+            after: arb_after(rng, images.get(&oid).cloned().flatten().as_deref()),
         },
         3 => LogRecord::Commit {
             tids: (0..1 + rng.below(3)).map(|i| Tid(tid.0 + i)).collect(),
@@ -54,6 +76,45 @@ struct Written {
     block_ends: Vec<u64>,
 }
 
+/// Patched `Overwrite`s appended, over every case.
+static PATCHED: AtomicUsize = AtomicUsize::new(0);
+
+/// Append `rec` as the write path would log it — an `Overwrite` of an
+/// object `images` holds an image of is a patch against that image — and
+/// return its LSN and its length in the log.
+fn append(log: &LogManager, rec: &LogRecord, images: &mut Images) -> (Lsn, usize) {
+    let logged = match rec {
+        LogRecord::Overwrite {
+            tid,
+            oid,
+            after: Some(after),
+        } if images.contains_key(oid) => RecordRef::Overwrite {
+            tid: *tid,
+            oid: *oid,
+            after: Some(Patch::between(images[oid].as_deref(), after)),
+        },
+        rec => rec.as_ref(),
+    };
+    if let RecordRef::Overwrite {
+        after: Some(patch), ..
+    } = logged
+    {
+        PATCHED.fetch_add(usize::from(!patch.is_whole()), Ordering::Relaxed);
+    }
+    let mut bytes = Vec::new();
+    logged.encode_into(&mut bytes);
+    let lsn = log.append_ref(&logged).unwrap();
+    match rec {
+        LogRecord::Update { oid, after, .. }
+        | LogRecord::Overwrite { oid, after, .. }
+        | LogRecord::Clr { oid, image: after } => {
+            images.insert(*oid, after.clone());
+        }
+        _ => {}
+    }
+    (lsn, bytes.len())
+}
+
 fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
     let _ = std::fs::remove_file(path);
     let watermark = 1 + rng.below(200) as usize;
@@ -67,10 +128,17 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
         log.append(&LogRecord::Checkpoint).unwrap(),
         LogRecord::Checkpoint,
     )];
+    let mut lens = vec![1];
+    let mut images = Images::new();
     for _ in 0..rng.below(24) {
-        let rec = arb_record(rng);
+        let rec = arb_record(rng, &images);
         match rng.below(8) {
-            0 => records.push((log.append_forced(&rec).unwrap(), rec)),
+            0 => {
+                let (lsn, len) = append(&log, &rec, &mut images);
+                log.flush().unwrap();
+                records.push((lsn, rec));
+                lens.push(len);
+            }
             1 => {
                 log.drain(rng.below(2) == 0).unwrap();
             }
@@ -85,7 +153,11 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
                 assert!(log.pending_bytes() > 0, "and its bytes put back");
             }
             // unforced: drained in passing once `watermark` bytes are pending
-            _ => records.push((log.append(&rec).unwrap(), rec)),
+            _ => {
+                let (lsn, len) = append(&log, &rec, &mut images);
+                records.push((lsn, rec));
+                lens.push(len);
+            }
         }
     }
     drop(log); // the drop drain seals what is left
@@ -94,7 +166,7 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
     // records lie back to back; every five-byte gap between them is a seal
     let mut block_ends = Vec::new();
     let mut pos = FORMAT_MARKER.len() as u64;
-    let starts = records.iter().map(|(lsn, rec)| (lsn.0, rec.encode().len()));
+    let starts = records.iter().zip(lens).map(|((lsn, _), len)| (lsn.0, len));
     for (lsn, len) in starts.chain([(tail, 0)]) {
         while pos < lsn {
             pos += SEAL_LEN as u64;
@@ -173,5 +245,7 @@ fn a_cut_or_a_flipped_byte_costs_whole_blocks_or_the_log_never_a_part_of_one() {
             }
         }
     });
+    let patched = PATCHED.load(Ordering::Relaxed);
+    assert!(patched >= 24, "patches were cut too: {patched}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

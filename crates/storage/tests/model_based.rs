@@ -1,13 +1,16 @@
 //! Model-based property tests: an on-disk engine is driven with random
 //! writes, deletes, aborted writes, checkpoints and reopens and checked
-//! against a trivially correct model (`HashMap`) of the committed values;
-//! the store's image file is damaged at random.
+//! against a trivially correct model (`HashMap`) of the committed values,
+//! once with images drawn so that the log carries them as patches; the
+//! store's image file is damaged at random.
 
 use asset_common::{AssetError, Config, Durability, Oid, Tid};
 use asset_faults::{cases, Rng};
-use asset_storage::{LogRecord, ObjectCache, ObjectStore, StorageEngine};
+use asset_storage::log::{LogEntry, FORMAT_MARKER};
+use asset_storage::{LogRecord, ObjectCache, ObjectStore, RecordRef, StorageEngine};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 
 /// Cases per property.
 const CASES: u64 = 64;
@@ -126,6 +129,118 @@ fn an_engine_reopened_anywhere_holds_the_committed_values() {
         assert_holds(&open(&config), &model, "final reopen");
         std::fs::remove_dir_all(&data).unwrap();
     });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Mostly an image a patch can carry: `base` with a run of its bytes
+/// replaced by a shorter or longer run, so that it shares a prefix and a
+/// suffix with it and grows or shrinks; else a deletion, or a fresh image
+/// (a re-creation, after a deletion).
+fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
+    match (rng.below(8), base) {
+        (0, _) => None,
+        (1, _) | (_, None) => {
+            let len = rng.below(40) as usize;
+            Some(rng.bytes(len))
+        }
+        (_, Some(base)) => {
+            let from = rng.below(base.len() as u64 + 1) as usize;
+            let to = from + rng.below((base.len() - from) as u64 + 1) as usize;
+            let len = rng.below(5) as usize;
+            Some([&base[..from], &rng.bytes(len), &base[to..]].concat())
+        }
+    }
+}
+
+/// The patched `Overwrite`s in the log file at `path`.
+fn patches_in(path: &Path) -> usize {
+    let bytes = std::fs::read(path).unwrap();
+    let (mut off, mut patches) = (FORMAT_MARKER.len(), 0);
+    while let Some((entry, next)) = LogEntry::decode(&bytes, off).unwrap() {
+        if let LogEntry::Record(RecordRef::Overwrite {
+            after: Some(patch), ..
+        }) = entry
+        {
+            patches += usize::from(!patch.is_whole());
+        }
+        off = next;
+    }
+    patches
+}
+
+/// An `Overwrite` logs its after image as a patch against the image the
+/// log installed before it, and a reopen rebuilds every image from those
+/// patches. Rounds over a few keys — one writer that commits or aborts
+/// (its CLR installs the base back), or two permitted writers of one
+/// object, the second patching the first's image and maybe aborting —
+/// with checkpoints between the writes, each followed by a reopen checked
+/// against a model of the committed values.
+#[test]
+fn patched_overwrites_reopen_as_the_images_written() {
+    let dir = fresh_dir("patch");
+    let patches = std::sync::atomic::AtomicUsize::new(0);
+    cases(0x0570_0006, CASES, |rng| {
+        let data = dir.join(format!("case-{}", rng.next_u64()));
+        let config = Config {
+            durability: Durability::Buffered,
+            ..Config::on_disk(&data)
+        };
+        let mut e = open(&config);
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut tids = (1..).map(Tid);
+        let checkpoint = |e: &StorageEngine, rng: &mut Rng, live: &[Tid]| {
+            if rng.below(3) == 0 {
+                e.checkpoint(&live.iter().copied().collect()).unwrap();
+            }
+        };
+        for round in 0..rng.below(24) {
+            let key = 1 + rng.below(4);
+            let (t1, t2) = (tids.next().unwrap(), tids.next().unwrap());
+            let first = arb_next(rng, model.get(&key).map(Vec::as_slice));
+            let base = e.write_object(t1, Oid(key), first.clone()).unwrap().0;
+            checkpoint(&e, rng, &[t1]);
+            let committed = match rng.below(3) {
+                0 => {
+                    abort(&e, t1, vec![(key, base.clone())]);
+                    base
+                }
+                1 => {
+                    commit(&e, t1);
+                    first
+                }
+                _ => {
+                    let second = arb_next(rng, first.as_deref());
+                    let mid = e.write_object(t2, Oid(key), second.clone()).unwrap().0;
+                    checkpoint(&e, rng, &[t1, t2]);
+                    let kept = if rng.below(2) == 0 {
+                        abort(&e, t2, vec![(key, mid)]);
+                        first
+                    } else {
+                        commit(&e, t2);
+                        second
+                    };
+                    commit(&e, t1);
+                    kept
+                }
+            };
+            match committed {
+                Some(image) => model.insert(key, image),
+                None => model.remove(&key),
+            };
+            checkpoint(&e, rng, &[]);
+            drop(e);
+            patches.fetch_add(patches_in(&data.join("wal.log")), Ordering::Relaxed);
+            e = open(&config);
+            assert_holds(&e, &model, &format!("reopen after round {round}"));
+        }
+        drop(e);
+        std::fs::remove_dir_all(&data).unwrap();
+    });
+    let patches = patches.load(Ordering::Relaxed);
+    assert!(
+        patches >= CASES as usize,
+        "too few patches to tell: {patches}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
