@@ -1,32 +1,119 @@
-//! Minimal, dependency-free JSON: the one string escaper the workspace's
-//! JSON writers (the Chrome trace export, the analyzer's JSON and SARIF
-//! reports) emit through, and a parser that tests use to check that what
-//! they wrote is well-formed without pulling a serde stack into the
-//! workspace. The parser is a straightforward recursive-descent one:
-//! strict on structure (trailing garbage is an error), depth-limited, and
-//! entirely `Result`-based — no panics.
+//! Minimal, dependency-free JSON: the one [`Writer`] the workspace's JSON
+//! documents (the Chrome trace export, the analyzer's SARIF report) are
+//! emitted through, so punctuation, string escaping and number formatting
+//! live in one place, and a parser that tests use to check that what they
+//! wrote is well-formed without pulling a serde stack into the workspace.
+//! The parser is a straightforward recursive-descent one: strict on
+//! structure (trailing garbage is an error), depth-limited, and entirely
+//! `Result`-based — no panics.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// `s` escaped for the inside of a JSON double-quoted string.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A compact JSON writer. Values are written in document order;
+/// [`obj`](Self::obj) and [`arr`](Self::arr) take a closure that writes
+/// the members, so every bracket opened is closed, and the writer puts
+/// the commas in.
+///
+/// ```
+/// use asset_common::json::Writer;
+///
+/// let mut w = Writer::default();
+/// w.obj(|w| {
+///     w.key("n").u64(1).key("ts").f64(2.5, 3);
+///     w.key("tags").arr(|w| {
+///         w.str("a\"b");
+///     });
+/// });
+/// assert_eq!(w.finish(), "{\"n\":1,\"ts\":2.500,\"tags\":[\"a\\\"b\"]}\n");
+/// ```
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// The open container holds a value: the next one needs a comma.
+    comma: bool,
+}
+
+impl Writer {
+    fn value(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
         }
+        &mut self.out
     }
-    out
+
+    /// Begin an object member named `k`; its value is written next.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.str(k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        for c in v.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        self
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        let _ = write!(self.value(), "{v}");
+        self
+    }
+
+    /// A number with `decimals` digits after the point; `null` if `v` is
+    /// not finite, which JSON cannot spell.
+    pub fn f64(&mut self, v: f64, decimals: usize) -> &mut Self {
+        let out = self.value();
+        if v.is_finite() {
+            let _ = write!(out, "{v:.decimals$}");
+        } else {
+            out.push_str("null");
+        }
+        self
+    }
+
+    /// An object whose members `members` writes.
+    pub fn obj(&mut self, members: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('{', members, '}')
+    }
+
+    /// An array whose elements `elements` writes.
+    pub fn arr(&mut self, elements: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('[', elements, ']')
+    }
+
+    fn nest(&mut self, open: char, inner: impl FnOnce(&mut Self), close: char) -> &mut Self {
+        self.value().push(open);
+        self.comma = false;
+        inner(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// The document, ending in a newline.
+    pub fn finish(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
 }
 
 /// Maximum nesting depth accepted before bailing out (guards the parser's
@@ -375,13 +462,51 @@ mod tests {
         assert_eq!(v.as_str(), Some("naïve — ütf"));
     }
 
+    fn written(f: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer::default();
+        f(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn escapes_control_characters_and_parses_back_unchanged() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(
+            written(|w| {
+                w.str("a\"b\\c\nd");
+            }),
+            "\"a\\\"b\\\\c\\nd\"\n"
+        );
+        assert_eq!(
+            written(|w| {
+                w.str("\u{1}");
+            }),
+            "\"\\u0001\"\n"
+        );
         let raw = "quote \" slash \\ nl \n cr \r tab \t bell \u{7} — ütf";
-        let doc = format!("\"{}\"", escape(raw));
+        let doc = written(|w| {
+            w.str(raw);
+        });
         assert_eq!(parse(&doc).unwrap().as_str(), Some(raw));
+    }
+
+    #[test]
+    fn writes_nested_containers_and_numbers_that_parse_back() {
+        let doc = written(|w| {
+            w.obj(|w| {
+                w.key("empty").obj(|_| {}).key("xs").arr(|w| {
+                    w.u64(u64::MAX).f64(1.0 / 3.0, 3).f64(f64::NAN, 3);
+                    w.arr(|_| {});
+                });
+            });
+        });
+        assert_eq!(
+            doc,
+            "{\"empty\":{},\"xs\":[18446744073709551615,0.333,null,[]]}\n"
+        );
+        let xs = parse(&doc).unwrap();
+        let xs = xs.get("xs").and_then(|x| x.as_array()).unwrap();
+        assert_eq!(xs[1].as_f64(), Some(0.333));
+        assert_eq!(xs[2], Value::Null);
     }
 
     #[test]

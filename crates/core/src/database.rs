@@ -97,7 +97,7 @@ use asset_common::ids::IdGen;
 use asset_common::sync::Mutex;
 use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
 use asset_dep::{CommitGate, DepGraph};
-use asset_lock::{LockStats, LockTable};
+use asset_lock::LockTable;
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
 use asset_storage::{LogPlace, LogRecord, RecoveryReport, StorageEngine};
 use std::collections::BTreeSet;
@@ -205,31 +205,6 @@ impl Drop for DbInner {
     }
 }
 
-/// A point-in-time statistics snapshot of a [`Database`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DatabaseStats {
-    /// Transactions registered but not begun.
-    pub initiated: usize,
-    /// Transactions executing their closure.
-    pub running: usize,
-    /// Completed (or committing) transactions awaiting the commit point.
-    pub completed: usize,
-    /// Committed transactions still in the table (not yet retired).
-    pub committed: usize,
-    /// Aborting/aborted transactions still in the table.
-    pub aborted: usize,
-    /// Lock-manager counters.
-    pub locks: LockStats,
-    /// Live permit descriptors.
-    pub permits: usize,
-    /// Live CD/AD dependency edges.
-    pub dep_edges: usize,
-    /// Live GC links.
-    pub gc_links: usize,
-    /// Records appended to the log by this process.
-    pub log_records: u64,
-}
-
 /// A one-call cross-layer introspection view, assembled by
 /// [`Database::introspect`] for live monitoring surfaces (`asset-top`, the
 /// DOT exporters). Each section is internally consistent (read under its
@@ -237,10 +212,18 @@ pub struct DatabaseStats {
 /// operations, exactly like [`MetricsSnapshot`](asset_obs::MetricsSnapshot).
 #[derive(Clone, Debug)]
 pub struct Introspection {
-    /// Transaction / lock / dependency aggregate counts.
-    pub stats: DatabaseStats,
-    /// Live (non-terminated) transactions.
+    /// Live (non-terminated) transactions, counted in one walk of the
+    /// TDs with the three counts that follow.
     pub live: usize,
+    /// Live transactions registered but not begun.
+    pub initiated: usize,
+    /// Live transactions executing their body.
+    pub running: usize,
+    /// Live transactions completed, committing or prepared: awaiting
+    /// their commit point.
+    pub completed: usize,
+    /// Live permit descriptors.
+    pub permits: usize,
     /// Per-stripe cumulative contention counters.
     pub stripe_stats: Vec<asset_lock::StripeStats>,
     /// Per-stripe point-in-time occupancy (holders, waiters, permits).
@@ -253,32 +236,6 @@ pub struct Introspection {
     pub deps: asset_dep::DepSummary,
     /// Log durability watermarks (tail LSN, pending/unsynced bytes).
     pub log: asset_storage::LogWatermarks,
-    /// Deepest transitive permit chain a permit check has walked so far.
-    pub permit_chain_max: u64,
-}
-
-impl std::fmt::Display for DatabaseStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "txns: {} initiated / {} running / {} completed / {} committed / {} aborted",
-            self.initiated, self.running, self.completed, self.committed, self.aborted
-        )?;
-        writeln!(
-            f,
-            "locks: {} grants, {} blocks, {} suspensions, {} deadlocks, {} timeouts",
-            self.locks.grants,
-            self.locks.blocks,
-            self.locks.suspensions,
-            self.locks.deadlocks,
-            self.locks.timeouts
-        )?;
-        write!(
-            f,
-            "permits: {}; dependencies: {} CD/AD + {} GC; log records: {}",
-            self.permits, self.dep_edges, self.gc_links, self.log_records
-        )
-    }
 }
 
 /// A handle to an ASSET database. Cheap to clone; all clones share state.
@@ -1069,39 +1026,6 @@ impl Database {
         dead.len()
     }
 
-    /// Lock-manager statistics.
-    pub fn lock_stats(&self) -> LockStats {
-        self.inner.locks.stats()
-    }
-
-    /// Aggregate statistics across the whole facility — transaction
-    /// counts, lock-manager counters, dependency-graph sizes, permit
-    /// count, log volume.
-    pub fn stats(&self) -> DatabaseStats {
-        let mut c = (0usize, 0usize, 0usize, 0usize, 0usize);
-        self.inner.txns.for_each(|_, s| match s.status {
-            TxnStatus::Initiated => c.0 += 1,
-            TxnStatus::Running => c.1 += 1,
-            TxnStatus::Completed | TxnStatus::Committing | TxnStatus::Prepared => c.2 += 1,
-            TxnStatus::Committed => c.3 += 1,
-            TxnStatus::Aborting | TxnStatus::Aborted => c.4 += 1,
-        });
-        let (initiated, running, completed, committed, aborted) = c;
-        let deps = self.inner.deps.lock().summary();
-        DatabaseStats {
-            initiated,
-            running,
-            completed,
-            committed,
-            aborted,
-            locks: self.inner.locks.stats(),
-            permits: self.inner.locks.permit_count(),
-            dep_edges: deps.cd_edges + deps.ad_edges,
-            gc_links: deps.gc_links,
-            log_records: self.inner.engine.log().records_appended(),
-        }
-    }
-
     /// The observability hub shared by the storage engine, the lock table
     /// and the transaction manager. Enable tracing with
     /// `db.obs().enable_tracing(capacity)`; read metrics any time with
@@ -1111,21 +1035,22 @@ impl Database {
     }
 
     /// A lock-free point-in-time view of every counter and histogram the
-    /// facility records (see `asset_obs::MetricsSnapshot`); the lock and
-    /// log layers keep three counters themselves, read from there.
+    /// facility records (see `asset_obs::MetricsSnapshot`): the one reader
+    /// of the counts the lock stripes and the log keep themselves, which
+    /// it fills in from there.
     pub fn metrics_snapshot(&self) -> asset_obs::MetricsSnapshot {
         let mut snap = self.inner.obs.snapshot();
         let log = self.inner.engine.log().watermarks();
         let c = &mut snap.counters;
-        c.lock_grants = self.inner.locks.stats().grants;
+        self.inner.locks.fill_counters(c);
         (c.log_appends, c.log_coalesced) = (log.records_appended, log.records_coalesced);
         snap
     }
 
-    /// Assemble the full cross-layer [`Introspection`] view: per-stripe
-    /// lock occupancy and contention, the waits-for and dependency graphs,
-    /// permit-chain depth, and log watermarks. Built for polling from a
-    /// monitoring thread (`asset-top` renders it once per frame): each
+    /// Assemble the full cross-layer [`Introspection`] view: live
+    /// transactions by status, per-stripe lock occupancy and contention,
+    /// the waits-for and dependency graphs, and log watermarks. Built for
+    /// polling from a monitoring thread (`asset-top` renders it once per frame): each
     /// layer is read under its own short-lived synchronization, never all
     /// at once, so polling cannot stall the workload.
     pub fn introspect(&self) -> Introspection {
@@ -1133,16 +1058,30 @@ impl Database {
             let graph = self.inner.deps.lock();
             (graph.edges(), graph.summary())
         };
+        let (mut live, mut initiated, mut running, mut completed) = (0, 0, 0, 0);
+        self.inner.txns.for_each(|_, s| {
+            live += usize::from(!s.status.is_terminated());
+            match s.status {
+                TxnStatus::Initiated => initiated += 1,
+                TxnStatus::Running => running += 1,
+                TxnStatus::Completed | TxnStatus::Committing | TxnStatus::Prepared => {
+                    completed += 1
+                }
+                TxnStatus::Aborting | TxnStatus::Committed | TxnStatus::Aborted => {}
+            }
+        });
         Introspection {
-            stats: self.stats(),
-            live: self.live_transactions(),
+            live,
+            initiated,
+            running,
+            completed,
+            permits: self.inner.locks.permit_count(),
             stripe_stats: self.inner.locks.stripe_stats(),
             stripes: self.inner.locks.stripe_occupancy(),
             waits: self.inner.locks.waits_snapshot(),
             dep_edges,
             deps,
             log: self.inner.engine.log().watermarks(),
-            permit_chain_max: self.inner.obs.permit_chain_len.snapshot().max,
         }
     }
 

@@ -63,7 +63,7 @@ mod tests;
 
 pub use codec::{Handle, ObjectCodec, RawBytes};
 pub use context::TxnCtx;
-pub use database::{Database, DatabaseStats, Introspection, Job};
+pub use database::{Database, Introspection, Job};
 pub use exec::{StepCtx, StepProg, TryOp, TxnOutcome, TxnStep};
 pub use threads::IDLE_TXN_THREADS_MAX;
 

@@ -36,7 +36,5 @@ pub mod table;
 pub mod waits;
 
 pub use permit::{permits_across, permits_across_depth, Permit, PermitTable};
-pub use table::{
-    LockSnapshot, LockStats, LockTable, Lrd, PendingReq, StripeOccupancy, StripeStats,
-};
+pub use table::{LockTable, Lrd, PendingReq, StripeOccupancy, StripeStats};
 pub use waits::WaitGraph;

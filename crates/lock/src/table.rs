@@ -50,7 +50,7 @@ use asset_common::config::resolve_shards;
 use asset_common::ids::stripe_of;
 use asset_common::sync::{Mutex, MutexGuard, RwLock};
 use asset_common::{AssetError, IdMap, IdSet, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
-use asset_obs::{add, bump, EventKind, Obs};
+use asset_obs::{add, bump, CounterSnapshot, EventKind, Obs};
 use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -141,36 +141,8 @@ impl<T> Extend<T> for Inline<T> {
     }
 }
 
-/// Counters exposed for benchmarks and diagnostics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Locks granted (including upgrades and re-grants).
-    pub grants: u64,
-    /// Times a request had to wait.
-    pub blocks: u64,
-    /// Locks suspended due to permits.
-    pub suspensions: u64,
-    /// Deadlock victims.
-    pub deadlocks: u64,
-    /// Lock-wait timeouts.
-    pub timeouts: u64,
-}
-
-/// A cheap point-in-time view of the lock manager, assembled entirely from
-/// relaxed atomics — reading it never touches a shard mutex.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LockSnapshot {
-    /// Aggregated counters.
-    pub stats: LockStats,
-    /// Live permit descriptors (shard-local + global).
-    pub permits: usize,
-    /// Currently blocked lock requests.
-    pub waiters: usize,
-    /// Number of shards the table was built with.
-    pub shards: usize,
-}
-
-/// Per-shard counters; aggregated lock-free by [`LockTable::stats`].
+/// Per-shard counters, read lock-free by [`LockTable::stripe_stats`] and
+/// [`LockTable::fill_counters`].
 #[derive(Default)]
 struct ShardStats {
     grants: AtomicU64,
@@ -507,12 +479,9 @@ impl LockTable {
                     superseded = self.waits.publish(tid, &holders, ob, depth as u32);
                     if began {
                         shard.stats.waits.fetch_add(1, Ordering::Relaxed);
-                        bump(&self.obs.counters.lock_waits);
                     }
-                    bump(&self.obs.counters.deadlock_sweeps);
                     if self.waits.cycle_through(tid) {
                         shard.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                        bump(&self.obs.counters.deadlocks);
                         Err(AssetError::Deadlock(tid))
                     } else {
                         Ok(Err(holders))
@@ -1046,18 +1015,22 @@ impl LockTable {
             .unwrap_or(false)
     }
 
-    /// Statistics snapshot, aggregated from per-shard relaxed atomics —
-    /// never takes a shard mutex.
-    pub fn stats(&self) -> LockStats {
-        let mut out = LockStats::default();
-        for shard in self.shards.iter() {
-            out.grants += shard.stats.grants.load(Ordering::Relaxed);
-            out.blocks += shard.stats.blocks.load(Ordering::Relaxed);
-            out.suspensions += shard.stats.suspensions.load(Ordering::Relaxed);
-            out.deadlocks += shard.stats.deadlocks.load(Ordering::Relaxed);
-            out.timeouts += shard.stats.timeouts.load(Ordering::Relaxed);
-        }
-        out
+    /// Write the lock counters the stripes keep into `c`, summed over the
+    /// stripes: `lock_grants`, `deadlock_sweeps` (blocked passes, each of
+    /// which searches the waits-for graph), `lock_waits` and `deadlocks`.
+    /// The one reader of these counts (`Database::metrics_snapshot` calls
+    /// it); never takes a shard mutex.
+    pub fn fill_counters(&self, c: &mut CounterSnapshot) {
+        let sum = |f: fn(&ShardStats) -> &AtomicU64| {
+            self.shards
+                .iter()
+                .map(|s| f(&s.stats).load(Ordering::Relaxed))
+                .sum()
+        };
+        c.lock_grants = sum(|s| &s.grants);
+        c.deadlock_sweeps = sum(|s| &s.blocks);
+        c.lock_waits = sum(|s| &s.waits);
+        c.deadlocks = sum(|s| &s.deadlocks);
     }
 
     /// Per-stripe contention counters, one entry per shard in index order.
@@ -1126,16 +1099,6 @@ impl LockTable {
             + self.global_permit_count.load(Ordering::Relaxed)
     }
 
-    /// A cheap full diagnostic view; see [`LockSnapshot`].
-    pub fn snapshot(&self) -> LockSnapshot {
-        LockSnapshot {
-            stats: self.stats(),
-            permits: self.permit_count(),
-            waiters: self.waits.waiter_count(),
-            shards: self.shards.len(),
-        }
-    }
-
     /// Current waits-for edges (diagnostics / periodic detectors).
     pub fn waits_snapshot(&self) -> HashMap<Tid, HashSet<Tid>> {
         self.waits.snapshot()
@@ -1174,6 +1137,18 @@ mod tests {
 
     fn waiting(t: &LockTable) -> usize {
         t.stripe_occupancy().iter().map(|s| s.waiting).sum()
+    }
+
+    /// The lock counters as `Database::metrics_snapshot` reads them.
+    fn counters(t: &LockTable) -> CounterSnapshot {
+        let mut c = CounterSnapshot::default();
+        t.fill_counters(&mut c);
+        c
+    }
+
+    /// `f` summed over the stripes.
+    fn total(t: &LockTable, f: fn(&StripeStats) -> u64) -> u64 {
+        t.stripe_stats().iter().map(f).sum()
     }
 
     const NO_TIMEOUT: Option<Duration> = None;
@@ -1257,7 +1232,7 @@ mod tests {
         let h2 = holders.iter().find(|g| g.tid == Tid(2)).unwrap();
         assert!(h1.suspended, "permitting holder was suspended");
         assert!(!h2.suspended);
-        assert_eq!(t.stats().suspensions, 1);
+        assert_eq!(total(&t, |s| s.suspensions), 1);
         // t1's lock is suspended: it no longer *holds* write
         assert!(!t.holds(Tid(1), Oid(1), LockMode::Write));
     }
@@ -1397,7 +1372,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, AssetError::Deadlock(Tid(2))));
-        assert_eq!(t.stats().deadlocks, 1);
+        assert_eq!(counters(&t).deadlocks, 1);
         // unblock t1 by releasing the victim's locks (what abort would do)
         t.release_all(Tid(2));
         h.join().unwrap().unwrap();
@@ -1432,10 +1407,9 @@ mod tests {
         assert!(t.waits_snapshot().is_empty());
         let stripe = t.stripe_stats().into_iter().find(|s| s.waits > 0).unwrap();
         assert_eq!((stripe.waits, stripe.blocks), (1, 1));
-        let snap = t.obs().snapshot();
-        assert_eq!(snap.counters.lock_waits, 1);
-        assert_eq!(snap.counters.deadlock_sweeps, 1);
-        assert_eq!(snap.lock_wait_ns.count, 1);
+        let c = counters(&t);
+        assert_eq!((c.lock_waits, c.deadlock_sweeps), (1, 1));
+        assert_eq!(t.obs().snapshot().lock_wait_ns.count, 1);
     }
 
     #[test]
@@ -1453,7 +1427,6 @@ mod tests {
         assert!(t.pending(Oid(1)).is_empty());
         assert_eq!(waiting(&t), 0);
         assert!(t.waits_snapshot().is_empty());
-        assert_eq!(t.snapshot().waiters, 0);
         t.release_all(Tid(1));
         assert_eq!(wakes.count(), 0, "the release wakes nobody stale");
         assert_eq!(
@@ -1511,9 +1484,8 @@ mod tests {
             .unwrap();
         assert_eq!(waiting(&t), 0);
         assert!(t.waits_snapshot().is_empty());
-        let snap = t.obs().snapshot();
-        assert_eq!(snap.counters.lock_waits, 2);
-        assert_eq!(snap.lock_wait_ns.count, 2);
+        assert_eq!(counters(&t).lock_waits, 2);
+        assert_eq!(t.obs().snapshot().lock_wait_ns.count, 2);
     }
 
     #[test]
@@ -1658,18 +1630,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn counters_accumulate() {
         let t = LockTable::new();
         t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
             .unwrap();
         let _ = t.lock(Tid(2), Oid(1), Operation::Write, short());
-        let s = t.stats();
-        assert_eq!(s.grants, 1);
-        assert!(s.blocks >= 1);
-        assert_eq!(s.timeouts, 1);
-        let snap = t.snapshot();
-        assert_eq!(snap.stats, s);
-        assert_eq!(snap.shards, t.shard_count());
+        let c = counters(&t);
+        assert_eq!((c.lock_grants, c.lock_waits, c.deadlocks), (1, 1, 0));
+        assert_eq!(c.deadlock_sweeps, total(&t, |s| s.blocks));
+        assert!(c.deadlock_sweeps >= 1);
+        assert_eq!(total(&t, |s| s.timeouts), 1);
     }
 
     #[test]
@@ -1736,12 +1706,13 @@ mod tests {
         t.lock(Tid(2), Oid(1), Operation::Write, short()).unwrap();
         t.delegate(Tid(2), Tid(3), None);
         let snap = obs.snapshot();
-        assert!(t.stats().grants >= 2);
-        assert!(snap.counters.lock_waits >= 1);
+        let c = counters(&t);
+        assert!(c.lock_grants >= 2);
+        assert!(c.lock_waits >= 1);
         assert!(snap.counters.permit_checks >= 1);
         assert_eq!(snap.counters.delegations, 1);
         assert_eq!(snap.counters.delegated_objects, 1);
-        assert_eq!(snap.lock_wait_ns.count, snap.counters.lock_waits);
+        assert_eq!(snap.lock_wait_ns.count, c.lock_waits);
         assert!(snap.permit_chain_len.count >= 1);
         assert_eq!(snap.permit_chain_len.max, 1, "direct permit: one hop");
     }

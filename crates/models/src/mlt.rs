@@ -631,7 +631,7 @@ mod tests {
         });
         assert!(outcomes.contains(&MltOutcome::Committed));
         assert!(outcomes.contains(&MltOutcome::Undone { inverses_run: 1 }));
-        assert_eq!(db.lock_stats().deadlocks, 1);
+        assert_eq!(db.metrics_snapshot().counters.deadlocks, 1);
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "not a lock timeout"

@@ -101,13 +101,14 @@ define_counters! {
     /// commit path resolves by driving the group through abort.
     commit_log_failures,
     /// Lock requests that blocked at least once before being granted or
-    /// failing.
+    /// failing. This and the next three are counted by the lock table's
+    /// stripes, where the request is decided; `Database::metrics_snapshot`
+    /// fills them in.
     lock_waits,
-    /// Lock requests granted. Counted by the lock table's stripes, where
-    /// the grant happens; `Database::metrics_snapshot` fills it in.
+    /// Lock requests granted.
     lock_grants,
-    /// Waits-for-graph cycle searches performed by blocked requesters
-    /// (the paper's deadlock check on suspension).
+    /// Blocked lock-request passes, each of which searches the waits-for
+    /// graph for a cycle (the paper's deadlock check on suspension).
     deadlock_sweeps,
     /// Deadlocks detected (requests aborted as victims).
     deadlocks,

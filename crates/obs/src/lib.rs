@@ -297,13 +297,4 @@ mod tests {
         assert!(text.contains("DeadlockSweep"));
         assert_eq!(text.lines().count(), 1);
     }
-
-    #[test]
-    fn snapshot_render_mentions_every_counter_block() {
-        let obs = Obs::new();
-        bump(&obs.counters.cache_hits);
-        let text = obs.snapshot().render();
-        assert!(text.contains("cache_hits 1"));
-        assert!(text.contains("lock_wait_ns count=0"));
-    }
 }

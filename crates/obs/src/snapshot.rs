@@ -87,28 +87,6 @@ impl MetricsSnapshot {
         })
     }
 
-    /// A compact multi-line textual rendering (one `name value` pair per
-    /// line for counters, then one summary line per histogram) — handy for
-    /// dumping next to experiment output.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        self.counters.for_each(|name, v| {
-            let _ = writeln!(s, "{name} {v}");
-        });
-        let _ = writeln!(s, "events_dropped {}", self.events_dropped);
-        for (name, h) in self.histograms() {
-            let _ = writeln!(
-                s,
-                "{name} count={} mean={:.1} max={}",
-                h.count,
-                h.mean(),
-                h.max
-            );
-        }
-        s
-    }
-
     /// Every histogram as a `(name, snapshot)` pair, in declaration order —
     /// the registry exporters iterate (mirrors
     /// [`CounterSnapshot::for_each`]).

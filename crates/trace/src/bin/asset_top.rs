@@ -4,7 +4,11 @@
 //! drives a small self-contained contention workload (transfers over a
 //! shared pool of objects, with delegation, permits and a saga mixed in)
 //! against an in-memory [`Database`] with tracing enabled, and redraws
-//! the [`asset_trace::top`] dashboard on an interval.
+//! the [`asset_trace::top`] dashboard on an interval. Each frame reads
+//! the database twice: [`Database::introspect`] for the live view (live
+//! transactions by status, stripes, waits-for and dependency edges) and
+//! [`Database::metrics_snapshot`] for every count (committed and aborted
+//! totals, lock waits, latency percentiles).
 //!
 //! ```text
 //! asset-top [--frames N] [--interval-ms MS] [--once] [--serve ADDR]

@@ -28,7 +28,7 @@
 //! sub-microsecond spans visible.
 
 use crate::span::{CausalGraph, EdgeKind, FleetGraph, FlowKind, MsgDir, Outcome, SpanKind, Track};
-use asset_common::json::escape;
+use asset_common::json::Writer;
 use asset_server::protocol::opcode;
 
 /// Emulated process id for single-graph renders.
@@ -38,10 +38,6 @@ const STORAGE_TID: u64 = 0;
 /// Track id for the cross-node message lane of each node.
 const WIRE_TID: u64 = u64::MAX;
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
-}
-
 fn track_name(t: &Track) -> String {
     match t.model {
         Some(m) => format!("t{} [{:?}]", t.tid.raw(), m),
@@ -49,88 +45,69 @@ fn track_name(t: &Track) -> String {
     }
 }
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if *first {
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
-    out.push_str("  ");
-    out.push_str(body);
+/// One trace event: its phase, process, thread and name, then the
+/// members `rest` writes.
+fn event(w: &mut Writer, ph: &str, pid: u64, tid: u64, name: &str, rest: impl FnOnce(&mut Writer)) {
+    w.obj(|w| {
+        w.key("ph").str(ph).key("pid").u64(pid);
+        w.key("tid").u64(tid).key("name").str(name);
+        rest(w);
+    });
 }
 
-fn meta_thread(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &str, sort: u64) {
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ),
-    );
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_sort_index","args":{{"sort_index":{sort}}}}}"#
-        ),
-    );
+/// A metadata event whose arguments `args` writes.
+fn meta(w: &mut Writer, pid: u64, tid: u64, name: &str, args: impl FnOnce(&mut Writer)) {
+    event(w, "M", pid, tid, name, |w| {
+        w.key("args").obj(args);
+    });
 }
 
-fn meta_process(out: &mut String, first: &mut bool, pid: u64, name: &str) {
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ),
-    );
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_sort_index","args":{{"sort_index":{pid}}}}}"#
-        ),
-    );
+fn meta_thread(w: &mut Writer, pid: u64, tid: u64, name: &str, sort: u64) {
+    meta(w, pid, tid, "thread_name", |w| {
+        w.key("name").str(name);
+    });
+    meta(w, pid, tid, "thread_sort_index", |w| {
+        w.key("sort_index").u64(sort);
+    });
 }
 
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one argument per trace-event field"
-)]
+fn meta_process(w: &mut Writer, pid: u64, name: &str) {
+    meta(w, pid, 0, "process_name", |w| {
+        w.key("name").str(name);
+    });
+    meta(w, pid, 0, "process_sort_index", |w| {
+        w.key("sort_index").u64(pid);
+    });
+}
+
+/// A timestamp: nanoseconds as fractional microseconds.
+fn ts(w: &mut Writer, key: &str, ns: f64) {
+    w.key(key).f64(ns / 1000.0, 3);
+}
+
 fn complete(
-    out: &mut String,
-    first: &mut bool,
+    w: &mut Writer,
     pid: u64,
     tid: u64,
     name: &str,
     ts_ns: u64,
     dur_ns: u64,
-    args: &str,
+    args: impl FnOnce(&mut Writer),
 ) {
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"X","pid":{pid},"tid":{tid},"name":"{}","cat":"asset","ts":{:.3},"dur":{:.3},"args":{{{args}}}}}"#,
-            escape(name),
-            us(ts_ns),
-            us(dur_ns),
-        ),
-    );
+    event(w, "X", pid, tid, name, |w| {
+        w.key("cat").str("asset");
+        ts(w, "ts", ts_ns as f64);
+        ts(w, "dur", dur_ns as f64);
+        w.key("args").obj(args);
+    });
 }
 
-fn instant(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &str, ts_ns: u64) {
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"i","pid":{pid},"tid":{tid},"name":"{}","cat":"asset","ts":{:.3},"s":"t"}}"#,
-            escape(name),
-            us(ts_ns),
-        ),
-    );
+fn instant(w: &mut Writer, pid: u64, tid: u64, name: &str, ts_ns: u64) {
+    event(w, "i", pid, tid, name, |w| {
+        w.key("cat").str("asset");
+        ts(w, "ts", ts_ns as f64);
+        w.key("s").str("t");
+    });
 }
 
 /// One flow arrow: `"s"` on `(from_pid, from_tid)` at `start_ns`, `"f"`
@@ -142,8 +119,7 @@ fn instant(out: &mut String, first: &mut bool, pid: u64, tid: u64, name: &str, t
     reason = "one argument per trace-event field"
 )]
 fn flow(
-    out: &mut String,
-    first: &mut bool,
+    w: &mut Writer,
     id: u64,
     cat: &str,
     name: &str,
@@ -152,28 +128,15 @@ fn flow(
     start_ns: u64,
     end_ns: u64,
 ) {
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"s","pid":{},"tid":{},"id":{id},"name":"{}","cat":"{cat}","ts":{:.3}}}"#,
-            from.0,
-            from.1,
-            escape(name),
-            us(start_ns),
-        ),
-    );
-    let end = (us(end_ns)).max(us(start_ns) + 0.001);
-    push_event(
-        out,
-        first,
-        &format!(
-            r#"{{"ph":"f","pid":{},"tid":{},"id":{id},"name":"{}","cat":"{cat}","ts":{end:.3},"bp":"e"}}"#,
-            to.0,
-            to.1,
-            escape(name),
-        ),
-    );
+    event(w, "s", from.0, from.1, name, |w| {
+        w.key("id").u64(id).key("cat").str(cat);
+        ts(w, "ts", start_ns as f64);
+    });
+    event(w, "f", to.0, to.1, name, |w| {
+        w.key("id").u64(id).key("cat").str(cat);
+        ts(w, "ts", (end_ns as f64).max(start_ns as f64 + 1.0));
+        w.key("bp").str("e");
+    });
 }
 
 fn edge_args(kind: &EdgeKind) -> String {
@@ -192,42 +155,55 @@ fn edge_args(kind: &EdgeKind) -> String {
     }
 }
 
-fn span_args(kind: &SpanKind) -> String {
+fn span_args(w: &mut Writer, kind: &SpanKind) {
     match kind {
         SpanKind::LockWait {
             ob,
             stripe,
             queue_depth,
-        } => format!(
-            r#""ob":{},"stripe":{stripe},"queue_depth":{queue_depth}"#,
-            ob.raw()
-        ),
-        SpanKind::LatchSpin { spins } => format!(r#""spins":{spins}"#),
-        SpanKind::LogFlush { bytes } => format!(r#""bytes":{bytes}"#),
+        } => {
+            w.key("ob")
+                .u64(ob.raw())
+                .key("stripe")
+                .u64(u64::from(*stripe));
+            w.key("queue_depth").u64(u64::from(*queue_depth));
+        }
+        SpanKind::LatchSpin { spins } => {
+            w.key("spins").u64(u64::from(*spins));
+        }
+        SpanKind::LogFlush { bytes } => {
+            w.key("bytes").u64(*bytes);
+        }
         SpanKind::FlushWindow {
             window,
             records,
             bytes,
-        } => format!(r#""window":{window},"records":{records},"bytes":{bytes}"#),
-        SpanKind::Named(_) => String::new(),
+        } => {
+            w.key("window")
+                .u64(*window)
+                .key("records")
+                .u64(u64::from(*records));
+            w.key("bytes").u64(*bytes);
+        }
+        SpanKind::Named(_) => {}
     }
 }
 
-/// Render one graph's events into `out` under process `pid`, allocating
+/// Render one graph's events into `w` under process `pid`, allocating
 /// flow ids from `next_id` (flow ids bind `"s"` to `"f"` per category
 /// document-wide, so they must be unique across every node of a fleet
 /// render).
-fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, next_id: &mut u64) {
+fn render_graph(w: &mut Writer, pid: u64, g: &CausalGraph, next_id: &mut u64) {
     // Track metadata: storage lane first, then one thread per
     // transaction, then the wire lane (if the node exchanged messages).
     if !g.storage.is_empty() {
-        meta_thread(out, first, pid, STORAGE_TID, "storage", 0);
+        meta_thread(w, pid, STORAGE_TID, "storage", 0);
     }
     for (i, t) in g.tracks.values().enumerate() {
-        meta_thread(out, first, pid, t.tid.raw(), &track_name(t), i as u64 + 1);
+        meta_thread(w, pid, t.tid.raw(), &track_name(t), i as u64 + 1);
     }
     if !g.msgs.is_empty() {
-        meta_thread(out, first, pid, WIRE_TID, "wire", g.tracks.len() as u64 + 1);
+        meta_thread(w, pid, WIRE_TID, "wire", g.tracks.len() as u64 + 1);
     }
 
     // Transaction lifetime + sub-spans + milestones.
@@ -235,76 +211,63 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
         let start = t.first_ns();
         let end = t.last_ns().max(start);
         let name = format!("txn {} ({})", t.tid.raw(), t.outcome.label());
-        let args = format!(
-            r#""tid":{},"parent":{},"outcome":"{}""#,
-            t.tid.raw(),
-            t.parent.raw(),
-            t.outcome.label()
-        );
         if t.outcome != Outcome::Open || t.begin_ns.is_some() {
-            complete(
-                out,
-                first,
-                pid,
-                t.tid.raw(),
-                &name,
-                start,
-                end - start,
-                &args,
-            );
+            complete(w, pid, t.tid.raw(), &name, start, end - start, |w| {
+                w.key("tid")
+                    .u64(t.tid.raw())
+                    .key("parent")
+                    .u64(t.parent.raw());
+                w.key("outcome").str(t.outcome.label());
+            });
         }
         for s in &t.spans {
             complete(
-                out,
-                first,
+                w,
                 pid,
                 t.tid.raw(),
                 s.kind.label(),
                 s.start_ns,
                 s.end_ns.saturating_sub(s.start_ns),
-                &span_args(&s.kind),
+                |w| span_args(w, &s.kind),
             );
         }
         for (at, label) in &t.milestones {
-            instant(out, first, pid, t.tid.raw(), label, *at);
+            instant(w, pid, t.tid.raw(), label, *at);
         }
     }
 
     // Participant in-doubt windows (§14.2) on the prepared txn's track.
-    for w in &g.in_doubt {
-        let end = w.end_ns.unwrap_or(w.start_ns);
-        let args = format!(
-            r#""group":{},"decision":"{}""#,
-            w.group,
-            match w.commit {
-                Some(true) => "commit",
-                Some(false) => "abort",
-                None => "open",
-            }
-        );
+    for d in &g.in_doubt {
+        let end = d.end_ns.unwrap_or(d.start_ns);
+        let decision = match d.commit {
+            Some(true) => "commit",
+            Some(false) => "abort",
+            None => "open",
+        };
         complete(
-            out,
-            first,
+            w,
             pid,
-            w.tid.raw(),
+            d.tid.raw(),
             "in-doubt",
-            w.start_ns,
-            end.saturating_sub(w.start_ns),
-            &args,
+            d.start_ns,
+            end.saturating_sub(d.start_ns),
+            |w| {
+                w.key("group").u64(u64::from(d.group));
+                w.key("decision").str(decision);
+            },
         );
     }
 
     // Storage lane.
     for s in &g.storage {
         complete(
-            out,
-            first,
+            w,
             pid,
             STORAGE_TID,
             s.kind.label(),
             s.start_ns,
             s.end_ns.saturating_sub(s.start_ns),
-            &span_args(&s.kind),
+            |w| span_args(w, &s.kind),
         );
     }
 
@@ -322,7 +285,7 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
             m.root,
             m.peer
         );
-        instant(out, first, pid, WIRE_TID, &name, m.at_ns);
+        instant(w, pid, WIRE_TID, &name, m.at_ns);
     }
 
     // Causal edges as flow pairs.
@@ -330,8 +293,7 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
         let id = *next_id;
         *next_id += 1;
         flow(
-            out,
-            first,
+            w,
             id,
             "asset-edge",
             &edge_args(&e.kind),
@@ -349,8 +311,7 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
         let id = *next_id;
         *next_id += 1;
         flow(
-            out,
-            first,
+            w,
             id,
             "asset-edge",
             &format!("commit-flush (window {})", f.window),
@@ -369,13 +330,7 @@ fn render_graph(out: &mut String, first: &mut bool, pid: u64, g: &CausalGraph, n
 /// `chrome://tracing`: each transaction is a named track, causal edges are
 /// flow arrows between tracks.
 pub fn render(g: &CausalGraph) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut next_id = 1u64;
-    render_graph(&mut out, &mut first, PID, g, &mut next_id);
-    out.push_str("\n]}\n");
-    out
+    document(|w| render_graph(w, PID, g, &mut 1))
 }
 
 /// Render a merged [`FleetGraph`] as one Chrome trace-event document:
@@ -384,36 +339,41 @@ pub fn render(g: &CausalGraph) -> String {
 /// for every matched cross-node request and response
 /// (`cat: "asset-flow"`) between the nodes' wire lanes.
 pub fn render_fleet(f: &FleetGraph) -> String {
-    let mut out = String::with_capacity(16384);
-    out.push_str("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut next_id = 1u64;
-    for g in &f.nodes {
-        let pid = node_pid(g.node);
-        meta_process(&mut out, &mut first, pid, &format!("node {}", g.node));
-        render_graph(&mut out, &mut first, pid, g, &mut next_id);
-    }
-    for fl in &f.flows {
-        let leg = match fl.kind {
-            FlowKind::Request => "request",
-            FlowKind::Response => "response",
-        };
-        let id = next_id;
-        next_id += 1;
-        flow(
-            &mut out,
-            &mut first,
-            id,
-            "asset-flow",
-            &format!("{} {leg} root={}", opcode::name(fl.opcode), fl.root),
-            (node_pid(fl.from_node), WIRE_TID),
-            (node_pid(fl.to_node), WIRE_TID),
-            fl.from_ns,
-            fl.to_ns,
-        );
-    }
-    out.push_str("\n]}\n");
-    out
+    document(|w| {
+        let mut next_id = 1u64;
+        for g in &f.nodes {
+            let pid = node_pid(g.node);
+            meta_process(w, pid, &format!("node {}", g.node));
+            render_graph(w, pid, g, &mut next_id);
+        }
+        for fl in &f.flows {
+            let leg = match fl.kind {
+                FlowKind::Request => "request",
+                FlowKind::Response => "response",
+            };
+            let id = next_id;
+            next_id += 1;
+            flow(
+                w,
+                id,
+                "asset-flow",
+                &format!("{} {leg} root={}", opcode::name(fl.opcode), fl.root),
+                (node_pid(fl.from_node), WIRE_TID),
+                (node_pid(fl.to_node), WIRE_TID),
+                fl.from_ns,
+                fl.to_ns,
+            );
+        }
+    })
+}
+
+/// The `{"traceEvents": [...]}` document whose events `events` writes.
+fn document(events: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("traceEvents").arr(events);
+    });
+    w.finish()
 }
 
 /// Chrome `pid` of a fleet node (node ids start at 0; pid 0 renders

@@ -1,11 +1,13 @@
 //! Frame rendering for `asset-top`, the live terminal monitor.
 //!
 //! [`render_frame`] turns one [`Introspection`] + [`MetricsSnapshot`]
-//! pair into a fixed-width text dashboard: transaction-state counts,
-//! per-stripe lock occupancy and contention, the current waits-for
-//! edges, dependency-graph totals, permit-chain depth, log watermarks
-//! and latency percentiles. The binary redraws it on an interval; tests
-//! and `--once` callers just print it.
+//! pair into a fixed-width text dashboard: live transactions by status
+//! (from the introspection's walk of the TDs) beside the committed and
+//! aborted totals (from the snapshot's counters), per-stripe lock
+//! occupancy and contention, the current waits-for edges,
+//! dependency-graph totals, permit-chain depth, log watermarks and
+//! latency percentiles. The binary redraws it on an interval; tests and
+//! `--once` callers just print it.
 
 use asset_core::Introspection;
 use asset_obs::MetricsSnapshot;
@@ -25,12 +27,12 @@ fn ns_disp(ns: f64) -> String {
 /// the binary adds cursor control around it).
 pub fn render_frame(intro: &Introspection, snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    let s = &intro.stats;
+    let c = &snap.counters;
 
     let _ = writeln!(
         out,
         "asset-top — live: {:>4}  initiated: {:>4}  running: {:>4}  completed: {:>4}  committed: {:>6}  aborted: {:>6}",
-        intro.live, s.initiated, s.running, s.completed, s.committed, s.aborted
+        intro.live, intro.initiated, intro.running, intro.completed, c.txn_committed, c.txn_aborted
     );
     let _ = writeln!(
         out,
@@ -40,8 +42,8 @@ pub fn render_frame(intro: &Introspection, snap: &MetricsSnapshot) -> String {
         intro.deps.cd_edges,
         intro.deps.ad_edges,
         intro.deps.gc_links,
-        s.permits,
-        intro.permit_chain_max
+        intro.permits,
+        snap.permit_chain_len.max
     );
     let _ = writeln!(
         out,
@@ -281,7 +283,10 @@ mod tests {
         assert!(committed);
         let frame = render_frame(&db.introspect(), &db.metrics_snapshot());
         assert!(frame.contains("asset-top"), "header present");
-        assert!(frame.contains("committed:"), "txn counts present");
+        assert!(
+            frame.contains("committed:      1  aborted:      0"),
+            "totals from the counters:\n{frame}"
+        );
         assert!(frame.contains("trace: on"), "tracing flag shown");
         assert!(frame.contains("stripe"), "stripe table header present");
     }

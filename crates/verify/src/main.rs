@@ -6,32 +6,21 @@
 //! cargo run -p asset-verify -- --list-allows     # audit suppressions
 //! cargo run -p asset-verify -- --root PATH       # explicit workspace root
 //! cargo run -p asset-verify -- --format sarif    # SARIF 2.1.0 log
-//! cargo run -p asset-verify -- --format baseline > verify.baseline
-//! cargo run -p asset-verify -- --baseline verify.baseline  # gate on NEW findings
 //! cargo run -p asset-verify -- --cfg-faults      # analyze the faults-injected cfg
 //! ```
 //!
 //! Exit codes (pinned, tested by `tests/cli_exit_codes.rs`):
-//! `0` clean (or no *new* findings under `--baseline`), `1` findings,
-//! `2` usage or I/O error.
+//! `0` clean, `1` findings, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use asset_verify::report;
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-    Baseline,
-}
-
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut list_allows = false;
-    let mut format = Format::Text;
-    let mut baseline: Option<PathBuf> = None;
+    let mut sarif = false;
     let mut cfg_faults = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -39,23 +28,13 @@ fn main() -> ExitCode {
             "--root" => root = args.next().map(PathBuf::from),
             "--list-allows" => list_allows = true,
             "--cfg-faults" => cfg_faults = true,
-            "--baseline" => {
-                let Some(p) = args.next() else {
-                    eprintln!("asset-verify: `--baseline` needs a file argument");
-                    return ExitCode::from(2);
-                };
-                baseline = Some(PathBuf::from(p));
-            }
             "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    Some("baseline") => Format::Baseline,
+                sarif = match args.next().as_deref() {
+                    Some("text") => false,
+                    Some("sarif") => true,
                     other => {
                         eprintln!(
-                            "asset-verify: `--format` must be text|json|sarif|baseline, \
-                             got {:?}",
+                            "asset-verify: `--format` must be text|sarif, got {:?}",
                             other.unwrap_or("nothing")
                         );
                         return ExitCode::from(2);
@@ -72,7 +51,7 @@ fn main() -> ExitCode {
                 }
                 println!(
                     "usage: asset-verify [--root PATH] [--list-allows] [--cfg-faults]\n\
-                     \x20                   [--format text|json|sarif|baseline] [--baseline FILE]\n\
+                     \x20                   [--format text|sarif]\n\
                      exit codes: 0 clean, 1 findings, 2 usage/load error"
                 );
                 return ExitCode::SUCCESS;
@@ -104,18 +83,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Subtract the accepted baseline, if any: only NEW findings gate.
-    let findings = match &baseline {
-        None => analysis.findings.clone(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => report::filter_new(&analysis.findings, &text),
-            Err(e) => {
-                eprintln!("asset-verify: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-    };
-
     if list_allows {
         println!("{} suppression(s):", analysis.allows.len());
         for a in &analysis.allows {
@@ -135,27 +102,18 @@ fn main() -> ExitCode {
         }
     }
 
-    let gated = asset_verify::Analysis {
-        findings: findings.clone(),
-        allows: analysis.allows.clone(),
-    };
-    match format {
-        Format::Json => print!("{}", report::to_json(&gated)),
-        Format::Sarif => print!("{}", report::to_sarif(&gated)),
-        Format::Baseline => print!("{}", report::to_baseline(&gated)),
-        Format::Text => {
-            if findings.is_empty() {
-                println!(
-                    "asset-verify: OK — {} rules, 0 findings{}, {} audited suppression(s)",
-                    asset_verify::RULES.len(),
-                    if baseline.is_some() { " (new)" } else { "" },
-                    analysis.allows.len()
-                );
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-            }
+    let findings = &analysis.findings;
+    if sarif {
+        print!("{}", report::to_sarif(&analysis));
+    } else if findings.is_empty() {
+        println!(
+            "asset-verify: OK — {} rules, 0 findings, {} audited suppression(s)",
+            asset_verify::RULES.len(),
+            analysis.allows.len()
+        );
+    } else {
+        for f in findings {
+            println!("{f}");
         }
     }
     if findings.is_empty() {

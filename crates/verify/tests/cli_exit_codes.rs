@@ -2,6 +2,7 @@
 //! `0` clean, `1` findings, `2` usage or I/O error. This test runs the
 //! real binary against synthetic workspace roots.
 
+use asset_common::json;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -35,40 +36,21 @@ fn exit_codes_are_pinned() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains("R1 wal"));
 
-    // 0 again: the same findings accepted via a saved baseline
-    let base = bin()
-        .arg("--root")
-        .arg(&bad)
-        .args(["--format", "baseline"])
-        .output()
-        .expect("run");
-    assert_eq!(base.status.code(), Some(1), "baseline emit still reports");
-    let bl = clean.join("accepted.baseline");
-    std::fs::write(&bl, &base.stdout).expect("write baseline");
-    let s = bin()
-        .arg("--root")
-        .arg(&bad)
-        .arg("--baseline")
-        .arg(&bl)
-        .status()
-        .expect("run");
-    assert_eq!(
-        s.code(),
-        Some(0),
-        "baseline subtraction gates only new findings"
-    );
-
-    // 2: usage error
+    // 2: usage errors, a format that is not offered among them
     let s = bin().arg("--nonsense").status().expect("run");
     assert_eq!(s.code(), Some(2));
-
-    // 2: unreadable baseline file
     let s = bin()
         .arg("--root")
         .arg(&clean)
-        .args(["--baseline", "/nonexistent/accepted.baseline"])
+        .args(["--format", "json"])
         .status()
         .expect("run");
+    assert_eq!(s.code(), Some(2));
+
+    // 2: a source file that cannot be read as text
+    let unreadable = mk_root("unreadable", "");
+    std::fs::write(unreadable.join("crates/server/src/lib.rs"), [0xff, 0xfe]).expect("temp lib.rs");
+    let s = bin().arg("--root").arg(&unreadable).status().expect("run");
     assert_eq!(s.code(), Some(2));
 
     // the SARIF document carries the finding and the rule catalog
@@ -79,11 +61,23 @@ fn exit_codes_are_pinned() {
         .output()
         .expect("run");
     assert_eq!(sarif.status.code(), Some(1));
-    let doc = String::from_utf8_lossy(&sarif.stdout);
-    assert!(doc.contains("\"version\": \"2.1.0\""));
-    assert!(doc.contains("\"ruleId\": \"R1\""));
-    assert!(doc.contains("crates/server/src/lib.rs"));
+    let doc = json::parse(&String::from_utf8_lossy(&sarif.stdout)).expect("SARIF is JSON");
+    assert_eq!(doc.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
+    let result = &doc.get("runs").and_then(|r| r.as_array()).expect("runs")[0]
+        .get("results")
+        .and_then(|r| r.as_array())
+        .expect("results")[0];
+    assert_eq!(result.get("ruleId").and_then(|v| v.as_str()), Some("R1"));
+    let uri = result
+        .get("locations")
+        .and_then(|l| l.as_array())
+        .and_then(|l| l[0].get("physicalLocation"))
+        .and_then(|p| p.get("artifactLocation"))
+        .and_then(|a| a.get("uri"))
+        .and_then(|u| u.as_str());
+    assert_eq!(uri, Some("crates/server/src/lib.rs"));
 
+    std::fs::remove_dir_all(&unreadable).ok();
     std::fs::remove_dir_all(&clean).ok();
     std::fs::remove_dir_all(&bad).ok();
 }

@@ -226,8 +226,8 @@ fn permit_chain_depth_matches_permits_across() {
     );
     assert_eq!(g.permit_chain_max(), 2);
     assert_eq!(
-        db.introspect().permit_chain_max,
+        db.metrics_snapshot().permit_chain_len.max,
         2,
-        "introspection reports the same permits_across depth"
+        "the metrics report the same permits_across depth"
     );
 }

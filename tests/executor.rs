@@ -4,7 +4,8 @@
 //! group-commit flusher, and leaves a causal trace whose commit flows
 //! terminate on shared flush-window spans.
 
-use asset::obs::EventKind;
+use asset::lock::StripeStats;
+use asset::obs::{EventKind, MetricsSnapshot};
 use asset::trace::{chrome, CausalGraph};
 use asset::{AssetError, Config, Database, LockMode, Oid, StepCtx, Tid, TryOp, TxnStep};
 use std::collections::HashMap;
@@ -33,6 +34,37 @@ fn holder_of(db: &Database, o: Oid) -> Tid {
 
 fn waiting(db: &Database) -> usize {
     db.introspect().stripes.iter().map(|s| s.waiting).sum()
+}
+
+/// The one book of lock counts: since `before`, `metrics_snapshot()`
+/// moved `[lock_waits, deadlock_sweeps, deadlocks, lock_grants]` by
+/// exactly `moved`; its totals are the stripes' own sums; and every wait
+/// was timed once.
+fn assert_lock_counts(db: &Database, before: &MetricsSnapshot, moved: [u64; 4], what: &str) {
+    let snap = db.metrics_snapshot();
+    let c = snap.delta(before).counters;
+    let got = [c.lock_waits, c.deadlock_sweeps, c.deadlocks, c.lock_grants];
+    assert_eq!(
+        got, moved,
+        "{what}: waits, blocked passes, deadlocks, grants"
+    );
+    let stripes = db.locks().stripe_stats();
+    let sum = |f: fn(&StripeStats) -> u64| stripes.iter().map(f).sum::<u64>();
+    let c = snap.counters;
+    assert_eq!(
+        [c.lock_waits, c.deadlock_sweeps, c.deadlocks, c.lock_grants],
+        [
+            sum(|s| s.waits),
+            sum(|s| s.blocks),
+            sum(|s| s.deadlocks),
+            sum(|s| s.grants)
+        ],
+        "{what}: the snapshot reads the stripes"
+    );
+    assert_eq!(
+        snap.lock_wait_ns.count, c.lock_waits,
+        "{what}: one duration per wait"
+    );
 }
 
 /// A resumable one-write program: re-entered from the top on every step,
@@ -102,7 +134,7 @@ fn a_submission_batch_shares_flush_windows() {
     for o in oids {
         assert_eq!(db.peek(o).unwrap().unwrap(), b"w");
     }
-    let windows = db.engine().flusher().windows_flushed();
+    let windows = db.metrics_snapshot().counters.flush_windows;
     assert!(
         windows < n as u64,
         "{n} concurrent commits within a 2ms window must share flushes, got {windows} windows"
@@ -199,7 +231,8 @@ fn executor_parks_behind_a_blocking_writer_and_is_requeued() {
 /// The acceptance shape of the one lock-request protocol: whichever driver
 /// waits — `TxnCtx::write` sleeping in `LockTable::lock`, or a task parked
 /// after `StepCtx::try_write` — the wait is listed, counted and traced the
-/// same way.
+/// same way. A wait that ends in a grant is one wait, one blocked pass and
+/// one grant.
 #[test]
 fn a_blocked_request_is_observable_the_same_way_under_both_drivers() {
     for driver in ["blocking", "executor"] {
@@ -207,6 +240,7 @@ fn a_blocked_request_is_observable_the_same_way_under_both_drivers() {
         db.obs().enable_tracing(4096);
         let o = db.new_oid();
         let holder = holder_of(&db, o);
+        let before = db.metrics_snapshot();
         let waiter = match driver {
             "blocking" => {
                 let t = db.initiate(move |ctx| ctx.write(o, b"w".to_vec())).unwrap();
@@ -231,17 +265,11 @@ fn a_blocked_request_is_observable_the_same_way_under_both_drivers() {
         }
         assert_eq!(db.peek(o).unwrap().unwrap(), b"w");
         assert!(db.locks().pending(o).is_empty(), "{driver}");
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.counters.lock_waits, 1, "{driver}");
-        assert_eq!(snap.lock_wait_ns.count, 1, "{driver}");
-        assert!(snap.counters.deadlock_sweeps >= 1, "{driver}");
+        assert_lock_counts(&db, &before, [1, 1, 0, 1], driver);
         let intro = db.introspect();
         let stripe = intro.stripe_stats.iter().find(|s| s.waits > 0).unwrap();
-        assert_eq!(stripe.waits, 1, "{driver}");
-        assert!(stripe.blocks >= 1, "{driver}");
         assert!(stripe.wait_ns_total > 0, "{driver}");
         assert!(stripe.queue_peak >= 1, "{driver}");
-        assert_eq!(db.lock_stats().blocks, stripe.blocks, "{driver}");
         let events = db
             .obs()
             .trace()
@@ -254,13 +282,14 @@ fn a_blocked_request_is_observable_the_same_way_under_both_drivers() {
 
 /// Two step programs write the same two objects in opposite orders. `b`'s
 /// second write is held back until `a`'s request is listed, so `b` closes
-/// the cycle and is the victim. The executor's deadlock is counted where
-/// the blocking driver's is — per stripe and in the obs counters — and the
-/// survivor's wait is accounted.
+/// the cycle and is the victim. The executor's deadlock is counted once,
+/// where the blocking driver's is (see the next test): two waits, two
+/// blocked passes, one deadlock and three grants.
 #[test]
 fn an_executor_deadlock_is_counted_once_everywhere() {
     let db = Database::in_memory();
     db.obs().enable_tracing(4096);
+    let before = db.metrics_snapshot();
     let (x, y) = (db.new_oid(), db.new_oid());
     let two_writes = |first: Oid, second: Oid, go: Option<Arc<AtomicBool>>| {
         move |sc: &mut StepCtx<'_>| {
@@ -295,13 +324,7 @@ fn an_executor_deadlock_is_counted_once_everywhere() {
         "the survivor gets y once b is undone"
     );
 
-    let snap = db.metrics_snapshot();
-    assert_eq!(snap.counters.deadlocks, 1);
-    assert_eq!(db.lock_stats().deadlocks, snap.counters.deadlocks);
-    assert_eq!(db.stats().locks.deadlocks, snap.counters.deadlocks);
-    assert!(snap.counters.lock_waits >= 1);
-    assert!(snap.lock_wait_ns.count >= 1);
-    assert!(db.lock_stats().blocks >= 1);
+    assert_lock_counts(&db, &before, [2, 2, 1, 3], "executor deadlock");
     assert!(
         db.obs()
             .trace()
@@ -311,6 +334,58 @@ fn an_executor_deadlock_is_counted_once_everywhere() {
     );
     assert_eq!(waiting(&db), 0);
     assert!(db.introspect().waits.is_empty());
+}
+
+/// The blocking driver's deadlock and timeout, in the same book: `b`
+/// holds `y`, `a` takes `x` and waits for `y`, and `b`'s request for `x`
+/// closes the cycle. Then a request waits out its lock timeout: one wait
+/// and one blocked pass, no grant, and the stripe's `timeouts`.
+#[test]
+fn a_blocking_deadlock_and_timeout_are_counted_once() {
+    let db = Database::in_memory();
+    let before = db.metrics_snapshot();
+    let (x, y) = (db.new_oid(), db.new_oid());
+    let (locked_tx, locked_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let b = db
+        .initiate(move |ctx| {
+            ctx.write(y, b"b".to_vec())?;
+            let _ = locked_tx.send(());
+            let _ = go_rx.recv();
+            ctx.write(x, b"b".to_vec())
+        })
+        .unwrap();
+    db.begin(b).unwrap();
+    locked_rx.recv().unwrap();
+    let a = db
+        .initiate(move |ctx| {
+            ctx.write(x, b"a".to_vec())?;
+            ctx.write(y, b"a".to_vec())
+        })
+        .unwrap();
+    db.begin(a).unwrap();
+    await_pending(&db, y, a);
+    go_tx.send(()).unwrap();
+    assert!(!db.wait(b).unwrap(), "the requester that closed the cycle");
+    assert!(
+        db.commit(a).unwrap(),
+        "the survivor gets y once b is undone"
+    );
+    assert_lock_counts(&db, &before, [2, 2, 1, 3], "blocking deadlock");
+
+    let db = Database::open(Config::in_memory().with_lock_timeout(Some(Duration::from_millis(20))))
+        .unwrap()
+        .0;
+    let o = db.new_oid();
+    let holder = holder_of(&db, o);
+    let before = db.metrics_snapshot();
+    let t = db.initiate(move |ctx| ctx.write(o, b"t".to_vec())).unwrap();
+    db.begin(t).unwrap();
+    assert!(!db.wait(t).unwrap(), "the request timed out");
+    assert_lock_counts(&db, &before, [1, 1, 0, 0], "blocking timeout");
+    let timeouts: u64 = db.locks().stripe_stats().iter().map(|s| s.timeouts).sum();
+    assert_eq!(timeouts, 1);
+    assert!(db.commit(holder).unwrap());
 }
 
 /// A task parked on an object it holds no lock on is aborted: nothing of
@@ -329,7 +404,6 @@ fn aborting_a_parked_task_leaves_nothing_of_its_request() {
     assert!(db.locks().pending(o).is_empty());
     assert!(db.introspect().stripes.iter().all(|s| s.waiting == 0));
     assert!(!db.locks().waits_snapshot().contains_key(&parked));
-    assert_eq!(db.locks().snapshot().waiters, 0);
     let snap = db.metrics_snapshot();
     assert_eq!(snap.lock_wait_ns.count, snap.counters.lock_waits);
     // the holder's release finds no stale request to wake
@@ -384,7 +458,7 @@ fn aborting_a_task_parked_on_external_finalizes_it() {
 
 /// The acceptance shape for the whole feature: every executor commit in
 /// the trace is a flow terminating on a flush-window span of the storage
-/// lane, and (pigeonhole over `windows_flushed`) flows genuinely share
+/// lane, and (pigeonhole over the window count) flows genuinely share
 /// windows when the flusher coalesced.
 #[test]
 fn commit_flows_terminate_on_shared_flush_windows() {
@@ -402,7 +476,7 @@ fn commit_flows_terminate_on_shared_flush_windows() {
     for t in tids {
         assert!(db.outcome(t).unwrap());
     }
-    let windows_flushed = db.engine().flusher().windows_flushed();
+    let windows = db.metrics_snapshot().counters.flush_windows;
 
     let trace = db.obs().trace();
     let g = CausalGraph::from_events(&trace);
@@ -424,7 +498,7 @@ fn commit_flows_terminate_on_shared_flush_windows() {
             f.window
         );
     }
-    if windows_flushed < n as u64 {
+    if windows < n as u64 {
         assert!(
             per_window.values().any(|&c| c >= 2),
             "coalesced windows must carry multiple commit flows"
