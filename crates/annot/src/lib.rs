@@ -46,13 +46,3 @@ pub fn verify_allow(_attr: TokenStream, item: TokenStream) -> TokenStream {
 pub fn exec_step(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item
 }
-
-/// Mark a function as a failpoint evaluator for rule **R3**: calling it
-/// counts as failpoint coverage for durable writes that follow, exactly as
-/// the `failpoint!`/`failpoint_sync!` macros do. `asset-verify` also
-/// auto-detects evaluators by body inspection; the attribute documents the
-/// role explicitly.
-#[proc_macro_attribute]
-pub fn failpoint_checker(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    item
-}

@@ -35,6 +35,6 @@ pub mod permit;
 pub mod table;
 pub mod waits;
 
-pub use permit::{permits_across, permits_across_depth, Permit, PermitTable};
+pub use permit::{Permit, PermitTable};
 pub use table::{LockTable, Lrd, PendingReq, StripeOccupancy, StripeStats};
 pub use waits::WaitGraph;

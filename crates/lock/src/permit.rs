@@ -12,9 +12,9 @@
 //!
 //! The table is *doubly hashed* on grantor and grantee — the paper's layout
 //! — so permissions given by or to a transaction can be located efficiently
-//! (needed for delegation re-attribution and commit-time cleanup).
+//! (needed for delegation re-attribution and commit-time cleanup). The lock
+//! table keeps every permit in one such table.
 
-use asset_annot::verify_allow;
 use asset_common::{IdMap, IdSet, ObSet, Oid, OpSet, Operation, Tid};
 
 /// A permit descriptor.
@@ -116,9 +116,11 @@ impl PermitTable {
     /// (delegation, §4.2: "change any PD of the form (ti, tk, op) to
     /// (tj, tk, op)"). With `obs = Some(set)`, only permits whose object
     /// scope intersects the delegated set move; the intersecting portion is
-    /// split off, matching object-granularity delegation.
-    pub fn reattribute(&mut self, from: Tid, to: Tid, obs: Option<&ObSet>) {
+    /// split off, matching object-granularity delegation. Returns how many
+    /// permits moved.
+    pub fn reattribute(&mut self, from: Tid, to: Tid, obs: Option<&ObSet>) -> usize {
         let ids: Vec<PermitId> = self.by_grantor.get(&from).cloned().unwrap_or_default();
+        let mut moved = 0;
         for id in ids {
             let Some(p) = self.permits.get(&id).cloned() else {
                 continue;
@@ -129,6 +131,7 @@ impl PermitTable {
                     self.permits.remove(&id);
                     self.unindex(id, &p);
                     self.insert(Permit { grantor: to, ..p });
+                    moved += 1;
                 }
                 Some(set) => {
                     let moved_scope = p.obs.intersect(set);
@@ -164,16 +167,79 @@ impl PermitTable {
                             ..p
                         });
                     }
+                    moved += 1;
                 }
             }
         }
+        moved
     }
 
     /// Does `holder` (the transaction whose granted lock conflicts) permit
     /// `requester` to perform `op` on `ob`, directly or through a
     /// transitive chain of permits?
     pub fn permits(&self, holder: Tid, requester: Tid, ob: Oid, op: Operation) -> bool {
-        permits_across(&[self], holder, requester, ob, op)
+        self.chain(holder, requester, ob, op).0
+    }
+
+    /// [`permits`](Self::permits), additionally reporting the length of the
+    /// permit chain that settled the answer: the number of permit hops on
+    /// the granting chain (1 = direct permit), or — when permission is
+    /// denied — the length of the longest chain the search explored.
+    /// `holder == requester` reports depth 0 (no permit consulted). The
+    /// depth feeds the observability layer's `permit_chain_len` histogram.
+    pub fn chain(&self, holder: Tid, requester: Tid, ob: Oid, op: Operation) -> (bool, usize) {
+        if holder == requester {
+            return (true, 0);
+        }
+        let mut on_path: IdSet<Tid> = IdSet::default();
+        on_path.insert(holder);
+        let mut max_depth = 0usize;
+        let granted = self.dfs(holder, requester, ob, op, &mut on_path, 1, &mut max_depth);
+        (granted, max_depth)
+    }
+
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the search state of one recursive walk"
+    )]
+    fn dfs(
+        &self,
+        from: Tid,
+        target: Tid,
+        ob: Oid,
+        op: Operation,
+        on_path: &mut IdSet<Tid>,
+        depth: usize,
+        max_depth: &mut usize,
+    ) -> bool {
+        for p in self.edges_from(from) {
+            // scope check: the chain's effective scope is the intersection
+            // of every hop; since we test one (ob, op) point, intersection
+            // membership == membership at every hop.
+            if !p.obs.contains(ob) || !p.ops.contains(op) {
+                continue;
+            }
+            *max_depth = (*max_depth).max(depth);
+            match p.grantee {
+                None => {
+                    *max_depth = depth;
+                    return true; // wildcard: any transaction, incl. target
+                }
+                Some(g) if g == target => {
+                    *max_depth = depth;
+                    return true;
+                }
+                Some(g) => {
+                    if on_path.insert(g) {
+                        if self.dfs(g, target, ob, op, on_path, depth + 1, max_depth) {
+                            return true;
+                        }
+                        on_path.remove(&g);
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// Permits granted by `tid`, borrowed (the DFS edge list).
@@ -206,107 +272,6 @@ impl PermitTable {
             .filter_map(|id| self.permits.get(id).cloned())
             .collect()
     }
-}
-
-/// The transitive permission check over the **union** of several permit
-/// tables. The sharded lock table stores single-shard permits in the
-/// object's shard and wildcard/cross-shard permits in a global table; a
-/// chain may hop between the two, so the DFS follows `by_grantor` edges of
-/// every table at every hop.
-#[verify_allow(
-    lock_order,
-    reason = "blessed: pure DFS over caller-held tables, acquires no locks itself"
-)]
-pub fn permits_across(
-    tables: &[&PermitTable],
-    holder: Tid,
-    requester: Tid,
-    ob: Oid,
-    op: Operation,
-) -> bool {
-    permits_across_depth(tables, holder, requester, ob, op).0
-}
-
-/// [`permits_across`], additionally reporting the length of the permit
-/// chain that settled the answer: the number of permit hops on the granting
-/// chain (1 = direct permit), or — when permission is denied — the length
-/// of the longest chain the DFS explored. `holder == requester` reports
-/// depth 0 (no permit consulted). The depth feeds the observability layer's
-/// `permit_chain_len` histogram.
-#[verify_allow(
-    lock_order,
-    reason = "blessed: pure DFS over caller-held tables, acquires no locks itself"
-)]
-pub fn permits_across_depth(
-    tables: &[&PermitTable],
-    holder: Tid,
-    requester: Tid,
-    ob: Oid,
-    op: Operation,
-) -> (bool, usize) {
-    if holder == requester {
-        return (true, 0);
-    }
-    let mut on_path: IdSet<Tid> = IdSet::default();
-    on_path.insert(holder);
-    let mut max_depth = 0usize;
-    let granted = dfs_across(
-        tables,
-        holder,
-        requester,
-        ob,
-        op,
-        &mut on_path,
-        1,
-        &mut max_depth,
-    );
-    (granted, max_depth)
-}
-
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the search state of one recursive walk"
-)]
-fn dfs_across(
-    tables: &[&PermitTable],
-    from: Tid,
-    target: Tid,
-    ob: Oid,
-    op: Operation,
-    on_path: &mut IdSet<Tid>,
-    depth: usize,
-    max_depth: &mut usize,
-) -> bool {
-    for table in tables {
-        for p in table.edges_from(from) {
-            // scope check: the chain's effective scope is the intersection
-            // of every hop; since we test one (ob, op) point, intersection
-            // membership == membership at every hop.
-            if !p.obs.contains(ob) || !p.ops.contains(op) {
-                continue;
-            }
-            *max_depth = (*max_depth).max(depth);
-            match p.grantee {
-                None => {
-                    *max_depth = depth;
-                    return true; // wildcard: any transaction, incl. target
-                }
-                Some(g) if g == target => {
-                    *max_depth = depth;
-                    return true;
-                }
-                Some(g) => {
-                    if on_path.insert(g) {
-                        if dfs_across(tables, g, target, ob, op, on_path, depth + 1, max_depth) {
-                            return true;
-                        }
-                        on_path.remove(&g);
-                    }
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -429,7 +394,7 @@ mod tests {
     fn reattribute_full_delegation() {
         let mut t = PermitTable::new();
         t.insert(p(1, Some(2), ObSet::one(Oid(9)), OpSet::ALL));
-        t.reattribute(Tid(1), Tid(7), None);
+        assert_eq!(t.reattribute(Tid(1), Tid(7), None), 1);
         assert!(!t.permits(Tid(1), Tid(2), Oid(9), Operation::Read));
         assert!(t.permits(Tid(7), Tid(2), Oid(9), Operation::Read));
     }
@@ -463,7 +428,7 @@ mod tests {
     fn reattribute_ignores_disjoint_permits() {
         let mut t = PermitTable::new();
         t.insert(p(1, Some(2), ObSet::one(Oid(5)), OpSet::ALL));
-        t.reattribute(Tid(1), Tid(3), Some(&ObSet::one(Oid(9))));
+        assert_eq!(t.reattribute(Tid(1), Tid(3), Some(&ObSet::one(Oid(9)))), 0);
         assert!(t.permits(Tid(1), Tid(2), Oid(5), Operation::Read));
         assert!(!t.permits(Tid(3), Tid(2), Oid(5), Operation::Read));
     }
@@ -480,42 +445,14 @@ mod tests {
     }
 
     #[test]
-    fn chain_hops_between_tables() {
-        // t1 -> t2 lives in one table, t2 -> t3 in another; the union DFS
-        // must stitch the chain together (shard table + global table).
-        let mut a = PermitTable::new();
-        let mut b = PermitTable::new();
-        a.insert(p(1, Some(2), ObSet::one(Oid(5)), OpSet::ALL));
-        b.insert(p(2, Some(3), ObSet::All, OpSet::ALL));
-        assert!(permits_across(
-            &[&a, &b],
-            Tid(1),
-            Tid(3),
-            Oid(5),
-            Operation::Write
-        ));
-        assert!(!permits_across(
-            &[&a],
-            Tid(1),
-            Tid(3),
-            Oid(5),
-            Operation::Write
-        ));
-        assert!(!permits_across(
-            &[&b],
-            Tid(1),
-            Tid(3),
-            Oid(5),
-            Operation::Write
-        ));
-        // scope still intersects along the stitched chain
-        assert!(!permits_across(
-            &[&a, &b],
-            Tid(1),
-            Tid(3),
-            Oid(6),
-            Operation::Write
-        ));
+    fn chain_hops_between_scoped_and_wildcard_permits() {
+        // t1 -> t2 is scoped to one object, t2 -> t3 covers every object;
+        // the search stitches the chain and keeps the narrower scope.
+        let mut t = PermitTable::new();
+        t.insert(p(1, Some(2), ObSet::one(Oid(5)), OpSet::ALL));
+        t.insert(p(2, Some(3), ObSet::All, OpSet::ALL));
+        assert_eq!(t.chain(Tid(1), Tid(3), Oid(5), Operation::Write), (true, 2));
+        assert!(!t.permits(Tid(1), Tid(3), Oid(6), Operation::Write));
     }
 
     #[test]
@@ -524,23 +461,12 @@ mod tests {
         t.insert(p(1, Some(2), ObSet::All, OpSet::ALL));
         t.insert(p(2, Some(3), ObSet::All, OpSet::ALL));
         // self: no permit consulted
-        assert_eq!(
-            permits_across_depth(&[&t], Tid(1), Tid(1), Oid(1), Operation::Read),
-            (true, 0)
-        );
+        assert_eq!(t.chain(Tid(1), Tid(1), Oid(1), Operation::Read), (true, 0));
         // direct permit: one hop
-        assert_eq!(
-            permits_across_depth(&[&t], Tid(1), Tid(2), Oid(1), Operation::Read),
-            (true, 1)
-        );
+        assert_eq!(t.chain(Tid(1), Tid(2), Oid(1), Operation::Read), (true, 1));
         // transitive: two hops
-        assert_eq!(
-            permits_across_depth(&[&t], Tid(1), Tid(3), Oid(1), Operation::Read),
-            (true, 2)
-        );
+        assert_eq!(t.chain(Tid(1), Tid(3), Oid(1), Operation::Read), (true, 2));
         // denied: reports how far the search got
-        let (ok, depth) = permits_across_depth(&[&t], Tid(1), Tid(9), Oid(1), Operation::Read);
-        assert!(!ok);
-        assert_eq!(depth, 2);
+        assert_eq!(t.chain(Tid(1), Tid(9), Oid(1), Operation::Read), (false, 2));
     }
 }

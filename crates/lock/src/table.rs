@@ -27,16 +27,17 @@
 //! id precisely so that concurrent transactions touching disjoint objects
 //! never serialize on shared bookkeeping. Here that is realized as N
 //! oid-hashed **shards**, each with its own mutex over the OD map (pending
-//! lists and their wakers included), the shard's slice of the TD-side
-//! object lists, and a shard-local permit table; a tid-keyed shard-set
-//! index (the second hash) lets `release_all`/`delegate` visit only the
-//! shards a transaction actually touched. Every id-keyed table hashes
+//! lists and their wakers included) and the shard's slice of the TD-side
+//! object lists; a tid-keyed shard-set index (the second hash) lets
+//! `release_all`/`delegate` visit only the shards where a transaction
+//! holds LRDs. Every id-keyed table hashes
 //! with the keyed one-multiply [`IdBuild`](asset_common::ids::IdBuild),
 //! and an uncontended grant probes its stripe's OD table once: a TD-side
 //! list is appended only when a new LRD is created, and the wait graph is
-//! not touched while no request waits. Permits whose object scope is
-//! `ObSet::All` (or spans shards) live in a small read-mostly global table
-//! consulted after the per-shard miss. Multi-shard operations take shard
+//! not touched while no request waits. Every permit descriptor lives in
+//! the one PD table, hashed on grantor and grantee, behind a read-mostly
+//! `RwLock`; a relaxed count of live permits lets a conflicting request
+//! skip it while none is live. Multi-shard operations take shard
 //! locks one at a time, never two at once, so the manager is
 //! internally deadlock-free. Wait-for edges go to a dedicated
 //! [`WaitGraph`] collector and counters are per-shard relaxed atomics, so
@@ -44,7 +45,7 @@
 
 use asset_annot::verify_allow;
 
-use crate::permit::{permits_across_depth, Permit, PermitTable};
+use crate::permit::{Permit, PermitTable};
 use crate::waits::{Parker, Wait, WaitGraph};
 use asset_common::config::resolve_shards;
 use asset_common::ids::stripe_of;
@@ -195,9 +196,10 @@ impl StripeStats {
     }
 }
 
-/// Point-in-time occupancy of one stripe, read under that stripe's mutex
-/// by [`LockTable::stripe_occupancy`] (the live companion to the
-/// cumulative [`StripeStats`]).
+/// Point-in-time occupancy of one stripe's lock descriptors, read under
+/// that stripe's mutex by [`LockTable::stripe_occupancy`] (the live
+/// companion to the cumulative [`StripeStats`]). Permits belong to no
+/// stripe: [`LockTable::permit_count`] counts them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StripeOccupancy {
     /// Stripe (shard) index.
@@ -210,8 +212,6 @@ pub struct StripeOccupancy {
     pub suspended: usize,
     /// Pending (blocked) requests across those objects.
     pub waiting: usize,
-    /// Shard-local permit descriptors.
-    pub permits: usize,
 }
 
 /// One stripe of the doubly-hashed descriptor tables.
@@ -222,8 +222,6 @@ struct ShardInner {
     /// LRD is created (a grant or a delegation to a transaction with none
     /// on the object), never by a re-grant or an upgrade.
     txn_objects: IdMap<Tid, Inline<Oid>>,
-    /// Permits whose object scope falls entirely within this shard.
-    permits: PermitTable,
     /// The wakers of the requests on this shard's pending lists, by
     /// waiting transaction and object; [`LockTable::wake`] takes them all.
     wakers: Vec<(Tid, Oid, Waker)>,
@@ -265,8 +263,6 @@ impl ShardInner {
 struct Shard {
     inner: Mutex<ShardInner>,
     stats: ShardStats,
-    /// Permits stored in this shard (relaxed; summed by `permit_count`).
-    permit_count: AtomicUsize,
 }
 
 impl Shard {
@@ -275,11 +271,9 @@ impl Shard {
             inner: Mutex::new(ShardInner {
                 objects: IdMap::default(),
                 txn_objects: IdMap::default(),
-                permits: PermitTable::new(),
                 wakers: Vec::new(),
             }),
             stats: ShardStats::default(),
-            permit_count: AtomicUsize::new(0),
         }
     }
 }
@@ -290,13 +284,17 @@ pub struct LockTable {
     /// `shards.len() - 1`; the count is always a power of two.
     shard_mask: u64,
     /// The second hash of the paper's double hashing: tid → shards where
-    /// the transaction holds LRDs or shard-local permits, so release and
-    /// delegation visit only those stripes.
+    /// the transaction holds LRDs, so release and delegation visit only
+    /// those stripes.
     tid_shards: Mutex<IdMap<Tid, Inline<usize>>>,
-    /// Wildcard-object and cross-shard permits (read-mostly).
-    global_permits: RwLock<PermitTable>,
-    /// Fast-path skip: live permits in `global_permits`.
-    global_permit_count: AtomicUsize,
+    /// The PD table (read-mostly): every permit descriptor.
+    permits: RwLock<PermitTable>,
+    /// Live permits in `permits`, stored under its write lock: the
+    /// conflict path skips the table while it is 0. Relaxed, because a
+    /// request reads it under its stripe mutex and every change takes
+    /// the stripe mutexes it concerns after the store (the wake), so the
+    /// mutex hand-over orders the store before a read that must see it.
+    live_permits: AtomicUsize,
     /// Wait-for edges of blocked requests (deadlock detection).
     waits: WaitGraph,
     /// Transactions whose lock waits must fail immediately (their abort is
@@ -307,11 +305,6 @@ pub struct LockTable {
     /// Observability hub: lock-wait histograms, permit-chain lengths,
     /// delegation counts, and lifecycle events.
     obs: Arc<Obs>,
-}
-
-enum PermitRoute {
-    Shard(usize),
-    Global,
 }
 
 impl LockTable {
@@ -337,8 +330,8 @@ impl LockTable {
             shards: (0..n).map(|_| Shard::new()).collect(),
             shard_mask: (n - 1) as u64,
             tid_shards: Mutex::new(IdMap::default()),
-            global_permits: RwLock::new(PermitTable::new()),
-            global_permit_count: AtomicUsize::new(0),
+            permits: RwLock::new(PermitTable::new()),
+            live_permits: AtomicUsize::new(0),
             waits: WaitGraph::new(),
             poisoned: Mutex::new(IdSet::default()),
             poison_count: AtomicUsize::new(0),
@@ -360,7 +353,7 @@ impl LockTable {
         stripe_of(ob.raw(), self.shard_mask)
     }
 
-    /// Shard indices `tid` has touched (locks or permits).
+    /// Shard indices where `tid` holds LRDs.
     fn shards_of(&self, tid: Tid) -> Vec<usize> {
         (self.tid_shards.lock().get(&tid))
             .map(|s| s.iter().copied().collect())
@@ -388,14 +381,10 @@ impl LockTable {
     }
 
     /// [`wake`](Self::wake) every stripe, after a change to state no stripe
-    /// mutex protects (global permits, the poison set). Taking each mutex
+    /// mutex protects (the PD table, the poison set). Taking each mutex
     /// is what makes that safe: a request holds its stripe mutex from its
     /// checks to its listing, so the wake either finds the request listed
     /// or precedes a pass that will see the change.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: each shard mutex is acquired and dropped before the next — never two at once"
-    )]
     fn wake_every_stripe(&self) {
         for shard in self.shards.iter() {
             Self::wake(shard.inner.lock());
@@ -585,11 +574,10 @@ impl LockTable {
     ) -> std::result::Result<(), Vec<Tid>> {
         let (sidx, mut mode, mut op) = (self.shard_index(ob), op.required_mode(), op);
         // One probe of the OD table serves the whole attempt: the borrow of
-        // the descriptor is split from the permit table and TD-side lists.
+        // the descriptor is split from the TD-side lists.
         let ShardInner {
             objects,
             txn_objects,
-            permits,
             ..
         } = inner;
         let od = objects.entry(ob).or_default();
@@ -613,23 +601,23 @@ impl LockTable {
         // must either permit us (then it gets suspended) or block us. A
         // *suspended* lock has ceded its claim to the permitted operations
         // but still guards against unpermitted ones, so it participates in
-        // the permit check too. The check runs over the shard-local permit
-        // table; the global (wildcard/cross-shard) table joins the DFS only
-        // when it is non-empty.
-        let global = if self.global_permit_count.load(Ordering::Relaxed) > 0 {
-            Some(self.global_permits.read())
-        } else {
-            None
-        };
+        // the permit check too. The PD table is read at the first
+        // conflict, and only while a permit is live; with none, every
+        // conflict blocks.
+        let live = self.live_permits.load(Ordering::Relaxed) > 0;
+        let mut permits = None;
         let mut to_suspend: Vec<(Tid, u32)> = Vec::new();
         let mut blockers: Vec<Tid> = Vec::new();
         for gl in od.granted.iter() {
             if gl.tid == tid || !gl.mode.conflicts(mode) {
                 continue;
             }
-            let (permitted, chain) = match &global {
-                None => permits_across_depth(&[&*permits], gl.tid, tid, ob, op),
-                Some(g) => permits_across_depth(&[&*permits, g], gl.tid, tid, ob, op),
+            let (permitted, chain) = if live {
+                permits
+                    .get_or_insert_with(|| self.permits.read())
+                    .chain(gl.tid, tid, ob, op)
+            } else {
+                (false, 0)
             };
             bump(&self.obs.counters.permit_checks);
             if chain > 0 {
@@ -641,7 +629,7 @@ impl LockTable {
                 blockers.push(gl.tid);
             }
         }
-        drop(global);
+        drop(permits);
         if !blockers.is_empty() {
             return Err(blockers);
         }
@@ -692,32 +680,12 @@ impl LockTable {
         Ok(())
     }
 
-    /// Where does a permit with scope `obs` live?
-    fn route(&self, obs: &ObSet) -> PermitRoute {
-        match obs {
-            ObSet::All => PermitRoute::Global,
-            ObSet::Objects(s) => {
-                let mut it = s.iter();
-                match it.next() {
-                    // empty scope: inert; park it in shard 0
-                    None => PermitRoute::Shard(0),
-                    Some(first) => {
-                        let s0 = self.shard_index(*first);
-                        if it.all(|o| self.shard_index(*o) == s0) {
-                            PermitRoute::Shard(s0)
-                        } else {
-                            PermitRoute::Global
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record a permit (wakes waiters — they may now be allowed through).
+    /// Record a permit, then wake the stripes of the objects it covers
+    /// (every stripe for `ObSet::All`): requests queued there may now be
+    /// let through.
     #[verify_allow(
         lock_order,
-        reason = "blessed: shard/global permit locks are taken in disjoint scopes, one at a time"
+        reason = "blessed: the PD table and each stripe mutex are taken in turn, one at a time"
     )]
     pub fn permit(&self, grantor: Tid, grantee: Option<Tid>, obs: ObSet, ops: OpSet) {
         let scope = match &obs {
@@ -729,40 +697,27 @@ impl LockTable {
             grantee: grantee.unwrap_or(Tid::NULL),
             objects: scope,
         });
-        match self.route(&obs) {
-            PermitRoute::Shard(s) => {
-                {
-                    // index both parties first, so a concurrent release
-                    // already knows where to look
-                    let mut idx = self.tid_shards.lock();
-                    Self::index(&mut idx, grantor, s);
-                    if let Some(g) = grantee {
-                        Self::index(&mut idx, g, s);
-                    }
-                }
-                let shard = &self.shards[s];
-                let mut inner = shard.inner.lock();
-                inner.permits.insert(Permit {
-                    grantor,
-                    grantee,
-                    obs,
-                    ops,
-                });
-                shard.permit_count.fetch_add(1, Ordering::Relaxed);
-                Self::wake(inner);
-            }
-            PermitRoute::Global => {
-                {
-                    let mut g = self.global_permits.write();
-                    g.insert(Permit {
-                        grantor,
-                        grantee,
-                        obs,
-                        ops,
-                    });
-                    self.global_permit_count.fetch_add(1, Ordering::Relaxed);
-                }
-                self.wake_every_stripe();
+        // the stripes of the scope's objects as bits; every stripe for
+        // `ObSet::All`, and past the 64th
+        let stripes = match &obs {
+            ObSet::All => u64::MAX,
+            ObSet::Objects(s) => s
+                .iter()
+                .fold(0u64, |bits, &ob| bits | (1 << (self.shard_index(ob) % 64))),
+        };
+        {
+            let mut table = self.permits.write();
+            table.insert(Permit {
+                grantor,
+                grantee,
+                obs,
+                ops,
+            });
+            self.live_permits.store(table.len(), Ordering::Relaxed);
+        }
+        for (i, shard) in self.shards.iter().enumerate() {
+            if i >= 64 || stripes & (1 << i) != 0 {
+                Self::wake(shard.inner.lock());
             }
         }
     }
@@ -782,18 +737,9 @@ impl LockTable {
             if let Some(set) = inner.txn_objects.get(&grantor) {
                 obs.extend(set.iter().copied());
             }
-            for p in inner.permits.granted_to(grantor) {
-                match p.obs {
-                    ObSet::All => all = true,
-                    ObSet::Objects(s) => obs.extend(s),
-                }
-            }
-            if all {
-                break;
-            }
         }
-        if !all && self.global_permit_count.load(Ordering::Relaxed) > 0 {
-            for p in self.global_permits.read().granted_to(grantor) {
+        if self.live_permits.load(Ordering::Relaxed) > 0 {
+            for p in self.permits.read().granted_to(grantor) {
                 match p.obs {
                     ObSet::All => all = true,
                     ObSet::Objects(s) => obs.extend(s),
@@ -852,30 +798,20 @@ impl LockTable {
                         }
                     }
                 }
-                let before = inner.permits.len();
-                inner.permits.reattribute(from, to, obs);
-                let after = inner.permits.len();
-                if after > before {
-                    // partial delegation can split one permit into two
-                    shard
-                        .permit_count
-                        .fetch_add(after - before, Ordering::Relaxed);
-                }
                 Self::wake(guard);
             }
         }
-        if self.global_permit_count.load(Ordering::Relaxed) > 0 {
-            {
-                let mut g = self.global_permits.write();
-                let before = g.len();
-                g.reattribute(from, to, obs);
-                let after = g.len();
-                if after > before {
-                    self.global_permit_count
-                        .fetch_add(after - before, Ordering::Relaxed);
-                }
+        if self.live_permits.load(Ordering::Relaxed) > 0 {
+            let moved = {
+                let mut table = self.permits.write();
+                let moved = table.reattribute(from, to, obs);
+                // partial delegation can split one permit into two
+                self.live_permits.store(table.len(), Ordering::Relaxed);
+                moved
+            };
+            if moved > 0 {
+                self.wake_every_stripe();
             }
-            self.wake_every_stripe();
         }
         if !from_shards.is_empty() {
             let mut idx = self.tid_shards.lock();
@@ -920,25 +856,14 @@ impl LockTable {
                     }
                     released += 1;
                 }
-                let before = inner.permits.len();
-                inner.permits.remove_involving(tid);
-                let removed = before - inner.permits.len();
-                if removed > 0 {
-                    shard.permit_count.fetch_sub(removed, Ordering::Relaxed);
-                }
                 Self::wake(inner);
             }
         }
-        if self.global_permit_count.load(Ordering::Relaxed) > 0 {
+        if self.live_permits.load(Ordering::Relaxed) > 0 {
             let removed = {
-                let mut g = self.global_permits.write();
-                let before = g.len();
-                g.remove_involving(tid);
-                let removed = before - g.len();
-                if removed > 0 {
-                    self.global_permit_count
-                        .fetch_sub(removed, Ordering::Relaxed);
-                }
+                let mut table = self.permits.write();
+                let removed = table.remove_involving(tid);
+                self.live_permits.store(table.len(), Ordering::Relaxed);
                 removed
             };
             if removed > 0 {
@@ -1057,15 +982,11 @@ impl LockTable {
     }
 
     /// Point-in-time occupancy of every stripe: resident objects, granted
-    /// and suspended LRDs, pending requests, and shard-local permits.
+    /// and suspended LRDs, and pending requests.
     /// Visits stripes one at a time (guard dropped between hops), so a
     /// monitoring thread — `asset-top` polls this through
     /// `Database::introspect()` — never holds two stripes or stalls the
     /// whole table at once.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: visits shards one at a time in ascending index order, guard dropped between hops"
-    )]
     pub fn stripe_occupancy(&self) -> Vec<StripeOccupancy> {
         self.shards
             .iter()
@@ -1078,7 +999,6 @@ impl LockTable {
                     granted: 0,
                     suspended: 0,
                     waiting: 0,
-                    permits: shard.permit_count.load(Ordering::Relaxed),
                 };
                 for od in inner.objects.values() {
                     occ.granted += od.granted.iter().count();
@@ -1092,11 +1012,7 @@ impl LockTable {
 
     /// Number of permits currently registered (lock-free).
     pub fn permit_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.permit_count.load(Ordering::Relaxed))
-            .sum::<usize>()
-            + self.global_permit_count.load(Ordering::Relaxed)
+        self.live_permits.load(Ordering::Relaxed)
     }
 
     /// Current waits-for edges (diagnostics / periodic detectors).

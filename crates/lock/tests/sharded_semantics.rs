@@ -7,11 +7,13 @@
 //! compared byte-for-byte; threaded stress tests then check mutual
 //! exclusion and deadlock detection at every shard count.
 
+use asset_common::ids::stripe_of;
 use asset_common::{AssetError, LockMode, ObSet, Oid, OpSet, Operation, Tid};
 use asset_faults::Rng;
 use asset_lock::{LockTable, StripeStats};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Duration;
 
 /// `f` summed over the table's stripes.
@@ -333,5 +335,56 @@ fn cross_shard_permit_chain_grants() {
         )
         .unwrap();
         assert!(t.holds(Tid(3), Oid(17), LockMode::Write), "shards={shards}");
+    }
+}
+
+/// A waker that only counts its wakes, as a driver that does not sleep
+/// (the executor's enqueue) looks to the table.
+#[derive(Default)]
+struct Wakes(AtomicUsize);
+
+impl Wake for Wakes {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_permit_wakes_the_requests_it_can_admit() {
+    // `y` sorts before `x` and lies on another stripe at 64 stripes, so a
+    // wake that reached only the first object's stripe would miss `x`
+    let x = Oid(17);
+    let y = (1..17)
+        .map(Oid)
+        .find(|y| stripe_of(y.raw(), 63) != stripe_of(x.raw(), 63))
+        .expect("an oid below 17 on another of 64 stripes");
+    let scope = ObSet::from_slice(&[y, x]);
+    for shards in SHARD_COUNTS {
+        // the permit is granted by the blocker itself, or by a third
+        // transaction that then delegates it to the blocker
+        for by_delegation in [false, true] {
+            let t = LockTable::with_shards(shards);
+            t.lock(Tid(1), x, Operation::Write, None).unwrap();
+            if by_delegation {
+                t.permit(Tid(3), Some(Tid(2)), scope.clone(), OpSet::ALL);
+            }
+            let wakes = Arc::new(Wakes::default());
+            let waker = || Waker::from(Arc::clone(&wakes));
+            let queued = t.request(Tid(2), x, Operation::Write, Some(&waker));
+            assert_eq!(queued.unwrap(), Err(vec![Tid(1)]), "shards={shards}");
+            if by_delegation {
+                t.delegate(Tid(3), Tid(1), None);
+            } else {
+                t.permit(Tid(1), Some(Tid(2)), scope.clone(), OpSet::ALL);
+            }
+            assert_eq!(
+                wakes.0.load(Ordering::SeqCst),
+                1,
+                "shards={shards} by_delegation={by_delegation}: woken once"
+            );
+            let retry = t.request(Tid(2), x, Operation::Write, Some(&waker));
+            assert_eq!(retry.unwrap(), Ok(()), "shards={shards}");
+            assert!(t.pending(x).is_empty(), "shards={shards}");
+        }
     }
 }

@@ -379,7 +379,6 @@ impl LogManager {
     /// [`LOG_FLUSH`](crate::failpoints::LOG_FLUSH), tears the block that
     /// drain swapped out.)
     #[cfg(feature = "faults")]
-    #[asset_annot::failpoint_checker]
     pub(crate) fn crash_torn(&self, site: &'static str, keep_per_mille: u16) -> ! {
         if let Some(disk) = &self.disk {
             let disk = disk.lock(); // behind a write in flight

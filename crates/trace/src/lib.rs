@@ -9,7 +9,7 @@
 //! * [`span`] — reconstruct a [`CausalGraph`]: one track per transaction
 //!   with lock-wait / commit-gate / rollback / log-flush sub-spans, plus
 //!   typed causal edges for `delegate`, `permit` (and the transitive
-//!   `permits_across` chains that actually admit a request),
+//!   `PermitTable::chain` chains that actually admit a request),
 //!   `form_dependency` CD/AD/GC, and group-commit fan-out.
 //! * [`chrome`] — Chrome trace-event JSON (Perfetto /
 //!   `chrome://tracing`): one named track per transaction, flow arrows

@@ -6,7 +6,7 @@
 //! (begin → commit/abort), sub-spans for the waits inside it (lock waits,
 //! the commit gate, rollback), and typed [`CausalEdge`]s for the ASSET
 //! primitives that connect transactions — `delegate`, `permit` (including
-//! the transitive chains `permits_across` walks), and `form_dependency`
+//! the transitive chains `PermitTable::chain` walks), and `form_dependency`
 //! CD/AD/GC edges. GC components are re-derived from the GC edges so a
 //! group commit shows up as one commit flow fanning out to every member.
 
@@ -180,7 +180,7 @@ pub enum EdgeKind {
         objects: u32,
     },
     /// A permit actually admitted a conflicting request (`chain` hops —
-    /// `> 1` means a transitive `permits_across` chain took effect).
+    /// `> 1` means a transitive permit chain took effect).
     PermitUsed {
         /// Permit-chain hops the check walked (1 = direct).
         chain: u32,

@@ -72,13 +72,12 @@ pub fn render_frame(intro: &Introspection, snap: &MetricsSnapshot) -> String {
     out.push('\n');
     let _ = writeln!(
         out,
-        "{:>6} {:>8} {:>8} {:>9} {:>8} {:>8} | {:>8} {:>8} {:>9} {:>10}",
+        "{:>6} {:>8} {:>8} {:>9} {:>8} | {:>8} {:>8} {:>9} {:>10}",
         "stripe",
         "objects",
         "granted",
         "suspended",
         "waiting",
-        "permits",
         "grants",
         "blocks",
         "deadlocks",
@@ -93,13 +92,12 @@ pub fn render_frame(intro: &Introspection, snap: &MetricsSnapshot) -> String {
         }
         let _ = writeln!(
             out,
-            "{:>6} {:>8} {:>8} {:>9} {:>8} {:>8} | {:>8} {:>8} {:>9} {:>10}",
+            "{:>6} {:>8} {:>8} {:>9} {:>8} | {:>8} {:>8} {:>9} {:>10}",
             occ.stripe,
             occ.objects,
             occ.granted,
             occ.suspended,
             occ.waiting,
-            occ.permits,
             st.grants,
             st.blocks,
             st.deadlocks,
@@ -310,14 +308,14 @@ mod tests {
             std::thread::yield_now();
         }
         let frame = render_frame(&db.introspect(), &db.metrics_snapshot());
-        // stripe rows: six cells left of the bar, `waiting` the fifth
+        // stripe rows: five cells left of the bar, `waiting` the fifth
         let waiting: u64 = frame
             .lines()
             .filter_map(|l| {
                 let cells: Vec<&str> = l.split('|').next()?.split_whitespace().collect();
                 cells
                     .get(4)
-                    .filter(|_| cells.len() == 6)?
+                    .filter(|_| cells.len() == 5)?
                     .parse::<u64>()
                     .ok()
             })

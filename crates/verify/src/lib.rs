@@ -98,16 +98,14 @@ pub const ACQUIRE_METHODS: [&str; 7] = [
 
 /// Ordered multi-lock helpers: calling them while holding a tracked lock
 /// is exempt from R2 (they establish order internally), and their own
-/// bodies are covered by a mandatory `#[verify_allow(lock_order)]`.
-pub const BLESSED: [&str; 8] = [
+/// bodies are covered by a mandatory `#[verify_allow(lock_order)]`. Each
+/// names a function of asset-lock.
+pub const BLESSED: [&str; 5] = [
     "release_all",
     "delegate",
     "permit",
     "permit_accessed",
-    "permits_across",
-    "permits_across_depth",
     "poison",
-    "notify_all_shards",
 ];
 
 /// Guard constructors that acquire txn-table shards (rank 0) in ascending
@@ -292,11 +290,18 @@ pub struct Workspace {
 
 impl Workspace {
     /// Load `crates/{core,lock,storage,server,client,coord}/src` under
-    /// `root`.
+    /// `root`. A missing `src` directory is an I/O error: a root that
+    /// lacks one of the six crates is not the workspace.
     pub fn from_root(root: &Path) -> io::Result<Self> {
         let mut raw = Vec::new();
         for krate in ["core", "lock", "storage", "server", "client", "coord"] {
             let src = root.join("crates").join(krate).join("src");
+            if !src.is_dir() {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("{}: no such directory", src.display()),
+                ));
+            }
             let mut paths = Vec::new();
             collect_rs(&src, &mut paths)?;
             paths.sort();
@@ -416,8 +421,7 @@ impl Workspace {
         for f in &self.files {
             for item in &f.parsed.fns {
                 let body = &f.toks[item.body.0..=item.body.1];
-                let by_attr = item.attrs.iter().any(|a| a.name == "failpoint_checker");
-                if by_attr || body_is_checker(body) {
+                if body_is_checker(body) {
                     checkers.insert(item.name.clone());
                 }
             }
@@ -594,9 +598,6 @@ fn body_is_checker(body: &[Tok]) -> bool {
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
-    if !dir.exists() {
-        return Ok(());
-    }
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let p = entry.path();

@@ -6,8 +6,8 @@
 //! `asset-storage` (`write_all`, `write_all_at`, `sync_data`, `sync_all`,
 //! `set_len`) to be *dominated* — preceded in the same function body — by
 //! a failpoint macro or a call to a failpoint-checker function (detected
-//! by `#[failpoint_checker]` or by body inspection: the fn evaluates the
-//! macros or consults the fault registry). A checker is no exception: its
+//! by body inspection: the fn evaluates the macros or consults the fault
+//! registry). A checker is no exception: its
 //! own durable writes must follow a failpoint evaluation in its own body,
 //! so a checker that writes first and evaluates later is reported.
 

@@ -185,8 +185,37 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// Blessed multi-lock helpers must declare their exemption explicitly.
+/// Blessed multi-lock helpers must declare their exemption explicitly, and
+/// every blessed name must name one: a stale entry would exempt the call
+/// sites of any later function of that name. The second half needs all of
+/// asset-lock in view, so it runs when the crate's `lib.rs` is analyzed.
 fn consistency_check(ws: &Workspace, out: &mut Vec<Finding>) {
+    let lock_root = ws
+        .files
+        .iter()
+        .find(|f| f.krate == "lock" && f.path.ends_with("src/lib.rs"));
+    if let Some(root) = lock_root {
+        for name in BLESSED {
+            let defined = ws
+                .files
+                .iter()
+                .filter(|f| f.krate == "lock" && !f.is_test_file)
+                .flat_map(|f| &f.parsed.fns)
+                .any(|i| !i.is_test && i.name == name);
+            if !defined {
+                out.push(Finding {
+                    rule: "meta",
+                    file: root.path.clone(),
+                    line: 1,
+                    func: name.to_string(),
+                    msg: format!(
+                        "`{name}` is blessed, but no asset-lock function defines it; \
+                         remove it from BLESSED"
+                    ),
+                });
+            }
+        }
+    }
     for (file, item) in ws.runtime_fns() {
         let required = (file.krate == "lock" && BLESSED.contains(&item.name.as_str()))
             || (file.krate == "core" && CONSTRUCTORS.contains(&item.name.as_str()));

@@ -10,12 +10,16 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_asset-verify"))
 }
 
+/// A workspace root holding the six analyzed crates, with `lib_rs` as
+/// the server's only source.
 fn mk_root(name: &str, lib_rs: &str) -> PathBuf {
     let root =
         std::env::temp_dir().join(format!("asset-verify-exit-{}-{name}", std::process::id()));
-    let src = root.join("crates/server/src");
-    std::fs::create_dir_all(&src).expect("temp workspace dirs");
-    std::fs::write(src.join("lib.rs"), lib_rs).expect("temp lib.rs");
+    for krate in ["core", "lock", "storage", "server", "client", "coord"] {
+        std::fs::create_dir_all(root.join("crates").join(krate).join("src"))
+            .expect("temp workspace dirs");
+    }
+    std::fs::write(root.join("crates/server/src/lib.rs"), lib_rs).expect("temp lib.rs");
     root
 }
 
@@ -53,6 +57,17 @@ fn exit_codes_are_pinned() {
     let s = bin().arg("--root").arg(&unreadable).status().expect("run");
     assert_eq!(s.code(), Some(2));
 
+    // 2: a root that is not the workspace, or lacks one of its crates
+    let s = bin()
+        .args(["--root", "/nonexistent/workspace"])
+        .status()
+        .expect("run");
+    assert_eq!(s.code(), Some(2));
+    let five = mk_root("five", "");
+    std::fs::remove_dir_all(five.join("crates/coord")).expect("drop one crate");
+    let s = bin().arg("--root").arg(&five).status().expect("run");
+    assert_eq!(s.code(), Some(2));
+
     // the SARIF document carries the finding and the rule catalog
     let sarif = bin()
         .arg("--root")
@@ -77,6 +92,7 @@ fn exit_codes_are_pinned() {
         .and_then(|u| u.as_str());
     assert_eq!(uri, Some("crates/server/src/lib.rs"));
 
+    std::fs::remove_dir_all(&five).ok();
     std::fs::remove_dir_all(&unreadable).ok();
     std::fs::remove_dir_all(&clean).ok();
     std::fs::remove_dir_all(&bad).ok();

@@ -231,6 +231,22 @@ fn meta_blessed_helper_must_declare_its_exemption() {
 }
 
 #[test]
+fn meta_a_blessed_name_must_name_an_asset_lock_function() {
+    let a = analyze(
+        "lock",
+        "crates/lock/src/lib.rs",
+        include_str!("fixtures/meta_stale_blessed.rs"),
+    );
+    assert_eq!(
+        rendered(&a),
+        [
+            "R0 meta: crates/lock/src/lib.rs:1 in `poison` — `poison` is blessed, but no \
+          asset-lock function defines it; remove it from BLESSED"
+        ]
+    );
+}
+
+#[test]
 fn meta_reasonless_suppressions_are_flagged() {
     let src = "impl T {\n    pub fn f(&mut self) {\n        // verify: allow(wal)\n        self.status = TxnStatus::Prepared;\n    }\n}\n";
     let a = analyze("core", "t.rs", src);
