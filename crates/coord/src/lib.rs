@@ -383,7 +383,6 @@ impl Driver {
             let msg = decision.message(group.clone());
             // best-effort: a dropped decide leaves the node prepared;
             // recover() re-delivers
-            // verify: allow(status_flow) — decision is durable; recover() re-delivers lost decides
             let _ = self.send(txn.gid, *node as usize, msg);
         }
         if decision == Decision::Abort {
@@ -392,7 +391,6 @@ impl Driver {
             for (node, tids) in members {
                 if !prepared.iter().any(|(n, _)| n == node) {
                     let msg = CommitMessage::AbortDecide { tids: tids.clone() };
-                    // verify: allow(status_flow) — abort decide is best-effort; participants time out
                     let _ = self.send(txn.gid, *node as usize, msg);
                 }
             }

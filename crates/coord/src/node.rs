@@ -10,7 +10,7 @@
 //! the equivalent mapping lives in the server's dispatch.
 
 use crate::transport::CommitMessage;
-use asset_common::sync::Mutex;
+use asset_common::sync::{Mutex, Rank};
 use asset_common::{Config, ParticipantState, Result, Tid};
 use asset_core::Database;
 use asset_obs::{EventKind, TraceCtx};
@@ -29,7 +29,7 @@ impl ParticipantNode {
         let (db, _report) = Database::open(config.clone())?;
         Ok(ParticipantNode {
             config,
-            db: Mutex::new(Some(db)),
+            db: Mutex::ranked(Some(db), Rank::SERVICE, 0),
         })
     }
 

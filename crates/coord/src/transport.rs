@@ -18,7 +18,7 @@ use crate::failpoints;
 use crate::node::ParticipantNode;
 use asset_client::{Client, ClientError};
 use asset_common::pool::{Pool, Work};
-use asset_common::sync::{Condvar, Mutex, MutexGuard};
+use asset_common::sync::{Condvar, Mutex, MutexGuard, Rank};
 use asset_common::{ParticipantState, Tid};
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{EventKind, Obs, TraceCtx};
@@ -472,7 +472,9 @@ pub struct TcpTransport {
 impl TcpTransport {
     /// A transport over the given server addresses.
     pub fn new(addrs: Vec<String>) -> TcpTransport {
-        let conns = addrs.iter().map(|_| Mutex::new(None)).collect();
+        let conns = (0..addrs.len())
+            .map(|node| Mutex::ranked(None, Rank::WIRE_CONN, node))
+            .collect();
         TcpTransport {
             addrs,
             conns,

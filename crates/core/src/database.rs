@@ -92,7 +92,6 @@ use crate::context::TxnCtx;
 use crate::exec::Task;
 use crate::threads::{txn_threads, TxnThreads};
 use crate::txns::{GroupGuard, TxnTable};
-use asset_annot::{exec_step, wal};
 use asset_common::ids::IdGen;
 use asset_common::sync::Mutex;
 use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
@@ -167,6 +166,19 @@ pub(crate) struct TxnSlot {
     /// `prepare_group` with the status, taken by the decide that ends the
     /// in-doubt window. `None` after a restart, which records nothing.
     pub prepared_at: Option<Instant>,
+}
+
+impl TxnSlot {
+    /// Move the TD to `next`: the one store of a status after the TD is
+    /// made, checked against the status machine in debug builds.
+    pub(crate) fn set_status(&mut self, next: TxnStatus) {
+        debug_assert!(
+            self.status.can_transition_to(next),
+            "{:?} -> {next:?} is not a status transition",
+            self.status
+        );
+        self.status = next;
+    }
 }
 
 pub(crate) struct DbInner {
@@ -547,7 +559,6 @@ impl Database {
     /// latency clock wrap the whole terminal processing (gate evaluation,
     /// parking, the forced record), and both are gated on tracing so the
     /// default commit path stays clock-free.
-    #[exec_step]
     pub(crate) fn open_commit_span(&self, t: Tid) -> Option<Instant> {
         let obs = &self.inner.obs;
         let t0 = obs.tracing_enabled().then(Instant::now);
@@ -562,7 +573,6 @@ impl Database {
 
     /// Commit-phase exit (committed, aborted, or flush-failed): record
     /// the end-to-end commit latency and close the span.
-    #[exec_step]
     pub(crate) fn close_commit_span(&self, t: Tid, t0: Option<Instant>) {
         if let Some(t0) = t0 {
             let obs = &self.inner.obs;
@@ -581,7 +591,7 @@ impl Database {
     /// next one), then steps 5–6 or the ambiguous-record reconciliation.
     /// No transaction-table shard is held across the force; the pin is
     /// what excludes.
-    #[wal(logs = "log_record", mutates = "self.finish_commit")]
+    // verify: wal(logs = "log_record", mutates = "self.finish_commit")
     fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
         #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
         let mut forced: Result<()> = Ok(());
@@ -734,7 +744,7 @@ impl Database {
     /// assert!(db.abort(t2).unwrap());      // aborting t2 undoes t1's write
     /// assert_eq!(db.peek(oid).unwrap(), None);
     /// ```
-    #[wal(logs = "log_record", mutates = "std::mem::take(&mut slot.undo)")]
+    // verify: wal(logs = "log_record", mutates = "std::mem::take(&mut slot.undo)")
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<ObSet>) -> Result<()> {
         let mut guard = self.lock_unpinned(&[from, to]);
         if guard.get(from).is_none() {
@@ -1119,7 +1129,7 @@ impl Database {
     // Each undo step logs its CLR and installs the image in one latched
     // engine call; the Abort record follows the last of them and precedes
     // the terminal status.
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Aborted")]
+    // verify: wal(logs = "log_record", mutates = "slot.set_status(TxnStatus::Aborted)")
     fn abort_claiming(&self, seeds: &[Tid], local: Option<Tid>) -> bool {
         enum Act {
             Skip,
@@ -1148,7 +1158,7 @@ impl Database {
                     TxnStatus::Running => {
                         // mark; the thread that runs or claims the body
                         // (or the executor worker) performs the steps
-                        slot.status = TxnStatus::Aborting;
+                        slot.set_status(TxnStatus::Aborting);
                         self.inner.locks.poison(x);
                         Act::Wake(slot.task.clone())
                     }
@@ -1167,7 +1177,9 @@ impl Database {
                             let in_log =
                                 !slot.undo.is_empty() || slot.status == TxnStatus::Prepared;
                             slot.abort_performed = true;
-                            slot.status = TxnStatus::Aborting;
+                            if slot.status != TxnStatus::Aborting {
+                                slot.set_status(TxnStatus::Aborting);
+                            }
                             Act::Undo(std::mem::take(&mut slot.undo), in_log)
                         }
                     }
@@ -1235,7 +1247,7 @@ impl Database {
             // graph has dropped x
             let (victims, resolved) = self.inner.txns.with(x, |slot| {
                 if let Some(slot) = slot {
-                    slot.status = TxnStatus::Aborted;
+                    slot.set_status(TxnStatus::Aborted);
                     slot.task = None; // nothing left to wake
                 }
                 self.inner.deps.lock().aborted(x)
@@ -1281,7 +1293,7 @@ impl Database {
     /// [`PART_AFTER_PREPARE`](crate::failpoints::PART_AFTER_PREPARE)), in
     /// which case the group stays `Prepared` awaiting the decision.
     /// Idempotent: re-preparing an already-prepared group returns it.
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Prepared")]
+    // verify: wal(logs = "log_record", mutates = "slot.set_status(TxnStatus::Prepared)")
     pub fn prepare_group(&self, seeds: &[Tid]) -> Result<Vec<Tid>> {
         if seeds.is_empty() {
             return Ok(Vec::new());
@@ -1357,7 +1369,7 @@ impl Database {
             // members come from the guard's own locked key set
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
-            slot.status = TxnStatus::Prepared;
+            slot.set_status(TxnStatus::Prepared);
             slot.prepared_at = Some(now);
         }
         drop(guard);
@@ -1403,7 +1415,7 @@ impl Database {
     /// restarts with the group in doubt, which cooperative termination
     /// resolves (§14.3). So a participant forces one record per global
     /// transaction, its vote.
-    #[wal(logs = "append", mutates = "self.finish_commit")]
+    // verify: wal(logs = "append", mutates = "self.finish_commit")
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
         let mut guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
@@ -1521,7 +1533,6 @@ impl Database {
     /// hands it to the transaction threads, the executor moves on to
     /// stepping. `false` when the transaction was doomed before it started
     /// (the commit then reports the abort).
-    #[exec_step]
     pub(crate) fn start(&self, t: Tid) -> Result<bool> {
         let begun = self.inner.txns.with(t, |slot| -> Result<bool> {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
@@ -1535,7 +1546,7 @@ impl Database {
                     op: "begin",
                 });
             }
-            slot.status = TxnStatus::Running;
+            slot.set_status(TxnStatus::Running);
             slot.thread_live = true;
             Ok(true)
         })?;
@@ -1550,7 +1561,6 @@ impl Database {
     /// alike: publish the outcome (`Running → Completed |
     /// Aborting`) and finalize a marked abort if one struck mid-run.
     /// Returns `true` when the transaction completed.
-    #[exec_step]
     pub(crate) fn complete(&self, t: Tid, succeeded: bool) -> bool {
         self.inner.obs.record(EventKind::TxnComplete {
             tid: t,
@@ -1561,11 +1571,11 @@ impl Database {
             slot.thread_live = false;
             if slot.status == TxnStatus::Running {
                 // a failed or panicked job aborts
-                slot.status = if succeeded {
+                slot.set_status(if succeeded {
                     TxnStatus::Completed
                 } else {
                     TxnStatus::Aborting
-                };
+                });
             }
             Some(slot.status)
         });
@@ -1585,7 +1595,6 @@ impl Database {
     /// body runs `Running`, or `Aborting` once an abort struck after the
     /// grant: that is reported, the entry pushed all the same (the undo
     /// runs when the body ends).
-    #[exec_step]
     pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
         let (before, seq) = self.inner.engine.write_object(t, ob, after)?;
         self.inner.txns.with(t, |slot| {
@@ -1608,7 +1617,6 @@ impl Database {
     /// back for the driver to make its one commit record durable. The
     /// statuses move to `Committed` only after that
     /// ([`finish_commit`](Self::finish_commit)).
-    #[exec_step]
     pub(crate) fn commit_pass(&self, t: Tid) -> Result<CommitPass> {
         enum Step {
             Done(bool),
@@ -1635,7 +1643,7 @@ impl Database {
                         Ok(Step::Wait)
                     }
                     TxnStatus::Completed | TxnStatus::Committing => {
-                        slot.status = TxnStatus::Committing;
+                        slot.set_status(TxnStatus::Committing);
                         Ok(Step::Gate)
                     }
                 }
@@ -1662,15 +1670,22 @@ impl Database {
                 // answered from the terminal status, never ahead of it
                 Ready::Doomed(group, _) => self.abort_many(&group),
                 Ready::Go(group, mut guard) => {
-                    // A group that holds no undo entry (read-only, or all
-                    // of its work delegated away) has nothing to make
-                    // durable and nothing in the log is its to commit: no
-                    // record, no flush window — straight to steps 5–6
-                    // under the guard.
-                    if group
-                        .iter()
-                        .all(|m| guard.get(*m).is_some_and(|s| s.undo.is_empty()))
-                    {
+                    // The group commits as one: every completed member
+                    // enters `Committing` with `t`. A group that holds no
+                    // undo entry (read-only, or all of its work delegated
+                    // away) has nothing to make durable and nothing in the
+                    // log is its to commit: no record, no flush window —
+                    // straight to steps 5–6 under the guard.
+                    let mut durable = false;
+                    for m in &group {
+                        #[expect(clippy::expect_used, reason = "guard-internal keys")]
+                        let slot = guard.get_mut(*m).expect("group member exists");
+                        if slot.status == TxnStatus::Completed {
+                            slot.set_status(TxnStatus::Committing);
+                        }
+                        durable |= !slot.undo.is_empty();
+                    }
+                    if !durable {
                         self.finish_commit(t, &group, guard);
                         return Ok(CommitPass::Done(true));
                     }
@@ -1699,7 +1714,6 @@ impl Database {
     /// commit (or prepare) of the group — and check that every member has
     /// completed execution (the paper's `commit(tj)` inside step 2c-ii is
     /// a blocking wait for the partner).
-    #[exec_step]
     fn ready_group(&self, seeds: &[Tid]) -> Result<Ready<'_>> {
         enum Gates {
             Open(Vec<Tid>),
@@ -1758,7 +1772,6 @@ impl Database {
     /// ack arrived, or the force returned): unpin, statuses, lock
     /// release, dependency cleanup, counters. `guard` holds the members'
     /// shards — the one function that moves a transaction to `Committed`.
-    #[exec_step]
     pub(crate) fn finish_commit(&self, t: Tid, group: &[Tid], mut guard: GroupGuard<'_>) {
         for m in group {
             // pinned or prepared slots are not terminated, so retirement
@@ -1766,7 +1779,7 @@ impl Database {
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
-            slot.status = TxnStatus::Committed;
+            slot.set_status(TxnStatus::Committed);
             slot.task = None; // nothing left to wake
             slot.undo = Vec::new(); // the TD outlives the commit; its buffer need not
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
@@ -1795,7 +1808,6 @@ impl Database {
     /// *after* the (possibly durable) commit record, so redo followed by
     /// the logged rollback converges to "not committed" on both sides of
     /// a restart.
-    #[exec_step]
     pub(crate) fn commit_failed(&self, t: Tid, group: &[Tid]) {
         {
             let mut guard = self.inner.txns.lock_group(group);

@@ -53,9 +53,8 @@
 //! (`TxnSlot::task`), for [`Database::nudge`] and an abort's wake.
 
 use crate::database::{CommitPass, Database, DbInner};
-use asset_annot::exec_step;
 use asset_common::ids::stripe_of;
-use asset_common::sync::{Condvar, Mutex};
+use asset_common::sync::{self, Condvar, Mutex, Rank};
 use asset_common::{AssetError, Oid, Operation, Result, Tid, TxnStatus};
 use asset_obs::{bump, EventKind};
 use asset_storage::LogRecord;
@@ -207,7 +206,7 @@ impl ExecInner {
             db: Arc::downgrade(inner),
             queues: (0..nq).map(|_| Mutex::new(VecDeque::new())).collect(),
             queue_mask: (nq - 1) as u64,
-            pending: Mutex::new(0),
+            pending: Mutex::ranked(0, Rank::EXEC_PENDING, 0),
             pending_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             dep_waiters: Mutex::new(Vec::new()),
@@ -331,7 +330,6 @@ impl ExecInner {
     }
 
     /// Run one dispatched transaction for up to [`STEP_BUDGET`] steps.
-    #[exec_step]
     fn run_task(exec: &Arc<ExecInner>, db: &Database, task: Arc<Task>) {
         let tid = task.tid;
         if task
@@ -345,7 +343,7 @@ impl ExecInner {
         let mut body = task.body.lock();
         for _ in 0..STEP_BUDGET {
             bump(&obs.counters.exec_steps);
-            match Self::step_once(exec, db, &task, &mut body) {
+            match sync::step(|| Self::step_once(exec, db, &task, &mut body)) {
                 StepOutcome::Continue => continue,
                 StepOutcome::Park(reason) => {
                     bump(&obs.counters.exec_parks);
@@ -383,7 +381,6 @@ impl ExecInner {
 
     /// One step of the per-transaction state machine. Never blocks;
     /// suspension is expressed through the returned [`StepOutcome`].
-    #[exec_step]
     fn step_once(
         exec: &Arc<ExecInner>,
         db: &Database,
@@ -583,7 +580,6 @@ impl StepCtx<'_> {
     /// grant-relevant change either preceded the attempt or wakes the task
     /// — no lost wakeup, nothing to re-check. `Ok(false)` is queued; a
     /// deadlock or an abort in progress is an error, as for `TxnCtx`.
-    #[exec_step]
     fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<bool> {
         let (tid, locks) = (self.task.tid, &self.db.inner.locks);
         let waker = || Waker::from(Arc::clone(self.task));
@@ -594,7 +590,6 @@ impl StepCtx<'_> {
 
     /// Non-blocking read: read-lock (honoring permits) then an S-latched
     /// read. `Done(None)` if the object does not exist.
-    #[exec_step]
     pub fn try_read(&mut self, ob: Oid) -> Result<TryOp<Option<Vec<u8>>>> {
         if !self.try_acquire(ob, Operation::Read)? {
             return Ok(TryOp::WouldBlock);
@@ -605,28 +600,23 @@ impl StepCtx<'_> {
     /// Non-blocking write: write-lock, X-latched install, before/after
     /// images logged, undo entry recorded — `TxnCtx::write` without the
     /// lock wait.
-    #[exec_step]
     pub fn try_write(&mut self, ob: Oid, bytes: impl Into<Vec<u8>>) -> Result<TryOp<()>> {
         self.try_install(ob, Some(bytes.into()))
     }
 
     /// Non-blocking delete (a write installing a tombstone).
-    #[exec_step]
     pub fn try_delete(&mut self, ob: Oid) -> Result<TryOp<()>> {
         self.try_install(ob, None)
     }
 
     /// Non-blocking exclusive lock without writing yet (upgrade-avoidance,
     /// as [`TxnCtx::lock_exclusive`](crate::TxnCtx::lock_exclusive)).
-    #[exec_step]
     pub fn try_lock_exclusive(&mut self, ob: Oid) -> Result<TryOp<()>> {
         if !self.try_acquire(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
         Ok(TryOp::Done(()))
     }
-
-    #[exec_step]
     fn try_install(&mut self, ob: Oid, after: Option<Vec<u8>>) -> Result<TryOp<()>> {
         if !self.try_acquire(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
@@ -702,12 +692,16 @@ impl Database {
                 tid,
                 exec: Arc::downgrade(&exec),
                 sched: AtomicU8::new(QUEUED),
-                body: Mutex::new(TaskBody {
-                    phase: Phase::Begin,
-                    prog: Some(Box::new(prog)),
-                    group: Vec::new(),
-                    commit_t0: None,
-                }),
+                body: Mutex::ranked(
+                    TaskBody {
+                        phase: Phase::Begin,
+                        prog: Some(Box::new(prog)),
+                        group: Vec::new(),
+                        commit_t0: None,
+                    },
+                    Rank::TASK,
+                    0,
+                ),
                 flush_result: Mutex::new(None),
             });
             queued = Some(Arc::clone(&task));

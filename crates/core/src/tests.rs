@@ -1997,3 +1997,46 @@ fn write_path_counters_equal_hand_counts() {
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A transaction-table shard ranks below a lock-table stripe: a waker
+/// built under the stripe mutex that visits a TD panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "lock order")]
+fn a_txn_shard_taken_under_a_lock_stripe_panics() {
+    let (db, ob) = (db(), Oid(1));
+    db.inner
+        .locks
+        .try_lock(Tid(1), ob, asset_common::Operation::Write)
+        .expect("free");
+    let waker = || {
+        db.inner.txns.with(Tid(2), |_| ());
+        std::task::Waker::noop().clone()
+    };
+    let _ = (db.inner.locks).request(Tid(2), ob, asset_common::Operation::Write, Some(&waker));
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "Committed -> Running is not a status transition")]
+fn a_status_store_outside_the_machine_panics() {
+    let mut slot = crate::database::TxnSlot {
+        status: TxnStatus::Committed,
+        ..Default::default()
+    };
+    slot.set_status(TxnStatus::Running);
+}
+
+/// Executor steps run flagged: a blocking primitive called from a step
+/// program panics (debug builds), and the panic aborts the transaction.
+#[test]
+fn a_blocking_call_inside_a_step_aborts_its_transaction() {
+    let db = db();
+    let t = db
+        .submit(|_| {
+            asset_common::sync::may_block();
+            crate::TxnStep::Done(Ok(()))
+        })
+        .unwrap();
+    assert_eq!(db.outcome(t).unwrap(), !cfg!(debug_assertions));
+}

@@ -18,10 +18,9 @@
 //! none skips the condvar's wake (a syscall).
 
 use crate::database::TxnSlot;
-use asset_annot::verify_allow;
 use asset_common::config::resolve_shards;
 use asset_common::ids::stripe_of;
-use asset_common::sync::{Condvar, Mutex, MutexGuard};
+use asset_common::sync::{Condvar, Mutex, MutexGuard, Rank};
 use asset_common::{IdMap, Tid};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -50,7 +49,9 @@ impl TxnTable {
     pub fn new(requested_shards: usize) -> TxnTable {
         let n = resolve_shards(requested_shards);
         TxnTable {
-            shards: (0..n).map(|_| Mutex::new(IdMap::default())).collect(),
+            shards: (0..n)
+                .map(|i| Mutex::ranked(IdMap::default(), Rank::TXN_SHARD, i))
+                .collect(),
             mask: (n - 1) as u64,
             epoch: Mutex::new(Epoch::default()),
             event_cv: Condvar::new(),
@@ -78,10 +79,6 @@ impl TxnTable {
     }
 
     /// Lock the shards of `tids` (deduplicated, ascending index order).
-    #[verify_allow(
-        lock_order,
-        reason = "blessed multi-lock: BTreeSet dedups and sorts shard indices, so acquisition is strictly ascending"
-    )]
     pub fn lock_group(&self, tids: &[Tid]) -> GroupGuard<'_> {
         let idxs: BTreeSet<usize> = tids.iter().map(|t| self.shard_index(*t)).collect();
         GroupGuard {
@@ -95,10 +92,6 @@ impl TxnTable {
 
     /// Lock every shard (operations that keep the table still: checkpoint,
     /// retirement).
-    #[verify_allow(
-        lock_order,
-        reason = "blessed multi-lock: locks every shard in ascending index order"
-    )]
     pub fn lock_all(&self) -> GroupGuard<'_> {
         GroupGuard {
             table: self,

@@ -43,13 +43,11 @@
 //! [`WaitGraph`] collector and counters are per-shard relaxed atomics, so
 //! deadlock checks and statistics reads never stall grants.
 
-use asset_annot::verify_allow;
-
 use crate::permit::{Permit, PermitTable};
 use crate::waits::{Parker, Wait, WaitGraph};
 use asset_common::config::resolve_shards;
 use asset_common::ids::stripe_of;
-use asset_common::sync::{Mutex, MutexGuard, RwLock};
+use asset_common::sync::{Mutex, MutexGuard, Rank, RwLock};
 use asset_common::{AssetError, IdMap, IdSet, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid};
 use asset_obs::{add, bump, CounterSnapshot, EventKind, Obs};
 use std::cell::OnceCell;
@@ -266,13 +264,17 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Shard {
+    fn new(idx: usize) -> Shard {
         Shard {
-            inner: Mutex::new(ShardInner {
-                objects: IdMap::default(),
-                txn_objects: IdMap::default(),
-                wakers: Vec::new(),
-            }),
+            inner: Mutex::ranked(
+                ShardInner {
+                    objects: IdMap::default(),
+                    txn_objects: IdMap::default(),
+                    wakers: Vec::new(),
+                },
+                Rank::LOCK_STRIPE,
+                idx,
+            ),
             stats: ShardStats::default(),
         }
     }
@@ -327,7 +329,7 @@ impl LockTable {
     pub fn with_shards_obs(n: usize, obs: Arc<Obs>) -> LockTable {
         let n = resolve_shards(n);
         LockTable {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            shards: (0..n).map(Shard::new).collect(),
             shard_mask: (n - 1) as u64,
             tid_shards: Mutex::new(IdMap::default()),
             permits: RwLock::new(PermitTable::new()),
@@ -683,10 +685,6 @@ impl LockTable {
     /// Record a permit, then wake the stripes of the objects it covers
     /// (every stripe for `ObSet::All`): requests queued there may now be
     /// let through.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: the PD table and each stripe mutex are taken in turn, one at a time"
-    )]
     pub fn permit(&self, grantor: Tid, grantee: Option<Tid>, obs: ObSet, ops: OpSet) {
         let scope = match &obs {
             ObSet::All => 0u32,
@@ -725,10 +723,6 @@ impl LockTable {
     /// The paper's `permit(ti, tj, op)` form: permit on every object the
     /// grantor has accessed *or has permission to access*, materialized at
     /// call time by traversing the grantor's LRD list and incoming PDs.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: materializes the object set shard-by-shard, one at a time, then delegates to permit"
-    )]
     pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) {
         let mut obs: BTreeSet<Oid> = BTreeSet::new();
         let mut all = false;
@@ -754,10 +748,6 @@ impl LockTable {
     /// merging with any locks `to` already holds, and re-attribute the
     /// permits `from` granted (§4.2 `delegate`). Shards are visited one at
     /// a time.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: visits shards one at a time, guard dropped between hops"
-    )]
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<&ObSet>) {
         let from_shards = self.shards_of(from);
         let mut moved_objects = 0u64;
@@ -832,10 +822,6 @@ impl LockTable {
     /// object, locked by it or not — and remove permits given by and to it
     /// (commit step 6 / abort step 3). Returns how many objects it
     /// released.
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: takes the tid→shard index entry, then walks those shards one at a time"
-    )]
     pub fn release_all(&self, tid: Tid) -> usize {
         self.cancel_wait(tid);
         let shards = self.tid_shards.lock().remove(&tid).unwrap_or_default();
@@ -880,10 +866,6 @@ impl LockTable {
     /// and wake it if blocked. Used when an abort strikes a transaction
     /// that may be waiting for a lock. Cleared by
     /// [`release_all`](Self::release_all).
-    #[verify_allow(
-        lock_order,
-        reason = "blessed: poison set and shard mutexes are never held together"
-    )]
     pub fn poison(&self, tid: Tid) {
         if self.poisoned.lock().insert(tid) {
             self.poison_count.fetch_add(1, Ordering::Relaxed);
@@ -1690,5 +1672,25 @@ mod tests {
         assert_eq!(LockTable::with_shards(3).shard_count(), 4);
         let auto = LockTable::new().shard_count();
         assert!(auto.is_power_of_two());
+    }
+
+    /// Runtime twins of the lock-order fixtures: stripes go in ascending
+    /// index order, and none is taken under the PD table.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order")]
+    fn stripes_taken_in_descending_order_panic() {
+        let t = LockTable::with_shards(2);
+        let _high = t.shards[1].inner.lock();
+        let _low = t.shards[0].inner.lock();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order")]
+    fn a_stripe_taken_under_the_pd_table_panics() {
+        let t = LockTable::with_shards(1);
+        let _pd = t.permits.read();
+        let _ = t.try_lock(Tid(1), Oid(1), Operation::Read);
     }
 }

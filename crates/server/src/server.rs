@@ -12,7 +12,7 @@ use crate::protocol::{
 };
 use crate::session::{OpReply, SessionTxn, TxnOp};
 use asset_common::codec::Reader;
-use asset_common::sync::Mutex;
+use asset_common::sync::{Mutex, Rank};
 use asset_common::ParticipantState;
 use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnOutcome, TxnStatus};
 use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
@@ -189,7 +189,7 @@ impl AssetServer {
         let shared = Arc::new(Shared {
             db,
             shutdown: AtomicBool::new(false),
-            mint: Mutex::new(()),
+            mint: Mutex::ranked((), Rank::SERVICE, 0),
             node_id,
             metrics: ServerMetrics::new(),
         });
@@ -268,7 +268,6 @@ impl AssetServer {
 /// Unblock a thread parked in `accept` on `addr` (it has no timeout) with
 /// a throwaway connection, so it sees its stop flag.
 pub(crate) fn wake_accept(addr: SocketAddr) {
-    // verify: allow(status_flow) — wake-up connection; no transaction outcome flows here
     let _ = TcpStream::connect(addr);
 }
 
@@ -292,7 +291,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Conns) {
                 // connection-level I/O errors only: txn fates are
                 // written to the wire before serve returns, and dangling
                 // sessions are drained by abort_leftovers
-                // verify: allow(status_flow) — txn outcomes surfaced via wire statuses and the drain counter
                 let _ = Connection::new(Arc::clone(&shared), &stream).serve(&stream);
                 shared
                     .metrics
@@ -308,7 +306,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Conns) {
     // being written still goes out.
     for (peer, _) in conns.lock().iter() {
         if let Some(peer) = peer.upgrade() {
-            // verify: allow(status_flow) — socket shutdown; no transaction outcome flows here
             let _ = peer.shutdown(Shutdown::Read);
         }
     }
@@ -778,7 +775,6 @@ impl Connection {
                         // enqueue errors mean the txn is already
                         // terminal; the outcome probe below reports its
                         // actual fate either way
-                        // verify: allow(status_flow) — outcome consumed by the probe below
                         let _ = db.abort(st.tid);
                     }
                     if matches!(db.outcome_kind(st.tid), Ok(TxnOutcome::CommitAmbiguous)) {
@@ -925,32 +921,68 @@ mod tests {
                 .with_commit_flush_window(Duration::from_micros(100)),
         )
         .expect("in-memory open");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let _client = TcpStream::connect(addr).expect("connect");
-        let (stream, _) = listener.accept().expect("accept");
-        let shared = Arc::new(Shared {
-            db: db.clone(),
-            shutdown: AtomicBool::new(false),
-            mint: Mutex::new(()),
-            node_id: 0,
-            metrics: ServerMetrics::new(),
-        });
-        let mut conn = Connection::new(shared, &stream);
-        let st = SessionTxn::submit(&db).expect("submit");
+        let (st, oid) = session_with_a_write(&db);
         let tid = st.tid;
-        let oid = db.new_oid();
-        assert!(matches!(
-            st.call(&db, TxnOp::Write(oid, vec![1])),
-            Some(OpReply::Done)
-        ));
-        conn.txns.insert(tid.0, st);
 
         // the write lock is held while the session txn parks
-        drop(conn);
+        drop_session_holding(&db, st);
 
         assert_eq!(db.outcome_kind(tid).unwrap(), TxnOutcome::Aborted);
         // the lock was released: another writer gets through
         assert!(db.run(move |ctx| ctx.write(oid, vec![2])).unwrap());
+    }
+
+    /// The drain's positive case: a session still holding a transaction
+    /// whose commit failed at the commit point counts it, once.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn dropping_a_connection_counts_its_ambiguous_transactions() {
+        use asset_faults::{FaultAction, FaultRegistry, Trigger};
+        let dir = std::env::temp_dir().join(format!("asset-server-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = Arc::new(FaultRegistry::new());
+        let config = Config::on_disk(&dir).with_faults(Arc::clone(&faults));
+        let (db, _) = Database::open(config.with_exec_workers(2)).expect("open");
+        let (st, _) = session_with_a_write(&db);
+        let window = asset_storage::failpoints::FLUSH_WINDOW_SYNC;
+        faults.arm(window, Trigger::Once, FaultAction::Error);
+        st.finishing(&db, TxnOp::Commit);
+        assert_eq!(
+            db.outcome_kind(st.tid).unwrap(),
+            TxnOutcome::CommitAmbiguous
+        );
+
+        drop_session_holding(&db, st);
+
+        let drained = db.obs().counters.snapshot().session_drain_ambiguous;
+        assert_eq!(drained, 1);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session transaction that has written one new object.
+    fn session_with_a_write(db: &Database) -> (SessionTxn, Oid) {
+        let st = SessionTxn::submit(db).expect("submit");
+        let oid = db.new_oid();
+        let wrote = st.call(db, TxnOp::Write(oid, vec![1]));
+        assert!(matches!(wrote, Some(OpReply::Done)));
+        (st, oid)
+    }
+
+    /// Drop a connection whose session holds `st`.
+    fn drop_session_holding(db: &Database, st: SessionTxn) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let shared = Arc::new(Shared {
+            db: db.clone(),
+            shutdown: AtomicBool::new(false),
+            mint: Mutex::ranked((), Rank::SERVICE, 0),
+            node_id: 0,
+            metrics: ServerMetrics::new(),
+        });
+        let mut conn = Connection::new(shared, &stream);
+        conn.txns.insert(st.tid.0, st);
+        drop(conn);
     }
 }

@@ -314,4 +314,17 @@ mod tests {
         assert_eq!(snap.counters.latch_contended, 0);
         assert_eq!(snap.latch_spins.count, 0);
     }
+
+    /// The object latch ranks above nothing a shard mutex allows: the old
+    /// `evict_clean`, which latched entries inside the shard's critical
+    /// section, panics.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order")]
+    fn a_latch_taken_under_a_cache_shard_panics() {
+        let c = ObjectCache::new();
+        let entry = c.entry(Oid(1));
+        let _shard = c.shard(Oid(1)).lock();
+        entry.read_with(c.obs(), |_| ());
+    }
 }

@@ -9,7 +9,6 @@ use crate::cache::ObjectCache;
 use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, Patch, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
-use asset_annot::wal;
 use asset_common::{Config, Lsn, Oid, Result, Tid};
 use asset_obs::Obs;
 use std::collections::{HashMap, HashSet};
@@ -121,7 +120,7 @@ impl StorageEngine {
     /// touch of an object per generation — every creation, every first
     /// write after a checkpoint cut the log, every entry loaded from the
     /// store's image — logs the full `Update { before, after }`.
-    #[wal(logs = "append_ref", mutates = "std::mem::replace(slot, after)")]
+    // verify: wal(logs = "append_ref", mutates = "std::mem::replace(slot, after)")
     pub fn write_object(
         &self,
         tid: Tid,

@@ -21,6 +21,7 @@
 //! exponentially growing backoff, yielding to the scheduler once the spin
 //! budget is exhausted (the paper's "time-varying delay").
 
+use asset_common::sync::{Held, Key, Rank};
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicU32, Ordering};
 #[cfg(not(loom))]
@@ -30,6 +31,9 @@ const X_HELD: u32 = 1 << 31;
 const X_WAIT_UNIT: u32 = 1 << 16;
 const X_WAIT_MASK: u32 = ((1 << 15) - 1) << 16;
 const S_MASK: u32 = (1 << 16) - 1;
+
+/// Every latch's place in the lock order: no two are held at once.
+const KEY: Key = Key::new(Rank::LATCH, 0);
 
 /// Backoff rounds (exponentially longer spins) before an acquisition starts
 /// yielding the thread.
@@ -56,12 +60,14 @@ impl Default for Latch {
 #[must_use = "releasing the guard releases the latch"]
 pub struct SharedGuard<'a> {
     latch: &'a Latch,
+    _held: Held,
 }
 
 /// RAII guard for an exclusive (X) latch acquisition.
 #[must_use = "releasing the guard releases the latch"]
 pub struct ExclusiveGuard<'a> {
     latch: &'a Latch,
+    _held: Held,
 }
 
 impl Latch {
@@ -104,13 +110,16 @@ impl Latch {
 
     /// Acquire in S mode. Blocks (spins) while an X holder exists or an X
     /// waiter is queued.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn shared(&self) -> SharedGuard<'_> {
         self.shared_profiled().0
     }
 
     /// Acquire in S mode, additionally reporting how many backoff rounds
     /// the acquisition spent (0 = granted on the first attempt).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn shared_profiled(&self) -> (SharedGuard<'_>, u32) {
+        KEY.check();
         let mut attempt = 0;
         let mut rounds = 0u32;
         loop {
@@ -122,7 +131,7 @@ impl Latch {
                     .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
-                    return (SharedGuard { latch: self }, rounds);
+                    return (self.shared_guard(), rounds);
                 }
             }
             self.backoff(&mut attempt);
@@ -131,17 +140,34 @@ impl Latch {
     }
 
     /// Try to acquire in S mode without spinning.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_shared(&self) -> Option<SharedGuard<'_>> {
         let v = self.state.load(Ordering::Relaxed);
-        if v & (X_HELD | X_WAIT_MASK) == 0
+        let claimed = v & (X_HELD | X_WAIT_MASK) == 0
             && self
                 .state
                 .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            Some(SharedGuard { latch: self })
+                .is_ok();
+        if claimed {
+            Some(self.shared_guard())
         } else {
             None
+        }
+    }
+
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn shared_guard(&self) -> SharedGuard<'_> {
+        SharedGuard {
+            latch: self,
+            _held: KEY.hold(self as *const Self as usize),
+        }
+    }
+
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn exclusive_guard(&self) -> ExclusiveGuard<'_> {
+        ExclusiveGuard {
+            latch: self,
+            _held: KEY.hold(self as *const Self as usize),
         }
     }
 
@@ -149,17 +175,20 @@ impl Latch {
     /// is waited for as a registered waiter, so that new readers are
     /// blocked (starvation avoidance), spinning until the latch is free of
     /// holders.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn exclusive(&self) -> ExclusiveGuard<'_> {
         self.exclusive_profiled().0
     }
 
     /// Acquire in X mode, additionally reporting how many backoff rounds
     /// the acquisition spent (0 = granted on the first attempt).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn exclusive_profiled(&self) -> (ExclusiveGuard<'_>, u32) {
+        KEY.check();
         // Uncontended: nobody holds or awaits the latch, so one CAS claims
         // it; the announce-then-claim loop is for a latch found busy.
-        if let Some(guard) = self.try_exclusive() {
-            return (guard, 0);
+        if self.claim_exclusive() {
+            return (self.exclusive_guard(), 0);
         }
         // Announce intent: blocks new readers.
         let prev = self.state.fetch_add(X_WAIT_UNIT, Ordering::Relaxed);
@@ -176,7 +205,7 @@ impl Latch {
                     .compare_exchange_weak(v, next, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
-                    return (ExclusiveGuard { latch: self }, rounds);
+                    return (self.exclusive_guard(), rounds);
                 }
             }
             self.backoff(&mut attempt);
@@ -185,16 +214,19 @@ impl Latch {
     }
 
     /// Try to acquire in X mode without spinning.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_exclusive(&self) -> Option<ExclusiveGuard<'_>> {
-        if self
-            .state
-            .compare_exchange(0, X_HELD, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(ExclusiveGuard { latch: self })
+        if self.claim_exclusive() {
+            Some(self.exclusive_guard())
         } else {
             None
         }
+    }
+
+    fn claim_exclusive(&self) -> bool {
+        self.state
+            .compare_exchange(0, X_HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
     }
 
     /// Current number of S holders (diagnostic).
@@ -233,15 +265,27 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    /// Two holders on two threads: one thread taking S twice is a lock
+    /// order violation, since a writer queued in between would block the
+    /// second take behind the first.
     #[test]
     fn shared_is_reentrant_across_holders() {
         let l = Latch::new();
         let a = l.shared();
-        let b = l.shared();
-        assert_eq!(l.s_count(), 2);
-        drop(a);
-        assert_eq!(l.s_count(), 1);
-        drop(b);
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let b = l.shared();
+                held.wait();
+                release.wait();
+                drop(b);
+            });
+            held.wait();
+            assert_eq!(l.s_count(), 2);
+            drop(a);
+            assert_eq!(l.s_count(), 1);
+            release.wait();
+        });
         assert_eq!(l.s_count(), 0);
     }
 

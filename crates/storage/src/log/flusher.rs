@@ -41,7 +41,7 @@
 //! append.
 
 use super::{LogManager, LogRecord};
-use asset_common::sync::{Condvar, Mutex, MutexGuard};
+use asset_common::sync::{may_block, Condvar, Mutex, MutexGuard};
 use asset_common::{Durability, Lsn, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::borrow::Borrow;
@@ -136,7 +136,9 @@ impl GroupFlusher {
     /// [`asset_faults::CrashPoint`] here, on the submitting thread,
     /// mirroring a direct forced append. On an idle flusher the caller runs
     /// the window itself; otherwise its record rides the thread's next one.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn submit_and_wait(&self, rec: impl Borrow<LogRecord>) -> Result<Lsn> {
+        may_block();
         let rec = rec.borrow();
         let mut st = self.shared.state.lock();
         let idle = !st.busy && st.queue.is_empty() && self.shared.window.is_zero();

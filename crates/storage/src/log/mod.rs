@@ -52,8 +52,7 @@ pub use flusher::{FlushCallback, GroupFlusher};
 pub(crate) use record::{checksum, rebuild};
 pub use record::{Ids, LogEntry, LogRecord, Patch, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
 
-use asset_annot::wal;
-use asset_common::sync::{Mutex, MutexGuard};
+use asset_common::sync::{may_block, Mutex, MutexGuard, Rank};
 use asset_common::{AssetError, Durability, Lsn, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::collections::HashMap;
@@ -148,7 +147,12 @@ pub struct LogManager {
 }
 
 impl LogManager {
-    fn new(disk: Option<Disk>, len: u64, durability: Durability, watermark: usize) -> LogManager {
+    fn new(
+        disk: Option<Mutex<Disk>>,
+        len: u64,
+        durability: Durability,
+        watermark: usize,
+    ) -> LogManager {
         LogManager {
             inner: Mutex::new(Inner {
                 tail: len,
@@ -156,7 +160,7 @@ impl LogManager {
                 synced: len,
                 ..Inner::default()
             }),
-            disk: disk.map(Mutex::new),
+            disk,
             durability,
             flush_watermark: watermark.max(1),
             generation: AtomicU64::new(1),
@@ -248,6 +252,18 @@ impl LogManager {
         durability: Durability,
         flush_watermark: usize,
     ) -> Result<LogManager> {
+        Self::open_ranked(path, durability, flush_watermark, 0)
+    }
+
+    /// [`open_with`](Self::open_with), the file's mutex at `ordinal` among
+    /// log files: a rewrite takes the next generation's (1) while it holds
+    /// the log's own (0).
+    fn open_ranked(
+        path: &Path,
+        durability: Durability,
+        flush_watermark: usize,
+        ordinal: usize,
+    ) -> Result<LogManager> {
         let mut file = loop {
             let file = OpenOptions::new()
                 .read(true)
@@ -274,6 +290,7 @@ impl LogManager {
             file,
             spare: Vec::new(),
         };
+        let disk = Mutex::ranked(disk, Rank::LOG_DISK, ordinal);
         Ok(Self::new(Some(disk), len, durability, flush_watermark))
     }
 
@@ -314,7 +331,7 @@ impl LogManager {
     /// The one append path: encode every record into `pending`, then
     /// accept them. Returns the first record's LSN and reports each one's
     /// to `each`.
-    #[wal(logs = "encode_into", mutates = "inner.tail +=")]
+    // verify: wal(logs = "encode_into", mutates = "inner.tail +=")
     fn append_inner<'a>(
         &self,
         recs: impl IntoIterator<Item = RecordRef<'a>>,
@@ -375,13 +392,14 @@ impl LogManager {
     /// What `Torn` means at a failpoint of the append path: the `write`
     /// that would have carried the buffer is cut short — a byte prefix of
     /// the block being assembled reaches the file, with no seal behind it —
-    /// and the process dies. (A `Torn` inside a drain,
+    /// and the process dies. An appender may hold an object latch, under
+    /// which nothing waits for the file: with a drain in flight, the
+    /// prefix that lands is the empty one. (A `Torn` inside a drain,
     /// [`LOG_FLUSH`](crate::failpoints::LOG_FLUSH), tears the block that
     /// drain swapped out.)
     #[cfg(feature = "faults")]
     pub(crate) fn crash_torn(&self, site: &'static str, keep_per_mille: u16) -> ! {
-        if let Some(disk) = &self.disk {
-            let disk = disk.lock(); // behind a write in flight
+        if let Some(disk) = self.disk.as_ref().and_then(Mutex::try_lock) {
             let inner = self.inner.lock();
             let keep = inner.pending.len() * keep_per_mille as usize / 1000;
             // verify: allow(failpoint_coverage) — this prefix write is the `Torn` action's own effect, reached only from a failpoint that fired
@@ -472,6 +490,7 @@ impl LogManager {
         if sync {
             let elide = asset_faults::failpoint_sync!(&self.faults, crate::failpoints::LOG_SYNC);
             if !elide {
+                may_block();
                 disk.file.sync_data()?;
                 // only a drain moves `written`, and this is the only one
                 let mut inner = self.inner.lock();
@@ -605,6 +624,7 @@ impl LogManager {
             if end < written {
                 self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
                 disk.file.set_len(end)?;
+                may_block();
                 disk.file.sync_data()?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
@@ -646,7 +666,8 @@ impl LogManager {
                 let mut beside = disk.path.clone().into_os_string();
                 beside.push(".next");
                 let _ = std::fs::remove_file(&beside); // what a crashed rewrite left
-                Self::open(Path::new(&beside), Durability::Strict)?
+                let watermark = DEFAULT_FLUSH_WATERMARK;
+                Self::open_ranked(Path::new(&beside), Durability::Strict, watermark, 1)?
             }
             None => Self::in_memory(),
         };
@@ -660,18 +681,21 @@ impl LogManager {
         // The log *is* the new file now, whatever happens next: move over —
         // offsets, file, owner lock; `next` leaves with the old ones —
         // before anything else can fail.
+        let mut swapped = std::mem::take(&mut *next.inner.lock());
         {
-            let (mut ours, mut theirs) = (self.inner.lock(), next.inner.lock());
-            theirs.records_appended += ours.records_appended;
-            theirs.records_coalesced += ours.records_coalesced;
-            std::mem::swap(&mut *ours, &mut *theirs);
+            let mut ours = self.inner.lock();
+            swapped.records_appended += ours.records_appended;
+            swapped.records_coalesced += ours.records_coalesced;
+            std::mem::swap(&mut *ours, &mut swapped);
             self.generation.fetch_add(1, Ordering::Relaxed);
         }
+        *next.inner.lock() = swapped;
         if let (Some(disk), Some(theirs)) = (&mut disk, &mut theirs) {
             std::mem::swap(&mut disk.file, &mut theirs.file);
             self.failpoint(crate::failpoints::LOG_REWRITE_AFTER_RENAME)?;
             // make the rename itself durable (where a directory can be opened)
             if let Some(Ok(dir)) = disk.path.parent().map(File::open) {
+                may_block();
                 dir.sync_all()?;
             }
         }

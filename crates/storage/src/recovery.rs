@@ -43,7 +43,6 @@
 use crate::cache::ObjectCache;
 use crate::log::{rebuild, LogManager, LogRecord, Patch, RecordRef};
 use crate::store::ObjectStore;
-use asset_annot::wal;
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
 use std::collections::{HashMap, HashSet};
 
@@ -283,7 +282,7 @@ impl LogFold {
 /// returned: the entry forgets that the log holds its image, so the next
 /// writer logs an explicit before image, and the caller withholds the
 /// `Abort` record, so a restart finishes what the log does not show.
-#[wal(logs = "append_ref", mutates = "*slot = image")]
+// verify: wal(logs = "append_ref", mutates = "*slot = image")
 pub(crate) fn undo_object(
     log: &LogManager,
     cache: &ObjectCache,

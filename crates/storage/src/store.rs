@@ -22,7 +22,7 @@
 use crate::cache::ObjectCache;
 use crate::log::checksum;
 use asset_common::codec::{put_varint, CodecError, Reader};
-use asset_common::sync::Mutex;
+use asset_common::sync::{may_block, Mutex, Rank};
 use asset_common::{AssetError, Oid, Result};
 use std::fs::File;
 use std::io::Write;
@@ -57,7 +57,7 @@ impl ObjectStore {
     fn holding(path: Option<PathBuf>) -> ObjectStore {
         ObjectStore {
             path,
-            memory: Mutex::new(None),
+            memory: Mutex::ranked(None, Rank::STORE, 0),
             #[cfg(feature = "faults")]
             faults: Default::default(),
         }
@@ -114,11 +114,13 @@ impl ObjectStore {
         });
         file.write_all(&image)?;
         if !asset_faults::failpoint_sync!(&self.faults, crate::failpoints::STORE_SYNC) {
+            may_block();
             file.sync_data()?;
         }
         std::fs::rename(&beside, path)?;
         // make the rename itself durable (where a directory can be opened)
         if let Some(Ok(dir)) = path.parent().map(File::open) {
+            may_block();
             dir.sync_all()?;
         }
         Ok(())

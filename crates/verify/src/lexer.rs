@@ -4,7 +4,8 @@
 //! never mistaken for code).
 //!
 //! `// verify: allow(rule, ...)` line comments are collected as suppression
-//! directives before being discarded.
+//! directives, and `// verify: wal(logs = "...", mutates = "...")` ones as
+//! WAL contracts, before being discarded.
 
 /// Token categories. The analyzer mostly matches on exact `text`, so the
 /// kinds stay coarse.
@@ -58,6 +59,18 @@ pub struct Directive {
     pub reason: String,
 }
 
+/// A `// verify: wal(logs = "...", mutates = "...")` contract (rule R1).
+/// It applies to the function whose `fn` is on the line below it.
+#[derive(Debug, Clone)]
+pub struct Contract {
+    /// 1-based line of the comment.
+    pub line: u32,
+    /// The function whose call must come first (empty when missing).
+    pub logs: String,
+    /// The token sequence of the mutation it covers (empty when missing).
+    pub mutates: String,
+}
+
 /// Two-character operators emitted as single tokens. `<<`/`>>` are left
 /// split so angle-bracket depth tracking in signatures stays simple (shift
 /// operators cannot appear in the signature positions we scan).
@@ -74,11 +87,12 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lex `src` into tokens plus suppression directives.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
+/// Lex `src` into tokens, suppression directives and WAL contracts.
+pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>, Vec<Contract>) {
     let b: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
     let mut dirs = Vec::new();
+    let mut contracts = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < b.len() {
@@ -104,6 +118,13 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
                     line,
                     rules,
                     reason,
+                });
+            }
+            if let Some((logs, mutates)) = parse_contract(&text) {
+                contracts.push(Contract {
+                    line,
+                    logs,
+                    mutates,
                 });
             }
             continue;
@@ -222,7 +243,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Directive>) {
         toks.push(Tok::new(c, line, Kind::Punct));
         i += 1;
     }
-    (toks, dirs)
+    (toks, dirs, contracts)
 }
 
 /// Does a string literal start at `i` (possibly behind `r`/`b`/`br`
@@ -325,13 +346,31 @@ fn parse_directive(comment: &str) -> Option<(Vec<String>, String)> {
     }
 }
 
+/// Parse a `// verify: wal(logs = "f", mutates = "x.y = z")` comment;
+/// returns the two arguments, empty where one is missing.
+fn parse_contract(comment: &str) -> Option<(String, String)> {
+    let body = comment.trim_start_matches('/').trim();
+    let rest = body.strip_prefix("verify:")?.trim().strip_prefix("wal")?;
+    let args = rest.trim_start().strip_prefix('(')?;
+    let arg = |key: &str| {
+        let open = format!("{key} = \"");
+        let at = args.find(&open)? + open.len();
+        let len = args[at..].find('"')?;
+        Some(args[at..at + len].to_string())
+    };
+    Some((
+        arg("logs").unwrap_or_default(),
+        arg("mutates").unwrap_or_default(),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn strips_comments_and_strings() {
-        let (t, d) = lex("let x = \"a.unwrap()\"; // .unwrap()\n/* panic!() */ y");
+        let (t, d, _) = lex("let x = \"a.unwrap()\"; // .unwrap()\n/* panic!() */ y");
         let texts: Vec<&str> = t.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["let", "x", "=", "\"…\"", ";", "y"]);
         assert!(d.is_empty());
@@ -339,30 +378,48 @@ mod tests {
 
     #[test]
     fn collects_directives() {
-        let (_, d) = lex("x();\n// verify: allow(status_flow, wal) — both fine here\ny();");
+        let (_, d, c) =
+            lex("x();\n// verify: allow(failpoint_coverage, wal) — both fine here\ny();");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
-        assert_eq!(d[0].rules, ["status_flow", "wal"]);
+        assert_eq!(d[0].rules, ["failpoint_coverage", "wal"]);
         assert_eq!(d[0].reason, "both fine here");
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn collects_wal_contracts() {
+        let (_, d, c) = lex(
+            "x();\n// verify: wal(logs = \"log_record\", mutates = \"slot.undo = v\")\nfn f() {}",
+        );
+        assert!(d.is_empty());
+        assert_eq!(c.len(), 1);
+        assert_eq!((c[0].line, c[0].logs.as_str()), (2, "log_record"));
+        assert_eq!(c[0].mutates, "slot.undo = v");
+        let (_, _, c) = lex("// verify: wal(logs = \"log_record\")\nfn f() {}");
+        assert_eq!(
+            (c[0].logs.as_str(), c[0].mutates.as_str()),
+            ("log_record", "")
+        );
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let (t, _) = lex("fn f<'a>(x: &'a u8) { let c = 'x'; let n = '\\n'; }");
+        let (t, _, _) = lex("fn f<'a>(x: &'a u8) { let c = 'x'; let n = '\\n'; }");
         assert!(t.iter().any(|t| t.text == "'a" && t.kind == Kind::Lifetime));
         assert_eq!(t.iter().filter(|t| t.text == "'…'").count(), 2);
     }
 
     #[test]
     fn raw_strings_and_nested_block_comments() {
-        let (t, _) = lex("a r#\"has \" quote\"# /* outer /* inner */ still */ b");
+        let (t, _, _) = lex("a r#\"has \" quote\"# /* outer /* inner */ still */ b");
         let texts: Vec<&str> = t.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["a", "\"…\"", "b"]);
     }
 
     #[test]
     fn two_char_operators_fuse() {
-        let (t, _) = lex("a::b != c -> d => e..=f");
+        let (t, _, _) = lex("a::b != c -> d => e..=f");
         let texts: Vec<&str> = t.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
             texts,
@@ -372,7 +429,7 @@ mod tests {
 
     #[test]
     fn line_numbers_survive_multiline_strings() {
-        let (t, _) = lex("let s = \"line\nline\nline\";\nfinal_ident");
+        let (t, _, _) = lex("let s = \"line\nline\nline\";\nfinal_ident");
         let f = t.iter().find(|t| t.text == "final_ident").unwrap();
         assert_eq!(f.line, 4);
     }

@@ -3,26 +3,23 @@
 //! A workspace invariant analyzer for the ASSET codebase. It lexes the
 //! runtime crates (`asset-core`, `asset-lock`, `asset-storage`,
 //! `asset-server`, `asset-client`, `asset-coord`) with a purpose-built
-//! lexer and enforces the five rules that need a call graph, lock ranks
-//! or dominance (each rule's module documents it):
+//! lexer and enforces the two rules that need dominance over source text
+//! (each rule's module documents it):
 //!
 //! - **R1 `wal`** — a log record lands before the state change it covers,
 //!   and `Prepared` is entered only after a `LogRecord::Prepared`;
-//! - **R2 `lock_order`** — txn-table shard → lock-table stripe → storage
-//!   latch, through callees too;
 //! - **R3 `failpoint_coverage`** — every durable write in `asset-storage`
-//!   is dominated by a failpoint evaluation;
-//! - **R5 `exec_step`** — no blocking call inside an `#[exec_step]`;
-//! - **R7 `status_flow`** — a `CommitAmbiguous` outcome is never
-//!   swallowed in `server`, `client` or `coord` (§13.4).
+//!   is dominated by a failpoint evaluation.
 //!
-//! Ids R4, R6 and R8 are retired, not reused: no-panic runtime paths are
-//! crate-level clippy denies, and the DESIGN.md tables are checked
-//! against the running code by the root test `tests/spec_tables.rs`.
+//! The lock order, the no-blocking rule of executor steps and the status
+//! machine are checked by running the code instead, in debug builds
+//! (`asset_common::sync`, DESIGN.md §11). Ids R2 and R4–R8 are retired,
+//! not reused.
 //!
-//! Suppressions are explicit and auditable: `#[verify_allow(rule,
-//! reason = "...")]` on a function, or `// verify: allow(rule) — reason`
-//! on (or directly above) the offending line. Reason-less suppressions are
+//! Annotations are comments the lexer reads: a WAL contract is
+//! `// verify: wal(logs = "...", mutates = "...")` on the line above a
+//! function, and a suppression is `// verify: allow(rule) — reason` on
+//! (or directly above) the offending line. Reason-less suppressions are
 //! themselves findings.
 
 pub mod lexer;
@@ -35,20 +32,14 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use lexer::{lex, Directive, Kind, Tok};
+use lexer::{lex, Contract, Directive, Kind, Tok};
 use parse::{parse_file, FnItem, ParsedFile};
-
-/// Lock classes of the global acquisition order, ranked ascending.
-pub const CLASS_NAMES: [&str; 3] = ["txn-shard", "lock-stripe", "storage-latch"];
 
 /// Rule id → human prefix (`wal` → `R1`).
 pub fn rule_id(rule: &str) -> &'static str {
     match rule {
         "wal" => "R1",
-        "lock_order" => "R2",
         "failpoint_coverage" => "R3",
-        "exec_step" => "R5",
-        "status_flow" => "R7",
         _ => "R0",
     }
 }
@@ -56,65 +47,22 @@ pub fn rule_id(rule: &str) -> &'static str {
 /// The rule catalog: `(name, id, one-line description)`, in id order.
 /// Drives `--help`, the SARIF `tool.driver.rules` array, and the CLI's
 /// rule count.
-pub const RULES: [(&str, &str, &str); 5] = [
+pub const RULES: [(&str, &str, &str); 2] = [
     (
         "wal",
         "R1",
         "WAL discipline: log records land before the mutations they cover",
     ),
     (
-        "lock_order",
-        "R2",
-        "stripe lock order: txn-shard -> lock-stripe -> storage-latch",
-    ),
-    (
         "failpoint_coverage",
         "R3",
         "every durable write in asset-storage is dominated by a failpoint evaluation",
     ),
-    (
-        "exec_step",
-        "R5",
-        "no blocking calls inside #[exec_step] executor steps",
-    ),
-    (
-        "status_flow",
-        "R7",
-        "CommitAmbiguous outcomes are never swallowed before reaching a wire status or TxnFate",
-    ),
 ];
 
-/// Methods whose receiver spine decides whether they are tracked lock
-/// acquisitions.
-pub const ACQUIRE_METHODS: [&str; 7] = [
-    "lock",
-    "shared",
-    "exclusive",
-    "shared_profiled",
-    "exclusive_profiled",
-    "try_shared",
-    "try_exclusive",
-];
-
-/// Ordered multi-lock helpers: calling them while holding a tracked lock
-/// is exempt from R2 (they establish order internally), and their own
-/// bodies are covered by a mandatory `#[verify_allow(lock_order)]`. Each
-/// names a function of asset-lock.
-pub const BLESSED: [&str; 5] = [
-    "release_all",
-    "delegate",
-    "permit",
-    "permit_accessed",
-    "poison",
-];
-
-/// Guard constructors that acquire txn-table shards (rank 0) in ascending
-/// order and hand back a multi-shard guard.
-pub const CONSTRUCTORS: [&str; 2] = ["lock_group", "lock_all"];
-
-/// Method names too generic to propagate lock-acquisition sets through the
-/// name-based call graph (a `HashMap::insert` call must not inherit
-/// `TxnTable::insert`'s behavior).
+/// Method names too generic to follow through the name-based call graph
+/// (a `HashMap::insert` call must not inherit `TxnTable::insert`'s
+/// behavior).
 pub const COMMON_NAMES: [&str; 52] = [
     "wait",
     "with",
@@ -192,8 +140,8 @@ pub const DURABLE_WRITES: [&str; 5] = [
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (`wal`, `lock_order`, `failpoint_coverage`, `exec_step`,
-    /// `status_flow`, or `meta` for analyzer-consistency findings).
+    /// Rule name (`wal`, `failpoint_coverage`, or `meta` for
+    /// analyzer-consistency findings).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -255,20 +203,12 @@ pub struct SrcFile {
     pub toks: Vec<Tok>,
     /// Suppression directives.
     pub dirs: Vec<Directive>,
+    /// WAL contracts.
+    pub contracts: Vec<Contract>,
     /// Extracted items.
     pub parsed: ParsedFile,
     /// Whole file is test code (declared via `#[cfg(test)] mod x;`).
     pub is_test_file: bool,
-}
-
-/// Lock-class rank for a crate: the global order is core(0) → lock(1) →
-/// storage(2).
-pub fn crate_rank(krate: &str) -> u8 {
-    match krate {
-        "core" => 0,
-        "lock" => 1,
-        _ => 2,
-    }
 }
 
 /// The loaded workspace plus derived indexes.
@@ -278,8 +218,6 @@ pub struct Workspace {
     pub files: Vec<SrcFile>,
     /// Name-based call graph over non-test functions.
     pub graph: BTreeMap<String, BTreeSet<String>>,
-    /// Transitive lock-class acquisition sets per function name.
-    pub acquire: BTreeMap<String, BTreeSet<u8>>,
     /// Failpoint-checker function names (R3 coverage sources).
     pub checkers: BTreeSet<String>,
     /// Analyze the `faults`-feature configuration: functions gated
@@ -323,13 +261,14 @@ impl Workspace {
         let mut files: Vec<SrcFile> = raw
             .into_iter()
             .map(|(krate, path, text)| {
-                let (toks, dirs) = lex(&text);
+                let (toks, dirs, contracts) = lex(&text);
                 let parsed = parse_file(&toks);
                 SrcFile {
                     krate,
                     path,
                     toks,
                     dirs,
+                    contracts,
                     parsed,
                     is_test_file: false,
                 }
@@ -371,7 +310,6 @@ impl Workspace {
         };
         ws.build_graph();
         ws.build_checkers();
-        ws.build_acquire_sets();
         ws
     }
 
@@ -429,49 +367,6 @@ impl Workspace {
         self.checkers = checkers;
     }
 
-    fn build_acquire_sets(&mut self) {
-        // Direct sets: tracked acquisitions visible in each fn body.
-        let mut direct: BTreeMap<String, BTreeSet<u8>> = BTreeMap::new();
-        for f in &self.files {
-            for item in &f.parsed.fns {
-                if item.is_test || f.is_test_file {
-                    continue;
-                }
-                let body = &f.toks[item.body.0..=item.body.1];
-                let set = direct.entry(item.name.clone()).or_default();
-                set.extend(rules::lock_order::direct_acquisitions(body, &f.krate));
-            }
-        }
-        // Transitive closure over the call graph, blocked at generic and
-        // blessed names so std-colliding methods don't leak classes.
-        let mut acquire = BTreeMap::new();
-        for name in direct.keys() {
-            let mut seen = BTreeSet::new();
-            let mut out = BTreeSet::new();
-            let mut frontier = vec![(name.clone(), 0usize)];
-            while let Some((n, d)) = frontier.pop() {
-                if d > 12 || !seen.insert(n.clone()) {
-                    continue;
-                }
-                if d > 0 && (COMMON_NAMES.contains(&n.as_str()) || BLESSED.contains(&n.as_str())) {
-                    continue;
-                }
-                if let Some(s) = direct.get(&n) {
-                    out.extend(s.iter().copied());
-                }
-                if let Some(callees) = self.graph.get(&n) {
-                    for c in callees {
-                        frontier.push((c.clone(), d + 1));
-                    }
-                }
-            }
-            if !out.is_empty() {
-                acquire.insert(name.clone(), out);
-            }
-        }
-        self.acquire = acquire;
-    }
-
     /// Does `from` reach a durable append sink through the call graph?
     pub fn reaches_sink(&self, from: &str) -> bool {
         let mut seen = BTreeSet::new();
@@ -499,15 +394,12 @@ impl Workspace {
     pub fn analyze(&self) -> Analysis {
         let mut raw = Vec::new();
         rules::wal::run(self, &mut raw);
-        rules::lock_order::run(self, &mut raw);
         rules::failpoints::run(self, &mut raw);
-        rules::exec_step::run(self, &mut raw);
-        rules::status_flow::run(self, &mut raw);
 
         let mut out = Analysis::default();
         for f in raw {
             match self.suppression_for(&f) {
-                Some((reason, origin)) => {
+                Some(reason) => {
                     if reason.is_empty() {
                         out.findings.push(Finding {
                             rule: "meta",
@@ -515,7 +407,7 @@ impl Workspace {
                             line: f.line,
                             func: f.func.clone(),
                             msg: format!(
-                                "suppression of `{}` via {origin} has no reason; add one",
+                                "suppression of `{}` via line directive has no reason; add one",
                                 f.rule
                             ),
                         });
@@ -537,27 +429,16 @@ impl Workspace {
         out
     }
 
-    /// Is the finding suppressed? Returns `(reason, origin)` if so.
-    fn suppression_for(&self, f: &Finding) -> Option<(String, &'static str)> {
+    /// Is the finding suppressed? Returns the reason if so: a directive
+    /// on the finding's line or the line above it.
+    fn suppression_for(&self, f: &Finding) -> Option<String> {
         let file = self.files.iter().find(|s| s.path == f.file)?;
-        // Line directive on the finding's line or the line above it.
-        for d in &file.dirs {
-            if (d.line == f.line || d.line + 1 == f.line) && d.rules.iter().any(|r| r == f.rule) {
-                return Some((d.reason.clone(), "line directive"));
-            }
-        }
-        // `#[verify_allow(rule, reason = "...")]` on the enclosing fn.
-        let item =
-            file.parsed.fns.iter().find(|i| {
-                i.name == f.func && f.line >= i.line && f.line <= file.toks[i.body.1].line
-            })?;
-        for a in &item.attrs {
-            if a.name == "verify_allow" && a.first_ident() == Some(f.rule) {
-                let reason = a.str_arg("reason").unwrap_or_default();
-                return Some((reason, "#[verify_allow]"));
-            }
-        }
-        None
+        file.dirs
+            .iter()
+            .find(|d| {
+                (d.line == f.line || d.line + 1 == f.line) && d.rules.iter().any(|r| r == f.rule)
+            })
+            .map(|d| d.reason.clone())
     }
 }
 

@@ -6,36 +6,17 @@
 
 use crate::lexer::{Kind, Tok};
 
-/// A parsed attribute, e.g. `#[wal(logs = "...", mutates = "...")]`.
+/// A parsed attribute, e.g. `#[cfg(feature = "faults")]`.
 #[derive(Debug, Clone)]
 pub struct Attr {
-    /// Last path segment of the attribute name (`asset_annot::wal` → `wal`).
+    /// Last path segment of the attribute name (`std::prelude::test` →
+    /// `test`).
     pub name: String,
     /// Tokens inside the argument parentheses (empty when none).
     pub args: Vec<Tok>,
 }
 
 impl Attr {
-    /// The string value of a `key = "value"` argument.
-    pub fn str_arg(&self, key: &str) -> Option<String> {
-        let mut i = 0;
-        while i + 2 < self.args.len() {
-            if self.args[i].text == key && self.args[i + 1].text == "=" {
-                return Some(self.args[i + 2].raw_str.clone().unwrap_or_default());
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// First bare identifier argument (the rule name of `verify_allow`).
-    pub fn first_ident(&self) -> Option<&str> {
-        self.args
-            .first()
-            .filter(|t| t.kind == Kind::Ident)
-            .map(|t| t.text.as_str())
-    }
-
     /// Does the argument list mention `ident` (outside a `not(...)`)?
     fn mentions_outside_not(&self, ident: &str) -> bool {
         let mut depth_not = 0i32;
@@ -483,9 +464,9 @@ mod tests {
 
     #[test]
     fn attributes_attach_through_pub_and_const() {
-        let p = fns("#[wal(logs = x)] pub const fn f() {}");
+        let p = fns("#[cfg(unix)] pub const fn f() {}");
         assert_eq!(p.fns[0].attrs.len(), 1);
-        assert_eq!(p.fns[0].attrs[0].name, "wal");
+        assert_eq!(p.fns[0].attrs[0].name, "cfg");
     }
 
     #[test]

@@ -2,8 +2,5 @@
 //! and pushes raw findings; suppression filtering happens centrally in
 //! [`crate::Workspace::analyze`].
 
-pub mod exec_step;
 pub mod failpoints;
-pub mod lock_order;
-pub mod status_flow;
 pub mod wal;

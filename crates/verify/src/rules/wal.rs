@@ -4,21 +4,23 @@
 //! describing every state transition *before* the in-memory transaction
 //! tables reflect it. The rule has three parts:
 //!
-//! 1. Every `#[wal(logs = "...", mutates = "...")]` contract is checked:
-//!    the first call to the `logs` function must textually precede the
-//!    first occurrence of the `mutates` token sequence in the body.
+//! 1. Every `// verify: wal(logs = "...", mutates = "...")` contract (on
+//!    the line above a function) is checked: the first call to the `logs`
+//!    function must textually precede the first occurrence of the
+//!    `mutates` token sequence in the body.
 //! 2. The `logs` callee must actually reach a durable append sink
 //!    (`write_all` / `sync_data` / buffer extend) through the call graph —
 //!    a contract naming a function that never persists anything is stale.
 //! 3. Inventory completeness: any runtime function in `asset-core` or
 //!    `asset-storage` that calls `log_record` directly must carry a
-//!    `#[wal]` contract (or an explicit suppression), so new log-writing
-//!    code cannot silently skip the ordering check.
+//!    contract (or an explicit suppression), so new log-writing code
+//!    cannot silently skip the ordering check.
 //! 4. `Prepared` is entered only through a forced record (§14.2): a
-//!    function in any scanned crate that assigns
-//!    `status = TxnStatus::Prepared` must construct `LogRecord::Prepared`
-//!    earlier in its body. Recovery re-materializes the state through a
-//!    struct initializer, a different shape, and is deliberately exempt.
+//!    function in any scanned crate that calls
+//!    `.set_status(TxnStatus::Prepared)` must construct
+//!    `LogRecord::Prepared` earlier in its body. Recovery re-materializes
+//!    the state through a struct initializer, a different shape, and is
+//!    deliberately exempt.
 
 use crate::lexer::{lex, Kind, Tok};
 use crate::{Finding, Workspace};
@@ -31,21 +33,18 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
         if file.krate != "core" && file.krate != "storage" {
             continue;
         }
-        let wal = item.attrs.iter().find(|a| a.name == "wal");
-        match wal {
-            Some(attr) => {
-                let logs = attr.str_arg("logs").unwrap_or_default();
-                let mutates = attr.str_arg("mutates").unwrap_or_default();
-                if logs.is_empty() || mutates.is_empty() {
+        match file.contracts.iter().find(|c| c.line + 1 == item.line) {
+            Some(c) => {
+                if c.logs.is_empty() || c.mutates.is_empty() {
                     out.push(finding(
                         file,
                         item,
                         item.line,
-                        "#[wal] contract needs both `logs` and `mutates` arguments".into(),
+                        "wal contract needs both `logs` and `mutates` arguments".into(),
                     ));
                     continue;
                 }
-                check_contract(ws, file, item, body, &logs, &mutates, out);
+                check_contract(ws, file, item, body, &c.logs, &c.mutates, out);
             }
             None => {
                 // Inventory: direct log_record callers must be annotated.
@@ -55,7 +54,8 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
                             file,
                             item,
                             body[i].line,
-                            "calls `log_record` but carries no #[wal(logs, mutates)] contract"
+                            "calls `log_record` but carries no `// verify: wal(logs, mutates)` \
+                             contract"
                                 .into(),
                         ));
                     }
@@ -81,7 +81,7 @@ fn check_contract(
                 file,
                 item,
                 item.line,
-                format!("#[wal] contract names `{logs}` but the body never calls it"),
+                format!("wal contract names `{logs}` but the body never calls it"),
             ));
             return;
         }
@@ -102,7 +102,7 @@ fn check_contract(
                 file,
                 item,
                 item.line,
-                format!("#[wal] contract is stale: `{mutates}` does not occur in the body"),
+                format!("wal contract is stale: `{mutates}` does not occur in the body"),
             ));
             return;
         }
@@ -121,7 +121,7 @@ fn check_contract(
     }
 }
 
-/// Part 4: `status = TxnStatus::Prepared` needs an earlier
+/// Part 4: `.set_status(TxnStatus::Prepared)` needs an earlier
 /// `LogRecord::Prepared` in the same body.
 fn check_prepared_entry(
     file: &crate::SrcFile,
@@ -129,7 +129,7 @@ fn check_prepared_entry(
     body: &[Tok],
     out: &mut Vec<Finding>,
 ) {
-    let assign = [".", "status", "=", "TxnStatus", "::", "Prepared"].map(String::from);
+    let assign = [".", "set_status", "(", "TxnStatus", "::", "Prepared"].map(String::from);
     let Some(at) = find_seq(body, &assign) else {
         return;
     };

@@ -28,7 +28,7 @@ fn exit_codes_are_pinned() {
     let clean = mk_root("clean", "pub fn status_of(v: u8) -> u8 {\n    v\n}\n");
     let bad = mk_root(
         "bad",
-        "pub fn prepare(slot: &mut Slot) {\n    slot.status = TxnStatus::Prepared;\n}\n",
+        "pub fn prepare(slot: &mut Slot) {\n    slot.set_status(TxnStatus::Prepared);\n}\n",
     );
 
     // 0: clean workspace

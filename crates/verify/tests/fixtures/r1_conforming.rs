@@ -3,10 +3,10 @@
 //! lands before the tracked state changes, so a crash at any point
 //! leaves recovery a log that explains everything it finds.
 
-use asset_annot::wal;
+// The contracts are `verify: wal` comments, read by the analyzer.
 
 impl Database {
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")]
+    // verify: wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")
     pub fn begin(&self, t: Tid) -> Result<()> {
         self.inner.txns.with(t, |slot| {
             self.inner.engine.log_record(&LogRecord::Begin { tid: t })?;
@@ -16,7 +16,7 @@ impl Database {
         })
     }
 
-    #[wal(logs = "log_record", mutates = "mem::take(&mut slot.undo)")]
+    // verify: wal(logs = "log_record", mutates = "mem::take(&mut slot.undo)")
     pub fn delegate(&self, from: Tid, to: Tid) -> Result<()> {
         let mut guard = self.inner.txns.lock_group(&[from, to]);
         self.inner
@@ -49,6 +49,6 @@ impl Slot {
     /// Forces the record, then enters `Prepared` (§14.2).
     pub fn mark_prepared(&mut self, log: &mut Vec<LogRecord>) {
         log.push(LogRecord::Prepared { tids: Vec::new() });
-        self.status = TxnStatus::Prepared;
+        self.set_status(TxnStatus::Prepared);
     }
 }

@@ -5,10 +5,10 @@
 //! recovery with in-memory state the log cannot explain. The analyzer
 //! must re-detect both reorders, and a `Prepared` entry with no record.
 
-use asset_annot::wal;
+// The contracts are `verify: wal` comments, read by the analyzer.
 
 impl Database {
-    #[wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")]
+    // verify: wal(logs = "log_record", mutates = "slot.status = TxnStatus::Running")
     pub fn begin(&self, t: Tid) -> Result<()> {
         self.inner.txns.with(t, |slot| {
             slot.status = TxnStatus::Running; // mutate first — the bug
@@ -18,7 +18,7 @@ impl Database {
         })
     }
 
-    #[wal(logs = "log_record", mutates = "mem::take(&mut slot.undo)")]
+    // verify: wal(logs = "log_record", mutates = "mem::take(&mut slot.undo)")
     pub fn delegate(&self, from: Tid, to: Tid) -> Result<()> {
         let mut guard = self.inner.txns.lock_group(&[from, to]);
         if let Some(slot) = guard.get_mut(from) {
@@ -50,6 +50,6 @@ impl StorageEngine {
 impl Slot {
     /// Enters `Prepared` without forcing the WAL record first (§14.2).
     pub fn mark_prepared(&mut self) {
-        self.status = TxnStatus::Prepared;
+        self.set_status(TxnStatus::Prepared);
     }
 }

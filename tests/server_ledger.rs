@@ -435,6 +435,13 @@ mod ambiguity {
             asset::server::protocol::status_name(resp.status)
         );
 
+        // and so does the client's commit
+        let window = asset::storage::failpoints::FLUSH_WINDOW_SYNC;
+        faults.arm(window, Trigger::Once, FaultAction::Error);
+        let t1 = c.begin().unwrap();
+        c.write(t1, first + 3, &7i64.to_le_bytes()).unwrap();
+        assert_eq!(c.commit(t1).unwrap(), TxnFate::Ambiguous);
+
         // a clean abort still reports ERR_COMMIT_ABORTED, not ambiguous
         let t2 = c.begin().unwrap();
         c.write(t2, first + 1, &1i64.to_le_bytes()).unwrap();
