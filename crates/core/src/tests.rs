@@ -1676,22 +1676,24 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
         LogRecord::Commit { tids: vec![t] },
     ];
     assert_eq!(records_since(&db, tail), expected);
-    // the log holds each balance's one changed byte, patched over its base
-    let patched = |oid, base: i64, after: i64| {
-        let mut bytes = Vec::new();
+    // the log holds each balance's one changed byte, patched over its
+    // base, and `t` as a one-byte tid (a delta, amid the in-memory log's
+    // one block)
+    let mut bytes = Vec::new();
+    let mut cursor = asset_storage::log::TidCursor::default();
+    for (oid, after) in [(a, 58i64), (b, 142)] {
         asset_storage::RecordRef::Overwrite {
             tid: t,
             oid,
             after: Some(asset_storage::log::Patch::between(
-                Some(&base.to_le_bytes()),
+                Some(&100i64.to_le_bytes()),
                 &after.to_le_bytes(),
             )),
         }
-        .encode_into(&mut bytes);
-        bytes.len()
-    };
-    let bytes = patched(a, 100, 58) + patched(b, 100, 142) + expected[2].encode().len();
-    assert_eq!((bytes, tail_after - tail), (17, bytes as u64));
+        .encode_into(&mut bytes, &mut cursor);
+    }
+    expected[2].as_ref().encode_into(&mut bytes, &mut cursor);
+    assert_eq!((bytes.len(), tail_after - tail), (16, bytes.len() as u64));
 }
 
 #[test]

@@ -398,57 +398,76 @@ mod tests {
         assert_eq!(kinds(&e), ["update", "update"]);
     }
 
-    /// A transfer over two balances the log has seen — 8-byte integers
-    /// near 1 000, each write moving the low byte alone — is three records
-    /// and 27 bytes with three-byte ids (two 11-byte patched `Overwrite`s,
-    /// a 5-byte `Commit`), plus its share of the seal that closes the drain
-    /// it leaves in: 32 alone, 20 × 27 + 5 for twenty in one drain — the
-    /// benchmark's `log_bytes_per_txn`.
-    #[test]
-    fn a_transfer_is_27_bytes_plus_its_share_of_one_seal_per_drain() {
-        let dir = std::env::temp_dir().join(format!("asset-eng-golden-{}", std::process::id()));
+    /// Through an on-disk engine from tid `base`, in a directory named by
+    /// `tag`: a transfer that creates both balances, one transfer alone in
+    /// a drain, then twenty in one drain, which read back whole. Returns
+    /// the log bytes of the last two.
+    fn transfer_bytes(tag: &str, base: u64) -> (u64, u64) {
+        let dir = std::env::temp_dir().join(format!("asset-eng-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (e, _) = StorageEngine::open(&Config::on_disk(&dir)).unwrap();
         let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
         // leaves `a` at 1 000 - k and `b` at 1 000 + k
-        let transfer = |tid: Tid, k: i64, forced: bool| {
-            e.write_object(tid, a, balance(1_000 - k)).unwrap();
-            e.write_object(tid, b, balance(1_000 + k)).unwrap();
-            let commit = LogRecord::Commit { tids: vec![tid] };
+        let transfer = |tid: u64, k: i64, forced: bool| {
+            e.write_object(Tid(tid), a, balance(1_000 - k)).unwrap();
+            e.write_object(Tid(tid), b, balance(1_000 + k)).unwrap();
+            let commit = LogRecord::Commit {
+                tids: vec![Tid(tid)],
+            };
             if forced {
                 e.log_record(&commit).unwrap();
             } else {
                 e.log.append(&commit).unwrap();
             }
         };
-        transfer(Tid(70_000), 0, true); // creates both: two `Update`s
+        transfer(base, 0, true); // creates both: two `Update`s
         let marks = e.log.watermarks();
-        transfer(Tid(70_001), 21, true);
+        transfer(base + 1, 21, true);
         let alone = e.log.watermarks();
         assert_eq!(alone.records_appended - marks.records_appended, 3);
-        assert_eq!(alone.tail.0 - marks.tail.0, 32);
         for t in 0..20 {
-            transfer(Tid(70_002 + t), 1 + t as i64, t == 19);
+            transfer(base + 2 + t, 1 + t as i64, t == 19);
         }
-        assert_eq!(e.log.tail().0 - alone.tail.0, 20 * 27 + 5);
         assert_eq!(e.log.pending_bytes(), 0);
-        // and reads back whole: the last transfer left 980 and 1 020
-        let records = e.log.scan().unwrap();
-        let last: Vec<LogRecord> = records[records.len() - 3..]
-            .iter()
-            .map(|(_, rec)| rec.clone())
-            .collect();
-        let tid = Tid(70_021);
+        let twenty = e.log.tail().0 - alone.tail.0;
+        // the last transfer left 980 and 1 020
+        let tid = Tid(base + 21);
         let overwrite = |oid, v| LogRecord::Overwrite {
             tid,
             oid,
             after: balance(v),
         };
         let commit = LogRecord::Commit { tids: vec![tid] };
-        assert_eq!(last, [overwrite(a, 980), overwrite(b, 1_020), commit]);
+        let last = [commit, overwrite(b, 1_020), overwrite(a, 980)];
+        let records = e.log.scan().unwrap().into_iter().rev().map(|(_, rec)| rec);
+        assert!(records.take(3).eq(last));
         drop(e);
         std::fs::remove_dir_all(&dir).unwrap();
+        (alone.tail.0 - marks.tail.0, twenty)
+    }
+
+    /// A transfer over two balances the log has seen — 8-byte integers
+    /// near 1 000, each write moving the low byte alone — is three records:
+    /// two patched `Overwrite`s and a one-tid `Commit`. Opening a block it
+    /// is 22 bytes with three-byte ids (11 + 9 + 2: only its first tid is
+    /// absolute), amid one 20, plus the seal that closes the drain it
+    /// leaves in: 27 alone, 22 + 19 × 20 + 5 for twenty in one drain — the
+    /// benchmark's `log_bytes_per_txn`.
+    #[test]
+    fn a_transfer_is_22_bytes_opening_a_block_20_amid_one_plus_one_seal_per_drain() {
+        let bytes = transfer_bytes("golden", 70_000);
+        assert_eq!(bytes, (11 + 9 + 2 + 5, 22 + 19 * 20 + 5));
+    }
+
+    /// A tid's width costs its block one absolute tid and nothing more:
+    /// the same drains logged at five-byte tids are two bytes longer each
+    /// than at three-byte ones.
+    #[test]
+    fn a_wider_tid_costs_only_the_absolute_tid_that_opens_a_block() {
+        let (alone, twenty) = transfer_bytes("narrow", 70_000);
+        let wide = transfer_bytes("wide", 3_000_000_000);
+        assert_eq!(wide, (alone + 2, twenty + 2));
     }
 
     /// Regression: restart used to undo its losers in the cache and log

@@ -50,7 +50,9 @@ mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
 pub(crate) use record::{checksum, rebuild};
-pub use record::{Ids, LogEntry, LogRecord, Patch, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN};
+pub use record::{
+    Ids, LogEntry, LogRecord, Patch, RecordRef, TidCursor, WireId, FORMAT_MARKER, SEAL_LEN,
+};
 
 use asset_common::sync::{may_block, Mutex, MutexGuard, Rank};
 use asset_common::{AssetError, Durability, Lsn, Oid, Result};
@@ -117,6 +119,9 @@ struct Inner {
     /// Records accepted and not yet handed to the file; the whole log of
     /// the in-memory backend.
     pending: Vec<u8>,
+    /// What the next record's tids are written against: reset where a
+    /// drain opens a seal, so each block starts with an absolute tid.
+    cursor: TidCursor,
     /// The prefix of `pending` that is sealed blocks, put back by a failed
     /// drain.
     sealed: usize,
@@ -280,7 +285,7 @@ impl LogManager {
             .read_to_end(&mut head)?;
         if !FORMAT_MARKER.starts_with(&head) {
             return Err(AssetError::Corrupt(format!(
-                "{} is not a v5 log: it starts {head:02x?}",
+                "{} is not a v6 log: it starts {head:02x?}",
                 path.display()
             )));
         }
@@ -352,10 +357,15 @@ impl LogManager {
         // every later LSN would be off from its record's offset.
         let lsn = Lsn(inner.tail);
         let start = inner.pending.len();
+        #[cfg(feature = "faults")]
+        let cursor_before = inner.cursor;
         let mut records = 0;
         for rec in recs {
-            each(Lsn(lsn.0 + (inner.pending.len() - start) as u64));
-            rec.encode_into(&mut inner.pending);
+            let Inner {
+                pending, cursor, ..
+            } = &mut *inner;
+            each(Lsn(lsn.0 + (pending.len() - start) as u64));
+            rec.encode_into(pending, cursor);
             records += 1;
         }
         asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
@@ -364,6 +374,7 @@ impl LogManager {
                 self.crash_torn(crate::failpoints::LOG_APPEND, keep_per_mille);
             }
             inner.pending.truncate(start);
+            inner.cursor = cursor_before;
             return Err(self
                 .faults
                 .realize_plain(crate::failpoints::LOG_APPEND, act)
@@ -451,6 +462,7 @@ impl LogManager {
             if inner.pending.len() > open_from {
                 record::open_seal(&mut inner.pending);
                 inner.tail += SEAL_LEN as u64;
+                inner.cursor = TidCursor::default();
             }
             let spare = std::mem::take(&mut disk.spare);
             (std::mem::replace(&mut inner.pending, spare), open_from)
@@ -628,17 +640,19 @@ impl LogManager {
                 disk.file.sync_data()?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
-                inner.sealed = 0;
+                (inner.sealed, inner.cursor) = (0, TidCursor::default());
                 (inner.tail, inner.written, inner.synced) = (end, end, end);
                 return Ok(());
             }
         }
-        // the buffer opens a generation's first block if the file is empty
+        // the buffer opens a block — a generation's first if the file is
+        // empty
         let mut off = match &disk {
             Some(_) if written == 0 => FORMAT_MARKER.len(),
             _ => 0,
         };
-        while let Some((entry, next)) = LogEntry::decode(&unwritten, off)? {
+        let mut cursor = TidCursor::default();
+        while let Some((entry, next)) = LogEntry::decode_in(&unwritten, off, &mut cursor)? {
             if let LogEntry::Record(rec) = entry {
                 visit(Lsn(written + off as u64), rec)?;
             }
@@ -732,15 +746,16 @@ fn replay_file(
     let (mut buf, mut base, mut start) = (Vec::new(), 0u64, 0usize);
     let (mut eof, mut records) = (false, 0);
     loop {
-        // Decode the block once; visit it only when it proves whole.
-        let mut block = Vec::with_capacity(records);
+        // Decode the block once, from its start, and visit it only when it
+        // proves whole.
+        let (mut block, mut cursor) = (Vec::with_capacity(records), TidCursor::default());
         // a generation's first block opens with the marker `open` checked
         let mut off = match base + start as u64 {
             0 => FORMAT_MARKER.len(),
             _ => start,
         };
         let seal = loop {
-            match LogEntry::decode(&buf, off)? {
+            match LogEntry::decode_in(&buf, off, &mut cursor)? {
                 Some((LogEntry::Record(rec), next)) => {
                     block.push((off, rec));
                     off = next;
@@ -829,10 +844,8 @@ mod tests {
 
     #[test]
     fn file_append_scan_reopen() {
-        let dir = std::env::temp_dir().join(format!("asset-log-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("basic");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         {
             let log = LogManager::open(&path, Durability::Strict).unwrap();
             for r in sample_records() {
@@ -854,10 +867,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ignored_on_scan() {
-        let dir = std::env::temp_dir().join(format!("asset-log-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("torn");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         {
             let log = LogManager::open(&path, Durability::Buffered).unwrap();
             for r in sample_records() {
@@ -884,9 +895,7 @@ mod tests {
     /// it chops off the file.
     #[test]
     fn replay_streams_across_chunks_and_chops_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("asset-log-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("stream");
         let path = dir.join("wal.log");
         let rec = |i: u64| LogRecord::Overwrite {
             tid: Tid(i),
@@ -912,10 +921,12 @@ mod tests {
                 lsns.push(log.append(&rec(i)).unwrap());
             }
             assert!(log.pending_bytes() > 0, "the last records are buffered");
+            // a seal between them: no record is longer amid a block than
+            // opening one, by more than the seal
             let gaps = lsns
                 .windows(2)
                 .zip(0..)
-                .filter(|(w, i)| w[1].0 - w[0].0 == (rec(*i).encode().len() + SEAL_LEN) as u64);
+                .filter(|(w, i)| w[1].0 - w[0].0 > rec(*i).encode().len() as u64);
             assert!(gaps.count() > 3 * REPLAY_CHUNK / DEFAULT_FLUSH_WATERMARK / 2);
             check(&log, &lsns);
             // a visitor's error ends the replay and is the replay's
@@ -950,9 +961,10 @@ mod tests {
     }
 
     /// A transfer in v3 frames (`[body_len][checksum u32][body]`, the
-    /// checksum over length and body; the bodies are what v4 still writes):
-    /// whole, valid, and not this format. It is refused before a byte of it
-    /// is parsed — and neither chopped as a torn tail nor appended to.
+    /// checksum over length and body; the bodies are what v4 and v5 still
+    /// wrote): whole, valid, and not this format. It is refused before a
+    /// byte of it is parsed — and neither chopped as a torn tail nor
+    /// appended to.
     #[test]
     fn a_v3_log_is_refused_and_left_untouched() {
         let dir = fresh_dir("v3");
@@ -962,13 +974,17 @@ mod tests {
             oid: Oid(oid),
             after: Some(58i64.to_le_bytes().to_vec()),
         };
-        let commit = LogRecord::Commit {
-            tids: vec![Tid(70_000)],
-        };
+        // and the `Commit` of 70 000 every format before v6 wrote: kind,
+        // count, tid
+        let commit = vec![3, 1, 0xF0, 0xA2, 0x04];
         let mut v3 = Vec::new();
-        for rec in [overwrite(90_000), overwrite(90_001), commit] {
-            let mut framed = vec![rec.encode().len() as u8];
-            framed.extend_from_slice(&rec.encode());
+        for body in [
+            overwrite(90_000).encode(),
+            overwrite(90_001).encode(),
+            commit,
+        ] {
+            let mut framed = vec![body.len() as u8];
+            framed.extend_from_slice(&body);
             let h = record::checksum(&framed);
             v3.push(framed[0]);
             v3.extend_from_slice(&((h >> 32) as u32 ^ h as u32).to_le_bytes());
@@ -987,29 +1003,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A v4 log — whole, sealed, valid in its own format, and holding only
-    /// records v5 writes the same — is refused before a byte of it is
-    /// parsed, by an error that names the format this build reads.
-    #[test]
-    fn a_v4_log_is_refused_and_left_untouched() {
-        let dir = fresh_dir("v4");
+    /// A sealed log behind an earlier format's `marker`, holding records
+    /// that format wrote, is refused before a byte of it is parsed, by an
+    /// error that names the format this build reads, and left as it was.
+    fn an_old_log_is_refused_and_left_untouched(tag: &str, marker: &[u8; 8]) {
+        let dir = fresh_dir(tag);
         let path = dir.join("wal.log");
-        let mut v4 = b"ASSETWL4".to_vec();
-        for rec in sample_records() {
-            rec.as_ref().encode_into(&mut v4);
-        }
-        record::open_seal(&mut v4);
-        record::fill_seal(&mut v4, 0);
-        std::fs::write(&path, &v4).unwrap();
+        let recs = sample_records();
+        // the `Commit` of one tid every format before v6 wrote
+        let mut old = [
+            &marker[..],
+            &recs[0].encode(),
+            &recs[1].encode(),
+            &[3, 1, 1],
+        ]
+        .concat();
+        record::open_seal(&mut old);
+        record::fill_seal(&mut old, 0);
+        std::fs::write(&path, &old).unwrap();
         for _ in 0..2 {
             let err = LogManager::open(&path, Durability::Strict).err().unwrap();
             assert!(
-                matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v5 log")),
+                matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v6 log")),
                 "{err}"
             );
-            assert_eq!(std::fs::read(&path).unwrap(), v4, "untouched");
+            assert_eq!(std::fs::read(&path).unwrap(), old, "untouched");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v4_log_is_refused_and_left_untouched() {
+        an_old_log_is_refused_and_left_untouched("v4", b"ASSETWL4");
+    }
+
+    /// v5 wrote every tid absolute, which v6 reads differently past a
+    /// block's first tid: a v5 log is not read at all.
+    #[test]
+    fn a_v5_log_is_refused_and_left_untouched() {
+        an_old_log_is_refused_and_left_untouched("v5", b"ASSETWL5");
     }
 
     /// An opener that waited for the lock while the owner cut the log gets,
@@ -1177,13 +1209,8 @@ mod tests {
     }
 
     fn appends_coalesce_until_forced(durability: Durability) {
-        let dir = std::env::temp_dir().join(format!(
-            "asset-log-coal-{durability:?}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir(&format!("coal-{durability:?}"));
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, durability, 1 << 20).unwrap();
         for r in sample_records() {
             log.append(&r).unwrap();
@@ -1208,10 +1235,8 @@ mod tests {
 
     #[test]
     fn tiny_watermark_writes_through() {
-        let dir = std::env::temp_dir().join(format!("asset-log-tw-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("tw");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Buffered, 1).unwrap();
         for r in sample_records() {
             log.append(&r).unwrap();
@@ -1223,10 +1248,8 @@ mod tests {
 
     #[test]
     fn coalesced_appends_and_drains_are_counted() {
-        let dir = std::env::temp_dir().join(format!("asset-log-obs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("obs");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Buffered, 1 << 20).unwrap();
         for r in sample_records() {
             log.append(&r).unwrap();
@@ -1278,14 +1301,12 @@ mod tests {
 
     #[test]
     fn unsynced_bytes_means_written_but_not_synced() {
-        let dir = std::env::temp_dir().join(format!("asset-log-unsync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("unsync");
 
         // Strict: unforced appends are pending until a forced (commit)
         // append drains and syncs them; a watermark drain in between
         // writes without syncing.
         let path = dir.join("strict.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Strict, 12).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         assert_eq!(log.pending_bytes() as u64, log.tail().0);
@@ -1305,7 +1326,6 @@ mod tests {
         // unsynced; they join the unsynced count at drain and leave it
         // only on an actual sync.
         let path = dir.join("buffered.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open_with(&path, Durability::Buffered, 1 << 20).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         assert_eq!(log.unsynced_bytes(), 0, "still in user space");
@@ -1330,14 +1350,9 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn failed_append_leaves_lsns_aligned_with_offsets() {
-        use asset_faults::{FaultAction, FaultRegistry, Trigger};
-        let dir = std::env::temp_dir().join(format!("asset-log-desync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("desync");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
-        let faults = Arc::new(FaultRegistry::new());
-        let mut log = LogManager::open(&path, Durability::Strict).unwrap();
-        log.set_faults(Arc::clone(&faults));
         let recs = sample_records();
         log.append(&recs[0]).unwrap();
         let tail_before = log.tail();
@@ -1346,7 +1361,10 @@ mod tests {
             Trigger::Once,
             FaultAction::Error,
         );
-        let err = log.append(&recs[1]).unwrap_err();
+        // refused, and with it the tid cursor it moved
+        let err = log
+            .append(&LogRecord::Abort { tid: Tid(1 << 40) })
+            .unwrap_err();
         assert!(err.to_string().contains("log.append.write"));
         assert_eq!(
             log.tail(),
@@ -1359,8 +1377,8 @@ mod tests {
         let lsn = log.append(&recs[1]).unwrap();
         assert_eq!(lsn, tail_before);
         let scanned = log.scan().unwrap();
+        assert_eq!(scanned[1], (lsn, recs[1].clone()));
         assert_eq!(scanned.len(), 2);
-        assert_eq!(scanned[1].0, lsn);
         assert_eq!(log.records_appended(), 2);
         // and the file agrees after a reopen
         log.flush().unwrap();
@@ -1375,15 +1393,10 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn torn_drain_crashes_and_leaves_a_prefix_of_its_block() {
-        use asset_faults::{FaultAction, FaultRegistry, Trigger};
-        let dir = std::env::temp_dir().join(format!("asset-log-tornfp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("tornfp");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         asset_faults::silence_crash_panics();
-        let faults = Arc::new(FaultRegistry::new());
-        let mut log = LogManager::open(&path, Durability::Strict).unwrap();
-        log.set_faults(Arc::clone(&faults));
         let recs = sample_records();
         log.append_forced(&recs[0]).unwrap();
         log.append(&recs[1]).unwrap();
@@ -1420,15 +1433,10 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn torn_append_lands_a_prefix_of_the_unsealed_block() {
-        use asset_faults::{FaultAction, FaultRegistry, Trigger};
-        let dir = std::env::temp_dir().join(format!("asset-log-tornap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("tornap");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         asset_faults::silence_crash_panics();
-        let faults = Arc::new(FaultRegistry::new());
-        let mut log = LogManager::open(&path, Durability::Strict).unwrap();
-        log.set_faults(Arc::clone(&faults));
         let recs = sample_records();
         log.append_forced(&recs[0]).unwrap();
         let whole = std::fs::metadata(&path).unwrap().len();
@@ -1456,14 +1464,8 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn elided_sync_reports_success_but_leaves_bytes_unsynced() {
-        use asset_faults::{FaultAction, FaultRegistry, Trigger};
-        let dir = std::env::temp_dir().join(format!("asset-log-elide-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
-        let faults = Arc::new(FaultRegistry::new());
-        let mut log = LogManager::open(&path, Durability::Strict).unwrap();
-        log.set_faults(Arc::clone(&faults));
+        use asset_faults::{FaultAction, Trigger};
+        let (dir, faults, log) = faulty_log("elide");
         faults.arm(
             crate::failpoints::LOG_SYNC,
             Trigger::Always,
@@ -1485,10 +1487,8 @@ mod tests {
     /// whatever the workers buffered before it.
     #[test]
     fn append_all_then_drain_is_one_write() {
-        let dir = std::env::temp_dir().join(format!("asset-log-window-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("window");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let recs = sample_records();
@@ -1512,10 +1512,8 @@ mod tests {
     /// "crash" that is a plain drop, keeps the unforced tail.
     #[test]
     fn drop_drains_the_unforced_tail() {
-        let dir = std::env::temp_dir().join(format!("asset-log-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("drop");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         let recs = sample_records();
         log.append(&recs[0]).unwrap();
@@ -1536,10 +1534,8 @@ mod tests {
     #[test]
     fn open_waits_for_the_previous_owner_to_drop() {
         use std::sync::mpsc::channel;
-        let dir = std::env::temp_dir().join(format!("asset-log-owner-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("owner");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         let old = LogManager::open(&path, Durability::Strict).unwrap();
         old.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let (opened_tx, opened_rx) = channel();
@@ -1637,14 +1633,26 @@ mod tests {
     }
 
     /// A drain that fails after appends raced it puts its bytes back *in
-    /// front of* theirs: every LSN handed out is still its record's offset.
+    /// front of* theirs: every LSN handed out is still its record's offset,
+    /// and every tid reads back as appended — the put-back block was
+    /// written against its own cursor, the racing append against the one
+    /// the failed drain reset when it opened its seal, and the append after
+    /// it goes on from there.
     #[cfg(feature = "faults")]
     #[test]
     fn failed_drain_with_racing_appends_keeps_lsns_aligned() {
         use asset_faults::{FaultAction, Trigger};
         let (dir, faults, log) = faulty_log("drainrace");
         let log = Arc::new(log);
-        let recs = sample_records();
+        let group = |t: &[u64]| LogRecord::Commit {
+            tids: t.iter().copied().map(Tid).collect(),
+        };
+        let recs = [
+            group(&[70_000]),
+            group(&[70_005, 3, 1 << 40]),
+            group(&[69_999, 2, u64::MAX]),
+            group(&[70_001]),
+        ];
         let mut lsns = vec![
             log.append_forced(&recs[0]).unwrap(),
             log.append(&recs[1]).unwrap(),
@@ -1674,18 +1682,23 @@ mod tests {
         lsns.append(&mut raced.lock().unwrap());
         assert_eq!(lsns.len(), 3);
         faults.reset();
-        let in_process: Vec<Lsn> = log.scan().unwrap().into_iter().map(|(l, _)| l).collect();
-        assert_eq!(in_process, lsns, "before the retry");
+        lsns.push(log.append(&recs[3]).unwrap());
+        let held = |log: &LogManager| {
+            log.scan()
+                .unwrap()
+                .into_iter()
+                .unzip::<_, _, Vec<_>, Vec<_>>()
+        };
+        assert_eq!(
+            held(&log),
+            (lsns.clone(), recs.to_vec()),
+            "before the retry"
+        );
         log.flush().unwrap();
         let tail = log.tail();
         drop(log);
         let log2 = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
-        let scanned = log2.scan().unwrap();
-        assert_eq!(scanned.iter().map(|(l, _)| *l).collect::<Vec<_>>(), lsns);
-        assert_eq!(
-            scanned.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
-            recs
-        );
+        assert_eq!(held(&log2), (lsns, recs.to_vec()), "reopened");
         assert_eq!(log2.tail(), tail);
         drop(log2);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -22,16 +22,17 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format (v5). A record is its own frame, `[kind u8][payload]`:
-//! every tid, oid, count and image length in a payload is LEB128; an
-//! optional image or object list is its length **plus one**, `0` meaning
-//! `None`. An `Overwrite`'s after image is the one exception: its length
-//! varint `h` is `0` for `None`, `2·len + 1` for a whole image of `len`
-//! bytes, and `2·(len + 1)` for a patch whose middle is `len` bytes, which
-//! the kept prefix and suffix lengths follow before the bytes. It carries
-//! no length and no checksum of its own, because nothing
-//! reaches the file one record at a time: the unit of integrity is the
-//! **block** one drain writes,
+//! Wire format (v6). A record is its own frame, `[kind u8][payload]`:
+//! every oid, count and image length in a payload is LEB128; an optional
+//! image or object list is its length **plus one**, `0` meaning `None`. An
+//! `Overwrite`'s after image is the one exception: its length varint `h`
+//! is `0` for `None`, `2·len + 1` for a whole image of `len` bytes, and
+//! `2·(len + 1)` for a patch whose middle is `len` bytes, which the kept
+//! prefix and suffix lengths follow before the bytes. A `Commit` or
+//! `Prepared` of one tid has a kind of its own and no count. It carries no
+//! length and no checksum of its own, because nothing reaches the file one
+//! record at a time: the unit of integrity is the **block** one drain
+//! writes,
 //!
 //! ```text
 //! [record]* [kind 0][checksum u32]
@@ -40,11 +41,15 @@
 //! closed by a seal whose checksum (FNV-1a, xor-folded to 32 bits) covers
 //! every byte since the previous seal. The first block of a log generation
 //! opens with the eight-byte [`FORMAT_MARKER`], which its seal covers too.
-//! A transfer that moves one low byte of two 8-byte balances the log has
-//! seen (two patched `Overwrite`s of 11 bytes, `Commit`) is 27 bytes with
-//! three-byte ids, plus its share of one five-byte seal per drain; v4
-//! logged both balances whole, 37 bytes. Kind 1 was v2's `Begin` and stays
-//! reserved.
+//! Tids are written against the block's [`TidCursor`]: the first tid field
+//! of a block is absolute LEB128, every later one the zigzag delta from the
+//! one before it, so the tids of a transaction's records, and of
+//! transactions begun together, cost a byte each. A block needs no other
+//! block to decode. A transfer that moves one low byte of two 8-byte
+//! balances the log has seen (two patched `Overwrite`s and a `Commit`) is
+//! 20 bytes amid a block with three-byte oids, 22 opening one, plus its
+//! share of one five-byte seal per drain; v5 wrote every tid whole, 27
+//! bytes. Kind 1 was v2's `Begin` and stays reserved.
 
 use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
@@ -253,29 +258,75 @@ pub(crate) fn rebuild(
     })
 }
 
-/// A tid or oid: a `u64` that is LEB128 in the log.
+/// The tid a block's next tid field is written against: none at the start
+/// of a block, where a tid is absolute LEB128, then the tid of the
+/// block's previous tid field, from which the next is a zigzag delta. The
+/// encoder keeps one beside the pending buffer and a reader one per block;
+/// both start over at every seal, so no block needs another to decode.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TidCursor(Option<u64>);
+
+/// A delta between two `u64`s, zigzagged (`0, -1, 1, -2, …` are `0, 1, 2,
+/// 3, …`) into 65 bits and written as LEB128: at most ten bytes, one for
+/// a delta within ±63.
+fn put_delta(out: &mut Vec<u8>, d: i128) {
+    let mut z = ((d << 1) ^ (d >> 127)) as u128;
+    while z >= 0x80 {
+        out.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    out.push(z as u8);
+}
+
+/// See [`put_delta`].
+fn delta(r: &mut Reader<'_>) -> Step<i128> {
+    let mut z = 0u128;
+    for shift in (0..70).step_by(7) {
+        let b = r.u8()?;
+        z |= u128::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            if z >> 65 != 0 {
+                break;
+            }
+            return Ok((z >> 1) as i128 ^ -((z & 1) as i128));
+        }
+    }
+    Err(CodecError::Corrupt("a tid delta runs past 65 bits".into()))
+}
+
+/// A tid or oid as the log writes it: an oid is plain LEB128, a tid is
+/// written against the block's [`TidCursor`].
 pub trait WireId: Copy {
-    /// The id with this raw value.
-    fn from_raw(raw: u64) -> Self;
-    /// The id's raw value.
-    fn raw(self) -> u64;
+    /// Append the id, moving `cursor` past it.
+    fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor);
+    /// Read an id, moving `cursor` past it.
+    fn get(r: &mut Reader<'_>, cursor: &mut TidCursor) -> std::result::Result<Self, CodecError>;
 }
 
 impl WireId for Tid {
-    fn from_raw(raw: u64) -> Tid {
-        Tid(raw)
+    fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor) {
+        match cursor.0.replace(self.0) {
+            None => put_varint(out, self.0),
+            Some(prev) => put_delta(out, i128::from(self.0) - i128::from(prev)),
+        }
     }
-    fn raw(self) -> u64 {
-        self.0
+    fn get(r: &mut Reader<'_>, cursor: &mut TidCursor) -> Step<Tid> {
+        let tid = match cursor.0 {
+            None => r.varint()?,
+            Some(prev) => u64::try_from(i128::from(prev) + delta(r)?)
+                .map_err(|_| CodecError::Corrupt(format!("a tid delta leaves u64 from {prev}")))?,
+        };
+        cursor.0 = Some(tid);
+        Ok(Tid(tid))
     }
 }
 
 impl WireId for Oid {
-    fn from_raw(raw: u64) -> Oid {
-        Oid(raw)
+    fn put(self, out: &mut Vec<u8>, _: &mut TidCursor) {
+        put_varint(out, self.0);
     }
-    fn raw(self) -> u64 {
-        self.0
+    fn get(r: &mut Reader<'_>, _: &mut TidCursor) -> Step<Oid> {
+        r.varint().map(Oid)
     }
 }
 
@@ -287,10 +338,12 @@ pub struct Ids<'a, T>(IdsRepr<'a, T>);
 #[derive(Clone, Copy, Debug)]
 enum IdsRepr<'a, T> {
     Slice(&'a [T]),
-    /// `len` LEB128 values, nothing after them (checked by [`ids`]).
+    /// `len` ids, nothing after them (checked by [`ids`]), the first
+    /// written against `base`.
     Encoded {
         bytes: &'a [u8],
         len: usize,
+        base: TidCursor,
     },
 }
 
@@ -310,14 +363,14 @@ impl<'a, T: WireId> Ids<'a, T> {
 
     /// The ids, in record order.
     pub fn iter(&self) -> impl Iterator<Item = T> + 'a {
-        let (slice, bytes) = match self.0 {
-            IdsRepr::Slice(s) => (s, &[][..]),
-            IdsRepr::Encoded { bytes, .. } => (&[][..], bytes),
+        let (slice, bytes, mut cursor) = match self.0 {
+            IdsRepr::Slice(s) => (s, &[][..], TidCursor::default()),
+            IdsRepr::Encoded { bytes, base, .. } => (&[][..], bytes, base),
         };
         let mut r = Reader::new(bytes);
         slice.iter().copied().chain(std::iter::from_fn(move || {
-            // validated at decode: every value is whole and fits a u64
-            r.varint().ok().map(T::from_raw)
+            // validated at decode: every id is whole and fits a u64
+            T::get(&mut r, &mut cursor).ok()
         }))
     }
 }
@@ -328,10 +381,10 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
-/// What a v5 log file starts with, at offset 0 of every generation: a file
+/// What a v6 log file starts with, at offset 0 of every generation: a file
 /// that starts otherwise was written in another format and is refused
 /// whole, before a byte of it is parsed, chopped or appended to.
-pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL5";
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL6";
 
 /// Bytes of a seal: its kind and the block's checksum.
 pub const SEAL_LEN: usize = 5;
@@ -345,6 +398,8 @@ const KIND_CHECKPOINT: u8 = 6;
 const KIND_CLR: u8 = 7;
 const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
+const KIND_COMMIT_ONE: u8 = 10;
+const KIND_PREPARED_ONE: u8 = 11;
 
 /// FNV-1a 64-bit checksum, for log blocks and the object store's image.
 ///
@@ -410,25 +465,31 @@ fn put_patch(out: &mut Vec<u8>, after: Option<Patch<'_>>) {
     }
 }
 
-/// The ids back to back; the caller has written the count.
-fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>) {
-    match ids.0 {
-        IdsRepr::Slice(s) => {
-            for id in s {
-                put_varint(out, id.raw());
-            }
-        }
-        IdsRepr::Encoded { bytes, .. } => out.extend_from_slice(bytes),
+/// The ids back to back; the caller has written the count. Decoded ids
+/// are encoded again, not copied: their tids were written against another
+/// cursor.
+fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>, cursor: &mut TidCursor) {
+    for id in ids.iter() {
+        id.put(out, cursor);
     }
+}
+
+/// A `Commit` or `Prepared` group: kind `one` and its tid, or kind `many`,
+/// the count and the tids.
+fn put_group(out: &mut Vec<u8>, [many, one]: [u8; 2], tids: Ids<'_, Tid>, c: &mut TidCursor) {
+    match tids.len() {
+        1 => out.push(one),
+        n => {
+            out.push(many);
+            put_varint(out, n as u64);
+        }
+    }
+    put_ids(out, tids, c);
 }
 
 /// A decode step: [`CodecError::Short`] is "not whole yet" (at the end of
 /// the file, the torn tail), [`CodecError::Corrupt`] is "no entry".
 type Step<T> = std::result::Result<T, CodecError>;
-
-fn id<T: WireId>(r: &mut Reader<'_>) -> Step<T> {
-    r.varint().map(T::from_raw)
-}
 
 fn opt_bytes<'a>(r: &mut Reader<'a>) -> Step<Option<&'a [u8]>> {
     let Some(len) = r.varint()?.checked_sub(1) else {
@@ -462,55 +523,69 @@ fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
 
 /// `n` ids, each at least one byte long (so `n` is bounded by the bytes
 /// left): walked once here, so that iterating them cannot fail.
-fn ids<'a, T>(r: &mut Reader<'a>, n: u64) -> Step<Ids<'a, T>> {
+fn ids<'a, T: WireId>(r: &mut Reader<'a>, n: u64, c: &mut TidCursor) -> Step<Ids<'a, T>> {
     if n > r.remaining() as u64 {
         return Err(CodecError::Short);
     }
-    let mut walk = *r;
+    let (mut walk, base) = (*r, *c);
     for _ in 0..n {
-        walk.varint()?;
+        T::get(&mut walk, c)?;
     }
     Ok(Ids(IdsRepr::Encoded {
         bytes: r.bytes(walk.pos() - r.pos())?,
         len: n as usize,
+        base,
     }))
 }
 
-fn tids<'a>(r: &mut Reader<'a>) -> Step<Ids<'a, Tid>> {
+fn tids<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<Ids<'a, Tid>> {
     let n = r.varint()?;
-    ids(r, n)
+    ids(r, n, c)
 }
 
-/// The entry at `r`: the one reader of the format. Short when the bytes
-/// end inside it, corrupt when no continuation makes them an entry.
-fn entry<'a>(r: &mut Reader<'a>) -> Step<LogEntry<'a>> {
+/// The entry at `r`, its tids read against `c`: the one reader of the
+/// format. Short when the bytes end inside it, corrupt when no
+/// continuation makes them an entry.
+fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
     Ok(LogEntry::Record(match r.u8()? {
-        KIND_SEAL => return Ok(LogEntry::Seal(r.u32()?)),
+        KIND_SEAL => {
+            let sum = r.u32()?;
+            *c = TidCursor::default();
+            return Ok(LogEntry::Seal(sum));
+        }
         KIND_UPDATE => RecordRef::Update {
-            tid: id(r)?,
-            oid: id(r)?,
+            tid: Tid::get(r, c)?,
+            oid: Oid::get(r, c)?,
             before: opt_bytes(r)?,
             after: opt_bytes(r)?,
         },
         KIND_OVERWRITE => RecordRef::Overwrite {
-            tid: id(r)?,
-            oid: id(r)?,
+            tid: Tid::get(r, c)?,
+            oid: Oid::get(r, c)?,
             after: patch(r)?,
         },
-        KIND_COMMIT => RecordRef::Commit { tids: tids(r)? },
-        KIND_ABORT => RecordRef::Abort { tid: id(r)? },
+        KIND_COMMIT => RecordRef::Commit { tids: tids(r, c)? },
+        KIND_COMMIT_ONE => RecordRef::Commit {
+            tids: ids(r, 1, c)?,
+        },
+        KIND_ABORT => RecordRef::Abort {
+            tid: Tid::get(r, c)?,
+        },
         KIND_DELEGATE => RecordRef::Delegate {
-            from: id(r)?,
-            to: id(r)?,
+            from: Tid::get(r, c)?,
+            to: Tid::get(r, c)?,
             obs: match r.varint()? {
                 0 => None,
-                n => Some(ids(r, n - 1)?),
+                n => Some(ids(r, n - 1, c)?),
             },
         },
         KIND_CHECKPOINT => RecordRef::Checkpoint,
-        KIND_PREPARED => RecordRef::Prepared { tids: tids(r)? },
+        KIND_PREPARED => RecordRef::Prepared { tids: tids(r, c)? },
+        KIND_PREPARED_ONE => RecordRef::Prepared {
+            tids: ids(r, 1, c)?,
+        },
         KIND_CLR => RecordRef::Clr {
-            oid: id(r)?,
+            oid: Oid::get(r, c)?,
             image: opt_bytes(r)?,
         },
         k => return Err(CodecError::Corrupt(format!("unknown record kind {k}"))),
@@ -529,15 +604,31 @@ pub enum LogEntry<'a> {
 }
 
 impl<'a> LogEntry<'a> {
-    /// Decode the entry that starts at `buf[off]`, borrowing from `buf`.
+    /// Decode the entry that starts a block at `buf[off]`, borrowing from
+    /// `buf`.
     ///
     /// Returns `Ok(Some((entry, next_off)))`; `Ok(None)` when `buf` ends
     /// before the entry does (more of the log may complete it; at the end
     /// of the file it is the torn tail); `Err` when the bytes are no entry.
     pub fn decode(buf: &'a [u8], off: usize) -> Result<Option<(LogEntry<'a>, usize)>> {
+        Self::decode_in(buf, off, &mut TidCursor::default())
+    }
+
+    /// [`decode`](Self::decode) the entry at `buf[off]` of a block whose
+    /// earlier entries left `cursor`, and move the cursor past it — to the
+    /// start of the next block past a seal — if it is whole.
+    pub fn decode_in(
+        buf: &'a [u8],
+        off: usize,
+        cursor: &mut TidCursor,
+    ) -> Result<Option<(LogEntry<'a>, usize)>> {
         let mut r = Reader::new(buf.get(off..).unwrap_or_default());
-        match entry(&mut r) {
-            Ok(entry) => Ok(Some((entry, off + r.pos()))),
+        let mut c = *cursor;
+        match entry(&mut r, &mut c) {
+            Ok(entry) => {
+                *cursor = c;
+                Ok(Some((entry, off + r.pos())))
+            }
             Err(CodecError::Short) => Ok(None),
             Err(CodecError::Corrupt(why)) => Err(AssetError::Corrupt(format!("log record: {why}"))),
         }
@@ -545,10 +636,11 @@ impl<'a> LogEntry<'a> {
 }
 
 impl<'a> RecordRef<'a> {
-    /// Append the record — kind byte and payload — to `out`: the one
+    /// Append the record — kind byte and payload — to `out`, its tids
+    /// written against `c`, the cursor of the block `out` ends in: the one
     /// encoder of the format. Encoded in place, so a buffer with room
     /// allocates nothing.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>, c: &mut TidCursor) {
         match *self {
             RecordRef::Update {
                 tid,
@@ -557,47 +649,41 @@ impl<'a> RecordRef<'a> {
                 after,
             } => {
                 out.push(KIND_UPDATE);
-                put_varint(out, tid.raw());
-                put_varint(out, oid.raw());
+                tid.put(out, c);
+                oid.put(out, c);
                 put_opt_bytes(out, before);
                 put_opt_bytes(out, after);
             }
             RecordRef::Overwrite { tid, oid, after } => {
                 out.push(KIND_OVERWRITE);
-                put_varint(out, tid.raw());
-                put_varint(out, oid.raw());
+                tid.put(out, c);
+                oid.put(out, c);
                 put_patch(out, after);
             }
-            RecordRef::Commit { tids } => {
-                out.push(KIND_COMMIT);
-                put_varint(out, tids.len() as u64);
-                put_ids(out, tids);
-            }
+            RecordRef::Commit { tids } => put_group(out, [KIND_COMMIT, KIND_COMMIT_ONE], tids, c),
             RecordRef::Abort { tid } => {
                 out.push(KIND_ABORT);
-                put_varint(out, tid.raw());
+                tid.put(out, c);
             }
             RecordRef::Delegate { from, to, obs } => {
                 out.push(KIND_DELEGATE);
-                put_varint(out, from.raw());
-                put_varint(out, to.raw());
+                from.put(out, c);
+                to.put(out, c);
                 match obs {
                     None => out.push(0),
                     Some(list) => {
                         put_varint(out, list.len() as u64 + 1);
-                        put_ids(out, list);
+                        put_ids(out, list, c);
                     }
                 }
             }
             RecordRef::Checkpoint => out.push(KIND_CHECKPOINT),
             RecordRef::Prepared { tids } => {
-                out.push(KIND_PREPARED);
-                put_varint(out, tids.len() as u64);
-                put_ids(out, tids);
+                put_group(out, [KIND_PREPARED, KIND_PREPARED_ONE], tids, c)
             }
             RecordRef::Clr { oid, image } => {
                 out.push(KIND_CLR);
-                put_varint(out, oid.raw());
+                oid.put(out, c);
                 put_opt_bytes(out, image);
             }
         }
@@ -708,10 +794,11 @@ impl LogRecord {
         }
     }
 
-    /// The record's bytes in the log.
+    /// The record's bytes as the first entry of a block.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.as_ref().encode_into(&mut out);
+        self.as_ref()
+            .encode_into(&mut out, &mut TidCursor::default());
         out
     }
 }
@@ -741,7 +828,7 @@ mod tests {
             panic!("a record");
         };
         let mut again = Vec::new();
-        borrowed.encode_into(&mut again);
+        borrowed.encode_into(&mut again, &mut TidCursor::default());
         assert_eq!(again, bytes);
         // and it is self-delimiting: what follows it is not its business
         let mut followed = bytes.clone();
@@ -758,7 +845,7 @@ mod tests {
             oid: Oid(2),
             after: Some(patch),
         }
-        .encode_into(&mut bytes);
+        .encode_into(&mut bytes, &mut TidCursor::default());
         let Some((LogEntry::Record(RecordRef::Overwrite { after, .. }), end)) =
             LogEntry::decode(&bytes, 0).unwrap()
         else {
@@ -832,11 +919,14 @@ mod tests {
         });
     }
 
-    /// Golden v5 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
-    /// where a 100 000-account ledger lives), and `Overwrite`s as the write
-    /// path patches them over 8-byte balances near 1 000, the ledger's. The
-    /// last assertion is the benchmark's `log_bytes_per_txn` claim, guarded
-    /// in tier-1.
+    /// Golden v6 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// where a 100 000-account ledger lives), each record alone in its
+    /// block (its first tid absolute), and `Overwrite`s as the write path
+    /// patches them over 8-byte balances near 1 000, the ledger's. Then a
+    /// transfer as the log holds it: opening a block, only its first tid is
+    /// absolute; amid one, every tid is a one-byte delta. The last
+    /// assertions are the benchmark's `log_bytes_per_txn` claim, guarded in
+    /// tier-1.
     #[test]
     fn golden_frame_sizes() {
         let (tid, oid) = (Tid(70_000), Oid(90_000));
@@ -853,7 +943,8 @@ mod tests {
             oid,
             after: img(),
         });
-        let overwrite = |from: i64, to: i64| {
+        // the write path's `Overwrite` of `oid` from `from` to `to`
+        let overwrite = |tid, oid, from: i64, to: i64, c: &mut TidCursor| {
             let (base, after) = (from.to_le_bytes(), to.to_le_bytes());
             let mut out = Vec::new();
             RecordRef::Overwrite {
@@ -861,21 +952,26 @@ mod tests {
                 oid,
                 after: Some(Patch::between(Some(&base), &after)),
             }
-            .encode_into(&mut out);
+            .encode_into(&mut out, c);
             out.len()
         };
+        let alone = |from, to| overwrite(tid, oid, from, to, &mut TidCursor::default());
         let commit = len(LogRecord::Commit { tids: vec![tid] });
-        assert_eq!((update, whole, commit), (25, 16, 5));
+        assert_eq!((update, whole, commit), (25, 16, 4));
         // 1 000 - 37 = 0x03C3 beside 0x03E8: one byte moves, seven stay
-        assert_eq!(overwrite(1_000, 963), 11);
+        assert_eq!(alone(1_000, 963), 11);
         // 1 000 + 50 = 0x041A: the carry moves two
-        assert_eq!(overwrite(1_000, 1_050), 12);
+        assert_eq!(alone(1_000, 1_050), 12);
         // an unchanged image keeps all eight
-        assert_eq!(overwrite(1_000, 1_000), 10);
+        assert_eq!(alone(1_000, 1_000), 10);
         // 50 → -50 moves every byte: whole, as v4 wrote it
-        assert_eq!(overwrite(50, -50), whole);
+        assert_eq!(alone(50, -50), whole);
         assert_eq!(len(LogRecord::Abort { tid }), 4);
-        assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 5);
+        assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 4);
+        // a group carries its count, and its later tids are deltas
+        let group = || vec![tid, Tid(70_001)];
+        assert_eq!(len(LogRecord::Commit { tids: group() }), 6);
+        assert_eq!(len(LogRecord::Prepared { tids: group() }), 6);
         assert_eq!(len(LogRecord::Checkpoint), 1);
         assert_eq!(len(LogRecord::Clr { oid, image: img() }), 13);
         let delegate = |obs| LogRecord::Delegate {
@@ -883,17 +979,28 @@ mod tests {
             to: tid,
             obs,
         };
-        assert_eq!(len(delegate(None)), 8);
-        assert_eq!(len(delegate(Some(vec![oid, oid]))), 14);
+        assert_eq!(len(delegate(None)), 6);
+        assert_eq!(len(delegate(Some(vec![oid, oid]))), 12);
         let mut block = vec![1, 2, 3];
         open_seal(&mut block);
         assert_eq!(block.len() - 3, SEAL_LEN);
         assert_eq!(SEAL_LEN, 5);
-        assert_eq!(
-            2 * overwrite(1_000, 963) + commit,
-            27,
-            "a transfer's log bytes"
-        );
+        // one balance down by k, the other up by k, and the commit
+        let transfer = |tid: Tid, k: i64, c: &mut TidCursor| {
+            let mut commit = Vec::new();
+            let down = overwrite(tid, oid, 1_000, 1_000 - k, c);
+            let up = overwrite(tid, Oid(oid.0 + 1), 1_000, 1_000 + k, c);
+            LogRecord::Commit { tids: vec![tid] }
+                .as_ref()
+                .encode_into(&mut commit, c);
+            [down, up, commit.len()]
+        };
+        let mut c = TidCursor::default();
+        let opening = transfer(tid, 21, &mut c);
+        let amid = transfer(Tid(70_001), 21, &mut c);
+        assert_eq!((opening, amid), ([11, 9, 2], [9, 9, 2]));
+        let [opening, amid] = [opening, amid].map(|t| t.iter().sum::<usize>());
+        assert_eq!((opening, amid), (22, 20), "a transfer's log bytes");
     }
 
     /// A patch keeps the longest common prefix, then the longest common
@@ -934,7 +1041,9 @@ mod tests {
         open_seal(&mut log);
         fill_seal(&mut log, 0);
         let second = log.len();
-        LogRecord::Checkpoint.as_ref().encode_into(&mut log);
+        LogRecord::Checkpoint
+            .as_ref()
+            .encode_into(&mut log, &mut TidCursor::default());
         open_seal(&mut log);
         fill_seal(&mut log, second);
         let (_, at) = decode(&log, 0).unwrap();
@@ -1005,7 +1114,7 @@ mod tests {
         assert!(LogEntry::decode(&bytes, 0).is_err());
         // nor is a kind nobody writes — v2's `Begin` included
         assert!(LogEntry::decode(&[1, 7], 0).is_err());
-        assert!(LogEntry::decode(&[10], 0).is_err());
+        assert!(LogEntry::decode(&[12], 0).is_err());
     }
 
     /// A count no buffer could hold is never allocated for, nor walked: it
@@ -1029,7 +1138,90 @@ mod tests {
         else {
             panic!("a commit record");
         };
-        assert_eq!(tids.iter().collect::<Vec<_>>(), [Tid(5), Tid(128)]);
+        // 5, absolute; then 128, the zigzag of +64
+        assert_eq!(tids.iter().collect::<Vec<_>>(), [Tid(5), Tid(69)]);
+    }
+
+    /// A block's tids are deltas from the tid before them, either way and
+    /// across every width, and a seal starts the next block over with an
+    /// absolute tid; decoding one entry moves the cursor only when it is
+    /// whole. A `Commit` or `Prepared` of one tid has a kind of its own.
+    #[test]
+    fn tids_are_deltas_within_a_block_and_absolute_after_a_seal() {
+        let tids = [70_000, 70_001, 69_990, u64::MAX, 0, 1 << 35, 3];
+        let recs: Vec<LogRecord> = tids
+            .iter()
+            .map(|&t| LogRecord::Abort { tid: Tid(t) })
+            .chain([
+                LogRecord::Commit { tids: vec![Tid(9)] },
+                LogRecord::Prepared {
+                    tids: vec![Tid(2), Tid(u64::MAX), Tid(1)],
+                },
+                LogRecord::Delegate {
+                    from: Tid(3),
+                    to: Tid(1),
+                    obs: Some(vec![Oid(u64::MAX)]),
+                },
+            ])
+            .collect();
+        let (mut log, mut c) = (Vec::new(), TidCursor::default());
+        let mut sizes = Vec::new();
+        for block in 0..2 {
+            let from = log.len();
+            for rec in &recs {
+                let at = log.len();
+                rec.as_ref().encode_into(&mut log, &mut c);
+                sizes.push(log.len() - at);
+            }
+            open_seal(&mut log);
+            fill_seal(&mut log, from);
+            c = TidCursor::default();
+            assert_eq!(sizes[block * recs.len()], 4, "absolute after a seal");
+        }
+        // +1, -11 and the one-tid kinds: two bytes each
+        assert_eq!(&sizes[1..3], [2, 2]);
+        assert_eq!(log[sizes[..7].iter().sum::<usize>()], KIND_COMMIT_ONE);
+        let (mut off, mut c, mut back) = (0, TidCursor::default(), Vec::new());
+        while off < log.len() {
+            let before = c;
+            let (entry, next) = LogEntry::decode_in(&log, off, &mut c).unwrap().unwrap();
+            // short of its last byte, an entry leaves the cursor as it was
+            let mut cut = before;
+            let short = LogEntry::decode_in(&log[..next - 1], off, &mut cut).unwrap();
+            assert!(short.is_none() && cut == before);
+            if let LogEntry::Record(rec) = entry {
+                back.push(rec.to_owned());
+            }
+            off = next;
+        }
+        assert_eq!(back, [recs.clone(), recs].concat());
+    }
+
+    /// A delta that would take a tid below 0 or past `u64::MAX`, or that
+    /// runs past 65 bits, is `Corrupt`: never a wrapped tid.
+    #[test]
+    fn a_tid_delta_out_of_range_is_corrupt() {
+        // a `Delegate` from `from` to `from` moved by the delta `to`
+        let decode = |from: u64, to: &[u8]| {
+            let mut bytes = vec![KIND_DELEGATE];
+            put_varint(&mut bytes, from);
+            bytes.extend_from_slice(to);
+            bytes.push(0);
+            LogEntry::decode(&bytes, 0).map(|e| e.is_some())
+        };
+        let delta = |d| {
+            let mut bytes = Vec::new();
+            put_delta(&mut bytes, d);
+            bytes
+        };
+        assert!(decode(5, &delta(-5)).unwrap());
+        assert!(decode(5, &delta(-6)).is_err());
+        assert!(decode(u64::MAX - 1, &delta(1)).unwrap());
+        assert!(decode(u64::MAX - 1, &delta(2)).is_err());
+        assert!(decode(0, &delta(u64::MAX.into())).unwrap());
+        // ten bytes, the last carrying bit 65; eleven
+        assert!(decode(0, &[[0x80; 9].as_slice(), &[4]].concat()).is_err());
+        assert!(decode(0, &[0xFF; 11]).is_err());
     }
 
     /// Cut a five-record stream at every byte — one record's image length
@@ -1061,29 +1253,28 @@ mod tests {
             .map(LogRecord::as_ref)
             .chain([patched])
             .collect();
-        let mut log = vec![];
-        let mut ends = vec![];
+        let (mut log, mut ends, mut c) = (vec![], vec![], TidCursor::default());
         for r in &recs {
-            r.encode_into(&mut log);
+            r.encode_into(&mut log, &mut c);
             ends.push(log.len());
         }
         open_seal(&mut log);
         fill_seal(&mut log, 0);
         for cut in 0..log.len() {
             let whole = ends.iter().filter(|e| **e <= cut).count();
-            let mut off = 0;
+            let (mut off, mut c) = (0, TidCursor::default());
             for end in &ends[..whole] {
+                let mut again = (Vec::new(), c);
                 let Some((LogEntry::Record(back), next)) =
-                    LogEntry::decode(&log[..cut], off).unwrap()
+                    LogEntry::decode_in(&log[..cut], off, &mut c).unwrap()
                 else {
                     panic!("a record at {off}");
                 };
-                let mut again = Vec::new();
-                back.encode_into(&mut again);
-                assert_eq!((&again[..], next), (&log[off..*end], *end));
+                back.encode_into(&mut again.0, &mut again.1);
+                assert_eq!((&again.0[..], next), (&log[off..*end], *end));
                 off = next;
             }
-            let rest = LogEntry::decode(&log[..cut], off).unwrap();
+            let rest = LogEntry::decode_in(&log[..cut], off, &mut c).unwrap();
             assert!(rest.is_none(), "cut at {cut} should read as not whole");
         }
         // an offset past the end of the buffer is the same

@@ -9,10 +9,15 @@
 //! is cut at *every* byte offset, and one byte of it is flipped. An
 //! `Overwrite` of an object the log holds an image of is appended as the
 //! write path logs it, a patch against that image, and reads back whole.
+//! Tids wander, with now and then a far jump either way: within a block
+//! they are deltas of both signs and every size, and each block opens with
+//! an absolute tid of some LEB128 width.
 
 use asset_common::{AssetError, Durability, Lsn, Oid, Tid};
 use asset_faults::{cases, Rng};
-use asset_storage::log::{LogManager, LogRecord, Patch, RecordRef, FORMAT_MARKER, SEAL_LEN};
+use asset_storage::log::{
+    LogManager, LogRecord, Patch, RecordRef, TidCursor, FORMAT_MARKER, SEAL_LEN,
+};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,8 +46,18 @@ fn arb_after(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
     }
 }
 
-fn arb_record(rng: &mut Rng, images: &Images) -> LogRecord {
-    let tid = Tid(1 + rng.below(300));
+/// A tid a few away from `last`, either way, or one in twelve times one
+/// anywhere, of any width.
+fn arb_tid(rng: &mut Rng, last: &mut u64) -> Tid {
+    *last = match rng.below(12) {
+        0 => rng.next_u64() >> (7 * rng.below(10)),
+        _ => last.saturating_add_signed(rng.below(9) as i64 - 4),
+    };
+    Tid(*last)
+}
+
+fn arb_record(rng: &mut Rng, images: &Images, last: &mut u64) -> LogRecord {
+    let tid = arb_tid(rng, last);
     // few enough objects that most are overwritten
     let oid = Oid(1 + rng.below(6));
     match rng.below(6) {
@@ -58,7 +73,7 @@ fn arb_record(rng: &mut Rng, images: &Images) -> LogRecord {
             after: arb_after(rng, images.get(&oid).cloned().flatten().as_deref()),
         },
         3 => LogRecord::Commit {
-            tids: (0..1 + rng.below(3)).map(|i| Tid(tid.0 + i)).collect(),
+            tids: (0..=rng.below(3)).map(|_| arb_tid(rng, last)).collect(),
         },
         4 => LogRecord::Clr {
             oid,
@@ -81,8 +96,14 @@ static PATCHED: AtomicUsize = AtomicUsize::new(0);
 
 /// Append `rec` as the write path would log it — an `Overwrite` of an
 /// object `images` holds an image of is a patch against that image — and
-/// return its LSN and its length in the log.
-fn append(log: &LogManager, rec: &LogRecord, images: &mut Images) -> (Lsn, usize) {
+/// return its LSN and its length in the log: its tids written against
+/// `cursor`, the cursor of the block it joins.
+fn append(
+    log: &LogManager,
+    rec: &LogRecord,
+    images: &mut Images,
+    cursor: &mut TidCursor,
+) -> (Lsn, usize) {
     let logged = match rec {
         LogRecord::Overwrite {
             tid,
@@ -102,8 +123,12 @@ fn append(log: &LogManager, rec: &LogRecord, images: &mut Images) -> (Lsn, usize
         PATCHED.fetch_add(usize::from(!patch.is_whole()), Ordering::Relaxed);
     }
     let mut bytes = Vec::new();
-    logged.encode_into(&mut bytes);
+    logged.encode_into(&mut bytes, cursor);
     let lsn = log.append_ref(&logged).unwrap();
+    if log.pending_bytes() == 0 {
+        // past the watermark: drained, and the next record opens a block
+        *cursor = TidCursor::default();
+    }
     match rec {
         LogRecord::Update { oid, after, .. }
         | LogRecord::Overwrite { oid, after, .. }
@@ -129,18 +154,20 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
         LogRecord::Checkpoint,
     )];
     let mut lens = vec![1];
-    let mut images = Images::new();
+    let (mut images, mut last, mut cursor) = (Images::new(), 0, TidCursor::default());
     for _ in 0..rng.below(24) {
-        let rec = arb_record(rng, &images);
+        let rec = arb_record(rng, &images, &mut last);
         match rng.below(8) {
             0 => {
-                let (lsn, len) = append(&log, &rec, &mut images);
+                let (lsn, len) = append(&log, &rec, &mut images, &mut cursor);
                 log.flush().unwrap();
+                cursor = TidCursor::default();
                 records.push((lsn, rec));
                 lens.push(len);
             }
             1 => {
                 log.drain(rng.below(2) == 0).unwrap();
+                cursor = TidCursor::default();
             }
             #[cfg(feature = "faults")]
             2 if log.pending_bytes() > 0 => {
@@ -151,10 +178,12 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
                 );
                 assert!(log.drain(false).is_err(), "the drain was refused");
                 assert!(log.pending_bytes() > 0, "and its bytes put back");
+                // sealed all the same: what follows opens a block
+                cursor = TidCursor::default();
             }
             // unforced: drained in passing once `watermark` bytes are pending
             _ => {
-                let (lsn, len) = append(&log, &rec, &mut images);
+                let (lsn, len) = append(&log, &rec, &mut images, &mut cursor);
                 records.push((lsn, rec));
                 lens.push(len);
             }
@@ -163,7 +192,8 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
     drop(log); // the drop drain seals what is left
     let bytes = std::fs::read(path).unwrap();
     let tail = bytes.len() as u64;
-    // records lie back to back; every five-byte gap between them is a seal
+    // records lie back to back, each as long as it is where it stands in
+    // its block; every five-byte gap between them is a seal
     let mut block_ends = Vec::new();
     let mut pos = FORMAT_MARKER.len() as u64;
     let starts = records.iter().zip(lens).map(|((lsn, _), len)| (lsn.0, len));

@@ -6,7 +6,7 @@
 
 use asset_common::{AssetError, Config, Durability, Oid, Tid};
 use asset_faults::{cases, Rng};
-use asset_storage::log::{LogEntry, FORMAT_MARKER};
+use asset_storage::log::{LogEntry, TidCursor, FORMAT_MARKER};
 use asset_storage::{LogRecord, ObjectCache, ObjectStore, RecordRef, StorageEngine};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -155,8 +155,8 @@ fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
 /// The patched `Overwrite`s in the log file at `path`.
 fn patches_in(path: &Path) -> usize {
     let bytes = std::fs::read(path).unwrap();
-    let (mut off, mut patches) = (FORMAT_MARKER.len(), 0);
-    while let Some((entry, next)) = LogEntry::decode(&bytes, off).unwrap() {
+    let (mut off, mut patches, mut cursor) = (FORMAT_MARKER.len(), 0, TidCursor::default());
+    while let Some((entry, next)) = LogEntry::decode_in(&bytes, off, &mut cursor).unwrap() {
         if let LogEntry::Record(RecordRef::Overwrite {
             after: Some(patch), ..
         }) = entry

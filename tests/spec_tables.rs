@@ -149,7 +149,8 @@ fn check_statuses(md: &str) -> Vec<String> {
     diff(&rows, key, &facts)
 }
 
-/// The tag `LogRecord::encode` writes for each variant, with its
+/// The tag `LogRecord::encode` writes for each variant — for `Commit`
+/// and `Prepared`, for a group of one and for a larger one — with its
 /// DESIGN.md name. The match is exhaustive: a new variant does not
 /// compile until it is named here, and then the check asks for its row.
 fn record_tags() -> Vec<String> {
@@ -179,6 +180,8 @@ fn record_tags() -> Vec<String> {
             image: None,
         },
         LogRecord::Prepared { tids: vec![t] },
+        LogRecord::Commit { tids: vec![t, t] },
+        LogRecord::Prepared { tids: vec![t, t] },
     ];
     let name = |r: &LogRecord| match r {
         LogRecord::Update { .. } => "Update",
