@@ -13,6 +13,7 @@
 
 use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// What a [`Pool`]'s threads do.
@@ -123,9 +124,13 @@ impl<W: Work> Pool<W> {
             if let Some(job) = state.queue.pop_front() {
                 state.free -= 1;
                 drop(state);
-                let done = self.work.run(job);
+                // a job that panics leaves nothing to finish, and the
+                // thread free as after any other job
+                let done = catch_unwind(AssertUnwindSafe(|| self.work.run(job)));
                 self.state.lock().free += 1;
-                self.work.finish(done);
+                if let Ok(done) = done {
+                    self.work.finish(done);
+                }
                 state = self.state.lock();
             } else if state.closed || state.free > self.idle_max {
                 state.free -= 1;

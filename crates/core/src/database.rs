@@ -958,13 +958,33 @@ impl Database {
     }
 
     /// Run a claimed body on this thread and complete `t` with its
-    /// outcome. A panic in the body is its abort, never the caller's.
+    /// outcome. A panic in the body is its abort, never the caller's. A
+    /// panic after it — in the completion or its rollback — goes on to the
+    /// caller, but first `t` is aborted, so nothing waits for a thread that
+    /// will not finish it; a rollback it cut short lost its undo chain, so
+    /// the abort logs no `Abort` record and restart finishes the rollback.
     pub(crate) fn run_claimed(&self, t: Tid, job: Option<Job>) {
-        let ok = job.is_some_and(|job| {
-            let ctx = TxnCtx::new(self.clone(), t);
-            matches!(catch_unwind(AssertUnwindSafe(|| job(&ctx))), Ok(Ok(())))
-        });
-        self.complete(t, ok);
+        let ended = catch_unwind(AssertUnwindSafe(|| {
+            let ok = job.is_some_and(|job| {
+                let ctx = TxnCtx::new(self.clone(), t);
+                matches!(catch_unwind(AssertUnwindSafe(|| job(&ctx))), Ok(Ok(())))
+            });
+            self.complete(t, ok);
+        }));
+        if let Err(panic) = ended {
+            let unended = self.inner.txns.with(t, |slot| {
+                let slot = slot?;
+                slot.thread_live = false;
+                match slot.status {
+                    TxnStatus::Running => slot.set_status(TxnStatus::Aborting),
+                    TxnStatus::Aborting => slot.abort_performed = false,
+                    _ => return None,
+                }
+                Some(t)
+            });
+            self.abort_many(unended.as_slice());
+            std::panic::resume_unwind(panic);
+        }
     }
 
     /// `wait`/`commit` are about to block until `t`'s body ends: if no

@@ -3,6 +3,7 @@
 
 use crate::{Database, DepType, Introspection, ObSet, Oid, OpSet, Tid, TxnStatus};
 use asset_common::AssetError;
+use asset_faults::TempDir;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -598,9 +599,8 @@ fn aborting_a_blocked_transaction_unblocks_it() {
 
 #[test]
 fn committed_work_survives_crash() {
-    let dir = std::env::temp_dir().join(format!("asset-core-rec-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = asset_common::Config::on_disk(&dir);
+    let dir = TempDir::new("core-rec");
+    let config = asset_common::Config::on_disk(&*dir);
     let oid;
     {
         let (db, _) = Database::open(config.clone()).unwrap();
@@ -624,7 +624,6 @@ fn committed_work_survives_crash() {
     // new tids don't collide with logged ones
     let t = db.initiate(|_| Ok(())).unwrap();
     assert!(t.raw() > report.max_tid);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Which transactions a checkpoint runs beside: only those that append
@@ -765,9 +764,8 @@ fn checkpoint_drops_settled_history() {
 
 #[test]
 fn checkpoint_preserves_live_undo_across_crash() {
-    let dir = std::env::temp_dir().join(format!("asset-compact-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = asset_common::Config::on_disk(&dir);
+    let dir = TempDir::new("compact");
+    let config = asset_common::Config::on_disk(&*dir);
     let (live_oid, settled_oid);
     {
         let (db, _) = Database::open(config.clone()).unwrap();
@@ -798,7 +796,6 @@ fn checkpoint_preserves_live_undo_across_crash() {
         "before image survived the checkpoint and undid the live write"
     );
     assert_eq!(db.peek(live_oid).unwrap(), None);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -983,9 +980,8 @@ fn delegation_into_gc_group_commits_atomically() {
 fn clr_protocol_keeps_later_commits_after_runtime_abort() {
     // end-to-end regression for the CLR design (see DESIGN.md): abort,
     // then commit an overwrite, then crash — the overwrite must survive
-    let dir = std::env::temp_dir().join(format!("asset-clr-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = asset_common::Config::on_disk(&dir);
+    let dir = TempDir::new("clr");
+    let config = asset_common::Config::on_disk(&*dir);
     let oid;
     {
         let (db, _) = Database::open(config.clone()).unwrap();
@@ -1007,7 +1003,6 @@ fn clr_protocol_keeps_later_commits_after_runtime_abort() {
     }
     let (db, _) = Database::open(config).unwrap();
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"t2-final");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `introspect` counts live transactions by status; what has terminated
@@ -1148,10 +1143,9 @@ fn decide_commit_rejects_unprepared_members() {
 
 #[test]
 fn prepared_survives_crash_and_commits_after_restart() {
-    let dir = std::env::temp_dir().join(format!("asset-core-prep-commit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("core-prep-commit");
     let config =
-        asset_common::Config::on_disk(&dir).with_lock_timeout(Some(Duration::from_millis(50)));
+        asset_common::Config::on_disk(&*dir).with_lock_timeout(Some(Duration::from_millis(50)));
     let (oid, group) = {
         let (db, _) = Database::open(config.clone()).unwrap();
         let oid = seed(&db, b"orig");
@@ -1187,14 +1181,12 @@ fn prepared_survives_crash_and_commits_after_restart() {
     assert!(report.in_doubt.is_empty());
     assert!(db.in_doubt_transactions().is_empty());
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"prepared");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn prepared_survives_crash_and_aborts_after_restart() {
-    let dir = std::env::temp_dir().join(format!("asset-core-prep-abort-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = asset_common::Config::on_disk(&dir);
+    let dir = TempDir::new("core-prep-abort");
+    let config = asset_common::Config::on_disk(&*dir);
     let (oid, group) = {
         let (db, _) = Database::open(config.clone()).unwrap();
         let oid = seed(&db, b"orig");
@@ -1217,14 +1209,12 @@ fn prepared_survives_crash_and_aborts_after_restart() {
     let (db, report) = Database::open(config).unwrap();
     assert!(report.in_doubt.is_empty());
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn in_doubt_group_restores_its_gc_links() {
-    let dir = std::env::temp_dir().join(format!("asset-core-prep-gc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = asset_common::Config::on_disk(&dir);
+    let dir = TempDir::new("core-prep-gc");
+    let config = asset_common::Config::on_disk(&*dir);
     let (a, b, group) = {
         let (db, _) = Database::open(config.clone()).unwrap();
         let (t1, t2, a, b) = completed_pair(&db);
@@ -1242,7 +1232,6 @@ fn in_doubt_group_restores_its_gc_links() {
     db.decide_commit_group(&group).unwrap();
     assert_eq!(db.peek(a).unwrap().unwrap(), b"one");
     assert_eq!(db.peek(b).unwrap().unwrap(), b"two");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // --- one record per transaction: fates live in the TD ---------------------
@@ -1676,7 +1665,7 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
         LogRecord::Commit { tids: vec![t] },
     ];
     assert_eq!(records_since(&db, tail), expected);
-    // the log holds each balance's one changed byte, patched over its
+    // the log holds each balance's one changed byte, packed over its
     // base, and `t` as a one-byte tid (a delta, amid the in-memory log's
     // one block)
     let mut bytes = Vec::new();
@@ -1693,7 +1682,7 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
         .encode_into(&mut bytes, &mut cursor);
     }
     expected[2].as_ref().encode_into(&mut bytes, &mut cursor);
-    assert_eq!((bytes.len(), tail_after - tail), (16, bytes.len() as u64));
+    assert_eq!((bytes.len(), tail_after - tail), (10, bytes.len() as u64));
 }
 
 #[test]
@@ -1972,9 +1961,8 @@ fn undo_order_is_log_order_across_a_checkpoint() {
 /// new objects and reads one back on an on-disk database.
 #[test]
 fn write_path_counters_equal_hand_counts() {
-    let dir = std::env::temp_dir().join(format!("asset-core-counts-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (db, _) = Database::open(asset_common::Config::on_disk(&dir)).unwrap();
+    let dir = TempDir::new("core-counts");
+    let (db, _) = Database::open(asset_common::Config::on_disk(&*dir)).unwrap();
     let (a, b) = (db.new_oid(), db.new_oid());
     let before = db.metrics_snapshot();
     assert!(db
@@ -1997,7 +1985,6 @@ fn write_path_counters_equal_hand_counts() {
     // the new objects are misses, filled in one shard visit; the read hits
     assert_eq!((c.cache_misses, c.cache_hits), (2, 1));
     drop(db);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A transaction-table shard ranks below a lock-table stripe: a waker

@@ -339,6 +339,41 @@ macro_rules! failpoint_sync {
     }};
 }
 
+/// A fresh, empty directory under the system's temp dir, named by `tag`,
+/// the process and the clock, and removed with everything in it on drop:
+/// an on-disk test's scratch space.
+pub struct TempDir(pub std::path::PathBuf);
+
+impl TempDir {
+    /// Make the directory.
+    ///
+    /// # Panics
+    ///
+    /// When it cannot be made.
+    pub fn new(tag: &str) -> TempDir {
+        let since = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        let nanos = since.map_or(0, |d| d.subsec_nanos());
+        let name = format!("asset-{tag}-{}-{nanos}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("a temp dir");
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -242,6 +242,7 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asset_faults::TempDir;
 
     fn mem_engine() -> StorageEngine {
         StorageEngine::open(&Config::in_memory()).unwrap().0
@@ -310,9 +311,8 @@ mod tests {
 
     #[test]
     fn on_disk_engine_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("asset-eng-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = Config::on_disk(&dir);
+        let dir = TempDir::new("eng");
+        let config = Config::on_disk(&*dir);
         {
             let (e, _) = StorageEngine::open(&config).unwrap();
             e.write_object(Tid(1), Oid(42), Some(b"persists".to_vec()))
@@ -324,14 +324,12 @@ mod tests {
         let (e, report) = StorageEngine::open(&config).unwrap();
         assert_eq!(report.winners, 1);
         assert_eq!(e.read_object(Oid(42)).unwrap(), b"persists");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn on_disk_uncommitted_rolls_back_on_reopen() {
-        let dir = std::env::temp_dir().join(format!("asset-eng2-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = Config::on_disk(&dir);
+        let dir = TempDir::new("eng2");
+        let config = Config::on_disk(&*dir);
         {
             let (e, _) = StorageEngine::open(&config).unwrap();
             e.write_object(Tid(1), Oid(1), Some(b"committed".to_vec()))
@@ -344,7 +342,6 @@ mod tests {
         }
         let (e, _) = StorageEngine::open(&config).unwrap();
         assert_eq!(e.read_object(Oid(1)).unwrap(), b"committed");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn kinds(e: &StorageEngine) -> Vec<&'static str> {
@@ -403,9 +400,8 @@ mod tests {
     /// a drain, then twenty in one drain, which read back whole. Returns
     /// the log bytes of the last two.
     fn transfer_bytes(tag: &str, base: u64) -> (u64, u64) {
-        let dir = std::env::temp_dir().join(format!("asset-eng-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (e, _) = StorageEngine::open(&Config::on_disk(&dir)).unwrap();
+        let dir = TempDir::new(&format!("eng-{tag}"));
+        let (e, _) = StorageEngine::open(&Config::on_disk(&*dir)).unwrap();
         let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
         // leaves `a` at 1 000 - k and `b` at 1 000 + k
@@ -443,21 +439,20 @@ mod tests {
         let records = e.log.scan().unwrap().into_iter().rev().map(|(_, rec)| rec);
         assert!(records.take(3).eq(last));
         drop(e);
-        std::fs::remove_dir_all(&dir).unwrap();
         (alone.tail.0 - marks.tail.0, twenty)
     }
 
     /// A transfer over two balances the log has seen — 8-byte integers
     /// near 1 000, each write moving the low byte alone — is three records:
-    /// two patched `Overwrite`s and a one-tid `Commit`. Opening a block it
-    /// is 22 bytes with three-byte ids (11 + 9 + 2: only its first tid is
-    /// absolute), amid one 20, plus the seal that closes the drain it
-    /// leaves in: 27 alone, 22 + 19 × 20 + 5 for twenty in one drain — the
+    /// two packed `Overwrite`s and a one-tid `Commit`. Opening a block it
+    /// is 16 bytes with three-byte ids (8 + 6 + 2: only its first tid is
+    /// absolute), amid one 14, plus the seal that closes the drain it
+    /// leaves in: 21 alone, 16 + 19 × 14 + 5 for twenty in one drain — the
     /// benchmark's `log_bytes_per_txn`.
     #[test]
-    fn a_transfer_is_22_bytes_opening_a_block_20_amid_one_plus_one_seal_per_drain() {
+    fn a_transfer_is_16_bytes_opening_a_block_14_amid_one_plus_one_seal_per_drain() {
         let bytes = transfer_bytes("golden", 70_000);
-        assert_eq!(bytes, (11 + 9 + 2 + 5, 22 + 19 * 20 + 5));
+        assert_eq!(bytes, (8 + 6 + 2 + 5, 16 + 19 * 14 + 5));
     }
 
     /// A tid's width costs its block one absolute tid and nothing more:

@@ -577,9 +577,7 @@ mod tests {
     /// of the block the window's drain sealed.
     #[test]
     fn a_window_reports_the_bytes_its_write_carried() {
-        let dir = std::env::temp_dir().join(format!("asset-flusher-occ-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = asset_faults::TempDir::new("flusher-occ");
         let obs = Obs::shared();
         obs.enable_tracing(64);
         let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
@@ -605,7 +603,6 @@ mod tests {
         assert_eq!(occupancy, [log.tail().0], "marker, both records, seal");
         drop(f);
         drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

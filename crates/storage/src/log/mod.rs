@@ -285,7 +285,7 @@ impl LogManager {
             .read_to_end(&mut head)?;
         if !FORMAT_MARKER.starts_with(&head) {
             return Err(AssetError::Corrupt(format!(
-                "{} is not a v6 log: it starts {head:02x?}",
+                "{} is not a v7 log: it starts {head:02x?}",
                 path.display()
             )));
         }
@@ -811,6 +811,7 @@ impl Drop for LogManager {
 mod tests {
     use super::*;
     use asset_common::{Oid, Tid};
+    use asset_faults::TempDir;
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
@@ -844,7 +845,7 @@ mod tests {
 
     #[test]
     fn file_append_scan_reopen() {
-        let dir = fresh_dir("basic");
+        let dir = TempDir::new("basic");
         let path = dir.join("wal.log");
         {
             let log = LogManager::open(&path, Durability::Strict).unwrap();
@@ -862,12 +863,11 @@ mod tests {
         let lsn = log.append(&LogRecord::Checkpoint).unwrap();
         assert!(lsn.0 > 0);
         assert_eq!(log.scan().unwrap().len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_ignored_on_scan() {
-        let dir = fresh_dir("torn");
+        let dir = TempDir::new("torn");
         let path = dir.join("wal.log");
         {
             let log = LogManager::open(&path, Durability::Buffered).unwrap();
@@ -885,7 +885,6 @@ mod tests {
         }
         let log = LogManager::open(&path, Durability::Buffered).unwrap();
         assert_eq!(log.scan().unwrap().len(), 3, "torn tail dropped");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `replay` reads a chunk at a time: blocks that straddle a chunk
@@ -895,7 +894,7 @@ mod tests {
     /// it chops off the file.
     #[test]
     fn replay_streams_across_chunks_and_chops_a_torn_tail() {
-        let dir = fresh_dir("stream");
+        let dir = TempDir::new("stream");
         let path = dir.join("wal.log");
         let rec = |i: u64| LogRecord::Overwrite {
             tid: Tid(i),
@@ -949,99 +948,41 @@ mod tests {
         check(&log, &lsns);
         assert_eq!(log.tail().0, whole);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole, "chopped");
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("asset-log-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// A transfer in v3 frames (`[body_len][checksum u32][body]`, the
-    /// checksum over length and body; the bodies are what v4 and v5 still
-    /// wrote): whole, valid, and not this format. It is refused before a
-    /// byte of it is parsed — and neither chopped as a torn tail nor
-    /// appended to.
+    /// A log an earlier format wrote is refused before a byte of it is
+    /// parsed — neither chopped as a torn tail nor appended to — by an
+    /// error that names the format this build reads, and left as it was:
+    /// behind v6's marker (no packed `Overwrite`), v5's (every tid
+    /// absolute) or v4's, or behind none, as v3 and earlier wrote, whole or
+    /// cut shorter than a marker.
     #[test]
-    fn a_v3_log_is_refused_and_left_untouched() {
-        let dir = fresh_dir("v3");
-        let path = dir.join("wal.log");
-        let overwrite = |oid| LogRecord::Overwrite {
-            tid: Tid(70_000),
-            oid: Oid(oid),
-            after: Some(58i64.to_le_bytes().to_vec()),
-        };
-        // and the `Commit` of 70 000 every format before v6 wrote: kind,
-        // count, tid
-        let commit = vec![3, 1, 0xF0, 0xA2, 0x04];
-        let mut v3 = Vec::new();
-        for body in [
-            overwrite(90_000).encode(),
-            overwrite(90_001).encode(),
-            commit,
-        ] {
-            let mut framed = vec![body.len() as u8];
-            framed.extend_from_slice(&body);
-            let h = record::checksum(&framed);
-            v3.push(framed[0]);
-            v3.extend_from_slice(&((h >> 32) as u32 ^ h as u32).to_le_bytes());
-            v3.extend_from_slice(&framed[1..]);
-        }
-        assert_eq!(v3.len(), 52, "PR 16's transfer");
-        // whole, and cut inside its first frame: shorter than the marker
-        for len in [v3.len(), 6] {
-            std::fs::write(&path, &v3[..len]).unwrap();
-            for _ in 0..2 {
-                let err = LogManager::open(&path, Durability::Strict).err().unwrap();
-                assert!(matches!(err, AssetError::Corrupt(_)), "{err}");
-                assert_eq!(std::fs::read(&path).unwrap(), &v3[..len], "untouched");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A sealed log behind an earlier format's `marker`, holding records
-    /// that format wrote, is refused before a byte of it is parsed, by an
-    /// error that names the format this build reads, and left as it was.
-    fn an_old_log_is_refused_and_left_untouched(tag: &str, marker: &[u8; 8]) {
-        let dir = fresh_dir(tag);
+    fn a_v6_log_is_refused_and_left_untouched() {
+        let dir = TempDir::new("old");
         let path = dir.join("wal.log");
         let recs = sample_records();
-        // the `Commit` of one tid every format before v6 wrote
-        let mut old = [
-            &marker[..],
-            &recs[0].encode(),
-            &recs[1].encode(),
-            &[3, 1, 1],
-        ]
-        .concat();
-        record::open_seal(&mut old);
-        record::fill_seal(&mut old, 0);
-        std::fs::write(&path, &old).unwrap();
-        for _ in 0..2 {
-            let err = LogManager::open(&path, Durability::Strict).err().unwrap();
-            assert!(
-                matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v6 log")),
-                "{err}"
-            );
-            assert_eq!(std::fs::read(&path).unwrap(), old, "untouched");
+        // and the `Commit` of one tid every format before v6 wrote
+        let body = [&recs[0].encode()[..], &recs[1].encode(), &[3, 1, 1]].concat();
+        let mut olds: Vec<Vec<u8>> = [b"ASSETWL6", b"ASSETWL5", b"ASSETWL4"]
+            .map(|marker| {
+                let mut old = [&marker[..], &body].concat();
+                record::open_seal(&mut old);
+                record::fill_seal(&mut old, 0);
+                old
+            })
+            .into();
+        olds.extend([body.clone(), body[..6].to_vec()]);
+        for old in olds {
+            std::fs::write(&path, &old).unwrap();
+            for _ in 0..2 {
+                let err = LogManager::open(&path, Durability::Strict).err().unwrap();
+                assert!(
+                    matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v7 log")),
+                    "{err}"
+                );
+                assert_eq!(std::fs::read(&path).unwrap(), old, "untouched");
+            }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_v4_log_is_refused_and_left_untouched() {
-        an_old_log_is_refused_and_left_untouched("v4", b"ASSETWL4");
-    }
-
-    /// v5 wrote every tid absolute, which v6 reads differently past a
-    /// block's first tid: a v5 log is not read at all.
-    #[test]
-    fn a_v5_log_is_refused_and_left_untouched() {
-        an_old_log_is_refused_and_left_untouched("v5", b"ASSETWL5");
     }
 
     /// An opener that waited for the lock while the owner cut the log gets,
@@ -1049,7 +990,7 @@ mod tests {
     /// must open the path again, or it would own a log nobody reads.
     #[test]
     fn a_lock_on_the_file_a_rewrite_replaced_is_not_the_log() {
-        let dir = fresh_dir("relock");
+        let dir = TempDir::new("relock");
         let path = dir.join("wal.log");
         let owner = LogManager::open(&path, Durability::Strict).unwrap();
         owner.append_forced(&sample_records()[0]).unwrap();
@@ -1063,15 +1004,13 @@ mod tests {
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         let marker = Lsn(FORMAT_MARKER.len() as u64);
         assert_eq!(log.scan().unwrap(), [(marker, LogRecord::Checkpoint)]);
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A crash inside the very first write can leave less than the marker:
     /// that is a torn tail like any other, and the generation starts over.
     #[test]
     fn a_file_torn_inside_the_marker_starts_over() {
-        let dir = fresh_dir("marker");
+        let dir = TempDir::new("marker");
         let path = dir.join("wal.log");
         std::fs::write(&path, &FORMAT_MARKER[..3]).unwrap();
         let log = LogManager::open(&path, Durability::Strict).unwrap();
@@ -1082,8 +1021,6 @@ mod tests {
         drop(log);
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         assert_eq!(log.scan().unwrap(), [(lsn, LogRecord::Checkpoint)]);
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A block whose bytes changed under its seal is `Corrupt`, wherever in
@@ -1091,7 +1028,7 @@ mod tests {
     /// records is visited, nor any block's after it.
     #[test]
     fn a_block_that_does_not_match_its_seal_is_corrupt() {
-        let dir = fresh_dir("seal");
+        let dir = TempDir::new("seal");
         let path = dir.join("wal.log");
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         let mut ends = Vec::new();
@@ -1117,7 +1054,6 @@ mod tests {
             drop(log);
             assert_eq!(std::fs::read(&path).unwrap(), bad, "untouched");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `rewrite` replaces the log in one step: the new generation is one
@@ -1125,7 +1061,7 @@ mod tests {
     /// behind the marker and a reopen reads what the manager holds.
     #[test]
     fn rewrite_replaces_the_log_with_one_sealed_block() {
-        let dir = fresh_dir("rewrite");
+        let dir = TempDir::new("rewrite");
         let path = dir.join("wal.log");
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         for r in sample_records() {
@@ -1140,7 +1076,7 @@ mod tests {
         let block = FORMAT_MARKER.len() + 1 + recs[1].encode().len() + SEAL_LEN;
         assert_eq!(log.tail().0, block as u64);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), block as u64);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one file");
+        assert_eq!(std::fs::read_dir(&*dir).unwrap().count(), 1, "one file");
         let lsn = log.append_forced(&recs[2]).unwrap();
         assert_eq!(lsn.0, block as u64, "appends go on in the new file");
         let held = log.scan().unwrap();
@@ -1156,7 +1092,6 @@ mod tests {
         log.rewrite([recs[1].as_ref()]).unwrap();
         assert_eq!(log.tail().0, 1 + recs[1].encode().len() as u64);
         assert_eq!(log.scan().unwrap()[1], (Lsn(1), kept[1].clone()));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A rewrite refused before its rename leaves the log, its LSNs and
@@ -1195,8 +1130,6 @@ mod tests {
         drop(log);
         let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         assert_eq!(log.scan().unwrap()[1].0, lsn);
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One buffer for every durability: unforced appends make no syscall
@@ -1209,7 +1142,7 @@ mod tests {
     }
 
     fn appends_coalesce_until_forced(durability: Durability) {
-        let dir = fresh_dir(&format!("coal-{durability:?}"));
+        let dir = TempDir::new(&format!("coal-{durability:?}"));
         let path = dir.join("wal.log");
         let log = LogManager::open_with(&path, durability, 1 << 20).unwrap();
         for r in sample_records() {
@@ -1230,12 +1163,11 @@ mod tests {
             "everything written out"
         );
         assert_eq!(log.scan().unwrap().len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn tiny_watermark_writes_through() {
-        let dir = fresh_dir("tw");
+        let dir = TempDir::new("tw");
         let path = dir.join("wal.log");
         let log = LogManager::open_with(&path, Durability::Buffered, 1).unwrap();
         for r in sample_records() {
@@ -1243,12 +1175,11 @@ mod tests {
         }
         assert_eq!(log.pending_bytes(), 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), log.tail().0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn coalesced_appends_and_drains_are_counted() {
-        let dir = fresh_dir("obs");
+        let dir = TempDir::new("obs");
         let path = dir.join("wal.log");
         let log = LogManager::open_with(&path, Durability::Buffered, 1 << 20).unwrap();
         for r in sample_records() {
@@ -1277,7 +1208,6 @@ mod tests {
             log.append(&r).unwrap();
         }
         assert_eq!(counts(&log), (3, 0));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1301,7 +1231,7 @@ mod tests {
 
     #[test]
     fn unsynced_bytes_means_written_but_not_synced() {
-        let dir = fresh_dir("unsync");
+        let dir = TempDir::new("unsync");
 
         // Strict: unforced appends are pending until a forced (commit)
         // append drains and syncs them; a watermark drain in between
@@ -1340,8 +1270,6 @@ mod tests {
         );
         log.flush().unwrap();
         assert_eq!(log.unsynced_bytes(), 0);
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Regression (LSN-desync bug): `append_inner` used to advance `tail`
@@ -1387,7 +1315,6 @@ mod tests {
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
         assert_eq!(log2.scan().unwrap().len(), 2);
         assert_eq!(log2.tail(), tail);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
@@ -1427,7 +1354,6 @@ mod tests {
         assert_eq!(log2.scan().unwrap().len(), 1, "torn block dropped");
         assert_eq!(log2.tail().0, whole);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole, "chopped");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
@@ -1458,14 +1384,13 @@ mod tests {
         let log2 = LogManager::open(&path, Durability::Strict).unwrap();
         assert_eq!(log2.scan().unwrap().len(), 1, "torn tail dropped");
         drop(log2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
     #[test]
     fn elided_sync_reports_success_but_leaves_bytes_unsynced() {
         use asset_faults::{FaultAction, Trigger};
-        let (dir, faults, log) = faulty_log("elide");
+        let (_dir, faults, log) = faulty_log("elide");
         faults.arm(
             crate::failpoints::LOG_SYNC,
             Trigger::Always,
@@ -1480,14 +1405,13 @@ mod tests {
         faults.reset();
         log.flush().unwrap();
         assert_eq!(log.unsynced_bytes(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A window is one critical section, one `write` and one `sync_data`,
     /// whatever the workers buffered before it.
     #[test]
     fn append_all_then_drain_is_one_write() {
-        let dir = fresh_dir("window");
+        let dir = TempDir::new("window");
         let path = dir.join("wal.log");
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
@@ -1505,14 +1429,13 @@ mod tests {
             "each record's LSN is its offset"
         );
         assert_eq!(std::fs::metadata(&path).unwrap().len(), log.tail().0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A dropped manager hands its buffer to the OS: a clean exit, or a
     /// "crash" that is a plain drop, keeps the unforced tail.
     #[test]
     fn drop_drains_the_unforced_tail() {
-        let dir = fresh_dir("drop");
+        let dir = TempDir::new("drop");
         let path = dir.join("wal.log");
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         let recs = sample_records();
@@ -1524,8 +1447,6 @@ mod tests {
         let log = LogManager::open(&path, Durability::Strict).unwrap();
         let scanned: Vec<LogRecord> = log.scan().unwrap().into_iter().map(|(_, r)| r).collect();
         assert_eq!(scanned, recs);
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One owner at a time: `open` waits until the previous manager of the
@@ -1534,7 +1455,7 @@ mod tests {
     #[test]
     fn open_waits_for_the_previous_owner_to_drop() {
         use std::sync::mpsc::channel;
-        let dir = fresh_dir("owner");
+        let dir = TempDir::new("owner");
         let path = dir.join("wal.log");
         let old = LogManager::open(&path, Durability::Strict).unwrap();
         old.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
@@ -1554,7 +1475,6 @@ mod tests {
             .is_err());
         drop(old);
         assert_eq!(opener.join().unwrap(), 1, "the late drain was read");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A manager that lived through a simulated crash is part of the dead
@@ -1573,13 +1493,11 @@ mod tests {
         drop(log);
         let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         assert_eq!(log.scan().unwrap().len(), 1, "only the forced prefix");
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(feature = "faults")]
-    fn faulty_log(tag: &str) -> (PathBuf, Arc<asset_faults::FaultRegistry>, LogManager) {
-        let dir = fresh_dir(tag);
+    fn faulty_log(tag: &str) -> (TempDir, Arc<asset_faults::FaultRegistry>, LogManager) {
+        let dir = TempDir::new(tag);
         let faults = Arc::new(asset_faults::FaultRegistry::new());
         let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         log.set_faults(Arc::clone(&faults));
@@ -1594,7 +1512,7 @@ mod tests {
     fn append_completes_while_a_sync_is_in_flight() {
         use std::sync::mpsc::channel;
         use std::time::Duration;
-        let (dir, faults, log) = faulty_log("syncrace");
+        let (_dir, faults, log) = faulty_log("syncrace");
         let log = Arc::new(log);
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         let (at_sync_tx, at_sync_rx) = channel();
@@ -1628,8 +1546,6 @@ mod tests {
             .expect("append finished during the sync");
         assert_eq!(log.pending_bytes() as u64, log.tail().0 - lsn.0);
         faults.reset();
-        drop(log);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A drain that fails after appends raced it puts its bytes back *in
@@ -1701,6 +1617,5 @@ mod tests {
         assert_eq!(held(&log2), (lsns, recs.to_vec()), "reopened");
         assert_eq!(log2.tail(), tail);
         drop(log2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,9 +11,9 @@
 //! write is an [`LogRecord::Overwrite`], which carries the after image
 //! alone. Replay takes the before image from the record that installed it.
 //! Nor does an `Overwrite` log the bytes of its after image that equal that
-//! base: it carries a [`Patch`] — the lengths of the prefix and the suffix
-//! it keeps of the base, and the bytes between them — so a transfer that
-//! moves one low byte of an 8-byte balance logs that byte and two lengths.
+//! base: it carries a [`Patch`] — the bytes of the base it keeps and the
+//! bytes between them — so a transfer that moves one low byte of an 8-byte
+//! balance logs that byte.
 //! The log is therefore a self-contained redo history: reading it needs no
 //! object store, and a transaction enters it with its first record — there
 //! is no `Begin`.
@@ -22,17 +22,21 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format (v6). A record is its own frame, `[kind u8][payload]`:
+//! Wire format (v7). A record is its own frame, `[kind u8][payload]`:
 //! every oid, count and image length in a payload is LEB128; an optional
 //! image or object list is its length **plus one**, `0` meaning `None`. An
-//! `Overwrite`'s after image is the one exception: its length varint `h`
-//! is `0` for `None`, `2·len + 1` for a whole image of `len` bytes, and
-//! `2·(len + 1)` for a patch whose middle is `len` bytes, which the kept
-//! prefix and suffix lengths follow before the bytes. A `Commit` or
-//! `Prepared` of one tid has a kind of its own and no count. It carries no
-//! length and no checksum of its own, because nothing reaches the file one
-//! record at a time: the unit of integrity is the **block** one drain
-//! writes,
+//! `Overwrite`'s after image is the one exception. A patch that keeps the
+//! base's length, a prefix of at most 7 bytes and a middle of 1 to 8 has a
+//! kind of its own, `0x40 | prefix << 3 | (middle − 1)`, and the middle
+//! bytes are all its payload after the tid and the oid: the suffix is what
+//! is left of the base. Any other after image is kind 9 with a length
+//! varint `h`: `0` for `None`, `2·len + 1` for a whole image of `len`
+//! bytes, and `2·(len + 1)` for a patch whose middle is `len` bytes, which
+//! the kept prefix and suffix lengths follow before the bytes. A `Commit`
+//! or `Prepared` of one tid has a kind of its own and no count. A record
+//! carries no length and no checksum of its own, because nothing reaches
+//! the file one record at a time: the unit of integrity is the **block**
+//! one drain writes,
 //!
 //! ```text
 //! [record]* [kind 0][checksum u32]
@@ -46,10 +50,10 @@
 //! one before it, so the tids of a transaction's records, and of
 //! transactions begun together, cost a byte each. A block needs no other
 //! block to decode. A transfer that moves one low byte of two 8-byte
-//! balances the log has seen (two patched `Overwrite`s and a `Commit`) is
-//! 20 bytes amid a block with three-byte oids, 22 opening one, plus its
-//! share of one five-byte seal per drain; v5 wrote every tid whole, 27
-//! bytes. Kind 1 was v2's `Begin` and stays reserved.
+//! balances the log has seen (two packed `Overwrite`s and a `Commit`) is
+//! 14 bytes amid a block with three-byte oids, 16 opening one, plus its
+//! share of one five-byte seal per drain. Kind 1 was v2's `Begin` and
+//! stays reserved.
 
 use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
@@ -183,11 +187,18 @@ pub enum RecordRef<'a> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Patch<'a> {
     /// Bytes kept from the start of the base.
-    pub prefix: usize,
-    /// Bytes kept from the end of the base.
-    pub suffix: usize,
+    prefix: usize,
+    /// Bytes kept from the end of the base; `None`: every byte past the
+    /// middle, so the image keeps the base's length. `None` only in a shape
+    /// a packed kind holds (a prefix below 8, a middle of 1 to 8 bytes).
+    suffix: Option<usize>,
     /// The bytes between them.
-    pub middle: &'a [u8],
+    middle: &'a [u8],
+}
+
+/// Bytes of `v` as LEB128.
+fn varint_len(v: usize) -> usize {
+    1 + (usize::BITS - (v | 1).leading_zeros() - 1) as usize / 7
 }
 
 impl<'a> Patch<'a> {
@@ -195,34 +206,56 @@ impl<'a> Patch<'a> {
     pub fn whole(image: &'a [u8]) -> Patch<'a> {
         Patch {
             prefix: 0,
-            suffix: 0,
+            suffix: Some(0),
             middle: image,
         }
     }
 
-    /// The patch that makes `after` of `base` (`None`: no image): the
-    /// longest common prefix, then the longest common suffix of what is
-    /// left. Its two lengths cost a byte each, so a patch that would keep
-    /// two bytes or fewer saves nothing and is whole instead.
+    /// The shortest patch that makes `after` of `base` (`None`: no image):
+    /// the longest common prefix, then the longest common suffix of what is
+    /// left, packed when the image keeps the base's length and the shape
+    /// fits a kind; or the whole image, when that is no longer.
     pub fn between(base: Option<&[u8]>, after: &'a [u8]) -> Patch<'a> {
         let base = base.unwrap_or_default();
         let prefix = base.iter().zip(after).take_while(|(b, a)| b == a).count();
         let room = base.len().min(after.len()) - prefix;
         let ends = base.iter().rev().zip(after.iter().rev()).take(room);
         let suffix = ends.take_while(|(b, a)| b == a).count();
-        if prefix + suffix <= 2 {
-            return Patch::whole(after);
-        }
-        Patch {
+        let middle = &after[prefix..after.len() - suffix];
+        let packs = base.len() == after.len() && prefix < 8 && (1..=8).contains(&middle.len());
+        let kept = Patch {
             prefix,
-            suffix,
-            middle: &after[prefix..after.len() - suffix],
+            suffix: (!packs).then_some(suffix),
+            middle,
+        };
+        let whole = Patch::whole(after);
+        if kept.size() < whole.size() {
+            kept
+        } else {
+            whole
         }
     }
 
     /// Does the patch keep nothing of its base?
     pub fn is_whole(&self) -> bool {
-        self.prefix == 0 && self.suffix == 0
+        self.prefix == 0 && self.suffix == Some(0)
+    }
+
+    /// The packed kind that holds the patch's shape, if it keeps the
+    /// base's length.
+    fn kind(self) -> Option<u8> {
+        let shape = || (self.prefix << 3 | (self.middle.len() - 1)) as u8;
+        self.suffix.is_none().then(|| KIND_PACKED | shape())
+    }
+
+    /// Its bytes in an `Overwrite` past the tid and the oid.
+    fn size(&self) -> usize {
+        let m = self.middle.len();
+        m + match self.suffix {
+            None => 0,
+            _ if self.is_whole() => varint_len(2 * m + 1),
+            Some(s) => varint_len(2 * (m + 1)) + varint_len(self.prefix) + varint_len(s),
+        }
     }
 
     /// The image this patch makes of `base` (`None`: no image); `None`
@@ -232,8 +265,12 @@ impl<'a> Patch<'a> {
             return Some(self.middle.to_vec());
         }
         let base = base?;
-        let tail = base.len().checked_sub(self.suffix)?;
-        (self.prefix <= tail).then(|| [&base[..self.prefix], self.middle, &base[tail..]].concat())
+        let tail = match self.suffix {
+            Some(suffix) => base.len().checked_sub(suffix)?,
+            None => self.prefix + self.middle.len(),
+        };
+        (self.prefix <= tail && tail <= base.len())
+            .then(|| [&base[..self.prefix], self.middle, &base[tail..]].concat())
     }
 }
 
@@ -252,8 +289,8 @@ pub(crate) fn rebuild(
     patch.apply(base).map(Some).ok_or_else(|| {
         let of = base.map_or("no image".into(), |b| format!("a {}-byte image", b.len()));
         AssetError::Corrupt(format!(
-            "log offset {}: overwrite of {oid} keeps {} + {} bytes of {of}",
-            lsn.0, patch.prefix, patch.suffix
+            "log offset {}: overwrite of {oid} does not fit {of}: {patch:?}",
+            lsn.0
         ))
     })
 }
@@ -381,10 +418,10 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
-/// What a v6 log file starts with, at offset 0 of every generation: a file
+/// What a v7 log file starts with, at offset 0 of every generation: a file
 /// that starts otherwise was written in another format and is refused
 /// whole, before a byte of it is parsed, chopped or appended to.
-pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL6";
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL7";
 
 /// Bytes of a seal: its kind and the block's checksum.
 pub const SEAL_LEN: usize = 5;
@@ -400,6 +437,8 @@ const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
 const KIND_COMMIT_ONE: u8 = 10;
 const KIND_PREPARED_ONE: u8 = 11;
+/// The first of the 64 packed `Overwrite` kinds, `0x40..=0x7F`.
+const KIND_PACKED: u8 = 0x40;
 
 /// FNV-1a 64-bit checksum, for log blocks and the object store's image.
 ///
@@ -448,21 +487,21 @@ fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
     }
 }
 
-/// An `Overwrite`'s after image: `h`, then a patch's kept lengths, then the
-/// bytes (see the module documentation).
+/// An `Overwrite`'s after image past its tid and oid: `h`, then a patch's
+/// kept lengths, then the bytes — or the bytes alone, packed (see the
+/// module documentation).
 fn put_patch(out: &mut Vec<u8>, after: Option<Patch<'_>>) {
-    match after {
-        None => out.push(0),
-        Some(p) if p.is_whole() => put_varint(out, 2 * p.middle.len() as u64 + 1),
-        Some(p) => {
+    let Some(p) = after else { return out.push(0) };
+    match p.suffix {
+        _ if p.is_whole() => put_varint(out, 2 * p.middle.len() as u64 + 1),
+        Some(suffix) => {
             put_varint(out, 2 * (p.middle.len() as u64 + 1));
             put_varint(out, p.prefix as u64);
-            put_varint(out, p.suffix as u64);
+            put_varint(out, suffix as u64);
         }
+        None => {}
     }
-    if let Some(p) = after {
-        out.extend_from_slice(p.middle);
-    }
+    out.extend_from_slice(p.middle);
 }
 
 /// The ids back to back; the caller has written the count. Decoded ids
@@ -499,7 +538,7 @@ fn opt_bytes<'a>(r: &mut Reader<'a>) -> Step<Option<&'a [u8]>> {
         .map(Some)
 }
 
-/// See [`put_patch`].
+/// A kind-9 `Overwrite`'s after image: see [`put_patch`].
 fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
     let kept = |r: &mut Reader<'a>| {
         usize::try_from(r.varint()?)
@@ -516,7 +555,7 @@ fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
     let len = usize::try_from((h - 1) / 2).map_err(|_| CodecError::Short)?;
     Ok(Some(Patch {
         prefix,
-        suffix,
+        suffix: Some(suffix),
         middle: r.bytes(len)?,
     }))
 }
@@ -563,6 +602,15 @@ fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
             tid: Tid::get(r, c)?,
             oid: Oid::get(r, c)?,
             after: patch(r)?,
+        },
+        k @ KIND_PACKED..=0x7F => RecordRef::Overwrite {
+            tid: Tid::get(r, c)?,
+            oid: Oid::get(r, c)?,
+            after: Some(Patch {
+                prefix: usize::from(k >> 3 & 7),
+                suffix: None,
+                middle: r.bytes(usize::from(k & 7) + 1)?,
+            }),
         },
         KIND_COMMIT => RecordRef::Commit { tids: tids(r, c)? },
         KIND_COMMIT_ONE => RecordRef::Commit {
@@ -655,7 +703,7 @@ impl<'a> RecordRef<'a> {
                 put_opt_bytes(out, after);
             }
             RecordRef::Overwrite { tid, oid, after } => {
-                out.push(KIND_OVERWRITE);
+                out.push(after.and_then(Patch::kind).unwrap_or(KIND_OVERWRITE));
                 tid.put(out, c);
                 oid.put(out, c);
                 put_patch(out, after);
@@ -919,7 +967,7 @@ mod tests {
         });
     }
 
-    /// Golden v6 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// Golden v7 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
     /// where a 100 000-account ledger lives), each record alone in its
     /// block (its first tid absolute), and `Overwrite`s as the write path
     /// patches them over 8-byte balances near 1 000, the ledger's. Then a
@@ -958,14 +1006,15 @@ mod tests {
         let alone = |from, to| overwrite(tid, oid, from, to, &mut TidCursor::default());
         let commit = len(LogRecord::Commit { tids: vec![tid] });
         assert_eq!((update, whole, commit), (25, 16, 4));
-        // 1 000 - 37 = 0x03C3 beside 0x03E8: one byte moves, seven stay
-        assert_eq!(alone(1_000, 963), 11);
+        // 1 000 - 37 = 0x03C3 beside 0x03E8: one byte moves, seven stay,
+        // and the packed kind says which
+        assert_eq!(alone(1_000, 963), 8);
         // 1 000 + 50 = 0x041A: the carry moves two
-        assert_eq!(alone(1_000, 1_050), 12);
-        // an unchanged image keeps all eight
+        assert_eq!(alone(1_000, 1_050), 9);
+        // an unchanged image keeps all eight, in kind 9's three lengths
         assert_eq!(alone(1_000, 1_000), 10);
-        // 50 → -50 moves every byte: whole, as v4 wrote it
-        assert_eq!(alone(50, -50), whole);
+        // 50 → -50 moves every byte: packed still, one byte under whole
+        assert_eq!(alone(50, -50), whole - 1);
         assert_eq!(len(LogRecord::Abort { tid }), 4);
         assert_eq!(len(LogRecord::Prepared { tids: vec![tid] }), 4);
         // a group carries its count, and its later tids are deltas
@@ -998,25 +1047,33 @@ mod tests {
         let mut c = TidCursor::default();
         let opening = transfer(tid, 21, &mut c);
         let amid = transfer(Tid(70_001), 21, &mut c);
-        assert_eq!((opening, amid), ([11, 9, 2], [9, 9, 2]));
+        assert_eq!((opening, amid), ([8, 6, 2], [6, 6, 2]));
         let [opening, amid] = [opening, amid].map(|t| t.iter().sum::<usize>());
-        assert_eq!((opening, amid), (22, 20), "a transfer's log bytes");
+        assert_eq!((opening, amid), (16, 14), "a transfer's log bytes");
     }
 
     /// A patch keeps the longest common prefix, then the longest common
     /// suffix of what is left — never more than the shorter image has —
-    /// and rebuilds the after image over its base; it is whole when it
-    /// would keep two bytes or fewer.
+    /// and rebuilds the after image over its base. It is packed (its
+    /// suffix `None`) when the image keeps the base's length, with a prefix
+    /// of at most 7 and a middle of 1 to 8 bytes; else kind 9's lengths, or
+    /// whole when those would cost as much as the bytes they keep.
     #[test]
     fn a_patch_keeps_what_the_images_share() {
-        let cases: [(&[u8], &[u8], usize, usize); 7] = [
-            (b"abcdefgh", b"abcXefgh", 3, 4),
-            (b"abcdefgh", b"abcdefgh", 8, 0),
-            (b"abcabc", b"abcxabc", 3, 3),
-            (b"aaaa", b"aaaaaa", 4, 0),
-            (b"aaaaaa", b"aaaa", 4, 0),
-            (b"xyz-long-base", b"xyz", 3, 0),
-            (b"ab", b"ab", 0, 0),
+        // base, after, and the patch's prefix and suffix
+        type Case = (&'static [u8], &'static [u8], usize, Option<usize>);
+        let cases: [Case; 11] = [
+            (b"abcdefgh", b"abcXefgh", 3, None),
+            (b"abcdefgh", b"XXXXXXXX", 0, None),
+            (b"abcdefghijklmnop", b"abcdefgXXXXXXXXp", 7, None),
+            (b"abcdefghijklmnop", b"aXXXXXXXXXklmnop", 1, Some(6)),
+            (b"abcdefghijklmnop", b"abcdefghXjklmnop", 8, Some(7)),
+            (b"abcdefgh", b"abcdefgh", 8, Some(0)),
+            (b"abcabc", b"abcxabc", 3, Some(3)),
+            (b"aaaa", b"aaaaaa", 4, Some(0)),
+            (b"aaaaaa", b"aaaa", 4, Some(0)),
+            (b"xyz-long-base", b"xyz", 3, Some(0)),
+            (b"ab", b"ab", 0, Some(0)),
         ];
         for (base, after, prefix, suffix) in cases {
             let patch = Patch::between(Some(base), after);
@@ -1026,9 +1083,11 @@ mod tests {
         }
         assert!(Patch::between(None, b"new").is_whole());
         // a base shorter than what the patch keeps takes none of it
-        let patch = Patch::between(Some(b"abcdefgh"), b"abcXefgh");
-        assert_eq!(patch.apply(Some(b"abcdef")), None);
-        assert_eq!(patch.apply(None), None);
+        for after in [&b"abcXefgh"[..], b"abcXYefgh"] {
+            let patch = Patch::between(Some(b"abcdefgh"), after);
+            assert_eq!(patch.apply(Some(b"abc")), None);
+            assert_eq!(patch.apply(None), None);
+        }
         assert_eq!(Patch::whole(b"w").apply(None), Some(b"w".to_vec()));
     }
 
@@ -1096,7 +1155,7 @@ mod tests {
         for (keep, n) in [(127, 0), (128, 63), (16_384, 64)] {
             let patch = Patch {
                 prefix: keep,
-                suffix: 3,
+                suffix: Some(3),
                 middle: &[0x3C; 64][..n],
             };
             patch_roundtrip(patch);
@@ -1112,9 +1171,13 @@ mod tests {
         bytes.truncate(10);
         bytes.push(0x02); // bit 64
         assert!(LogEntry::decode(&bytes, 0).is_err());
-        // nor is a kind nobody writes — v2's `Begin` included
+        // nor is a kind nobody writes — v2's `Begin` included — but each
+        // packed kind is a record still to come
         assert!(LogEntry::decode(&[1, 7], 0).is_err());
-        assert!(LogEntry::decode(&[12], 0).is_err());
+        for kind in [12, 0x3F, 0x80, 0xFF] {
+            assert!(LogEntry::decode(&[kind], 0).is_err());
+        }
+        assert!((0x40..=0x7F).all(|k| LogEntry::decode(&[k], 0).unwrap().is_none()));
     }
 
     /// A count no buffer could hold is never allocated for, nor walked: it

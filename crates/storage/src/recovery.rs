@@ -873,13 +873,13 @@ mod tests {
         assert!(recover(&log, &cache, &store).is_err());
     }
 
-    /// A patched `Overwrite` is rebuilt over the image the log installed
-    /// before it. One that keeps more bytes than that image has, or keeps
-    /// bytes of no image — none logged, or a deletion — is `Corrupt`, at
-    /// restart and in `scan` alike.
+    /// A patched `Overwrite` — kind 9's or packed — is rebuilt over the
+    /// image the log installed before it. One that keeps more bytes than
+    /// that image has, or keeps bytes of no image — none logged, or a
+    /// deletion — is `Corrupt`, at restart and in `scan` alike.
     #[test]
     fn a_patch_its_base_does_not_fit_is_corrupt() {
-        let logged = |base: Option<&[u8]>, keep: usize| {
+        let logged = |base: Option<&[u8]>, patch| {
             let log = LogManager::in_memory();
             if let Some(base) = base {
                 log.append(&LogRecord::Update {
@@ -890,11 +890,6 @@ mod tests {
                 })
                 .unwrap();
             }
-            let patch = Patch {
-                prefix: keep,
-                suffix: 1,
-                middle: b"!",
-            };
             log.append_ref(&RecordRef::Overwrite {
                 tid: Tid(2),
                 oid: Oid(1),
@@ -907,26 +902,30 @@ mod tests {
             .unwrap();
             log
         };
-        let log = logged(Some(b"base"), 3);
-        let cache = ObjectCache::new();
-        recover(&log, &cache, &ObjectStore::in_memory()).unwrap();
-        assert_eq!(get(&cache, Oid(1)).unwrap(), b"bas!e");
-        assert_eq!(log.scan().unwrap()[1].1, overwrite(2, 1, b"bas!e"));
-        for (base, keep, of) in [
-            (Some(&b"base"[..]), 4, "of a 4-byte image"),
-            (None, 1, "of no image"),
-            (Some(b""), 1, "of no image"), // created deleted
+        for after in [&b"bas!e"[..], b"bXse"] {
+            let log = logged(Some(b"base"), Patch::between(Some(b"base"), after));
+            let cache = ObjectCache::new();
+            recover(&log, &cache, &ObjectStore::in_memory()).unwrap();
+            assert_eq!(get(&cache, Oid(1)).unwrap(), after);
+            assert_eq!(log.scan().unwrap()[1].1, overwrite(2, 1, after));
+        }
+        // 4 + 1 bytes kept of a 5-byte base; a packed 3 + 2
+        let cut = Patch::between(Some(b"basee"), b"base!e");
+        let packed = Patch::between(Some(b"basic"), b"basXY");
+        for (base, patch, of) in [
+            (Some(&b"base"[..]), cut, "a 4-byte image"),
+            (Some(b"base"), packed, "a 4-byte image"),
+            (None, cut, "no image"),
+            (None, packed, "no image"),
+            (Some(b""), packed, "no image"), // created deleted
         ] {
-            let log = logged(base, keep);
+            let log = logged(base, patch);
             let at_restart = recover(&log, &ObjectCache::new(), &ObjectStore::in_memory());
             for err in [at_restart.unwrap_err(), log.scan().unwrap_err()] {
                 let AssetError::Corrupt(msg) = err else {
                     panic!("{err}");
                 };
-                assert!(
-                    msg.contains(&format!("keeps {keep} + 1 bytes {of}")),
-                    "{msg}"
-                );
+                assert!(msg.contains(&format!("does not fit {of}")), "{msg}");
             }
         }
     }

@@ -182,10 +182,8 @@ mod tests {
 
     #[test]
     fn reopen_reads_the_last_flushed_image() {
-        let dir = std::env::temp_dir().join(format!("asset-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = asset_faults::TempDir::new("store");
         let path = dir.join("heap.db");
-        let _ = std::fs::remove_file(&path);
         let cache = ObjectCache::new();
         let set = |oid: u64, image: Option<&[u8]>| {
             let entry = cache.entry(Oid(oid));
@@ -206,14 +204,13 @@ mod tests {
             .map(|i| (i + 1, format!("value-{i}").into_bytes()))
             .collect();
         assert_eq!(contents(&reopened), expect, "no tombstone, nothing later");
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one file");
+        assert_eq!(std::fs::read_dir(&*dir).unwrap().count(), 1, "one file");
         // a heap file of slotted pages is not an image, and not an empty store
         std::fs::write(&path, [0u8; 4096]).unwrap();
         assert!(matches!(
             ObjectStore::at(&path).load(&ObjectCache::new()),
             Err(AssetError::Corrupt(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// In memory the store keeps the bytes of the last image: a fresh

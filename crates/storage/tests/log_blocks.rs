@@ -14,7 +14,7 @@
 //! an absolute tid of some LEB128 width.
 
 use asset_common::{AssetError, Durability, Lsn, Oid, Tid};
-use asset_faults::{cases, Rng};
+use asset_faults::{cases, Rng, TempDir};
 use asset_storage::log::{
     LogManager, LogRecord, Patch, RecordRef, TidCursor, FORMAT_MARKER, SEAL_LEN,
 };
@@ -241,9 +241,7 @@ fn assert_whole_block_prefix(path: &Path, log: &Written, end: u64, what: &str) {
 
 #[test]
 fn a_cut_or_a_flipped_byte_costs_whole_blocks_or_the_log_never_a_part_of_one() {
-    let dir = std::env::temp_dir().join(format!("asset-log-blocks-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("log-blocks");
     let path = dir.join("wal.log");
     cases(0x0570_B10C, 48, |rng| {
         let log = write_a_log(rng, &path);
@@ -277,5 +275,4 @@ fn a_cut_or_a_flipped_byte_costs_whole_blocks_or_the_log_never_a_part_of_one() {
     });
     let patched = PATCHED.load(Ordering::Relaxed);
     assert!(patched >= 24, "patches were cut too: {patched}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }

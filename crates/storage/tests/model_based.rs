@@ -5,26 +5,18 @@
 //! store's image file is damaged at random.
 
 use asset_common::{AssetError, Config, Durability, Oid, Tid};
-use asset_faults::{cases, Rng};
+use asset_faults::{cases, Rng, TempDir};
 use asset_storage::log::{LogEntry, TidCursor, FORMAT_MARKER};
 use asset_storage::{LogRecord, ObjectCache, ObjectStore, RecordRef, StorageEngine};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
+use std::path::Path;
+use std::sync::Mutex;
 
 /// Cases per property.
 const CASES: u64 = 64;
 
 /// Keys the engine property draws from.
 const KEYS: u64 = 24;
-
-/// A fresh directory for one property.
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("asset-mb-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn open(config: &Config) -> StorageEngine {
     StorageEngine::open(config).unwrap().0
@@ -60,7 +52,7 @@ fn assert_holds(e: &StorageEngine, model: &HashMap<u64, Vec<u8>>, what: &str) {
 /// `put`/`get`/`delete` and ceiling unit tests, whose API is gone.
 #[test]
 fn an_engine_reopened_anywhere_holds_the_committed_values() {
-    let dir = fresh_dir("engine");
+    let dir = TempDir::new("engine");
     cases(0x0570_0001, CASES, |rng| {
         let data = dir.join(format!("case-{}", rng.next_u64()));
         let config = Config {
@@ -129,19 +121,28 @@ fn an_engine_reopened_anywhere_holds_the_committed_values() {
         assert_holds(&open(&config), &model, "final reopen");
         std::fs::remove_dir_all(&data).unwrap();
     });
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Mostly an image a patch can carry: `base` with a run of its bytes
 /// replaced by a shorter or longer run, so that it shares a prefix and a
-/// suffix with it and grows or shrinks; else a deletion, or a fresh image
-/// (a re-creation, after a deletion).
+/// suffix with it and grows or shrinks, or with the bytes of a packed
+/// kind's edge shapes flipped (prefix 7 and middle 8; middle 9 and prefix
+/// 8, which kind 9 carries); else a deletion, or a fresh image (a
+/// re-creation, after a deletion).
 fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
     match (rng.below(8), base) {
         (0, _) => None,
         (1, _) | (_, None) => {
             let len = rng.below(40) as usize;
             Some(rng.bytes(len))
+        }
+        (2 | 3, Some(base)) if base.len() > 16 => {
+            let (prefix, middle) = [(7, 8), (0, 1), (0, 9), (8, 1)][rng.below(4) as usize];
+            let mut next = base.to_vec();
+            next[prefix..prefix + middle]
+                .iter_mut()
+                .for_each(|b| *b = !*b);
+            Some(next)
         }
         (_, Some(base)) => {
             let from = rng.below(base.len() as u64 + 1) as usize;
@@ -152,20 +153,22 @@ fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
     }
 }
 
-/// The patched `Overwrite`s in the log file at `path`.
-fn patches_in(path: &Path) -> usize {
+/// The kinds of the patched `Overwrite`s in the log file at `path`.
+fn patches_in(path: &Path, kinds: &Mutex<Vec<u8>>) {
     let bytes = std::fs::read(path).unwrap();
-    let (mut off, mut patches, mut cursor) = (FORMAT_MARKER.len(), 0, TidCursor::default());
+    let (mut off, mut cursor) = (FORMAT_MARKER.len(), TidCursor::default());
     while let Some((entry, next)) = LogEntry::decode_in(&bytes, off, &mut cursor).unwrap() {
         if let LogEntry::Record(RecordRef::Overwrite {
             after: Some(patch), ..
         }) = entry
         {
-            patches += usize::from(!patch.is_whole());
+            kinds
+                .lock()
+                .unwrap()
+                .extend((!patch.is_whole()).then_some(bytes[off]));
         }
         off = next;
     }
-    patches
 }
 
 /// An `Overwrite` logs its after image as a patch against the image the
@@ -177,8 +180,8 @@ fn patches_in(path: &Path) -> usize {
 /// against a model of the committed values.
 #[test]
 fn patched_overwrites_reopen_as_the_images_written() {
-    let dir = fresh_dir("patch");
-    let patches = std::sync::atomic::AtomicUsize::new(0);
+    let dir = TempDir::new("patch");
+    let kinds = Mutex::new(Vec::new());
     cases(0x0570_0006, CASES, |rng| {
         let data = dir.join(format!("case-{}", rng.next_u64()));
         let config = Config {
@@ -229,19 +232,20 @@ fn patched_overwrites_reopen_as_the_images_written() {
             };
             checkpoint(&e, rng, &[]);
             drop(e);
-            patches.fetch_add(patches_in(&data.join("wal.log")), Ordering::Relaxed);
+            patches_in(&data.join("wal.log"), &kinds);
             e = open(&config);
             assert_holds(&e, &model, &format!("reopen after round {round}"));
         }
         drop(e);
         std::fs::remove_dir_all(&data).unwrap();
     });
-    let patches = patches.load(Ordering::Relaxed);
-    assert!(
-        patches >= CASES as usize,
-        "too few patches to tell: {patches}"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+    let kinds = kinds.into_inner().unwrap();
+    let n = kinds.len();
+    assert!(n >= CASES as usize, "too few patches to tell: {n}");
+    // the packed range's first and last kinds, and kind 9 past them
+    for kind in [0x40, 0x7F, 9] {
+        assert!(kinds.contains(&kind), "no patch of kind {kind:#04x}");
+    }
 }
 
 /// Write `entries` as the image at `path`, through a cache.
@@ -280,7 +284,7 @@ fn arb_entries(rng: &mut Rng) -> HashMap<u64, Vec<u8>> {
 /// image loads as what was written.
 #[test]
 fn a_damaged_image_is_corrupt_and_a_stale_next_is_ignored() {
-    let dir = fresh_dir("damage");
+    let dir = TempDir::new("damage");
     let path = dir.join("heap.db");
     let next = path.with_extension("db.next");
     cases(0x0570_0005, CASES, |rng| {
@@ -299,5 +303,4 @@ fn a_damaged_image_is_corrupt_and_a_stale_next_is_ignored() {
         std::fs::write(&next, cut).unwrap();
         assert_eq!(load_image(&path).unwrap(), entries);
     });
-    std::fs::remove_dir_all(&dir).unwrap();
 }

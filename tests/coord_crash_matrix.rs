@@ -31,6 +31,7 @@ use asset::coord::{
     Acceptor, ChannelTransport, CommitTransport, CoordError, CoordLog, Decision, GlobalTxn,
     ParticipantNode, PaxosCommit, TwoPhase,
 };
+use asset::faults::TempDir;
 use asset::faults::{CrashPoint, FaultAction, FaultRegistry, Trigger};
 use asset::storage::LogRecord;
 use asset::{Config, Oid};
@@ -39,30 +40,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 const NODES: usize = 3;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!(
-            "asset-xcm-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A 3-node on-disk cluster. Every node gets its own directory and its
 /// own instance-scoped fault registry, so participant failpoints can be

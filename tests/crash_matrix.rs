@@ -24,35 +24,11 @@
 
 #![cfg(feature = "faults")]
 
+use asset::faults::TempDir;
 use asset::faults::{FaultAction, FaultRegistry, Trigger};
 use asset::{storage, txn, Config, Database, DepType, ObSet, Oid, OpSet, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!(
-            "asset-cm-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Every failpoint in the storage and transaction layers.
 fn all_failpoints() -> Vec<&'static str> {

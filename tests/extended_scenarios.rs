@@ -134,9 +134,8 @@ fn saga_of_nested_transactions() {
 /// crash-recovery pass converges to the same state.
 #[test]
 fn mixed_workload_soak_with_compaction_and_recovery() {
-    let dir = std::env::temp_dir().join(format!("asset-soak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut config = Config::on_disk(&dir);
+    let dir = asset::faults::TempDir::new("soak");
+    let mut config = Config::on_disk(&*dir);
     config.durability = asset::Durability::Buffered;
 
     let n_accounts = 6usize;
@@ -257,7 +256,6 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
         total, expected_total,
         "conserved across compactions and crash"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A multi-level transaction whose commit path fails after its body ran

@@ -11,25 +11,9 @@ use asset::coord::{
     Acceptor, ChannelTransport, CoordLog, Decision, GlobalTxn, ParticipantNode, PaxosCommit,
     TwoPhase,
 };
+use asset::faults::TempDir;
 use asset::{Config, Database, Oid, StepCtx, TryOp, TxnStep};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!("asset-fw-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// (windows, windows run by their committer)
 fn windows(db: &Database) -> (u64, u64) {

@@ -2,32 +2,8 @@
 //! work survives, in-flight work rolls back, delegation is honored across
 //! restarts, checkpoints truncate, and recovery is idempotent.
 
+use asset::faults::TempDir;
 use asset::{Config, Database, Oid};
-use std::path::PathBuf;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!(
-            "asset-it-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Two live cooperating writers of one object across a `checkpoint`
 /// (regression: pending updates used to be re-logged grouped by owner in

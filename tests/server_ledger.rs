@@ -405,11 +405,9 @@ mod ambiguity {
 
     #[test]
     fn commit_point_failure_maps_to_the_ambiguous_wire_status() {
-        let dir =
-            std::env::temp_dir().join(format!("asset-server-ambiguity-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = asset::faults::TempDir::new("server-ambiguity");
         let faults = Arc::new(FaultRegistry::new());
-        let config = Config::on_disk(&dir)
+        let config = Config::on_disk(&*dir)
             .with_exec_workers(2)
             .with_commit_flush_window(Duration::from_micros(200))
             .with_faults(Arc::clone(&faults));
@@ -474,7 +472,6 @@ mod ambiguity {
             .session_drain_ambiguous;
         assert_eq!(drained, 0, "wire-surfaced fates are not drain findings");
         server.join();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A MINT that fails between chunks must not leave the earlier,
@@ -482,10 +479,9 @@ mod ambiguity {
     /// server compensates by deleting them (DESIGN.md §13.3).
     #[test]
     fn failed_mint_rolls_back_committed_chunks() {
-        let dir = std::env::temp_dir().join(format!("asset-server-mint-rb-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = asset::faults::TempDir::new("server-mint-rb");
         let faults = Arc::new(FaultRegistry::new());
-        let config = Config::on_disk(&dir)
+        let config = Config::on_disk(&*dir)
             .with_exec_workers(2)
             .with_commit_flush_window(Duration::from_micros(200))
             .with_faults(Arc::clone(&faults));
@@ -513,6 +509,5 @@ mod ambiguity {
 
         server.shutdown();
         server.join();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,7 +3,8 @@
 //! code that no row states are both failures, and each failure names the
 //! row (by line) or the fact. §13.3's opcodes are checked by sending every
 //! byte to a live server; the WAL tags by encoding one record of each
-//! variant and by decoding every tag byte.
+//! variant and each packed `Overwrite` shape, and by decoding every tag
+//! byte.
 //!
 //! Each check is a function over the markdown text, so
 //! `seeded_drift_is_named_row_by_row` can feed it DESIGN.md with one row
@@ -14,8 +15,8 @@ use asset::common::ParticipantState;
 use asset::coord::CommitMessage;
 use asset::server::protocol::{opcode, status, status_name};
 use asset::server::AssetServer;
-use asset::storage::log::LogEntry;
-use asset::storage::LogRecord;
+use asset::storage::log::{LogEntry, Patch, TidCursor};
+use asset::storage::{LogRecord, RecordRef};
 use asset::{Config, Database, Oid, Tid, TxnStatus};
 use std::sync::OnceLock;
 
@@ -44,11 +45,15 @@ impl Row {
     /// `0x0F` and `0x0f` agree; `?` if there is none.
     fn hex(&self, i: usize) -> String {
         let word = self.cell(i).split_whitespace().next().unwrap_or("");
-        let v = match word.strip_prefix("0x") {
-            Some(hex) => u8::from_str_radix(hex, 16).ok(),
-            None => word.parse().ok(),
-        };
-        v.map_or("?".into(), |v| format!("{v:#04x}"))
+        number(word).map_or("?".into(), |v| format!("{v:#04x}"))
+    }
+}
+
+/// A byte written `0x` hex or decimal.
+fn number(word: &str) -> Option<u8> {
+    match word.strip_prefix("0x") {
+        Some(hex) => u8::from_str_radix(hex, 16).ok(),
+        None => word.parse().ok(),
     }
 }
 
@@ -151,7 +156,8 @@ fn check_statuses(md: &str) -> Vec<String> {
 
 /// The tag `LogRecord::encode` writes for each variant — for `Commit`
 /// and `Prepared`, for a group of one and for a larger one — with its
-/// DESIGN.md name. The match is exhaustive: a new variant does not
+/// DESIGN.md name, then the tag of an `Overwrite` patched in each shape a
+/// packed kind holds. The match is exhaustive: a new variant does not
 /// compile until it is named here, and then the check asks for its row.
 fn record_tags() -> Vec<String> {
     let (t, o) = (Tid(1), Oid(2));
@@ -194,17 +200,42 @@ fn record_tags() -> Vec<String> {
         LogRecord::Prepared { .. } => "Prepared",
     };
     let tag = |r: &LogRecord| r.encode()[0];
-    samples
+    let mut tags: Vec<String> = samples
         .iter()
         .map(|r| format!("{:#04x} {}", tag(r), name(r)))
-        .collect()
+        .collect();
+    // a 16-byte image whose bytes `p..p + m` change: prefix p, middle m
+    let base = [0u8; 16];
+    for (p, m) in (0..8).flat_map(|p| (1..=8).map(move |m| (p, m))) {
+        let after: Vec<u8> = (0..16).map(|i| u8::from((p..p + m).contains(&i))).collect();
+        let patch = Patch::between(Some(&base), &after);
+        let mut out = Vec::new();
+        let (tid, oid, after) = (t, o, Some(patch));
+        RecordRef::Overwrite { tid, oid, after }.encode_into(&mut out, &mut TidCursor::default());
+        tags.push(format!("{:#04x} Overwrite", out[0]));
+    }
+    tags
 }
 
 /// The WAL record-type inventory: each record encodes its row's tag, the
 /// seal is the row named Seal, and the decoder accepts exactly the tags
 /// the table lists.
 fn check_wal_tags(md: &str) -> Vec<String> {
-    let rows = table(md, &["tag", "record"]);
+    // a range row (`0x40–0x7F`) stands for a row of each tag in it
+    let mut rows = Vec::new();
+    for r in table(md, &["tag", "record"]) {
+        let (lo, hi) = r.cell(0).split_once('–').unwrap_or((r.cell(0), r.cell(0)));
+        let Some((lo, hi)) = number(lo).zip(number(hi)) else {
+            rows.push(r);
+            continue;
+        };
+        let row = |t: u8| [vec![t.to_string()], r.cells[1..].to_vec()].concat();
+        let line = r.line;
+        rows.extend((lo..=hi).map(|t| Row {
+            line,
+            cells: row(t),
+        }));
+    }
     let seal = |t| {
         matches!(
             LogEntry::decode(&[t, 0, 0, 0, 0], 0),
@@ -357,6 +388,9 @@ fn seeded_drift_is_named_row_by_row() {
     let s = seed(&swap, &check_wal_tags);
     named(&s, &line_of(&s, commit));
     named(&s, &line_of(&s, abort));
+    // the packed range cut short
+    let s = seed(&[("| `0x40–0x7F` |", "| `0x40–0x7E` |")], &check_wal_tags);
+    named(&s, "the code's `0x7f Overwrite` has no row");
     // a transition added
     let added = "| `Running` | `Committed` | seeded |";
     let last = "| `Aborting` | `Aborted` | undo walk finished |";

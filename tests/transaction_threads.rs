@@ -214,3 +214,44 @@ fn a_panicking_body_does_not_unwind_into_the_caller_that_runs_it() {
     // its lock went with the abort
     assert!(db.run(move |ctx| ctx.write(oid, b"ok".to_vec())).unwrap());
 }
+
+/// A panic payload whose drop panics: a body that panics with it panics
+/// again once its thread has caught the first, after the body.
+struct Bomb;
+
+impl Drop for Bomb {
+    fn drop(&mut self) {
+        panic!("a panic after the body");
+    }
+}
+
+#[test]
+fn a_panic_after_the_body_aborts_the_transaction_and_its_thread_serves_on() {
+    let db = Database::in_memory();
+    let oid = db.new_oid();
+    let (started, on_thread) = channel();
+    let t = db
+        .initiate(move |ctx| {
+            ctx.write(oid, b"doomed".to_vec())?;
+            started.send(()).unwrap();
+            std::panic::panic_any(Bomb)
+        })
+        .unwrap();
+    db.begin(t).unwrap();
+    // a transaction thread has it: the waiter below cannot claim it
+    on_thread.recv_timeout(PATIENCE).unwrap();
+    let (waiter, (waited, outcome)) = (db.clone(), channel());
+    let waiting =
+        std::thread::spawn(move || waited.send(waiter.wait(t).map_err(|e| e.to_string())));
+    assert_eq!(outcome.recv_timeout(PATIENCE).unwrap(), Ok(false));
+    waiting.join().unwrap().unwrap();
+    assert_eq!(db.peek(oid).unwrap(), None);
+    assert!(db.run(move |ctx| ctx.write(oid, b"ok".to_vec())).unwrap());
+    // the thread lived on, and goes with the database
+    let obs = Arc::clone(db.obs());
+    drop(db);
+    until("the thread to exit", || {
+        let c = obs.snapshot().counters;
+        (c.txn_threads_spawned, c.txn_threads_exited) == (1, 1)
+    });
+}
