@@ -9,11 +9,13 @@ use asset_obs::{Event, Obs};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// E9b — lock-table stripes, two questions in one table. **Disjoint
-/// sweep:** threads on disjoint object ranges acquire 64 write locks then
-/// `release_all`, at one stripe (every acquisition on one mutex) and at
-/// the resolved default — what striping buys, or on a one-core box what it
-/// costs. **Hot set:** 16 threads hammer 4 objects through an
+/// E9b — lock-table stripes, two questions in one table. Locks go through
+/// the list-taking pair asset-core uses (`acquire`, then `release` of the
+/// thread's list). **Disjoint sweep:** threads on disjoint object ranges
+/// acquire 64 write locks then release them, at one stripe (every
+/// acquisition on one mutex) and at the resolved default — what striping
+/// buys, or on a one-core box what it costs. **Hot set:** 16 threads
+/// hammer 4 objects through an
 /// observability-enabled 8-stripe table, and `stripe_stats()` shows
 /// *where* the waiting happened (waits, mean/max wait, queue depth peak
 /// per stripe).
@@ -45,17 +47,19 @@ pub fn e9b_stripe_contention_traced(scale: Scale) -> (Table, Vec<Event>) {
         for shards in [1usize, 0] {
             let locks = LockTable::with_shards(shards);
             let elapsed = crate::workload::parallel_time(threads, |i| {
-                let tid = Tid(i as u64 + 1);
+                let (tid, mut held) = (Tid(i as u64 + 1), Vec::new());
                 let base = (i as u64 + 1) << 32;
                 for n in 0..per_thread {
-                    locks
-                        .lock(tid, Oid(base + n as u64 % 64), Operation::Write, None)
-                        .unwrap();
+                    let ob = Oid(base + n as u64 % 64);
+                    if locks.acquire(tid, ob, Operation::Write, None).unwrap() {
+                        held.push(ob);
+                    }
                     if n % 64 == 63 {
-                        locks.release_all(tid);
+                        locks.release(tid, &mut held);
+                        held.clear();
                     }
                 }
-                locks.release_all(tid);
+                locks.release(tid, &mut held);
             });
             let rate = total as f64 / elapsed.as_secs_f64();
             let rate_cell = if shards == 1 {
@@ -91,8 +95,8 @@ pub fn e9b_stripe_contention_traced(scale: Scale) -> (Table, Vec<Event>) {
         let tid = Tid(i as u64 + 1);
         for n in 0..per_thread {
             let ob = hot[n % hot.len()];
-            locks.lock(tid, ob, Operation::Write, None).unwrap();
-            locks.release_all(tid);
+            locks.acquire(tid, ob, Operation::Write, None).unwrap();
+            locks.release(tid, &mut [ob]);
         }
     });
 

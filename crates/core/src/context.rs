@@ -41,12 +41,21 @@ impl TxnCtx {
     /// Take the transaction-duration lock for `op` on `ob`, blocking for
     /// it (the executor's [`StepCtx`](crate::StepCtx) tries instead): the
     /// one place the two contexts' data operations differ. An abort
-    /// poisons the lock requests of a running victim.
-    fn lock(&self, ob: Oid, op: Operation) -> Result<()> {
+    /// poisons the lock requests of a running victim. `true` for a new
+    /// LRD, which the caller lists in the TD.
+    fn lock(&self, ob: Oid, op: Operation) -> Result<bool> {
         let inner = &self.db.inner;
         inner
             .locks
-            .lock(self.tid, ob, op, inner.config.lock_wait_timeout)
+            .acquire(self.tid, ob, op, inner.config.lock_wait_timeout)
+    }
+
+    /// [`lock`](Self::lock) for an operation that installs nothing: the
+    /// grant is listed in its own TD visit, made only for a new LRD.
+    fn lock_listed(&self, ob: Oid, op: Operation) -> Result<()> {
+        let new = self.lock(ob, op)?;
+        self.db.list_grant(self.tid, ob, new);
+        Ok(())
     }
 
     // --- data operations (paper §4.2 read/write) -------------------------
@@ -54,7 +63,7 @@ impl TxnCtx {
     /// Read `ob`: read-lock (blocking; honoring permits), then an S-latched
     /// read from the shared cache. `None` if the object does not exist.
     pub fn read(&self, ob: Oid) -> Result<Option<Vec<u8>>> {
-        self.lock(ob, Operation::Read)?;
+        self.lock_listed(ob, Operation::Read)?;
         Ok(self.db.inner.engine.read_object(ob))
     }
 
@@ -77,8 +86,8 @@ impl TxnCtx {
     }
 
     fn install(&self, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
-        self.lock(ob, Operation::Write)?;
-        self.db.install(self.tid, ob, after)
+        let new = self.lock(ob, Operation::Write)?;
+        self.db.install(self.tid, ob, after, new)
     }
 
     /// Explicitly acquire the write lock on `ob` without writing yet.
@@ -87,17 +96,18 @@ impl TxnCtx {
     /// upgrade window (two transactions both holding read locks and both
     /// upgrading deadlock; locking write-first serializes them cleanly).
     pub fn lock_exclusive(&self, ob: Oid) -> Result<()> {
-        self.lock(ob, Operation::Write)
+        self.lock_listed(ob, Operation::Write)
     }
 
     /// Explicitly acquire the read lock on `ob` without reading yet.
     pub fn lock_shared(&self, ob: Oid) -> Result<()> {
-        self.lock(ob, Operation::Read)
+        self.lock_listed(ob, Operation::Read)
     }
 
-    /// Read and modify in one step (lock, read, apply `f`, write back).
+    /// Read and modify in one step (lock, read, apply `f`, write back); the
+    /// grant is listed before `f` runs, so a panicking `f` strands no lock.
     pub fn update(&self, ob: Oid, f: impl FnOnce(Option<Vec<u8>>) -> Vec<u8>) -> Result<()> {
-        self.lock(ob, Operation::Write)?;
+        self.lock_listed(ob, Operation::Write)?;
         let current = self.db.inner.engine.read_object(ob);
         self.install(ob, Some(f(current)))
     }
@@ -171,7 +181,7 @@ impl TxnCtx {
 
     /// Which objects does this transaction currently hold locks on?
     pub fn locked_objects(&self) -> Vec<Oid> {
-        self.db.inner.locks.locked_objects(self.tid)
+        self.db.locked_objects(self.tid)
     }
 }
 

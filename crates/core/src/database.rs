@@ -78,9 +78,9 @@
 //!
 //! Install before images in reverse order — each with its CLR, one latched
 //! engine call per step — log `Abort` (if the log has heard of the
-//! transaction at all), release locks and permits, then — in one visit to
-//! the victim's shard — propagate along incoming AD/GC edges (CD edges are
-//! dropped) and mark aborted. A
+//! transaction at all), then, in one visit to the victim's shard, release
+//! the locks its TD lists and its permits, propagate along incoming AD/GC
+//! edges (CD edges are dropped) and mark aborted. A
 //! *running* victim is marked `Aborting` and its lock waits are poisoned;
 //! whoever runs its body performs the steps when the closure unwinds (a
 //! body nobody has claimed yet is dropped unrun) — the paper's "mark tj in
@@ -119,6 +119,15 @@ pub(crate) struct UndoEntry {
     pub before: Option<Vec<u8>>,
 }
 
+/// What a live transaction holds: its undo chain and its lock list (§4.1:
+/// the TD's list of LRDs, each object once; the lock table keeps no copy).
+#[derive(Default)]
+pub(crate) struct Held {
+    /// In-memory undo chain; delegation splices entries between TDs.
+    pub undo: Vec<UndoEntry>,
+    pub locks: Vec<Oid>,
+}
+
 /// A transaction descriptor (the paper's TD). The default is a fresh
 /// top-level one: `Initiated`, nothing claimed, pinned or prepared.
 #[derive(Default)]
@@ -129,8 +138,9 @@ pub(crate) struct TxnSlot {
     /// by the thread that runs it; `None` for a step program, which lives
     /// in its executor task.
     pub job: Option<Job>,
-    /// In-memory undo chain; delegation splices entries between slots.
-    pub undo: Vec<UndoEntry>,
+    /// Boxed, so a terminated TD keeps none of it: made by the first write,
+    /// lock or delegation to it, taken by the visit that ends it.
+    pub held: Option<Box<Held>>,
     /// Abort steps already performed? (guards against double undo when
     /// commit/abort/wrapper race to finalize an `Aborting` transaction)
     pub abort_performed: bool,
@@ -300,22 +310,20 @@ impl Database {
                     before: u.before.clone(),
                 })
                 .collect();
-            let oids: BTreeSet<Oid> = d.updates.iter().map(|u| u.oid).collect();
-            for oid in oids {
-                if inner
-                    .locks
-                    .try_lock(d.tid, oid, asset_common::Operation::Write)
-                    .is_err()
-                {
+            let locks: BTreeSet<Oid> = d.updates.iter().map(|u| u.oid).collect();
+            for &oid in &locks {
+                let write = asset_common::Operation::Write;
+                if !matches!(inner.locks.request(d.tid, oid, write, None), Ok(Ok(true))) {
                     return Err(AssetError::Corrupt(format!(
                         "in-doubt lock conflict on {oid} restoring {}",
                         d.tid
                     )));
                 }
             }
+            let locks = locks.into_iter().collect();
             let slot = TxnSlot {
                 status: TxnStatus::Prepared,
-                undo,
+                held: Some(Box::new(Held { undo, locks })),
                 ..TxnSlot::default()
             };
             inner.txns.insert(d.tid, slot);
@@ -726,7 +734,9 @@ impl Database {
     /// undo responsibility all move; a `Delegate` log record makes the
     /// transfer crash-safe. The building block of split/join (§3.1.5) and
     /// nested transactions (§3.1.4). Delegating from or to a `Prepared`
-    /// transaction is refused with `InvalidState` (§14.2).
+    /// (§14.2) or terminated transaction, or to an aborting one (no end of
+    /// it would release or undo what it received), is refused with
+    /// `InvalidState`.
     ///
     /// ```
     /// use asset_core::Database;
@@ -744,7 +754,7 @@ impl Database {
     /// assert!(db.abort(t2).unwrap());      // aborting t2 undoes t1's write
     /// assert_eq!(db.peek(oid).unwrap(), None);
     /// ```
-    // verify: wal(logs = "log_record", mutates = "std::mem::take(&mut slot.undo)")
+    // verify: wal(logs = "log_record", mutates = "held.undo.extract_if(")
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<ObSet>) -> Result<()> {
         let mut guard = self.lock_unpinned(&[from, to]);
         if guard.get(from).is_none() {
@@ -753,7 +763,9 @@ impl Database {
         if guard.get(to).is_none() {
             return Err(AssetError::TxnNotFound(to));
         }
-        refuse_prepared(&guard, &[from, to], "delegate")?;
+        let fated = |s: TxnStatus| s == TxnStatus::Prepared || s.is_terminated();
+        refuse(&guard, &[from], "delegate", fated)?;
+        refuse(&guard, &[to], "delegate", |s| fated(s) || s.is_abort_path())?;
         if from == to {
             return Ok(());
         }
@@ -789,31 +801,23 @@ impl Database {
             to,
             obs: logged_obs,
         })?;
-        // splice undo entries (both slots were validated non-None above and
+        // splice the undo entries and the lock list (both slots exist, and
         // the guard has held their shards throughout)
-        let moved: Vec<UndoEntry> = {
-            let Some(slot) = guard.get_mut(from) else {
-                return Err(AssetError::TxnNotFound(from));
-            };
-            match &obs {
-                None => std::mem::take(&mut slot.undo),
-                Some(set) => {
-                    let (take, keep): (Vec<_>, Vec<_>) =
-                        slot.undo.drain(..).partition(|u| set.contains(u.oid));
-                    slot.undo = keep;
-                    take
-                }
-            }
+        let moves = |ob: Oid| obs.as_ref().is_none_or(|set| set.contains(ob));
+        let Some(slot) = guard.get_mut(from) else {
+            return Err(AssetError::TxnNotFound(from));
         };
-        {
-            let Some(dst) = guard.get_mut(to) else {
-                return Err(AssetError::TxnNotFound(to));
-            };
-            dst.undo.extend(moved);
-            dst.undo.sort_by_key(|u| u.seq);
-        }
-        // locks + permit re-attribution
-        self.inner.locks.delegate(from, to, obs.as_ref());
+        let held = slot.held.get_or_insert_default();
+        let undo: Vec<_> = held.undo.extract_if(.., |u| moves(u.oid)).collect();
+        let mut moving: Vec<_> = held.locks.extract_if(.., |ob| moves(*ob)).collect();
+        let listed = (self.inner.locks).delegate(from, to, &mut moving, obs.as_ref());
+        let Some(dst) = guard.get_mut(to) else {
+            return Err(AssetError::TxnNotFound(to));
+        };
+        let held = dst.held.get_or_insert_default();
+        held.undo.extend(undo);
+        held.undo.sort_by_key(|u| u.seq);
+        held.locks.extend(listed);
         drop(guard);
         self.inner.txns.bump();
         Ok(())
@@ -848,8 +852,15 @@ impl Database {
     /// set from what `grantor` has accessed or has permission to access,
     /// at call time (§4.2).
     pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) -> Result<()> {
-        self.inner.locks.permit_accessed(grantor, grantee, ops);
+        let held = self.locked_objects(grantor);
+        (self.inner.locks).permit_accessed(grantor, grantee, &held, ops);
         Ok(())
+    }
+
+    /// The objects `t` holds locks on, from its TD (none for an unknown `t`).
+    pub(crate) fn locked_objects(&self, t: Tid) -> Vec<Oid> {
+        let held = |s: Option<&mut TxnSlot>| s?.held.as_ref().map(|h| h.locks.clone());
+        (self.inner.txns).with(t, held).unwrap_or_default()
     }
 
     /// `form_dependency(type, ti, tj)` — paper §2.2, edges kept in the
@@ -891,7 +902,8 @@ impl Database {
         }
         // a prepared transaction may be the `on` of a CD/AD edge only
         let bound = [tj, if kind == DepType::GC { ti } else { tj }];
-        refuse_prepared(&guard, &bound, "form_dependency")?;
+        let prepared = |s| s == TxnStatus::Prepared;
+        refuse(&guard, &bound, "form_dependency", prepared)?;
         let live = |s: TxnStatus| !s.is_terminated();
         let mut deps = self.inner.deps.lock();
         match (kind, si, sj) {
@@ -1194,13 +1206,14 @@ impl Database {
                         if slot.abort_performed {
                             Act::Skip
                         } else {
-                            let in_log =
-                                !slot.undo.is_empty() || slot.status == TxnStatus::Prepared;
+                            let undo = (slot.held.as_mut()).map(|h| std::mem::take(&mut h.undo));
+                            let undo = undo.unwrap_or_default();
+                            let in_log = !undo.is_empty() || slot.status == TxnStatus::Prepared;
                             slot.abort_performed = true;
                             if slot.status != TxnStatus::Aborting {
                                 slot.set_status(TxnStatus::Aborting);
                             }
-                            Act::Undo(std::mem::take(&mut slot.undo), in_log)
+                            Act::Undo(undo, in_log)
                         }
                     }
                 }
@@ -1259,16 +1272,15 @@ impl Database {
                 tid: x,
                 span: SpanName::Rollback,
             });
-            // step 3: release locks and permits
-            self.inner.locks.release_all(x);
-            // steps 4–6 in one visit to x's shard (shard, then deps):
-            // propagate along incoming AD/GC, drop CD, aborted — so
-            // whoever holds x's shard sees `Aborted` exactly when the
-            // graph has dropped x
+            // steps 3–6 in one visit to x's shard (shard, then deps): release
+            // what the TD lists (left here by a rollback a panic cut short)
+            // and permits, propagate along incoming AD/GC, drop CD, aborted —
+            // so x's shard shows `Aborted` exactly when the graph drops x
             let (victims, resolved) = self.inner.txns.with(x, |slot| {
                 if let Some(slot) = slot {
                     slot.set_status(TxnStatus::Aborted);
                     slot.task = None; // nothing left to wake
+                    self.release(x, slot.held.take());
                 }
                 self.inner.deps.lock().aborted(x)
             });
@@ -1608,18 +1620,38 @@ impl Database {
         status == Some(TxnStatus::Completed)
     }
 
+    /// List `ob` in `t`'s TD when the grant that `new` reports created an
+    /// LRD: the one visit a read or a bare lock makes, and only then.
+    // The gap between grant and append is safe. While `thread_live` is set,
+    // only the transaction's own driver (this caller) releases its locks. A
+    // delegation or `permit_accessed` that runs in the gap sees only listed
+    // LRDs, so the unlisted grant stays with its holder, as if granted just
+    // after. `install` appends the same way.
+    pub(crate) fn list_grant(&self, t: Tid, ob: Oid, new: bool) {
+        if new {
+            let list = |s: &mut TxnSlot| s.held.get_or_insert_default().locks.push(ob);
+            (self.inner.txns).with(t, |slot| slot.map(list));
+        }
+    }
+
     /// The post-lock half of a write, the same whether the caller blocked
     /// for the lock ([`TxnCtx`]) or tried for it
     /// ([`StepCtx`](crate::StepCtx)): X-latched install with before/after
-    /// images logged, then one TD visit: the undo entry, and the status. A
-    /// body runs `Running`, or `Aborting` once an abort struck after the
-    /// grant: that is reported, the entry pushed all the same (the undo
-    /// runs when the body ends).
-    pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
-        let (before, seq) = self.inner.engine.write_object(t, ob, after)?;
+    /// images logged, then one TD visit: `ob` listed if the grant's LRD is
+    /// `new` (as in [`list_grant`](Self::list_grant), even when the write
+    /// failed), the undo entry, and the status. A body runs `Running`, or
+    /// `Aborting` once an abort struck after the grant: that is reported,
+    /// the entry pushed all the same (the undo runs when the body ends).
+    pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>, new: bool) -> Result<()> {
+        let written = self.inner.engine.write_object(t, ob, after);
         self.inner.txns.with(t, |slot| {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-            slot.undo.push(UndoEntry {
+            let held = slot.held.get_or_insert_default();
+            if new {
+                held.locks.push(ob);
+            }
+            let (before, seq) = written?;
+            held.undo.push(UndoEntry {
                 seq,
                 oid: ob,
                 before,
@@ -1703,7 +1735,7 @@ impl Database {
                         if slot.status == TxnStatus::Completed {
                             slot.set_status(TxnStatus::Committing);
                         }
-                        durable |= !slot.undo.is_empty();
+                        durable |= slot.held.as_ref().is_some_and(|h| !h.undo.is_empty());
                     }
                     if !durable {
                         self.finish_commit(t, &group, guard);
@@ -1801,9 +1833,8 @@ impl Database {
             slot.commit_pending = false;
             slot.set_status(TxnStatus::Committed);
             slot.task = None; // nothing left to wake
-            slot.undo = Vec::new(); // the TD outlives the commit; its buffer need not
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-            self.inner.locks.release_all(*m);
+            self.release(*m, slot.held.take());
         }
         let resolved = self.inner.deps.lock().committed(group);
         // counted before the shards are released: whoever has seen
@@ -1818,6 +1849,22 @@ impl Database {
             group: group.len() as u32,
         });
         self.inner.txns.bump();
+    }
+
+    /// Release `t`'s locks and permits, `held` being what its TD held,
+    /// taken in the visit that sets its terminal status. Debug builds check
+    /// the lock list: each entry was an LRD of `t`'s, once, and a scan of
+    /// the OD maps finds none left.
+    fn release(&self, t: Tid, held: Option<Box<Held>>) {
+        let mut locks = held.map(|h| h.locks).unwrap_or_default();
+        let (listed, released) = (locks.len(), self.inner.locks.release(t, &mut locks));
+        if cfg!(all(debug_assertions, not(loom))) {
+            let left = self.inner.locks.release_all(t);
+            assert!(
+                (released, left) == (listed, 0),
+                "{t}: {released} of {listed}, {left} left"
+            );
+        }
     }
 
     /// The group's commit record failed at the commit point: it may or
@@ -1857,14 +1904,17 @@ fn prepared(t: Tid, op: &'static str) -> AssetError {
     }
 }
 
-/// [`prepared`] for the first of `parties` that is `Prepared`.
-fn refuse_prepared(guard: &GroupGuard<'_>, parties: &[Tid], op: &'static str) -> Result<()> {
-    for &t in parties {
-        if guard
-            .get(t)
-            .is_some_and(|s| s.status == TxnStatus::Prepared)
-        {
-            return Err(prepared(t, op));
+/// The `InvalidState` refusal of `op` for the first of `parties` whose
+/// status is `refused`.
+fn refuse(
+    guard: &GroupGuard<'_>,
+    parties: &[Tid],
+    op: &'static str,
+    refused: impl Fn(TxnStatus) -> bool,
+) -> Result<()> {
+    for &tid in parties {
+        if let Some(status) = guard.get(tid).map(|s| s.status).filter(|&s| refused(s)) {
+            return Err(AssetError::InvalidState { tid, status, op });
         }
     }
     Ok(())

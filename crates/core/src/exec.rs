@@ -578,20 +578,31 @@ impl StepCtx<'_> {
     /// task as the waker of a request that blocks. The table queues the
     /// request under the stripe mutex the attempt failed under, so a
     /// grant-relevant change either preceded the attempt or wakes the task
-    /// — no lost wakeup, nothing to re-check. `Ok(false)` is queued; a
-    /// deadlock or an abort in progress is an error, as for `TxnCtx`.
-    fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<bool> {
+    /// — no lost wakeup, nothing to re-check. `Ok(None)` is queued,
+    /// `Ok(Some(new))` a grant (`new` for an LRD to list); a deadlock or an
+    /// abort in progress is an error, as for `TxnCtx`.
+    fn try_acquire(&mut self, ob: Oid, op: Operation) -> Result<Option<bool>> {
         let (tid, locks) = (self.task.tid, &self.db.inner.locks);
         let waker = || Waker::from(Arc::clone(self.task));
-        let granted = locks.request(tid, ob, op, Some(&waker))?.is_ok();
-        self.blocked_on = (!granted).then_some(ob);
+        let granted = locks.request(tid, ob, op, Some(&waker))?.ok();
+        self.blocked_on = granted.is_none().then_some(ob);
         Ok(granted)
+    }
+
+    /// [`try_acquire`](Self::try_acquire) for an operation that installs
+    /// nothing: a grant is listed as `TxnCtx` lists it. `false` is queued.
+    fn try_listed(&mut self, ob: Oid, op: Operation) -> Result<bool> {
+        let granted = self.try_acquire(ob, op)?;
+        if let Some(new) = granted {
+            self.db.list_grant(self.task.tid, ob, new);
+        }
+        Ok(granted.is_some())
     }
 
     /// Non-blocking read: read-lock (honoring permits) then an S-latched
     /// read. `Done(None)` if the object does not exist.
     pub fn try_read(&mut self, ob: Oid) -> Result<TryOp<Option<Vec<u8>>>> {
-        if !self.try_acquire(ob, Operation::Read)? {
+        if !self.try_listed(ob, Operation::Read)? {
             return Ok(TryOp::WouldBlock);
         }
         Ok(TryOp::Done(self.db.inner.engine.read_object(ob)))
@@ -612,16 +623,16 @@ impl StepCtx<'_> {
     /// Non-blocking exclusive lock without writing yet (upgrade-avoidance,
     /// as [`TxnCtx::lock_exclusive`](crate::TxnCtx::lock_exclusive)).
     pub fn try_lock_exclusive(&mut self, ob: Oid) -> Result<TryOp<()>> {
-        if !self.try_acquire(ob, Operation::Write)? {
+        if !self.try_listed(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
         Ok(TryOp::Done(()))
     }
     fn try_install(&mut self, ob: Oid, after: Option<Vec<u8>>) -> Result<TryOp<()>> {
-        if !self.try_acquire(ob, Operation::Write)? {
+        let Some(new) = self.try_acquire(ob, Operation::Write)? else {
             return Ok(TryOp::WouldBlock);
-        }
-        self.db.install(self.task.tid, ob, after)?;
+        };
+        self.db.install(self.task.tid, ob, after, new)?;
         Ok(TryOp::Done(()))
     }
 }

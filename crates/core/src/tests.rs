@@ -1293,6 +1293,59 @@ fn a_prepared_participant_cannot_be_resolved_locally() {
     }
 }
 
+/// Delegation to a terminated or aborting party, or from a terminated
+/// one, is refused like one with a prepared party: no commit or abort
+/// would release or undo what it received. An aborting delegator may hand
+/// its locks on. After each row, a later writer of both objects commits.
+#[test]
+fn a_delegation_past_a_partys_fate_is_refused() {
+    // (the party's status, it delegates (else it receives), refused)
+    let rows = [
+        (TxnStatus::Committed, false, true),
+        (TxnStatus::Aborted, false, true),
+        (TxnStatus::Committed, true, true),
+        (TxnStatus::Aborting, false, true),
+        (TxnStatus::Aborting, true, false),
+    ];
+    for row @ (status, delegates, refused) in rows {
+        let db = db();
+        let ((w, ob), guard) = (completed_writer(&db, b"w"), db.new_oid());
+        let ((locked, held), (go, gate)) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
+        let party = db.initiate(move |ctx| {
+            ctx.lock_exclusive(guard)?;
+            locked.send(()).unwrap();
+            gate.recv().map_err(|_| AssetError::TxnAborted(ctx.id()))
+        });
+        let party = party.unwrap();
+        db.begin(party).unwrap();
+        held.recv().unwrap();
+        if status != TxnStatus::Committed {
+            assert!(db.abort(party).unwrap(), "{row:?}: marked");
+        }
+        if status != TxnStatus::Aborting {
+            go.send(()).unwrap();
+            assert_eq!(db.commit(party).unwrap(), status == TxnStatus::Committed);
+        }
+        assert_eq!(db.status(party).unwrap(), status, "{row:?}");
+        let (from, to) = if delegates { (party, w) } else { (w, party) };
+        match db.delegate(from, to, None) {
+            Err(AssetError::InvalidState { tid, status: s, .. }) => {
+                assert!(refused && (tid, s) == (party, status), "{row:?}");
+            }
+            other => assert!(!refused && other.is_ok(), "{row:?}: {other:?}"),
+        }
+        let _ = go.send(());
+        assert!(!db.wait(party).unwrap() || status == TxnStatus::Committed);
+        assert!(db.commit(w).unwrap(), "{row:?}");
+        // a lock left behind would time this writer out
+        let later = db.run(move |ctx| {
+            ctx.write(ob, b"l".to_vec())
+                .and(ctx.write(guard, b"l".to_vec()))
+        });
+        assert!(later.unwrap(), "{row:?}");
+    }
+}
+
 /// `form_dependency` with a terminated party resolves at once from the
 /// statuses in the TDs (the graph keeps no fates): an aborted `on` dooms a
 /// live AD dependent or GC partner; a committed `on`, an aborted CD `on`
@@ -1565,21 +1618,30 @@ fn issue_inside_the_flush_window<X: Copy + Send>(
 
 /// `delegate(from = pinned)` issued while the delegator's commit record is
 /// in the flush window must not splice the undo chain and locks of what is
-/// about to be committed data: it waits the window out and then delegates
-/// from a `Committed` transaction, i.e. nothing.
+/// about to be committed data: it waits the window out and then meets a
+/// `Committed` delegator, which it refuses.
 #[cfg(feature = "faults")]
 #[test]
-fn delegate_issued_inside_the_flush_window_takes_effect_after_it() {
+fn delegate_issued_inside_the_flush_window_is_refused_after_it() {
     let (db, (t2, oid)) = issue_inside_the_flush_window(
         |db| {
             let oid = db.new_oid();
             let t1 = db.initiate(move |ctx| ctx.write(oid, b"v".to_vec()));
             (t1.unwrap(), (db.initiate(|_| Ok(())).unwrap(), oid))
         },
-        |db, t1, (t2, _)| db.delegate(t1, t2, None).unwrap(),
+        |db, t1, (t2, _)| {
+            let refused = db.delegate(t1, t2, None).unwrap_err();
+            assert!(matches!(
+                refused,
+                AssetError::InvalidState {
+                    status: TxnStatus::Committed,
+                    ..
+                }
+            ));
+        },
     );
     // t2 took over nothing: aborting it leaves the committed write alone
-    assert!(db.locks().locked_objects(t2).is_empty());
+    assert!(db.locked_objects(t2).is_empty());
     db.begin(t2).unwrap();
     assert!(db.wait(t2).unwrap());
     assert!(db.abort(t2).unwrap());
@@ -1807,7 +1869,7 @@ fn an_aborted_body_nobody_claimed_is_dropped_unrun() {
     assert!(!db.wait(t).unwrap());
     assert!(!ran.load(Ordering::SeqCst), "skipped at claim");
     assert_eq!(db.status(t).unwrap(), TxnStatus::Aborted);
-    assert!(db.locks().locked_objects(t).is_empty());
+    assert!(db.locked_objects(t).is_empty());
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
 }
 
@@ -1925,7 +1987,8 @@ fn undo_order_is_log_order_under_a_permitted_writer_and_a_delegation() {
     assert!(db.wait(t2).unwrap());
     db.delegate(t2, t1, None).unwrap();
     let chain = db.inner.txns.with(t1, |s| {
-        s.map(|s| s.undo.iter().map(|u| u.seq).collect::<Vec<_>>())
+        s.and_then(|s| s.held.as_ref())
+            .map(|h| h.undo.iter().map(|u| u.seq).collect::<Vec<_>>())
     });
     assert_eq!(chain, Some(update_places(&db, &[t1, t2])));
     assert!(db.abort(t1).unwrap());
@@ -1996,7 +2059,7 @@ fn a_txn_shard_taken_under_a_lock_stripe_panics() {
     let (db, ob) = (db(), Oid(1));
     db.inner
         .locks
-        .try_lock(Tid(1), ob, asset_common::Operation::Write)
+        .lock(Tid(1), ob, asset_common::Operation::Write, None)
         .expect("free");
     let waker = || {
         db.inner.txns.with(Tid(2), |_| ());

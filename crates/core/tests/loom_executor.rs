@@ -113,7 +113,7 @@ impl Model {
         !stripe.locked
     }
 
-    /// `LockTable::release_all` ending in `LockTable::wake`: clear the
+    /// `LockTable::release` ending in `LockTable::wake`: clear the
     /// entry and take the wakers under the stripe mutex, invoke them with
     /// it released.
     fn release_and_wake(&self) {

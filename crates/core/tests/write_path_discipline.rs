@@ -8,8 +8,9 @@
 //!    abort poisons the victim's lock requests, which the lock table
 //!    refuses.
 //! 2. `Database::install` visits the transaction table once, and that
-//!    visit both pushes the undo entry and checks the status; the entry's
-//!    sequence is what `write_object` returns, not a counter of its own.
+//!    visit lists a new LRD, pushes the undo entry and checks the status;
+//!    the entry's sequence is what `write_object` returns, not a counter
+//!    of its own.
 //! 3. `ObjectCache::entry` takes its shard once on every path — a hit, or
 //!    a miss filled in the visit that found it — and calls nothing on the
 //!    store.
@@ -68,8 +69,8 @@ fn install_visits_the_transaction_table_once() {
     assert_eq!(body.matches("txns.").count(), 1, "one TD visit: {body}");
     let visit = &body[body.find("txns.with(").expect("the visit")..];
     assert!(
-        visit.contains("undo.push("),
-        "the visit pushes the undo entry"
+        visit.contains("undo.push(") && visit.contains("locks.push(ob)"),
+        "the visit pushes the undo entry and lists a new LRD"
     );
     assert!(visit.contains("slot.status"), "the visit checks the status");
     let write = body.find("write_object(").expect("install writes");

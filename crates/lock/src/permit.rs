@@ -92,6 +92,11 @@ impl PermitTable {
         }
     }
 
+    /// Is `tid` the grantor or the explicit grantee of a permit?
+    pub fn involves(&self, tid: Tid) -> bool {
+        self.by_grantor.contains_key(&tid) || self.by_grantee.contains_key(&tid)
+    }
+
     /// Remove every permit given *by* or *to* `tid` (paper commit step 6 /
     /// abort step 3 cleanup).
     pub fn remove_involving(&mut self, tid: Tid) -> usize {
@@ -251,19 +256,9 @@ impl PermitTable {
             .filter_map(|id| self.permits.get(id))
     }
 
-    /// All permits granted by `tid` (snapshot; used to materialize the
+    /// All permits where `tid` is the explicit grantee (to materialize the
     /// paper's `permit(ti, tj, op)` form over objects `ti` has permission
     /// to access).
-    pub fn granted_by(&self, tid: Tid) -> Vec<Permit> {
-        self.by_grantor
-            .get(&tid)
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.permits.get(id).cloned())
-            .collect()
-    }
-
-    /// All permits where `tid` is the explicit grantee.
     pub fn granted_to(&self, tid: Tid) -> Vec<Permit> {
         self.by_grantee
             .get(&tid)
@@ -434,14 +429,15 @@ mod tests {
     }
 
     #[test]
-    fn granted_by_and_to() {
+    fn granted_to_and_involves() {
         let mut t = PermitTable::new();
         t.insert(p(1, Some(2), ObSet::All, OpSet::ALL));
         t.insert(p(1, Some(3), ObSet::All, OpSet::READ));
         t.insert(p(4, Some(1), ObSet::All, OpSet::ALL));
-        assert_eq!(t.granted_by(Tid(1)).len(), 2);
+        t.insert(p(5, None, ObSet::All, OpSet::ALL));
         assert_eq!(t.granted_to(Tid(1)).len(), 1);
-        assert_eq!(t.granted_by(Tid(9)).len(), 0);
+        assert!([1, 2, 3, 4, 5].iter().all(|&x| t.involves(Tid(x))));
+        assert!(!t.involves(Tid(9)), "a wildcard grantee names no party");
     }
 
     #[test]

@@ -23,25 +23,27 @@
 //!
 //! ## Sharding (§4.1 double hashing realized)
 //!
-//! The paper hashes the descriptor tables by object id and by transaction
-//! id precisely so that concurrent transactions touching disjoint objects
-//! never serialize on shared bookkeeping. Here that is realized as N
-//! oid-hashed **shards**, each with its own mutex over the OD map (pending
-//! lists and their wakers included) and the shard's slice of the TD-side
-//! object lists; a tid-keyed shard-set index (the second hash) lets
-//! `release_all`/`delegate` visit only the shards where a transaction
-//! holds LRDs. Every id-keyed table hashes
-//! with the keyed one-multiply [`IdBuild`](asset_common::ids::IdBuild),
-//! and an uncontended grant probes its stripe's OD table once: a TD-side
-//! list is appended only when a new LRD is created, and the wait graph is
-//! not touched while no request waits. Every permit descriptor lives in
-//! the one PD table, hashed on grantor and grantee, behind a read-mostly
-//! `RwLock`; a relaxed count of live permits lets a conflicting request
-//! skip it while none is live. Multi-shard operations take shard
-//! locks one at a time, never two at once, so the manager is
-//! internally deadlock-free. Wait-for edges go to a dedicated
-//! [`WaitGraph`] collector and counters are per-shard relaxed atomics, so
-//! deadlock checks and statistics reads never stall grants.
+//! The paper hashes ODs on object id and TDs on transaction id, and the
+//! TD points to the transaction's list of LRDs. The TD is asset-core's,
+//! and so is that list: this table keeps only object-side state. ODs —
+//! granted LRDs, pending lists and their wakers — live in N oid-hashed
+//! **stripes**, each behind its own mutex, so transactions on disjoint
+//! objects never serialize. What concerns one transaction's objects is
+//! driven by the caller's list: a grant reports whether it created a new
+//! LRD, for the caller to list; a delegation returns what it newly listed
+//! for the delegatee; release, delegation and `permit_accessed` take the
+//! list. Release and delegation sort it by stripe and visit each stripe
+//! once, one at a time, never two at once, so the manager is internally
+//! deadlock-free. Every id-keyed table hashes with the keyed
+//! [`IdBuild`](asset_common::ids::IdBuild), and an uncontended grant
+//! probes its stripe's OD table once. Every permit descriptor lives in the
+//! one PD table, hashed on grantor and grantee, behind a read-mostly
+//! `RwLock`: a relaxed count of live permits lets a conflicting request
+//! skip it while none is live, and a release takes its write lock only
+//! for a party. Wait-for edges go to a dedicated [`WaitGraph`], whose
+//! mutex is taken only while some request waits, and counters are
+//! per-stripe relaxed atomics, so deadlock checks and statistics reads
+//! never stall grants.
 
 use crate::permit::{Permit, PermitTable};
 use crate::waits::{Parker, Wait, WaitGraph};
@@ -87,10 +89,9 @@ struct ObjectDesc {
     pending: Vec<PendingReq>,
 }
 
-/// A list holding its first element in place, so that an uncontended
-/// grant and its release allocate nothing: an OD's LRDs, a transaction's
-/// objects on a stripe, its stripes. Order is not kept; `first` is `None`
-/// only while `more` is empty.
+/// An OD's LRDs, the first held in place so that an uncontended grant and
+/// its release allocate nothing. Order is not kept; `first` is `None` only
+/// while `more` is empty.
 struct Inline<T> {
     first: Option<T>,
     more: Vec<T>,
@@ -131,12 +132,6 @@ impl<T> Inline<T> {
         }
         let pos = self.more.iter().position(f)?;
         Some(self.more.swap_remove(pos))
-    }
-}
-
-impl<T> Extend<T> for Inline<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, xs: I) {
-        xs.into_iter().for_each(|x| self.push(x));
     }
 }
 
@@ -212,14 +207,9 @@ pub struct StripeOccupancy {
     pub waiting: usize,
 }
 
-/// One stripe of the doubly-hashed descriptor tables.
+/// One stripe of the OD table.
 struct ShardInner {
     objects: IdMap<Oid, ObjectDesc>,
-    /// TD-side lists, restricted to this shard's objects: objects on which
-    /// a transaction holds an LRD, each listed once — appended when the
-    /// LRD is created (a grant or a delegation to a transaction with none
-    /// on the object), never by a re-grant or an upgrade.
-    txn_objects: IdMap<Tid, Inline<Oid>>,
     /// The wakers of the requests on this shard's pending lists, by
     /// waiting transaction and object; [`LockTable::wake`] takes them all.
     wakers: Vec<(Tid, Oid, Waker)>,
@@ -269,7 +259,6 @@ impl Shard {
             inner: Mutex::ranked(
                 ShardInner {
                     objects: IdMap::default(),
-                    txn_objects: IdMap::default(),
                     wakers: Vec::new(),
                 },
                 Rank::LOCK_STRIPE,
@@ -285,10 +274,6 @@ pub struct LockTable {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the count is always a power of two.
     shard_mask: u64,
-    /// The second hash of the paper's double hashing: tid → shards where
-    /// the transaction holds LRDs, so release and delegation visit only
-    /// those stripes.
-    tid_shards: Mutex<IdMap<Tid, Inline<usize>>>,
     /// The PD table (read-mostly): every permit descriptor.
     permits: RwLock<PermitTable>,
     /// Live permits in `permits`, stored under its write lock: the
@@ -331,7 +316,6 @@ impl LockTable {
         LockTable {
             shards: (0..n).map(Shard::new).collect(),
             shard_mask: (n - 1) as u64,
-            tid_shards: Mutex::new(IdMap::default()),
             permits: RwLock::new(PermitTable::new()),
             live_permits: AtomicUsize::new(0),
             waits: WaitGraph::new(),
@@ -355,18 +339,15 @@ impl LockTable {
         stripe_of(ob.raw(), self.shard_mask)
     }
 
-    /// Shard indices where `tid` holds LRDs.
-    fn shards_of(&self, tid: Tid) -> Vec<usize> {
-        (self.tid_shards.lock().get(&tid))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// List shard `sidx` under `tid` in the shard-set index, once.
-    fn index(idx: &mut IdMap<Tid, Inline<usize>>, tid: Tid, sidx: usize) {
-        let shards = idx.entry(tid).or_default();
-        if !shards.iter().any(|&s| s == sidx) {
-            shards.push(sidx);
+    /// Visit the stripes of `objects` once each, in ascending order, with
+    /// the objects of each, then wake the stripe: `objects` is sorted by
+    /// stripe in place.
+    fn by_stripe(&self, objects: &mut [Oid], mut f: impl FnMut(&mut ShardInner, &[Oid])) {
+        objects.sort_unstable_by_key(|&ob| self.shard_index(ob));
+        for run in objects.chunk_by(|a, b| self.shard_index(*a) == self.shard_index(*b)) {
+            let mut inner = self.shards[self.shard_index(run[0])].inner.lock();
+            f(&mut inner, run);
+            Self::wake(inner);
         }
     }
 
@@ -393,12 +374,24 @@ impl LockTable {
         }
     }
 
+    /// [`acquire`](Self::acquire), for a caller that keeps no list.
+    pub fn lock(&self, tid: Tid, ob: Oid, op: Operation, timeout: Option<Duration>) -> Result<()> {
+        self.acquire(tid, ob, op, timeout).map(drop)
+    }
+
     /// Acquire a lock for `tid` on `ob` in the mode required by `op`,
     /// blocking until granted, deadlocked, or timed out — the blocking
     /// driver of [`request`](Self::request): pass → sleep until woken or
     /// the deadline → retry "starting at step 1". `timeout` counts from
-    /// the first pass that blocks.
-    pub fn lock(&self, tid: Tid, ob: Oid, op: Operation, timeout: Option<Duration>) -> Result<()> {
+    /// the first pass that blocks. `true` when the grant created a new
+    /// LRD: the caller lists `ob`.
+    pub fn acquire(
+        &self,
+        tid: Tid,
+        ob: Oid,
+        op: Operation,
+        timeout: Option<Duration>,
+    ) -> Result<bool> {
         // made by the first pass that queues; an uncontended call has none
         let parker: OnceCell<Arc<Parker>> = OnceCell::new();
         let waker = || Waker::from(Arc::clone(parker.get_or_init(Arc::default)));
@@ -406,8 +399,8 @@ impl LockTable {
         // spent waiting and an uncontended call reads no clock
         let mut deadline: Option<Option<Instant>> = None;
         loop {
-            if self.request(tid, ob, op, Some(&waker))?.is_ok() {
-                return Ok(());
+            if let Ok(new) = self.request(tid, ob, op, Some(&waker))? {
+                return Ok(new);
             }
             let until = *deadline.get_or_insert_with(|| timeout.map(|d| Instant::now() + d));
             if !parker.get().is_some_and(|p| p.park(until)) {
@@ -419,23 +412,16 @@ impl LockTable {
         }
     }
 
-    /// One pass that queues nothing; returns the blockers on failure (none
-    /// if `tid` was refused for its own abort).
-    pub fn try_lock(&self, tid: Tid, ob: Oid, op: Operation) -> std::result::Result<(), Vec<Tid>> {
-        self.request(tid, ob, op, None)
-            .unwrap_or_else(|_| Err(Vec::new()))
-    }
-
     /// The §4.1 lock-request protocol, one non-blocking pass: poison check,
-    /// then the grant attempt — `Ok(Ok(()))` is a grant,
-    /// `Ok(Err(holders))` a block. A request that blocks and brought a
-    /// `waker` is *queued*: under the same stripe mutex it is listed on the
-    /// object's pending list with the waker `waker` makes (called only
-    /// then), its waits-for edges are published and the cycle check runs
-    /// (victim: the requester that closes the cycle). The waker is invoked
-    /// — once, no table lock held — after the next grant-relevant change
-    /// on the stripe, for the driver to call again. Any outcome but a
-    /// block ends the wait `tid` had.
+    /// then the grant attempt — `Ok(Ok(new))` is a grant (`new` when it
+    /// created an LRD), `Ok(Err(holders))` a block. A request that blocks
+    /// and brought a `waker` is *queued*: under the same stripe mutex it is
+    /// listed on the object's pending list with the waker `waker` makes
+    /// (called only then), its waits-for edges are published and the cycle
+    /// check runs (victim: the requester that closes the cycle). The waker
+    /// is invoked — once, no table lock held — after the next
+    /// grant-relevant change on the stripe, for the driver to call again.
+    /// Any outcome but a block ends the wait `tid` had.
     ///
     /// The wait accounting of DESIGN.md §7 is here and in
     /// `settle`, for every driver. Under the stripe mutex
@@ -447,7 +433,7 @@ impl LockTable {
         ob: Oid,
         op: Operation,
         waker: Option<&dyn Fn() -> Waker>,
-    ) -> Result<std::result::Result<(), Vec<Tid>>> {
+    ) -> Result<std::result::Result<bool, Vec<Tid>>> {
         let sidx = self.shard_index(ob);
         let shard = &self.shards[sidx];
         let mut through: Vec<(Tid, u32)> = Vec::new();
@@ -549,15 +535,20 @@ impl LockTable {
     }
 
     /// End the wait `tid` has, if any, wherever its request is listed: no
-    /// pending entry, waker or waits-for edge of it is left behind.
+    /// pending entry, waker or waits-for edge of it is left behind. Called
+    /// by `tid`'s own driver, after every pass of it, so a zero waiter
+    /// count means `tid` has none, as in `request`.
     fn cancel_wait(&self, tid: Tid) {
+        if self.waits.waiter_count() == 0 {
+            return;
+        }
         if let Some(w) = self.waits.clear(tid) {
             self.settle(tid, w, None);
         }
     }
 
     /// The paper's `read-lock`/`write-lock` algorithm, one shard-local
-    /// attempt: granted, or the holders blocking it.
+    /// attempt: granted (`true` for a new LRD), or the holders blocking it.
     /// `through` collects `(holder, chain_hops)` pairs for every conflict a
     /// permit let through on a *granted* attempt, so the caller can emit
     /// the causal `PermitThrough` events after the shard guard drops;
@@ -573,22 +564,16 @@ impl LockTable {
         op: Operation,
         through: &mut Vec<(Tid, u32)>,
         chains: &mut Vec<u32>,
-    ) -> std::result::Result<(), Vec<Tid>> {
+    ) -> std::result::Result<bool, Vec<Tid>> {
         let (sidx, mut mode, mut op) = (self.shard_index(ob), op.required_mode(), op);
-        // One probe of the OD table serves the whole attempt: the borrow of
-        // the descriptor is split from the TD-side lists.
-        let ShardInner {
-            objects,
-            txn_objects,
-            ..
-        } = inner;
-        let od = objects.entry(ob).or_default();
+        // one probe of the OD table serves the whole attempt
+        let od = inner.objects.entry(ob).or_default();
 
         // Step 1a: own granted lock that covers the request and is not
         // suspended → success.
         if let Some(own) = od.granted.iter().find(|g| g.tid == tid) {
             if !own.suspended && own.mode.covers(mode) {
-                return Ok(());
+                return Ok(false);
             }
             // A write lock covers everything, so one that gets here is
             // suspended, and step 2b brings it back as the write lock it
@@ -652,34 +637,28 @@ impl LockTable {
                 }
             }
         }
-        match od.granted.find_mut(|g| g.tid == tid) {
+        let new = match od.granted.find_mut(|g| g.tid == tid) {
             Some(own) => {
                 // 2b: change mode / remove suspension
                 own.mode = own.mode.max(mode);
                 own.suspended = false;
+                false
             }
             None => {
-                // 2a: a new LRD, the one grant that lists the object on
-                // the TD side
+                // 2a: a new LRD, the one grant the caller lists
                 od.granted.push(Lrd {
                     tid,
                     mode,
                     suspended: false,
                 });
-                match txn_objects.entry(tid) {
-                    Entry::Occupied(mut listed) => listed.get_mut().push(ob),
-                    Entry::Vacant(first_in_shard) => {
-                        first_in_shard.insert(Inline::default()).push(ob);
-                        Self::index(&mut self.tid_shards.lock(), tid, sidx);
-                    }
-                }
+                true
             }
-        }
+        };
         self.shards[sidx]
             .stats
             .grants
             .fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(new)
     }
 
     /// Record a permit, then wake the stripes of the objects it covers
@@ -721,17 +700,12 @@ impl LockTable {
     }
 
     /// The paper's `permit(ti, tj, op)` form: permit on every object the
-    /// grantor has accessed *or has permission to access*, materialized at
-    /// call time by traversing the grantor's LRD list and incoming PDs.
-    pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) {
-        let mut obs: BTreeSet<Oid> = BTreeSet::new();
+    /// grantor has accessed — `held`, the caller's list of its LRDs — *or
+    /// has permission to access*, materialized at call time from that list
+    /// and the grantor's incoming PDs.
+    pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, held: &[Oid], ops: OpSet) {
+        let mut obs: BTreeSet<Oid> = held.iter().copied().collect();
         let mut all = false;
-        for s in self.shards_of(grantor) {
-            let inner = self.shards[s].inner.lock();
-            if let Some(set) = inner.txn_objects.get(&grantor) {
-                obs.extend(set.iter().copied());
-            }
-        }
         if self.live_permits.load(Ordering::Relaxed) > 0 {
             for p in self.permits.read().granted_to(grantor) {
                 match p.obs {
@@ -744,53 +718,34 @@ impl LockTable {
         self.permit(grantor, grantee, scope, ops);
     }
 
-    /// Delegate `from`'s locks (optionally restricted to `obs`) to `to`,
-    /// merging with any locks `to` already holds, and re-attribute the
-    /// permits `from` granted (§4.2 `delegate`). Shards are visited one at
-    /// a time.
-    pub fn delegate(&self, from: Tid, to: Tid, obs: Option<&ObSet>) {
-        let from_shards = self.shards_of(from);
-        let mut moved_objects = 0u64;
-        for &s in &from_shards {
-            let shard = &self.shards[s];
-            {
-                let mut guard = shard.inner.lock();
-                let inner = &mut *guard;
-                // `from`'s TD-side list splits into the objects that move
-                // and those that stay listed under it
-                let (moving, staying): (Inline<Oid>, Inline<Oid>) = inner
-                    .txn_objects
-                    .remove(&from)
-                    .unwrap_or_default()
-                    .iter()
-                    .copied()
-                    .partition(|ob| obs.is_none_or(|set| set.contains(*ob)));
-                if !staying.is_empty() {
-                    inner.txn_objects.insert(from, staying);
-                }
-                for &ob in moving.iter() {
-                    let Some(od) = inner.objects.get_mut(&ob) else {
-                        continue;
-                    };
-                    let Some(moved) = od.granted.take(|g| g.tid == from) else {
-                        continue;
-                    };
-                    moved_objects += 1;
-                    match od.granted.find_mut(|g| g.tid == to) {
-                        // `to` already holds `ob`, so lists it already
-                        Some(existing) => {
-                            existing.mode = existing.mode.max(moved.mode);
-                            existing.suspended = existing.suspended && moved.suspended;
-                        }
-                        None => {
-                            od.granted.push(Lrd { tid: to, ..moved });
-                            inner.txn_objects.entry(to).or_default().push(ob);
-                        }
+    /// Delegate `from`'s LRDs on `held` — the caller's list of `from`'s
+    /// objects in the delegated scope — to `to`, merging with any LRD `to`
+    /// already holds, and re-attribute the permits `from` granted within
+    /// `obs` (§4.2 `delegate`). Returns the objects newly listed for `to`:
+    /// those on which it held no LRD before.
+    pub fn delegate(&self, from: Tid, to: Tid, held: &mut [Oid], obs: Option<&ObSet>) -> Vec<Oid> {
+        let (mut listed, mut moved_objects) = (Vec::new(), 0u64);
+        self.by_stripe(held, |inner, run| {
+            for &ob in run {
+                let Some(od) = inner.objects.get_mut(&ob) else {
+                    continue;
+                };
+                let Some(moved) = od.granted.take(|g| g.tid == from) else {
+                    continue;
+                };
+                moved_objects += 1;
+                match od.granted.find_mut(|g| g.tid == to) {
+                    Some(existing) => {
+                        existing.mode = existing.mode.max(moved.mode);
+                        existing.suspended = existing.suspended && moved.suspended;
+                    }
+                    None => {
+                        od.granted.push(Lrd { tid: to, ..moved });
+                        listed.push(ob);
                     }
                 }
-                Self::wake(guard);
             }
-        }
+        });
         if self.live_permits.load(Ordering::Relaxed) > 0 {
             let moved = {
                 let mut table = self.permits.write();
@@ -803,12 +758,6 @@ impl LockTable {
                 self.wake_every_stripe();
             }
         }
-        if !from_shards.is_empty() {
-            let mut idx = self.tid_shards.lock();
-            for s in from_shards {
-                Self::index(&mut idx, to, s);
-            }
-        }
         bump(&self.obs.counters.delegations);
         add(&self.obs.counters.delegated_objects, moved_objects);
         self.obs.record(EventKind::Delegate {
@@ -816,36 +765,59 @@ impl LockTable {
             to,
             objects: moved_objects as u32,
         });
+        listed
     }
 
-    /// Release all locks held by `tid`, end the wait it may have — on any
-    /// object, locked by it or not — and remove permits given by and to it
-    /// (commit step 6 / abort step 3). Returns how many objects it
+    /// Release `tid`'s LRDs on `held` — the caller's list of them — end
+    /// the wait it may have, on any object, and remove the permits given by
+    /// and to it (commit step 6 / abort step 3). Returns how many LRDs it
     /// released.
+    pub fn release(&self, tid: Tid, held: &mut [Oid]) -> usize {
+        self.cancel_wait(tid);
+        let mut released = 0;
+        self.by_stripe(held, |inner, run| {
+            for &ob in run {
+                // one probe per object: the entry both edits and drops
+                if let Entry::Occupied(mut od) = inner.objects.entry(ob) {
+                    let desc = od.get_mut();
+                    released += usize::from(desc.granted.take(|g| g.tid == tid).is_some());
+                    if desc.granted.is_empty() && desc.pending.is_empty() {
+                        od.remove();
+                    }
+                }
+            }
+        });
+        self.forget(tid);
+        released
+    }
+
+    /// [`release`](Self::release) for a caller that keeps no list: every
+    /// stripe's OD map is scanned in place for `tid`'s LRDs.
     pub fn release_all(&self, tid: Tid) -> usize {
         self.cancel_wait(tid);
-        let shards = self.tid_shards.lock().remove(&tid).unwrap_or_default();
         let mut released = 0;
-        for &s in shards.iter() {
-            let shard = &self.shards[s];
-            {
-                let mut inner = shard.inner.lock();
-                let objects = inner.txn_objects.remove(&tid).unwrap_or_default();
-                for &ob in objects.iter() {
-                    // one probe per object: the entry both edits and drops
-                    if let Entry::Occupied(mut od) = inner.objects.entry(ob) {
-                        let desc = od.get_mut();
-                        desc.granted.take(|g| g.tid == tid);
-                        if desc.granted.is_empty() && desc.pending.is_empty() {
-                            od.remove();
-                        }
-                    }
-                    released += 1;
-                }
+        for shard in self.shards.iter() {
+            let mut inner = shard.inner.lock();
+            let before = released;
+            inner.objects.retain(|_, od| {
+                released += usize::from(od.granted.take(|g| g.tid == tid).is_some());
+                !(od.granted.is_empty() && od.pending.is_empty())
+            });
+            if released > before {
                 Self::wake(inner);
             }
         }
-        if self.live_permits.load(Ordering::Relaxed) > 0 {
+        self.forget(tid);
+        released
+    }
+
+    /// The end of a release: drop the permits `tid` is a party to — the PD
+    /// table's write lock is taken only when the read lock finds it one —
+    /// and its poison mark.
+    fn forget(&self, tid: Tid) {
+        let party =
+            self.live_permits.load(Ordering::Relaxed) > 0 && self.permits.read().involves(tid);
+        if party {
             let removed = {
                 let mut table = self.permits.write();
                 let removed = table.remove_involving(tid);
@@ -859,13 +831,11 @@ impl LockTable {
         if self.poison_count.load(Ordering::Relaxed) > 0 && self.poisoned.lock().remove(&tid) {
             self.poison_count.fetch_sub(1, Ordering::Relaxed);
         }
-        released
     }
 
     /// Make current and future lock waits of `tid` fail with `TxnAborted`
     /// and wake it if blocked. Used when an abort strikes a transaction
-    /// that may be waiting for a lock. Cleared by
-    /// [`release_all`](Self::release_all).
+    /// that may be waiting for a lock. Cleared by its release.
     pub fn poison(&self, tid: Tid) {
         if self.poisoned.lock().insert(tid) {
             self.poison_count.fetch_add(1, Ordering::Relaxed);
@@ -893,18 +863,6 @@ impl LockTable {
             .get(&ob)
             .map(|od| od.pending.clone())
             .unwrap_or_default()
-    }
-
-    /// Objects `tid` holds locks on (snapshot).
-    pub fn locked_objects(&self, tid: Tid) -> Vec<Oid> {
-        let mut out: Vec<Oid> = Vec::new();
-        for s in self.shards_of(tid) {
-            let inner = self.shards[s].inner.lock();
-            if let Some(set) = inner.txn_objects.get(&tid) {
-                out.extend(set.iter().copied());
-            }
-        }
-        out
     }
 
     /// Does `tid` hold an (unsuspended) lock on `ob` covering `mode`?
@@ -1063,19 +1021,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_locks_coexist() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
-        t.lock(Tid(2), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
-        assert_eq!(t.holders(Oid(1)).len(), 2);
-    }
-
-    #[test]
     fn write_blocks_write_until_release() {
         let t = Arc::new(LockTable::new());
         t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
             .unwrap();
-        assert!(t.try_lock(Tid(2), Oid(1), Operation::Write).is_err());
+        for op in [Operation::Read, Operation::Write] {
+            assert!(t.request(Tid(2), Oid(1), op, None).unwrap().is_err());
+        }
 
         let t2 = Arc::clone(&t);
         let acquired = Arc::new(AtomicBool::new(false));
@@ -1093,19 +1045,11 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_read_to_write() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        assert!(t.holds(Tid(1), Oid(1), LockMode::Write));
-    }
-
-    #[test]
-    fn upgrade_blocks_on_other_reader() {
+    fn shared_locks_coexist_and_an_upgrade_waits_for_the_other_reader() {
         let t = LockTable::new();
         t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
         t.lock(Tid(2), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
+        assert_eq!(t.holders(Oid(1)).len(), 2);
         let err = t
             .lock(Tid(1), Oid(1), Operation::Write, short())
             .unwrap_err();
@@ -1116,23 +1060,7 @@ mod tests {
         // after the other reader leaves, upgrade works
         t.release_all(Tid(2));
         t.lock(Tid(1), Oid(1), Operation::Write, short()).unwrap();
-    }
-
-    #[test]
-    fn permit_lets_conflict_through_and_suspends() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::WRITE);
-        t.lock(Tid(2), Oid(1), Operation::Write, short()).unwrap();
-        let holders = t.holders(Oid(1));
-        let h1 = holders.iter().find(|g| g.tid == Tid(1)).unwrap();
-        let h2 = holders.iter().find(|g| g.tid == Tid(2)).unwrap();
-        assert!(h1.suspended, "permitting holder was suspended");
-        assert!(!h2.suspended);
-        assert_eq!(total(&t, |s| s.suspensions), 1);
-        // t1's lock is suspended: it no longer *holds* write
-        assert!(!t.holds(Tid(1), Oid(1), LockMode::Write));
+        assert!(t.holds(Tid(1), Oid(1), LockMode::Write));
     }
 
     #[test]
@@ -1218,65 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn transitive_permit_through_table() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
-        t.permit(Tid(2), Some(Tid(3)), ObSet::one(Oid(1)), OpSet::ALL);
-        // t3 never got a direct permit from t1 but the chain carries it
-        t.lock(Tid(3), Oid(1), Operation::Write, short()).unwrap();
-        assert!(t.holds(Tid(3), Oid(1), LockMode::Write));
-    }
-
-    #[test]
-    fn transitive_chain_mixing_shard_and_global_permits() {
-        // t1 → t2 is a single-object (shard-local) permit; t2 → t3 is a
-        // wildcard-object (global) permit. The union DFS must stitch them.
-        let t = LockTable::with_shards(8);
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
-        t.permit(Tid(2), Some(Tid(3)), ObSet::All, OpSet::ALL);
-        t.lock(Tid(3), Oid(1), Operation::Write, short()).unwrap();
-        assert!(t.holds(Tid(3), Oid(1), LockMode::Write));
-    }
-
-    #[test]
-    fn deadlock_detected_and_victim_errors() {
-        let t = Arc::new(LockTable::new());
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.lock(Tid(2), Oid(2), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            // t1 waits for ob2 (held by t2)
-            t2.lock(
-                Tid(1),
-                Oid(2),
-                Operation::Write,
-                Some(Duration::from_secs(5)),
-            )
-        });
-        await_pending(&t, Oid(2), Tid(1));
-        // t2 requests ob1 (held by t1) → cycle → t2 is the victim
-        let err = t
-            .lock(
-                Tid(2),
-                Oid(1),
-                Operation::Write,
-                Some(Duration::from_secs(5)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, AssetError::Deadlock(Tid(2))));
-        assert_eq!(counters(&t).deadlocks, 1);
-        // unblock t1 by releasing the victim's locks (what abort would do)
-        t.release_all(Tid(2));
-        h.join().unwrap().unwrap();
-    }
-
-    #[test]
     fn a_queued_request_is_listed_woken_once_and_granted_on_retry() {
         let t = LockTable::with_shards_obs(4, Obs::shared());
         t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
@@ -1299,7 +1168,7 @@ mod tests {
         assert_eq!(wakes.count(), 1);
         assert_eq!(t.pending(Oid(1)).len(), 1, "listed until it retries");
         let granted = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
-        assert_eq!(granted.unwrap(), Ok(()));
+        assert_eq!(granted.unwrap(), Ok(false), "an upgrade: no new LRD");
         assert!(t.pending(Oid(1)).is_empty());
         assert_eq!(waiting(&t), 0);
         assert!(t.waits_snapshot().is_empty());
@@ -1320,7 +1189,7 @@ mod tests {
         let queued = t.request(Tid(2), Oid(1), Operation::Write, Some(&waker));
         assert!(queued.unwrap().is_err());
         assert_eq!(waiting(&t), 1);
-        // t2 holds nothing, so no stripe is indexed under it
+        // t2 holds nothing
         assert_eq!(t.release_all(Tid(2)), 0);
         assert!(t.pending(Oid(1)).is_empty());
         assert_eq!(waiting(&t), 0);
@@ -1353,9 +1222,12 @@ mod tests {
         assert!(matches!(err, AssetError::TxnAborted(Tid(2))));
         assert!(t.pending(Oid(1)).is_empty());
         assert!(t.waits_snapshot().is_empty());
-        assert!(t.try_lock(Tid(2), Oid(7), Operation::Read).is_err());
+        assert!(t.request(Tid(2), Oid(7), Operation::Read, None).is_err());
         t.release_all(Tid(2));
-        t.try_lock(Tid(2), Oid(7), Operation::Read).unwrap();
+        assert_eq!(
+            t.request(Tid(2), Oid(7), Operation::Read, None).unwrap(),
+            Ok(true)
+        );
     }
 
     #[test]
@@ -1392,10 +1264,12 @@ mod tests {
         t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
             .unwrap();
         t.lock(Tid(1), Oid(2), Operation::Read, NO_TIMEOUT).unwrap();
-        t.delegate(Tid(1), Tid(2), None);
+        let mut listed = t.delegate(Tid(1), Tid(2), &mut [Oid(2), Oid(1)], None);
+        listed.sort_unstable();
+        assert_eq!(listed, [Oid(1), Oid(2)], "both newly listed for t2");
         assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
         assert!(t.holds(Tid(2), Oid(2), LockMode::Read));
-        assert!(t.locked_objects(Tid(1)).is_empty());
+        assert_eq!(t.release(Tid(1), &mut []), 0);
         // the delegatee's conflicting ops no longer conflict; the
         // delegator's now do: t1 must block on ob1
         let err = t
@@ -1411,59 +1285,46 @@ mod tests {
             .unwrap();
         t.lock(Tid(1), Oid(2), Operation::Write, NO_TIMEOUT)
             .unwrap();
-        t.delegate(Tid(1), Tid(2), Some(&ObSet::one(Oid(1))));
+        let scope = ObSet::one(Oid(1));
+        t.delegate(Tid(1), Tid(2), &mut [Oid(1)], Some(&scope));
         assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
         assert!(t.holds(Tid(1), Oid(2), LockMode::Write));
-        assert_eq!(t.locked_objects(Tid(1)), vec![Oid(2)]);
+        assert_eq!(
+            t.release(Tid(1), &mut [Oid(1), Oid(2)]),
+            1,
+            "t1 kept ob2 only"
+        );
     }
 
     #[test]
     fn delegation_merges_modes() {
+        // t1 delegates its read to t2, which already reads: t2 ends with
+        // one read LRD, listed once
         let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.lock(Tid(2), Oid(1), Operation::Read, short())
-            .unwrap_err(); // blocked
-                           // instead: t2 gets a read lock on another object and receives t1's
-                           // write via delegation, merging into write
-        let t2 = LockTable::new();
-        t2.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT)
-            .unwrap();
-        t2.lock(Tid(2), Oid(1), Operation::Read, NO_TIMEOUT)
-            .unwrap();
-        // t1 upgrades? no — t1 delegates its read to t2; t2 ends with read
-        t2.delegate(Tid(1), Tid(2), None);
-        assert!(t2.holds(Tid(2), Oid(1), LockMode::Read));
-        assert_eq!(t2.holders(Oid(1)).len(), 1, "merged into one LRD");
+        t.lock(Tid(1), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
+        t.lock(Tid(2), Oid(1), Operation::Read, NO_TIMEOUT).unwrap();
+        let listed = t.delegate(Tid(1), Tid(2), &mut [Oid(1)], None);
+        assert!(listed.is_empty(), "t2 already listed ob1");
+        assert!(t.holds(Tid(2), Oid(1), LockMode::Read));
+        assert_eq!(t.holders(Oid(1)).len(), 1, "merged into one LRD");
     }
 
     #[test]
-    fn release_wakes_waiters_and_cleans_permits() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
-        assert_eq!(t.permit_count(), 1);
-        assert_eq!(t.release_all(Tid(1)), 1);
-        assert_eq!(t.permit_count(), 0, "permits given by t1 are gone");
-        assert!(t.holders(Oid(1)).is_empty());
-    }
-
-    #[test]
-    fn release_cleans_wildcard_permits_too() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(1), Some(Tid(2)), ObSet::All, OpSet::ALL);
-        assert_eq!(t.permit_count(), 1);
-        t.release_all(Tid(1));
-        assert_eq!(t.permit_count(), 0);
-        // and a permit granted *to* the released transaction goes as well
-        t.lock(Tid(3), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        t.permit(Tid(3), Some(Tid(4)), ObSet::All, OpSet::ALL);
-        t.release_all(Tid(4));
-        assert_eq!(t.permit_count(), 0);
+    fn release_cleans_permits_given_and_received() {
+        for scope in [ObSet::one(Oid(1)), ObSet::All] {
+            let t = LockTable::new();
+            t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+                .unwrap();
+            t.permit(Tid(1), Some(Tid(2)), scope.clone(), OpSet::ALL);
+            assert_eq!(t.permit_count(), 1);
+            assert_eq!(t.release(Tid(1), &mut [Oid(1)]), 1);
+            assert_eq!(t.permit_count(), 0, "permits given by t1 are gone");
+            assert!(t.holders(Oid(1)).is_empty());
+            // and a permit granted *to* the released transaction goes too
+            t.permit(Tid(3), Some(Tid(4)), scope, OpSet::ALL);
+            t.release(Tid(4), &mut []);
+            assert_eq!(t.permit_count(), 0);
+        }
     }
 
     #[test]
@@ -1473,7 +1334,7 @@ mod tests {
             .unwrap();
         t.lock(Tid(1), Oid(2), Operation::Write, NO_TIMEOUT)
             .unwrap();
-        t.permit_accessed(Tid(1), Some(Tid(2)), OpSet::ALL);
+        t.permit_accessed(Tid(1), Some(Tid(2)), &[Oid(1), Oid(2)], OpSet::ALL);
         t.lock(Tid(2), Oid(1), Operation::Write, short()).unwrap();
         t.lock(Tid(2), Oid(2), Operation::Write, short()).unwrap();
         // an object locked *after* the permit is not covered (paper: the
@@ -1488,82 +1349,20 @@ mod tests {
 
     #[test]
     fn permit_arrival_wakes_blocked_waiter() {
-        let t = Arc::new(LockTable::new());
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            t2.lock(
-                Tid(2),
-                Oid(1),
-                Operation::Write,
-                Some(Duration::from_secs(5)),
-            )
-        });
-        await_pending(&t, Oid(1), Tid(2));
-        t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
-        h.join().unwrap().unwrap();
-        assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
-    }
-
-    #[test]
-    fn wildcard_permit_arrival_wakes_blocked_waiter() {
-        // the global-table insertion path must also wake shard waiters
-        let t = Arc::new(LockTable::with_shards(8));
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            t2.lock(
-                Tid(2),
-                Oid(1),
-                Operation::Write,
-                Some(Duration::from_secs(5)),
-            )
-        });
-        await_pending(&t, Oid(1), Tid(2));
-        t.permit(Tid(1), Some(Tid(2)), ObSet::All, OpSet::ALL);
-        h.join().unwrap().unwrap();
-        assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let t = LockTable::new();
-        t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
-            .unwrap();
-        let _ = t.lock(Tid(2), Oid(1), Operation::Write, short());
-        let c = counters(&t);
-        assert_eq!((c.lock_grants, c.lock_waits, c.deadlocks), (1, 1, 0));
-        assert_eq!(c.deadlock_sweeps, total(&t, |s| s.blocks));
-        assert!(c.deadlock_sweeps >= 1);
-        assert_eq!(total(&t, |s| s.timeouts), 1);
-    }
-
-    #[test]
-    fn concurrent_increments_are_serialized_by_locks() {
-        let t = Arc::new(LockTable::new());
-        let value = Arc::new(Mutex::new(0u64));
-        let mut handles = vec![];
-        for i in 0..8u64 {
-            let t = Arc::clone(&t);
-            let value = Arc::clone(&value);
-            handles.push(std::thread::spawn(move || {
-                let tid = Tid(i + 1);
-                for _ in 0..100 {
-                    t.lock(tid, Oid(1), Operation::Write, NO_TIMEOUT).unwrap();
-                    {
-                        let mut v = value.lock();
-                        *v += 1;
-                    }
-                    t.release_all(tid);
-                }
-            }));
+        // a one-object permit wakes its object's stripe, a wildcard every
+        // stripe
+        for scope in [ObSet::one(Oid(1)), ObSet::All] {
+            let t = Arc::new(LockTable::with_shards(8));
+            t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
+                .unwrap();
+            let t2 = Arc::clone(&t);
+            let wait = Some(Duration::from_secs(5));
+            let h = std::thread::spawn(move || t2.lock(Tid(2), Oid(1), Operation::Write, wait));
+            await_pending(&t, Oid(1), Tid(2));
+            t.permit(Tid(1), Some(Tid(2)), scope, OpSet::ALL);
+            h.join().unwrap().unwrap();
+            assert!(t.holds(Tid(2), Oid(1), LockMode::Write));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*value.lock(), 800);
     }
 
     #[test]
@@ -1572,6 +1371,11 @@ mod tests {
         t.lock(Tid(1), Oid(1), Operation::Write, NO_TIMEOUT)
             .unwrap();
         let _ = t.lock(Tid(2), Oid(1), Operation::Write, short());
+        let c = counters(&t);
+        assert_eq!((c.lock_grants, c.lock_waits, c.deadlocks), (1, 1, 0));
+        assert_eq!(c.deadlock_sweeps, total(&t, |s| s.blocks));
+        assert!(c.deadlock_sweeps >= 1);
+        assert_eq!(total(&t, |s| s.timeouts), 1);
         let stripes = t.stripe_stats();
         assert_eq!(stripes.len(), 4);
         let hot: Vec<&StripeStats> = stripes.iter().filter(|s| s.waits > 0).collect();
@@ -1602,7 +1406,7 @@ mod tests {
         let _ = t.lock(Tid(2), Oid(1), Operation::Write, short());
         t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(1)), OpSet::ALL);
         t.lock(Tid(2), Oid(1), Operation::Write, short()).unwrap();
-        t.delegate(Tid(2), Tid(3), None);
+        t.delegate(Tid(2), Tid(3), &mut [Oid(1)], None);
         let snap = obs.snapshot();
         let c = counters(&t);
         assert!(c.lock_grants >= 2);
@@ -1691,6 +1495,6 @@ mod tests {
     fn a_stripe_taken_under_the_pd_table_panics() {
         let t = LockTable::with_shards(1);
         let _pd = t.permits.read();
-        let _ = t.try_lock(Tid(1), Oid(1), Operation::Read);
+        let _ = t.request(Tid(1), Oid(1), Operation::Read, None);
     }
 }

@@ -1,7 +1,8 @@
 //! An uncontended grant and its release allocate nothing: an object
-//! descriptor holds its first lock-request descriptor in place, and so do a
-//! transaction's object list on a stripe and its stripe set. Counted with a
-//! global allocator that tallies the heap blocks this thread asks for.
+//! descriptor holds its first lock-request descriptor in place. Driven
+//! through the list-taking pair asset-core uses, with the caller's list
+//! reused. Counted with a global allocator that tallies the heap blocks
+//! this thread asks for.
 
 use asset_common::{Oid, Operation, Tid};
 use asset_lock::LockTable;
@@ -39,25 +40,27 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Heap blocks asked for while transaction `first + i` write-locks object
-/// `first + i` and releases it, for `n` distinct pairs.
-fn blocks_for(table: &LockTable, first: u64, n: u64) -> u64 {
+/// `first + i`, lists it in `held` and releases it, for `n` distinct pairs.
+fn blocks_for(table: &LockTable, held: &mut Vec<Oid>, first: u64, n: u64) -> u64 {
     let before = BLOCKS.with(Cell::get);
     for i in first..first + n {
-        table
-            .lock(Tid(i), Oid(i), Operation::Write, None)
-            .expect("uncontended");
-        assert_eq!(table.release_all(Tid(i)), 1);
+        let new = (table.acquire(Tid(i), Oid(i), Operation::Write, None)).expect("uncontended");
+        if new {
+            held.push(Oid(i));
+        }
+        assert_eq!(table.release(Tid(i), held), 1);
+        held.clear();
     }
     BLOCKS.with(Cell::get) - before
 }
 
 #[test]
 fn uncontended_grant_and_release_cycles_allocate_no_block_per_cycle() {
-    let table = LockTable::with_shards(8);
-    // warm-up: the stripes' maps reach the capacity one cycle needs
-    blocks_for(&table, 1, 1_000);
-    let small = blocks_for(&table, 10_000, 1_000);
-    let large = blocks_for(&table, 100_000, 16_000);
+    let (table, mut held) = (LockTable::with_shards(8), Vec::new());
+    // warm-up: the stripes' maps and the list reach the capacity one cycle needs
+    blocks_for(&table, &mut held, 1, 1_000);
+    let small = blocks_for(&table, &mut held, 10_000, 1_000);
+    let large = blocks_for(&table, &mut held, 100_000, 16_000);
     assert_eq!(
         (small, large),
         (0, 0),

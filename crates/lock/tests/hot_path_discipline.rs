@@ -15,14 +15,15 @@
 //!    stripe guard.
 //! 3. `request()` takes the wait graph's mutex to end a wait only behind
 //!    its waiter count: a grant while nothing waits never touches it.
-//! 4. `lock()` reads `Instant::now` (its deadline) only after a pass has
-//!    returned blocked: an uncontended lock reads no clock.
+//! 4. `acquire()` reads `Instant::now` (its deadline) only after a pass
+//!    has returned blocked: an uncontended lock reads no clock.
+//! 5. A release takes the PD table's write lock only when a check under
+//!    its read lock finds the transaction a party to a permit.
+//! 6. A release takes the wait graph's mutex only behind its waiter
+//!    count, as `request()` does: one that never waited never touches it.
 //!
-//! A behavioral companion checks the wait metrics still arrive.
-
-use asset_common::{AssetError, Oid, Operation, Tid};
-use asset_lock::LockTable;
-use std::time::Duration;
+//! That the wait metrics still arrive is checked by running, in
+//! `table.rs`'s `stripe_stats_record_waits_and_durations`.
 
 const TABLE_SRC: &str = include_str!("../src/table.rs");
 
@@ -109,46 +110,50 @@ fn a_grant_ends_a_wait_only_behind_the_waiter_count() {
 
 #[test]
 fn lock_reads_the_clock_only_after_a_blocked_pass() {
-    let body = fn_body(TABLE_SRC, "pub fn lock(");
+    let body = fn_body(TABLE_SRC, "pub fn acquire(");
     assert_eq!(
         body.matches("Instant::now").count(),
         1,
-        "lock() reads the clock once, for its deadline"
+        "acquire() reads the clock once, for its deadline"
     );
     let granted = body
         .find("self.request(")
-        .and_then(|pass| body[pass..].find("return Ok(())").map(|r| pass + r))
-        .expect("lock() returns on a granted pass");
+        .and_then(|pass| body[pass..].find("return Ok(new)").map(|r| pass + r))
+        .expect("acquire() returns on a granted pass");
     assert!(
         granted < body.find("Instant::now").unwrap(),
         "the deadline is computed only once a pass did not grant"
     );
 }
 
+/// Guards 5 and 6: a gate in the helper every release calls, before the
+/// one use of what it guards, and no release that reaches past it.
 #[test]
-fn blocked_waits_still_record_wait_metrics() {
-    // Behavioral companion: moving the clock read off the mutex must not
-    // lose the wait accounting itself.
-    let t = LockTable::with_shards(4);
-    t.lock(Tid(1), Oid(9), Operation::Write, None).unwrap();
-    let err = t
-        .lock(
-            Tid(2),
-            Oid(9),
-            Operation::Write,
-            Some(Duration::from_millis(30)),
-        )
-        .unwrap_err();
-    assert!(matches!(err, AssetError::LockTimeout { .. }));
-    let stats = t
-        .stripe_stats()
-        .into_iter()
-        .find(|s| s.waits > 0)
-        .expect("the blocked request registered a distinct wait");
-    assert!(stats.blocks >= 1);
-    assert!(
-        stats.wait_ns_total > 0,
-        "wait duration still measured (outside the guard)"
-    );
-    assert_eq!(stats.timeouts, 1);
+fn a_release_takes_the_pd_write_lock_and_the_graph_mutex_only_past_a_gate() {
+    for [helper, gate, guarded, field, call] in [
+        [
+            "fn forget(",
+            "read().involves(tid)",
+            "permits.write()",
+            "permits.",
+            "forget(tid)",
+        ],
+        [
+            "fn cancel_wait(",
+            "waiter_count() == 0",
+            "waits.clear(",
+            "waits.",
+            "cancel_wait(tid)",
+        ],
+    ] {
+        let body = fn_body(TABLE_SRC, helper);
+        let (g, x) = (body.find(gate), body.find(guarded));
+        assert!(g.is_some() && g < x, "{helper}: {gate}");
+        assert_eq!(body.matches(guarded).count(), 1, "{helper}");
+        for release in ["pub fn release(", "pub fn release_all("] {
+            let body = fn_body(TABLE_SRC, release);
+            let past = body.contains(&format!("self.{field}"));
+            assert!(body.contains(call) && !past, "{release}: {call}");
+        }
+    }
 }

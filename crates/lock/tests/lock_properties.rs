@@ -15,10 +15,43 @@ fn total(t: &LockTable, f: fn(&StripeStats) -> u64) -> u64 {
     t.stripe_stats().iter().map(f).sum()
 }
 
+/// Transactions' lists of their locked objects (tids below 8), held by
+/// the test as asset-core holds them in its TDs and driven through the
+/// table's list-taking forms.
+#[derive(Default)]
+struct Tds([Vec<Oid>; 8]);
+
+impl Tds {
+    fn list(&mut self, t: Tid) -> &mut Vec<Oid> {
+        &mut self.0[t.raw() as usize]
+    }
+
+    fn lock(&mut self, table: &LockTable, t: Tid, ob: Oid, op: Operation, wait: Option<Duration>) {
+        if let Ok(true) = table.acquire(t, ob, op, wait) {
+            self.list(t).push(ob);
+        }
+    }
+
+    /// Release `t`, checking every listed object was held.
+    fn release(&mut self, table: &LockTable, t: Tid) {
+        let mut held = std::mem::take(self.list(t));
+        assert_eq!(table.release(t, &mut held), held.len());
+    }
+
+    /// Delegate `from`'s objects in `scope` to `to`.
+    fn delegate(&mut self, table: &LockTable, from: Tid, to: Tid, scope: Option<&ObSet>) {
+        let (mut moving, staying): (Vec<Oid>, Vec<Oid>) =
+            (self.list(from).iter()).partition(|&&ob| scope.is_none_or(|s| s.contains(ob)));
+        *self.list(from) = staying;
+        let listed = table.delegate(from, to, &mut moving, scope);
+        self.list(to).extend(listed);
+    }
+}
+
 /// After any sequence of operations, no two unsuspended granted locks on
-/// one object conflict, and every transaction's TD-side list names each
-/// object it holds an LRD on exactly once.
-fn check_invariant(table: &LockTable, oids: &[Oid], tids: &[Tid]) -> Result<(), String> {
+/// one object conflict, and every transaction's list names each object it
+/// holds an LRD on exactly once.
+fn check_invariant(table: &LockTable, tds: &Tds, oids: &[Oid], tids: &[Tid]) -> Result<(), String> {
     for &ob in oids {
         let holders = table.holders(ob);
         for (i, a) in holders.iter().enumerate() {
@@ -32,7 +65,7 @@ fn check_invariant(table: &LockTable, oids: &[Oid], tids: &[Tid]) -> Result<(), 
         }
     }
     for &tid in tids {
-        let mut listed = table.locked_objects(tid);
+        let mut listed = tds.0[tid.raw() as usize].clone();
         listed.sort_unstable();
         let held: Vec<Oid> = oids
             .iter()
@@ -82,16 +115,15 @@ fn no_conflicting_unsuspended_grants() {
         let oids: Vec<Oid> = (1..8).map(Oid).collect();
         let tids: Vec<Tid> = (1..6).map(Tid).collect();
         for shards in [1, 0] {
-            let table = LockTable::with_shards(shards);
+            let (table, mut tds) = (LockTable::with_shards(shards), Tds::default());
             for op in ops.iter().cloned() {
                 match op {
                     LockOp::Lock(t, o, w) => {
                         let op_kind = if w { Operation::Write } else { Operation::Read };
-                        let _ = table.lock(Tid(t), Oid(o), op_kind, Some(Duration::from_millis(1)));
+                        let wait = Some(Duration::from_millis(1));
+                        tds.lock(&table, Tid(t), Oid(o), op_kind, wait);
                     }
-                    LockOp::Release(t) => {
-                        table.release_all(Tid(t));
-                    }
+                    LockOp::Release(t) => tds.release(&table, Tid(t)),
                     LockOp::Permit(a, b, o) => {
                         if a != b {
                             table.permit(Tid(a), Some(Tid(b)), ObSet::one(Oid(o)), OpSet::ALL);
@@ -99,16 +131,16 @@ fn no_conflicting_unsuspended_grants() {
                     }
                     LockOp::Delegate(a, b) => {
                         if a != b {
-                            table.delegate(Tid(a), Tid(b), None);
+                            tds.delegate(&table, Tid(a), Tid(b), None);
                         }
                     }
                     LockOp::DelegateOne(a, b, o) => {
                         if a != b {
-                            table.delegate(Tid(a), Tid(b), Some(&ObSet::one(Oid(o))));
+                            tds.delegate(&table, Tid(a), Tid(b), Some(&ObSet::one(Oid(o))));
                         }
                     }
                 }
-                if let Err(msg) = check_invariant(&table, &oids, &tids) {
+                if let Err(msg) = check_invariant(&table, &tds, &oids, &tids) {
                     panic!("{shards} stripes: {msg}");
                 }
             }
@@ -123,24 +155,18 @@ fn no_conflicting_unsuspended_grants() {
 fn delegating_to_a_holder_lists_the_object_once() {
     for shards in [1, 0] {
         for scope in [None, Some(ObSet::one(Oid(1)))] {
-            let table = LockTable::with_shards(shards);
+            let (table, mut tds) = (LockTable::with_shards(shards), Tds::default());
             for t in [Tid(1), Tid(2)] {
-                table.lock(t, Oid(1), Operation::Read, None).unwrap();
+                tds.lock(&table, t, Oid(1), Operation::Read, None);
             }
-            table.lock(Tid(1), Oid(2), Operation::Write, None).unwrap();
-            table.delegate(Tid(1), Tid(2), scope.as_ref());
-            assert_eq!(
-                table
-                    .locked_objects(Tid(2))
-                    .iter()
-                    .filter(|&&ob| ob == Oid(1))
-                    .count(),
-                1
-            );
+            tds.lock(&table, Tid(1), Oid(2), Operation::Write, None);
+            tds.delegate(&table, Tid(1), Tid(2), scope.as_ref());
+            let ob1 = tds.list(Tid(2)).iter().filter(|&&ob| ob == Oid(1));
+            assert_eq!(ob1.count(), 1);
             assert_eq!(table.holders(Oid(1)).len(), 1, "merged into one LRD");
-            check_invariant(&table, &[Oid(1), Oid(2)], &[Tid(1), Tid(2)]).unwrap();
-            table.release_all(Tid(1));
-            table.release_all(Tid(2));
+            check_invariant(&table, &tds, &[Oid(1), Oid(2)], &[Tid(1), Tid(2)]).unwrap();
+            tds.release(&table, Tid(1));
+            tds.release(&table, Tid(2));
             let ods: usize = table.stripe_occupancy().iter().map(|s| s.objects).sum();
             assert_eq!(
                 ods, 0,
@@ -162,14 +188,10 @@ fn delegation_conserves_objects() {
         let from = 1 + rng.below(4);
         let to = 1 + (from + rng.below(3)) % 4;
         assert_ne!(from, to);
-        let table = LockTable::new();
+        let (table, mut tds) = (LockTable::new(), Tds::default());
         for (t, o) in &locks {
-            let _ = table.lock(
-                Tid(*t),
-                Oid(*o),
-                Operation::Write,
-                Some(Duration::from_millis(1)),
-            );
+            let wait = Some(Duration::from_millis(1));
+            tds.lock(&table, Tid(*t), Oid(*o), Operation::Write, wait);
         }
         let unsuspended = |table: &LockTable| -> usize {
             (1..10)
@@ -180,11 +202,11 @@ fn delegation_conserves_objects() {
                 .sum()
         };
         let before = unsuspended(&table);
-        let from_objects = table.locked_objects(Tid(from)).len();
-        let to_objects_before = table.locked_objects(Tid(to)).len();
-        table.delegate(Tid(from), Tid(to), None);
-        assert!(table.locked_objects(Tid(from)).is_empty());
-        let to_objects_after = table.locked_objects(Tid(to)).len();
+        let from_objects = tds.list(Tid(from)).len();
+        let to_objects_before = tds.list(Tid(to)).len();
+        tds.delegate(&table, Tid(from), Tid(to), None);
+        assert!(tds.list(Tid(from)).is_empty());
+        let to_objects_after = tds.list(Tid(to)).len();
         // objects may merge when both held a lock on the same oid
         assert!(to_objects_after <= from_objects + to_objects_before);
         assert!(to_objects_after >= from_objects.max(to_objects_before));

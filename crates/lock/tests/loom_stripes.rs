@@ -7,7 +7,7 @@
 //! mutexes and condvars, for both kinds of waker — the parked thread of
 //! `LockTable::lock` and a callback, as the executor's enqueue is — so a
 //! lost wakeup shows up as a model deadlock in every CI run, not a flaky
-//! hang.
+//! hang. Releases take the caller's list, as asset-core's do.
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p asset-lock --test
 //! loom_stripes --release`.
@@ -74,10 +74,10 @@ fn release_hands_the_lock_to_a_blocked_waiter() {
                 table
                     .lock(Tid(2), Oid(1), Operation::Write, None)
                     .expect("granted after release");
-                table.release_all(Tid(2));
+                table.release(Tid(2), &mut [Oid(1)]);
             })
         };
-        table.release_all(Tid(1));
+        table.release(Tid(1), &mut [Oid(1)]);
         waiter.join().unwrap();
     });
 }
@@ -92,11 +92,11 @@ fn distinct_objects_on_two_stripes_do_not_interfere() {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
                     let ob = Oid(tid.raw());
-                    table
-                        .lock(tid, ob, Operation::Write, None)
+                    let new = table
+                        .acquire(tid, ob, Operation::Write, None)
                         .expect("uncontended grant on own object");
-                    assert_eq!(table.locked_objects(tid), vec![ob]);
-                    table.release_all(tid);
+                    assert!(new, "a new LRD, for the caller to list");
+                    assert_eq!(table.release(tid, &mut [ob]), 1);
                 })
             })
             .collect();
@@ -119,14 +119,14 @@ fn readers_share_while_a_writer_waits() {
                 table
                     .lock(Tid(3), Oid(1), Operation::Write, None)
                     .expect("writer granted once readers drain");
-                table.release_all(Tid(3));
+                table.release(Tid(3), &mut [Oid(1)]);
             })
         };
         table
             .lock(Tid(2), Oid(1), Operation::Read, None)
             .expect("second reader shares");
-        table.release_all(Tid(2));
-        table.release_all(Tid(1));
+        table.release(Tid(2), &mut [Oid(1)]);
+        table.release(Tid(1), &mut [Oid(1)]);
         writer.join().unwrap();
     });
 }
@@ -146,10 +146,10 @@ fn release_never_loses_a_callback_waker() {
             let table = Arc::clone(&table);
             thread::spawn(move || {
                 drive(&table, Tid(2), Oid(1)).expect("granted after release");
-                table.release_all(Tid(2));
+                table.release(Tid(2), &mut [Oid(1)]);
             })
         };
-        table.release_all(Tid(1));
+        table.release(Tid(1), &mut [Oid(1)]);
         driver.join().unwrap();
     });
 }
@@ -173,7 +173,7 @@ fn poison_reaches_a_request_queued_on_another_stripe() {
             thread::spawn(move || {
                 let err = drive(&table, Tid(2), Oid(3)).expect_err("the holder never releases");
                 assert!(matches!(err, AssetError::TxnAborted(Tid(2))));
-                table.release_all(Tid(2));
+                table.release(Tid(2), &mut []);
                 assert!(table.pending(Oid(3)).is_empty());
             })
         };

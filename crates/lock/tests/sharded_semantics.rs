@@ -25,11 +25,14 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 64];
 
 /// Replay a seeded single-threaded script of lock-manager operations and
 /// record every observable outcome. Sorted where the API's ordering is
-/// explicitly unspecified (released-object lists, blocker lists).
+/// explicitly unspecified (released-object lists, blocker lists). Each
+/// transaction's list of its locked objects is held by the script, as
+/// asset-core holds it in the TD, and driven through the list-taking forms.
 fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
     const TIDS: u64 = 6;
     const OIDS: u64 = 12;
     let t = LockTable::with_shards(shards);
+    let mut lists: Vec<Vec<Oid>> = vec![Vec::new(); TIDS as usize + 1];
     let mut rng = Rng::new(seed, 0);
     let mut trace = Vec::new();
     for step in 0..steps {
@@ -42,8 +45,13 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
                 } else {
                     Operation::Write
                 };
-                match t.try_lock(tid, oid, op) {
-                    Ok(()) => trace.push(format!("{step}: grant {tid} {oid} {op:?}")),
+                match t.request(tid, oid, op, None).unwrap() {
+                    Ok(new) => {
+                        if new {
+                            lists[tid.raw() as usize].push(oid);
+                        }
+                        trace.push(format!("{step}: grant {tid} {oid} {op:?}"));
+                    }
                     Err(mut blockers) => {
                         blockers.sort_by_key(|b| b.raw());
                         trace.push(format!("{step}: block {tid} {oid} {op:?} by {blockers:?}"));
@@ -76,13 +84,16 @@ fn run_script(shards: usize, seed: u64, steps: usize) -> Vec<String> {
             }
             7 => {
                 let to = Tid(1 + rng.below(TIDS));
-                t.delegate(tid, to, None);
+                let mut moving = std::mem::take(&mut lists[tid.raw() as usize]);
+                let listed = t.delegate(tid, to, &mut moving, None);
+                lists[to.raw() as usize].extend(listed);
                 trace.push(format!("{step}: delegate {tid} -> {to}"));
             }
             8 => {
-                let mut held = t.locked_objects(tid);
+                let mut held = std::mem::take(&mut lists[tid.raw() as usize]);
+                assert_eq!(t.release(tid, &mut held), held.len());
+                assert_eq!(t.release_all(tid), 0, "{tid} listed every LRD");
                 held.sort_by_key(|o| o.raw());
-                assert_eq!(t.release_all(tid), held.len());
                 trace.push(format!("{step}: release {tid} {held:?}"));
             }
             _ => {
@@ -128,11 +139,15 @@ fn scripted_traces_identical_across_shard_counts() {
 
 #[test]
 fn suspension_semantics_identical_at_every_shard_count() {
-    for shards in SHARD_COUNTS {
+    // a wildcard permit, and one naming the object and writes only
+    let scopes = [(ObSet::All, OpSet::ALL), (ObSet::one(Oid(1)), OpSet::WRITE)];
+    for ((scope, ops), shards) in scopes
+        .into_iter()
+        .flat_map(|p| SHARD_COUNTS.map(|n| (p.clone(), n)))
+    {
         let t = LockTable::with_shards(shards);
         t.lock(Tid(1), Oid(1), Operation::Write, None).unwrap();
-        // wildcard permit goes through the global table when sharded
-        t.permit(Tid(1), Some(Tid(2)), ObSet::All, OpSet::ALL);
+        t.permit(Tid(1), Some(Tid(2)), scope, ops);
         t.lock(
             Tid(2),
             Oid(1),
@@ -145,6 +160,10 @@ fn suspension_semantics_identical_at_every_shard_count() {
             holders.iter().any(|l| l.tid == Tid(1) && l.suspended),
             "shards={shards}: permitting holder suspended"
         );
+        assert!(holders.iter().any(|l| l.tid == Tid(2) && !l.suspended));
+        assert_eq!(total(&t, |s| s.suspensions), 1, "shards={shards}");
+        // t1's lock is suspended: it no longer *holds* write
+        assert!(!t.holds(Tid(1), Oid(1), LockMode::Write));
         assert!(
             t.holds(Tid(2), Oid(1), LockMode::Write),
             "shards={shards}: permitted requester holds"
@@ -300,13 +319,12 @@ fn stress_overlapping_objects_stay_mutually_exclusive() {
 fn release_all_spans_shards() {
     for shards in SHARD_COUNTS {
         let t = LockTable::with_shards(shards);
-        let obs: Vec<Oid> = (1..=200).map(Oid).collect();
+        let mut obs: Vec<Oid> = (1..=200).map(Oid).collect();
         for ob in &obs {
-            t.lock(Tid(1), *ob, Operation::Write, None).unwrap();
+            assert!(t.acquire(Tid(1), *ob, Operation::Write, None).unwrap());
         }
-        assert_eq!(t.locked_objects(Tid(1)).len(), obs.len(), "shards={shards}");
-        assert_eq!(t.release_all(Tid(1)), obs.len(), "shards={shards}");
-        assert!(t.locked_objects(Tid(1)).is_empty(), "shards={shards}");
+        assert_eq!(t.release(Tid(1), &mut obs), 200, "shards={shards}");
+        assert_eq!(t.release_all(Tid(1)), 0, "shards={shards}");
         for ob in &obs {
             assert!(t.holders(*ob).is_empty(), "shards={shards}");
         }
@@ -315,18 +333,18 @@ fn release_all_spans_shards() {
 
 #[test]
 fn cross_shard_permit_chain_grants() {
-    // t1 -> t2 permit lives in one shard, t2 -> t3 spans two shards (global
-    // table); the transitive closure must stitch them at any shard count.
-    for shards in SHARD_COUNTS {
+    // t1 -> t2 names one object, t2 -> t3 two objects on two shards, or
+    // every object; the transitive closure must stitch them at any shard
+    // count.
+    let hops = [ObSet::from_slice(&[Oid(17), Oid(18)]), ObSet::All];
+    for (hop, shards) in hops
+        .into_iter()
+        .flat_map(|h| SHARD_COUNTS.map(|n| (h.clone(), n)))
+    {
         let t = LockTable::with_shards(shards);
         t.lock(Tid(1), Oid(17), Operation::Write, None).unwrap();
         t.permit(Tid(1), Some(Tid(2)), ObSet::one(Oid(17)), OpSet::ALL);
-        t.permit(
-            Tid(2),
-            Some(Tid(3)),
-            ObSet::from_slice(&[Oid(17), Oid(18)]),
-            OpSet::ALL,
-        );
+        t.permit(Tid(2), Some(Tid(3)), hop, OpSet::ALL);
         t.lock(
             Tid(3),
             Oid(17),
@@ -373,7 +391,7 @@ fn a_permit_wakes_the_requests_it_can_admit() {
             let queued = t.request(Tid(2), x, Operation::Write, Some(&waker));
             assert_eq!(queued.unwrap(), Err(vec![Tid(1)]), "shards={shards}");
             if by_delegation {
-                t.delegate(Tid(3), Tid(1), None);
+                t.delegate(Tid(3), Tid(1), &mut [], None);
             } else {
                 t.permit(Tid(1), Some(Tid(2)), scope.clone(), OpSet::ALL);
             }
@@ -383,7 +401,7 @@ fn a_permit_wakes_the_requests_it_can_admit() {
                 "shards={shards} by_delegation={by_delegation}: woken once"
             );
             let retry = t.request(Tid(2), x, Operation::Write, Some(&waker));
-            assert_eq!(retry.unwrap(), Ok(()), "shards={shards}");
+            assert_eq!(retry.unwrap(), Ok(true), "shards={shards}");
             assert!(t.pending(x).is_empty(), "shards={shards}");
         }
     }

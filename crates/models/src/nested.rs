@@ -56,7 +56,8 @@ pub fn subtransaction(
     if !ctx.wait(child)? {
         return Ok(SubtxnOutcome::Aborted);
     }
-    ctx.delegate(child, ctx.id(), None)?;
+    // a parent that is aborting refuses the child's work: it goes too
+    (ctx.delegate(child, ctx.id(), None)).or_else(|e| ctx.abort(child).and(Err(e)))?;
     ctx.commit(child)?;
     Ok(SubtxnOutcome::Merged)
 }

@@ -51,7 +51,8 @@ pub fn join(ctx: &TxnCtx, s: Tid, t: Tid) -> Result<bool> {
         tid: s,
         label: "join",
     });
-    ctx.delegate(s, t, None)?;
+    // a `t` that is aborting refuses `s`'s work: it goes too
+    (ctx.delegate(s, t, None)).or_else(|e| ctx.abort(s).and(Err(e)))?;
     // `s` has handed everything over; committing it is now a formality
     // (the paper notes the same about delegating reservation children).
     ctx.commit(s)?;
