@@ -1,7 +1,6 @@
 //! Minimal, dependency-free JSON: the one [`Writer`] the workspace's JSON
-//! documents (the Chrome trace export, the analyzer's SARIF report) are
-//! emitted through, so punctuation, string escaping and number formatting
-//! live in one place, and a parser that tests use to check that what they
+//! (the Chrome trace export) is emitted through, so punctuation, string
+//! escaping and number formatting live in one place, and a parser that tests use to check that what they
 //! wrote is well-formed without pulling a serde stack into the workspace.
 //! The parser is a straightforward recursive-descent one: strict on
 //! structure (trailing garbage is an error), depth-limited, and entirely

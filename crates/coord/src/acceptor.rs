@@ -225,39 +225,21 @@ impl Acceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A fresh file path under the system temp dir, removed on drop.
-    struct TempFile(std::path::PathBuf);
-
-    impl TempFile {
-        fn new(tag: &str) -> TempFile {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos();
-            let name = format!("asset-acceptor-{tag}-{}-{nanos}", std::process::id());
-            TempFile(std::env::temp_dir().join(name))
-        }
-    }
-
-    impl Drop for TempFile {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
+    use asset_faults::TempDir;
 
     #[test]
     fn slots_survive_reopen() {
-        let f = TempFile::new("reopen");
+        let dir = TempDir::new("acceptor-reopen");
+        let f = dir.join("acceptor.log");
         {
-            let acc = Acceptor::at(&f.0).unwrap();
+            let acc = Acceptor::at(&f).unwrap();
             assert!(acc.accept(7, 0, &[(0, true), (1, true)]));
             assert!(acc.accept(8, 0, &[(0, true), (1, false)]));
             // the last record of an instance wins on replay
             assert_eq!(acc.promise(8, 3, &[0]), Some(vec![Some((0, true))]));
             assert!(acc.accept(8, 3, &[(0, false)]));
         }
-        let acc = Acceptor::at(&f.0).unwrap();
+        let acc = Acceptor::at(&f).unwrap();
         assert_eq!(acc.accepted(7, 0), Some((0, true)));
         assert_eq!(acc.accepted(7, 1), Some((0, true)));
         assert_eq!(acc.accepted(8, 0), Some((3, false)));
@@ -268,35 +250,37 @@ mod tests {
 
     #[test]
     fn torn_last_record_is_ignored() {
-        let f = TempFile::new("torn");
+        let dir = TempDir::new("acceptor-torn");
+        let f = dir.join("acceptor.log");
         {
-            let acc = Acceptor::at(&f.0).unwrap();
+            let acc = Acceptor::at(&f).unwrap();
             assert!(acc.accept(7, 0, &[(0, true)]));
         }
         // a crash mid-append left part of gid 9's record
         {
-            let mut file = OpenOptions::new().append(true).open(&f.0).unwrap();
+            let mut file = OpenOptions::new().append(true).open(&f).unwrap();
             file.write_all(&[9, 0, 0]).unwrap();
         }
-        let acc = Acceptor::at(&f.0).unwrap();
+        let acc = Acceptor::at(&f).unwrap();
         assert_eq!(acc.accepted(7, 0), Some((0, true)));
         assert_eq!(acc.accepted(9, 0), None, "torn record never happened");
         // and what is appended next stays record-aligned
         assert!(acc.accept(9, 0, &[(0, false)]));
         drop(acc);
-        let acc = Acceptor::at(&f.0).unwrap();
+        let acc = Acceptor::at(&f).unwrap();
         assert_eq!(acc.accepted(9, 0), Some((0, false)));
-        assert_eq!(std::fs::metadata(&f.0).unwrap().len(), 2 * RECORD as u64);
+        assert_eq!(std::fs::metadata(&f).unwrap().len(), 2 * RECORD as u64);
     }
 
     #[test]
     fn reopened_acceptor_still_refuses_a_ballot_below_its_promise() {
-        let f = TempFile::new("fence");
+        let dir = TempDir::new("acceptor-fence");
+        let f = dir.join("acceptor.log");
         {
-            let acc = Acceptor::at(&f.0).unwrap();
+            let acc = Acceptor::at(&f).unwrap();
             assert_eq!(acc.promise(4, 5, &[0, 1]), Some(vec![None, None]));
         }
-        let acc = Acceptor::at(&f.0).unwrap();
+        let acc = Acceptor::at(&f).unwrap();
         assert_eq!(acc.promised(4), 5);
         assert!(!acc.accept(4, 0, &[(0, true), (1, true)]), "fenced out");
         assert_eq!(acc.promise(4, 4, &[0, 1]), None, "nack");
@@ -305,9 +289,10 @@ mod tests {
 
     #[test]
     fn accepting_a_transaction_is_one_contiguous_write() {
-        let f = TempFile::new("batch");
-        let acc = Acceptor::at(&f.0).unwrap();
-        let len = || std::fs::metadata(&f.0).unwrap().len();
+        let dir = TempDir::new("acceptor-batch");
+        let f = dir.join("acceptor.log");
+        let acc = Acceptor::at(&f).unwrap();
+        let len = || std::fs::metadata(&f).unwrap().len();
         assert_eq!(len(), 0);
         assert!(acc.accept(1, 0, &[(0, true), (1, true), (2, true)]));
         assert_eq!(len(), 3 * RECORD as u64);

@@ -147,16 +147,8 @@ mod tests {
 
     #[test]
     fn killed_node_answers_nothing_until_restart() {
-        let dir = std::env::temp_dir().join(format!(
-            "asset-coord-node-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let node = ParticipantNode::open(Config::on_disk(&dir)).unwrap();
+        let dir = asset_faults::TempDir::new("coord-node");
+        let node = ParticipantNode::open(Config::on_disk(&*dir)).unwrap();
         assert!(!node.is_down());
         node.kill();
         assert!(node.is_down());
@@ -165,6 +157,5 @@ mod tests {
             .is_none());
         assert_eq!(node.restart().unwrap(), Vec::<Tid>::new());
         assert!(!node.is_down());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn a_decision_grows_the_on_disk_log_by_one_write() {
-        let path = std::env::temp_dir().join(format!("asset-coordlog-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = asset_faults::TempDir::new("coordlog");
+        let path = dir.join("coordinator.log");
         let (_, transport, oids) = coordinator(3);
         let coord = TwoPhase::new(transport.clone(), Arc::new(CoordLog::at(&path).unwrap()));
         let mut g = GlobalTxn::new(8);
@@ -214,7 +214,6 @@ mod tests {
         // forced write 2PC owes its decision, whatever the member count
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(len, 3 * crate::acceptor::RECORD as u64);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

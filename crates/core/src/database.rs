@@ -98,6 +98,7 @@ use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, 
 use asset_dep::{CommitGate, DepGraph};
 use asset_lock::LockTable;
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
+use asset_storage::log::mark::{self, Kind};
 use asset_storage::{LogPlace, LogRecord, RecoveryReport, StorageEngine};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,14 +180,18 @@ pub(crate) struct TxnSlot {
 }
 
 impl TxnSlot {
-    /// Move the TD to `next`: the one store of a status after the TD is
-    /// made, checked against the status machine in debug builds.
-    pub(crate) fn set_status(&mut self, next: TxnStatus) {
+    /// Move `t`'s TD to `next`: the one store of a status after the TD is
+    /// made, checked against the status machine in debug builds — and
+    /// `Prepared` only behind a `Prepared` record naming `t` (§14.2).
+    pub(crate) fn set_status(&mut self, t: Tid, next: TxnStatus) {
         debug_assert!(
             self.status.can_transition_to(next),
-            "{:?} -> {next:?} is not a status transition",
+            "{t}: {:?} -> {next:?} is not a status transition",
             self.status
         );
+        if next == TxnStatus::Prepared {
+            mark::expect(Kind::Prepared, t.raw());
+        }
         self.status = next;
     }
 }
@@ -599,7 +604,6 @@ impl Database {
     /// next one), then steps 5–6 or the ambiguous-record reconciliation.
     /// No transaction-table shard is held across the force; the pin is
     /// what excludes.
-    // verify: wal(logs = "log_record", mutates = "self.finish_commit")
     fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
         #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
         let mut forced: Result<()> = Ok(());
@@ -647,6 +651,7 @@ impl Database {
             self.commit_failed(t, group);
             return Err(e);
         }
+        mark::expect(Kind::Commit, t.raw());
         self.finish_commit(t, group, self.inner.txns.lock_group(group));
         Ok(())
     }
@@ -734,9 +739,9 @@ impl Database {
     /// undo responsibility all move; a `Delegate` log record makes the
     /// transfer crash-safe. The building block of split/join (§3.1.5) and
     /// nested transactions (§3.1.4). Delegating from or to a `Prepared`
-    /// (§14.2) or terminated transaction, or to an aborting one (no end of
-    /// it would release or undo what it received), is refused with
-    /// `InvalidState`.
+    /// (§14.2) or terminated transaction, to an aborting one (no end of it
+    /// would release or undo what it received), or writes from an aborting
+    /// one (its abort must undo them), is refused with `InvalidState`.
     ///
     /// ```
     /// use asset_core::Database;
@@ -754,7 +759,6 @@ impl Database {
     /// assert!(db.abort(t2).unwrap());      // aborting t2 undoes t1's write
     /// assert_eq!(db.peek(oid).unwrap(), None);
     /// ```
-    // verify: wal(logs = "log_record", mutates = "held.undo.extract_if(")
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<ObSet>) -> Result<()> {
         let mut guard = self.lock_unpinned(&[from, to]);
         if guard.get(from).is_none() {
@@ -769,6 +773,13 @@ impl Database {
         if from == to {
             return Ok(());
         }
+        // An aborting delegator's writes are its abort's to undo: handed to
+        // a survivor, that survivor's commit would keep them. Locks it
+        // never wrote under may still go (MLT hands its guards to `H`).
+        let moves = |ob: Oid| obs.as_ref().is_none_or(|set| set.contains(ob));
+        let held = guard.get(from).and_then(|s| s.held.as_ref());
+        let writes = held.is_some_and(|h| h.undo.iter().any(|u| moves(u.oid)));
+        refuse(&guard, &[from], "delegate", |s| writes && s.is_abort_path())?;
         // Crash safety — WAL discipline: the Delegate record lands before
         // any in-memory state moves, so a failed append leaves the
         // delegation entirely un-happened on both sides of a restart
@@ -803,11 +814,11 @@ impl Database {
         })?;
         // splice the undo entries and the lock list (both slots exist, and
         // the guard has held their shards throughout)
-        let moves = |ob: Oid| obs.as_ref().is_none_or(|set| set.contains(ob));
         let Some(slot) = guard.get_mut(from) else {
             return Err(AssetError::TxnNotFound(from));
         };
         let held = slot.held.get_or_insert_default();
+        mark::expect(Kind::Delegate, from.raw());
         let undo: Vec<_> = held.undo.extract_if(.., |u| moves(u.oid)).collect();
         let mut moving: Vec<_> = held.locks.extract_if(.., |ob| moves(*ob)).collect();
         let listed = (self.inner.locks).delegate(from, to, &mut moving, obs.as_ref());
@@ -988,7 +999,7 @@ impl Database {
                 let slot = slot?;
                 slot.thread_live = false;
                 match slot.status {
-                    TxnStatus::Running => slot.set_status(TxnStatus::Aborting),
+                    TxnStatus::Running => slot.set_status(t, TxnStatus::Aborting),
                     TxnStatus::Aborting => slot.abort_performed = false,
                     _ => return None,
                 }
@@ -1161,7 +1172,6 @@ impl Database {
     // Each undo step logs its CLR and installs the image in one latched
     // engine call; the Abort record follows the last of them and precedes
     // the terminal status.
-    // verify: wal(logs = "log_record", mutates = "slot.set_status(TxnStatus::Aborted)")
     fn abort_claiming(&self, seeds: &[Tid], local: Option<Tid>) -> bool {
         enum Act {
             Skip,
@@ -1190,7 +1200,7 @@ impl Database {
                     TxnStatus::Running => {
                         // mark; the thread that runs or claims the body
                         // (or the executor worker) performs the steps
-                        slot.set_status(TxnStatus::Aborting);
+                        slot.set_status(x, TxnStatus::Aborting);
                         self.inner.locks.poison(x);
                         Act::Wake(slot.task.clone())
                     }
@@ -1211,7 +1221,7 @@ impl Database {
                             let in_log = !undo.is_empty() || slot.status == TxnStatus::Prepared;
                             slot.abort_performed = true;
                             if slot.status != TxnStatus::Aborting {
-                                slot.set_status(TxnStatus::Aborting);
+                                slot.set_status(x, TxnStatus::Aborting);
                             }
                             Act::Undo(undo, in_log)
                         }
@@ -1265,7 +1275,8 @@ impl Database {
                 );
                 rolled_back &= self.inner.engine.undo_object(u.oid, u.before).is_ok();
             }
-            if in_log && rolled_back {
+            let logged = in_log && rolled_back;
+            if logged {
                 let _ = self.inner.engine.log_record(&LogRecord::Abort { tid: x });
             }
             self.inner.obs.record(EventKind::SpanClose {
@@ -1278,7 +1289,10 @@ impl Database {
             // so x's shard shows `Aborted` exactly when the graph drops x
             let (victims, resolved) = self.inner.txns.with(x, |slot| {
                 if let Some(slot) = slot {
-                    slot.set_status(TxnStatus::Aborted);
+                    if logged {
+                        mark::expect(Kind::Abort, x.raw());
+                    }
+                    slot.set_status(x, TxnStatus::Aborted);
                     slot.task = None; // nothing left to wake
                     self.release(x, slot.held.take());
                 }
@@ -1325,7 +1339,6 @@ impl Database {
     /// [`PART_AFTER_PREPARE`](crate::failpoints::PART_AFTER_PREPARE)), in
     /// which case the group stays `Prepared` awaiting the decision.
     /// Idempotent: re-preparing an already-prepared group returns it.
-    // verify: wal(logs = "log_record", mutates = "slot.set_status(TxnStatus::Prepared)")
     pub fn prepare_group(&self, seeds: &[Tid]) -> Result<Vec<Tid>> {
         if seeds.is_empty() {
             return Ok(Vec::new());
@@ -1401,7 +1414,7 @@ impl Database {
             // members come from the guard's own locked key set
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
-            slot.set_status(TxnStatus::Prepared);
+            slot.set_status(*m, TxnStatus::Prepared);
             slot.prepared_at = Some(now);
         }
         drop(guard);
@@ -1447,7 +1460,6 @@ impl Database {
     /// restarts with the group in doubt, which cooperative termination
     /// resolves (§14.3). So a participant forces one record per global
     /// transaction, its vote.
-    // verify: wal(logs = "append", mutates = "self.finish_commit")
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
         let mut guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
@@ -1475,6 +1487,7 @@ impl Database {
             .iter()
             .filter_map(|m| guard.get_mut(*m)?.prepared_at.take())
             .collect();
+        mark::expect(Kind::Commit, pending[0].raw());
         self.finish_commit(pending[0], &pending, guard);
         self.record_decide(&pending, true, &decided);
         // the decision is applied and its record only buffered; a failure
@@ -1557,7 +1570,9 @@ impl Database {
     // the data operations and the §4.2 commit protocol. Two drivers run
     // them: the blocking primitives above, which sleep on the event count
     // where a pass says `Wait`, and the worker pool (`crate::exec`), which
-    // parks the task. None of them may sleep (verify rule R5).
+    // parks the task. None of them may sleep: the pool runs each inside
+    // `sync::step`, where a blocking primitive's `may_block` panics
+    // (debug builds).
 
     /// The `Initiated → Running` transition both drivers share; nothing is
     /// logged, a transaction enters the log with its first write. The body
@@ -1578,7 +1593,7 @@ impl Database {
                     op: "begin",
                 });
             }
-            slot.set_status(TxnStatus::Running);
+            slot.set_status(t, TxnStatus::Running);
             slot.thread_live = true;
             Ok(true)
         })?;
@@ -1603,11 +1618,14 @@ impl Database {
             slot.thread_live = false;
             if slot.status == TxnStatus::Running {
                 // a failed or panicked job aborts
-                slot.set_status(if succeeded {
-                    TxnStatus::Completed
-                } else {
-                    TxnStatus::Aborting
-                });
+                slot.set_status(
+                    t,
+                    if succeeded {
+                        TxnStatus::Completed
+                    } else {
+                        TxnStatus::Aborting
+                    },
+                );
             }
             Some(slot.status)
         });
@@ -1695,7 +1713,7 @@ impl Database {
                         Ok(Step::Wait)
                     }
                     TxnStatus::Completed | TxnStatus::Committing => {
-                        slot.set_status(TxnStatus::Committing);
+                        slot.set_status(t, TxnStatus::Committing);
                         Ok(Step::Gate)
                     }
                 }
@@ -1733,7 +1751,7 @@ impl Database {
                         #[expect(clippy::expect_used, reason = "guard-internal keys")]
                         let slot = guard.get_mut(*m).expect("group member exists");
                         if slot.status == TxnStatus::Completed {
-                            slot.set_status(TxnStatus::Committing);
+                            slot.set_status(*m, TxnStatus::Committing);
                         }
                         durable |= slot.held.as_ref().is_some_and(|h| !h.undo.is_empty());
                     }
@@ -1831,7 +1849,7 @@ impl Database {
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
             slot.commit_pending = false;
-            slot.set_status(TxnStatus::Committed);
+            slot.set_status(*m, TxnStatus::Committed);
             slot.task = None; // nothing left to wake
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
             self.release(*m, slot.held.take());

@@ -1296,23 +1296,31 @@ fn a_prepared_participant_cannot_be_resolved_locally() {
 /// Delegation to a terminated or aborting party, or from a terminated
 /// one, is refused like one with a prepared party: no commit or abort
 /// would release or undo what it received. An aborting delegator may hand
-/// its locks on. After each row, a later writer of both objects commits.
+/// its locks on, but not its writes, which its abort must undo. After each
+/// row, the guard holds no write and a later writer of both objects
+/// commits.
 #[test]
 fn a_delegation_past_a_partys_fate_is_refused() {
-    // (the party's status, it delegates (else it receives), refused)
+    // (the party's status, it delegates (else it receives), it wrote its
+    // guard (else only locked it), refused)
     let rows = [
-        (TxnStatus::Committed, false, true),
-        (TxnStatus::Aborted, false, true),
-        (TxnStatus::Committed, true, true),
-        (TxnStatus::Aborting, false, true),
-        (TxnStatus::Aborting, true, false),
+        (TxnStatus::Committed, false, false, true),
+        (TxnStatus::Aborted, false, false, true),
+        (TxnStatus::Committed, true, false, true),
+        (TxnStatus::Aborting, false, false, true),
+        (TxnStatus::Aborting, true, false, false),
+        (TxnStatus::Aborting, true, true, true),
     ];
-    for row @ (status, delegates, refused) in rows {
+    for row @ (status, delegates, wrote, refused) in rows {
         let db = db();
         let ((w, ob), guard) = (completed_writer(&db, b"w"), db.new_oid());
         let ((locked, held), (go, gate)) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
         let party = db.initiate(move |ctx| {
-            ctx.lock_exclusive(guard)?;
+            if wrote {
+                ctx.write(guard, b"p".to_vec())?;
+            } else {
+                ctx.lock_exclusive(guard)?;
+            }
             locked.send(()).unwrap();
             gate.recv().map_err(|_| AssetError::TxnAborted(ctx.id()))
         });
@@ -1337,6 +1345,7 @@ fn a_delegation_past_a_partys_fate_is_refused() {
         let _ = go.send(());
         assert!(!db.wait(party).unwrap() || status == TxnStatus::Committed);
         assert!(db.commit(w).unwrap(), "{row:?}");
+        assert_eq!(db.peek(guard).unwrap(), None, "{row:?}");
         // a lock left behind would time this writer out
         let later = db.run(move |ctx| {
             ctx.write(ob, b"l".to_vec())
@@ -2076,7 +2085,20 @@ fn a_status_store_outside_the_machine_panics() {
         status: TxnStatus::Committed,
         ..Default::default()
     };
-    slot.set_status(TxnStatus::Running);
+    slot.set_status(Tid(1), TxnStatus::Running);
+}
+
+/// `Prepared` is entered only behind a `Prepared` record naming the
+/// transaction: a store with none before it panics (debug builds).
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "a change before its Prepared record naming 1")]
+fn entering_prepared_with_no_record_panics() {
+    let mut slot = crate::database::TxnSlot {
+        status: TxnStatus::Completed,
+        ..Default::default()
+    };
+    slot.set_status(Tid(1), TxnStatus::Prepared);
 }
 
 /// Executor steps run flagged: a blocking primitive called from a step

@@ -937,11 +937,10 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn dropping_a_connection_counts_its_ambiguous_transactions() {
-        use asset_faults::{FaultAction, FaultRegistry, Trigger};
-        let dir = std::env::temp_dir().join(format!("asset-server-drain-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        use asset_faults::{FaultAction, FaultRegistry, TempDir, Trigger};
+        let dir = TempDir::new("server-drain");
         let faults = Arc::new(FaultRegistry::new());
-        let config = Config::on_disk(&dir).with_faults(Arc::clone(&faults));
+        let config = Config::on_disk(&*dir).with_faults(Arc::clone(&faults));
         let (db, _) = Database::open(config.with_exec_workers(2)).expect("open");
         let (st, _) = session_with_a_write(&db);
         let window = asset_storage::failpoints::FLUSH_WINDOW_SYNC;
@@ -956,8 +955,6 @@ mod tests {
 
         let drained = db.obs().counters.snapshot().session_drain_ambiguous;
         assert_eq!(drained, 1);
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A session transaction that has written one new object.

@@ -6,6 +6,9 @@
 //! the log.
 
 use crate::cache::ObjectCache;
+use crate::durable::Failpoint;
+use crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE;
+use crate::log::mark::{self, Kind};
 use crate::log::{GroupFlusher, LogManager, LogPlace, LogRecord, Patch, RecordRef};
 use crate::recovery::{recover, LogFold, PendingUpdate, RecoveryReport};
 use crate::store::ObjectStore;
@@ -120,7 +123,6 @@ impl StorageEngine {
     /// touch of an object per generation — every creation, every first
     /// write after a checkpoint cut the log, every entry loaded from the
     /// store's image — logs the full `Update { before, after }`.
-    // verify: wal(logs = "append_ref", mutates = "std::mem::replace(slot, after)")
     pub fn write_object(
         &self,
         tid: Tid,
@@ -150,6 +152,7 @@ impl StorageEngine {
                 }
             })?;
             entry.set_logged_in(generation);
+            mark::expect(Kind::Write, oid.raw());
             Ok((std::mem::replace(slot, after), (generation, lsn)))
         })
     }
@@ -175,6 +178,7 @@ impl StorageEngine {
     pub fn log_record(&self, rec: &LogRecord) -> Result<Lsn> {
         match rec {
             LogRecord::Commit { .. } | LogRecord::Prepared { .. } => {
+                mark::note(&rec.as_ref());
                 self.flusher.submit_and_wait(rec)
             }
             _ => self.log.append(rec),
@@ -205,8 +209,7 @@ impl StorageEngine {
         // WAL rule: no image reaches the store ahead of its log record.
         self.log.flush()?;
         self.store.write(&self.cache)?;
-        self.log
-            .failpoint(crate::failpoints::CHECKPOINT_BEFORE_TRUNCATE)?;
+        Failpoint(&self.log.faults, CHECKPOINT_BEFORE_TRUNCATE).check()?;
         if live.is_empty() {
             return self.log.rewrite([]);
         }

@@ -34,7 +34,7 @@ pub const LOG_FLUSH: &str = "log.flush.write";
 /// [`LogManager::rewrite`](crate::LogManager::rewrite) (the checkpoint),
 /// before the replacement file is created; and in
 /// [`LogManager::replay`](crate::LogManager::replay), before a torn tail is
-/// cut off at recovery.
+/// cut off at recovery, and again before that cut is synced.
 pub const LOG_TRUNCATE: &str = "log.truncate";
 
 /// In [`LogManager::rewrite`](crate::LogManager::rewrite): the next
@@ -43,8 +43,8 @@ pub const LOG_TRUNCATE: &str = "log.truncate";
 pub const LOG_REWRITE_BEFORE_RENAME: &str = "log.rewrite.before_rename";
 
 /// In [`LogManager::rewrite`](crate::LogManager::rewrite): the new file
-/// has the log's name and the manager has moved over to it; the directory
-/// is not yet synced. A crash here leaves either log, both of them whole.
+/// has the log's name and the manager has moved over to it; guarding the
+/// directory's sync. A crash here leaves either log, both of them whole.
 pub const LOG_REWRITE_AFTER_RENAME: &str = "log.rewrite.after_rename";
 
 /// In [`ObjectStore::write`](crate::ObjectStore::write): before the
@@ -53,7 +53,8 @@ pub const LOG_REWRITE_AFTER_RENAME: &str = "log.rewrite.after_rename";
 pub const STORE_WRITE: &str = "store.write";
 
 /// Guarding `sync_data` on the image beside the store's file, before it is
-/// renamed over it ([`ObjectStore::write`](crate::ObjectStore::write)).
+/// renamed over it, and the directory's sync after
+/// ([`ObjectStore::write`](crate::ObjectStore::write)).
 pub const STORE_SYNC: &str = "store.sync";
 
 /// In [`StorageEngine::checkpoint`](crate::StorageEngine::checkpoint):

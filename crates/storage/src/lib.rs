@@ -11,7 +11,8 @@
 //! Layering, bottom-up:
 //!
 //! * [`failpoints`] — named fault-injection sites (active only with the
-//!   `faults` feature);
+//!   `faults` feature); `durable` — every file write, cut and sync, each
+//!   through the failpoint that guards it;
 //! * [`latch`] — the EOS latch (§4.1);
 //! * [`cache`] — the shared object cache with per-object latches, the one
 //!   map of objects;
@@ -36,6 +37,7 @@
 )]
 
 pub mod cache;
+mod durable;
 pub mod engine;
 pub mod failpoints;
 pub mod latch;

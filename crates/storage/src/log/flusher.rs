@@ -344,7 +344,7 @@ fn flush_batch<'a>(
     each: impl FnMut(Lsn),
 ) -> Result<(Lsn, usize)> {
     asset_faults::failpoint!(
-        shared.log.faults(),
+        &shared.log.faults,
         crate::failpoints::FLUSH_WINDOW_ASSEMBLE,
         |act| {
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
@@ -358,14 +358,14 @@ fn flush_batch<'a>(
             }
             return Err(shared
                 .log
-                .faults()
+                .faults
                 .realize_plain(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, act)
                 .into());
         }
     );
     let first = shared.log.append_all(recs, each)?;
     let elide =
-        asset_faults::failpoint_sync!(shared.log.faults(), crate::failpoints::FLUSH_WINDOW_SYNC);
+        asset_faults::failpoint_sync!(&shared.log.faults, crate::failpoints::FLUSH_WINDOW_SYNC);
     let bytes = shared
         .log
         .drain(!elide && shared.durability == Durability::Strict)?;

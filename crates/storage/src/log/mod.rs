@@ -46,6 +46,7 @@
 //! before the next owner reads the file, not after.
 
 mod flusher;
+pub mod mark;
 mod record;
 
 pub use flusher::{FlushCallback, GroupFlusher};
@@ -54,12 +55,16 @@ pub use record::{
     Ids, LogEntry, LogRecord, Patch, RecordRef, TidCursor, WireId, FORMAT_MARKER, SEAL_LEN,
 };
 
-use asset_common::sync::{may_block, Mutex, MutexGuard, Rank};
+use crate::durable::Failpoint;
+use crate::failpoints::{
+    LOG_FLUSH, LOG_REWRITE_AFTER_RENAME, LOG_REWRITE_BEFORE_RENAME, LOG_SYNC, LOG_TRUNCATE,
+};
+use asset_common::sync::{Mutex, MutexGuard, Rank};
 use asset_common::{AssetError, Durability, Lsn, Oid, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,8 +149,9 @@ pub struct LogManager {
     /// See [`generation`](Self::generation).
     generation: AtomicU64,
     obs: Arc<Obs>,
-    #[cfg(feature = "faults")]
-    faults: Arc<asset_faults::FaultRegistry>,
+    /// What the failpoints on this log consult: its own, the flusher's,
+    /// the checkpoint's and restart recovery's.
+    pub(crate) faults: Arc<asset_faults::FaultRegistry>,
     /// `faults.crash_count()` when the registry was attached.
     #[cfg(feature = "faults")]
     born_after_crashes: u64,
@@ -170,7 +176,6 @@ impl LogManager {
             flush_watermark: watermark.max(1),
             generation: AtomicU64::new(1),
             obs: Obs::shared(),
-            #[cfg(feature = "faults")]
             faults: Default::default(),
             #[cfg(feature = "faults")]
             born_after_crashes: 0,
@@ -197,34 +202,9 @@ impl LogManager {
         self.faults = faults;
     }
 
-    /// The registry this manager's failpoints consult; the flusher, which
-    /// works on this log, consults the same one.
-    #[cfg(feature = "faults")]
-    pub(crate) fn faults(&self) -> &Arc<asset_faults::FaultRegistry> {
-        &self.faults
-    }
-
     /// The observability hub this log reports into.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
-    }
-
-    /// The failpoint `site`, where no buffer is being written and nothing
-    /// synced: `Error` refuses the operation, anything else crashes. The
-    /// engine's checkpoint and restart recovery, which work on this log,
-    /// consult its registry through here.
-    #[cfg_attr(
-        not(feature = "faults"),
-        allow(
-            unused_variables,
-            reason = "`site` names a failpoint only `faults` compiles"
-        )
-    )]
-    pub(crate) fn failpoint(&self, site: &'static str) -> Result<()> {
-        asset_faults::failpoint!(&self.faults, site, |act| {
-            return Err(self.faults.realize_plain(site, act).into());
-        });
-        Ok(())
     }
 
     /// The log's generation: starts at one and moves on at every
@@ -330,13 +310,13 @@ impl LogManager {
     /// whose after image is a patch must follow a record of its object
     /// whose image the patch fits, or replay refuses the log.
     pub fn append_ref(&self, rec: &RecordRef<'_>) -> Result<Lsn> {
+        mark::note(rec);
         self.append_inner(std::iter::once(*rec), |_| (), false)
     }
 
     /// The one append path: encode every record into `pending`, then
     /// accept them. Returns the first record's LSN and reports each one's
     /// to `each`.
-    // verify: wal(logs = "encode_into", mutates = "inner.tail +=")
     fn append_inner<'a>(
         &self,
         recs: impl IntoIterator<Item = RecordRef<'a>>,
@@ -412,9 +392,8 @@ impl LogManager {
     pub(crate) fn crash_torn(&self, site: &'static str, keep_per_mille: u16) -> ! {
         if let Some(disk) = self.disk.as_ref().and_then(Mutex::try_lock) {
             let inner = self.inner.lock();
-            let keep = inner.pending.len() * keep_per_mille as usize / 1000;
-            // verify: allow(failpoint_coverage) — this prefix write is the `Torn` action's own effect, reached only from a failpoint that fired
-            let _ = (&disk.file).write_all(&inner.pending[..keep]);
+            let torn = Failpoint(&self.faults, site);
+            torn.tear(keep_per_mille, &disk.file, &inner.pending);
         }
         self.faults.crash_now(site)
     }
@@ -456,7 +435,7 @@ impl LogManager {
     /// The drain proper, for a caller that holds the disk.
     fn drain_holding(&self, mut disk: MutexGuard<'_, Disk>, sync: bool) -> Result<usize> {
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let (mut buf, open_from) = {
+        let (mut buf, open_from, written) = {
             let mut inner = self.inner.lock();
             let open_from = std::mem::take(&mut inner.sealed);
             if inner.pending.len() > open_from {
@@ -465,30 +444,16 @@ impl LogManager {
                 inner.cursor = TidCursor::default();
             }
             let spare = std::mem::take(&mut disk.spare);
-            (std::mem::replace(&mut inner.pending, spare), open_from)
+            let buf = std::mem::replace(&mut inner.pending, spare);
+            (buf, open_from, inner.written)
         };
         if buf.len() > open_from {
             record::fill_seal(&mut buf, open_from);
         }
         if !buf.is_empty() {
-            asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_FLUSH, |act| {
-                if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                    // a prefix lands, then the process dies
-                    let keep = buf.len() * keep_per_mille as usize / 1000;
-                    let _ = (&disk.file).write_all(&buf[..keep]);
-                    self.faults.crash_now(crate::failpoints::LOG_FLUSH);
-                }
-                self.put_back(buf);
-                return Err(self
-                    .faults
-                    .realize_plain(crate::failpoints::LOG_FLUSH, act)
-                    .into());
-            });
-            if let Err(e) = (&disk.file).write_all(&buf) {
-                // `write_all` may have landed a part: chop the file back
-                // to the last accepted offset before the bytes go back.
-                let written = self.inner.lock().written;
-                let _ = disk.file.set_len(written);
+            if let Err(e) = Failpoint(&self.faults, LOG_FLUSH).write(&disk.file, written, &buf) {
+                // the file is back at `written` (only a drain moves it, and
+                // this is the only one): the bytes go back too
                 self.put_back(buf);
                 return Err(e.into());
             }
@@ -499,15 +464,9 @@ impl LogManager {
         let drained = buf.len();
         buf.clear();
         disk.spare = buf;
-        if sync {
-            let elide = asset_faults::failpoint_sync!(&self.faults, crate::failpoints::LOG_SYNC);
-            if !elide {
-                may_block();
-                disk.file.sync_data()?;
-                // only a drain moves `written`, and this is the only one
-                let mut inner = self.inner.lock();
-                inner.synced = inner.written;
-            }
+        if sync && Failpoint(&self.faults, LOG_SYNC).sync(&disk.file, false)? {
+            let mut inner = self.inner.lock();
+            inner.synced = inner.written;
         }
         drop(disk);
         bump(&self.obs.counters.log_flushes);
@@ -634,10 +593,9 @@ impl LogManager {
         if let Some(disk) = &disk {
             let end = replay_file(File::open(&disk.path)?.take(written), &mut visit)?;
             if end < written {
-                self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
-                disk.file.set_len(end)?;
-                may_block();
-                disk.file.sync_data()?;
+                let cut = Failpoint(&self.faults, LOG_TRUNCATE);
+                cut.write(&disk.file, end, &[])?;
+                cut.sync(&disk.file, false)?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
                 (inner.sealed, inner.cursor) = (0, TidCursor::default());
@@ -674,7 +632,7 @@ impl LogManager {
     /// they were.
     pub fn rewrite<'a>(&self, recs: impl IntoIterator<Item = RecordRef<'a>>) -> Result<()> {
         let mut disk = self.disk.as_ref().map(Mutex::lock);
-        self.failpoint(crate::failpoints::LOG_TRUNCATE)?;
+        Failpoint(&self.faults, LOG_TRUNCATE).check()?;
         let next = match &disk {
             Some(disk) => {
                 let mut beside = disk.path.clone().into_os_string();
@@ -689,7 +647,7 @@ impl LogManager {
         next.append_inner(recs, |_| (), true)?;
         let mut theirs = next.disk.as_ref().map(Mutex::lock);
         if let (Some(disk), Some(theirs)) = (&disk, &theirs) {
-            self.failpoint(crate::failpoints::LOG_REWRITE_BEFORE_RENAME)?;
+            Failpoint(&self.faults, LOG_REWRITE_BEFORE_RENAME).check()?;
             std::fs::rename(&theirs.path, &disk.path)?;
         }
         // The log *is* the new file now, whatever happens next: move over —
@@ -706,11 +664,9 @@ impl LogManager {
         *next.inner.lock() = swapped;
         if let (Some(disk), Some(theirs)) = (&mut disk, &mut theirs) {
             std::mem::swap(&mut disk.file, &mut theirs.file);
-            self.failpoint(crate::failpoints::LOG_REWRITE_AFTER_RENAME)?;
             // make the rename itself durable (where a directory can be opened)
             if let Some(Ok(dir)) = disk.path.parent().map(File::open) {
-                may_block();
-                dir.sync_all()?;
+                Failpoint(&self.faults, LOG_REWRITE_AFTER_RENAME).sync(&dir, true)?;
             }
         }
         Ok(())
@@ -808,10 +764,12 @@ impl Drop for LogManager {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests craft torn files by hand")]
 mod tests {
     use super::*;
     use asset_common::{Oid, Tid};
     use asset_faults::TempDir;
+    use std::io::Write;
 
     fn sample_records() -> Vec<LogRecord> {
         vec![

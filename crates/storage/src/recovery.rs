@@ -41,6 +41,9 @@
 //! [`StorageEngine::undo_object`]: crate::StorageEngine::undo_object
 
 use crate::cache::ObjectCache;
+use crate::durable::Failpoint;
+use crate::failpoints::RECOVERY_UNDO;
+use crate::log::mark::{self, Kind};
 use crate::log::{rebuild, LogManager, LogRecord, Patch, RecordRef};
 use crate::store::ObjectStore;
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
@@ -282,7 +285,6 @@ impl LogFold {
 /// returned: the entry forgets that the log holds its image, so the next
 /// writer logs an explicit before image, and the caller withholds the
 /// `Abort` record, so a restart finishes what the log does not show.
-// verify: wal(logs = "append_ref", mutates = "*slot = image")
 pub(crate) fn undo_object(
     log: &LogManager,
     cache: &ObjectCache,
@@ -297,6 +299,7 @@ pub(crate) fn undo_object(
             image: image.as_deref(),
         });
         entry.set_logged_in(if logged.is_ok() { generation } else { 0 });
+        mark::expect(Kind::Clr, oid.raw());
         *slot = image;
         logged.map(|_| ())
     })
@@ -350,11 +353,11 @@ pub fn recover(
     report.losers = losers.len();
     report.undone = undo.len();
     for u in undo {
-        log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
+        Failpoint(&log.faults, RECOVERY_UNDO).check()?;
         undo_object(log, cache, u.oid, u.before)?;
     }
     if !losers.is_empty() {
-        log.failpoint(crate::failpoints::RECOVERY_UNDO)?;
+        Failpoint(&log.faults, RECOVERY_UNDO).check()?;
         for tid in losers {
             log.append(&LogRecord::Abort { tid })?;
         }

@@ -20,12 +20,13 @@
 //! verify with `Corrupt`: a damaged image is never taken for an empty one.
 
 use crate::cache::ObjectCache;
+use crate::durable::Failpoint;
+use crate::failpoints::{STORE_SYNC, STORE_WRITE};
 use crate::log::checksum;
 use asset_common::codec::{put_varint, CodecError, Reader};
-use asset_common::sync::{may_block, Mutex, Rank};
+use asset_common::sync::{Mutex, Rank};
 use asset_common::{AssetError, Oid, Result};
 use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// What an image file starts with.
@@ -38,7 +39,6 @@ pub struct ObjectStore {
     /// The last image written when there is no file. On disk it stays
     /// `None`, and its mutex keeps two writers off the file beside.
     memory: Mutex<Option<Vec<u8>>>,
-    #[cfg(feature = "faults")]
     faults: std::sync::Arc<asset_faults::FaultRegistry>,
 }
 
@@ -58,7 +58,6 @@ impl ObjectStore {
         ObjectStore {
             path,
             memory: Mutex::ranked(None, Rank::STORE, 0),
-            #[cfg(feature = "faults")]
             faults: Default::default(),
         }
     }
@@ -103,25 +102,13 @@ impl ObjectStore {
         };
         let mut beside = path.clone().into_os_string();
         beside.push(".next");
-        let mut file = File::create(&beside)?;
-        asset_faults::failpoint!(&self.faults, crate::failpoints::STORE_WRITE, |act| {
-            if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                let keep = image.len() * keep_per_mille as usize / 1000;
-                let _ = file.write_all(&image[..keep]);
-            }
-            let site = crate::failpoints::STORE_WRITE;
-            return Err(self.faults.realize_plain(site, act).into());
-        });
-        file.write_all(&image)?;
-        if !asset_faults::failpoint_sync!(&self.faults, crate::failpoints::STORE_SYNC) {
-            may_block();
-            file.sync_data()?;
-        }
+        let file = File::create(&beside)?;
+        Failpoint(&self.faults, STORE_WRITE).write(&file, 0, &image)?;
+        Failpoint(&self.faults, STORE_SYNC).sync(&file, false)?;
         std::fs::rename(&beside, path)?;
         // make the rename itself durable (where a directory can be opened)
         if let Some(Ok(dir)) = path.parent().map(File::open) {
-            may_block();
-            dir.sync_all()?;
+            Failpoint(&self.faults, STORE_SYNC).sync(&dir, true)?;
         }
         Ok(())
     }

@@ -461,7 +461,9 @@ mod ambiguity {
         // above), so the session drain must NOT have found an
         // unreported ambiguous transaction — `session_drain_ambiguous`
         // counts only fates that would otherwise have been swallowed
-        // (DESIGN.md §13.4; asset-verify R7)
+        // (DESIGN.md §13.4; asset-server's
+        // `dropping_a_connection_counts_its_ambiguous_transactions` is the
+        // positive case)
         drop(c);
         server.shutdown();
         let drained = server
