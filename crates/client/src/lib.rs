@@ -174,9 +174,6 @@ pub struct ServerStats {
     pub aborted: u64,
     /// Transactions currently live (not yet terminated).
     pub live: u64,
-    /// Commit-point log failures (each one produced an ambiguous or
-    /// aborted commit).
-    pub commit_log_failures: u64,
 }
 
 /// A blocking connection to an ASSET server.
@@ -478,7 +475,6 @@ impl Client {
             committed: snap.counters.txn_committed,
             aborted: snap.counters.txn_aborted,
             live,
-            commit_log_failures: snap.counters.commit_log_failures,
         })
     }
 

@@ -56,6 +56,11 @@ pub enum AssetError {
     Corrupt(String),
     /// Underlying I/O failure.
     Io(io::Error),
+    /// The database stopped: a write or sync of its log failed, or system
+    /// code panicked. Every primitive returns this from then on, with the
+    /// first failure's text; reopening the directory, which runs restart
+    /// recovery, is the one way back.
+    Stopped(String),
 }
 
 impl fmt::Display for AssetError {
@@ -82,6 +87,7 @@ impl fmt::Display for AssetError {
             AssetError::ObjectNotFound(ob) => write!(f, "object {ob} not found"),
             AssetError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             AssetError::Io(e) => write!(f, "i/o error: {e}"),
+            AssetError::Stopped(cause) => write!(f, "database stopped: {cause}"),
         }
     }
 }

@@ -324,6 +324,7 @@ impl Driver {
     fn realize(&self, point: &'static str, act: FaultAction) -> CoordError {
         match act {
             FaultAction::Crash | FaultAction::Torn { .. } => self.faults.crash_now(point),
+            FaultAction::Panic => asset_faults::panic_at(point),
             _ => CoordError::Io(asset_faults::injected(point)),
         }
     }

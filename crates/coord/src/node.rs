@@ -73,9 +73,9 @@ impl ParticipantNode {
     }
 
     /// Answer one protocol message (the participant side of §14.2).
-    /// `None` means the node is down. May unwind with a
-    /// `CrashPoint` panic when a participant failpoint fires —
-    /// transports catch that and mark the node dead.
+    /// `None` means the node is down. May unwind with a panic when a
+    /// participant failpoint crashes or panics — which stops the node's
+    /// database; transports catch it and mark the node dead.
     pub fn handle(&self, msg: CommitMessage) -> Option<CommitMessage> {
         self.handle_traced(msg, None)
     }
@@ -91,6 +91,10 @@ impl ParticipantNode {
         ctx: Option<TraceCtx>,
     ) -> Option<CommitMessage> {
         let db = self.db.lock().clone()?;
+        if db.live().is_err() {
+            self.kill(); // a stopped participant is a dead one
+            return None;
+        }
         let op = ctx.and_then(|_| msg.wire_opcode());
         if let (Some(ctx), Some(op)) = (ctx, op) {
             db.obs().record(EventKind::MsgRecv {

@@ -23,7 +23,7 @@ use asset_common::{ParticipantState, Tid};
 use asset_faults::{FaultAction, FaultRegistry};
 use asset_obs::{EventKind, Obs, TraceCtx};
 use asset_server::protocol::opcode;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -172,13 +172,12 @@ pub trait CommitTransport: Send + Sync {
     }
 }
 
-/// In-process transport: messages are direct calls into
-/// [`ParticipantNode`]s, with scripted drops
-/// ([`failpoints::MSG_PREPARE_DROP`] / [`failpoints::MSG_DECIDE_DROP`])
-/// and optional per-message delivery delay. A participant that crashes
-/// mid-request (a `CrashPoint` unwind from a participant failpoint) is
-/// marked dead — later sends fail with [`CoordError::NodeDown`] until
-/// the harness restarts it.
+/// In-process transport: messages are direct calls into [`ParticipantNode`]s,
+/// with scripted drops ([`failpoints::MSG_PREPARE_DROP`] /
+/// [`failpoints::MSG_DECIDE_DROP`]) and optional per-message delivery delay.
+/// A participant that panics mid-request (a failpoint's crash among them) is
+/// marked dead — later sends fail with [`CoordError::NodeDown`] until the
+/// harness restarts it.
 ///
 /// A round ([`send_all`](CommitTransport::send_all)) runs its first
 /// exchange on the calling thread and hands the rest to reused delivery
@@ -260,6 +259,7 @@ impl ChannelTransport {
             if let Some(act) = self.faults.check(point) {
                 match act {
                     FaultAction::Crash | FaultAction::Torn { .. } => self.faults.crash_now(point),
+                    FaultAction::Panic => asset_faults::panic_at(point),
                     _ => return Err(CoordError::MessageDropped(point)),
                 }
             }
@@ -302,15 +302,11 @@ struct Delivery {
     delay: Option<Duration>,
 }
 
-/// What one exchange came to: the reply or why there is none, or the
-/// payload of a panic to resume on the sending thread.
-type Outcome = std::thread::Result<Result<CommitMessage, CoordError>>;
-
 /// The outcomes of one round's handed-off exchanges, by place in the
 /// round, as delivery threads finish them.
 #[derive(Default)]
 struct Round {
-    landed: Mutex<Vec<(usize, Outcome)>>,
+    landed: Mutex<Vec<(usize, Result<CommitMessage, CoordError>)>>,
     arrival: Condvar,
 }
 
@@ -324,7 +320,7 @@ struct Couriers {
 
 impl Work for Couriers {
     type Job = Delivery;
-    type Done = (Arc<Round>, usize, Outcome);
+    type Done = (Arc<Round>, usize, Result<CommitMessage, CoordError>);
 
     fn run(&self, d: Delivery) -> Self::Done {
         let outcome = exchange(&d.n, d.node, d.msg, d.ctx, d.delay);
@@ -347,26 +343,24 @@ impl Work for Couriers {
 
 /// One request handled by `n` (transport index `node`) on this thread,
 /// after the link delay: its reply, or `NodeDown` for a node that is down
-/// or whose failpoint crashed it mid-request — the participant "process"
-/// died, so the node is killed and later sends see it down too. Any other
-/// panic is handed back for the sender to resume.
+/// or that panicked mid-request (which stopped its database): the node is
+/// killed and later sends see it down too.
 fn exchange(
     n: &ParticipantNode,
     node: usize,
     msg: CommitMessage,
     ctx: Option<TraceCtx>,
     delay: Option<Duration>,
-) -> Outcome {
+) -> Result<CommitMessage, CoordError> {
     if let Some(d) = delay {
         std::thread::sleep(d);
     }
     match catch_unwind(AssertUnwindSafe(|| n.handle_traced(msg, ctx))) {
-        Ok(reply) => Ok(reply.ok_or(CoordError::NodeDown(node))),
-        Err(payload) if payload.is::<asset_faults::CrashPoint>() => {
+        Ok(reply) => reply.ok_or(CoordError::NodeDown(node)),
+        Err(_) => {
             n.kill();
-            Ok(Err(CoordError::NodeDown(node)))
+            Err(CoordError::NodeDown(node))
         }
-        Err(payload) => Err(payload),
     }
 }
 
@@ -428,14 +422,14 @@ impl CommitTransport for ChannelTransport {
             });
         }
         if let Some((at, n, node, msg)) = first {
-            replies[at] = landed(exchange(&n, node, msg, ctx, self.delay));
+            replies[at] = exchange(&n, node, msg, ctx, self.delay);
         }
         let mut landed_rest = round.landed.lock();
         while landed_rest.len() < handed {
             round.arrival.wait(&mut landed_rest);
         }
         for (at, outcome) in landed_rest.drain(..) {
-            replies[at] = landed(outcome);
+            replies[at] = outcome;
         }
         drop(landed_rest);
         for (at, node, op) in sent {
@@ -445,12 +439,6 @@ impl CommitTransport for ChannelTransport {
         }
         replies
     }
-}
-
-/// An exchange's reply, resuming on this thread a panic that was not a
-/// participant's scripted crash.
-fn landed(outcome: Outcome) -> Result<CommitMessage, CoordError> {
-    outcome.unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 /// Wire transport: each node is an ASSET server address, reached with a

@@ -63,6 +63,7 @@ impl TxnCtx {
     /// Read `ob`: read-lock (blocking; honoring permits), then an S-latched
     /// read from the shared cache. `None` if the object does not exist.
     pub fn read(&self, ob: Oid) -> Result<Option<Vec<u8>>> {
+        let _section = self.db.enter()?;
         self.lock_listed(ob, Operation::Read)?;
         Ok(self.db.inner.engine.read_object(ob))
     }
@@ -86,6 +87,7 @@ impl TxnCtx {
     }
 
     fn install(&self, ob: Oid, after: Option<Vec<u8>>) -> Result<()> {
+        let _section = self.db.enter()?;
         let new = self.lock(ob, Operation::Write)?;
         self.db.install(self.tid, ob, after, new)
     }
@@ -96,19 +98,24 @@ impl TxnCtx {
     /// upgrade window (two transactions both holding read locks and both
     /// upgrading deadlock; locking write-first serializes them cleanly).
     pub fn lock_exclusive(&self, ob: Oid) -> Result<()> {
+        let _section = self.db.enter()?;
         self.lock_listed(ob, Operation::Write)
     }
 
     /// Explicitly acquire the read lock on `ob` without reading yet.
     pub fn lock_shared(&self, ob: Oid) -> Result<()> {
+        let _section = self.db.enter()?;
         self.lock_listed(ob, Operation::Read)
     }
 
     /// Read and modify in one step (lock, read, apply `f`, write back); the
     /// grant is listed before `f` runs, so a panicking `f` strands no lock.
     pub fn update(&self, ob: Oid, f: impl FnOnce(Option<Vec<u8>>) -> Vec<u8>) -> Result<()> {
-        self.lock_listed(ob, Operation::Write)?;
-        let current = self.db.inner.engine.read_object(ob);
+        let current = {
+            let _section = self.db.enter()?;
+            self.lock_listed(ob, Operation::Write)?;
+            self.db.inner.engine.read_object(ob)
+        };
         self.install(ob, Some(f(current)))
     }
 

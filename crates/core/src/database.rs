@@ -34,18 +34,17 @@
 //!
 //! ## Execution model
 //!
-//! `initiate` registers a closure, kept in the TD; `begin` marks it
-//! running and hands it to a reused transaction thread (`threads.rs`),
-//! which runs it with a `TxnCtx` — unless a caller
-//! of `wait` or `commit` claims it first and runs it itself (`run` always
-//! does). When the closure returns `Ok`, the transaction is *completed* —
-//! locks retained, changes not durable — until an explicit `commit` runs
-//! the §4.2 protocol. Returning `Err` (or panicking) aborts.
-//! `submit` ([`crate::exec`]) runs a step program on a worker pool
-//! instead. Both drivers go through the same non-blocking passes (`start`,
-//! `complete`, `install`, `commit_pass`, `finish_commit`, `commit_failed`):
-//! where a pass says *wait*, the blocking primitives sleep on the event
-//! count and the executor parks the task.
+//! `initiate` registers a closure, kept in the TD; `begin` marks it running
+//! and hands it to a reused transaction thread (`threads.rs`), which runs it
+//! with a `TxnCtx` — unless a caller of `wait` or `commit` claims it first
+//! and runs it itself (`run` always does). When the closure returns `Ok`, the
+//! transaction is *completed* — locks retained, changes not durable — until
+//! an explicit `commit` runs the §4.2 protocol. Returning `Err` (or
+//! panicking) aborts. `submit` ([`crate::exec`]) runs a step program on a
+//! worker pool instead. Both drivers go through the same non-blocking passes
+//! (`start`, `complete`, `install`, `commit_pass`, `finish_commit`): where a
+//! pass says *wait*, the blocking primitives sleep on the event count and the
+//! executor parks the task.
 //!
 //! ## Commit protocol (paper §4.2, `commit(ti)`)
 //!
@@ -61,18 +60,16 @@
 //! `ready_group` (gates resolved, every member's shard locked, gates
 //! re-validated, every member completed), then — unless no member holds an
 //! undo entry, in which case there is nothing to make durable and the group
-//! goes straight to `finish_commit` with no record — the pin. The driver makes
-//! the pinned group's one commit record durable — `commit` forces it
-//! through the group flusher, running the flush window on its own thread
-//! when the flusher is idle and riding the flusher thread's next window
-//! when not; the executor submits it with a callback and parks — and
-//! `finish_commit` (statuses, locks, dependency
-//! cleanup) or `commit_failed` (the ambiguous-record reconciliation)
-//! follows. While a group is pinned its fate is the flush outcome's alone:
-//! aborts skip its members, other commits wait, `checkpoint` refuses, and
-//! `delegate`/`form_dependency`/`abort` wait the window out and then meet
-//! the terminal status. `prepare_group` shares `ready_group`;
-//! `decide_commit_group` shares `finish_commit`.
+//! goes straight to `finish_commit` with no record — the pin. The driver
+//! makes the pinned group's one commit record durable — `commit` forces it
+//! through the group flusher, running the flush window on its own thread when
+//! the flusher is idle and riding the flusher thread's next window when not;
+//! the executor submits it with a callback and parks — and `finish_commit`
+//! (statuses, locks, dependency cleanup) follows. While a group is pinned its
+//! fate is the flush outcome's alone: aborts skip its members, other commits
+//! wait, `checkpoint` refuses, and `delegate`/`form_dependency`/`abort` wait
+//! the window out and then meet the terminal status. `prepare_group` shares
+//! `ready_group`; `decide_commit_group` shares `finish_commit`.
 //!
 //! ## Abort protocol (paper §4.2, `abort(ti)`)
 //!
@@ -87,9 +84,18 @@
 //! its TD structure as aborting". The
 //! `abort_performed` flag claims finalization under the victim's shard, so
 //! the undo itself can run without holding any table lock.
+//!
+//! ## Fail-stop
+//!
+//! A failed write or sync of the live log, or a panic out of a
+//! `SystemSection` (each primitive, step and window), stops the database:
+//! every later primitive and every woken waiter returns
+//! [`AssetError::Stopped`], and restart decides what was in flight.
 
 use crate::context::TxnCtx;
 use crate::exec::Task;
+#[cfg(feature = "faults")]
+use crate::failpoints as fp;
 use crate::threads::{txn_threads, TxnThreads};
 use crate::txns::{GroupGuard, TxnTable};
 use asset_common::ids::IdGen;
@@ -99,11 +105,12 @@ use asset_dep::{CommitGate, DepGraph};
 use asset_lock::LockTable;
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
 use asset_storage::log::mark::{self, Kind};
+use asset_storage::log::{OnStop, SystemSection};
 use asset_storage::{LogPlace, LogRecord, RecoveryReport, StorageEngine};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::task::Wake;
 use std::time::Instant;
 
@@ -159,16 +166,9 @@ pub(crate) struct TxnSlot {
     /// commit waits instead of forcing a second record for the same group,
     /// and `delegate`/`form_dependency`/`abort` wait the window out
     /// (`lock_unpinned`). Set under the group's shards by `commit_pass`,
-    /// cleared under them by `finish_commit`/`commit_failed`; no shard is
-    /// held in between.
+    /// cleared under them by `finish_commit`; no shard is held in between.
+    /// A failed force leaves it set: it stops the database.
     pub commit_pending: bool,
-    /// A commit record containing this transaction failed at the commit
-    /// point: it may or may not have reached stable storage, so the
-    /// transaction's durable fate is unknown even though the live system
-    /// drove it through abort. Read by [`Database::outcome_kind`] to
-    /// report [`TxnOutcome`](crate::TxnOutcome)`::CommitAmbiguous`
-    /// instead of a plain abort.
-    pub commit_ambiguous: bool,
     /// The executor task of a step program, from `submit` until the
     /// visit that sets the terminal status: what `nudge` and an abort's
     /// wake requeue.
@@ -229,6 +229,28 @@ impl Drop for DbInner {
             exec.begin_shutdown();
         }
         self.threads.close();
+    }
+}
+
+impl OnStop for DbInner {
+    /// Wake every waiter to meet the stop: on a thread of its own, since
+    /// the stopping thread may hold any lock.
+    fn stopped(self: Arc<Self>) {
+        let wake = move || {
+            let inner = self;
+            inner.txns.bump();
+            inner.txns.for_each(|t, s| {
+                if !s.status.is_terminated() {
+                    inner.locks.poison(t);
+                    if let Some(task) = s.task.clone() {
+                        task.wake();
+                    }
+                }
+            });
+        };
+        let _ = std::thread::Builder::new()
+            .name("asset-stop".into())
+            .spawn(wake);
     }
 }
 
@@ -299,6 +321,8 @@ impl Database {
             obs,
             exec: std::sync::OnceLock::new(),
         });
+        let on_stop: Weak<DbInner> = Arc::downgrade(&inner);
+        inner.engine.log().on_stop(on_stop);
         // Restore prepared-but-undecided participants (§14.3): each
         // in-doubt transaction re-enters the table as `Prepared` — undo
         // chain rebuilt from the log (for a later decide-abort), X locks
@@ -391,6 +415,7 @@ impl Database {
         job: Option<Job>,
         task: impl FnOnce(Tid) -> Option<Arc<Task>>,
     ) -> Result<Tid> {
+        let _section = self.enter()?;
         let cap = self.inner.config.max_transactions;
         // exact admission without a table lock: claim a live slot or fail
         if self
@@ -550,6 +575,7 @@ impl Database {
     /// assert!(db.is_committed(t2).unwrap());
     /// ```
     pub fn commit(&self, t: Tid) -> Result<bool> {
+        let _section = self.enter()?;
         let t0 = self.open_commit_span(t);
         self.run_unclaimed(t);
         // The blocking driver of the one §4.2 protocol: where the executor
@@ -601,56 +627,20 @@ impl Database {
     /// record for the pinned group (`log_record` returns once the window
     /// holding the record has synced: on an idle flusher this thread runs
     /// that window itself, otherwise it waits for the flusher thread's
-    /// next one), then steps 5–6 or the ambiguous-record reconciliation.
-    /// No transaction-table shard is held across the force; the pin is
-    /// what excludes.
+    /// next one), then steps 5–6; a failed force stops the database. No
+    /// transaction-table shard is held across the force; the pin is what
+    /// excludes.
     fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
-        #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
-        let mut forced: Result<()> = Ok(());
-        asset_faults::failpoint!(
-            &self.inner.config.faults,
-            crate::failpoints::COMMIT_RECORD,
-            |act| {
-                forced = Err(self
-                    .inner
-                    .config
-                    .faults
-                    .realize_plain(crate::failpoints::COMMIT_RECORD, act)
-                    .into());
-            }
-        );
-        if forced.is_ok() {
-            forced = self
-                .inner
-                .engine
-                .log_record(&LogRecord::Commit {
-                    tids: group.to_vec(),
-                })
-                .map(|_| ());
-        }
-        #[cfg(feature = "faults")]
-        if forced.is_ok() {
-            if let Some(act) = self
-                .inner
-                .config
-                .faults
-                .check(crate::failpoints::COMMIT_AFTER_RECORD)
-            {
-                // the record is durable; an error here is the ambiguous
-                // "committed on disk, reported as failed" outcome the
-                // abort path reconciles
-                forced = Err(self
-                    .inner
-                    .config
-                    .faults
-                    .realize_plain(crate::failpoints::COMMIT_AFTER_RECORD, act)
-                    .into());
-            }
-        }
-        if let Err(e) = forced {
-            self.commit_failed(t, group);
-            return Err(e);
-        }
+        asset_faults::failpoint!(&self.inner.config.faults, fp::COMMIT_RECORD, |act| {
+            return Err(self.fail_stop(fp::COMMIT_RECORD, act));
+        });
+        let tids = group.to_vec();
+        self.inner.engine.log_record(&LogRecord::Commit { tids })?;
+        // the record is durable: a failure reported now is the
+        // "committed on disk, reported as failed" outcome
+        asset_faults::failpoint!(&self.inner.config.faults, fp::COMMIT_AFTER_RECORD, |act| {
+            return Err(self.fail_stop(fp::COMMIT_AFTER_RECORD, act));
+        });
         mark::expect(Kind::Commit, t.raw());
         self.finish_commit(t, group, self.inner.txns.lock_group(group));
         Ok(())
@@ -677,8 +667,10 @@ impl Database {
     /// assert_eq!(db.peek(oid).unwrap().unwrap(), b"v1", "before image restored");
     /// ```
     pub fn abort(&self, t: Tid) -> Result<bool> {
+        let _section = self.enter()?;
         loop {
             let epoch = self.inner.txns.epoch();
+            self.live()?;
             let slot = self
                 .inner
                 .txns
@@ -691,7 +683,7 @@ impl Database {
                 (_, true) => self.inner.txns.wait_event(epoch),
                 // a `Prepared` `t` is refused in the visit that would claim
                 // it, so a `prepare_group` racing this call cannot slip in
-                _ if self.abort_claiming(&[t], Some(t)) => return Ok(true),
+                _ if self.abort_claiming(&[t], Some(t)) => return self.live().map(|()| true),
                 _ => return Err(prepared(t, "abort")),
             }
         }
@@ -700,6 +692,7 @@ impl Database {
     /// `self()` and `parent()` are on [`TxnCtx`]; this is the parent query
     /// by tid.
     pub fn parent_of(&self, t: Tid) -> Result<Tid> {
+        self.live()?;
         self.inner
             .txns
             .with(t, |slot| slot.map(|s| s.parent))
@@ -709,6 +702,7 @@ impl Database {
     /// Status query (the paper mentions status primitives without listing
     /// them).
     pub fn status(&self, t: Tid) -> Result<TxnStatus> {
+        self.live()?;
         self.inner
             .txns
             .with(t, |slot| slot.map(|s| s.status))
@@ -760,7 +754,8 @@ impl Database {
     /// assert_eq!(db.peek(oid).unwrap(), None);
     /// ```
     pub fn delegate(&self, from: Tid, to: Tid, obs: Option<ObSet>) -> Result<()> {
-        let mut guard = self.lock_unpinned(&[from, to]);
+        let _section = self.enter()?;
+        let mut guard = self.lock_unpinned(&[from, to])?;
         if guard.get(from).is_none() {
             return Err(AssetError::TxnNotFound(from));
         }
@@ -795,18 +790,9 @@ impl Database {
             Some(None) => None, // ObSet::All == delegate-all
             Some(Some(v)) => Some(v),
         };
-        asset_faults::failpoint!(
-            &self.inner.config.faults,
-            crate::failpoints::DELEGATE_RECORD,
-            |act| {
-                return Err(self
-                    .inner
-                    .config
-                    .faults
-                    .realize_plain(crate::failpoints::DELEGATE_RECORD, act)
-                    .into());
-            }
-        );
+        asset_faults::failpoint!(&self.inner.config.faults, fp::DELEGATE_RECORD, |act| {
+            return Err(self.fail_stop(fp::DELEGATE_RECORD, act));
+        });
         self.inner.engine.log_record(&LogRecord::Delegate {
             from,
             to,
@@ -855,6 +841,7 @@ impl Database {
     /// assert!(db.commit(t1).unwrap());
     /// ```
     pub fn permit(&self, grantor: Tid, grantee: Option<Tid>, obs: ObSet, ops: OpSet) -> Result<()> {
+        let _section = self.enter()?;
         self.inner.locks.permit(grantor, grantee, obs, ops);
         Ok(())
     }
@@ -863,6 +850,7 @@ impl Database {
     /// set from what `grantor` has accessed or has permission to access,
     /// at call time (§4.2).
     pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) -> Result<()> {
+        let _section = self.enter()?;
         let held = self.locked_objects(grantor);
         (self.inner.locks).permit_accessed(grantor, grantee, &held, ops);
         Ok(())
@@ -901,7 +889,8 @@ impl Database {
         // hold both parties' shards, then deps: a termination drops the
         // transaction's edges in the shard visit that sets its status, so
         // the statuses read here are exactly what the graph holds
-        let guard = self.lock_unpinned(&[ti, tj]);
+        let _section = self.enter()?;
+        let guard = self.lock_unpinned(&[ti, tj])?;
         let status = |t| guard.get(t).map(|s| s.status);
         let si = status(ti).ok_or(AssetError::TxnNotFound(ti))?;
         let sj = status(tj).ok_or(AssetError::TxnNotFound(tj))?;
@@ -936,14 +925,15 @@ impl Database {
     /// the flush outcome's alone, so an operation that would move its undo
     /// chain, its locks or its group waits the window out and then meets
     /// the terminal status — what blocking on the shards the committer
-    /// used to hold across the force gave it.
-    fn lock_unpinned(&self, parties: &[Tid]) -> GroupGuard<'_> {
+    /// used to hold across the force gave it — or the stop.
+    fn lock_unpinned(&self, parties: &[Tid]) -> Result<GroupGuard<'_>> {
         loop {
             let epoch = self.inner.txns.epoch();
+            self.live()?;
             let guard = self.inner.txns.lock_group(parties);
             let pinned = |t: &Tid| guard.get(*t).is_some_and(|s| s.commit_pending);
             if !parties.iter().any(pinned) {
-                return guard;
+                return Ok(guard);
             }
             drop(guard);
             self.inner.txns.wait_event(epoch);
@@ -982,32 +972,15 @@ impl Database {
 
     /// Run a claimed body on this thread and complete `t` with its
     /// outcome. A panic in the body is its abort, never the caller's. A
-    /// panic after it — in the completion or its rollback — goes on to the
-    /// caller, but first `t` is aborted, so nothing waits for a thread that
-    /// will not finish it; a rollback it cut short lost its undo chain, so
-    /// the abort logs no `Abort` record and restart finishes the rollback.
+    /// panic after it — in the completion or its rollback — is one in
+    /// system code: it stops the database and goes on to the caller.
     pub(crate) fn run_claimed(&self, t: Tid, job: Option<Job>) {
-        let ended = catch_unwind(AssertUnwindSafe(|| {
-            let ok = job.is_some_and(|job| {
-                let ctx = TxnCtx::new(self.clone(), t);
-                matches!(catch_unwind(AssertUnwindSafe(|| job(&ctx))), Ok(Ok(())))
-            });
-            self.complete(t, ok);
-        }));
-        if let Err(panic) = ended {
-            let unended = self.inner.txns.with(t, |slot| {
-                let slot = slot?;
-                slot.thread_live = false;
-                match slot.status {
-                    TxnStatus::Running => slot.set_status(t, TxnStatus::Aborting),
-                    TxnStatus::Aborting => slot.abort_performed = false,
-                    _ => return None,
-                }
-                Some(t)
-            });
-            self.abort_many(unended.as_slice());
-            std::panic::resume_unwind(panic);
-        }
+        let Ok(_section) = self.enter() else { return };
+        let ok = job.is_some_and(|job| {
+            let ctx = TxnCtx::new(self.clone(), t);
+            matches!(catch_unwind(AssertUnwindSafe(|| job(&ctx))), Ok(Ok(())))
+        });
+        self.complete(t, ok);
     }
 
     /// `wait`/`commit` are about to block until `t`'s body ends: if no
@@ -1043,6 +1016,7 @@ impl Database {
     /// is `Running`, `Aborting` (its rollback still to append) or pinned
     /// at its commit point, its record still to be appended.
     pub fn checkpoint(&self) -> Result<()> {
+        let _section = self.enter()?;
         let guard = self.inner.txns.lock_all();
         let appending = |s: &TxnSlot| {
             s.commit_pending || matches!(s.status, TxnStatus::Running | TxnStatus::Aborting)
@@ -1138,6 +1112,28 @@ impl Database {
         }
     }
 
+    /// Enter system code (a primitive, a session loop): refused once the
+    /// database has stopped; a panic out of the section stops it.
+    pub fn enter(&self) -> Result<SystemSection<'_>> {
+        self.inner.engine.log().enter()
+    }
+
+    /// Realize failpoint `point`'s `act` at a log write, and stop for it.
+    #[cfg(feature = "faults")]
+    fn fail_stop(&self, point: &'static str, act: asset_faults::FaultAction) -> AssetError {
+        self.stop(self.inner.config.faults.realize_plain(point, act))
+    }
+
+    /// `Err(Stopped)` once the database has stopped.
+    pub fn live(&self) -> Result<()> {
+        self.inner.engine.log().live()
+    }
+
+    /// Stop the database for `cause`; returns the stop.
+    pub(crate) fn stop(&self, cause: impl std::fmt::Display) -> AssetError {
+        self.inner.engine.log().stop(&cause)
+    }
+
     /// Direct access to the lock table (diagnostics, benches).
     pub fn locks(&self) -> &LockTable {
         &self.inner.locks
@@ -1171,8 +1167,12 @@ impl Database {
     /// then nothing happens to it and this returns `false` (§14.2).
     // Each undo step logs its CLR and installs the image in one latched
     // engine call; the Abort record follows the last of them and precedes
-    // the terminal status.
+    // the terminal status. A step that fails stops the database, and the
+    // rest is restart's: nothing more is logged.
     fn abort_claiming(&self, seeds: &[Tid], local: Option<Tid>) -> bool {
+        let Ok(_section) = self.enter() else {
+            return true;
+        };
         enum Act {
             Skip,
             Wake(Option<Arc<Task>>),
@@ -1189,10 +1189,9 @@ impl Database {
                 let Some(slot) = slot else { return Act::Skip };
                 if slot.commit_pending {
                     // the group's commit record is in the flush window; its
-                    // fate is the flush outcome's to decide. A successful
+                    // fate is the flush outcome's to decide: a successful
                     // flush commits the member (the abort request loses the
-                    // race, exactly as if the forced record had landed
-                    // first); a failed flush re-runs the abort path.
+                    // race), a failed one stops the database.
                     return Act::Skip;
                 }
                 match slot.status {
@@ -1250,34 +1249,20 @@ impl Database {
             // §4.2 abort step 2: install before images, newest first, each
             // with its CLR so restart recovery replays the rollback
             // instead of re-deriving it (and never clobbers later
-            // committed overwrites). A step that fails — its CLR refused,
-            // its entry unreachable — must not strand the rest, but it
-            // leaves the rollback incomplete in the log: the Abort record
-            // is then withheld and restart, finding a loser, finishes it.
+            // committed overwrites).
             undo.sort_by_key(|u| std::cmp::Reverse(u.seq));
-            let mut rolled_back = true;
             for u in undo {
-                asset_faults::failpoint!(
-                    &self.inner.config.faults,
-                    crate::failpoints::ABORT_CLR,
-                    |act| {
-                        // a crash mid-rollback, or (`Error`) one undo step
-                        // lost: either way restart recovery must finish
-                        // the undo from the log
-                        let _lost = self
-                            .inner
-                            .config
-                            .faults
-                            .realize_plain(crate::failpoints::ABORT_CLR, act);
-                        rolled_back = false;
-                        continue;
-                    }
-                );
-                rolled_back &= self.inner.engine.undo_object(u.oid, u.before).is_ok();
+                asset_faults::failpoint!(&self.inner.config.faults, fp::ABORT_CLR, |act| {
+                    self.fail_stop(fp::ABORT_CLR, act);
+                    return true;
+                });
+                if self.inner.engine.undo_object(u.oid, u.before).is_err() {
+                    return true; // stopped: restart finishes the rollback
+                }
             }
-            let logged = in_log && rolled_back;
-            if logged {
-                let _ = self.inner.engine.log_record(&LogRecord::Abort { tid: x });
+            let abort = LogRecord::Abort { tid: x };
+            if in_log && self.inner.engine.log_record(&abort).is_err() {
+                return true;
             }
             self.inner.obs.record(EventKind::SpanClose {
                 tid: x,
@@ -1289,7 +1274,7 @@ impl Database {
             // so x's shard shows `Aborted` exactly when the graph drops x
             let (victims, resolved) = self.inner.txns.with(x, |slot| {
                 if let Some(slot) = slot {
-                    if logged {
+                    if in_log {
                         mark::expect(Kind::Abort, x.raw());
                     }
                     slot.set_status(x, TxnStatus::Aborted);
@@ -1333,13 +1318,13 @@ impl Database {
     /// can no longer abort or commit locally — only
     /// [`decide_commit_group`](Self::decide_commit_group) or
     /// [`decide_abort_group`](Self::decide_abort_group) may resolve it.
-    /// An error is a *no* vote (nothing durable marks the group prepared,
-    /// and doomed groups are aborted locally) — **except** when the error
-    /// surfaces after the record became durable (see
-    /// [`PART_AFTER_PREPARE`](crate::failpoints::PART_AFTER_PREPARE)), in
-    /// which case the group stays `Prepared` awaiting the decision.
+    /// An error is a *no* vote (a doomed group is aborted locally, a
+    /// failed force stops the participant) — **except** when it surfaces
+    /// after the record became durable (see
+    /// [`PART_AFTER_PREPARE`](crate::failpoints::PART_AFTER_PREPARE)).
     /// Idempotent: re-preparing an already-prepared group returns it.
     pub fn prepare_group(&self, seeds: &[Tid]) -> Result<Vec<Tid>> {
+        let _section = self.enter()?;
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
@@ -1347,6 +1332,7 @@ impl Database {
         // gate or an unfinished member lives here, in the adapter
         let (group, mut guard) = loop {
             let epoch = self.inner.txns.epoch();
+            self.live()?;
             match self.ready_group(seeds)? {
                 Ready::Go(group, guard) => break (group, guard),
                 Ready::Wait => self.inner.txns.wait_event(epoch),
@@ -1378,36 +1364,12 @@ impl Database {
             return Ok(group);
         }
         // the vote: one forced Prepared record for the group
-        #[allow(unused_mut, reason = "only the `faults` failpoint hook assigns it")]
-        let mut prep_res: Result<()> = Ok(());
-        asset_faults::failpoint!(
-            &self.inner.config.faults,
-            crate::failpoints::PREPARE_RECORD,
-            |act| {
-                prep_res = Err(self
-                    .inner
-                    .config
-                    .faults
-                    .realize_plain(crate::failpoints::PREPARE_RECORD, act)
-                    .into());
-            }
-        );
-        if prep_res.is_ok() {
-            prep_res = self
-                .inner
-                .engine
-                .log_record(&LogRecord::Prepared {
-                    tids: group.clone(),
-                })
-                .map(|_| ());
-        }
-        if let Err(e) = prep_res {
-            // nothing durable marks the group prepared: vote no and
-            // abort locally so held locks drain
-            drop(guard);
-            self.abort_many(&group);
-            return Err(e);
-        }
+        asset_faults::failpoint!(&self.inner.config.faults, fp::PREPARE_RECORD, |act| {
+            return Err(self.fail_stop(fp::PREPARE_RECORD, act));
+        });
+        (self.inner.engine).log_record(&LogRecord::Prepared {
+            tids: group.clone(),
+        })?;
         // the in-doubt clock starts at the durable prepare force (§14.2)
         let now = Instant::now();
         for m in &group {
@@ -1427,20 +1389,14 @@ impl Database {
         // here models the participant dying (Crash) or the vote being
         // lost in transit (Error) — either way the group must STAY
         // prepared: only the coordinator's decision resolves it
-        #[cfg(feature = "faults")]
-        if let Some(act) = self
-            .inner
-            .config
-            .faults
-            .check(crate::failpoints::PART_AFTER_PREPARE)
-        {
+        asset_faults::failpoint!(&self.inner.config.faults, fp::PART_AFTER_PREPARE, |act| {
             return Err(self
                 .inner
                 .config
                 .faults
-                .realize_plain(crate::failpoints::PART_AFTER_PREPARE, act)
+                .realize_plain(fp::PART_AFTER_PREPARE, act)
                 .into());
-        }
+        });
         Ok(group)
     }
 
@@ -1461,6 +1417,7 @@ impl Database {
     /// resolves (§14.3). So a participant forces one record per global
     /// transaction, its vote.
     pub fn decide_commit_group(&self, group: &[Tid]) -> Result<()> {
+        let _section = self.enter()?;
         let mut guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
         for m in group {
@@ -1494,18 +1451,14 @@ impl Database {
         // here models the participant dying before its next force (Crash:
         // the record dies with it, and restart restores the group in
         // doubt) or the acknowledgement being lost (Error)
-        asset_faults::failpoint!(
-            &self.inner.config.faults,
-            crate::failpoints::PART_AFTER_DECIDE,
-            |act| {
-                return Err(self
-                    .inner
-                    .config
-                    .faults
-                    .realize_plain(crate::failpoints::PART_AFTER_DECIDE, act)
-                    .into());
-            }
-        );
+        asset_faults::failpoint!(&self.inner.config.faults, fp::PART_AFTER_DECIDE, |act| {
+            return Err(self
+                .inner
+                .config
+                .faults
+                .realize_plain(fp::PART_AFTER_DECIDE, act)
+                .into());
+        });
         Ok(())
     }
 
@@ -1535,8 +1488,10 @@ impl Database {
     /// abort protocol (before images + CLRs + `Abort` records — exactly
     /// what a restart would replay). Idempotent: already-aborted members
     /// are skipped; members that committed are left untouched (the
-    /// coordinator never mixes decisions within one group).
+    /// coordinator never mixes decisions within one group). A stopped
+    /// database does nothing: restart restores the group in doubt.
     pub fn decide_abort_group(&self, group: &[Tid]) {
+        let Ok(_section) = self.enter() else { return };
         let decided: Vec<Instant> = {
             let mut guard = self.inner.txns.lock_group(group);
             group
@@ -1581,6 +1536,7 @@ impl Database {
     /// stepping. `false` when the transaction was doomed before it started
     /// (the commit then reports the abort).
     pub(crate) fn start(&self, t: Tid) -> Result<bool> {
+        let _section = self.enter()?;
         let begun = self.inner.txns.with(t, |slot| -> Result<bool> {
             let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
             if slot.status.is_abort_path() {
@@ -1660,6 +1616,7 @@ impl Database {
     /// failed), the undo entry, and the status. A body runs `Running`, or
     /// `Aborting` once an abort struck after the grant: that is reported,
     /// the entry pushed all the same (the undo runs when the body ends).
+    /// The caller holds a system section (`enter`) around lock and install.
     pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>, new: bool) -> Result<()> {
         let written = self.inner.engine.write_object(t, ob, after);
         self.inner.txns.with(t, |slot| {
@@ -1695,6 +1652,7 @@ impl Database {
             Gate,
         }
         loop {
+            self.live()?;
             // Step 1: status check.
             let step = self.inner.txns.with(t, |slot| -> Result<Step> {
                 let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
@@ -1884,32 +1842,6 @@ impl Database {
             );
         }
     }
-
-    /// The group's commit record failed at the commit point: it may or
-    /// may not have reached the OS. Leaving the members non-terminal
-    /// would let restart recovery redo a group the live system reported
-    /// as not committed; instead unpin the group, mark it ambiguous and
-    /// drive it through the abort path. Its CLRs and Abort records land
-    /// *after* the (possibly durable) commit record, so redo followed by
-    /// the logged rollback converges to "not committed" on both sides of
-    /// a restart.
-    pub(crate) fn commit_failed(&self, t: Tid, group: &[Tid]) {
-        {
-            let mut guard = self.inner.txns.lock_group(group);
-            for m in group {
-                if let Some(slot) = guard.get_mut(*m) {
-                    slot.commit_pending = false;
-                    slot.commit_ambiguous = true;
-                }
-            }
-        }
-        bump(&self.inner.obs.counters.commit_log_failures);
-        self.inner.obs.record(EventKind::CommitAmbiguous {
-            tid: t,
-            group: group.len() as u32,
-        });
-        self.abort_many(group);
-    }
 }
 
 /// The refusal of a local primitive that would resolve or bind `Prepared`
@@ -1948,8 +1880,8 @@ pub(crate) enum CommitPass {
     /// Gates open and re-validated: every member is pinned with
     /// `commit_pending`; the driver makes the group's commit record
     /// durable (the executor through the flusher's callback, the blocking
-    /// `commit` with a forced append) and then calls `finish_commit` or
-    /// `commit_failed`.
+    /// `commit` with a forced append) and then calls `finish_commit` — or
+    /// the force failed and the database has stopped.
     Flush(Vec<Tid>),
 }
 

@@ -41,7 +41,9 @@
 //! acknowledgement is deferred until the record's flush window has been
 //! fsynced — many transactions' commit records coalesce into one
 //! write+sync. Durability is unchanged: statuses move to `Committed` only
-//! after the ack (`Database::finish_commit`).
+//! after the ack (`Database::finish_commit`). Each step is a system
+//! section: a panic in it, outside the program, stops the database, and a
+//! step of a stopped database ends its program.
 //!
 //! The executor is a *driver*, not a second engine: begin, completion,
 //! the post-lock install and the commit passes are the ones the blocking
@@ -159,8 +161,8 @@ pub(crate) struct Task {
     exec: Weak<ExecInner>,
     sched: AtomicU8,
     body: Mutex<TaskBody>,
-    /// Written by the flusher's ack callback, consumed in `AwaitFlush`.
-    flush_result: Mutex<Option<Result<()>>>,
+    /// Set by the flusher's ack callback once the window is durable.
+    flushed: AtomicBool,
 }
 
 /// A task is its own lock waker: waking it is [`ExecInner::enqueue`].
@@ -388,6 +390,11 @@ impl ExecInner {
         body: &mut TaskBody,
     ) -> StepOutcome {
         let tid = task.tid;
+        let Ok(_section) = db.enter() else {
+            // stopped: the program ends, and what waits for the
+            // transaction returns the stop
+            return StepOutcome::Finished;
+        };
         match body.phase {
             Phase::Begin => match db.start(tid) {
                 Ok(true) => {
@@ -489,21 +496,17 @@ impl ExecInner {
                         let submitted = db.inner.engine.flusher().submit_with_callback(
                             rec,
                             Box::new(move |res| {
-                                *task.flush_result.lock() = Some(res.map(|_| ()));
+                                task.flushed.store(res.is_ok(), Ordering::Release);
                                 task.wake();
                             }),
                         );
-                        match submitted {
-                            Ok(()) => {
-                                body.phase = Phase::AwaitFlush;
-                                StepOutcome::Continue
-                            }
-                            Err(_) => {
-                                db.commit_failed(tid, &group);
-                                db.close_commit_span(tid, body.commit_t0.take());
-                                StepOutcome::Finished
-                            }
+                        if let Err(e) = submitted {
+                            // a pinned group that no window will carry
+                            db.stop(e);
+                            return StepOutcome::Finished;
                         }
+                        body.phase = Phase::AwaitFlush;
+                        StepOutcome::Continue
                     }
                     Err(_) => {
                         db.abort_many(&[tid]);
@@ -512,25 +515,16 @@ impl ExecInner {
                     }
                 }
             }
+            // the ack callback targets this task directly: no registry
+            // needed, the enqueue races are absorbed by RUNNING_DIRTY
+            Phase::AwaitFlush if !task.flushed.load(Ordering::Acquire) => {
+                StepOutcome::Park("flush")
+            }
             Phase::AwaitFlush => {
-                let res = task.flush_result.lock().take();
-                match res {
-                    Some(Ok(())) => {
-                        let guard = db.inner.txns.lock_group(&body.group);
-                        db.finish_commit(tid, &body.group, guard);
-                        db.close_commit_span(tid, body.commit_t0.take());
-                        StepOutcome::Finished
-                    }
-                    Some(Err(_)) => {
-                        db.commit_failed(tid, &body.group);
-                        db.close_commit_span(tid, body.commit_t0.take());
-                        StepOutcome::Finished
-                    }
-                    // the ack callback targets this task directly: no
-                    // registry needed, the enqueue races are absorbed by
-                    // the RUNNING_DIRTY protocol
-                    None => StepOutcome::Park("flush"),
-                }
+                let guard = db.inner.txns.lock_group(&body.group);
+                db.finish_commit(tid, &body.group, guard);
+                db.close_commit_span(tid, body.commit_t0.take());
+                StepOutcome::Finished
             }
         }
     }
@@ -602,6 +596,7 @@ impl StepCtx<'_> {
     /// Non-blocking read: read-lock (honoring permits) then an S-latched
     /// read. `Done(None)` if the object does not exist.
     pub fn try_read(&mut self, ob: Oid) -> Result<TryOp<Option<Vec<u8>>>> {
+        let _section = self.db.enter()?;
         if !self.try_listed(ob, Operation::Read)? {
             return Ok(TryOp::WouldBlock);
         }
@@ -623,12 +618,14 @@ impl StepCtx<'_> {
     /// Non-blocking exclusive lock without writing yet (upgrade-avoidance,
     /// as [`TxnCtx::lock_exclusive`](crate::TxnCtx::lock_exclusive)).
     pub fn try_lock_exclusive(&mut self, ob: Oid) -> Result<TryOp<()>> {
+        let _section = self.db.enter()?;
         if !self.try_listed(ob, Operation::Write)? {
             return Ok(TryOp::WouldBlock);
         }
         Ok(TryOp::Done(()))
     }
     fn try_install(&mut self, ob: Oid, after: Option<Vec<u8>>) -> Result<TryOp<()>> {
+        let _section = self.db.enter()?;
         let Some(new) = self.try_acquire(ob, Operation::Write)? else {
             return Ok(TryOp::WouldBlock);
         };
@@ -713,7 +710,7 @@ impl Database {
                     Rank::TASK,
                     0,
                 ),
-                flush_result: Mutex::new(None),
+                flushed: AtomicBool::new(false),
             });
             queued = Some(Arc::clone(&task));
             Some(task)
@@ -725,32 +722,16 @@ impl Database {
     }
 
     /// Block until a submitted transaction reaches a terminal state;
-    /// `true` if it committed. (The submitting thread may block — worker
-    /// steps never do.)
+    /// `true` if it committed, `false` if it aborted, or the stop. (The
+    /// submitting thread may block — worker steps never do.)
     pub fn outcome(&self, t: Tid) -> Result<bool> {
-        Ok(self.outcome_kind(t)? == TxnOutcome::Committed)
-    }
-
-    /// Like [`outcome`](Self::outcome), but distinguishes the ambiguous
-    /// commit failure from an ordinary abort: a transaction whose group
-    /// commit record failed at the commit point is driven through abort
-    /// locally, yet the record may have reached stable storage — after a
-    /// restart, recovery can legitimately resolve it either way. Remote
-    /// clients need the distinction (retrying an "aborted" transfer is
-    /// safe; retrying an "unknown" one can double-apply), so the wire
-    /// protocol maps this to its own error code (DESIGN.md §13).
-    pub fn outcome_kind(&self, t: Tid) -> Result<TxnOutcome> {
         loop {
             let epoch = self.inner.txns.epoch();
-            let st = self
-                .inner
-                .txns
-                .with(t, |slot| slot.map(|s| (s.status, s.commit_ambiguous)))
-                .ok_or(AssetError::TxnNotFound(t))?;
-            match st {
-                (TxnStatus::Committed, _) => return Ok(TxnOutcome::Committed),
-                (TxnStatus::Aborted, true) => return Ok(TxnOutcome::CommitAmbiguous),
-                (TxnStatus::Aborted, false) => return Ok(TxnOutcome::Aborted),
+            self.live()?;
+            let status = self.inner.txns.with(t, |slot| slot.map(|s| s.status));
+            match status.ok_or(AssetError::TxnNotFound(t))? {
+                TxnStatus::Committed => return Ok(true),
+                TxnStatus::Aborted => return Ok(false),
                 _ => self.inner.txns.wait_event(epoch),
             }
         }
@@ -780,22 +761,4 @@ impl Database {
             task.wake();
         }
     }
-}
-
-/// Terminal result of a submitted transaction, as reported by
-/// [`Database::outcome_kind`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxnOutcome {
-    /// The commit record is durable; effects are visible and permanent.
-    Committed,
-    /// The transaction aborted: its effects were rolled back and its
-    /// commit record (if any was attempted) never entered the log.
-    Aborted,
-    /// The group commit record **failed at the commit point** — it may or
-    /// may not have reached stable storage. The live system drove the
-    /// group through abort (rollback is logged after the ambiguous
-    /// record, so both sides of a restart converge on "not committed"),
-    /// but a client must treat the operation's fate as unknown rather
-    /// than cleanly aborted.
-    CommitAmbiguous,
 }

@@ -3,36 +3,33 @@
 //! Companions to [`asset_storage::failpoints`]: these sit in the §4.2
 //! protocol steps themselves — the commit point, the CLR undo loop, and
 //! the delegation hand-off — where the storage-layer points cannot
-//! distinguish *which* protocol step was in flight. Active only with the
-//! `faults` feature; the constants remain so harnesses can enumerate them
-//! unconditionally.
+//! distinguish *which* protocol step was in flight. `Error` at any of the
+//! first five is a failed log write, and stops the database. Active only
+//! with the `faults` feature; the constants remain so harnesses can
+//! enumerate them unconditionally.
 
 /// In `commit` step 4, before the group's commit record is appended:
-/// `Error` simulates the append failing with nothing written.
+/// `Error` is the append failing with nothing written.
 pub const COMMIT_RECORD: &str = "commit.record";
 
 /// In `commit` step 4, after the commit record is durably appended but
 /// before any in-memory status changes: `Crash` models the classic
 /// "committed on disk, dead before anyone heard" window; `Error` models a
-/// post-append failure report (the ambiguous outcome the abort path must
-/// reconcile).
+/// post-append failure report, whose commit restart keeps.
 pub const COMMIT_AFTER_RECORD: &str = "commit.after_record";
 
 /// In the `abort_many` undo loop, before each undo step (before image
-/// installed and CLR appended, one latched engine call): `Crash` interrupts
-/// a rollback halfway, `Error` loses one step; either way no `Abort`
-/// record is logged and restart recovery finishes the rollback from the
-/// log.
+/// installed and CLR appended, one latched engine call): a rollback
+/// stopped halfway logs no `Abort` record, and restart recovery finishes
+/// it from the log.
 pub const ABORT_CLR: &str = "abort.clr";
 
-/// In `delegate`, before the `Delegate` record is appended (which is now
-/// before any in-memory splice — WAL discipline): `Error` fails the
-/// delegation with no state moved.
+/// In `delegate`, before the `Delegate` record is appended (which is
+/// before any in-memory splice — WAL discipline): nothing has moved.
 pub const DELEGATE_RECORD: &str = "delegate.record";
 
-/// In `prepare_group`, before the `Prepared` record is forced: `Error`
-/// makes the participant vote *no* with nothing written (the coordinator
-/// must abort the global transaction).
+/// In `prepare_group`, before the `Prepared` record is forced: nothing is
+/// written, and the vote the coordinator gets is a *no*.
 pub const PREPARE_RECORD: &str = "prepare.record";
 
 /// In `prepare_group`, after the `Prepared` record is durable but before

@@ -64,7 +64,7 @@ mod tests;
 pub use codec::{Handle, ObjectCodec, RawBytes};
 pub use context::TxnCtx;
 pub use database::{Database, Introspection, Job};
-pub use exec::{StepCtx, StepProg, TryOp, TxnOutcome, TxnStep};
+pub use exec::{StepCtx, StepProg, TryOp, TxnStep};
 pub use threads::IDLE_TXN_THREADS_MAX;
 
 // Re-export the vocabulary so `asset_core` is self-sufficient to use.

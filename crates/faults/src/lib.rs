@@ -24,7 +24,10 @@
 //! * [`FaultAction::Crash`] — process-local crash: the registry enters the
 //!   *crashed* state (every later durable write fails, so nothing after
 //!   this instant reaches disk) and the site unwinds with a [`CrashPoint`]
-//!   panic that the test harness catches.
+//!   panic that the test harness catches;
+//! * [`FaultAction::Panic`] — a plain panic at the site: a bug in system
+//!   code, not a simulated death. The registry is not crashed; the
+//!   database the site belongs to stops itself.
 //!
 //! The registry is **instance-scoped** — each `Config`/`Database` carries
 //! its own `Arc<FaultRegistry>` — so parallel tests never interfere; there
@@ -43,7 +46,7 @@ mod rng;
 pub use rng::{cases, Rng};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What an armed failpoint does when it fires.
@@ -64,6 +67,9 @@ pub enum FaultAction {
     /// Process-local crash: mark the registry crashed (all later durable
     /// writes fail) and unwind with a [`CrashPoint`] panic.
     Crash,
+    /// A plain panic at the site, as a bug in system code would raise:
+    /// nothing is written and the registry is not crashed.
+    Panic,
 }
 
 /// When an armed failpoint fires, as a function of its evaluation count.
@@ -117,8 +123,6 @@ pub struct FaultRegistry {
     /// [`FaultAction::Error`], so no durable write can happen between the
     /// crash instant and the harness-driven restart.
     crashed: AtomicBool,
-    /// Crashes so far; [`reset`](Self::reset) does not clear it.
-    crashes: AtomicU64,
     points: Mutex<HashMap<&'static str, Point>>,
     hooks: Mutex<HashMap<&'static str, Hook>>,
 }
@@ -234,7 +238,6 @@ impl FaultRegistry {
     /// only from a site whose [`check`](Self::check) returned
     /// [`FaultAction::Crash`] or [`FaultAction::Torn`].
     pub fn crash_now(&self, name: &'static str) -> ! {
-        self.crashes.fetch_add(1, Ordering::AcqRel);
         self.crashed.store(true, Ordering::Release);
         std::panic::panic_any(CrashPoint(name));
     }
@@ -243,14 +246,6 @@ impl FaultRegistry {
     /// last [`reset`](Self::reset)?
     pub fn is_crashed(&self) -> bool {
         self.crashed.load(Ordering::Acquire)
-    }
-
-    /// How many crashes have fired over the registry's whole life. Unlike
-    /// [`is_crashed`](Self::is_crashed) it survives [`reset`](Self::reset),
-    /// so an object can tell that it belongs to a process that has since
-    /// "died": the count is no longer the one it was created under.
-    pub fn crash_count(&self) -> u64 {
-        self.crashes.load(Ordering::Acquire)
     }
 
     /// How many times `name` has been evaluated since it was armed.
@@ -271,25 +266,72 @@ impl FaultRegistry {
     /// Realize `action` at a site that writes no byte buffer and performs
     /// no sync: [`FaultAction::Error`] and [`FaultAction::ElideSync`]
     /// degrade to the injected error (returned for the caller to wrap);
-    /// [`FaultAction::Crash`] and [`FaultAction::Torn`] crash.
+    /// [`FaultAction::Crash`] and [`FaultAction::Torn`] crash;
+    /// [`FaultAction::Panic`] panics.
     pub fn realize_plain(&self, name: &'static str, action: FaultAction) -> std::io::Error {
         match action {
             FaultAction::Error | FaultAction::ElideSync => injected(name),
             FaultAction::Crash | FaultAction::Torn { .. } => self.crash_now(name),
+            FaultAction::Panic => panic_at(name),
         }
     }
 }
 
+/// The [`FaultAction::Panic`] action: an ordinary panic naming the site.
+pub fn panic_at(name: &str) -> ! {
+    panic!("{PANIC_PREFIX}`{name}`")
+}
+
+/// How the message of a [`FaultAction::Panic`] starts.
+const PANIC_PREFIX: &str = "injected panic at failpoint ";
+
+/// Run `f` on a thread named `what` and wait at most `limit` for it: the
+/// one bounded wait of the test suites, for a call that must return —
+/// with an error, if that is its outcome — rather than hang. Waits with
+/// `recv_timeout`, never a sleep; a panic in `f` is re-raised here.
+///
+/// # Panics
+///
+/// When `f` has not returned within `limit`, naming `what`: the thread
+/// is left behind, still blocked.
+pub fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    let spawned = std::thread::Builder::new()
+        .name(what.to_owned())
+        .spawn(move || drop(tx.send(f())));
+    let thread = spawned.unwrap_or_else(|e| panic!("{what}: no thread to run it on: {e}"));
+    match rx.recv_timeout(limit) {
+        Ok(out) => out,
+        // `f` panicked: its thread is done, and its join hands the panic on
+        Err(RecvTimeoutError::Disconnected) => match thread.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => panic!("{what}: returned nothing"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still blocked after {limit:?}"),
+    }
+}
+
 /// Install (once, process-wide) a panic hook that suppresses the default
-/// "thread panicked" report for [`CrashPoint`] unwinds — intentional
-/// crashes in a matrix run would otherwise flood test output — while
-/// delegating every other panic to the previous hook.
+/// "thread panicked" report for [`CrashPoint`] unwinds and
+/// [`FaultAction::Panic`]s — intentional faults in a matrix run would
+/// otherwise flood test output — while delegating every other panic to
+/// the previous hook.
 pub fn silence_crash_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CrashPoint>().is_none() {
+            let payload = info.payload();
+            let injected = payload.is::<CrashPoint>()
+                || payload
+                    .downcast_ref::<String>()
+                    .is_some_and(|m| m.starts_with(PANIC_PREFIX));
+            if !injected {
                 previous(info);
             }
         }));
@@ -330,6 +372,7 @@ macro_rules! failpoint_sync {
             ::core::option::Option::Some($crate::FaultAction::Error) => {
                 return ::core::result::Result::Err($crate::injected($name).into());
             }
+            ::core::option::Option::Some($crate::FaultAction::Panic) => $crate::panic_at($name),
             ::core::option::Option::Some(_) => $crate::FaultRegistry::crash_now($reg, $name),
             ::core::option::Option::None => false,
         };
@@ -467,7 +510,6 @@ mod tests {
         r.reset();
         assert!(!r.is_crashed());
         assert_eq!(r.check("some.other.point"), None);
-        assert_eq!(r.crash_count(), 1, "what lived through it can still tell");
     }
 
     #[test]
@@ -490,6 +532,28 @@ mod tests {
         r.arm(P, Trigger::Once, FaultAction::Crash);
         assert_eq!(r.hits(P), 0);
         assert_eq!(r.check(P), Some(FaultAction::Crash));
+    }
+
+    #[test]
+    fn within_returns_what_f_returns_and_names_a_hang() {
+        use std::time::Duration;
+        assert_eq!(within(Duration::from_secs(5), "quick", || 7), 7);
+        let (_hold, rx) = std::sync::mpsc::channel::<()>();
+        let hang = std::panic::catch_unwind(|| {
+            within(Duration::from_millis(20), "the hang", move || rx.recv())
+        });
+        let msg = hang.expect_err("expired").downcast::<String>().unwrap();
+        assert!(msg.contains("the hang"), "{msg}");
+    }
+
+    #[test]
+    fn an_injected_panic_names_the_point() {
+        let r = FaultRegistry::new();
+        r.arm(P, Trigger::Once, FaultAction::Panic);
+        let act = r.check(P).unwrap();
+        let panic = std::panic::catch_unwind(|| r.realize_plain(P, act)).unwrap_err();
+        assert!(panic.downcast::<String>().unwrap().contains(P));
+        assert!(!r.is_crashed(), "a panic is not a crash");
     }
 
     #[test]

@@ -96,10 +96,6 @@ define_counters! {
     txn_committed,
     /// Transactions aborted.
     txn_aborted,
-    /// Commit attempts whose group commit record failed to append — the
-    /// ambiguous outcome (the record may or may not be durable) that the
-    /// commit path resolves by driving the group through abort.
-    commit_log_failures,
     /// Lock requests that blocked at least once before being granted or
     /// failing. This and the next three are counted by the lock table's
     /// stripes, where the request is decided; `Database::metrics_snapshot`
@@ -138,10 +134,6 @@ define_counters! {
     /// Buffered appends that coalesced (stayed in user space; no write
     /// syscall issued). Kept and filled in like `log_appends`.
     log_coalesced,
-    /// Log drains nobody waited for (flush watermark, drop of the manager)
-    /// that failed: the bytes stayed buffered for the next force or flush
-    /// to retry and report. Nonzero means the log file is refusing writes.
-    log_drain_failures,
     /// Flush windows the group-commit flusher made durable (each covers
     /// one or more commit records under a single forced sync).
     flush_windows,
@@ -167,15 +159,6 @@ define_counters! {
     /// Transactions begun over the wire (`BEGIN` requests that admitted
     /// a session transaction).
     session_txns,
-    /// Session drains (disconnect, shutdown, failed prepare) that found
-    /// a transaction in the `CommitAmbiguous` state: its commit record
-    /// may or may not be durable (§13.4). Nonzero means an operator or
-    /// recovery pass must resolve the fate from the log.
-    session_drain_ambiguous,
-    /// Compensating deletes of a failed MINT's already-committed chunks
-    /// that themselves failed, leaving funded orphan objects behind.
-    /// Nonzero means a conservation audit needs a manual sweep.
-    mint_rollback_failures,
     /// `PREPARE` (`0x40`) messages sent by a coordinator through its
     /// transport (DESIGN.md §14.1).
     coord_msg_prepare,

@@ -97,16 +97,6 @@ pub enum EventKind {
         /// Undo records installed during rollback.
         undo_records: u32,
     },
-    /// A group commit record failed to append at the commit point. The
-    /// record may or may not have reached the OS; the commit path resolves
-    /// the ambiguity by driving the whole group through abort, so that the
-    /// in-memory outcome matches what restart recovery will reconstruct.
-    CommitAmbiguous {
-        /// The transaction whose commit call hit the failure.
-        tid: Tid,
-        /// Size of the group whose commit record failed.
-        group: u32,
-    },
     /// A transaction's body finished executing (before terminal processing).
     TxnComplete {
         /// The finished transaction.

@@ -264,7 +264,7 @@ pub fn status_of(e: &AssetError) -> u8 {
         AssetError::TxnAborted(_) => status::ERR_TXN_ABORTED,
         AssetError::ObjectNotFound(_) => status::ERR_OBJECT_NOT_FOUND,
         AssetError::Corrupt(_) => status::ERR_CORRUPT,
-        AssetError::Io(_) => status::ERR_IO,
+        AssetError::Io(_) | AssetError::Stopped(_) => status::ERR_IO,
     }
 }
 

@@ -14,7 +14,7 @@ use crate::session::{OpReply, SessionTxn, TxnOp};
 use asset_common::codec::Reader;
 use asset_common::sync::{Mutex, Rank};
 use asset_common::ParticipantState;
-use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnOutcome, TxnStatus};
+use asset_core::{AssetError, Database, DepType, ObSet, Oid, OpSet, Tid, TxnStatus};
 use asset_obs::{bump, AtomicHistogram, EventKind, SpanName, LATENCY_NS_BOUNDS};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -288,6 +288,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Conns) {
         let spawned = std::thread::Builder::new()
             .name("asset-conn".into())
             .spawn(move || {
+                // session code is system code: a panic in it stops the
+                // database
+                let _section = shared.db.enter();
                 // connection-level I/O errors only: txn fates are
                 // written to the wire before serve returns, and dangling
                 // sessions are drained by abort_leftovers
@@ -407,11 +410,8 @@ impl Connection {
         let db = self.shared.db.clone();
         for (_, st) in std::mem::take(&mut self.txns) {
             st.finishing(&db, TxnOp::Abort);
-            if matches!(db.outcome_kind(st.tid), Ok(TxnOutcome::CommitAmbiguous)) {
-                // the commit record may already be durable; surface the
-                // ambiguity instead of silently dropping it (§13.4)
-                bump(&db.obs().counters.session_drain_ambiguous);
-            }
+            // the rollback, or the stop: no commit was asked for
+            let _ = db.outcome(st.tid);
             self.session_closed(st.tid);
         }
     }
@@ -567,8 +567,11 @@ impl Connection {
             }
             opcode::PREPARED => {
                 let tid = Tid(read_body(b, Reader::u64)?);
-                let state = ParticipantState::of(db.status(tid).ok());
-                Frame::ok_response(req, &[state.byte()])
+                // a stopped participant answers the stop, not "unknown"
+                match db.status(tid) {
+                    Err(e @ AssetError::Stopped(_)) => err_of(req, &e),
+                    status => Frame::ok_response(req, &[ParticipantState::of(status.ok()).byte()]),
+                }
             }
             opcode::COMMIT_DECIDE => {
                 let tids = tids(read_body(b, read_tids)?);
@@ -614,19 +617,18 @@ impl Connection {
             }
             None => {
                 self.close_session(tid);
-                Frame::err_response(
-                    req,
-                    status::ERR_TXN_ABORTED,
-                    "transaction terminated before answering",
-                )
+                // the program ended unasked: an abort, or the stop
+                let stop = self.shared.db.live().err();
+                err_of(req, &stop.unwrap_or(AssetError::TxnAborted(Tid(tid))))
             }
         }
     }
 
     /// COMMIT/ABORT: queue the terminal op, then block on the
     /// transaction's outcome — for COMMIT the OK therefore rides the
-    /// group-commit flush window (DESIGN.md §13.2), and ambiguous
-    /// commit-point failures surface as their own status (§13.4).
+    /// group-commit flush window (DESIGN.md §13.2), and a COMMIT whose
+    /// outcome is an error — the database stopped — answers its own
+    /// status: restart decides its fate (§13.4).
     fn finish_txn(&mut self, req: &Frame, tid: u64, op: TxnOp) -> Frame {
         let db = self.shared.db.clone();
         let Some(st) = self.txns.remove(&tid) else {
@@ -638,25 +640,26 @@ impl Connection {
         };
         let wanted_commit = matches!(op, TxnOp::Commit);
         st.finishing(&db, op);
-        let outcome = db.outcome_kind(st.tid);
+        let outcome = db.outcome(st.tid);
         self.session_closed(st.tid);
         match (outcome, wanted_commit) {
-            (Ok(TxnOutcome::Committed), true) => Frame::ok_response(req, &[]),
-            (Ok(TxnOutcome::Committed), false) => Frame::err_response(
+            (Ok(true), true) | (Ok(false), false) => Frame::ok_response(req, &[]),
+            (Ok(true), false) => Frame::err_response(
                 req,
                 status::ERR_INVALID_STATE,
                 "transaction already committed",
             ),
-            (Ok(TxnOutcome::Aborted), true) => Frame::err_response(
+            (Ok(false), true) => Frame::err_response(
                 req,
                 status::ERR_COMMIT_ABORTED,
                 "transaction aborted cleanly; no effect survives",
             ),
-            (Ok(TxnOutcome::Aborted), false) => Frame::ok_response(req, &[]),
-            (Ok(TxnOutcome::CommitAmbiguous), _) => {
-                Frame::err_response(req, status::ERR_COMMIT_AMBIGUOUS, "commit fate unknown")
-            }
-            (Err(e), _) => err_of(req, &e),
+            (Err(e), true) => Frame::err_response(
+                req,
+                status::ERR_COMMIT_AMBIGUOUS,
+                &format!("commit fate unknown: {e}"),
+            ),
+            (Err(e), false) => err_of(req, &e),
         }
     }
 
@@ -772,14 +775,10 @@ impl Connection {
                     // in doubt: only the coordinator may resolve it
                 } else {
                     if abort {
-                        // enqueue errors mean the txn is already
-                        // terminal; the outcome probe below reports its
-                        // actual fate either way
+                        // errors mean the txn is already terminal
                         let _ = db.abort(st.tid);
                     }
-                    if matches!(db.outcome_kind(st.tid), Ok(TxnOutcome::CommitAmbiguous)) {
-                        bump(&db.obs().counters.session_drain_ambiguous);
-                    }
+                    let _ = db.outcome(st.tid);
                 }
                 self.session_closed(st.tid);
             }
@@ -799,9 +798,10 @@ impl Connection {
     /// allocation is bounded by the chunk, not the request.
     ///
     /// Counts above [`protocol::MAX_MINT_COUNT`] are rejected before
-    /// any work. On a mid-mint failure the chunks that had already
+    /// any work. On a mid-mint abort the chunks that had already
     /// committed are deleted again ([`Self::unmint`]) so a failed MINT
-    /// leaves no funded orphan accounts behind.
+    /// leaves no funded orphan accounts behind — unless the database
+    /// stopped, when they stay for restart to find.
     fn mint(&self, req: &Frame, count: u64, initial: i64) -> Frame {
         let db = &self.shared.db;
         if count > protocol::MAX_MINT_COUNT {
@@ -859,24 +859,13 @@ impl Connection {
     }
 
     /// Compensate a failed MINT: delete the objects of every chunk that
-    /// had already committed, so the failure is all-or-nothing as far
-    /// as funded accounts are concerned (DESIGN.md §13.3). Best-effort:
-    /// a compensating delete that itself fails bumps
-    /// `mint_rollback_failures` — nonzero means a conservation audit
-    /// must sweep for orphans by hand.
+    /// had already committed (DESIGN.md §13.3). After a stop no delete
+    /// runs, and the committed chunks are restart's.
     fn unmint(&self, minted: &[Oid]) {
         let db = &self.shared.db;
         for chunk in minted.chunks(MINT_CHUNK as usize) {
             let chunk = chunk.to_vec();
-            let ran = db.run(move |ctx| {
-                for oid in &chunk {
-                    ctx.delete(*oid)?;
-                }
-                Ok(())
-            });
-            if !matches!(ran, Ok(true)) {
-                bump(&db.obs().counters.mint_rollback_failures);
-            }
+            let _ = db.run(move |ctx| chunk.iter().try_for_each(|oid| ctx.delete(*oid)));
         }
     }
 }
@@ -927,34 +916,34 @@ mod tests {
         // the write lock is held while the session txn parks
         drop_session_holding(&db, st);
 
-        assert_eq!(db.outcome_kind(tid).unwrap(), TxnOutcome::Aborted);
+        assert!(!db.outcome(tid).unwrap());
         // the lock was released: another writer gets through
         assert!(db.run(move |ctx| ctx.write(oid, vec![2])).unwrap());
     }
 
-    /// The drain's positive case: a session still holding a transaction
-    /// whose commit failed at the commit point counts it, once.
+    /// A connection dropped after its database stopped returns at once:
+    /// its drain waits for no rollback, and every outcome is the stop.
     #[cfg(feature = "faults")]
     #[test]
-    fn dropping_a_connection_counts_its_ambiguous_transactions() {
+    fn dropping_a_connection_of_a_stopped_database_returns() {
         use asset_faults::{FaultAction, FaultRegistry, TempDir, Trigger};
         let dir = TempDir::new("server-drain");
         let faults = Arc::new(FaultRegistry::new());
         let config = Config::on_disk(&*dir).with_faults(Arc::clone(&faults));
         let (db, _) = Database::open(config.with_exec_workers(2)).expect("open");
         let (st, _) = session_with_a_write(&db);
+        let (open, _) = session_with_a_write(&db);
+        let open_tid = open.tid;
         let window = asset_storage::failpoints::FLUSH_WINDOW_SYNC;
         faults.arm(window, Trigger::Once, FaultAction::Error);
         st.finishing(&db, TxnOp::Commit);
-        assert_eq!(
-            db.outcome_kind(st.tid).unwrap(),
-            TxnOutcome::CommitAmbiguous
-        );
+        assert!(matches!(db.outcome(st.tid), Err(AssetError::Stopped(_))));
 
-        drop_session_holding(&db, st);
+        let db2 = db.clone();
+        let limit = Duration::from_secs(30);
+        asset_faults::within(limit, "drop", move || drop_session_holding(&db2, open));
 
-        let drained = db.obs().counters.snapshot().session_drain_ambiguous;
-        assert_eq!(drained, 1);
+        assert!(matches!(db.outcome(open_tid), Err(AssetError::Stopped(_))));
     }
 
     /// A session transaction that has written one new object.

@@ -1,22 +1,19 @@
 //! Sessions: mapping one connection's requests onto executor-driven
 //! transactions.
 //!
-//! A wire `BEGIN` submits a **mailbox-fed step program** to the
-//! [`Database`] executor. The program loops: pop the next
-//! [`TxnOp`] from the session's mailbox and run it with the step
-//! context's non-blocking operations; when the mailbox is empty it
-//! returns [`TxnStep::WaitExternal`] and the worker parks the
-//! transaction without occupying a thread. The session (connection)
-//! thread is the producer: it pushes an op, calls
-//! [`Database::nudge`], and blocks on the mailbox condvar until the
-//! program replies or is gone (the executor drops a finished task's
-//! program, and the program's `Closer` closes the mailbox). `COMMIT`
-//! is the exception — the program consumes the op and
-//! returns `Done(Ok(()))`, entering the executor's group-commit
-//! pipeline, and the session thread awaits
-//! [`Database::outcome_kind`] instead of a mailbox reply, so the
-//! commit acknowledgement rides the group-commit flush window
-//! (DESIGN.md §13.2).
+//! A wire `BEGIN` submits a **mailbox-fed step program** to the [`Database`]
+//! executor. The program loops: pop the next [`TxnOp`] from the session's
+//! mailbox and run it with the step context's non-blocking operations; when
+//! the mailbox is empty it returns [`TxnStep::WaitExternal`] and the worker
+//! parks the transaction without occupying a thread. The session (connection)
+//! thread is the producer: it pushes an op, calls [`Database::nudge`], and
+//! blocks on the mailbox condvar until the program replies or is gone (the
+//! executor drops a finished task's program, and the program's `Closer`
+//! closes the mailbox). `COMMIT` is the exception — the program consumes the
+//! op and returns `Done(Ok(()))`, entering the executor's group-commit
+//! pipeline, and the session thread awaits [`Database::outcome`] instead of a
+//! mailbox reply, so the commit acknowledgement rides the group-commit flush
+//! window (DESIGN.md §13.2).
 //!
 //! ## Why the mailbox never loses a wakeup
 //!
@@ -223,7 +220,6 @@ impl SessionTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asset_core::TxnOutcome;
     use std::time::Duration;
 
     fn exec_db() -> Database {
@@ -251,7 +247,7 @@ mod tests {
             other => panic!("read reply: {other:?}"),
         }
         st.finishing(&db, TxnOp::Commit);
-        assert_eq!(db.outcome_kind(st.tid).unwrap(), TxnOutcome::Committed);
+        assert!(db.outcome(st.tid).unwrap());
         assert_eq!(db.peek(oid).unwrap().unwrap(), b"42");
     }
 
@@ -266,7 +262,7 @@ mod tests {
             Some(OpReply::Done)
         ));
         st.finishing(&db, TxnOp::Abort);
-        assert_eq!(db.outcome_kind(st.tid).unwrap(), TxnOutcome::Aborted);
+        assert!(!db.outcome(st.tid).unwrap());
         assert_eq!(db.peek(oid).unwrap().unwrap(), b"old");
     }
 
@@ -290,15 +286,15 @@ mod tests {
                 std::thread::yield_now();
             }
             a.finishing(&db2, TxnOp::Commit);
-            db2.outcome_kind(a.tid)
+            db2.outcome(a.tid)
         });
         assert!(matches!(
             b.call(&db, TxnOp::Write(oid, b"b".to_vec())),
             Some(OpReply::Done)
         ));
-        assert_eq!(h.join().unwrap().unwrap(), TxnOutcome::Committed);
+        assert!(h.join().unwrap().unwrap());
         b.finishing(&db, TxnOp::Commit);
-        assert_eq!(db.outcome_kind(b.tid).unwrap(), TxnOutcome::Committed);
+        assert!(db.outcome(b.tid).unwrap());
         assert_eq!(db.peek(oid).unwrap().unwrap(), b"b");
     }
 
@@ -322,11 +318,11 @@ mod tests {
         });
         assert!(b.call(&db, TxnOp::Write(oid, b"b".to_vec())).is_none());
         assert!(h.join().unwrap().unwrap());
-        assert_eq!(db.outcome_kind(b.tid).unwrap(), TxnOutcome::Aborted);
+        assert!(!db.outcome(b.tid).unwrap());
         // the program is gone: a later op is answered at once
         assert!(b.call(&db, TxnOp::Read(oid)).is_none());
         a.finishing(&db, TxnOp::Commit);
-        assert_eq!(db.outcome_kind(a.tid).unwrap(), TxnOutcome::Committed);
+        assert!(db.outcome(a.tid).unwrap());
         assert_eq!(db.peek(oid).unwrap().unwrap(), b"a");
     }
 }

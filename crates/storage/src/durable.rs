@@ -31,7 +31,9 @@ impl Failpoint<'_> {
     /// Make `file`, which ends at `len`, end in `bytes` — or, with no
     /// bytes, cut it to `len`: `Torn` lands a prefix of `bytes` and
     /// crashes, `Error` refuses with nothing written, `Crash` crashes. A
-    /// write that fails partway is cut back to `len`.
+    /// write that fails partway is left as it is: a torn log block (the
+    /// log stops, and restart chops it) or a partial image beside the
+    /// store, which is never renamed over it.
     pub(crate) fn write(self, mut file: &File, len: u64, bytes: &[u8]) -> Result<()> {
         asset_faults::failpoint!(self.0, self.1, |act| {
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
@@ -42,9 +44,7 @@ impl Failpoint<'_> {
         if bytes.is_empty() {
             return file.set_len(len);
         }
-        file.write_all(bytes).inspect_err(|_| {
-            let _ = file.set_len(len);
-        })
+        file.write_all(bytes)
     }
 
     /// Make `file` stable — its data, or all of it (a directory whose

@@ -80,7 +80,10 @@ impl StorageEngine {
             flusher,
             obs,
         };
-        let report = recover(&engine.log, &engine.cache, &engine.store)?;
+        let report = {
+            let _section = engine.log.enter()?;
+            recover(&engine.log, &engine.cache, &engine.store)?
+        };
         Ok((engine, report))
     }
 
@@ -161,9 +164,7 @@ impl StorageEngine {
     /// image `image` over `oid` and log the CLR that replays it, together
     /// under the object's X latch — see
     /// [`recovery::undo_object`](crate::recovery), which restart recovery
-    /// calls for its losers too. An error means the CLR was not logged (the
-    /// image is installed regardless): the caller must not log the `Abort`
-    /// record that would tell restart the rollback is all in the log.
+    /// calls for its losers too. An error is the stop of the log.
     pub fn undo_object(&self, oid: Oid, image: Option<Vec<u8>>) -> Result<()> {
         crate::recovery::undo_object(&self.log, &self.cache, oid, image)
     }
@@ -380,9 +381,8 @@ mod tests {
         );
     }
 
-    /// An image installed behind the log's back — as a refused CLR
-    /// installs its image — ends the object's `Overwrite` run: the log no
-    /// longer holds its before image.
+    /// An image installed behind the log's back ends the object's
+    /// `Overwrite` run: the log no longer holds its before image.
     #[test]
     fn an_unlogged_install_forgets_the_generation() {
         let e = mem_engine();

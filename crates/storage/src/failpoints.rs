@@ -25,9 +25,8 @@ pub const LOG_SYNC: &str = "log.sync";
 
 /// In [`LogManager::drain`](crate::LogManager::drain): after the pending
 /// buffer is swapped out and sealed, before its one `write` to the OS.
-/// `Error` puts the bytes back, sealed; `Torn` writes a byte prefix of
-/// them — a block without its seal, after any whole blocks an earlier
-/// failed drain had put back — then crashes.
+/// `Error` stops the log with nothing written; `Torn` writes a byte prefix
+/// of them — a block without its seal — then crashes.
 pub const LOG_FLUSH: &str = "log.flush.write";
 
 /// Before the log is cut: in

@@ -33,19 +33,15 @@
 //! ([`FLUSH_WINDOW_ASSEMBLE`](crate::failpoints::FLUSH_WINDOW_ASSEMBLE),
 //! [`FLUSH_WINDOW_SYNC`](crate::failpoints::FLUSH_WINDOW_SYNC)): a crash
 //! while a window is half-written must leave every commit in it undone at
-//! recovery, and every previously acknowledged one intact.
-//! A [`asset_faults::CrashPoint`] unwind in a window surfaces on each
-//! blocking submitter's thread — the committer that ran the window unwinds
-//! with it, the thread's followers re-raise it — so crash-matrix harnesses
-//! observe exactly the panic they would have seen from a direct forced
-//! append.
+//! recovery, and every previously acknowledged one intact. A window that
+//! fails or panics stops the log, and each of its records, and the queue
+//! of a flusher thread that died, is answered with the stop.
 
 use super::{LogManager, LogRecord};
 use asset_common::sync::{may_block, Condvar, Mutex, MutexGuard};
 use asset_common::{Durability, Lsn, Result};
 use asset_obs::{bump, EventKind, Obs};
 use std::borrow::Borrow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,15 +55,7 @@ struct Pending {
     /// Invoked exactly once, on the flusher thread, with the outcome of the
     /// record's window: a blocked [`GroupFlusher::submit_and_wait`] caller's
     /// channel, or the executor's [`FlushCallback`].
-    ack: Box<dyn FnOnce(Outcome) + Send>,
-}
-
-enum Outcome {
-    Flushed(Lsn),
-    Failed(String),
-    /// The window crashed at a failpoint; re-raise the [`CrashPoint`]
-    /// unwind (by site name) on the submitting thread.
-    Crashed(&'static str),
+    ack: FlushCallback,
 }
 
 #[derive(Default)]
@@ -131,11 +119,10 @@ impl GroupFlusher {
     }
 
     /// Submit a commit record (by reference or by value) and block until
-    /// its flush window is durable. Returns the record's LSN; a window that
-    /// crashed at a failpoint unwinds with the
-    /// [`asset_faults::CrashPoint`] here, on the submitting thread,
-    /// mirroring a direct forced append. On an idle flusher the caller runs
-    /// the window itself; otherwise its record rides the thread's next one.
+    /// its flush window is durable. Returns the record's LSN, or the stop
+    /// of a window that failed. On an idle flusher the caller runs the
+    /// window itself — a panic in it unwinds here — otherwise its record
+    /// rides the thread's next one.
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn submit_and_wait(&self, rec: impl Borrow<LogRecord>) -> Result<Lsn> {
         may_block();
@@ -151,14 +138,15 @@ impl GroupFlusher {
         }
         let (tx, rx) = sync_channel(1);
         self.enqueue(st, rec.clone(), Box::new(move |out| drop(tx.try_send(out))))?;
-        // the flusher acknowledges everything it accepted, shutdown included
+        // the flusher acknowledges everything it accepted, shutdown and
+        // its own death included
         rx.recv()
-            .map_or_else(|gone| Err(std::io::Error::other(gone).into()), realize)
+            .unwrap_or_else(|_| Err(self.shared.log.stop(&"the log flusher died")))
     }
 
     /// Submit a commit record with an asynchronous acknowledgement: `ack`
     /// runs exactly once, on the flusher thread, after the record's window
-    /// succeeded or failed (a crashed window acknowledges with an error).
+    /// succeeded or failed (a failed window acknowledges with the stop).
     /// The executor's `WaitFlush` arm parks on this.
     pub fn submit_with_callback(&self, rec: LogRecord, ack: FlushCallback) -> Result<()> {
         if self.handle.is_none() {
@@ -166,14 +154,14 @@ impl GroupFlusher {
             return Ok(());
         }
         let st = self.shared.state.lock();
-        self.enqueue(st, rec, Box::new(move |out| ack(realize_nonpanicking(out))))
+        self.enqueue(st, rec, ack)
     }
 
     fn enqueue(
         &self,
         mut st: MutexGuard<'_, State>,
         rec: LogRecord,
-        ack: Box<dyn FnOnce(Outcome) + Send>,
+        ack: FlushCallback,
     ) -> Result<()> {
         if st.shutdown {
             return Err(std::io::Error::other("log flusher shut down").into());
@@ -185,12 +173,11 @@ impl GroupFlusher {
     }
 
     /// Run window `window`, marked busy by the caller, over `rec` alone on
-    /// this thread. A crash unwinds from here with its original payload.
+    /// this thread.
     fn lead(&self, rec: &LogRecord, window: u64) -> Result<Lsn> {
         let _leading = Leading(&self.shared);
         bump(&self.shared.obs.counters.flush_windows_led);
         run_window(&self.shared, window, std::iter::once(rec), |_| ())
-            .unwrap_or_else(|crash| std::panic::resume_unwind(crash))
     }
 }
 
@@ -220,22 +207,27 @@ impl Drop for GroupFlusher {
     }
 }
 
-/// Turn a window outcome into the submitting caller's result — crashed
-/// windows re-unwind with the original site's [`asset_faults::CrashPoint`].
-#[expect(
-    clippy::panic,
-    reason = "re-unwinds an injected crash on the caller; only a `faults` crash point makes a crashed window"
-)]
-fn realize(out: Outcome) -> Result<Lsn> {
-    if let Outcome::Crashed(site) = out {
-        std::panic::panic_any(asset_faults::CrashPoint(site));
+/// The flusher thread is going (shut down, or unwinding from a window
+/// that panicked): nothing more is queued, and the queue gets the stop.
+struct Orphans<'a>(&'a Shared);
+
+impl Drop for Orphans<'_> {
+    fn drop(&mut self) {
+        let queue = {
+            let mut st = self.0.state.lock();
+            st.shutdown = true;
+            std::mem::take(&mut st.queue)
+        };
+        for p in queue {
+            (p.ack)(Err(self.0.log.stop(&"the log flusher died")));
+        }
     }
-    realize_nonpanicking(out)
 }
 
 /// The flusher thread: once no window is running, collect the queue as a
 /// window, flush it, acknowledge everyone.
 fn run(shared: Arc<Shared>) {
+    let _orphans = Orphans(&shared);
     loop {
         let (batch, window) = {
             let mut st = shared.state.lock();
@@ -273,32 +265,29 @@ fn flush_window(shared: &Shared, batch: Vec<Pending>, window: u64) {
     shared.state.lock().busy = false;
     for (idx, p) in batch.into_iter().enumerate() {
         let out = match &flushed {
-            Ok(Ok(_)) => Outcome::Flushed(lsns[idx]),
-            Ok(Err(e)) => Outcome::Failed(e.to_string()),
-            Err(payload) => match payload.downcast_ref::<asset_faults::CrashPoint>() {
-                Some(cp) => Outcome::Crashed(cp.0),
-                None => Outcome::Failed("log flusher panicked".into()),
-            },
+            Ok(_) => Ok(lsns[idx]),
+            Err(e) => Err(shared.log.stop(e)),
         };
         (p.ack)(out);
     }
 }
 
-/// One flush window, whoever runs it: flush `recs`, count the window and
-/// trace it. Returns the first record's LSN (each one's goes to `each`),
-/// or the panic — a crash failpoint's unwind — for the caller to surface.
+/// One flush window, whoever runs it, as a system section: flush `recs`,
+/// count the window and trace it. Returns the first record's LSN (each one's
+/// goes to `each`), or the stop: every way a window fails stops the log.
 fn run_window<'a>(
     shared: &Shared,
     window: u64,
     recs: impl Iterator<Item = &'a LogRecord> + Clone,
     each: impl FnMut(Lsn),
-) -> std::thread::Result<Result<Lsn>> {
+) -> Result<Lsn> {
+    let _section = shared.log.enter()?;
     let t0 = shared.obs.tracing_enabled().then(Instant::now);
-    let flushed = catch_unwind(AssertUnwindSafe(|| flush_batch(shared, recs.clone(), each)));
     let records = recs.clone().count();
     shared.obs.flush_batch_len.record(records as u64);
     bump(&shared.obs.counters.flush_windows);
-    if let (Some(t0), Ok(Ok((_, bytes)))) = (t0, &flushed) {
+    let flushed = flush_batch(shared, recs.clone(), each).map_err(|e| shared.log.stop(&e));
+    if let (Some(t0), Ok((_, bytes))) = (t0, &flushed) {
         shared.obs.record(EventKind::FlushWindow {
             window,
             records: records as u32,
@@ -316,20 +305,7 @@ fn run_window<'a>(
             }
         }
     }
-    flushed.map(|res| res.map(|(lsn, _)| lsn))
-}
-
-/// [`realize`] for the callback path: a crashed window becomes an error
-/// (the unwind already happened on the flusher thread and was recorded in
-/// the fault registry; the executor resolves the ambiguity through abort).
-fn realize_nonpanicking(out: Outcome) -> Result<Lsn> {
-    match out {
-        Outcome::Flushed(lsn) => Ok(lsn),
-        Outcome::Failed(msg) => Err(std::io::Error::other(msg).into()),
-        Outcome::Crashed(site) => {
-            Err(std::io::Error::other(format!("crashed at failpoint `{site}`")).into())
-        }
-    }
+    flushed.map(|(lsn, _)| lsn)
 }
 
 /// Append every record of the window in one critical section, then force
@@ -502,9 +478,9 @@ mod tests {
     }
 
     /// A committer's window that crashes unwinds on the committer with the
-    /// original `CrashPoint`, clears `busy` on the way out, and the
-    /// follower that queued behind it gets an error from the thread (the
-    /// crashed registry refuses its window) rather than waiting forever.
+    /// original `CrashPoint`, clears `busy` on the way out and stops the
+    /// log; the follower that queued behind it gets the stop from the
+    /// thread, whose window writes nothing, rather than waiting forever.
     #[cfg(feature = "faults")]
     #[test]
     fn a_follower_queued_behind_a_crashed_leader_gets_an_error() {
@@ -550,9 +526,12 @@ mod tests {
             Some(FLUSH_WINDOW_ASSEMBLE)
         );
         let refused = follower.join().expect("the follower does not crash");
-        assert!(refused.is_err(), "nothing is acknowledged after the crash");
+        assert!(
+            matches!(refused, Err(asset_common::AssetError::Stopped(_))),
+            "{refused:?}"
+        );
         assert!(!f.shared.state.lock().busy, "cleared on unwind");
-        assert_eq!(windows(&f), (2, 1));
+        assert_eq!(windows(&f), (1, 1), "a stopped log runs no window");
         assert_eq!(f.shared.log.records_appended(), 0);
     }
 

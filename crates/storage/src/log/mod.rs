@@ -29,14 +29,16 @@
 //! as they are.
 //!
 //! Drains are serialized among themselves, so bytes reach the file in LSN
-//! order. A failed drain puts its bytes — seal included; the next drain
-//! seals only what follows — back in front of `pending` and trims the file
-//! to what it held before, so an LSN is always the offset its record has,
-//! or will have, in the file. Buffered bytes die with a killed process:
-//! they are a suffix of the log that no force followed, so nothing
-//! acknowledged is among them. A manager that is *dropped* drains (without
-//! syncing) first, so a clean exit, or a test that "crashes" by dropping
-//! the database, leaves the OS every record that was appended.
+//! order. Buffered bytes die with a killed process: they are a suffix of
+//! the log that no force followed, so nothing acknowledged is among them.
+//! A manager that is *dropped* drains (without syncing) first, so a clean
+//! exit, or a test that "crashes" by dropping the database, leaves the OS
+//! every record that was appended.
+//!
+//! **The log fails by stopping.** A failed write or sync of the live log,
+//! or a panic in a [`SystemSection`], stops it: it keeps the first cause,
+//! never writes again (its drop included) and answers every later entry
+//! with [`AssetError::Stopped`].
 //!
 //! One manager owns a log file at a time: [`open`](LogManager::open) takes
 //! an exclusive advisory lock on it, held until the manager is dropped,
@@ -67,8 +69,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 /// A record's place in the log: the log's [generation](LogManager::generation),
@@ -127,9 +129,6 @@ struct Inner {
     /// What the next record's tids are written against: reset where a
     /// drain opens a seal, so each block starts with an absolute tid.
     cursor: TidCursor,
-    /// The prefix of `pending` that is sealed blocks, put back by a failed
-    /// drain.
-    sealed: usize,
     tail: u64,
     records_appended: u64,
     records_coalesced: u64,
@@ -152,9 +151,31 @@ pub struct LogManager {
     /// What the failpoints on this log consult: its own, the flusher's,
     /// the checkpoint's and restart recovery's.
     pub(crate) faults: Arc<asset_faults::FaultRegistry>,
-    /// `faults.crash_count()` when the registry was attached.
-    #[cfg(feature = "faults")]
-    born_after_crashes: u64,
+    /// The stop cell: its flag, set by the first [`stop`](Self::stop)
+    /// and read relaxed at every entry; the first cause; what it runs.
+    stopped: AtomicBool,
+    cause: OnceLock<String>,
+    on_stop: OnceLock<Weak<dyn OnStop>>,
+}
+
+/// What the layer above a log does when the log stops.
+pub trait OnStop: Send + Sync {
+    /// Called once, on the stopping thread, which may hold any lock: it
+    /// must take none.
+    fn stopped(self: Arc<Self>);
+}
+
+/// System code entered through [`LogManager::enter`]: a panic out of it
+/// stops the log, unless it was entered during another unwind.
+#[must_use = "the section ends when the guard drops"]
+pub struct SystemSection<'a>(&'a LogManager, bool);
+
+impl Drop for SystemSection<'_> {
+    fn drop(&mut self) {
+        if !self.1 && std::thread::panicking() {
+            self.0.stop(&"a panic in system code");
+        }
+    }
 }
 
 impl LogManager {
@@ -177,8 +198,9 @@ impl LogManager {
             generation: AtomicU64::new(1),
             obs: Obs::shared(),
             faults: Default::default(),
-            #[cfg(feature = "faults")]
-            born_after_crashes: 0,
+            stopped: AtomicBool::new(false),
+            cause: OnceLock::new(),
+            on_stop: OnceLock::new(),
         }
     }
 
@@ -198,8 +220,38 @@ impl LogManager {
     /// [`failpoints`](crate::failpoints)).
     #[cfg(feature = "faults")]
     pub fn set_faults(&mut self, faults: Arc<asset_faults::FaultRegistry>) {
-        self.born_after_crashes = faults.crash_count();
         self.faults = faults;
+    }
+
+    /// Install what the first [`stop`](Self::stop) runs (once).
+    pub fn on_stop(&self, hook: Weak<dyn OnStop>) {
+        let _ = self.on_stop.set(hook);
+    }
+
+    /// Stop the log for `cause`, unless it has stopped already; returns
+    /// the [`AssetError::Stopped`] that names the first cause.
+    pub fn stop(&self, cause: &dyn std::fmt::Display) -> AssetError {
+        if self.cause.set(cause.to_string()).is_ok() {
+            self.stopped.store(true, Ordering::Release);
+            if let Some(hook) = self.on_stop.get().and_then(Weak::upgrade) {
+                hook.stopped();
+            }
+        }
+        AssetError::Stopped(self.cause.get().cloned().unwrap_or_default())
+    }
+
+    /// `Err(Stopped)` once the log has stopped: one relaxed load.
+    pub fn live(&self) -> Result<()> {
+        if self.stopped.load(Ordering::Relaxed) {
+            return Err(self.stop(&"stopped"));
+        }
+        Ok(())
+    }
+
+    /// Enter a [`SystemSection`]: refused once the log has stopped.
+    pub fn enter(&self) -> Result<SystemSection<'_>> {
+        self.live()?;
+        Ok(SystemSection(self, std::thread::panicking()))
     }
 
     /// The observability hub this log reports into.
@@ -281,8 +333,7 @@ impl LogManager {
 
     /// Append a record; returns its LSN. The record is accepted into the
     /// user-space buffer and reaches the OS with the next force, flush or
-    /// watermark drain (a watermark drain that fails leaves it buffered
-    /// for the next one to retry and report).
+    /// watermark drain.
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
         self.append_ref(&rec.as_ref())
     }
@@ -323,6 +374,7 @@ impl LogManager {
         mut each: impl FnMut(Lsn),
         force: bool,
     ) -> Result<Lsn> {
+        self.live()?;
         // Timing is gated on tracing so the default append path never pays
         // for a clock read; the counters below are always on.
         let t0 = self.obs.tracing_enabled().then(Instant::now);
@@ -332,13 +384,8 @@ impl LogManager {
             inner.pending.extend_from_slice(&FORMAT_MARKER);
             inner.tail = FORMAT_MARKER.len() as u64;
         }
-        // `tail`/`records_appended` advance only once the records are whole
-        // in the buffer: a refused append must leave no byte behind, or
-        // every later LSN would be off from its record's offset.
         let lsn = Lsn(inner.tail);
         let start = inner.pending.len();
-        #[cfg(feature = "faults")]
-        let cursor_before = inner.cursor;
         let mut records = 0;
         for rec in recs {
             let Inner {
@@ -349,16 +396,14 @@ impl LogManager {
             records += 1;
         }
         asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
+            drop(inner);
             if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                drop(inner);
                 self.crash_torn(crate::failpoints::LOG_APPEND, keep_per_mille);
             }
-            inner.pending.truncate(start);
-            inner.cursor = cursor_before;
-            return Err(self
+            let refused = self
                 .faults
-                .realize_plain(crate::failpoints::LOG_APPEND, act)
-                .into());
+                .realize_plain(crate::failpoints::LOG_APPEND, act);
+            return Err(self.stop(&refused));
         });
         inner.tail += (inner.pending.len() - start) as u64;
         inner.records_appended += records;
@@ -370,7 +415,7 @@ impl LogManager {
         if force {
             self.drain(self.durability == Durability::Strict)?;
         } else if over_watermark && self.disk.is_some() {
-            self.drain_in_passing();
+            self.drain_in_passing()?;
         }
         if let Some(t0) = t0 {
             self.obs
@@ -390,6 +435,7 @@ impl LogManager {
     /// drain swapped out.)
     #[cfg(feature = "faults")]
     pub(crate) fn crash_torn(&self, site: &'static str, keep_per_mille: u16) -> ! {
+        self.stop(&site);
         if let Some(disk) = self.disk.as_ref().and_then(Mutex::try_lock) {
             let inner = self.inner.lock();
             let torn = Failpoint(&self.faults, site);
@@ -406,9 +452,9 @@ impl LogManager {
     /// Seal the pending buffer and hand it to the OS with one `write`, and,
     /// if `sync`, make the file stable with one `sync_data` — hash, write
     /// and sync with the append lock released. Returns the bytes this
-    /// drain wrote: the block it sealed (and what an earlier, failed drain
-    /// had put back); zero when another drain carried them first, and for
-    /// the in-memory backend, where it is a no-op.
+    /// drain wrote: the block it sealed; zero when another drain carried
+    /// them first, and for the in-memory backend, where it is a no-op. A
+    /// failed write or sync stops the log.
     pub fn drain(&self, sync: bool) -> Result<usize> {
         match &self.disk {
             Some(disk) => self.drain_holding(disk.lock(), sync),
@@ -419,44 +465,32 @@ impl LogManager {
     /// A drain that nobody waits for (the watermark, the manager's drop):
     /// write, no sync. It steps aside when another drain is running — that
     /// one or the next force carries the bytes — so an unforced append
-    /// never queues behind a sync. Nor is a failure the append's: it is
-    /// counted, the bytes stay buffered, and the next force or flush
-    /// retries and reports.
-    fn drain_in_passing(&self) {
-        let Some(disk) = &self.disk else { return };
-        let Some(disk) = disk.try_lock() else {
-            return;
+    /// never queues behind a sync.
+    fn drain_in_passing(&self) -> Result<()> {
+        let Some(disk) = self.disk.as_ref().and_then(Mutex::try_lock) else {
+            return Ok(());
         };
-        if self.drain_holding(disk, false).is_err() {
-            bump(&self.obs.counters.log_drain_failures);
-        }
+        self.drain_holding(disk, false).map(drop)
     }
 
     /// The drain proper, for a caller that holds the disk.
     fn drain_holding(&self, mut disk: MutexGuard<'_, Disk>, sync: bool) -> Result<usize> {
+        let _section = self.enter()?;
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let (mut buf, open_from, written) = {
+        let (mut buf, written) = {
             let mut inner = self.inner.lock();
-            let open_from = std::mem::take(&mut inner.sealed);
-            if inner.pending.len() > open_from {
+            if !inner.pending.is_empty() {
                 record::open_seal(&mut inner.pending);
                 inner.tail += SEAL_LEN as u64;
                 inner.cursor = TidCursor::default();
             }
             let spare = std::mem::take(&mut disk.spare);
-            let buf = std::mem::replace(&mut inner.pending, spare);
-            (buf, open_from, inner.written)
+            (std::mem::replace(&mut inner.pending, spare), inner.written)
         };
-        if buf.len() > open_from {
-            record::fill_seal(&mut buf, open_from);
-        }
         if !buf.is_empty() {
-            if let Err(e) = Failpoint(&self.faults, LOG_FLUSH).write(&disk.file, written, &buf) {
-                // the file is back at `written` (only a drain moves it, and
-                // this is the only one): the bytes go back too
-                self.put_back(buf);
-                return Err(e.into());
-            }
+            record::fill_seal(&mut buf, 0);
+            let wrote = Failpoint(&self.faults, LOG_FLUSH).write(&disk.file, written, &buf);
+            wrote.map_err(|e| self.stop(&e))?;
             // Written but not yet synced: they count as unsynced until the
             // sync below actually happens (it may fail, or be elided).
             self.inner.lock().written += buf.len() as u64;
@@ -464,7 +498,8 @@ impl LogManager {
         let drained = buf.len();
         buf.clear();
         disk.spare = buf;
-        if sync && Failpoint(&self.faults, LOG_SYNC).sync(&disk.file, false)? {
+        let synced = sync.then(|| Failpoint(&self.faults, LOG_SYNC).sync(&disk.file, false));
+        if synced.transpose().map_err(|e| self.stop(&e))? == Some(true) {
             let mut inner = self.inner.lock();
             inner.synced = inner.written;
         }
@@ -481,15 +516,6 @@ impl LogManager {
             });
         }
         Ok(drained)
-    }
-
-    /// A drain failed: its bytes, sealed, return to the front of `pending`,
-    /// ahead of whatever was appended meanwhile, and `tail` never moved.
-    fn put_back(&self, mut buf: Vec<u8>) {
-        let mut inner = self.inner.lock();
-        inner.sealed = buf.len();
-        buf.extend_from_slice(&inner.pending);
-        inner.pending = buf;
     }
 
     /// The log's durability watermarks in one point-in-time view (feeds
@@ -598,7 +624,7 @@ impl LogManager {
                 cut.sync(&disk.file, false)?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
-                (inner.sealed, inner.cursor) = (0, TidCursor::default());
+                inner.cursor = TidCursor::default();
                 (inner.tail, inner.written, inner.synced) = (end, end, end);
                 return Ok(());
             }
@@ -620,17 +646,18 @@ impl LogManager {
     }
 
     /// Replace the log with a `Checkpoint` marker followed by `recs` — the
-    /// next generation, whole or not at all: the records go through a
-    /// manager of their own into a file beside the log, as one forced
-    /// (sealed, synced) block, and that file is renamed over the log, so a
-    /// crash leaves the old log or the new one and never a log that was cut
-    /// and not yet refilled. This is the one writer of the marker, so a
-    /// marker only ever opens a log. Only legal while no transaction
-    /// appends, after every image the dropped records describe has reached
-    /// the store; the caller (the checkpoint) guarantees that. A refusal
-    /// before the rename leaves the log, its LSNs and its generation as
-    /// they were.
+    /// next generation, whole or not at all: the records go through a manager
+    /// of their own into a file beside the log, as one forced (sealed,
+    /// synced) block, and that file is renamed over the log, so a crash
+    /// leaves the old log or the new one and never a log that was cut and not
+    /// yet refilled. This is the one writer of the marker, so a marker only
+    /// ever opens a log. Only legal while no transaction appends, after every
+    /// image the dropped records describe has reached the store; the caller
+    /// (the checkpoint) guarantees that. A refusal before the rename leaves
+    /// the log, its LSNs and its generation as they were; one after it stops
+    /// the log, which has moved to the new file already.
     pub fn rewrite<'a>(&self, recs: impl IntoIterator<Item = RecordRef<'a>>) -> Result<()> {
+        self.live()?;
         let mut disk = self.disk.as_ref().map(Mutex::lock);
         Failpoint(&self.faults, LOG_TRUNCATE).check()?;
         let next = match &disk {
@@ -666,7 +693,8 @@ impl LogManager {
             std::mem::swap(&mut disk.file, &mut theirs.file);
             // make the rename itself durable (where a directory can be opened)
             if let Some(Ok(dir)) = disk.path.parent().map(File::open) {
-                Failpoint(&self.faults, LOG_REWRITE_AFTER_RENAME).sync(&dir, true)?;
+                let synced = Failpoint(&self.faults, LOG_REWRITE_AFTER_RENAME).sync(&dir, true);
+                synced.map_err(|e| self.stop(&e))?;
             }
         }
         Ok(())
@@ -752,14 +780,9 @@ fn replay_file(
 impl Drop for LogManager {
     /// Hand the buffer to the OS, unsynced, before the file (and with it
     /// the lock that keeps the next owner waiting) is released.
+    /// A stopped log writes nothing: not even here.
     fn drop(&mut self) {
-        // What lived through a simulated crash belongs to the process that
-        // died in it, however late it is dropped: it writes nothing more.
-        #[cfg(feature = "faults")]
-        if self.faults.crash_count() != self.born_after_crashes {
-            return;
-        }
-        self.drain_in_passing();
+        let _ = self.drain_in_passing();
     }
 }
 
@@ -1054,7 +1077,7 @@ mod tests {
 
     /// A rewrite refused before its rename leaves the log, its LSNs and
     /// its generation as they were; one refused after it has happened all
-    /// the same, and says so.
+    /// the same, and stops the log, which writes nothing more.
     #[cfg(feature = "faults")]
     #[test]
     fn a_refused_rewrite_leaves_one_whole_log_or_the_other() {
@@ -1082,12 +1105,14 @@ mod tests {
         assert!(log.rewrite([]).is_err());
         assert_eq!(log.generation(), generation + 1);
         assert_eq!(log.scan().unwrap().len(), 1, "the new log");
-        let lsn = log
-            .append_forced(&LogRecord::Abort { tid: Tid(3) })
-            .unwrap();
+        let refused = log.append_forced(&LogRecord::Abort { tid: Tid(3) });
+        assert!(
+            matches!(refused, Err(AssetError::Stopped(_))),
+            "{refused:?}"
+        );
         drop(log);
         let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
-        assert_eq!(log.scan().unwrap()[1].0, lsn);
+        assert_eq!(log.scan().unwrap(), [(Lsn(8), LogRecord::Checkpoint)]);
     }
 
     /// One buffer for every durability: unforced appends make no syscall
@@ -1230,49 +1255,30 @@ mod tests {
         assert_eq!(log.unsynced_bytes(), 0);
     }
 
-    /// Regression (LSN-desync bug): `append_inner` used to advance `tail`
-    /// and `records_appended` before the record was accepted, so a refused
-    /// append desynchronized every later LSN from its file offset.
+    /// A refused append stops the log: it names its failpoint, every
+    /// later append and flush is refused with the same stop, and nothing
+    /// more reaches the file — the drop's drain included.
     #[cfg(feature = "faults")]
     #[test]
-    fn failed_append_leaves_lsns_aligned_with_offsets() {
+    fn a_failed_append_stops_the_log() {
         use asset_faults::{FaultAction, Trigger};
         let (dir, faults, log) = faulty_log("desync");
-        let path = dir.join("wal.log");
         let recs = sample_records();
-        log.append(&recs[0]).unwrap();
-        let tail_before = log.tail();
+        let lsn = log.append_forced(&recs[0]).unwrap();
+        log.append(&recs[1]).unwrap();
         faults.arm(
             crate::failpoints::LOG_APPEND,
             Trigger::Once,
             FaultAction::Error,
         );
-        // refused, and with it the tid cursor it moved
-        let err = log
-            .append(&LogRecord::Abort { tid: Tid(1 << 40) })
-            .unwrap_err();
-        assert!(err.to_string().contains("log.append.write"));
-        assert_eq!(
-            log.tail(),
-            tail_before,
-            "failed append must not move the tail"
-        );
-        assert_eq!(log.records_appended(), 1);
-        // the next append lands exactly at the old tail and the whole log
-        // still parses — offsets never diverged from LSNs
-        let lsn = log.append(&recs[1]).unwrap();
-        assert_eq!(lsn, tail_before);
-        let scanned = log.scan().unwrap();
-        assert_eq!(scanned[1], (lsn, recs[1].clone()));
-        assert_eq!(scanned.len(), 2);
-        assert_eq!(log.records_appended(), 2);
-        // and the file agrees after a reopen
-        log.flush().unwrap();
-        let tail = log.tail();
+        let err = log.append(&recs[2]).unwrap_err();
+        assert!(matches!(&err, AssetError::Stopped(m) if m.contains("log.append.write")));
+        for later in [log.append(&recs[0]).map(drop), log.flush()] {
+            assert_eq!(later.unwrap_err().to_string(), err.to_string());
+        }
         drop(log);
-        let log2 = LogManager::open(&path, Durability::Strict).unwrap();
-        assert_eq!(log2.scan().unwrap().len(), 2);
-        assert_eq!(log2.tail(), tail);
+        let log2 = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        assert_eq!(log2.scan().unwrap(), [(lsn, recs[0].clone())]);
     }
 
     #[cfg(feature = "faults")]
@@ -1435,19 +1441,17 @@ mod tests {
         assert_eq!(opener.join().unwrap(), 1, "the late drain was read");
     }
 
-    /// A manager that lived through a simulated crash is part of the dead
-    /// process: dropped after the harness's reset, it still writes nothing.
-    #[cfg(feature = "faults")]
+    /// A stopped manager writes nothing more: dropped with an unforced
+    /// record buffered, it does not drain it.
     #[test]
-    fn a_manager_that_outlived_a_crash_does_not_drain_on_drop() {
-        let (dir, faults, log) = faulty_log("zombie");
+    fn a_stopped_manager_does_not_drain_on_drop() {
+        let dir = TempDir::new("zombie");
+        let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         log.append_forced(&LogRecord::Abort { tid: Tid(1) })
             .unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
-        asset_faults::silence_crash_panics();
-        let crash = std::panic::catch_unwind(|| faults.crash_now(crate::failpoints::LOG_SYNC));
-        assert!(crash.is_err());
-        faults.reset();
+        let stop = log.stop(&"gone");
+        assert_eq!(stop.to_string(), "database stopped: gone");
         drop(log);
         let log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
         assert_eq!(log.scan().unwrap().len(), 1, "only the forced prefix");
@@ -1506,74 +1510,41 @@ mod tests {
         faults.reset();
     }
 
-    /// A drain that fails after appends raced it puts its bytes back *in
-    /// front of* theirs: every LSN handed out is still its record's offset,
-    /// and every tid reads back as appended — the put-back block was
-    /// written against its own cursor, the racing append against the one
-    /// the failed drain reset when it opened its seal, and the append after
-    /// it goes on from there.
+    /// A drain that fails stops the log, with appends racing it: the
+    /// append that lands in the next buffer while the drain is in flight
+    /// is accepted, the failed drain leaves nothing in the file, and every
+    /// later append and flush is refused — none of it is written.
     #[cfg(feature = "faults")]
     #[test]
-    fn failed_drain_with_racing_appends_keeps_lsns_aligned() {
+    fn a_failed_drain_with_racing_appends_stops_the_log() {
         use asset_faults::{FaultAction, Trigger};
         let (dir, faults, log) = faulty_log("drainrace");
         let log = Arc::new(log);
-        let group = |t: &[u64]| LogRecord::Commit {
-            tids: t.iter().copied().map(Tid).collect(),
-        };
-        let recs = [
-            group(&[70_000]),
-            group(&[70_005, 3, 1 << 40]),
-            group(&[69_999, 2, u64::MAX]),
-            group(&[70_001]),
-        ];
-        let mut lsns = vec![
-            log.append_forced(&recs[0]).unwrap(),
-            log.append(&recs[1]).unwrap(),
-        ];
+        let recs = sample_records();
+        let forced = log.append_forced(&recs[0]).unwrap();
+        log.append(&recs[1]).unwrap();
         // the hook runs between the buffer swap and the refused write: the
         // append inside it lands in the *next* buffer
         let raced = Arc::new(std::sync::Mutex::new(Vec::new()));
-        {
-            let (log, raced, rec) = (Arc::downgrade(&log), Arc::clone(&raced), recs[2].clone());
-            faults.on_hit(crate::failpoints::LOG_FLUSH, move || {
-                let log = log.upgrade().unwrap();
-                raced.lock().unwrap().push(log.append(&rec).unwrap());
-            });
-        }
-        faults.arm(
-            crate::failpoints::LOG_FLUSH,
-            Trigger::Once,
-            FaultAction::Error,
-        );
-        let tail_on_disk = std::fs::metadata(dir.join("wal.log")).unwrap().len();
-        assert!(log.flush().is_err());
-        assert_eq!(
-            std::fs::metadata(dir.join("wal.log")).unwrap().len(),
-            tail_on_disk,
-            "nothing of the failed drain stays in the file"
-        );
-        lsns.append(&mut raced.lock().unwrap());
-        assert_eq!(lsns.len(), 3);
-        faults.reset();
-        lsns.push(log.append(&recs[3]).unwrap());
-        let held = |log: &LogManager| {
-            log.scan()
+        let (weak, into, rec) = (Arc::downgrade(&log), Arc::clone(&raced), recs[2].clone());
+        faults.on_hit(crate::failpoints::LOG_FLUSH, move || {
+            into.lock()
                 .unwrap()
-                .into_iter()
-                .unzip::<_, _, Vec<_>, Vec<_>>()
-        };
-        assert_eq!(
-            held(&log),
-            (lsns.clone(), recs.to_vec()),
-            "before the retry"
-        );
-        log.flush().unwrap();
-        let tail = log.tail();
+                .push(weak.upgrade().unwrap().append(&rec).is_ok());
+        });
+        let flush = crate::failpoints::LOG_FLUSH;
+        faults.arm(flush, Trigger::Once, FaultAction::Error);
+        let path = dir.join("wal.log");
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        let err = log.flush().unwrap_err();
+        assert!(matches!(&err, AssetError::Stopped(m) if m.contains(flush)));
+        assert_eq!(*raced.lock().unwrap(), [true], "the racing append went in");
+        faults.reset();
+        assert!(log.append(&recs[1]).is_err() && log.flush().is_err());
         drop(log);
-        let log2 = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
-        assert_eq!(held(&log2), (lsns, recs.to_vec()), "reopened");
-        assert_eq!(log2.tail(), tail);
-        drop(log2);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(len, on_disk, "nothing after the stop reaches the file");
+        let log2 = LogManager::open(&path, Durability::Strict).unwrap();
+        assert_eq!(log2.scan().unwrap(), [(forced, recs[0].clone())]);
     }
 }

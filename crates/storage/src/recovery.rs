@@ -280,11 +280,8 @@ impl LogFold {
 /// One undo step — the same at a runtime abort and at restart: under the
 /// X latch of `oid`'s cache entry, append a CLR for `image` and install
 /// it, so that the log orders the undo among cooperating writers of the
-/// object exactly as the cache does. If the append is refused the image is
-/// installed all the same (the rollback must not strand) and the error
-/// returned: the entry forgets that the log holds its image, so the next
-/// writer logs an explicit before image, and the caller withholds the
-/// `Abort` record, so a restart finishes what the log does not show.
+/// object exactly as the cache does. A refused append has stopped the log
+/// and installs nothing: restart finishes the rollback.
 pub(crate) fn undo_object(
     log: &LogManager,
     cache: &ObjectCache,
@@ -293,15 +290,15 @@ pub(crate) fn undo_object(
 ) -> Result<()> {
     let entry = cache.entry(oid);
     entry.write_with(cache.obs(), |slot| {
-        let generation = log.generation();
-        let logged = log.append_ref(&RecordRef::Clr {
+        let image_ref = image.as_deref();
+        log.append_ref(&RecordRef::Clr {
             oid,
-            image: image.as_deref(),
-        });
-        entry.set_logged_in(if logged.is_ok() { generation } else { 0 });
+            image: image_ref,
+        })?;
+        entry.set_logged_in(log.generation());
         mark::expect(Kind::Clr, oid.raw());
         *slot = image;
-        logged.map(|_| ())
+        Ok(())
     })
 }
 

@@ -5,7 +5,7 @@
 //!
 //! A random record sequence goes through a random schedule of unforced and
 //! forced appends, watermark drains, explicit drains and (with the `faults`
-//! feature) drains that fail and put their sealed bytes back; then the file
+//! feature) a drain that fails and stops the log; then the file
 //! is cut at *every* byte offset, and one byte of it is flipped. An
 //! `Overwrite` of an object the log holds an image of is appended as the
 //! write path logs it, a patch against that image, and reads back whole.
@@ -170,16 +170,19 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
                 cursor = TidCursor::default();
             }
             #[cfg(feature = "faults")]
-            2 if log.pending_bytes() > 0 => {
+            // once a block is in the file, so the file has bytes to cut
+            2 if log.pending_bytes() > 0 && std::fs::metadata(path).unwrap().len() > 0 => {
                 faults.arm(
                     asset_storage::failpoints::LOG_FLUSH,
                     asset_faults::Trigger::Once,
                     asset_faults::FaultAction::Error,
                 );
-                assert!(log.drain(false).is_err(), "the drain was refused");
-                assert!(log.pending_bytes() > 0, "and its bytes put back");
-                // sealed all the same: what follows opens a block
-                cursor = TidCursor::default();
+                // a refused drain stops the log: its block and whatever is
+                // buffered never reach the file, and nothing follows them
+                let refused = log.drain(false);
+                assert!(matches!(refused, Err(AssetError::Stopped(_))));
+                assert!(log.append(&LogRecord::Checkpoint).is_err());
+                break;
             }
             // unforced: drained in passing once `watermark` bytes are pending
             _ => {
@@ -189,9 +192,12 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
             }
         }
     }
-    drop(log); // the drop drain seals what is left
+    drop(log); // the drop drain seals what is left, unless the log stopped
     let bytes = std::fs::read(path).unwrap();
     let tail = bytes.len() as u64;
+    let written = records.iter().take_while(|(lsn, _)| lsn.0 < tail).count();
+    records.truncate(written);
+    lens.truncate(written);
     // records lie back to back, each as long as it is where it stands in
     // its block; every five-byte gap between them is a seal
     let mut block_ends = Vec::new();

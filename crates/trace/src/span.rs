@@ -389,9 +389,6 @@ impl CausalGraph {
                         t.milestones.push((at, "undone"));
                     }
                 }
-                EventKind::CommitAmbiguous { tid, .. } => {
-                    g.track(tid).milestones.push((at, "commit-ambiguous"));
-                }
                 EventKind::TxnComplete { tid, ok } => {
                     let label = if ok { "complete" } else { "failed" };
                     g.track(tid).milestones.push((at, label));

@@ -92,9 +92,7 @@ pub use asset_common::{
     AssetError, Config, DepType, Durability, LockMode, ObSet, Oid, OpSet, Operation, Result, Tid,
     TxnStatus,
 };
-pub use asset_core::{
-    Database, Handle, ObjectCodec, StepCtx, StepProg, TryOp, TxnCtx, TxnOutcome, TxnStep,
-};
+pub use asset_core::{Database, Handle, ObjectCodec, StepCtx, StepProg, TryOp, TxnCtx, TxnStep};
 pub use asset_models::{
     run_atomic, run_contingent, run_distributed, run_nested, subtransaction, Saga, SagaOutcome,
     Workflow, WorkflowOutcome,

@@ -7,12 +7,16 @@
 //!
 //! | failpoint | models |
 //! |---|---|
-//! | `prepare.after_record` (Crash) | participant dies right after forcing its `Prepared` record — the vote is durable but never sent |
-//! | `decide.after_apply` (Crash) | participant dies after applying the commit decision, before its next force — its buffered `Commit` record dies with it |
+//! | `prepare.after_record` (Crash, Panic) | participant dies right after forcing its `Prepared` record — the vote is durable but never sent |
+//! | `decide.after_apply` (Crash, Panic) | participant dies after applying the commit decision, before its next force — its buffered `Commit` record dies with it |
 //! | `coord.before_decide` (Crash) | coordinator dies with every vote in hand and nothing durable |
 //! | `coord.after_decide` (Crash) | coordinator dies with the decision durable but undelivered |
 //! | `coord.msg.prepare` (Error) | a prepare request is lost in the network |
 //! | `coord.msg.decide` (Error) | a decide is lost — one participant stays in doubt |
+//!
+//! A participant's Panic is a bug in its system code, not a simulated
+//! death: it stops the node's database, and the transport counts the node
+//! down exactly as after a crash.
 //!
 //! After every injected fault the harness restarts whatever crashed
 //! (participant nodes reopen their directories — prepared transactions
@@ -246,9 +250,19 @@ fn fault_free_commit_converges_and_a_dead_acceptor_minority_is_a_non_event() {
 
 #[test]
 fn participant_crash_after_prepare_record_converges() {
+    participant_dies_after_prepare_record(FaultAction::Crash);
+}
+
+#[test]
+fn participant_panic_after_prepare_record_converges() {
+    participant_dies_after_prepare_record(FaultAction::Panic);
+}
+
+fn participant_dies_after_prepare_record(action: FaultAction) {
+    asset::faults::silence_crash_panics();
     for (k, proto) in PROTOS.iter().enumerate() {
         let gid = 10 + k as u64;
-        let label = format!("{proto:?}/part-after-prepare");
+        let label = format!("{proto:?}/part-after-prepare/{action:?}");
         let c = Cluster::new(&format!("pap{k}"));
         let cdir = TempDir::new(&format!("pap{k}-coord"));
         let coords = Coordinators::new(*proto, &cdir);
@@ -259,7 +273,7 @@ fn participant_crash_after_prepare_record_converges() {
         c.node_faults[1].arm(
             asset::txn::failpoints::PART_AFTER_PREPARE,
             Trigger::Once,
-            FaultAction::Crash,
+            action,
         );
         let d = coords
             .commit(c.transport.clone(), Arc::new(FaultRegistry::new()), &g)
@@ -288,16 +302,17 @@ fn participant_crash_after_prepare_record_converges() {
 /// next ballot) converges everyone to Commit, and a second one changes
 /// nothing — not a byte of any node's log.
 fn crash_after_applied_commit_converges(
-    label: &str,
+    (label, action): (&str, FaultAction),
     c: &Cluster,
     gid: u64,
     commit: impl FnOnce() -> Result<Decision, CoordError>,
     recover: impl Fn(u64) -> Result<Decision, CoordError>,
 ) {
+    asset::faults::silence_crash_panics();
     c.node_faults[1].arm(
         asset::txn::failpoints::PART_AFTER_DECIDE,
         Trigger::Once,
-        FaultAction::Crash,
+        action,
     );
     assert_eq!(commit().expect(label), Decision::Commit, "{label}");
     assert!(c.transport.node(1).is_down(), "{label}: node 1 crashed");
@@ -317,15 +332,24 @@ fn crash_after_applied_commit_converges(
 
 #[test]
 fn participant_crash_after_applying_commit_restarts_in_doubt_and_converges() {
+    participant_dies_after_applying_commit(FaultAction::Crash);
+}
+
+#[test]
+fn participant_panic_after_applying_commit_restarts_in_doubt_and_converges() {
+    participant_dies_after_applying_commit(FaultAction::Panic);
+}
+
+fn participant_dies_after_applying_commit(action: FaultAction) {
     for (k, proto) in PROTOS.iter().enumerate() {
         let gid = 90 + k as u64;
-        let label = format!("{proto:?}/part-after-decide");
+        let label = format!("{proto:?}/part-after-decide/{action:?}");
         let c = Cluster::new(&format!("pad{k}"));
         let cdir = TempDir::new(&format!("pad{k}-coord"));
         let coords = Coordinators::new(*proto, &cdir);
         let g = c.stage(gid);
         crash_after_applied_commit_converges(
-            &label,
+            (&label, action),
             &c,
             gid,
             || coords.commit(c.transport.clone(), Arc::new(FaultRegistry::new()), &g),
@@ -598,9 +622,18 @@ fn reopened_acceptors_with_nothing_accepted_recover_to_abort() {
 
 #[test]
 fn participant_crash_after_applying_commit_converges_over_reopened_acceptors() {
+    participant_dies_after_applying_commit_over_reopened_acceptors(FaultAction::Crash);
+}
+
+#[test]
+fn participant_panic_after_applying_commit_converges_over_reopened_acceptors() {
+    participant_dies_after_applying_commit_over_reopened_acceptors(FaultAction::Panic);
+}
+
+fn participant_dies_after_applying_commit_over_reopened_acceptors(action: FaultAction) {
     for (k, n) in [1usize, 3].into_iter().enumerate() {
         let gid = 100 + k as u64;
-        let label = format!("{n} acceptor(s)/part-after-decide/reopen");
+        let label = format!("{n} acceptor(s)/part-after-decide/reopen/{action:?}");
         let c = Cluster::new(&format!("padr{k}"));
         let files = AcceptorFiles {
             dir: TempDir::new(&format!("padr{k}-acc")),
@@ -610,7 +643,7 @@ fn participant_crash_after_applying_commit_converges_over_reopened_acceptors() {
         // every acceptor is dropped with the coordinator and reopened from
         // its file for each recovery
         crash_after_applied_commit_converges(
-            &label,
+            (&label, action),
             &c,
             gid,
             || PaxosCommit::new(c.transport.clone(), files.open()).commit(&g),

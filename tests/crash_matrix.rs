@@ -4,18 +4,21 @@
 //! with compensation, a delegation/permit hand-off, the executor's flush
 //! window and a second checkpoint — each run against every registered
 //! failpoint ([`asset::storage::failpoints::ALL`] and
-//! [`asset::txn::failpoints::ALL`]) under three fault shapes:
+//! [`asset::txn::failpoints::ALL`]) under four fault shapes:
 //!
 //! * **Crash** — process-local crash at the failpoint (unwind to the
 //!   harness; the registry refuses all further durable writes, modeling
 //!   a dead process);
 //! * **Torn** — a prefix of the buffer reaches the file, then crash
 //!   (models a torn sector on power loss);
-//! * **Error** — the operation reports failure but the process lives on
-//!   (models `EIO`); the workload's error paths must leave every
-//!   transaction terminal and the live state in agreement with what a
-//!   restart would recover.
+//! * **Error** — the operation reports failure (models `EIO`): at a write
+//!   or sync of the live log, or a failed force, it stops the database;
+//!   at a checkpoint refused before its rename the database lives on;
+//! * **Panic** — a plain panic at the failpoint, a bug in system code: it
+//!   stops the database.
 //!
+//! The workload runs on a thread of its own within [`LIMIT`]: every waiter
+//! of a stopped or crashed database returns (an error) instead of hanging.
 //! After each injected fault the harness resets the registry, reopens the
 //! database (running recovery), and asserts the workload's invariant:
 //! durably-acknowledged commits survive, losers are rolled back, GC
@@ -24,11 +27,15 @@
 
 #![cfg(feature = "faults")]
 
-use asset::faults::TempDir;
-use asset::faults::{FaultAction, FaultRegistry, Trigger};
-use asset::{storage, txn, Config, Database, DepType, ObSet, Oid, OpSet, Result};
+use asset::faults::{within, FaultAction, FaultRegistry, TempDir, Trigger};
+use asset::{storage, txn, AssetError, Config, Database, DepType, ObSet, Oid, OpSet, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// How long a faulted workload may take before the matrix calls it hung.
+const LIMIT: Duration = Duration::from_secs(60);
 
 /// Every failpoint in the storage and transaction layers.
 fn all_failpoints() -> Vec<&'static str> {
@@ -67,6 +74,22 @@ impl Case {
         Database::open(self.config.clone()).expect("open").0
     }
 
+    /// Open the case's database on a thread of its own and run `workload`
+    /// on it: what it returns, or the panic it unwinds with, comes back —
+    /// within [`LIMIT`], or the test fails naming `point`.
+    fn run<T: Send + 'static>(
+        &self,
+        point: &str,
+        workload: impl FnOnce(Database) -> Result<T> + Send + 'static,
+    ) -> std::thread::Result<Result<T>> {
+        let config = self.config.clone();
+        within(LIMIT, point, move || {
+            catch_unwind(AssertUnwindSafe(move || {
+                workload(Database::open(config)?.0)
+            }))
+        })
+    }
+
     /// Disarm everything (including a tripped crash flag) and reopen:
     /// this is the "restart after the crash" edge of the matrix.
     fn reopen_clean(&self) -> Database {
@@ -103,15 +126,14 @@ fn atomic_sweep(action: FaultAction) {
         }
 
         case.faults.arm(point, Trigger::Once, action);
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
-            let db = case.open();
+        let outcome = case.run(point, move |db| -> Result<bool> {
             let t = db.initiate(move |ctx| ctx.write(o, b"new".to_vec()))?;
             db.begin(t)?;
             db.wait(t)?;
             let committed = db.commit(t)?;
             db.checkpoint()?; // exercises store/checkpoint failpoints
             Ok(committed)
-        }));
+        });
         let acknowledged = matches!(&outcome, Ok(Ok(true)));
 
         let db = case.reopen_clean();
@@ -135,6 +157,11 @@ fn atomic_sweep(action: FaultAction) {
 #[test]
 fn crash_matrix_atomic() {
     atomic_sweep(FaultAction::Crash);
+}
+
+#[test]
+fn panic_matrix_atomic() {
+    atomic_sweep(FaultAction::Panic);
 }
 
 #[test]
@@ -163,8 +190,7 @@ fn group_commit_sweep(action: FaultAction) {
         }
 
         case.faults.arm(point, Trigger::Once, action);
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
-            let db = case.open();
+        let outcome = case.run(point, move |db| -> Result<bool> {
             let t1 = db.initiate(move |ctx| ctx.write(oa, b"ga1".to_vec()))?;
             let t2 = db.initiate(move |ctx| ctx.write(ob, b"gb1".to_vec()))?;
             db.form_dependency(DepType::GC, t1, t2)?;
@@ -172,7 +198,7 @@ fn group_commit_sweep(action: FaultAction) {
             db.wait(t1)?;
             db.wait(t2)?;
             db.commit(t1)
-        }));
+        });
         let acknowledged = matches!(&outcome, Ok(Ok(true)));
 
         let db = case.reopen_clean();
@@ -205,6 +231,11 @@ fn group_commit_sweep(action: FaultAction) {
 #[test]
 fn crash_matrix_group_commit() {
     group_commit_sweep(FaultAction::Crash);
+}
+
+#[test]
+fn panic_matrix_group_commit() {
+    group_commit_sweep(FaultAction::Panic);
 }
 
 #[test]
@@ -244,8 +275,7 @@ fn saga_sweep(action: FaultAction) {
         let acked = Arc::new(Mutex::new(b"s0".to_vec()));
         let acked2 = Arc::clone(&acked);
         case.faults.arm(point, Trigger::Once, action);
-        let _ = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-            let db = case.open();
+        let _ = case.run(point, move |db| -> Result<()> {
             // step 1
             if db.run(move |ctx| ctx.write(o, b"s1".to_vec()))? {
                 *acked2.lock().unwrap() = b"s1".to_vec();
@@ -261,7 +291,7 @@ fn saga_sweep(action: FaultAction) {
             }
             db.checkpoint()?;
             Ok(())
-        }));
+        });
 
         let db = case.reopen_clean();
         let v = get(&db, o);
@@ -280,6 +310,11 @@ fn saga_sweep(action: FaultAction) {
 #[test]
 fn crash_matrix_saga() {
     saga_sweep(FaultAction::Crash);
+}
+
+#[test]
+fn panic_matrix_saga() {
+    saga_sweep(FaultAction::Panic);
 }
 
 #[test]
@@ -309,8 +344,7 @@ fn delegation_sweep(action: FaultAction) {
         }
 
         case.faults.arm(point, Trigger::Once, action);
-        let _ = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-            let db = case.open();
+        let _ = case.run(point, move |db| -> Result<()> {
             let t1 = db.initiate(move |ctx| ctx.write(o, b"d1".to_vec()))?;
             db.begin(t1)?;
             if !db.wait(t1)? {
@@ -324,7 +358,7 @@ fn delegation_sweep(action: FaultAction) {
                             // the undo loop unwinds into the harness, not a worker thread
             db.abort(t2)?;
             Ok(())
-        }));
+        });
 
         let db = case.reopen_clean();
         assert_eq!(
@@ -345,6 +379,11 @@ fn crash_matrix_delegation() {
 }
 
 #[test]
+fn panic_matrix_delegation() {
+    delegation_sweep(FaultAction::Panic);
+}
+
+#[test]
 fn torn_matrix_delegation() {
     delegation_sweep(FaultAction::Torn {
         keep_per_mille: 500,
@@ -355,12 +394,11 @@ fn torn_matrix_delegation() {
 // Workload 5: the executor's batched flush window (DESIGN.md §12) — three
 // transactions submitted to the worker-pool executor while the group
 // flusher's window failpoints are armed. The executor path never unwinds
-// into the submitter: a crashed window acknowledges the callback with an
-// error and the members are driven through the ambiguous-commit abort
-// path, so every outcome is observable here. Invariant: `outcome == true`
-// is a durable acknowledgement (the value survives recovery); anything
-// else recovers to exactly the baseline or the new value; and an executor
-// commit acknowledged *before* the fault always survives it.
+// into the submitter: a window that fails, crashes or panics stops the
+// database, and every outcome returns the stop. Invariant: `outcome ==
+// true` is a durable acknowledgement (the value survives recovery);
+// anything else recovers to exactly the baseline or the new value; and an
+// executor commit acknowledged *before* the fault always survives it.
 // ---------------------------------------------------------------------------
 
 use asset::{TryOp, TxnStep};
@@ -409,8 +447,7 @@ fn exec_window_sweep(action: FaultAction) {
         case.faults.arm(point, Trigger::Once, action);
         let acked = Arc::new(Mutex::new([false; 3]));
         let acked2 = Arc::clone(&acked);
-        let _ = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-            let db = case.open();
+        let _ = case.run(point, move |db| -> Result<()> {
             let tids: Vec<_> = others
                 .iter()
                 .map(|&o| db.submit(write_prog(o, b"e1")))
@@ -421,7 +458,7 @@ fn exec_window_sweep(action: FaultAction) {
                 }
             }
             Ok(())
-        }));
+        });
 
         let db = case.reopen_clean();
         assert_eq!(
@@ -466,9 +503,16 @@ fn error_matrix_exec_flush_window() {
     exec_window_sweep(FaultAction::Error);
 }
 
+#[test]
+fn panic_matrix_exec_flush_window() {
+    exec_window_sweep(FaultAction::Panic);
+}
+
 /// Crash at window *assembly* fires before any record of the window
-/// reaches the log, so there is no ambiguity to tolerate: every commit in
-/// the torn window is unacknowledged and MUST be undone at recovery.
+/// reaches the log, so there is no ambiguity to tolerate: the crash on the
+/// flusher thread stops the database, every outcome and later submission
+/// returns the stop — within the bounded wait — and every commit in the
+/// torn window MUST be undone at recovery.
 #[test]
 fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
     let case = Case::new("w5a");
@@ -485,14 +529,14 @@ fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
         Trigger::Once,
         FaultAction::Crash,
     );
-    for o in oids {
-        let t = db0.submit(write_prog(o, b"e1")).unwrap();
-        assert!(
-            !db0.outcome(t).unwrap(),
-            "no commit can be acknowledged once the registry is crashed"
-        );
-    }
-    drop(db0);
+    within(LIMIT, "outcomes", move || {
+        for o in oids {
+            let outcome = db0
+                .submit(write_prog(o, b"e1"))
+                .and_then(|t| db0.outcome(t));
+            assert_stopped(outcome, "no commit is acknowledged once the window crashed");
+        }
+    });
 
     let db = case.reopen_clean();
     for o in oids {
@@ -584,12 +628,14 @@ fn second_checkpoint_sweep(action: FaultAction) {
         }
 
         case.faults.arm(point, Trigger::Once, action);
-        let mut acknowledged = false;
-        let _ = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-            let (db, _) = Database::open(case.config.clone())?;
-            acknowledged = db.run(move |ctx| ctx.write(b, b"b".to_vec()))?;
+        let acked = Arc::new(AtomicBool::new(false));
+        let acked2 = Arc::clone(&acked);
+        let _ = case.run(point, move |db| -> Result<()> {
+            let committed = db.run(move |ctx| ctx.write(b, b"b".to_vec()))?;
+            acked2.store(committed, Ordering::Relaxed);
             db.checkpoint()
-        }));
+        });
+        let acknowledged = acked.load(Ordering::Relaxed);
         if point.starts_with("store.") {
             assert_eq!(case.faults.fired(point), 1, "[{point}] never reached");
         }
@@ -624,12 +670,34 @@ fn error_matrix_second_checkpoint() {
     second_checkpoint_sweep(FaultAction::Error);
 }
 
+#[test]
+fn panic_matrix_second_checkpoint() {
+    second_checkpoint_sweep(FaultAction::Panic);
+}
+
 // ---------------------------------------------------------------------------
-// Error sweep: the process survives the fault. After the workload drives
-// every transaction to a terminal state, the live in-memory state must agree
-// with what a restart recovers — the property the torn-group-commit bug
-// violated (commit-record failure used to strand the group non-terminal).
+// Error sweep. At a checkpoint refused before its rename the process and the
+// database live on: once the workload drives every transaction to a terminal
+// state, the live in-memory state must agree with what a restart recovers.
+// At a write or sync of the live log, or a failed force, the database
+// stops: every primitive returns the stop, and restart — twice — finds the
+// GC group all-or-nothing with an acknowledged commit kept.
 // ---------------------------------------------------------------------------
+
+/// The failpoints whose `Error` stops the database when it fires.
+const STOP_SITES: &[&str] = &[
+    storage::failpoints::LOG_APPEND,
+    storage::failpoints::LOG_FLUSH,
+    storage::failpoints::LOG_SYNC,
+    storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+    storage::failpoints::FLUSH_WINDOW_SYNC,
+    storage::failpoints::LOG_REWRITE_AFTER_RENAME,
+    txn::failpoints::COMMIT_RECORD,
+    txn::failpoints::COMMIT_AFTER_RECORD,
+    txn::failpoints::ABORT_CLR,
+    txn::failpoints::DELEGATE_RECORD,
+    txn::failpoints::PREPARE_RECORD,
+];
 
 #[test]
 fn error_matrix_live_state_agrees_with_recovery() {
@@ -646,46 +714,65 @@ fn error_matrix_live_state_agrees_with_recovery() {
         }
 
         case.faults.arm(point, Trigger::Once, FaultAction::Error);
-        let db = match Database::open(case.config.clone()) {
-            Ok((db, _)) => db,
-            Err(_) => {
-                // the fault fired during recovery itself; a clean retry
-                // must succeed and land on the pre-fault state
-                let db = case.reopen_clean();
-                assert_eq!(
-                    (&get(&db, oa)[..], &get(&db, ob)[..]),
-                    (&b"ga0"[..], &b"gb0"[..]),
-                    "[{point}] failed recovery attempt must be harmless"
-                );
-                continue;
+        let ran = case.run(point, move |db| {
+            let t1 = db.initiate(move |ctx| ctx.write(oa, b"ga1".to_vec()))?;
+            let t2 = db.initiate(move |ctx| ctx.write(ob, b"gb1".to_vec()))?;
+            let _ = db.form_dependency(DepType::GC, t1, t2);
+            let b1 = db.begin(t1).is_ok();
+            let b2 = db.begin(t2).is_ok();
+            if b1 {
+                let _ = db.wait(t1);
             }
+            if b2 {
+                let _ = db.wait(t2);
+            }
+            let acked = b1 && b2 && matches!(db.commit(t1), Ok(true));
+            let _ = db.checkpoint();
+            // drive anything still live to a terminal state, as an
+            // operator would
+            for t in [t1, t2] {
+                if !db.is_committed(t).unwrap_or(false) {
+                    let _ = db.abort(t);
+                }
+            }
+            Ok((db, [t1, t2], acked))
+        });
+        let Ok(Ok((db, ts, acked))) = ran else {
+            // the fault fired during recovery itself; a clean retry
+            // must succeed and land on the pre-fault state
+            let db = case.reopen_clean();
+            assert_eq!(
+                (&get(&db, oa)[..], &get(&db, ob)[..]),
+                (&b"ga0"[..], &b"gb0"[..]),
+                "[{point}] failed recovery attempt must be harmless"
+            );
+            continue;
         };
-        let t1 = db
-            .initiate(move |ctx| ctx.write(oa, b"ga1".to_vec()))
-            .unwrap();
-        let t2 = db
-            .initiate(move |ctx| ctx.write(ob, b"gb1".to_vec()))
-            .unwrap();
-        let _ = db.form_dependency(DepType::GC, t1, t2);
-        let b1 = db.begin(t1).is_ok();
-        let b2 = db.begin(t2).is_ok();
-        if b1 {
-            let _ = db.wait(t1);
-        }
-        if b2 {
-            let _ = db.wait(t2);
-        }
-        if b1 && b2 {
-            let _ = db.commit(t1);
-        }
-        let _ = db.checkpoint();
-        // drive anything still live to a terminal state, as an operator would
-        for t in [t1, t2] {
-            if !db.is_committed(t).unwrap_or(false) {
-                let _ = db.abort(t);
+        let fired = case.faults.fired(point) > 0;
+        let stopped = matches!(db.status(ts[0]), Err(AssetError::Stopped(_)));
+        assert_eq!(
+            stopped,
+            fired && STOP_SITES.contains(&point),
+            "[{point}] stops exactly at a live-log write or a failed force"
+        );
+        if stopped {
+            for t in ts {
+                assert_stopped(db.status(t), point);
             }
+            drop(db);
+            let seen = |db: Database| (get(&db, oa), get(&db, ob));
+            let (va, vb) = seen(case.reopen_clean());
+            let both_new = va == b"ga1" && vb == b"gb1";
+            let old = va == b"ga0" && vb == b"gb0" && !acked;
+            assert!(both_new || old, "[{point}] ({va:?}, {vb:?})");
+            assert_eq!(
+                seen(case.reopen_clean()),
+                (va, vb),
+                "[{point}] not idempotent"
+            );
+            continue;
         }
-        for t in [t1, t2] {
+        for t in ts {
             let st = db.status(t).unwrap();
             assert!(
                 st == TxnStatus::Committed || st == TxnStatus::Aborted,
@@ -869,31 +956,6 @@ fn elided_syncs_leave_bytes_unsynced_but_readable() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: the same seed fires the same probabilistic trigger at the
-// same hit, so two identical runs produce identical fault schedules.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn probabilistic_triggers_are_deterministic_across_runs() {
-    let fired = |seed: u64| -> Vec<u64> {
-        let reg = FaultRegistry::new();
-        reg.arm(
-            "det.point",
-            Trigger::Prob {
-                per_mille: 300,
-                seed,
-            },
-            FaultAction::Error,
-        );
-        (0..64)
-            .filter_map(|i| reg.check("det.point").map(|_| i))
-            .collect()
-    };
-    assert_eq!(fired(42), fired(42), "same seed must replay identically");
-    assert_ne!(fired(42), fired(43), "different seeds must diverge");
-}
-
-// ---------------------------------------------------------------------------
 // WAL v3: the log is a self-contained redo history, and restart finishes
 // its losers through the runtime's own logged undo.
 // ---------------------------------------------------------------------------
@@ -1050,8 +1112,11 @@ fn writes_after_a_broken_checkpoint_keep_the_log_self_contained() {
             case.faults.arm(point, Trigger::Once, action);
             let outcome = catch_unwind(AssertUnwindSafe(|| db.checkpoint()));
             assert!(!matches!(outcome, Ok(Ok(()))), "[{what}] checkpoint broke");
-            // the process died: restart; it lived: carry on in it
-            let db = if action == FaultAction::Crash {
+            // the process died, or the database stopped (an error after
+            // the rename, when the log has moved): restart; it lived:
+            // carry on in it
+            let stopped = point == storage::failpoints::LOG_REWRITE_AFTER_RENAME;
+            let db = if action == FaultAction::Crash || stopped {
                 drop(db);
                 case.reopen_clean()
             } else {
@@ -1233,4 +1298,100 @@ fn in_doubt_overwrites_abort_to_the_right_images_after_two_reopens() {
         (&get(&db, a)[..], &get(&db, b)[..]),
         (&b"a0"[..], &b"b0"[..])
     );
+}
+
+// ---------------------------------------------------------------------------
+// Panics in system code stop the database, and every waiter returns: the
+// two hangs a panic used to cause, each beside a waiter that must come back
+// with the stop within the bounded wait.
+// ---------------------------------------------------------------------------
+
+/// `r` is the stop.
+fn assert_stopped<T: std::fmt::Debug>(r: Result<T>, what: &str) {
+    assert!(matches!(r, Err(AssetError::Stopped(_))), "[{what}] {r:?}");
+}
+
+/// Yield until `cond` holds, within [`LIMIT`].
+fn spin_until(what: &str, cond: impl Fn() -> bool + Send + 'static) {
+    within(LIMIT, what, move || {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    });
+}
+
+/// `abort(t)` of a completed writer panics in its undo step while another
+/// thread sits in `commit(t)`, gated on a CD dependency that never opens:
+/// the panic stops the database, and the committer returns the stop.
+#[test]
+fn a_panic_in_an_abort_undo_step_frees_a_waiting_committer() {
+    let case = Case::new("abort-panic");
+    let db = case.open();
+    let o = db.new_oid();
+    put(&db, o, b"base");
+    let gate = db.initiate(|_| Ok(())).unwrap(); // never begun
+    let t = db.initiate(move |ctx| ctx.write(o, b"new".to_vec()));
+    let t = t.unwrap();
+    db.form_dependency(DepType::CD, gate, t).unwrap();
+    db.begin(t).unwrap();
+    assert!(db.wait(t).unwrap());
+    let (committer, db2) = (db.clone(), db.clone());
+    let committing = std::thread::spawn(move || committer.commit(t));
+    let committing_now = move || db2.status(t).unwrap() == asset::TxnStatus::Committing;
+    spin_until("commit(t) to block", committing_now);
+    let abort_clr = txn::failpoints::ABORT_CLR;
+    case.faults
+        .arm(abort_clr, Trigger::Once, FaultAction::Panic);
+    assert!(catch_unwind(AssertUnwindSafe(|| db.abort(t))).is_err());
+    let committed = within(LIMIT, "commit(t)", move || committing.join().unwrap());
+    assert_stopped(committed, "commit(t)");
+    assert_stopped(db.wait(gate), "wait(gate)");
+    drop(db);
+    for _ in 0..2 {
+        assert_eq!(&get(&case.reopen_clean(), o)[..], b"base");
+    }
+}
+
+/// A step's `try_write` panics at the log append while a second submission,
+/// parked on the lock the first holds, sits in `outcome`: the panic stops
+/// the database, and both outcomes return the stop.
+#[test]
+fn a_panic_in_a_steps_write_frees_a_waiting_outcome() {
+    use std::sync::mpsc::channel;
+    let case = Case::new("step-panic");
+    let db = case.open();
+    let a = db.new_oid();
+    put(&db, a, b"base");
+    // the first write, at its append, waits for the second to park
+    let ((at_tx, at_rx), (go_tx, go_rx)) = (channel::<()>(), channel::<()>());
+    let gate = Mutex::new(Some((at_tx, go_rx)));
+    let append = storage::failpoints::LOG_APPEND;
+    case.faults.on_hit(append, move || {
+        if let Some((at, go)) = gate.lock().unwrap().take() {
+            at.send(()).unwrap();
+            go.recv().unwrap();
+        }
+    });
+    case.faults.arm(append, Trigger::Once, FaultAction::Panic);
+    let first = db.submit(write_prog(a, b"first")).unwrap();
+    at_rx.recv_timeout(LIMIT).unwrap();
+    // (the obs counters, not `metrics_snapshot`: the first writer holds
+    // the log's append lock at its failpoint)
+    let parks = db.obs().snapshot().counters.exec_parks;
+    let second = db.submit(write_prog(a, b"second")).unwrap();
+    let db2 = db.clone();
+    spin_until("the second to park", move || {
+        db2.obs().snapshot().counters.exec_parks > parks
+    });
+    let (waiter, (done_tx, done)) = (db.clone(), channel());
+    std::thread::spawn(move || done_tx.send(waiter.outcome(second)));
+    go_tx.send(()).unwrap();
+    assert_stopped(done.recv_timeout(LIMIT).unwrap(), "outcome(second)");
+    let db2 = db.clone();
+    let first = within(LIMIT, "outcome(first)", move || db2.outcome(first));
+    assert_stopped(first, "outcome(first)");
+    drop(db);
+    for _ in 0..2 {
+        assert_eq!(&get(&case.reopen_clean(), a)[..], b"base");
+    }
 }

@@ -4,6 +4,7 @@
 //! group-commit flusher, and leaves a causal trace whose commit flows
 //! terminate on shared flush-window spans.
 
+use asset::faults::within;
 use asset::lock::StripeStats;
 use asset::obs::{EventKind, MetricsSnapshot};
 use asset::trace::{chrome, CausalGraph};
@@ -439,18 +440,14 @@ fn aborting_a_task_parked_on_external_finalizes_it() {
     }
     assert!(db.abort(idle).unwrap());
     // no nudge. The waits below block for good if the task stays parked,
-    // so they run beside a deadline
-    let (tx, rx) = mpsc::channel();
+    // so they run within a bounded wait
     let db2 = db.clone();
-    let waiter = std::thread::spawn(move || {
+    let waits = "an aborted idle task finalized without a nudge";
+    let (aborted, next_committed) = within(Duration::from_secs(30), waits, move || {
         let aborted = !db2.outcome(idle).unwrap();
         let next = db2.submit(write_prog(o, b"next")).unwrap();
-        let _ = tx.send((aborted, db2.outcome(next).unwrap()));
+        (aborted, db2.outcome(next).unwrap())
     });
-    let (aborted, next_committed) = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("an aborted idle task is finalized without a nudge");
-    waiter.join().unwrap();
     assert!(aborted);
     assert!(next_committed, "its lock on the object was released");
     assert_eq!(db.peek(o).unwrap().unwrap(), b"next");

@@ -259,68 +259,103 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
 }
 
 /// A multi-level transaction whose commit path fails after its body ran
-/// still frees its semantic locks (run with `--features faults`).
+/// stops the database (run with `--features faults`): the logical undo
+/// cannot run in the process any more, and restart keeps the committed
+/// child operations — the compensation across a restart that ROADMAP
+/// names.
 #[cfg(feature = "faults")]
 mod mlt_errors {
-    use asset::faults::{FaultAction, FaultRegistry, Trigger};
+    use asset::faults::{within, FaultAction, FaultRegistry, TempDir, Trigger};
     use asset::models::mlt::{run_mlt, EscrowCounter, MltOutcome};
     use asset::txn::failpoints::COMMIT_RECORD;
-    use asset::{Config, Database};
+    use asset::{AssetError, Config, Database, Oid};
     use std::sync::{mpsc, Arc};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    fn faulted_db() -> (Database, Arc<FaultRegistry>) {
+    const LIMIT: Duration = Duration::from_secs(30);
+
+    fn faulted(dir: &TempDir) -> (Config, Arc<FaultRegistry>) {
+        asset::faults::silence_crash_panics();
         let faults = Arc::new(FaultRegistry::new());
-        let config = Config::in_memory().with_faults(Arc::clone(&faults));
-        (Database::open(config).unwrap().0, faults)
+        (
+            Config::on_disk(&**dir).with_faults(Arc::clone(&faults)),
+            faults,
+        )
     }
 
-    /// What a later observer of `counter` sees. It must get the counter's
-    /// guard at once, not after the lock timeout.
+    /// What a later observer of `counter` sees.
     fn observe(db: &Database, counter: EscrowCounter) -> i64 {
         let (seen, value) = mpsc::channel();
-        let start = Instant::now();
         let out = run_mlt(db, move |mlt| {
             let _ = seen.send(counter.observe(mlt)?);
             Ok(())
         });
         assert_eq!(out.unwrap(), MltOutcome::Committed);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "guard left locked"
-        );
         value.recv().unwrap()
     }
 
-    #[test]
-    fn a_failed_inverse_still_frees_the_guard() {
-        let (db, faults) = faulted_db();
-        let counter = EscrowCounter::create(&db, 0).unwrap();
-        let err = run_mlt(&db, move |mlt| {
-            counter.add(mlt, 1)?;
-            // the next commit record is the inverse's
-            faults.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
-            mlt.ctx().abort_self()
-        })
-        .expect_err("the inverse's commit record fails");
-        assert!(err.to_string().contains("commit.record"), "{err}");
-        assert_eq!(observe(&db, counter), 1, "the undo stopped at the inverse");
+    /// `err` is the stop `commit.record` caused; a later MLT on `db`
+    /// returns the stop too, at once; then restart, twice, finds
+    /// `counter` at `value` and `note` (if any) unwritten.
+    fn stopped_then_restart(
+        err: AssetError,
+        db: Database,
+        (config, faults): (Config, Arc<FaultRegistry>),
+        counter: EscrowCounter,
+        (value, note): (i64, Option<Oid>),
+    ) {
+        assert!(
+            matches!(&err, AssetError::Stopped(m) if m.contains("commit.record")),
+            "{err}"
+        );
+        let db2 = db.clone();
+        let later = within(LIMIT, "a later MLT", move || {
+            run_mlt(&db2, move |mlt| counter.observe(mlt).map(drop))
+        });
+        assert!(matches!(later, Err(AssetError::Stopped(_))), "{later:?}");
+        drop(db);
+        for _ in 0..2 {
+            faults.reset();
+            let (db, _) = Database::open(config.clone()).unwrap();
+            assert_eq!(observe(&db, counter), value);
+            if let Some(note) = note {
+                assert_eq!(db.peek(note).unwrap(), None);
+            }
+        }
     }
 
     #[test]
-    fn a_failed_parent_commit_record_runs_the_inverses() {
-        let (db, faults) = faulted_db();
+    fn a_failed_inverse_stops_and_restart_keeps_the_committed_add() {
+        let dir = TempDir::new("mlt-inverse");
+        let (config, faults) = faulted(&dir);
+        let (db, _) = Database::open(config.clone()).unwrap();
+        let counter = EscrowCounter::create(&db, 0).unwrap();
+        let armed = Arc::clone(&faults);
+        let err = run_mlt(&db, move |mlt| {
+            counter.add(mlt, 1)?;
+            // the next commit record is the inverse's
+            armed.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
+            mlt.ctx().abort_self()
+        })
+        .expect_err("the inverse's commit record fails");
+        stopped_then_restart(err, db, (config, faults), counter, (1, None));
+    }
+
+    #[test]
+    fn a_failed_parent_commit_record_stops_before_the_inverses_run() {
+        let dir = TempDir::new("mlt-parent");
+        let (config, faults) = faulted(&dir);
+        let (db, _) = Database::open(config.clone()).unwrap();
         let counter = EscrowCounter::create(&db, 0).unwrap();
         let note = db.new_oid();
+        let armed = Arc::clone(&faults);
         let err = run_mlt(&db, move |mlt| {
             counter.add(mlt, 1)?;
             mlt.ctx().write(note, b"x".to_vec())?; // the parent's own record
-            faults.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
+            armed.arm(COMMIT_RECORD, Trigger::Once, FaultAction::Error);
             Ok(())
         })
         .expect_err("the parent's commit record fails");
-        assert!(err.to_string().contains("commit.record"), "{err}");
-        assert_eq!(db.peek(note).unwrap(), None);
-        assert_eq!(observe(&db, counter), 0, "the parent's add was undone");
+        stopped_then_restart(err, db, (config, faults), counter, (1, Some(note)));
     }
 }

@@ -300,15 +300,13 @@ fn objects_bigger_than_a_page_survive_checkpoint_compaction_and_reopen() {
     }
 }
 
-/// Fault-injected crash sweeps and per-bugfix regressions (compiled only
-/// with `--features faults`; the broader matrix lives in
-/// `tests/crash_matrix.rs`).
+/// Fault-injected regressions (compiled only with `--features faults`;
+/// the crash sweeps live in `tests/crash_matrix.rs`).
 #[cfg(feature = "faults")]
 mod faulted {
     use super::TempDir;
-    use asset::faults::{FaultAction, FaultRegistry, Trigger};
-    use asset::{Config, Database, DepType, TxnStatus};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use asset::faults::{within, FaultAction, FaultRegistry, Trigger};
+    use asset::{AssetError, Config, Database, DepType};
     use std::sync::Arc;
 
     fn faulted_config(dir: &TempDir) -> (Config, Arc<FaultRegistry>) {
@@ -318,14 +316,14 @@ mod faulted {
         (config, faults)
     }
 
-    /// Regression for the torn-group-commit bug: a commit-record append
-    /// failure used to strand every member of the GC group in the
-    /// non-terminal `Committing` state with their effects still visible,
-    /// while a restart would have rolled them back. The fix drives the
-    /// group through abort, so the live outcome is terminal and agrees
-    /// with recovery.
+    /// A commit-record failure stops the database (it once stranded the
+    /// GC group `Committing`, then was reconciled by logging an abort
+    /// after the record): the committer and a waiter for the partner
+    /// return the stop, every later primitive does, and restart —
+    /// twice — finds the group all-or-nothing: here nothing, since the
+    /// record was refused before it was written.
     #[test]
-    fn commit_record_failure_leaves_group_terminal_and_agreeing() {
+    fn commit_record_failure_stops_and_restart_agrees() {
         let dir = TempDir::new("bug2");
         let (config, faults) = faulted_config(&dir);
         let (oa, ob);
@@ -350,156 +348,19 @@ mod faulted {
                 FaultAction::Error,
             );
             let err = db.commit(t1).expect_err("injected commit-record failure");
-            assert!(
-                err.to_string().contains("commit.record"),
-                "unexpected error: {err}"
-            );
-            // both members must be driven to a terminal state...
-            assert_eq!(db.status(t1).unwrap(), TxnStatus::Aborted);
-            assert_eq!(db.status(t2).unwrap(), TxnStatus::Aborted);
-            // ...with their effects rolled back while the process lives
+            let stopped = |r: asset::Result<bool>| matches!(r, Err(AssetError::Stopped(m)) if m.contains("commit.record"));
+            assert!(stopped(Err(err)));
+            let db2 = db.clone();
+            let limit = std::time::Duration::from_secs(30);
+            assert!(within(limit, "commit(t2)", move || stopped(db2.commit(t2))));
+            assert!(stopped(db.status(t1).map(|_| true)));
+            assert!(stopped(db.abort(t2)));
+        }
+        for _ in 0..2 {
+            faults.reset();
+            let (db, _) = Database::open(config.clone()).unwrap();
             assert_eq!(db.peek(oa).unwrap(), None);
             assert_eq!(db.peek(ob).unwrap(), None);
-            // and the ambiguity must be observable
-            assert_eq!(db.metrics_snapshot().counters.commit_log_failures, 1);
         }
-        // a restart agrees: nothing committed
-        faults.reset();
-        let (db, _) = Database::open(config).unwrap();
-        assert_eq!(db.peek(oa).unwrap(), None);
-        assert_eq!(db.peek(ob).unwrap(), None);
-    }
-
-    /// Crash-point sweep over the GC group-commit path: wherever the
-    /// process dies, a restart sees the group all-or-nothing.
-    #[test]
-    fn group_commit_crash_sweep_is_all_or_nothing() {
-        let points = [
-            asset::storage::failpoints::LOG_APPEND,
-            asset::storage::failpoints::LOG_SYNC,
-            asset::txn::failpoints::COMMIT_RECORD,
-            asset::txn::failpoints::COMMIT_AFTER_RECORD,
-        ];
-        for point in points {
-            let dir = TempDir::new("gc-sweep");
-            let (config, faults) = faulted_config(&dir);
-            let (oa, ob);
-            {
-                let (db, _) = Database::open(config.clone()).unwrap();
-                oa = db.new_oid();
-                ob = db.new_oid();
-                let v = b"a0".to_vec();
-                assert!(db.run(move |ctx| ctx.write(oa, v)).unwrap());
-                let v = b"b0".to_vec();
-                assert!(db.run(move |ctx| ctx.write(ob, v)).unwrap());
-            }
-            faults.arm(point, Trigger::Once, FaultAction::Crash);
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let (db, _) = Database::open(config.clone()).unwrap();
-                let t1 = db
-                    .initiate(move |ctx| ctx.write(oa, b"a1".to_vec()))
-                    .unwrap();
-                let t2 = db
-                    .initiate(move |ctx| ctx.write(ob, b"b1".to_vec()))
-                    .unwrap();
-                db.form_dependency(DepType::GC, t1, t2).unwrap();
-                db.begin_many(&[t1, t2]).unwrap();
-                let _ = db.wait(t1);
-                let _ = db.wait(t2);
-                let _ = db.commit(t1);
-            }));
-            faults.reset();
-            let (db, _) = Database::open(config).unwrap();
-            let va = db.peek(oa).unwrap().unwrap();
-            let vb = db.peek(ob).unwrap().unwrap();
-            let both_old = va == b"a0" && vb == b"b0";
-            let both_new = va == b"a1" && vb == b"b1";
-            assert!(
-                both_old || both_new,
-                "[{point}] group commit torn across crash: ({va:?}, {vb:?})"
-            );
-        }
-    }
-
-    /// Crash-point sweep over delegation: once `delegate(t1, t2)` is on
-    /// disk, the undo responsibility follows the delegatee through any
-    /// crash — aborting t2 (live or during recovery) restores the
-    /// baseline, and t1's commit never re-exposes the write.
-    #[test]
-    fn delegation_crash_sweep_undo_follows_delegatee() {
-        let points = [
-            asset::storage::failpoints::LOG_APPEND,
-            asset::txn::failpoints::DELEGATE_RECORD,
-            asset::txn::failpoints::ABORT_CLR,
-        ];
-        for point in points {
-            let dir = TempDir::new("del-sweep");
-            let (config, faults) = faulted_config(&dir);
-            let o;
-            {
-                let (db, _) = Database::open(config.clone()).unwrap();
-                o = db.new_oid();
-                let v = b"d0".to_vec();
-                assert!(db.run(move |ctx| ctx.write(o, v)).unwrap());
-            }
-            faults.arm(point, Trigger::Once, FaultAction::Crash);
-            let _ = catch_unwind(AssertUnwindSafe(|| -> asset::Result<()> {
-                let (db, _) = Database::open(config.clone()).unwrap();
-                let t1 = db.initiate(move |ctx| ctx.write(o, b"d1".to_vec()))?;
-                db.begin(t1)?;
-                if !db.wait(t1)? {
-                    return Ok(());
-                }
-                let t2 = db.initiate(|_| Ok(()))?;
-                db.delegate(t1, t2, None)?;
-                db.commit(t1)?;
-                db.abort(t2)?;
-                Ok(())
-            }));
-            faults.reset();
-            let (db, _) = Database::open(config).unwrap();
-            assert_eq!(
-                db.peek(o).unwrap().unwrap(),
-                b"d0",
-                "[{point}] delegated undo lost across crash"
-            );
-        }
-    }
-
-    /// Regression companion for the LSN-desync bug at the integration
-    /// level: a failed append must leave the next successful append (and
-    /// recovery) aligned. The unit-level regression lives in the log
-    /// module; this exercises it through the whole engine.
-    #[test]
-    fn failed_append_does_not_desync_recovery() {
-        let dir = TempDir::new("bug1-it");
-        let (config, faults) = faulted_config(&dir);
-        let (oa, ob);
-        {
-            let (db, _) = Database::open(config.clone()).unwrap();
-            oa = db.new_oid();
-            ob = db.new_oid();
-            let v = b"first".to_vec();
-            assert!(db.run(move |ctx| ctx.write(oa, v)).unwrap());
-            // one doomed transaction: its first record fails to append
-            faults.arm(
-                asset::storage::failpoints::LOG_APPEND,
-                Trigger::Once,
-                FaultAction::Error,
-            );
-            let t = db
-                .initiate(move |ctx| ctx.write(oa, b"never".to_vec()))
-                .unwrap();
-            db.begin(t).unwrap();
-            assert!(!db.commit(t).unwrap(), "the refused write aborted it");
-            // the log must still be perfectly usable afterwards
-            let v = b"second".to_vec();
-            assert!(db.run(move |ctx| ctx.write(ob, v)).unwrap());
-        }
-        faults.reset();
-        let (db, report) = Database::open(config).unwrap();
-        assert_eq!(report.winners, 2, "both committed txns must replay");
-        assert_eq!(db.peek(oa).unwrap().unwrap(), b"first");
-        assert_eq!(db.peek(ob).unwrap().unwrap(), b"second");
     }
 }

@@ -4,12 +4,13 @@
 //! `begin`'s contract that every begun body runs whether or not anyone
 //! waits for it.
 
+use asset::faults::within;
 use asset::txn::IDLE_TXN_THREADS_MAX;
-use asset::{Database, DepType, Tid, TxnStatus};
+use asset::{AssetError, Database, DepType, Tid, TxnStatus};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A generous bound on anything that should happen at once: the tests
 /// fail here instead of hanging.
@@ -47,12 +48,12 @@ impl Gate {
 }
 
 /// Yield until `cond` holds; panic after [`PATIENCE`].
-fn until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + PATIENCE;
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::yield_now();
-    }
+fn until(what: &str, mut cond: impl FnMut() -> bool + Send + 'static) {
+    within(PATIENCE, what, move || {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    });
 }
 
 #[test]
@@ -103,21 +104,23 @@ fn a_burst_of_blocked_bodies_leaves_at_most_the_idle_bound() {
         })
         .collect();
     // every body is blocked at once, each on a thread of its own
-    until("every body to start", || {
-        started.load(Ordering::SeqCst) == BODIES
+    let all_started = Arc::clone(&started);
+    until("every body to start", move || {
+        all_started.load(Ordering::SeqCst) == BODIES
     });
     assert_eq!(spawned(&db), BODIES as u64);
     gate.open();
     for t in &tids {
         assert!(db.commit(*t).unwrap());
     }
-    until("surplus threads to exit", || {
-        live_threads(&db) <= IDLE_TXN_THREADS_MAX as u64
+    let db2 = db.clone();
+    until("surplus threads to exit", move || {
+        live_threads(&db2) <= IDLE_TXN_THREADS_MAX as u64
     });
     // and the database going away lets the rest go
     let obs = Arc::clone(db.obs());
     drop(db);
-    until("the last threads to exit", || {
+    until("the last threads to exit", move || {
         let c = obs.snapshot().counters;
         c.txn_threads_spawned == c.txn_threads_exited
     });
@@ -225,8 +228,11 @@ impl Drop for Bomb {
     }
 }
 
+/// A panic after the body is one in system code: it stops the database,
+/// whose waiters and later primitives return the stop, and the thread
+/// that caught it serves on until the database goes.
 #[test]
-fn a_panic_after_the_body_aborts_the_transaction_and_its_thread_serves_on() {
+fn a_panic_after_the_body_stops_the_database_and_its_thread_serves_on() {
     let db = Database::in_memory();
     let oid = db.new_oid();
     let (started, on_thread) = channel();
@@ -240,17 +246,15 @@ fn a_panic_after_the_body_aborts_the_transaction_and_its_thread_serves_on() {
     db.begin(t).unwrap();
     // a transaction thread has it: the waiter below cannot claim it
     on_thread.recv_timeout(PATIENCE).unwrap();
-    let (waiter, (waited, outcome)) = (db.clone(), channel());
-    let waiting =
-        std::thread::spawn(move || waited.send(waiter.wait(t).map_err(|e| e.to_string())));
-    assert_eq!(outcome.recv_timeout(PATIENCE).unwrap(), Ok(false));
-    waiting.join().unwrap().unwrap();
-    assert_eq!(db.peek(oid).unwrap(), None);
-    assert!(db.run(move |ctx| ctx.write(oid, b"ok".to_vec())).unwrap());
+    let waiter = db.clone();
+    let waited = within(PATIENCE, "wait(t)", move || waiter.wait(t));
+    let stopped = |r: &asset::Result<bool>| matches!(r, Err(AssetError::Stopped(_)));
+    assert!(stopped(&waited), "{waited:?}");
+    assert!(stopped(&db.run(move |ctx| ctx.write(oid, b"ok".to_vec()))));
     // the thread lived on, and goes with the database
     let obs = Arc::clone(db.obs());
     drop(db);
-    until("the thread to exit", || {
+    until("the thread to exit", move || {
         let c = obs.snapshot().counters;
         (c.txn_threads_spawned, c.txn_threads_exited) == (1, 1)
     });
