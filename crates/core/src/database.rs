@@ -234,10 +234,11 @@ impl Drop for DbInner {
 
 impl OnStop for DbInner {
     /// Wake every waiter to meet the stop: on a thread of its own, since
-    /// the stopping thread may hold any lock.
+    /// the stopping thread may hold any lock. With no thread to be had,
+    /// bump the event count here: no stopping path holds its epoch mutex.
     fn stopped(self: Arc<Self>) {
+        let inner = Arc::clone(&self);
         let wake = move || {
-            let inner = self;
             inner.txns.bump();
             inner.txns.for_each(|t, s| {
                 if !s.status.is_terminated() {
@@ -248,9 +249,10 @@ impl OnStop for DbInner {
                 }
             });
         };
-        let _ = std::thread::Builder::new()
-            .name("asset-stop".into())
-            .spawn(wake);
+        let thread = std::thread::Builder::new().name("asset-stop".into());
+        if thread.spawn(wake).is_err() {
+            self.txns.bump();
+        }
     }
 }
 

@@ -316,6 +316,15 @@ pub fn within<T: Send + 'static>(
     }
 }
 
+/// Whether a panic payload is an injected fault — a [`CrashPoint`] unwind
+/// or a [`FaultAction::Panic`] — rather than a bug the fault uncovered.
+pub fn is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.is::<CrashPoint>()
+        || payload
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with(PANIC_PREFIX))
+}
+
 /// Install (once, process-wide) a panic hook that suppresses the default
 /// "thread panicked" report for [`CrashPoint`] unwinds and
 /// [`FaultAction::Panic`]s — intentional faults in a matrix run would
@@ -326,12 +335,7 @@ pub fn silence_crash_panics() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload.is::<CrashPoint>()
-                || payload
-                    .downcast_ref::<String>()
-                    .is_some_and(|m| m.starts_with(PANIC_PREFIX));
-            if !injected {
+            if !is_injected(info.payload()) {
                 previous(info);
             }
         }));

@@ -161,7 +161,7 @@ pub struct LogManager {
 /// What the layer above a log does when the log stops.
 pub trait OnStop: Send + Sync {
     /// Called once, on the stopping thread, which may hold any lock: it
-    /// must take none.
+    /// must take none that a stopping path may hold.
     fn stopped(self: Arc<Self>);
 }
 

@@ -75,8 +75,9 @@ impl Case {
     }
 
     /// Open the case's database on a thread of its own and run `workload`
-    /// on it: what it returns, or the panic it unwinds with, comes back —
-    /// within [`LIMIT`], or the test fails naming `point`.
+    /// on it: what it returns, or the injected fault it unwinds with, comes
+    /// back — within [`LIMIT`], or the test fails naming `point`. Any other
+    /// panic is a bug the fault uncovered, and fails the test.
     fn run<T: Send + 'static>(
         &self,
         point: &str,
@@ -84,9 +85,14 @@ impl Case {
     ) -> std::thread::Result<Result<T>> {
         let config = self.config.clone();
         within(LIMIT, point, move || {
-            catch_unwind(AssertUnwindSafe(move || {
+            match catch_unwind(AssertUnwindSafe(move || {
                 workload(Database::open(config)?.0)
-            }))
+            })) {
+                Err(panic) if !asset::faults::is_injected(&*panic) => {
+                    std::panic::resume_unwind(panic)
+                }
+                ran => ran,
+            }
         })
     }
 
@@ -714,9 +720,13 @@ fn error_matrix_live_state_agrees_with_recovery() {
         }
 
         case.faults.arm(point, Trigger::Once, FaultAction::Error);
-        let ran = case.run(point, move |db| {
-            let t1 = db.initiate(move |ctx| ctx.write(oa, b"ga1".to_vec()))?;
-            let t2 = db.initiate(move |ctx| ctx.write(ob, b"gb1".to_vec()))?;
+        let config = case.config.clone();
+        // only a failed open takes the recovery branch; a panic fails the row
+        let ran = within(LIMIT, point, move || {
+            let db = Database::open(config).ok()?.0;
+            let t1 = db.initiate(move |ctx| ctx.write(oa, b"ga1".to_vec()));
+            let t2 = db.initiate(move |ctx| ctx.write(ob, b"gb1".to_vec()));
+            let (t1, t2) = (t1.unwrap(), t2.unwrap());
             let _ = db.form_dependency(DepType::GC, t1, t2);
             let b1 = db.begin(t1).is_ok();
             let b2 = db.begin(t2).is_ok();
@@ -735,9 +745,9 @@ fn error_matrix_live_state_agrees_with_recovery() {
                     let _ = db.abort(t);
                 }
             }
-            Ok((db, [t1, t2], acked))
+            Some((db, [t1, t2], acked))
         });
-        let Ok(Ok((db, ts, acked))) = ran else {
+        let Some((db, ts, acked)) = ran else {
             // the fault fired during recovery itself; a clean retry
             // must succeed and land on the pre-fault state
             let db = case.reopen_clean();
@@ -878,10 +888,9 @@ fn a_torn_block_is_invisible_and_chopped_so_an_acked_commit_survives_a_second_re
                 keep_per_mille: 900,
             },
         );
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let db = case.open();
+        let _ = case.run(point, move |db| {
             db.run(move |ctx| ctx.write(a, b"torn".to_vec()))
-        }));
+        });
         let torn_len = std::fs::metadata(&wal).unwrap().len();
         assert!(sealed_len < torn_len, "[{point}] run 1 left a torn block");
         // run 2 recovers, then commits one transfer (acked, synced)

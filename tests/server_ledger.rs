@@ -393,6 +393,34 @@ fn oversized_mint_and_sum_are_rejected_before_any_work() {
     server.join();
 }
 
+/// A MINT whose later chunk aborts without a stop — it waits on a lock a
+/// live transaction holds until the lock timeout fires — deletes the
+/// chunk that had already committed (DESIGN.md §13.3), and the server
+/// serves on.
+#[test]
+fn a_mint_whose_later_chunk_aborts_deletes_its_committed_chunks() {
+    let config = test_config().with_lock_timeout(Some(Duration::from_millis(200)));
+    let server = spawn_server(config);
+    let mut c = connect(&server);
+    // oids are handed out in order: the next MINT starts right after this
+    let (probe, _) = c.mint(1, 0).unwrap();
+    let first = probe + 1;
+
+    // MINT is chunked at 10k objects per transaction: hold a lock on the
+    // second chunk's first object
+    let (mut holder, held) = (connect(&server), first + 10_000);
+    let t = holder.begin().unwrap();
+    holder.write(t, held, &7i64.to_le_bytes()).unwrap();
+    assert!(c.mint(25_000, 7).is_err(), "a later chunk's abort surfaces");
+    holder.abort(t).unwrap();
+
+    assert_eq!(c.sum(first, 25_000).unwrap(), (0, 0), "no chunk is left");
+    let (again, _) = c.mint(4, 5).unwrap();
+    assert_eq!(c.sum(again, 4).unwrap(), (20, 4), "the server serves on");
+    server.shutdown();
+    server.join();
+}
+
 /// Commit-point failures must surface as `ERR_COMMIT_AMBIGUOUS`, never
 /// as a clean abort — a client that saw `ERR_COMMIT_ABORTED` would
 /// blindly retry and double-apply if the record had in fact reached
