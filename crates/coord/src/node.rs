@@ -111,16 +111,8 @@ impl ParticipantNode {
                     group: Vec::new(),
                 },
             },
-            CommitMessage::CommitDecide { tids } => match db.decide_commit_group(&tids) {
-                Ok(()) => CommitMessage::Ack,
-                Err(e) => CommitMessage::Failed {
-                    info: e.to_string(),
-                },
-            },
-            CommitMessage::AbortDecide { tids } => {
-                db.decide_abort_group(&tids);
-                CommitMessage::Ack
-            }
+            CommitMessage::CommitDecide { tids } => ack(db.decide_commit_group(&tids)),
+            CommitMessage::AbortDecide { tids } => ack(db.decide_abort_group(&tids)),
             CommitMessage::QueryState { tid } => {
                 CommitMessage::State(ParticipantState::of(db.status(tid).ok()))
             }
@@ -142,6 +134,17 @@ impl ParticipantNode {
             });
         }
         reply
+    }
+}
+
+/// A decision's reply: `Ack` once applied, `Failed` with the refusal — the
+/// stop of a participant that could not apply it.
+fn ack(applied: Result<()>) -> CommitMessage {
+    match applied {
+        Ok(()) => CommitMessage::Ack,
+        Err(e) => CommitMessage::Failed {
+            info: e.to_string(),
+        },
     }
 }
 

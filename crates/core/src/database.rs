@@ -21,14 +21,15 @@
 //! * the commit point re-validates the gate while holding every group
 //!   member's shard, which blocks concurrent `form_dependency`/abort of a
 //!   member (both need a member's shard) — the atomicity the old global
-//!   mutex provided, now scoped to the group — and **pins** the group
-//!   (`commit_pending`) before letting the shards go: no shard is held
-//!   across the commit record's fsync. The distributed participant's
-//!   `prepare_group` is the exception: it forces its `Prepared` record
-//!   with the group's shards held (and, on an idle flusher, runs its
-//!   window and syncs under them) — which is why a window a committer runs
-//!   carries its own record alone: the executor's acknowledgement
-//!   callbacks, which re-enter this table, run only on the flusher thread.
+//!   mutex provided, now scoped to the group — and, in that visit,
+//!   appends the group's commit record, **pins** the group
+//!   (`commit_pending`) and releases its locks before letting the shards
+//!   go: no shard or lock is held across the record's fsync. The
+//!   distributed participant's `prepare_group` is the exception: it
+//!   forces its `Prepared` record with the group's shards held (and, on
+//!   an idle flusher, runs its window and syncs under them) — which is
+//!   why a window a waiter runs acknowledges that waiter alone: the
+//!   executor's acknowledgement callbacks run only on the flusher thread.
 //!   (`decide_commit_group` appends its `Commit` record under the shards
 //!   but forces nothing.)
 //!
@@ -58,18 +59,22 @@
 //!
 //! There is one implementation, `commit_pass`: status check, then
 //! `ready_group` (gates resolved, every member's shard locked, gates
-//! re-validated, every member completed), then — unless no member holds an
-//! undo entry, in which case there is nothing to make durable and the group
-//! goes straight to `finish_commit` with no record — the pin. The driver
-//! makes the pinned group's one commit record durable — `commit` forces it
-//! through the group flusher, running the flush window on its own thread when
-//! the flusher is idle and riding the flusher thread's next window when not;
-//! the executor submits it with a callback and parks — and `finish_commit`
-//! (statuses, locks, dependency cleanup) follows. While a group is pinned its
-//! fate is the flush outcome's alone: aborts skip its members, other commits
-//! wait, `checkpoint` refuses, and `delegate`/`form_dependency`/`abort` wait
-//! the window out and then meet the terminal status. `prepare_group` shares
-//! `ready_group`; `decide_commit_group` shares `finish_commit`.
+//! re-validated, every member completed), then, in the same visit, the
+//! commit point: the group's one commit record is appended, the group
+//! pinned and its locks released (early lock release: whoever takes them
+//! commits behind the record in the one log). A group with no undo entry
+//! appends nothing; it waits for the latest commit record not yet durable,
+//! since it may have read what that commit released, or — none — goes
+//! straight to `finish_commit`. The driver then waits until the log is
+//! durable through that LSN — `commit` in the group flusher, running the
+//! flush window on its own thread when the flusher is idle and riding the
+//! flusher thread's next window when not; the executor with a callback,
+//! parked — and `finish_commit` (statuses, dependency cleanup) follows.
+//! While a group is pinned its fate is the flush outcome's alone: aborts
+//! skip its members, other commits wait, `checkpoint` refuses, and
+//! `delegate`/`form_dependency`/`abort` wait the window out and then meet
+//! the terminal status. `prepare_group` shares `ready_group`;
+//! `decide_commit_group` shares `finish_commit`.
 //!
 //! ## Abort protocol (paper §4.2, `abort(ti)`)
 //!
@@ -100,13 +105,13 @@ use crate::threads::{txn_threads, TxnThreads};
 use crate::txns::{GroupGuard, TxnTable};
 use asset_common::ids::IdGen;
 use asset_common::sync::Mutex;
-use asset_common::{AssetError, Config, DepType, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
+use asset_common::{AssetError, Config, DepType, Lsn, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
 use asset_dep::{CommitGate, DepGraph};
 use asset_lock::LockTable;
 use asset_obs::{add, bump, EventKind, Obs, SpanName};
 use asset_storage::log::mark::{self, Kind};
 use asset_storage::log::{OnStop, SystemSection};
-use asset_storage::{LogPlace, LogRecord, RecoveryReport, StorageEngine};
+use asset_storage::{LogPlace, LogRecord, RecordRef, RecoveryReport, StorageEngine};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,14 +165,16 @@ pub(crate) struct TxnSlot {
     /// this too: the worker pool plays the role of the thread and
     /// finalizes marked aborts at the next dispatch.
     pub thread_live: bool,
-    /// The pin: a commit record containing this transaction is on its way
-    /// through the flusher's window, and its fate is decided solely by the
-    /// flush outcome. While set, `abort_many` skips the slot, a concurrent
-    /// commit waits instead of forcing a second record for the same group,
-    /// and `delegate`/`form_dependency`/`abort` wait the window out
-    /// (`lock_unpinned`). Set under the group's shards by `commit_pass`,
-    /// cleared under them by `finish_commit`; no shard is held in between.
-    /// A failed force leaves it set: it stops the database.
+    /// The pin: a commit record containing this transaction (or, for a
+    /// group that logged nothing, one it read behind) is in the log and
+    /// not yet durable, its locks are released, and its fate is decided
+    /// solely by the flush outcome. While set, `abort_many` skips the
+    /// slot, a concurrent commit waits instead of appending a second record
+    /// for the same group, and `delegate`/`form_dependency`/`abort` wait
+    /// the window out (`lock_unpinned`). Set under the group's shards by
+    /// `commit_pass`, cleared under them by `finish_commit`; no shard is
+    /// held in between. A failed window leaves it set: it stops the
+    /// database.
     pub commit_pending: bool,
     /// The executor task of a step program, from `submit` until the
     /// visit that sets the terminal status: what `nudge` and an abort's
@@ -588,7 +595,9 @@ impl Database {
             match self.commit_pass(t) {
                 Ok(CommitPass::Done(committed)) => break Ok(committed),
                 Ok(CommitPass::Wait) => self.inner.txns.wait_event(epoch),
-                Ok(CommitPass::Flush(group)) => break self.force_commit(t, &group).map(|()| true),
+                Ok(CommitPass::Flush(group, lsn)) => {
+                    break self.await_durable(t, &group, lsn).map(|()| true)
+                }
                 Err(e) => break Err(e),
             }
         };
@@ -625,27 +634,33 @@ impl Database {
         }
     }
 
-    /// Step 4 for a caller that may block — the commit point: one forced
-    /// record for the pinned group (`log_record` returns once the window
-    /// holding the record has synced: on an idle flusher this thread runs
-    /// that window itself, otherwise it waits for the flusher thread's
-    /// next one), then steps 5–6; a failed force stops the database. No
-    /// transaction-table shard is held across the force; the pin is what
-    /// excludes.
-    fn force_commit(&self, t: Tid, group: &[Tid]) -> Result<()> {
-        asset_faults::failpoint!(&self.inner.config.faults, fp::COMMIT_RECORD, |act| {
-            return Err(self.fail_stop(fp::COMMIT_RECORD, act));
-        });
-        let tids = group.to_vec();
-        self.inner.engine.log_record(&LogRecord::Commit { tids })?;
+    /// The rest of step 4 for a caller that may block: wait until the log
+    /// is durable through `lsn`, the pinned group's record or the commit it
+    /// read behind (on an idle flusher this thread runs the window itself,
+    /// otherwise it waits for the flusher thread's next one), then steps
+    /// 5–6; a failed window stops the database. No transaction-table shard
+    /// is held across the wait; the pin is what excludes.
+    fn await_durable(&self, t: Tid, group: &[Tid], lsn: Lsn) -> Result<()> {
+        let window = self.inner.engine.flusher().wait(lsn)?;
         // the record is durable: a failure reported now is the
         // "committed on disk, reported as failed" outcome
         asset_faults::failpoint!(&self.inner.config.faults, fp::COMMIT_AFTER_RECORD, |act| {
             return Err(self.fail_stop(fp::COMMIT_AFTER_RECORD, act));
         });
-        mark::expect(Kind::Commit, t.raw());
+        self.flushed(group, window);
         self.finish_commit(t, group, self.inner.txns.lock_group(group));
         Ok(())
+    }
+
+    /// Trace `group`'s hand-off onto flush window `window`, which made its
+    /// commit durable.
+    pub(crate) fn flushed(&self, group: &[Tid], window: u64) {
+        let obs = &self.inner.obs;
+        if obs.tracing_enabled() {
+            for &tid in group {
+                obs.record(EventKind::CommitFlushed { tid, window });
+            }
+        }
     }
 
     /// `abort(t)` — paper §2.1, protocol in §4.2: roll `t` back by
@@ -1016,7 +1031,7 @@ impl Database {
     /// while it runs — `Initiated`, `Completed` (and `Committing` behind
     /// its gates), `Prepared` — and refuses with `InvalidState` while one
     /// is `Running`, `Aborting` (its rollback still to append) or pinned
-    /// at its commit point, its record still to be appended.
+    /// at its commit point, its record not yet durable.
     pub fn checkpoint(&self) -> Result<()> {
         let _section = self.enter()?;
         let guard = self.inner.txns.lock_all();
@@ -1491,9 +1506,11 @@ impl Database {
     /// what a restart would replay). Idempotent: already-aborted members
     /// are skipped; members that committed are left untouched (the
     /// coordinator never mixes decisions within one group). A stopped
-    /// database does nothing: restart restores the group in doubt.
-    pub fn decide_abort_group(&self, group: &[Tid]) {
-        let Ok(_section) = self.enter() else { return };
+    /// database — stopped before the call or by a failed write of the
+    /// rollback — answers the stop: the decision was not applied, and
+    /// restart restores the group in doubt.
+    pub fn decide_abort_group(&self, group: &[Tid]) -> Result<()> {
+        let _section = self.enter()?;
         let decided: Vec<Instant> = {
             let mut guard = self.inner.txns.lock_group(group);
             group
@@ -1502,7 +1519,9 @@ impl Database {
                 .collect()
         };
         self.abort_many(group);
+        self.live()?;
         self.record_decide(group, false, &decided);
+        Ok(())
     }
 
     /// Every transaction currently in [`TxnStatus::Prepared`] — after
@@ -1642,8 +1661,9 @@ impl Database {
     /// the commit terminally (`false` only once the abort it reports has
     /// been performed), asks the driver to wait for the next table event
     /// and retry, or — gates open and re-validated under every member's
-    /// shard — pins the whole GC group with `commit_pending` and hands it
-    /// back for the driver to make its one commit record durable. The
+    /// shard — appends the GC group's one commit record, pins the group
+    /// with `commit_pending`, releases its locks, and hands it back for the
+    /// driver to wait until the log is durable through the record. The
     /// statuses move to `Committed` only after that
     /// ([`finish_commit`](Self::finish_commit)).
     pub(crate) fn commit_pass(&self, t: Tid) -> Result<CommitPass> {
@@ -1668,7 +1688,7 @@ impl Database {
                     TxnStatus::Prepared => Err(prepared(t, "commit")),
                     // a commit record for this transaction's group already
                     // sits in the flush window: wait for the flush outcome
-                    // rather than forcing a second record for the group
+                    // rather than appending a second record for the group
                     TxnStatus::Completed | TxnStatus::Committing if slot.commit_pending => {
                         Ok(Step::Wait)
                     }
@@ -1701,11 +1721,7 @@ impl Database {
                 Ready::Doomed(group, _) => self.abort_many(&group),
                 Ready::Go(group, mut guard) => {
                     // The group commits as one: every completed member
-                    // enters `Committing` with `t`. A group that holds no
-                    // undo entry (read-only, or all of its work delegated
-                    // away) has nothing to make durable and nothing in the
-                    // log is its to commit: no record, no flush window —
-                    // straight to steps 5–6 under the guard.
+                    // enters `Committing` with `t`.
                     let mut durable = false;
                     for m in &group {
                         #[expect(clippy::expect_used, reason = "guard-internal keys")]
@@ -1715,23 +1731,52 @@ impl Database {
                         }
                         durable |= slot.held.as_ref().is_some_and(|h| !h.undo.is_empty());
                     }
-                    if !durable {
+                    // Step 4, the commit point: the group's one `Commit`
+                    // record gets its LSN. A group that holds no undo entry
+                    // (read-only, or all of its work delegated away) has no
+                    // record, but may have read what a commit released
+                    // before its record was durable: it waits for the
+                    // latest one, and for nothing once that is durable —
+                    // straight to steps 5–6 under the guard.
+                    let lsn = if durable {
+                        asset_faults::failpoint!(
+                            &self.inner.config.faults,
+                            fp::COMMIT_RECORD,
+                            |act| {
+                                return Err(self.fail_stop(fp::COMMIT_RECORD, act));
+                            }
+                        );
+                        let tids = group.as_slice().into();
+                        let lsn = self
+                            .inner
+                            .engine
+                            .log()
+                            .append_ref(&RecordRef::Commit { tids })?;
+                        mark::expect(Kind::Commit, t.raw());
+                        Some(lsn)
+                    } else {
+                        self.inner.engine.log().undurable_commit()
+                    };
+                    let Some(lsn) = lsn else {
                         self.finish_commit(t, &group, guard);
                         return Ok(CommitPass::Done(true));
-                    }
-                    // Step 4, first half: pin the group. While pinned,
+                    };
+                    // Pin the group and release its locks and permits: a
+                    // later reader's or writer's commit follows this LSN in
+                    // the log, so it is durable no sooner. While pinned,
                     // aborts skip the members, other commits wait, and
                     // delegate/form_dependency wait the window out — so
-                    // between dropping the shards here and the record's
-                    // fsync nothing can contradict the (about to be
-                    // durable) record, and nothing is held across it.
+                    // between dropping the shards here and the window's
+                    // sync nothing can contradict the record, and nothing
+                    // is held across it.
                     for m in &group {
                         // members come from the guard's own locked key set
                         #[expect(clippy::expect_used, reason = "guard-internal keys")]
                         let slot = guard.get_mut(*m).expect("group member exists");
                         slot.commit_pending = true;
+                        self.release(*m, slot.held.take());
                     }
-                    return Ok(CommitPass::Flush(group));
+                    return Ok(CommitPass::Flush(group, lsn));
                 }
             }
         }
@@ -1799,20 +1844,24 @@ impl Database {
     }
 
     /// Steps 5–6, once the group's commit record is durable (the flush
-    /// ack arrived, or the force returned): unpin, statuses, lock
-    /// release, dependency cleanup, counters. `guard` holds the members'
-    /// shards — the one function that moves a transaction to `Committed`.
+    /// ack arrived, or the wait returned), or with no record to wait for:
+    /// unpin, statuses, lock release where no pin released them (a
+    /// prepared group, or one with nothing to wait for), dependency
+    /// cleanup, counters. `guard`
+    /// holds the members' shards — the one function that moves a
+    /// transaction to `Committed`.
     pub(crate) fn finish_commit(&self, t: Tid, group: &[Tid], mut guard: GroupGuard<'_>) {
         for m in group {
             // pinned or prepared slots are not terminated, so retirement
             // cannot have removed them
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
             let slot = guard.get_mut(*m).expect("group member exists");
-            slot.commit_pending = false;
+            if !std::mem::take(&mut slot.commit_pending) {
+                self.release(*m, slot.held.take());
+            }
             slot.set_status(*m, TxnStatus::Committed);
             slot.task = None; // nothing left to wake
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
-            self.release(*m, slot.held.take());
         }
         let resolved = self.inner.deps.lock().committed(group);
         // counted before the shards are released: whoever has seen
@@ -1880,11 +1929,13 @@ pub(crate) enum CommitPass {
     /// elsewhere: wait for the next transaction-table event and retry.
     Wait,
     /// Gates open and re-validated: every member is pinned with
-    /// `commit_pending`; the driver makes the group's commit record
-    /// durable (the executor through the flusher's callback, the blocking
-    /// `commit` with a forced append) and then calls `finish_commit` — or
-    /// the force failed and the database has stopped.
-    Flush(Vec<Tid>),
+    /// `commit_pending` and its locks are released; the driver waits until
+    /// the log is durable through the LSN — the group's commit record, or
+    /// for a group with none the latest commit not yet durable — (the
+    /// executor through the flusher's callback, the blocking `commit` in
+    /// the flusher's `wait`) and then calls `finish_commit` — or the
+    /// window failed and the database has stopped.
+    Flush(Vec<Tid>, Lsn),
 }
 
 /// What the gates over a set of seeds resolved to (`ready_group`).

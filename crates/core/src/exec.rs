@@ -35,15 +35,15 @@
 //! When a program finishes, the worker drives the one §4.2 commit protocol
 //! (`Database::commit_pass`, the same pass the blocking `commit` loops
 //! over): once the dependency gate is open and re-validated, the whole GC
-//! group is pinned with `commit_pending` and its commit record is
-//! submitted to the [`GroupFlusher`](asset_storage::GroupFlusher) with a
-//! callback; the transaction parks on `WaitFlush` and commit
-//! acknowledgement is deferred until the record's flush window has been
-//! fsynced — many transactions' commit records coalesce into one
-//! write+sync. Durability is unchanged: statuses move to `Committed` only
-//! after the ack (`Database::finish_commit`). Each step is a system
-//! section: a panic in it, outside the program, stops the database, and a
-//! step of a stopped database ends its program.
+//! group's commit record is appended, the group is pinned with
+//! `commit_pending` and its locks are released; the task then waits on the
+//! [`GroupFlusher`](asset_storage::GroupFlusher) with a callback, parked on
+//! `WaitFlush`, and commit acknowledgement is deferred until a flush window
+//! has synced the log through the record — many transactions' records
+//! share one write+sync. Durability is unchanged: statuses move to
+//! `Committed` only after the ack (`Database::finish_commit`). Each step
+//! is a system section: a panic in it, outside the program, stops the
+//! database, and a step of a stopped database ends its program.
 //!
 //! The executor is a *driver*, not a second engine: begin, completion,
 //! the post-lock install and the commit passes are the ones the blocking
@@ -59,10 +59,9 @@ use asset_common::ids::stripe_of;
 use asset_common::sync::{self, Condvar, Mutex, Rank};
 use asset_common::{AssetError, Oid, Operation, Result, Tid, TxnStatus};
 use asset_obs::{bump, EventKind};
-use asset_storage::LogRecord;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Wake, Waker};
 
@@ -147,7 +146,7 @@ enum Phase {
 struct TaskBody {
     phase: Phase,
     prog: Option<StepProg>,
-    /// The pinned GC group whose commit record sits in the flush window.
+    /// The pinned GC group waiting for its flush window.
     group: Vec<Tid>,
     /// Commit-phase entry time (`Database::open_commit_span`).
     commit_t0: Option<std::time::Instant>,
@@ -161,8 +160,9 @@ pub(crate) struct Task {
     exec: Weak<ExecInner>,
     sched: AtomicU8,
     body: Mutex<TaskBody>,
-    /// Set by the flusher's ack callback once the window is durable.
-    flushed: AtomicBool,
+    /// The window that made the commit durable, set by the flusher's ack
+    /// callback; 0 until then (windows count from 1).
+    flushed: AtomicU64,
 }
 
 /// A task is its own lock waker: waking it is [`ExecInner::enqueue`].
@@ -487,16 +487,13 @@ impl ExecInner {
                         StepOutcome::Finished
                     }
                     Ok(CommitPass::Wait) => StepOutcome::Park("dep"),
-                    Ok(CommitPass::Flush(group)) => {
-                        body.group = group.clone();
-                        let rec = LogRecord::Commit {
-                            tids: group.clone(),
-                        };
+                    Ok(CommitPass::Flush(group, lsn)) => {
+                        body.group = group;
                         let task = Arc::clone(task);
-                        let submitted = db.inner.engine.flusher().submit_with_callback(
-                            rec,
+                        let submitted = db.inner.engine.flusher().when_durable(
+                            lsn,
                             Box::new(move |res| {
-                                task.flushed.store(res.is_ok(), Ordering::Release);
+                                task.flushed.store(res.unwrap_or(0), Ordering::Release);
                                 task.wake();
                             }),
                         );
@@ -517,15 +514,16 @@ impl ExecInner {
             }
             // the ack callback targets this task directly: no registry
             // needed, the enqueue races are absorbed by RUNNING_DIRTY
-            Phase::AwaitFlush if !task.flushed.load(Ordering::Acquire) => {
-                StepOutcome::Park("flush")
-            }
-            Phase::AwaitFlush => {
-                let guard = db.inner.txns.lock_group(&body.group);
-                db.finish_commit(tid, &body.group, guard);
-                db.close_commit_span(tid, body.commit_t0.take());
-                StepOutcome::Finished
-            }
+            Phase::AwaitFlush => match task.flushed.load(Ordering::Acquire) {
+                0 => StepOutcome::Park("flush"),
+                window => {
+                    db.flushed(&body.group, window);
+                    let guard = db.inner.txns.lock_group(&body.group);
+                    db.finish_commit(tid, &body.group, guard);
+                    db.close_commit_span(tid, body.commit_t0.take());
+                    StepOutcome::Finished
+                }
+            },
         }
     }
 }
@@ -710,7 +708,7 @@ impl Database {
                     Rank::TASK,
                     0,
                 ),
-                flushed: AtomicBool::new(false),
+                flushed: AtomicU64::new(0),
             });
             queued = Some(Arc::clone(&task));
             Some(task)

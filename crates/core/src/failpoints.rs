@@ -8,12 +8,14 @@
 //! with the `faults` feature; the constants remain so harnesses can
 //! enumerate them unconditionally.
 
-/// In `commit` step 4, before the group's commit record is appended:
-/// `Error` is the append failing with nothing written.
+/// In `commit_pass` step 4 (either driver), under the group's shards,
+/// before its commit record is appended: `Error` is the append failing
+/// with nothing written.
 pub const COMMIT_RECORD: &str = "commit.record";
 
-/// In `commit` step 4, after the commit record is durably appended but
-/// before any in-memory status changes: `Crash` models the classic
+/// In the blocking `commit`, after a window made the commit record
+/// durable, before any status changes (the locks went at the record's
+/// append): `Crash` models the classic
 /// "committed on disk, dead before anyone heard" window; `Error` models a
 /// post-append failure report, whose commit restart keeps.
 pub const COMMIT_AFTER_RECORD: &str = "commit.after_record";

@@ -1079,13 +1079,13 @@ fn prepare_then_decide_abort() {
     let db = db();
     let (t1, t2, a, b) = completed_pair(&db);
     let group = db.prepare_group(&[t1]).unwrap();
-    db.decide_abort_group(&group);
+    db.decide_abort_group(&group).unwrap();
     assert_eq!(db.status(t1).unwrap(), TxnStatus::Aborted);
     assert_eq!(db.status(t2).unwrap(), TxnStatus::Aborted);
     assert_eq!(db.peek(a).unwrap(), None, "creation rolled back");
     assert_eq!(db.peek(b).unwrap(), None);
     // idempotent re-decide
-    db.decide_abort_group(&group);
+    db.decide_abort_group(&group).unwrap();
 }
 
 #[test]
@@ -1202,7 +1202,7 @@ fn prepared_survives_crash_and_aborts_after_restart() {
     assert_eq!(report.in_doubt.len(), 1);
     // the coordinator's decision arrives: abort — the restored undo chain
     // rolls the update back
-    db.decide_abort_group(&group);
+    db.decide_abort_group(&group).unwrap();
     assert_eq!(db.status(group[0]).unwrap(), TxnStatus::Aborted);
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"orig");
     drop(db);

@@ -134,8 +134,8 @@ define_counters! {
     /// Buffered appends that coalesced (stayed in user space; no write
     /// syscall issued). Kept and filled in like `log_appends`.
     log_coalesced,
-    /// Flush windows the group-commit flusher made durable (each covers
-    /// one or more commit records under a single forced sync).
+    /// Flush windows the group-commit flusher ran (each makes the log
+    /// durable through its tail for one or more waiters, one sync).
     flush_windows,
     /// Of `flush_windows`, those run by their committer on its own thread
     /// (a blocking commit that found the flusher idle); the rest were the

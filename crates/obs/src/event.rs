@@ -181,24 +181,24 @@ pub enum EventKind {
         /// Nanoseconds the drain took.
         dur_ns: u64,
     },
-    /// The group-commit flusher made one flush window durable: every
-    /// commit record queued in the window shares this single write+sync.
+    /// The group-commit flusher made the log durable through its tail in
+    /// one flush window: every commit waiting on it shares this single
+    /// write+sync.
     FlushWindow {
         /// Monotonic window number (per flusher).
         window: u64,
-        /// Commit records coalesced into the window.
+        /// Commits (waiters) the window acknowledged.
         records: u32,
         /// The window's occupancy: the bytes its one write carried — the
-        /// sealed block holding its commit records and whatever unforced
-        /// records were buffered before them (zero if a watermark drain
-        /// carried them first).
+        /// sealed block of everything appended since the last drain (zero
+        /// if a watermark drain carried it first).
         bytes: u64,
-        /// Nanoseconds from window assembly to sync completion.
+        /// Nanoseconds from the window's start to sync completion.
         dur_ns: u64,
     },
-    /// A transaction's commit record became durable as part of a flush
-    /// window — the causal hand-off from the committer's track onto the
-    /// shared flush lane.
+    /// A transaction's commit became durable in a flush window — the
+    /// causal hand-off from the committer's track onto the shared flush
+    /// lane.
     CommitFlushed {
         /// The committed transaction.
         tid: Tid,

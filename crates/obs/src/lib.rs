@@ -110,7 +110,8 @@ pub struct Obs {
     /// End-to-end `commit` latency (recorded only while tracing is
     /// enabled).
     pub commit_ns: AtomicHistogram,
-    /// Commit records coalesced per group-commit flush window.
+    /// Waiters (commits, prepares) acknowledged per group-commit flush
+    /// window.
     pub flush_batch_len: AtomicHistogram,
     /// Nanoseconds a prepared distributed-commit group spent in doubt on
     /// this participant: from the forced `Prepared` record to the

@@ -579,8 +579,7 @@ impl Connection {
             }
             opcode::ABORT_DECIDE => {
                 let tids = tids(read_body(b, read_tids)?);
-                db.decide_abort_group(&tids);
-                Frame::ok_response(req, &[])
+                ack(req, db.decide_abort_group(&tids))
             }
             opcode::SHUTDOWN => empty().map(|()| Frame::ok_response(req, &[]))?,
             _ => {

@@ -21,9 +21,9 @@ use std::sync::Arc;
 ///
 /// All object access goes through the shared cache (the paper's mode of
 /// operation); the store holds its image, written at checkpoints only and
-/// read at open only. Commit records are forced
-/// through the [`GroupFlusher`], which makes every commit submitted while a
-/// window runs durable with the next window's single write+sync.
+/// read at open only. The [`GroupFlusher`] makes the log durable
+/// for commits: every commit that waits while a window runs is durable
+/// with the next window's single write+sync.
 pub struct StorageEngine {
     cache: ObjectCache,
     store: ObjectStore,
@@ -170,24 +170,23 @@ impl StorageEngine {
     }
 
     /// Log a record (commit/abort/delegate/prepared). Commit and Prepared
-    /// records are forced through the [`GroupFlusher`]: the call returns
-    /// once the record's flush window is durable — the caller's own window,
-    /// run on this thread, when the flusher is idle; the flusher thread's
-    /// next one, shared with every committer queued beside it, when not.
-    /// (A Prepared record is a participant's vote — it must be durable
+    /// records are forced: the call returns once the [`GroupFlusher`] has
+    /// made the log durable through the record — in the caller's own
+    /// window, run on this thread, when the flusher is idle; in the flusher
+    /// thread's next one, shared with every waiter queued beside it, when
+    /// not. (A Prepared record is a participant's vote — it must be durable
     /// before the vote rides back to the coordinator, §14.2.)
     pub fn log_record(&self, rec: &LogRecord) -> Result<Lsn> {
         match rec {
             LogRecord::Commit { .. } | LogRecord::Prepared { .. } => {
-                mark::note(&rec.as_ref());
                 self.flusher.submit_and_wait(rec)
             }
             _ => self.log.append(rec),
         }
     }
 
-    /// The group-commit flusher (asynchronous acknowledgement path for the
-    /// state-machine executor).
+    /// The group-commit flusher: what a committer that appended its record
+    /// itself waits on, blocking or through a callback.
     pub fn flusher(&self) -> &GroupFlusher {
         &self.flusher
     }

@@ -70,17 +70,12 @@ pub const CHECKPOINT_BEFORE_TRUNCATE: &str = "checkpoint.before_truncate";
 /// converge to the same state.
 pub const RECOVERY_UNDO: &str = "recovery.undo";
 
-/// In [`GroupFlusher`](crate::log::GroupFlusher): while the flusher thread
-/// assembles a flush window, before any of the window's commit records is
-/// appended. `Torn` appends the window's records and then cuts short the
-/// write that would have carried them, as at [`LOG_APPEND`]: a byte prefix
-/// of the window's block lands, unsealed, and the process crashes —
-/// modelling a crash with the window half-written.
-pub const FLUSH_WINDOW_ASSEMBLE: &str = "flush.window.assemble";
-
-/// In [`GroupFlusher`](crate::log::GroupFlusher): guarding the single
-/// forced sync that makes a whole flush window durable. `ElideSync` skips
-/// the sync while acknowledging every commit in the window.
+/// In [`GroupFlusher`](crate::log::GroupFlusher): a flush window, before
+/// its one drain of the log. `ElideSync` skips the sync while
+/// acknowledging every waiter in the window; `Torn` cuts short the write
+/// that would have carried the window's block, as at [`LOG_APPEND`]: a
+/// byte prefix of it lands, unsealed, and the process crashes — a crash
+/// with the window half-written.
 pub const FLUSH_WINDOW_SYNC: &str = "flush.window.sync";
 
 /// Every failpoint the storage layer registers, for matrix sweeps.
@@ -95,6 +90,5 @@ pub const ALL: &[&str] = &[
     STORE_SYNC,
     CHECKPOINT_BEFORE_TRUNCATE,
     RECOVERY_UNDO,
-    FLUSH_WINDOW_ASSEMBLE,
     FLUSH_WINDOW_SYNC,
 ];

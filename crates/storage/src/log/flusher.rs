@@ -1,41 +1,36 @@
 //! The group-commit log flusher.
 //!
-//! The paper's GC construction (§3.1.2) already expresses "many
-//! transactions, one forced log record"; this module generalizes it across
-//! *unrelated* transactions: every commit record submitted while a flush
-//! window is running leaves in the **next** window, which makes all of them
-//! durable with a single write+sync, and each committer is acknowledged only
-//! after its window's sync completes. Durability semantics are therefore
-//! unchanged — a commit acknowledged to the application has a synced record
-//! (under [`Durability::Strict`]), exactly as when each commit forced its
-//! own append — only the number of `sync_data` calls per acknowledged
-//! commit drops from one to `1/N` for an `N`-record window.
+//! A committer appends its group's commit record itself, in the visit that
+//! pins the group (§4.2), and lets its locks go there: the record has an
+//! LSN, and one ordered log makes every later commit's record follow it.
+//! What is left is to make the log durable *through* that LSN before the
+//! commit is acknowledged, and that is this module's one job. It keeps
+//! `(lsn, ack)` waiters; a **flush window** is one drain of the log through
+//! its tail — one `write`, and under [`Durability::Strict`] one `sync_data`
+//! — which acknowledges every waiter below that tail. Durability is that of
+//! a commit that forced its own record: an acknowledged commit has a synced
+//! record. Only the syncs, and the seals, per commit drop to `1/N` for an
+//! `N`-waiter window.
 //!
 //! **Who runs a window.** Windows never overlap, and there is one flush
-//! routine whoever runs it. A blocking committer
-//! ([`GroupFlusher::submit_and_wait`], the §4.2 force) that finds no window
-//! running, nobody queued and a zero coalescing window runs its window
-//! itself, on its own thread: the window carries its record alone, and the
-//! LSN comes straight back — no thread hop, no channel, no copy of the
-//! record. Everyone else queues for the flusher thread: executor
-//! submissions ([`GroupFlusher::submit_with_callback`]) always, blocking
-//! committers that arrive while a window runs, and every submission when a
-//! nonzero window asks for coalescing. The thread takes the whole queue as
-//! one window as soon as none is running, so followers still share a sync.
-//! Acknowledgement callbacks run only on the flusher thread: they re-enter
-//! the transaction layer, and a committer may be running its own window
-//! with transaction-table shards held (`prepare_group` forces under them).
+//! routine whoever runs it. A blocking waiter ([`GroupFlusher::wait`], the
+//! §4.2 force) that finds no window running, nobody queued and a zero
+//! coalescing window runs its window itself, on its own thread: no thread
+//! hop, no channel. Everyone else queues for the flusher thread: executor
+//! waiters ([`GroupFlusher::when_durable`]) always, blocking waiters that
+//! arrive while a window runs, and every waiter when a nonzero window asks
+//! for coalescing. The thread runs a window as soon as none is running, so
+//! followers still share a sync. Acknowledgement callbacks run only on the
+//! flusher thread: a waiter may be running its own window with
+//! transaction-table shards held (`prepare_group` forces under them).
 //!
-//! A window's records leave in one drain, so they are one sealed block of
-//! the log (together with whatever unforced records the workers buffered
-//! before it): restart sees the window whole or not at all. Two failpoints
-//! make that crash-testable
-//! ([`FLUSH_WINDOW_ASSEMBLE`](crate::failpoints::FLUSH_WINDOW_ASSEMBLE),
-//! [`FLUSH_WINDOW_SYNC`](crate::failpoints::FLUSH_WINDOW_SYNC)): a crash
-//! while a window is half-written must leave every commit in it undone at
-//! recovery, and every previously acknowledged one intact. A window that
-//! fails or panics stops the log, and each of its records, and the queue
-//! of a flusher thread that died, is answered with the stop.
+//! A window's drain is one sealed block of the log: restart sees it whole
+//! or not at all. [`FLUSH_WINDOW_SYNC`](crate::failpoints::FLUSH_WINDOW_SYNC)
+//! makes that crash-testable: a crash while a window is half-written must
+//! leave every commit in it undone at recovery, and every previously
+//! acknowledged one intact. A window that fails or panics stops the log,
+//! and each waiter, the queue of a flusher thread that died included, is
+//! answered with the stop.
 
 use super::{LogManager, LogRecord};
 use asset_common::sync::{may_block, Condvar, Mutex, MutexGuard};
@@ -46,26 +41,21 @@ use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A commit acknowledgement callback (executor path): invoked exactly once,
-/// on the flusher thread, after the record's window succeeded or failed.
-pub type FlushCallback = Box<dyn FnOnce(Result<Lsn>) + Send + 'static>;
-
-struct Pending {
-    rec: LogRecord,
-    /// Invoked exactly once, on the flusher thread, with the outcome of the
-    /// record's window: a blocked [`GroupFlusher::submit_and_wait`] caller's
-    /// channel, or the executor's [`FlushCallback`].
-    ack: FlushCallback,
-}
+/// A durability acknowledgement (executor path): invoked exactly once, on
+/// the flusher thread, with the window that made the waited-for LSN
+/// durable, or with the stop.
+pub type FlushCallback = Box<dyn FnOnce(Result<u64>) + Send + 'static>;
 
 #[derive(Default)]
 struct State {
-    queue: Vec<Pending>,
+    /// Who waits for the log to be durable through an LSN: a blocked
+    /// [`GroupFlusher::wait`] caller's channel, or an executor callback.
+    waiters: Vec<(Lsn, FlushCallback)>,
     /// The number of the last window begun, which its `FlushWindow` event
     /// carries (`counters.flush_windows` counts the windows).
     windows: u64,
-    /// A window is being flushed, by the thread or by a committer. The
-    /// thread takes no batch and no committer runs its own while it is set.
+    /// A window is being flushed, by the thread or by a waiter. The thread
+    /// runs none and no waiter runs its own while it is set.
     busy: bool,
     shutdown: bool,
 }
@@ -80,22 +70,22 @@ struct Shared {
 }
 
 /// The group-commit flusher: runs every flush window, one at a time — a
-/// blocking committer's own when nothing else is pending, its thread's
-/// batch of everything queued otherwise.
+/// blocking waiter's own when nothing else is pending, its thread's for
+/// everyone queued otherwise.
 pub struct GroupFlusher {
     shared: Arc<Shared>,
-    /// `None` if the thread could not be spawned: every blocking submitter
+    /// `None` if the thread could not be spawned: every blocking waiter
     /// then runs its own window.
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl GroupFlusher {
     /// Spawn the flusher thread. `window` is how long the thread lingers
-    /// after the first record of a window to let concurrent committers
+    /// after the first waiter of a window to let concurrent committers
     /// coalesce; `Duration::ZERO` flushes as soon as the thread runs
-    /// (whatever queued by then still shares one sync) and lets an
-    /// uncontended blocking committer run its own window. The window's
-    /// failpoints consult the fault registry attached to `log`.
+    /// (whoever queued by then still shares one sync) and lets an
+    /// uncontended blocking waiter run its own window. The window's
+    /// failpoint consults the fault registry attached to `log`.
     pub fn spawn(
         log: Arc<LogManager>,
         durability: Durability,
@@ -118,70 +108,64 @@ impl GroupFlusher {
         GroupFlusher { shared, handle }
     }
 
-    /// Submit a commit record (by reference or by value) and block until
-    /// its flush window is durable. Returns the record's LSN, or the stop
-    /// of a window that failed. On an idle flusher the caller runs the
-    /// window itself — a panic in it unwinds here — otherwise its record
-    /// rides the thread's next one.
+    /// Append a record (by reference or by value) and block until the log
+    /// is durable through it. Returns the record's LSN, or the stop.
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn submit_and_wait(&self, rec: impl Borrow<LogRecord>) -> Result<Lsn> {
+        let lsn = self.shared.log.append(rec.borrow())?;
+        self.wait(lsn).map(|_| lsn)
+    }
+
+    /// Block until the log is durable through `lsn`. Returns the window
+    /// that made it so, or the stop of a window that failed. On an idle
+    /// flusher the caller runs the window itself — a panic in it unwinds
+    /// here — otherwise it waits for the thread's next one.
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub fn wait(&self, lsn: Lsn) -> Result<u64> {
         may_block();
-        let rec = rec.borrow();
         let mut st = self.shared.state.lock();
-        let idle = !st.busy && st.queue.is_empty() && self.shared.window.is_zero();
+        let idle = !st.busy && st.waiters.is_empty() && self.shared.window.is_zero();
         if idle || self.handle.is_none() {
             st.busy = true;
             st.windows += 1;
             let window = st.windows;
             drop(st);
-            return self.lead(rec, window);
+            let _leading = Leading(&self.shared);
+            bump(&self.shared.obs.counters.flush_windows_led);
+            return run_window(&self.shared, window, |_| 1).map(|_| window);
         }
         let (tx, rx) = sync_channel(1);
-        self.enqueue(st, rec.clone(), Box::new(move |out| drop(tx.try_send(out))))?;
-        // the flusher acknowledges everything it accepted, shutdown and
+        self.enqueue(st, lsn, Box::new(move |out| drop(tx.try_send(out))))?;
+        // the flusher acknowledges every waiter it accepted, shutdown and
         // its own death included
         rx.recv()
             .unwrap_or_else(|_| Err(self.shared.log.stop(&"the log flusher died")))
     }
 
-    /// Submit a commit record with an asynchronous acknowledgement: `ack`
-    /// runs exactly once, on the flusher thread, after the record's window
-    /// succeeded or failed (a failed window acknowledges with the stop).
-    /// The executor's `WaitFlush` arm parks on this.
-    pub fn submit_with_callback(&self, rec: LogRecord, ack: FlushCallback) -> Result<()> {
+    /// Run `ack` exactly once, on the flusher thread, once the log is
+    /// durable through `lsn` (or with the stop). The executor's
+    /// `WaitFlush` arm parks on this.
+    pub fn when_durable(&self, lsn: Lsn, ack: FlushCallback) -> Result<()> {
         if self.handle.is_none() {
-            ack(self.submit_and_wait(rec));
+            ack(self.wait(lsn));
             return Ok(());
         }
         let st = self.shared.state.lock();
-        self.enqueue(st, rec, ack)
+        self.enqueue(st, lsn, ack)
     }
 
-    fn enqueue(
-        &self,
-        mut st: MutexGuard<'_, State>,
-        rec: LogRecord,
-        ack: FlushCallback,
-    ) -> Result<()> {
+    fn enqueue(&self, mut st: MutexGuard<'_, State>, lsn: Lsn, ack: FlushCallback) -> Result<()> {
         if st.shutdown {
             return Err(std::io::Error::other("log flusher shut down").into());
         }
-        st.queue.push(Pending { rec, ack });
+        st.waiters.push((lsn, ack));
         drop(st);
         self.shared.work_cv.notify_one();
         Ok(())
     }
-
-    /// Run window `window`, marked busy by the caller, over `rec` alone on
-    /// this thread.
-    fn lead(&self, rec: &LogRecord, window: u64) -> Result<Lsn> {
-        let _leading = Leading(&self.shared);
-        bump(&self.shared.obs.counters.flush_windows_led);
-        run_window(&self.shared, window, std::iter::once(rec), |_| ())
-    }
 }
 
-/// A committer's window is over — returned or unwound: clear `busy`, and
+/// A waiter's window is over — returned or unwound: clear `busy`, and
 /// wake the thread for whoever queued behind it.
 struct Leading<'a>(&'a Shared);
 
@@ -189,7 +173,7 @@ impl Drop for Leading<'_> {
     fn drop(&mut self) {
         let mut st = self.0.state.lock();
         st.busy = false;
-        let queued = !st.queue.is_empty();
+        let queued = !st.waiters.is_empty();
         drop(st);
         if queued {
             self.0.work_cv.notify_one();
@@ -213,28 +197,28 @@ struct Orphans<'a>(&'a Shared);
 
 impl Drop for Orphans<'_> {
     fn drop(&mut self) {
-        let queue = {
+        let waiters = {
             let mut st = self.0.state.lock();
             st.shutdown = true;
-            std::mem::take(&mut st.queue)
+            std::mem::take(&mut st.waiters)
         };
-        for p in queue {
-            (p.ack)(Err(self.0.log.stop(&"the log flusher died")));
+        for (_, ack) in waiters {
+            ack(Err(self.0.log.stop(&"the log flusher died")));
         }
     }
 }
 
-/// The flusher thread: once no window is running, collect the queue as a
-/// window, flush it, acknowledge everyone.
+/// The flusher thread: once no window is running, run one for the queue
+/// and acknowledge every waiter it covers.
 fn run(shared: Arc<Shared>) {
     let _orphans = Orphans(&shared);
     loop {
-        let (batch, window) = {
+        let window = {
             let mut st = shared.state.lock();
-            while st.busy || (st.queue.is_empty() && !st.shutdown) {
+            while st.busy || (st.waiters.is_empty() && !st.shutdown) {
                 shared.work_cv.wait(&mut st);
             }
-            if st.queue.is_empty() {
+            if st.waiters.is_empty() {
                 return; // shutdown with the queue drained
             }
             if !shared.window.is_zero() && !st.shutdown {
@@ -248,104 +232,83 @@ fn run(shared: Arc<Shared>) {
             }
             st.busy = true;
             st.windows += 1;
-            (std::mem::take(&mut st.queue), st.windows)
+            st.windows
         };
-        flush_window(&shared, batch, window);
+        // acknowledged with no flusher lock held and no longer busy: a
+        // callback re-enters the transaction layer
+        let mut covered = Vec::new();
+        let flushed = run_window(&shared, window, |through| {
+            let mut st = shared.state.lock();
+            st.busy = false;
+            covered = st
+                .waiters
+                .extract_if(.., |(lsn, _)| *lsn < through)
+                .collect();
+            covered.len()
+        });
+        if flushed.is_err() {
+            let mut st = shared.state.lock();
+            st.busy = false;
+            covered = std::mem::take(&mut st.waiters);
+        }
+        for (_, ack) in covered {
+            ack(flushed
+                .as_ref()
+                .map(|_| window)
+                .map_err(|e| shared.log.stop(e)));
+        }
     }
 }
 
-/// The thread's window: flush the batch, then acknowledge each record —
-/// with no flusher lock held and no longer busy, since a callback
-/// re-enters the transaction layer.
-fn flush_window(shared: &Shared, batch: Vec<Pending>, window: u64) {
-    let mut lsns = Vec::with_capacity(batch.len());
-    let flushed = run_window(shared, window, batch.iter().map(|p| &p.rec), |lsn| {
-        lsns.push(lsn);
-    });
-    shared.state.lock().busy = false;
-    for (idx, p) in batch.into_iter().enumerate() {
-        let out = match &flushed {
-            Ok(_) => Ok(lsns[idx]),
-            Err(e) => Err(shared.log.stop(e)),
-        };
-        (p.ack)(out);
-    }
-}
-
-/// One flush window, whoever runs it, as a system section: flush `recs`,
-/// count the window and trace it. Returns the first record's LSN (each one's
-/// goes to `each`), or the stop: every way a window fails stops the log.
-fn run_window<'a>(
-    shared: &Shared,
-    window: u64,
-    recs: impl Iterator<Item = &'a LogRecord> + Clone,
-    each: impl FnMut(Lsn),
-) -> Result<Lsn> {
+/// One flush window, whoever runs it, as a system section: drain the log
+/// through its tail, hand that tail to `covered`, which takes the waiters
+/// below it and counts them, then count and trace the window. Returns the
+/// tail, or the stop: every way a window fails stops the log.
+fn run_window(shared: &Shared, window: u64, covered: impl FnOnce(Lsn) -> usize) -> Result<Lsn> {
     let _section = shared.log.enter()?;
     let t0 = shared.obs.tracing_enabled().then(Instant::now);
-    let records = recs.clone().count();
-    shared.obs.flush_batch_len.record(records as u64);
     bump(&shared.obs.counters.flush_windows);
-    let flushed = flush_batch(shared, recs.clone(), each).map_err(|e| shared.log.stop(&e));
-    if let (Some(t0), Ok((_, bytes))) = (t0, &flushed) {
+    let through = shared.log.tail();
+    let bytes = drain(shared).map_err(|e| shared.log.stop(&e))?;
+    let waiters = covered(through);
+    shared.obs.flush_batch_len.record(waiters as u64);
+    if let Some(t0) = t0 {
         shared.obs.record(EventKind::FlushWindow {
             window,
-            records: records as u32,
+            records: waiters as u32,
             // what the window's one write carried: its occupancy
-            bytes: *bytes as u64,
+            bytes: bytes as u64,
             dur_ns: t0.elapsed().as_nanos() as u64,
         });
-        for rec in recs {
-            if let LogRecord::Commit { tids } = rec {
-                for tid in tids {
-                    shared
-                        .obs
-                        .record(EventKind::CommitFlushed { tid: *tid, window });
-                }
-            }
-        }
     }
-    flushed.map(|(lsn, _)| lsn)
+    Ok(through)
 }
 
-/// Append every record of the window in one critical section, then force
-/// once: one `write` hands the window (and whatever unforced records the
-/// workers buffered before it) to the OS, and under [`Durability::Strict`]
-/// one `sync_data` makes it stable. [`Durability::Buffered`] stops at the
-/// write — exactly the durability the mode always had; in-memory needs
-/// neither. Returns the first record's LSN and the bytes the drain wrote.
-fn flush_batch<'a>(
-    shared: &Shared,
-    recs: impl Iterator<Item = &'a LogRecord> + Clone,
-    each: impl FnMut(Lsn),
-) -> Result<(Lsn, usize)> {
+/// The window's force: one `write` hands everything appended so far to the
+/// OS and, under [`Durability::Strict`], one `sync_data` makes it stable.
+/// [`Durability::Buffered`] stops at the write — exactly the durability the
+/// mode always had; in-memory needs neither. Returns the bytes the drain
+/// wrote.
+fn drain(shared: &Shared) -> Result<usize> {
     asset_faults::failpoint!(
         &shared.log.faults,
-        crate::failpoints::FLUSH_WINDOW_ASSEMBLE,
+        crate::failpoints::FLUSH_WINDOW_SYNC,
         |act| {
-            if let asset_faults::FaultAction::Torn { keep_per_mille } = act {
-                // A torn window: a byte prefix of its block lands, then the
-                // process crashes. No seal follows it, so recovery sees
-                // none of the window's commits — and none was acknowledged.
-                let _ = shared.log.append_all(recs.clone(), |_| ());
-                shared
-                    .log
-                    .crash_torn(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, keep_per_mille);
-            }
-            return Err(shared
-                .log
-                .faults
-                .realize_plain(crate::failpoints::FLUSH_WINDOW_ASSEMBLE, act)
-                .into());
+            let site = crate::failpoints::FLUSH_WINDOW_SYNC;
+            return match act {
+                // the device lies: written, reported durable, never synced
+                asset_faults::FaultAction::ElideSync => shared.log.drain(false),
+                // a byte prefix of the window's block lands, unsealed, and the
+                // process crashes: recovery sees none of the window's commits,
+                // and none was acknowledged
+                asset_faults::FaultAction::Torn { keep_per_mille } => {
+                    shared.log.crash_torn(site, keep_per_mille)
+                }
+                act => Err(shared.log.faults.realize_plain(site, act).into()),
+            };
         }
     );
-    let first = shared.log.append_all(recs, each)?;
-    let elide =
-        asset_faults::failpoint_sync!(&shared.log.faults, crate::failpoints::FLUSH_WINDOW_SYNC);
-    let bytes = shared
-        .log
-        .drain(!elide && shared.durability == Durability::Strict)?;
-    Ok((first, bytes))
+    shared.log.drain(shared.durability == Durability::Strict)
 }
 
 #[cfg(test)]
@@ -385,7 +348,7 @@ mod tests {
     }
 
     /// On an idle flusher every blocking commit is its own window, run by
-    /// its committer; a callback submission is always the thread's.
+    /// its committer; a callback waiter is always the thread's.
     #[test]
     fn an_idle_flusher_lets_each_blocking_committer_run_its_window() {
         let (log, f) = mem_flusher(Duration::ZERO);
@@ -398,9 +361,14 @@ mod tests {
         assert_eq!(log.scan().unwrap(), sent);
         assert_eq!(windows(&f), (100, 100));
         let (tx, rx) = std::sync::mpsc::channel();
-        f.submit_with_callback(commit(100), Box::new(move |res| tx.send(res).unwrap()))
+        let lsn = log.append(&commit(100)).unwrap();
+        f.when_durable(lsn, Box::new(move |res| tx.send(res).unwrap()))
             .unwrap();
-        rx.recv().unwrap().unwrap();
+        assert_eq!(
+            rx.recv().unwrap().unwrap(),
+            101,
+            "the window that carried it"
+        );
         assert_eq!(windows(&f), (101, 100));
     }
 
@@ -426,7 +394,7 @@ mod tests {
         assert_eq!(led, 0, "a coalescing window is the thread's");
     }
 
-    /// Blocking committers and callback submitters hammer one flusher:
+    /// Blocking committers and callback waiters hammer one flusher:
     /// whoever runs a window, windows never overlap, every record gets the
     /// LSN it was logged at, and every acknowledgement arrives exactly once.
     #[test]
@@ -438,7 +406,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let handles: Vec<_> = (0..2 * THREADS)
             .map(|thread| {
-                let (f, tx) = (Arc::clone(&f), tx.clone());
+                let (f, tx, log) = (Arc::clone(&f), tx.clone(), Arc::clone(&log));
                 std::thread::spawn(move || {
                     for i in 0..EACH {
                         let t = thread * EACH + i;
@@ -446,10 +414,11 @@ mod tests {
                             tx.send((t, f.submit_and_wait(commit(t)).unwrap())).unwrap();
                         } else {
                             let tx = tx.clone();
-                            let ack = Box::new(move |res: Result<Lsn>| {
-                                tx.send((t, res.unwrap())).unwrap();
+                            let lsn = log.append(&commit(t)).unwrap();
+                            let ack = Box::new(move |res: Result<u64>| {
+                                tx.send((t, res.map(|_| lsn).unwrap())).unwrap();
                             });
-                            f.submit_with_callback(commit(t), ack).unwrap();
+                            f.when_durable(lsn, ack).unwrap();
                         }
                     }
                 })
@@ -460,7 +429,7 @@ mod tests {
             h.join().unwrap();
         }
         let f = Arc::into_inner(f).expect("every submitter is done");
-        // callback submitters do not wait: they queue faster than windows run
+        // callback waiters do not wait: they queue faster than windows run
         assert!(
             windows(&f).0 < 2 * THREADS * EACH,
             "followers shared windows"
@@ -480,11 +449,11 @@ mod tests {
     /// A committer's window that crashes unwinds on the committer with the
     /// original `CrashPoint`, clears `busy` on the way out and stops the
     /// log; the follower that queued behind it gets the stop from the
-    /// thread, whose window writes nothing, rather than waiting forever.
+    /// thread, which runs no window, rather than waiting forever.
     #[cfg(feature = "faults")]
     #[test]
     fn a_follower_queued_behind_a_crashed_leader_gets_an_error() {
-        use crate::failpoints::FLUSH_WINDOW_ASSEMBLE;
+        use crate::failpoints::FLUSH_WINDOW_SYNC;
         use asset_faults::{CrashPoint, FaultAction, FaultRegistry, Trigger};
         asset_faults::silence_crash_panics();
         let faults = Arc::new(FaultRegistry::new());
@@ -500,13 +469,13 @@ mod tests {
         let (at_tx, at_rx) = std::sync::mpsc::channel::<()>();
         let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
         let gate = std::sync::Mutex::new(Some((at_tx, go_rx)));
-        faults.on_hit(FLUSH_WINDOW_ASSEMBLE, move || {
+        faults.on_hit(FLUSH_WINDOW_SYNC, move || {
             if let Some((at, go)) = gate.lock().unwrap().take() {
                 at.send(()).unwrap();
                 go.recv().unwrap();
             }
         });
-        faults.arm(FLUSH_WINDOW_ASSEMBLE, Trigger::Once, FaultAction::Crash);
+        faults.arm(FLUSH_WINDOW_SYNC, Trigger::Once, FaultAction::Crash);
         let leader = {
             let f = Arc::clone(&f);
             std::thread::spawn(move || f.submit_and_wait(commit(1)))
@@ -516,14 +485,14 @@ mod tests {
             let f = Arc::clone(&f);
             std::thread::spawn(move || f.submit_and_wait(commit(2)))
         };
-        while f.shared.state.lock().queue.is_empty() {
+        while f.shared.state.lock().waiters.is_empty() {
             std::thread::yield_now();
         }
         go_tx.send(()).unwrap();
         let crash = leader.join().unwrap_err();
         assert_eq!(
             crash.downcast_ref::<CrashPoint>().map(|c| c.0),
-            Some(FLUSH_WINDOW_ASSEMBLE)
+            Some(FLUSH_WINDOW_SYNC)
         );
         let refused = follower.join().expect("the follower does not crash");
         assert!(
@@ -532,22 +501,85 @@ mod tests {
         );
         assert!(!f.shared.state.lock().busy, "cleared on unwind");
         assert_eq!(windows(&f), (1, 1), "a stopped log runs no window");
-        assert_eq!(f.shared.log.records_appended(), 0);
+    }
+
+    /// A window acknowledges every waiter below the tail it drained
+    /// through, those that queued while it ran included: a waiter on a
+    /// record the running window carries needs no second window.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_window_acknowledges_the_waiters_it_covers_that_queued_while_it_ran() {
+        use crate::failpoints::FLUSH_WINDOW_SYNC;
+        let faults = Arc::new(asset_faults::FaultRegistry::new());
+        let mut log = LogManager::in_memory();
+        log.set_faults(Arc::clone(&faults));
+        let log = Arc::new(log);
+        let f = Arc::new(GroupFlusher::spawn(
+            Arc::clone(&log),
+            Durability::InMemory,
+            Duration::ZERO,
+            Obs::shared(),
+        ));
+        let (at_tx, at_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(Some((at_tx, go_rx)));
+        faults.on_hit(FLUSH_WINDOW_SYNC, move || {
+            if let Some((at, go)) = gate.lock().unwrap().take() {
+                at.send(()).unwrap();
+                go.recv().unwrap();
+            }
+        });
+        let first = log.append(&commit(1)).unwrap();
+        let second = log.append(&commit(2)).unwrap();
+        let leader = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.wait(second).unwrap())
+        };
+        at_rx.recv().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        f.when_durable(first, Box::new(move |res| tx.send(res).unwrap()))
+            .unwrap();
+        go_tx.send(()).unwrap();
+        assert_eq!(leader.join().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap().unwrap(), 2, "the thread's window");
+        let obs = f.shared.obs.snapshot();
+        assert_eq!(obs.counters.flush_windows, 2);
     }
 
     #[test]
-    fn callback_ack_runs_with_the_lsn() {
-        let (_log, f) = mem_flusher(Duration::ZERO);
+    fn callback_ack_runs_with_its_window() {
+        let (log, f) = mem_flusher(Duration::ZERO);
         let (tx, rx) = std::sync::mpsc::channel();
-        f.submit_with_callback(
-            commit(9),
-            Box::new(move |res| {
-                tx.send(res.map(|l| l.0)).unwrap();
-            }),
-        )
-        .unwrap();
+        let lsn = log.append(&commit(9)).unwrap();
+        f.when_durable(lsn, Box::new(move |res| tx.send(res).unwrap()))
+            .unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.unwrap(), 0);
+        assert_eq!(got.unwrap(), 1);
+    }
+
+    /// A window whose waiters' records an earlier window already made
+    /// durable drains nothing and syncs nothing.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_window_over_nothing_new_syncs_nothing() {
+        use crate::failpoints::LOG_SYNC;
+        use asset_faults::{FaultAction, FaultRegistry, Trigger};
+        let dir = asset_faults::TempDir::new("flusher-idle-sync");
+        let faults = Arc::new(FaultRegistry::new());
+        // armed never to fire: it counts the syncs
+        faults.arm(LOG_SYNC, Trigger::Nth(u64::MAX), FaultAction::Error);
+        let mut log = LogManager::open(&dir.join("wal.log"), Durability::Strict).unwrap();
+        log.set_faults(Arc::clone(&faults));
+        let f = GroupFlusher::spawn(
+            Arc::new(log),
+            Durability::Strict,
+            Duration::ZERO,
+            Obs::shared(),
+        );
+        let lsn = f.submit_and_wait(commit(1)).unwrap();
+        assert_eq!(faults.hits(LOG_SYNC), 1);
+        assert_eq!(f.wait(lsn).unwrap(), 2, "a window of its own");
+        assert_eq!(faults.hits(LOG_SYNC), 1, "and no sync");
     }
 
     /// Regression: `FlushWindow.bytes` was `tail` after − `tail` before,

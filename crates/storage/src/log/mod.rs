@@ -136,6 +136,8 @@ struct Inner {
     written: u64,
     /// The prefix of `written` known to be on stable storage.
     synced: u64,
+    /// One past the LSN of the latest `Commit` record; 0 for none.
+    last_commit: u64,
 }
 
 /// The log manager.
@@ -389,10 +391,17 @@ impl LogManager {
         let mut records = 0;
         for rec in recs {
             let Inner {
-                pending, cursor, ..
+                pending,
+                cursor,
+                last_commit,
+                ..
             } = &mut *inner;
-            each(Lsn(lsn.0 + (pending.len() - start) as u64));
+            let at = lsn.0 + (pending.len() - start) as u64;
+            each(Lsn(at));
             rec.encode_into(pending, cursor);
+            if let RecordRef::Commit { .. } = rec {
+                *last_commit = at + 1;
+            }
             records += 1;
         }
         asset_faults::failpoint!(&self.faults, crate::failpoints::LOG_APPEND, |act| {
@@ -450,8 +459,9 @@ impl LogManager {
     }
 
     /// Seal the pending buffer and hand it to the OS with one `write`, and,
-    /// if `sync`, make the file stable with one `sync_data` — hash, write
-    /// and sync with the append lock released. Returns the bytes this
+    /// if `sync`, make the file stable with one `sync_data` (none when
+    /// nothing was written since the last) — hash, write and sync with the
+    /// append lock released. Returns the bytes this
     /// drain wrote: the block it sealed; zero when another drain carried
     /// them first, and for the in-memory backend, where it is a no-op. A
     /// failed write or sync stops the log.
@@ -477,7 +487,7 @@ impl LogManager {
     fn drain_holding(&self, mut disk: MutexGuard<'_, Disk>, sync: bool) -> Result<usize> {
         let _section = self.enter()?;
         let t0 = self.obs.tracing_enabled().then(Instant::now);
-        let (mut buf, written) = {
+        let (mut buf, written, unsynced) = {
             let mut inner = self.inner.lock();
             if !inner.pending.is_empty() {
                 record::open_seal(&mut inner.pending);
@@ -485,7 +495,12 @@ impl LogManager {
                 inner.cursor = TidCursor::default();
             }
             let spare = std::mem::take(&mut disk.spare);
-            (std::mem::replace(&mut inner.pending, spare), inner.written)
+            let unsynced = inner.synced < inner.written;
+            (
+                std::mem::replace(&mut inner.pending, spare),
+                inner.written,
+                unsynced,
+            )
         };
         if !buf.is_empty() {
             record::fill_seal(&mut buf, 0);
@@ -498,6 +513,8 @@ impl LogManager {
         let drained = buf.len();
         buf.clear();
         disk.spare = buf;
+        // nothing written since the last sync: nothing to sync
+        let sync = sync && (drained > 0 || unsynced);
         let synced = sync.then(|| Failpoint(&self.faults, LOG_SYNC).sync(&disk.file, false));
         if synced.transpose().map_err(|e| self.stop(&e))? == Some(true) {
             let mut inner = self.inner.lock();
@@ -534,6 +551,20 @@ impl LogManager {
             },
             unsynced_bytes: (inner.written - inner.synced) as usize,
         }
+    }
+
+    /// The LSN of the latest `Commit` record while it is not yet durable —
+    /// written, and under `Strict` synced — else `None`. A commit that
+    /// logged nothing waits for it: it may have read what that commit
+    /// released before its record was durable.
+    pub fn undurable_commit(&self) -> Option<Lsn> {
+        self.disk.as_ref()?;
+        let inner = self.inner.lock();
+        let durable = match self.durability {
+            Durability::Strict => inner.synced,
+            _ => inner.written,
+        };
+        (inner.last_commit > durable).then(|| Lsn(inner.last_commit - 1))
     }
 
     /// Current tail LSN (the LSN the next record will get).
@@ -1210,6 +1241,36 @@ mod tests {
         log.append(&LogRecord::Checkpoint).unwrap();
         log.append(&LogRecord::Checkpoint).unwrap();
         assert_eq!(log.records_appended(), 2);
+    }
+
+    /// What a commit that logged nothing waits for: the latest `Commit`
+    /// until a sync covers it (a write under `Buffered`); never in memory;
+    /// nothing again after a rewrite, which syncs.
+    #[test]
+    fn the_latest_commit_is_undurable_until_a_drain_covers_it() {
+        let commit = |t| LogRecord::Commit { tids: vec![Tid(t)] };
+        let mem = LogManager::in_memory();
+        mem.append(&commit(1)).unwrap();
+        assert_eq!(mem.undurable_commit(), None, "in memory");
+        let dir = TempDir::new("log-undurable");
+        for durability in [Durability::Strict, Durability::Buffered] {
+            let path = dir.join(format!("{durability:?}.log"));
+            let log = LogManager::open(&path, durability).unwrap();
+            assert_eq!(log.undurable_commit(), None, "no commit yet");
+            let first = log.append(&commit(1)).unwrap();
+            let second = log.append(&commit(2)).unwrap();
+            log.append(&LogRecord::Abort { tid: Tid(3) }).unwrap();
+            assert_eq!(log.undurable_commit(), Some(second), "{durability:?}");
+            assert!(first < second);
+            log.drain(false).unwrap();
+            let written = (durability == Durability::Strict).then_some(second);
+            assert_eq!(log.undurable_commit(), written, "{durability:?}: written");
+            log.flush().unwrap();
+            assert_eq!(log.undurable_commit(), None, "{durability:?}: synced");
+            log.append(&commit(4)).unwrap();
+            log.rewrite([]).unwrap();
+            assert_eq!(log.undurable_commit(), None, "{durability:?}: rewritten");
+        }
     }
 
     #[test]

@@ -399,7 +399,7 @@ fn torn_matrix_delegation() {
 // ---------------------------------------------------------------------------
 // Workload 5: the executor's batched flush window (DESIGN.md §12) — three
 // transactions submitted to the worker-pool executor while the group
-// flusher's window failpoints are armed. The executor path never unwinds
+// flusher's window failpoint is armed. The executor path never unwinds
 // into the submitter: a window that fails, crashes or panics stops the
 // database, and every outcome returns the stop. Invariant: `outcome ==
 // true` is a durable acknowledgement (the value survives recovery);
@@ -409,10 +409,7 @@ fn torn_matrix_delegation() {
 
 use asset::{TryOp, TxnStep};
 
-const WINDOW_POINTS: [&str; 2] = [
-    storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
-    storage::failpoints::FLUSH_WINDOW_SYNC,
-];
+const WINDOW_POINTS: [&str; 1] = [storage::failpoints::FLUSH_WINDOW_SYNC];
 
 /// A resumable one-write executor program: re-entered from the top on
 /// every step, it simply re-attempts the write until granted.
@@ -514,13 +511,13 @@ fn panic_matrix_exec_flush_window() {
     exec_window_sweep(FaultAction::Panic);
 }
 
-/// Crash at window *assembly* fires before any record of the window
-/// reaches the log, so there is no ambiguity to tolerate: the crash on the
-/// flusher thread stops the database, every outcome and later submission
-/// returns the stop — within the bounded wait — and every commit in the
-/// torn window MUST be undone at recovery.
+/// A crash at the window fires before its drain, so no record the window
+/// would carry reaches the file and there is no ambiguity to tolerate: the
+/// crash on the flusher thread stops the database, every outcome and later
+/// submission returns the stop — within the bounded wait — and every
+/// commit in the crashed window MUST be undone at recovery.
 #[test]
-fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
+fn exec_crash_at_the_window_undoes_every_unacked_commit() {
     let case = Case::new("w5a");
     let (db0, oids) = {
         let db = case.open();
@@ -531,7 +528,7 @@ fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
         (db, oids)
     };
     case.faults.arm(
-        storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+        storage::failpoints::FLUSH_WINDOW_SYNC,
         Trigger::Once,
         FaultAction::Crash,
     );
@@ -555,8 +552,8 @@ fn exec_crash_at_window_assembly_undoes_every_unacked_commit() {
 }
 
 /// A blocking commit on an idle flusher runs its own flush window on the
-/// committing thread. A crash in that window — torn at assembly, or at the
-/// sync — unwinds right there with the window's `CrashPoint`, acknowledges
+/// committing thread. A crash in that window — with its block torn, or
+/// before any of it is written — unwinds right there with the window's `CrashPoint`, acknowledges
 /// nothing, and restart lacks exactly that commit: every commit
 /// acknowledged before it survives.
 #[test]
@@ -564,7 +561,7 @@ fn a_crash_in_a_committer_run_window_unwinds_on_the_committer_and_loses_only_its
     use asset::faults::CrashPoint;
     let points = [
         (
-            storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+            storage::failpoints::FLUSH_WINDOW_SYNC,
             FaultAction::Torn {
                 keep_per_mille: 500,
             },
@@ -611,6 +608,77 @@ fn a_crash_in_a_committer_run_window_unwinds_on_the_committer_and_loses_only_its
             assert_eq!(&get(&db, p)[..], b"p1", "[{point}] earlier acks survive");
         }
     }
+}
+
+/// Early lock release: writer W's commit frees W's lock on `o` once its
+/// record is appended, so writer R commits over `o` while W's window is
+/// still open. W's window then crashes — before its drain, or with its
+/// block torn. R's record follows W's in the log, so it dies with it:
+/// neither writer is acknowledged, and restart, twice, finds neither.
+fn released_writer_window_sweep(action: FaultAction) {
+    use asset::faults::CrashPoint;
+    let case = Case::new("elr");
+    let o = {
+        let db = case.open();
+        let o = db.new_oid();
+        put(&db, o, b"base");
+        o
+    };
+    let window = storage::failpoints::FLUSH_WINDOW_SYNC;
+    let faults = Arc::clone(&case.faults);
+    let ran = case.run(window, move |db| -> Result<()> {
+        // W's window waits, open, until R's records are in the log
+        let (at_tx, at_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(Some((at_tx, go_rx)));
+        faults.on_hit(window, move || {
+            if let Some((at, go)) = gate.lock().unwrap().take() {
+                at.send(()).unwrap();
+                let _ = go.recv();
+            }
+        });
+        faults.arm(window, Trigger::Once, action);
+        let w = {
+            let db = db.clone();
+            std::thread::spawn(move || db.run(move |ctx| ctx.write(o, b"w".to_vec())))
+        };
+        at_rx.recv().unwrap();
+        let appended = || db.engine().log().records_appended();
+        let before = appended();
+        let r = {
+            let db = db.clone();
+            std::thread::spawn(move || db.run(move |ctx| ctx.write(o, b"r".to_vec())))
+        };
+        // R took the lock W released: its write and its Commit record
+        while appended() < before + 2 {
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        let crash = w.join().expect_err("W's window crashes on W");
+        assert_eq!(
+            crash.downcast_ref::<CrashPoint>().map(|c| c.0),
+            Some(window)
+        );
+        assert_stopped(r.join().unwrap(), "R is not acknowledged");
+        Ok(())
+    });
+    assert!(matches!(ran, Ok(Ok(()))), "{:?}", ran.map(|r| r.is_ok()));
+    for _ in 0..2 {
+        let db = case.reopen_clean();
+        assert_eq!(&get(&db, o)[..], b"base", "neither W nor R survives");
+    }
+}
+
+#[test]
+fn crash_matrix_released_writer_window() {
+    released_writer_window_sweep(FaultAction::Crash);
+}
+
+#[test]
+fn torn_matrix_released_writer_window() {
+    released_writer_window_sweep(FaultAction::Torn {
+        keep_per_mille: 500,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -695,7 +763,6 @@ const STOP_SITES: &[&str] = &[
     storage::failpoints::LOG_APPEND,
     storage::failpoints::LOG_FLUSH,
     storage::failpoints::LOG_SYNC,
-    storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
     storage::failpoints::FLUSH_WINDOW_SYNC,
     storage::failpoints::LOG_REWRITE_AFTER_RENAME,
     txn::failpoints::COMMIT_RECORD,
@@ -865,7 +932,7 @@ fn a_torn_block_is_invisible_and_chopped_so_an_acked_commit_survives_a_second_re
     for point in [
         storage::failpoints::LOG_APPEND,
         storage::failpoints::LOG_FLUSH,
-        storage::failpoints::FLUSH_WINDOW_ASSEMBLE,
+        storage::failpoints::FLUSH_WINDOW_SYNC,
     ] {
         let case = Case::new("torn-tail");
         let wal = case._dir.0.join("wal.log");
@@ -1294,7 +1361,7 @@ fn in_doubt_overwrites_abort_to_the_right_images_after_two_reopens() {
     }
     {
         let db = case.open();
-        db.decide_abort_group(&[t]);
+        db.decide_abort_group(&[t]).unwrap();
         assert_eq!(
             (&get(&db, a)[..], &get(&db, b)[..]),
             (&b"a0"[..], &b"b0"[..])

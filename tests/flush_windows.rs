@@ -189,3 +189,193 @@ fn a_global_commit_forces_one_window_per_node_its_vote() {
         }
     }
 }
+
+/// Early lock release, counted (`--features faults`): a commit frees its
+/// locks once its record has an LSN, and is acknowledged only once a
+/// window has synced the log through it. A failpoint hook holds one window
+/// open; what commits behind it is counted, and none of it may be
+/// acknowledged before the window syncs.
+#[cfg(feature = "faults")]
+mod early_release {
+    use super::write_prog;
+    use asset::faults::{FaultRegistry, TempDir};
+    use asset::obs::{Event, EventKind};
+    use asset::storage::failpoints::FLUSH_WINDOW_SYNC;
+    use asset::{Config, Database, Oid, StepCtx, Tid, TryOp, TxnStatus, TxnStep};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// An on-disk database, traced, whose first flush window waits at its
+    /// failpoint: `at` says it is open, a send on `go` lets it sync. A lock
+    /// wait is bounded, so a reader behind a lock held across the window
+    /// fails instead of hanging.
+    fn held_window(tag: &str) -> (TempDir, Database, Receiver<()>, Sender<()>) {
+        let dir = TempDir::new(tag);
+        let faults = Arc::new(FaultRegistry::new());
+        let (at_tx, at) = channel::<()>();
+        let (go, go_rx) = channel::<()>();
+        let gate = Mutex::new(Some((at_tx, go_rx)));
+        faults.on_hit(FLUSH_WINDOW_SYNC, move || {
+            if let Some((at, go)) = gate.lock().unwrap().take() {
+                at.send(()).unwrap();
+                let _ = go.recv();
+            }
+        });
+        let config = Config::on_disk(&dir.0)
+            .with_faults(faults)
+            .with_lock_timeout(Some(Duration::from_secs(5)));
+        let (db, _) = Database::open(config).unwrap();
+        db.obs().enable_tracing(1 << 16);
+        (dir, db, at, go)
+    }
+
+    /// Drain the trace into `seen` until every one of `tids` has parked
+    /// for a flush window — within a bound, since at a commit that holds
+    /// its locks across its window they never would.
+    fn until_parked_on_flush(db: &Database, seen: &mut Vec<Event>, tids: &[Tid]) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let parked = |seen: &[Event], t: Tid| {
+            let on_flush = |e: &Event| matches!(e.kind, EventKind::ExecPark { tid, reason: "flush" } if tid == t);
+            seen.iter().any(on_flush)
+        };
+        while !tids.iter().all(|&t| parked(seen, t)) {
+            assert!(
+                Instant::now() < deadline,
+                "a writer never waited for a window"
+            );
+            seen.extend(db.obs().trace());
+            std::thread::yield_now();
+        }
+    }
+
+    /// The window of each commit in `seen`, by tid.
+    fn windows_of(seen: &[Event], tids: &[Tid]) -> Vec<u64> {
+        let window = |t: Tid| {
+            seen.iter().find_map(|e| match e.kind {
+                EventKind::CommitFlushed { tid, window } if tid == t => Some(window),
+                _ => None,
+            })
+        };
+        tids.iter()
+            .map(|&t| window(t).expect("a flushed commit"))
+            .collect()
+    }
+
+    /// The ROADMAP puzzle "is an `exec_hot` lock's hold time about one
+    /// window?", answered with a count: while one writer's window is held
+    /// open, N more executor writers of the same object each take the lock,
+    /// append their record and release it — and all N commit in the next
+    /// window, one flush of N. Were the lock held across the window, that
+    /// would take N windows.
+    #[test]
+    fn n_writers_of_one_object_commit_in_the_window_after_the_held_one() {
+        const N: usize = 8;
+        let (_dir, db, at, go) = held_window("elr-count");
+        let o = db.new_oid();
+        let first = db.submit(write_prog(o, 0)).unwrap();
+        at.recv().unwrap();
+        let writers: Vec<Tid> = (1..=N as u64)
+            .map(|i| db.submit(write_prog(o, i)).unwrap())
+            .collect();
+        let mut seen = Vec::new();
+        until_parked_on_flush(&db, &mut seen, &writers);
+        for &t in std::iter::once(&first).chain(&writers) {
+            assert_eq!(
+                db.status(t).unwrap(),
+                TxnStatus::Committing,
+                "{t} not acknowledged"
+            );
+        }
+        go.send(()).unwrap();
+        for &t in std::iter::once(&first).chain(&writers) {
+            assert!(db.outcome(t).unwrap());
+        }
+        seen.extend(db.obs().trace());
+        let held = windows_of(&seen, &[first])[0];
+        assert_eq!(
+            windows_of(&seen, &writers),
+            [held + 1; N],
+            "all N in the next window"
+        );
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.counters.flush_windows, 2);
+        assert_eq!(
+            (snap.flush_batch_len.count, snap.flush_batch_len.sum),
+            (2, 1 + N as u64)
+        );
+        let groups = &snap.commit_group_size;
+        assert_eq!((groups.count, groups.sum), (1 + N as u64, 1 + N as u64));
+        let last = u64::from_le_bytes(db.peek(o).unwrap().unwrap().try_into().unwrap());
+        assert!((1..=N as u64).contains(&last), "one writer's value: {last}");
+    }
+
+    fn read_prog(o: Oid) -> impl FnMut(&mut StepCtx<'_>) -> TxnStep + Send + 'static {
+        move |sc| match sc.try_read(o) {
+            Ok(TryOp::Done(_)) => TxnStep::Done(Ok(())),
+            Ok(TryOp::WouldBlock) => TxnStep::WaitLock { ob: o },
+            Err(e) => TxnStep::Done(Err(e)),
+        }
+    }
+
+    /// A read-only reader of an early-released write logs nothing, but is
+    /// acknowledged only once the writer's record is durable: executor
+    /// driver. The writer's own window covers it.
+    #[test]
+    fn a_read_only_reader_waits_for_the_writers_window_executor() {
+        let (_dir, db, at, go) = held_window("elr-ro-exec");
+        let o = db.new_oid();
+        let w = db.submit(write_prog(o, 7)).unwrap();
+        at.recv().unwrap();
+        let r = db.submit(read_prog(o)).unwrap();
+        let mut seen = Vec::new();
+        until_parked_on_flush(&db, &mut seen, &[r]);
+        assert_eq!(
+            db.status(r).unwrap(),
+            TxnStatus::Committing,
+            "not acknowledged"
+        );
+        go.send(()).unwrap();
+        assert!(db.outcome(w).unwrap() && db.outcome(r).unwrap());
+        seen.extend(db.obs().trace());
+        let windows = windows_of(&seen, &[w, r]);
+        assert_eq!(windows[0], windows[1], "at most one window: the writer's");
+    }
+
+    /// The same on the blocking driver: the writer runs its own window,
+    /// and the reader waits behind it for the flusher thread's.
+    #[test]
+    fn a_read_only_reader_waits_for_the_writers_window_blocking() {
+        let (_dir, db, at, go) = held_window("elr-ro-blocking");
+        let o = db.new_oid();
+        let w = {
+            let db = db.clone();
+            std::thread::spawn(move || db.run(move |ctx| ctx.write(o, b"w".to_vec())))
+        };
+        at.recv().unwrap();
+        let r = db.initiate(move |ctx| ctx.read(o).map(drop)).unwrap();
+        db.begin(r).unwrap();
+        db.wait(r).unwrap();
+        let (done_tx, done) = channel();
+        let committer = {
+            let db = db.clone();
+            std::thread::spawn(move || done_tx.send(db.commit(r)).unwrap())
+        };
+        // the reader's lock goes at its commit point, before it waits
+        while db.locks().holders(o).iter().any(|l| l.tid == r) {
+            std::thread::yield_now();
+        }
+        // only strengthens the check: a reader that did not wait would
+        // be acknowledged by now
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            done.try_recv().is_err(),
+            "acknowledged before the window synced"
+        );
+        assert_eq!(db.status(r).unwrap(), TxnStatus::Committing);
+        go.send(()).unwrap();
+        assert!(w.join().unwrap().unwrap());
+        assert!(done.recv().unwrap().unwrap());
+        committer.join().unwrap();
+    }
+}

@@ -511,6 +511,62 @@ mod ambiguity {
         stop_within(server);
     }
 
+    /// An abort decision whose rollback fails at a CLR stops the
+    /// participant before the decision is applied, so nobody acknowledges
+    /// it: the wire answers `ERR_IO`, the in-process node `Failed`, and a
+    /// restart finds the group still in doubt for the coordinator's retry.
+    #[test]
+    fn an_abort_decision_a_stop_kept_from_being_applied_is_not_acknowledged() {
+        use asset::common::ParticipantState;
+        use asset::coord::{CommitMessage, ParticipantNode};
+        use asset::faults::TempDir;
+        use asset::server::protocol::status_name;
+        use asset::txn::failpoints::ABORT_CLR;
+
+        let dir = TempDir::new("server-abort-decide");
+        let faults = Arc::new(FaultRegistry::new());
+        let server = spawn_server(config(&dir, &faults));
+        let mut c = connect(&server);
+        let (first, _) = c.mint(1, 100).unwrap();
+        let tid = c.begin().unwrap();
+        c.write(tid, first, &5i64.to_le_bytes()).unwrap();
+        assert_eq!(c.prepare(&[tid]).unwrap(), [tid]);
+        faults.arm(ABORT_CLR, Trigger::Once, FaultAction::Error);
+        match c.abort_decide(&[tid]) {
+            Err(asset::client::ClientError::Server { status: s, .. }) => {
+                assert_eq!(s, status::ERR_IO, "{}", status_name(s))
+            }
+            other => panic!("the stop is not an acknowledgement: {other:?}"),
+        }
+        drop(c);
+        stop_within(server);
+        faults.reset();
+        let server = spawn_server(config(&dir, &faults));
+        let state = connect(&server).prepared_state(tid).unwrap();
+        assert_eq!(state, ParticipantState::Prepared, "still in doubt");
+        stop_within(server);
+
+        let dir = TempDir::new("node-abort-decide");
+        let node = ParticipantNode::open(config(&dir, &faults)).unwrap();
+        let db = node.db();
+        let o = db.new_oid();
+        let t = db.initiate(move |ctx| ctx.write(o, b"x".to_vec())).unwrap();
+        db.begin(t).unwrap();
+        db.wait(t).unwrap();
+        let vote = node.handle(CommitMessage::Prepare { tids: vec![t] });
+        assert!(matches!(vote, Some(CommitMessage::Vote { yes: true, .. })));
+        faults.arm(ABORT_CLR, Trigger::Once, FaultAction::Error);
+        let reply = node.handle(CommitMessage::AbortDecide { tids: vec![t] });
+        assert!(
+            matches!(&reply, Some(CommitMessage::Failed { info }) if info.contains("abort.clr")),
+            "{reply:?}"
+        );
+        drop(db);
+        node.kill();
+        faults.reset();
+        assert_eq!(node.restart().unwrap(), [t], "still in doubt");
+    }
+
     /// A MINT whose second chunk's flush window fails stops the database:
     /// the compensation that would delete the first, committed chunk
     /// cannot run, and restart keeps that chunk (ROADMAP: compensation
