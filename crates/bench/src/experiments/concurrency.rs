@@ -145,7 +145,6 @@ pub fn e6_cursor_stability(scale: Scale) -> Table {
                         w_aborts.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                dbw.retire_terminated();
             }
         });
 

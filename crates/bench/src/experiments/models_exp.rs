@@ -220,7 +220,6 @@ pub fn e4_sagas(scale: Scale) -> Table {
                 }
             );
             assert_eq!(trace.events.len(), 2 * abort_at);
-            db.retire_terminated();
         }
         table.row(vec![
             "compensation".into(),
@@ -287,7 +286,6 @@ pub fn e8_workflow(scale: Scale) -> Table {
                 }
                 WorkflowOutcome::Failed { .. } => failed += 1,
             }
-            db.retire_terminated();
         }
         let elapsed = start.elapsed();
         table.row(vec![
@@ -351,7 +349,6 @@ pub fn e11_contingent(scale: Scale) -> Table {
                         exhausted += 1;
                     }
                 }
-                db.retire_terminated();
             }
             let elapsed = start.elapsed();
             table.row(vec![

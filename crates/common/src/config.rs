@@ -20,7 +20,7 @@ pub enum Durability {
 /// Configuration for a [`Database`](https://docs.rs/asset-core) instance.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Maximum number of live (not yet retired) transactions. `initiate`
+    /// Maximum number of live (not yet ended) transactions. `initiate`
     /// fails with `ResourceExhausted` beyond this — per §4.2 of the paper.
     pub max_transactions: usize,
     /// How long a lock request waits before failing with `LockTimeout`,

@@ -11,7 +11,9 @@ pub type Result<T> = std::result::Result<T, AssetError>;
 /// Every way an ASSET operation can fail.
 #[derive(Debug)]
 pub enum AssetError {
-    /// The tid does not name a known transaction (it may have been retired).
+    /// The tid names no transaction this open knows — never issued, or
+    /// ended before it without being in doubt — or, for `parent_of`, one
+    /// that has ended (an ended transaction keeps only its fate).
     TxnNotFound(Tid),
     /// A primitive was invoked in a state where it is meaningless, e.g.
     /// `begin` on a running transaction.

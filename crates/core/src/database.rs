@@ -102,7 +102,7 @@ use crate::exec::Task;
 #[cfg(feature = "faults")]
 use crate::failpoints as fp;
 use crate::threads::{txn_threads, TxnThreads};
-use crate::txns::{GroupGuard, TxnTable};
+use crate::txns::{GroupGuard, Td, TxnTable};
 use asset_common::ids::IdGen;
 use asset_common::sync::Mutex;
 use asset_common::{AssetError, Config, DepType, Lsn, ObSet, Oid, OpSet, Result, Tid, TxnStatus};
@@ -142,7 +142,9 @@ pub(crate) struct Held {
 }
 
 /// A transaction descriptor (the paper's TD). The default is a fresh
-/// top-level one: `Initiated`, nothing claimed, pinned or prepared.
+/// top-level one: `Initiated`, nothing claimed, pinned or prepared. It
+/// lives from `initiate` (or restart's in-doubt restore) until the visit
+/// that ends the transaction, which keeps only its fate ([`Td::Ended`]).
 #[derive(Default)]
 pub(crate) struct TxnSlot {
     pub parent: Tid,
@@ -151,9 +153,9 @@ pub(crate) struct TxnSlot {
     /// by the thread that runs it; `None` for a step program, which lives
     /// in its executor task.
     pub job: Option<Job>,
-    /// Boxed, so a terminated TD keeps none of it: made by the first write,
-    /// lock or delegation to it, taken by the visit that ends it.
-    pub held: Option<Box<Held>>,
+    /// Filled by writes, locks and delegations to it; taken by the pin
+    /// or by the visit that ends it.
+    pub held: Held,
     /// Abort steps already performed? (guards against double undo when
     /// commit/abort/wrapper race to finalize an `Aborting` transaction)
     pub abort_performed: bool,
@@ -248,11 +250,9 @@ impl OnStop for DbInner {
         let wake = move || {
             inner.txns.bump();
             inner.txns.for_each(|t, s| {
-                if !s.status.is_terminated() {
-                    inner.locks.poison(t);
-                    if let Some(task) = s.task.clone() {
-                        task.wake();
-                    }
+                inner.locks.poison(t);
+                if let Some(task) = s.task.clone() {
+                    task.wake();
                 }
             });
         };
@@ -312,14 +312,15 @@ impl Database {
         // same counters and trace.
         let obs = Obs::shared();
         let (engine, report) = StorageEngine::open_with_obs(&config, Arc::clone(&obs))?;
-        let tid_gen = IdGen::new();
-        tid_gen.bump_past(report.max_tid);
-        let oid_gen = IdGen::new();
-        oid_gen.bump_past(report.max_oid);
+        let tid_gen = IdGen::starting_at(report.max_tid + 1);
+        // the lowest tid this open can name: the generator's first, or
+        // below it an in-doubt transaction restored from the log
+        let first = (report.in_doubt.iter().map(|d| d.tid)).fold(Tid(report.max_tid + 1), Tid::min);
+        let oid_gen = IdGen::starting_at(report.max_oid + 1);
         let inner = Arc::new(DbInner {
             // 0 = the resolved default, `next_power_of_two(4 x cores)`
             locks: LockTable::with_shards_obs(0, Arc::clone(&obs)),
-            txns: TxnTable::new(0),
+            txns: TxnTable::new(first),
             config,
             engine,
             deps: Mutex::new(DepGraph::new()),
@@ -361,7 +362,7 @@ impl Database {
             let locks = locks.into_iter().collect();
             let slot = TxnSlot {
                 status: TxnStatus::Prepared,
-                held: Some(Box::new(Held { undo, locks })),
+                held: Held { undo, locks },
                 ..TxnSlot::default()
             };
             inner.txns.insert(d.tid, slot);
@@ -688,11 +689,8 @@ impl Database {
         loop {
             let epoch = self.inner.txns.epoch();
             self.live()?;
-            let slot = self
-                .inner
-                .txns
-                .with(t, |slot| slot.map(|s| (s.status, s.commit_pending)));
-            match slot.ok_or(AssetError::TxnNotFound(t))? {
+            let td = (self.inner.txns).with(t, |td| td.map(|td| (td.status(), td.pinned())));
+            match td.ok_or(AssetError::TxnNotFound(t))? {
                 (TxnStatus::Committed, _) => return Ok(false),
                 (TxnStatus::Aborted, _) => return Ok(true),
                 // pinned: the flush outcome decides; wait the window out
@@ -707,12 +705,13 @@ impl Database {
     }
 
     /// `self()` and `parent()` are on [`TxnCtx`]; this is the parent query
-    /// by tid.
+    /// by tid, for a transaction that has not ended: an ended one keeps
+    /// only its fate, so `parent_of` answers `TxnNotFound` for it.
     pub fn parent_of(&self, t: Tid) -> Result<Tid> {
         self.live()?;
         self.inner
             .txns
-            .with(t, |slot| slot.map(|s| s.parent))
+            .with(t, |td| td.and_then(Td::live).map(|s| s.parent))
             .ok_or(AssetError::TxnNotFound(t))
     }
 
@@ -722,7 +721,7 @@ impl Database {
         self.live()?;
         self.inner
             .txns
-            .with(t, |slot| slot.map(|s| s.status))
+            .with(t, |td| td.map(|td| td.status()))
             .ok_or(AssetError::TxnNotFound(t))
     }
 
@@ -780,8 +779,10 @@ impl Database {
             return Err(AssetError::TxnNotFound(to));
         }
         let fated = |s: TxnStatus| s == TxnStatus::Prepared || s.is_terminated();
-        refuse(&guard, &[from], "delegate", fated)?;
-        refuse(&guard, &[to], "delegate", |s| fated(s) || s.is_abort_path())?;
+        refuse(&mut guard, &[from], "delegate", fated)?;
+        refuse(&mut guard, &[to], "delegate", |s| {
+            fated(s) || s.is_abort_path()
+        })?;
         if from == to {
             return Ok(());
         }
@@ -789,23 +790,20 @@ impl Database {
         // a survivor, that survivor's commit would keep them. Locks it
         // never wrote under may still go (MLT hands its guards to `H`).
         let moves = |ob: Oid| obs.as_ref().is_none_or(|set| set.contains(ob));
-        let held = guard.get(from).and_then(|s| s.held.as_ref());
+        let held = guard.get(from).and_then(Td::live).map(|s| &s.held);
         let writes = held.is_some_and(|h| h.undo.iter().any(|u| moves(u.oid)));
-        refuse(&guard, &[from], "delegate", |s| writes && s.is_abort_path())?;
+        refuse(&mut guard, &[from], "delegate", |s| {
+            writes && s.is_abort_path()
+        })?;
         // Crash safety — WAL discipline: the Delegate record lands before
         // any in-memory state moves, so a failed append leaves the
         // delegation entirely un-happened on both sides of a restart
         // (recovery applies a logged Delegate whether or not the splice
         // below ran; an unlogged splice, by contrast, would strand the
         // delegatee's undo responsibility on the delegator after a crash).
-        let logged_obs = obs.as_ref().map(|set| match set {
-            ObSet::All => None,
-            ObSet::Objects(s) => Some(s.iter().copied().collect::<Vec<_>>()),
-        });
-        let logged_obs = match logged_obs {
-            None => None,       // delegate-all
-            Some(None) => None, // ObSet::All == delegate-all
-            Some(Some(v)) => Some(v),
+        let logged_obs = match &obs {
+            Some(ObSet::Objects(s)) => Some(s.iter().copied().collect()),
+            None | Some(ObSet::All) => None, // delegate-all
         };
         asset_faults::failpoint!(&self.inner.config.faults, fp::DELEGATE_RECORD, |act| {
             return Err(self.fail_stop(fp::DELEGATE_RECORD, act));
@@ -817,18 +815,18 @@ impl Database {
         })?;
         // splice the undo entries and the lock list (both slots exist, and
         // the guard has held their shards throughout)
-        let Some(slot) = guard.get_mut(from) else {
+        let Some(slot) = guard.get(from).and_then(Td::live) else {
             return Err(AssetError::TxnNotFound(from));
         };
-        let held = slot.held.get_or_insert_default();
+        let held = &mut slot.held;
         mark::expect(Kind::Delegate, from.raw());
         let undo: Vec<_> = held.undo.extract_if(.., |u| moves(u.oid)).collect();
         let mut moving: Vec<_> = held.locks.extract_if(.., |ob| moves(*ob)).collect();
         let listed = (self.inner.locks).delegate(from, to, &mut moving, obs.as_ref());
-        let Some(dst) = guard.get_mut(to) else {
+        let Some(dst) = guard.get(to).and_then(Td::live) else {
             return Err(AssetError::TxnNotFound(to));
         };
-        let held = dst.held.get_or_insert_default();
+        let held = &mut dst.held;
         held.undo.extend(undo);
         held.undo.sort_by_key(|u| u.seq);
         held.locks.extend(listed);
@@ -875,7 +873,7 @@ impl Database {
 
     /// The objects `t` holds locks on, from its TD (none for an unknown `t`).
     pub(crate) fn locked_objects(&self, t: Tid) -> Vec<Oid> {
-        let held = |s: Option<&mut TxnSlot>| s?.held.as_ref().map(|h| h.locks.clone());
+        let held = |td: Option<Td<'_>>| td.and_then(Td::live).map(|s| s.held.locks.clone());
         (self.inner.txns).with(t, held).unwrap_or_default()
     }
 
@@ -907,8 +905,8 @@ impl Database {
         // transaction's edges in the shard visit that sets its status, so
         // the statuses read here are exactly what the graph holds
         let _section = self.enter()?;
-        let guard = self.lock_unpinned(&[ti, tj])?;
-        let status = |t| guard.get(t).map(|s| s.status);
+        let mut guard = self.lock_unpinned(&[ti, tj])?;
+        let mut status = |t| guard.get(t).map(|td| td.status());
         let si = status(ti).ok_or(AssetError::TxnNotFound(ti))?;
         let sj = status(tj).ok_or(AssetError::TxnNotFound(tj))?;
         if ti == tj {
@@ -920,7 +918,7 @@ impl Database {
         // a prepared transaction may be the `on` of a CD/AD edge only
         let bound = [tj, if kind == DepType::GC { ti } else { tj }];
         let prepared = |s| s == TxnStatus::Prepared;
-        refuse(&guard, &bound, "form_dependency", prepared)?;
+        refuse(&mut guard, &bound, "form_dependency", prepared)?;
         let live = |s: TxnStatus| !s.is_terminated();
         let mut deps = self.inner.deps.lock();
         match (kind, si, sj) {
@@ -947,9 +945,11 @@ impl Database {
         loop {
             let epoch = self.inner.txns.epoch();
             self.live()?;
-            let guard = self.inner.txns.lock_group(parties);
-            let pinned = |t: &Tid| guard.get(*t).is_some_and(|s| s.commit_pending);
-            if !parties.iter().any(pinned) {
+            let mut guard = self.inner.txns.lock_group(parties);
+            let pinned = parties
+                .iter()
+                .any(|t| guard.get(*t).is_some_and(|td| td.pinned()));
+            if !pinned {
                 return Ok(guard);
             }
             drop(guard);
@@ -980,8 +980,8 @@ impl Database {
     /// anyone ran it — it is dropped unrun, and completing it finalizes
     /// the abort.
     pub(crate) fn claim(&self, t: Tid) -> Option<Option<Job>> {
-        self.inner.txns.with(t, |slot| {
-            let slot = slot.filter(|s| s.thread_live)?;
+        self.inner.txns.with(t, |td| {
+            let slot = td.and_then(Td::live).filter(|s| s.thread_live)?;
             let job = slot.job.take()?;
             Some((slot.status == TxnStatus::Running).then_some(job))
         })
@@ -1045,29 +1045,10 @@ impl Database {
                 op: "checkpoint",
             });
         }
-        let live: std::collections::HashSet<Tid> = guard
-            .iter()
-            .filter(|(_, s)| !s.status.is_terminated())
-            .map(|(t, _)| *t)
-            .collect();
+        let live: std::collections::HashSet<Tid> = guard.iter().map(|(t, _)| *t).collect();
         // holding every table shard keeps out what appends: commits,
         // aborts and new transactions
         self.inner.engine.checkpoint(&live)
-    }
-
-    /// Drop the descriptors of terminated transactions; returns how many
-    /// were retired.
-    pub fn retire_terminated(&self) -> usize {
-        let mut guard = self.inner.txns.lock_all();
-        let dead: Vec<Tid> = guard
-            .iter()
-            .filter(|(_, s)| s.status.is_terminated())
-            .map(|(t, _)| *t)
-            .collect();
-        for t in &dead {
-            guard.remove(*t);
-        }
-        dead.len()
     }
 
     /// The observability hub shared by the storage engine, the lock table
@@ -1104,7 +1085,7 @@ impl Database {
         };
         let (mut live, mut initiated, mut running, mut completed) = (0, 0, 0, 0);
         self.inner.txns.for_each(|_, s| {
-            live += usize::from(!s.status.is_terminated());
+            live += 1;
             match s.status {
                 TxnStatus::Initiated => initiated += 1,
                 TxnStatus::Running => running += 1,
@@ -1202,8 +1183,10 @@ impl Database {
         let mut queue: Vec<Tid> = seeds.to_vec();
         let mut refused = false;
         while let Some(x) = queue.pop() {
-            let act = self.inner.txns.with(x, |slot| {
-                let Some(slot) = slot else { return Act::Skip };
+            let act = self.inner.txns.with(x, |td| {
+                let Some(slot) = td.and_then(Td::live) else {
+                    return Act::Skip;
+                };
                 if slot.commit_pending {
                     // the group's commit record is in the flush window; its
                     // fate is the flush outcome's to decide: a successful
@@ -1232,8 +1215,7 @@ impl Database {
                         if slot.abort_performed {
                             Act::Skip
                         } else {
-                            let undo = (slot.held.as_mut()).map(|h| std::mem::take(&mut h.undo));
-                            let undo = undo.unwrap_or_default();
+                            let undo = std::mem::take(&mut slot.held.undo);
                             let in_log = !undo.is_empty() || slot.status == TxnStatus::Prepared;
                             slot.abort_performed = true;
                             if slot.status != TxnStatus::Aborting {
@@ -1285,21 +1267,21 @@ impl Database {
                 tid: x,
                 span: SpanName::Rollback,
             });
-            // steps 3–6 in one visit to x's shard (shard, then deps): release
-            // what the TD lists (left here by a rollback a panic cut short)
-            // and permits, propagate along incoming AD/GC, drop CD, aborted —
-            // so x's shard shows `Aborted` exactly when the graph drops x
-            let (victims, resolved) = self.inner.txns.with(x, |slot| {
-                if let Some(slot) = slot {
-                    if in_log {
-                        mark::expect(Kind::Abort, x.raw());
-                    }
-                    slot.set_status(x, TxnStatus::Aborted);
-                    slot.task = None; // nothing left to wake
-                    self.release(x, slot.held.take());
-                }
-                self.inner.deps.lock().aborted(x)
+            // steps 3–6 in one visit to x's shard (shard, then deps): end
+            // the TD, release what it lists (left here by a rollback a panic
+            // cut short) and permits, propagate along incoming AD/GC, drop
+            // CD — so x's shard shows `Aborted` exactly when the graph drops x
+            let mut guard = self.inner.txns.lock_group(&[x]);
+            if in_log {
+                mark::expect(Kind::Abort, x.raw());
+            }
+            let job = guard.end(x, TxnStatus::Aborted).and_then(|slot| {
+                self.release(x, slot.held);
+                slot.job
             });
+            let (victims, resolved) = self.inner.deps.lock().aborted(x);
+            drop(guard);
+            drop(job); // a body nobody ran: dropped with no shard held
             queue.extend(victims);
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
             let obs = &self.inner.obs;
@@ -1363,7 +1345,7 @@ impl Database {
         // idempotent re-prepare
         let mut prepared = 0usize;
         for m in &group {
-            match guard.get(*m).map(|s| s.status) {
+            match guard.get(*m).map(|td| td.status()) {
                 Some(TxnStatus::Committed) => {
                     drop(guard);
                     self.abort_many(&group);
@@ -1390,9 +1372,7 @@ impl Database {
         // the in-doubt clock starts at the durable prepare force (§14.2)
         let now = Instant::now();
         for m in &group {
-            // members come from the guard's own locked key set
-            #[expect(clippy::expect_used, reason = "guard-internal keys")]
-            let slot = guard.get_mut(*m).expect("group member exists");
+            let slot = guard.member(*m);
             slot.set_status(*m, TxnStatus::Prepared);
             slot.prepared_at = Some(now);
         }
@@ -1438,7 +1418,7 @@ impl Database {
         let mut guard = self.inner.txns.lock_group(group);
         let mut pending: Vec<Tid> = Vec::with_capacity(group.len());
         for m in group {
-            match guard.get(*m).map(|s| s.status) {
+            match guard.get(*m).map(|td| td.status()) {
                 Some(TxnStatus::Committed) => {} // already decided
                 Some(TxnStatus::Prepared) => pending.push(*m),
                 Some(status) => {
@@ -1459,7 +1439,7 @@ impl Database {
         })?;
         let decided: Vec<Instant> = pending
             .iter()
-            .filter_map(|m| guard.get_mut(*m)?.prepared_at.take())
+            .filter_map(|m| guard.get(*m)?.live()?.prepared_at.take())
             .collect();
         mark::expect(Kind::Commit, pending[0].raw());
         self.finish_commit(pending[0], &pending, guard);
@@ -1515,7 +1495,7 @@ impl Database {
             let mut guard = self.inner.txns.lock_group(group);
             group
                 .iter()
-                .filter_map(|m| guard.get_mut(*m)?.prepared_at.take())
+                .filter_map(|m| guard.get(*m)?.live()?.prepared_at.take())
                 .collect()
         };
         self.abort_many(group);
@@ -1558,21 +1538,24 @@ impl Database {
     /// (the commit then reports the abort).
     pub(crate) fn start(&self, t: Tid) -> Result<bool> {
         let _section = self.enter()?;
-        let begun = self.inner.txns.with(t, |slot| -> Result<bool> {
-            let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-            if slot.status.is_abort_path() {
+        let begun = self.inner.txns.with(t, |td| -> Result<bool> {
+            let td = td.ok_or(AssetError::TxnNotFound(t))?;
+            let status = td.status();
+            if status.is_abort_path() {
                 return Ok(false);
             }
-            if slot.status != TxnStatus::Initiated {
-                return Err(AssetError::InvalidState {
+            match td {
+                Td::Live(slot) if status == TxnStatus::Initiated => {
+                    slot.set_status(t, TxnStatus::Running);
+                    slot.thread_live = true;
+                    Ok(true)
+                }
+                _ => Err(AssetError::InvalidState {
                     tid: t,
-                    status: slot.status,
+                    status,
                     op: "begin",
-                });
+                }),
             }
-            slot.set_status(t, TxnStatus::Running);
-            slot.thread_live = true;
-            Ok(true)
         })?;
         if begun {
             bump(&self.inner.obs.counters.txn_begun);
@@ -1590,8 +1573,8 @@ impl Database {
             tid: t,
             ok: succeeded,
         });
-        let status = self.inner.txns.with(t, |slot| {
-            let slot = slot?;
+        let status = self.inner.txns.with(t, |td| {
+            let slot = td.and_then(Td::live)?;
             slot.thread_live = false;
             if slot.status == TxnStatus::Running {
                 // a failed or panicked job aborts
@@ -1624,8 +1607,8 @@ impl Database {
     // after. `install` appends the same way.
     pub(crate) fn list_grant(&self, t: Tid, ob: Oid, new: bool) {
         if new {
-            let list = |s: &mut TxnSlot| s.held.get_or_insert_default().locks.push(ob);
-            (self.inner.txns).with(t, |slot| slot.map(list));
+            let list = |s: &mut TxnSlot| s.held.locks.push(ob);
+            (self.inner.txns).with(t, |td| td.and_then(Td::live).map(list));
         }
     }
 
@@ -1640,9 +1623,9 @@ impl Database {
     /// The caller holds a system section (`enter`) around lock and install.
     pub(crate) fn install(&self, t: Tid, ob: Oid, after: Option<Vec<u8>>, new: bool) -> Result<()> {
         let written = self.inner.engine.write_object(t, ob, after);
-        self.inner.txns.with(t, |slot| {
-            let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-            let held = slot.held.get_or_insert_default();
+        self.inner.txns.with(t, |td| {
+            let slot = td.and_then(Td::live).ok_or(AssetError::TxnNotFound(t))?;
+            let held = &mut slot.held;
             if new {
                 held.locks.push(ob);
             }
@@ -1676,9 +1659,9 @@ impl Database {
         loop {
             self.live()?;
             // Step 1: status check.
-            let step = self.inner.txns.with(t, |slot| -> Result<Step> {
-                let slot = slot.ok_or(AssetError::TxnNotFound(t))?;
-                match slot.status {
+            let step = self.inner.txns.with(t, |td| -> Result<Step> {
+                let td = td.ok_or(AssetError::TxnNotFound(t))?;
+                match td.status() {
                     TxnStatus::Committed => Ok(Step::Done(true)),
                     TxnStatus::Aborted => Ok(Step::Done(false)),
                     TxnStatus::Aborting => Ok(Step::FinishAbort),
@@ -1686,16 +1669,17 @@ impl Database {
                     // a prepared participant's fate belongs to the commit
                     // coordinator (§14); local commit must not decide it
                     TxnStatus::Prepared => Err(prepared(t, "commit")),
-                    // a commit record for this transaction's group already
-                    // sits in the flush window: wait for the flush outcome
-                    // rather than appending a second record for the group
-                    TxnStatus::Completed | TxnStatus::Committing if slot.commit_pending => {
-                        Ok(Step::Wait)
-                    }
-                    TxnStatus::Completed | TxnStatus::Committing => {
-                        slot.set_status(t, TxnStatus::Committing);
-                        Ok(Step::Gate)
-                    }
+                    TxnStatus::Completed | TxnStatus::Committing => match td {
+                        Td::Live(slot) if !slot.commit_pending => {
+                            slot.set_status(t, TxnStatus::Committing);
+                            Ok(Step::Gate)
+                        }
+                        // a commit record for this transaction's group
+                        // already sits in the flush window: wait for the
+                        // flush outcome rather than appending a second
+                        // record for the group
+                        _ => Ok(Step::Wait),
+                    },
                 }
             })?;
             match step {
@@ -1724,12 +1708,11 @@ impl Database {
                     // enters `Committing` with `t`.
                     let mut durable = false;
                     for m in &group {
-                        #[expect(clippy::expect_used, reason = "guard-internal keys")]
-                        let slot = guard.get_mut(*m).expect("group member exists");
+                        let slot = guard.member(*m);
                         if slot.status == TxnStatus::Completed {
                             slot.set_status(*m, TxnStatus::Committing);
                         }
-                        durable |= slot.held.as_ref().is_some_and(|h| !h.undo.is_empty());
+                        durable |= !slot.held.undo.is_empty();
                     }
                     // Step 4, the commit point: the group's one `Commit`
                     // record gets its LSN. A group that holds no undo entry
@@ -1770,11 +1753,9 @@ impl Database {
                     // sync nothing can contradict the record, and nothing
                     // is held across it.
                     for m in &group {
-                        // members come from the guard's own locked key set
-                        #[expect(clippy::expect_used, reason = "guard-internal keys")]
-                        let slot = guard.get_mut(*m).expect("group member exists");
+                        let slot = guard.member(*m);
                         slot.commit_pending = true;
-                        self.release(*m, slot.held.take());
+                        self.release(*m, std::mem::take(&mut slot.held));
                     }
                     return Ok(CommitPass::Flush(group, lsn));
                 }
@@ -1818,14 +1799,14 @@ impl Database {
                 Gates::Closed => return Ok(Ready::Wait),
                 Gates::Doomed(group, seed) => return Ok(Ready::Doomed(group, seed)),
             };
-            let guard = self.inner.txns.lock_group(&group);
+            let mut guard = self.inner.txns.lock_group(&group);
             if !matches!(gates(), Gates::Open(g2) if g2 == group) {
                 continue; // moved before the shards were held: re-evaluate
             }
             let mut incomplete = false;
             let mut doomed = None;
             for m in &group {
-                match guard.get(*m).map(|s| (s.status, s.commit_pending)) {
+                match guard.get(*m).map(|td| (td.status(), td.pinned())) {
                     // pinned by a commit whose record is in the flush
                     // window: wait for its outcome
                     Some((_, true)) => incomplete = true,
@@ -1849,18 +1830,17 @@ impl Database {
     /// prepared group, or one with nothing to wait for), dependency
     /// cleanup, counters. `guard`
     /// holds the members' shards — the one function that moves a
-    /// transaction to `Committed`.
+    /// transaction to `Committed`, ending its TD.
     pub(crate) fn finish_commit(&self, t: Tid, group: &[Tid], mut guard: GroupGuard<'_>) {
         for m in group {
-            // pinned or prepared slots are not terminated, so retirement
-            // cannot have removed them
+            // pinned or prepared: live until this visit ends them
             #[expect(clippy::expect_used, reason = "guard-internal keys")]
-            let slot = guard.get_mut(*m).expect("group member exists");
-            if !std::mem::take(&mut slot.commit_pending) {
-                self.release(*m, slot.held.take());
+            let slot = guard
+                .end(*m, TxnStatus::Committed)
+                .expect("group member is live");
+            if !slot.commit_pending {
+                self.release(*m, slot.held);
             }
-            slot.set_status(*m, TxnStatus::Committed);
-            slot.task = None; // nothing left to wake
             self.inner.live_count.fetch_sub(1, Ordering::Relaxed);
         }
         let resolved = self.inner.deps.lock().committed(group);
@@ -1882,8 +1862,8 @@ impl Database {
     /// taken in the visit that sets its terminal status. Debug builds check
     /// the lock list: each entry was an LRD of `t`'s, once, and a scan of
     /// the OD maps finds none left.
-    fn release(&self, t: Tid, held: Option<Box<Held>>) {
-        let mut locks = held.map(|h| h.locks).unwrap_or_default();
+    fn release(&self, t: Tid, held: Held) {
+        let mut locks = held.locks;
         let (listed, released) = (locks.len(), self.inner.locks.release(t, &mut locks));
         if cfg!(all(debug_assertions, not(loom))) {
             let left = self.inner.locks.release_all(t);
@@ -1908,13 +1888,13 @@ fn prepared(t: Tid, op: &'static str) -> AssetError {
 /// The `InvalidState` refusal of `op` for the first of `parties` whose
 /// status is `refused`.
 fn refuse(
-    guard: &GroupGuard<'_>,
+    guard: &mut GroupGuard<'_>,
     parties: &[Tid],
     op: &'static str,
     refused: impl Fn(TxnStatus) -> bool,
 ) -> Result<()> {
     for &tid in parties {
-        if let Some(status) = guard.get(tid).map(|s| s.status).filter(|&s| refused(s)) {
+        if let Some(status) = guard.get(tid).map(|td| td.status()).filter(|&s| refused(s)) {
             return Err(AssetError::InvalidState { tid, status, op });
         }
     }

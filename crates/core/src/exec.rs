@@ -725,9 +725,7 @@ impl Database {
     pub fn outcome(&self, t: Tid) -> Result<bool> {
         loop {
             let epoch = self.inner.txns.epoch();
-            self.live()?;
-            let status = self.inner.txns.with(t, |slot| slot.map(|s| s.status));
-            match status.ok_or(AssetError::TxnNotFound(t))? {
+            match self.status(t)? {
                 TxnStatus::Committed => return Ok(true),
                 TxnStatus::Aborted => return Ok(false),
                 _ => self.inner.txns.wait_event(epoch),
@@ -746,16 +744,16 @@ impl Database {
     /// **Stale and unknown tids are safe.** This is a contract, not an
     /// accident: server sessions race their nudges against transaction
     /// completion, so a nudge may land after the task reached `DONE` and
-    /// was retired, after the tid was never submitted (plain
-    /// `initiate`/`begin` transactions), or with a tid this database has
-    /// never seen. All of these are silent no-ops — a descriptor that is
-    /// missing or holds no task (read under its shard) is ignored, and a
-    /// `DONE` task's scheduling byte rejects the requeue. A nudge can
-    /// never panic, abort, or misdirect a *different* transaction: tids
-    /// are never reused within a database (the `IdGen` is monotonic),
-    /// so a retired tid cannot alias a live one.
+    /// its transaction ended (taking its TD with it), after the tid was
+    /// never submitted (plain `initiate`/`begin` transactions), or with a
+    /// tid this database has never seen. All of these are silent no-ops —
+    /// a tid with no live TD, or one that holds no task (read under its
+    /// shard), is ignored, and a `DONE` task's scheduling byte rejects the
+    /// requeue. A nudge can never panic, abort, or misdirect a *different*
+    /// transaction: tids are never reused within a database (the `IdGen`
+    /// is monotonic), so an ended tid cannot alias a live one.
     pub fn nudge(&self, t: Tid) {
-        if let Some(task) = self.inner.txns.with(t, |slot| slot?.task.clone()) {
+        if let Some(task) = self.inner.txns.with(t, |td| td?.live()?.task.clone()) {
             task.wake();
         }
     }

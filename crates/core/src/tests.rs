@@ -201,15 +201,23 @@ fn parent_tracking() {
     assert_eq!(child_parent, t, "child's parent is the initiator");
 }
 
+/// The cap counts live transactions: one that ends frees its place, and
+/// its TD with it.
 #[test]
 fn resource_exhaustion() {
     let db = Database::open(asset_common::Config::in_memory().with_max_transactions(2))
         .unwrap()
         .0;
-    let _a = db.initiate(|_| Ok(())).unwrap();
+    let a = db.initiate(|_| Ok(())).unwrap();
     let _b = db.initiate(|_| Ok(())).unwrap();
     let err = db.initiate(|_| Ok(())).unwrap_err();
     assert!(matches!(err, AssetError::ResourceExhausted { limit: 2 }));
+    db.begin(a).unwrap();
+    assert!(db.commit(a).unwrap());
+    assert_eq!((db.live_transactions(), db.introspect().live), (1, 1));
+    let c = db.initiate(|_| Ok(())).unwrap();
+    db.begin(c).unwrap();
+    assert!(db.commit(c).unwrap());
 }
 
 #[test]
@@ -705,25 +713,6 @@ fn checkpoint_admits_only_transactions_that_cannot_append() {
 }
 
 #[test]
-fn retire_terminated_frees_slots() {
-    let db = Database::open(asset_common::Config::in_memory().with_max_transactions(4))
-        .unwrap()
-        .0;
-    for _ in 0..4 {
-        let t = db.initiate(|_| Ok(())).unwrap();
-        db.begin(t).unwrap();
-        db.commit(t).unwrap();
-    }
-    assert_eq!(db.live_transactions(), 0);
-    let retired = db.retire_terminated();
-    assert_eq!(retired, 4);
-    // slots are free again
-    let t = db.initiate(|_| Ok(())).unwrap();
-    db.begin(t).unwrap();
-    assert!(db.commit(t).unwrap());
-}
-
-#[test]
 fn run_helper_reports_abort() {
     let db = db();
     let committed = db.run(|ctx| ctx.abort_self::<()>().map(|_| ())).unwrap();
@@ -810,7 +799,6 @@ fn checkpoint_folds_delegation_into_ownership() {
     db.wait(worker).unwrap();
     db.delegate(worker, receiver, None).unwrap();
     db.commit(worker).unwrap();
-    db.retire_terminated();
 
     db.checkpoint().unwrap();
     let records = db.engine().log().scan().unwrap();
@@ -1146,7 +1134,7 @@ fn prepared_survives_crash_and_commits_after_restart() {
     let dir = TempDir::new("core-prep-commit");
     let config =
         asset_common::Config::on_disk(&*dir).with_lock_timeout(Some(Duration::from_millis(50)));
-    let (oid, group) = {
+    let (oid, group, settled) = {
         let (db, _) = Database::open(config.clone()).unwrap();
         let oid = seed(&db, b"orig");
         let t = db
@@ -1155,7 +1143,14 @@ fn prepared_survives_crash_and_commits_after_restart() {
         db.begin(t).unwrap();
         db.wait(t).unwrap();
         let group = db.prepare_group(&[t]).unwrap();
-        (oid, group)
+        // a later tid that settles before the crash, so not in doubt
+        let other = db.new_oid();
+        let settled = db
+            .initiate(move |ctx| ctx.write(other, b"settled".to_vec()))
+            .unwrap();
+        db.begin(settled).unwrap();
+        assert!(db.commit(settled).unwrap());
+        (oid, group, settled)
         // crash: drop the db with the group prepared, no decision
     };
     let (db, report) = Database::open(config.clone()).unwrap();
@@ -1175,6 +1170,26 @@ fn prepared_survives_crash_and_commits_after_restart() {
     // the coordinator's decision arrives: commit
     db.decide_commit_group(&group).unwrap();
     assert_eq!(db.peek(oid).unwrap().unwrap(), b"prepared");
+    // the restored tid, below this open's first, ended with its TD: its
+    // fate still answers, and a redelivered decision is "already decided"
+    assert_eq!(table_tids(&db), Default::default());
+    assert_eq!(db.status(group[0]).unwrap(), TxnStatus::Committed);
+    db.decide_commit_group(&group).unwrap();
+    // ...but not its parent: an ended TD keeps only its fate
+    assert!(matches!(
+        db.parent_of(group[0]),
+        Err(AssetError::TxnNotFound(_))
+    ));
+    // a pre-restart tid that was not in doubt is unknown, as it was
+    assert!(settled > group[0]);
+    assert!(matches!(
+        db.status(settled),
+        Err(AssetError::TxnNotFound(_))
+    ));
+    assert!(
+        db.initiate(|_| Ok(())).unwrap() > settled,
+        "this open's first tid"
+    );
     drop(db);
     // a second restart finds nothing in doubt
     let (db, report) = Database::open(config).unwrap();
@@ -1427,10 +1442,9 @@ fn a_local_abort_racing_the_prepare_never_undoes_a_yes_vote() {
 
 /// A termination drops every edge and link of the transaction, and
 /// `dep_edges_resolved` counts them (`asset-dep`'s unit tests pin the
-/// commit side); retiring then drops the one record left, the TD, and the
-/// tid is unknown again.
+/// commit side), and the TD itself: only the fate is left.
 #[test]
-fn a_terminated_transaction_leaves_the_graph_and_retiring_drops_its_slot() {
+fn a_terminated_transaction_leaves_the_graph_and_its_slot() {
     let db = db();
     let [t1, t2, t3, t4] = [(); 4].map(|_| db.initiate(|_| Ok(())).unwrap());
     for (kind, t) in [(DepType::GC, t2), (DepType::AD, t3), (DepType::CD, t4)] {
@@ -1441,17 +1455,19 @@ fn a_terminated_transaction_leaves_the_graph_and_retiring_drops_its_slot() {
     assert_eq!(db.metrics_snapshot().counters.dep_edges_resolved, 3);
     let aborted = [t2, t3, t4].map(|t| db.status(t).unwrap() == TxnStatus::Aborted);
     assert_eq!(aborted, [true, true, false], "GC, AD doomed; CD released");
-    assert_eq!(db.retire_terminated(), 3);
-    assert!(matches!(db.status(t1), Err(AssetError::TxnNotFound(_))));
+    assert_eq!(db.status(t1).unwrap(), TxnStatus::Aborted);
+    assert_eq!(table_tids(&db), [t4].into());
     assert_eq!(db.introspect().deps, asset_dep::DepSummary::default());
 }
 
 /// Random initiate / form (CD, AD, GC) / abort / begin / commit
 /// schedules: after every step the dependency graph names only
 /// transactions that have not terminated — it holds edges between live
-/// work, nothing of history. Commits are single non-blocking passes (a
-/// closed gate or an unfinished partner answers `Wait`), and every begun
-/// body has finished before the check, so no other thread moves a status.
+/// work, nothing of history — the TD table holds exactly those, and every
+/// tid still answers `status`, an ended one with its fate. Commits are
+/// single non-blocking passes (a closed gate or an unfinished partner
+/// answers `Wait`), and every begun body has finished before the check, so
+/// no other thread moves a status.
 #[test]
 fn the_dependency_graph_names_only_live_transactions() {
     asset_faults::cases(0x0DE9_0005, 32, |rng| {
@@ -1478,8 +1494,21 @@ fn the_dependency_graph_names_only_live_transactions() {
                     assert!(!db.status(t).unwrap().is_terminated(), "{t} in the graph");
                 }
             }
+            let live = ts
+                .iter()
+                .filter(|t| !db.status(**t).unwrap().is_terminated());
+            assert_eq!(table_tids(&db), live.copied().collect());
         }
     });
+}
+
+/// The tids that hold a TD.
+fn table_tids(db: &Database) -> std::collections::BTreeSet<Tid> {
+    let mut tids = std::collections::BTreeSet::new();
+    db.inner.txns.for_each(|t, _| {
+        tids.insert(t);
+    });
+    tids
 }
 
 /// `form_dependency(AD, x, y)` racing `abort(x)`: either the edge is in
@@ -1517,15 +1546,9 @@ fn nudge_unknown_tid_is_a_noop() {
 fn nudge_after_done_is_a_noop() {
     let db = db();
     let oid = db.new_oid();
-    let t = db
-        .submit(move |ctx| match ctx.try_write(oid, b"v".to_vec()) {
-            Ok(crate::TryOp::Done(_)) => crate::TxnStep::Done(Ok(())),
-            Ok(crate::TryOp::WouldBlock) => crate::TxnStep::WaitLock { ob: oid },
-            Err(e) => crate::TxnStep::Done(Err(e)),
-        })
-        .unwrap();
+    let t = db.submit(write_step(oid, true)).unwrap();
     assert!(db.outcome(t).unwrap(), "committed");
-    // the task is DONE and retired: late nudges (the server-session race)
+    // the task is DONE and its TD ended: late nudges (the server-session race)
     // must be silent no-ops and must not disturb the terminal state
     for _ in 0..16 {
         db.nudge(t);
@@ -1995,9 +2018,9 @@ fn undo_order_is_log_order_under_a_permitted_writer_and_a_delegation() {
     db.begin(t2).unwrap();
     assert!(db.wait(t2).unwrap());
     db.delegate(t2, t1, None).unwrap();
-    let chain = db.inner.txns.with(t1, |s| {
-        s.and_then(|s| s.held.as_ref())
-            .map(|h| h.undo.iter().map(|u| u.seq).collect::<Vec<_>>())
+    let chain = db.inner.txns.with(t1, |td| {
+        let slot = td.and_then(crate::txns::Td::live);
+        slot.map(|s| s.held.undo.iter().map(|u| u.seq).collect::<Vec<_>>())
     });
     assert_eq!(chain, Some(update_places(&db, &[t1, t2])));
     assert!(db.abort(t1).unwrap());
@@ -2113,4 +2136,115 @@ fn a_blocking_call_inside_a_step_aborts_its_transaction() {
         })
         .unwrap();
     assert_eq!(db.outcome(t).unwrap(), !cfg!(debug_assertions));
+}
+
+// --- state proportional to live work ----------------------------------
+
+/// 10⁴ and 10⁵ transactions leave the same TD slots, dependency edges and
+/// permit descriptors: those of the two live transactions set up first
+/// (a GC pair, one permit), whichever driver ran them — `run`, the
+/// executor's `submit`, or `prepare_group` then `decide_commit_group`.
+/// Each blocking one also forms a CD edge to the pair and grants a permit
+/// while it lives. What does grow is the fate store: two bits per tid it
+/// covers, and it covers at most twice the tids issued plus one segment.
+#[test]
+fn ten_times_the_transactions_leave_the_same_state() {
+    fn body(anchor: Tid, key: Oid) -> impl FnOnce(&crate::TxnCtx) -> asset_common::Result<()> {
+        move |ctx| {
+            ctx.write(key, b"v".to_vec())?;
+            ctx.permit(ctx.id(), None, ObSet::one(key), OpSet::READ)?;
+            ctx.form_dependency(DepType::CD, ctx.id(), anchor)
+        }
+    }
+    type Drive = fn(&Database, Tid, Oid);
+    let paths: [(&str, Drive); 3] = [
+        ("run", |db, anchor, key| {
+            assert!(db.run(body(anchor, key)).unwrap());
+        }),
+        ("submit", |db, _, key| {
+            let t = db.submit(write_step(key, true)).unwrap();
+            assert!(db.outcome(t).unwrap());
+        }),
+        ("prepare, decide", |db, anchor, key| {
+            let t = db.initiate(body(anchor, key)).unwrap();
+            db.begin(t).unwrap();
+            assert!(db.wait(t).unwrap());
+            let group = db.prepare_group(&[t]).unwrap();
+            db.decide_commit_group(&group).unwrap();
+        }),
+    ];
+    for (path, drive) in paths {
+        let left = [10_000u64, 100_000].map(|n| {
+            let db = db();
+            let [anchor, partner] = [(); 2].map(|_| db.initiate(|_| Ok(())).unwrap());
+            db.form_dependency(DepType::GC, anchor, partner).unwrap();
+            db.permit(anchor, Some(partner), ObSet::All, OpSet::READ)
+                .unwrap();
+            let keys: Vec<Oid> = (0..64).map(|_| db.new_oid()).collect();
+            for i in 0..n as usize {
+                drive(&db, anchor, keys[i % keys.len()]);
+            }
+            let (covered, bytes) = db.inner.txns.fate_footprint();
+            assert_eq!(bytes as u64 * 8, 2 * covered, "{path}: two bits a tid");
+            assert!(
+                covered <= 2 * (n + 2) + 4096,
+                "{path}: {covered} tids for {n}"
+            );
+            let seen = db.introspect();
+            (table_tids(&db).len(), seen.dep_edges.len(), seen.permits)
+        });
+        assert_eq!(left, [(2, 1, 1); 2], "{path}: slots, edges, permits");
+    }
+}
+
+/// A poller reads `status` and `outcome` of the newest tids while the
+/// executor commits half of them and aborts the rest: it meets each one
+/// live or ended, never unknown — the visit that ends a TD writes its fate
+/// before the shard lock lets the slot go.
+#[test]
+fn a_tid_ending_under_a_poller_is_never_unknown() {
+    use std::sync::atomic::AtomicU64;
+    let db = db();
+    let key = db.new_oid();
+    let newest = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            let mut polls = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let top = newest.load(Ordering::Acquire);
+                for t in (top.saturating_sub(32).max(1)..=top).map(Tid) {
+                    match db.status(t) {
+                        Ok(s) if s.is_terminated() => {
+                            assert_eq!(db.outcome(t).unwrap(), s == TxnStatus::Committed)
+                        }
+                        Ok(_) => {}
+                        Err(e) => panic!("{t}: {e}"),
+                    }
+                    polls += 1;
+                }
+            }
+            polls
+        });
+        for i in 0..20_000u32 {
+            let t = db.submit(write_step(key, i % 2 == 0)).unwrap();
+            newest.store(t.raw(), Ordering::Release);
+            if i % 64 == 63 {
+                db.outcome(t).unwrap();
+            }
+        }
+        done.store(true, Ordering::Release);
+        assert!(poller.join().unwrap() > 0);
+    });
+}
+
+/// A step program that writes `v` over `key`, then commits, or aborts
+/// when `commit` is false.
+fn write_step(key: Oid, commit: bool) -> impl FnMut(&mut crate::StepCtx<'_>) -> crate::TxnStep {
+    move |sc| match sc.try_write(key, b"v".to_vec()) {
+        Ok(crate::TryOp::Done(())) if commit => crate::TxnStep::Done(Ok(())),
+        Ok(crate::TryOp::Done(())) => crate::TxnStep::Done(Err(AssetError::TxnAborted(sc.id()))),
+        Ok(crate::TryOp::WouldBlock) => crate::TxnStep::WaitLock { ob: key },
+        Err(e) => crate::TxnStep::Done(Err(e)),
+    }
 }

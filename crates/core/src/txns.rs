@@ -8,6 +8,11 @@
 //! locks the deduplicated set of touched shards in ascending index order —
 //! the global ordering rule that keeps the manager deadlock-free.
 //!
+//! A TD lives only as long as its transaction: the visit that ends it
+//! ([`GroupGuard::end`]) writes its fate into two bits of the table's fate
+//! store and drops the slot under the same shard lock, so every lookup
+//! ([`TxnTable::with`], [`GroupGuard::get`]) meets one or the other.
+//!
 //! The old all-purpose `status_cv` is replaced by an **event count**: a
 //! monotonically increasing epoch bumped on every observable state change.
 //! Waiters snapshot the epoch, evaluate their predicate against the shards,
@@ -21,8 +26,9 @@ use crate::database::TxnSlot;
 use asset_common::config::resolve_shards;
 use asset_common::ids::stripe_of;
 use asset_common::sync::{Condvar, Mutex, MutexGuard, Rank};
-use asset_common::{IdMap, Tid};
+use asset_common::{IdMap, Tid, TxnStatus};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 type Shard = Mutex<IdMap<Tid, TxnSlot>>;
@@ -36,6 +42,7 @@ struct Epoch {
 pub(crate) struct TxnTable {
     shards: Box<[Shard]>,
     mask: u64,
+    fates: Fates,
     /// Event count: bumped on every status change anyone might wait for.
     epoch: Mutex<Epoch>,
     event_cv: Condvar,
@@ -46,13 +53,19 @@ pub(crate) struct TxnTable {
 }
 
 impl TxnTable {
-    pub fn new(requested_shards: usize) -> TxnTable {
-        let n = resolve_shards(requested_shards);
+    /// A table of the default shard count whose fate store starts at
+    /// `first`, the lowest tid this open can name.
+    pub fn new(first: Tid) -> TxnTable {
+        let n = resolve_shards(0);
         TxnTable {
             shards: (0..n)
                 .map(|i| Mutex::ranked(IdMap::default(), Rank::TXN_SHARD, i))
                 .collect(),
             mask: (n - 1) as u64,
+            fates: Fates {
+                first: first.raw(),
+                segments: std::array::from_fn(|_| OnceLock::new()),
+            },
             epoch: Mutex::new(Epoch::default()),
             event_cv: Condvar::new(),
             bump_hook: OnceLock::new(),
@@ -68,10 +81,10 @@ impl TxnTable {
         stripe_of(t.raw(), self.mask)
     }
 
-    /// Run `f` with `t`'s slot (if any) under its shard lock.
-    pub fn with<R>(&self, t: Tid, f: impl FnOnce(Option<&mut TxnSlot>) -> R) -> R {
+    /// Run `f` with what the table knows of `t` under its shard lock.
+    pub fn with<R>(&self, t: Tid, f: impl FnOnce(Option<Td<'_>>) -> R) -> R {
         let mut map = self.shards[self.shard_index(t)].lock();
-        f(map.get_mut(&t))
+        f(lookup(&mut map, &self.fates, t))
     }
 
     pub fn insert(&self, t: Tid, slot: TxnSlot) {
@@ -90,8 +103,7 @@ impl TxnTable {
         }
     }
 
-    /// Lock every shard (operations that keep the table still: checkpoint,
-    /// retirement).
+    /// Lock every shard (the checkpoint, which keeps the table still).
     pub fn lock_all(&self) -> GroupGuard<'_> {
         GroupGuard {
             table: self,
@@ -101,8 +113,8 @@ impl TxnTable {
         }
     }
 
-    /// Visit every slot, one shard at a time (statistics; not a consistent
-    /// cross-shard snapshot).
+    /// Visit every live TD, one shard at a time (statistics; not a
+    /// consistent cross-shard snapshot).
     pub fn for_each(&self, mut f: impl FnMut(Tid, &TxnSlot)) {
         for shard in self.shards.iter() {
             let map = shard.lock();
@@ -110,6 +122,14 @@ impl TxnTable {
                 f(*t, slot);
             }
         }
+    }
+
+    /// Tids the fate store's segments cover, and their bytes.
+    #[cfg(test)]
+    pub fn fate_footprint(&self) -> (u64, usize) {
+        let segments = self.fates.segments.iter().filter_map(OnceLock::get);
+        let words: usize = segments.map(|s| s.len()).sum();
+        (words as u64 * 32, words * 8)
     }
 
     // --- event count ----------------------------------------------------
@@ -159,22 +179,107 @@ impl GroupGuard<'_> {
         self.guards.iter().position(|(i, _)| *i == idx)
     }
 
-    pub fn get(&self, t: Tid) -> Option<&TxnSlot> {
-        self.pos_of(t).and_then(|p| self.guards[p].1.get(&t))
-    }
-
-    pub fn get_mut(&mut self, t: Tid) -> Option<&mut TxnSlot> {
+    /// What the table knows of `t` (whose shard this guard must hold).
+    pub fn get(&mut self, t: Tid) -> Option<Td<'_>> {
         let p = self.pos_of(t)?;
-        self.guards[p].1.get_mut(&t)
+        lookup(&mut self.guards[p].1, &self.table.fates, t)
     }
 
-    pub fn remove(&mut self, t: Tid) -> Option<TxnSlot> {
+    /// The live TD of group member `t`, which the caller has seen live
+    /// under this guard (in the readiness check that built the group).
+    #[expect(clippy::expect_used, reason = "members are checked under the guard")]
+    pub fn member(&mut self, t: Tid) -> &mut TxnSlot {
+        self.get(t)
+            .and_then(Td::live)
+            .expect("group member is live")
+    }
+
+    /// End `t`'s TD: move it to `fate` (`Committed` or `Aborted`), write
+    /// the fate bits, then take the slot out of its shard, all under the
+    /// shard lock, so a lookup meets either the slot or the fate. `None`
+    /// when `t` has no live TD here.
+    pub fn end(&mut self, t: Tid, fate: TxnStatus) -> Option<TxnSlot> {
         let p = self.pos_of(t)?;
-        self.guards[p].1.remove(&t)
+        let map = &mut self.guards[p].1;
+        map.get_mut(&t)?.set_status(t, fate);
+        self.table.fates.end(t, fate == TxnStatus::Committed);
+        map.remove(&t)
     }
 
-    /// Every slot under the held shards (all slots, for `lock_all`).
+    /// Every live TD under the held shards (all of them, for `lock_all`).
     pub fn iter(&self) -> impl Iterator<Item = (&Tid, &TxnSlot)> {
         self.guards.iter().flat_map(|(_, g)| g.iter())
+    }
+}
+
+/// What the table knows of a tid: its TD, or its fate once it has ended.
+pub(crate) enum Td<'a> {
+    Live(&'a mut TxnSlot),
+    /// `Committed` or `Aborted`, read from the fate bits.
+    Ended(TxnStatus),
+}
+
+impl<'a> Td<'a> {
+    pub fn status(&self) -> TxnStatus {
+        match self {
+            Td::Live(slot) => slot.status,
+            Td::Ended(fate) => *fate,
+        }
+    }
+
+    pub fn live(self) -> Option<&'a mut TxnSlot> {
+        match self {
+            Td::Live(slot) => Some(slot),
+            Td::Ended(_) => None,
+        }
+    }
+
+    /// Is its group's commit record in a flush window (`commit_pending`)?
+    pub fn pinned(&self) -> bool {
+        matches!(self, Td::Live(slot) if slot.commit_pending)
+    }
+}
+
+/// The one lookup: the live slot, else the fate bits.
+fn lookup<'a>(map: &'a mut IdMap<Tid, TxnSlot>, fates: &Fates, t: Tid) -> Option<Td<'a>> {
+    match map.get_mut(&t) {
+        Some(slot) => Some(Td::Live(slot)),
+        None => fates.get(t).map(Td::Ended),
+    }
+}
+
+/// The fates of ended transactions: two bits a tid from `first` on
+/// (*ended*, *committed*), 32 tids to an atomic word, in segments of
+/// `4096 << k` tids, each allocated by the first fate written into it. A
+/// tid below `first` (an earlier open's, not in doubt) has none. Written
+/// and read under the tid's shard lock: nothing to order beyond it.
+struct Fates {
+    first: u64,
+    segments: [OnceLock<Box<[AtomicU64]>>; 53],
+}
+
+impl Fates {
+    /// `t`'s segment, and the offset of its two bits there.
+    fn place(&self, t: Tid) -> Option<(usize, usize)> {
+        let i = t.raw().checked_sub(self.first)?;
+        let k = (i / 4096 + 1).ilog2();
+        Some((k as usize, 2 * (i - 4096 * ((1 << k) - 1)) as usize))
+    }
+
+    fn end(&self, t: Tid, committed: bool) {
+        if let Some((k, bit)) = self.place(t) {
+            let words = || (0..128usize << k).map(|_| AtomicU64::new(0)).collect();
+            let fate = (1 | u64::from(committed) << 1) << (bit % 64);
+            self.segments[k].get_or_init(words)[bit / 64].fetch_or(fate, Ordering::Relaxed);
+        }
+    }
+
+    fn get(&self, t: Tid) -> Option<TxnStatus> {
+        let (k, bit) = self.place(t)?;
+        match self.segments[k].get()?[bit / 64].load(Ordering::Relaxed) >> (bit % 64) & 3 {
+            0 => None,
+            1 => Some(TxnStatus::Aborted),
+            _ => Some(TxnStatus::Committed),
+        }
     }
 }

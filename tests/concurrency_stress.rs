@@ -229,8 +229,8 @@ fn concurrent_sagas_respect_inventory() {
     );
 }
 
-/// Transaction table hygiene: thousands of short transactions with
-/// periodic retirement do not exhaust the configured cap.
+/// Transaction table hygiene: thousands of short transactions do not
+/// exhaust the configured cap, since each one's TD ends with it.
 #[test]
 fn churn_with_retirement() {
     let db = Database::open(Config::in_memory().with_max_transactions(64))
@@ -246,8 +246,11 @@ fn churn_with_retirement() {
                 })
                 .unwrap());
         }
-        let retired = db.retire_terminated();
-        assert!(retired >= 32, "batch {batch}: retired {retired}");
+        assert_eq!(
+            db.introspect().live,
+            0,
+            "batch {batch}: a TD outlived its transaction"
+        );
     }
     assert_eq!(balance(&db, oid), 20 * 32);
 }

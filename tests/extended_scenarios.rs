@@ -235,7 +235,6 @@ fn mixed_workload_soak_with_compaction_and_recovery() {
                 }
             }
             if round % 60 == 59 {
-                db.retire_terminated();
                 db.checkpoint().unwrap();
             }
         }

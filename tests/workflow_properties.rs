@@ -140,6 +140,5 @@ fn workflow_matches_reference_interpreter() {
                 }
             }
         }
-        db.retire_terminated();
     });
 }
