@@ -840,7 +840,9 @@ impl Database {
     /// objects without waiting for `ti` to terminate. Permits compose
     /// transitively (§2.2 property 3). Wildcard forms: `grantee: None` =
     /// any transaction, `ObSet::All` = any object, `OpSet::ALL` = any
-    /// operation.
+    /// operation. A grantor or named grantee that has terminated, or whose
+    /// commit has already released its permits, is refused with
+    /// `InvalidState`: no later release would drop the PD.
     ///
     /// ```
     /// use asset_core::{Database, ObSet, OpSet};
@@ -857,18 +859,43 @@ impl Database {
     /// ```
     pub fn permit(&self, grantor: Tid, grantee: Option<Tid>, obs: ObSet, ops: OpSet) -> Result<()> {
         let _section = self.enter()?;
+        let _guard = self.lock_permit_parties(grantor, grantee)?;
         self.inner.locks.permit(grantor, grantee, obs, ops);
         Ok(())
     }
 
     /// The paper's `permit(ti, tj, operations)` — materialize the object
     /// set from what `grantor` has accessed or has permission to access,
-    /// at call time (§4.2).
+    /// at call time (§4.2). Refused as [`permit`](Self::permit) is.
     pub fn permit_accessed(&self, grantor: Tid, grantee: Option<Tid>, ops: OpSet) -> Result<()> {
         let _section = self.enter()?;
-        let held = self.locked_objects(grantor);
+        let mut guard = self.lock_permit_parties(grantor, grantee)?;
+        let slot = guard.get(grantor).and_then(Td::live);
+        let held = slot.map_or_else(Vec::new, |s| s.held.locks.clone());
         (self.inner.locks).permit_accessed(grantor, grantee, &held, ops);
         Ok(())
+    }
+
+    /// The shards of a permit's grantor and named grantee, held while its
+    /// PD goes in: a party's release runs in a visit to its shard, so the
+    /// PD lands before the release that drops it — or the party is
+    /// refused, with `InvalidState`, for having terminated or for being
+    /// pinned, its commit's release already run.
+    fn lock_permit_parties(&self, grantor: Tid, grantee: Option<Tid>) -> Result<GroupGuard<'_>> {
+        let parties: Vec<Tid> = std::iter::once(grantor).chain(grantee).collect();
+        let mut guard = self.inner.txns.lock_group(&parties);
+        for tid in parties {
+            let ended = |td: &Td<'_>| td.pinned() || td.status().is_terminated();
+            if let Some(td) = guard.get(tid).filter(ended) {
+                let status = td.status();
+                return Err(AssetError::InvalidState {
+                    tid,
+                    status,
+                    op: "permit",
+                });
+            }
+        }
+        Ok(guard)
     }
 
     /// The objects `t` holds locks on, from its TD (none for an unknown `t`).

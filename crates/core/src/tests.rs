@@ -396,6 +396,47 @@ fn permit_allows_conflicting_access() {
     db.commit(holder).unwrap();
 }
 
+/// A permit whose grantor or named grantee has ended would never be
+/// released: the release that drops a party's PDs has run. It is refused,
+/// from the fate, and a hundred transactions later the table is empty.
+#[test]
+fn a_permit_from_or_to_an_ended_transaction_is_refused() {
+    let db = db();
+    let oid = seed(&db, b"v0");
+    let t = db
+        .initiate(move |ctx| ctx.write(oid, b"v1".to_vec()))
+        .unwrap();
+    db.begin(t).unwrap();
+    assert!(db.commit(t).unwrap());
+    let aborted = db.initiate(|_| Ok(())).unwrap();
+    assert!(db.abort(aborted).unwrap());
+    let live = db.initiate(|_| Ok(())).unwrap();
+    let refused = |r: asset_common::Result<()>, ended: Tid| matches!(r, Err(AssetError::InvalidState { tid, op: "permit", .. }) if tid == ended);
+    assert!(refused(db.permit(t, None, ObSet::All, OpSet::ALL), t));
+    assert!(refused(
+        db.permit(live, Some(t), ObSet::one(oid), OpSet::READ),
+        t
+    ));
+    assert!(refused(db.permit_accessed(t, None, OpSet::ALL), t));
+    assert!(refused(
+        db.permit(aborted, Some(live), ObSet::All, OpSet::ALL),
+        aborted
+    ));
+    assert!(refused(
+        db.permit_accessed(live, Some(aborted), OpSet::ALL),
+        aborted
+    ));
+    for _ in 0..100 {
+        assert!(db.run(move |ctx| ctx.write(oid, b"v".to_vec())).unwrap());
+    }
+    assert_eq!(db.introspect().permits, 0);
+    // a live pair still may, and the grantor's end drops the PD
+    db.permit(live, None, ObSet::All, OpSet::ALL).unwrap();
+    assert_eq!(db.introspect().permits, 1);
+    assert!(db.abort(live).unwrap());
+    assert_eq!(db.introspect().permits, 0);
+}
+
 #[test]
 fn delegation_moves_responsibility_for_undo_and_commit() {
     let db = db();
@@ -1760,8 +1801,8 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
     ];
     assert_eq!(records_since(&db, tail), expected);
     // the log holds each balance's one changed byte, packed over its
-    // base, and `t` as a one-byte tid (a delta, amid the in-memory log's
-    // one block)
+    // base, `t` as a one-byte tid delta, and the commit as one byte, the
+    // delta of its tid in its kind
     let mut bytes = Vec::new();
     let mut cursor = asset_storage::log::TidCursor::default();
     for (oid, after) in [(a, 58i64), (b, 142)] {
@@ -1776,7 +1817,7 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
         .encode_into(&mut bytes, &mut cursor);
     }
     expected[2].as_ref().encode_into(&mut bytes, &mut cursor);
-    assert_eq!((bytes.len(), tail_after - tail), (10, bytes.len() as u64));
+    assert_eq!((bytes.len(), tail_after - tail), (9, bytes.len() as u64));
 }
 
 #[test]

@@ -399,15 +399,15 @@ mod tests {
 
     /// Through an on-disk engine from tid `base`, in a directory named by
     /// `tag`: a transfer that creates both balances, one transfer alone in
-    /// a drain, then twenty in one drain, which read back whole. Returns
-    /// the log bytes of the last two.
-    fn transfer_bytes(tag: &str, base: u64) -> (u64, u64) {
+    /// a drain, then twenty in one drain, then — reopened — one more alone,
+    /// which all read back whole. Returns the log bytes of the last three.
+    fn transfer_bytes(tag: &str, base: u64) -> [u64; 3] {
         let dir = TempDir::new(&format!("eng-{tag}"));
-        let (e, _) = StorageEngine::open(&Config::on_disk(&*dir)).unwrap();
+        let config = Config::on_disk(&*dir);
         let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
         // leaves `a` at 1 000 - k and `b` at 1 000 + k
-        let transfer = |tid: u64, k: i64, forced: bool| {
+        let transfer = |e: &StorageEngine, tid: u64, k: i64, forced: bool| {
             e.write_object(Tid(tid), a, balance(1_000 - k)).unwrap();
             e.write_object(Tid(tid), b, balance(1_000 + k)).unwrap();
             let commit = LogRecord::Commit {
@@ -419,52 +419,64 @@ mod tests {
                 e.log.append(&commit).unwrap();
             }
         };
-        transfer(base, 0, true); // creates both: two `Update`s
+        // the last transfer, from tid `base + t`, left 1 000 ∓ k
+        let ends_with = |e: &StorageEngine, t: u64, k: i64| {
+            let tid = Tid(base + t);
+            let overwrite = |oid, v| LogRecord::Overwrite {
+                tid,
+                oid,
+                after: balance(v),
+            };
+            let commit = LogRecord::Commit { tids: vec![tid] };
+            let last = [commit, overwrite(b, 1_000 + k), overwrite(a, 1_000 - k)];
+            let records = e.log.scan().unwrap().into_iter().rev().map(|(_, rec)| rec);
+            assert!(records.take(3).eq(last));
+        };
+        let (e, _) = StorageEngine::open(&config).unwrap();
+        transfer(&e, base, 0, true); // creates both: two `Update`s
         let marks = e.log.watermarks();
-        transfer(base + 1, 21, true);
+        transfer(&e, base + 1, 21, true);
         let alone = e.log.watermarks();
         assert_eq!(alone.records_appended - marks.records_appended, 3);
         for t in 0..20 {
-            transfer(base + 2 + t, 1 + t as i64, t == 19);
+            transfer(&e, base + 2 + t, 1 + t as i64, t == 19);
         }
         assert_eq!(e.log.pending_bytes(), 0);
         let twenty = e.log.tail().0 - alone.tail.0;
-        // the last transfer left 980 and 1 020
-        let tid = Tid(base + 21);
-        let overwrite = |oid, v| LogRecord::Overwrite {
-            tid,
-            oid,
-            after: balance(v),
-        };
-        let commit = LogRecord::Commit { tids: vec![tid] };
-        let last = [commit, overwrite(b, 1_020), overwrite(a, 980)];
-        let records = e.log.scan().unwrap().into_iter().rev().map(|(_, rec)| rec);
-        assert!(records.take(3).eq(last));
+        ends_with(&e, 21, 20);
         drop(e);
-        (alone.tail.0 - marks.tail.0, twenty)
+        let (e, _) = StorageEngine::open(&config).unwrap();
+        let reopened = e.log.tail().0;
+        transfer(&e, base + 22, 5, true);
+        let reopened = e.log.tail().0 - reopened;
+        ends_with(&e, 22, 5);
+        drop(e);
+        [alone.tail.0 - marks.tail.0, twenty, reopened]
     }
 
     /// A transfer over two balances the log has seen — 8-byte integers
     /// near 1 000, each write moving the low byte alone — is three records:
-    /// two packed `Overwrite`s and a one-tid `Commit`. Opening a block it
-    /// is 16 bytes with three-byte ids (8 + 6 + 2: only its first tid is
-    /// absolute), amid one 14, plus the seal that closes the drain it
-    /// leaves in: 21 alone, 16 + 19 × 14 + 5 for twenty in one drain — the
-    /// benchmark's `log_bytes_per_txn`.
+    /// two packed `Overwrite`s and a one-tid `Commit` that its kind byte
+    /// holds, 6 + 6 + 1 = 13 bytes with three-byte ids, every tid a
+    /// one-byte delta across seals; plus the seal that closes the drain it
+    /// leaves in: 18 alone, 20 × 13 + 5 for twenty in one drain — the
+    /// benchmark's `log_bytes_per_txn`. The first transfer a reopened log
+    /// takes pays its reset entry and one wide tid, a delta from 0.
     #[test]
-    fn a_transfer_is_16_bytes_opening_a_block_14_amid_one_plus_one_seal_per_drain() {
+    fn a_transfer_is_13_bytes_plus_one_seal_per_drain() {
         let bytes = transfer_bytes("golden", 70_000);
-        assert_eq!(bytes, (8 + 6 + 2 + 5, 16 + 19 * 14 + 5));
+        assert_eq!(bytes, [6 + 6 + 1 + 5, 20 * 13 + 5, 1 + 8 + 6 + 1 + 5]);
     }
 
-    /// A tid's width costs its block one absolute tid and nothing more:
-    /// the same drains logged at five-byte tids are two bytes longer each
-    /// than at three-byte ones.
+    /// A tid's width costs the log only the first tid past a reset: at
+    /// five-byte tids, the drains of an open log cost what they do at
+    /// three-byte ones, and the first transfer past a reopen two bytes
+    /// more.
     #[test]
-    fn a_wider_tid_costs_only_the_absolute_tid_that_opens_a_block() {
-        let (alone, twenty) = transfer_bytes("narrow", 70_000);
+    fn a_wider_tid_costs_only_the_first_tid_past_a_reset() {
+        let [alone, twenty, reopened] = transfer_bytes("narrow", 70_000);
         let wide = transfer_bytes("wide", 3_000_000_000);
-        assert_eq!(wide, (alone + 2, twenty + 2));
+        assert_eq!(wide, [alone, twenty, reopened + 2]);
     }
 
     /// Regression: restart used to undo its losers in the cache and log

@@ -126,9 +126,12 @@ struct Inner {
     /// Records accepted and not yet handed to the file; the whole log of
     /// the in-memory backend.
     pending: Vec<u8>,
-    /// What the next record's tids are written against: reset where a
-    /// drain opens a seal, so each block starts with an absolute tid.
+    /// What the next record's tids are written against: it runs through
+    /// the generation, across seals.
     cursor: TidCursor,
+    /// The next append opens with a reset entry: this manager opened a
+    /// log it did not start, and does not know the last tid in it.
+    reset: bool,
     tail: u64,
     records_appended: u64,
     records_coalesced: u64,
@@ -192,6 +195,7 @@ impl LogManager {
                 tail: len,
                 written: len,
                 synced: len,
+                reset: len > 0,
                 ..Inner::default()
             }),
             disk,
@@ -319,7 +323,7 @@ impl LogManager {
             .read_to_end(&mut head)?;
         if !FORMAT_MARKER.starts_with(&head) {
             return Err(AssetError::Corrupt(format!(
-                "{} is not a v7 log: it starts {head:02x?}",
+                "{} is not a v8 log: it starts {head:02x?}",
                 path.display()
             )));
         }
@@ -385,7 +389,16 @@ impl LogManager {
             // the first block of a generation opens with the marker
             inner.pending.extend_from_slice(&FORMAT_MARKER);
             inner.tail = FORMAT_MARKER.len() as u64;
+        } else if inner.reset {
+            // and the first this manager writes behind another's, with a
+            // reset: tids go on from 0, not from a tid it never saw
+            let Inner {
+                pending, cursor, ..
+            } = &mut *inner;
+            record::open_reset(pending, cursor);
+            inner.tail += 1;
         }
+        inner.reset = false;
         let lsn = Lsn(inner.tail);
         let start = inner.pending.len();
         let mut records = 0;
@@ -492,7 +505,6 @@ impl LogManager {
             if !inner.pending.is_empty() {
                 record::open_seal(&mut inner.pending);
                 inner.tail += SEAL_LEN as u64;
-                inner.cursor = TidCursor::default();
             }
             let spare = std::mem::take(&mut disk.spare);
             let unsynced = inner.synced < inner.written;
@@ -594,8 +606,8 @@ impl LogManager {
 
     /// Read the whole log and decode it into `(lsn, record)` pairs: a
     /// collector over [`replay`](Self::replay), for tests and diagnostics.
-    /// A patched `Overwrite` comes out whole, rebuilt over the image the
-    /// records before it installed; one its base does not fit is
+    /// A patched `Overwrite` or CLR comes out whole, rebuilt over the image
+    /// the records before it installed; one its base does not fit is
     /// `Corrupt`, as at restart.
     pub fn scan(&self) -> Result<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
@@ -606,6 +618,10 @@ impl LogManager {
                     tid,
                     oid,
                     after: rebuild(lsn, oid, after, images.get(&oid))?,
+                },
+                RecordRef::Clr { oid, image } => LogRecord::Clr {
+                    oid,
+                    image: rebuild(lsn, oid, image, images.get(&oid))?,
                 },
                 rec => rec.to_owned(),
             };
@@ -647,26 +663,26 @@ impl LogManager {
             let inner = self.inner.lock();
             (inner.written, inner.pending.clone())
         };
+        // the buffer goes on from the file's cursor, or opens the
+        // generation, behind its marker if the file is empty
+        let (mut off, mut cursor) = (0, TidCursor::default());
         if let Some(disk) = &disk {
-            let end = replay_file(File::open(&disk.path)?.take(written), &mut visit)?;
+            let end;
+            (end, cursor) = replay_file(File::open(&disk.path)?.take(written), &mut visit)?;
             if end < written {
                 let cut = Failpoint(&self.faults, LOG_TRUNCATE);
                 cut.write(&disk.file, end, &[])?;
                 cut.sync(&disk.file, false)?;
                 let mut inner = self.inner.lock();
                 inner.pending.clear();
-                inner.cursor = TidCursor::default();
+                inner.reset = true;
                 (inner.tail, inner.written, inner.synced) = (end, end, end);
                 return Ok(());
             }
+            if written == 0 {
+                off = FORMAT_MARKER.len();
+            }
         }
-        // the buffer opens a block — a generation's first if the file is
-        // empty
-        let mut off = match &disk {
-            Some(_) if written == 0 => FORMAT_MARKER.len(),
-            _ => 0,
-        };
-        let mut cursor = TidCursor::default();
         while let Some((entry, next)) = LogEntry::decode_in(&unwritten, off, &mut cursor)? {
             if let LogEntry::Record(rec) = entry {
                 visit(Lsn(written + off as u64), rec)?;
@@ -751,19 +767,21 @@ fn lock_current(path: &Path, file: File) -> Result<Option<File>> {
 
 /// The file part of [`LogManager::replay`]: visit the records of every
 /// block of `file` whose seal verifies and return where the last of those
-/// blocks ends — short of the file's end if it ends in a torn block.
+/// blocks ends — short of the file's end if it ends in a torn block — and
+/// the tid cursor there.
 fn replay_file(
     mut file: impl Read,
     visit: &mut impl FnMut(Lsn, RecordRef<'_>) -> Result<()>,
-) -> Result<u64> {
+) -> Result<(u64, TidCursor)> {
     // `buf` is a window on the file starting at offset `base`; `start` is
-    // where, in it, the last verified block ends and the next begins.
+    // where, in it, the last verified block ends and the next begins, and
+    // `at_start` the cursor there.
     let (mut buf, mut base, mut start) = (Vec::new(), 0u64, 0usize);
-    let (mut eof, mut records) = (false, 0);
+    let (mut eof, mut records, mut at_start) = (false, 0, TidCursor::default());
     loop {
         // Decode the block once, from its start, and visit it only when it
         // proves whole.
-        let (mut block, mut cursor) = (Vec::with_capacity(records), TidCursor::default());
+        let (mut block, mut cursor) = (Vec::with_capacity(records), at_start);
         // a generation's first block opens with the marker `open` checked
         let mut off = match base + start as u64 {
             0 => FORMAT_MARKER.len(),
@@ -776,6 +794,7 @@ fn replay_file(
                     off = next;
                 }
                 Some((LogEntry::Seal(sum), next)) => break Some((sum, next)),
+                Some((LogEntry::Reset, next)) => off = next,
                 None => break None,
             }
         };
@@ -791,9 +810,9 @@ fn replay_file(
                 for (off, rec) in block {
                     visit(Lsn(base + off as u64), rec)?;
                 }
-                start = next;
+                (start, at_start) = (next, cursor);
             }
-            None if eof => return Ok(base + start as u64),
+            None if eof => return Ok((base + start as u64, at_start)),
             None => {
                 // the block runs past the window: slide it, and read at
                 // least as much again as the block is long so far
@@ -932,8 +951,8 @@ mod tests {
                 lsns.push(log.append(&rec(i)).unwrap());
             }
             assert!(log.pending_bytes() > 0, "the last records are buffered");
-            // a seal between them: no record is longer amid a block than
-            // opening one, by more than the seal
+            // a seal between them: no record is longer where it stands
+            // than as a generation's first, by as much as a seal
             let gaps = lsns
                 .windows(2)
                 .zip(0..)
@@ -965,17 +984,18 @@ mod tests {
     /// A log an earlier format wrote is refused before a byte of it is
     /// parsed — neither chopped as a torn tail nor appended to — by an
     /// error that names the format this build reads, and left as it was:
-    /// behind v6's marker (no packed `Overwrite`), v5's (every tid
-    /// absolute) or v4's, or behind none, as v3 and earlier wrote, whole or
-    /// cut shorter than a marker.
+    /// behind v7's marker (the tid cursor restarts at every seal), v6's (no
+    /// packed `Overwrite`), v5's (every tid absolute) or v4's, or behind
+    /// none, as v3 and earlier wrote, whole or cut shorter than a marker.
     #[test]
-    fn a_v6_log_is_refused_and_left_untouched() {
+    fn a_v7_log_is_refused_and_left_untouched() {
         let dir = TempDir::new("old");
         let path = dir.join("wal.log");
-        let recs = sample_records();
-        // and the `Commit` of one tid every format before v6 wrote
-        let body = [&recs[0].encode()[..], &recs[1].encode(), &[3, 1, 1]].concat();
-        let mut olds: Vec<Vec<u8>> = [b"ASSETWL6", b"ASSETWL5", b"ASSETWL4"]
+        // v7's `Abort` of tid 1, `Update` of oid 10 to "hello" and
+        // `Commit` of one tid (kind 10, its tid absolute, as a block's
+        // first) — every format before v6 wrote kind 3 and a count
+        let body = [&[4, 1, 2, 1, 10, 0, 6][..], b"hello", &[10, 1]].concat();
+        let mut olds: Vec<Vec<u8>> = [b"ASSETWL7", b"ASSETWL6", b"ASSETWL5", b"ASSETWL4"]
             .map(|marker| {
                 let mut old = [&marker[..], &body].concat();
                 record::open_seal(&mut old);
@@ -983,16 +1003,62 @@ mod tests {
                 old
             })
             .into();
-        olds.extend([body.clone(), body[..6].to_vec()]);
+        olds.extend([[&body[..], &[3, 1, 1]].concat(), body[..6].to_vec()]);
         for old in olds {
             std::fs::write(&path, &old).unwrap();
             for _ in 0..2 {
                 let err = LogManager::open(&path, Durability::Strict).err().unwrap();
                 assert!(
-                    matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v7 log")),
+                    matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v8 log")),
                     "{err}"
                 );
                 assert_eq!(std::fs::read(&path).unwrap(), old, "untouched");
+            }
+        }
+    }
+
+    /// The tid cursor runs through the generation, and each manager that
+    /// opens the log starts it over with a reset entry: appends across
+    /// several drains, a torn tail, a reopen that chops it, more appends
+    /// across drains, and two more reopens all replay the acknowledged
+    /// history — at wide and narrow tids, either way — and the first block
+    /// each reopened manager writes opens with the one-byte reset.
+    #[test]
+    fn a_reopened_log_goes_on_behind_a_reset_across_a_torn_tail() {
+        let dir = TempDir::new("reopen");
+        let path = dir.join("wal.log");
+        let recs = |from: u64| {
+            [from, from + 1, 3, u64::MAX, from].map(|t| match t % 3 {
+                0 => LogRecord::Commit { tids: vec![Tid(t)] },
+                1 => LogRecord::Abort { tid: Tid(t) },
+                _ => LogRecord::Prepared { tids: vec![Tid(t)] },
+            })
+        };
+        let mut acked = Vec::new();
+        // each record forced: a drain apiece, the cursor running on
+        let append = |log: &LogManager, acked: &mut Vec<(Lsn, LogRecord)>, from| {
+            for rec in recs(from) {
+                acked.push((log.append_forced(&rec).unwrap(), rec));
+            }
+        };
+        let log = LogManager::open(&path, Durability::Strict).unwrap();
+        append(&log, &mut acked, 70_000);
+        let sealed = log.tail().0;
+        // a torn block: the drop drains it, and a crash cuts it short
+        log.append(&LogRecord::Abort { tid: Tid(70_002) }).unwrap();
+        drop(log);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(sealed + 2).unwrap();
+        drop(file);
+        for round in 0..3u64 {
+            let log = LogManager::open(&path, Durability::Strict).unwrap();
+            assert_eq!(log.scan().unwrap(), acked, "round {round}");
+            let tail = log.tail().0;
+            assert!(round > 0 || tail == sealed, "chopped to the last seal");
+            if round < 2 {
+                append(&log, &mut acked, 5 + round * 1_000_000_000);
+                let bytes = std::fs::read(&path).unwrap();
+                assert_eq!(bytes[tail as usize], 12, "round {round}: a reset");
             }
         }
     }
@@ -1281,7 +1347,7 @@ mod tests {
         // append drains and syncs them; a watermark drain in between
         // writes without syncing.
         let path = dir.join("strict.log");
-        let log = LogManager::open_with(&path, Durability::Strict, 12).unwrap();
+        let log = LogManager::open_with(&path, Durability::Strict, 10).unwrap();
         log.append(&LogRecord::Abort { tid: Tid(1) }).unwrap();
         assert_eq!(log.pending_bytes() as u64, log.tail().0);
         assert_eq!(log.unsynced_bytes(), 0, "still in user space");

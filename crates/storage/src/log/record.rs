@@ -13,7 +13,7 @@
 //! Nor does an `Overwrite` log the bytes of its after image that equal that
 //! base: it carries a [`Patch`] — the bytes of the base it keeps and the
 //! bytes between them — so a transfer that moves one low byte of an 8-byte
-//! balance logs that byte.
+//! balance logs that byte; and the CLR that undoes it logs that byte back.
 //! The log is therefore a self-contained redo history: reading it needs no
 //! object store, and a transaction enters it with its first record — there
 //! is no `Begin`.
@@ -22,18 +22,10 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format (v7). A record is its own frame, `[kind u8][payload]`:
-//! every oid, count and image length in a payload is LEB128; an optional
-//! image or object list is its length **plus one**, `0` meaning `None`. An
-//! `Overwrite`'s after image is the one exception. A patch that keeps the
-//! base's length, a prefix of at most 7 bytes and a middle of 1 to 8 has a
-//! kind of its own, `0x40 | prefix << 3 | (middle − 1)`, and the middle
-//! bytes are all its payload after the tid and the oid: the suffix is what
-//! is left of the base. Any other after image is kind 9 with a length
-//! varint `h`: `0` for `None`, `2·len + 1` for a whole image of `len`
-//! bytes, and `2·(len + 1)` for a patch whose middle is `len` bytes, which
-//! the kept prefix and suffix lengths follow before the bytes. A `Commit`
-//! or `Prepared` of one tid has a kind of its own and no count. A record
+//! Wire format (v8). A record is its own frame, `[kind u8][payload]`:
+//! every oid, count and image length in a payload is LEB128; an `Update`'s
+//! optional image, or an optional object list, is its length **plus one**,
+//! `0` meaning `None`. A record
 //! carries no length and no checksum of its own, because nothing reaches
 //! the file one record at a time: the unit of integrity is the **block**
 //! one drain writes,
@@ -45,14 +37,34 @@
 //! closed by a seal whose checksum (FNV-1a, xor-folded to 32 bits) covers
 //! every byte since the previous seal. The first block of a log generation
 //! opens with the eight-byte [`FORMAT_MARKER`], which its seal covers too.
-//! Tids are written against the block's [`TidCursor`]: the first tid field
-//! of a block is absolute LEB128, every later one the zigzag delta from the
-//! one before it, so the tids of a transaction's records, and of
-//! transactions begun together, cost a byte each. A block needs no other
-//! block to decode. A transfer that moves one low byte of two 8-byte
-//! balances the log has seen (two packed `Overwrite`s and a `Commit`) is
-//! 14 bytes amid a block with three-byte oids, 16 opening one, plus its
-//! share of one five-byte seal per drain. Kind 1 was v2's `Begin` and
+//!
+//! Tids are written against the generation's [`TidCursor`]: each tid field
+//! is the zigzag LEB128 delta from the tid field before it, across seals —
+//! the first of a generation from 0 — so the tids of a transaction's
+//! records, and of transactions that follow each other, cost a byte each.
+//! A manager that opens a log someone else wrote does not know the last
+//! tid in it: the first block it writes opens with a one-byte **reset**
+//! entry (kind 12), which starts the cursor at 0 again. So a block decodes
+//! only with the cursor the blocks before it left, back to the marker or
+//! the latest reset. A one-tid `Commit` whose zigzag delta is below 32
+//! carries it in its kind, `0xC0 | z`; a one-tid `Prepared` or an `Abort`
+//! below 16, `0xE0 | z` and `0xF0 | z`. Other one-tid `Commit`s and
+//! `Prepared`s are kinds 10 and 11, with the delta after them.
+//!
+//! An image a record installs over one the log already holds — the after
+//! image of an `Overwrite`, the restored image of a CLR — is a [`Patch`]
+//! against that base. A patch that keeps the base's length, a prefix of at
+//! most 7 bytes and a middle of 1 to 8 has a kind of its own,
+//! `0x40 | prefix << 3 | (middle − 1)` for an `Overwrite` and `0x80 | …`
+//! for a CLR, and the middle bytes are all its payload after the ids: the
+//! suffix is what is left of the base. Any other such image is kind 9 or 7
+//! with a length varint `h`: `0` for `None`, `2·len + 1` for a whole image
+//! of `len` bytes, and `2·(len + 1)` for a patch whose middle is `len`
+//! bytes, which the kept prefix and suffix lengths follow before the bytes.
+//! A transfer that moves one low byte of two 8-byte balances the log has
+//! seen (two packed `Overwrite`s and a `Commit`) is 13 bytes with
+//! three-byte oids, plus its share of one five-byte seal per drain; the
+//! CLR that undoes one of those writes is 5. Kind 1 was v2's `Begin` and
 //! stays reserved.
 
 use asset_common::codec::{put_varint, CodecError, Reader};
@@ -120,7 +132,10 @@ pub enum LogRecord {
     /// finished by restart — installed `image` over `oid` (one before-image
     /// undo step). Redo-only: recovery replays it in log order and never
     /// undoes it, so a rollback stays exactly where it was left, even if
-    /// later committed transactions overwrote the object.
+    /// later committed transactions overwrote the object. In the log the
+    /// image is a [`Patch`] against the image the object's latest earlier
+    /// record installed, as an `Overwrite`'s is, when the undo found that
+    /// image in the cache; here it is whole.
     Clr {
         /// The object whose image was restored.
         oid: Oid,
@@ -171,19 +186,19 @@ pub enum RecordRef<'a> {
     Checkpoint,
     Clr {
         oid: Oid,
-        image: Option<&'a [u8]>,
+        image: Option<Patch<'a>>,
     },
     Prepared {
         tids: Ids<'a, Tid>,
     },
 }
 
-/// The after image of an `Overwrite` as the log carries it: a patch
-/// against its **base**, the image the object's latest earlier record
-/// installed. The image is the base's first `prefix` bytes, then `middle`,
-/// then the base's last `suffix` bytes (PostgreSQL logs a heap update the
-/// same way). A patch that keeps nothing is the whole image and needs no
-/// base.
+/// The image an `Overwrite` or a CLR installs, as the log carries it: a
+/// patch against its **base**, the image the object's latest earlier
+/// record installed. The image is the base's first `prefix` bytes, then
+/// `middle`, then the base's last `suffix` bytes (PostgreSQL logs a heap
+/// update the same way). A patch that keeps nothing is the whole image and
+/// needs no base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Patch<'a> {
     /// Bytes kept from the start of the base.
@@ -241,14 +256,14 @@ impl<'a> Patch<'a> {
         self.prefix == 0 && self.suffix == Some(0)
     }
 
-    /// The packed kind that holds the patch's shape, if it keeps the
-    /// base's length.
-    fn kind(self) -> Option<u8> {
+    /// The kind of the 64 from `first` on that holds the patch's shape,
+    /// if it keeps the base's length.
+    fn kind(self, first: u8) -> Option<u8> {
         let shape = || (self.prefix << 3 | (self.middle.len() - 1)) as u8;
-        self.suffix.is_none().then(|| KIND_PACKED | shape())
+        self.suffix.is_none().then(|| first | shape())
     }
 
-    /// Its bytes in an `Overwrite` past the tid and the oid.
+    /// Its bytes in a record past the record's ids.
     fn size(&self) -> usize {
         let m = self.middle.len();
         m + match self.suffix {
@@ -274,9 +289,9 @@ impl<'a> Patch<'a> {
     }
 }
 
-/// The image `after` makes of `base`, the latest image of `oid` in the log
-/// read so far (`None`: the log holds none): the one check of a patch,
-/// made wherever the log is replayed. A patch that keeps more bytes than
+/// The image `after` — an `Overwrite`'s or a CLR's — makes of `base`, the
+/// latest image of `oid` in the log read so far (`None`: the log holds
+/// none): the one check of a patch, made wherever the log is replayed. A patch that keeps more bytes than
 /// its base has — or keeps bytes of no image — is `Corrupt`.
 pub(crate) fn rebuild(
     lsn: Lsn,
@@ -289,25 +304,55 @@ pub(crate) fn rebuild(
     patch.apply(base).map(Some).ok_or_else(|| {
         let of = base.map_or("no image".into(), |b| format!("a {}-byte image", b.len()));
         AssetError::Corrupt(format!(
-            "log offset {}: overwrite of {oid} does not fit {of}: {patch:?}",
+            "log offset {}: the patch of {oid} does not fit {of}: {patch:?}",
             lsn.0
         ))
     })
 }
 
-/// The tid a block's next tid field is written against: none at the start
-/// of a block, where a tid is absolute LEB128, then the tid of the
-/// block's previous tid field, from which the next is a zigzag delta. The
-/// encoder keeps one beside the pending buffer and a reader one per block;
-/// both start over at every seal, so no block needs another to decode.
+/// The tid a log generation's next tid field is written against: 0 at the
+/// start of the generation and after a reset entry, then the tid of the
+/// previous tid field, from which the next is a zigzag delta — across
+/// seals. The encoder keeps one beside the pending buffer, a reader one for
+/// the stream it walks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TidCursor(Option<u64>);
+pub struct TidCursor(u64);
 
-/// A delta between two `u64`s, zigzagged (`0, -1, 1, -2, …` are `0, 1, 2,
-/// 3, …`) into 65 bits and written as LEB128: at most ten bytes, one for
-/// a delta within ±63.
+impl TidCursor {
+    /// Move to `tid` and return its zigzag delta from where the cursor
+    /// was, if that is below `2^bits`; else leave the cursor be.
+    fn short(&mut self, tid: Tid, bits: u32) -> Option<u8> {
+        let z = zigzag(i128::from(tid.0) - i128::from(self.0));
+        (z >> bits == 0).then(|| {
+            self.0 = tid.0;
+            z as u8
+        })
+    }
+
+    /// Move by the zigzag delta `z`: `Corrupt` when it leaves `u64`.
+    fn step(&mut self, z: u128) -> Step<Tid> {
+        let prev = self.0;
+        self.0 = u64::try_from(i128::from(prev) + unzigzag(z))
+            .map_err(|_| CodecError::Corrupt(format!("a tid delta leaves u64 from {prev}")))?;
+        Ok(Tid(self.0))
+    }
+}
+
+/// `0, -1, 1, -2, …` as `0, 1, 2, 3, …`: a delta between two `u64`s in 65
+/// bits.
+fn zigzag(d: i128) -> u128 {
+    ((d << 1) ^ (d >> 127)) as u128
+}
+
+/// See [`zigzag`].
+fn unzigzag(z: u128) -> i128 {
+    (z >> 1) as i128 ^ -((z & 1) as i128)
+}
+
+/// A zigzagged delta as LEB128: at most ten bytes, one for a delta within
+/// ±63.
 fn put_delta(out: &mut Vec<u8>, d: i128) {
-    let mut z = ((d << 1) ^ (d >> 127)) as u128;
+    let mut z = zigzag(d);
     while z >= 0x80 {
         out.push(z as u8 | 0x80);
         z >>= 7;
@@ -315,8 +360,8 @@ fn put_delta(out: &mut Vec<u8>, d: i128) {
     out.push(z as u8);
 }
 
-/// See [`put_delta`].
-fn delta(r: &mut Reader<'_>) -> Step<i128> {
+/// See [`put_delta`]: the zigzagged delta, not yet undone.
+fn delta(r: &mut Reader<'_>) -> Step<u128> {
     let mut z = 0u128;
     for shift in (0..70).step_by(7) {
         let b = r.u8()?;
@@ -325,14 +370,14 @@ fn delta(r: &mut Reader<'_>) -> Step<i128> {
             if z >> 65 != 0 {
                 break;
             }
-            return Ok((z >> 1) as i128 ^ -((z & 1) as i128));
+            return Ok(z);
         }
     }
     Err(CodecError::Corrupt("a tid delta runs past 65 bits".into()))
 }
 
 /// A tid or oid as the log writes it: an oid is plain LEB128, a tid is
-/// written against the block's [`TidCursor`].
+/// written against the generation's [`TidCursor`].
 pub trait WireId: Copy {
     /// Append the id, moving `cursor` past it.
     fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor);
@@ -342,19 +387,11 @@ pub trait WireId: Copy {
 
 impl WireId for Tid {
     fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor) {
-        match cursor.0.replace(self.0) {
-            None => put_varint(out, self.0),
-            Some(prev) => put_delta(out, i128::from(self.0) - i128::from(prev)),
-        }
+        put_delta(out, i128::from(self.0) - i128::from(cursor.0));
+        cursor.0 = self.0;
     }
     fn get(r: &mut Reader<'_>, cursor: &mut TidCursor) -> Step<Tid> {
-        let tid = match cursor.0 {
-            None => r.varint()?,
-            Some(prev) => u64::try_from(i128::from(prev) + delta(r)?)
-                .map_err(|_| CodecError::Corrupt(format!("a tid delta leaves u64 from {prev}")))?,
-        };
-        cursor.0 = Some(tid);
-        Ok(Tid(tid))
+        cursor.step(delta(r)?)
     }
 }
 
@@ -375,6 +412,8 @@ pub struct Ids<'a, T>(IdsRepr<'a, T>);
 #[derive(Clone, Copy, Debug)]
 enum IdsRepr<'a, T> {
     Slice(&'a [T]),
+    /// The one tid a short kind carries.
+    One(T),
     /// `len` ids, nothing after them (checked by [`ids`]), the first
     /// written against `base`.
     Encoded {
@@ -389,6 +428,7 @@ impl<'a, T: WireId> Ids<'a, T> {
     pub fn len(&self) -> usize {
         match self.0 {
             IdsRepr::Slice(s) => s.len(),
+            IdsRepr::One(_) => 1,
             IdsRepr::Encoded { len, .. } => len,
         }
     }
@@ -400,15 +440,17 @@ impl<'a, T: WireId> Ids<'a, T> {
 
     /// The ids, in record order.
     pub fn iter(&self) -> impl Iterator<Item = T> + 'a {
-        let (slice, bytes, mut cursor) = match self.0 {
-            IdsRepr::Slice(s) => (s, &[][..], TidCursor::default()),
-            IdsRepr::Encoded { bytes, base, .. } => (&[][..], bytes, base),
+        let (slice, one, bytes, mut cursor) = match self.0 {
+            IdsRepr::Slice(s) => (s, None, &[][..], TidCursor::default()),
+            IdsRepr::One(id) => (&[][..], Some(id), &[][..], TidCursor::default()),
+            IdsRepr::Encoded { bytes, base, .. } => (&[][..], None, bytes, base),
         };
         let mut r = Reader::new(bytes);
-        slice.iter().copied().chain(std::iter::from_fn(move || {
+        let encoded = std::iter::from_fn(move || {
             // validated at decode: every id is whole and fits a u64
             T::get(&mut r, &mut cursor).ok()
-        }))
+        });
+        slice.iter().copied().chain(one).chain(encoded)
     }
 }
 
@@ -418,10 +460,10 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
-/// What a v7 log file starts with, at offset 0 of every generation: a file
+/// What a v8 log file starts with, at offset 0 of every generation: a file
 /// that starts otherwise was written in another format and is refused
 /// whole, before a byte of it is parsed, chopped or appended to.
-pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL7";
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL8";
 
 /// Bytes of a seal: its kind and the block's checksum.
 pub const SEAL_LEN: usize = 5;
@@ -437,8 +479,43 @@ const KIND_PREPARED: u8 = 8;
 const KIND_OVERWRITE: u8 = 9;
 const KIND_COMMIT_ONE: u8 = 10;
 const KIND_PREPARED_ONE: u8 = 11;
+const KIND_RESET: u8 = 12;
 /// The first of the 64 packed `Overwrite` kinds, `0x40..=0x7F`.
 const KIND_PACKED: u8 = 0x40;
+/// The first of the 64 packed CLR kinds, `0x80..=0xBF`.
+const KIND_PACKED_CLR: u8 = 0x80;
+/// A one-tid `Commit` whose zigzag delta is the low five bits,
+/// `0xC0..=0xDF`.
+const KIND_COMMIT_SHORT: u8 = 0xC0;
+/// A one-tid `Prepared`, `0xE0..=0xEF`, and an `Abort`, `0xF0..=0xFF`,
+/// whose zigzag delta is the low four bits.
+const KIND_PREPARED_SHORT: u8 = 0xE0;
+const KIND_ABORT_SHORT: u8 = 0xF0;
+
+/// The kinds of a record of one tid: its long form, which the delta
+/// follows, its short forms' first kind and how many bits of delta they
+/// hold.
+struct OneTid {
+    long: u8,
+    short: u8,
+    bits: u32,
+}
+
+const COMMIT_ONE: OneTid = OneTid {
+    long: KIND_COMMIT_ONE,
+    short: KIND_COMMIT_SHORT,
+    bits: 5,
+};
+const PREPARED_ONE: OneTid = OneTid {
+    long: KIND_PREPARED_ONE,
+    short: KIND_PREPARED_SHORT,
+    bits: 4,
+};
+const ABORT: OneTid = OneTid {
+    long: KIND_ABORT,
+    short: KIND_ABORT_SHORT,
+    bits: 4,
+};
 
 /// FNV-1a 64-bit checksum, for log blocks and the object store's image.
 ///
@@ -460,6 +537,13 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
 pub(crate) fn block_sum(block: &[u8]) -> u32 {
     let h = checksum(block);
     (h >> 32) as u32 ^ h as u32
+}
+
+/// Open the first block a manager writes to a log it did not start: the
+/// entry that starts the tid cursor at 0 again.
+pub(crate) fn open_reset(buf: &mut Vec<u8>, cursor: &mut TidCursor) {
+    buf.push(KIND_RESET);
+    *cursor = TidCursor::default();
 }
 
 /// Close the block `buf[from..]` with its seal. The drain appends the
@@ -487,9 +571,14 @@ fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
     }
 }
 
-/// An `Overwrite`'s after image past its tid and oid: `h`, then a patch's
-/// kept lengths, then the bytes — or the bytes alone, packed (see the
-/// module documentation).
+/// The kind of an `Overwrite` or a CLR that carries `image`: the one of
+/// the 64 from `packed` that holds the patch's shape, else `long`.
+fn patched_kind(image: Option<Patch<'_>>, [long, packed]: [u8; 2]) -> u8 {
+    image.and_then(|p| p.kind(packed)).unwrap_or(long)
+}
+
+/// An image past its record's ids: `h`, then a patch's kept lengths, then
+/// the bytes — or the bytes alone, packed (see the module documentation).
 fn put_patch(out: &mut Vec<u8>, after: Option<Patch<'_>>) {
     let Some(p) = after else { return out.push(0) };
     match p.suffix {
@@ -513,16 +602,26 @@ fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>, cursor: &mut TidCursor
     }
 }
 
-/// A `Commit` or `Prepared` group: kind `one` and its tid, or kind `many`,
-/// the count and the tids.
-fn put_group(out: &mut Vec<u8>, [many, one]: [u8; 2], tids: Ids<'_, Tid>, c: &mut TidCursor) {
-    match tids.len() {
-        1 => out.push(one),
-        n => {
-            out.push(many);
-            put_varint(out, n as u64);
+/// A record of one tid: a short kind that holds the tid's delta, or the
+/// long kind and the delta.
+fn put_one(out: &mut Vec<u8>, kinds: OneTid, tid: Tid, c: &mut TidCursor) {
+    match c.short(tid, kinds.bits) {
+        Some(z) => out.push(kinds.short | z),
+        None => {
+            out.push(kinds.long);
+            tid.put(out, c);
         }
     }
+}
+
+/// A `Commit` or `Prepared` group: as a record of one tid, or kind `many`,
+/// the count and the tids.
+fn put_group(out: &mut Vec<u8>, many: u8, one: OneTid, tids: Ids<'_, Tid>, c: &mut TidCursor) {
+    if let (1, Some(tid)) = (tids.len(), tids.iter().next()) {
+        return put_one(out, one, tid, c);
+    }
+    out.push(many);
+    put_varint(out, tids.len() as u64);
     put_ids(out, tids, c);
 }
 
@@ -538,7 +637,7 @@ fn opt_bytes<'a>(r: &mut Reader<'a>) -> Step<Option<&'a [u8]>> {
         .map(Some)
 }
 
-/// A kind-9 `Overwrite`'s after image: see [`put_patch`].
+/// The image of a kind-9 `Overwrite` or a kind-7 CLR: see [`put_patch`].
 fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
     let kept = |r: &mut Reader<'a>| {
         usize::try_from(r.varint()?)
@@ -582,15 +681,30 @@ fn tids<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<Ids<'a, Tid>> {
     ids(r, n, c)
 }
 
+/// The patch a packed kind `k` holds: its shape from the kind, its middle
+/// from `r`.
+fn packed<'a>(r: &mut Reader<'a>, k: u8) -> Step<Patch<'a>> {
+    Ok(Patch {
+        prefix: usize::from(k >> 3 & 7),
+        suffix: None,
+        middle: r.bytes(usize::from(k & 7) + 1)?,
+    })
+}
+
+/// The tid a short kind `k` of `one` holds: its low bits, the delta.
+fn short_tid(k: u8, one: OneTid, c: &mut TidCursor) -> Step<Tid> {
+    c.step(u128::from(k & ((1 << one.bits) - 1)))
+}
+
 /// The entry at `r`, its tids read against `c`: the one reader of the
 /// format. Short when the bytes end inside it, corrupt when no
 /// continuation makes them an entry.
 fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
     Ok(LogEntry::Record(match r.u8()? {
-        KIND_SEAL => {
-            let sum = r.u32()?;
+        KIND_SEAL => return Ok(LogEntry::Seal(r.u32()?)),
+        KIND_RESET => {
             *c = TidCursor::default();
-            return Ok(LogEntry::Seal(sum));
+            return Ok(LogEntry::Reset);
         }
         KIND_UPDATE => RecordRef::Update {
             tid: Tid::get(r, c)?,
@@ -606,18 +720,20 @@ fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
         k @ KIND_PACKED..=0x7F => RecordRef::Overwrite {
             tid: Tid::get(r, c)?,
             oid: Oid::get(r, c)?,
-            after: Some(Patch {
-                prefix: usize::from(k >> 3 & 7),
-                suffix: None,
-                middle: r.bytes(usize::from(k & 7) + 1)?,
-            }),
+            after: Some(packed(r, k)?),
         },
         KIND_COMMIT => RecordRef::Commit { tids: tids(r, c)? },
         KIND_COMMIT_ONE => RecordRef::Commit {
             tids: ids(r, 1, c)?,
         },
+        k @ KIND_COMMIT_SHORT..=0xDF => RecordRef::Commit {
+            tids: Ids(IdsRepr::One(short_tid(k, COMMIT_ONE, c)?)),
+        },
         KIND_ABORT => RecordRef::Abort {
             tid: Tid::get(r, c)?,
+        },
+        k @ KIND_ABORT_SHORT..=0xFF => RecordRef::Abort {
+            tid: short_tid(k, ABORT, c)?,
         },
         KIND_DELEGATE => RecordRef::Delegate {
             from: Tid::get(r, c)?,
@@ -632,16 +748,24 @@ fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
         KIND_PREPARED_ONE => RecordRef::Prepared {
             tids: ids(r, 1, c)?,
         },
+        k @ KIND_PREPARED_SHORT..=0xEF => RecordRef::Prepared {
+            tids: Ids(IdsRepr::One(short_tid(k, PREPARED_ONE, c)?)),
+        },
         KIND_CLR => RecordRef::Clr {
             oid: Oid::get(r, c)?,
-            image: opt_bytes(r)?,
+            image: patch(r)?,
+        },
+        k @ KIND_PACKED_CLR..=0xBF => RecordRef::Clr {
+            oid: Oid::get(r, c)?,
+            image: Some(packed(r, k)?),
         },
         k => return Err(CodecError::Corrupt(format!("unknown record kind {k}"))),
     }))
 }
 
-/// One entry of the log's byte stream: a record, or the seal that closes
-/// the block of records one drain wrote.
+/// One entry of the log's byte stream: a record, the seal that closes the
+/// block of records one drain wrote, or the reset that opens the first
+/// block a manager wrote to a log it did not start.
 #[derive(Clone, Copy, Debug)]
 pub enum LogEntry<'a> {
     /// A record.
@@ -649,11 +773,14 @@ pub enum LogEntry<'a> {
     /// A seal, with the checksum it carries for the bytes since the
     /// previous seal.
     Seal(u32),
+    /// The tid cursor starts at 0 again.
+    Reset,
 }
 
 impl<'a> LogEntry<'a> {
-    /// Decode the entry that starts a block at `buf[off]`, borrowing from
-    /// `buf`.
+    /// Decode the entry at `buf[off]` whose tids are read against a fresh
+    /// cursor — the first of a generation, or one a reset entry precedes —
+    /// borrowing from `buf`.
     ///
     /// Returns `Ok(Some((entry, next_off)))`; `Ok(None)` when `buf` ends
     /// before the entry does (more of the log may complete it; at the end
@@ -662,9 +789,9 @@ impl<'a> LogEntry<'a> {
         Self::decode_in(buf, off, &mut TidCursor::default())
     }
 
-    /// [`decode`](Self::decode) the entry at `buf[off]` of a block whose
-    /// earlier entries left `cursor`, and move the cursor past it — to the
-    /// start of the next block past a seal — if it is whole.
+    /// [`decode`](Self::decode) the entry at `buf[off]` of a stream whose
+    /// earlier entries, back to the generation's marker or the latest
+    /// reset, left `cursor`, and move the cursor past it if it is whole.
     pub fn decode_in(
         buf: &'a [u8],
         off: usize,
@@ -685,7 +812,7 @@ impl<'a> LogEntry<'a> {
 
 impl<'a> RecordRef<'a> {
     /// Append the record — kind byte and payload — to `out`, its tids
-    /// written against `c`, the cursor of the block `out` ends in: the one
+    /// written against `c`, the cursor of the stream `out` ends: the one
     /// encoder of the format. Encoded in place, so a buffer with room
     /// allocates nothing.
     pub fn encode_into(&self, out: &mut Vec<u8>, c: &mut TidCursor) {
@@ -703,16 +830,13 @@ impl<'a> RecordRef<'a> {
                 put_opt_bytes(out, after);
             }
             RecordRef::Overwrite { tid, oid, after } => {
-                out.push(after.and_then(Patch::kind).unwrap_or(KIND_OVERWRITE));
+                out.push(patched_kind(after, [KIND_OVERWRITE, KIND_PACKED]));
                 tid.put(out, c);
                 oid.put(out, c);
                 put_patch(out, after);
             }
-            RecordRef::Commit { tids } => put_group(out, [KIND_COMMIT, KIND_COMMIT_ONE], tids, c),
-            RecordRef::Abort { tid } => {
-                out.push(KIND_ABORT);
-                tid.put(out, c);
-            }
+            RecordRef::Commit { tids } => put_group(out, KIND_COMMIT, COMMIT_ONE, tids, c),
+            RecordRef::Abort { tid } => put_one(out, ABORT, tid, c),
             RecordRef::Delegate { from, to, obs } => {
                 out.push(KIND_DELEGATE);
                 from.put(out, c);
@@ -726,13 +850,11 @@ impl<'a> RecordRef<'a> {
                 }
             }
             RecordRef::Checkpoint => out.push(KIND_CHECKPOINT),
-            RecordRef::Prepared { tids } => {
-                put_group(out, [KIND_PREPARED, KIND_PREPARED_ONE], tids, c)
-            }
+            RecordRef::Prepared { tids } => put_group(out, KIND_PREPARED, PREPARED_ONE, tids, c),
             RecordRef::Clr { oid, image } => {
-                out.push(KIND_CLR);
+                out.push(patched_kind(image, [KIND_CLR, KIND_PACKED_CLR]));
                 oid.put(out, c);
-                put_opt_bytes(out, image);
+                put_patch(out, image);
             }
         }
     }
@@ -741,12 +863,19 @@ impl<'a> RecordRef<'a> {
     ///
     /// # Panics
     ///
-    /// On an `Overwrite` whose after image is a patch that keeps bytes of
-    /// its base: the record does not hold that image.
+    /// On an `Overwrite` or a CLR whose image is a patch that keeps bytes
+    /// of its base: the record does not hold that image.
     /// [`LogManager::scan`](crate::LogManager::scan), which has read the
     /// base, copies such a record out.
     pub fn to_owned(&self) -> LogRecord {
         let image = |i: Option<&[u8]>| i.map(<[u8]>::to_vec);
+        #[expect(clippy::panic, reason = "documented: such a patch is not an image")]
+        let whole = |i: Option<Patch<'_>>| {
+            i.map(|p| {
+                p.apply(None)
+                    .unwrap_or_else(|| panic!("{p:?} needs its base"))
+            })
+        };
         match *self {
             RecordRef::Update {
                 tid,
@@ -759,14 +888,11 @@ impl<'a> RecordRef<'a> {
                 before: image(before),
                 after: image(after),
             },
-            RecordRef::Overwrite { tid, oid, after } => {
-                #[expect(clippy::panic, reason = "documented: such a patch is not an image")]
-                let after = after.map(|p| {
-                    p.apply(None)
-                        .unwrap_or_else(|| panic!("{p:?} needs its base"))
-                });
-                LogRecord::Overwrite { tid, oid, after }
-            }
+            RecordRef::Overwrite { tid, oid, after } => LogRecord::Overwrite {
+                tid,
+                oid,
+                after: whole(after),
+            },
             RecordRef::Commit { tids } => LogRecord::Commit {
                 tids: tids.iter().collect(),
             },
@@ -777,9 +903,9 @@ impl<'a> RecordRef<'a> {
                 obs: obs.map(|o| o.iter().collect()),
             },
             RecordRef::Checkpoint => LogRecord::Checkpoint,
-            RecordRef::Clr { oid, image: i } => LogRecord::Clr {
+            RecordRef::Clr { oid, image } => LogRecord::Clr {
                 oid,
-                image: image(i),
+                image: whole(image),
             },
             RecordRef::Prepared { tids } => LogRecord::Prepared {
                 tids: tids.iter().collect(),
@@ -834,7 +960,7 @@ impl LogRecord {
             LogRecord::Checkpoint => RecordRef::Checkpoint,
             LogRecord::Clr { oid, image } => RecordRef::Clr {
                 oid: *oid,
-                image: image.as_deref(),
+                image: image.as_deref().map(Patch::whole),
             },
             LogRecord::Prepared { tids } => RecordRef::Prepared {
                 tids: tids.as_slice().into(),
@@ -842,7 +968,8 @@ impl LogRecord {
         }
     }
 
-    /// The record's bytes as the first entry of a block.
+    /// The record's bytes as the first entry of a generation, its tids
+    /// deltas from 0.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.as_ref()
@@ -860,7 +987,7 @@ mod tests {
     fn decode(buf: &[u8], off: usize) -> Option<(LogRecord, usize)> {
         match LogEntry::decode(buf, off).unwrap()? {
             (LogEntry::Record(rec), next) => Some((rec.to_owned(), next)),
-            (LogEntry::Seal(_), _) => panic!("a seal at {off}"),
+            (entry, _) => panic!("{entry:?} at {off}"),
         }
     }
 
@@ -967,14 +1094,15 @@ mod tests {
         });
     }
 
-    /// Golden v7 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
-    /// where a 100 000-account ledger lives), each record alone in its
-    /// block (its first tid absolute), and `Overwrite`s as the write path
-    /// patches them over 8-byte balances near 1 000, the ledger's. Then a
-    /// transfer as the log holds it: opening a block, only its first tid is
-    /// absolute; amid one, every tid is a one-byte delta. The last
-    /// assertions are the benchmark's `log_bytes_per_txn` claim, guarded in
-    /// tier-1.
+    /// Golden v8 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// where a 100 000-account ledger lives), each record the first of a
+    /// generation (its tid a delta from 0, three bytes), and `Overwrite`s
+    /// and CLRs as the write and undo paths patch them over 8-byte
+    /// balances near 1 000, the ledger's. Then a transfer as the log holds
+    /// it: only a generation's first tid, or the first past a reset, is
+    /// wide; every later one is a one-byte delta, across seals too. The
+    /// last assertions are the benchmark's `log_bytes_per_txn` claim,
+    /// guarded in tier-1.
     #[test]
     fn golden_frame_sizes() {
         let (tid, oid) = (Tid(70_000), Oid(90_000));
@@ -991,17 +1119,22 @@ mod tests {
             oid,
             after: img(),
         });
+        let encode = |rec: RecordRef<'_>, c: &mut TidCursor| {
+            let mut out = Vec::new();
+            rec.encode_into(&mut out, c);
+            out.len()
+        };
         // the write path's `Overwrite` of `oid` from `from` to `to`
         let overwrite = |tid, oid, from: i64, to: i64, c: &mut TidCursor| {
             let (base, after) = (from.to_le_bytes(), to.to_le_bytes());
-            let mut out = Vec::new();
-            RecordRef::Overwrite {
-                tid,
-                oid,
-                after: Some(Patch::between(Some(&base), &after)),
-            }
-            .encode_into(&mut out, c);
-            out.len()
+            let after = Some(Patch::between(Some(&base), &after));
+            encode(RecordRef::Overwrite { tid, oid, after }, c)
+        };
+        // the undo path's CLR of `oid` from `from` back to `to`
+        let clr = |from: i64, to: i64| {
+            let (base, image) = (from.to_le_bytes(), to.to_le_bytes());
+            let image = Some(Patch::between(Some(&base), &image));
+            encode(RecordRef::Clr { oid, image }, &mut TidCursor::default())
         };
         let alone = |from, to| overwrite(tid, oid, from, to, &mut TidCursor::default());
         let commit = len(LogRecord::Commit { tids: vec![tid] });
@@ -1022,7 +1155,11 @@ mod tests {
         assert_eq!(len(LogRecord::Commit { tids: group() }), 6);
         assert_eq!(len(LogRecord::Prepared { tids: group() }), 6);
         assert_eq!(len(LogRecord::Checkpoint), 1);
+        // a CLR with no base carries its whole image; over its base, the
+        // bytes it restores: undoing a transfer's write moves one byte back
         assert_eq!(len(LogRecord::Clr { oid, image: img() }), 13);
+        assert_eq!(clr(979, 1_000), 5);
+        assert_eq!(clr(1_050, 1_000), 6);
         let delegate = |obs| LogRecord::Delegate {
             from: tid,
             to: tid,
@@ -1036,20 +1173,121 @@ mod tests {
         assert_eq!(SEAL_LEN, 5);
         // one balance down by k, the other up by k, and the commit
         let transfer = |tid: Tid, k: i64, c: &mut TidCursor| {
-            let mut commit = Vec::new();
             let down = overwrite(tid, oid, 1_000, 1_000 - k, c);
             let up = overwrite(tid, Oid(oid.0 + 1), 1_000, 1_000 + k, c);
-            LogRecord::Commit { tids: vec![tid] }
-                .as_ref()
-                .encode_into(&mut commit, c);
-            [down, up, commit.len()]
+            let commit = LogRecord::Commit { tids: vec![tid] };
+            [down, up, encode(commit.as_ref(), c)]
         };
         let mut c = TidCursor::default();
         let opening = transfer(tid, 21, &mut c);
         let amid = transfer(Tid(70_001), 21, &mut c);
-        assert_eq!((opening, amid), ([8, 6, 2], [6, 6, 2]));
+        // a seal between two transfers changes nothing: the cursor runs on
+        let past_a_seal = transfer(Tid(70_002), 21, &mut c);
+        let mut reset = Vec::new();
+        open_reset(&mut reset, &mut c);
+        let past_a_reset = transfer(Tid(70_003), 21, &mut c);
+        assert_eq!((opening, amid), ([8, 6, 1], [6, 6, 1]));
+        assert_eq!((past_a_seal, past_a_reset), (amid, opening));
+        assert_eq!(reset.len(), 1);
         let [opening, amid] = [opening, amid].map(|t| t.iter().sum::<usize>());
-        assert_eq!((opening, amid), (16, 14), "a transfer's log bytes");
+        assert_eq!((opening, amid), (15, 13), "a transfer's log bytes");
+    }
+
+    /// Every short kind decodes to the record it encodes — the 32 deltas
+    /// a one-tid `Commit`'s kind holds, the 16 of a one-tid `Prepared` and
+    /// of an `Abort` — and the delta just past each range, either way,
+    /// takes the long form, one byte for the kind and one for the delta.
+    #[test]
+    fn each_short_tid_kind_roundtrips_and_the_next_delta_is_long() {
+        type Make = fn(Tid) -> LogRecord;
+        let kinds: [(Make, u8, u8, i64); 3] = [
+            (
+                |t| LogRecord::Commit { tids: vec![t] },
+                KIND_COMMIT_SHORT,
+                KIND_COMMIT_ONE,
+                16,
+            ),
+            (
+                |t| LogRecord::Prepared { tids: vec![t] },
+                KIND_PREPARED_SHORT,
+                KIND_PREPARED_ONE,
+                8,
+            ),
+            (
+                |t| LogRecord::Abort { tid: t },
+                KIND_ABORT_SHORT,
+                KIND_ABORT,
+                8,
+            ),
+        ];
+        let prev = 70_000i64;
+        for (make, short, long, half) in kinds {
+            let mut seen = Vec::new();
+            for d in -half - 1..=half {
+                let rec = make(Tid((prev + d) as u64));
+                // after a record that left the cursor at `prev`
+                let (mut c, mut back) = (TidCursor(prev as u64), TidCursor(prev as u64));
+                let mut bytes = Vec::new();
+                rec.as_ref().encode_into(&mut bytes, &mut c);
+                let Some((LogEntry::Record(got), end)) =
+                    LogEntry::decode_in(&bytes, 0, &mut back).unwrap()
+                else {
+                    panic!("a record");
+                };
+                assert_eq!((got.to_owned(), end, back), (rec, bytes.len(), c), "{d}");
+                if (-half..half).contains(&d) {
+                    assert_eq!(end, 1, "{d}: short");
+                    seen.push(bytes[0]);
+                } else {
+                    assert_eq!((bytes[0], end), (long, 2), "{d}: long");
+                }
+            }
+            seen.sort_unstable();
+            let all: Vec<u8> = (short..=short + (2 * half - 1) as u8).collect();
+            assert_eq!(seen, all);
+        }
+        // a group of two is never short
+        let two = LogRecord::Commit {
+            tids: vec![Tid(1), Tid(1)],
+        };
+        assert_eq!(two.encode()[0], KIND_COMMIT);
+    }
+
+    /// Each of the 64 same-length shapes packs a CLR into a kind of its
+    /// own, `0x80 | p << 3 | (m − 1)`, decodes to the same patch and
+    /// rebuilds the restored image over its base; a middle of 9 bytes, or
+    /// a prefix of 8, takes kind 7's lengths.
+    #[test]
+    fn each_packed_clr_shape_roundtrips() {
+        let base = [0u8; 16];
+        let clr = |patch: Patch<'_>| {
+            let mut bytes = Vec::new();
+            let rec = RecordRef::Clr {
+                oid: Oid(90_000),
+                image: Some(patch),
+            };
+            rec.encode_into(&mut bytes, &mut TidCursor::default());
+            let Some((LogEntry::Record(RecordRef::Clr { image, .. }), end)) =
+                LogEntry::decode(&bytes, 0).unwrap()
+            else {
+                panic!("a CLR");
+            };
+            assert_eq!((image, end), (Some(patch), bytes.len()));
+            bytes[0]
+        };
+        for (p, m) in (0..=8).flat_map(|p| (1..=9).map(move |m| (p, m))) {
+            let after: Vec<u8> = (0..16).map(|i| u8::from((p..p + m).contains(&i))).collect();
+            let patch = Patch::between(Some(&base), &after);
+            assert_eq!(patch.apply(Some(&base)), Some(after.clone()));
+            let packs = p < 8 && m < 9;
+            let kind = if packs {
+                0x80 | (p << 3 | (m - 1)) as u8
+            } else {
+                KIND_CLR
+            };
+            assert_eq!(clr(patch), kind, "prefix {p}, middle {m}");
+        }
+        assert_eq!(clr(Patch::whole(b"whole")), KIND_CLR);
     }
 
     /// A patch keeps the longest common prefix, then the longest common
@@ -1168,16 +1406,25 @@ mod tests {
         let mut bytes = vec![KIND_ABORT];
         bytes.extend_from_slice(&[0xFF; 11]);
         assert!(LogEntry::decode(&bytes, 0).is_err());
-        bytes.truncate(10);
-        bytes.push(0x02); // bit 64
-        assert!(LogEntry::decode(&bytes, 0).is_err());
+        let mut oid = vec![KIND_CLR];
+        oid.extend_from_slice(&[0xFF; 9]);
+        oid.push(0x02); // bit 64 of an oid
+        assert!(LogEntry::decode(&oid, 0).is_err());
         // nor is a kind nobody writes — v2's `Begin` included — but each
-        // packed kind is a record still to come
+        // packed kind is a record still to come, and a short kind whole
         assert!(LogEntry::decode(&[1, 7], 0).is_err());
-        for kind in [12, 0x3F, 0x80, 0xFF] {
+        for kind in [13, 0x3F] {
             assert!(LogEntry::decode(&[kind], 0).is_err());
         }
-        assert!((0x40..=0x7F).all(|k| LogEntry::decode(&[k], 0).unwrap().is_none()));
+        assert!((0x40..=0xBF).all(|k| LogEntry::decode(&[k], 0).unwrap().is_none()));
+        for kind in [
+            KIND_COMMIT_SHORT,
+            KIND_PREPARED_SHORT,
+            KIND_ABORT_SHORT,
+            KIND_RESET,
+        ] {
+            assert!(LogEntry::decode(&[kind], 0).unwrap().is_some());
+        }
     }
 
     /// A count no buffer could hold is never allocated for, nor walked: it
@@ -1193,7 +1440,7 @@ mod tests {
     /// decoded, not when the list is walked.
     #[test]
     fn truncated_id_list_is_refused_at_decode() {
-        let mut bytes = vec![KIND_COMMIT, 2, 5, 0x80];
+        let mut bytes = vec![KIND_COMMIT, 2, 10, 0x80];
         assert!(LogEntry::decode(&bytes, 0).unwrap().is_none());
         bytes.push(1);
         let Some((LogEntry::Record(RecordRef::Commit { tids }), _)) =
@@ -1201,16 +1448,15 @@ mod tests {
         else {
             panic!("a commit record");
         };
-        // 5, absolute; then 128, the zigzag of +64
+        // 10, the zigzag of 5 from 0; then 128, the zigzag of +64
         assert_eq!(tids.iter().collect::<Vec<_>>(), [Tid(5), Tid(69)]);
     }
 
-    /// A block's tids are deltas from the tid before them, either way and
-    /// across every width, and a seal starts the next block over with an
-    /// absolute tid; decoding one entry moves the cursor only when it is
-    /// whole. A `Commit` or `Prepared` of one tid has a kind of its own.
+    /// Every tid is a delta from the tid before it, either way, across
+    /// every width and across seals, and a reset starts the cursor at 0
+    /// again; decoding one entry moves the cursor only when it is whole.
     #[test]
-    fn tids_are_deltas_within_a_block_and_absolute_after_a_seal() {
+    fn tids_are_deltas_across_seals_and_from_0_after_a_reset() {
         let tids = [70_000, 70_001, 69_990, u64::MAX, 0, 1 << 35, 3];
         let recs: Vec<LogRecord> = tids
             .iter()
@@ -1225,12 +1471,17 @@ mod tests {
                     to: Tid(1),
                     obs: Some(vec![Oid(u64::MAX)]),
                 },
+                LogRecord::Abort { tid: Tid(69_999) },
             ])
             .collect();
         let (mut log, mut c) = (Vec::new(), TidCursor::default());
         let mut sizes = Vec::new();
-        for block in 0..2 {
+        // a block, a block past its seal, and a block that a reset opens
+        for block in 0..3 {
             let from = log.len();
+            if block == 2 {
+                open_reset(&mut log, &mut c);
+            }
             for rec in &recs {
                 let at = log.len();
                 rec.as_ref().encode_into(&mut log, &mut c);
@@ -1238,12 +1489,15 @@ mod tests {
             }
             open_seal(&mut log);
             fill_seal(&mut log, from);
-            c = TidCursor::default();
-            assert_eq!(sizes[block * recs.len()], 4, "absolute after a seal");
         }
-        // +1, -11 and the one-tid kinds: two bytes each
-        assert_eq!(&sizes[1..3], [2, 2]);
-        assert_eq!(log[sizes[..7].iter().sum::<usize>()], KIND_COMMIT_ONE);
+        let n = recs.len();
+        // 70 000 from 0; from 69 999, a seal away; from 0 past a reset
+        assert_eq!([sizes[0], sizes[n], sizes[2 * n]], [4, 1, 4]);
+        // +1 and -11, an `Abort` of one byte and a long one
+        assert_eq!(&sizes[1..3], [1, 2]);
+        // 9 from 3: +6, zigzag 12, in the `Commit`'s kind
+        let commit = sizes[..7].iter().sum::<usize>();
+        assert_eq!((log[commit], sizes[7]), (KIND_COMMIT_SHORT | 12, 1));
         let (mut off, mut c, mut back) = (0, TidCursor::default(), Vec::new());
         while off < log.len() {
             let before = c;
@@ -1257,7 +1511,7 @@ mod tests {
             }
             off = next;
         }
-        assert_eq!(back, [recs.clone(), recs].concat());
+        assert_eq!(back, [recs.clone(), recs.clone(), recs].concat());
     }
 
     /// A delta that would take a tid below 0 or past `u64::MAX`, or that
@@ -1267,7 +1521,7 @@ mod tests {
         // a `Delegate` from `from` to `from` moved by the delta `to`
         let decode = |from: u64, to: &[u8]| {
             let mut bytes = vec![KIND_DELEGATE];
-            put_varint(&mut bytes, from);
+            Tid(from).put(&mut bytes, &mut TidCursor::default());
             bytes.extend_from_slice(to);
             bytes.push(0);
             LogEntry::decode(&bytes, 0).map(|e| e.is_some())
@@ -1287,10 +1541,11 @@ mod tests {
         assert!(decode(0, &[0xFF; 11]).is_err());
     }
 
-    /// Cut a five-record stream at every byte — one record's image length
+    /// Cut a six-record stream at every byte — one record's image length
     /// is two bytes, so one cut falls inside it, and the stream ends in a
-    /// whole and a patched `Overwrite` and a seal: the whole entries before
-    /// the cut decode and the rest reads as "not whole", never as an error.
+    /// whole and a patched `Overwrite`, a packed CLR and a seal: the whole
+    /// entries before the cut decode and the rest reads as "not whole",
+    /// never as an error.
     #[test]
     fn a_cut_at_every_byte_is_short_not_corrupt() {
         let owned = [
@@ -1311,10 +1566,14 @@ mod tests {
             oid: Oid(2),
             after: Some(Patch::between(Some(&[8; 8]), &[8, 8, 8, 1, 2, 8, 8, 8])),
         };
+        let restored = RecordRef::Clr {
+            oid: Oid(2),
+            image: Some(Patch::between(Some(&[8; 8]), &[8, 8, 8, 8, 8, 8, 8, 1])),
+        };
         let recs: Vec<RecordRef<'_>> = owned
             .iter()
             .map(LogRecord::as_ref)
-            .chain([patched])
+            .chain([patched, restored])
             .collect();
         let (mut log, mut ends, mut c) = (vec![], vec![], TidCursor::default());
         for r in &recs {

@@ -13,7 +13,7 @@
 //!    cache in LSN order (reconstructing the pre-crash state) and keeps,
 //!    per transaction, only the updates it is *currently responsible for*:
 //!    an `Overwrite`'s before image is the image its install replaced —
-//!    and the base its patch is applied to — a
+//!    and the base its patch is applied to, as a CLR's is — a
 //!    `Delegate` record moves matching updates from delegator to delegatee
 //!    (this is what makes delegation crash-safe), a `Commit` or `Abort`
 //!    drops them. Memory is bounded by what is uncommitted, not by what
@@ -213,7 +213,7 @@ impl LogFold {
             }
             RecordRef::Clr { oid, image } => {
                 // redo-only: replayed in order, never undone
-                images.install(lsn, oid, image.map(Patch::whole))?;
+                images.install(lsn, oid, image)?;
                 self.max_oid = self.max_oid.max(oid.raw());
                 self.redone += 1;
             }
@@ -280,8 +280,11 @@ impl LogFold {
 /// One undo step — the same at a runtime abort and at restart: under the
 /// X latch of `oid`'s cache entry, append a CLR for `image` and install
 /// it, so that the log orders the undo among cooperating writers of the
-/// object exactly as the cache does. A refused append has stopped the log
-/// and installs nothing: restart finishes the rollback.
+/// object exactly as the cache does. As `write_object` does for an
+/// `Overwrite`, the CLR logs only what `image` changes of the cached image
+/// when that is the image the object's latest record in this generation
+/// installed, and the whole image when it is not. A refused append has
+/// stopped the log and installs nothing: restart finishes the rollback.
 pub(crate) fn undo_object(
     log: &LogManager,
     cache: &ObjectCache,
@@ -290,12 +293,13 @@ pub(crate) fn undo_object(
 ) -> Result<()> {
     let entry = cache.entry(oid);
     entry.write_with(cache.obs(), |slot| {
-        let image_ref = image.as_deref();
+        let generation = log.generation();
+        let base = slot.as_deref().filter(|_| entry.logged_in() == generation);
         log.append_ref(&RecordRef::Clr {
             oid,
-            image: image_ref,
+            image: image.as_deref().map(|i| Patch::between(base, i)),
         })?;
-        entry.set_logged_in(log.generation());
+        entry.set_logged_in(generation);
         mark::expect(Kind::Clr, oid.raw());
         *slot = image;
         Ok(())

@@ -4,14 +4,15 @@
 //! log — never a record of a block that is torn or altered.
 //!
 //! A random record sequence goes through a random schedule of unforced and
-//! forced appends, watermark drains, explicit drains and (with the `faults`
-//! feature) a drain that fails and stops the log; then the file
+//! forced appends, watermark drains, explicit drains, reopens and (with the
+//! `faults` feature) a drain that fails and stops the log; then the file
 //! is cut at *every* byte offset, and one byte of it is flipped. An
-//! `Overwrite` of an object the log holds an image of is appended as the
-//! write path logs it, a patch against that image, and reads back whole.
-//! Tids wander, with now and then a far jump either way: within a block
-//! they are deltas of both signs and every size, and each block opens with
-//! an absolute tid of some LEB128 width.
+//! `Overwrite` or a CLR of an object the log holds an image of is appended
+//! as the write and undo paths log it, a patch against that image, and
+//! reads back whole. Tids wander, with now and then a far jump either way:
+//! they are deltas of both signs and every size, across seals, and the
+//! first block a reopened log writes opens with a reset entry, past which
+//! the first tid is a delta from 0.
 
 use asset_common::{AssetError, Durability, Lsn, Oid, Tid};
 use asset_faults::{cases, Rng, TempDir};
@@ -77,7 +78,7 @@ fn arb_record(rng: &mut Rng, images: &Images, last: &mut u64) -> LogRecord {
         },
         4 => LogRecord::Clr {
             oid,
-            image: arb_image(rng),
+            image: arb_after(rng, images.get(&oid).cloned().flatten().as_deref()),
         },
         _ => LogRecord::Abort { tid },
     }
@@ -91,13 +92,13 @@ struct Written {
     block_ends: Vec<u64>,
 }
 
-/// Patched `Overwrite`s appended, over every case.
-static PATCHED: AtomicUsize = AtomicUsize::new(0);
+/// Patched `Overwrite`s and CLRs appended, over every case.
+static PATCHED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 
-/// Append `rec` as the write path would log it — an `Overwrite` of an
-/// object `images` holds an image of is a patch against that image — and
-/// return its LSN and its length in the log: its tids written against
-/// `cursor`, the cursor of the block it joins.
+/// Append `rec` as the write and undo paths would log it — an `Overwrite`
+/// or a CLR of an object `images` holds an image of is a patch against
+/// that image — and return its LSN and its length in the log: its tids
+/// written against `cursor`, the cursor of the log it joins.
 fn append(
     log: &LogManager,
     rec: &LogRecord,
@@ -114,21 +115,25 @@ fn append(
             oid: *oid,
             after: Some(Patch::between(images[oid].as_deref(), after)),
         },
+        LogRecord::Clr {
+            oid,
+            image: Some(image),
+        } if images.contains_key(oid) => RecordRef::Clr {
+            oid: *oid,
+            image: Some(Patch::between(images[oid].as_deref(), image)),
+        },
         rec => rec.as_ref(),
     };
-    if let RecordRef::Overwrite {
-        after: Some(patch), ..
-    } = logged
-    {
-        PATCHED.fetch_add(usize::from(!patch.is_whole()), Ordering::Relaxed);
-    }
+    let (kind, patch) = match logged {
+        RecordRef::Overwrite { after, .. } => (0, after),
+        RecordRef::Clr { image, .. } => (1, image),
+        _ => (0, None),
+    };
+    let patched = patch.is_some_and(|p| !p.is_whole());
+    PATCHED[kind].fetch_add(usize::from(patched), Ordering::Relaxed);
     let mut bytes = Vec::new();
     logged.encode_into(&mut bytes, cursor);
     let lsn = log.append_ref(&logged).unwrap();
-    if log.pending_bytes() == 0 {
-        // past the watermark: drained, and the next record opens a block
-        *cursor = TidCursor::default();
-    }
     match rec {
         LogRecord::Update { oid, after, .. }
         | LogRecord::Overwrite { oid, after, .. }
@@ -153,25 +158,34 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
         log.append(&LogRecord::Checkpoint).unwrap(),
         LogRecord::Checkpoint,
     )];
-    let mut lens = vec![1];
+    // each record's length, and whether a reset entry comes before it
+    let mut lens = vec![(1, false)];
     let (mut images, mut last, mut cursor) = (Images::new(), 0, TidCursor::default());
-    for _ in 0..rng.below(24) {
+    let mut reset = false;
+    for _ in 0..rng.below(32) {
         let rec = arb_record(rng, &images, &mut last);
-        match rng.below(8) {
+        match rng.below(9) {
             0 => {
                 let (lsn, len) = append(&log, &rec, &mut images, &mut cursor);
                 log.flush().unwrap();
-                cursor = TidCursor::default();
                 records.push((lsn, rec));
-                lens.push(len);
+                lens.push((len, std::mem::take(&mut reset)));
             }
             1 => {
                 log.drain(rng.below(2) == 0).unwrap();
-                cursor = TidCursor::default();
+            }
+            // a new owner: the drop drains, and the next append opens
+            // its first block with a reset
+            2 => {
+                drop(log);
+                log = LogManager::open_with(path, Durability::Strict, watermark).unwrap();
+                #[cfg(feature = "faults")]
+                log.set_faults(std::sync::Arc::clone(&faults));
+                (cursor, reset) = (TidCursor::default(), true);
             }
             #[cfg(feature = "faults")]
             // once a block is in the file, so the file has bytes to cut
-            2 if log.pending_bytes() > 0 && std::fs::metadata(path).unwrap().len() > 0 => {
+            3 if log.pending_bytes() > 0 && std::fs::metadata(path).unwrap().len() > 0 => {
                 faults.arm(
                     asset_storage::failpoints::LOG_FLUSH,
                     asset_faults::Trigger::Once,
@@ -188,7 +202,7 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
             _ => {
                 let (lsn, len) = append(&log, &rec, &mut images, &mut cursor);
                 records.push((lsn, rec));
-                lens.push(len);
+                lens.push((len, std::mem::take(&mut reset)));
             }
         }
     }
@@ -199,15 +213,17 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
     records.truncate(written);
     lens.truncate(written);
     // records lie back to back, each as long as it is where it stands in
-    // its block; every five-byte gap between them is a seal
+    // the log; every five-byte gap between them is a seal, but for the one
+    // byte of a reset entry at the start of a block
     let mut block_ends = Vec::new();
     let mut pos = FORMAT_MARKER.len() as u64;
     let starts = records.iter().zip(lens).map(|((lsn, _), len)| (lsn.0, len));
-    for (lsn, len) in starts.chain([(tail, 0)]) {
-        while pos < lsn {
+    for (lsn, (len, reset)) in starts.chain([(tail, (0, false))]) {
+        while pos + u64::from(reset) < lsn {
             pos += SEAL_LEN as u64;
             block_ends.push(pos);
         }
+        pos += u64::from(reset);
         assert_eq!(pos, lsn, "LSNs are file offsets");
         pos += len as u64;
     }
@@ -279,6 +295,10 @@ fn a_cut_or_a_flipped_byte_costs_whole_blocks_or_the_log_never_a_part_of_one() {
             }
         }
     });
-    let patched = PATCHED.load(Ordering::Relaxed);
-    assert!(patched >= 24, "patches were cut too: {patched}");
+    let [overwrites, clrs] = PATCHED.each_ref().map(|n| n.load(Ordering::Relaxed));
+    assert!(
+        overwrites >= 24,
+        "patched overwrites were cut too: {overwrites}"
+    );
+    assert!(clrs >= 12, "patched CLRs were cut too: {clrs}");
 }

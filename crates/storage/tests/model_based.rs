@@ -153,31 +153,36 @@ fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
     }
 }
 
-/// The kinds of the patched `Overwrite`s in the log file at `path`.
-fn patches_in(path: &Path, kinds: &Mutex<Vec<u8>>) {
+/// The kinds of the patched `Overwrite`s and CLRs, and of the `Commit`s,
+/// in the log file at `path`.
+fn kinds_in(path: &Path, kinds: &Mutex<Vec<u8>>) {
     let bytes = std::fs::read(path).unwrap();
     let (mut off, mut cursor) = (FORMAT_MARKER.len(), TidCursor::default());
     while let Some((entry, next)) = LogEntry::decode_in(&bytes, off, &mut cursor).unwrap() {
-        if let LogEntry::Record(RecordRef::Overwrite {
-            after: Some(patch), ..
-        }) = entry
-        {
-            kinds
-                .lock()
-                .unwrap()
-                .extend((!patch.is_whole()).then_some(bytes[off]));
-        }
+        let counts = match entry {
+            LogEntry::Record(
+                RecordRef::Overwrite {
+                    after: Some(patch), ..
+                }
+                | RecordRef::Clr {
+                    image: Some(patch), ..
+                },
+            ) => !patch.is_whole(),
+            LogEntry::Record(RecordRef::Commit { .. }) => true,
+            _ => false,
+        };
+        kinds.lock().unwrap().extend(counts.then_some(bytes[off]));
         off = next;
     }
 }
 
-/// An `Overwrite` logs its after image as a patch against the image the
-/// log installed before it, and a reopen rebuilds every image from those
-/// patches. Rounds over a few keys — one writer that commits or aborts
-/// (its CLR installs the base back), or two permitted writers of one
-/// object, the second patching the first's image and maybe aborting —
-/// with checkpoints between the writes, each followed by a reopen checked
-/// against a model of the committed values.
+/// An `Overwrite` logs its after image, and a CLR its restored image, as a
+/// patch against the image the log installed before it, and a reopen
+/// rebuilds every image from those patches. Rounds over a few keys — one
+/// writer that commits or aborts (its CLR installs the base back), or two
+/// permitted writers of one object, the second patching the first's image
+/// and maybe aborting — with checkpoints between the writes, each followed
+/// by a reopen checked against a model of the committed values.
 #[test]
 fn patched_overwrites_reopen_as_the_images_written() {
     let dir = TempDir::new("patch");
@@ -232,7 +237,7 @@ fn patched_overwrites_reopen_as_the_images_written() {
             };
             checkpoint(&e, rng, &[]);
             drop(e);
-            patches_in(&data.join("wal.log"), &kinds);
+            kinds_in(&data.join("wal.log"), &kinds);
             e = open(&config);
             assert_holds(&e, &model, &format!("reopen after round {round}"));
         }
@@ -240,11 +245,13 @@ fn patched_overwrites_reopen_as_the_images_written() {
         std::fs::remove_dir_all(&data).unwrap();
     });
     let kinds = kinds.into_inner().unwrap();
-    let n = kinds.len();
+    let n = kinds.iter().filter(|k| !(0xC0..=0xDF).contains(*k)).count();
     assert!(n >= CASES as usize, "too few patches to tell: {n}");
-    // the packed range's first and last kinds, and kind 9 past them
-    for kind in [0x40, 0x7F, 9] {
-        assert!(kinds.contains(&kind), "no patch of kind {kind:#04x}");
+    // each packed range's first and last kinds, and kinds 9 and 7 past
+    // them; a one-tid `Commit` in its kind byte, behind a write of its own
+    // tid (+0) and behind its partner's (t1 after t2: −1)
+    for kind in [0x40, 0x7F, 9, 0x80, 0xBF, 7, 0xC0, 0xC1] {
+        assert!(kinds.contains(&kind), "no record of kind {kind:#04x}");
     }
 }
 

@@ -981,18 +981,109 @@ fn a_torn_block_is_invisible_and_chopped_so_an_acked_commit_survives_a_second_re
                 })
                 .unwrap());
         }
-        // run 3: the transfer is a winner, found at the LSNs it was given
+        // run 3: the transfer is a winner, found at the LSNs it was given:
+        // its first record one byte past the last seal, behind the reset
+        // entry that opens the first block run 2 wrote
         let (db, report) = Database::open(case.config.clone()).expect("second restart");
         assert_eq!(report.winners, 3, "[{point}] both seeds and the transfer");
         assert_eq!(&get(&db, a)[..], b"9");
         assert_eq!(&get(&db, b)[..], b"1");
         let records = db.engine().log().scan().unwrap();
-        assert!(records.iter().any(|(lsn, rec)| *lsn == first_lsn
+        assert!(records.iter().any(|(lsn, rec)| lsn.0 == first_lsn.0 + 1
             && matches!(rec, storage::LogRecord::Overwrite { oid, .. } if *oid == a)));
         assert_eq!(
             std::fs::metadata(&wal).unwrap().len(),
             db.engine().log().tail().0,
             "[{point}] the file ends in a seal"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// WAL v8's tid cursor runs across blocks, and each manager that opens the
+// log starts it over with a reset entry. Commits across several drains,
+// then a torn tail at each log failpoint, a reopen that chops it, more
+// commits across drains, and two more reopens: every restart finds the
+// acknowledged commits, and the second restart reads the log the first
+// left.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn torn_matrix_reopened_log_keeps_the_cursor_across_blocks() {
+    /// Each object's acknowledged value, and the acknowledged tids.
+    type Model = Arc<Mutex<(std::collections::HashMap<Oid, u64>, Vec<asset::Tid>)>>;
+    // `n` one-object transactions at growing values: each forced, a drain
+    // apiece, and each acknowledged one noted in `model`
+    fn commits(db: &Database, oids: &[Oid], from: u64, n: u64, model: &Model) -> Result<()> {
+        for i in from..from + n {
+            let o = oids[i as usize % oids.len()];
+            let t = db.initiate(move |ctx| ctx.write(o, i.to_le_bytes().to_vec()))?;
+            db.begin(t)?;
+            if db.commit(t)? {
+                let mut model = model.lock().unwrap();
+                model.0.insert(o, i);
+                model.1.push(t);
+            }
+        }
+        Ok(())
+    }
+    for (point, nth) in [
+        (storage::failpoints::LOG_APPEND, 7),
+        (storage::failpoints::LOG_FLUSH, 3),
+        (storage::failpoints::FLUSH_WINDOW_SYNC, 3),
+    ] {
+        let case = Case::new("cursor");
+        let model = Model::default();
+        let oids: Vec<Oid> = {
+            let db = case.open();
+            let oids: Vec<Oid> = (0..3).map(|_| db.new_oid()).collect();
+            commits(&db, &oids, 0, 6, &model).unwrap();
+            oids
+        };
+        case.faults.arm(
+            point,
+            Trigger::Nth(nth),
+            FaultAction::Torn {
+                keep_per_mille: 500,
+            },
+        );
+        let (run_oids, run_model) = (oids.clone(), Arc::clone(&model));
+        let ran = case.run(point, move |db| commits(&db, &run_oids, 100, 6, &run_model));
+        assert!(!matches!(ran, Ok(Ok(()))), "[{point}] the tear fired");
+        // the objects hold the acknowledged values, and the log commits
+        // every acknowledged tid — under its own tid, not one a cursor
+        // out of step made of it
+        let check = |db: &Database, what: &str| {
+            let model = model.lock().unwrap();
+            for o in &oids {
+                let v = u64::from_le_bytes(get(db, *o)[..8].try_into().unwrap());
+                assert_eq!(v, model.0[o], "[{point}] {what}: {o}");
+            }
+            let committed: Vec<asset::Tid> = log_records(db)
+                .into_iter()
+                .filter_map(|rec| match rec {
+                    LogRecord::Commit { tids } => Some(tids),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            let lost = model.1.iter().filter(|t| !committed.contains(t));
+            assert_eq!(lost.count(), 0, "[{point}] {what}: {committed:?}");
+        };
+        {
+            let db = case.reopen_clean();
+            check(&db, "first restart");
+            commits(&db, &oids, 200, 6, &model).unwrap();
+        }
+        let mut logs = Vec::new();
+        for restart in 0..2 {
+            let db = case.reopen_clean();
+            check(&db, &format!("restart {restart}"));
+            logs.push(log_records(&db));
+        }
+        assert_eq!(
+            logs[0], logs[1],
+            "[{point}] the second restart reads the first's log"
         );
     }
 }

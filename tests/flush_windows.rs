@@ -129,7 +129,10 @@ fn blocking_and_executor_commits_share_windows_and_survive_a_reopen() {
 /// `Commit` record buffered. The node's next local commit forces the log
 /// through it, and a restart then finds the member committed, not in
 /// doubt. This is the count behind `dist_commit`'s `log_bytes_per_txn`:
-/// one seal per node per global transaction, not two.
+/// one seal per node per global transaction, not two, and a one-byte
+/// `Prepared` and `Commit` (the member's tid, a delta from the tid of its
+/// own write, rides in each record's kind byte): 7 bytes a node for the
+/// decision.
 #[test]
 fn a_global_commit_forces_one_window_per_node_its_vote() {
     const NODES: usize = 3;
@@ -155,6 +158,8 @@ fn a_global_commit_forces_one_window_per_node_its_vote() {
             oids.push(o);
         }
         let before: Vec<u64> = nodes.iter().map(|n| windows(&n.db()).0).collect();
+        let tail = |db: &Database| db.engine().log().tail().0;
+        let tails: Vec<u64> = nodes.iter().map(|n| tail(&n.db())).collect();
         let transport = Arc::new(ChannelTransport::new(nodes.clone()));
         let decision = if paxos {
             let acceptors = (0..3).map(|_| Arc::new(Acceptor::new())).collect();
@@ -172,6 +177,12 @@ fn a_global_commit_forces_one_window_per_node_its_vote() {
                 "paxos={paxos} node {i}: the vote is the only force"
             );
             assert!(pending(&db) > 0, "node {i}: the Commit record is buffered");
+            let seal = asset::storage::log::SEAL_LEN as u64;
+            assert_eq!(
+                tail(&db) - tails[i],
+                1 + seal + 1,
+                "node {i}: the decision's bytes"
+            );
             let local = db.new_oid();
             assert!(db
                 .run(move |ctx| ctx.write(local, b"local".to_vec()))
@@ -308,6 +319,32 @@ mod early_release {
         assert_eq!((groups.count, groups.sum), (1 + N as u64, 1 + N as u64));
         let last = u64::from_le_bytes(db.peek(o).unwrap().unwrap().try_into().unwrap());
         assert!((1..=N as u64).contains(&last), "one writer's value: {last}");
+    }
+
+    /// A commit pinned in a held window has released its locks and
+    /// permits already: a permit from it, or to it, would outlive that
+    /// release, and is refused; once the window syncs, the permit table
+    /// is as empty as before.
+    #[test]
+    fn a_permit_from_or_to_a_pinned_committer_is_refused() {
+        use asset::{AssetError, ObSet, OpSet};
+        let (_dir, db, at, go) = held_window("elr-permit");
+        let o = db.new_oid();
+        let w = db.submit(write_prog(o, 0)).unwrap();
+        at.recv().unwrap();
+        let live = db.initiate(|_| Ok(())).unwrap();
+        let refused = |r: asset::Result<()>| {
+            let pinned = TxnStatus::Committing;
+            matches!(r, Err(AssetError::InvalidState { tid, status, op: "permit" })
+                if tid == w && status == pinned)
+        };
+        assert!(refused(db.permit(w, None, ObSet::All, OpSet::ALL)));
+        assert!(refused(db.permit(live, Some(w), ObSet::one(o), OpSet::ALL)));
+        assert!(refused(db.permit_accessed(w, Some(live), OpSet::ALL)));
+        go.send(()).unwrap();
+        assert!(db.outcome(w).unwrap());
+        assert!(db.abort(live).unwrap());
+        assert_eq!(db.introspect().permits, 0);
     }
 
     fn read_prog(o: Oid) -> impl FnMut(&mut StepCtx<'_>) -> TxnStep + Send + 'static {

@@ -154,13 +154,29 @@ fn check_statuses(md: &str) -> Vec<String> {
     diff(&rows, key, &facts)
 }
 
+/// The tid the short kinds of [`record_tags`] are written against.
+const PREV: u64 = 1_000;
+
+/// `rec`'s first byte, written after a record of tid [`PREV`].
+fn tag_after_prev(rec: RecordRef<'_>) -> u8 {
+    let (mut c, mut out) = (TidCursor::default(), Vec::new());
+    LogRecord::Abort { tid: Tid(PREV) }
+        .as_ref()
+        .encode_into(&mut Vec::new(), &mut c);
+    rec.encode_into(&mut out, &mut c);
+    out[0]
+}
+
 /// The tag `LogRecord::encode` writes for each variant — for `Commit`
-/// and `Prepared`, for a group of one and for a larger one — with its
-/// DESIGN.md name, then the tag of an `Overwrite` patched in each shape a
-/// packed kind holds. The match is exhaustive: a new variant does not
-/// compile until it is named here, and then the check asks for its row.
+/// and `Prepared`, for a group of one and for a larger one, and for a
+/// one-tid record a tid far from the one before it — with its DESIGN.md
+/// name; then the tag of a one-tid `Commit`, `Prepared` and `Abort` at
+/// each delta its kind holds, and of an `Overwrite` and a CLR patched in
+/// each shape a packed kind holds. The match is exhaustive: a new variant
+/// does not compile until it is named here, and then the check asks for
+/// its row.
 fn record_tags() -> Vec<String> {
-    let (t, o) = (Tid(1), Oid(2));
+    let (t, o) = (Tid(PREV), Oid(2));
     let samples = [
         LogRecord::Update {
             tid: t,
@@ -204,15 +220,41 @@ fn record_tags() -> Vec<String> {
         .iter()
         .map(|r| format!("{:#04x} {}", tag(r), name(r)))
         .collect();
+    // one tid within 16 of the one before it, either way; within 8
+    for d in -16..16 {
+        let tid = Tid(PREV.saturating_add_signed(d));
+        let tids = [tid];
+        let short = |rec, name| format!("{:#04x} {name}", tag_after_prev(rec));
+        tags.push(short(
+            RecordRef::Commit {
+                tids: tids[..].into(),
+            },
+            "Commit",
+        ));
+        if (-8..8).contains(&d) {
+            tags.push(short(
+                RecordRef::Prepared {
+                    tids: tids[..].into(),
+                },
+                "Prepared",
+            ));
+            tags.push(short(RecordRef::Abort { tid }, "Abort"));
+        }
+    }
     // a 16-byte image whose bytes `p..p + m` change: prefix p, middle m
     let base = [0u8; 16];
     for (p, m) in (0..8).flat_map(|p| (1..=8).map(move |m| (p, m))) {
         let after: Vec<u8> = (0..16).map(|i| u8::from((p..p + m).contains(&i))).collect();
-        let patch = Patch::between(Some(&base), &after);
-        let mut out = Vec::new();
-        let (tid, oid, after) = (t, o, Some(patch));
-        RecordRef::Overwrite { tid, oid, after }.encode_into(&mut out, &mut TidCursor::default());
-        tags.push(format!("{:#04x} Overwrite", out[0]));
+        let patch = Some(Patch::between(Some(&base), &after));
+        let (tid, oid) = (t, o);
+        let overwrite = RecordRef::Overwrite {
+            tid,
+            oid,
+            after: patch,
+        };
+        tags.push(format!("{:#04x} Overwrite", tag_after_prev(overwrite)));
+        let clr = RecordRef::Clr { oid, image: patch };
+        tags.push(format!("{:#04x} Clr", tag_after_prev(clr)));
     }
     tags
 }
@@ -236,20 +278,25 @@ fn check_wal_tags(md: &str) -> Vec<String> {
             cells: row(t),
         }));
     }
-    let seal = |t| {
-        matches!(
-            LogEntry::decode(&[t, 0, 0, 0, 0], 0),
-            Ok(Some((LogEntry::Seal(_), _)))
-        )
-    };
     let mut tags = record_tags();
-    tags.extend(
-        (0..=u8::MAX)
-            .filter(|&t| seal(t))
-            .map(|t| format!("{t:#04x} Seal")),
-    );
+    for t in 0..=u8::MAX {
+        match LogEntry::decode(&[t, 0, 0, 0, 0], 0) {
+            Ok(Some((LogEntry::Seal(_), _))) => tags.push(format!("{t:#04x} Seal")),
+            Ok(Some((LogEntry::Reset, _))) => tags.push(format!("{t:#04x} Reset")),
+            _ => {}
+        }
+    }
+    // a tag the decoder takes, after a record of tid `PREV`: whole, or a
+    // record still to come
+    let accepts = |t: u8| {
+        let mut bytes = LogRecord::Abort { tid: Tid(PREV) }.encode();
+        let (at, mut c) = (bytes.len(), TidCursor::default());
+        bytes.push(t);
+        LogEntry::decode_in(&bytes, 0, &mut c).unwrap();
+        LogEntry::decode_in(&bytes, at, &mut c).is_ok()
+    };
     let accepted: Vec<String> = (0..=u8::MAX)
-        .filter(|&t| LogEntry::decode(&[t], 0).is_ok())
+        .filter(|&t| accepts(t))
         .map(|t| format!("{t:#04x}"))
         .collect();
     let mut out = diff(&rows, |r| format!("{} {}", r.hex(0), r.ident(1)), &tags);
