@@ -1804,7 +1804,7 @@ fn a_two_write_commit_over_logged_objects_is_three_records() {
     // base, `t` as a one-byte tid delta, and the commit as one byte, the
     // delta of its tid in its kind
     let mut bytes = Vec::new();
-    let mut cursor = asset_storage::log::TidCursor::default();
+    let mut cursor = asset_storage::log::IdCursor::default();
     for (oid, after) in [(a, 58i64), (b, 142)] {
         asset_storage::RecordRef::Overwrite {
             tid: t,

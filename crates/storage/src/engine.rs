@@ -397,14 +397,14 @@ mod tests {
         assert_eq!(kinds(&e), ["update", "update"]);
     }
 
-    /// Through an on-disk engine from tid `base`, in a directory named by
-    /// `tag`: a transfer that creates both balances, one transfer alone in
-    /// a drain, then twenty in one drain, then — reopened — one more alone,
-    /// which all read back whole. Returns the log bytes of the last three.
-    fn transfer_bytes(tag: &str, base: u64) -> [u64; 3] {
+    /// Through an on-disk engine from tid `base` between the balances `a`
+    /// and `b`, in a directory named by `tag`: a transfer that creates both
+    /// balances, one transfer alone in a drain, then twenty in one drain,
+    /// then — reopened — one more alone, which all read back whole.
+    /// Returns the log bytes of the last three.
+    fn transfer_bytes(tag: &str, base: u64, [a, b]: [Oid; 2]) -> [u64; 3] {
         let dir = TempDir::new(&format!("eng-{tag}"));
         let config = Config::on_disk(&*dir);
-        let (a, b) = (Oid(90_000), Oid(90_001));
         let balance = |v: i64| Some(v.to_le_bytes().to_vec());
         // leaves `a` at 1 000 - k and `b` at 1 000 + k
         let transfer = |e: &StorageEngine, tid: u64, k: i64, forced: bool| {
@@ -457,15 +457,19 @@ mod tests {
     /// A transfer over two balances the log has seen — 8-byte integers
     /// near 1 000, each write moving the low byte alone — is three records:
     /// two packed `Overwrite`s and a one-tid `Commit` that its kind byte
-    /// holds, 6 + 6 + 1 = 13 bytes with three-byte ids, every tid a
-    /// one-byte delta across seals; plus the seal that closes the drain it
-    /// leaves in: 18 alone, 20 × 13 + 5 for twenty in one drain — the
-    /// benchmark's `log_bytes_per_txn`. The first transfer a reopened log
-    /// takes pays its reset entry and one wide tid, a delta from 0.
+    /// holds, 6 + 6 + 1 = 13 bytes when its balances are three-byte oid
+    /// deltas apart, every tid a one-byte delta across seals; plus the seal
+    /// that closes the drain it leaves in: 18 alone, 20 × 13 + 5 for twenty
+    /// in one drain — the benchmark's `log_bytes_per_txn`. Between two
+    /// neighbouring balances each oid is a one-byte delta too, 4 + 4 + 1.
+    /// The first transfer a reopened log takes pays its reset entry, one
+    /// wide tid and one wide oid, deltas from 0.
     #[test]
     fn a_transfer_is_13_bytes_plus_one_seal_per_drain() {
-        let bytes = transfer_bytes("golden", 70_000);
-        assert_eq!(bytes, [6 + 6 + 1 + 5, 20 * 13 + 5, 1 + 8 + 6 + 1 + 5]);
+        let far = transfer_bytes("golden", 70_000, [Oid(90_000), Oid(140_000)]);
+        assert_eq!(far, [6 + 6 + 1 + 5, 20 * 13 + 5, 1 + 8 + 6 + 1 + 5]);
+        let near = transfer_bytes("adjacent", 70_000, [Oid(90_000), Oid(90_001)]);
+        assert_eq!(near, [4 + 4 + 1 + 5, 20 * 9 + 5, 1 + 8 + 4 + 1 + 5]);
     }
 
     /// A tid's width costs the log only the first tid past a reset: at
@@ -474,8 +478,9 @@ mod tests {
     /// more.
     #[test]
     fn a_wider_tid_costs_only_the_first_tid_past_a_reset() {
-        let [alone, twenty, reopened] = transfer_bytes("narrow", 70_000);
-        let wide = transfer_bytes("wide", 3_000_000_000);
+        let pair = [Oid(90_000), Oid(140_000)];
+        let [alone, twenty, reopened] = transfer_bytes("narrow", 70_000, pair);
+        let wide = transfer_bytes("wide", 3_000_000_000, pair);
         assert_eq!(wide, [alone, twenty, reopened + 2]);
     }
 
@@ -545,6 +550,41 @@ mod tests {
         .unwrap();
         e.simulate_crash_and_recover().unwrap();
         assert_eq!(e.read_object(x).unwrap(), b"t3");
+    }
+
+    /// A checkpoint re-logs a live transaction's updates into a generation
+    /// of its own, whose id cursor starts at 0 behind its marker whatever
+    /// the old log's appender wrote last — here a small oid, beside the
+    /// loser's wide ones. Reopened, restart aborts the loser and its
+    /// before images come back.
+    #[test]
+    fn a_checkpoint_relogs_wide_oids_from_a_fresh_cursor() {
+        let dir = TempDir::new("eng-ckpt-oids");
+        let config = Config::on_disk(&*dir);
+        let wide = [Oid(1 << 40), Oid((1 << 40) + 1), Oid(3_000_000)];
+        let image = |i: usize| vec![i as u8; 8];
+        {
+            let (e, _) = StorageEngine::open(&config).unwrap();
+            let commit = |t| e.log_record(&LogRecord::Commit { tids: vec![Tid(t)] });
+            for (i, o) in wide.into_iter().enumerate() {
+                e.write_object(Tid(1), o, Some(image(i))).unwrap();
+            }
+            commit(1).unwrap();
+            for o in wide {
+                e.write_object(Tid(2), o, Some(b"loser".to_vec())).unwrap();
+            }
+            e.write_object(Tid(3), Oid(1), Some(b"small".to_vec()))
+                .unwrap();
+            commit(3).unwrap();
+            e.checkpoint(&[Tid(2)].into_iter().collect()).unwrap();
+            assert_eq!(kinds(&e), ["checkpoint", "update", "update", "update"]);
+        }
+        let (e, report) = StorageEngine::open(&config).unwrap();
+        assert_eq!((report.losers, report.undone), (1, 3));
+        for (i, o) in wide.into_iter().enumerate() {
+            assert_eq!(e.read_object(o), Some(image(i)), "{o}");
+        }
+        assert_eq!(e.read_object(Oid(1)).unwrap(), b"small");
     }
 
     /// ... and if neither commits, restart undoes newest first and lands

@@ -54,7 +54,7 @@ mod record;
 pub use flusher::{FlushCallback, GroupFlusher};
 pub(crate) use record::{checksum, rebuild};
 pub use record::{
-    Ids, LogEntry, LogRecord, Patch, RecordRef, TidCursor, WireId, FORMAT_MARKER, SEAL_LEN,
+    IdCursor, Ids, LogEntry, LogRecord, Patch, RecordRef, WireId, FORMAT_MARKER, SEAL_LEN,
 };
 
 use crate::durable::Failpoint;
@@ -126,11 +126,11 @@ struct Inner {
     /// Records accepted and not yet handed to the file; the whole log of
     /// the in-memory backend.
     pending: Vec<u8>,
-    /// What the next record's tids are written against: it runs through
+    /// What the next record's ids are written against: it runs through
     /// the generation, across seals.
-    cursor: TidCursor,
+    cursor: IdCursor,
     /// The next append opens with a reset entry: this manager opened a
-    /// log it did not start, and does not know the last tid in it.
+    /// log it did not start, and does not know the last ids in it.
     reset: bool,
     tail: u64,
     records_appended: u64,
@@ -323,7 +323,7 @@ impl LogManager {
             .read_to_end(&mut head)?;
         if !FORMAT_MARKER.starts_with(&head) {
             return Err(AssetError::Corrupt(format!(
-                "{} is not a v8 log: it starts {head:02x?}",
+                "{} is not a v9 log: it starts {head:02x?}",
                 path.display()
             )));
         }
@@ -391,7 +391,7 @@ impl LogManager {
             inner.tail = FORMAT_MARKER.len() as u64;
         } else if inner.reset {
             // and the first this manager writes behind another's, with a
-            // reset: tids go on from 0, not from a tid it never saw
+            // reset: ids go on from 0, not from ids it never saw
             let Inner {
                 pending, cursor, ..
             } = &mut *inner;
@@ -665,7 +665,7 @@ impl LogManager {
         };
         // the buffer goes on from the file's cursor, or opens the
         // generation, behind its marker if the file is empty
-        let (mut off, mut cursor) = (0, TidCursor::default());
+        let (mut off, mut cursor) = (0, IdCursor::default());
         if let Some(disk) = &disk {
             let end;
             (end, cursor) = replay_file(File::open(&disk.path)?.take(written), &mut visit)?;
@@ -768,16 +768,16 @@ fn lock_current(path: &Path, file: File) -> Result<Option<File>> {
 /// The file part of [`LogManager::replay`]: visit the records of every
 /// block of `file` whose seal verifies and return where the last of those
 /// blocks ends — short of the file's end if it ends in a torn block — and
-/// the tid cursor there.
+/// the id cursor there.
 fn replay_file(
     mut file: impl Read,
     visit: &mut impl FnMut(Lsn, RecordRef<'_>) -> Result<()>,
-) -> Result<(u64, TidCursor)> {
+) -> Result<(u64, IdCursor)> {
     // `buf` is a window on the file starting at offset `base`; `start` is
     // where, in it, the last verified block ends and the next begins, and
     // `at_start` the cursor there.
     let (mut buf, mut base, mut start) = (Vec::new(), 0u64, 0usize);
-    let (mut eof, mut records, mut at_start) = (false, 0, TidCursor::default());
+    let (mut eof, mut records, mut at_start) = (false, 0, IdCursor::default());
     loop {
         // Decode the block once, from its start, and visit it only when it
         // proves whole.
@@ -984,32 +984,40 @@ mod tests {
     /// A log an earlier format wrote is refused before a byte of it is
     /// parsed — neither chopped as a torn tail nor appended to — by an
     /// error that names the format this build reads, and left as it was:
-    /// behind v7's marker (the tid cursor restarts at every seal), v6's (no
-    /// packed `Overwrite`), v5's (every tid absolute) or v4's, or behind
-    /// none, as v3 and earlier wrote, whole or cut shorter than a marker.
+    /// behind v8's marker (every oid absolute), v7's (the tid cursor
+    /// restarts at every seal), v6's (no packed `Overwrite`), v5's (every
+    /// tid absolute) or v4's, or behind none, as v3 and earlier wrote,
+    /// whole or cut shorter than a marker.
     #[test]
-    fn a_v7_log_is_refused_and_left_untouched() {
+    fn a_v8_log_is_refused_and_left_untouched() {
         let dir = TempDir::new("old");
         let path = dir.join("wal.log");
-        // v7's `Abort` of tid 1, `Update` of oid 10 to "hello" and
-        // `Commit` of one tid (kind 10, its tid absolute, as a block's
-        // first) — every format before v6 wrote kind 3 and a count
-        let body = [&[4, 1, 2, 1, 10, 0, 6][..], b"hello", &[10, 1]].concat();
-        let mut olds: Vec<Vec<u8>> = [b"ASSETWL7", b"ASSETWL6", b"ASSETWL5", b"ASSETWL4"]
-            .map(|marker| {
-                let mut old = [&marker[..], &body].concat();
-                record::open_seal(&mut old);
-                record::fill_seal(&mut old, 0);
-                old
-            })
-            .into();
+        // v8's one-byte `Abort` of tid 1, `Update` of oid 10 to "hello"
+        // (kind 2, the oid absolute, a before tag and a length) and
+        // one-byte `Commit` of tid 1 — every format before v6 wrote kind 3
+        // and a count
+        let body = [&[0xF2, 2, 0, 10, 0, 6][..], b"hello", &[0xC0]].concat();
+        let mut olds: Vec<Vec<u8>> = [
+            b"ASSETWL8",
+            b"ASSETWL7",
+            b"ASSETWL6",
+            b"ASSETWL5",
+            b"ASSETWL4",
+        ]
+        .map(|marker| {
+            let mut old = [&marker[..], &body].concat();
+            record::open_seal(&mut old);
+            record::fill_seal(&mut old, 0);
+            old
+        })
+        .into();
         olds.extend([[&body[..], &[3, 1, 1]].concat(), body[..6].to_vec()]);
         for old in olds {
             std::fs::write(&path, &old).unwrap();
             for _ in 0..2 {
                 let err = LogManager::open(&path, Durability::Strict).err().unwrap();
                 assert!(
-                    matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v8 log")),
+                    matches!(&err, AssetError::Corrupt(msg) if msg.contains("is not a v9 log")),
                     "{err}"
                 );
                 assert_eq!(std::fs::read(&path).unwrap(), old, "untouched");
@@ -1017,22 +1025,37 @@ mod tests {
         }
     }
 
-    /// The tid cursor runs through the generation, and each manager that
-    /// opens the log starts it over with a reset entry: appends across
-    /// several drains, a torn tail, a reopen that chops it, more appends
-    /// across drains, and two more reopens all replay the acknowledged
-    /// history — at wide and narrow tids, either way — and the first block
-    /// each reopened manager writes opens with the one-byte reset.
+    /// The id cursor runs through the generation, and each manager that
+    /// opens the log starts both its halves over with a reset entry:
+    /// appends across several drains, a torn tail, a reopen that chops it,
+    /// more appends across drains, and two more reopens all replay the
+    /// acknowledged history — at wide and narrow tids and oids, either way,
+    /// the oids before and after each reopen far apart — and the first
+    /// block each reopened manager writes opens with the one-byte reset.
     #[test]
     fn a_reopened_log_goes_on_behind_a_reset_across_a_torn_tail() {
         let dir = TempDir::new("reopen");
         let path = dir.join("wal.log");
+        // for each id, the creation of the object of that oid by the tid
+        // of that id, then a record that ends or prepares the tid
         let recs = |from: u64| {
-            [from, from + 1, 3, u64::MAX, from].map(|t| match t % 3 {
-                0 => LogRecord::Commit { tids: vec![Tid(t)] },
-                1 => LogRecord::Abort { tid: Tid(t) },
-                _ => LogRecord::Prepared { tids: vec![Tid(t)] },
-            })
+            [from, from + 1, 3, u64::MAX, from]
+                .into_iter()
+                .flat_map(|t| {
+                    let (tid, oid) = (Tid(t), Oid(t));
+                    let created = LogRecord::Update {
+                        tid,
+                        oid,
+                        before: None,
+                        after: Some(t.to_le_bytes().to_vec()),
+                    };
+                    let ended = match t % 3 {
+                        0 => LogRecord::Commit { tids: vec![tid] },
+                        1 => LogRecord::Abort { tid },
+                        _ => LogRecord::Prepared { tids: vec![tid] },
+                    };
+                    [created, ended]
+                })
         };
         let mut acked = Vec::new();
         // each record forced: a drain apiece, the cursor running on

@@ -22,8 +22,8 @@
 //! must be visible to restart recovery: a [`LogRecord::Delegate`] record
 //! reassigns earlier updates to the delegatee.
 //!
-//! Wire format (v8). A record is its own frame, `[kind u8][payload]`:
-//! every oid, count and image length in a payload is LEB128; an `Update`'s
+//! Wire format (v9). A record is its own frame, `[kind u8][payload]`:
+//! every count and image length in a payload is LEB128; an `Update`'s
 //! optional image, or an optional object list, is its length **plus one**,
 //! `0` meaning `None`. A record
 //! carries no length and no checksum of its own, because nothing reaches
@@ -38,23 +38,30 @@
 //! every byte since the previous seal. The first block of a log generation
 //! opens with the eight-byte [`FORMAT_MARKER`], which its seal covers too.
 //!
-//! Tids are written against the generation's [`TidCursor`]: each tid field
-//! is the zigzag LEB128 delta from the tid field before it, across seals —
-//! the first of a generation from 0 — so the tids of a transaction's
-//! records, and of transactions that follow each other, cost a byte each.
-//! A manager that opens a log someone else wrote does not know the last
-//! tid in it: the first block it writes opens with a one-byte **reset**
-//! entry (kind 12), which starts the cursor at 0 again. So a block decodes
-//! only with the cursor the blocks before it left, back to the marker or
-//! the latest reset. A one-tid `Commit` whose zigzag delta is below 32
-//! carries it in its kind, `0xC0 | z`; a one-tid `Prepared` or an `Abort`
-//! below 16, `0xE0 | z` and `0xF0 | z`. Other one-tid `Commit`s and
-//! `Prepared`s are kinds 10 and 11, with the delta after them.
+//! Ids are written against the generation's [`IdCursor`], which has a tid
+//! half and an oid half: each tid field is the zigzag LEB128 delta from
+//! the tid field before it, and each oid field — of an `Update`, an
+//! `Overwrite`, a CLR, a `Delegate`'s list — from the oid field before it,
+//! across seals; the first of each in a generation from 0. So the tids of
+//! a transaction's records, and of transactions that follow each other,
+//! cost a byte each, and so does the oid of an object created right after
+//! the one before it, however many objects came before. A manager that
+//! opens a log someone else wrote does not know the last ids in it: the
+//! first block it writes opens with a one-byte **reset** entry (kind 12),
+//! which starts both halves at 0 again. So a block decodes only with the
+//! cursor the blocks before it left, back to the marker or the latest
+//! reset. A one-tid `Commit` whose zigzag delta is below 32 carries it in
+//! its kind, `0xC0 | z`; a one-tid `Prepared` or an `Abort` below 16,
+//! `0xE0 | z` and `0xF0 | z`. Other one-tid `Commit`s and `Prepared`s are
+//! kinds 10 and 11, with the delta after them.
 //!
-//! An image a record installs over one the log already holds — the after
-//! image of an `Overwrite`, the restored image of a CLR — is a [`Patch`]
-//! against that base. A patch that keeps the base's length, a prefix of at
-//! most 7 bytes and a middle of 1 to 8 has a kind of its own,
+//! An `Update` that creates an object — no before image, an after image of
+//! 1 to 32 bytes — is **packed**: kind `0x20 | (len − 1)`, its ids, then
+//! the bytes, with no before tag and no length. Any other `Update` is kind
+//! 2. An image a record installs over one the log already holds — the
+//! after image of an `Overwrite`, the restored image of a CLR — is a
+//! [`Patch`] against that base. A patch that keeps the base's length, a
+//! prefix of at most 7 bytes and a middle of 1 to 8 has a kind of its own,
 //! `0x40 | prefix << 3 | (middle − 1)` for an `Overwrite` and `0x80 | …`
 //! for a CLR, and the middle bytes are all its payload after the ids: the
 //! suffix is what is left of the base. Any other such image is kind 9 or 7
@@ -62,10 +69,11 @@
 //! of `len` bytes, and `2·(len + 1)` for a patch whose middle is `len`
 //! bytes, which the kept prefix and suffix lengths follow before the bytes.
 //! A transfer that moves one low byte of two 8-byte balances the log has
-//! seen (two packed `Overwrite`s and a `Commit`) is 13 bytes with
-//! three-byte oids, plus its share of one five-byte seal per drain; the
-//! CLR that undoes one of those writes is 5. Kind 1 was v2's `Begin` and
-//! stays reserved.
+//! seen (two packed `Overwrite`s and a `Commit`) is 13 bytes when its oids
+//! are three-byte deltas apart, 9 when they are neighbours, plus its share
+//! of one five-byte seal per drain; the CLR that undoes one of those writes
+//! is 5, and the creation of an 8-byte object next to the previous one 11.
+//! Kind 1 was v2's `Begin` and stays reserved.
 
 use asset_common::codec::{put_varint, CodecError, Reader};
 use asset_common::{AssetError, Lsn, Oid, Result, Tid};
@@ -310,32 +318,35 @@ pub(crate) fn rebuild(
     })
 }
 
-/// The tid a log generation's next tid field is written against: 0 at the
-/// start of the generation and after a reset entry, then the tid of the
-/// previous tid field, from which the next is a zigzag delta — across
-/// seals. The encoder keeps one beside the pending buffer, a reader one for
-/// the stream it walks.
+/// What a log generation's next id fields are written against: a tid half
+/// and an oid half, each 0 at the start of the generation and after a
+/// reset entry, then the id of the previous field of its kind, from which
+/// the next is a zigzag delta — across seals. The encoder keeps one beside
+/// the pending buffer, a reader one for the stream it walks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TidCursor(u64);
+pub struct IdCursor {
+    tid: u64,
+    oid: u64,
+}
 
-impl TidCursor {
-    /// Move to `tid` and return its zigzag delta from where the cursor
+impl IdCursor {
+    /// Move to `tid` and return its zigzag delta from where the tid half
     /// was, if that is below `2^bits`; else leave the cursor be.
     fn short(&mut self, tid: Tid, bits: u32) -> Option<u8> {
-        let z = zigzag(i128::from(tid.0) - i128::from(self.0));
+        let z = zigzag(i128::from(tid.0) - i128::from(self.tid));
         (z >> bits == 0).then(|| {
-            self.0 = tid.0;
+            self.tid = tid.0;
             z as u8
         })
     }
+}
 
-    /// Move by the zigzag delta `z`: `Corrupt` when it leaves `u64`.
-    fn step(&mut self, z: u128) -> Step<Tid> {
-        let prev = self.0;
-        self.0 = u64::try_from(i128::from(prev) + unzigzag(z))
-            .map_err(|_| CodecError::Corrupt(format!("a tid delta leaves u64 from {prev}")))?;
-        Ok(Tid(self.0))
-    }
+/// Move `half` by the zigzag delta `z`: `Corrupt` when it leaves `u64`.
+fn step(half: &mut u64, z: u128) -> Step<u64> {
+    let prev = *half;
+    *half = u64::try_from(i128::from(prev) + unzigzag(z))
+        .map_err(|_| CodecError::Corrupt(format!("an id delta leaves u64 from {prev}")))?;
+    Ok(*half)
 }
 
 /// `0, -1, 1, -2, …` as `0, 1, 2, 3, …`: a delta between two `u64`s in 65
@@ -373,34 +384,53 @@ fn delta(r: &mut Reader<'_>) -> Step<u128> {
             return Ok(z);
         }
     }
-    Err(CodecError::Corrupt("a tid delta runs past 65 bits".into()))
+    Err(CodecError::Corrupt("an id delta runs past 65 bits".into()))
 }
 
-/// A tid or oid as the log writes it: an oid is plain LEB128, a tid is
-/// written against the generation's [`TidCursor`].
+/// A tid or an oid as the log writes it: the zigzag delta from the previous
+/// field of its kind, against its half of the generation's [`IdCursor`].
 pub trait WireId: Copy {
+    /// The id's half of `cursor`.
+    fn half(cursor: &mut IdCursor) -> &mut u64;
+    /// The id as a number.
+    fn raw(self) -> u64;
+    /// The id of a number.
+    fn of(raw: u64) -> Self;
+
     /// Append the id, moving `cursor` past it.
-    fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor);
+    fn put(self, out: &mut Vec<u8>, cursor: &mut IdCursor) {
+        let half = Self::half(cursor);
+        put_delta(out, i128::from(self.raw()) - i128::from(*half));
+        *half = self.raw();
+    }
+
     /// Read an id, moving `cursor` past it.
-    fn get(r: &mut Reader<'_>, cursor: &mut TidCursor) -> std::result::Result<Self, CodecError>;
+    fn get(r: &mut Reader<'_>, cursor: &mut IdCursor) -> std::result::Result<Self, CodecError> {
+        step(Self::half(cursor), delta(r)?).map(Self::of)
+    }
 }
 
 impl WireId for Tid {
-    fn put(self, out: &mut Vec<u8>, cursor: &mut TidCursor) {
-        put_delta(out, i128::from(self.0) - i128::from(cursor.0));
-        cursor.0 = self.0;
+    fn half(cursor: &mut IdCursor) -> &mut u64 {
+        &mut cursor.tid
     }
-    fn get(r: &mut Reader<'_>, cursor: &mut TidCursor) -> Step<Tid> {
-        cursor.step(delta(r)?)
+    fn raw(self) -> u64 {
+        self.0
+    }
+    fn of(raw: u64) -> Tid {
+        Tid(raw)
     }
 }
 
 impl WireId for Oid {
-    fn put(self, out: &mut Vec<u8>, _: &mut TidCursor) {
-        put_varint(out, self.0);
+    fn half(cursor: &mut IdCursor) -> &mut u64 {
+        &mut cursor.oid
     }
-    fn get(r: &mut Reader<'_>, _: &mut TidCursor) -> Step<Oid> {
-        r.varint().map(Oid)
+    fn raw(self) -> u64 {
+        self.0
+    }
+    fn of(raw: u64) -> Oid {
+        Oid(raw)
     }
 }
 
@@ -419,7 +449,7 @@ enum IdsRepr<'a, T> {
     Encoded {
         bytes: &'a [u8],
         len: usize,
-        base: TidCursor,
+        base: IdCursor,
     },
 }
 
@@ -441,8 +471,8 @@ impl<'a, T: WireId> Ids<'a, T> {
     /// The ids, in record order.
     pub fn iter(&self) -> impl Iterator<Item = T> + 'a {
         let (slice, one, bytes, mut cursor) = match self.0 {
-            IdsRepr::Slice(s) => (s, None, &[][..], TidCursor::default()),
-            IdsRepr::One(id) => (&[][..], Some(id), &[][..], TidCursor::default()),
+            IdsRepr::Slice(s) => (s, None, &[][..], IdCursor::default()),
+            IdsRepr::One(id) => (&[][..], Some(id), &[][..], IdCursor::default()),
             IdsRepr::Encoded { bytes, base, .. } => (&[][..], None, bytes, base),
         };
         let mut r = Reader::new(bytes);
@@ -460,10 +490,10 @@ impl<'a, T> From<&'a [T]> for Ids<'a, T> {
     }
 }
 
-/// What a v8 log file starts with, at offset 0 of every generation: a file
+/// What a v9 log file starts with, at offset 0 of every generation: a file
 /// that starts otherwise was written in another format and is refused
 /// whole, before a byte of it is parsed, chopped or appended to.
-pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL8";
+pub const FORMAT_MARKER: [u8; 8] = *b"ASSETWL9";
 
 /// Bytes of a seal: its kind and the block's checksum.
 pub const SEAL_LEN: usize = 5;
@@ -480,6 +510,9 @@ const KIND_OVERWRITE: u8 = 9;
 const KIND_COMMIT_ONE: u8 = 10;
 const KIND_PREPARED_ONE: u8 = 11;
 const KIND_RESET: u8 = 12;
+/// The first of the 32 packed creating `Update` kinds, `0x20..=0x3F`: the
+/// after image is the low five bits plus one bytes long.
+const KIND_CREATE: u8 = 0x20;
 /// The first of the 64 packed `Overwrite` kinds, `0x40..=0x7F`.
 const KIND_PACKED: u8 = 0x40;
 /// The first of the 64 packed CLR kinds, `0x80..=0xBF`.
@@ -540,10 +573,10 @@ pub(crate) fn block_sum(block: &[u8]) -> u32 {
 }
 
 /// Open the first block a manager writes to a log it did not start: the
-/// entry that starts the tid cursor at 0 again.
-pub(crate) fn open_reset(buf: &mut Vec<u8>, cursor: &mut TidCursor) {
+/// entry that starts both halves of the id cursor at 0 again.
+pub(crate) fn open_reset(buf: &mut Vec<u8>, cursor: &mut IdCursor) {
     buf.push(KIND_RESET);
-    *cursor = TidCursor::default();
+    *cursor = IdCursor::default();
 }
 
 /// Close the block `buf[from..]` with its seal. The drain appends the
@@ -594,9 +627,9 @@ fn put_patch(out: &mut Vec<u8>, after: Option<Patch<'_>>) {
 }
 
 /// The ids back to back; the caller has written the count. Decoded ids
-/// are encoded again, not copied: their tids were written against another
+/// are encoded again, not copied: they were written against another
 /// cursor.
-fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>, cursor: &mut TidCursor) {
+fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>, cursor: &mut IdCursor) {
     for id in ids.iter() {
         id.put(out, cursor);
     }
@@ -604,7 +637,7 @@ fn put_ids<T: WireId>(out: &mut Vec<u8>, ids: Ids<'_, T>, cursor: &mut TidCursor
 
 /// A record of one tid: a short kind that holds the tid's delta, or the
 /// long kind and the delta.
-fn put_one(out: &mut Vec<u8>, kinds: OneTid, tid: Tid, c: &mut TidCursor) {
+fn put_one(out: &mut Vec<u8>, kinds: OneTid, tid: Tid, c: &mut IdCursor) {
     match c.short(tid, kinds.bits) {
         Some(z) => out.push(kinds.short | z),
         None => {
@@ -616,7 +649,7 @@ fn put_one(out: &mut Vec<u8>, kinds: OneTid, tid: Tid, c: &mut TidCursor) {
 
 /// A `Commit` or `Prepared` group: as a record of one tid, or kind `many`,
 /// the count and the tids.
-fn put_group(out: &mut Vec<u8>, many: u8, one: OneTid, tids: Ids<'_, Tid>, c: &mut TidCursor) {
+fn put_group(out: &mut Vec<u8>, many: u8, one: OneTid, tids: Ids<'_, Tid>, c: &mut IdCursor) {
     if let (1, Some(tid)) = (tids.len(), tids.iter().next()) {
         return put_one(out, one, tid, c);
     }
@@ -661,7 +694,7 @@ fn patch<'a>(r: &mut Reader<'a>) -> Step<Option<Patch<'a>>> {
 
 /// `n` ids, each at least one byte long (so `n` is bounded by the bytes
 /// left): walked once here, so that iterating them cannot fail.
-fn ids<'a, T: WireId>(r: &mut Reader<'a>, n: u64, c: &mut TidCursor) -> Step<Ids<'a, T>> {
+fn ids<'a, T: WireId>(r: &mut Reader<'a>, n: u64, c: &mut IdCursor) -> Step<Ids<'a, T>> {
     if n > r.remaining() as u64 {
         return Err(CodecError::Short);
     }
@@ -676,7 +709,7 @@ fn ids<'a, T: WireId>(r: &mut Reader<'a>, n: u64, c: &mut TidCursor) -> Step<Ids
     }))
 }
 
-fn tids<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<Ids<'a, Tid>> {
+fn tids<'a>(r: &mut Reader<'a>, c: &mut IdCursor) -> Step<Ids<'a, Tid>> {
     let n = r.varint()?;
     ids(r, n, c)
 }
@@ -692,18 +725,18 @@ fn packed<'a>(r: &mut Reader<'a>, k: u8) -> Step<Patch<'a>> {
 }
 
 /// The tid a short kind `k` of `one` holds: its low bits, the delta.
-fn short_tid(k: u8, one: OneTid, c: &mut TidCursor) -> Step<Tid> {
-    c.step(u128::from(k & ((1 << one.bits) - 1)))
+fn short_tid(k: u8, one: OneTid, c: &mut IdCursor) -> Step<Tid> {
+    step(&mut c.tid, u128::from(k & ((1 << one.bits) - 1))).map(Tid)
 }
 
-/// The entry at `r`, its tids read against `c`: the one reader of the
+/// The entry at `r`, its ids read against `c`: the one reader of the
 /// format. Short when the bytes end inside it, corrupt when no
 /// continuation makes them an entry.
-fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
+fn entry<'a>(r: &mut Reader<'a>, c: &mut IdCursor) -> Step<LogEntry<'a>> {
     Ok(LogEntry::Record(match r.u8()? {
         KIND_SEAL => return Ok(LogEntry::Seal(r.u32()?)),
         KIND_RESET => {
-            *c = TidCursor::default();
+            *c = IdCursor::default();
             return Ok(LogEntry::Reset);
         }
         KIND_UPDATE => RecordRef::Update {
@@ -711,6 +744,12 @@ fn entry<'a>(r: &mut Reader<'a>, c: &mut TidCursor) -> Step<LogEntry<'a>> {
             oid: Oid::get(r, c)?,
             before: opt_bytes(r)?,
             after: opt_bytes(r)?,
+        },
+        k @ KIND_CREATE..=0x3F => RecordRef::Update {
+            tid: Tid::get(r, c)?,
+            oid: Oid::get(r, c)?,
+            before: None,
+            after: Some(r.bytes(usize::from(k & 0x1F) + 1)?),
         },
         KIND_OVERWRITE => RecordRef::Overwrite {
             tid: Tid::get(r, c)?,
@@ -773,12 +812,12 @@ pub enum LogEntry<'a> {
     /// A seal, with the checksum it carries for the bytes since the
     /// previous seal.
     Seal(u32),
-    /// The tid cursor starts at 0 again.
+    /// The id cursor starts at 0 again.
     Reset,
 }
 
 impl<'a> LogEntry<'a> {
-    /// Decode the entry at `buf[off]` whose tids are read against a fresh
+    /// Decode the entry at `buf[off]` whose ids are read against a fresh
     /// cursor — the first of a generation, or one a reset entry precedes —
     /// borrowing from `buf`.
     ///
@@ -786,7 +825,7 @@ impl<'a> LogEntry<'a> {
     /// before the entry does (more of the log may complete it; at the end
     /// of the file it is the torn tail); `Err` when the bytes are no entry.
     pub fn decode(buf: &'a [u8], off: usize) -> Result<Option<(LogEntry<'a>, usize)>> {
-        Self::decode_in(buf, off, &mut TidCursor::default())
+        Self::decode_in(buf, off, &mut IdCursor::default())
     }
 
     /// [`decode`](Self::decode) the entry at `buf[off]` of a stream whose
@@ -795,7 +834,7 @@ impl<'a> LogEntry<'a> {
     pub fn decode_in(
         buf: &'a [u8],
         off: usize,
-        cursor: &mut TidCursor,
+        cursor: &mut IdCursor,
     ) -> Result<Option<(LogEntry<'a>, usize)>> {
         let mut r = Reader::new(buf.get(off..).unwrap_or_default());
         let mut c = *cursor;
@@ -811,11 +850,11 @@ impl<'a> LogEntry<'a> {
 }
 
 impl<'a> RecordRef<'a> {
-    /// Append the record — kind byte and payload — to `out`, its tids
+    /// Append the record — kind byte and payload — to `out`, its ids
     /// written against `c`, the cursor of the stream `out` ends: the one
     /// encoder of the format. Encoded in place, so a buffer with room
     /// allocates nothing.
-    pub fn encode_into(&self, out: &mut Vec<u8>, c: &mut TidCursor) {
+    pub fn encode_into(&self, out: &mut Vec<u8>, c: &mut IdCursor) {
         match *self {
             RecordRef::Update {
                 tid,
@@ -823,11 +862,17 @@ impl<'a> RecordRef<'a> {
                 before,
                 after,
             } => {
-                out.push(KIND_UPDATE);
+                let create = after.filter(|a| before.is_none() && (1..=32).contains(&a.len()));
+                out.push(create.map_or(KIND_UPDATE, |a| KIND_CREATE | (a.len() - 1) as u8));
                 tid.put(out, c);
                 oid.put(out, c);
-                put_opt_bytes(out, before);
-                put_opt_bytes(out, after);
+                match create {
+                    Some(after) => out.extend_from_slice(after),
+                    None => {
+                        put_opt_bytes(out, before);
+                        put_opt_bytes(out, after);
+                    }
+                }
             }
             RecordRef::Overwrite { tid, oid, after } => {
                 out.push(patched_kind(after, [KIND_OVERWRITE, KIND_PACKED]));
@@ -968,12 +1013,12 @@ impl LogRecord {
         }
     }
 
-    /// The record's bytes as the first entry of a generation, its tids
+    /// The record's bytes as the first entry of a generation, its ids
     /// deltas from 0.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.as_ref()
-            .encode_into(&mut out, &mut TidCursor::default());
+            .encode_into(&mut out, &mut IdCursor::default());
         out
     }
 }
@@ -1003,7 +1048,7 @@ mod tests {
             panic!("a record");
         };
         let mut again = Vec::new();
-        borrowed.encode_into(&mut again, &mut TidCursor::default());
+        borrowed.encode_into(&mut again, &mut IdCursor::default());
         assert_eq!(again, bytes);
         // and it is self-delimiting: what follows it is not its business
         let mut followed = bytes.clone();
@@ -1020,7 +1065,7 @@ mod tests {
             oid: Oid(2),
             after: Some(patch),
         }
-        .encode_into(&mut bytes, &mut TidCursor::default());
+        .encode_into(&mut bytes, &mut IdCursor::default());
         let Some((LogEntry::Record(RecordRef::Overwrite { after, .. }), end)) =
             LogEntry::decode(&bytes, 0).unwrap()
         else {
@@ -1042,6 +1087,12 @@ mod tests {
             oid: Oid(2),
             before: None,
             after: Some(vec![]),
+        });
+        roundtrip(LogRecord::Update {
+            tid: Tid(1),
+            oid: Oid(2),
+            before: None,
+            after: Some(vec![3; 8]),
         });
         roundtrip(LogRecord::Update {
             tid: Tid(1),
@@ -1094,13 +1145,15 @@ mod tests {
         });
     }
 
-    /// Golden v8 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
+    /// Golden v9 sizes with three-byte tids and oids (16 384 ..= 2 097 151,
     /// where a 100 000-account ledger lives), each record the first of a
-    /// generation (its tid a delta from 0, three bytes), and `Overwrite`s
-    /// and CLRs as the write and undo paths patch them over 8-byte
-    /// balances near 1 000, the ledger's. Then a transfer as the log holds
-    /// it: only a generation's first tid, or the first past a reset, is
-    /// wide; every later one is a one-byte delta, across seals too. The
+    /// generation (its ids deltas from 0, three bytes each), and
+    /// `Overwrite`s and CLRs as the write and undo paths patch them over
+    /// 8-byte balances near 1 000, the ledger's. Then a transfer as the log
+    /// holds it: only a generation's first ids, or the first past a reset,
+    /// are wide; every later tid is a one-byte delta, across seals too, and
+    /// every later oid costs its distance from the oid before it — one byte
+    /// between neighbours, three between two accounts drawn at random. The
     /// last assertions are the benchmark's `log_bytes_per_txn` claim,
     /// guarded in tier-1.
     #[test]
@@ -1114,18 +1167,24 @@ mod tests {
             before: img(),
             after: img(),
         });
+        let create = len(LogRecord::Update {
+            tid,
+            oid,
+            before: None,
+            after: img(),
+        });
         let whole = len(LogRecord::Overwrite {
             tid,
             oid,
             after: img(),
         });
-        let encode = |rec: RecordRef<'_>, c: &mut TidCursor| {
+        let encode = |rec: RecordRef<'_>, c: &mut IdCursor| {
             let mut out = Vec::new();
             rec.encode_into(&mut out, c);
             out.len()
         };
         // the write path's `Overwrite` of `oid` from `from` to `to`
-        let overwrite = |tid, oid, from: i64, to: i64, c: &mut TidCursor| {
+        let overwrite = |tid, oid, from: i64, to: i64, c: &mut IdCursor| {
             let (base, after) = (from.to_le_bytes(), to.to_le_bytes());
             let after = Some(Patch::between(Some(&base), &after));
             encode(RecordRef::Overwrite { tid, oid, after }, c)
@@ -1134,11 +1193,11 @@ mod tests {
         let clr = |from: i64, to: i64| {
             let (base, image) = (from.to_le_bytes(), to.to_le_bytes());
             let image = Some(Patch::between(Some(&base), &image));
-            encode(RecordRef::Clr { oid, image }, &mut TidCursor::default())
+            encode(RecordRef::Clr { oid, image }, &mut IdCursor::default())
         };
-        let alone = |from, to| overwrite(tid, oid, from, to, &mut TidCursor::default());
+        let alone = |from, to| overwrite(tid, oid, from, to, &mut IdCursor::default());
         let commit = len(LogRecord::Commit { tids: vec![tid] });
-        assert_eq!((update, whole, commit), (25, 16, 4));
+        assert_eq!((update, create, whole, commit), (25, 15, 16, 4));
         // 1 000 - 37 = 0x03C3 beside 0x03E8: one byte moves, seven stay,
         // and the packed kind says which
         assert_eq!(alone(1_000, 963), 8);
@@ -1166,31 +1225,59 @@ mod tests {
             obs,
         };
         assert_eq!(len(delegate(None)), 6);
-        assert_eq!(len(delegate(Some(vec![oid, oid]))), 12);
+        // the list's second oid is a delta from its first
+        assert_eq!(len(delegate(Some(vec![oid, oid]))), 10);
         let mut block = vec![1, 2, 3];
         open_seal(&mut block);
         assert_eq!(block.len() - 3, SEAL_LEN);
         assert_eq!(SEAL_LEN, 5);
         // one balance down by k, the other up by k, and the commit
-        let transfer = |tid: Tid, k: i64, c: &mut TidCursor| {
-            let down = overwrite(tid, oid, 1_000, 1_000 - k, c);
-            let up = overwrite(tid, Oid(oid.0 + 1), 1_000, 1_000 + k, c);
+        let transfer = |tid: Tid, [a, b]: [Oid; 2], c: &mut IdCursor| {
+            let down = overwrite(tid, a, 1_000, 979, c);
+            let up = overwrite(tid, b, 1_000, 1_021, c);
             let commit = LogRecord::Commit { tids: vec![tid] };
             [down, up, encode(commit.as_ref(), c)]
         };
-        let mut c = TidCursor::default();
-        let opening = transfer(tid, 21, &mut c);
-        let amid = transfer(Tid(70_001), 21, &mut c);
-        // a seal between two transfers changes nothing: the cursor runs on
-        let past_a_seal = transfer(Tid(70_002), 21, &mut c);
-        let mut reset = Vec::new();
-        open_reset(&mut reset, &mut c);
-        let past_a_reset = transfer(Tid(70_003), 21, &mut c);
-        assert_eq!((opening, amid), ([8, 6, 1], [6, 6, 1]));
-        assert_eq!((past_a_seal, past_a_reset), (amid, opening));
-        assert_eq!(reset.len(), 1);
-        let [opening, amid] = [opening, amid].map(|t| t.iter().sum::<usize>());
-        assert_eq!((opening, amid), (15, 13), "a transfer's log bytes");
+        // two accounts far apart, then two neighbours: a transfer opening a
+        // generation, then one amid it
+        let mut bytes = Vec::new();
+        for pair in [[oid, Oid(140_000)], [oid, Oid(90_001)]] {
+            let mut c = IdCursor::default();
+            let opening = transfer(tid, pair, &mut c);
+            let amid = transfer(Tid(70_001), pair, &mut c);
+            // a seal between two transfers changes nothing: the cursor runs on
+            assert_eq!(transfer(Tid(70_002), pair, &mut c), amid, "{pair:?}");
+            let mut reset = Vec::new();
+            open_reset(&mut reset, &mut c);
+            assert_eq!(transfer(Tid(70_003), pair, &mut c), opening, "{pair:?}");
+            assert_eq!(reset.len(), 1);
+            bytes.push([opening, amid]);
+        }
+        assert_eq!(bytes, [[[8, 6, 1], [6, 6, 1]], [[8, 4, 1], [4, 4, 1]]]);
+        let sums: Vec<_> = bytes
+            .iter()
+            .map(|t| t.map(|r| r.iter().sum::<usize>()))
+            .collect();
+        assert_eq!(sums, [[15, 13], [13, 9]], "a transfer's log bytes");
+        // objects created one after the other, as a node stages them: kind,
+        // tid, oid and eight bytes, at small oids and past 2^21 alike; only
+        // the generation's first tid and the jump between the two cost
+        // their width
+        let mut c = IdCursor::default();
+        let created = [10, 11, (1 << 21) + 5, (1 << 21) + 6].map(|o| {
+            let after = 7u64.to_le_bytes();
+            let (oid, after) = (Oid(o), Some(&after[..]));
+            encode(
+                RecordRef::Update {
+                    tid,
+                    oid,
+                    before: None,
+                    after,
+                },
+                &mut c,
+            )
+        });
+        assert_eq!(created, [13, 11, 14, 11]);
     }
 
     /// Every short kind decodes to the record it encodes — the 32 deltas
@@ -1226,7 +1313,11 @@ mod tests {
             for d in -half - 1..=half {
                 let rec = make(Tid((prev + d) as u64));
                 // after a record that left the cursor at `prev`
-                let (mut c, mut back) = (TidCursor(prev as u64), TidCursor(prev as u64));
+                let at = IdCursor {
+                    tid: prev as u64,
+                    oid: 0,
+                };
+                let (mut c, mut back) = (at, at);
                 let mut bytes = Vec::new();
                 rec.as_ref().encode_into(&mut bytes, &mut c);
                 let Some((LogEntry::Record(got), end)) =
@@ -1266,7 +1357,7 @@ mod tests {
                 oid: Oid(90_000),
                 image: Some(patch),
             };
-            rec.encode_into(&mut bytes, &mut TidCursor::default());
+            rec.encode_into(&mut bytes, &mut IdCursor::default());
             let Some((LogEntry::Record(RecordRef::Clr { image, .. }), end)) =
                 LogEntry::decode(&bytes, 0).unwrap()
             else {
@@ -1288,6 +1379,120 @@ mod tests {
             assert_eq!(clr(patch), kind, "prefix {p}, middle {m}");
         }
         assert_eq!(clr(Patch::whole(b"whole")), KIND_CLR);
+    }
+
+    /// An `Update` that creates an object of 1 to 32 bytes packs its length
+    /// into its kind, `0x20 | (len − 1)`, and carries its ids and its bytes
+    /// alone; one of 0 or 33 bytes, one with no after image, and one with a
+    /// before image are kind 2.
+    #[test]
+    fn each_packed_create_length_roundtrips() {
+        let update = |before: Option<Vec<u8>>, after: Option<Vec<u8>>| LogRecord::Update {
+            tid: Tid(1),
+            oid: Oid(2),
+            before,
+            after,
+        };
+        for n in 0..=33 {
+            let rec = update(None, Some(vec![0xA5; n]));
+            let bytes = rec.encode();
+            roundtrip(rec);
+            if (1..=32).contains(&n) {
+                assert_eq!((bytes[0], bytes.len()), (0x20 | (n - 1) as u8, 3 + n));
+            } else {
+                assert_eq!(bytes[0], KIND_UPDATE, "{n} bytes");
+            }
+        }
+        for (before, after) in [
+            (None, None),
+            (Some(vec![]), Some(vec![1])),
+            (Some(vec![1]), None),
+        ] {
+            let rec = update(before, after);
+            assert_eq!(rec.encode()[0], KIND_UPDATE, "{rec:?}");
+            roundtrip(rec);
+        }
+    }
+
+    /// Every oid is a delta from the oid field before it, across record
+    /// kinds — `Update`, `Overwrite`, CLR, a `Delegate`'s list — and either
+    /// way between `Oid(0)` and `Oid(u64::MAX)`; the tids between them move
+    /// only the tid half. A `Delegate`'s list, which the decoder hands on
+    /// still encoded, moves the cursor past itself, so the `Overwrite` after
+    /// it reads its oid against the list's last.
+    #[test]
+    fn oids_are_deltas_from_the_oid_before_them() {
+        let max = Oid(u64::MAX);
+        let recs = [
+            LogRecord::Update {
+                tid: Tid(7),
+                oid: max,
+                before: None,
+                after: Some(vec![1]),
+            },
+            LogRecord::Clr {
+                oid: Oid(0),
+                image: None,
+            },
+            LogRecord::Delegate {
+                from: Tid(7),
+                to: Tid(8),
+                obs: Some(vec![max, Oid(0), Oid(90_000), Oid(90_001)]),
+            },
+            LogRecord::Overwrite {
+                tid: Tid(8),
+                oid: Oid(90_002),
+                after: Some(vec![2]),
+            },
+            LogRecord::Commit { tids: vec![Tid(8)] },
+            LogRecord::Overwrite {
+                tid: Tid(9),
+                oid: max,
+                after: None,
+            },
+        ];
+        let (mut log, mut c, mut ends) = (Vec::new(), IdCursor::default(), Vec::new());
+        for rec in &recs {
+            rec.as_ref().encode_into(&mut log, &mut c);
+            ends.push(log.len());
+        }
+        // 2 (kind, tid) + 10 (u64::MAX from 0) + 1; 1 + 10 + 1; the
+        // Delegate's list: 10, 10, 3, 1; the Overwrite after it: 1 + 1 + 1
+        // + 2; the one-byte Commit; 1 + 1 + 10 + 1
+        let lens: Vec<usize> = ends
+            .iter()
+            .scan(0, |at, &e| Some(e - std::mem::replace(at, e)))
+            .collect();
+        assert_eq!(lens, [13, 12, 1 + 1 + 1 + 1 + 24, 5, 1, 13]);
+        let (mut off, mut back, mut d) = (0, Vec::new(), IdCursor::default());
+        while let Some((LogEntry::Record(rec), next)) =
+            LogEntry::decode_in(&log, off, &mut d).unwrap()
+        {
+            back.push(rec.to_owned());
+            off = next;
+        }
+        assert_eq!((back, d, off), (recs.to_vec(), c, log.len()));
+    }
+
+    /// An oid delta that would take the oid below 0 or past `u64::MAX` is
+    /// `Corrupt`, as a tid delta's is: never a wrapped oid.
+    #[test]
+    fn an_oid_delta_out_of_range_is_corrupt() {
+        let clr = |from: u64, d: i128| {
+            let mut c = IdCursor::default();
+            let mut bytes = Vec::new();
+            Oid(from).put(&mut Vec::new(), &mut c);
+            bytes.push(KIND_CLR);
+            put_delta(&mut bytes, d);
+            bytes.push(0);
+            LogEntry::decode_in(&bytes, 0, &mut c).map(|e| e.is_some())
+        };
+        assert!(clr(5, -5).unwrap());
+        assert!(clr(5, -6).is_err());
+        assert!(clr(u64::MAX, -i128::from(u64::MAX)).unwrap());
+        assert!(clr(u64::MAX - 1, 1).unwrap());
+        assert!(clr(u64::MAX - 1, 2).is_err());
+        assert!(clr(0, u64::MAX.into()).unwrap());
     }
 
     /// A patch keeps the longest common prefix, then the longest common
@@ -1340,7 +1545,7 @@ mod tests {
         let second = log.len();
         LogRecord::Checkpoint
             .as_ref()
-            .encode_into(&mut log, &mut TidCursor::default());
+            .encode_into(&mut log, &mut IdCursor::default());
         open_seal(&mut log);
         fill_seal(&mut log, second);
         let (_, at) = decode(&log, 0).unwrap();
@@ -1408,15 +1613,15 @@ mod tests {
         assert!(LogEntry::decode(&bytes, 0).is_err());
         let mut oid = vec![KIND_CLR];
         oid.extend_from_slice(&[0xFF; 9]);
-        oid.push(0x02); // bit 64 of an oid
+        oid.push(0x04); // bit 65 of an oid's delta
         assert!(LogEntry::decode(&oid, 0).is_err());
         // nor is a kind nobody writes — v2's `Begin` included — but each
         // packed kind is a record still to come, and a short kind whole
         assert!(LogEntry::decode(&[1, 7], 0).is_err());
-        for kind in [13, 0x3F] {
+        for kind in [13, 0x1F] {
             assert!(LogEntry::decode(&[kind], 0).is_err());
         }
-        assert!((0x40..=0xBF).all(|k| LogEntry::decode(&[k], 0).unwrap().is_none()));
+        assert!((0x20..=0xBF).all(|k| LogEntry::decode(&[k], 0).unwrap().is_none()));
         for kind in [
             KIND_COMMIT_SHORT,
             KIND_PREPARED_SHORT,
@@ -1474,7 +1679,7 @@ mod tests {
                 LogRecord::Abort { tid: Tid(69_999) },
             ])
             .collect();
-        let (mut log, mut c) = (Vec::new(), TidCursor::default());
+        let (mut log, mut c) = (Vec::new(), IdCursor::default());
         let mut sizes = Vec::new();
         // a block, a block past its seal, and a block that a reset opens
         for block in 0..3 {
@@ -1498,7 +1703,7 @@ mod tests {
         // 9 from 3: +6, zigzag 12, in the `Commit`'s kind
         let commit = sizes[..7].iter().sum::<usize>();
         assert_eq!((log[commit], sizes[7]), (KIND_COMMIT_SHORT | 12, 1));
-        let (mut off, mut c, mut back) = (0, TidCursor::default(), Vec::new());
+        let (mut off, mut c, mut back) = (0, IdCursor::default(), Vec::new());
         while off < log.len() {
             let before = c;
             let (entry, next) = LogEntry::decode_in(&log, off, &mut c).unwrap().unwrap();
@@ -1521,7 +1726,7 @@ mod tests {
         // a `Delegate` from `from` to `from` moved by the delta `to`
         let decode = |from: u64, to: &[u8]| {
             let mut bytes = vec![KIND_DELEGATE];
-            Tid(from).put(&mut bytes, &mut TidCursor::default());
+            Tid(from).put(&mut bytes, &mut IdCursor::default());
             bytes.extend_from_slice(to);
             bytes.push(0);
             LogEntry::decode(&bytes, 0).map(|e| e.is_some())
@@ -1575,7 +1780,7 @@ mod tests {
             .map(LogRecord::as_ref)
             .chain([patched, restored])
             .collect();
-        let (mut log, mut ends, mut c) = (vec![], vec![], TidCursor::default());
+        let (mut log, mut ends, mut c) = (vec![], vec![], IdCursor::default());
         for r in &recs {
             r.encode_into(&mut log, &mut c);
             ends.push(log.len());
@@ -1584,7 +1789,7 @@ mod tests {
         fill_seal(&mut log, 0);
         for cut in 0..log.len() {
             let whole = ends.iter().filter(|e| **e <= cut).count();
-            let (mut off, mut c) = (0, TidCursor::default());
+            let (mut off, mut c) = (0, IdCursor::default());
             for end in &ends[..whole] {
                 let mut again = (Vec::new(), c);
                 let Some((LogEntry::Record(back), next)) =

@@ -9,15 +9,16 @@
 //! is cut at *every* byte offset, and one byte of it is flipped. An
 //! `Overwrite` or a CLR of an object the log holds an image of is appended
 //! as the write and undo paths log it, a patch against that image, and
-//! reads back whole. Tids wander, with now and then a far jump either way:
-//! they are deltas of both signs and every size, across seals, and the
-//! first block a reopened log writes opens with a reset entry, past which
-//! the first tid is a delta from 0.
+//! reads back whole. Tids wander, with now and then a far jump either way,
+//! and oids jump between six of every width: both are deltas of both signs
+//! and every size, across seals, and the first block a reopened log writes
+//! opens with a reset entry, past which the first tid and the first oid
+//! are deltas from 0.
 
 use asset_common::{AssetError, Durability, Lsn, Oid, Tid};
 use asset_faults::{cases, Rng, TempDir};
 use asset_storage::log::{
-    LogManager, LogRecord, Patch, RecordRef, TidCursor, FORMAT_MARKER, SEAL_LEN,
+    IdCursor, LogManager, LogRecord, Patch, RecordRef, FORMAT_MARKER, SEAL_LEN,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -59,8 +60,9 @@ fn arb_tid(rng: &mut Rng, last: &mut u64) -> Tid {
 
 fn arb_record(rng: &mut Rng, images: &Images, last: &mut u64) -> LogRecord {
     let tid = arb_tid(rng, last);
-    // few enough objects that most are overwritten
-    let oid = Oid(1 + rng.below(6));
+    // few enough objects that most are overwritten, their oids deltas of
+    // every width from each other
+    let oid = Oid([1, 2, 300, 1 << 20, 1 << 50, u64::MAX][rng.below(6) as usize]);
     match rng.below(6) {
         0 => LogRecord::Update {
             tid,
@@ -97,13 +99,13 @@ static PATCHED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 
 /// Append `rec` as the write and undo paths would log it — an `Overwrite`
 /// or a CLR of an object `images` holds an image of is a patch against
-/// that image — and return its LSN and its length in the log: its tids
+/// that image — and return its LSN and its length in the log: its ids
 /// written against `cursor`, the cursor of the log it joins.
 fn append(
     log: &LogManager,
     rec: &LogRecord,
     images: &mut Images,
-    cursor: &mut TidCursor,
+    cursor: &mut IdCursor,
 ) -> (Lsn, usize) {
     let logged = match rec {
         LogRecord::Overwrite {
@@ -160,7 +162,7 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
     )];
     // each record's length, and whether a reset entry comes before it
     let mut lens = vec![(1, false)];
-    let (mut images, mut last, mut cursor) = (Images::new(), 0, TidCursor::default());
+    let (mut images, mut last, mut cursor) = (Images::new(), 0, IdCursor::default());
     let mut reset = false;
     for _ in 0..rng.below(32) {
         let rec = arb_record(rng, &images, &mut last);
@@ -181,7 +183,7 @@ fn write_a_log(rng: &mut Rng, path: &Path) -> Written {
                 log = LogManager::open_with(path, Durability::Strict, watermark).unwrap();
                 #[cfg(feature = "faults")]
                 log.set_faults(std::sync::Arc::clone(&faults));
-                (cursor, reset) = (TidCursor::default(), true);
+                (cursor, reset) = (IdCursor::default(), true);
             }
             #[cfg(feature = "faults")]
             // once a block is in the file, so the file has bytes to cut

@@ -6,7 +6,7 @@
 
 use asset_common::{AssetError, Config, Durability, Oid, Tid};
 use asset_faults::{cases, Rng, TempDir};
-use asset_storage::log::{LogEntry, TidCursor, FORMAT_MARKER};
+use asset_storage::log::{IdCursor, LogEntry, FORMAT_MARKER};
 use asset_storage::{LogRecord, ObjectCache, ObjectStore, RecordRef, StorageEngine};
 use std::collections::HashMap;
 use std::path::Path;
@@ -17,6 +17,12 @@ const CASES: u64 = 64;
 
 /// Keys the engine property draws from.
 const KEYS: u64 = 24;
+
+/// The object of a key: an odd key's near `u64::MAX`, an even key's near
+/// 0, so that the log's oid deltas run from one byte to ten, either way.
+fn oid(key: u64) -> Oid {
+    Oid(if key % 2 == 1 { u64::MAX - key } else { key })
+}
 
 fn open(config: &Config) -> StorageEngine {
     StorageEngine::open(config).unwrap().0
@@ -31,7 +37,7 @@ fn commit(e: &StorageEngine, tid: Tid) {
 /// undo list newest first, each with its CLR, then its `Abort` record.
 fn abort(e: &StorageEngine, tid: Tid, undo: Vec<(u64, Option<Vec<u8>>)>) {
     for (key, before) in undo.into_iter().rev() {
-        e.undo_object(Oid(key), before).unwrap();
+        e.undo_object(oid(key), before).unwrap();
     }
     e.log_record(&LogRecord::Abort { tid }).unwrap();
 }
@@ -39,7 +45,7 @@ fn abort(e: &StorageEngine, tid: Tid, undo: Vec<(u64, Option<Vec<u8>>)>) {
 /// Every key reads as `model` says.
 fn assert_holds(e: &StorageEngine, model: &HashMap<u64, Vec<u8>>, what: &str) {
     for key in 1..=KEYS {
-        let seen = e.read_object(Oid(key));
+        let seen = e.read_object(oid(key));
         assert_eq!(seen.as_ref(), model.get(&key), "[{what}] key {key}");
     }
 }
@@ -82,7 +88,7 @@ fn an_engine_reopened_anywhere_holds_the_committed_values() {
                 0..=3 if owned => {}
                 0..=2 => {
                     let tid = tids.next().unwrap();
-                    let before = e.write_object(tid, Oid(key), image.clone()).unwrap().0;
+                    let before = e.write_object(tid, oid(key), image.clone()).unwrap().0;
                     if op == 0 {
                         abort(&e, tid, vec![(key, before)]);
                     } else {
@@ -92,7 +98,7 @@ fn an_engine_reopened_anywhere_holds_the_committed_values() {
                 }
                 3 => {
                     let (tid, writes) = live.get_or_insert_with(|| (tids.next().unwrap(), vec![]));
-                    let before = e.write_object(*tid, Oid(key), image.clone()).unwrap().0;
+                    let before = e.write_object(*tid, oid(key), image.clone()).unwrap().0;
                     writes.push((key, before, image));
                 }
                 4 => match live.take() {
@@ -153,11 +159,11 @@ fn arb_next(rng: &mut Rng, base: Option<&[u8]>) -> Option<Vec<u8>> {
     }
 }
 
-/// The kinds of the patched `Overwrite`s and CLRs, and of the `Commit`s,
-/// in the log file at `path`.
+/// The kinds of the patched `Overwrite`s and CLRs, of the `Update`s that
+/// create an object, and of the `Commit`s, in the log file at `path`.
 fn kinds_in(path: &Path, kinds: &Mutex<Vec<u8>>) {
     let bytes = std::fs::read(path).unwrap();
-    let (mut off, mut cursor) = (FORMAT_MARKER.len(), TidCursor::default());
+    let (mut off, mut cursor) = (FORMAT_MARKER.len(), IdCursor::default());
     while let Some((entry, next)) = LogEntry::decode_in(&bytes, off, &mut cursor).unwrap() {
         let counts = match entry {
             LogEntry::Record(
@@ -168,7 +174,9 @@ fn kinds_in(path: &Path, kinds: &Mutex<Vec<u8>>) {
                     image: Some(patch), ..
                 },
             ) => !patch.is_whole(),
-            LogEntry::Record(RecordRef::Commit { .. }) => true,
+            LogEntry::Record(RecordRef::Update { before: None, .. } | RecordRef::Commit { .. }) => {
+                true
+            }
             _ => false,
         };
         kinds.lock().unwrap().extend(counts.then_some(bytes[off]));
@@ -205,7 +213,7 @@ fn patched_overwrites_reopen_as_the_images_written() {
             let key = 1 + rng.below(4);
             let (t1, t2) = (tids.next().unwrap(), tids.next().unwrap());
             let first = arb_next(rng, model.get(&key).map(Vec::as_slice));
-            let base = e.write_object(t1, Oid(key), first.clone()).unwrap().0;
+            let base = e.write_object(t1, oid(key), first.clone()).unwrap().0;
             checkpoint(&e, rng, &[t1]);
             let committed = match rng.below(3) {
                 0 => {
@@ -218,7 +226,7 @@ fn patched_overwrites_reopen_as_the_images_written() {
                 }
                 _ => {
                     let second = arb_next(rng, first.as_deref());
-                    let mid = e.write_object(t2, Oid(key), second.clone()).unwrap().0;
+                    let mid = e.write_object(t2, oid(key), second.clone()).unwrap().0;
                     checkpoint(&e, rng, &[t1, t2]);
                     let kept = if rng.below(2) == 0 {
                         abort(&e, t2, vec![(key, mid)]);
@@ -245,12 +253,15 @@ fn patched_overwrites_reopen_as_the_images_written() {
         std::fs::remove_dir_all(&data).unwrap();
     });
     let kinds = kinds.into_inner().unwrap();
-    let n = kinds.iter().filter(|k| !(0xC0..=0xDF).contains(*k)).count();
+    let n = kinds
+        .iter()
+        .filter(|k| matches!(k, 7 | 9 | 0x40..=0xBF))
+        .count();
     assert!(n >= CASES as usize, "too few patches to tell: {n}");
-    // each packed range's first and last kinds, and kinds 9 and 7 past
+    // each packed range's first and last kinds, and kinds 9, 7 and 2 past
     // them; a one-tid `Commit` in its kind byte, behind a write of its own
     // tid (+0) and behind its partner's (t1 after t2: −1)
-    for kind in [0x40, 0x7F, 9, 0x80, 0xBF, 7, 0xC0, 0xC1] {
+    for kind in [0x20, 0x3F, 2, 0x40, 0x7F, 9, 0x80, 0xBF, 7, 0xC0, 0xC1] {
         assert!(kinds.contains(&kind), "no record of kind {kind:#04x}");
     }
 }

@@ -1000,12 +1000,14 @@ fn a_torn_block_is_invisible_and_chopped_so_an_acked_commit_survives_a_second_re
 }
 
 // ---------------------------------------------------------------------------
-// WAL v8's tid cursor runs across blocks, and each manager that opens the
-// log starts it over with a reset entry. Commits across several drains,
-// then a torn tail at each log failpoint, a reopen that chops it, more
-// commits across drains, and two more reopens: every restart finds the
-// acknowledged commits, and the second restart reads the log the first
-// left.
+// WAL v9's id cursor runs across blocks, and each manager that opens the
+// log starts both its halves over with a reset entry. Commits across
+// several drains, then a torn tail at each log failpoint, a reopen that
+// chops it, more commits across drains, and two more reopens: every
+// restart finds the acknowledged commits, and the second restart reads the
+// log the first left. The objects take turns between three small oids and
+// three past 2^21, so the oids written before and after each tear and
+// each reopen are far apart.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -1036,7 +1038,8 @@ fn torn_matrix_reopened_log_keeps_the_cursor_across_blocks() {
         let model = Model::default();
         let oids: Vec<Oid> = {
             let db = case.open();
-            let oids: Vec<Oid> = (0..3).map(|_| db.new_oid()).collect();
+            let small = (0..3).map(|_| db.new_oid());
+            let oids: Vec<Oid> = small.flat_map(|o| [o, Oid(o.0 + (1 << 21))]).collect();
             commits(&db, &oids, 0, 6, &model).unwrap();
             oids
         };

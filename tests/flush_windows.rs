@@ -201,6 +201,45 @@ fn a_global_commit_forces_one_window_per_node_its_vote() {
     }
 }
 
+/// What a node's staged write costs its log, the other half of
+/// `dist_commit`'s `log_bytes_per_txn` beside the decision's 7 bytes: a
+/// fresh 8-byte object created right after the node's previous one is one
+/// packed `Update` of 11 bytes — its kind, a one-byte tid delta, a
+/// one-byte oid delta and the 8 bytes — at an oid near 10 and after
+/// `new_oid()` has taken the node past 2^21 alike, so a node's log does
+/// not widen as a pass goes on.
+#[test]
+fn a_staged_creation_is_11_bytes_at_any_oid() {
+    let dir = TempDir::new("staged");
+    let node = ParticipantNode::open(Config::on_disk(&dir.0)).unwrap();
+    let db = node.db();
+    let tail = |db: &Database| db.engine().log().tail().0;
+    // stage a write of a fresh object as `dist_commit` does, and commit
+    // it: its oid and the bytes its write appended
+    let stage = |db: &Database| {
+        let o = db.new_oid();
+        let at = tail(db);
+        let t = db
+            .initiate(move |ctx| ctx.write(o, 7u64.to_le_bytes().to_vec()))
+            .unwrap();
+        db.begin(t).unwrap();
+        assert!(db.wait(t).unwrap());
+        let bytes = tail(db) - at;
+        assert!(db.commit(t).unwrap());
+        (o, bytes)
+    };
+    // the log's first write pays its marker and wide first ids
+    let (first, _) = stage(&db);
+    let (o, bytes) = stage(&db);
+    assert!(o.0 < 10, "{o}");
+    assert_eq!((o.0, bytes), (first.0 + 1, 11), "next to the previous");
+    while db.new_oid().0 < 1 << 21 {}
+    // the jump past 2^21 costs its width once
+    let (far, _) = stage(&db);
+    let (o, bytes) = stage(&db);
+    assert_eq!((o.0, bytes), (far.0 + 1, 11), "past 2^21");
+}
+
 /// Early lock release, counted (`--features faults`): a commit frees its
 /// locks once its record has an LSN, and is acknowledged only once a
 /// window has synced the log through it. A failpoint hook holds one window

@@ -15,7 +15,7 @@ use asset::common::ParticipantState;
 use asset::coord::CommitMessage;
 use asset::server::protocol::{opcode, status, status_name};
 use asset::server::AssetServer;
-use asset::storage::log::{LogEntry, Patch, TidCursor};
+use asset::storage::log::{IdCursor, LogEntry, Patch};
 use asset::storage::{LogRecord, RecordRef};
 use asset::{Config, Database, Oid, Tid, TxnStatus};
 use std::sync::OnceLock;
@@ -159,7 +159,7 @@ const PREV: u64 = 1_000;
 
 /// `rec`'s first byte, written after a record of tid [`PREV`].
 fn tag_after_prev(rec: RecordRef<'_>) -> u8 {
-    let (mut c, mut out) = (TidCursor::default(), Vec::new());
+    let (mut c, mut out) = (IdCursor::default(), Vec::new());
     LogRecord::Abort { tid: Tid(PREV) }
         .as_ref()
         .encode_into(&mut Vec::new(), &mut c);
@@ -171,8 +171,9 @@ fn tag_after_prev(rec: RecordRef<'_>) -> u8 {
 /// and `Prepared`, for a group of one and for a larger one, and for a
 /// one-tid record a tid far from the one before it — with its DESIGN.md
 /// name; then the tag of a one-tid `Commit`, `Prepared` and `Abort` at
-/// each delta its kind holds, and of an `Overwrite` and a CLR patched in
-/// each shape a packed kind holds. The match is exhaustive: a new variant
+/// each delta its kind holds, of an `Update` that creates an object of
+/// each length a packed kind holds, and of an `Overwrite` and a CLR
+/// patched in each shape a packed kind holds. The match is exhaustive: a new variant
 /// does not compile until it is named here, and then the check asks for
 /// its row.
 fn record_tags() -> Vec<String> {
@@ -241,6 +242,18 @@ fn record_tags() -> Vec<String> {
             tags.push(short(RecordRef::Abort { tid }, "Abort"));
         }
     }
+    // an object created with 1 to 32 bytes, its oid a delta of one byte or
+    // of ten: the tag holds the length, whatever the oid costs
+    for (n, oid) in (1..=32).flat_map(|n| [(n, o), (n, Oid(u64::MAX))]) {
+        let after = vec![7; n];
+        let create = RecordRef::Update {
+            tid: t,
+            oid,
+            before: None,
+            after: Some(&after),
+        };
+        tags.push(format!("{:#04x} Update", tag_after_prev(create)));
+    }
     // a 16-byte image whose bytes `p..p + m` change: prefix p, middle m
     let base = [0u8; 16];
     for (p, m) in (0..8).flat_map(|p| (1..=8).map(move |m| (p, m))) {
@@ -290,7 +303,7 @@ fn check_wal_tags(md: &str) -> Vec<String> {
     // record still to come
     let accepts = |t: u8| {
         let mut bytes = LogRecord::Abort { tid: Tid(PREV) }.encode();
-        let (at, mut c) = (bytes.len(), TidCursor::default());
+        let (at, mut c) = (bytes.len(), IdCursor::default());
         bytes.push(t);
         LogEntry::decode_in(&bytes, 0, &mut c).unwrap();
         LogEntry::decode_in(&bytes, at, &mut c).is_ok()
